@@ -32,8 +32,8 @@ struct Shared<T> {
 /// A shared host vector bindable to pull and push tasks.
 ///
 /// Clones share the same storage (`Arc` inside). Host tasks mutate it
-/// through [`HostVec::write`]; pull tasks snapshot its bytes when they
-/// execute; push tasks overwrite it when they execute.
+/// through [`HostVec::write`]; pull tasks copy its bytes (under the read
+/// lock) when they execute; push tasks overwrite it when they execute.
 ///
 /// ```
 /// use hf_core::data::HostVec;
@@ -166,6 +166,16 @@ pub trait HostSource: Send + Sync + 'static {
     fn fetch_bytes_versioned(&self) -> (Vec<u8>, Option<u64>) {
         (self.fetch_bytes(), None)
     }
+    /// Lends the current bytes and their version to `f` for the duration
+    /// of the call — the read the transfer engine copies from. The
+    /// default lends a snapshot; a source that owns its storage should
+    /// override it to lend that storage directly (one pass over the bytes
+    /// instead of two), and one that reports a [`HostSource::version`]
+    /// must, or every chunk of a pipelined pull pays a whole snapshot.
+    fn with_bytes(&self, f: &mut dyn FnMut(&[u8], Option<u64>)) {
+        let (bytes, version) = self.fetch_bytes_versioned();
+        f(&bytes, version);
+    }
 }
 
 /// Anything a push task can write device bytes back into at execution
@@ -216,6 +226,13 @@ impl<T: Plain> HostSource for HostVec<T> {
         let guard = self.inner.data.read();
         let version = self.inner.version.load(Ordering::Acquire);
         (plain::as_bytes(guard.as_slice()).to_vec(), Some(version))
+    }
+
+    fn with_bytes(&self, f: &mut dyn FnMut(&[u8], Option<u64>)) {
+        // Same pairing as above; writers wait for as long as `f` runs.
+        let guard = self.inner.data.read();
+        let version = self.inner.version.load(Ordering::Acquire);
+        f(plain::as_bytes(guard.as_slice()), Some(version));
     }
 }
 

@@ -32,10 +32,10 @@ use crate::placement::PlacementPolicy;
 use crate::retry::{OnDeviceLoss, RetryPolicy};
 use crate::stats::ExecutorStats;
 use crate::topology::{FusionPlan, RunFuture, Topology};
-use crate::data::{HostSink, HostSource};
+use crate::transfer::{self, PreparedOp};
 use hf_gpu::{
-    Device, DevicePtr, Event, FaultSite, GpuConfig, GpuError, GpuRuntime, KernelArgs,
-    LaunchConfig, OpReport, ScopedDeviceContext, Stream,
+    Device, FaultSite, GpuConfig, GpuError, GpuRuntime, KernelArgs, LaunchConfig, OpReport,
+    ScopedDeviceContext, Stream,
 };
 use hf_sync::{Injector, Notifier, Steal, StealDeque, Stealer};
 use parking_lot::{Condvar, Mutex};
@@ -64,7 +64,7 @@ fn unpack(token: Token) -> (u32, usize) {
 /// one injector spray and one coalesced wakeup.
 const RELEASE_BATCH: usize = 32;
 
-/// Default byte size above which H2D/D2H transfers are chunked across
+/// Default byte size above which a pull is pipelined in chunks across the
 /// copy-lane streams. Large enough that typical test graphs stay on the
 /// single-op path.
 const DEFAULT_COPY_CHUNK_THRESHOLD: usize = 1 << 20;
@@ -239,10 +239,11 @@ pub(crate) struct ExecInner {
     /// Per-device "already counted as lost" latch for the
     /// `devices_lost` stat (each device counted once per executor).
     pub(crate) lost_seen: Vec<AtomicBool>,
-    /// H2D/D2H transfers larger than this many bytes are split into
-    /// chunks pipelined across copy-lane streams (`usize::MAX` disables).
+    /// Pulls of more than this many bytes are pipelined in chunks of this
+    /// size across the copy-lane streams (`usize::MAX` disables). Pushes
+    /// are always one op; see [`crate::transfer`].
     pub(crate) copy_chunk_threshold: usize,
-    /// Copy-lane streams per (worker, device) used by chunked transfers.
+    /// Copy-lane streams per (worker, device) used by pipelined pulls.
     pub(crate) copy_lanes: usize,
     /// EWMA feedback of modeled per-task durations; consulted by the
     /// locality placement policy and seedable from external history.
@@ -271,7 +272,7 @@ impl ExecInner {
     /// Records one executed task's modeled duration into the cost
     /// database (locality policy only; other policies skip the feedback
     /// loop entirely so their hot path is unchanged).
-    fn observe_cost(&self, graph: &str, task: &str, nanos: f64) {
+    pub(crate) fn observe_cost(&self, graph: &str, task: &str, nanos: f64) {
         if self.locality() {
             self.cost_db.observe(graph, task, nanos);
         }
@@ -568,17 +569,19 @@ impl ExecutorBuilder {
         self
     }
 
-    /// Sets the byte size above which H2D/D2H transfers are split into
-    /// chunks enqueued round-robin across copy-lane streams, letting long
-    /// copies interleave with kernels on the same device (default 1 MiB;
-    /// `usize::MAX` disables chunking).
+    /// Sets the byte size above which a pull (H2D) is split into chunks of
+    /// that size enqueued round-robin across copy-lane streams, letting a
+    /// long copy interleave with kernels on the same device (default
+    /// 1 MiB; `usize::MAX` disables chunking). Sources that report no
+    /// [`crate::data::HostSource::version`] and all pushes (D2H) copy in
+    /// one op whatever their size.
     pub fn copy_chunk_threshold(mut self, bytes: usize) -> Self {
         self.copy_chunk_threshold = bytes.max(1);
         self
     }
 
     /// Sets how many copy-lane streams each worker opens per device for
-    /// chunked transfers (default 2; clamped to at least 1).
+    /// chunked pulls (default 2; clamped to at least 1).
     pub fn copy_lanes(mut self, lanes: usize) -> Self {
         self.copy_lanes = lanes.max(1);
         self
@@ -1572,7 +1575,7 @@ struct Worker {
     /// Lazily created per-device streams — "each worker keeps a
     /// per-thread CUDA stream" (§III-C).
     streams: Vec<Option<Stream>>,
-    /// Lazily created per-device copy-lane streams: chunked transfers
+    /// Lazily created per-device copy-lane streams: chunked pulls
     /// round-robin their chunks across these so long copies interleave
     /// with kernels on the device engine.
     copy_streams: Vec<Vec<Stream>>,
@@ -1616,7 +1619,7 @@ impl Worker {
         slot.clone().expect("just created")
     }
 
-    /// Copy-lane streams for `device`, created on first chunked transfer.
+    /// Copy-lane streams for `device`, created on first chunked pull.
     fn copy_lanes(&mut self, device: u32) -> Vec<Stream> {
         let lanes = self.inner.copy_lanes;
         let slot = &mut self.copy_streams[device as usize];
@@ -1817,6 +1820,10 @@ impl Worker {
         let mut dispatched_async = false;
         let mut retried = false;
         let mut ok = false;
+        // Counted before `invoke`: an async GPU chain can complete, and
+        // resolve the run's future, before `invoke` returns, and a
+        // snapshot taken right after `wait()` must already include it.
+        inner.stats.tasks_executed.incr(self.id);
         if !skip {
             match self.invoke(&topo, node) {
                 Ok(is_async) => {
@@ -1869,7 +1876,6 @@ impl Worker {
                 },
             }
         }
-        inner.stats.tasks_executed.incr(self.id);
 
         if observed {
             let meta = self.task_meta(&topo, node);
@@ -2018,15 +2024,8 @@ impl Worker {
             };
             match op {
                 PreparedOp::Single(f) => stream.exec_labeled(label, f),
-                PreparedOp::ChunkedH2d { node, ptr, source } => {
-                    self.enqueue_chunked_h2d(
-                        topo, node, ptr, source, &device, &stream, &state, label,
-                    );
-                }
-                PreparedOp::ChunkedD2h { node, pull, ptr, sink } => {
-                    self.enqueue_chunked_d2h(
-                        topo, node, pull, ptr, sink, &device, &stream, &state, label,
-                    );
+                PreparedOp::ChunkedPull(pull) => {
+                    pull.enqueue_chunked(&stream, &self.copy_lanes(dev_id), label);
                 }
             }
         }
@@ -2076,9 +2075,9 @@ impl Worker {
     }
 
     /// Builds the device op for one GPU node (without enqueueing it).
-    /// Pull tasks also (re)use or (re)allocate their device buffer here;
-    /// transfers larger than the chunk threshold come back as chunked
-    /// descriptors that `dispatch_gpu_chain` pipelines across copy lanes.
+    /// Pulls and pushes are the transfer engine's ([`crate::transfer`]);
+    /// a pull it wants pipelined comes back as a descriptor that
+    /// `dispatch_gpu_chain` enqueues across the copy lanes.
     fn prepare_op(
         &mut self,
         topo: &Arc<Topology>,
@@ -2089,187 +2088,19 @@ impl Worker {
         let frozen: &FrozenGraph = &topo.frozen;
         let node = &frozen.nodes[id];
         let dev_id = device.id();
-        let wrap = |name: &str, e: GpuError| HfError::TaskFailed {
-            task: name.to_string(),
-            source: e,
-        };
         match &node.work {
             Work::Pull { source } => {
-                // (Re)use or (re)allocate the device buffer for the
-                // source's *current* size — stateful. A same-device buffer
-                // whose reserved capacity still fits is kept: a changed
-                // length only adjusts `len` (and drops residency); a
-                // changed device or outgrown capacity reallocates.
-                let bytes = source.byte_len();
-                let ptr = {
-                    let mut st = topo.pull_state(id).lock();
-                    let reuse = matches!((&st.ptr, &st.device), (Some(p), Some(d))
-                        if d.same_device(device) && bytes as u64 <= p.capacity);
-                    if reuse {
-                        let mut p = st.ptr.expect("reuse checked");
-                        if p.len as usize != bytes {
-                            p.len = bytes as u64;
-                            st.ptr = Some(p);
-                            st.resident_version = None;
-                        }
-                        p
-                    } else {
-                        if let (Some(p), Some(d)) = (st.ptr.take(), st.device.take()) {
-                            // Best-effort: a dead or lost device rejects
-                            // the free; its arena died with it.
-                            let _ = d.free(p);
-                        }
-                        st.resident_version = None;
-                        let p = device.alloc(bytes).map_err(|e| wrap(&node.name, e))?;
-                        st.ptr = Some(p);
-                        st.device = Some(device.clone());
-                        p
-                    }
-                };
-                if bytes > self.inner.copy_chunk_threshold {
-                    return Ok(PreparedOp::ChunkedH2d {
-                        node: id,
-                        ptr,
-                        source: Arc::clone(source),
-                    });
-                }
-                let src = Arc::clone(source);
-                let topo2 = Arc::clone(topo);
-                let state2 = Arc::clone(state);
-                let dev = device.clone();
-                let inner = Arc::clone(&self.inner);
-                let task = node.name.clone();
-                Ok(PreparedOp::Single(Box::new(move |view, cost| {
-                    if state2.skip(&topo2) {
-                        return Ok(OpReport::default());
-                    }
-                    // Transfer elision: the device buffer already holds
-                    // exactly this host version — skip the copy entirely
-                    // (no fault draw either: no transfer happens).
-                    let host_ver = src.version();
-                    if host_ver.is_some() && {
-                        let st = topo2.pull_state(id).lock();
-                        st.resident_version == host_ver && st.ptr == Some(ptr)
-                    } {
-                        inner.stats.transfers_elided.incr();
-                        state2.done.fetch_add(1, Ordering::Release);
-                        return Ok(OpReport::default());
-                    }
-                    if let Err(e) = dev.fault_check(FaultSite::H2d) {
-                        state2.fail(HfError::TaskFailed {
-                            task: task.clone(),
-                            source: e.clone(),
-                        });
-                        return Err(e);
-                    }
-                    let (data, ver) = src.fetch_bytes_versioned();
-                    let n = data.len();
-                    if let Err(e) = view.copy_in(ptr, &data) {
-                        state2.fail(HfError::TaskFailed {
-                            task: task.clone(),
-                            source: e.clone(),
-                        });
-                        return Err(e);
-                    }
-                    // Publish residency. `copy_in` is all-or-nothing, so a
-                    // failure above left the previous residency intact; a
-                    // partial fill (host shrank since prepare) stays
-                    // invalid.
-                    {
-                        let mut st = topo2.pull_state(id).lock();
-                        if st.ptr == Some(ptr) {
-                            st.resident_version =
-                                if n == ptr.len as usize { ver } else { None };
-                        }
-                    }
-                    inner.stats.bytes_h2d.add(n as u64);
-                    // Locality feedback: the modeled duration of the copy
-                    // that actually happened (current bytes, not the
-                    // placement-time size estimate).
-                    let dur = cost.h2d(n);
-                    inner.observe_cost(&topo2.frozen.name, &task, dur.as_nanos() as f64);
-                    state2.done.fetch_add(1, Ordering::Release);
-                    Ok(OpReport {
-                        duration: dur,
-                        h2d_bytes: n as u64,
-                        ..Default::default()
-                    })
-                })))
+                transfer::prepare_pull(&self.inner, topo, id, source, device, state)
             }
-            Work::Push { source_pull, sink } => {
-                let pull_id = *source_pull;
-                let pull_node = &frozen.nodes[pull_id];
-                let ptr = topo.pull_state(pull_id).lock().ptr.ok_or_else(|| {
-                    HfError::PushBeforePull {
-                        push: node.name.clone(),
-                        pull: pull_node.name.clone(),
-                    }
-                })?;
-                debug_assert_eq!(dev_id, ptr.device);
-                if ptr.len as usize > self.inner.copy_chunk_threshold {
-                    return Ok(PreparedOp::ChunkedD2h {
-                        node: id,
-                        pull: pull_id,
-                        ptr,
-                        sink: Arc::clone(sink),
-                    });
-                }
-                let sink = Arc::clone(sink);
-                // Revalidation below is only sound for an in-place round
-                // trip (push back into the pull's own storage): versions
-                // are per-buffer counters, so a foreign sink's version
-                // must never validate the source's residency.
-                let same_buffer = matches!(&pull_node.work, Work::Pull { source }
-                    if source.source_id().is_some()
-                        && source.source_id() == sink.sink_id());
-                let topo2 = Arc::clone(topo);
-                let state2 = Arc::clone(state);
-                let dev = device.clone();
-                let inner = Arc::clone(&self.inner);
-                let task = node.name.clone();
-                Ok(PreparedOp::Single(Box::new(move |view, cost| {
-                    if state2.skip(&topo2) {
-                        return Ok(OpReport::default());
-                    }
-                    if let Err(e) = dev.fault_check(FaultSite::D2h) {
-                        state2.fail(HfError::TaskFailed {
-                            task: task.clone(),
-                            source: e.clone(),
-                        });
-                        return Err(e);
-                    }
-                    let bytes = match view.bytes(ptr) {
-                        Ok(b) => b,
-                        Err(e) => {
-                            state2.fail(HfError::TaskFailed {
-                                task: task.clone(),
-                                source: e.clone(),
-                            });
-                            return Err(e);
-                        }
-                    };
-                    let n = bytes.len();
-                    let ver = sink.store_bytes_versioned(bytes);
-                    // Push revalidation: the host now mirrors the device
-                    // buffer exactly, so a subsequent pull of unchanged
-                    // host data may elide its copy.
-                    if ver.is_some() && same_buffer {
-                        let mut st = topo2.pull_state(pull_id).lock();
-                        if st.ptr == Some(ptr) {
-                            st.resident_version = ver;
-                        }
-                    }
-                    inner.stats.bytes_d2h.add(n as u64);
-                    let dur = cost.d2h(n);
-                    inner.observe_cost(&topo2.frozen.name, &task, dur.as_nanos() as f64);
-                    state2.done.fetch_add(1, Ordering::Release);
-                    Ok(OpReport {
-                        duration: dur,
-                        d2h_bytes: n as u64,
-                        ..Default::default()
-                    })
-                })))
-            }
+            Work::Push { source_pull, sink } => transfer::prepare_push(
+                &self.inner,
+                topo,
+                id,
+                *source_pull,
+                sink,
+                device,
+                state,
+            ),
             Work::Kernel { func, sources } => {
                 let mut ptrs = Vec::with_capacity(sources.len());
                 for &s in sources {
@@ -2316,7 +2147,7 @@ impl Worker {
                     // host version. (A faulted kernel above never ran, so
                     // residency survives the retry.)
                     for &sid in &src_ids {
-                        topo2.pull_state(sid).lock().resident_version = None;
+                        transfer::clear_residency(&topo2, sid);
                     }
                     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         let mut args = KernelArgs::new(view, &ptrs);
@@ -2341,355 +2172,6 @@ impl Worker {
             Work::Empty | Work::Host(_) => unreachable!("not a GPU task"),
         }
     }
-
-    /// Enqueues a chunked H2D pull (pipelined copy): a fetch op on the
-    /// worker's main stream snapshots the host bytes (or elides the whole
-    /// transfer via residency), chunk copies fan out round-robin across
-    /// the copy-lane streams behind an event, and a join op back on the
-    /// main stream waits for every chunk, publishes residency, and counts
-    /// the task done. The device engine round-robins runnable stream
-    /// heads, so chunks interleave with other streams' kernels instead of
-    /// occupying the device end-to-end.
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue_chunked_h2d(
-        &mut self,
-        topo: &Arc<Topology>,
-        node_id: usize,
-        ptr: DevicePtr,
-        source: Arc<dyn HostSource>,
-        device: &Device,
-        stream: &Stream,
-        state: &Arc<ChainState>,
-        label: Option<hf_gpu::OpLabel>,
-    ) {
-        let chunk = self.inner.copy_chunk_threshold;
-        let lanes = self.copy_lanes(device.id());
-        let total = ptr.len as usize;
-        let n_chunks = total.div_ceil(chunk).max(1);
-        let xfer = Arc::new(ChunkXfer::default());
-        let task = topo.frozen.nodes[node_id].name.clone();
-
-        {
-            let topo2 = Arc::clone(topo);
-            let state2 = Arc::clone(state);
-            let xfer2 = Arc::clone(&xfer);
-            let src = Arc::clone(&source);
-            let task = task.clone();
-            stream.exec(Box::new(move |_view, _cost| {
-                if state2.skip(&topo2) {
-                    xfer2.aborted.store(true, Ordering::Release);
-                    return Ok(OpReport::default());
-                }
-                let host_ver = src.version();
-                {
-                    let mut st = topo2.pull_state(node_id).lock();
-                    if host_ver.is_some()
-                        && st.resident_version == host_ver
-                        && st.ptr == Some(ptr)
-                    {
-                        xfer2.elided.store(true, Ordering::Release);
-                        return Ok(OpReport::default());
-                    }
-                    // Chunks are about to partially overwrite the buffer;
-                    // a mid-copy fault must not leave residency valid.
-                    st.resident_version = None;
-                }
-                let (data, ver) = src.fetch_bytes_versioned();
-                if data.len() > ptr.len as usize {
-                    let e = GpuError::SizeMismatch {
-                        dst: ptr.len as usize,
-                        src: data.len(),
-                    };
-                    xfer2.aborted.store(true, Ordering::Release);
-                    state2.fail(HfError::TaskFailed {
-                        task: task.clone(),
-                        source: e.clone(),
-                    });
-                    return Err(e);
-                }
-                *xfer2.version.lock() = ver;
-                *xfer2.staging.lock() = data;
-                Ok(OpReport::default())
-            }));
-        }
-        let fetched = Event::new();
-        stream.record_event(&fetched);
-
-        let mut chunk_events = Vec::with_capacity(n_chunks);
-        for i in 0..n_chunks {
-            let lane = &lanes[i % lanes.len()];
-            lane.wait_event(&fetched);
-            let off = i * chunk;
-            let len = chunk.min(total - off);
-            let state2 = Arc::clone(state);
-            let topo2 = Arc::clone(topo);
-            let xfer2 = Arc::clone(&xfer);
-            let dev = device.clone();
-            let task = task.clone();
-            let body: hf_gpu::stream::ExecFn = Box::new(move |view, cost| {
-                if state2.skip(&topo2) || xfer2.inert() {
-                    return Ok(OpReport::default());
-                }
-                if let Err(e) = dev.fault_check(FaultSite::H2d) {
-                    xfer2.aborted.store(true, Ordering::Release);
-                    state2.fail(HfError::TaskFailed {
-                        task: task.clone(),
-                        source: e.clone(),
-                    });
-                    return Err(e);
-                }
-                let staging = xfer2.staging.lock();
-                // The host may have shrunk between sizing and fetch; copy
-                // only the staged part of this chunk's range.
-                let end = (off + len).min(staging.len());
-                let n = end.saturating_sub(off);
-                if n > 0 {
-                    let sub = DevicePtr {
-                        device: ptr.device,
-                        offset: ptr.offset + off as u64,
-                        len: n as u64,
-                        capacity: n as u64,
-                    };
-                    if let Err(e) = view.copy_in(sub, &staging[off..end]) {
-                        xfer2.aborted.store(true, Ordering::Release);
-                        state2.fail(HfError::TaskFailed {
-                            task: task.clone(),
-                            source: e.clone(),
-                        });
-                        return Err(e);
-                    }
-                }
-                Ok(OpReport {
-                    duration: cost.h2d(n),
-                    h2d_bytes: n as u64,
-                    ..Default::default()
-                })
-            });
-            match &label {
-                Some(l) => lane.exec_labeled(
-                    Some(hf_gpu::OpLabel {
-                        name: Arc::from(format!("{}#c{i}", l.name)),
-                        tag: l.tag,
-                        epoch: l.epoch,
-                    }),
-                    body,
-                ),
-                None => lane.exec(body),
-            }
-            let done = Event::new();
-            lane.record_event(&done);
-            chunk_events.push(done);
-        }
-        for ev in &chunk_events {
-            stream.wait_event(ev);
-        }
-
-        let topo2 = Arc::clone(topo);
-        let state2 = Arc::clone(state);
-        let xfer2 = Arc::clone(&xfer);
-        let inner = Arc::clone(&self.inner);
-        stream.exec_labeled(
-            label,
-            Box::new(move |_view, cost| {
-                if state2.skip(&topo2) || xfer2.aborted.load(Ordering::Acquire) {
-                    return Ok(OpReport::default());
-                }
-                if xfer2.elided.load(Ordering::Acquire) {
-                    inner.stats.transfers_elided.incr();
-                    state2.done.fetch_add(1, Ordering::Release);
-                    return Ok(OpReport::default());
-                }
-                let n = xfer2.staging.lock().len();
-                {
-                    let mut st = topo2.pull_state(node_id).lock();
-                    if st.ptr == Some(ptr) {
-                        st.resident_version = if n == ptr.len as usize {
-                            *xfer2.version.lock()
-                        } else {
-                            None
-                        };
-                    }
-                }
-                inner.stats.bytes_h2d.add(n as u64);
-                // Chunk durations were reported per lane; feed the whole
-                // transfer's modeled cost back as this task's estimate.
-                inner.observe_cost(&topo2.frozen.name, &task, cost.h2d(n).as_nanos() as f64);
-                state2.done.fetch_add(1, Ordering::Release);
-                Ok(OpReport::default())
-            }),
-        );
-    }
-
-    /// Enqueues a chunked D2H push: chunk reads fan out across the
-    /// copy-lane streams behind a readiness event, and a join op on the
-    /// main stream stores the assembled bytes into the host sink and
-    /// revalidates the source pull's residency.
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue_chunked_d2h(
-        &mut self,
-        topo: &Arc<Topology>,
-        node_id: usize,
-        pull_id: usize,
-        ptr: DevicePtr,
-        sink: Arc<dyn HostSink>,
-        device: &Device,
-        stream: &Stream,
-        state: &Arc<ChainState>,
-        label: Option<hf_gpu::OpLabel>,
-    ) {
-        let chunk = self.inner.copy_chunk_threshold;
-        let lanes = self.copy_lanes(device.id());
-        let total = ptr.len as usize;
-        let n_chunks = total.div_ceil(chunk).max(1);
-        let xfer = Arc::new(ChunkXfer::default());
-        *xfer.staging.lock() = vec![0u8; total];
-        let task = topo.frozen.nodes[node_id].name.clone();
-
-        // The chunk lanes must order after everything already enqueued on
-        // the main stream (the chain prefix this push depends on).
-        let ready = Event::new();
-        stream.record_event(&ready);
-
-        let mut chunk_events = Vec::with_capacity(n_chunks);
-        for i in 0..n_chunks {
-            let lane = &lanes[i % lanes.len()];
-            lane.wait_event(&ready);
-            let off = i * chunk;
-            let len = chunk.min(total - off);
-            let state2 = Arc::clone(state);
-            let topo2 = Arc::clone(topo);
-            let xfer2 = Arc::clone(&xfer);
-            let dev = device.clone();
-            let task = task.clone();
-            let body: hf_gpu::stream::ExecFn = Box::new(move |view, cost| {
-                if state2.skip(&topo2) || xfer2.inert() {
-                    return Ok(OpReport::default());
-                }
-                if let Err(e) = dev.fault_check(FaultSite::D2h) {
-                    xfer2.aborted.store(true, Ordering::Release);
-                    state2.fail(HfError::TaskFailed {
-                        task: task.clone(),
-                        source: e.clone(),
-                    });
-                    return Err(e);
-                }
-                let sub = DevicePtr {
-                    device: ptr.device,
-                    offset: ptr.offset + off as u64,
-                    len: len as u64,
-                    capacity: len as u64,
-                };
-                let bytes = match view.bytes(sub) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        xfer2.aborted.store(true, Ordering::Release);
-                        state2.fail(HfError::TaskFailed {
-                            task: task.clone(),
-                            source: e.clone(),
-                        });
-                        return Err(e);
-                    }
-                };
-                xfer2.staging.lock()[off..off + len].copy_from_slice(bytes);
-                Ok(OpReport {
-                    duration: cost.d2h(len),
-                    d2h_bytes: len as u64,
-                    ..Default::default()
-                })
-            });
-            match &label {
-                Some(l) => lane.exec_labeled(
-                    Some(hf_gpu::OpLabel {
-                        name: Arc::from(format!("{}#c{i}", l.name)),
-                        tag: l.tag,
-                        epoch: l.epoch,
-                    }),
-                    body,
-                ),
-                None => lane.exec(body),
-            }
-            let done = Event::new();
-            lane.record_event(&done);
-            chunk_events.push(done);
-        }
-        for ev in &chunk_events {
-            stream.wait_event(ev);
-        }
-
-        let topo2 = Arc::clone(topo);
-        let state2 = Arc::clone(state);
-        let xfer2 = Arc::clone(&xfer);
-        let inner = Arc::clone(&self.inner);
-        // Same in-place-round-trip condition as the single-op path.
-        let same_buffer = matches!(&topo.frozen.nodes[pull_id].work, Work::Pull { source }
-            if source.source_id().is_some() && source.source_id() == sink.sink_id());
-        stream.exec_labeled(
-            label,
-            Box::new(move |_view, cost| {
-                if state2.skip(&topo2) || xfer2.inert() {
-                    return Ok(OpReport::default());
-                }
-                let staging = std::mem::take(&mut *xfer2.staging.lock());
-                let ver = sink.store_bytes_versioned(&staging);
-                // Push revalidation, as in the single-op path.
-                if ver.is_some() && same_buffer {
-                    let mut st = topo2.pull_state(pull_id).lock();
-                    if st.ptr == Some(ptr) {
-                        st.resident_version = ver;
-                    }
-                }
-                inner.stats.bytes_d2h.add(staging.len() as u64);
-                inner.observe_cost(
-                    &topo2.frozen.name,
-                    &task,
-                    cost.d2h(staging.len()).as_nanos() as f64,
-                );
-                state2.done.fetch_add(1, Ordering::Release);
-                Ok(OpReport::default())
-            }),
-        );
-    }
-}
-
-/// What [`Worker::prepare_op`] produced for one chain node.
-enum PreparedOp {
-    /// One stream op, enqueued on the worker's main per-device stream.
-    Single(hf_gpu::stream::ExecFn),
-    /// A pull whose transfer exceeds the chunk threshold: pipelined as
-    /// fetch + chunk fan-out + join (see `enqueue_chunked_h2d`).
-    ChunkedH2d {
-        node: usize,
-        ptr: DevicePtr,
-        source: Arc<dyn HostSource>,
-    },
-    /// A push whose transfer exceeds the chunk threshold.
-    ChunkedD2h {
-        node: usize,
-        pull: usize,
-        ptr: DevicePtr,
-        sink: Arc<dyn HostSink>,
-    },
-}
-
-/// Shared state of one chunked (pipelined) transfer.
-#[derive(Default)]
-struct ChunkXfer {
-    /// Host staging buffer: filled by the fetch op (H2D) or assembled by
-    /// the chunk reads (D2H).
-    staging: Mutex<Vec<u8>>,
-    /// Host version describing the staged bytes (H2D only).
-    version: Mutex<Option<u64>>,
-    /// The whole transfer was elided via residency; chunks no-op.
-    elided: AtomicBool,
-    /// A fetch or chunk op failed (or the run was cancelled); remaining
-    /// chunk ops and the join no-op.
-    aborted: AtomicBool,
-}
-
-impl ChunkXfer {
-    fn inert(&self) -> bool {
-        self.elided.load(Ordering::Acquire) || self.aborted.load(Ordering::Acquire)
-    }
 }
 
 /// Shared failure/progress state of one dispatched GPU chain: how many
@@ -2697,14 +2179,14 @@ impl ChunkXfer {
 /// op closures on the device engine thread and consumed by the stream's
 /// completion callback.
 #[derive(Default)]
-struct ChainState {
-    done: AtomicUsize,
+pub(crate) struct ChainState {
+    pub(crate) done: AtomicUsize,
     error: Mutex<Option<HfError>>,
 }
 
 impl ChainState {
     /// Records the first failure; later ops in the chain then skip.
-    fn fail(&self, e: HfError) {
+    pub(crate) fn fail(&self, e: HfError) {
         let mut g = self.error.lock();
         if g.is_none() {
             *g = Some(e);
@@ -2714,7 +2196,7 @@ impl ChainState {
     /// True when this op should do nothing: an earlier chain op failed,
     /// the run already failed, or the caller cancelled — cooperative
     /// cancellation propagated into ops already enqueued on the stream.
-    fn skip(&self, topo: &Topology) -> bool {
+    pub(crate) fn skip(&self, topo: &Topology) -> bool {
         self.error.lock().is_some()
             || topo.cancelled.load(Ordering::Acquire)
             || topo.cancel_requested()

@@ -74,6 +74,7 @@ pub mod stats;
 pub(crate) mod stream;
 pub mod task;
 pub(crate) mod topology;
+pub(crate) mod transfer;
 
 pub use admission::{
     AdmissionPolicy, Fifo, LaneView, StrictPriority, TenantConfig, TenantId, WeightedFair,

@@ -89,6 +89,10 @@ pub struct ExecutorStats {
     /// Pull executions that skipped their H2D copy because the device
     /// buffer already held the source's current version.
     pub transfers_elided: GlobalCounter,
+    /// Chunked pulls whose join copied the whole span again because a
+    /// chunk found the source at another version than the first did (a
+    /// host task wrote it mid-transfer).
+    pub transfers_torn: GlobalCounter,
     /// Groups the locality policy placed onto a device already holding a
     /// warm copy of at least one of their pull buffers.
     pub placement_warm_hits: GlobalCounter,
@@ -130,6 +134,7 @@ impl ExecutorStats {
             bytes_h2d: GlobalCounter::new(),
             bytes_d2h: GlobalCounter::new(),
             transfers_elided: GlobalCounter::new(),
+            transfers_torn: GlobalCounter::new(),
             placement_warm_hits: GlobalCounter::new(),
             placement_est_bytes_saved: GlobalCounter::new(),
             steals_affine: ShardedCounter::new(workers),
@@ -159,6 +164,7 @@ impl ExecutorStats {
         self.bytes_h2d.reset();
         self.bytes_d2h.reset();
         self.transfers_elided.reset();
+        self.transfers_torn.reset();
         self.placement_warm_hits.reset();
         self.placement_est_bytes_saved.reset();
         self.steals_affine.reset();
@@ -202,6 +208,7 @@ impl ExecutorStats {
             bytes_h2d: self.bytes_h2d.sum(),
             bytes_d2h: self.bytes_d2h.sum(),
             transfers_elided: self.transfers_elided.sum(),
+            transfers_torn: self.transfers_torn.sum(),
             placement_warm_hits: self.placement_warm_hits.sum(),
             placement_est_bytes_saved: self.placement_est_bytes_saved.sum(),
             steals_affine: self.steals_affine.sum(),
@@ -258,6 +265,8 @@ pub struct StatsSnapshot {
     pub bytes_d2h: u64,
     /// Pull executions that skipped their H2D copy via residency.
     pub transfers_elided: u64,
+    /// Chunked pulls re-copied whole because the source changed under them.
+    pub transfers_torn: u64,
     /// Groups placed warm by the locality policy.
     pub placement_warm_hits: u64,
     /// Transfer bytes placement estimated its warm hits would save.
@@ -337,10 +346,12 @@ mod tests {
         s.bytes_h2d.add(1024);
         s.bytes_d2h.add(512);
         s.transfers_elided.add(9);
+        s.transfers_torn.add(2);
         let snap = s.snapshot();
         assert_eq!(snap.bytes_h2d, 1024);
         assert_eq!(snap.bytes_d2h, 512);
         assert_eq!(snap.transfers_elided, 9);
+        assert_eq!(snap.transfers_torn, 2);
         let json = serde_json::to_string(&snap).unwrap();
         assert!(json.contains("\"transfers_elided\":9"));
     }

@@ -443,3 +443,90 @@ fn h2d_faults_never_serve_stale_residency() {
         );
     }
 }
+
+/// The chunked form of the case above, with the fault landing between
+/// chunks: by then earlier chunks have overwritten part of a buffer that
+/// was resident at the previous version. Without retries the run fails
+/// and the buffer must be left non-resident — an unchanged rerun copies
+/// every byte and elides nothing, where a stale residency would push the
+/// half-old, half-new buffer back into the host vector. With retries the
+/// run succeeds with the new bytes.
+#[test]
+fn mid_chunk_h2d_fault_drops_residency() {
+    const N: usize = 256; // 1 KiB: 16 chunks of 64 bytes
+    let base = base_seed() ^ 0xc4a2;
+    let mut mid_chunk = 0;
+    for i in 0..16 {
+        let seed = base.wrapping_add(i);
+        for attempts in [1, 4] {
+            let ex = Executor::builder(2, 1)
+                .retry_policy(RetryPolicy::new(attempts))
+                .copy_chunk_threshold(64)
+                .build();
+            let data: HostVec<i32> = HostVec::from_vec(vec![1; N]);
+            let g = Heteroflow::new("chunk_chaos");
+            let p = g.pull("pull", &data);
+            g.push("push", &p, &data).succeed(&p);
+            let run = |what: &str| {
+                ex.run(&g)
+                    .wait_timeout(DEADLINE)
+                    .unwrap_or_else(|| panic!("{what} run hung (seed {seed})"))
+            };
+
+            // Clean run: resident at the version the push produced.
+            run("clean").expect("clean run");
+            data.write().iter_mut().for_each(|v| *v = 2);
+
+            let dev = ex.gpu_runtime().device(0).expect("device 0");
+            let h2d = || {
+                dev.stats()
+                    .h2d_bytes
+                    .load(std::sync::atomic::Ordering::Relaxed)
+            };
+            let before = h2d();
+            ex.gpu_runtime().set_fault_plan(Some(
+                FaultPlan::seeded(seed)
+                    .fail(FaultSite::H2d, 0.3)
+                    .max_faults(1),
+            ));
+            let faulted = run("faulted");
+            ex.gpu_runtime().set_fault_plan(None);
+            dev.synchronize();
+            let copied = (h2d() - before) as usize;
+
+            if ex.stats().snapshot().faults_injected == 0 {
+                faulted.expect("no fault fired");
+            } else if attempts == 1 {
+                let e = faulted.expect_err("a fault without retries fails the run");
+                assert!(
+                    matches!(e.gpu_cause(), Some(GpuError::FaultInjected { .. })),
+                    "{e}"
+                );
+                mid_chunk += usize::from(copied > 0);
+                let s0 = ex.stats().snapshot();
+                run("rerun").expect("rerun after the fault");
+                let s1 = ex.stats().snapshot();
+                assert_eq!(
+                    s1.transfers_elided, s0.transfers_elided,
+                    "rerun elided against a half-written buffer (seed {seed})"
+                );
+                assert_eq!(s1.bytes_h2d - s0.bytes_h2d, (N * 4) as u64, "seed {seed}");
+            } else {
+                faulted.unwrap_or_else(|e| panic!("retry failed (seed {seed}): {e}"));
+                assert!(
+                    copied >= N * 4,
+                    "the retry copies the whole span again (seed {seed})"
+                );
+            }
+            assert!(
+                data.read().iter().all(|&v| v == 2),
+                "stale bytes pushed back (seed {seed}, attempts {attempts}): {:?}...",
+                &data.read()[..4]
+            );
+        }
+    }
+    assert!(
+        mid_chunk > 0,
+        "no plan faulted past the first chunk (base seed {base})"
+    );
+}

@@ -374,3 +374,24 @@ fn cross_topology_device_balancing() {
         "8 single-group graphs all packed onto {devices_used} device(s)"
     );
 }
+
+/// `tasks_executed` is exact the moment `wait()` returns: every task of
+/// the run — the head of an asynchronous GPU chain included — is counted
+/// before anything that can resolve the run's future is dispatched.
+#[test]
+fn tasks_executed_is_exact_after_wait() {
+    let ex = Executor::new(2, 1);
+    let data = HostVec::from_vec(vec![0i32; 64]);
+    let g = Heteroflow::new("count");
+    let p = g.pull("pull", &data);
+    let k = g.kernel("touch", &[&p], |_, args| {
+        args.slice_mut::<i32>(0).expect("arg")[0] += 1;
+    });
+    let s = g.push("push", &p, &data);
+    p.precede(&k);
+    k.precede(&s);
+    for run in 1..=200u64 {
+        ex.run(&g).wait().expect("runs");
+        assert_eq!(ex.snapshot().tasks_executed, 3 * run, "after run {run}");
+    }
+}
