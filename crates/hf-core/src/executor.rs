@@ -217,7 +217,8 @@ pub(crate) struct ExecInner {
     pub(crate) done: AtomicBool,
     pub(crate) num_actives: AtomicUsize,
     pub(crate) num_thieves: AtomicUsize,
-    /// Topologies in flight across all graphs.
+    /// What `wait_for_all` waits on: unfinished epochs across all graphs,
+    /// plus unsettled `run*` calls (counted by the epoch driver).
     pub(crate) num_topologies: AtomicUsize,
     pub(crate) idle_lock: Mutex<()>,
     pub(crate) idle_cv: Condvar,
@@ -357,10 +358,9 @@ impl ExecInner {
     }
 
     /// Emits a run-level lifecycle event without a topology in hand — the
-    /// drivers and sessions use this for `RunStart`/`RunEnd` (which now
-    /// bracket a whole submission, not one epoch topology) and
-    /// `EpochStart` (emitted at admission, before the epoch's topology
-    /// exists in the registry).
+    /// epoch driver uses this for `RunStart`/`RunEnd` (which bracket a
+    /// whole run, not one epoch topology) and `EpochStart` (emitted at
+    /// admission, before the epoch's topology exists in the registry).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn emit_raw_run_lc(
         &self,
@@ -426,6 +426,48 @@ impl ExecInner {
                 o.on_lifecycle(&ev);
             }
         }
+    }
+
+    /// The one survivor re-placement routine: when a device has been
+    /// lost, notes it (each device counted once in `devices_lost`) and
+    /// re-places `frozen` against the surviving set, keeping every group
+    /// of `prev` (the previous `device_of`; empty places everything
+    /// fresh) whose device is still alive where it is. Returns the lost
+    /// mask with the new placement, `Ok(None)` when no device is lost.
+    pub(crate) fn place_on_survivors(
+        &self,
+        frozen: &FrozenGraph,
+        prev: &[Option<u32>],
+    ) -> Result<Option<(Vec<bool>, crate::placement::Placement)>, HfError> {
+        let devices = self.gpu.devices();
+        let lost: Vec<bool> = devices.iter().map(|d| d.is_lost()).collect();
+        if !lost.iter().any(|&l| l) {
+            return Ok(None);
+        }
+        for (d, &l) in lost.iter().enumerate() {
+            if l && !self.lost_seen[d].swap(true, Ordering::Relaxed) {
+                self.stats.devices_lost.incr();
+            }
+        }
+        let refined = self.refined_costs(frozen.name());
+        let p = crate::placement::failover_placement_ext(
+            frozen,
+            prev,
+            &lost,
+            &self.gpu_cost_model(),
+            self.policy,
+            refined.as_ref(),
+        )?;
+        self.record_placement(&p);
+        Ok(Some((lost, p)))
+    }
+
+    fn gpu_cost_model(&self) -> hf_gpu::CostModel {
+        self.gpu
+            .devices()
+            .first()
+            .map(|d| d.cost_model())
+            .unwrap_or_default()
     }
 
     /// Publishes a freshly computed placement's locality metrics.
@@ -831,15 +873,19 @@ impl Executor {
     /// device-load bias. Any mutation invalidates the cache via the
     /// builder epoch.
     ///
-    /// Since the streaming redesign this is a thin wrapper over the same
-    /// epoch driver machinery that powers [`Executor::run_stream`]: each
-    /// round executes as one single-round epoch topology, chained through
-    /// the epoch-completion hook (see `crate::stream`).
+    /// A run is a client of the one epoch driver (see `crate::stream`):
+    /// it opens the driver at depth 1 — so its rounds never overlap and
+    /// device residency stays on the graph itself, carrying across runs —
+    /// and enqueues one epoch per round; `stop` is consulted when the
+    /// run obtains the graph (runs of one graph execute in submission
+    /// order) and again after every round. The graph is released before
+    /// the future resolves, so a waiter may mutate and resubmit it the
+    /// instant `wait` returns.
     pub fn run_until<P>(&self, hf: &Heteroflow, stop: P) -> RunFuture
     where
         P: FnMut() -> bool + Send + 'static,
     {
-        crate::stream::run_driver(self, hf, Box::new(stop))
+        crate::stream::run_until(self, hf, Box::new(stop), None, None, None)
     }
 
     /// Opens a resident streaming session on the graph with the default
@@ -893,26 +939,10 @@ impl Executor {
         // cross-graph load bias) may reference dead hardware, so bypass
         // the cache in both directions and place directly against the
         // surviving device set.
-        let lost: Vec<bool> = self.gpu.devices().iter().map(|d| d.is_lost()).collect();
-        if lost.iter().any(|&l| l) {
-            for (d, &l) in lost.iter().enumerate() {
-                if l && !inner.lost_seen[d].swap(true, Ordering::Relaxed) {
-                    inner.stats.devices_lost.incr();
-                }
-            }
+        if let Some((_, p)) = inner.place_on_survivors(&frozen, &[])? {
             inner.stats.topo_cache_misses.incr();
-            let refined = inner.refined_costs(frozen.name());
-            let p = crate::placement::failover_placement_ext(
-                &*frozen,
-                &[],
-                &lost,
-                &self.gpu_cost_model(),
-                inner.policy,
-                refined.as_ref(),
-            )?;
-            inner.record_placement(&p);
             let placement = Arc::new(p);
-            let fusion = Arc::new(FusionPlan::compute(&frozen, &placement, inner.fusion));
+            let fusion = Arc::new(FusionPlan::compute(&frozen, &placement, inner.fusion, None));
             return Ok(ExecPlan {
                 frozen,
                 placement,
@@ -957,7 +987,7 @@ impl Executor {
                     &*frozen,
                     self.gpu.num_devices(),
                     inner.policy,
-                    &self.gpu_cost_model(),
+                    &inner.gpu_cost_model(),
                     &dl,
                     refined.as_ref(),
                 )?;
@@ -967,7 +997,8 @@ impl Executor {
                 dl.copy_from_slice(&p.loads);
                 drop(dl);
                 let placement = Arc::new(p);
-                let fusion = Arc::new(FusionPlan::compute(&frozen, &placement, inner.fusion));
+                let fusion =
+                    Arc::new(FusionPlan::compute(&frozen, &placement, inner.fusion, None));
                 *hf.shared.sched_cache.lock() = Some(SchedCache {
                     exec_id: inner.id,
                     epoch,
@@ -1009,14 +1040,6 @@ impl Executor {
             self.inner.idle_cv.wait(&mut g);
         }
     }
-
-    pub(crate) fn gpu_cost_model(&self) -> hf_gpu::CostModel {
-        self.gpu
-            .devices()
-            .first()
-            .map(|d| d.cost_model())
-            .unwrap_or_default()
-    }
 }
 
 impl Drop for Executor {
@@ -1037,35 +1060,28 @@ impl Drop for Executor {
 }
 
 impl ExecInner {
-    /// Starts a (now-active) topology: checks the stopping predicate and
-    /// either completes immediately or schedules the first round.
+    /// Starts a registered topology: schedules its source nodes, or
+    /// completes it at once when there is nothing to run (the epoch was
+    /// cancelled while it waited for admission, or the graph is empty).
     pub(crate) fn start_topology(&self, topo: Arc<Topology>) {
-        // Check cancellation (a queued topology may have been cancelled
-        // while waiting) and the predicate before the first round
-        // (run_n(0) semantics).
-        let stop = topo.cancel_requested() || (topo.predicate.lock())();
-        if stop || topo.frozen.nodes.is_empty() {
+        if topo.cancel_requested() || topo.frozen.nodes.is_empty() {
             self.finish_topology(topo);
-            return;
+        } else {
+            self.schedule_sources(&topo);
         }
-        topo.reset_round();
-        self.schedule_sources(&topo);
     }
 
-    /// Schedules the round's source nodes in injector-spray batches.
-    /// Sources that are heads of a still-closed epoch gate are skipped:
-    /// their (inflated) join counter is consumed by [`ExecInner::open_gate`]
-    /// when the previous epoch of the stream completes.
+    /// Schedules the source nodes in injector-spray batches. Sources
+    /// that are heads of the epoch gate are skipped: the gate is still
+    /// closed (it opens only after this returns), so their inflated join
+    /// counter is nonzero until [`ExecInner::open_gate`] consumes it when
+    /// the previous epoch of the stream completes.
     fn schedule_sources(&self, topo: &Arc<Topology>) {
         let slot = topo.slot.load(Ordering::Relaxed);
-        let gated = topo
-            .gate
-            .as_ref()
-            .filter(|g| !g.opened.load(Ordering::Acquire));
         let mut buf = [0 as Token; RELEASE_BATCH];
         let mut n = 0;
         for &id in &topo.frozen.sources {
-            if gated.is_some_and(|g| g.is_head[id]) {
+            if topo.join[id].load(Ordering::Relaxed) != 0 {
                 continue;
             }
             if n == RELEASE_BATCH {
@@ -1079,8 +1095,8 @@ impl ExecInner {
     }
 
     /// Opens a streaming epoch's body gate: consumes the extra join
-    /// dependency [`crate::topology::Topology::reset_round`] inflated
-    /// onto each gate head, dispatching heads whose real dependencies
+    /// dependency [`crate::topology::Topology::new`] inflated onto each
+    /// gate head, dispatching heads whose real dependencies
     /// have already drained. Idempotent; no-op for gateless topologies
     /// and topologies that finished before their gate opened (a
     /// cancelled-at-admission epoch never dispatched any body token).
@@ -1150,11 +1166,10 @@ impl ExecInner {
     }
 
     /// Completes one epoch topology: releases its registry slot, emits
-    /// `EpochEnd` (streaming epochs), and hands the result to the driver
-    /// via the topology's `on_finish` hook — the hook chains the next
-    /// epoch (sequential drivers), or advances the stream's completion
-    /// watermark and opens the next epoch's gate (sessions). Promise
-    /// settlement and graph-claim promotion live in the drivers.
+    /// `EpochEnd` (streaming epochs), and hands the result to the epoch
+    /// driver via the topology's `on_finish` hook. Promise settlement,
+    /// the graph claim and the executor's in-flight count live in the
+    /// driver (see [`crate::stream`]).
     fn finish_topology(&self, topo: Arc<Topology>) {
         // Pull allocations stay device-resident so an unchanged
         // resubmission can elide its H2D copies; they are freed when the
@@ -1166,7 +1181,7 @@ impl ExecInner {
         }
 
         // Release the registry slot: every token of this topology has
-        // been consumed (the round fully drained), so none can resolve
+        // been consumed (the pass fully drained), so none can resolve
         // this slot anymore.
         let slot = topo.slot.swap(u32::MAX, Ordering::AcqRel);
         if slot != u32::MAX {
@@ -1183,17 +1198,16 @@ impl ExecInner {
             );
         }
         let hook = topo.on_finish.lock().take();
+        if let Some(hook) = hook {
+            hook(&topo);
+        }
+    }
 
-        // The epoch topology's own in-flight count drops here; the driver
-        // holds a separate count for the whole submission, so the idle
-        // condvar only fires at true quiescence.
+    /// Drops one in-flight count, waking `wait_for_all` at quiescence.
+    pub(crate) fn drop_inflight(&self) {
         if self.num_topologies.fetch_sub(1, Ordering::SeqCst) == 1 {
             let _g = self.idle_lock.lock();
             self.idle_cv.notify_all();
-        }
-
-        if let Some(hook) = hook {
-            hook(&topo);
         }
     }
 
@@ -1235,7 +1249,7 @@ impl ExecInner {
         // replay may re-finish a prologue node — and the FnOnce hook fires
         // exactly once.
         if let Some(p) = &topo.prologue {
-            if p.is_prologue[node] {
+            if !p.is_body[node] {
                 let fired = p
                     .pending
                     .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1));
@@ -1251,12 +1265,11 @@ impl ExecInner {
         }
     }
 
-    /// Called by the worker that finished the last node of a round.
+    /// Called by whoever finished the last node of the pass: a device
+    /// lost on the way replays the unfinished part on a re-placed device
+    /// assignment (skipped when the epoch already failed or was
+    /// cancelled); otherwise the pass is complete and the epoch finishes.
     fn end_round(&self, topo: &Arc<Topology>) {
-        // A device was lost mid-round: once the round has drained, replay
-        // its unfinished part on a re-placed device assignment instead of
-        // counting the round. Skipped when the run already failed or was
-        // cancelled.
         if topo.failover_pending.load(Ordering::Acquire)
             && !topo.cancelled.load(Ordering::Acquire)
             && !topo.cancel_requested()
@@ -1264,28 +1277,8 @@ impl ExecInner {
         {
             return;
         }
-
-        topo.rounds.fetch_add(1, Ordering::Relaxed);
         self.stats.rounds.incr();
-
-        // Pull allocations persist across rounds and submissions (sizes
-        // usually repeat, and unchanged data elides the copy entirely);
-        // they are reclaimed when the frozen snapshot drops.
-        let stop = topo.cancelled.load(Ordering::Acquire)
-            || topo.cancel_requested()
-            || (topo.predicate.lock())();
-        if stop {
-            self.finish_topology(Arc::clone(topo));
-        } else {
-            // A failover left a replay-masked fusion plan; recompute the
-            // full plan for the new placement before the next round.
-            if topo.fusion_stale.swap(false, Ordering::AcqRel) {
-                let plan = FusionPlan::compute(&topo.frozen, &topo.placement(), self.fusion);
-                *topo.fusion.write() = Arc::new(plan);
-            }
-            topo.reset_round();
-            self.schedule_sources(topo);
-        }
+        self.finish_topology(Arc::clone(topo));
     }
 
     /// Decides what to do about a failed task body: retry it (transient
@@ -1400,16 +1393,22 @@ impl ExecInner {
             return false;
         }
 
-        let lost: Vec<bool> = self.gpu.devices().iter().map(|d| d.is_lost()).collect();
-        for (d, &l) in lost.iter().enumerate() {
-            if l && !self.lost_seen[d].swap(true, Ordering::Relaxed) {
-                self.stats.devices_lost.incr();
-            }
-        }
-
         let frozen = &topo.frozen;
         let n = frozen.nodes.len();
         let placement = topo.placement();
+        let (lost, new_placement) = match self.place_on_survivors(frozen, &placement.device_of) {
+            Ok(Some(placed)) => placed,
+            // A failover without a lost device has nothing to re-place.
+            Ok(None) => {
+                topo.fail(cause);
+                return false;
+            }
+            // No surviving GPUs: fail with the structural error.
+            Err(e) => {
+                topo.fail(e);
+                return false;
+            }
+        };
         let mut ok: Vec<bool> = topo
             .round_ok
             .iter()
@@ -1459,31 +1458,6 @@ impl ExecInner {
             }
         }
 
-        let cost = self
-            .gpu
-            .devices()
-            .first()
-            .map(|d| d.cost_model())
-            .unwrap_or_default();
-        let refined = self.refined_costs(frozen.name());
-        let new_placement = match crate::placement::failover_placement_ext(
-            &**frozen,
-            &placement.device_of,
-            &lost,
-            &cost,
-            self.policy,
-            refined.as_ref(),
-        ) {
-            Ok(p) => p,
-            Err(e) => {
-                // No surviving GPUs: fail with the structural error.
-                drop(cause);
-                topo.fail(e);
-                return false;
-            }
-        };
-        self.record_placement(&new_placement);
-
         // Device buffers on lost devices vanished with their arenas; a
         // replayed pull re-allocates on its new device. (Nothing to free —
         // the device is gone.)
@@ -1510,7 +1484,7 @@ impl ExecInner {
         // Replay plan: fuse only among replayed nodes so no chain hangs
         // off an already-finished head.
         let active: Vec<bool> = ok.iter().map(|&o| !o).collect();
-        let masked = FusionPlan::compute_masked(frozen, &new_placement, self.fusion, &active);
+        let masked = FusionPlan::compute(frozen, &new_placement, self.fusion, Some(&active));
 
         // Rebuild join counters for the replay subgraph: a replayed node
         // waits only on replayed predecessors (done ones are satisfied).
@@ -1535,7 +1509,6 @@ impl ExecInner {
         }
         *topo.placement.write() = Arc::new(new_placement);
         *topo.fusion.write() = Arc::new(masked);
-        topo.fusion_stale.store(true, Ordering::Release);
         topo.pending.store(replay, Ordering::Release);
 
         // Lift the skip barrier before dispatching replay work.

@@ -35,7 +35,7 @@ use crate::admission::{AdmissionPolicy, Fifo, LaneView, TenantConfig, TenantId};
 use crate::error::HfError;
 use crate::executor::Executor;
 use crate::graph::Heteroflow;
-use crate::stream::{run_driver_ext, DriverExtras};
+use crate::stream::run_until;
 use crate::topology::{Completion, RunFuture};
 use parking_lot::{Condvar, Mutex};
 use serde::Serialize;
@@ -596,17 +596,15 @@ impl FleetInner {
         });
         // The returned future shares the caller's completion core; the
         // caller's RunFuture is the live handle, so this one is dropped.
-        drop(run_driver_ext(
+        drop(run_until(
             &self.exec,
             &l.hf,
             stop,
-            DriverExtras {
-                core: Some(l.core),
-                tenant: Some(l.tenant),
-                on_done: Some(Box::new(move |result, retries| {
-                    me.on_run_done(li, result, retries, retry_unit)
-                })),
-            },
+            Some(l.core),
+            Some(l.tenant),
+            Some(Box::new(move |result, retries| {
+                me.on_run_done(li, result, retries, retry_unit)
+            })),
         ));
     }
 

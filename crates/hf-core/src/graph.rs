@@ -236,15 +236,15 @@ impl FrozenGraph {
 }
 
 /// State of queued/active executions of one graph. Only one run (a
-/// sequential driver or an open streaming session) holds the graph's
-/// claim at a time; further `run`/`run_stream` calls queue a starter
-/// closure behind it (the paper's topology list, §III-C) which the
-/// releasing owner promotes.
+/// `run*` call or an open streaming session) holds the graph's claim at
+/// a time; further `run`/`run_stream` calls queue behind it (the paper's
+/// topology list, §III-C) and the releasing owner promotes them. Only
+/// the epoch driver's `claim`/`release` touch this.
 pub(crate) struct RunState {
-    /// True while a driver or session owns this graph's claim.
+    /// True while a run owns this graph's claim.
     pub(crate) active: bool,
-    /// Starter closures of runs waiting for the active one to finish.
-    pub(crate) queued: std::collections::VecDeque<Box<dyn FnOnce() + Send>>,
+    /// Runs waiting for the active one to finish, in submission order.
+    pub(crate) queued: std::collections::VecDeque<Arc<crate::stream::EpochDriver>>,
 }
 
 /// Cached result of the per-submission scheduling preamble (freeze +

@@ -94,9 +94,9 @@ pub use placement::{
 };
 pub use retry::{OnDeviceLoss, RetryPolicy};
 pub use stats::{ExecutorStats, StatsSnapshot};
-pub use stream::{EpochFuture, Session, StreamConfig};
+pub use stream::{Session, StreamConfig};
 pub use task::{AsTask, HostTask, KernelTask, PullTask, PushTask, TaskRef};
-pub use topology::{CancelHandle, Completion, RunFuture};
+pub use topology::{Completion, EpochFuture, RunFuture};
 
 // Re-export the GPU substrate types that appear in the public API.
 pub use hf_gpu::{GpuConfig, GpuRuntime, KernelArgs, LaunchConfig};

@@ -39,9 +39,9 @@ pub use crate::observer::{SpanCat, TraceCollector, Track};
 pub use crate::placement::{Placement, PlacementPolicy};
 pub use crate::retry::{OnDeviceLoss, RetryPolicy};
 pub use crate::stats::{ExecutorStats, StatsSnapshot};
-pub use crate::stream::{EpochFuture, Session, StreamConfig};
+pub use crate::stream::{Session, StreamConfig};
 pub use crate::task::{AsTask, HostTask, KernelTask, PullTask, PushTask, TaskRef};
-pub use crate::topology::{CancelHandle, Completion, RunFuture};
+pub use crate::topology::{Completion, EpochFuture, RunFuture};
 
 // GPU substrate types that appear in the public API: device and launch
 // configuration, kernel arguments, errors, and the fault injector.

@@ -1,44 +1,39 @@
-//! Streaming epoch execution: resident sessions and the shared epoch
-//! driver behind `run`/`run_n`/`run_until`.
+//! The epoch driver — the one way a graph gets executed — and its two
+//! clients: `run`/`run_n`/`run_until` and the streaming [`Session`].
 //!
-//! The paper's execution model submits one graph and waits
-//! ("issuing a run on a graph returns immediately with a C++ future
-//! object", §III-B). Serving-style workloads resubmit the *same* graph
-//! for round after round of fresh host inputs; paying the submission
-//! preamble each round — and, worse, leaving the devices idle between
-//! the rounds — wastes exactly the concurrency the runtime exists to
-//! extract. This module adds a first-class streaming mode:
+//! In the paper a submission is one thing: `run`, `run_n` and
+//! `run_until` each put one topology on the graph's topology list and
+//! return a future (§III-B/C). Here that one thing is an
+//! [`EpochDriver`]: it claims the graph (or queues behind its owner),
+//! brackets the run with `RunStart`/`RunEnd`, carries placement and
+//! fusion from epoch to epoch, holds the executor's in-flight count, and
+//! turns every queued epoch into one [`Topology`] — one pass over the
+//! frozen graph. What differs between clients travels with each queued
+//! epoch as data: a cancel flag and lifecycle tag, an optional input
+//! mutator, a continuation. DESIGN.md "Runs and epochs" has the ordering
+//! rules the driver keeps, and why.
 //!
-//! * [`crate::Executor::run_stream`] returns a [`Session`] that keeps
-//!   the frozen snapshot, device placement, fusion plan, and device
-//!   residency resident across epochs.
-//! * [`Session::submit`] enqueues the next epoch and returns an
-//!   [`EpochFuture`] immediately. Up to [`StreamConfig::depth`] epochs
-//!   are in flight at once; `submit` applies backpressure beyond that.
-//! * Epochs **pipeline**: epoch N+1's host tasks and H2D transfers (its
-//!   *prologue*) start as soon as epoch N's prologue has drained, while
-//!   epoch N's kernels still occupy the devices. Each epoch's *body*
-//!   (kernels, pushes, and their descendants) is held behind an
-//!   admission gate until the previous epoch completes, so per-epoch
-//!   results are exactly those of sequential execution.
-//! * Pull residency is **double-buffered**: epoch `e` owns ring slot
-//!   `e % depth`, so epoch N+1's H2D chunks land in their own device
-//!   buffers and never clobber data epoch N is still consuming.
-//!
-//! The sequential entry points (`run`, `run_n`, `run_until`) are thin
-//! wrappers over the same machinery: [`run_driver`] chains one
-//! single-round epoch topology per repetition through the
-//! epoch-completion hook, so there is a single execution code path.
+//! `depth`, the number of epochs that may be in flight, decides the rest.
+//! At **depth 1** (`run*`) epochs never overlap, so an epoch is a plain
+//! pass: the cached fusion plan, and pull residency on the frozen graph
+//! itself, where it carries across runs and re-freezes. At **depth ≥ 2**
+//! epochs *pipeline*: epoch N+1's *prologue* (host tasks and H2D
+//! transfers) starts once epoch N's has drained, under epoch N's kernels;
+//! its *body* (kernels, pushes, and their descendants) waits behind a
+//! gate until epoch N completes, so results are those of sequential
+//! execution; and pull residency is a ring (epoch `e` owns slot
+//! `e % depth`), so its H2D chunks never clobber data epoch N still uses.
 //!
 //! ## Failure containment
 //!
-//! A failed or cancelled epoch resolves *alone*: its [`EpochFuture`]
-//! reports the error, the stream keeps serving, and — after a device
-//! loss — the session re-places subsequent epochs against the surviving
-//! devices. A mid-epoch device failover replays within the epoch unless
-//! a later epoch's input mutation has already been applied
-//! ([`crate::topology::InputGuard`]), in which case the epoch fails
-//! rather than replay pulls against superseded host data.
+//! A failed or cancelled round ends a `run*` call. A failed or cancelled
+//! session epoch resolves *alone*: its [`EpochFuture`] reports the
+//! error, the stream keeps serving, and — after a device loss — later
+//! epochs are re-placed against the surviving devices. A mid-epoch
+//! device failover replays within the epoch unless a later epoch's input
+//! mutation has already been applied ([`crate::topology::InputGuard`]),
+//! in which case the epoch fails rather than replay pulls against
+//! superseded host data.
 
 use crate::error::HfError;
 use crate::executor::{ExecInner, Executor};
@@ -46,14 +41,13 @@ use crate::graph::{FrozenGraph, GraphShared, Heteroflow, PullState, TaskKind};
 use crate::lifecycle::LifecyclePhase;
 use crate::placement::Placement;
 use crate::topology::{
-    CancelHandle, Completion, EpochGate, FusionPlan, InputGuard, PrologueTrack, RunFuture,
+    Completion, EpochFuture, EpochGate, FusionPlan, InputGuard, PrologueTrack, RunFuture,
     TopoExtras, Topology,
 };
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Configuration of a streaming [`Session`].
 #[derive(Debug, Clone, Copy)]
@@ -73,465 +67,63 @@ impl Default for StreamConfig {
     }
 }
 
-/// Future of one streaming epoch, returned by [`Session::submit`].
-/// Shares the [`Completion`] core with `RunFuture`, so waiting,
-/// deadline-bounded waiting, async `.await`, and cooperative
-/// cancellation behave identically. Clones share the same epoch.
-#[derive(Clone)]
-pub struct EpochFuture {
-    pub(crate) core: Completion,
-}
+// --- The epoch driver ------------------------------------------------------
 
-impl EpochFuture {
-    /// Blocks until the epoch finishes; returns its result.
-    pub fn wait(&self) -> Result<(), HfError> {
-        self.core.wait()
-    }
-
-    /// Blocks for at most `timeout`. Returns `None` when the deadline
-    /// expired with the epoch still in flight (it keeps going — call
-    /// `wait*` again or [`EpochFuture::cancel`]), otherwise the result.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<(), HfError>> {
-        self.core.wait_timeout(timeout)
-    }
-
-    /// Requests cooperative cancellation of this epoch only: in-flight
-    /// task bodies finish, everything not yet started is skipped, and
-    /// the epoch completes with [`HfError::Cancelled`]. Later epochs of
-    /// the stream are unaffected. Cancelling a finished epoch is a
-    /// no-op.
-    pub fn cancel(&self) {
-        self.core.cancel();
-    }
-
-    /// True once the epoch has finished (success or error).
-    pub fn is_done(&self) -> bool {
-        self.core.is_done()
-    }
-
-    /// The owning stream's process-unique run id (`0` for
-    /// immediately-ready futures, which never execute).
-    pub fn run_id(&self) -> u64 {
-        self.core.run_id()
-    }
-
-    /// The epoch index within the stream (`None` for immediately-ready
-    /// error futures).
-    pub fn epoch(&self) -> Option<u64> {
-        self.core.epoch()
-    }
-
-    /// A detached, cloneable handle to this epoch's completion and
-    /// cancellation state (a clone of the shared [`Completion`] core).
-    pub fn handle(&self) -> CancelHandle {
-        self.core.clone()
-    }
-
-    fn ready(result: Result<(), HfError>) -> Self {
-        Self {
-            core: Completion::ready(result),
-        }
-    }
-}
-
-impl std::fmt::Debug for EpochFuture {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EpochFuture")
-            .field("epoch", &self.core.epoch())
-            .field("done", &self.is_done())
-            .finish()
-    }
-}
-
-impl std::future::Future for EpochFuture {
-    type Output = Result<(), HfError>;
-
-    fn poll(
-        self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<Self::Output> {
-        std::pin::pin!(self.core.clone()).poll(cx)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sequential driver: run / run_n / run_until over the epoch machinery.
-// ---------------------------------------------------------------------------
-
-/// One sequential submission: chains single-round epoch topologies until
-/// the stopping predicate fires, then settles the promise and promotes
-/// the next queued run of the graph.
-struct SeqDriver {
-    inner: Arc<ExecInner>,
-    shared: Arc<GraphShared>,
-    frozen: Arc<FrozenGraph>,
-    label: Arc<str>,
-    run_id: u64,
-    /// The caller's stopping predicate (checked once before each epoch).
-    predicate: Mutex<Box<dyn FnMut() -> bool + Send>>,
-    /// Placement carried across epochs: a device failover inside one
-    /// epoch re-places it, and the next epoch must not resurrect the
-    /// lost device from the scheduling cache.
-    placement: Mutex<Arc<Placement>>,
-    fusion: Mutex<Arc<FusionPlan>>,
-    core: Completion,
-    /// Tenant attribution (fleet submissions); stamped onto each epoch
-    /// topology and the run-level lifecycle events.
-    tenant: Option<Arc<str>>,
-    /// Retry-policy re-dispatches accumulated across the chained epochs,
-    /// reported to `on_done` so a fleet can bill retry work.
-    retries: AtomicU32,
-    /// Completion callback (fleet accounting); fired exactly once, after
-    /// the promise settles.
-    on_done: Mutex<Option<DoneHook>>,
-}
-
-/// Completion callback of one driver submission: the run's result and
-/// the retry-policy re-dispatches it consumed (for tenant billing).
+/// Completion callback of a run ([`crate::Fleet`] accounting): its result
+/// and the retry-policy re-dispatches it consumed (for tenant billing).
 pub(crate) type DoneHook = Box<dyn FnOnce(&Result<(), HfError>, u32) + Send>;
 
-/// Submission context threaded by [`crate::Fleet`] through the driver:
-/// a pre-allocated completion core (so a parked future exists *before*
-/// admission), the owning tenant, and a completion callback.
+/// What a client does with one finished epoch. Runs on whichever thread
+/// finished it, before the epoch gives up its in-flight count — so a
+/// continuation that enqueues the next epoch leaves `wait_for_all` no gap.
+type EpochThen = Box<dyn FnOnce(&Arc<EpochDriver>, Result<(), HfError>) + Send>;
+
+/// A client's first step, taken when its run obtains the graph's claim.
+/// `Some(result)` ends the run on the spot.
+type FirstStep = Box<dyn FnOnce(&Arc<EpochDriver>) -> Option<Result<(), HfError>> + Send>;
+
+/// One queued epoch: what differs per client, as data.
+struct PendingEpoch {
+    /// Position within the run: admission order, watermark, ring slot.
+    seq: u64,
+    /// The epoch's cancel flag and lifecycle tag: a session's per-epoch
+    /// completion, or the run's own (`epoch: None`, so a `run*` call
+    /// emits no `EpochStart`/`EpochEnd`).
+    core: Completion,
+    /// Runs once at admission, before the epoch's first task.
+    mutator: Option<Box<dyn FnOnce() + Send>>,
+    then: EpochThen,
+}
+
+/// What overlapping epochs need on top of a plain pass: all empty at
+/// depth 1, where `pump` takes the paths it has anyway for graphs without
+/// gate heads or prologue nodes.
 #[derive(Default)]
-pub(crate) struct DriverExtras {
-    /// Pre-allocated completion core; `None` allocates one internally.
-    pub(crate) core: Option<Completion>,
-    /// Tenant attribution for lifecycle events and telemetry.
-    pub(crate) tenant: Option<Arc<str>>,
-    /// Invoked once when the submission settles (after the promise).
-    pub(crate) on_done: Option<DoneHook>,
-}
-
-/// Drives `run_until` (and through it `run`/`run_n`): plans once, claims
-/// the graph (or queues behind its active owner), then executes one
-/// epoch topology per repetition. Non-blocking; returns the future.
-pub(crate) fn run_driver(
-    exec: &Executor,
-    hf: &Heteroflow,
-    stop: Box<dyn FnMut() -> bool + Send>,
-) -> RunFuture {
-    run_driver_ext(exec, hf, stop, DriverExtras::default())
-}
-
-/// [`run_driver`] with fleet submission context ([`DriverExtras`]).
-/// Early failures (executor shut down, plan rejection) settle the
-/// provided core and fire `on_done` before returning, so fleet
-/// bookkeeping never leaks an in-flight slot.
-pub(crate) fn run_driver_ext(
-    exec: &Executor,
-    hf: &Heteroflow,
-    stop: Box<dyn FnMut() -> bool + Send>,
-    extras: DriverExtras,
-) -> RunFuture {
-    let DriverExtras {
-        core: pre_core,
-        tenant,
-        on_done,
-    } = extras;
-    let fail_early = |e: HfError, pre: Option<Completion>, od: Option<DoneHook>| {
-        let result = Err(e);
-        if let Some(cb) = od {
-            cb(&result, 0);
-        }
-        match pre {
-            Some(c) => {
-                c.promise.complete(result);
-                RunFuture { core: c }
-            }
-            None => RunFuture::ready(result),
-        }
-    };
-    let inner = &exec.inner;
-    if inner.done.load(Ordering::SeqCst) {
-        return fail_early(HfError::ExecutorShutDown, pre_core, on_done);
-    }
-    let plan = match exec.plan_for(hf) {
-        Ok(p) => p,
-        Err(e) => return fail_early(e, pre_core, on_done),
-    };
-    let core = match pre_core {
-        Some(c) => c,
-        None => Completion::new(inner.run_seq.fetch_add(1, Ordering::Relaxed) + 1),
-    };
-    let run_id = core.run_id();
-    let label: Arc<str> = Arc::from(plan.frozen.name());
-    inner.emit_raw_run_lc(
-        run_id,
-        &label,
-        LifecyclePhase::RunStart,
-        true,
-        None,
-        None,
-        tenant.as_ref(),
-    );
-    if let Some(report) = &plan.lint_report {
-        inner.emit_lint_lc(run_id, &label, report);
-    }
-    // The driver holds one in-flight count for the whole submission (its
-    // epoch topologies add their own), so `wait_for_all` observes the
-    // gaps between chained epochs as busy, not idle.
-    inner.num_topologies.fetch_add(1, Ordering::SeqCst);
-
-    let driver = Arc::new(SeqDriver {
-        inner: Arc::clone(inner),
-        shared: Arc::clone(&hf.shared),
-        frozen: plan.frozen,
-        label,
-        run_id,
-        predicate: Mutex::new(stop),
-        placement: Mutex::new(plan.placement),
-        fusion: Mutex::new(plan.fusion),
-        core: core.clone(),
-        tenant,
-        retries: AtomicU32::new(0),
-        on_done: Mutex::new(on_done),
-    });
-
-    // Claim the graph, or queue a starter behind the active owner (the
-    // paper's topology list, §III-C).
-    let run_now = {
-        let mut rs = hf.shared.run_state.lock();
-        if rs.active {
-            let d = Arc::clone(&driver);
-            rs.queued.push_back(Box::new(move || d.step()));
-            false
-        } else {
-            rs.active = true;
-            true
-        }
-    };
-    if run_now {
-        driver.step();
-    }
-    RunFuture { core }
-}
-
-impl SeqDriver {
-    /// Starts the next epoch, or finishes the run when cancelled / the
-    /// predicate fired / the graph is empty. Recursion through
-    /// `on_epoch_done` is bounded: a non-empty epoch finishes on a
-    /// worker or engine thread, never synchronously inside `step`.
-    fn step(self: &Arc<Self>) {
-        if self.core.cancel_requested() {
-            return self.finish(Err(HfError::Cancelled));
-        }
-        if (self.predicate.lock())() {
-            return self.finish(Ok(()));
-        }
-        if self.frozen.nodes.is_empty() {
-            return self.finish(Ok(()));
-        }
-        let placement = Arc::clone(&self.placement.lock());
-        let fusion = Arc::clone(&self.fusion.lock());
-        // Run-once predicate: one round per epoch topology (the first,
-        // false call is consumed by `start_topology`'s pre-round check).
-        let mut fired = false;
-        let once = Box::new(move || std::mem::replace(&mut fired, true));
-        let d = Arc::clone(self);
-        let topo = Topology::new(
-            Arc::clone(&self.frozen),
-            self.run_id,
-            placement,
-            fusion,
-            once,
-            Arc::clone(&self.core.cancel),
-            TopoExtras {
-                on_finish: Some(Box::new(move |t: &Arc<Topology>| d.on_epoch_done(t))),
-                tenant: self.tenant.clone(),
-                ..Default::default()
-            },
-        );
-        self.inner.registry.register(&topo);
-        self.inner.num_topologies.fetch_add(1, Ordering::SeqCst);
-        self.inner.start_topology(topo);
-    }
-
-    /// Epoch-completion hook: carries a failover's re-placement forward
-    /// (the epoch-local fusion recompute in `end_round` never runs for
-    /// single-round epochs), then chains the next epoch or finishes.
-    fn on_epoch_done(self: &Arc<Self>, topo: &Arc<Topology>) {
-        let r = topo.retries.load(Ordering::Relaxed);
-        if r > 0 {
-            self.retries.fetch_add(r, Ordering::Relaxed);
-        }
-        let p = topo.placement();
-        {
-            let mut cur = self.placement.lock();
-            if !Arc::ptr_eq(&p, &cur) {
-                let plan = FusionPlan::compute(&self.frozen, &p, self.inner.fusion);
-                *self.fusion.lock() = Arc::new(plan);
-                *cur = p;
-            }
-        }
-        match topo.result() {
-            Err(e) => self.finish(Err(e)),
-            Ok(()) => self.step(),
-        }
-    }
-
-    /// Emits `RunEnd` (the run's last lifecycle event), releases the
-    /// graph claim, settles the promise, and drops the submission's
-    /// in-flight hold. The claim is released *before* the promise
-    /// settles: a waiter is free to mutate and resubmit the graph the
-    /// instant `wait` returns, and a still-held claim would make its
-    /// re-freeze fail with [`HfError::GraphBusy`]. Called exactly once
-    /// per driver.
-    fn finish(&self, result: Result<(), HfError>) {
-        if matches!(result, Err(HfError::Cancelled)) {
-            self.inner.stats.cancelled.incr();
-        }
-        self.inner.emit_raw_run_lc(
-            self.run_id,
-            &self.label,
-            LifecyclePhase::RunEnd,
-            result.is_ok(),
-            result.as_ref().err(),
-            None,
-            self.tenant.as_ref(),
-        );
-        let next = {
-            let mut rs = self.shared.run_state.lock();
-            match rs.queued.pop_front() {
-                Some(s) => Some(s),
-                None => {
-                    rs.active = false;
-                    None
-                }
-            }
-        };
-        if let Some(starter) = next {
-            starter();
-        }
-        // The done hook (the fleet's slot release) runs *before* the
-        // promise settles: a submitter woken by the completion then finds
-        // the in-flight slot already freed instead of contending with
-        // this thread for the fleet state lock.
-        let done_hook = self.on_done.lock().take();
-        if let Some(cb) = done_hook {
-            cb(&result, self.retries.load(Ordering::Relaxed));
-        }
-        self.core.promise.complete(result.clone());
-        if self.inner.num_topologies.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _g = self.inner.idle_lock.lock();
-            self.inner.idle_cv.notify_all();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Streaming session.
-// ---------------------------------------------------------------------------
-
-/// A resident streaming session on one graph, returned by
-/// [`crate::Executor::run_stream`].
-///
-/// The session holds the frozen snapshot, placement, fusion plans, and a
-/// `depth`-deep ring of device-residency slots for the graph's pull
-/// tasks. [`Session::submit`] enqueues one epoch (one pass over the
-/// graph) and returns an [`EpochFuture`]; epochs pipeline as described
-/// in the [module docs](self). Dropping (or [`Session::close`]-ing) the
-/// session drains in-flight epochs and releases the graph for other
-/// submissions; while the session is open, `run`/`run_n` calls on the
-/// same graph queue behind it.
-pub struct Session {
-    core: Arc<SessionCore>,
-}
-
-struct SessionCore {
-    inner: Arc<ExecInner>,
-    shared: Arc<GraphShared>,
-    frozen: Arc<FrozenGraph>,
-    label: Arc<str>,
-    run_id: u64,
-    depth: usize,
+struct Overlap {
     /// True for body nodes (kernels, pushes, and their descendants) —
-    /// the gated portion of each epoch.
-    is_body: Vec<bool>,
+    /// the gated portion of each epoch; the rest is its prologue.
+    /// `None`: nothing is gated.
+    is_body: Option<Arc<Vec<bool>>>,
     /// Body nodes with no body predecessor: the gate's inflated heads.
     gate_heads: Vec<usize>,
-    gate_is_head: Vec<bool>,
-    /// Complement of `is_body`, shared with every epoch's
-    /// [`PrologueTrack`].
-    is_prologue: Arc<Vec<bool>>,
     prologue_count: usize,
-    /// Double-buffered pull residency: epoch `e` owns `rings[e % depth]`.
+    /// Pull residency ring: epoch `e` owns `rings[e % depth]`. Empty
+    /// means the frozen graph's own `PullState`s.
     rings: Vec<Arc<Vec<Mutex<PullState>>>>,
-    /// Input generation: bumped by each applied submit-time mutator so a
-    /// device failover can detect superseded host inputs.
-    input_gen: Arc<AtomicU64>,
-    state: Mutex<SessState>,
-    cv: Condvar,
 }
 
-struct SessState {
-    /// The session owns the graph's run claim.
-    claimed: bool,
-    /// `close` was called: no further submissions.
-    closed: bool,
-    /// `RunEnd` emitted and the claim released (close is idempotent).
-    run_ended: bool,
-    /// Next epoch index to hand out.
-    next_epoch: u64,
-    /// Epochs admitted (topology started); admission order is epoch
-    /// order.
-    admitted: u64,
-    /// Contiguous epochs whose prologue has drained; the next epoch's
-    /// input mutation must wait for this to reach `admitted`.
-    prologue_done: u64,
-    /// Contiguous completed-epoch watermark: epochs `0..completed_mark`
-    /// have all finished. Gates open and ring slots recycle against it.
-    completed_mark: u64,
-    /// Finished epochs at or above the watermark.
-    done_set: BTreeSet<u64>,
-    /// Submitted epochs not yet finished (backpressure counter).
-    inflight: usize,
-    /// Submitted epochs not yet admitted.
-    queue: VecDeque<PendingEpoch>,
-    /// Admitted epochs whose body gate waits on the watermark.
-    pending_gate: Vec<(u64, Arc<Topology>)>,
-    /// Placement carried across epochs (failover re-placements stick).
-    placement: Arc<Placement>,
-    /// Body-masked fusion plan for the current placement (prologue→body
-    /// chains must not bypass the gate).
-    fusion: Arc<FusionPlan>,
-    /// The session currently holds one executor in-flight count (taken
-    /// when `inflight` 0→1, released when it drains to 0), so
-    /// `wait_for_all` quiesces busy streams but ignores idle ones.
-    holding: bool,
-}
-
-struct PendingEpoch {
-    epoch: u64,
-    mutator: Option<Box<dyn FnOnce() + Send>>,
-    core: Completion,
-}
-
-impl Session {
-    pub(crate) fn open(
-        exec: &Executor,
-        hf: &Heteroflow,
-        cfg: StreamConfig,
-    ) -> Result<Self, HfError> {
-        let inner = &exec.inner;
-        if inner.done.load(Ordering::SeqCst) {
-            return Err(HfError::ExecutorShutDown);
+impl Overlap {
+    fn derive(frozen: &FrozenGraph, depth: usize) -> Self {
+        if depth == 1 {
+            return Self::default();
         }
-        let plan = exec.plan_for(hf)?;
-        let frozen = plan.frozen;
         let n = frozen.nodes.len();
-        let depth = cfg.depth.max(1);
-
         // Body = kernels and pushes plus everything downstream of one;
         // prologue = the rest (host tasks and pulls feeding the body).
-        let mut is_body = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        for (i, nd) in frozen.nodes.iter().enumerate() {
-            if matches!(nd.work.kind(), TaskKind::Kernel | TaskKind::Push) && !is_body[i] {
-                is_body[i] = true;
-                stack.push(i);
-            }
-        }
+        let mut is_body: Vec<bool> = (frozen.nodes.iter())
+            .map(|nd| matches!(nd.work.kind(), TaskKind::Kernel | TaskKind::Push))
+            .collect();
+        let mut stack: Vec<usize> = (0..n).filter(|&i| is_body[i]).collect();
         while let Some(v) = stack.pop() {
             for &s in &frozen.nodes[v].succ {
                 if !is_body[s] {
@@ -548,220 +140,257 @@ impl Session {
                 }
             }
         }
-        let gate_heads: Vec<usize> =
-            (0..n).filter(|&i| is_body[i] && !has_body_pred[i]).collect();
-        let mut gate_is_head = vec![false; n];
-        for &h in &gate_heads {
-            gate_is_head[h] = true;
-        }
-        let is_prologue: Vec<bool> = is_body.iter().map(|&b| !b).collect();
-        let prologue_count = is_prologue.iter().filter(|&&p| p).count();
-
-        // The steady-state fusion plan is masked to the body: a chain
-        // from a prologue pull into a body kernel would dispatch the
-        // kernel with the pull and bypass the epoch gate.
-        let fusion = Arc::new(FusionPlan::compute_masked(
-            &frozen,
-            &plan.placement,
-            inner.fusion,
-            &is_body,
-        ));
-
-        let run_id = inner.run_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let label: Arc<str> = Arc::from(frozen.name());
-        inner.emit_raw_run_lc(run_id, &label, LifecyclePhase::RunStart, true, None, None, None);
-        if let Some(report) = &plan.lint_report {
-            inner.emit_lint_lc(run_id, &label, report);
-        }
-
-        let rings: Vec<Arc<Vec<Mutex<PullState>>>> = (0..depth)
-            .map(|_| {
-                Arc::new(
-                    (0..n)
-                        .map(|_| Mutex::new(PullState::default()))
-                        .collect::<Vec<_>>(),
-                )
-            })
+        let gate_heads = (0..n).filter(|&i| is_body[i] && !has_body_pred[i]).collect();
+        let rings = (0..depth)
+            .map(|_| Arc::new((0..n).map(|_| Mutex::new(PullState::default())).collect()))
             .collect();
-
-        let core = Arc::new(SessionCore {
-            inner: Arc::clone(inner),
-            shared: Arc::clone(&hf.shared),
-            frozen,
-            label,
-            run_id,
-            depth,
-            is_body,
+        Self {
+            prologue_count: is_body.iter().filter(|&&b| !b).count(),
+            is_body: Some(Arc::new(is_body)),
             gate_heads,
-            gate_is_head,
-            is_prologue: Arc::new(is_prologue),
-            prologue_count,
             rings,
-            input_gen: Arc::new(AtomicU64::new(0)),
-            state: Mutex::new(SessState {
-                claimed: false,
-                closed: false,
-                run_ended: false,
-                next_epoch: 0,
-                admitted: 0,
-                prologue_done: 0,
-                completed_mark: 0,
-                done_set: BTreeSet::new(),
-                inflight: 0,
-                queue: VecDeque::new(),
-                pending_gate: Vec::new(),
-                placement: plan.placement,
-                fusion,
-                holding: false,
-            }),
-            cv: Condvar::new(),
-        });
-
-        // Claim the graph now, or queue a starter behind its active
-        // owner; submissions accepted meanwhile park in the queue.
-        let claim_now = {
-            let mut rs = hf.shared.run_state.lock();
-            if rs.active {
-                let c = Arc::clone(&core);
-                rs.queued.push_back(Box::new(move || {
-                    c.state.lock().claimed = true;
-                    c.cv.notify_all();
-                    c.pump();
-                }));
-                false
-            } else {
-                rs.active = true;
-                true
-            }
-        };
-        if claim_now {
-            core.state.lock().claimed = true;
         }
-        Ok(Session { core })
-    }
-
-    /// Enqueues the next epoch over the graph's *current* host inputs
-    /// and returns its future immediately — unless `depth` epochs are
-    /// already in flight, in which case this blocks until one finishes
-    /// (backpressure). The epoch reads whatever the host sources hold
-    /// when its transfers run; to mutate inputs between epochs race-free,
-    /// use [`Session::submit_with`].
-    pub fn submit(&self) -> EpochFuture {
-        self.core.submit_inner(None)
-    }
-
-    /// [`Session::submit`] with an input mutator: `mutate` runs exactly
-    /// once, after the *previous* epoch's host tasks and H2D transfers
-    /// have drained and before this epoch's begin — the race-free window
-    /// for writing the next round's inputs into the graph's host
-    /// sources. The pipeline keeps flowing: the previous epoch's kernels
-    /// and pushes are still executing when `mutate` runs.
-    pub fn submit_with<F>(&self, mutate: F) -> EpochFuture
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        self.core.submit_inner(Some(Box::new(mutate)))
-    }
-
-    /// Drains in-flight epochs, emits the stream's `RunEnd`, and
-    /// releases the graph for other submissions. Idempotent; also called
-    /// by `Drop`. Blocks until the stream is quiescent.
-    pub fn close(&self) {
-        self.core.close_inner();
-    }
-
-    /// Process-unique run id shared by every epoch of this stream (and
-    /// stamped on its lifecycle events).
-    pub fn run_id(&self) -> u64 {
-        self.core.run_id
-    }
-
-    /// The in-flight depth (residency ring size) this session runs at.
-    pub fn depth(&self) -> usize {
-        self.core.depth
     }
 }
 
-impl std::fmt::Debug for Session {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.core.state.lock();
-        f.debug_struct("Session")
-            .field("run_id", &self.core.run_id)
-            .field("depth", &self.core.depth)
-            .field("submitted", &st.next_epoch)
-            .field("completed", &st.completed_mark)
-            .field("inflight", &st.inflight)
-            .field("closed", &st.closed)
-            .finish()
+/// One run of one graph: the only owner of graph claims, emitter of
+/// `RunStart`/`Lint`/`RunEnd`, and creator of topologies.
+pub(crate) struct EpochDriver {
+    inner: Arc<ExecInner>,
+    shared: Arc<GraphShared>,
+    frozen: Arc<FrozenGraph>,
+    label: Arc<str>,
+    /// The run's own completion: its id and, for `run*`, its future.
+    core: Completion,
+    /// Tenant attribution (fleet submissions); stamped onto each epoch
+    /// topology and the run-level lifecycle events.
+    tenant: Option<Arc<str>>,
+    depth: usize,
+    overlap: Overlap,
+    /// Input generation: bumped by each applied mutator so a device
+    /// failover can detect superseded host inputs.
+    input_gen: Arc<AtomicU64>,
+    /// Retry-policy re-dispatches accumulated across the run's epochs,
+    /// reported to `on_done` so a fleet can bill retry work.
+    retries: AtomicU32,
+    first_step: Mutex<Option<FirstStep>>,
+    /// The run itself holds an in-flight count until it settles.
+    counted: bool,
+    on_done: Mutex<Option<DoneHook>>,
+    /// Placement carried across epochs (failover re-placements stick),
+    /// with the fusion plan for it — masked to the body when epochs
+    /// overlap (prologue→body chains must not bypass the gate).
+    plan: Mutex<(Arc<Placement>, Arc<FusionPlan>)>,
+    state: Mutex<DriverState>,
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct DriverState {
+    /// The run owns the graph's claim.
+    claimed: bool,
+    /// The session was closed: no further submissions.
+    closed: bool,
+    /// The session's close ran to the end (close is idempotent).
+    run_ended: bool,
+    /// Next epoch position to hand out.
+    next_epoch: u64,
+    /// Epochs admitted (topology started), in epoch order.
+    admitted: u64,
+    /// Contiguous epochs whose prologue has drained; the next epoch's
+    /// input mutation must wait for this to reach `admitted`.
+    prologue_done: u64,
+    /// Contiguous completed-epoch watermark: epochs `0..completed_mark`
+    /// have all finished. Gates open and ring slots recycle against it.
+    completed_mark: u64,
+    /// Finished epochs at or above the watermark.
+    done_set: BTreeSet<u64>,
+    /// Enqueued epochs not yet finished (backpressure counter).
+    inflight: usize,
+    /// Enqueued epochs not yet admitted.
+    queue: VecDeque<PendingEpoch>,
+    /// Admitted epochs whose body gate waits on the watermark.
+    pending_gate: Vec<(u64, Arc<Topology>)>,
+}
+
+/// Queues `run` for the graph's claim (the paper's topology list,
+/// §III-C); on a free graph it is the head, and the claim passes to it
+/// at once.
+fn claim(run: &Arc<EpochDriver>) {
+    let mut rs = run.shared.run_state.lock();
+    rs.queued.push_back(Arc::clone(run));
+    if !std::mem::replace(&mut rs.active, true) {
+        drop(rs);
+        release(&run.shared);
     }
 }
 
-impl Drop for Session {
-    fn drop(&mut self) {
-        self.core.close_inner();
-    }
-}
-
-impl SessionCore {
-    fn submit_inner(self: &Arc<Self>, mutator: Option<Box<dyn FnOnce() + Send>>) -> EpochFuture {
-        if self.inner.done.load(Ordering::SeqCst) {
-            return EpochFuture::ready(Err(HfError::ExecutorShutDown));
-        }
-        let core = {
-            let mut st = self.state.lock();
-            loop {
-                if st.closed {
-                    return EpochFuture::ready(Err(HfError::StreamClosed));
-                }
-                if st.inflight < self.depth {
+/// Passes the claim to the first queued run that actually starts, or to
+/// nobody. Queued runs that end on the spot (cancelled while queued,
+/// `stop` already true) are drained by this loop, never by re-entering
+/// `release` from inside their start — a blocked run may have any number
+/// of them behind it — and settle once the claim has moved past them.
+fn release(shared: &GraphShared) {
+    let mut ended = Vec::new();
+    loop {
+        let next = {
+            let mut rs = shared.run_state.lock();
+            match rs.queued.pop_front() {
+                Some(run) => run,
+                None => {
+                    rs.active = false;
                     break;
                 }
-                self.cv.wait(&mut st);
             }
-            let e = st.next_epoch;
-            st.next_epoch += 1;
-            let core = Completion::new_epoch(self.run_id, e);
-            if st.inflight == 0 && !st.holding {
-                st.holding = true;
-                self.inner.num_topologies.fetch_add(1, Ordering::SeqCst);
-            }
-            st.inflight += 1;
-            st.queue.push_back(PendingEpoch {
-                epoch: e,
-                mutator,
-                core: core.clone(),
-            });
-            core
         };
+        match next.start() {
+            None => break,
+            Some(result) => ended.push((next, result)),
+        }
+    }
+    for (run, result) in ended {
+        run.settle(result);
+    }
+}
+
+impl EpochDriver {
+    /// Plans the graph and opens a run on it (`RunStart`, `Lint`); the
+    /// caller [`claim`]s it. The executor's in-flight count is one per
+    /// unfinished epoch, plus one per unsettled run that has a
+    /// `first_step` — so `wait_for_all` covers queued `run*` calls but
+    /// not idle open sessions.
+    fn open(
+        exec: &Executor,
+        hf: &Heteroflow,
+        depth: usize,
+        core: Option<&Completion>,
+        tenant: Option<Arc<str>>,
+        first_step: Option<FirstStep>,
+    ) -> Result<Arc<Self>, HfError> {
+        let inner = &exec.inner;
+        if inner.done.load(Ordering::SeqCst) {
+            return Err(HfError::ExecutorShutDown);
+        }
+        let plan = exec.plan_for(hf)?;
+        let overlap = Overlap::derive(&plan.frozen, depth);
+        let core = core.cloned().unwrap_or_else(|| {
+            Completion::new(inner.run_seq.fetch_add(1, Ordering::Relaxed) + 1)
+        });
+        let counted = first_step.is_some();
+        if counted {
+            inner.num_topologies.fetch_add(1, Ordering::SeqCst);
+        }
+        let run = Arc::new(Self {
+            counted,
+            inner: Arc::clone(inner),
+            shared: Arc::clone(&hf.shared),
+            label: Arc::from(plan.frozen.name()),
+            frozen: plan.frozen,
+            core,
+            tenant,
+            depth,
+            overlap,
+            input_gen: Arc::new(AtomicU64::new(0)),
+            retries: AtomicU32::new(0),
+            first_step: Mutex::new(first_step),
+            on_done: Mutex::new(None),
+            plan: Mutex::new((plan.placement, plan.fusion)),
+            state: Mutex::default(),
+            cv: Condvar::new(),
+        });
+        // A chain from a prologue pull into a body kernel would dispatch
+        // the kernel with the pull and bypass the epoch gate; with nothing
+        // gated the cached plan stands.
+        if run.overlap.is_body.is_some() {
+            let mut plan = run.plan.lock();
+            plan.1 = run.fuse(&plan.0);
+        }
+        run.emit(LifecyclePhase::RunStart, &Ok(()), None);
+        if let Some(report) = &plan.lint_report {
+            inner.emit_lint_lc(run.core.run_id(), &run.label, report);
+        }
+        Ok(run)
+    }
+
+    /// Emits a run-level lifecycle event of this run.
+    fn emit(&self, phase: LifecyclePhase, result: &Result<(), HfError>, epoch: Option<u64>) {
+        self.inner.emit_raw_run_lc(
+            self.core.run_id(),
+            &self.label,
+            phase,
+            result.is_ok(),
+            result.as_ref().err(),
+            epoch,
+            self.tenant.as_ref(),
+        );
+    }
+
+    /// The claim has reached this run: takes the client's first step and
+    /// starts admitting. `Some(result)` when the first step ended the run
+    /// on the spot: `RunEnd` is out, but the claim is still the caller's
+    /// to pass on before it calls [`EpochDriver::settle`].
+    fn start(self: &Arc<Self>) -> Option<Result<(), HfError>> {
+        let first = self.first_step.lock().take();
+        if let Some(result) = first.and_then(|step| step(self)) {
+            self.emit(LifecyclePhase::RunEnd, &result, None);
+            return Some(result);
+        }
+        self.state.lock().claimed = true;
+        self.cv.notify_all();
         self.pump();
-        EpochFuture { core }
+        None
+    }
+
+    /// Queues one epoch behind those already queued. Never blocks (the
+    /// backpressure wait is [`Session::submit`]'s) and never admits: the
+    /// driver pumps after every first step and continuation.
+    fn enqueue(
+        &self,
+        st: &mut DriverState,
+        core: Completion,
+        mutator: Option<Box<dyn FnOnce() + Send>>,
+        then: EpochThen,
+    ) {
+        self.inner.num_topologies.fetch_add(1, Ordering::SeqCst);
+        st.inflight += 1;
+        st.queue.push_back(PendingEpoch {
+            seq: st.next_epoch,
+            core,
+            mutator,
+            then,
+        });
+        st.next_epoch += 1;
     }
 
     /// Admits every epoch whose turn has come: the previous epoch's
     /// prologue must have drained (its host inputs are consumed — the
-    /// admission point of the pipeline contract), and the epoch's ring
-    /// slot must be free (the epoch `depth` back has completed). Safe to
-    /// call from any thread; admission order is epoch order.
+    /// admission point of the pipeline contract), and the epoch `depth`
+    /// back must have completed (its ring slot is free; at depth 1 this
+    /// alone serializes the epochs). Safe to call from any thread;
+    /// admission order is epoch order.
     fn pump(self: &Arc<Self>) {
+        let depth = self.depth as u64;
+        let ov = &self.overlap;
         loop {
-            let (pending, placement, fusion) = {
+            let pending = {
                 let mut st = self.state.lock();
                 if !st.claimed {
                     return;
                 }
                 let Some(front) = st.queue.front() else { return };
-                let e = front.epoch;
+                let e = front.seq;
                 if st.prologue_done < st.admitted {
                     return;
                 }
-                if e >= self.depth as u64 && st.completed_mark < e - self.depth as u64 + 1 {
+                if e >= depth && st.completed_mark < e - depth + 1 {
                     return;
                 }
                 let pending = st.queue.pop_front().expect("front checked");
                 st.admitted = e + 1;
-                (pending, Arc::clone(&st.placement), Arc::clone(&st.fusion))
+                pending
             };
-            let e = pending.epoch;
+            let (placement, fusion) = self.plan.lock().clone();
+            let e = pending.seq;
             // Apply the input mutation in the race-free window the
             // admission condition just established, bumping the input
             // generation so failover replay of an *earlier* epoch knows
@@ -774,68 +403,57 @@ impl SessionCore {
                 }
                 None => self.input_gen.load(Ordering::SeqCst),
             };
-            let mut fired = false;
-            let once = Box::new(move || std::mem::replace(&mut fired, true));
             let hook_me = Arc::clone(self);
-            let ecore = pending.core.clone();
+            let then = pending.then;
             let extras = TopoExtras {
-                epoch: Some(e),
-                pull_override: Some(Arc::clone(&self.rings[(e % self.depth as u64) as usize])),
-                gate: (!self.gate_heads.is_empty()).then(|| EpochGate {
-                    heads: self.gate_heads.clone(),
-                    is_head: self.gate_is_head.clone(),
+                epoch: pending.core.epoch,
+                pull_override: ov.rings.get((e % depth) as usize).cloned(),
+                gate: (!ov.gate_heads.is_empty()).then(|| EpochGate {
+                    heads: ov.gate_heads.clone(),
                     opened: AtomicBool::new(false),
                 }),
-                prologue: (self.prologue_count > 0).then(|| {
+                prologue: ov.is_body.as_ref().filter(|_| ov.prologue_count > 0).map(|body| {
                     let me = Arc::clone(self);
                     PrologueTrack {
-                        is_prologue: Arc::clone(&self.is_prologue),
-                        pending: AtomicUsize::new(self.prologue_count),
+                        is_body: Arc::clone(body),
+                        pending: AtomicUsize::new(ov.prologue_count),
                         hook: Mutex::new(Some(Box::new(move || me.on_prologue_drained(e)))),
                     }
                 }),
                 on_finish: Some(Box::new(move |t: &Arc<Topology>| {
-                    hook_me.on_epoch_done(t, t.epoch.unwrap_or(0), ecore)
+                    hook_me.on_epoch_done(t, e, then)
                 })),
                 input_guard: Some(InputGuard {
                     gen: Arc::clone(&self.input_gen),
                     admitted_gen,
                 }),
-                tenant: None,
+                tenant: self.tenant.clone(),
             };
             let topo = Topology::new(
                 Arc::clone(&self.frozen),
-                self.run_id,
+                Arc::clone(&self.label),
+                self.core.run_id(),
                 placement,
                 fusion,
-                once,
                 Arc::clone(&pending.core.cancel),
                 extras,
             );
-            self.inner.emit_raw_run_lc(
-                self.run_id,
-                &self.label,
-                LifecyclePhase::EpochStart,
-                true,
-                None,
-                Some(e),
-                None,
-            );
+            if pending.core.epoch.is_some() {
+                self.emit(LifecyclePhase::EpochStart, &Ok(()), pending.core.epoch);
+            }
             self.inner.registry.register(&topo);
-            self.inner.num_topologies.fetch_add(1, Ordering::SeqCst);
             self.inner.start_topology(Arc::clone(&topo));
-            // Post-start bookkeeping under the session lock. The gate
-            // decision is serialized here (and in `on_epoch_done`'s
-            // drain) so `open_gate` never races `schedule_sources` of
-            // the same topology: sources were already scheduled above,
-            // and a pending gate only opens via the drain, after this
-            // push.
+            // The gate decision is serialized under the state lock here
+            // (and in `on_epoch_done`'s drain) so `open_gate` never races
+            // `schedule_sources` of the same topology: sources were
+            // scheduled above, and a pending gate only opens via the
+            // drain, after this push.
             let open_now = {
                 let mut st = self.state.lock();
-                if self.prologue_count == 0 && st.prologue_done < e + 1 {
-                    st.prologue_done = e + 1;
+                if ov.prologue_count == 0 {
+                    st.prologue_done = st.prologue_done.max(e + 1);
                 }
-                if self.gate_heads.is_empty() {
+                if ov.gate_heads.is_empty() {
                     false
                 } else if st.completed_mark >= e {
                     true
@@ -856,43 +474,62 @@ impl SessionCore {
     fn on_prologue_drained(self: &Arc<Self>, e: u64) {
         {
             let mut st = self.state.lock();
-            if st.prologue_done < e + 1 {
-                st.prologue_done = e + 1;
-            }
+            st.prologue_done = st.prologue_done.max(e + 1);
         }
         self.pump();
     }
 
+    /// The fusion plan for `placement`, masked to the body when epochs
+    /// overlap.
+    fn fuse(&self, placement: &Placement) -> Arc<FusionPlan> {
+        Arc::new(FusionPlan::compute(
+            &self.frozen,
+            placement,
+            self.inner.fusion,
+            self.overlap.is_body.as_deref().map(Vec::as_slice),
+        ))
+    }
+
     /// Epoch-completion hook: carries failover re-placements forward,
     /// re-places against survivors after an unrecovered device loss,
-    /// advances the completion watermark, opens now-eligible gates,
-    /// settles the epoch's promise, and releases backpressure.
-    fn on_epoch_done(self: &Arc<Self>, topo: &Arc<Topology>, e: u64, core: Completion) {
+    /// advances the completion watermark, opens now-eligible gates, runs
+    /// the epoch's continuation, and only then gives up the epoch's
+    /// in-flight count and releases backpressure.
+    fn on_epoch_done(self: &Arc<Self>, topo: &Arc<Topology>, e: u64, then: EpochThen) {
         let result = topo.result();
-        let mut to_open: Vec<Arc<Topology>> = Vec::new();
-        let release = {
-            let mut st = self.state.lock();
+        let retried = topo.retries.load(Ordering::Relaxed);
+        if retried > 0 {
+            self.retries.fetch_add(retried, Ordering::Relaxed);
+        }
+        {
+            let mut plan = self.plan.lock();
             // A successful mid-epoch failover left a re-placed plan on
-            // the topology; adopt it for subsequent epochs.
+            // the topology; adopt it for subsequent epochs (a failover's
+            // own fusion plan is a replay mask and is not carried).
             let p = topo.placement();
-            if !Arc::ptr_eq(&p, &st.placement) {
-                st.fusion = Arc::new(FusionPlan::compute_masked(
-                    &self.frozen,
-                    &p,
-                    self.inner.fusion,
-                    &self.is_body,
-                ));
-                st.placement = p;
+            if !Arc::ptr_eq(&p, &plan.0) {
+                *plan = (Arc::clone(&p), self.fuse(&p));
             }
             // An epoch that *failed* on a device loss (failover budget
             // spent, or superseded inputs) never re-placed; re-place the
-            // stream directly against the survivors so later epochs
-            // don't cascade-fail onto dead hardware.
-            if let Err(err) = &result {
-                if matches!(err.gpu_cause(), Some(hf_gpu::GpuError::DeviceLost(_))) {
-                    self.replace_on_survivors(&mut st);
+            // run against the survivors (surviving groups stay put, so
+            // residency stays warm) so later epochs don't cascade-fail
+            // onto dead hardware. With no device left the old plan stays:
+            // further epochs fail individually, the honest outcome.
+            let lost = result.as_ref().is_err_and(|e| {
+                matches!(e.gpu_cause(), Some(hf_gpu::GpuError::DeviceLost(_)))
+            });
+            if lost {
+                let prev = &plan.0.device_of;
+                if let Ok(Some((_, p))) = self.inner.place_on_survivors(&self.frozen, prev) {
+                    let fusion = self.fuse(&p);
+                    *plan = (Arc::new(p), fusion);
                 }
             }
+        }
+        let mut to_open: Vec<Arc<Topology>> = Vec::new();
+        {
+            let mut st = self.state.lock();
             st.done_set.insert(e);
             let mut mark = st.completed_mark;
             while st.done_set.remove(&mark) {
@@ -901,120 +538,254 @@ impl SessionCore {
             st.completed_mark = mark;
             // A cancelled-at-admission epoch never ran a prologue node;
             // completing it must still unblock the next admission.
-            if st.prologue_done < e + 1 {
-                st.prologue_done = e + 1;
-            }
+            st.prologue_done = st.prologue_done.max(e + 1);
             st.inflight -= 1;
-            let mark = st.completed_mark;
-            let mut keep = Vec::new();
-            for (k, t) in st.pending_gate.drain(..) {
-                if k <= mark {
-                    to_open.push(t);
-                } else {
-                    keep.push((k, t));
+            st.pending_gate.retain(|(k, t)| {
+                let open = *k <= mark;
+                if open {
+                    to_open.push(Arc::clone(t));
                 }
-            }
-            st.pending_gate = keep;
-            let release = st.inflight == 0 && st.holding;
-            if release {
-                st.holding = false;
-            }
-            release
-        };
+                !open
+            });
+        }
         if matches!(result, Err(HfError::Cancelled)) {
             self.inner.stats.cancelled.incr();
         }
         for t in &to_open {
             self.inner.open_gate(t);
         }
-        core.promise.complete(result);
-        if release && self.inner.num_topologies.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _g = self.inner.idle_lock.lock();
-            self.inner.idle_cv.notify_all();
-        }
+        then(self, result);
+        self.inner.drop_inflight();
         self.cv.notify_all();
         self.pump();
     }
 
-    /// Re-places the stream's steady-state plan against the surviving
-    /// devices (caller holds the session lock). Keeps surviving groups
-    /// on their devices where possible so residency stays warm. A
-    /// placement failure (no devices left) keeps the old plan: further
-    /// epochs fail individually, which is the honest outcome.
-    fn replace_on_survivors(&self, st: &mut SessState) {
-        let devices = self.inner.gpu.devices();
-        let lost: Vec<bool> = devices.iter().map(|d| d.is_lost()).collect();
-        if !lost.iter().any(|&l| l) {
-            return;
-        }
-        for (d, &l) in lost.iter().enumerate() {
-            if l && !self.inner.lost_seen[d].swap(true, Ordering::Relaxed) {
-                self.inner.stats.devices_lost.incr();
-            }
-        }
-        let cost = devices
-            .first()
-            .map(|d| d.cost_model())
-            .unwrap_or_default();
-        let refined = self.inner.refined_costs(self.frozen.name());
-        if let Ok(p) = crate::placement::failover_placement_ext(
-            &*self.frozen,
-            &st.placement.device_of,
-            &lost,
-            &cost,
-            self.inner.policy,
-            refined.as_ref(),
-        ) {
-            self.inner.record_placement(&p);
-            let placement = Arc::new(p);
-            st.fusion = Arc::new(FusionPlan::compute_masked(
-                &self.frozen,
-                &placement,
-                self.inner.fusion,
-                &self.is_body,
-            ));
-            st.placement = placement;
-        }
+    /// Ends a started run: `RunEnd` (its last lifecycle event), then the
+    /// claim moves on, then it settles. The claim goes *first*: a waiter
+    /// is free to mutate and resubmit the graph the instant `wait`
+    /// returns, and a still-held claim would make its re-freeze fail
+    /// with [`HfError::GraphBusy`].
+    fn end(&self, result: Result<(), HfError>) {
+        self.emit(LifecyclePhase::RunEnd, &result, None);
+        release(&self.shared);
+        self.settle(result);
     }
 
-    /// Drains and ends the stream; idempotent.
-    fn close_inner(&self) {
+    /// Settles an ended run whose claim has moved on. The done-hook (the
+    /// fleet's slot release) runs *before* the promise: a submitter woken
+    /// by the completion then finds the in-flight slot already freed
+    /// instead of contending with this thread for the fleet state lock.
+    /// The run's in-flight count goes last, so `wait_for_all` never
+    /// returns with the future unresolved.
+    fn settle(&self, result: Result<(), HfError>) {
+        let done_hook = self.on_done.lock().take();
+        if let Some(cb) = done_hook {
+            cb(&result, self.retries.load(Ordering::Relaxed));
+        }
+        self.core.promise.complete(result);
+        if self.counted {
+            self.inner.drop_inflight();
+        }
+    }
+}
+
+// --- Client: run / run_n / run_until ---------------------------------------
+
+/// `run_until`, and through it `run`/`run_n` and [`crate::Fleet`]
+/// dispatch (which passes its pre-allocated `core`, its `tenant` and its
+/// accounting hook): a depth-1 run that enqueues one epoch per round.
+/// Non-blocking. A submission rejected before it became a run (executor
+/// shut down, plan rejected) still fires `on_done` and settles `core`,
+/// so fleet bookkeeping never leaks an in-flight slot.
+pub(crate) fn run_until(
+    exec: &Executor,
+    hf: &Heteroflow,
+    stop: Box<dyn FnMut() -> bool + Send>,
+    core: Option<Completion>,
+    tenant: Option<Arc<str>>,
+    on_done: Option<DoneHook>,
+) -> RunFuture {
+    let first: FirstStep = Box::new(move |run| next_round(run, stop, Ok(())));
+    match EpochDriver::open(exec, hf, 1, core.as_ref(), tenant, Some(first)) {
+        Ok(run) => {
+            *run.on_done.lock() = on_done;
+            claim(&run);
+            let core = run.core.clone();
+            RunFuture { core }
+        }
+        Err(e) => {
+            let result = Err(e);
+            if let Some(cb) = on_done {
+                cb(&result, 0);
+            }
+            let core = core.unwrap_or_else(|| Completion::new(0));
+            core.promise.complete(result);
+            RunFuture { core }
+        }
+    }
+}
+
+/// The one decision of a `run_until` call, taken when the run obtains
+/// the graph and again after every round: `Some(result)` when the run is
+/// over, `None` once another round is enqueued — from inside the finished
+/// round's continuation, hence before that round's in-flight count drops.
+fn next_round(
+    run: &Arc<EpochDriver>,
+    mut stop: Box<dyn FnMut() -> bool + Send>,
+    prev: Result<(), HfError>,
+) -> Option<Result<(), HfError>> {
+    if prev.is_err() {
+        return Some(prev);
+    }
+    if run.core.cancel_requested() {
+        run.inner.stats.cancelled.incr();
+        return Some(Err(HfError::Cancelled));
+    }
+    if stop() || run.frozen.nodes.is_empty() {
+        return Some(Ok(()));
+    }
+    let then: EpochThen = Box::new(move |run, result| {
+        if let Some(result) = next_round(run, stop, result) {
+            run.end(result);
+        }
+    });
+    run.enqueue(&mut run.state.lock(), run.core.clone(), None, then);
+    None
+}
+
+// --- Client: the streaming session -----------------------------------------
+
+/// A resident streaming session on one graph, returned by
+/// [`crate::Executor::run_stream`].
+///
+/// The session keeps one run open on the graph: the frozen snapshot,
+/// placement, fusion plan, and (at depth ≥ 2) a `depth`-deep ring of
+/// device-residency slots for the graph's pull tasks stay resident.
+/// [`Session::submit`] enqueues one epoch (one pass over the graph) and
+/// returns an [`EpochFuture`]; epochs pipeline as described in the
+/// [module docs](self). Dropping (or [`Session::close`]-ing) the session
+/// drains in-flight epochs and releases the graph for other submissions;
+/// while the session is open, `run`/`run_n` calls on the same graph
+/// queue behind it.
+pub struct Session {
+    run: Arc<EpochDriver>,
+}
+
+impl Session {
+    pub(crate) fn open(
+        exec: &Executor,
+        hf: &Heteroflow,
+        cfg: StreamConfig,
+    ) -> Result<Self, HfError> {
+        let run = EpochDriver::open(exec, hf, cfg.depth.max(1), None, None, None)?;
+        // Submissions accepted while queued for the claim park in the queue.
+        claim(&run);
+        Ok(Session { run })
+    }
+
+    /// Enqueues the next epoch over the graph's *current* host inputs
+    /// and returns its future immediately — unless `depth` epochs are
+    /// already in flight, in which case this blocks until one finishes
+    /// (backpressure). The epoch reads whatever the host sources hold
+    /// when its transfers run; to mutate inputs between epochs race-free,
+    /// use [`Session::submit_with`].
+    pub fn submit(&self) -> EpochFuture {
+        self.submit_inner(None)
+    }
+
+    /// [`Session::submit`] with an input mutator: `mutate` runs exactly
+    /// once, after the *previous* epoch's host tasks and H2D transfers
+    /// have drained and before this epoch's begin — the race-free window
+    /// for writing the next round's inputs into the graph's host
+    /// sources. The pipeline keeps flowing: the previous epoch's kernels
+    /// and pushes are still executing when `mutate` runs (at depth 1,
+    /// where epochs do not overlap, the previous epoch has completed).
+    pub fn submit_with<F>(&self, mutate: F) -> EpochFuture
+    where
+        F: FnOnce() + Send + 'static,
+    {
+        self.submit_inner(Some(Box::new(mutate)))
+    }
+
+    /// Waits out backpressure, then enqueues an epoch whose continuation
+    /// settles its own future (a failed epoch settles alone).
+    fn submit_inner(&self, mutator: Option<Box<dyn FnOnce() + Send>>) -> EpochFuture {
+        let run = &self.run;
+        if run.inner.done.load(Ordering::SeqCst) {
+            return EpochFuture::ready(Err(HfError::ExecutorShutDown));
+        }
+        let core = {
+            let mut st = run.state.lock();
+            loop {
+                if st.closed {
+                    return EpochFuture::ready(Err(HfError::StreamClosed));
+                }
+                if st.inflight < run.depth {
+                    break;
+                }
+                run.cv.wait(&mut st);
+            }
+            let core = Completion::new_epoch(run.core.run_id(), st.next_epoch);
+            let promise = Arc::clone(&core.promise);
+            let settle: EpochThen = Box::new(move |_, result| promise.complete(result));
+            run.enqueue(&mut st, core.clone(), mutator, settle);
+            core
+        };
+        run.pump();
+        EpochFuture { core }
+    }
+
+    /// Drains in-flight epochs, emits the stream's `RunEnd`, and
+    /// releases the graph for other submissions. Idempotent; also called
+    /// by `Drop`. Blocks until the stream is quiescent.
+    pub fn close(&self) {
+        let run = &self.run;
         {
-            let mut st = self.state.lock();
+            let mut st = run.state.lock();
             if st.run_ended {
                 return;
             }
             st.closed = true;
-            self.cv.notify_all();
+            run.cv.notify_all();
             // Wait for the claim (a session queued behind another run is
-            // started by that run's release) and for in-flight epochs to
-            // drain. `pump` keeps admitting queued epochs after close.
+            // started by that run's release) and for unfinished epochs;
+            // `pump` keeps admitting queued ones after close.
             while !(st.claimed && st.inflight == 0) {
-                self.cv.wait(&mut st);
+                run.cv.wait(&mut st);
             }
             st.run_ended = true;
         }
-        self.inner.emit_raw_run_lc(
-            self.run_id,
-            &self.label,
-            LifecyclePhase::RunEnd,
-            true,
-            None,
-            None,
-            None,
-        );
-        let next = {
-            let mut rs = self.shared.run_state.lock();
-            match rs.queued.pop_front() {
-                Some(s) => Some(s),
-                None => {
-                    rs.active = false;
-                    None
-                }
-            }
-        };
-        if let Some(starter) = next {
-            starter();
-        }
+        run.end(Ok(()));
+    }
+
+    /// Process-unique run id shared by every epoch of this stream (and
+    /// stamped on its lifecycle events).
+    pub fn run_id(&self) -> u64 {
+        self.run.core.run_id()
+    }
+
+    /// The in-flight depth (residency ring size) this session runs at.
+    pub fn depth(&self) -> usize {
+        self.run.depth
+    }
+}
+
+impl std::fmt::Debug for Session {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let st = self.run.state.lock();
+        f.debug_struct("Session")
+            .field("run_id", &self.run_id())
+            .field("depth", &self.run.depth)
+            .field("submitted", &st.next_epoch)
+            .field("completed", &st.completed_mark)
+            .field("inflight", &st.inflight)
+            .field("closed", &st.closed)
+            .finish()
+    }
+}
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        self.close();
     }
 }

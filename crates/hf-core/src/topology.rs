@@ -14,13 +14,13 @@
 //!
 //! ## The epoch model
 //!
-//! Since the streaming redesign, one topology executes exactly **one
-//! epoch** — a single pass over the frozen graph. The sequential drivers
-//! (`run`, `run_n`, `run_until`) and the streaming [`crate::Session`]
-//! both create a fresh topology per epoch and chain them through the
-//! [`Topology::on_finish`] hook, so there is a single execution code
-//! path. All wait/cancel state lives in the shared [`Completion`] core,
-//! which both [`RunFuture`] and [`crate::EpochFuture`] wrap.
+//! One topology executes exactly **one epoch** — a single pass over the
+//! frozen graph. The epoch driver in [`crate::stream`] is the only
+//! thing that creates topologies: one per epoch of a `run*` call or a
+//! [`crate::Session`], each handing its result back through the
+//! [`Topology::on_finish`] hook. All wait/cancel state lives in the
+//! shared [`Completion`] core, which both [`RunFuture`] and
+//! [`crate::EpochFuture`] wrap.
 
 use crate::error::HfError;
 use crate::graph::{FrozenGraph, PullState};
@@ -118,7 +118,7 @@ impl Promise {
 pub struct Completion {
     pub(crate) promise: Arc<Promise>,
     /// Cooperative cancellation flag, shared with the topology: checked
-    /// at task boundaries, round boundaries, and inside pending GPU
+    /// at task boundaries, epoch boundaries, and inside pending GPU
     /// stream operations.
     pub(crate) cancel: Arc<AtomicBool>,
     pub(crate) run_id: u64,
@@ -221,12 +221,6 @@ impl std::future::Future for Completion {
     }
 }
 
-/// Superseded by [`Completion`], which a `CancelHandle` now is: the
-/// detached handle used by health monitors to watch progress and trip
-/// cooperative cancellation is the same shared core the futures wrap.
-#[doc(hidden)]
-pub type CancelHandle = Completion;
-
 /// Future returned by [`crate::Executor::run`] and friends. All run
 /// methods are non-blocking: "issuing a run on a graph returns immediately
 /// with a C++ future object" (§III-B). Supports blocking
@@ -286,14 +280,78 @@ impl RunFuture {
 
     /// A detached, cloneable handle to this run's completion and
     /// cancellation state — for monitor threads (watchdogs, deadline
-    /// enforcers) that run beside whoever owns the future itself. Since
-    /// the wait-semantics unification this is simply a clone of the
-    /// shared [`Completion`] core.
-    pub fn handle(&self) -> CancelHandle {
+    /// enforcers) that run beside whoever owns the future itself: a
+    /// clone of the shared [`Completion`] core.
+    pub fn handle(&self) -> Completion {
+        self.core.clone()
+    }
+}
+
+impl std::future::Future for RunFuture {
+    type Output = Result<(), HfError>;
+
+    fn poll(
+        self: std::pin::Pin<&mut Self>,
+        cx: &mut std::task::Context<'_>,
+    ) -> Poll<Self::Output> {
+        self.core.promise.poll(cx)
+    }
+}
+
+/// Future of one streaming epoch, returned by [`crate::Session::submit`].
+/// Shares the [`Completion`] core with [`RunFuture`], so waiting,
+/// deadline-bounded waiting, async `.await`, and cooperative
+/// cancellation behave identically. Clones share the same epoch.
+#[derive(Clone)]
+pub struct EpochFuture {
+    pub(crate) core: Completion,
+}
+
+impl EpochFuture {
+    /// Blocks until the epoch finishes; returns its result.
+    pub fn wait(&self) -> Result<(), HfError> {
+        self.core.wait()
+    }
+
+    /// Blocks for at most `timeout`. Returns `None` when the deadline
+    /// expired with the epoch still in flight (it keeps going — call
+    /// `wait*` again or [`EpochFuture::cancel`]), otherwise the result.
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<(), HfError>> {
+        self.core.wait_timeout(timeout)
+    }
+
+    /// Requests cooperative cancellation of this epoch only: in-flight
+    /// task bodies finish, everything not yet started is skipped, and
+    /// the epoch completes with [`HfError::Cancelled`]. Later epochs of
+    /// the stream are unaffected. Cancelling a finished epoch is a
+    /// no-op.
+    pub fn cancel(&self) {
+        self.core.cancel();
+    }
+
+    /// True once the epoch has finished (success or error).
+    pub fn is_done(&self) -> bool {
+        self.core.is_done()
+    }
+
+    /// The owning stream's process-unique run id (`0` for
+    /// immediately-ready futures, which never execute).
+    pub fn run_id(&self) -> u64 {
+        self.core.run_id()
+    }
+
+    /// The epoch index within the stream (`None` for immediately-ready
+    /// error futures).
+    pub fn epoch(&self) -> Option<u64> {
+        self.core.epoch()
+    }
+
+    /// A detached, cloneable handle to this epoch's completion and
+    /// cancellation state (a clone of the shared [`Completion`] core).
+    pub fn handle(&self) -> Completion {
         self.core.clone()
     }
 
-    /// An already-completed future (empty graphs, zero repeats).
     pub(crate) fn ready(result: Result<(), HfError>) -> Self {
         Self {
             core: Completion::ready(result),
@@ -301,7 +359,16 @@ impl RunFuture {
     }
 }
 
-impl std::future::Future for RunFuture {
+impl std::fmt::Debug for EpochFuture {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EpochFuture")
+            .field("epoch", &self.core.epoch())
+            .field("done", &self.is_done())
+            .finish()
+    }
+}
+
+impl std::future::Future for EpochFuture {
     type Output = Result<(), HfError>;
 
     fn poll(
@@ -320,8 +387,6 @@ impl std::future::Future for RunFuture {
 pub(crate) struct EpochGate {
     /// Body nodes with no body predecessor (the inflated entry points).
     pub(crate) heads: Vec<usize>,
-    /// Per-node flag for O(1) "is this a gate head" checks.
-    pub(crate) is_head: Vec<bool>,
     /// Set once the gate opened; opening is idempotent.
     pub(crate) opened: AtomicBool,
 }
@@ -330,9 +395,9 @@ pub(crate) struct EpochGate {
 /// session can admit the next epoch — and apply its input mutation — as
 /// soon as every host task and pull of this epoch has drained.
 pub(crate) struct PrologueTrack {
-    /// True for prologue members (host tasks / pulls not downstream of a
-    /// kernel or push).
-    pub(crate) is_prologue: Arc<Vec<bool>>,
+    /// False for prologue members (host tasks / pulls not downstream of
+    /// a kernel or push).
+    pub(crate) is_body: Arc<Vec<bool>>,
     /// Prologue nodes not yet finished this epoch. Saturating: failover
     /// replay may re-finish a prologue node.
     pub(crate) pending: AtomicUsize,
@@ -350,16 +415,15 @@ pub(crate) struct InputGuard {
     pub(crate) admitted_gen: u64,
 }
 
-/// Optional epoch-execution context for [`Topology::new`]. Sequential
-/// one-shot epochs use `TopoExtras::default()`; streaming sessions fill
-/// in the gate, prologue tracking, ring-slot residency, and hooks.
-/// Hook invoked once by `finish_topology` after an epoch resolves;
-/// sequential drivers and stream sessions chain the next epoch here.
+/// Hook invoked once by `finish_topology` after an epoch resolves; the
+/// epoch driver advances the run here.
 pub(crate) type EpochFinishHook = Box<dyn FnOnce(&Arc<Topology>) + Send>;
 
-#[derive(Default)]
+/// Epoch-execution context for [`Topology::new`], filled in by the epoch
+/// driver. Epochs that never overlap (depth 1) carry no gate, prologue
+/// tracking, or ring-slot residency.
 pub(crate) struct TopoExtras {
-    /// Epoch index within a stream; `None` for sequential runs.
+    /// Epoch index within a stream; `None` for `run*` epochs.
     pub(crate) epoch: Option<u64>,
     /// Ring-slot pull residency replacing the frozen graph's own
     /// `PullState`s (double buffering across in-flight epochs).
@@ -368,8 +432,7 @@ pub(crate) struct TopoExtras {
     pub(crate) gate: Option<EpochGate>,
     /// Prologue drain tracking (streaming admission).
     pub(crate) prologue: Option<PrologueTrack>,
-    /// Invoked by `finish_topology` after the epoch resolved; drivers and
-    /// sessions chain the next epoch here.
+    /// Invoked by `finish_topology` after the epoch resolved.
     pub(crate) on_finish: Option<EpochFinishHook>,
     /// Failover input-hazard guard (streaming).
     pub(crate) input_guard: Option<InputGuard>,
@@ -378,10 +441,10 @@ pub(crate) struct TopoExtras {
     pub(crate) tenant: Option<Arc<str>>,
 }
 
-/// Per-submission runtime state: join counters, round bookkeeping, device
-/// placement, the stopping predicate, and the epoch-completion hook. One
-/// topology executes one epoch (a single pass over the frozen graph);
-/// drivers chain topologies for multi-epoch runs.
+/// Per-epoch runtime state: join counters, failover replay bookkeeping,
+/// device placement, and the epoch-completion hook. One topology
+/// executes one epoch (a single pass over the frozen graph); the epoch
+/// driver creates one per pass of a multi-epoch run.
 pub(crate) struct Topology {
     pub(crate) frozen: Arc<FrozenGraph>,
     /// Process-unique submission id (shared with the [`RunFuture`] /
@@ -393,35 +456,30 @@ pub(crate) struct Topology {
     /// Current device placement. Initially shared with the graph's
     /// scheduling cache; device failover swaps in a re-placed plan.
     pub(crate) placement: RwLock<Arc<Placement>>,
-    /// Remaining unmet dependencies per node, reset each round.
+    /// Remaining unmet dependencies per node. The heads of an epoch gate
+    /// start one higher: the extra dependency is consumed by `open_gate`
+    /// when the previous epoch of the stream completes.
     pub(crate) join: Vec<AtomicUsize>,
-    /// Nodes not yet finished this round.
+    /// Nodes not yet finished this pass.
     pub(crate) pending: AtomicUsize,
-    /// Stopping predicate: `true` means stop (checked before each round).
-    pub(crate) predicate: Mutex<Box<dyn FnMut() -> bool + Send>>,
     /// First error observed during execution.
     pub(crate) error: Mutex<Option<HfError>>,
     /// Set once an error occurs: remaining task bodies are skipped while
-    /// the round drains.
+    /// the pass drains.
     pub(crate) cancelled: AtomicBool,
     /// Cooperative cancellation requested via [`Completion::cancel`];
     /// shared with the owning future's core.
     pub(crate) cancel: Arc<AtomicBool>,
-    /// Rounds completed (diagnostic).
-    pub(crate) rounds: AtomicUsize,
     /// Task fusion plan (§III-C "task fusing"). Initially shared with the
     /// graph's scheduling cache; failover swaps in a replay-masked plan.
     pub(crate) fusion: RwLock<Arc<FusionPlan>>,
-    /// The fusion plan is a failover replay mask and must be recomputed
-    /// for the new placement before the next full round.
-    pub(crate) fusion_stale: AtomicBool,
-    /// Failed attempts per node this round (retry-policy bookkeeping).
+    /// Failed attempts per node (retry-policy bookkeeping).
     pub(crate) attempts: Vec<AtomicU32>,
-    /// Whether each node completed successfully this round. Device
-    /// failover uses this to replay exactly the unfinished/invalidated
-    /// part of the round.
+    /// Whether each node completed successfully. Device failover uses
+    /// this to replay exactly the unfinished/invalidated part of the
+    /// pass.
     pub(crate) round_ok: Vec<AtomicBool>,
-    /// A device loss requested failover; handled when the round drains.
+    /// A device loss requested failover; handled when the pass drains.
     /// Holds the triggering error so a failed failover reports it.
     pub(crate) failover: Mutex<Option<HfError>>,
     /// Fast-path mirror of `failover.is_some()`: workers skip task bodies
@@ -433,7 +491,7 @@ pub(crate) struct Topology {
     /// flight; `u32::MAX` before registration. Work tokens pack this slot
     /// with a node index, so queued items carry no heap pointer.
     pub(crate) slot: AtomicU32,
-    /// Epoch index within a stream; `None` for sequential epochs.
+    /// Epoch index within a stream; `None` for `run*` epochs.
     pub(crate) epoch: Option<u64>,
     /// Ring-slot pull residency (streaming double buffering); `None`
     /// falls back to the frozen nodes' own `PullState`s.
@@ -449,29 +507,33 @@ pub(crate) struct Topology {
     /// Tenant attribution (fleet submissions); cloned into lifecycle
     /// events so per-tenant latency histograms can be folded downstream.
     pub(crate) tenant: Option<Arc<str>>,
-    /// Retry-policy re-dispatches performed within this epoch. Drivers
-    /// accumulate it across chained epochs so a fleet can charge the
-    /// retry work to the owning tenant's budget.
+    /// Retry-policy re-dispatches performed within this epoch. The epoch
+    /// driver accumulates it across a run's epochs so a fleet can charge
+    /// the retry work to the owning tenant's budget.
     pub(crate) retries: AtomicU32,
 }
 
 impl Topology {
     pub(crate) fn new(
         frozen: Arc<FrozenGraph>,
+        graph_label: Arc<str>,
         run_id: u64,
         placement: Arc<Placement>,
         fusion: Arc<FusionPlan>,
-        predicate: Box<dyn FnMut() -> bool + Send>,
         cancel: Arc<AtomicBool>,
         extras: TopoExtras,
     ) -> Arc<Self> {
         let n = frozen.nodes.len();
-        let join = frozen
+        let mut join: Vec<AtomicUsize> = frozen
             .nodes
             .iter()
             .map(|nd| AtomicUsize::new(nd.num_deps))
             .collect();
-        let graph_label: Arc<str> = Arc::from(frozen.name.as_str());
+        if let Some(g) = &extras.gate {
+            for &h in &g.heads {
+                *join[h].get_mut() += 1;
+            }
+        }
         Arc::new(Self {
             frozen: Arc::clone(&frozen),
             run_id,
@@ -479,13 +541,10 @@ impl Topology {
             placement: RwLock::new(placement),
             join,
             pending: AtomicUsize::new(n),
-            predicate: Mutex::new(predicate),
             error: Mutex::new(None),
             cancelled: AtomicBool::new(false),
             cancel,
-            rounds: AtomicUsize::new(0),
             fusion: RwLock::new(fusion),
-            fusion_stale: AtomicBool::new(false),
             attempts: (0..n).map(|_| AtomicU32::new(0)).collect(),
             round_ok: (0..n).map(|_| AtomicBool::new(false)).collect(),
             failover: Mutex::new(None),
@@ -503,20 +562,20 @@ impl Topology {
         })
     }
 
-    /// Current placement (failover may swap it between rounds).
+    /// Current placement (failover swaps in a re-placed one).
     pub(crate) fn placement(&self) -> Arc<Placement> {
         Arc::clone(&self.placement.read())
     }
 
-    /// Current fusion plan (failover may swap it between rounds).
+    /// Current fusion plan (failover swaps in a replay-masked one).
     pub(crate) fn fusion(&self) -> Arc<FusionPlan> {
         Arc::clone(&self.fusion.read())
     }
 
     /// The pull residency of `node` for this epoch: the ring slot when
     /// streaming double buffering is active, otherwise the frozen node's
-    /// own persistent `PullState` (sequential epochs, where residency
-    /// carries across epochs and re-freezes).
+    /// own persistent `PullState` (epochs that never overlap, where
+    /// residency carries across epochs, runs and re-freezes).
     pub(crate) fn pull_state(&self, node: usize) -> &Mutex<PullState> {
         match &self.pull_override {
             Some(ring) => &ring[node],
@@ -536,31 +595,6 @@ impl Topology {
             *f = Some(cause);
         }
         self.failover_pending.store(true, Ordering::Release);
-    }
-
-    /// Resets per-round counters for the next repetition. When a
-    /// still-closed epoch gate is present, the gate heads' join counters
-    /// are inflated by one: the extra dependency is consumed by
-    /// `open_gate` when the previous epoch of the stream completes.
-    pub(crate) fn reset_round(&self) {
-        for (j, n) in self.join.iter().zip(&self.frozen.nodes) {
-            j.store(n.num_deps, Ordering::Relaxed);
-        }
-        if let Some(g) = &self.gate {
-            if !g.opened.load(Ordering::Acquire) {
-                for &h in &g.heads {
-                    self.join[h].fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        for a in &self.attempts {
-            a.store(0, Ordering::Relaxed);
-        }
-        for ok in &self.round_ok {
-            ok.store(false, Ordering::Relaxed);
-        }
-        self.pending
-            .store(self.frozen.nodes.len(), Ordering::Release);
     }
 
     /// Records the first error and cancels remaining bodies.
@@ -602,30 +636,14 @@ impl FusionPlan {
     /// tasks are never fused as members (their device allocation sizes
     /// bind at dispatch time and must observe their host-side
     /// predecessors).
-    pub(crate) fn compute(
-        frozen: &FrozenGraph,
-        placement: &crate::placement::Placement,
-        enabled: bool,
-    ) -> Self {
-        Self::plan(frozen, placement, enabled, None)
-    }
-
-    /// [`FusionPlan::compute`] restricted to the `active` nodes — the
+    ///
+    /// `active` restricts the plan to a subset of the nodes — the
     /// failover replay plan, and the streaming body plan (a chain must
     /// never lead from a prologue pull into a gated body kernel, or the
     /// member would bypass the epoch gate). A chain must not lead from an
     /// already-finished head into a replayed member (the head would never
     /// be dispatched again), so both endpoints must be active.
-    pub(crate) fn compute_masked(
-        frozen: &FrozenGraph,
-        placement: &crate::placement::Placement,
-        enabled: bool,
-        active: &[bool],
-    ) -> Self {
-        Self::plan(frozen, placement, enabled, Some(active))
-    }
-
-    fn plan(
+    pub(crate) fn compute(
         frozen: &FrozenGraph,
         placement: &crate::placement::Placement,
         enabled: bool,
@@ -696,7 +714,7 @@ mod tests {
 
     #[test]
     fn ready_future() {
-        let f = RunFuture::ready(Err(HfError::ExecutorShutDown));
+        let f = EpochFuture::ready(Err(HfError::ExecutorShutDown));
         assert!(f.is_done());
         assert_eq!(f.wait(), Err(HfError::ExecutorShutDown));
     }

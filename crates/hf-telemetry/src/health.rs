@@ -23,7 +23,7 @@
 
 use crate::metrics::{duration_bounds_nanos, Histogram, MetricsRegistry};
 use hf_core::{
-    lifecycle_now_ns, CancelHandle, ExecutorObserver, LifecycleEvent, LifecyclePhase, RunFuture,
+    lifecycle_now_ns, Completion, ExecutorObserver, LifecycleEvent, LifecyclePhase, RunFuture,
     TaskMeta,
 };
 use hf_sync::EventRing;
@@ -1034,7 +1034,7 @@ impl Default for WatchdogConfig {
 
 /// One armed run, tracked by the monitor thread.
 struct ArmedRun {
-    handle: CancelHandle,
+    handle: Completion,
     label: String,
     level: HealthVerdict,
     last_events: u64,
@@ -1234,8 +1234,8 @@ impl Watchdog {
         self.arm_handle(fut.handle(), label);
     }
 
-    /// Arms the watchdog for a detached [`CancelHandle`].
-    pub fn arm_handle(&self, handle: CancelHandle, label: &str) {
+    /// Arms the watchdog for a detached [`Completion`] handle.
+    pub fn arm_handle(&self, handle: Completion, label: &str) {
         let now = lifecycle_now_ns();
         self.inner.runs.lock().push(ArmedRun {
             handle,
@@ -1540,7 +1540,7 @@ mod tests {
         );
         // Arm a synthetic run via a never-completing handle substitute:
         // use a real executor run? Simpler: recorder-only escalation needs
-        // a CancelHandle, so drive a real (blocked) run in the executor
+        // a Completion handle, so drive a real (blocked) run in the executor
         // integration tests; here exercise verdict bookkeeping directly.
         assert_eq!(wd.verdict(), HealthVerdict::Healthy);
         assert!(wd.events().is_empty());

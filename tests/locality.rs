@@ -50,6 +50,56 @@ fn warm_residency_elides_across_mutated_epochs() {
     assert_eq!(s.placement_est_bytes_saved, total_bytes * 2);
 }
 
+/// Bytes moved by the seesawing-lane workload under `policy`: four
+/// unequal pull-only lanes re-placed every epoch (a mutation bumps the
+/// builder epoch) while two single-pull interference graphs, run on
+/// alternating epochs, swing the cross-graph device-load bias from one
+/// device to the other.
+fn seesaw_bytes_h2d(policy: PlacementPolicy) -> u64 {
+    const LANES: usize = 4;
+    const LANE_UNIT: usize = 8 << 10;
+    let ex = Executor::builder(4, 2).placement_policy(policy).build();
+    let g = Heteroflow::new("lanes");
+    // Unequal lanes make the LPT order, and so any bias-driven flip,
+    // deterministic.
+    let _bufs: Vec<HostVec<i64>> = (0..LANES)
+        .map(|lane| {
+            let data = HostVec::from_vec(vec![lane as i64; (lane + 1) * LANE_UNIT]);
+            g.pull(&format!("lane{lane}"), &data);
+            data
+        })
+        .collect();
+    let noise: Vec<(Heteroflow, HostVec<i64>)> = (0..2)
+        .map(|i| {
+            let buf = HostVec::from_vec(vec![i as i64 + 1; LANE_UNIT / 2]);
+            let ng = Heteroflow::new(&format!("noise{i}"));
+            ng.pull("n", &buf);
+            (ng, buf)
+        })
+        .collect();
+    for epoch in 0..6 {
+        ex.run(&g).wait_timeout(DEADLINE).expect("lanes hung").expect("lanes run");
+        let (ng, _) = &noise[epoch % 2];
+        ex.run(ng).wait_timeout(DEADLINE).expect("noise hung").expect("noise runs");
+        g.host(&format!("tick{epoch}"), || {});
+    }
+    ex.stats().snapshot().bytes_h2d
+}
+
+/// BalancedLoad chases the seesawing bias and flips lanes between
+/// devices, recopying at every flip; Locality's warm-residency credit
+/// keeps each lane where its bytes already are. Locality must never move
+/// more bytes than BalancedLoad.
+#[test]
+fn locality_moves_no_more_bytes_than_balanced_under_seesawing_bias() {
+    let balanced = seesaw_bytes_h2d(PlacementPolicy::BalancedLoad);
+    let locality = seesaw_bytes_h2d(PlacementPolicy::Locality);
+    assert!(
+        locality <= balanced,
+        "Locality moved more bytes than BalancedLoad: {locality} > {balanced}"
+    );
+}
+
 /// Mutating the host buffer invalidates residency: the next re-placement
 /// draws no warm credit for it, the copy really happens, and the pushed-
 /// back bytes are the new ones — never a stale device copy.

@@ -395,3 +395,46 @@ fn tasks_executed_is_exact_after_wait() {
         assert_eq!(ex.snapshot().tasks_executed, 3 * run, "after run {run}");
     }
 }
+
+/// Queued runs that settle the moment the claim reaches them (cancelled
+/// while queued, or zero rounds) are drained by a loop when the blocking
+/// run releases the graph, not by one nest of stack frames per run: any
+/// number of them may sit behind one blocked run.
+#[test]
+fn queued_runs_that_settle_immediately_do_not_recurse() {
+    const QUEUED: usize = 20_000;
+    let ex = Executor::new(2, 0);
+    let g = Heteroflow::new("promote");
+    let gate = Arc::new(std::sync::Barrier::new(2));
+    let first_run = Arc::new(std::sync::atomic::AtomicBool::new(true));
+    let executed = Arc::new(AtomicUsize::new(0));
+    let (g2, fr, ex2) = (Arc::clone(&gate), Arc::clone(&first_run), Arc::clone(&executed));
+    g.host("blocker", move || {
+        if fr.swap(false, Ordering::SeqCst) {
+            g2.wait();
+        }
+        ex2.fetch_add(1, Ordering::SeqCst);
+    });
+    let blocked = ex.run(&g);
+    let cancelled: Vec<RunFuture> = (0..QUEUED)
+        .map(|_| {
+            let f = ex.run(&g);
+            f.cancel();
+            f
+        })
+        .collect();
+    let zero_rounds: Vec<RunFuture> = (0..QUEUED).map(|_| ex.run_n(&g, 0)).collect();
+    assert!(!cancelled[0].is_done() && !zero_rounds[0].is_done());
+
+    gate.wait();
+    blocked.wait().expect("blocked run completes");
+    for f in &cancelled {
+        assert_eq!(f.wait(), Err(HfError::Cancelled));
+    }
+    for f in &zero_rounds {
+        assert_eq!(f.wait(), Ok(()));
+    }
+    assert_eq!(executed.load(Ordering::SeqCst), 1, "no queued run executed a task");
+    ex.run(&g).wait().expect("graph is runnable afterwards");
+    assert_eq!(executed.load(Ordering::SeqCst), 2);
+}
