@@ -27,7 +27,7 @@
 use crate::error::HfError;
 use crate::graph::{FrozenGraph, Heteroflow, SchedCache, TaskKind, Work};
 use crate::lifecycle::{lifecycle_now_ns, LifecycleEvent, LifecyclePhase};
-use crate::observer::{ExecutorObserver, TaskMeta};
+use crate::observer::ExecutorObserver;
 use crate::placement::PlacementPolicy;
 use crate::retry::{OnDeviceLoss, RetryPolicy};
 use crate::stats::ExecutorStats;
@@ -233,7 +233,7 @@ pub(crate) struct ExecInner {
     pub(crate) adaptive_sleep: bool,
     /// GPU task fusion (§III-C "task fusing") enabled.
     pub(crate) fusion: bool,
-    /// Observers notified around every task execution.
+    /// Observers of the lifecycle stream (see [`ExecInner::emit`]).
     pub(crate) observers: Vec<Arc<dyn ExecutorObserver>>,
     /// Retry/failover policy applied to failing task bodies.
     pub(crate) retry: RetryPolicy,
@@ -297,11 +297,42 @@ impl ExecInner {
         !self.observers.is_empty() && self.observers.iter().any(|o| o.is_active())
     }
 
-    /// Emits a task-level lifecycle event to every observer. Internally
-    /// gated on [`ExecInner::lc_active`], so call sites need no guard
-    /// (loops over chains may still hoist the check).
+    /// The one way an event leaves the executor: builds it only when the
+    /// gate is open and hands it to every observer, so call sites need no
+    /// guard (loops may still hoist [`ExecInner::lc_active`]). Inlined so
+    /// that a closed gate costs the caller a load and a branch, not a
+    /// call.
+    #[inline]
+    pub(crate) fn emit(&self, event: impl FnOnce() -> LifecycleEvent) {
+        if self.lc_active() {
+            let ev = event();
+            for o in &self.observers {
+                o.on_lifecycle(&ev);
+            }
+        }
+    }
+
+    /// Emits a run-level lifecycle event for a topology
+    /// (`Failover`/`EpochEnd`); the epoch driver emits the ones that
+    /// bracket a whole run.
+    fn emit_run(&self, topo: &Topology, phase: LifecyclePhase, ok: bool, detail: Option<&HfError>) {
+        self.emit(|| {
+            LifecycleEvent::run_level(
+                topo.run_id,
+                &topo.graph_label,
+                phase,
+                ok,
+                detail.map(|e| e.to_string()),
+                topo.epoch,
+                topo.tenant.as_ref(),
+            )
+        });
+    }
+
+    /// Emits a task-level lifecycle event.
+    #[inline]
     #[allow(clippy::too_many_arguments)]
-    fn emit_task_lc(
+    fn emit_task(
         &self,
         topo: &Topology,
         phase: LifecyclePhase,
@@ -311,121 +342,7 @@ impl ExecInner {
         ok: bool,
         detail: Option<&HfError>,
     ) {
-        if !self.lc_active() {
-            return;
-        }
-        let nd = &topo.frozen.nodes[node];
-        let ev = LifecycleEvent {
-            run_id: topo.run_id,
-            graph: Arc::clone(&topo.graph_label),
-            phase,
-            task: Some(node as u32),
-            name: Arc::from(nd.name.as_str()),
-            kind: Some(nd.work.kind()),
-            device: topo.placement().device_of[node],
-            worker,
-            chain,
-            bytes: node_move_bytes(&topo.frozen, node),
-            ok,
-            detail: detail.map(|e| Arc::from(e.to_string().as_str())),
-            epoch: topo.epoch,
-            tenant: topo.tenant.clone(),
-            t_ns: lifecycle_now_ns(),
-        };
-        for o in &self.observers {
-            o.on_lifecycle(&ev);
-        }
-    }
-
-    /// Emits a run-level lifecycle event for a topology
-    /// (`Failover`/`EpochEnd`).
-    fn emit_run_lc(
-        &self,
-        topo: &Topology,
-        phase: LifecyclePhase,
-        ok: bool,
-        detail: Option<&HfError>,
-    ) {
-        self.emit_raw_run_lc(
-            topo.run_id,
-            &topo.graph_label,
-            phase,
-            ok,
-            detail,
-            topo.epoch,
-            topo.tenant.as_ref(),
-        );
-    }
-
-    /// Emits a run-level lifecycle event without a topology in hand — the
-    /// epoch driver uses this for `RunStart`/`RunEnd` (which bracket a
-    /// whole run, not one epoch topology) and `EpochStart` (emitted at
-    /// admission, before the epoch's topology exists in the registry).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn emit_raw_run_lc(
-        &self,
-        run_id: u64,
-        label: &Arc<str>,
-        phase: LifecyclePhase,
-        ok: bool,
-        detail: Option<&HfError>,
-        epoch: Option<u64>,
-        tenant: Option<&Arc<str>>,
-    ) {
-        if !self.lc_active() {
-            return;
-        }
-        let ev = LifecycleEvent {
-            run_id,
-            graph: Arc::clone(label),
-            phase,
-            task: None,
-            name: Arc::clone(label),
-            kind: None,
-            device: None,
-            worker: None,
-            chain: None,
-            bytes: 0,
-            ok,
-            detail: detail.map(|e| Arc::from(e.to_string().as_str())),
-            epoch,
-            tenant: tenant.cloned(),
-            t_ns: lifecycle_now_ns(),
-        };
-        for o in &self.observers {
-            o.on_lifecycle(&ev);
-        }
-    }
-
-    /// Emits one run-level [`LifecyclePhase::Lint`] event per diagnostic
-    /// in `report`, right after `RunStart`. `ok` is `false` for
-    /// Error-severity findings; `detail` carries the rendered diagnostic.
-    pub(crate) fn emit_lint_lc(&self, run_id: u64, label: &Arc<str>, report: &crate::analyze::Report) {
-        if !self.lc_active() {
-            return;
-        }
-        for d in &report.diagnostics {
-            let ev = LifecycleEvent {
-                run_id,
-                graph: Arc::clone(label),
-                phase: LifecyclePhase::Lint,
-                task: None,
-                name: Arc::clone(label),
-                kind: None,
-                device: None,
-                worker: None,
-                chain: None,
-                bytes: 0,
-                ok: d.severity != crate::analyze::Severity::Error,
-                detail: Some(Arc::from(d.render().as_str())),
-                epoch: None,
-                tenant: None,
-                t_ns: lifecycle_now_ns(),
-            };
-            for o in &self.observers {
-                o.on_lifecycle(&ev);
-            }
-        }
+        self.emit(|| task_event(topo, phase, node, worker, chain, ok, detail));
     }
 
     /// The one survivor re-placement routine: when a device has been
@@ -479,6 +396,39 @@ impl ExecInner {
             self.stats.placement_est_bytes_saved.add(p.est_bytes_saved);
         }
         self.stats.placement_imbalance.set(p.imbalance());
+    }
+}
+
+/// The task-level event constructor (run-level:
+/// [`LifecycleEvent::run_level`]), stamped now. Out of line, so every
+/// [`ExecInner::emit_task`] site stays a gate check when nobody listens.
+#[inline(never)]
+fn task_event(
+    topo: &Topology,
+    phase: LifecyclePhase,
+    node: usize,
+    worker: Option<u32>,
+    chain: Option<u32>,
+    ok: bool,
+    detail: Option<&HfError>,
+) -> LifecycleEvent {
+    let nd = &topo.frozen.nodes[node];
+    LifecycleEvent {
+        run_id: topo.run_id,
+        graph: Arc::clone(&topo.graph_label),
+        phase,
+        task: Some(node as u32),
+        name: Arc::clone(&nd.name),
+        kind: Some(nd.work.kind()),
+        device: topo.placement().device_of[node],
+        worker,
+        chain,
+        bytes: node_move_bytes(&topo.frozen, node),
+        ok,
+        detail: detail.map(|e| Arc::from(e.to_string())),
+        epoch: topo.epoch,
+        tenant: topo.tenant.clone(),
+        t_ns: lifecycle_now_ns(),
     }
 }
 
@@ -672,21 +622,20 @@ impl ExecutorBuilder {
         self
     }
 
-    /// Registers an observer notified around every task execution (e.g.
-    /// [`crate::observer::TraceCollector`] for chrome-trace profiling).
-    /// Fused chain members fold into their head's span.
+    /// Registers an observer of the executor's lifecycle events (e.g.
+    /// `hf_telemetry`'s flight recorder). Attach a
+    /// [`crate::observer::TraceCollector`] with [`Self::tracer`] instead,
+    /// which also gives it the device side of the timeline.
     pub fn observer(mut self, obs: Arc<dyn ExecutorObserver>) -> Self {
         self.observers.push(obs);
         self
     }
 
     /// Registers `trace` as observer *and* wires it into the GPU runtime
-    /// for device-side stitching: GPU task spans then show true device
-    /// execution times (and CPU/GPU overlap) instead of the worker-side
-    /// dispatch window — see the [`crate::observer`] module docs for the
-    /// historical dispatch-time-only behaviour. Workers also label
-    /// dispatched ops with the task name/kind so device events map back
-    /// to graph tasks.
+    /// as the device trace sink: GPU task spans show true device
+    /// execution times (and CPU/GPU overlap), next to the worker spans
+    /// folded from lifecycle events. Workers label dispatched ops with
+    /// the task name/kind so device events map back to graph tasks.
     pub fn tracer(mut self, trace: Arc<crate::observer::TraceCollector>) -> Self {
         self.observers
             .push(Arc::clone(&trace) as Arc<dyn ExecutorObserver>);
@@ -1142,7 +1091,7 @@ impl ExecInner {
             for &t in tokens {
                 let (slot, node) = unpack(t);
                 let topo = self.registry.resolve(slot);
-                self.emit_task_lc(&topo, LifecyclePhase::Ready, node, None, None, true, None);
+                self.emit_task(&topo, LifecyclePhase::Ready, node, None, None, true, None);
             }
         }
         let local_took = WORKER_DEQUE.with(|d| match d.borrow().as_ref() {
@@ -1190,12 +1139,7 @@ impl ExecInner {
 
         if topo.epoch.is_some() {
             let result = topo.result();
-            self.emit_run_lc(
-                &topo,
-                LifecyclePhase::EpochEnd,
-                result.is_ok(),
-                result.as_ref().err(),
-            );
+            self.emit_run(&topo, LifecyclePhase::EpochEnd, result.is_ok(), result.as_ref().err());
         }
         let hook = topo.on_finish.lock().take();
         if let Some(hook) = hook {
@@ -1317,64 +1261,62 @@ impl ExecInner {
         }
     }
 
-    /// Handles a failed GPU chain suffix from a stream completion
-    /// callback: `rest[0]` is the failed node; the rest never ran.
-    fn chain_failure(&self, topo: &Arc<Topology>, rest: &[usize], err: HfError) {
-        let failed = rest[0];
-        match self.failure_action(topo, failed, &err) {
+    /// Finishes `nodes` in order, each behind its `Finished` event — the
+    /// closing event always precedes [`ExecInner::finish_node`], so an
+    /// observer has it before the run can settle.
+    fn finish_nodes(
+        &self,
+        topo: &Arc<Topology>,
+        nodes: impl IntoIterator<Item = usize>,
+        worker: Option<u32>,
+        chain: Option<u32>,
+        ok: bool,
+    ) {
+        for node in nodes {
+            self.emit_task(topo, LifecyclePhase::Finished, node, worker, chain, ok, None);
+            self.finish_node(topo, node, ok);
+        }
+    }
+
+    /// Routes a failed task body through the retry policy — on a worker
+    /// (`worker` set: the body or its dispatch failed there) or in a
+    /// stream's completion callback (`chain` set: an op of that dispatched
+    /// chain failed). `rest` is what cannot run this pass because of it:
+    /// `failed` itself, then the members fused behind it. A retry
+    /// re-queues `failed`, which re-walks its chain from there; otherwise
+    /// all of `rest` finishes unsuccessfully.
+    fn fail_task(
+        &self,
+        topo: &Arc<Topology>,
+        failed: usize,
+        rest: impl IntoIterator<Item = usize>,
+        worker: Option<u32>,
+        chain: Option<u32>,
+        err: HfError,
+    ) {
+        let action = self.failure_action(topo, failed, &err);
+        let phase = match action {
+            FailureAction::Retry(_) => LifecyclePhase::Retried,
+            FailureAction::Failover | FailureAction::Fail => LifecyclePhase::Failed,
+        };
+        self.emit_task(topo, phase, failed, worker, chain, false, Some(&err));
+        match action {
             FailureAction::Retry(delay) => {
-                // Suffix retry: the completed prefix already finished ok;
-                // re-dispatch the failed member, which re-walks the chain
-                // from there. Runs on the device engine thread, so the
-                // token lands in the injector.
                 self.stats.retries.incr();
                 topo.retries.fetch_add(1, Ordering::Relaxed);
-                self.emit_task_lc(
-                    topo,
-                    LifecyclePhase::Retried,
-                    failed,
-                    None,
-                    None,
-                    false,
-                    Some(&err),
-                );
                 if !delay.is_zero() {
                     std::thread::sleep(delay);
                 }
+                // Lands in the worker's own deque, or — from a device
+                // engine thread — in the injector.
                 let slot = topo.slot.load(Ordering::Relaxed);
                 self.dispatch_batch(&[pack(slot, failed)]);
+                return;
             }
-            FailureAction::Failover => {
-                self.emit_task_lc(
-                    topo,
-                    LifecyclePhase::Failed,
-                    failed,
-                    None,
-                    None,
-                    false,
-                    Some(&err),
-                );
-                topo.request_failover(err);
-                for &n in rest {
-                    self.finish_node(topo, n, false);
-                }
-            }
-            FailureAction::Fail => {
-                self.emit_task_lc(
-                    topo,
-                    LifecyclePhase::Failed,
-                    failed,
-                    None,
-                    None,
-                    false,
-                    Some(&err),
-                );
-                topo.fail(err);
-                for &n in rest {
-                    self.finish_node(topo, n, false);
-                }
-            }
+            FailureAction::Failover => topo.request_failover(err),
+            FailureAction::Fail => topo.fail(err),
         }
+        self.finish_nodes(topo, rest, worker, chain, false);
     }
 
     /// Performs a device failover at a drained round boundary: re-places
@@ -1513,7 +1455,7 @@ impl ExecInner {
 
         // Lift the skip barrier before dispatching replay work.
         topo.failover_pending.store(false, Ordering::Release);
-        self.emit_run_lc(topo, LifecyclePhase::Failover, true, Some(&cause));
+        self.emit_run(topo, LifecyclePhase::Failover, true, Some(&cause));
 
         let fusion = topo.fusion();
         let slot = topo.slot.load(Ordering::Relaxed);
@@ -1766,22 +1708,8 @@ impl Worker {
             inner.notifier.notify_one();
         }
 
-        let observed = inner.observers.iter().any(|o| o.is_active());
-        if observed {
-            inner.emit_task_lc(
-                &topo,
-                LifecyclePhase::Started,
-                node,
-                Some(self.id as u32),
-                None,
-                true,
-                None,
-            );
-            let meta = self.task_meta(&topo, node);
-            for o in &inner.observers {
-                o.on_task_begin(&meta);
-            }
-        }
+        let worker = Some(self.id as u32);
+        inner.emit_task(&topo, LifecyclePhase::Started, node, worker, None, true, None);
 
         // Bodies are skipped (but the round still drains) when the run
         // failed, the caller cancelled, or a failover is pending — the
@@ -1790,110 +1718,29 @@ impl Worker {
         let skip = topo.cancelled.load(Ordering::Acquire)
             || topo.cancel_requested()
             || topo.failover_pending.load(Ordering::Acquire);
-        let mut dispatched_async = false;
-        let mut retried = false;
-        let mut ok = false;
         // Counted before `invoke`: an async GPU chain can complete, and
         // resolve the run's future, before `invoke` returns, and a
         // snapshot taken right after `wait()` must already include it.
         inner.stats.tasks_executed.incr(self.id);
-        if !skip {
+        // `Some(ok)`: the node finishes here, with any chain fused behind
+        // it (members are never scheduled individually, so a skipped head
+        // must finish them). `None`: a device stream's completion
+        // callback or the failure routine owns it.
+        let finish = if skip {
+            Some(false)
+        } else {
             match self.invoke(&topo, node) {
-                Ok(is_async) => {
-                    dispatched_async = is_async;
-                    ok = true;
-                }
-                Err(e) => match inner.failure_action(&topo, node, &e) {
-                    FailureAction::Retry(delay) => {
-                        inner.stats.retries.incr();
-                        topo.retries.fetch_add(1, Ordering::Relaxed);
-                        inner.emit_task_lc(
-                            &topo,
-                            LifecyclePhase::Retried,
-                            node,
-                            Some(self.id as u32),
-                            None,
-                            false,
-                            Some(&e),
-                        );
-                        if !delay.is_zero() {
-                            std::thread::sleep(delay);
-                        }
-                        inner.dispatch_batch(&[token]);
-                        retried = true;
-                    }
-                    FailureAction::Failover => {
-                        inner.emit_task_lc(
-                            &topo,
-                            LifecyclePhase::Failed,
-                            node,
-                            Some(self.id as u32),
-                            None,
-                            false,
-                            Some(&e),
-                        );
-                        topo.request_failover(e);
-                    }
-                    FailureAction::Fail => {
-                        inner.emit_task_lc(
-                            &topo,
-                            LifecyclePhase::Failed,
-                            node,
-                            Some(self.id as u32),
-                            None,
-                            false,
-                            Some(&e),
-                        );
-                        topo.fail(e);
-                    }
-                },
-            }
-        }
-
-        if observed {
-            let meta = self.task_meta(&topo, node);
-            for o in &inner.observers {
-                o.on_task_end(&meta);
-            }
-        }
-
-        if !dispatched_async && !retried {
-            // Finish this node and any fused chain hanging off it (chain
-            // members are never scheduled individually, so a cancelled or
-            // failed head must finish them here).
-            let fusion = topo.fusion();
-            let mut node = node;
-            loop {
-                let next = fusion.next[node];
-                inner.emit_task_lc(
-                    &topo,
-                    LifecyclePhase::Finished,
-                    node,
-                    Some(self.id as u32),
-                    None,
-                    ok,
-                    None,
-                );
-                inner.finish_node(&topo, node, ok);
-                match next {
-                    Some(nxt) => node = nxt as usize,
-                    None => break,
+                Ok(dispatched_async) => (!dispatched_async).then_some(true),
+                Err(e) => {
+                    inner.fail_task(&topo, node, topo.fusion().chain(node), worker, None, e);
+                    None
                 }
             }
+        };
+        if let Some(ok) = finish {
+            inner.finish_nodes(&topo, topo.fusion().chain(node), worker, None, ok);
         }
         inner.num_actives.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Builds the observer metadata for a work token.
-    fn task_meta<'a>(&self, topo: &'a Arc<Topology>, node: usize) -> TaskMeta<'a> {
-        let n = &topo.frozen.nodes[node];
-        TaskMeta {
-            worker: self.id,
-            name: &n.name,
-            kind: n.work.kind(),
-            device: topo.placement().device_of[node],
-            graph: &topo.frozen.name,
-        }
     }
 
     /// Runs one task body. Returns `Ok(true)` when completion was handed
@@ -1903,7 +1750,7 @@ impl Worker {
         let node = &topo.frozen.nodes[id];
         match &node.work {
             Work::Empty => Err(HfError::EmptyTask {
-                task: node.name.clone(),
+                task: node.name.to_string(),
             }),
             Work::Host(f) => {
                 let f = Arc::clone(f);
@@ -1911,7 +1758,7 @@ impl Worker {
                     (f.lock())()
                 }));
                 res.map(|_| false).map_err(|_| HfError::TaskPanicked {
-                    task: node.name.clone(),
+                    task: node.name.to_string(),
                 })
             }
             Work::Pull { .. } | Work::Push { .. } | Work::Kernel { .. } => {
@@ -1945,15 +1792,11 @@ impl Worker {
         self.inner.worker_focus[self.id].store(dev_id as u64, Ordering::Relaxed);
 
         let state = Arc::new(ChainState::default());
-        let mut chain = vec![head];
-        let mut ops = vec![self.prepare_op(topo, head, &device, &state)?];
-        let mut cur = head;
-        while let Some(nxt) = fusion.next[cur] {
-            let nxt = nxt as usize;
-            ops.push(self.prepare_op(topo, nxt, &device, &state)?);
-            chain.push(nxt);
-            cur = nxt;
-        }
+        let chain: Vec<usize> = fusion.chain(head).collect();
+        let ops = chain
+            .iter()
+            .map(|&id| self.prepare_op(topo, id, &device, &state))
+            .collect::<Result<Vec<_>, _>>()?;
         if chain.len() > 1 {
             self.inner.stats.fused.add(self.id, (chain.len() - 1) as u64);
             // Members never pass through `execute`; account for them.
@@ -1967,34 +1810,27 @@ impl Worker {
         // Dispatched events fire before the first op is enqueued: the
         // engine may complete (and emit Finished for) the chain the
         // moment an op lands on the stream.
+        let chain_head = Some(head as u32);
         if self.inner.lc_active() {
+            let worker = Some(self.id as u32);
             for &nid in &chain {
-                self.inner.emit_task_lc(
-                    topo,
-                    LifecyclePhase::Dispatched,
-                    nid,
-                    Some(self.id as u32),
-                    Some(head as u32),
-                    true,
-                    None,
-                );
+                self.inner
+                    .emit_task(topo, LifecyclePhase::Dispatched, nid, worker, chain_head, true, None);
             }
         }
         // Label ops with task name/kind only when a device trace sink is
-        // installed: the label costs an Arc<str> per op, and the engine
-        // drops it unused when tracing is off.
+        // installed; the engine drops the label unused when tracing is
+        // off.
         let tracing = self.inner.gpu.tracing_enabled();
         for (&nid, op) in chain.iter().zip(ops) {
-            let label = if tracing {
+            let label = tracing.then(|| {
                 let n = &topo.frozen.nodes[nid];
-                Some(hf_gpu::OpLabel {
-                    name: Arc::from(n.name.as_str()),
+                hf_gpu::OpLabel {
+                    name: Arc::clone(&n.name),
                     tag: crate::observer::kind_to_tag(n.work.kind()),
                     epoch: topo.epoch,
-                })
-            } else {
-                None
-            };
+                }
+            });
             match op {
                 PreparedOp::Single(f) => stream.exec_labeled(label, f),
                 PreparedOp::ChunkedPull(pull) => {
@@ -2009,38 +1845,19 @@ impl Worker {
             let err = state2.error.lock().clone();
             let done = state2.done.load(Ordering::Acquire);
             match err {
+                // `done < len` without an error means ops were skipped by
+                // cancellation — finish unsuccessfully so a failover (if
+                // one is pending) replays them.
                 None => {
-                    // `done < len` without an error means ops were skipped
-                    // by cancellation — finish unsuccessfully so a
-                    // failover (if one is pending) replays them.
                     let all_ok = done == chain.len();
-                    for &node in &chain {
-                        inner.emit_task_lc(
-                            &topo2,
-                            LifecyclePhase::Finished,
-                            node,
-                            None,
-                            Some(head as u32),
-                            all_ok,
-                            None,
-                        );
-                        inner.finish_node(&topo2, node, all_ok);
-                    }
+                    inner.finish_nodes(&topo2, chain, None, chain_head, all_ok);
                 }
+                // The completed prefix finished normally; the failed
+                // member and the suffix that never ran go to the policy.
                 Some(e) => {
-                    for &node in &chain[..done] {
-                        inner.emit_task_lc(
-                            &topo2,
-                            LifecyclePhase::Finished,
-                            node,
-                            None,
-                            Some(head as u32),
-                            true,
-                            None,
-                        );
-                        inner.finish_node(&topo2, node, true);
-                    }
-                    inner.chain_failure(&topo2, &chain[done..], e);
+                    let (prefix, rest) = chain.split_at(done);
+                    inner.finish_nodes(&topo2, prefix.iter().copied(), None, chain_head, true);
+                    inner.fail_task(&topo2, rest[0], rest.iter().copied(), None, chain_head, e);
                 }
             }
         });
@@ -2080,8 +1897,8 @@ impl Worker {
                     let pull_node = &frozen.nodes[s];
                     let p = topo.pull_state(s).lock().ptr.ok_or_else(|| {
                         HfError::SourceNotPulled {
-                            kernel: node.name.clone(),
-                            pull: pull_node.name.clone(),
+                            kernel: node.name.to_string(),
+                            pull: pull_node.name.to_string(),
                         }
                     })?;
                     debug_assert_eq!(
@@ -2102,14 +1919,14 @@ impl Worker {
                 let state2 = Arc::clone(state);
                 let dev = device.clone();
                 let inner = Arc::clone(&self.inner);
-                let task_name = node.name.clone();
+                let task_name = Arc::clone(&node.name);
                 Ok(PreparedOp::Single(Box::new(move |view, cost| {
                     if state2.skip(&topo2) {
                         return Ok(OpReport::default());
                     }
                     if let Err(e) = dev.fault_check(FaultSite::Kernel) {
                         state2.fail(HfError::TaskFailed {
-                            task: task_name.clone(),
+                            task: task_name.to_string(),
                             source: e.clone(),
                         });
                         return Err(e);
@@ -2128,7 +1945,7 @@ impl Worker {
                     }));
                     if res.is_err() {
                         state2.fail(HfError::TaskPanicked {
-                            task: task_name.clone(),
+                            task: task_name.to_string(),
                         });
                         return Ok(OpReport::default());
                     }

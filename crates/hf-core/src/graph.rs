@@ -200,7 +200,9 @@ pub struct FrozenGraph {
 }
 
 pub(crate) struct FrozenNode {
-    pub(crate) name: String,
+    /// Shared, so lifecycle events and device-op labels carry it as a
+    /// reference-count bump.
+    pub(crate) name: Arc<str>,
     pub(crate) work: Work,
     pub(crate) succ: Vec<usize>,
     pub(crate) num_deps: usize,
@@ -231,7 +233,7 @@ impl FrozenGraph {
     fn find_cycle(nodes: &[FrozenNode]) -> Option<Vec<String>> {
         let succ: Vec<&[usize]> = nodes.iter().map(|n| n.succ.as_slice()).collect();
         crate::analyze::cycle_path(&succ)
-            .map(|ids| ids.into_iter().map(|i| nodes[i].name.clone()).collect())
+            .map(|ids| ids.into_iter().map(|i| nodes[i].name.to_string()).collect())
     }
 }
 
@@ -519,7 +521,7 @@ impl Heteroflow {
             for (i, n) in prev.nodes.iter().enumerate() {
                 if let Work::Pull { source } = &n.work {
                     if let Some(sid) = source.source_id() {
-                        carry.insert((n.name.clone(), sid), i);
+                        carry.insert((n.name.to_string(), sid), i);
                     }
                 }
             }
@@ -537,7 +539,7 @@ impl Heteroflow {
                     _ => PullState::default(),
                 };
                 FrozenNode {
-                    name: n.name.clone(),
+                    name: Arc::from(n.name.as_str()),
                     work: n.work.clone_payload(),
                     succ: n.succ.clone(),
                     num_deps: n.pred.len(),

@@ -126,7 +126,7 @@ impl Heteroflow {
                     _ => (0, Vec::new(), None),
                 };
                 NodeInfo {
-                    name: n.name.clone(),
+                    name: n.name.to_string(),
                     kind: n.work.kind(),
                     successors: n.succ.clone(),
                     num_deps: n.num_deps,

@@ -87,7 +87,7 @@ pub use fleet::{Fleet, FleetConfig, FleetSnapshot, TenantSnapshot};
 pub use graph::{FrozenGraph, Heteroflow, TaskKind};
 pub use inspect::{GraphInfo, NodeInfo};
 pub use lifecycle::{lifecycle_now_ns, LifecycleEvent, LifecyclePhase};
-pub use observer::{ExecutorObserver, SpanCat, TaskMeta, TraceCollector, TraceSpan, Track};
+pub use observer::{ExecutorObserver, SpanCat, TraceCollector, TraceSpan, Track};
 pub use placement::{
     device_placement, device_placement_ext, failover_placement, failover_placement_ext,
     Placement, PlacementPolicy,

@@ -1,24 +1,24 @@
-//! Structured task-lifecycle events: the executor's flight-data stream.
+//! Structured task-lifecycle events: the executor's one event stream.
 //!
-//! The scheduler's observable surface used to be spans (begin/end pairs
-//! around task bodies — [`crate::observer::TraceCollector`]) and
-//! aggregate counters ([`crate::stats::ExecutorStats`]). Neither answers
-//! *where is this run right now*: spans only exist once a body has both
-//! started and ended, and counters have no per-task identity. Lifecycle
-//! events fill that gap — every scheduling transition of every task
-//! (ready → started → dispatched → finished / failed / retried, plus
-//! run-level start/end/failover markers) is emitted as one structured
-//! [`LifecycleEvent`] through [`crate::ExecutorObserver::on_lifecycle`].
+//! Every scheduling transition of every task (ready → started →
+//! dispatched → finished / failed / retried, plus run-level
+//! start/end/failover markers) is emitted as one [`LifecycleEvent`]
+//! through [`crate::ExecutorObserver::on_lifecycle`]. Everything else an
+//! observer shows is derived from the stream: worker spans
+//! ([`crate::observer::TraceCollector`]), and in `hf_telemetry` the
+//! flight log, latency histograms and per-run progress. The always-on
+//! aggregate counts live apart, in [`crate::stats::ExecutorStats`].
 //!
-//! Emission shares the observer fast path: when no registered observer
-//! reports [`crate::ExecutorObserver::is_active`], the executor skips
-//! event construction entirely (no timestamp, no allocation, no virtual
-//! call beyond the gate itself), so a binary with the flight recorder
+//! Emission is gated: when no registered observer reports
+//! [`crate::ExecutorObserver::is_active`], the executor skips event
+//! construction entirely (no timestamp, no allocation, no virtual call
+//! beyond the gate itself), so a binary with the flight recorder
 //! compiled in but disabled pays the same near-zero cost as one without.
 //!
 //! Timestamps are nanoseconds since a process-wide monotonic epoch
 //! ([`lifecycle_now_ns`]), so events from worker threads, device engine
-//! threads, and the submission path order on one clock.
+//! threads, and the submission path — and every span derived from them —
+//! order on one clock.
 
 use crate::graph::TaskKind;
 use std::sync::Arc;
@@ -26,7 +26,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Process-wide monotonic epoch shared by every lifecycle timestamp.
-fn epoch() -> Instant {
+pub(crate) fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
@@ -144,6 +144,38 @@ pub struct LifecycleEvent {
     pub tenant: Option<Arc<str>>,
     /// Nanoseconds since the process lifecycle epoch.
     pub t_ns: u64,
+}
+
+impl LifecycleEvent {
+    /// A run-level event (no task identity; `name` is the graph's),
+    /// stamped now.
+    pub(crate) fn run_level(
+        run_id: u64,
+        label: &Arc<str>,
+        phase: LifecyclePhase,
+        ok: bool,
+        detail: Option<String>,
+        epoch: Option<u64>,
+        tenant: Option<&Arc<str>>,
+    ) -> Self {
+        Self {
+            run_id,
+            graph: Arc::clone(label),
+            phase,
+            task: None,
+            name: Arc::clone(label),
+            kind: None,
+            device: None,
+            worker: None,
+            chain: None,
+            bytes: 0,
+            ok,
+            detail: detail.map(Arc::from),
+            epoch,
+            tenant: tenant.cloned(),
+            t_ns: lifecycle_now_ns(),
+        }
+    }
 }
 
 #[cfg(test)]

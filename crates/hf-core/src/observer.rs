@@ -1,35 +1,34 @@
-//! Executor observers: task-level tracing hooks and the unified
-//! CPU+GPU trace collector.
+//! Executor observers: the lifecycle-event hook and the unified CPU+GPU
+//! trace collector.
 //!
-//! An [`ExecutorObserver`] receives a callback around every task
-//! execution (with worker id, task name/kind, and device for GPU tasks).
-//! [`TraceCollector`] is the built-in observer that records spans and
-//! serializes them in the Chrome trace-event format — open the output in
-//! `chrome://tracing` or Perfetto to see the schedule, worker occupancy,
-//! and CPU/GPU overlap.
+//! An [`ExecutorObserver`] receives every [`LifecycleEvent`] the executor
+//! emits — its only event output. [`TraceCollector`] is the built-in
+//! observer that folds those events into worker spans, merges them with
+//! the device-side op timings it receives as a [`hf_gpu::GpuTraceSink`],
+//! and hands out one timeline ([`Track::Worker`] vs [`Track::Device`]);
+//! `hf_telemetry::export::chrome_trace` serializes it for
+//! `chrome://tracing` or Perfetto.
 //!
-//! ## Device-side stitching
+//! ## Worker windows
 //!
-//! **Historical bug, now fixed:** the original `TraceCollector` ended GPU
-//! task spans when the *worker finished dispatching* the op to the device
-//! stream, not when the op finished executing on the device. Every
-//! kernel/pull/push span showed the (microsecond) dispatch cost instead
-//! of the real device-side duration, so CPU/GPU overlap — the entire
-//! point of the paper's asynchronous dispatch design — was invisible in
-//! traces. The collector now doubles as a [`hf_gpu::GpuTraceSink`]: wire
-//! it with [`crate::ExecutorBuilder::tracer`] and device engines report
-//! true op start/finish times, which the collector merges with CPU worker
-//! spans on one timeline ([`Track::Device`] vs [`Track::Worker`]). In
-//! stitched mode the worker-side dispatch window is still recorded, as a
-//! [`SpanCat::Dispatch`] span, so dispatch overhead stays measurable;
-//! when the collector is used as a plain observer (no GPU wiring) the
-//! legacy dispatch-time spans are all you get.
+//! A worker's `Started` opens a window on that worker's lane; the first
+//! of its `Finished` / `Retried` / `Failed` — or, for a GPU chain, the
+//! head's `Dispatched` — closes it, both ends taken from the events' own
+//! `t_ns`. A host task's window is its [`SpanCat::Task`] span. A GPU
+//! task's window is a [`SpanCat::Dispatch`] span: what the worker did
+//! before the first op could run (arena allocation, op construction).
+//! A GPU task's [`SpanCat::Task`] span comes only from the device side,
+//! where the op really executed — which is what makes CPU/GPU overlap
+//! visible. Every closing event is emitted before the node is finished,
+//! so a worker's span is recorded before its run can settle: the spans
+//! are complete the moment `wait()` returns.
 //!
 //! Recording is designed for the hot path: spans go into per-worker and
 //! per-device lock-free [`EventRing`]s, and a disabled collector
-//! ([`TraceCollector::set_enabled`]) costs one atomic load per callback.
+//! ([`TraceCollector::set_enabled`]) costs one atomic load per task.
 
 use crate::graph::TaskKind;
+use crate::lifecycle::{LifecycleEvent, LifecyclePhase};
 use hf_gpu::trace::{GpuOpKind, GpuTraceEvent, GpuTraceSink};
 use hf_sync::EventRing;
 use parking_lot::Mutex;
@@ -41,52 +40,20 @@ use std::time::Instant;
 /// drains are dropped and counted).
 const DEFAULT_LANE_CAPACITY: usize = 16 * 1024;
 
-/// Identity of one task execution, passed to observer callbacks.
-#[derive(Debug, Clone)]
-pub struct TaskMeta<'a> {
-    /// Worker running (or dispatching) the task.
-    pub worker: usize,
-    /// Task name.
-    pub name: &'a str,
-    /// Task kind.
-    pub kind: TaskKind,
-    /// Assigned device for GPU tasks.
-    pub device: Option<u32>,
-    /// Graph name.
-    pub graph: &'a str,
-}
-
-/// Hooks invoked by the executor around task execution.
-///
-/// For host tasks, `on_task_end` fires when the callable returns. For GPU
-/// tasks, it fires when the worker finishes *dispatching* — the op
-/// completes asynchronously on the device. Use
-/// [`crate::ExecutorBuilder::tracer`] to additionally capture device-side
-/// completion times (see the module docs for the historical
-/// dispatch-time-only bug).
+/// The executor's one event hook: every scheduling transition of every
+/// task and run arrives as a [`LifecycleEvent`] (the transitions:
+/// [`LifecyclePhase`]).
 pub trait ExecutorObserver: Send + Sync {
-    /// Called before a task's body runs/dispatches.
-    fn on_task_begin(&self, meta: &TaskMeta<'_>);
-    /// Called after a task's body ran / was dispatched.
-    fn on_task_end(&self, meta: &TaskMeta<'_>);
     /// Fast-path gate: when every registered observer reports inactive,
-    /// the executor skips metadata construction and both callbacks
-    /// entirely. Default `true`; [`TraceCollector`] returns its enabled
-    /// flag so a wired-but-disabled tracer costs one relaxed load per
-    /// task.
+    /// the executor constructs no event at all. Default `true`;
+    /// [`TraceCollector`] returns its enabled flag so a wired-but-disabled
+    /// tracer costs one relaxed load per task.
     fn is_active(&self) -> bool {
         true
     }
-    /// Called on every task-lifecycle transition (ready, started,
-    /// dispatched, finished, retried, run start/end — see
-    /// [`crate::lifecycle::LifecyclePhase`]). Shares the
-    /// [`ExecutorObserver::is_active`] fast path: with every observer
-    /// inactive the executor never constructs the event. Default no-op so
-    /// span-oriented observers ([`TraceCollector`]) are unaffected;
-    /// `hf_telemetry`'s flight recorder overrides it.
-    fn on_lifecycle(&self, event: &crate::lifecycle::LifecycleEvent) {
-        let _ = event;
-    }
+    /// Called on every lifecycle transition, on the thread that made it
+    /// (a worker, a device engine's callback, or the submitter).
+    fn on_lifecycle(&self, event: &LifecycleEvent);
 }
 
 /// The timeline a span belongs to.
@@ -101,11 +68,11 @@ pub enum Track {
 /// What a span measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SpanCat {
-    /// A task's execution (host body on a worker; device-side op
-    /// duration for GPU tasks in stitched mode — or the legacy
-    /// dispatch-time span in plain-observer mode).
+    /// A task's execution: the host body on a worker, or the device-side
+    /// op duration of a GPU task.
     Task,
-    /// The worker-side dispatch window of a GPU task (stitched mode).
+    /// The worker-side window of a GPU task, up to the point its first
+    /// op could run: arena allocation and op construction.
     Dispatch,
     /// A raw device op not tied to a graph task.
     DeviceOp,
@@ -150,7 +117,8 @@ pub struct TraceSpan {
     pub device: Option<u32>,
     /// Stream index, for device-side spans.
     pub stream: Option<usize>,
-    /// Microseconds from collector creation.
+    /// Microseconds since the process lifecycle epoch
+    /// ([`TraceCollector::epoch`]).
     pub start_us: u64,
     /// Span duration in microseconds.
     pub dur_us: u64,
@@ -164,7 +132,7 @@ pub struct TraceSpan {
 }
 
 impl TraceSpan {
-    /// End timestamp in microseconds from collector creation.
+    /// End timestamp in microseconds since the process lifecycle epoch.
     pub fn end_us(&self) -> u64 {
         self.start_us + self.dur_us
     }
@@ -268,8 +236,8 @@ impl<T> LaneTable<T> {
 unsafe impl<T: Send + Sync> Send for LaneTable<T> {}
 unsafe impl<T: Send + Sync> Sync for LaneTable<T> {}
 
-/// Per-worker recording lane: a span ring plus the pending begin
-/// timestamp (nanoseconds since the collector epoch, +1 so 0 = none).
+/// Per-worker recording lane: a span ring plus the open window's
+/// `Started` timestamp (lifecycle nanoseconds, +1 so 0 = none).
 struct CpuLane {
     ring: EventRing<TraceSpan>,
     begin_ns: AtomicU64,
@@ -281,15 +249,10 @@ struct DevLane {
 }
 
 /// Built-in observer recording every task span on a unified CPU+GPU
-/// timeline. See the module docs for the stitched vs legacy (dispatch
-/// time only) behaviour of GPU spans.
+/// timeline; see the module docs for how worker windows are folded from
+/// lifecycle events.
 pub struct TraceCollector {
-    epoch: Instant,
     enabled: AtomicBool,
-    /// True once wired as a device trace sink: GPU task spans then come
-    /// from the device side and worker-side windows demote to
-    /// [`SpanCat::Dispatch`].
-    stitching: AtomicBool,
     cpu: LaneTable<CpuLane>,
     dev: LaneTable<DevLane>,
     /// Spans moved out of the rings (the rings are bounded; `spans()` and
@@ -314,9 +277,7 @@ impl TraceCollector {
     /// `lane_capacity` spans between drains.
     pub fn with_capacity(lane_capacity: usize) -> Self {
         Self {
-            epoch: Instant::now(),
             enabled: AtomicBool::new(true),
-            stitching: AtomicBool::new(false),
             cpu: LaneTable::new(),
             dev: LaneTable::new(),
             drained: Mutex::new(Vec::new()),
@@ -330,9 +291,10 @@ impl TraceCollector {
         Arc::new(Self::new())
     }
 
-    /// The instant timestamps are measured from.
+    /// The instant timestamps are measured from: the process lifecycle
+    /// epoch, shared with every [`LifecycleEvent::t_ns`].
     pub fn epoch(&self) -> Instant {
-        self.epoch
+        crate::lifecycle::epoch()
     }
 
     /// Enables/disables recording. Disabled, every callback returns after
@@ -347,23 +309,17 @@ impl TraceCollector {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// True once wired to a GPU runtime for device-side stitching.
-    pub fn is_stitching(&self) -> bool {
-        self.stitching.load(Ordering::Relaxed)
-    }
-
     /// Wires this collector into `rt` as the device-side trace sink:
-    /// device engines report true op start/finish times and GPU task
-    /// spans move to device tracks. [`crate::ExecutorBuilder::tracer`]
-    /// calls this automatically.
+    /// device engines report true op start/finish times, which become
+    /// the GPU tasks' spans on device tracks.
+    /// [`crate::ExecutorBuilder::tracer`] calls this automatically.
     pub fn connect_gpu(self: &Arc<Self>, rt: &hf_gpu::GpuRuntime) {
         rt.set_trace_sink(Some(Arc::clone(self) as Arc<dyn GpuTraceSink>));
-        self.stitching.store(true, Ordering::Release);
     }
 
-    /// Converts an instant to microseconds since the collector epoch.
+    /// Converts an instant to microseconds since the lifecycle epoch.
     fn us_since_epoch(&self, t: Instant) -> u64 {
-        t.saturating_duration_since(self.epoch).as_micros() as u64
+        t.saturating_duration_since(self.epoch()).as_micros() as u64
     }
 
     /// Recorded spans so far (drains the lock-free rings), sorted by
@@ -371,6 +327,12 @@ impl TraceCollector {
     /// return a growing history — for periodic scraping of a long-running
     /// executor use [`Self::take_spans`] instead.
     pub fn spans(&self) -> Vec<TraceSpan> {
+        self.drain_rings().clone()
+    }
+
+    /// Moves every ring's spans into `drained` and returns it locked,
+    /// sorted by start time.
+    fn drain_rings(&self) -> parking_lot::MutexGuard<'_, Vec<TraceSpan>> {
         let mut drained = self.drained.lock();
         for lane in self.cpu.lanes() {
             lane.ring.drain(|s| drained.push(s));
@@ -379,7 +341,7 @@ impl TraceCollector {
             lane.ring.drain(|s| drained.push(s));
         }
         drained.sort_by_key(|a| (a.start_us, a.track));
-        drained.clone()
+        drained
     }
 
     /// Removes and returns every span recorded since the last call
@@ -387,16 +349,7 @@ impl TraceCollector {
     /// forgets them, so periodic scrapes stay O(new spans) instead of
     /// re-copying the whole history.
     pub fn take_spans(&self) -> Vec<TraceSpan> {
-        let mut drained = self.drained.lock();
-        for lane in self.cpu.lanes() {
-            lane.ring.drain(|s| drained.push(s));
-        }
-        for lane in self.dev.lanes() {
-            lane.ring.drain(|s| drained.push(s));
-        }
-        let mut out = std::mem::take(&mut *drained);
-        out.sort_by_key(|a| (a.start_us, a.track));
-        out
+        std::mem::take(&mut *self.drain_rings())
     }
 
     /// Number of spans recorded.
@@ -416,61 +369,6 @@ impl TraceCollector {
         cpu + dev
     }
 
-    /// Serializes the spans as a Chrome trace-event JSON array
-    /// (`chrome://tracing` / Perfetto compatible). CPU workers appear as
-    /// threads of process 0; device `d` as process `1 + d` with one
-    /// thread per stream. `hf_telemetry::export::chrome_trace` emits the
-    /// same spans with process/thread naming metadata.
-    pub fn to_chrome_trace(&self) -> String {
-        let spans = self.spans();
-        let mut out = String::from("[");
-        for (i, s) in spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            chrome_trace_event(&mut out, s);
-        }
-        out.push(']');
-        out
-    }
-}
-
-/// Writes one span as a chrome trace-event object (no surrounding
-/// punctuation). Shared with the `hf-telemetry` exporter via the
-/// formatting rules documented on [`TraceCollector::to_chrome_trace`].
-pub fn chrome_trace_event(out: &mut String, s: &TraceSpan) {
-    let (pid, tid) = match s.track {
-        Track::Worker(w) => (0u64, w as u64),
-        Track::Device(d) => (1 + d as u64, s.stream.unwrap_or(0) as u64),
-    };
-    let cat = match s.cat {
-        SpanCat::Task => s.kind.to_string(),
-        other => other.name().to_string(),
-    };
-    let mut args = String::new();
-    if let Some(d) = s.device {
-        args.push_str(&format!("\"device\":{d}"));
-    }
-    if s.bytes > 0 {
-        if !args.is_empty() {
-            args.push(',');
-        }
-        args.push_str(&format!("\"bytes\":{}", s.bytes));
-    }
-    if !args.is_empty() {
-        args.push(',');
-    }
-    args.push_str(&format!("\"cat\":\"{}\"", s.cat.name()));
-    out.push_str(&format!(
-        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{{}}}}}",
-        s.name.replace('\\', "\\\\").replace('"', "'"),
-        cat,
-        s.start_us,
-        s.dur_us.max(1),
-        pid,
-        tid,
-        args
-    ));
 }
 
 impl ExecutorObserver for TraceCollector {
@@ -478,56 +376,46 @@ impl ExecutorObserver for TraceCollector {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    fn on_task_begin(&self, meta: &TaskMeta<'_>) {
+    fn on_lifecycle(&self, ev: &LifecycleEvent) {
+        // Only a worker's own task events move its window.
+        let (Some(worker), Some(kind)) = (ev.worker, ev.kind) else {
+            return;
+        };
         if !self.enabled.load(Ordering::Relaxed) {
             return;
         }
-        let lane = self.cpu.get(meta.worker, || CpuLane {
+        let lane = self.cpu.get(worker as usize, || CpuLane {
             ring: EventRing::new(self.lane_capacity),
             begin_ns: AtomicU64::new(0),
         });
-        let ns = Instant::now()
-            .saturating_duration_since(self.epoch)
-            .as_nanos() as u64;
-        lane.begin_ns.store(ns + 1, Ordering::Release);
-    }
-
-    fn on_task_end(&self, meta: &TaskMeta<'_>) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
+        match ev.phase {
+            LifecyclePhase::Started => {
+                lane.begin_ns.store(ev.t_ns + 1, Ordering::Release);
+                return;
+            }
+            LifecyclePhase::Finished | LifecyclePhase::Retried | LifecyclePhase::Failed => {}
+            LifecyclePhase::Dispatched if ev.chain == ev.task => {}
+            _ => return,
         }
-        let lane = self.cpu.get(meta.worker, || CpuLane {
-            ring: EventRing::new(self.lane_capacity),
-            begin_ns: AtomicU64::new(0),
-        });
+        // First closing event wins; the rest of a chain's events (member
+        // `Dispatched`s, the `Finished` after a `Failed`) find it closed.
         let begin = lane.begin_ns.swap(0, Ordering::AcqRel);
         if begin == 0 {
             return;
         }
-        let begin_ns = begin - 1;
-        let now_ns = Instant::now()
-            .saturating_duration_since(self.epoch)
-            .as_nanos() as u64;
-        let is_gpu = matches!(
-            meta.kind,
-            TaskKind::Pull | TaskKind::Push | TaskKind::Kernel
-        );
-        // In stitched mode the device side owns the task span; the
-        // worker-side window is recorded as dispatch overhead.
-        let cat = if is_gpu && self.stitching.load(Ordering::Relaxed) {
-            SpanCat::Dispatch
-        } else {
-            SpanCat::Task
-        };
+        let start_us = (begin - 1) / 1_000;
         lane.ring.push(TraceSpan {
-            track: Track::Worker(meta.worker),
-            name: meta.name.to_string(),
-            cat,
-            kind: meta.kind,
-            device: meta.device,
+            track: Track::Worker(worker as usize),
+            name: ev.name.to_string(),
+            cat: match kind {
+                TaskKind::Pull | TaskKind::Push | TaskKind::Kernel => SpanCat::Dispatch,
+                _ => SpanCat::Task,
+            },
+            kind,
+            device: ev.device,
             stream: None,
-            start_us: begin_ns / 1_000,
-            dur_us: now_ns.saturating_sub(begin_ns) / 1_000,
+            start_us,
+            dur_us: (ev.t_ns / 1_000).saturating_sub(start_us),
             bytes: 0,
             epoch: None,
         });
@@ -596,11 +484,11 @@ mod tests {
     use crate::graph::Heteroflow;
     use crate::Executor;
 
-    fn traced_run(fusion: bool) -> (Arc<TraceCollector>, u64) {
+    fn traced_run(fusion: bool) -> (Vec<TraceSpan>, u64) {
         let trace = TraceCollector::shared();
         let ex = Executor::builder(2, 1)
             .task_fusion(fusion)
-            .observer(Arc::clone(&trace) as Arc<dyn ExecutorObserver>)
+            .tracer(Arc::clone(&trace))
             .build();
         let g = Heteroflow::new("traced");
         let d: HostVec<u32> = HostVec::from_vec(vec![0; 64]);
@@ -614,60 +502,55 @@ mod tests {
         k.precede(&s);
         ex.run(&g).wait().expect("runs");
         let fused = ex.stats().fused.sum();
-        (trace, fused)
+        (trace.spans(), fused)
+    }
+
+    /// One `cat=task` span per task by name: the host task on a worker
+    /// track, GPU tasks on the device track.
+    fn assert_one_task_span_each(spans: &[TraceSpan]) {
+        for n in ["make", "pull", "kernel", "push"] {
+            let mine: Vec<_> = spans
+                .iter()
+                .filter(|s| s.cat == SpanCat::Task && s.name == n)
+                .collect();
+            assert_eq!(mine.len(), 1, "{n} exactly once as a task span");
+            let on_worker = matches!(mine[0].track, Track::Worker(_));
+            assert_eq!(on_worker, n == "make", "{n} on the right track");
+        }
+        let kernel_span = spans
+            .iter()
+            .find(|s| s.cat == SpanCat::Task && s.name == "kernel")
+            .expect("kernel");
+        assert_eq!(kernel_span.kind, TaskKind::Kernel);
+        assert_eq!(kernel_span.device, Some(0));
+    }
+
+    fn dispatch_names(spans: &[TraceSpan]) -> Vec<&str> {
+        let mut names: Vec<&str> = spans
+            .iter()
+            .filter(|s| s.cat == SpanCat::Dispatch)
+            .map(|s| s.name.as_str())
+            .collect();
+        names.sort_unstable();
+        names
     }
 
     #[test]
     fn collects_spans_for_every_task_without_fusion() {
-        let (trace, fused) = traced_run(false);
+        let (spans, fused) = traced_run(false);
         assert_eq!(fused, 0);
-        let spans = trace.spans();
-        assert_eq!(spans.len(), 4, "one span per task");
-        let names: std::collections::HashSet<&str> =
-            spans.iter().map(|s| s.name.as_str()).collect();
-        for n in ["make", "pull", "kernel", "push"] {
-            assert!(names.contains(n), "missing span {n}");
-        }
-        let kernel_span = spans.iter().find(|s| s.name == "kernel").expect("kernel");
-        assert_eq!(kernel_span.kind, TaskKind::Kernel);
-        assert_eq!(kernel_span.device, Some(0));
-        // Plain observer mode: legacy dispatch-time spans, category Task.
-        assert_eq!(kernel_span.cat, SpanCat::Task);
-        assert!(matches!(kernel_span.track, Track::Worker(_)));
+        assert_one_task_span_each(&spans);
+        // Unfused, every GPU task is its own chain head.
+        assert_eq!(dispatch_names(&spans), ["kernel", "pull", "push"]);
     }
 
     #[test]
     fn fused_members_fold_into_head_span() {
-        let (trace, fused) = traced_run(true);
+        let (spans, fused) = traced_run(true);
         // pull -> kernel -> push fuse into one dispatch.
         assert_eq!(fused, 2);
-        let spans = trace.spans();
-        assert_eq!(spans.len(), 2, "host + chain head");
-        let names: std::collections::HashSet<&str> =
-            spans.iter().map(|s| s.name.as_str()).collect();
-        assert!(names.contains("make") && names.contains("pull"));
-    }
-
-    #[test]
-    fn chrome_trace_is_wellformed_json() {
-        let trace = TraceCollector::shared();
-        let ex = Executor::builder(1, 0)
-            .observer(Arc::clone(&trace) as Arc<dyn ExecutorObserver>)
-            .build();
-        let g = Heteroflow::new("j");
-        g.host("a\"quoted\"", || {});
-        ex.run(&g).wait().expect("runs");
-        let json = trace.to_chrome_trace();
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(!json.contains("a\"quoted\""), "quotes must be escaped");
-    }
-
-    #[test]
-    fn empty_collector_serializes() {
-        let t = TraceCollector::new();
-        assert!(t.is_empty());
-        assert_eq!(t.to_chrome_trace(), "[]");
+        assert_one_task_span_each(&spans);
+        assert_eq!(dispatch_names(&spans), ["pull"], "head only, no member windows");
     }
 
     #[test]
@@ -712,7 +595,6 @@ mod tests {
             .task_fusion(false)
             .tracer(Arc::clone(&trace))
             .build();
-        assert!(trace.is_stitching());
         let g = Heteroflow::new("stitched");
         let d: HostVec<u32> = HostVec::from_vec(vec![0; 4096]);
         let p = g.pull("pull", &d);
@@ -722,10 +604,6 @@ mod tests {
         p.precede(&k);
         k.precede(&s);
         ex.run(&g).wait().expect("runs");
-        // `wait()` can return from the device completion callback before
-        // the dispatching worker records its span end; join the workers
-        // so every dispatch span is flushed.
-        drop(ex);
         let spans = trace.spans();
 
         // Each GPU task appears exactly once as a device-side Task span.

@@ -38,7 +38,7 @@
 use crate::error::HfError;
 use crate::executor::{ExecInner, Executor};
 use crate::graph::{FrozenGraph, GraphShared, Heteroflow, PullState, TaskKind};
-use crate::lifecycle::LifecyclePhase;
+use crate::lifecycle::{LifecycleEvent, LifecyclePhase};
 use crate::placement::Placement;
 use crate::topology::{
     Completion, EpochFuture, EpochGate, FusionPlan, InputGuard, PrologueTrack, RunFuture,
@@ -306,23 +306,36 @@ impl EpochDriver {
             plan.1 = run.fuse(&plan.0);
         }
         run.emit(LifecyclePhase::RunStart, &Ok(()), None);
-        if let Some(report) = &plan.lint_report {
-            inner.emit_lint_lc(run.core.run_id(), &run.label, report);
+        // One `Lint` event per finding; `ok` is false for Error severity.
+        for d in plan.lint_report.iter().flat_map(|r| &r.diagnostics) {
+            inner.emit(|| {
+                LifecycleEvent::run_level(
+                    run.core.run_id(),
+                    &run.label,
+                    LifecyclePhase::Lint,
+                    d.severity != crate::analyze::Severity::Error,
+                    Some(d.render()),
+                    None,
+                    None,
+                )
+            });
         }
         Ok(run)
     }
 
     /// Emits a run-level lifecycle event of this run.
     fn emit(&self, phase: LifecyclePhase, result: &Result<(), HfError>, epoch: Option<u64>) {
-        self.inner.emit_raw_run_lc(
-            self.core.run_id(),
-            &self.label,
-            phase,
-            result.is_ok(),
-            result.as_ref().err(),
-            epoch,
-            self.tenant.as_ref(),
-        );
+        self.inner.emit(|| {
+            LifecycleEvent::run_level(
+                self.core.run_id(),
+                &self.label,
+                phase,
+                result.is_ok(),
+                result.as_ref().err().map(|e| e.to_string()),
+                epoch,
+                self.tenant.as_ref(),
+            )
+        });
     }
 
     /// The claim has reached this run: takes the client's first step and

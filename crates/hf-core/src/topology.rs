@@ -630,6 +630,11 @@ pub(crate) struct FusionPlan {
 }
 
 impl FusionPlan {
+    /// `head`, then every member fused behind it, in dispatch order.
+    pub(crate) fn chain(&self, head: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(head), |&n| self.next[n].map(|m| m as usize))
+    }
+
     /// Identifies fusible GPU chains: node `v` fuses to its successor `w`
     /// when `v` is a GPU task, `w` is a *kernel or push* task whose only
     /// dependency is `v`, and both are placed on the same device. Pull

@@ -183,7 +183,7 @@ pub(crate) fn prepare_pull(
                 }
                 st.resident_version = None;
                 let p = device.alloc(bytes).map_err(|e| HfError::TaskFailed {
-                    task: topo.frozen.nodes[id].name.clone(),
+                    task: topo.frozen.nodes[id].name.to_string(),
                     source: e,
                 })?;
                 st.ptr = Some(p);
@@ -411,8 +411,8 @@ pub(crate) fn prepare_push(
         .lock()
         .ptr
         .ok_or_else(|| HfError::PushBeforePull {
-            push: topo.frozen.nodes[id].name.clone(),
-            pull: pull_node.name.clone(),
+            push: topo.frozen.nodes[id].name.to_string(),
+            pull: pull_node.name.to_string(),
         })?;
     debug_assert_eq!(device.id(), ptr.device);
     // Revalidation is only sound for an in-place round trip (push back

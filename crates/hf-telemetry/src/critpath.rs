@@ -122,17 +122,19 @@ pub fn critical_path(info: &GraphInfo, spans: &[TraceSpan]) -> CriticalPathRepor
 
     // Longest path by measured time, over the DAG in topological order.
     // best[i] = heaviest path ending at i (inclusive); pred for recovery.
+    // Ties extend the chain (`>=`), so a task whose span rounds to 0 us
+    // stays on the path: it runs source to sink, never a fragment.
     let mut indeg: Vec<usize> = info.nodes.iter().map(|x| x.num_deps).collect();
     let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
     let mut best = dur.clone();
     let mut pred: Vec<Option<usize>> = vec![None; n];
     let mut tail: Option<usize> = None;
     while let Some(u) = queue.pop() {
-        if tail.is_none_or(|t| best[u] > best[t]) {
+        if tail.is_none_or(|t| best[u] >= best[t]) {
             tail = Some(u);
         }
         for &v in &info.nodes[u].successors {
-            if best[u] + dur[v] > best[v] {
+            if best[u] + dur[v] >= best[v] {
                 best[v] = best[u] + dur[v];
                 pred[v] = Some(u);
             }

@@ -1,15 +1,14 @@
 //! Chrome trace-event / Perfetto export.
 //!
-//! Produces the same `"X"` complete-event stream as
-//! [`hf_core::TraceCollector::to_chrome_trace`], plus the `process_name` /
+//! Produces one `"X"` complete event per span, plus the `process_name` /
 //! `thread_name` metadata events that make the Perfetto UI readable: CPU
-//! workers appear as threads of a process named `cpu`, each device as its
-//! own `gpu<d>` process with one thread per stream. The same exporter
+//! workers appear as threads of a process named `cpu` (pid 0), device `d`
+//! as its own `gpu<d>` process (pid `1 + d`) with one thread per stream.
+//! The same exporter
 //! serves measured spans (from the trace collector) and modeled spans
 //! (from the `hf-sim` discrete-event model, via [`spans_from_sim`]) so
 //! real and simulated schedules can be diffed in one UI.
 
-use hf_core::observer::chrome_trace_event;
 use hf_core::{GraphInfo, SpanCat, TraceSpan, Track};
 use hf_sim::SimSpan;
 use std::collections::BTreeSet;
@@ -67,12 +66,40 @@ pub fn chrome_trace(spans: &[TraceSpan]) -> String {
     }
 
     for s in spans {
-        let mut ev = String::new();
-        chrome_trace_event(&mut ev, s);
-        emit(ev, &mut out);
+        emit(chrome_trace_event(s), &mut out);
     }
     out.push(']');
     out
+}
+
+/// One span as a chrome trace-event object (no surrounding punctuation).
+fn chrome_trace_event(s: &TraceSpan) -> String {
+    let (pid, tid) = match s.track {
+        Track::Worker(w) => (0u64, w as u64),
+        Track::Device(d) => (1 + d as u64, s.stream.unwrap_or(0) as u64),
+    };
+    let cat = match s.cat {
+        SpanCat::Task => s.kind.to_string(),
+        other => other.name().to_string(),
+    };
+    let mut args = String::new();
+    if let Some(d) = s.device {
+        args.push_str(&format!("\"device\":{d},"));
+    }
+    if s.bytes > 0 {
+        args.push_str(&format!("\"bytes\":{},", s.bytes));
+    }
+    args.push_str(&format!("\"cat\":\"{}\"", s.cat.name()));
+    format!(
+        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{{}}}}}",
+        s.name.replace('\\', "\\\\").replace('"', "'"),
+        cat,
+        s.start_us,
+        s.dur_us.max(1),
+        pid,
+        tid,
+        args
+    )
 }
 
 /// Converts a simulated schedule into trace spans on the same track
@@ -163,6 +190,20 @@ mod tests {
         assert_eq!(k.get("pid").unwrap().as_u64(), Some(2));
         assert_eq!(k.get("tid").unwrap().as_u64(), Some(2));
         assert_eq!(k.get("args").unwrap().get("bytes").unwrap().as_u64(), Some(64));
+    }
+
+    #[test]
+    fn span_events_are_wellformed_json_with_quotes_escaped() {
+        let json = chrome_trace(&[cpu_span("a\"quoted\"", 0)]);
+        assert!(json.starts_with('[') && json.ends_with(']'));
+        assert!(json.contains("\"ph\":\"X\""));
+        assert!(!json.contains("a\"quoted\""), "quotes must be escaped");
+        assert!(serde_json::from_str(&json).is_ok());
+    }
+
+    #[test]
+    fn no_spans_serialize_to_an_empty_array() {
+        assert_eq!(chrome_trace(&[]), "[]");
     }
 
     #[test]

@@ -24,7 +24,6 @@
 use crate::metrics::{duration_bounds_nanos, Histogram, MetricsRegistry};
 use hf_core::{
     lifecycle_now_ns, Completion, ExecutorObserver, LifecycleEvent, LifecyclePhase, RunFuture,
-    TaskMeta,
 };
 use hf_sync::EventRing;
 use parking_lot::Mutex;
@@ -821,9 +820,6 @@ impl FlightRecorder {
 }
 
 impl ExecutorObserver for FlightRecorder {
-    fn on_task_begin(&self, _meta: &TaskMeta<'_>) {}
-    fn on_task_end(&self, _meta: &TaskMeta<'_>) {}
-
     fn is_active(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }

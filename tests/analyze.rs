@@ -189,8 +189,6 @@ fn off_policy_never_analyzes() {
 fn warn_policy_emits_lint_lifecycle_events() {
     struct Capture(std::sync::Mutex<Vec<(LifecyclePhase, bool, Option<String>)>>);
     impl heteroflow::core::ExecutorObserver for Capture {
-        fn on_task_begin(&self, _: &heteroflow::core::TaskMeta<'_>) {}
-        fn on_task_end(&self, _: &heteroflow::core::TaskMeta<'_>) {}
         fn on_lifecycle(&self, ev: &LifecycleEvent) {
             self.0.lock().unwrap().push((
                 ev.phase,

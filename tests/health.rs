@@ -441,3 +441,71 @@ fn disabled_recorder_stays_silent() {
     assert_eq!(recorder.events_dropped(), 0);
     assert!(recorder.summaries().is_empty());
 }
+
+/// Runs one fused pull → kernel → push lane under `plan` and checks the
+/// stream it leaves: nothing in flight after `RunEnd`, every `dispatched`
+/// event of a task followed by a `finished` or `retried` for it, and the
+/// failure event naming the chain it was dispatched with.
+fn assert_failed_chain_closes_its_suffix(ex: Executor, recorder: Arc<FlightRecorder>, plan: FaultPlan) {
+    ex.gpu_runtime().set_fault_plan(Some(plan));
+    let bufs = vec![HostVec::from_vec(vec![1i32; 64])];
+    let g = doubling_graph("chain_failure", &bufs);
+    let fut = ex.run(&g);
+    let run_id = fut.run_id();
+    let res = fut.wait_timeout(DEADLINE).expect("failing run must not hang");
+    assert!(res.is_err(), "every kernel attempt fails: {res:?}");
+    assert!(ex.stats().fused.sum() >= 2, "the lane dispatched as one chain");
+
+    recorder.pump();
+    let progress = recorder.run_progress(run_id).expect("run retained");
+    assert!(progress.done, "RunEnd applied");
+    assert!(
+        progress.inflight.is_empty(),
+        "tasks left in flight after RunEnd: {:?}",
+        progress.inflight
+    );
+
+    let dump = recorder.dump_run_json(run_id).expect("run retained");
+    let events = dump.get("events").and_then(|e| e.as_array()).unwrap();
+    let phase = |e: &serde_json::Value| e.get("phase").and_then(|p| p.as_str()).map(String::from);
+    let task = |e: &serde_json::Value| e.get("task").and_then(|t| t.as_u64());
+    assert_eq!(phase(events.last().unwrap()).as_deref(), Some("run_end"));
+    for (i, e) in events.iter().enumerate() {
+        if phase(e).as_deref() != Some("dispatched") {
+            continue;
+        }
+        let closed = events[i + 1..].iter().any(|l| {
+            task(l) == task(e) && matches!(phase(l).as_deref(), Some("finished" | "retried"))
+        });
+        assert!(closed, "dispatched {e:?} never closed in {events:?}");
+    }
+    let failed: Vec<_> = events
+        .iter()
+        .filter(|e| phase(e).as_deref() == Some("failed"))
+        .collect();
+    assert!(!failed.is_empty(), "the failure is in the stream");
+    for e in failed {
+        assert!(e.get("chain").is_some(), "failed member names its chain: {e:?}");
+    }
+}
+
+#[test]
+fn failed_chain_suffix_gets_terminal_events_under_fail() {
+    let recorder = FlightRecorder::shared();
+    let ex = Executor::builder(2, 1)
+        .retry_policy(RetryPolicy::new(1))
+        .observer(recorder.clone())
+        .build();
+    let plan = FaultPlan::seeded(1).fail(FaultSite::Kernel, 1.0);
+    assert_failed_chain_closes_its_suffix(ex, recorder, plan);
+}
+
+#[test]
+fn failed_chain_suffix_gets_terminal_events_under_failover() {
+    // Both devices die on their first op: the first round fails over,
+    // the replay fails the same way, and no survivor is left.
+    let recorder = FlightRecorder::shared();
+    let ex = Executor::builder(2, 2).observer(recorder.clone()).build();
+    let plan = FaultPlan::seeded(1).lose_device(0, 1).lose_device(1, 1);
+    assert_failed_chain_closes_its_suffix(ex, recorder, plan);
+}

@@ -3,10 +3,12 @@
 //! per-task allocation over running with no observer at all.
 //!
 //! A counting global allocator measures whole-process allocations around
-//! identical workloads. Lifecycle emission allocates at least one
-//! `Arc<str>` name per event and several events per task, so a leak of
-//! emission past the `is_active` gate shows up as thousands of extra
-//! allocations on a 512-task run — far above scheduler noise.
+//! identical workloads. The recorder's event count is the direct check
+//! that nothing passes the `is_active` gate; the allocation budget bounds
+//! whatever else an open gate would cost. Emission itself is cheap by
+//! construction — an event is a timestamp plus reference-count bumps of
+//! the graph's and the task's shared names, no allocation — and the last
+//! test holds the *enabled* path to that.
 
 use heteroflow::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -111,5 +113,30 @@ fn enabling_recorder_turns_emission_on() {
         recorder.events_recorded() >= (TASKS as u64) * 3,
         "enabled recorder captures lifecycle events, got {}",
         recorder.events_recorded()
+    );
+}
+
+/// Enabled, the recorder sees every event and still costs less than one
+/// allocation per task: event names are shared with the frozen graph.
+#[test]
+fn enabled_recorder_allocates_less_than_once_per_task() {
+    let _guard = SERIAL.lock().unwrap();
+    let ex_base = Executor::new(2, 0);
+    let g_base = host_graph("fastpath_base2");
+    ex_base.run(&g_base).wait().expect("warmup");
+    let baseline = measure(&ex_base, &g_base);
+
+    let recorder = FlightRecorder::shared();
+    let ex_rec = Executor::builder(2, 0).observer(recorder.clone()).build();
+    let g_rec = host_graph("fastpath_enabled");
+    ex_rec.run(&g_rec).wait().expect("warmup");
+    let with_enabled = measure(&ex_rec, &g_rec);
+
+    assert!(recorder.events_recorded() >= (TASKS as u64) * 3 * 4, "all four runs recorded");
+    let budget = baseline + (TASKS as u64);
+    assert!(
+        with_enabled <= budget,
+        "enabled-recorder run allocated {with_enabled}, baseline {baseline} \
+         (budget {budget}) — lifecycle events are allocating per task again"
     );
 }

@@ -199,3 +199,151 @@ fn metrics_and_critical_path_from_one_run() {
     let attributed: u64 = report.by_kind.iter().map(|(_, us)| *us).sum();
     assert_eq!(attributed, report.total_us);
 }
+
+/// `(task name, t_ns)` of every `phase` event of one recorded run, in
+/// stream order.
+fn phase_times(recorder: &FlightRecorder, run_id: u64, phase: &str) -> Vec<(String, u64)> {
+    recorder.pump();
+    let dump = recorder.dump_run_json(run_id).expect("run retained");
+    dump.get("events")
+        .and_then(|e| e.as_array())
+        .expect("events")
+        .iter()
+        .filter(|e| e.get("phase").and_then(|p| p.as_str()) == Some(phase))
+        .filter_map(|e| {
+            let name = e.get("name")?.as_str()?.to_string();
+            Some((name, e.get("t_ns")?.as_u64()?))
+        })
+        .collect()
+}
+
+fn assert_no_worker_overlap(spans: &[TraceSpan]) {
+    let mut by_worker: std::collections::BTreeMap<usize, Vec<&TraceSpan>> = Default::default();
+    for s in spans {
+        if let Some(w) = s.worker() {
+            by_worker.entry(w).or_default().push(s);
+        }
+    }
+    for (w, mut mine) in by_worker {
+        mine.sort_by_key(|s| (s.start_us, s.end_us()));
+        for pair in mine.windows(2) {
+            assert!(
+                pair[0].end_us() <= pair[1].start_us,
+                "worker {w}: {} [{}..{}] overlaps {} [{}..{}]",
+                pair[0].name,
+                pair[0].start_us,
+                pair[0].end_us(),
+                pair[1].name,
+                pair[1].start_us,
+                pair[1].end_us()
+            );
+        }
+    }
+}
+
+#[test]
+fn worker_spans_are_the_lifecycle_events_on_one_clock() {
+    // A collector and a flight recorder on the same executor see the
+    // same events: a host task's span is exactly [started, finished].
+    let trace = TraceCollector::shared();
+    let recorder = FlightRecorder::shared();
+    let ex = Executor::builder(2, 0)
+        .tracer(Arc::clone(&trace))
+        .observer(recorder.clone())
+        .build();
+    let g = Heteroflow::new("diamond");
+    let spin = || {
+        let t0 = std::time::Instant::now();
+        while t0.elapsed() < std::time::Duration::from_micros(300) {
+            std::hint::spin_loop();
+        }
+    };
+    let a = g.host("a", spin);
+    let b = g.host("b", spin);
+    let c = g.host("c", spin);
+    let d = g.host("d", spin);
+    a.precede(&b);
+    a.precede(&c);
+    b.precede(&d);
+    c.precede(&d);
+    let fut = ex.run(&g);
+    let run_id = fut.run_id();
+    fut.wait().expect("runs");
+    // No join, no settle delay: the executor is still alive.
+    let spans = trace.spans();
+
+    let started = phase_times(&recorder, run_id, "started");
+    let finished = phase_times(&recorder, run_id, "finished");
+    assert_eq!(spans.len(), 4, "complete the moment wait() returns: {spans:?}");
+    for name in ["a", "b", "c", "d"] {
+        let span = spans.iter().find(|s| s.name == name).expect("span");
+        assert_eq!(span.cat, SpanCat::Task);
+        assert!(span.worker().is_some());
+        let t0 = started.iter().find(|(n, _)| n == name).expect("started").1;
+        let t1 = finished.iter().find(|(n, _)| n == name).expect("finished").1;
+        assert_eq!(span.start_us, t0 / 1_000, "{name} starts at its Started event");
+        assert_eq!(span.end_us(), t1 / 1_000, "{name} ends at its Finished event");
+        assert!(span.dur_us >= 300, "{name} spun for its width");
+    }
+    drop(ex);
+}
+
+#[test]
+fn retried_and_skipped_tasks_leave_closed_spans() {
+    let trace = TraceCollector::shared();
+    let recorder = FlightRecorder::shared();
+    let ex = Executor::builder(2, 0)
+        .retry_policy(RetryPolicy::new(2))
+        .tracer(Arc::clone(&trace))
+        .observer(recorder.clone())
+        .build();
+
+    // A host task that panics once: two windows, the first closed by
+    // its `Retried` event.
+    let g = Heteroflow::new("flaky");
+    let tries = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let t = Arc::clone(&tries);
+    g.host("flaky", move || {
+        if t.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0 {
+            panic!("first attempt fails");
+        }
+    });
+    let fut = ex.run(&g);
+    let run_id = fut.run_id();
+    fut.wait().expect("second attempt succeeds");
+    let flaky = trace.take_spans();
+    assert_eq!(flaky.len(), 2, "one span per attempt: {flaky:?}");
+    let retried = phase_times(&recorder, run_id, "retried");
+    let finished = phase_times(&recorder, run_id, "finished");
+    assert_eq!((retried.len(), finished.len()), (1, 1));
+    assert_eq!(flaky[0].end_us(), retried[0].1 / 1_000, "first window closes at Retried");
+    assert_eq!(flaky[1].end_us(), finished[0].1 / 1_000);
+
+    // A run cancelled while its first task holds the worker: the rest
+    // are skipped, and each skipped task still opens and closes a window.
+    const FANOUT: usize = 16;
+    let g = Heteroflow::new("cancelled");
+    let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let gate2 = Arc::clone(&gate);
+    let head = g.host("head", move || {
+        while !gate2.load(std::sync::atomic::Ordering::Acquire) {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    });
+    for i in 0..FANOUT {
+        head.precede(&g.host(&format!("leaf{i}"), || {}));
+    }
+    let fut = ex.run(&g);
+    std::thread::sleep(std::time::Duration::from_millis(10));
+    fut.cancel();
+    gate.store(true, std::sync::atomic::Ordering::Release);
+    assert_eq!(fut.wait(), Err(HfError::Cancelled));
+
+    // ... and the executor's next run lines up behind them.
+    ex.run(&g).wait().expect("same graph, not cancelled");
+    let spans = trace.spans();
+    let count = |prefix: &str| spans.iter().filter(|s| s.name.starts_with(prefix)).count();
+    assert_eq!(count("head"), 2);
+    assert_eq!(count("leaf"), 2 * FANOUT, "the skipped leaves, then the rerun's");
+    assert_no_worker_overlap(&spans);
+}
