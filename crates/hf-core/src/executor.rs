@@ -32,11 +32,7 @@ use crate::placement::PlacementPolicy;
 use crate::retry::{OnDeviceLoss, RetryPolicy};
 use crate::stats::ExecutorStats;
 use crate::topology::{FusionPlan, RunFuture, Topology};
-use crate::transfer::{self, PreparedOp};
-use hf_gpu::{
-    Device, FaultSite, GpuConfig, GpuError, GpuRuntime, KernelArgs, LaunchConfig, OpReport,
-    ScopedDeviceContext, Stream,
-};
+use hf_gpu::{GpuConfig, GpuError, GpuRuntime};
 use hf_sync::{Injector, Notifier, Steal, StealDeque, Stealer};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
@@ -56,7 +52,7 @@ fn pack(slot: u32, node: usize) -> Token {
 }
 
 #[inline]
-fn unpack(token: Token) -> (u32, usize) {
+pub(crate) fn unpack(token: Token) -> (u32, usize) {
     ((token >> 32) as u32, (token & 0xFFFF_FFFF) as usize)
 }
 
@@ -74,7 +70,7 @@ const DEFAULT_COPY_LANES: usize = 2;
 
 /// Tokens a thief claims from the injector in one batched pop; extras are
 /// banked in its local deque.
-const STEAL_BATCH: usize = 16;
+pub(crate) const STEAL_BATCH: usize = 16;
 
 /// First registry segment size; segment `i` holds `SEG0 << i` slots.
 const SEG0: usize = 64;
@@ -293,7 +289,7 @@ impl ExecInner {
     /// lifecycle emission site reduces to this check — no event is
     /// constructed, no timestamp taken, nothing allocated.
     #[inline]
-    fn lc_active(&self) -> bool {
+    pub(crate) fn lc_active(&self) -> bool {
         !self.observers.is_empty() && self.observers.iter().any(|o| o.is_active())
     }
 
@@ -332,7 +328,7 @@ impl ExecInner {
     /// Emits a task-level lifecycle event.
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    fn emit_task(
+    pub(crate) fn emit_task(
         &self,
         topo: &Topology,
         phase: LifecyclePhase,
@@ -695,7 +691,7 @@ impl ExecutorBuilder {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("hf-worker-{id}"))
-                    .spawn(move || Worker::new(id, deque, inner).run())
+                    .spawn(move || crate::worker::run_worker(id, deque, inner))
                     .expect("spawn executor worker")
             })
             .collect();
@@ -1264,7 +1260,7 @@ impl ExecInner {
     /// Finishes `nodes` in order, each behind its `Finished` event — the
     /// closing event always precedes [`ExecInner::finish_node`], so an
     /// observer has it before the run can settle.
-    fn finish_nodes(
+    pub(crate) fn finish_nodes(
         &self,
         topo: &Arc<Topology>,
         nodes: impl IntoIterator<Item = usize>,
@@ -1285,7 +1281,7 @@ impl ExecInner {
     /// `failed` itself, then the members fused behind it. A retry
     /// re-queues `failed`, which re-walks its chain from there; otherwise
     /// all of `rest` finishes unsuccessfully.
-    fn fail_task(
+    pub(crate) fn fail_task(
         &self,
         topo: &Arc<Topology>,
         failed: usize,
@@ -1479,489 +1475,8 @@ impl ExecInner {
 thread_local! {
     /// The owning side of the current worker's deque, when the thread is
     /// an executor worker.
-    static WORKER_DEQUE: std::cell::RefCell<Option<Arc<StealDeque<Token>>>> =
+    pub(crate) static WORKER_DEQUE: std::cell::RefCell<Option<Arc<StealDeque<Token>>>> =
         const { std::cell::RefCell::new(None) };
-}
-
-struct Worker {
-    id: usize,
-    deque: Arc<StealDeque<Token>>,
-    inner: Arc<ExecInner>,
-    /// Lazily created per-device streams — "each worker keeps a
-    /// per-thread CUDA stream" (§III-C).
-    streams: Vec<Option<Stream>>,
-    /// Lazily created per-device copy-lane streams: chunked pulls
-    /// round-robin their chunks across these so long copies interleave
-    /// with kernels on the device engine.
-    copy_streams: Vec<Vec<Stream>>,
-    /// xorshift state for victim selection.
-    rng: u64,
-}
-
-impl Worker {
-    fn new(id: usize, deque: StealDeque<Token>, inner: Arc<ExecInner>) -> Self {
-        let n_gpus = inner.gpu.num_devices() as usize;
-        Self {
-            id,
-            deque: Arc::new(deque),
-            inner,
-            streams: (0..n_gpus).map(|_| None).collect(),
-            copy_streams: (0..n_gpus).map(|_| Vec::new()).collect(),
-            rng: 0x9E3779B97F4A7C15 ^ (id as u64 + 1),
-        }
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        // xorshift64*
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    fn stream(&mut self, device: u32) -> Stream {
-        let slot = &mut self.streams[device as usize];
-        if slot.is_none() {
-            let dev = self
-                .inner
-                .gpu
-                .device(device)
-                .expect("placement produced a valid device id");
-            *slot = Some(Stream::new(&dev));
-        }
-        slot.clone().expect("just created")
-    }
-
-    /// Copy-lane streams for `device`, created on first chunked pull.
-    fn copy_lanes(&mut self, device: u32) -> Vec<Stream> {
-        let lanes = self.inner.copy_lanes;
-        let slot = &mut self.copy_streams[device as usize];
-        if slot.is_empty() {
-            let dev = self
-                .inner
-                .gpu
-                .device(device)
-                .expect("placement produced a valid device id");
-            slot.extend((0..lanes).map(|_| Stream::new(&dev)));
-        }
-        slot.clone()
-    }
-
-    fn run(mut self) {
-        if self.inner.pin_workers {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            let _ = crate::affinity::pin_current_thread(self.id % cores);
-        }
-        WORKER_DEQUE.with(|d| *d.borrow_mut() = Some(Arc::clone(&self.deque)));
-        loop {
-            // Exploit: drain the local queue.
-            while let Some(token) = self.deque.pop() {
-                self.execute(token);
-            }
-            // Explore: steal, or sleep when the system is quiet.
-            match self.wait_for_task() {
-                Some(token) => self.execute(token),
-                None => break,
-            }
-        }
-        WORKER_DEQUE.with(|d| *d.borrow_mut() = None);
-    }
-
-    /// Steal loop with the adaptive wake/sleep strategy. Returns `None`
-    /// on shutdown.
-    fn wait_for_task(&mut self) -> Option<Token> {
-        let inner = Arc::clone(&self.inner);
-        inner.num_thieves.fetch_add(1, Ordering::SeqCst);
-        loop {
-            // Bounded stealing sweep.
-            let mut backoff = hf_sync::Backoff::new();
-            while !backoff.is_completed() {
-                if let Some(token) = self.try_steal_once() {
-                    // If this was the last thief, wake a peer so one thief
-                    // remains while we turn active (paper's invariant).
-                    if inner.num_thieves.fetch_sub(1, Ordering::SeqCst) == 1 {
-                        inner.notifier.notify_one();
-                    }
-                    return Some(token);
-                }
-                backoff.snooze();
-            }
-
-            if !inner.adaptive_sleep {
-                // Ablation mode: spin forever (still honor shutdown).
-                if inner.done.load(Ordering::Acquire) {
-                    inner.num_thieves.fetch_sub(1, Ordering::SeqCst);
-                    return None;
-                }
-                continue;
-            }
-
-            // Two-phase sleep: prepare, re-check, commit.
-            let token = inner.notifier.prepare_wait();
-            if inner.done.load(Ordering::Acquire) {
-                inner.notifier.cancel_wait(token);
-                inner.num_thieves.fetch_sub(1, Ordering::SeqCst);
-                return None;
-            }
-            if self.work_visible() {
-                inner.notifier.cancel_wait(token);
-                continue;
-            }
-            // Keep one thief alive while any worker is active.
-            if inner.num_actives.load(Ordering::SeqCst) > 0
-                && inner.num_thieves.load(Ordering::SeqCst) == 1
-            {
-                inner.notifier.cancel_wait(token);
-                continue;
-            }
-            inner.stats.sleeps.incr(self.id);
-            inner.notifier.commit_wait(token);
-            inner.stats.wakeups.incr(self.id);
-        }
-    }
-
-    /// One randomized steal attempt across victims and the injector.
-    /// Our own id maps to the injector, so every draw is a real attempt
-    /// (no wasted self-steal); injector hits claim a whole batch and bank
-    /// the extras in the local deque.
-    ///
-    /// Topology-aware preference: before the random draw, probe one
-    /// victim sharing this worker's device focus (its deque most likely
-    /// holds tasks placed where this worker's streams and caches are
-    /// already warm). Misses fall straight through to the random sweep,
-    /// so the affine pass can delay but never prevent a steal.
-    fn try_steal_once(&mut self) -> Option<Token> {
-        let inner = Arc::clone(&self.inner);
-        let n = inner.stealers.len();
-        inner.stats.steal_attempts.incr(self.id);
-        let focus = inner.worker_focus[self.id].load(Ordering::Relaxed);
-        if focus != u64::MAX && n > 1 {
-            let start = (self.next_rand() % n as u64) as usize;
-            for k in 0..n {
-                let v = (start + k) % n;
-                if v == self.id || inner.worker_focus[v].load(Ordering::Relaxed) != focus {
-                    continue;
-                }
-                if let Steal::Success(token) = inner.stealers[v].steal() {
-                    inner.stats.steals.incr(self.id);
-                    inner.stats.steals_affine.incr(self.id);
-                    return Some(token);
-                }
-                // One affine probe per attempt; empty or contended falls
-                // back to the random draw below.
-                break;
-            }
-        }
-        let v = (self.next_rand() % n as u64) as usize;
-        if v == self.id {
-            let mut first = None;
-            let deque = &self.deque;
-            let got = inner.injector.pop_batch(STEAL_BATCH, |t| {
-                if first.is_none() {
-                    first = Some(t);
-                } else {
-                    deque.push(t);
-                }
-            });
-            if got > 0 {
-                inner.stats.steals.incr(self.id);
-                return first;
-            }
-        } else {
-            match inner.stealers[v].steal() {
-                Steal::Success(token) => {
-                    inner.stats.steals.incr(self.id);
-                    return Some(token);
-                }
-                Steal::Retry | Steal::Empty => {}
-            }
-        }
-        None
-    }
-
-    /// True if any queue plausibly holds work (used to re-check before
-    /// sleeping). Lock-free: probes the injector and deque tops.
-    fn work_visible(&self) -> bool {
-        if !self.inner.injector.is_empty() {
-            return true;
-        }
-        self.inner.stealers.iter().any(|s| !s.is_empty())
-    }
-
-    /// Executes a work token — the visitor dispatch of §III-C. Host tasks
-    /// complete synchronously on this worker; GPU tasks are *dispatched*
-    /// asynchronously to the device stream (the worker is immediately
-    /// free, so one core can drive many GPUs concurrently), with a
-    /// stream-ordered completion callback releasing the successors — the
-    /// fully asynchronous pattern of Listing 13.
-    fn execute(&mut self, token: Token) {
-        let (slot, node) = unpack(token);
-        let topo = self.inner.registry.resolve(slot);
-        let inner = Arc::clone(&self.inner);
-        inner.num_actives.fetch_add(1, Ordering::SeqCst);
-        // Ensure a thief exists while we are active.
-        if inner.num_thieves.load(Ordering::SeqCst) == 0 {
-            inner.notifier.notify_one();
-        }
-
-        let worker = Some(self.id as u32);
-        inner.emit_task(&topo, LifecyclePhase::Started, node, worker, None, true, None);
-
-        // Bodies are skipped (but the round still drains) when the run
-        // failed, the caller cancelled, or a failover is pending — the
-        // last keeps successors of a dead device's tasks from consuming
-        // half-failed state; skipped nodes replay after the failover.
-        let skip = topo.cancelled.load(Ordering::Acquire)
-            || topo.cancel_requested()
-            || topo.failover_pending.load(Ordering::Acquire);
-        // Counted before `invoke`: an async GPU chain can complete, and
-        // resolve the run's future, before `invoke` returns, and a
-        // snapshot taken right after `wait()` must already include it.
-        inner.stats.tasks_executed.incr(self.id);
-        // `Some(ok)`: the node finishes here, with any chain fused behind
-        // it (members are never scheduled individually, so a skipped head
-        // must finish them). `None`: a device stream's completion
-        // callback or the failure routine owns it.
-        let finish = if skip {
-            Some(false)
-        } else {
-            match self.invoke(&topo, node) {
-                Ok(dispatched_async) => (!dispatched_async).then_some(true),
-                Err(e) => {
-                    inner.fail_task(&topo, node, topo.fusion().chain(node), worker, None, e);
-                    None
-                }
-            }
-        };
-        if let Some(ok) = finish {
-            inner.finish_nodes(&topo, topo.fusion().chain(node), worker, None, ok);
-        }
-        inner.num_actives.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Runs one task body. Returns `Ok(true)` when completion was handed
-    /// to a device stream (asynchronous GPU task), `Ok(false)` when the
-    /// task finished synchronously.
-    fn invoke(&mut self, topo: &Arc<Topology>, id: usize) -> Result<bool, HfError> {
-        let node = &topo.frozen.nodes[id];
-        match &node.work {
-            Work::Empty => Err(HfError::EmptyTask {
-                task: node.name.to_string(),
-            }),
-            Work::Host(f) => {
-                let f = Arc::clone(f);
-                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                    (f.lock())()
-                }));
-                res.map(|_| false).map_err(|_| HfError::TaskPanicked {
-                    task: node.name.to_string(),
-                })
-            }
-            Work::Pull { .. } | Work::Push { .. } | Work::Kernel { .. } => {
-                self.dispatch_gpu_chain(topo, id)?;
-                Ok(true)
-            }
-        }
-    }
-
-    /// Dispatches a GPU task and its fused chain (§III-C "task fusing"):
-    /// all ops are prepared first (any error aborts before a single
-    /// enqueue), then submitted to the per-worker stream back-to-back
-    /// with one completion callback finishing every chain node in order.
-    ///
-    /// Fault tolerance: each op checks its device's fault injector and
-    /// the cancellation flags before doing anything, and records the
-    /// first failure in a shared [`ChainState`]. Faults fire *before* an
-    /// op's effect, so the completion callback can finish the completed
-    /// prefix normally and route just the failed suffix through the retry
-    /// policy (retry re-dispatches the failed member, which re-walks the
-    /// chain from there).
-    fn dispatch_gpu_chain(&mut self, topo: &Arc<Topology>, head: usize) -> Result<(), HfError> {
-        let placement = topo.placement();
-        let fusion = topo.fusion();
-        let dev_id = placement.device_of[head].expect("GPU task placed");
-        let device = self.inner.gpu.device(dev_id)?;
-        let _ctx = ScopedDeviceContext::new(dev_id);
-        // Publish this worker's device focus for topology-aware stealing:
-        // peers whose last GPU chain hit the same device likely queue
-        // work warm on it.
-        self.inner.worker_focus[self.id].store(dev_id as u64, Ordering::Relaxed);
-
-        let state = Arc::new(ChainState::default());
-        let chain: Vec<usize> = fusion.chain(head).collect();
-        let ops = chain
-            .iter()
-            .map(|&id| self.prepare_op(topo, id, &device, &state))
-            .collect::<Result<Vec<_>, _>>()?;
-        if chain.len() > 1 {
-            self.inner.stats.fused.add(self.id, (chain.len() - 1) as u64);
-            // Members never pass through `execute`; account for them.
-            self.inner
-                .stats
-                .tasks_executed
-                .add(self.id, (chain.len() - 1) as u64);
-        }
-
-        let stream = self.stream(dev_id);
-        // Dispatched events fire before the first op is enqueued: the
-        // engine may complete (and emit Finished for) the chain the
-        // moment an op lands on the stream.
-        let chain_head = Some(head as u32);
-        if self.inner.lc_active() {
-            let worker = Some(self.id as u32);
-            for &nid in &chain {
-                self.inner
-                    .emit_task(topo, LifecyclePhase::Dispatched, nid, worker, chain_head, true, None);
-            }
-        }
-        // Label ops with task name/kind only when a device trace sink is
-        // installed; the engine drops the label unused when tracing is
-        // off.
-        let tracing = self.inner.gpu.tracing_enabled();
-        for (&nid, op) in chain.iter().zip(ops) {
-            let label = tracing.then(|| {
-                let n = &topo.frozen.nodes[nid];
-                hf_gpu::OpLabel {
-                    name: Arc::clone(&n.name),
-                    tag: crate::observer::kind_to_tag(n.work.kind()),
-                    epoch: topo.epoch,
-                }
-            });
-            match op {
-                PreparedOp::Single(f) => stream.exec_labeled(label, f),
-                PreparedOp::ChunkedPull(pull) => {
-                    pull.enqueue_chunked(&stream, &self.copy_lanes(dev_id), label);
-                }
-            }
-        }
-        let inner = Arc::clone(&self.inner);
-        let topo2 = Arc::clone(topo);
-        let state2 = Arc::clone(&state);
-        stream.host_fn(move || {
-            let err = state2.error.lock().clone();
-            let done = state2.done.load(Ordering::Acquire);
-            match err {
-                // `done < len` without an error means ops were skipped by
-                // cancellation — finish unsuccessfully so a failover (if
-                // one is pending) replays them.
-                None => {
-                    let all_ok = done == chain.len();
-                    inner.finish_nodes(&topo2, chain, None, chain_head, all_ok);
-                }
-                // The completed prefix finished normally; the failed
-                // member and the suffix that never ran go to the policy.
-                Some(e) => {
-                    let (prefix, rest) = chain.split_at(done);
-                    inner.finish_nodes(&topo2, prefix.iter().copied(), None, chain_head, true);
-                    inner.fail_task(&topo2, rest[0], rest.iter().copied(), None, chain_head, e);
-                }
-            }
-        });
-        Ok(())
-    }
-
-    /// Builds the device op for one GPU node (without enqueueing it).
-    /// Pulls and pushes are the transfer engine's ([`crate::transfer`]);
-    /// a pull it wants pipelined comes back as a descriptor that
-    /// `dispatch_gpu_chain` enqueues across the copy lanes.
-    fn prepare_op(
-        &mut self,
-        topo: &Arc<Topology>,
-        id: usize,
-        device: &Device,
-        state: &Arc<ChainState>,
-    ) -> Result<PreparedOp, HfError> {
-        let frozen: &FrozenGraph = &topo.frozen;
-        let node = &frozen.nodes[id];
-        let dev_id = device.id();
-        match &node.work {
-            Work::Pull { source } => {
-                transfer::prepare_pull(&self.inner, topo, id, source, device, state)
-            }
-            Work::Push { source_pull, sink } => transfer::prepare_push(
-                &self.inner,
-                topo,
-                id,
-                *source_pull,
-                sink,
-                device,
-                state,
-            ),
-            Work::Kernel { func, sources } => {
-                let mut ptrs = Vec::with_capacity(sources.len());
-                for &s in sources {
-                    let pull_node = &frozen.nodes[s];
-                    let p = topo.pull_state(s).lock().ptr.ok_or_else(|| {
-                        HfError::SourceNotPulled {
-                            kernel: node.name.to_string(),
-                            pull: pull_node.name.to_string(),
-                        }
-                    })?;
-                    debug_assert_eq!(
-                        p.device, dev_id,
-                        "placement must co-locate kernels with their pulls"
-                    );
-                    ptrs.push(p);
-                }
-                let cfg: LaunchConfig = node.cfg;
-                let work_units = if node.work_units > 0.0 {
-                    node.work_units
-                } else {
-                    cfg.total_threads() as f64
-                };
-                let func = Arc::clone(func);
-                let src_ids = sources.clone();
-                let topo2 = Arc::clone(topo);
-                let state2 = Arc::clone(state);
-                let dev = device.clone();
-                let inner = Arc::clone(&self.inner);
-                let task_name = Arc::clone(&node.name);
-                Ok(PreparedOp::Single(Box::new(move |view, cost| {
-                    if state2.skip(&topo2) {
-                        return Ok(OpReport::default());
-                    }
-                    if let Err(e) = dev.fault_check(FaultSite::Kernel) {
-                        state2.fail(HfError::TaskFailed {
-                            task: task_name.to_string(),
-                            source: e.clone(),
-                        });
-                        return Err(e);
-                    }
-                    // Kernels take mutable views of their sources with no
-                    // declared access modes, so assume every source buffer
-                    // is mutated: its device bytes no longer match any
-                    // host version. (A faulted kernel above never ran, so
-                    // residency survives the retry.)
-                    for &sid in &src_ids {
-                        transfer::clear_residency(&topo2, sid);
-                    }
-                    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut args = KernelArgs::new(view, &ptrs);
-                        func(&cfg, &mut args);
-                    }));
-                    if res.is_err() {
-                        state2.fail(HfError::TaskPanicked {
-                            task: task_name.to_string(),
-                        });
-                        return Ok(OpReport::default());
-                    }
-                    let dur = cost.kernel(work_units);
-                    inner.observe_cost(&topo2.frozen.name, &task_name, dur.as_nanos() as f64);
-                    state2.done.fetch_add(1, Ordering::Release);
-                    Ok(OpReport {
-                        duration: dur,
-                        kernels: 1,
-                        ..Default::default()
-                    })
-                })))
-            }
-            Work::Empty | Work::Host(_) => unreachable!("not a GPU task"),
-        }
-    }
 }
 
 /// Shared failure/progress state of one dispatched GPU chain: how many
@@ -1971,7 +1486,7 @@ impl Worker {
 #[derive(Default)]
 pub(crate) struct ChainState {
     pub(crate) done: AtomicUsize,
-    error: Mutex<Option<HfError>>,
+    pub(crate) error: Mutex<Option<HfError>>,
 }
 
 impl ChainState {
@@ -1998,6 +1513,7 @@ mod tests {
     use super::*;
     use crate::data::HostVec;
     use crate::graph::Heteroflow;
+    use hf_gpu::FaultSite;
     use std::sync::atomic::AtomicUsize;
 
     #[test]

@@ -75,6 +75,7 @@ pub(crate) mod stream;
 pub mod task;
 pub(crate) mod topology;
 pub(crate) mod transfer;
+pub(crate) mod worker;
 
 pub use admission::{
     AdmissionPolicy, Fifo, LaneView, StrictPriority, TenantConfig, TenantId, WeightedFair,
