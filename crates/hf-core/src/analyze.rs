@@ -296,7 +296,7 @@ pub(crate) fn run(b: &Builder) -> Report {
     // HF001: cycle with full path.
     let cycle = cycle_path(&succ);
     if let Some(ids) = &cycle {
-        let tasks: Vec<String> = ids.iter().map(|&i| b.nodes[i].name.clone()).collect();
+        let tasks: Vec<String> = ids.iter().map(|&i| b.nodes[i].name.to_string()).collect();
         let message = format!(
             "tasks form a dependency cycle: {} -> '{}'; the graph cannot be scheduled",
             tasks
@@ -321,7 +321,7 @@ pub(crate) fn run(b: &Builder) -> Report {
             diagnostics.push(Diagnostic {
                 code: "HF007",
                 severity: Severity::Error,
-                tasks: vec![node.name.clone()],
+                tasks: vec![node.name.to_string()],
                 task_ids: vec![i],
                 message: format!(
                     "placeholder '{}' was never assigned work; executing it fails with EmptyTask",
@@ -337,7 +337,7 @@ pub(crate) fn run(b: &Builder) -> Report {
     for node in &b.nodes {
         match &node.work {
             Work::Kernel { sources, .. } => {
-                for &p in sources {
+                for &p in sources.iter() {
                     pull_feeds_kernel[p] = true;
                 }
             }
@@ -356,7 +356,7 @@ pub(crate) fn run(b: &Builder) -> Report {
                 diagnostics.push(Diagnostic {
                     code: "HF004",
                     severity: Severity::Warning,
-                    tasks: vec![node.name.clone(), b.nodes[*source_pull].name.clone()],
+                    tasks: vec![node.name.to_string(), b.nodes[*source_pull].name.to_string()],
                     task_ids: vec![i, *source_pull],
                     message: format!(
                         "push '{}' writes back device data of pull '{}' that no kernel \
@@ -370,7 +370,7 @@ pub(crate) fn run(b: &Builder) -> Report {
                 diagnostics.push(Diagnostic {
                     code: "HF005",
                     severity: Severity::Warning,
-                    tasks: vec![node.name.clone()],
+                    tasks: vec![node.name.to_string()],
                     task_ids: vec![i],
                     message: format!(
                         "pull '{}' copies data to the device but no kernel or push \
@@ -460,12 +460,12 @@ fn path_lints(b: &Builder, succ: &[&[usize]], diagnostics: &mut Vec<Diagnostic>)
     for (i, node) in b.nodes.iter().enumerate() {
         match &node.work {
             Work::Kernel { sources, .. } => {
-                for &p in sources {
+                for &p in sources.iter() {
                     if !is_ancestor(p, i) {
                         diagnostics.push(Diagnostic {
                             code: "HF003",
                             severity: Severity::Error,
-                            tasks: vec![node.name.clone(), b.nodes[p].name.clone()],
+                            tasks: vec![node.name.to_string(), b.nodes[p].name.to_string()],
                             task_ids: vec![i, p],
                             message: format!(
                                 "kernel '{}' reads device data of pull '{}' but has no \
@@ -480,7 +480,7 @@ fn path_lints(b: &Builder, succ: &[&[usize]], diagnostics: &mut Vec<Diagnostic>)
                 diagnostics.push(Diagnostic {
                     code: "HF003",
                     severity: Severity::Error,
-                    tasks: vec![node.name.clone(), b.nodes[*source_pull].name.clone()],
+                    tasks: vec![node.name.to_string(), b.nodes[*source_pull].name.to_string()],
                     task_ids: vec![i, *source_pull],
                     message: format!(
                         "push '{}' copies device data of pull '{}' but has no \
@@ -515,13 +515,14 @@ fn path_lints(b: &Builder, succ: &[&[usize]], diagnostics: &mut Vec<Diagnostic>)
                 }
             }
             Work::Host(_) => {
-                for &id in &node.reads {
+                let (reads, writes) = node.attrs.as_ref().map_or((&[][..], &[][..]), |a| (&a.reads, &a.writes));
+                for &id in reads {
                     accesses.entry(id).or_default().push(Access {
                         node: i,
                         write: false,
                     });
                 }
-                for &id in &node.writes {
+                for &id in writes {
                     accesses.entry(id).or_default().push(Access {
                         node: i,
                         write: true,
@@ -546,7 +547,7 @@ fn path_lints(b: &Builder, succ: &[&[usize]], diagnostics: &mut Vec<Diagnostic>)
                 diagnostics.push(Diagnostic {
                     code: "HF002",
                     severity: Severity::Error,
-                    tasks: vec![b.nodes[x].name.clone(), b.nodes[y].name.clone()],
+                    tasks: vec![b.nodes[x].name.to_string(), b.nodes[y].name.to_string()],
                     task_ids: vec![x, y],
                     message: format!(
                         "'{}' and '{}' access the same host buffer with no dependency \
@@ -571,7 +572,7 @@ fn path_lints(b: &Builder, succ: &[&[usize]], diagnostics: &mut Vec<Diagnostic>)
                 diagnostics.push(Diagnostic {
                     code: "HF006",
                     severity: Severity::Info,
-                    tasks: vec![b.nodes[u].name.clone(), b.nodes[v].name.clone()],
+                    tasks: vec![b.nodes[u].name.to_string(), b.nodes[v].name.to_string()],
                     task_ids: vec![u, v],
                     message: format!(
                         "edge '{}' -> '{}' is redundant: a longer dependency path \

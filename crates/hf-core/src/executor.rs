@@ -19,8 +19,9 @@
 //!   resolved through a lock-free slot registry — no per-task `Box`;
 //! * the shared inbox is a lock-free segmented [`Injector`] with batch
 //!   push/pop instead of a `Mutex<VecDeque>`;
-//! * releasing successors batches all newly-ready nodes into one injector
-//!   spray plus one coalesced `notify_n` wakeup;
+//! * a finishing task hands its first ready successor straight back to
+//!   the worker's burst loop and batches the others into one injector
+//!   spray plus one coalesced `notify_n` wakeup ([`ReadyBatch`]);
 //! * re-running an unchanged graph reuses the cached freeze + placement +
 //!   fusion plan (see [`crate::graph::SchedCache`]).
 
@@ -32,6 +33,7 @@ use crate::placement::PlacementPolicy;
 use crate::retry::{OnDeviceLoss, RetryPolicy};
 use crate::stats::ExecutorStats;
 use crate::topology::{FusionPlan, RunFuture, Topology};
+use crate::worker::Local;
 use hf_gpu::{GpuConfig, GpuError, GpuRuntime};
 use hf_sync::{Injector, Notifier, Steal, StealDeque, Stealer};
 use parking_lot::{Condvar, Mutex};
@@ -56,9 +58,93 @@ pub(crate) fn unpack(token: Token) -> (u32, usize) {
     ((token >> 32) as u32, (token & 0xFFFF_FFFF) as usize)
 }
 
-/// Newly-ready nodes are dispatched in chunks of this size: one chunk is
-/// one injector spray and one coalesced wakeup.
+/// Chunk size of a [`ReadyBatch`]: one injector spray, one wakeup.
 const RELEASE_BATCH: usize = 32;
+
+/// Newly-ready nodes of one topology on their way to the queues — the one
+/// way a node becomes runnable. On a worker thread (`local` set) the first
+/// node pushed while the worker's continuation slot is free goes there: the
+/// burst loop runs it next, with no deque round trip and no wakeup. The
+/// rest are flushed a chunk at a time, the last chunk when the batch drops.
+struct ReadyBatch<'a, 'w> {
+    exec: &'a ExecInner,
+    topo: &'a Topology,
+    slot: u32,
+    local: Option<&'a mut Local<'w>>,
+    buf: [Token; RELEASE_BATCH],
+    len: usize,
+}
+
+impl<'a, 'w> ReadyBatch<'a, 'w> {
+    fn new(exec: &'a ExecInner, topo: &'a Topology, local: Option<&'a mut Local<'w>>) -> Self {
+        Self {
+            exec,
+            topo,
+            slot: topo.slot.load(Ordering::Relaxed),
+            local,
+            buf: [0; RELEASE_BATCH],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, node: usize) {
+        let token = pack(self.slot, node);
+        if let Some(local) = self.local.as_deref_mut().filter(|l| l.next.is_none()) {
+            // `Ready` fires before the token is stealable *or run*.
+            self.exec
+                .emit_task(self.topo, LifecyclePhase::Ready, node, None, None, true, None);
+            local.next = Some(token);
+            return;
+        }
+        if self.len == RELEASE_BATCH {
+            self.flush();
+        }
+        self.buf[self.len] = token;
+        self.len += 1;
+    }
+
+    /// Makes the collected tokens runnable: the first goes to the lending
+    /// worker's own deque, the rest across the injector in one lock-free
+    /// batch push, with one coalesced wakeup proportional to the batch.
+    fn flush(&mut self) {
+        let len = std::mem::take(&mut self.len);
+        let tokens = &self.buf[..len];
+        let Some((&first, others)) = tokens.split_first() else {
+            return;
+        };
+        let exec = self.exec;
+        // `Ready` before the tokens are stealable: once pushed, a peer can
+        // run the token, drain the round and deregister the slot.
+        if exec.lc_active() {
+            for &t in tokens {
+                exec.emit_task(self.topo, LifecyclePhase::Ready, unpack(t).1, None, None, true, None);
+            }
+        }
+        let rest = match &self.local {
+            Some(local) => {
+                local.deque.push(first);
+                others
+            }
+            None => tokens,
+        };
+        if !rest.is_empty() {
+            exec.injector.push_batch(rest);
+            if rest.len() > 1 {
+                exec.stats.injector_batches.incr();
+            }
+        }
+        if !others.is_empty() {
+            exec.stats.notify_coalesced.add(others.len() as u64);
+        }
+        exec.notifier.notify_n(tokens.len());
+    }
+}
+
+impl Drop for ReadyBatch<'_, '_> {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
 
 /// Default byte size above which a pull is pipelined in chunks across the
 /// copy-lane streams. Large enough that typical test graphs stay on the
@@ -691,7 +777,7 @@ impl ExecutorBuilder {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("hf-worker-{id}"))
-                    .spawn(move || crate::worker::run_worker(id, deque, inner))
+                    .spawn(move || crate::worker::Worker::new(id, deque, inner).run())
                     .expect("spawn executor worker")
             })
             .collect();
@@ -754,12 +840,12 @@ impl Executor {
     }
 
     /// Statistics snapshot extended with the executor's *live* scheduling
-    /// gauges: `inflight_tasks` (task bodies currently executing on
-    /// workers) and `queue_depth` (tokens waiting in the injector plus
-    /// every worker deque). Unlike the counters these are point-in-time
-    /// reads of moving state — exactly what an external health monitor
-    /// needs to distinguish "busy" from "stuck". Plain
-    /// [`ExecutorStats::snapshot`] leaves both at zero.
+    /// gauges: `inflight_tasks` (workers inside an exploit burst, each
+    /// running a task body or between two) and `queue_depth` (tokens
+    /// waiting in the injector plus every worker deque). Unlike the
+    /// counters these are point-in-time reads of moving state — exactly
+    /// what an external health monitor needs to distinguish "busy" from
+    /// "stuck". Plain [`ExecutorStats::snapshot`] leaves both at zero.
     pub fn snapshot(&self) -> crate::stats::StatsSnapshot {
         let mut s = self.inner.stats.snapshot();
         s.inflight_tasks = self.inner.num_actives.load(Ordering::SeqCst) as u64;
@@ -1016,27 +1102,18 @@ impl ExecInner {
         }
     }
 
-    /// Schedules the source nodes in injector-spray batches. Sources
-    /// that are heads of the epoch gate are skipped: the gate is still
-    /// closed (it opens only after this returns), so their inflated join
-    /// counter is nonzero until [`ExecInner::open_gate`] consumes it when
-    /// the previous epoch of the stream completes.
+    /// Schedules the source nodes. Sources that are heads of the epoch
+    /// gate are skipped: the gate is still closed (it opens only after
+    /// this returns), so their inflated join counter is nonzero until
+    /// [`ExecInner::open_gate`] consumes it when the previous epoch of the
+    /// stream completes.
     fn schedule_sources(&self, topo: &Arc<Topology>) {
-        let slot = topo.slot.load(Ordering::Relaxed);
-        let mut buf = [0 as Token; RELEASE_BATCH];
-        let mut n = 0;
+        let mut ready = ReadyBatch::new(self, topo, None);
         for &id in &topo.frozen.sources {
-            if topo.join[id].load(Ordering::Relaxed) != 0 {
-                continue;
+            if topo.join[id].load(Ordering::Relaxed) == 0 {
+                ready.push(id);
             }
-            if n == RELEASE_BATCH {
-                self.dispatch_batch(&buf);
-                n = 0;
-            }
-            buf[n] = pack(slot, id);
-            n += 1;
         }
-        self.dispatch_batch(&buf[..n]);
     }
 
     /// Opens a streaming epoch's body gate: consumes the extra join
@@ -1050,64 +1127,16 @@ impl ExecInner {
         if g.opened.swap(true, Ordering::AcqRel) {
             return;
         }
-        let slot = topo.slot.load(Ordering::Acquire);
-        if slot == u32::MAX {
+        if topo.slot.load(Ordering::Acquire) == u32::MAX {
             return;
         }
         let fusion = topo.fusion();
-        let mut buf = [0 as Token; RELEASE_BATCH];
-        let mut n = 0;
+        let mut ready = ReadyBatch::new(self, topo, None);
         for &h in &g.heads {
             if topo.join[h].fetch_sub(1, Ordering::AcqRel) == 1 && !fusion.member[h] {
-                if n == RELEASE_BATCH {
-                    self.dispatch_batch(&buf);
-                    n = 0;
-                }
-                buf[n] = pack(slot, h);
-                n += 1;
+                ready.push(h);
             }
         }
-        self.dispatch_batch(&buf[..n]);
-    }
-
-    /// Dispatches a batch of ready tokens: the first goes to the calling
-    /// worker's local deque (when on a worker thread), the rest are
-    /// sprayed across the injector in one lock-free batch push; thieves
-    /// are woken with a single coalesced notification proportional to the
-    /// batch size.
-    fn dispatch_batch(&self, tokens: &[Token]) {
-        let k = tokens.len();
-        if k == 0 {
-            return;
-        }
-        // Ready events must fire before the tokens become stealable:
-        // once pushed, a peer can execute the token, drain the round, and
-        // deregister the slot — after which it no longer resolves.
-        if self.lc_active() {
-            for &t in tokens {
-                let (slot, node) = unpack(t);
-                let topo = self.registry.resolve(slot);
-                self.emit_task(&topo, LifecyclePhase::Ready, node, None, None, true, None);
-            }
-        }
-        let local_took = WORKER_DEQUE.with(|d| match d.borrow().as_ref() {
-            Some(local) => {
-                local.push(tokens[0]);
-                true
-            }
-            None => false,
-        });
-        let rest = if local_took { &tokens[1..] } else { tokens };
-        if !rest.is_empty() {
-            self.injector.push_batch(rest);
-            if rest.len() > 1 {
-                self.stats.injector_batches.incr();
-            }
-        }
-        if k > 1 {
-            self.stats.notify_coalesced.add((k - 1) as u64);
-        }
-        self.notifier.notify_n(k);
     }
 
     /// Completes one epoch topology: releases its registry slot, emits
@@ -1152,35 +1181,32 @@ impl ExecInner {
     }
 
     /// Marks a node finished: records whether it succeeded (failover
-    /// replay bookkeeping), releases its successors (batched) and, if it
-    /// was the round's last node, ends the round. Called from worker
-    /// threads (synchronous host tasks) and from device engine threads
-    /// (the stream-ordered completion callbacks of GPU tasks). Failed and
-    /// skipped nodes still release successors so the round always drains
-    /// — never hangs — with the skip flags keeping bodies from consuming
-    /// half-failed state.
-    fn finish_node(&self, topo: &Arc<Topology>, node: usize, ok: bool) {
+    /// replay bookkeeping), releases its successors and, if it was the
+    /// round's last node, ends the round. Called from worker threads
+    /// (synchronous host tasks; `local` is what the worker lends, see
+    /// [`ReadyBatch`]) and from device engine threads (the stream-ordered
+    /// completion callbacks of GPU tasks). Failed and skipped nodes still
+    /// release successors so the round always drains — never hangs — with
+    /// the skip flags keeping bodies from consuming half-failed state.
+    fn finish_node(
+        &self,
+        topo: &Arc<Topology>,
+        fusion: &FusionPlan,
+        node: usize,
+        ok: bool,
+        mut local: Option<&mut Local<'_>>,
+    ) {
         topo.round_ok[node].store(ok, Ordering::Release);
-        let slot = topo.slot.load(Ordering::Relaxed);
-        let fusion = topo.fusion();
-        let mut buf = [0 as Token; RELEASE_BATCH];
-        let mut n = 0;
-        for &s in &topo.frozen.nodes[node].succ {
-            if topo.join[s].fetch_sub(1, Ordering::AcqRel) == 1 {
+        {
+            let mut ready = ReadyBatch::new(self, topo, local.as_deref_mut());
+            for &s in topo.frozen.succ(node) {
+                let s = s as usize;
                 // Fused chain members were dispatched with their head;
                 // whoever finished the head also finishes them in order.
-                if !fusion.member[s] {
-                    if n == RELEASE_BATCH {
-                        self.dispatch_batch(&buf);
-                        n = 0;
-                    }
-                    buf[n] = pack(slot, s);
-                    n += 1;
+                if topo.join[s].fetch_sub(1, Ordering::AcqRel) == 1 && !fusion.member[s] {
+                    ready.push(s);
                 }
             }
-        }
-        if n > 0 {
-            self.dispatch_batch(&buf[..n]);
         }
         // Streaming admission: when the last prologue node (host tasks and
         // pulls) of an epoch drains, fire the session's hook so the next
@@ -1201,7 +1227,7 @@ impl ExecInner {
             }
         }
         if topo.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.end_round(topo);
+            self.end_round(topo, local);
         }
     }
 
@@ -1209,11 +1235,11 @@ impl ExecInner {
     /// lost on the way replays the unfinished part on a re-placed device
     /// assignment (skipped when the epoch already failed or was
     /// cancelled); otherwise the pass is complete and the epoch finishes.
-    fn end_round(&self, topo: &Arc<Topology>) {
+    fn end_round(&self, topo: &Arc<Topology>, local: Option<&mut Local<'_>>) {
         if topo.failover_pending.load(Ordering::Acquire)
             && !topo.cancelled.load(Ordering::Acquire)
             && !topo.cancel_requested()
-            && self.try_failover(topo)
+            && self.try_failover(topo, local)
         {
             return;
         }
@@ -1259,18 +1285,22 @@ impl ExecInner {
 
     /// Finishes `nodes` in order, each behind its `Finished` event — the
     /// closing event always precedes [`ExecInner::finish_node`], so an
-    /// observer has it before the run can settle.
+    /// observer has it before the run can settle. `fusion` is the current
+    /// plan: a worker's burst holds it, a callback reads [`Topology::fusion`].
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish_nodes(
         &self,
         topo: &Arc<Topology>,
+        fusion: &FusionPlan,
         nodes: impl IntoIterator<Item = usize>,
         worker: Option<u32>,
         chain: Option<u32>,
         ok: bool,
+        mut local: Option<&mut Local<'_>>,
     ) {
         for node in nodes {
             self.emit_task(topo, LifecyclePhase::Finished, node, worker, chain, ok, None);
-            self.finish_node(topo, node, ok);
+            self.finish_node(topo, fusion, node, ok, local.as_deref_mut());
         }
     }
 
@@ -1281,14 +1311,17 @@ impl ExecInner {
     /// `failed` itself, then the members fused behind it. A retry
     /// re-queues `failed`, which re-walks its chain from there; otherwise
     /// all of `rest` finishes unsuccessfully.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn fail_task(
         &self,
         topo: &Arc<Topology>,
+        fusion: &FusionPlan,
         failed: usize,
         rest: impl IntoIterator<Item = usize>,
         worker: Option<u32>,
         chain: Option<u32>,
         err: HfError,
+        local: Option<&mut Local<'_>>,
     ) {
         let action = self.failure_action(topo, failed, &err);
         let phase = match action {
@@ -1303,16 +1336,15 @@ impl ExecInner {
                 if !delay.is_zero() {
                     std::thread::sleep(delay);
                 }
-                // Lands in the worker's own deque, or — from a device
-                // engine thread — in the injector.
-                let slot = topo.slot.load(Ordering::Relaxed);
-                self.dispatch_batch(&[pack(slot, failed)]);
+                // Runs next on this worker, or — from a device engine
+                // thread — goes to the injector.
+                ReadyBatch::new(self, topo, local).push(failed);
                 return;
             }
             FailureAction::Failover => topo.request_failover(err),
             FailureAction::Fail => topo.fail(err),
         }
-        self.finish_nodes(topo, rest, worker, chain, false);
+        self.finish_nodes(topo, fusion, rest, worker, chain, false, local);
     }
 
     /// Performs a device failover at a drained round boundary: re-places
@@ -1321,7 +1353,7 @@ impl ExecInner {
     /// failover could not be performed (budget exhausted, no survivors, or
     /// replay would double-apply a completed push) — the run then fails
     /// with the triggering error.
-    fn try_failover(&self, topo: &Arc<Topology>) -> bool {
+    fn try_failover(&self, topo: &Arc<Topology>, local: Option<&mut Local<'_>>) -> bool {
         let cause = match topo.failover.lock().take() {
             Some(c) => c,
             None => return false,
@@ -1399,7 +1431,7 @@ impl ExecInner {
         // Device buffers on lost devices vanished with their arenas; a
         // replayed pull re-allocates on its new device. (Nothing to free —
         // the device is gone.)
-        for i in 0..frozen.nodes.len() {
+        for i in (0..n).filter(|&i| frozen.kind(i) == TaskKind::Pull) {
             let mut st = topo.pull_state(i).lock();
             if let Some(p) = st.ptr {
                 if lost.get(p.device as usize).copied().unwrap_or(true) {
@@ -1429,9 +1461,9 @@ impl ExecInner {
         let mut join = vec![0usize; n];
         for u in 0..n {
             if !ok[u] {
-                for &s in &frozen.nodes[u].succ {
-                    if !ok[s] {
-                        join[s] += 1;
+                for &s in frozen.succ(u) {
+                    if !ok[s as usize] {
+                        join[s as usize] += 1;
                     }
                 }
             }
@@ -1445,8 +1477,7 @@ impl ExecInner {
         for (b, &o) in topo.round_ok.iter().zip(&ok) {
             b.store(o, Ordering::Relaxed);
         }
-        *topo.placement.write() = Arc::new(new_placement);
-        *topo.fusion.write() = Arc::new(masked);
+        topo.replace_plans(new_placement, masked);
         topo.pending.store(replay, Ordering::Release);
 
         // Lift the skip barrier before dispatching replay work.
@@ -1454,57 +1485,11 @@ impl ExecInner {
         self.emit_run(topo, LifecyclePhase::Failover, true, Some(&cause));
 
         let fusion = topo.fusion();
-        let slot = topo.slot.load(Ordering::Relaxed);
-        let mut buf = [0 as Token; RELEASE_BATCH];
-        let mut k = 0;
-        for i in 0..n {
-            if !ok[i] && join[i] == 0 && !fusion.member[i] {
-                if k == RELEASE_BATCH {
-                    self.dispatch_batch(&buf);
-                    k = 0;
-                }
-                buf[k] = pack(slot, i);
-                k += 1;
-            }
+        let mut ready = ReadyBatch::new(self, topo, local);
+        for i in (0..n).filter(|&i| !ok[i] && join[i] == 0 && !fusion.member[i]) {
+            ready.push(i);
         }
-        self.dispatch_batch(&buf[..k]);
         true
-    }
-}
-
-thread_local! {
-    /// The owning side of the current worker's deque, when the thread is
-    /// an executor worker.
-    pub(crate) static WORKER_DEQUE: std::cell::RefCell<Option<Arc<StealDeque<Token>>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Shared failure/progress state of one dispatched GPU chain: how many
-/// ops completed (the chain prefix) and the first error, recorded by the
-/// op closures on the device engine thread and consumed by the stream's
-/// completion callback.
-#[derive(Default)]
-pub(crate) struct ChainState {
-    pub(crate) done: AtomicUsize,
-    pub(crate) error: Mutex<Option<HfError>>,
-}
-
-impl ChainState {
-    /// Records the first failure; later ops in the chain then skip.
-    pub(crate) fn fail(&self, e: HfError) {
-        let mut g = self.error.lock();
-        if g.is_none() {
-            *g = Some(e);
-        }
-    }
-
-    /// True when this op should do nothing: an earlier chain op failed,
-    /// the run already failed, or the caller cancelled — cooperative
-    /// cancellation propagated into ops already enqueued on the stream.
-    pub(crate) fn skip(&self, topo: &Topology) -> bool {
-        self.error.lock().is_some()
-            || topo.cancelled.load(Ordering::Acquire)
-            || topo.cancel_requested()
     }
 }
 

@@ -49,8 +49,9 @@ impl fmt::Display for TaskKind {
     }
 }
 
-/// Shareable host-task callable.
-pub(crate) type HostFn = Arc<Mutex<Box<dyn FnMut() + Send>>>;
+/// Shareable host-task callable: reference counts, lock and closure in
+/// one allocation.
+pub(crate) type HostFn = Arc<Mutex<dyn FnMut() + Send>>;
 
 /// Work payload of a node (builder and frozen forms share it; closures are
 /// behind `Arc` so freezing clones cheaply).
@@ -66,7 +67,7 @@ pub(crate) enum Work {
     },
     Kernel {
         func: KernelFn,
-        sources: Vec<usize>,
+        sources: Arc<[usize]>,
     },
 }
 
@@ -94,7 +95,7 @@ impl Work {
             },
             Work::Kernel { func, sources } => Work::Kernel {
                 func: Arc::clone(func),
-                sources: sources.clone(),
+                sources: Arc::clone(sources),
             },
         }
     }
@@ -102,10 +103,20 @@ impl Work {
 
 /// A node in the builder.
 pub(crate) struct BuildNode {
-    pub(crate) name: String,
+    /// Shared with the frozen snapshots, lifecycle events and device-op
+    /// labels, which all carry it as a reference-count bump.
+    pub(crate) name: Arc<str>,
     pub(crate) work: Work,
     pub(crate) succ: Vec<usize>,
     pub(crate) pred: Vec<usize>,
+    /// What only some tasks declare, allocated when first set: a plain
+    /// host task pays one pointer for it.
+    pub(crate) attrs: Option<Box<NodeAttrs>>,
+}
+
+/// The optional attributes of a [`BuildNode`].
+#[derive(Default)]
+pub(crate) struct NodeAttrs {
     /// Kernel launch configuration (kernels only).
     pub(crate) cfg: LaunchConfig,
     /// Declared kernel cost in abstract work units (kernels only).
@@ -138,14 +149,11 @@ impl Builder {
     fn add(&mut self, name: &str, work: Work) -> usize {
         self.touch();
         self.nodes.push(BuildNode {
-            name: name.to_owned(),
+            name: Arc::from(name),
             work,
             succ: Vec::new(),
             pred: Vec::new(),
-            cfg: LaunchConfig::default(),
-            work_units: 0.0,
-            reads: Vec::new(),
-            writes: Vec::new(),
+            attrs: None,
         });
         self.nodes.len() - 1
     }
@@ -191,21 +199,35 @@ impl Drop for PullState {
     }
 }
 
-/// An immutable, executable snapshot of the graph.
+/// An immutable, executable snapshot of the graph, laid out for the task
+/// path: a node is about a cache line, all successor lists share one array,
+/// and what only GPU tasks need sits in a side table host tasks never touch.
 pub struct FrozenGraph {
     pub(crate) name: String,
     pub(crate) nodes: Vec<FrozenNode>,
+    /// Every node's successors back to back (compressed sparse row).
+    succ: Vec<u32>,
+    /// Launch shape, declared cost and pull residency of the GPU nodes.
+    gpu: Vec<GpuNode>,
     /// Node ids with no predecessors (the round's initial ready set).
     pub(crate) sources: Vec<usize>,
 }
 
 pub(crate) struct FrozenNode {
-    /// Shared, so lifecycle events and device-op labels carry it as a
-    /// reference-count bump.
+    /// The builder's allocation, shared.
     pub(crate) name: Arc<str>,
     pub(crate) work: Work,
-    pub(crate) succ: Vec<usize>,
-    pub(crate) num_deps: usize,
+    /// This node's window of [`FrozenGraph::succ`].
+    succ_at: u32,
+    succ_len: u32,
+    pub(crate) num_deps: u32,
+    /// Index into the GPU side table; `u32::MAX` for host tasks and
+    /// placeholders.
+    gpu: u32,
+}
+
+/// What a pull, kernel or push node carries beyond a [`FrozenNode`].
+pub(crate) struct GpuNode {
     pub(crate) cfg: LaunchConfig,
     pub(crate) work_units: f64,
     pub(crate) pull_state: Mutex<PullState>,
@@ -227,13 +249,16 @@ impl FrozenGraph {
         self.nodes[id].work.kind()
     }
 
-    /// Verifies acyclicity via Kahn's algorithm. Returns the tasks of one
-    /// cycle in dependency order (first task's edge leads to the second,
-    /// and the last task's edge closes back to the first), if any.
-    fn find_cycle(nodes: &[FrozenNode]) -> Option<Vec<String>> {
-        let succ: Vec<&[usize]> = nodes.iter().map(|n| n.succ.as_slice()).collect();
-        crate::analyze::cycle_path(&succ)
-            .map(|ids| ids.into_iter().map(|i| nodes[i].name.to_string()).collect())
+    /// Successor ids of node `id`.
+    #[inline]
+    pub(crate) fn succ(&self, id: usize) -> &[u32] {
+        let n = &self.nodes[id];
+        &self.succ[n.succ_at as usize..][..n.succ_len as usize]
+    }
+
+    /// The GPU side of node `id`; `None` for host tasks and placeholders.
+    pub(crate) fn gpu(&self, id: usize) -> Option<&GpuNode> {
+        self.gpu.get(self.nodes[id].gpu as usize)
     }
 }
 
@@ -394,7 +419,7 @@ impl Heteroflow {
             .shared
             .builder
             .lock()
-            .add(name, Work::Host(Arc::new(Mutex::new(Box::new(f)))));
+            .add(name, Work::Host(Arc::new(Mutex::new(f))));
         HostTask(self.task_ref(id))
     }
 
@@ -515,52 +540,59 @@ impl Heteroflow {
         // (`active` is false), so nothing is executing against the old
         // state; taking it out also keeps the old snapshot's `Drop` from
         // freeing the transplanted buffer.
+        // Acyclicity first (Kahn's algorithm): a rejected graph must not
+        // have taken anything out of the previous snapshot.
+        let lists: Vec<&[usize]> = b.nodes.iter().map(|n| n.succ.as_slice()).collect();
+        if let Some(ids) = crate::analyze::cycle_path(&lists) {
+            let path = ids.into_iter().map(|i| b.nodes[i].name.to_string()).collect();
+            return Err(HfError::CycleDetected { path });
+        }
         let prev = self.shared.frozen.lock().clone();
-        let mut carry: std::collections::HashMap<(String, usize), usize> = Default::default();
+        let mut carry: std::collections::HashMap<(Arc<str>, usize), usize> = Default::default();
         if let Some(prev) = &prev {
             for (i, n) in prev.nodes.iter().enumerate() {
                 if let Work::Pull { source } = &n.work {
                     if let Some(sid) = source.source_id() {
-                        carry.insert((n.name.to_string(), sid), i);
+                        carry.insert((Arc::clone(&n.name), sid), i);
                     }
                 }
             }
         }
-        let nodes: Vec<FrozenNode> = b
-            .nodes
-            .iter()
-            .map(|n| {
+        let index = |n: usize| u32::try_from(n).expect("graph exceeds u32::MAX nodes or edges");
+        let mut nodes = Vec::with_capacity(b.nodes.len());
+        let mut succ = Vec::with_capacity(b.nodes.iter().map(|n| n.succ.len()).sum());
+        let mut gpu = Vec::new();
+        for n in &b.nodes {
+            let is_gpu = !matches!(n.work, Work::Empty | Work::Host(_));
+            if is_gpu {
                 let pull_state = match (&n.work, &prev) {
                     (Work::Pull { source }, Some(prev)) => source
                         .source_id()
-                        .and_then(|sid| carry.remove(&(n.name.clone(), sid)))
-                        .map(|old| std::mem::take(&mut *prev.nodes[old].pull_state.lock()))
+                        .and_then(|sid| carry.remove(&(Arc::clone(&n.name), sid)))
+                        .and_then(|old| prev.gpu(old))
+                        .map(|old| std::mem::take(&mut *old.pull_state.lock()))
                         .unwrap_or_default(),
                     _ => PullState::default(),
                 };
-                FrozenNode {
-                    name: Arc::from(n.name.as_str()),
-                    work: n.work.clone_payload(),
-                    succ: n.succ.clone(),
-                    num_deps: n.pred.len(),
-                    cfg: n.cfg,
-                    work_units: n.work_units,
-                    pull_state: Mutex::new(pull_state),
-                }
-            })
-            .collect();
-        if let Some(path) = FrozenGraph::find_cycle(&nodes) {
-            return Err(HfError::CycleDetected { path });
+                let (cfg, work_units) = n.attrs.as_ref().map_or_else(Default::default, |a| (a.cfg, a.work_units));
+                gpu.push(GpuNode { cfg, work_units, pull_state: Mutex::new(pull_state) });
+            }
+            nodes.push(FrozenNode {
+                name: Arc::clone(&n.name),
+                work: n.work.clone_payload(),
+                succ_at: index(succ.len()),
+                succ_len: index(n.succ.len()),
+                num_deps: index(n.pred.len()),
+                gpu: if is_gpu { index(gpu.len() - 1) } else { u32::MAX },
+            });
+            succ.extend(n.succ.iter().map(|&s| index(s)));
         }
-        let sources = nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.num_deps == 0)
-            .map(|(i, _)| i)
-            .collect();
+        let sources = (0..nodes.len()).filter(|&i| nodes[i].num_deps == 0).collect();
         let frozen = Arc::new(FrozenGraph {
             name: b.name.clone(),
             nodes,
+            succ,
+            gpu,
             sources,
         });
         *self.shared.frozen.lock() = Some(Arc::clone(&frozen));
@@ -602,7 +634,13 @@ mod tests {
         assert_eq!(f.sources, vec![0, 1]);
         assert_eq!(f.kind(4), TaskKind::Kernel);
         assert_eq!(f.nodes[4].num_deps, 2);
-        assert_eq!(f.nodes[4].succ, vec![5, 6]);
+        assert_eq!(f.succ(4), [5, 6]);
+    }
+
+    /// A frozen node stays about a cache line: the task path walks them.
+    #[test]
+    fn frozen_node_is_compact() {
+        assert!(std::mem::size_of::<FrozenNode>() <= 80);
     }
 
     #[test]
@@ -647,7 +685,7 @@ mod tests {
         a.precede(&b);
         b.succeed(&a);
         let f = g.freeze().unwrap();
-        assert_eq!(f.nodes[0].succ, vec![1]);
+        assert_eq!(f.succ(0), [1]);
         assert_eq!(f.nodes[1].num_deps, 1);
     }
 

@@ -112,7 +112,8 @@ impl Heteroflow {
         let nodes = frozen
             .nodes
             .iter()
-            .map(|n| {
+            .enumerate()
+            .map(|(i, n)| {
                 let (bytes, sources, source_pull) = match &n.work {
                     Work::Pull { source } => (source.byte_len(), Vec::new(), None),
                     Work::Push { source_pull, sink: _ } => {
@@ -122,17 +123,19 @@ impl Heteroflow {
                         };
                         (b, Vec::new(), Some(*source_pull))
                     }
-                    Work::Kernel { sources, .. } => (0, sources.clone(), None),
+                    Work::Kernel { sources, .. } => (0, sources.to_vec(), None),
                     _ => (0, Vec::new(), None),
                 };
+                let (launch, work_units) =
+                    frozen.gpu(i).map_or_else(Default::default, |g| (g.cfg, g.work_units));
                 NodeInfo {
                     name: n.name.to_string(),
                     kind: n.work.kind(),
-                    successors: n.succ.clone(),
-                    num_deps: n.num_deps,
+                    successors: frozen.succ(i).iter().map(|&s| s as usize).collect(),
+                    num_deps: n.num_deps as usize,
                     bytes,
-                    launch: n.cfg,
-                    work_units: n.work_units,
+                    launch,
+                    work_units,
                     sources,
                     source_pull,
                 }

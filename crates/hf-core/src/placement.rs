@@ -64,7 +64,7 @@ impl PlacementView for FrozenGraph {
 
     fn kernel_sources(&self, i: usize) -> Vec<usize> {
         match &self.nodes[i].work {
-            Work::Kernel { sources, .. } => sources.clone(),
+            Work::Kernel { sources, .. } => sources.to_vec(),
             _ => Vec::new(),
         }
     }
@@ -98,7 +98,7 @@ impl PlacementView for FrozenGraph {
     fn warm_device(&self, i: usize) -> Option<u32> {
         match &self.nodes[i].work {
             Work::Pull { source } => {
-                let st = self.nodes[i].pull_state.lock();
+                let st = self.gpu(i)?.pull_state.lock();
                 // Warm = a live device buffer holding exactly the
                 // source's current version. A mutated host buffer bumps
                 // the version, so stale residency never attracts.
@@ -223,7 +223,8 @@ fn node_weight(graph: &FrozenGraph, id: usize, cost: &CostModel) -> f64 {
     match &node.work {
         Work::Pull { source } => cost.h2d(source.byte_len()).as_nanos() as f64,
         Work::Kernel { .. } => {
-            let units = node.work_units.max(node.cfg.total_threads() as f64);
+            let gpu = graph.gpu(id).expect("kernels are GPU nodes");
+            let units = gpu.work_units.max(gpu.cfg.total_threads() as f64);
             cost.kernel(units).as_nanos() as f64
         }
         _ => 0.0,
@@ -805,7 +806,7 @@ mod tests {
     /// Marks a frozen pull node's device buffer warm: a fake allocation
     /// on `device` holding exactly `version` of the source's bytes.
     fn set_warm(f: &FrozenGraph, id: usize, device: u32, version: u64, bytes: u64) {
-        let mut st = f.nodes[id].pull_state.lock();
+        let mut st = f.gpu(id).unwrap().pull_state.lock();
         st.ptr = Some(hf_gpu::DevicePtr {
             device,
             offset: 0,

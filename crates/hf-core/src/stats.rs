@@ -279,7 +279,9 @@ pub struct StatsSnapshot {
     pub fleet_admissions: u64,
     /// Fleet submissions rejected before admission (quota/saturation).
     pub fleet_rejections: u64,
-    /// Task bodies executing on workers at snapshot time. Live gauge
+    /// Workers inside an exploit burst at snapshot time: each is running
+    /// a task body or about to take the next one from its own deque (a
+    /// worker goes active once per burst, not per task). Live gauge
     /// filled by `Executor::snapshot`; `ExecutorStats::snapshot` (no
     /// executor in hand) leaves it at zero.
     pub inflight_tasks: u64,
@@ -287,7 +289,7 @@ pub struct StatsSnapshot {
     /// time. Live gauge filled by `Executor::snapshot`; zero from
     /// `ExecutorStats::snapshot`. Together with `inflight_tasks` this
     /// makes watchdog no-progress detection externally visible: stuck
-    /// runs show a non-draining queue with zero in-flight bodies.
+    /// runs show a non-draining queue with no worker in a burst.
     pub queue_depth: u64,
 }
 

@@ -125,19 +125,17 @@ impl Overlap {
             .collect();
         let mut stack: Vec<usize> = (0..n).filter(|&i| is_body[i]).collect();
         while let Some(v) = stack.pop() {
-            for &s in &frozen.nodes[v].succ {
-                if !is_body[s] {
-                    is_body[s] = true;
-                    stack.push(s);
+            for &s in frozen.succ(v) {
+                if !is_body[s as usize] {
+                    is_body[s as usize] = true;
+                    stack.push(s as usize);
                 }
             }
         }
         let mut has_body_pred = vec![false; n];
-        for (v, nd) in frozen.nodes.iter().enumerate() {
-            if is_body[v] {
-                for &s in &nd.succ {
-                    has_body_pred[s] = true;
-                }
+        for v in (0..n).filter(|&v| is_body[v]) {
+            for &s in frozen.succ(v) {
+                has_body_pred[s as usize] = true;
             }
         }
         let gate_heads = (0..n).filter(|&i| is_body[i] && !has_body_pred[i]).collect();

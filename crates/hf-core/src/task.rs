@@ -37,7 +37,7 @@ impl TaskRef {
 
     /// Task name.
     pub fn name(&self) -> String {
-        self.graph.builder.lock().nodes[self.id].name.clone()
+        self.graph.builder.lock().nodes[self.id].name.to_string()
     }
 
     /// Task category.
@@ -103,7 +103,7 @@ impl TaskRef {
     /// Renames the task (shows up in DOT dumps).
     pub fn rename(&self, name: &str) -> &Self {
         let mut b = self.graph.builder.lock();
-        b.nodes[self.id].name = name.to_owned();
+        b.nodes[self.id].name = Arc::from(name);
         b.touch();
         self
     }
@@ -122,7 +122,7 @@ impl TaskRef {
             "task '{}' already has work assigned",
             node.name
         );
-        node.work = Work::Host(Arc::new(Mutex::new(Box::new(f))));
+        node.work = Work::Host(Arc::new(Mutex::new(f)));
         b.touch();
         self
     }
@@ -183,7 +183,7 @@ impl HostTask {
     pub fn reads<T>(&self, buf: &crate::data::HostVec<T>) -> &Self {
         let mut b = self.0.graph.builder.lock();
         let id = buf.buffer_id();
-        let node = &mut b.nodes[self.0.id];
+        let node = b.nodes[self.0.id].attrs.get_or_insert_with(Default::default);
         if !node.reads.contains(&id) {
             node.reads.push(id);
             b.touch();
@@ -196,7 +196,7 @@ impl HostTask {
     pub fn writes<T>(&self, buf: &crate::data::HostVec<T>) -> &Self {
         let mut b = self.0.graph.builder.lock();
         let id = buf.buffer_id();
-        let node = &mut b.nodes[self.0.id];
+        let node = b.nodes[self.0.id].attrs.get_or_insert_with(Default::default);
         if !node.writes.contains(&id) {
             node.writes.push(id);
             b.touch();
@@ -222,7 +222,7 @@ typed_handle!(
 impl KernelTask {
     fn with_cfg(&self, f: impl FnOnce(&mut hf_gpu::LaunchConfig)) -> &Self {
         let mut b = self.0.graph.builder.lock();
-        f(&mut b.nodes[self.0.id].cfg);
+        f(&mut b.nodes[self.0.id].attrs.get_or_insert_with(Default::default).cfg);
         b.touch();
         self
     }
@@ -282,14 +282,15 @@ impl KernelTask {
     /// the device cost model and the load-balancing placement policy).
     pub fn work_units(&self, units: f64) -> &Self {
         let mut b = self.0.graph.builder.lock();
-        b.nodes[self.0.id].work_units = units;
+        b.nodes[self.0.id].attrs.get_or_insert_with(Default::default).work_units = units;
         b.touch();
         self
     }
 
     /// Current launch configuration.
     pub fn launch_config(&self) -> hf_gpu::LaunchConfig {
-        self.0.graph.builder.lock().nodes[self.0.id].cfg
+        let b = self.0.graph.builder.lock();
+        b.nodes[self.0.id].attrs.as_ref().map(|a| a.cfg).unwrap_or_default()
     }
 }
 

@@ -488,9 +488,13 @@ pub(crate) struct Topology {
     /// Failovers performed for this submission (bounded by the policy).
     pub(crate) failovers: AtomicU32,
     /// Slot in the executor's topology registry while this topology is in
-    /// flight; `u32::MAX` before registration. Work tokens pack this slot
-    /// with a node index, so queued items carry no heap pointer.
+    /// flight; `u32::MAX` before registration and again from just before
+    /// the slot is released. Work tokens pack this slot with a node index,
+    /// so queued items carry no heap pointer.
     pub(crate) slot: AtomicU32,
+    /// Bumped by [`Topology::replace_plans`]; tells a worker that kept
+    /// the plans across tasks to re-read them.
+    pub(crate) plan_gen: AtomicU32,
     /// Epoch index within a stream; `None` for `run*` epochs.
     pub(crate) epoch: Option<u64>,
     /// Ring-slot pull residency (streaming double buffering); `None`
@@ -527,7 +531,7 @@ impl Topology {
         let mut join: Vec<AtomicUsize> = frozen
             .nodes
             .iter()
-            .map(|nd| AtomicUsize::new(nd.num_deps))
+            .map(|nd| AtomicUsize::new(nd.num_deps as usize))
             .collect();
         if let Some(g) = &extras.gate {
             for &h in &g.heads {
@@ -551,6 +555,7 @@ impl Topology {
             failover_pending: AtomicBool::new(false),
             failovers: AtomicU32::new(0),
             slot: AtomicU32::new(u32::MAX),
+            plan_gen: AtomicU32::new(0),
             epoch: extras.epoch,
             pull_override: extras.pull_override,
             gate: extras.gate,
@@ -572,6 +577,15 @@ impl Topology {
         Arc::clone(&self.fusion.read())
     }
 
+    /// Swaps in the plans of a failover replay. Called with the pass
+    /// drained (no token of this topology queued or running) and before
+    /// the replay tokens exist: whoever runs one sees the new generation.
+    pub(crate) fn replace_plans(&self, placement: Placement, fusion: FusionPlan) {
+        *self.placement.write() = Arc::new(placement);
+        *self.fusion.write() = Arc::new(fusion);
+        self.plan_gen.fetch_add(1, Ordering::Release);
+    }
+
     /// The pull residency of `node` for this epoch: the ring slot when
     /// streaming double buffering is active, otherwise the frozen node's
     /// own persistent `PullState` (epochs that never overlap, where
@@ -579,7 +593,7 @@ impl Topology {
     pub(crate) fn pull_state(&self, node: usize) -> &Mutex<PullState> {
         match &self.pull_override {
             Some(ring) => &ring[node],
-            None => &self.frozen.nodes[node].pull_state,
+            None => &self.frozen.gpu(node).expect("only GPU nodes have pull state").pull_state,
         }
     }
 
@@ -669,10 +683,11 @@ impl FusionPlan {
             }
             let vk = frozen.nodes[v].work.kind();
             let v_gpu = matches!(vk, TaskKind::Pull | TaskKind::Push | TaskKind::Kernel);
-            if !v_gpu || frozen.nodes[v].succ.len() != 1 {
+            let &[w] = frozen.succ(v) else { continue };
+            let w = w as usize;
+            if !v_gpu {
                 continue;
             }
-            let w = frozen.nodes[v].succ[0];
             let wk = frozen.nodes[w].work.kind();
             let w_fusible = matches!(wk, TaskKind::Push | TaskKind::Kernel);
             if w_fusible

@@ -35,7 +35,8 @@
 
 use crate::data::{HostSink, HostSource};
 use crate::error::HfError;
-use crate::executor::{ChainState, ExecInner};
+use crate::executor::ExecInner;
+use crate::worker::ChainState;
 use crate::graph::Work;
 use crate::topology::Topology;
 use hf_gpu::stream::ExecFn;

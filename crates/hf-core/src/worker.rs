@@ -1,29 +1,74 @@
 //! The worker: one CPU thread's scheduling loop and task visitor.
 //!
 //! Each worker owns one Chase–Lev deque of the executor
-//! ([`crate::executor`]), drains it, and turns thief when it runs dry
-//! (§III-C). Host tasks run on the worker itself; GPU tasks are dispatched
-//! to the worker's per-device streams and complete on the device engine.
+//! ([`crate::executor`]) and alternates between two states (§III-C): a
+//! *thief* looking for a task, and an *exploit burst* that runs the task,
+//! then whatever it made ready, then its own deque until that is dry
+//! (DESIGN.md "Scheduler hot path"). Host tasks run on the worker itself;
+//! GPU tasks are dispatched to the worker's per-device streams and
+//! complete on the device engine.
 
 use crate::error::HfError;
-use crate::executor::{unpack, ChainState, ExecInner, Token, STEAL_BATCH, WORKER_DEQUE};
-use crate::graph::{FrozenGraph, Work};
+use crate::executor::{unpack, ExecInner, Token, TopoRegistry, STEAL_BATCH};
+use crate::graph::Work;
 use crate::lifecycle::LifecyclePhase;
-use crate::topology::Topology;
+use crate::placement::Placement;
+use crate::topology::{FusionPlan, Topology};
 use crate::transfer::{self, PreparedOp};
-use hf_gpu::{Device, FaultSite, KernelArgs, LaunchConfig, OpReport, ScopedDeviceContext, Stream};
+use hf_gpu::{Device, FaultSite, KernelArgs, OpReport, ScopedDeviceContext, Stream};
 use hf_sync::{Steal, StealDeque};
-use std::sync::atomic::Ordering;
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Body of worker thread `id`: the scheduling loop, until shutdown.
-pub(crate) fn run_worker(id: usize, deque: StealDeque<Token>, inner: Arc<ExecInner>) {
-    Worker::new(id, deque, inner).run()
+/// What a worker lends the release path while it finishes a task (see
+/// `ReadyBatch` in [`crate::executor`]): its own deque for tokens that
+/// must become stealable, and the slot for the one it runs next itself.
+pub(crate) struct Local<'a> {
+    pub(crate) deque: &'a StealDeque<Token>,
+    /// The continuation: run before the deque is looked at.
+    pub(crate) next: Option<Token>,
 }
 
-struct Worker {
+/// The topology a burst is working through, resolved once: turning a
+/// token's slot into the topology and its plans costs reference-count
+/// traffic on lines every worker shares. Kept while the next token names
+/// the same live slot, dropped with the burst: an idle worker pins nothing.
+struct RunCtx {
+    slot: u32,
+    plan_gen: u32,
+    topo: Arc<Topology>,
+    placement: Arc<Placement>,
+    fusion: Arc<FusionPlan>,
+}
+
+impl RunCtx {
+    fn resolve(registry: &TopoRegistry, slot: u32) -> Self {
+        let topo = registry.resolve(slot);
+        Self {
+            slot,
+            plan_gen: topo.plan_gen.load(Ordering::Acquire),
+            placement: topo.placement(),
+            fusion: topo.fusion(),
+            topo,
+        }
+    }
+
+    /// True while this context is what a token of `slot` means. Slot ids
+    /// are recycled, but a topology's own `slot` field is reset before its
+    /// id is released, and whoever pops a token of the next owner observes
+    /// that; the plans only change through [`Topology::replace_plans`],
+    /// which bumps the generation before the replay tokens exist.
+    fn serves(&self, slot: u32) -> bool {
+        self.slot == slot
+            && self.topo.slot.load(Ordering::Acquire) == slot
+            && self.topo.plan_gen.load(Ordering::Acquire) == self.plan_gen
+    }
+}
+
+pub(crate) struct Worker {
     id: usize,
-    deque: Arc<StealDeque<Token>>,
+    deque: StealDeque<Token>,
     inner: Arc<ExecInner>,
     /// Lazily created per-device streams — "each worker keeps a
     /// per-thread CUDA stream" (§III-C).
@@ -37,11 +82,11 @@ struct Worker {
 }
 
 impl Worker {
-    fn new(id: usize, deque: StealDeque<Token>, inner: Arc<ExecInner>) -> Self {
+    pub(crate) fn new(id: usize, deque: StealDeque<Token>, inner: Arc<ExecInner>) -> Self {
         let n_gpus = inner.gpu.num_devices() as usize;
         Self {
             id,
-            deque: Arc::new(deque),
+            deque,
             inner,
             streams: (0..n_gpus).map(|_| None).collect(),
             copy_streams: (0..n_gpus).map(|_| Vec::new()).collect(),
@@ -49,13 +94,14 @@ impl Worker {
         }
     }
 
-    fn next_rand(&mut self) -> u64 {
-        // xorshift64*
-        let mut x = self.rng;
+    /// xorshift64* step; takes the state alone so callers can keep
+    /// `self.inner` borrowed.
+    fn next_rand(rng: &mut u64) -> u64 {
+        let mut x = *rng;
         x ^= x >> 12;
         x ^= x << 25;
         x ^= x >> 27;
-        self.rng = x;
+        *rng = x;
         x.wrapping_mul(0x2545F4914F6CDD1D)
     }
 
@@ -87,33 +133,44 @@ impl Worker {
         slot.clone()
     }
 
-    fn run(mut self) {
+    /// The scheduling loop, until shutdown.
+    pub(crate) fn run(mut self) {
         if self.inner.pin_workers {
             let cores = std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1);
             let _ = crate::affinity::pin_current_thread(self.id % cores);
         }
-        WORKER_DEQUE.with(|d| *d.borrow_mut() = Some(Arc::clone(&self.deque)));
-        loop {
-            // Exploit: drain the local queue.
-            while let Some(token) = self.deque.pop() {
-                self.execute(token);
-            }
-            // Explore: steal, or sleep when the system is quiet.
-            match self.wait_for_task() {
-                Some(token) => self.execute(token),
-                None => break,
-            }
+        // Explore (steal, or sleep when the system is quiet), then exploit.
+        while let Some(token) = self.wait_for_task() {
+            self.exploit(token);
         }
-        WORKER_DEQUE.with(|d| *d.borrow_mut() = None);
+    }
+
+    /// One exploit burst: the paper's "drains its local queue" (§III-C),
+    /// written as Taskflow writes it — go active *once*, run tasks until
+    /// neither the last one's continuation nor the local deque has another,
+    /// go inactive. `num_actives` counts workers inside a burst, which is
+    /// what "keep one thief alive while any worker is active" needs.
+    fn exploit(&mut self, first: Token) {
+        self.inner.num_actives.fetch_add(1, Ordering::SeqCst);
+        // Ensure a thief exists while we are active.
+        if self.inner.num_thieves.load(Ordering::SeqCst) == 0 {
+            self.inner.notifier.notify_one();
+        }
+        let mut ctx = None;
+        let mut next = Some(first);
+        while let Some(token) = next {
+            next = self.execute(token, &mut ctx).or_else(|| self.deque.pop());
+        }
+        drop(ctx);
+        self.inner.num_actives.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Steal loop with the adaptive wake/sleep strategy. Returns `None`
     /// on shutdown.
     fn wait_for_task(&mut self) -> Option<Token> {
-        let inner = Arc::clone(&self.inner);
-        inner.num_thieves.fetch_add(1, Ordering::SeqCst);
+        self.inner.num_thieves.fetch_add(1, Ordering::SeqCst);
         loop {
             // Bounded stealing sweep.
             let mut backoff = hf_sync::Backoff::new();
@@ -121,14 +178,15 @@ impl Worker {
                 if let Some(token) = self.try_steal_once() {
                     // If this was the last thief, wake a peer so one thief
                     // remains while we turn active (paper's invariant).
-                    if inner.num_thieves.fetch_sub(1, Ordering::SeqCst) == 1 {
-                        inner.notifier.notify_one();
+                    if self.inner.num_thieves.fetch_sub(1, Ordering::SeqCst) == 1 {
+                        self.inner.notifier.notify_one();
                     }
                     return Some(token);
                 }
                 backoff.snooze();
             }
 
+            let inner = &*self.inner;
             if !inner.adaptive_sleep {
                 // Ablation mode: spin forever (still honor shutdown).
                 if inner.done.load(Ordering::Acquire) {
@@ -173,12 +231,12 @@ impl Worker {
     /// already warm). Misses fall straight through to the random sweep,
     /// so the affine pass can delay but never prevent a steal.
     fn try_steal_once(&mut self) -> Option<Token> {
-        let inner = Arc::clone(&self.inner);
+        let inner = &*self.inner;
         let n = inner.stealers.len();
         inner.stats.steal_attempts.incr(self.id);
         let focus = inner.worker_focus[self.id].load(Ordering::Relaxed);
         if focus != u64::MAX && n > 1 {
-            let start = (self.next_rand() % n as u64) as usize;
+            let start = (Self::next_rand(&mut self.rng) % n as u64) as usize;
             for k in 0..n {
                 let v = (start + k) % n;
                 if v == self.id || inner.worker_focus[v].load(Ordering::Relaxed) != focus {
@@ -194,7 +252,7 @@ impl Worker {
                 break;
             }
         }
-        let v = (self.next_rand() % n as u64) as usize;
+        let v = (Self::next_rand(&mut self.rng) % n as u64) as usize;
         if v == self.id {
             let mut first = None;
             let deque = &self.deque;
@@ -230,24 +288,24 @@ impl Worker {
         self.inner.stealers.iter().any(|s| !s.is_empty())
     }
 
-    /// Executes a work token — the visitor dispatch of §III-C. Host tasks
-    /// complete synchronously on this worker; GPU tasks are *dispatched*
-    /// asynchronously to the device stream (the worker is immediately
-    /// free, so one core can drive many GPUs concurrently), with a
-    /// stream-ordered completion callback releasing the successors — the
-    /// fully asynchronous pattern of Listing 13.
-    fn execute(&mut self, token: Token) {
+    /// Executes a work token — the visitor dispatch of §III-C — and returns
+    /// the continuation: the first node it made ready, for the burst to run
+    /// next. Host tasks complete synchronously on this worker; GPU tasks
+    /// are *dispatched* asynchronously to the device stream (the worker is
+    /// immediately free, so one core can drive many GPUs concurrently),
+    /// with a stream-ordered completion callback releasing the successors —
+    /// the fully asynchronous pattern of Listing 13.
+    fn execute(&mut self, token: Token, ctx: &mut Option<RunCtx>) -> Option<Token> {
         let (slot, node) = unpack(token);
-        let topo = self.inner.registry.resolve(slot);
-        let inner = Arc::clone(&self.inner);
-        inner.num_actives.fetch_add(1, Ordering::SeqCst);
-        // Ensure a thief exists while we are active.
-        if inner.num_thieves.load(Ordering::SeqCst) == 0 {
-            inner.notifier.notify_one();
+        if !ctx.as_ref().is_some_and(|c| c.serves(slot)) {
+            *ctx = Some(RunCtx::resolve(&self.inner.registry, slot));
         }
+        let cx = ctx.as_ref().expect("context resolved above");
+        let topo = &cx.topo;
 
         let worker = Some(self.id as u32);
-        inner.emit_task(&topo, LifecyclePhase::Started, node, worker, None, true, None);
+        self.inner
+            .emit_task(topo, LifecyclePhase::Started, node, worker, None, true, None);
 
         // Bodies are skipped (but the round still drains) when the run
         // failed, the caller cancelled, or a failover is pending — the
@@ -259,48 +317,48 @@ impl Worker {
         // Counted before `invoke`: an async GPU chain can complete, and
         // resolve the run's future, before `invoke` returns, and a
         // snapshot taken right after `wait()` must already include it.
-        inner.stats.tasks_executed.incr(self.id);
-        // `Some(ok)`: the node finishes here, with any chain fused behind
-        // it (members are never scheduled individually, so a skipped head
-        // must finish them). `None`: a device stream's completion
-        // callback or the failure routine owns it.
-        let finish = if skip {
-            Some(false)
+        self.inner.stats.tasks_executed.incr(self.id);
+        // `Ok(Some(ok))`: the node finishes here, with any chain fused
+        // behind it (members are never scheduled individually, so a
+        // skipped head must finish them). `Ok(None)`: a device stream's
+        // completion callback owns it.
+        let outcome = if skip {
+            Ok(Some(false))
         } else {
-            match self.invoke(&topo, node) {
-                Ok(dispatched_async) => (!dispatched_async).then_some(true),
-                Err(e) => {
-                    inner.fail_task(&topo, node, topo.fusion().chain(node), worker, None, e);
-                    None
-                }
-            }
+            self.invoke(cx, node).map(|dispatched_async| (!dispatched_async).then_some(true))
         };
-        if let Some(ok) = finish {
-            inner.finish_nodes(&topo, topo.fusion().chain(node), worker, None, ok);
+        let inner = &*self.inner;
+        let mut local = Local { deque: &self.deque, next: None };
+        let chain = cx.fusion.chain(node);
+        match outcome {
+            Ok(Some(ok)) => {
+                inner.finish_nodes(topo, &cx.fusion, chain, worker, None, ok, Some(&mut local));
+            }
+            Ok(None) => {}
+            Err(e) => {
+                inner.fail_task(topo, &cx.fusion, node, chain, worker, None, e, Some(&mut local));
+            }
         }
-        inner.num_actives.fetch_sub(1, Ordering::SeqCst);
+        local.next
     }
 
     /// Runs one task body. Returns `Ok(true)` when completion was handed
     /// to a device stream (asynchronous GPU task), `Ok(false)` when the
     /// task finished synchronously.
-    fn invoke(&mut self, topo: &Arc<Topology>, id: usize) -> Result<bool, HfError> {
-        let node = &topo.frozen.nodes[id];
+    fn invoke(&mut self, cx: &RunCtx, id: usize) -> Result<bool, HfError> {
+        let node = &cx.topo.frozen.nodes[id];
         match &node.work {
             Work::Empty => Err(HfError::EmptyTask {
                 task: node.name.to_string(),
             }),
             Work::Host(f) => {
-                let f = Arc::clone(f);
-                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                    (f.lock())()
-                }));
+                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (f.lock())()));
                 res.map(|_| false).map_err(|_| HfError::TaskPanicked {
                     task: node.name.to_string(),
                 })
             }
             Work::Pull { .. } | Work::Push { .. } | Work::Kernel { .. } => {
-                self.dispatch_gpu_chain(topo, id)?;
+                self.dispatch_gpu_chain(cx, id)?;
                 Ok(true)
             }
         }
@@ -318,10 +376,9 @@ impl Worker {
     /// prefix normally and route just the failed suffix through the retry
     /// policy (retry re-dispatches the failed member, which re-walks the
     /// chain from there).
-    fn dispatch_gpu_chain(&mut self, topo: &Arc<Topology>, head: usize) -> Result<(), HfError> {
-        let placement = topo.placement();
-        let fusion = topo.fusion();
-        let dev_id = placement.device_of[head].expect("GPU task placed");
+    fn dispatch_gpu_chain(&mut self, cx: &RunCtx, head: usize) -> Result<(), HfError> {
+        let topo = &cx.topo;
+        let dev_id = cx.placement.device_of[head].expect("GPU task placed");
         let device = self.inner.gpu.device(dev_id)?;
         let _ctx = ScopedDeviceContext::new(dev_id);
         // Publish this worker's device focus for topology-aware stealing:
@@ -330,7 +387,7 @@ impl Worker {
         self.inner.worker_focus[self.id].store(dev_id as u64, Ordering::Relaxed);
 
         let state = Arc::new(ChainState::default());
-        let chain: Vec<usize> = fusion.chain(head).collect();
+        let chain: Vec<usize> = cx.fusion.chain(head).collect();
         let ops = chain
             .iter()
             .map(|&id| self.prepare_op(topo, id, &device, &state))
@@ -382,20 +439,23 @@ impl Worker {
         stream.host_fn(move || {
             let err = state2.error.lock().clone();
             let done = state2.done.load(Ordering::Acquire);
+            let fusion = topo2.fusion();
             match err {
                 // `done < len` without an error means ops were skipped by
                 // cancellation — finish unsuccessfully so a failover (if
                 // one is pending) replays them.
                 None => {
                     let all_ok = done == chain.len();
-                    inner.finish_nodes(&topo2, chain, None, chain_head, all_ok);
+                    inner.finish_nodes(&topo2, &fusion, chain, None, chain_head, all_ok, None);
                 }
                 // The completed prefix finished normally; the failed
                 // member and the suffix that never ran go to the policy.
                 Some(e) => {
                     let (prefix, rest) = chain.split_at(done);
-                    inner.finish_nodes(&topo2, prefix.iter().copied(), None, chain_head, true);
-                    inner.fail_task(&topo2, rest[0], rest.iter().copied(), None, chain_head, e);
+                    let prefix = prefix.iter().copied();
+                    inner.finish_nodes(&topo2, &fusion, prefix, None, chain_head, true, None);
+                    let suffix = rest.iter().copied();
+                    inner.fail_task(&topo2, &fusion, rest[0], suffix, None, chain_head, e, None);
                 }
             }
         });
@@ -413,7 +473,7 @@ impl Worker {
         device: &Device,
         state: &Arc<ChainState>,
     ) -> Result<PreparedOp, HfError> {
-        let frozen: &FrozenGraph = &topo.frozen;
+        let frozen = &*topo.frozen;
         let node = &frozen.nodes[id];
         let dev_id = device.id();
         match &node.work {
@@ -431,7 +491,7 @@ impl Worker {
             ),
             Work::Kernel { func, sources } => {
                 let mut ptrs = Vec::with_capacity(sources.len());
-                for &s in sources {
+                for &s in sources.iter() {
                     let pull_node = &frozen.nodes[s];
                     let p = topo.pull_state(s).lock().ptr.ok_or_else(|| {
                         HfError::SourceNotPulled {
@@ -445,14 +505,15 @@ impl Worker {
                     );
                     ptrs.push(p);
                 }
-                let cfg: LaunchConfig = node.cfg;
-                let work_units = if node.work_units > 0.0 {
-                    node.work_units
+                let gpu = frozen.gpu(id).expect("kernels are GPU nodes");
+                let cfg = gpu.cfg;
+                let work_units = if gpu.work_units > 0.0 {
+                    gpu.work_units
                 } else {
                     cfg.total_threads() as f64
                 };
                 let func = Arc::clone(func);
-                let src_ids = sources.clone();
+                let src_ids = Arc::clone(sources);
                 let topo2 = Arc::clone(topo);
                 let state2 = Arc::clone(state);
                 let dev = device.clone();
@@ -474,7 +535,7 @@ impl Worker {
                     // is mutated: its device bytes no longer match any
                     // host version. (A faulted kernel above never ran, so
                     // residency survives the retry.)
-                    for &sid in &src_ids {
+                    for &sid in src_ids.iter() {
                         transfer::clear_residency(&topo2, sid);
                     }
                     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -499,5 +560,34 @@ impl Worker {
             }
             Work::Empty | Work::Host(_) => unreachable!("not a GPU task"),
         }
+    }
+}
+
+/// Shared failure/progress state of one dispatched GPU chain: how many
+/// ops completed (the chain prefix) and the first error, recorded by the
+/// op closures on the device engine thread and consumed by the stream's
+/// completion callback.
+#[derive(Default)]
+pub(crate) struct ChainState {
+    pub(crate) done: AtomicUsize,
+    pub(crate) error: Mutex<Option<HfError>>,
+}
+
+impl ChainState {
+    /// Records the first failure; later ops in the chain then skip.
+    pub(crate) fn fail(&self, e: HfError) {
+        let mut g = self.error.lock();
+        if g.is_none() {
+            *g = Some(e);
+        }
+    }
+
+    /// True when this op should do nothing: an earlier chain op failed,
+    /// the run already failed, or the caller cancelled — cooperative
+    /// cancellation propagated into ops already enqueued on the stream.
+    pub(crate) fn skip(&self, topo: &Topology) -> bool {
+        self.error.lock().is_some()
+            || topo.cancelled.load(Ordering::Acquire)
+            || topo.cancel_requested()
     }
 }

@@ -16,7 +16,7 @@
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicIsize, AtomicPtr, Ordering};
+use crate::atomic::{fence, AtomicIsize, AtomicPtr, Ordering};
 use std::sync::{Arc, Mutex};
 
 const MIN_CAP: usize = 64;
@@ -171,7 +171,15 @@ impl<T: Copy + Send> Default for StealDeque<T> {
 impl<T: Copy + Send> StealDeque<T> {
     /// Creates an empty deque.
     pub fn new() -> Self {
-        let buf = Box::into_raw(Box::new(Buffer::<T>::new(MIN_CAP)));
+        Self::with_capacity(MIN_CAP)
+    }
+
+    /// Creates an empty deque whose first buffer holds `cap` elements
+    /// (rounded up to a power of two); it still grows on demand. The
+    /// model-checked tests start small so that a handful of pushes reaches
+    /// the growth path.
+    pub fn with_capacity(cap: usize) -> Self {
+        let buf = Box::into_raw(Box::new(Buffer::<T>::new(cap.max(1).next_power_of_two())));
         Self {
             inner: Arc::new(Inner {
                 top: AtomicIsize::new(0),
@@ -248,7 +256,7 @@ impl<T: Copy + Send> StealDeque<T> {
         inner.bottom.store(b, Ordering::Relaxed);
         // SeqCst fence: order the bottom store before the top load, against
         // the thief's top-CAS / bottom-load pair (classic Chase–Lev race).
-        std::sync::atomic::fence(Ordering::SeqCst);
+        fence(Ordering::SeqCst);
         let t = inner.top.load(Ordering::Relaxed);
 
         if t > b {
@@ -283,7 +291,7 @@ impl<T: Copy + Send> Stealer<T> {
     pub fn steal(&self) -> Steal<T> {
         let inner = &*self.inner;
         let t = inner.top.load(Ordering::Acquire);
-        std::sync::atomic::fence(Ordering::SeqCst);
+        fence(Ordering::SeqCst);
         let b = inner.bottom.load(Ordering::Acquire);
 
         if t >= b {

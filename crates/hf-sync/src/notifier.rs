@@ -12,8 +12,7 @@
 //! strategy: "ensure one thief exists as long as an active worker is
 //! running a task" (§III-C).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use crate::atomic::{AtomicU64, Condvar, Mutex, Ordering};
 
 /// Opaque token returned by [`Notifier::prepare_wait`]; pass it back to
 /// [`Notifier::commit_wait`] or [`Notifier::cancel_wait`].
@@ -94,7 +93,9 @@ impl Notifier {
     }
 
     /// Wakes at least one waiter (prepared or committed). Cheap when no
-    /// one is waiting: a single relaxed load.
+    /// one is waiting: a single load, which has to be `SeqCst` — it is the
+    /// notifier's half of the Dekker pairing with
+    /// [`prepare_wait`](Self::prepare_wait)'s increment-then-load.
     pub fn notify_one(&self) {
         // SeqCst: pair with prepare_wait's increment-then-load.
         if self.waiters.load(Ordering::SeqCst) == 0 {

@@ -12,7 +12,8 @@
 
 #![cfg(feature = "loom")]
 
-use hf_sync::{EventRing, Injector, SlotCache};
+use hf_sync::{EventRing, Injector, Notifier, SlotCache, Steal, StealDeque};
+use loom::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Two producers park distinct tokens concurrently; both must land and
@@ -138,5 +139,111 @@ fn injector_batch_push_vs_pop_preserves_fifo() {
             got.push(v);
         }
         assert_eq!(got, vec![1, 2, 3], "batch claim is FIFO and exactly-once");
+    });
+}
+
+/// The eventcount contract, for either notify call: a waiter that runs
+/// prepare → re-check → commit/cancel never sleeps past a notification
+/// issued after the flag it re-checks was set — a lost wakeup would leave
+/// it blocked, which the checker reports as a deadlock — and nobody is
+/// left counted as a waiter.
+fn notifier_never_loses_a_wakeup(notify: fn(&Notifier)) {
+    loom::model(move || {
+        let n = Arc::new(Notifier::new());
+        let flag = Arc::new(AtomicUsize::new(0));
+        let (n2, f2) = (Arc::clone(&n), Arc::clone(&flag));
+        let waiter = loom::thread::spawn(move || {
+            while f2.load(Ordering::SeqCst) == 0 {
+                let t = n2.prepare_wait();
+                if f2.load(Ordering::SeqCst) != 0 {
+                    n2.cancel_wait(t);
+                    break;
+                }
+                n2.commit_wait(t);
+            }
+        });
+        flag.store(1, Ordering::SeqCst);
+        notify(&n);
+        waiter.join().unwrap();
+        assert_eq!(n.num_waiters(), 0);
+    });
+}
+
+#[test]
+fn notifier_notify_one_never_loses_a_wakeup() {
+    notifier_never_loses_a_wakeup(Notifier::notify_one);
+}
+
+#[test]
+fn notifier_notify_n_never_loses_a_wakeup() {
+    notifier_never_loses_a_wakeup(|n| n.notify_n(1));
+}
+
+/// One owner against two thieves on a deque that starts with two slots:
+/// the third push grows the buffer while a thief may hold the old one, and
+/// the owner's pops race the thieves for the last element through the
+/// top CAS. Every value is taken exactly once. (At most three preemptions
+/// per execution: the schedule space of three threads this long is out of
+/// reach otherwise.)
+#[test]
+fn deque_owner_vs_two_thieves_takes_each_value_once() {
+    let bounded = loom::model::Builder {
+        preemption_bound: Some(3),
+    };
+    bounded.check(|| {
+        let d = StealDeque::with_capacity(2);
+        let thieves: Vec<_> = (0..2)
+            .map(|_| {
+                let s = d.stealer();
+                loom::thread::spawn(move || s.steal().success())
+            })
+            .collect();
+        let mut taken: Vec<u64> = Vec::new();
+        d.push(1u64);
+        d.push(2);
+        d.push(3);
+        taken.extend(d.pop());
+        taken.extend(d.pop());
+        for t in thieves {
+            taken.extend(t.join().unwrap());
+        }
+        while let Some(v) = d.pop() {
+            taken.push(v);
+        }
+        taken.sort_unstable();
+        assert_eq!(taken, vec![1, 2, 3], "each value taken exactly once");
+    });
+}
+
+/// The protocol the executor composes from the two: the owner pushes, then
+/// `notify_n(1)`; a thief that found nothing runs `prepare_wait` → empty
+/// re-check → `commit_wait`. Whatever the interleaving (up to six
+/// preemptions), the thief ends up with the item instead of asleep.
+#[test]
+fn push_then_notify_always_reaches_a_sleepy_thief() {
+    let bounded = loom::model::Builder {
+        preemption_bound: Some(6),
+    };
+    bounded.check(|| {
+        let d = StealDeque::with_capacity(2);
+        let n = Arc::new(Notifier::new());
+        let (s, n2) = (d.stealer(), Arc::clone(&n));
+        let thief = loom::thread::spawn(move || loop {
+            match s.steal() {
+                Steal::Success(v) => return v,
+                Steal::Retry => continue,
+                Steal::Empty => {}
+            }
+            let t = n2.prepare_wait();
+            if s.is_empty() {
+                n2.commit_wait(t);
+            } else {
+                n2.cancel_wait(t);
+            }
+        });
+        d.push(7u64);
+        n.notify_n(1);
+        assert_eq!(thief.join().unwrap(), 7);
+        assert_eq!(n.num_waiters(), 0);
     });
 }

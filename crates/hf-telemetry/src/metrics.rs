@@ -299,7 +299,7 @@ impl MetricsRegistry {
         self.set_counter("hf_placement_est_bytes_saved_total", "Transfer bytes placement estimated its warm-hit decisions would save via elision", l, s.placement_est_bytes_saved);
         self.set_counter("hf_executor_steals_affine_total", "Successful steals from topology-preferred victims", l, s.steals_affine);
         self.set_gauge("hf_placement_imbalance", "Cost-weighted imbalance (max/mean bin load) of the latest placement", l, s.placement_imbalance);
-        self.set_gauge("hf_executor_inflight_tasks", "Tasks dispatched and not yet finished (live gauge; populated by Executor::snapshot)", l, s.inflight_tasks as f64);
+        self.set_gauge("hf_executor_inflight_tasks", "Workers inside an exploit burst (live gauge; populated by Executor::snapshot)", l, s.inflight_tasks as f64);
         self.set_gauge("hf_executor_queue_depth", "Tasks waiting in the injector and worker deques (live gauge; populated by Executor::snapshot)", l, s.queue_depth as f64);
     }
 

@@ -1,12 +1,16 @@
 //! In-repo shim of the **loom** concurrency model checker.
 //!
-//! Implements the API subset `hf-sync` uses — [`model`], [`thread::spawn`]
-//! / [`thread::yield_now`], and the [`sync::atomic`] types — on top of a
-//! deterministic cooperative scheduler:
+//! Implements the API subset `hf-sync` uses — [`model()`] and
+//! [`model::Builder`], [`thread::spawn`] / [`thread::yield_now`], the
+//! [`sync::atomic`] types, and [`sync::Mutex`] / [`sync::Condvar`] — on
+//! top of a deterministic cooperative scheduler:
 //!
-//! * Inside [`model`], every atomic operation (and every spawn/join/yield)
-//!   is a *scheduling point*: the executing thread parks and a controller
-//!   picks which runnable thread proceeds next.
+//! * Inside [`model()`], every atomic operation, mutex acquisition and
+//!   condvar wait/notify (and every spawn/join/yield) is a *scheduling
+//!   point*: the executing thread parks and a controller picks which
+//!   runnable thread proceeds next. A thread waiting for a held mutex or
+//!   an un-notified condvar is not runnable, so a lost wakeup shows up as
+//!   a reported deadlock.
 //! * The controller explores the tree of scheduling decisions with an
 //!   exhaustive depth-first search: each execution replays a decision
 //!   prefix, runs the model to completion, then backtracks to the deepest
@@ -17,10 +21,17 @@
 //!   what lets spin-wait loops (`Backoff::snooze`) terminate instead of
 //!   being rescheduled forever.
 //!
+//! * [`model::Builder::preemption_bound`] caps how often an execution may
+//!   switch away from a thread that could have continued (the CHESS
+//!   bound, as in real loom): the schedule count then grows polynomially
+//!   with the model's length instead of exponentially, and still covers
+//!   every bug that needs no more than that many preemptions.
+//!
 //! Scope and limitations (vs. real loom): interleavings are explored at
 //! atomic-operation granularity under a sequentially-consistent-hardware
 //! model; weak-memory reorderings are *not* simulated and `UnsafeCell`
-//! accesses are not instrumented. Assertions inside the model (and
+//! accesses are not instrumented. Condvars never wake spuriously and
+//! `notify_one` wakes the longest waiter. Assertions inside the model (and
 //! deadlocks: no runnable thread while some are unfinished) are reported
 //! with the offending decision path. Outside a [`model`] call every type
 //! degrades to its `std` counterpart with zero overhead, so a crate built
@@ -48,16 +59,32 @@ enum Status {
     Running,
     /// Parked at a scheduling point, ready to be granted.
     Paused,
-    /// Parked in `join` waiting for the given thread to finish.
-    Blocked(usize),
+    /// Parked until what it waits for happens.
+    Blocked(Wait),
     /// Done (returned or panicked).
     Finished,
+}
+
+/// What a blocked thread waits for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wait {
+    /// The given thread finishing (`join`).
+    Join(usize),
+    /// The mutex with this key (its address) being free; granting the
+    /// thread the CPU grants it the mutex.
+    Mutex(usize),
+    /// A notification: the thread sits in `State::cv_waiting` until one
+    /// removes it.
+    Condvar,
 }
 
 struct ThreadState {
     status: Status,
     /// Set by `yield_now`: not schedulable while another thread can run.
     yielded: bool,
+    /// Where this thread waits for its grant: waking exactly the thread
+    /// that was picked keeps a scheduling point at two context switches.
+    cv: Arc<Condvar>,
 }
 
 struct State {
@@ -73,11 +100,21 @@ struct State {
     abort: bool,
     failure: Option<String>,
     os_handles: Vec<Option<std::thread::JoinHandle<()>>>,
+    /// Keys of the model mutexes currently held.
+    locked: Vec<usize>,
+    /// `(condvar key, thread)` of every un-notified waiter, oldest first.
+    cv_waiting: Vec<(usize, usize)>,
+    /// The thread granted last, and how often so far the grant moved away
+    /// from a thread that was still runnable.
+    last: Option<usize>,
+    preemptions: usize,
+    preemption_bound: Option<usize>,
 }
 
 struct Scheduler {
     state: Mutex<State>,
-    cv: Condvar,
+    /// Where the controller waits for threads to park or finish.
+    ctrl: Condvar,
 }
 
 thread_local! {
@@ -89,7 +126,7 @@ fn ctx() -> Option<(Arc<Scheduler>, usize)> {
 }
 
 impl Scheduler {
-    fn new(replay: Vec<usize>) -> Self {
+    fn new(replay: Vec<usize>, preemption_bound: Option<usize>) -> Self {
         Self {
             state: Mutex::new(State {
                 threads: Vec::new(),
@@ -101,8 +138,13 @@ impl Scheduler {
                 abort: false,
                 failure: None,
                 os_handles: Vec::new(),
+                locked: Vec::new(),
+                cv_waiting: Vec::new(),
+                last: None,
+                preemptions: 0,
+                preemption_bound,
             }),
-            cv: Condvar::new(),
+            ctrl: Condvar::new(),
         }
     }
 
@@ -117,15 +159,16 @@ impl Scheduler {
         s.threads.push(ThreadState {
             status: Status::Starting,
             yielded: false,
+            cv: Arc::new(Condvar::new()),
         });
         s.os_handles.push(None);
         s.threads.len() - 1
     }
 
     /// Parks `me` at a scheduling point and blocks until granted.
-    /// `block_on = Some(t)` parks as joining thread `t`; `yielded` applies
+    /// `block_on = Some(w)` parks until `w` happens; `yielded` applies
     /// loom's yield semantics.
-    fn park(&self, me: usize, block_on: Option<usize>, yielded: bool) {
+    fn park(&self, me: usize, block_on: Option<Wait>, yielded: bool) {
         let mut s = self.lock();
         s.steps += 1;
         if s.steps > MAX_STEPS_PER_EXEC && !s.abort {
@@ -136,7 +179,7 @@ impl Scheduler {
         }
         if s.abort {
             drop(s);
-            self.cv.notify_all();
+            self.ctrl.notify_one();
             panic!("{ABORT_MSG}");
         }
         s.threads[me].status = match block_on {
@@ -144,11 +187,12 @@ impl Scheduler {
             None => Status::Paused,
         };
         s.threads[me].yielded = yielded;
-        self.cv.notify_all();
+        self.ctrl.notify_one();
+        let cv = Arc::clone(&s.threads[me].cv);
         loop {
             if s.abort {
                 drop(s);
-                self.cv.notify_all();
+                self.ctrl.notify_one();
                 panic!("{ABORT_MSG}");
             }
             if s.active == Some(me) {
@@ -156,17 +200,14 @@ impl Scheduler {
                 debug_assert_eq!(s.threads[me].status, Status::Running);
                 return;
             }
-            s = self
-                .cv
-                .wait(s)
-                .unwrap_or_else(|e| e.into_inner());
+            s = cv.wait(s).unwrap_or_else(|e| e.into_inner());
         }
     }
 
     fn finish(&self, me: usize) {
         let mut s = self.lock();
         s.threads[me].status = Status::Finished;
-        self.cv.notify_all();
+        self.ctrl.notify_one();
     }
 
     fn record_failure(&self, msg: String) {
@@ -175,7 +216,7 @@ impl Scheduler {
         if s.failure.is_none() {
             s.failure = Some(msg);
         }
-        self.cv.notify_all();
+        self.ctrl.notify_one();
     }
 
     /// Drives one execution to completion; returns (path, failure).
@@ -183,47 +224,55 @@ impl Scheduler {
         let mut s = self.lock();
         loop {
             // Wait for every live thread to park (or finish).
-            while s.active.is_some()
-                || s.threads
-                    .iter()
-                    .any(|t| matches!(t.status, Status::Running | Status::Starting))
-            {
-                s = self
-                    .cv
-                    .wait(s)
-                    .unwrap_or_else(|e| e.into_inner());
+            let live = |s: &State| {
+                s.active.is_some()
+                    || (s.threads.iter())
+                        .any(|t| matches!(t.status, Status::Running | Status::Starting))
+            };
+            while !s.abort && live(&s) {
+                s = self.ctrl.wait(s).unwrap_or_else(|e| e.into_inner());
+            }
+            if s.abort {
+                // Tear-down: no more grants. A parked thread sees the flag
+                // when woken, a running one at its next scheduling point;
+                // each unwinds, finishes and notifies us.
+                while s.threads.iter().any(|t| t.status != Status::Finished) {
+                    s.threads.iter().for_each(|t| t.cv.notify_one());
+                    s = self.ctrl.wait(s).unwrap_or_else(|e| e.into_inner());
+                }
             }
             if s.threads.iter().all(|t| t.status == Status::Finished) {
                 break;
             }
-            let ready = |t: &ThreadState, threads: &[ThreadState]| match t.status {
+            let ready = |i: usize, s: &State| match s.threads[i].status {
                 Status::Paused => true,
-                Status::Blocked(j) => threads[j].status == Status::Finished,
+                Status::Blocked(Wait::Join(j)) => s.threads[j].status == Status::Finished,
+                Status::Blocked(Wait::Mutex(k)) => !s.locked.contains(&k),
+                Status::Blocked(Wait::Condvar) => !s.cv_waiting.iter().any(|w| w.1 == i),
                 _ => false,
             };
             let mut runnable: Vec<usize> = (0..s.threads.len())
-                .filter(|&i| ready(&s.threads[i], &s.threads) && !s.threads[i].yielded)
+                .filter(|&i| ready(i, &s) && !s.threads[i].yielded)
                 .collect();
             if runnable.is_empty() {
                 // Only yielded threads left: schedulable after all, to
                 // avoid declaring a spin loop a deadlock.
-                runnable = (0..s.threads.len())
-                    .filter(|&i| ready(&s.threads[i], &s.threads))
-                    .collect();
+                runnable = (0..s.threads.len()).filter(|&i| ready(i, &s)).collect();
+            }
+            // Out of preemptions: the thread that ran last keeps running
+            // for as long as it can.
+            let can_continue = s.last.filter(|l| runnable.contains(l));
+            if let (Some(l), Some(bound)) = (can_continue, s.preemption_bound) {
+                if s.preemptions >= bound {
+                    runnable = vec![l];
+                }
             }
             if runnable.is_empty() {
-                if s.abort {
-                    // Abort already in flight: wake parked threads so they
-                    // unwind, then keep draining.
-                    self.cv.notify_all();
-                    continue;
-                }
                 let held: Vec<usize> = (0..s.threads.len())
                     .filter(|&i| s.threads[i].status != Status::Finished)
                     .collect();
                 s.abort = true;
                 s.failure = Some(format!("deadlock: threads {held:?} cannot make progress"));
-                self.cv.notify_all();
                 continue;
             }
             let choice = if s.cursor < s.replay.len() {
@@ -235,6 +284,13 @@ impl Scheduler {
             let options = runnable.len();
             s.path.push((choice, options));
             let tid = runnable[choice];
+            if can_continue.is_some_and(|l| l != tid) {
+                s.preemptions += 1;
+            }
+            s.last = Some(tid);
+            if let Status::Blocked(Wait::Mutex(k)) = s.threads[tid].status {
+                s.locked.push(k);
+            }
             for (i, t) in s.threads.iter_mut().enumerate() {
                 if i != tid {
                     // Someone else is about to run: yielded threads get
@@ -245,7 +301,7 @@ impl Scheduler {
             s.threads[tid].status = Status::Running;
             s.threads[tid].yielded = false;
             s.active = Some(tid);
-            self.cv.notify_all();
+            s.threads[tid].cv.notify_one();
         }
         let path = s.path.clone();
         let failure = s.failure.take();
@@ -262,8 +318,11 @@ impl Scheduler {
 /// parks for the first grant, runs `f` under `catch_unwind`, reports.
 fn run_model_thread(sched: Arc<Scheduler>, tid: usize, f: impl FnOnce()) {
     CTX.with(|c| *c.borrow_mut() = Some((Arc::clone(&sched), tid)));
-    sched.park(tid, None, false);
-    let result = catch_unwind(AssertUnwindSafe(f));
+    // The initial park unwinds too when the execution is being torn down.
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        sched.park(tid, None, false);
+        f()
+    }));
     if let Err(e) = result {
         let msg = e
             .downcast_ref::<String>()
@@ -285,7 +344,38 @@ pub fn model<F>(f: F)
 where
     F: Fn() + Send + Sync + 'static,
 {
-    let f = Arc::new(f);
+    model::Builder::new().check(f)
+}
+
+/// Configurable exploration, mirroring `loom::model::Builder`.
+pub mod model {
+    use super::*;
+
+    /// Exploration limits of one model check.
+    #[derive(Debug, Clone, Default)]
+    pub struct Builder {
+        /// At most this many switches away from a thread that could have
+        /// continued per execution; `None` explores every interleaving.
+        pub preemption_bound: Option<usize>,
+    }
+
+    impl Builder {
+        /// No preemption bound: exhaustive up to `LOOM_MAX_ITER`.
+        pub fn new() -> Self {
+            Self::default()
+        }
+
+        /// Runs the exploration; see [`crate::model()`].
+        pub fn check<F>(&self, f: F)
+        where
+            F: Fn() + Send + Sync + 'static,
+        {
+            explore(self.preemption_bound, Arc::new(f))
+        }
+    }
+}
+
+fn explore(preemption_bound: Option<usize>, f: Arc<dyn Fn() + Send + Sync>) {
     let max_iter = std::env::var("LOOM_MAX_ITER")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -294,7 +384,7 @@ where
     let mut iters = 0usize;
     loop {
         iters += 1;
-        let sched = Arc::new(Scheduler::new(replay.clone()));
+        let sched = Arc::new(Scheduler::new(replay.clone(), preemption_bound));
         let tid0 = sched.register();
         debug_assert_eq!(tid0, 0);
         let (s0, f0) = (Arc::clone(&sched), Arc::clone(&f));
@@ -372,7 +462,7 @@ pub mod thread {
                 Inner::Std(h) => h.join(),
                 Inner::Model { sched, tid, result } => {
                     let me = ctx().map(|(_, me)| me).expect("join outside model thread");
-                    sched.park(me, Some(tid), false);
+                    sched.park(me, Some(Wait::Join(tid)), false);
                     match result.lock().unwrap_or_else(|e| e.into_inner()).take() {
                         Some(v) => Ok(v),
                         None => Err(Box::new("model thread panicked")),
@@ -442,8 +532,155 @@ pub mod hint {
     }
 }
 
-/// `std::sync` stand-ins (atomics only — the subset hf-sync models use).
+/// `std::sync` stand-ins (the subset hf-sync models use).
 pub mod sync {
+    use crate::{ctx, Wait};
+    use std::ops::{Deref, DerefMut};
+    use std::sync::LockResult;
+
+    /// A mutex whose acquisition is a model scheduling point: inside a
+    /// model a thread asking for a held mutex is descheduled until it is
+    /// free. Outside a model it is the `std` mutex.
+    #[derive(Debug, Default)]
+    pub struct Mutex<T: ?Sized> {
+        inner: std::sync::Mutex<T>,
+    }
+
+    /// Guard of a [`Mutex`]; releases it on drop.
+    pub struct MutexGuard<'a, T: ?Sized> {
+        lock: &'a Mutex<T>,
+        inner: Option<std::sync::MutexGuard<'a, T>>,
+    }
+
+    impl<T> Mutex<T> {
+        /// Creates a new mutex protecting `value`.
+        pub const fn new(value: T) -> Self {
+            Self {
+                inner: std::sync::Mutex::new(value),
+            }
+        }
+    }
+
+    impl<T: ?Sized> Mutex<T> {
+        fn key(&self) -> usize {
+            &self.inner as *const _ as *const () as usize
+        }
+
+        /// Acquires the mutex (scheduling point). Never poisoned: a model
+        /// thread that panics fails the whole execution.
+        pub fn lock(&self) -> LockResult<MutexGuard<'_, T>> {
+            if let Some((sched, me)) = ctx() {
+                sched.park(me, Some(Wait::Mutex(self.key())), false);
+            }
+            let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+            Ok(MutexGuard {
+                lock: self,
+                inner: Some(inner),
+            })
+        }
+    }
+
+    impl<T: ?Sized> MutexGuard<'_, T> {
+        /// Gives the mutex up; `self` is left empty for `Drop`.
+        fn release(&mut self) {
+            if self.inner.take().is_some() {
+                if let Some((sched, _)) = ctx() {
+                    let key = self.lock.key();
+                    sched.lock().locked.retain(|&k| k != key);
+                }
+            }
+        }
+    }
+
+    impl<T: ?Sized> Drop for MutexGuard<'_, T> {
+        fn drop(&mut self) {
+            self.release();
+        }
+    }
+
+    impl<T: ?Sized> Deref for MutexGuard<'_, T> {
+        type Target = T;
+        fn deref(&self) -> &T {
+            self.inner.as_ref().expect("guard holds the mutex")
+        }
+    }
+
+    impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
+        fn deref_mut(&mut self) -> &mut T {
+            self.inner.as_mut().expect("guard holds the mutex")
+        }
+    }
+
+    /// A condition variable for [`Mutex`]. Inside a model a waiter is
+    /// descheduled until a notification picks it (the longest waiter
+    /// first); there are no spurious wakeups, so a protocol that loses a
+    /// wakeup deadlocks and is reported.
+    #[derive(Debug, Default)]
+    pub struct Condvar {
+        inner: std::sync::Condvar,
+    }
+
+    impl Condvar {
+        /// Creates a condition variable.
+        pub const fn new() -> Self {
+            Self {
+                inner: std::sync::Condvar::new(),
+            }
+        }
+
+        fn key(&self) -> usize {
+            self as *const Self as usize
+        }
+
+        /// Releases the mutex and waits for a notification, atomically;
+        /// reacquires the mutex before returning.
+        pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
+            match ctx() {
+                None => {
+                    let inner = guard.inner.take().expect("guard holds the mutex");
+                    guard.inner = Some(self.inner.wait(inner).unwrap_or_else(|e| e.into_inner()));
+                    Ok(guard)
+                }
+                Some((sched, me)) => {
+                    // Registering as a waiter is visible to notifiers, so
+                    // it is a scheduling point of its own.
+                    sched.park(me, None, false);
+                    let lock = guard.lock;
+                    sched.lock().cv_waiting.push((self.key(), me));
+                    guard.release();
+                    sched.park(me, Some(Wait::Condvar), false);
+                    lock.lock()
+                }
+            }
+        }
+
+        /// Wakes the longest waiter, if any (scheduling point).
+        pub fn notify_one(&self) {
+            self.notify(1);
+        }
+
+        /// Wakes every waiter (scheduling point).
+        pub fn notify_all(&self) {
+            self.notify(usize::MAX);
+        }
+
+        fn notify(&self, mut n: usize) {
+            match ctx() {
+                None if n == 1 => self.inner.notify_one(),
+                None => self.inner.notify_all(),
+                Some((sched, me)) => {
+                    sched.park(me, None, false);
+                    let key = self.key();
+                    sched.lock().cv_waiting.retain(|w| {
+                        let woken = w.0 == key && n > 0;
+                        n -= woken as usize;
+                        !woken
+                    });
+                }
+            }
+        }
+    }
+
     /// Atomic types whose every operation is a model scheduling point.
     pub mod atomic {
         use crate::sched_point;
@@ -565,6 +802,12 @@ pub mod sync {
             AtomicUsize,
             std::sync::atomic::AtomicUsize,
             usize
+        );
+        int_atomic!(
+            /// `AtomicIsize` whose operations are model scheduling points.
+            AtomicIsize,
+            std::sync::atomic::AtomicIsize,
+            isize
         );
 
         /// `AtomicBool` whose operations are model scheduling points.
@@ -743,6 +986,69 @@ mod tests {
             }
             h.join().unwrap();
         });
+    }
+
+    /// A flag set and signalled without the waiter's mutex can slip between
+    /// the waiter's check and its wait: the checker must report the lost
+    /// wakeup as a deadlock, and pass the variant that takes the mutex.
+    #[test]
+    fn condvar_lost_wakeup_is_a_deadlock() {
+        use super::sync::{Condvar, Mutex};
+        let run = |locked_set: bool| {
+            catch_unwind(move || {
+                model(move || {
+                    let pair = Arc::new((Mutex::new(()), Condvar::new(), AtomicUsize::new(0)));
+                    let p2 = Arc::clone(&pair);
+                    let waiter = thread::spawn(move || {
+                        let (m, cv, flag) = &*p2;
+                        let mut g = m.lock().unwrap();
+                        while flag.load(Ordering::SeqCst) == 0 {
+                            g = cv.wait(g).unwrap();
+                        }
+                    });
+                    let (m, cv, flag) = &*pair;
+                    let g = locked_set.then(|| m.lock().unwrap());
+                    flag.store(1, Ordering::SeqCst);
+                    drop(g);
+                    cv.notify_one();
+                    waiter.join().unwrap();
+                });
+            })
+        };
+        assert!(run(false).is_err(), "model checker missed the lost wakeup");
+        assert!(run(true).is_ok());
+    }
+
+    /// With a preemption bound of zero only run-to-completion schedules
+    /// are explored: the lost update of `finds_lost_update` needs one
+    /// preemption and goes unseen; a bound of one finds it.
+    #[test]
+    fn preemption_bound_limits_the_search() {
+        let racy = |bound: usize| {
+            catch_unwind(move || {
+                let b = model::Builder {
+                    preemption_bound: Some(bound),
+                };
+                b.check(|| {
+                    let x = Arc::new(AtomicUsize::new(0));
+                    let handles: Vec<_> = (0..2)
+                        .map(|_| {
+                            let x = Arc::clone(&x);
+                            thread::spawn(move || {
+                                let v = x.load(Ordering::SeqCst);
+                                x.store(v + 1, Ordering::SeqCst);
+                            })
+                        })
+                        .collect();
+                    for h in handles {
+                        h.join().unwrap();
+                    }
+                    assert_eq!(x.load(Ordering::SeqCst), 2, "lost update");
+                });
+            })
+        };
+        assert!(racy(0).is_ok());
+        assert!(racy(1).is_err());
     }
 
     #[test]

@@ -294,6 +294,74 @@ fn device_loss_completes_on_survivors() {
     );
 }
 
+/// The failover case again, with a host chain before and after the GPU
+/// lanes and one worker: the tail tasks are skipped while the failover is
+/// pending, so the worker itself finishes the pass, performs the failover
+/// and runs the first replayed task in the same burst. It must dispatch it
+/// by the re-placed plan, not by the one its burst started with, and every
+/// host task's body runs exactly once.
+#[test]
+fn device_loss_replays_on_the_new_plan_within_one_burst() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    let seed = base_seed();
+    let ex = Executor::builder(1, 2)
+        .retry_policy(RetryPolicy::new(3))
+        .build();
+    ex.gpu_runtime()
+        .set_fault_plan(Some(FaultPlan::seeded(seed).lose_device(1, 1)));
+
+    let bufs: Vec<HostVec<i32>> = (0..2)
+        .map(|_| HostVec::from_vec(vec![3; 64]))
+        .collect();
+    let g = Heteroflow::new("lose_one_between_host_chains");
+    let bodies: Vec<Arc<AtomicUsize>> = (0..6).map(|_| Arc::new(AtomicUsize::new(0))).collect();
+    let host = |i: usize| {
+        let c = Arc::clone(&bodies[i]);
+        g.host(&format!("host_{i}"), move || {
+            c.fetch_add(1, Ordering::SeqCst);
+        })
+    };
+    let chain: Vec<HostTask> = (0..6).map(host).collect();
+    chain[0].precede(&chain[1]);
+    chain[1].precede(&chain[2]);
+    chain[3].precede(&chain[4]);
+    chain[4].precede(&chain[5]);
+    for (i, b) in bufs.iter().enumerate() {
+        let p = g.pull(&format!("pull_{i}"), b);
+        let k = g.kernel(&format!("double_{i}"), &[&p], |cfg, args| {
+            let xs = args.slice_mut::<i32>(0).unwrap();
+            for t in cfg.threads() {
+                if t < xs.len() {
+                    xs[t] *= 2;
+                }
+            }
+        });
+        k.block_x(64);
+        let s = g.push(&format!("push_{i}"), &p, b);
+        chain[2].precede(&p);
+        p.precede(&k);
+        k.precede(&s);
+        s.precede(&chain[3]);
+    }
+
+    let res = ex
+        .run(&g)
+        .wait_timeout(DEADLINE)
+        .unwrap_or_else(|| panic!("device-loss run hung (seed {seed})"));
+    assert_eq!(res, Ok(()), "device-loss run failed (seed {seed})");
+    for b in &bufs {
+        assert!(
+            b.read().iter().all(|&v| v == 6),
+            "device-loss run corrupted data (seed {seed})"
+        );
+    }
+    for (i, c) in bodies.iter().enumerate() {
+        assert_eq!(c.load(Ordering::SeqCst), 1, "host_{i} body count (seed {seed})");
+    }
+    assert!(ex.stats().snapshot().devices_lost >= 1);
+}
+
 /// Chaos with two tenants sharing a fleet: seeded fault plans fire under
 /// concurrent multi-tenant submission, and every future still settles
 /// within the deadline as success-with-correct-data or a structured

@@ -438,3 +438,199 @@ fn queued_runs_that_settle_immediately_do_not_recurse() {
     ex.run(&g).wait().expect("graph is runnable afterwards");
     assert_eq!(executed.load(Ordering::SeqCst), 2);
 }
+
+/// A host task may submit to *another* executor: the inner run's tokens
+/// belong to that executor's queues, whichever thread submits them.
+#[test]
+fn host_task_submits_to_another_executor() {
+    use std::time::Duration;
+    let a = Executor::new(1, 0);
+    let b = Arc::new(Executor::new(1, 0));
+    let inner_runs = Arc::new(AtomicUsize::new(0));
+    let inner = Heteroflow::new("inner");
+    let c = Arc::clone(&inner_runs);
+    inner.host("count", move || {
+        c.fetch_add(1, Ordering::SeqCst);
+    });
+
+    let outer_runs = Arc::new(AtomicUsize::new(0));
+    let inner_settled = Arc::new(AtomicUsize::new(0));
+    let outer = Heteroflow::new("outer");
+    let (b2, inner2) = (Arc::clone(&b), inner.clone());
+    let (o, s) = (Arc::clone(&outer_runs), Arc::clone(&inner_settled));
+    let submit = outer.host("submit_to_b", move || {
+        o.fetch_add(1, Ordering::SeqCst);
+        if b2.run(&inner2).wait_timeout(Duration::from_millis(500)) == Some(Ok(())) {
+            s.fetch_add(1, Ordering::SeqCst);
+        }
+    });
+    let o = Arc::clone(&outer_runs);
+    let after = outer.host("after", move || {
+        o.fetch_add(1, Ordering::SeqCst);
+    });
+    submit.precede(&after);
+
+    for round in 1..=3 {
+        let res = a.run(&outer).wait_timeout(Duration::from_secs(20));
+        assert_eq!(res, Some(Ok(())), "outer run {round} on a");
+        assert_eq!(inner_settled.load(Ordering::SeqCst), round, "b ran the inner graph");
+        assert_eq!(inner_runs.load(Ordering::SeqCst), round);
+        assert_eq!(outer_runs.load(Ordering::SeqCst), 2 * round);
+    }
+    assert_eq!(a.snapshot().tasks_executed, 6);
+    assert_eq!(b.snapshot().tasks_executed, 3);
+}
+
+/// ... and to its *own* executor, without waiting inside the task.
+#[test]
+fn host_task_submits_to_its_own_executor() {
+    use std::time::Duration;
+    let ex = Arc::new(Executor::new(1, 0));
+    let other_runs = Arc::new(AtomicUsize::new(0));
+    let other = Heteroflow::new("other");
+    let c = Arc::clone(&other_runs);
+    other.host("count", move || {
+        c.fetch_add(1, Ordering::SeqCst);
+    });
+
+    let submitted: Arc<std::sync::Mutex<Vec<RunFuture>>> = Default::default();
+    let outer = Heteroflow::new("outer");
+    let (ex2, other2, sub) = (Arc::clone(&ex), other.clone(), Arc::clone(&submitted));
+    outer.host("submit_to_self", move || {
+        sub.lock().unwrap().push(ex2.run(&other2));
+    });
+    for _ in 0..3 {
+        let res = ex.run(&outer).wait_timeout(Duration::from_secs(20));
+        assert_eq!(res, Some(Ok(())));
+    }
+    let futures = std::mem::take(&mut *submitted.lock().unwrap());
+    assert_eq!(futures.len(), 3);
+    for f in futures {
+        assert_eq!(f.wait_timeout(Duration::from_secs(20)), Some(Ok(())));
+    }
+    assert_eq!(other_runs.load(Ordering::SeqCst), 3);
+    // The closure's handle must not be the last one: an executor is never
+    // dropped on one of its own workers.
+    drop(outer);
+}
+
+/// One task-level event: `(phase, task, worker, t_ns)`.
+type TaskEvent = (LifecyclePhase, u32, Option<u32>, u64);
+
+/// Captures every task-level event.
+#[derive(Default)]
+struct Capture(std::sync::Mutex<Vec<TaskEvent>>);
+
+impl heteroflow::core::ExecutorObserver for Capture {
+    fn on_lifecycle(&self, ev: &LifecycleEvent) {
+        if let Some(task) = ev.task {
+            self.0.lock().unwrap().push((ev.phase, task, ev.worker, ev.t_ns));
+        }
+    }
+}
+
+/// Every task of a wavefront — the ones a worker runs straight after their
+/// predecessor, without a deque round trip, included — has exactly one
+/// `Ready`, `Started` and `Finished`, stamped in that order, and is started
+/// and finished by one worker.
+#[test]
+fn every_task_has_one_ready_started_finished_in_order() {
+    const SIDE: usize = 32;
+    let capture = Arc::new(Capture::default());
+    let ex = Executor::builder(2, 0).observer(capture.clone()).build();
+    let g = Heteroflow::new("events");
+    let mut tasks: Vec<HostTask> = Vec::with_capacity(SIDE * SIDE);
+    for i in 0..SIDE {
+        for j in 0..SIDE {
+            let t = g.host(&format!("c{i}_{j}"), || {});
+            if i > 0 {
+                t.succeed(&tasks[(i - 1) * SIDE + j]);
+            }
+            if j > 0 {
+                t.succeed(&tasks[i * SIDE + j - 1]);
+            }
+            tasks.push(t);
+        }
+    }
+    ex.run(&g).wait().expect("runs");
+
+    let events = capture.0.lock().unwrap();
+    assert_eq!(events.len(), 3 * SIDE * SIDE);
+    for task in 0..(SIDE * SIDE) as u32 {
+        let of = |phase| {
+            let mut hits = events.iter().filter(|e| e.0 == phase && e.1 == task);
+            let hit = hits.next().unwrap_or_else(|| panic!("task {task}: no {phase}"));
+            assert!(hits.next().is_none(), "task {task}: more than one {phase}");
+            *hit
+        };
+        let ready = of(LifecyclePhase::Ready);
+        let started = of(LifecyclePhase::Started);
+        let finished = of(LifecyclePhase::Finished);
+        assert!(ready.3 <= started.3 && started.3 <= finished.3, "task {task} out of order");
+        assert!(started.2.is_some(), "task {task} started off a worker");
+        assert_eq!(started.2, finished.2, "task {task} changed workers");
+    }
+}
+
+/// Registry slots are recycled while a worker is mid-burst: queued runs of
+/// two graphs alternate on one worker, each run taking over the slot the
+/// previous run of its graph just released. What a worker remembers about
+/// a slot never outlives the topology that owned it.
+#[test]
+fn recycled_slots_never_serve_a_stale_topology() {
+    const RUNS: usize = 20_000;
+    let ex = Executor::new(1, 0);
+    let graphs: Vec<(Heteroflow, Vec<Arc<AtomicUsize>>)> = (0..2)
+        .map(|k| {
+            let g = Heteroflow::new(&format!("chain{k}"));
+            let mut counters: Vec<Arc<AtomicUsize>> = Vec::new();
+            let mut prev: Option<HostTask> = None;
+            for t in 0..3 {
+                let c = Arc::new(AtomicUsize::new(0));
+                let c2 = Arc::clone(&c);
+                let task = g.host(&format!("t{t}"), move || {
+                    c2.fetch_add(1, Ordering::Relaxed);
+                });
+                if let Some(p) = &prev {
+                    p.precede(&task);
+                }
+                prev = Some(task);
+                counters.push(c);
+            }
+            (g, counters)
+        })
+        .collect();
+    let futures: Vec<RunFuture> = (0..RUNS).map(|i| ex.run(&graphs[i % 2].0)).collect();
+    for f in futures {
+        f.wait().expect("queued run completes");
+    }
+    for (k, (_, counters)) in graphs.iter().enumerate() {
+        for (t, c) in counters.iter().enumerate() {
+            assert_eq!(c.load(Ordering::Relaxed), RUNS / 2, "graph {k} task {t}");
+        }
+    }
+    assert_eq!(ex.snapshot().tasks_executed, 3 * RUNS as u64);
+}
+
+/// An idle worker pins nothing: once a run is over and its graph dropped,
+/// what the host closures captured is freed even though the executor (and
+/// the worker that ran them) lives on.
+#[test]
+fn idle_workers_pin_no_graph() {
+    let ex = Executor::new(2, 0);
+    let payload = Arc::new(7u64);
+    let weak = Arc::downgrade(&payload);
+    let g = Heteroflow::new("pinned");
+    let first = g.host("first", move || {
+        std::hint::black_box(*payload);
+    });
+    first.precede(&g.host("second", || {}));
+    drop(first);
+    ex.run(&g).wait().expect("runs");
+    drop(g);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+    while weak.upgrade().is_some() {
+        assert!(std::time::Instant::now() < deadline, "a worker still holds the graph");
+        std::thread::yield_now();
+    }
+}
