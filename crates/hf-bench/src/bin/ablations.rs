@@ -1,14 +1,14 @@
 //! One-shot ablation summary: runs A1–A5 at small scale and prints a
-//! consolidated table (the Criterion benches give precise numbers; this
-//! binary gives the narrative in seconds).
+//! consolidated table (`bench_executor` and the `bench/` ladder give
+//! numbers with variance; this binary gives the narrative in seconds).
 //!
 //! Usage: `cargo run --release -p hf-bench --bin ablations`
 
 use hf_core::data::HostVec;
-use hf_core::placement::{device_placement, PlacementPolicy};
+use hf_bench::Packer;
 use hf_core::{AsTask, Executor, Heteroflow};
 use hf_gpu::{BuddyAllocator, CostModel, SimDuration};
-use hf_sim::{simulate, Machine, SchedulerMode};
+use hf_sim::{simulate, simulate_placed, Machine, SchedulerMode};
 use std::time::Instant;
 
 fn main() {
@@ -32,14 +32,13 @@ fn a1_placement_policies() {
     }
     let info = g.info().expect("acyclic");
     println!("A1  device placement policy (400 skewed groups, 4 GPUs):");
-    for (name, policy) in [
-        ("balanced (paper)", PlacementPolicy::BalancedLoad),
-        ("round-robin", PlacementPolicy::RoundRobin),
-        ("random", PlacementPolicy::Random { seed: 3 }),
+    for (name, packer) in [
+        ("balanced (paper)", Packer::Balanced),
+        ("round-robin", Packer::RoundRobin),
+        ("random", Packer::Random { seed: 3 }),
     ] {
-        let p = device_placement(&info, 4, policy, &CostModel::default()).expect("placeable");
-        let r = simulate(&info, &Machine::new(8, 4), policy, |_| SimDuration::ZERO)
-            .expect("simulates");
+        let p = packer.place(&info, 4, &CostModel::default()).expect("placeable");
+        let r = simulate_placed(&info, &Machine::new(8, 4), &p, |_| SimDuration::ZERO);
         println!(
             "      {name:<18} imbalance {:>6.3}   modeled makespan {:>8.2} ms",
             p.imbalance(),
@@ -69,7 +68,7 @@ fn a2_dedicated_workers() {
         ("dedicated/GPU", SchedulerMode::DedicatedGpuWorkers),
     ] {
         let m = Machine::new(8, 2).with_mode(mode);
-        let r = simulate(&info, &m, PlacementPolicy::BalancedLoad, |_| {
+        let r = simulate(&info, &m, |_| {
             SimDuration::from_millis(1)
         })
         .expect("simulates");

@@ -20,11 +20,10 @@
 //!     [--placement balanced|roundrobin|random]   (A1 ablation)
 //!     [--sweep cores|views|both] [--json]
 
-use hf_bench::{print_matrix, Args, NameCosts, Row};
-use hf_core::placement::PlacementPolicy;
+use hf_bench::{print_matrix, Args, NameCosts, Packer, Row};
 use hf_core::{GraphInfo, TaskKind};
 use hf_gpu::{CostModel, SimDuration};
-use hf_sim::{simulate, Machine, SchedulerMode};
+use hf_sim::{simulate_placed, Machine, SchedulerMode};
 use hf_timing::correlation::{build_correlation_graph, CorrelationConfig};
 use hf_timing::cppr::{apply_cppr, ClockTree};
 use hf_timing::regression::NUM_FEATURES;
@@ -46,7 +45,7 @@ struct Setup {
     cfg: CorrelationConfig,
     costs: NameCosts,
     cost_model: CostModel,
-    policy: PlacementPolicy,
+    packer: Packer,
 }
 
 /// Fills pull/push byte sizes that are only known after the gen task
@@ -80,9 +79,8 @@ fn minutes(info: &GraphInfo, setup: &Setup, cores: usize, gpus: u32) -> f64 {
     let m = Machine::new(cores, gpus)
         .with_cost(setup.cost_model)
         .with_mode(SchedulerMode::Unified);
-    let r = simulate(info, &m, setup.policy, setup.costs.for_graph(info))
-        .expect("valid graph and machine");
-    r.makespan_secs / 60.0
+    let p = setup.packer.place(info, gpus, &m.cost).expect("valid graph and machine");
+    simulate_placed(info, &m, &p, setup.costs.for_graph(info)).makespan_secs / 60.0
 }
 
 fn main() {
@@ -92,10 +90,10 @@ fn main() {
     let paths: usize = args.get("paths", 256);
     let epochs: usize = args.get("epochs", 60);
     let sweep = args.get_str("sweep").unwrap_or("both").to_string();
-    let policy = match args.get_str("placement").unwrap_or("balanced") {
-        "roundrobin" => PlacementPolicy::RoundRobin,
-        "random" => PlacementPolicy::Random { seed: 1 },
-        _ => PlacementPolicy::BalancedLoad,
+    let packer = match args.get_str("placement").unwrap_or("balanced") {
+        "roundrobin" => Packer::RoundRobin,
+        "random" => Packer::Random { seed: 1 },
+        _ => Packer::Balanced,
     };
 
     eprintln!("[fig6] synthesizing circuit ({gates} gates) ...");
@@ -155,7 +153,7 @@ fn main() {
         cfg,
         costs,
         cost_model,
-        policy,
+        packer,
     };
 
     let mut json = serde_json::Map::new();

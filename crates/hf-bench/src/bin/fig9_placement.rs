@@ -22,7 +22,6 @@
 //!     [--sweep cores|iters|both] [--json]
 
 use hf_bench::{print_matrix, Args, NameCosts, Row};
-use hf_core::placement::PlacementPolicy;
 use hf_core::GraphInfo;
 use hf_gpu::{CostModel, SimDuration};
 use hf_place::graph::{build_placement_graph, GraphConfig};
@@ -62,7 +61,7 @@ fn seconds(info: &GraphInfo, setup: &Setup, cores: usize, gpus: u32) -> f64 {
     let m = Machine::new(cores, gpus)
         .with_cost(setup.cost_model)
         .with_mode(setup.mode);
-    let r = simulate(info, &m, PlacementPolicy::BalancedLoad, setup.costs.for_graph(info))
+    let r = simulate(info, &m, setup.costs.for_graph(info))
         .expect("valid graph and machine");
     r.makespan_secs
 }

@@ -21,8 +21,10 @@
 
 pub mod cli;
 pub mod costs;
+pub mod packers;
 pub mod table;
 
 pub use cli::Args;
 pub use costs::NameCosts;
+pub use packers::Packer;
 pub use table::{print_matrix, Row};

@@ -22,6 +22,14 @@ use std::collections::HashMap;
 /// Default EWMA blend weight for new observations.
 const DEFAULT_ALPHA: f64 = 0.3;
 
+/// True for a duration a placement can weigh: finite and non-negative.
+/// Estimates arrive from outside the program (`hf-timing` seeds them from
+/// a persisted JSON profile), so [`CostDb`] refuses anything else and
+/// placement ignores one that got through.
+pub(crate) fn usable_cost(nanos: f64) -> bool {
+    nanos.is_finite() && nanos >= 0.0
+}
+
 /// Thread-safe table of per-(graph, task) duration estimates in
 /// nanoseconds of modeled device time.
 #[derive(Debug, Default)]
@@ -37,8 +45,12 @@ impl CostDb {
 
     /// Seeds an estimate from external history (e.g. a persisted timing
     /// profile). A task that already has *observed* samples keeps them;
-    /// an absent or still-seed-only entry takes the new seed.
+    /// an absent or still-seed-only entry takes the new seed. A NaN,
+    /// infinite or negative `nanos` is dropped.
     pub fn seed(&self, graph: &str, task: &str, nanos: f64) {
+        if !usable_cost(nanos) {
+            return;
+        }
         let mut m = self.inner.lock();
         let e = m
             .entry((graph.to_string(), task.to_string()))
@@ -48,8 +60,12 @@ impl CostDb {
         }
     }
 
-    /// Records one executed task's modeled duration.
+    /// Records one executed task's modeled duration (dropped when NaN,
+    /// infinite or negative).
     pub fn observe(&self, graph: &str, task: &str, nanos: f64) {
+        if !usable_cost(nanos) {
+            return;
+        }
         self.inner
             .lock()
             .entry((graph.to_string(), task.to_string()))
@@ -118,7 +134,7 @@ impl CostDb {
 }
 
 /// Immutable per-graph snapshot of refined task costs (nanoseconds),
-/// consumed by [`crate::placement::device_placement_ext`]. Tasks absent
+/// consumed by [`crate::placement::place`]. Tasks absent
 /// from the snapshot fall back to the analytic model.
 #[derive(Debug, Clone, Default)]
 pub struct TaskCosts {
@@ -134,6 +150,13 @@ impl TaskCosts {
     /// True when no task has a refined estimate.
     pub fn is_empty(&self) -> bool {
         self.by_task.is_empty()
+    }
+
+    /// A snapshot holding exactly `pairs`, unchecked — what [`CostDb`]
+    /// would never store, for testing that placement ignores it anyway.
+    #[cfg(test)]
+    pub(crate) fn unchecked(pairs: &[(&str, f64)]) -> Self {
+        Self { by_task: pairs.iter().map(|&(t, w)| (t.to_string(), w)).collect() }
     }
 }
 
@@ -151,6 +174,19 @@ mod tests {
         assert_eq!(db.get("g", "t"), Some(10.0));
         // A later seed does not clobber observed data.
         db.seed("g", "t", 500.0);
+        assert_eq!(db.get("g", "t"), Some(10.0));
+    }
+
+    #[test]
+    fn unusable_costs_are_not_stored() {
+        let db = CostDb::new();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            db.seed("g", "t", bad);
+            db.observe("g", "t", bad);
+        }
+        assert!(db.is_empty());
+        db.observe("g", "t", 10.0);
+        db.observe("g", "t", f64::NAN);
         assert_eq!(db.get("g", "t"), Some(10.0));
     }
 

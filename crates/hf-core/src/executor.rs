@@ -29,7 +29,7 @@ use crate::error::HfError;
 use crate::graph::{FrozenGraph, Heteroflow, SchedCache, TaskKind, Work};
 use crate::lifecycle::{lifecycle_now_ns, LifecycleEvent, LifecyclePhase};
 use crate::observer::ExecutorObserver;
-use crate::placement::PlacementPolicy;
+use crate::placement::{PlaceInput, Placement, PlacementPolicy};
 use crate::retry::{OnDeviceLoss, RetryPolicy};
 use crate::stats::ExecutorStats;
 use crate::topology::{FusionPlan, RunFuture, Topology};
@@ -346,27 +346,14 @@ pub(crate) struct ExecInner {
 }
 
 impl ExecInner {
-    /// True when the locality policy is active — the only mode that pays
-    /// for per-task cost observation.
-    fn locality(&self) -> bool {
-        matches!(self.policy, PlacementPolicy::Locality)
-    }
-
     /// Records one executed task's modeled duration into the cost
-    /// database (locality policy only; other policies skip the feedback
-    /// loop entirely so their hot path is unchanged).
+    /// database (locality policy only; `BalancedLoad` skips the feedback
+    /// loop entirely so its hot path never touches [`CostDb`]).
+    ///
+    /// [`CostDb`]: crate::costmodel::CostDb
     pub(crate) fn observe_cost(&self, graph: &str, task: &str, nanos: f64) {
-        if self.locality() {
+        if self.policy == PlacementPolicy::Locality {
             self.cost_db.observe(graph, task, nanos);
-        }
-    }
-
-    /// EWMA cost snapshot for placing `graph`, when the policy uses one.
-    pub(crate) fn refined_costs(&self, graph: &str) -> Option<crate::costmodel::TaskCosts> {
-        if self.locality() {
-            Some(self.cost_db.snapshot_for(graph))
-        } else {
-            None
         }
     }
 
@@ -427,58 +414,69 @@ impl ExecInner {
         self.emit(|| task_event(topo, phase, node, worker, chain, ok, detail));
     }
 
-    /// The one survivor re-placement routine: when a device has been
-    /// lost, notes it (each device counted once in `devices_lost`) and
-    /// re-places `frozen` against the surviving set, keeping every group
-    /// of `prev` (the previous `device_of`; empty places everything
-    /// fresh) whose device is still alive where it is. Returns the lost
-    /// mask with the new placement, `Ok(None)` when no device is lost.
-    pub(crate) fn place_on_survivors(
+    /// The one call into [`crate::placement::place`], and the only place
+    /// [`PlacementPolicy`] shapes a placement: it selects what the routine
+    /// is fed (`Locality`: a refined-cost snapshot and warm residency;
+    /// `BalancedLoad`: neither). Devices lost by now are masked out and
+    /// counted once each in `devices_lost`; groups of `prev` (a previous
+    /// `device_of`; empty places everything) on a surviving device stay.
+    ///
+    /// Only a first placement on a healthy executor reads and updates the
+    /// decayed cross-graph load — with a device lost it may describe dead
+    /// hardware, and a re-placement adds no new work. `own_loads` is then
+    /// what this placement added per device, and `None` otherwise.
+    pub(crate) fn place(
         &self,
         frozen: &FrozenGraph,
         prev: &[Option<u32>],
-    ) -> Result<Option<(Vec<bool>, crate::placement::Placement)>, HfError> {
+    ) -> Result<Placed, HfError> {
         let devices = self.gpu.devices();
         let lost: Vec<bool> = devices.iter().map(|d| d.is_lost()).collect();
-        if !lost.iter().any(|&l| l) {
-            return Ok(None);
-        }
         for (d, &l) in lost.iter().enumerate() {
             if l && !self.lost_seen[d].swap(true, Ordering::Relaxed) {
                 self.stats.devices_lost.incr();
             }
         }
-        let refined = self.refined_costs(frozen.name());
-        let p = crate::placement::failover_placement_ext(
-            frozen,
+        let locality = self.policy == PlacementPolicy::Locality;
+        let refined = locality.then(|| self.cost_db.snapshot_for(frozen.name()));
+        let cost = devices.first().map(|d| d.cost_model()).unwrap_or_default();
+        let biased = prev.is_empty() && !lost.contains(&true);
+        let mut bias = biased.then(|| self.device_load.lock());
+        if let Some(dl) = &mut bias {
+            dl.iter_mut().for_each(|l| *l *= 0.5);
+        }
+        let input = PlaceInput {
+            lost: &lost,
+            initial_loads: bias.as_deref().map_or(&[], Vec::as_slice),
             prev,
-            &lost,
-            &self.gpu_cost_model(),
-            self.policy,
-            refined.as_ref(),
-        )?;
-        self.record_placement(&p);
-        Ok(Some((lost, p)))
-    }
-
-    fn gpu_cost_model(&self) -> hf_gpu::CostModel {
-        self.gpu
-            .devices()
-            .first()
-            .map(|d| d.cost_model())
-            .unwrap_or_default()
-    }
-
-    /// Publishes a freshly computed placement's locality metrics.
-    pub(crate) fn record_placement(&self, p: &crate::placement::Placement) {
-        if p.warm_hits > 0 {
-            self.stats.placement_warm_hits.add(p.warm_hits);
+            refined: refined.as_ref(),
+            warm: locality,
+        };
+        let placement = crate::placement::place(frozen, &cost, &input)?;
+        let own_loads = bias.map(|mut dl| {
+            let own = placement.loads.iter().zip(dl.iter()).map(|(l, b)| l - b).collect();
+            dl.copy_from_slice(&placement.loads);
+            own
+        });
+        if placement.warm_hits > 0 {
+            self.stats.placement_warm_hits.add(placement.warm_hits);
         }
-        if p.est_bytes_saved > 0 {
-            self.stats.placement_est_bytes_saved.add(p.est_bytes_saved);
+        if placement.est_bytes_saved > 0 {
+            self.stats.placement_est_bytes_saved.add(placement.est_bytes_saved);
         }
-        self.stats.placement_imbalance.set(p.imbalance());
+        self.stats.placement_imbalance.set(placement.imbalance());
+        Ok(Placed { lost, placement, own_loads })
     }
+}
+
+/// What [`ExecInner::place`] returns.
+pub(crate) struct Placed {
+    /// The lost-device mask the placement was made against.
+    pub(crate) lost: Vec<bool>,
+    pub(crate) placement: Placement,
+    /// Load this placement added per device (nanoseconds), when it was
+    /// fed the cross-graph load; such a plan may be cached.
+    pub(crate) own_loads: Option<Vec<f64>>,
 }
 
 /// The task-level event constructor (run-level:
@@ -966,28 +964,15 @@ impl Executor {
             }
         };
 
-        // Degraded mode: with a lost device the cached placement (and the
-        // cross-graph load bias) may reference dead hardware, so bypass
-        // the cache in both directions and place directly against the
-        // surviving device set.
-        if let Some((_, p)) = inner.place_on_survivors(&frozen, &[])? {
-            inner.stats.topo_cache_misses.incr();
-            let placement = Arc::new(p);
-            let fusion = Arc::new(FusionPlan::compute(&frozen, &placement, inner.fusion, None));
-            return Ok(ExecPlan {
-                frozen,
-                placement,
-                fusion,
-                lint_report,
-            });
-        }
-
         // Scheduling cache: reuse placement + fusion when this executor
-        // already planned this epoch of the graph.
+        // already planned this epoch of the graph. With a device lost the
+        // cached placement may reference dead hardware, so the cache is
+        // bypassed in both directions.
+        let degraded = self.gpu.devices().iter().any(|d| d.is_lost());
         let cached = {
             let c = hf.shared.sched_cache.lock();
             c.as_ref()
-                .filter(|sc| sc.exec_id == inner.id && sc.epoch == epoch)
+                .filter(|sc| !degraded && sc.exec_id == inner.id && sc.epoch == epoch)
                 .map(|sc| {
                     (
                         Arc::clone(&sc.placement),
@@ -1009,34 +994,19 @@ impl Executor {
             }
             None => {
                 inner.stats.topo_cache_misses.incr();
-                let mut dl = inner.device_load.lock();
-                for l in dl.iter_mut() {
-                    *l *= 0.5;
-                }
-                let refined = inner.refined_costs(frozen.name());
-                let p = crate::placement::device_placement_ext(
-                    &*frozen,
-                    self.gpu.num_devices(),
-                    inner.policy,
-                    &inner.gpu_cost_model(),
-                    &dl,
-                    refined.as_ref(),
-                )?;
-                inner.record_placement(&p);
-                let own_loads: Vec<f64> =
-                    p.loads.iter().zip(dl.iter()).map(|(l, b)| l - b).collect();
-                dl.copy_from_slice(&p.loads);
-                drop(dl);
-                let placement = Arc::new(p);
+                let placed = inner.place(&frozen, &[])?;
+                let placement = Arc::new(placed.placement);
                 let fusion =
                     Arc::new(FusionPlan::compute(&frozen, &placement, inner.fusion, None));
-                *hf.shared.sched_cache.lock() = Some(SchedCache {
-                    exec_id: inner.id,
-                    epoch,
-                    placement: Arc::clone(&placement),
-                    fusion: Arc::clone(&fusion),
-                    own_loads,
-                });
+                if let Some(own_loads) = placed.own_loads {
+                    *hf.shared.sched_cache.lock() = Some(SchedCache {
+                        exec_id: inner.id,
+                        epoch,
+                        placement: Arc::clone(&placement),
+                        fusion: Arc::clone(&fusion),
+                        own_loads,
+                    });
+                }
                 (placement, fusion)
             }
         };
@@ -1366,10 +1336,10 @@ impl ExecInner {
         let frozen = &topo.frozen;
         let n = frozen.nodes.len();
         let placement = topo.placement();
-        let (lost, new_placement) = match self.place_on_survivors(frozen, &placement.device_of) {
-            Ok(Some(placed)) => placed,
+        let (lost, new_placement) = match self.place(frozen, &placement.device_of) {
+            Ok(placed) if placed.lost.contains(&true) => (placed.lost, placed.placement),
             // A failover without a lost device has nothing to re-place.
-            Ok(None) => {
+            Ok(_) => {
                 topo.fail(cause);
                 return false;
             }

@@ -13,10 +13,9 @@
 //!   future settles when the run (eventually admitted and executed)
 //!   completes. Cancelling a still-queued future settles it with
 //!   [`HfError::Cancelled`] without it ever dispatching.
-//! * **Pluggable admission** ([`crate::admission`]): FIFO, weighted-fair
-//!   (start-time fair queueing over cost-model virtual time), or strict
-//!   priority decide which queue's head is admitted whenever an
-//!   in-flight slot frees up.
+//! * **Pluggable admission** ([`crate::admission`]): FIFO or weighted-fair
+//!   (start-time fair queueing over cost-model virtual time) decides
+//!   which queue's head is admitted whenever an in-flight slot frees up.
 //! * **Quotas and backpressure.** Per-tenant in-flight caps park excess
 //!   submissions (backpressure); per-tenant queue bounds return
 //!   [`HfError::FleetSaturated`]; a modeled GPU-nanosecond budget
@@ -116,6 +115,19 @@ impl Lane {
             queue_wait_ns_total: 0,
         }
     }
+
+    /// What the admission policy sees of this lane (its queue non-empty).
+    fn view(&self) -> LaneView<'_> {
+        let head = self.queue.front().expect("eligible lanes have a head");
+        LaneView {
+            tenant: self.id.as_str(),
+            weight: self.cfg.weight.max(1),
+            queued: self.queue.len(),
+            inflight: self.inflight,
+            head_seq: head.seq,
+            head_cost_ns: head.est_ns,
+        }
+    }
 }
 
 struct FleetState {
@@ -170,7 +182,7 @@ impl std::fmt::Debug for Fleet {
 
 impl Fleet {
     /// Creates a fleet over `exec` with FIFO admission (the baseline;
-    /// see [`Fleet::with_policy`] for weighted-fair or strict-priority).
+    /// see [`Fleet::with_policy`] for weighted-fair).
     pub fn new(exec: Executor, cfg: FleetConfig) -> Self {
         Self::with_policy(exec, cfg, Box::new(Fifo))
     }
@@ -330,7 +342,7 @@ impl Fleet {
             Some(launch) => inner.dispatch(launch),
             None => inner.pump(),
         }
-        Ok(RunFuture { core })
+        Ok(core)
     }
 
     /// Blocks until every queued and in-flight submission has settled
@@ -372,7 +384,6 @@ impl Fleet {
                 .map(|l| TenantSnapshot {
                     tenant: l.id.as_str().to_string(),
                     weight: l.cfg.weight,
-                    priority: l.cfg.priority,
                     queued: l.queue.len(),
                     inflight: l.inflight,
                     submitted: l.submitted,
@@ -453,22 +464,8 @@ impl FleetInner {
                         if eligible.is_empty() {
                             None
                         } else {
-                            let views: Vec<LaneView<'_>> = eligible
-                                .iter()
-                                .map(|&i| {
-                                    let l = &st.lanes[i];
-                                    let head = l.queue.front().expect("eligible lane");
-                                    LaneView {
-                                        tenant: l.id.as_str(),
-                                        weight: l.cfg.weight.max(1),
-                                        priority: l.cfg.priority,
-                                        queued: l.queue.len(),
-                                        inflight: l.inflight,
-                                        head_seq: head.seq,
-                                        head_cost_ns: head.est_ns,
-                                    }
-                                })
-                                .collect();
+                            let views: Vec<LaneView<'_>> =
+                                eligible.iter().map(|&i| st.lanes[i].view()).collect();
                             match policy.pick(&views) {
                                 Some(k) if k < views.len() => {
                                     policy.admitted(&views[k], views[k].head_cost_ns);
@@ -535,19 +532,7 @@ impl FleetInner {
     /// caller holds the state lock and has verified eligibility.
     fn admit_head(&self, st: &mut FleetState, li: usize) -> Option<Launch> {
         let mut policy = self.policy.lock();
-        let view = {
-            let l = &st.lanes[li];
-            let head = l.queue.front().expect("caller verified non-empty");
-            LaneView {
-                tenant: l.id.as_str(),
-                weight: l.cfg.weight.max(1),
-                priority: l.cfg.priority,
-                queued: l.queue.len(),
-                inflight: l.inflight,
-                head_seq: head.seq,
-                head_cost_ns: head.est_ns,
-            }
-        };
+        let view = st.lanes[li].view();
         match policy.pick(std::slice::from_ref(&view)) {
             Some(0) => {
                 policy.admitted(&view, view.head_cost_ns);
@@ -669,8 +654,6 @@ pub struct TenantSnapshot {
     pub tenant: String,
     /// Weighted-fair share.
     pub weight: u32,
-    /// Strict-priority level.
-    pub priority: u8,
     /// Submissions parked in the queue right now.
     pub queued: usize,
     /// Submissions in flight right now.

@@ -78,7 +78,7 @@ pub(crate) mod transfer;
 pub(crate) mod worker;
 
 pub use admission::{
-    AdmissionPolicy, Fifo, LaneView, StrictPriority, TenantConfig, TenantId, WeightedFair,
+    AdmissionPolicy, Fifo, LaneView, TenantConfig, TenantId, WeightedFair,
 };
 pub use analyze::{Diagnostic, Report, Severity};
 pub use costmodel::{CostDb, TaskCosts};
@@ -89,10 +89,7 @@ pub use graph::{FrozenGraph, Heteroflow, TaskKind};
 pub use inspect::{GraphInfo, NodeInfo};
 pub use lifecycle::{lifecycle_now_ns, LifecycleEvent, LifecyclePhase};
 pub use observer::{ExecutorObserver, SpanCat, TraceCollector, TraceSpan, Track};
-pub use placement::{
-    device_placement, device_placement_ext, failover_placement, failover_placement_ext,
-    Placement, PlacementPolicy,
-};
+pub use placement::{device_placement, place, PlaceInput, Placement, PlacementPolicy};
 pub use retry::{OnDeviceLoss, RetryPolicy};
 pub use stats::{ExecutorStats, StatsSnapshot};
 pub use stream::{Session, StreamConfig};

@@ -38,8 +38,7 @@ pub trait PlacementView {
     /// Bytes node `i` would move (pulls/pushes; 0 otherwise). Feeds the
     /// locality policy's estimate of transfer bytes saved by warm
     /// placement. Views without byte information may keep the default.
-    fn bytes_of(&self, i: usize) -> usize {
-        let _ = i;
+    fn bytes_of(&self, _i: usize) -> usize {
         0
     }
     /// Device currently holding a warm, version-valid copy of pull `i`'s
@@ -47,8 +46,7 @@ pub trait PlacementView {
     /// cost on this device so placement gravitates to where the
     /// transfer-elision layer will actually fire. Structural views with
     /// no runtime residency keep the default (`None`).
-    fn warm_device(&self, i: usize) -> Option<u32> {
-        let _ = i;
+    fn warm_device(&self, _i: usize) -> Option<u32> {
         None
     }
 }
@@ -81,7 +79,15 @@ impl PlacementView for FrozenGraph {
     }
 
     fn weight_of(&self, i: usize, cost: &CostModel) -> f64 {
-        node_weight(self, i, cost)
+        match &self.nodes[i].work {
+            Work::Pull { source } => cost.h2d(source.byte_len()).as_nanos() as f64,
+            Work::Kernel { .. } => {
+                let gpu = self.gpu(i).expect("kernels are GPU nodes");
+                let units = gpu.work_units.max(gpu.cfg.total_threads() as f64);
+                cost.kernel(units).as_nanos() as f64
+            }
+            _ => 0.0,
+        }
     }
 
     fn bytes_of(&self, i: usize) -> usize {
@@ -149,31 +155,21 @@ impl PlacementView for GraphInfo {
     }
 }
 
-/// Strategy for packing task groups onto GPU bins. `BalancedLoad` is the
-/// paper's default; the others exist as ablation baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[derive(Default)]
+/// What the executor feeds [`place`]. The packing itself is one routine;
+/// the policy only selects its inputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementPolicy {
-    /// Longest-processing-time greedy: heaviest group to the least-loaded
-    /// bin (minimizes the maximum per-GPU load).
+    /// The paper's default: analytic weights, residency ignored. Longest
+    /// processing time first onto the least-loaded bin.
     #[default]
     BalancedLoad,
-    /// Groups assigned cyclically in discovery order, ignoring weight.
-    RoundRobin,
-    /// Uniformly random bin per group (deterministic given the seed).
-    Random {
-        /// PRNG seed.
-        seed: u64,
-    },
-    /// Cost-model-driven, residency-warm packing: groups are weighed in
-    /// modeled seconds (analytic costs refined by EWMA feedback when a
-    /// [`TaskCosts`] snapshot is supplied), and a device already holding
-    /// a warm, version-valid copy of a pull's buffer has that edge's
-    /// transfer cost zeroed — resubmissions gravitate to where transfer
-    /// elision actually fires instead of chasing queue depth alone.
+    /// Weights refined by EWMA feedback from executed epochs (a
+    /// [`TaskCosts`] snapshot), and a device already holding a warm,
+    /// version-valid copy of a pull's buffer has that transfer's cost
+    /// subtracted — resubmissions gravitate to where transfer elision
+    /// actually fires instead of chasing queue depth alone.
     Locality,
 }
-
 
 /// Result of device placement for one topology.
 #[derive(Debug, Clone)]
@@ -182,26 +178,49 @@ pub struct Placement {
     pub device_of: Vec<Option<u32>>,
     /// Number of kernel/pull groups found.
     pub num_groups: usize,
-    /// Modeled load per GPU bin after packing, including any initial
-    /// loads passed to [`device_placement_biased`] (nanoseconds).
+    /// Modeled load per GPU bin after packing, including
+    /// [`PlaceInput::initial_loads`] (nanoseconds).
     pub loads: Vec<f64>,
-    /// Groups the locality policy placed on a device already holding a
-    /// warm copy of at least one of their pulls (0 for other policies).
+    /// Groups placed on a device already holding a warm copy of at least
+    /// one of their pulls (0 unless [`PlaceInput::warm`]).
     pub warm_hits: u64,
-    /// Transfer bytes the locality policy expects warm placement to save
-    /// via elision (0 for other policies).
+    /// Transfer bytes warm placement is expected to save via elision
+    /// (0 unless [`PlaceInput::warm`]).
     pub est_bytes_saved: u64,
 }
 
 impl Placement {
+    /// Second half of the paper's pluggable packing interface: a placement
+    /// from one bin per group of [`groups`]. Members take their group's
+    /// bin, pushes inherit their source pull's, and `loads[b]` sums the
+    /// weights of the groups on bin `b`.
+    pub fn from_bins<G: PlacementView + ?Sized>(
+        graph: &G,
+        groups: &[Group],
+        bin_of: &[u32],
+        bins: usize,
+    ) -> Placement {
+        let n = graph.num_nodes();
+        let mut device_of: Vec<Option<u32>> = vec![None; n];
+        let mut loads = vec![0.0f64; bins];
+        for (g, &bin) in groups.iter().zip(bin_of) {
+            loads[bin as usize] += g.weight;
+            for &m in &g.members {
+                device_of[m] = Some(bin);
+            }
+        }
+        for id in 0..n {
+            if let Some(src) = graph.push_source(id) {
+                device_of[id] = device_of[src];
+            }
+        }
+        Placement { device_of, num_groups: groups.len(), loads, warm_hits: 0, est_bytes_saved: 0 }
+    }
+
     /// Max bin load over *mean* bin load, weighted by modeled cost —
     /// 1.0 is perfectly balanced, `num_bins` is everything on one bin.
-    /// Returns 1.0 for an empty placement.
-    ///
-    /// (The previous max/min ratio reported a misleading 1.0 whenever
-    /// any bin was empty — exactly the most imbalanced outcome — because
-    /// a zero minimum has no meaningful ratio. Max/mean stays defined
-    /// and monotone in the heaviest bin's modeled overload.)
+    /// Returns 1.0 for an empty placement. (Max over mean, not over min:
+    /// an empty bin is the most imbalanced outcome, not an undefined one.)
     pub fn imbalance(&self) -> f64 {
         if self.loads.is_empty() {
             return 1.0;
@@ -216,24 +235,10 @@ impl Placement {
     }
 }
 
-/// Modeled weight of one node for bin packing, in nanoseconds of device
-/// time.
-fn node_weight(graph: &FrozenGraph, id: usize, cost: &CostModel) -> f64 {
-    let node = &graph.nodes[id];
-    match &node.work {
-        Work::Pull { source } => cost.h2d(source.byte_len()).as_nanos() as f64,
-        Work::Kernel { .. } => {
-            let gpu = graph.gpu(id).expect("kernels are GPU nodes");
-            let units = gpu.work_units.max(gpu.cfg.total_threads() as f64);
-            cost.kernel(units).as_nanos() as f64
-        }
-        _ => 0.0,
-    }
-}
-
-/// Weight of one node with EWMA refinement: the cost database's observed
-/// estimate when one exists, the analytic model otherwise.
-fn refined_weight<G: PlacementView + ?Sized>(
+/// The one place a packing weight comes from: the refined estimate when a
+/// usable one exists (estimates arrive from outside the program, so a
+/// NaN, infinite or negative one is ignored), else the analytic model.
+fn weight<G: PlacementView + ?Sized>(
     graph: &G,
     id: usize,
     cost: &CostModel,
@@ -241,360 +246,174 @@ fn refined_weight<G: PlacementView + ?Sized>(
 ) -> f64 {
     refined
         .and_then(|r| r.get(&graph.name_of(id)))
+        .filter(|&w| crate::costmodel::usable_cost(w))
         .unwrap_or_else(|| graph.weight_of(id, cost))
 }
 
-/// Runs Algorithm 1 (*DevicePlacement*) on any [`PlacementView`].
+/// One kernel/pull group of Algorithm 1: a kernel, its source pulls, and
+/// everything transitively sharing a pull with it.
+#[derive(Debug, Clone)]
+pub struct Group {
+    /// Node ids of the group's pulls and kernels, ascending.
+    pub members: Vec<usize>,
+    /// Summed weight of the members (nanoseconds of device time).
+    pub weight: f64,
+}
+
+/// Lines 1-7 of Algorithm 1 and the first half of the paper's pluggable
+/// packing interface: unions each kernel with its source pulls and
+/// returns the groups in a fixed order (ascending union-find root),
+/// weighed by `refined` where it has an estimate and by `cost` otherwise.
+pub fn groups<G: PlacementView + ?Sized>(
+    graph: &G,
+    cost: &CostModel,
+    refined: Option<&TaskCosts>,
+) -> Vec<Group> {
+    let n = graph.num_nodes();
+    let mut uf = UnionFind::new(n);
+    for id in 0..n {
+        if graph.kind_of(id) == TaskKind::Kernel {
+            for p in graph.kernel_sources(id) {
+                uf.union(id, p);
+            }
+        }
+    }
+    let mut by_root = vec![Group { members: Vec::new(), weight: 0.0 }; n];
+    for id in 0..n {
+        if matches!(graph.kind_of(id), TaskKind::Kernel | TaskKind::Pull) {
+            let g = &mut by_root[uf.find(id)];
+            g.weight += weight(graph, id, cost, refined);
+            g.members.push(id);
+        }
+    }
+    by_root.retain(|g| !g.members.is_empty());
+    by_root
+}
+
+/// Everything that varies between one placement and another, as plain
+/// data. `PlaceInput { lost: &[false; N], ..Default::default() }` is a
+/// fresh placement on `N` healthy devices.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PlaceInput<'a> {
+    /// `lost[b]` marks bin `b` as dead; the length is the bin count.
+    pub lost: &'a [bool],
+    /// Load already on each bin (nanoseconds); empty for none. The
+    /// executor feeds its decayed cross-graph load here so devices stay
+    /// balanced *across* graphs, not just within one.
+    pub initial_loads: &'a [f64],
+    /// The previous `device_of`. A group with a member on a surviving
+    /// device stays there (its residency stays warm and nothing that
+    /// completed has to replay); empty places everything.
+    pub prev: &'a [Option<u32>],
+    /// EWMA-refined per-task weights replacing the analytic ones.
+    pub refined: Option<&'a TaskCosts>,
+    /// Consult [`PlacementView::warm_device`]: a surviving bin holding a
+    /// current copy of a pull's buffer is charged nothing for that pull.
+    pub warm: bool,
+}
+
+/// Algorithm 1 (*DevicePlacement*): first placement, cross-graph bias,
+/// measured weights and failover re-placement are all this routine with
+/// a different [`PlaceInput`].
 ///
-/// Returns [`HfError::NoGpus`] if the graph contains GPU tasks but
-/// `num_gpus == 0`.
+/// Groups each kernel with its source pulls, keeps every group pinned by
+/// `input.prev`, and packs the rest heaviest first, each onto the
+/// surviving bin minimising `load + weight - saved transfers`. Returns
+/// [`HfError::NoGpus`] if the graph contains GPU tasks but no bin
+/// survives.
+pub fn place<G: PlacementView + ?Sized>(
+    graph: &G,
+    cost: &CostModel,
+    input: &PlaceInput<'_>,
+) -> Result<Placement, HfError> {
+    let n = graph.num_nodes();
+    let bins = input.lost.len();
+    let alive = |b: usize| !input.lost.get(b).copied().unwrap_or(true);
+    let mut loads = vec![0.0f64; bins];
+    for (l, &init) in loads.iter_mut().zip(input.initial_loads) {
+        *l = init;
+    }
+
+    if !(0..bins).any(alive) {
+        let on_cpu = |i: usize| matches!(graph.kind_of(i), TaskKind::Host | TaskKind::Placeholder);
+        return match (0..n).find(|&i| !on_cpu(i)) {
+            Some(id) => Err(HfError::NoGpus { task: graph.name_of(id) }),
+            None => Ok(Placement { loads, ..Placement::from_bins(graph, &[], &[], bins) }),
+        };
+    }
+
+    let groups = groups(graph, cost, input.refined);
+
+    // Pinned groups stay; the rest are packed heaviest first (stable, so
+    // equal weights keep group order).
+    let mut bin_of = vec![0u32; groups.len()];
+    let mut open: Vec<usize> = Vec::new();
+    for (gi, g) in groups.iter().enumerate() {
+        let pinned = g.members.iter().find_map(|&m| {
+            let d = input.prev.get(m).copied().flatten()?;
+            alive(d as usize).then_some(d)
+        });
+        if let Some(d) = pinned {
+            loads[d as usize] += g.weight;
+            bin_of[gi] = d;
+        } else {
+            open.push(gi);
+        }
+    }
+    open.sort_by(|&a, &b| groups[b].weight.total_cmp(&groups[a].weight));
+
+    let (mut warm_hits, mut est_bytes_saved) = (0u64, 0u64);
+    // Per bin: transfer time and bytes a warm copy there would save this
+    // group. All zero unless `input.warm`.
+    let (mut save, mut saved_bytes) = (vec![0.0f64; bins], vec![0u64; bins]);
+    for gi in open {
+        let g = &groups[gi];
+        save.fill(0.0);
+        saved_bytes.fill(0);
+        let pulls = g.members.iter().filter(|&&m| input.warm && graph.kind_of(m) == TaskKind::Pull);
+        for &m in pulls {
+            // A lost device's warmth died with its arena.
+            if let Some(d) = graph.warm_device(m).map(|d| d as usize).filter(|&d| alive(d)) {
+                save[d] += weight(graph, m, cost, input.refined);
+                saved_bytes[d] += graph.bytes_of(m) as u64;
+            }
+        }
+        // Earliest finish including the transfer the choice causes; a
+        // warm bin wins load ties and loses only when the load gap
+        // exceeds the copy it saves. First minimum wins.
+        let bin = (0..bins)
+            .filter(|&b| alive(b))
+            .min_by(|&a, &b| {
+                (loads[a] + g.weight - save[a]).total_cmp(&(loads[b] + g.weight - save[b]))
+            })
+            .expect("a bin survives");
+        loads[bin] += (g.weight - save[bin]).max(0.0);
+        if save[bin] > 0.0 {
+            warm_hits += 1;
+            est_bytes_saved += saved_bytes[bin];
+        }
+        bin_of[gi] = bin as u32;
+    }
+
+    let packed = Placement::from_bins(graph, &groups, &bin_of, bins);
+    Ok(Placement { loads, warm_hits, est_bytes_saved, ..packed })
+}
+
+/// A fresh placement of `graph` on `num_gpus` healthy, idle devices —
+/// [`place`] with nothing lost, nothing pinned and nothing measured;
+/// `policy` decides only whether warm residency is consulted.
 pub fn device_placement<G: PlacementView + ?Sized>(
     graph: &G,
     num_gpus: u32,
     policy: PlacementPolicy,
     cost: &CostModel,
 ) -> Result<Placement, HfError> {
-    device_placement_biased(graph, num_gpus, policy, cost, &[])
-}
-
-/// [`device_placement`] with pre-existing per-device load (nanoseconds).
-///
-/// A live executor runs many topologies; biasing each topology's packing
-/// with the load already placed on each GPU keeps devices balanced
-/// *across* graphs, not just within one. The executor feeds its
-/// cumulative loads here. An empty slice means no initial load.
-pub fn device_placement_biased<G: PlacementView + ?Sized>(
-    graph: &G,
-    num_gpus: u32,
-    policy: PlacementPolicy,
-    cost: &CostModel,
-    initial_loads: &[f64],
-) -> Result<Placement, HfError> {
-    device_placement_ext(graph, num_gpus, policy, cost, initial_loads, None)
-}
-
-/// [`device_placement_biased`] with an optional per-task refined cost
-/// snapshot (EWMA feedback from executed epochs, see
-/// [`crate::costmodel::CostDb`]). Refined costs replace the analytic
-/// weights wherever an estimate exists; the locality policy additionally
-/// consults [`PlacementView::warm_device`] to zero transfer costs on
-/// devices already holding current data.
-pub fn device_placement_ext<G: PlacementView + ?Sized>(
-    graph: &G,
-    num_gpus: u32,
-    policy: PlacementPolicy,
-    cost: &CostModel,
-    initial_loads: &[f64],
-    refined: Option<&TaskCosts>,
-) -> Result<Placement, HfError> {
-    let n = graph.num_nodes();
-    let mut device_of: Vec<Option<u32>> = vec![None; n];
-    let mut loads = vec![0.0f64; num_gpus as usize];
-    for (l, &init) in loads.iter_mut().zip(initial_loads) {
-        *l = init;
-    }
-    let mut warm_hits = 0u64;
-    let mut est_bytes_saved = 0u64;
-
-    // Reject GPU work with no GPUs.
-    if num_gpus == 0 {
-        if let Some(id) = (0..n).find(|&i| {
-            matches!(
-                graph.kind_of(i),
-                TaskKind::Pull | TaskKind::Push | TaskKind::Kernel
-            )
-        }) {
-            return Err(HfError::NoGpus {
-                task: graph.name_of(id),
-            });
-        }
-        return Ok(Placement {
-            device_of,
-            num_groups: 0,
-            loads,
-            warm_hits: 0,
-            est_bytes_saved: 0,
-        });
-    }
-
-    // Lines 1-7: union each kernel with its source pull tasks.
-    let mut uf = UnionFind::new(n);
-    for id in 0..n {
-        if graph.kind_of(id) == TaskKind::Kernel {
-            for p in graph.kernel_sources(id) {
-                uf.union(id, p);
-            }
-        }
-    }
-
-    // Lines 8-14: pack each unique group root onto a GPU bin. Collect
-    // groups first so the balanced policy can sort by weight.
-    let mut group_weight: std::collections::HashMap<usize, f64> = Default::default();
-    let mut group_members: std::collections::HashMap<usize, Vec<usize>> = Default::default();
-    for id in 0..n {
-        let k = graph.kind_of(id);
-        if k == TaskKind::Kernel || k == TaskKind::Pull {
-            let root = uf.find(id);
-            *group_weight.entry(root).or_insert(0.0) += refined_weight(graph, id, cost, refined);
-            group_members.entry(root).or_default().push(id);
-        }
-    }
-
-    let mut groups: Vec<(usize, f64)> = group_weight.into_iter().collect();
-    // Deterministic order regardless of hash iteration.
-    groups.sort_by_key(|&(root, _)| root);
-
-    match policy {
-        PlacementPolicy::BalancedLoad => {
-            // LPT greedy: heaviest first onto the least-loaded bin.
-            groups.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("weights are finite"));
-            for (root, w) in groups {
-                let bin = loads
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(b.1).expect("loads are finite"))
-                    .map(|(i, _)| i)
-                    .expect("num_gpus > 0");
-                loads[bin] += w;
-                for &m in &group_members[&root] {
-                    device_of[m] = Some(bin as u32);
-                }
-            }
-        }
-        PlacementPolicy::Locality => {
-            // LPT order by residency-blind weight, then pick per group
-            // the bin minimizing *effective* cost: current load plus the
-            // group's weight minus whatever transfers the bin's warm
-            // buffers would elide. A warm device thus strictly wins load
-            // ties, and only loses when the load gap exceeds the copy
-            // cost it saves.
-            groups.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("weights are finite"));
-            for (root, w) in groups {
-                let mut save = vec![0.0f64; num_gpus as usize];
-                let mut saved_bytes = vec![0u64; num_gpus as usize];
-                for &m in &group_members[&root] {
-                    if graph.kind_of(m) == TaskKind::Pull {
-                        if let Some(d) = graph.warm_device(m) {
-                            if let Some(s) = save.get_mut(d as usize) {
-                                *s += refined_weight(graph, m, cost, refined);
-                                saved_bytes[d as usize] += graph.bytes_of(m) as u64;
-                            }
-                        }
-                    }
-                }
-                let bin = (0..num_gpus as usize)
-                    .min_by(|&a, &b| {
-                        (loads[a] + w - save[a])
-                            .partial_cmp(&(loads[b] + w - save[b]))
-                            .expect("loads are finite")
-                    })
-                    .expect("num_gpus > 0");
-                loads[bin] += (w - save[bin]).max(0.0);
-                if save[bin] > 0.0 {
-                    warm_hits += 1;
-                    est_bytes_saved += saved_bytes[bin];
-                }
-                for &m in &group_members[&root] {
-                    device_of[m] = Some(bin as u32);
-                }
-            }
-        }
-        PlacementPolicy::RoundRobin => {
-            for (gi, (root, w)) in groups.iter().enumerate() {
-                let bin = gi % num_gpus as usize;
-                loads[bin] += w;
-                for &m in &group_members[root] {
-                    device_of[m] = Some(bin as u32);
-                }
-            }
-        }
-        PlacementPolicy::Random { seed } => {
-            // splitmix64 stream; deterministic and dependency-free.
-            let mut state = seed.wrapping_add(0x9E3779B97F4A7C15);
-            let mut next = move || {
-                state = state.wrapping_add(0x9E3779B97F4A7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-                z ^ (z >> 31)
-            };
-            for (root, w) in &groups {
-                let bin = (next() % num_gpus as u64) as usize;
-                loads[bin] += w;
-                for &m in &group_members[root] {
-                    device_of[m] = Some(bin as u32);
-                }
-            }
-        }
-    }
-
-    // Push tasks inherit the device of their source pull.
-    for id in 0..n {
-        if let Some(src) = graph.push_source(id) {
-            device_of[id] = device_of[src];
-        }
-    }
-
-    let num_groups = group_members.len();
-    Ok(Placement {
-        device_of,
-        num_groups,
-        loads,
-        warm_hits,
-        est_bytes_saved,
-    })
-}
-
-/// Re-placement after device loss: keeps every group whose device is still
-/// alive where it is, and LPT-packs the stranded groups (device lost, or
-/// never placed when `old_device_of` is empty) onto the surviving bins.
-///
-/// `old_device_of` is the current `device_of` (may be empty to place
-/// everything fresh against the alive set), and `lost[d]` marks device `d`
-/// as dead. Returns [`HfError::NoGpus`] if GPU tasks exist but every
-/// device is lost.
-pub fn failover_placement<G: PlacementView + ?Sized>(
-    graph: &G,
-    old_device_of: &[Option<u32>],
-    lost: &[bool],
-    cost: &CostModel,
-) -> Result<Placement, HfError> {
-    failover_placement_ext(graph, old_device_of, lost, cost, PlacementPolicy::BalancedLoad, None)
-}
-
-/// [`failover_placement`] reusing the locality cost model: under
-/// [`PlacementPolicy::Locality`], stranded groups are re-packed onto the
-/// surviving bins with EWMA-refined weights and warm-residency savings
-/// (restricted to alive devices — a lost device's warmth died with its
-/// arena). Other policies keep the plain LPT re-pack.
-pub fn failover_placement_ext<G: PlacementView + ?Sized>(
-    graph: &G,
-    old_device_of: &[Option<u32>],
-    lost: &[bool],
-    cost: &CostModel,
-    policy: PlacementPolicy,
-    refined: Option<&TaskCosts>,
-) -> Result<Placement, HfError> {
-    let n = graph.num_nodes();
-    let num_gpus = lost.len() as u32;
-    let alive: Vec<usize> = (0..lost.len()).filter(|&d| !lost[d]).collect();
-    let mut device_of: Vec<Option<u32>> = vec![None; n];
-    let mut loads = vec![0.0f64; num_gpus as usize];
-
-    if alive.is_empty() {
-        if let Some(id) = (0..n).find(|&i| {
-            matches!(
-                graph.kind_of(i),
-                TaskKind::Pull | TaskKind::Push | TaskKind::Kernel
-            )
-        }) {
-            return Err(HfError::NoGpus {
-                task: graph.name_of(id),
-            });
-        }
-        return Ok(Placement {
-            device_of,
-            num_groups: 0,
-            loads,
-            warm_hits: 0,
-            est_bytes_saved: 0,
-        });
-    }
-
-    // Same grouping as Algorithm 1: union kernels with their source pulls.
-    let mut uf = UnionFind::new(n);
-    for id in 0..n {
-        if graph.kind_of(id) == TaskKind::Kernel {
-            for p in graph.kernel_sources(id) {
-                uf.union(id, p);
-            }
-        }
-    }
-    let mut group_weight: std::collections::HashMap<usize, f64> = Default::default();
-    let mut group_members: std::collections::HashMap<usize, Vec<usize>> = Default::default();
-    for id in 0..n {
-        let k = graph.kind_of(id);
-        if k == TaskKind::Kernel || k == TaskKind::Pull {
-            let root = uf.find(id);
-            *group_weight.entry(root).or_insert(0.0) += refined_weight(graph, id, cost, refined);
-            group_members.entry(root).or_default().push(id);
-        }
-    }
-    let num_groups = group_members.len();
-    let mut warm_hits = 0u64;
-    let mut est_bytes_saved = 0u64;
-
-    // Partition: groups on an alive device stay put; the rest re-pack.
-    let mut stranded: Vec<(usize, f64)> = Vec::new();
-    let mut groups: Vec<(usize, f64)> = group_weight.into_iter().collect();
-    groups.sort_by_key(|&(root, _)| root);
-    for (root, w) in groups {
-        let old = group_members[&root]
-            .iter()
-            .find_map(|&m| old_device_of.get(m).copied().flatten());
-        match old {
-            Some(d) if !lost.get(d as usize).copied().unwrap_or(true) => {
-                loads[d as usize] += w;
-                for &m in &group_members[&root] {
-                    device_of[m] = Some(d);
-                }
-            }
-            _ => stranded.push((root, w)),
-        }
-    }
-
-    // LPT greedy over the alive bins only; under the locality policy the
-    // bin choice subtracts warm-residency savings on alive devices.
-    stranded.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("weights are finite"));
-    let locality = matches!(policy, PlacementPolicy::Locality);
-    for (root, w) in stranded {
-        let mut save = vec![0.0f64; num_gpus as usize];
-        let mut saved_bytes = vec![0u64; num_gpus as usize];
-        if locality {
-            for &m in &group_members[&root] {
-                if graph.kind_of(m) == TaskKind::Pull {
-                    if let Some(d) = graph.warm_device(m) {
-                        let d = d as usize;
-                        if d < save.len() && !lost[d] {
-                            save[d] += refined_weight(graph, m, cost, refined);
-                            saved_bytes[d] += graph.bytes_of(m) as u64;
-                        }
-                    }
-                }
-            }
-        }
-        let bin = *alive
-            .iter()
-            .min_by(|&&a, &&b| {
-                (loads[a] + w - save[a])
-                    .partial_cmp(&(loads[b] + w - save[b]))
-                    .expect("loads are finite")
-            })
-            .expect("alive is non-empty");
-        loads[bin] += (w - save[bin]).max(0.0);
-        if save[bin] > 0.0 {
-            warm_hits += 1;
-            est_bytes_saved += saved_bytes[bin];
-        }
-        for &m in &group_members[&root] {
-            device_of[m] = Some(bin as u32);
-        }
-    }
-
-    // Push tasks inherit the device of their source pull.
-    for id in 0..n {
-        if let Some(src) = graph.push_source(id) {
-            device_of[id] = device_of[src];
-        }
-    }
-
-    Ok(Placement {
-        device_of,
-        num_groups,
-        loads,
-        warm_hits,
-        est_bytes_saved,
-    })
+    let input = PlaceInput {
+        lost: &vec![false; num_gpus as usize],
+        warm: policy == PlacementPolicy::Locality,
+        ..Default::default()
+    };
+    place(graph, cost, &input)
 }
 
 #[cfg(test)]
@@ -722,24 +541,6 @@ mod tests {
         assert_eq!(per_dev, vec![6, 6, 6, 6]); // 3 groups x (pull + kernel)
     }
 
-    /// Random placement is deterministic for a fixed seed.
-    #[test]
-    fn random_policy_deterministic() {
-        let g = Heteroflow::new("rand");
-        let x: HostVec<u8> = HostVec::from_vec(vec![0; 64]);
-        for i in 0..8 {
-            let p = g.pull(&format!("p{i}"), &x);
-            let k = g.kernel(&format!("k{i}"), &[&p], |_, _| {});
-            p.precede(&k);
-        }
-        let f = g.freeze().unwrap();
-        let a = device_placement(&*f, 4, PlacementPolicy::Random { seed: 7 }, &CostModel::default())
-            .unwrap();
-        let b = device_placement(&*f, 4, PlacementPolicy::Random { seed: 7 }, &CostModel::default())
-            .unwrap();
-        assert_eq!(a.device_of, b.device_of);
-    }
-
     /// Failover keeps alive groups in place and re-packs stranded ones
     /// onto surviving devices only.
     #[test]
@@ -758,7 +559,12 @@ mod tests {
         let orig = device_placement(&*f, 3, PlacementPolicy::BalancedLoad, &cost).unwrap();
         // Lose device 1.
         let lost = vec![false, true, false];
-        let fo = failover_placement(&*f, &orig.device_of, &lost, &cost).unwrap();
+        let input = PlaceInput {
+            lost: &lost,
+            prev: &orig.device_of,
+            ..Default::default()
+        };
+        let fo = place(&*f, &cost, &input).unwrap();
         assert_eq!(fo.num_groups, 6);
         for (i, (o, n)) in orig.device_of.iter().zip(&fo.device_of).enumerate() {
             let (Some(o), Some(n)) = (o, n) else { continue };
@@ -782,8 +588,11 @@ mod tests {
         p.precede(&k);
         k.precede(&s);
         let f = g.freeze().unwrap();
-        let fo =
-            failover_placement(&*f, &[], &[true, false], &CostModel::default()).unwrap();
+        let input = PlaceInput {
+            lost: &[true, false],
+            ..Default::default()
+        };
+        let fo = place(&*f, &CostModel::default(), &input).unwrap();
         assert_eq!(fo.device_of[p.id()], Some(1));
         assert_eq!(fo.device_of[k.id()], Some(1));
         // Push inherits the pull's (surviving) device.
@@ -797,8 +606,12 @@ mod tests {
         let x: HostVec<u8> = HostVec::from_vec(vec![0; 16]);
         g.pull("p", &x);
         let f = g.freeze().unwrap();
+        let input = PlaceInput {
+            lost: &[true, true],
+            ..Default::default()
+        };
         assert!(matches!(
-            failover_placement(&*f, &[], &[true, true], &CostModel::default()),
+            place(&*f, &CostModel::default(), &input),
             Err(HfError::NoGpus { .. })
         ));
     }
@@ -879,15 +692,13 @@ mod tests {
         let w = cost.h2d(1024).as_nanos() as f64;
         // Device 0 is warm but pre-loaded far beyond the copy saving.
         let bias = [w * 10.0, 0.0];
-        let p = device_placement_ext(
-            &*f,
-            2,
-            PlacementPolicy::Locality,
-            &cost,
-            &bias,
-            None,
-        )
-        .unwrap();
+        let input = PlaceInput {
+            lost: &[false; 2],
+            initial_loads: &bias,
+            warm: true,
+            ..Default::default()
+        };
+        let p = place(&*f, &cost, &input).unwrap();
         assert_eq!(p.device_of[px.id()], Some(1));
         assert_eq!(p.warm_hits, 0);
     }
@@ -909,18 +720,34 @@ mod tests {
         let analytic = cost.h2d(1024).as_nanos() as f64;
         db.observe("refined", "p0", analytic * 10.0);
         let snap = db.snapshot_for("refined");
-        let p = device_placement_ext(
-            &*f,
-            2,
-            PlacementPolicy::BalancedLoad,
-            &cost,
-            &[],
-            Some(&snap),
-        )
-        .unwrap();
+        let input = PlaceInput {
+            lost: &[false; 2],
+            refined: Some(&snap),
+            ..Default::default()
+        };
+        let p = place(&*f, &cost, &input).unwrap();
         let d0 = p.device_of[pulls[0].id()].unwrap();
         assert_eq!(p.device_of[pulls[1].id()], p.device_of[pulls[2].id()]);
         assert_ne!(p.device_of[pulls[1].id()], Some(d0));
+    }
+
+    /// A NaN, infinite or negative estimate is ignored in favour of the
+    /// analytic weight: the packing is the one made without estimates.
+    #[test]
+    fn unusable_refined_costs_are_ignored() {
+        let g = Heteroflow::new("bad");
+        let x: HostVec<u8> = HostVec::from_vec(vec![0; 1024]);
+        for i in 0..4 {
+            g.pull(&format!("p{i}"), &x);
+        }
+        let f = g.freeze().unwrap();
+        let cost = CostModel::default();
+        let bad = TaskCosts::unchecked(&[("p0", f64::NAN), ("p1", f64::INFINITY), ("p2", -5.0)]);
+        let input = PlaceInput { lost: &[false; 2], refined: Some(&bad), ..Default::default() };
+        let with_bad = place(&*f, &cost, &input).unwrap();
+        let without = device_placement(&*f, 2, PlacementPolicy::BalancedLoad, &cost).unwrap();
+        assert_eq!(with_bad.device_of, without.device_of);
+        assert_eq!(with_bad.loads, without.loads);
     }
 
     /// Failover under the locality policy re-homes a stranded group onto
@@ -936,19 +763,15 @@ mod tests {
         let old = vec![Some(0)];
         let lost = vec![true, false, false];
         let cost = CostModel::default();
-        let balanced =
-            failover_placement(&*f, &old, &lost, &cost).unwrap();
+        let input = PlaceInput {
+            lost: &lost,
+            prev: &old,
+            ..Default::default()
+        };
+        let balanced = place(&*f, &cost, &input).unwrap();
         // Plain LPT picks the first alive bin (device 1).
         assert_eq!(balanced.device_of[px.id()], Some(1));
-        let locality = failover_placement_ext(
-            &*f,
-            &old,
-            &lost,
-            &cost,
-            PlacementPolicy::Locality,
-            None,
-        )
-        .unwrap();
+        let locality = place(&*f, &cost, &PlaceInput { warm: true, ..input }).unwrap();
         assert_eq!(locality.device_of[px.id()], Some(2));
         assert_eq!(locality.warm_hits, 1);
         assert_eq!(locality.est_bytes_saved, 2048);
@@ -983,20 +806,5 @@ mod tests {
             est_bytes_saved: 0,
         };
         assert!((balanced.imbalance() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn round_robin_cycles() {
-        let g = Heteroflow::new("rr");
-        let x: HostVec<u8> = HostVec::from_vec(vec![0; 64]);
-        let mut pulls = Vec::new();
-        for i in 0..6 {
-            pulls.push(g.pull(&format!("p{i}"), &x));
-        }
-        let f = g.freeze().unwrap();
-        let p =
-            device_placement(&*f, 3, PlacementPolicy::RoundRobin, &CostModel::default()).unwrap();
-        let devs: Vec<u32> = pulls.iter().map(|t| p.device_of[t.id()].unwrap()).collect();
-        assert_eq!(devs, vec![0, 1, 2, 0, 1, 2]);
     }
 }

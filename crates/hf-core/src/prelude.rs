@@ -26,7 +26,7 @@
 //! ```
 
 pub use crate::admission::{
-    AdmissionPolicy, Fifo, LaneView, StrictPriority, TenantConfig, TenantId, WeightedFair,
+    AdmissionPolicy, Fifo, LaneView, TenantConfig, TenantId, WeightedFair,
 };
 pub use crate::analyze::{Diagnostic, Report, Severity};
 pub use crate::data::HostVec;

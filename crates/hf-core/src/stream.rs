@@ -532,9 +532,9 @@ impl EpochDriver {
             });
             if lost {
                 let prev = &plan.0.device_of;
-                if let Ok(Some((_, p))) = self.inner.place_on_survivors(&self.frozen, prev) {
-                    let fusion = self.fuse(&p);
-                    *plan = (Arc::new(p), fusion);
+                if let Ok(placed) = self.inner.place(&self.frozen, prev) {
+                    let fusion = self.fuse(&placed.placement);
+                    *plan = (Arc::new(placed.placement), fusion);
                 }
             }
         }
@@ -621,8 +621,7 @@ pub(crate) fn run_until(
         Ok(run) => {
             *run.on_done.lock() = on_done;
             claim(&run);
-            let core = run.core.clone();
-            RunFuture { core }
+            run.core.clone()
         }
         Err(e) => {
             let result = Err(e);
@@ -631,7 +630,7 @@ pub(crate) fn run_until(
             }
             let core = core.unwrap_or_else(|| Completion::new(0));
             core.promise.complete(result);
-            RunFuture { core }
+            core
         }
     }
 }
@@ -743,7 +742,7 @@ impl Session {
             core
         };
         run.pump();
-        EpochFuture { core }
+        core
     }
 
     /// Drains in-flight epochs, emits the stream's `RunEnd`, and

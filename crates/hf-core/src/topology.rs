@@ -19,8 +19,8 @@
 //! thing that creates topologies: one per epoch of a `run*` call or a
 //! [`crate::Session`], each handing its result back through the
 //! [`Topology::on_finish`] hook. All wait/cancel state lives in the
-//! shared [`Completion`] core, which both [`RunFuture`] and
-//! [`crate::EpochFuture`] wrap.
+//! shared [`Completion`] core; [`RunFuture`] and [`crate::EpochFuture`]
+//! are names for it.
 
 use crate::error::HfError;
 use crate::graph::{FrozenGraph, PullState};
@@ -105,15 +105,16 @@ impl Promise {
     }
 }
 
-/// The shared wait/cancel core behind every run- and epoch-future.
+/// The one future type: what every run and every streaming epoch hands
+/// back ([`RunFuture`] and [`crate::EpochFuture`] are aliases).
 ///
-/// This is the *blessed* completion surface (see DESIGN.md): one promise,
-/// one cooperative cancellation flag, the submission's process-unique
-/// `run_id`, and — for streaming epochs — the epoch index. [`RunFuture`]
-/// and [`crate::EpochFuture`] are thin newtypes over a `Completion`;
-/// detached monitor handles (watchdogs, deadline enforcers) hold a clone
-/// of the same core, so `wait`, `wait_timeout`, deadline-cancel, and
-/// watchdog cancellation all observe identical state.
+/// One promise, one cooperative cancellation flag, the submission's
+/// process-unique `run_id`, and — for streaming epochs — the epoch index.
+/// Supports blocking ([`Completion::wait`]), deadline-bounded
+/// ([`Completion::wait_timeout`]) and async (`.await`) consumption.
+/// Clones share the same run, so a monitor thread (watchdog, deadline
+/// enforcer) holding one observes and cancels exactly what the owner
+/// waits on.
 #[derive(Clone)]
 pub struct Completion {
     pub(crate) promise: Arc<Promise>,
@@ -138,12 +139,7 @@ impl Completion {
 
     /// A fresh, incomplete core for one streaming epoch.
     pub(crate) fn new_epoch(run_id: u64, epoch: u64) -> Self {
-        Self {
-            promise: Promise::new(),
-            cancel: Arc::new(AtomicBool::new(false)),
-            run_id,
-            epoch: Some(epoch),
-        }
+        Self { epoch: Some(epoch), ..Self::new(run_id) }
     }
 
     /// An already-completed core (empty graphs, rejected submissions).
@@ -223,161 +219,13 @@ impl std::future::Future for Completion {
 
 /// Future returned by [`crate::Executor::run`] and friends. All run
 /// methods are non-blocking: "issuing a run on a graph returns immediately
-/// with a C++ future object" (§III-B). Supports blocking
-/// ([`RunFuture::wait`]), deadline-bounded ([`RunFuture::wait_timeout`]),
-/// and async (`.await`) consumption, plus cooperative cancellation
-/// ([`RunFuture::cancel`]). Clones share the same run.
-#[derive(Clone)]
-pub struct RunFuture {
-    pub(crate) core: Completion,
-}
+/// with a C++ future object" (§III-B). Clones share the same run.
+pub type RunFuture = Completion;
 
-impl std::fmt::Debug for RunFuture {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunFuture")
-            .field("done", &self.is_done())
-            .field(
-                "cancel_requested",
-                &self.core.cancel.load(Ordering::Relaxed),
-            )
-            .finish()
-    }
-}
-
-impl RunFuture {
-    /// Blocks until the run finishes; returns its result.
-    pub fn wait(&self) -> Result<(), HfError> {
-        self.core.wait()
-    }
-
-    /// Blocks for at most `timeout`. Returns `None` when the deadline
-    /// expired with the run still in flight (the run keeps going — call
-    /// `wait*` again or [`RunFuture::cancel`] it), otherwise the result.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<(), HfError>> {
-        self.core.wait_timeout(timeout)
-    }
-
-    /// Requests cooperative cancellation. Non-blocking: in-flight task
-    /// bodies finish, everything not yet started is skipped (including
-    /// ops already enqueued on GPU streams), and the run completes with
-    /// [`HfError::Cancelled`]. Cancelling a finished run is a no-op.
-    pub fn cancel(&self) {
-        self.core.cancel();
-    }
-
-    /// True once the run has finished (success or error).
-    pub fn is_done(&self) -> bool {
-        self.core.is_done()
-    }
-
-    /// Process-unique id of this submission. Lifecycle events recorded by
-    /// a flight recorder carry the same id, so a health monitor can map a
-    /// future to its event stream (`0` for immediately-ready futures,
-    /// which never execute and never emit events).
-    pub fn run_id(&self) -> u64 {
-        self.core.run_id()
-    }
-
-    /// A detached, cloneable handle to this run's completion and
-    /// cancellation state — for monitor threads (watchdogs, deadline
-    /// enforcers) that run beside whoever owns the future itself: a
-    /// clone of the shared [`Completion`] core.
-    pub fn handle(&self) -> Completion {
-        self.core.clone()
-    }
-}
-
-impl std::future::Future for RunFuture {
-    type Output = Result<(), HfError>;
-
-    fn poll(
-        self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> Poll<Self::Output> {
-        self.core.promise.poll(cx)
-    }
-}
-
-/// Future of one streaming epoch, returned by [`crate::Session::submit`].
-/// Shares the [`Completion`] core with [`RunFuture`], so waiting,
-/// deadline-bounded waiting, async `.await`, and cooperative
-/// cancellation behave identically. Clones share the same epoch.
-#[derive(Clone)]
-pub struct EpochFuture {
-    pub(crate) core: Completion,
-}
-
-impl EpochFuture {
-    /// Blocks until the epoch finishes; returns its result.
-    pub fn wait(&self) -> Result<(), HfError> {
-        self.core.wait()
-    }
-
-    /// Blocks for at most `timeout`. Returns `None` when the deadline
-    /// expired with the epoch still in flight (it keeps going — call
-    /// `wait*` again or [`EpochFuture::cancel`]), otherwise the result.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<(), HfError>> {
-        self.core.wait_timeout(timeout)
-    }
-
-    /// Requests cooperative cancellation of this epoch only: in-flight
-    /// task bodies finish, everything not yet started is skipped, and
-    /// the epoch completes with [`HfError::Cancelled`]. Later epochs of
-    /// the stream are unaffected. Cancelling a finished epoch is a
-    /// no-op.
-    pub fn cancel(&self) {
-        self.core.cancel();
-    }
-
-    /// True once the epoch has finished (success or error).
-    pub fn is_done(&self) -> bool {
-        self.core.is_done()
-    }
-
-    /// The owning stream's process-unique run id (`0` for
-    /// immediately-ready futures, which never execute).
-    pub fn run_id(&self) -> u64 {
-        self.core.run_id()
-    }
-
-    /// The epoch index within the stream (`None` for immediately-ready
-    /// error futures).
-    pub fn epoch(&self) -> Option<u64> {
-        self.core.epoch()
-    }
-
-    /// A detached, cloneable handle to this epoch's completion and
-    /// cancellation state (a clone of the shared [`Completion`] core).
-    pub fn handle(&self) -> Completion {
-        self.core.clone()
-    }
-
-    pub(crate) fn ready(result: Result<(), HfError>) -> Self {
-        Self {
-            core: Completion::ready(result),
-        }
-    }
-}
-
-impl std::fmt::Debug for EpochFuture {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EpochFuture")
-            .field("epoch", &self.core.epoch())
-            .field("done", &self.is_done())
-            .finish()
-    }
-}
-
-impl std::future::Future for EpochFuture {
-    type Output = Result<(), HfError>;
-
-    fn poll(
-        self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> Poll<Self::Output> {
-        self.core.promise.poll(cx)
-    }
-}
+/// Future of one streaming epoch, returned by [`crate::Session::submit`]:
+/// [`Completion::epoch`] is its index, and cancelling it skips this epoch
+/// only — later epochs of the stream are unaffected.
+pub type EpochFuture = Completion;
 
 /// Admission gate of one streaming epoch: the epoch's *body* (kernels,
 /// pushes, and their descendants) stays parked — via join-counter
@@ -709,13 +557,11 @@ mod tests {
     use super::*;
 
     fn test_future(c: &Arc<Promise>) -> RunFuture {
-        RunFuture {
-            core: Completion {
-                promise: Arc::clone(c),
-                cancel: Arc::new(AtomicBool::new(false)),
-                run_id: 0,
-                epoch: None,
-            },
+        Completion {
+            promise: Arc::clone(c),
+            cancel: Arc::new(AtomicBool::new(false)),
+            run_id: 0,
+            epoch: None,
         }
     }
 
@@ -761,9 +607,9 @@ mod tests {
         let fut = test_future(&c);
         let clone = fut.clone();
         clone.cancel();
-        assert!(fut.core.cancel.load(Ordering::Acquire));
-        // The detached handle observes and controls the same core.
-        let h = fut.handle();
+        assert!(fut.cancel.load(Ordering::Acquire));
+        // A clone held elsewhere observes and controls the same core.
+        let h = fut.clone();
         assert!(h.cancel_requested());
         assert!(!h.is_done());
     }

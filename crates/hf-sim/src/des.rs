@@ -8,7 +8,7 @@
 
 use crate::machine::{Machine, SchedulerMode};
 use crate::result::SimResult;
-use hf_core::placement::{device_placement, PlacementPolicy};
+use hf_core::placement::{device_placement, Placement, PlacementPolicy};
 use hf_core::{GraphInfo, HfError, TaskKind};
 use hf_gpu::SimDuration;
 use std::cmp::Reverse;
@@ -51,51 +51,75 @@ pub struct SimSpan {
     pub worker: Option<usize>,
 }
 
+/// Places `info` the way a fresh executor would: Algorithm 1 with the
+/// paper's default packing. A [`GraphInfo`] carries no residency and no
+/// measurements, so there is nothing else a policy could feed it.
+fn default_placement(info: &GraphInfo, machine: &Machine) -> Result<Placement, HfError> {
+    device_placement(info, machine.gpus, PlacementPolicy::BalancedLoad, &machine.cost)
+}
+
 /// Simulates one execution of `info` on `machine`.
 ///
 /// `host_cost` supplies the modeled duration of each host task (GPU ops
-/// are costed by the machine's [`hf_gpu::CostModel`]). Placement uses the
-/// real Algorithm 1 with the given policy.
+/// are costed by the machine's [`hf_gpu::CostModel`]). Placement is the
+/// real Algorithm 1; [`simulate_placed`] takes any other.
 pub fn simulate(
     info: &GraphInfo,
     machine: &Machine,
-    policy: PlacementPolicy,
     host_cost: impl Fn(usize) -> SimDuration,
 ) -> Result<SimResult, HfError> {
-    simulate_impl(info, machine, policy, &host_cost, None)
+    Ok(simulate_placed(info, machine, &default_placement(info, machine)?, host_cost))
 }
 
 /// [`simulate`] that also returns the full schedule as spans.
 pub fn simulate_traced(
     info: &GraphInfo,
     machine: &Machine,
-    policy: PlacementPolicy,
     host_cost: impl Fn(usize) -> SimDuration,
 ) -> Result<(SimResult, Vec<SimSpan>), HfError> {
     let mut spans = Vec::with_capacity(info.nodes.len());
-    let r = simulate_impl(info, machine, policy, &host_cost, Some(&mut spans))?;
+    let placement = default_placement(info, machine)?;
+    let r = simulate_impl(info, machine, &placement, &host_cost, Some(&mut spans));
     Ok((r, spans))
+}
+
+/// [`simulate`] under a placement the caller computed — the seam through
+/// which packing strategies other than the executor's are evaluated.
+///
+/// # Panics
+/// If `placement` was not computed for `info` on `machine.gpus` devices.
+pub fn simulate_placed(
+    info: &GraphInfo,
+    machine: &Machine,
+    placement: &Placement,
+    host_cost: impl Fn(usize) -> SimDuration,
+) -> SimResult {
+    simulate_impl(info, machine, placement, &host_cost, None)
 }
 
 fn simulate_impl(
     info: &GraphInfo,
     machine: &Machine,
-    policy: PlacementPolicy,
+    placement: &Placement,
     host_cost: &dyn Fn(usize) -> SimDuration,
     mut trace: Option<&mut Vec<SimSpan>>,
-) -> Result<SimResult, HfError> {
+) -> SimResult {
     let n = info.nodes.len();
-    let placement = device_placement(info, machine.gpus, policy, &machine.cost)?;
+    assert!(
+        placement.device_of.len() == n
+            && placement.device_of.iter().flatten().all(|&d| d < machine.gpus),
+        "placement does not fit the graph and machine"
+    );
 
     if n == 0 {
-        return Ok(SimResult::new(
+        return SimResult::new(
             SimDuration::ZERO,
             SimDuration::ZERO,
             vec![SimDuration::ZERO; machine.gpus as usize],
             0,
             machine.cores,
             machine.gpus,
-        ));
+        );
     }
 
     // In dedicated mode, one worker is bound to each GPU; CPU tasks use
@@ -210,14 +234,14 @@ fn simulate_impl(
 
     debug_assert_eq!(executed, n, "simulation deadlocked (cyclic input?)");
 
-    Ok(SimResult::new(
+    SimResult::new(
         SimDuration::from_nanos(makespan),
         cpu_busy,
         dev_busy,
         executed,
         machine.cores,
         machine.gpus,
-    ))
+    )
 }
 
 #[cfg(test)]
@@ -254,7 +278,7 @@ mod tests {
         let info = host_chain(10);
         for cores in [1, 4, 40] {
             let m = Machine::new(cores, 0);
-            let r = simulate(&info, &m, PlacementPolicy::BalancedLoad, |_| {
+            let r = simulate(&info, &m, |_| {
                 SimDuration::from_millis(1)
             })
             .unwrap();
@@ -265,16 +289,16 @@ mod tests {
     #[test]
     fn fanout_scales_linearly() {
         let info = host_fanout(40);
-        let t1 = simulate(&info, &Machine::new(1, 0), PlacementPolicy::BalancedLoad, |_| {
+        let t1 = simulate(&info, &Machine::new(1, 0), |_| {
             SimDuration::from_millis(1)
         })
         .unwrap();
-        let t4 = simulate(&info, &Machine::new(4, 0), PlacementPolicy::BalancedLoad, |_| {
+        let t4 = simulate(&info, &Machine::new(4, 0), |_| {
             SimDuration::from_millis(1)
         })
         .unwrap();
         let t40 =
-            simulate(&info, &Machine::new(40, 0), PlacementPolicy::BalancedLoad, |_| {
+            simulate(&info, &Machine::new(40, 0), |_| {
                 SimDuration::from_millis(1)
             })
             .unwrap();
@@ -301,11 +325,11 @@ mod tests {
     #[test]
     fn gpu_bound_work_scales_with_gpus() {
         let info = kernel_groups(8);
-        let r1 = simulate(&info, &Machine::new(16, 1), PlacementPolicy::BalancedLoad, |_| {
+        let r1 = simulate(&info, &Machine::new(16, 1), |_| {
             SimDuration::ZERO
         })
         .unwrap();
-        let r4 = simulate(&info, &Machine::new(16, 4), PlacementPolicy::BalancedLoad, |_| {
+        let r4 = simulate(&info, &Machine::new(16, 4), |_| {
             SimDuration::ZERO
         })
         .unwrap();
@@ -331,14 +355,12 @@ mod tests {
         let unified = simulate(
             &info,
             &Machine::new(4, 2),
-            PlacementPolicy::BalancedLoad,
             |_| SimDuration::from_millis(1),
         )
         .unwrap();
         let dedicated = simulate(
             &info,
             &Machine::new(4, 2).with_mode(SchedulerMode::DedicatedGpuWorkers),
-            PlacementPolicy::BalancedLoad,
             |_| SimDuration::from_millis(1),
         )
         .unwrap();
@@ -355,7 +377,7 @@ mod tests {
     fn empty_graph() {
         let g = Heteroflow::new("e");
         let info = g.info().unwrap();
-        let r = simulate(&info, &Machine::new(2, 1), PlacementPolicy::BalancedLoad, |_| {
+        let r = simulate(&info, &Machine::new(2, 1), |_| {
             SimDuration::ZERO
         })
         .unwrap();
@@ -366,7 +388,7 @@ mod tests {
     #[test]
     fn gpu_graph_no_gpus_errors() {
         let info = kernel_groups(1);
-        assert!(simulate(&info, &Machine::new(2, 0), PlacementPolicy::BalancedLoad, |_| {
+        assert!(simulate(&info, &Machine::new(2, 0), |_| {
             SimDuration::ZERO
         })
         .is_err());
@@ -379,7 +401,7 @@ mod tests {
         let info = host_chain(5);
         let per = SimDuration::from_millis(2);
         let m = Machine::new(3, 0);
-        let r = simulate(&info, &m, PlacementPolicy::BalancedLoad, |_| per).unwrap();
+        let r = simulate(&info, &m, |_| per).unwrap();
         let total = 5 * per.as_nanos();
         let cp = 5 * per.as_nanos();
         assert!(r.makespan().as_nanos() >= cp);

@@ -345,7 +345,6 @@ pub fn single_node_baseline(
     crate::des::simulate(
         info,
         &m,
-        hf_core::placement::PlacementPolicy::BalancedLoad,
         host_cost,
     )
     .expect("baseline simulates")

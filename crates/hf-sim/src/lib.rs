@@ -25,7 +25,7 @@ pub mod result;
 pub mod sweep;
 
 pub use calibrate::measure;
-pub use des::{simulate, simulate_traced, SimSpan};
+pub use des::{simulate, simulate_placed, simulate_traced, SimSpan};
 pub use distributed::{
     partition_by_affinity, partition_by_work, simulate_cluster, Cluster, ClusterResult, NodeSpec,
 };

@@ -4,7 +4,6 @@
 use crate::des::simulate;
 use crate::machine::{Machine, SchedulerMode};
 use crate::result::SimResult;
-use hf_core::placement::PlacementPolicy;
 use hf_core::{GraphInfo, HfError};
 use hf_gpu::{CostModel, SimDuration};
 use serde::Serialize;
@@ -21,21 +20,19 @@ pub struct SweepPoint {
 }
 
 /// Simulates `info` at every `(cores, gpus)` combination.
-#[allow(clippy::too_many_arguments)]
 pub fn sweep(
     info: &GraphInfo,
     cores: &[usize],
     gpus: &[u32],
     cost: CostModel,
     mode: SchedulerMode,
-    policy: PlacementPolicy,
     host_cost: impl Fn(usize) -> SimDuration + Copy,
 ) -> Result<Vec<SweepPoint>, HfError> {
     let mut out = Vec::with_capacity(cores.len() * gpus.len());
     for &g in gpus {
         for &c in cores {
             let m = Machine::new(c, g).with_cost(cost).with_mode(mode);
-            let result = simulate(info, &m, policy, host_cost)?;
+            let result = simulate(info, &m, host_cost)?;
             out.push(SweepPoint {
                 cores: c,
                 gpus: g,
@@ -64,7 +61,6 @@ mod tests {
             &[0],
             CostModel::default(),
             SchedulerMode::Unified,
-            PlacementPolicy::BalancedLoad,
             |_| SimDuration::from_millis(1),
         )
         .unwrap();

@@ -1,6 +1,5 @@
 //! Property-based tests of the discrete-event model.
 
-use hf_core::placement::PlacementPolicy;
 use hf_core::Heteroflow;
 use hf_gpu::SimDuration;
 use hf_sim::{simulate, simulate_traced, Machine};
@@ -41,7 +40,6 @@ proptest! {
         let (result, spans) = simulate_traced(
             &info,
             &Machine::new(cores, 0),
-            PlacementPolicy::BalancedLoad,
             cost_of,
         ).expect("simulates");
 
@@ -96,7 +94,6 @@ proptest! {
             simulate(
                 &info,
                 &Machine::new(cores, 0),
-                PlacementPolicy::BalancedLoad,
                 |_| SimDuration::from_micros(100),
             ).expect("simulates").makespan_secs
         };

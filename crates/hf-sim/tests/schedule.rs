@@ -2,7 +2,6 @@
 //! schedule must itself be a legal schedule.
 
 use hf_core::data::HostVec;
-use hf_core::placement::PlacementPolicy;
 use hf_core::Heteroflow;
 use hf_gpu::SimDuration;
 use hf_sim::{simulate_traced, Machine};
@@ -30,7 +29,6 @@ fn schedule_respects_dependencies_and_devices() {
         let (result, spans) = simulate_traced(
             &info,
             &Machine::new(cores, gpus),
-            PlacementPolicy::BalancedLoad,
             |_| SimDuration::from_micros(100),
         )
         .expect("simulates");
@@ -82,7 +80,6 @@ fn spans_serialize_for_gantt_export() {
     let (_, spans) = simulate_traced(
         &info,
         &Machine::new(2, 1),
-        PlacementPolicy::BalancedLoad,
         |_| SimDuration::from_micros(10),
     )
     .expect("simulates");

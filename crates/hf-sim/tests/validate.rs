@@ -1,7 +1,6 @@
 //! Cross-validation: the discrete-event model must agree with the real
 //! executor where they are comparable (single worker, known task costs).
 
-use hf_core::placement::PlacementPolicy;
 use hf_core::{Executor, Heteroflow};
 use hf_gpu::SimDuration;
 use hf_sim::{simulate, Machine};
@@ -37,7 +36,7 @@ fn sim_matches_real_single_core_makespan() {
 
     // Simulated execution with the known per-task cost.
     let info = g.info().unwrap();
-    let r = simulate(&info, &Machine::new(1, 0), PlacementPolicy::BalancedLoad, |_| {
+    let r = simulate(&info, &Machine::new(1, 0), |_| {
         SimDuration::from_millis(TASK_MS)
     })
     .unwrap();
@@ -65,7 +64,7 @@ fn sim_conserves_work() {
     d.succeed(&b).succeed(&c);
     let info = g.info().unwrap();
     for cores in [1, 2, 3, 8] {
-        let r = simulate(&info, &Machine::new(cores, 0), PlacementPolicy::BalancedLoad, |i| {
+        let r = simulate(&info, &Machine::new(cores, 0), |i| {
             SimDuration::from_millis((i as u64 + 1) * 2)
         })
         .unwrap();

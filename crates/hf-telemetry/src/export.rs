@@ -226,7 +226,6 @@ mod tests {
         let (_res, sim) = hf_sim::simulate_traced(
             &info,
             &machine,
-            hf_core::PlacementPolicy::BalancedLoad,
             |_| hf_gpu::SimDuration::from_nanos(1_000),
         )
         .expect("simulates");

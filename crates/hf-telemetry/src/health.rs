@@ -22,9 +22,7 @@
 //! cooperative cancellation at a deadline.
 
 use crate::metrics::{duration_bounds_nanos, Histogram, MetricsRegistry};
-use hf_core::{
-    lifecycle_now_ns, Completion, ExecutorObserver, LifecycleEvent, LifecyclePhase, RunFuture,
-};
+use hf_core::{lifecycle_now_ns, Completion, ExecutorObserver, LifecycleEvent, LifecyclePhase};
 use hf_sync::EventRing;
 use parking_lot::Mutex;
 use serde_json::{Map, Value};
@@ -324,14 +322,19 @@ impl FlightRecorder {
     /// latency histograms, and execution-time EWMAs. Returns the number
     /// of events applied. Cheap when idle; call from a monitor thread,
     /// on scrape, or after `wait()`.
+    ///
+    /// Draining and applying are one critical section, so concurrent
+    /// pumpers apply events in ring order and, when `pump` returns, every
+    /// event pushed before the call has been applied — by this call or by
+    /// the pumper it waited for.
     pub fn pump(&self) -> usize {
+        let mut st = self.state.lock();
         let mut drained = Vec::new();
         self.ring.drain(|ev| drained.push(ev));
         if drained.is_empty() {
             return 0;
         }
         let n = drained.len();
-        let mut st = self.state.lock();
         let mut failed_runs = Vec::new();
         for ev in drained {
             let graph = Arc::clone(&ev.graph);
@@ -1223,18 +1226,13 @@ impl Watchdog {
     /// Arms the watchdog for `fut`'s run. `label` names the run in
     /// events and must match the graph name for straggler estimates to
     /// resolve. Already-done or ready futures (run id 0) are ignored.
-    pub fn arm(&self, fut: &RunFuture, label: &str) {
+    pub fn arm(&self, fut: &Completion, label: &str) {
         if fut.run_id() == 0 || fut.is_done() {
             return;
         }
-        self.arm_handle(fut.handle(), label);
-    }
-
-    /// Arms the watchdog for a detached [`Completion`] handle.
-    pub fn arm_handle(&self, handle: Completion, label: &str) {
         let now = lifecycle_now_ns();
         self.inner.runs.lock().push(ArmedRun {
-            handle,
+            handle: fut.clone(),
             label: label.to_string(),
             level: HealthVerdict::Healthy,
             last_events: 0,

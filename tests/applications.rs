@@ -100,7 +100,6 @@ fn sim_and_real_agree_on_application_graph() {
     let r = simulate(
         &info,
         &Machine::new(1, 1),
-        PlacementPolicy::BalancedLoad,
         |id| {
             if info.nodes[id].name.starts_with("gen_v") {
                 gen_cost

@@ -297,6 +297,59 @@ fn watchdog_deadline_cancels_and_dumps_blackbox() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Two pumpers (here: this thread and a scrape-like loop; in the test
+/// above, the watchdog) must not reorder or hide events: once `pump()`
+/// returns, every event pushed before the call is applied, whoever
+/// drained it. Draining outside the state lock let a `Finished` fold
+/// before its `Started` (the exec sample lost, the task left in flight)
+/// and let `pump()` return while the other pumper still held `RunEnd`.
+#[test]
+fn concurrent_pumps_apply_every_event_in_order() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const RUNS: u64 = 1000;
+    const TASKS: usize = 4;
+    let recorder = FlightRecorder::shared();
+    let ex = Executor::builder(2, 0).observer(recorder.clone()).build();
+    let g = Heteroflow::new("pumped");
+    let mut prev: Option<HostTask> = None;
+    for i in 0..TASKS {
+        let t = g.host(&format!("t{i}"), || {});
+        if let Some(p) = &prev {
+            p.precede(&t);
+        }
+        prev = Some(t);
+    }
+    let stop = AtomicBool::new(false);
+    // The first run that breaks a promise, described; the pumper is
+    // stopped before anything asserts, or the scope would never join.
+    let broken = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(Ordering::Acquire) {
+                recorder.pump();
+            }
+        });
+        let broken = (0..RUNS).find_map(|i| {
+            let fut = ex.run(&g);
+            let res = fut.wait();
+            recorder.pump();
+            let progress = recorder.run_progress(fut.run_id());
+            let summary = recorder.summaries().pop().map(|s| (s.run_id, s.tasks));
+            let exec_samples = recorder.latency_histograms().1.count;
+            let ok = res.is_ok()
+                && progress.as_ref().is_some_and(|p| p.done && p.inflight.is_empty())
+                && summary == Some((fut.run_id(), TASKS))
+                && exec_samples == (i + 1) * TASKS as u64;
+            (!ok).then(|| {
+                format!("run {i}: {res:?}, {progress:?}, {summary:?}, {exec_samples} exec samples")
+            })
+        });
+        stop.store(true, Ordering::Release);
+        broken
+    });
+    assert_eq!(broken, None);
+    assert_eq!(recorder.events_dropped(), 0);
+}
+
 fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     let mut s = TcpStream::connect(addr).expect("connect health endpoint");
     write!(s, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
