@@ -21,130 +21,26 @@
 //!   push/pop instead of a `Mutex<VecDeque>`;
 //! * a finishing task hands its first ready successor straight back to
 //!   the worker's burst loop and batches the others into one injector
-//!   spray plus one coalesced `notify_n` wakeup ([`ReadyBatch`]);
+//!   spray plus one coalesced `notify_n` wakeup ([`crate::ready::ReadyBatch`]);
 //! * re-running an unchanged graph reuses the cached freeze + placement +
 //!   fusion plan (see [`crate::graph::SchedCache`]).
 
 use crate::error::HfError;
-use crate::graph::{FrozenGraph, Heteroflow, SchedCache, TaskKind, Work};
+use crate::graph::{FrozenGraph, Heteroflow, SchedCache, Work};
 use crate::lifecycle::{lifecycle_now_ns, LifecycleEvent, LifecyclePhase};
 use crate::observer::ExecutorObserver;
 use crate::placement::{PlaceInput, Placement, PlacementPolicy};
-use crate::retry::{OnDeviceLoss, RetryPolicy};
+use crate::ready::ReadyBatch;
+use crate::registry::{Token, TopoRegistry};
+use crate::retry::RetryPolicy;
 use crate::stats::ExecutorStats;
 use crate::topology::{FusionPlan, RunFuture, Topology};
-use crate::worker::Local;
-use hf_gpu::{GpuConfig, GpuError, GpuRuntime};
+use hf_gpu::{GpuConfig, GpuRuntime};
 use hf_sync::{Injector, Notifier, Steal, StealDeque, Stealer};
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// A schedulable unit, packed into one integer: the topology's registry
-/// slot in the high 32 bits, the node index in the low 32. Tokens are
-/// `Copy` and carry no ownership, so pushing work touches no allocator.
-pub(crate) type Token = u64;
-
-#[inline]
-fn pack(slot: u32, node: usize) -> Token {
-    debug_assert!(node <= u32::MAX as usize);
-    ((slot as u64) << 32) | node as u64
-}
-
-#[inline]
-pub(crate) fn unpack(token: Token) -> (u32, usize) {
-    ((token >> 32) as u32, (token & 0xFFFF_FFFF) as usize)
-}
-
-/// Chunk size of a [`ReadyBatch`]: one injector spray, one wakeup.
-const RELEASE_BATCH: usize = 32;
-
-/// Newly-ready nodes of one topology on their way to the queues — the one
-/// way a node becomes runnable. On a worker thread (`local` set) the first
-/// node pushed while the worker's continuation slot is free goes there: the
-/// burst loop runs it next, with no deque round trip and no wakeup. The
-/// rest are flushed a chunk at a time, the last chunk when the batch drops.
-struct ReadyBatch<'a, 'w> {
-    exec: &'a ExecInner,
-    topo: &'a Topology,
-    slot: u32,
-    local: Option<&'a mut Local<'w>>,
-    buf: [Token; RELEASE_BATCH],
-    len: usize,
-}
-
-impl<'a, 'w> ReadyBatch<'a, 'w> {
-    fn new(exec: &'a ExecInner, topo: &'a Topology, local: Option<&'a mut Local<'w>>) -> Self {
-        Self {
-            exec,
-            topo,
-            slot: topo.slot.load(Ordering::Relaxed),
-            local,
-            buf: [0; RELEASE_BATCH],
-            len: 0,
-        }
-    }
-
-    fn push(&mut self, node: usize) {
-        let token = pack(self.slot, node);
-        if let Some(local) = self.local.as_deref_mut().filter(|l| l.next.is_none()) {
-            // `Ready` fires before the token is stealable *or run*.
-            self.exec
-                .emit_task(self.topo, LifecyclePhase::Ready, node, None, None, true, None);
-            local.next = Some(token);
-            return;
-        }
-        if self.len == RELEASE_BATCH {
-            self.flush();
-        }
-        self.buf[self.len] = token;
-        self.len += 1;
-    }
-
-    /// Makes the collected tokens runnable: the first goes to the lending
-    /// worker's own deque, the rest across the injector in one lock-free
-    /// batch push, with one coalesced wakeup proportional to the batch.
-    fn flush(&mut self) {
-        let len = std::mem::take(&mut self.len);
-        let tokens = &self.buf[..len];
-        let Some((&first, others)) = tokens.split_first() else {
-            return;
-        };
-        let exec = self.exec;
-        // `Ready` before the tokens are stealable: once pushed, a peer can
-        // run the token, drain the round and deregister the slot.
-        if exec.lc_active() {
-            for &t in tokens {
-                exec.emit_task(self.topo, LifecyclePhase::Ready, unpack(t).1, None, None, true, None);
-            }
-        }
-        let rest = match &self.local {
-            Some(local) => {
-                local.deque.push(first);
-                others
-            }
-            None => tokens,
-        };
-        if !rest.is_empty() {
-            exec.injector.push_batch(rest);
-            if rest.len() > 1 {
-                exec.stats.injector_batches.incr();
-            }
-        }
-        if !others.is_empty() {
-            exec.stats.notify_coalesced.add(others.len() as u64);
-        }
-        exec.notifier.notify_n(tokens.len());
-    }
-}
-
-impl Drop for ReadyBatch<'_, '_> {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
 
 /// Default byte size above which a pull is pipelined in chunks across the
 /// copy-lane streams. Large enough that typical test graphs stay on the
@@ -157,132 +53,6 @@ const DEFAULT_COPY_LANES: usize = 2;
 /// Tokens a thief claims from the injector in one batched pop; extras are
 /// banked in its local deque.
 pub(crate) const STEAL_BATCH: usize = 16;
-
-/// First registry segment size; segment `i` holds `SEG0 << i` slots.
-const SEG0: usize = 64;
-/// Segment count: `64 * (2^26 - 1)` slots covers every packable id.
-const SEGS: usize = 26;
-
-/// Lock-free registry mapping slot ids to in-flight topologies.
-///
-/// Registration/deregistration (once per submission) take a mutex; token
-/// resolution on the execute path is two atomic loads plus a refcount
-/// bump. Slots live in lazily-allocated, geometrically-growing segments
-/// published through a fixed directory, so resolution never races a
-/// reallocation.
-///
-/// Safety invariant: a slot's strong reference is released only in
-/// `deregister`, which the executor calls after the topology's last round
-/// fully drained — at that point no token referencing the slot exists in
-/// any deque or the injector, so resolution never observes a freed slot.
-pub(crate) struct TopoRegistry {
-    /// Directory of segments; entry `i` points at `SEG0 << i` slots.
-    segments: [AtomicPtr<AtomicPtr<Topology>>; SEGS],
-    alloc: Mutex<RegistryAlloc>,
-}
-
-#[derive(Default)]
-struct RegistryAlloc {
-    free: Vec<u32>,
-    next: u32,
-}
-
-/// Segment index, slot offset within it, and segment length for a slot id.
-#[inline]
-fn locate(slot: u32) -> (usize, usize, usize) {
-    let x = slot / SEG0 as u32 + 1;
-    let seg = (31 - x.leading_zeros()) as usize;
-    let start = SEG0 * ((1usize << seg) - 1);
-    (seg, slot as usize - start, SEG0 << seg)
-}
-
-impl TopoRegistry {
-    fn new() -> Self {
-        Self {
-            segments: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
-            alloc: Mutex::new(RegistryAlloc::default()),
-        }
-    }
-
-    /// Assigns a slot to `topo`, stores a strong reference in it, and
-    /// records the slot id in `topo.slot`.
-    pub(crate) fn register(&self, topo: &Arc<Topology>) -> u32 {
-        let mut a = self.alloc.lock();
-        let slot = a.free.pop().unwrap_or_else(|| {
-            let s = a.next;
-            a.next = a.next.checked_add(1).expect("registry slot ids exhausted");
-            s
-        });
-        let (seg, off, len) = locate(slot);
-        let mut seg_ptr = self.segments[seg].load(Ordering::Acquire);
-        if seg_ptr.is_null() {
-            let boxed: Box<[AtomicPtr<Topology>]> = (0..len)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect();
-            seg_ptr = Box::into_raw(boxed) as *mut AtomicPtr<Topology>;
-            self.segments[seg].store(seg_ptr, Ordering::Release);
-        }
-        let ptr = Arc::into_raw(Arc::clone(topo)) as *mut Topology;
-        // Safety: `off < len` by construction and the segment was just
-        // published (or already was); only this mutex-holding thread
-        // writes a null slot.
-        unsafe { (*seg_ptr.add(off)).store(ptr, Ordering::Release) };
-        topo.slot.store(slot, Ordering::Release);
-        slot
-    }
-
-    /// Resolves a token's slot to its topology. Lock-free.
-    pub(crate) fn resolve(&self, slot: u32) -> Arc<Topology> {
-        let (seg, off, _) = locate(slot);
-        let seg_ptr = self.segments[seg].load(Ordering::Acquire);
-        debug_assert!(!seg_ptr.is_null(), "token for unregistered segment");
-        // Safety: tokens only exist between register and deregister (see
-        // the struct invariant), so the segment exists and the slot holds
-        // a live strong reference we can borrow a count from.
-        unsafe {
-            let ptr = (*seg_ptr.add(off)).load(Ordering::Acquire);
-            debug_assert!(!ptr.is_null(), "token for unregistered topology");
-            Arc::increment_strong_count(ptr);
-            Arc::from_raw(ptr)
-        }
-    }
-
-    /// Releases a slot's strong reference and recycles the id.
-    pub(crate) fn deregister(&self, slot: u32) {
-        let (seg, off, _) = locate(slot);
-        let seg_ptr = self.segments[seg].load(Ordering::Acquire);
-        let ptr = unsafe { (*seg_ptr.add(off)).swap(std::ptr::null_mut(), Ordering::AcqRel) };
-        if !ptr.is_null() {
-            // Safety: ownership of the registration count transfers here.
-            unsafe { drop(Arc::from_raw(ptr)) };
-        }
-        self.alloc.lock().free.push(slot);
-    }
-}
-
-impl Drop for TopoRegistry {
-    fn drop(&mut self) {
-        for (i, seg) in self.segments.iter().enumerate() {
-            let seg_ptr = seg.load(Ordering::Acquire);
-            if seg_ptr.is_null() {
-                continue;
-            }
-            let len = SEG0 << i;
-            // Safety: reconstructs the Box created in `register`; any
-            // still-registered topology (defensive — normally none) drops
-            // its strong count with the slots.
-            unsafe {
-                let slots = Box::from_raw(std::ptr::slice_from_raw_parts_mut(seg_ptr, len));
-                for s in slots.iter() {
-                    let p = s.load(Ordering::Acquire);
-                    if !p.is_null() {
-                        drop(Arc::from_raw(p));
-                    }
-                }
-            }
-        }
-    }
-}
 
 /// Executor identities for keying per-graph scheduling caches.
 static NEXT_EXEC_ID: AtomicU64 = AtomicU64::new(0);
@@ -384,7 +154,7 @@ impl ExecInner {
     /// Emits a run-level lifecycle event for a topology
     /// (`Failover`/`EpochEnd`); the epoch driver emits the ones that
     /// bracket a whole run.
-    fn emit_run(&self, topo: &Topology, phase: LifecyclePhase, ok: bool, detail: Option<&HfError>) {
+    pub(crate) fn emit_run(&self, topo: &Topology, phase: LifecyclePhase, ok: bool, detail: Option<&HfError>) {
         self.emit(|| {
             LifecycleEvent::run_level(
                 topo.run_id,
@@ -559,16 +329,6 @@ pub(crate) struct ExecPlan {
     pub(crate) placement: Arc<crate::placement::Placement>,
     pub(crate) fusion: Arc<FusionPlan>,
     pub(crate) lint_report: Option<Arc<crate::analyze::Report>>,
-}
-
-/// What [`ExecInner::failure_action`] decided about a failed task body.
-enum FailureAction {
-    /// Re-dispatch the node after the given backoff.
-    Retry(Duration),
-    /// Request a device failover; the round drains and replays.
-    Failover,
-    /// Fail the run with the error.
-    Fail,
 }
 
 /// Builder for [`Executor`] with non-default GPU configuration, placement
@@ -1114,7 +874,7 @@ impl ExecInner {
     /// driver via the topology's `on_finish` hook. Promise settlement,
     /// the graph claim and the executor's in-flight count live in the
     /// driver (see [`crate::stream`]).
-    fn finish_topology(&self, topo: Arc<Topology>) {
+    pub(crate) fn finish_topology(&self, topo: Arc<Topology>) {
         // Pull allocations stay device-resident so an unchanged
         // resubmission can elide its H2D copies; they are freed when the
         // frozen snapshot drops (graph mutation or teardown). Give the
@@ -1149,318 +909,6 @@ impl ExecInner {
             self.idle_cv.notify_all();
         }
     }
-
-    /// Marks a node finished: records whether it succeeded (failover
-    /// replay bookkeeping), releases its successors and, if it was the
-    /// round's last node, ends the round. Called from worker threads
-    /// (synchronous host tasks; `local` is what the worker lends, see
-    /// [`ReadyBatch`]) and from device engine threads (the stream-ordered
-    /// completion callbacks of GPU tasks). Failed and skipped nodes still
-    /// release successors so the round always drains — never hangs — with
-    /// the skip flags keeping bodies from consuming half-failed state.
-    fn finish_node(
-        &self,
-        topo: &Arc<Topology>,
-        fusion: &FusionPlan,
-        node: usize,
-        ok: bool,
-        mut local: Option<&mut Local<'_>>,
-    ) {
-        topo.round_ok[node].store(ok, Ordering::Release);
-        {
-            let mut ready = ReadyBatch::new(self, topo, local.as_deref_mut());
-            for &s in topo.frozen.succ(node) {
-                let s = s as usize;
-                // Fused chain members were dispatched with their head;
-                // whoever finished the head also finishes them in order.
-                if topo.join[s].fetch_sub(1, Ordering::AcqRel) == 1 && !fusion.member[s] {
-                    ready.push(s);
-                }
-            }
-        }
-        // Streaming admission: when the last prologue node (host tasks and
-        // pulls) of an epoch drains, fire the session's hook so the next
-        // epoch's input mutation and H2D transfers can start while this
-        // epoch's body still occupies the devices. Saturating — failover
-        // replay may re-finish a prologue node — and the FnOnce hook fires
-        // exactly once.
-        if let Some(p) = &topo.prologue {
-            if !p.is_body[node] {
-                let fired = p
-                    .pending
-                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1));
-                if fired == Ok(1) {
-                    if let Some(hook) = p.hook.lock().take() {
-                        hook();
-                    }
-                }
-            }
-        }
-        if topo.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.end_round(topo, local);
-        }
-    }
-
-    /// Called by whoever finished the last node of the pass: a device
-    /// lost on the way replays the unfinished part on a re-placed device
-    /// assignment (skipped when the epoch already failed or was
-    /// cancelled); otherwise the pass is complete and the epoch finishes.
-    fn end_round(&self, topo: &Arc<Topology>, local: Option<&mut Local<'_>>) {
-        if topo.failover_pending.load(Ordering::Acquire)
-            && !topo.cancelled.load(Ordering::Acquire)
-            && !topo.cancel_requested()
-            && self.try_failover(topo, local)
-        {
-            return;
-        }
-        self.stats.rounds.incr();
-        self.finish_topology(Arc::clone(topo));
-    }
-
-    /// Decides what to do about a failed task body: retry it (transient
-    /// error with attempts left), fail the run, or — for a whole-device
-    /// loss under [`OnDeviceLoss::Failover`] — request a failover.
-    fn failure_action(&self, topo: &Arc<Topology>, node: usize, err: &HfError) -> FailureAction {
-        match err.gpu_cause() {
-            Some(GpuError::FaultInjected { .. }) => {
-                self.stats.faults_injected.incr();
-            }
-            Some(GpuError::DeviceLost(_)) => {
-                return match self.retry.loss_behavior() {
-                    OnDeviceLoss::Failover => FailureAction::Failover,
-                    OnDeviceLoss::Fail => FailureAction::Fail,
-                };
-            }
-            _ => {}
-        }
-        // Retry only failures whose effect never happened: injected
-        // faults and allocation exhaustion fire before mutating anything,
-        // and panics unwind before the task's outputs are published.
-        let retryable = matches!(err, HfError::TaskPanicked { .. })
-            || matches!(
-                err.gpu_cause(),
-                Some(GpuError::FaultInjected { .. } | GpuError::OutOfMemory { .. })
-            );
-        if !retryable {
-            return FailureAction::Fail;
-        }
-        let kind = topo.frozen.nodes[node].work.kind();
-        let attempt = topo.attempts[node].fetch_add(1, Ordering::Relaxed) + 1;
-        if attempt < self.retry.attempts(kind) {
-            FailureAction::Retry(self.retry.backoff_for(attempt))
-        } else {
-            FailureAction::Fail
-        }
-    }
-
-    /// Finishes `nodes` in order, each behind its `Finished` event — the
-    /// closing event always precedes [`ExecInner::finish_node`], so an
-    /// observer has it before the run can settle. `fusion` is the current
-    /// plan: a worker's burst holds it, a callback reads [`Topology::fusion`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn finish_nodes(
-        &self,
-        topo: &Arc<Topology>,
-        fusion: &FusionPlan,
-        nodes: impl IntoIterator<Item = usize>,
-        worker: Option<u32>,
-        chain: Option<u32>,
-        ok: bool,
-        mut local: Option<&mut Local<'_>>,
-    ) {
-        for node in nodes {
-            self.emit_task(topo, LifecyclePhase::Finished, node, worker, chain, ok, None);
-            self.finish_node(topo, fusion, node, ok, local.as_deref_mut());
-        }
-    }
-
-    /// Routes a failed task body through the retry policy — on a worker
-    /// (`worker` set: the body or its dispatch failed there) or in a
-    /// stream's completion callback (`chain` set: an op of that dispatched
-    /// chain failed). `rest` is what cannot run this pass because of it:
-    /// `failed` itself, then the members fused behind it. A retry
-    /// re-queues `failed`, which re-walks its chain from there; otherwise
-    /// all of `rest` finishes unsuccessfully.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn fail_task(
-        &self,
-        topo: &Arc<Topology>,
-        fusion: &FusionPlan,
-        failed: usize,
-        rest: impl IntoIterator<Item = usize>,
-        worker: Option<u32>,
-        chain: Option<u32>,
-        err: HfError,
-        local: Option<&mut Local<'_>>,
-    ) {
-        let action = self.failure_action(topo, failed, &err);
-        let phase = match action {
-            FailureAction::Retry(_) => LifecyclePhase::Retried,
-            FailureAction::Failover | FailureAction::Fail => LifecyclePhase::Failed,
-        };
-        self.emit_task(topo, phase, failed, worker, chain, false, Some(&err));
-        match action {
-            FailureAction::Retry(delay) => {
-                self.stats.retries.incr();
-                topo.retries.fetch_add(1, Ordering::Relaxed);
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-                // Runs next on this worker, or — from a device engine
-                // thread — goes to the injector.
-                ReadyBatch::new(self, topo, local).push(failed);
-                return;
-            }
-            FailureAction::Failover => topo.request_failover(err),
-            FailureAction::Fail => topo.fail(err),
-        }
-        self.finish_nodes(topo, fusion, rest, worker, chain, false, local);
-    }
-
-    /// Performs a device failover at a drained round boundary: re-places
-    /// the lost devices' groups onto the survivors and replays exactly the
-    /// nodes that did not complete this round. Returns `false` when the
-    /// failover could not be performed (budget exhausted, no survivors, or
-    /// replay would double-apply a completed push) — the run then fails
-    /// with the triggering error.
-    fn try_failover(&self, topo: &Arc<Topology>, local: Option<&mut Local<'_>>) -> bool {
-        let cause = match topo.failover.lock().take() {
-            Some(c) => c,
-            None => return false,
-        };
-        if topo.failovers.fetch_add(1, Ordering::Relaxed) + 1 > self.retry.failover_budget() {
-            topo.fail(cause);
-            return false;
-        }
-
-        let frozen = &topo.frozen;
-        let n = frozen.nodes.len();
-        let placement = topo.placement();
-        let (lost, new_placement) = match self.place(frozen, &placement.device_of) {
-            Ok(placed) if placed.lost.contains(&true) => (placed.lost, placed.placement),
-            // A failover without a lost device has nothing to re-place.
-            Ok(_) => {
-                topo.fail(cause);
-                return false;
-            }
-            // No surviving GPUs: fail with the structural error.
-            Err(e) => {
-                topo.fail(e);
-                return false;
-            }
-        };
-        let mut ok: Vec<bool> = topo
-            .round_ok
-            .iter()
-            .map(|b| b.load(Ordering::Acquire))
-            .collect();
-
-        // Results living in a lost device's arena are gone: pulls and
-        // kernels there must replay even though they completed. A
-        // *completed push* there is unrecoverable — its host-side write
-        // already happened, and replaying its group could re-apply an
-        // in-place update through the re-pulled data — so fail structured
-        // rather than risk silent double-application.
-        #[allow(clippy::needless_range_loop)] // i indexes three parallel arrays
-        for i in 0..n {
-            let on_lost = placement.device_of[i].is_some_and(|d| lost[d as usize]);
-            if on_lost && ok[i] {
-                if frozen.nodes[i].work.kind() == TaskKind::Push {
-                    topo.fail(cause);
-                    return false;
-                }
-                ok[i] = false;
-            }
-        }
-
-        let replay = ok.iter().filter(|&&o| !o).count();
-        if replay == 0 {
-            // Can't happen (the failover-requesting node is !ok), but a
-            // replay of nothing would hang the round — fail instead.
-            topo.fail(cause);
-            return false;
-        }
-
-        // Streaming input hazard: once the session admitted a later epoch
-        // (and ran its input mutator), this epoch's pulls would replay the
-        // *next* epoch's host data. Fail the epoch with the triggering
-        // cause instead; the stream itself keeps serving (the session
-        // re-places subsequent epochs on the survivors).
-        if let Some(g) = &topo.input_guard {
-            if g.gen.load(Ordering::Acquire) != g.admitted_gen {
-                let replays_pull = ok.iter().enumerate().any(|(i, &o)| {
-                    !o && frozen.nodes[i].work.kind() == TaskKind::Pull
-                });
-                if replays_pull {
-                    topo.fail(cause);
-                    return false;
-                }
-            }
-        }
-
-        // Device buffers on lost devices vanished with their arenas; a
-        // replayed pull re-allocates on its new device. (Nothing to free —
-        // the device is gone.)
-        for i in (0..n).filter(|&i| frozen.kind(i) == TaskKind::Pull) {
-            let mut st = topo.pull_state(i).lock();
-            if let Some(p) = st.ptr {
-                if lost.get(p.device as usize).copied().unwrap_or(true) {
-                    st.ptr = None;
-                    st.resident_version = None;
-                    st.device = None;
-                } else if new_placement.device_of[i] != Some(p.device) {
-                    // Defensive: surviving groups keep their device, but if
-                    // one ever moves, release the stale buffer properly.
-                    if let Ok(dev) = self.gpu.device(p.device) {
-                        let _ = dev.free(p);
-                    }
-                    st.ptr = None;
-                    st.resident_version = None;
-                    st.device = None;
-                }
-            }
-        }
-
-        // Replay plan: fuse only among replayed nodes so no chain hangs
-        // off an already-finished head.
-        let active: Vec<bool> = ok.iter().map(|&o| !o).collect();
-        let masked = FusionPlan::compute(frozen, &new_placement, self.fusion, Some(&active));
-
-        // Rebuild join counters for the replay subgraph: a replayed node
-        // waits only on replayed predecessors (done ones are satisfied).
-        let mut join = vec![0usize; n];
-        for u in 0..n {
-            if !ok[u] {
-                for &s in frozen.succ(u) {
-                    if !ok[s as usize] {
-                        join[s as usize] += 1;
-                    }
-                }
-            }
-        }
-        for (j, v) in topo.join.iter().zip(&join) {
-            j.store(*v, Ordering::Relaxed);
-        }
-        for a in &topo.attempts {
-            a.store(0, Ordering::Relaxed);
-        }
-        for (b, &o) in topo.round_ok.iter().zip(&ok) {
-            b.store(o, Ordering::Relaxed);
-        }
-        topo.replace_plans(new_placement, masked);
-        topo.pending.store(replay, Ordering::Release);
-
-        // Lift the skip barrier before dispatching replay work.
-        topo.failover_pending.store(false, Ordering::Release);
-        self.emit_run(topo, LifecyclePhase::Failover, true, Some(&cause));
-
-        let fusion = topo.fusion();
-        let mut ready = ReadyBatch::new(self, topo, local);
-        for i in (0..n).filter(|&i| !ok[i] && join[i] == 0 && !fusion.member[i]) {
-            ready.push(i);
-        }
-        true
-    }
 }
 
 #[cfg(test)]
@@ -1468,26 +916,9 @@ mod tests {
     use super::*;
     use crate::data::HostVec;
     use crate::graph::Heteroflow;
-    use hf_gpu::FaultSite;
+    use crate::retry::OnDeviceLoss;
+    use hf_gpu::{FaultSite, GpuError};
     use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn token_roundtrip() {
-        let t = pack(7, 123);
-        assert_eq!(unpack(t), (7, 123));
-        let t = pack(u32::MAX - 1, u32::MAX as usize);
-        assert_eq!(unpack(t), (u32::MAX - 1, u32::MAX as usize));
-    }
-
-    #[test]
-    fn registry_locate_covers_segments() {
-        // First ids of the first three segments, plus their last ids.
-        assert_eq!(locate(0), (0, 0, 64));
-        assert_eq!(locate(63), (0, 63, 64));
-        assert_eq!(locate(64), (1, 0, 128));
-        assert_eq!(locate(191), (1, 127, 128));
-        assert_eq!(locate(192), (2, 0, 256));
-    }
 
     #[test]
     fn empty_graph_completes_immediately() {

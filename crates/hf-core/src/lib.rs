@@ -69,6 +69,9 @@ pub mod lifecycle;
 pub mod observer;
 pub mod placement;
 pub mod prelude;
+pub(crate) mod ready;
+pub(crate) mod recovery;
+pub(crate) mod registry;
 pub mod retry;
 pub mod stats;
 pub(crate) mod stream;

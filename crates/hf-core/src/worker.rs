@@ -9,10 +9,11 @@
 //! complete on the device engine.
 
 use crate::error::HfError;
-use crate::executor::{unpack, ExecInner, Token, TopoRegistry, STEAL_BATCH};
+use crate::executor::{ExecInner, STEAL_BATCH};
 use crate::graph::Work;
 use crate::lifecycle::LifecyclePhase;
 use crate::placement::Placement;
+use crate::registry::{unpack, Token, TopoRegistry};
 use crate::topology::{FusionPlan, Topology};
 use crate::transfer::{self, PreparedOp};
 use hf_gpu::{Device, FaultSite, KernelArgs, OpReport, ScopedDeviceContext, Stream};
@@ -22,7 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// What a worker lends the release path while it finishes a task (see
-/// `ReadyBatch` in [`crate::executor`]): its own deque for tokens that
+/// `ReadyBatch` in [`crate::ready`]): its own deque for tokens that
 /// must become stealable, and the slot for the one it runs next itself.
 pub(crate) struct Local<'a> {
     pub(crate) deque: &'a StealDeque<Token>,
