@@ -76,4 +76,21 @@ mod tests {
         // A huge index wraps modulo the mask width instead of faulting.
         let _ = pin_current_thread(usize::MAX - 3);
     }
+
+    /// `pin_workers` must be a safe no-op knob regardless of whether the
+    /// `core_affinity` feature (and thus real pinning) is compiled in.
+    #[test]
+    fn pinned_workers_still_schedule() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        let ex = crate::Executor::builder(3, 1).pin_workers(true).build();
+        let g = crate::Heteroflow::new("pin");
+        let counter = Arc::new(AtomicUsize::new(0));
+        let c = Arc::clone(&counter);
+        g.host("inc", move || {
+            c.fetch_add(1, Ordering::SeqCst);
+        });
+        ex.run_n(&g, 20).wait().unwrap();
+        assert_eq!(counter.load(Ordering::SeqCst), 20);
+    }
 }

@@ -3,7 +3,7 @@
 use crate::executor::ExecInner;
 use crate::lifecycle::LifecyclePhase;
 use crate::registry::{pack, unpack, Token};
-use crate::topology::{FusionPlan, Topology};
+use crate::topology::Topology;
 use crate::worker::Local;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -108,7 +108,6 @@ impl ExecInner {
     fn finish_node(
         &self,
         topo: &Arc<Topology>,
-        fusion: &FusionPlan,
         node: usize,
         ok: bool,
         mut local: Option<&mut Local<'_>>,
@@ -120,7 +119,7 @@ impl ExecInner {
                 let s = s as usize;
                 // Fused chain members were dispatched with their head;
                 // whoever finished the head also finishes them in order.
-                if topo.join[s].fetch_sub(1, Ordering::AcqRel) == 1 && !fusion.member[s] {
+                if topo.join[s].fetch_sub(1, Ordering::AcqRel) == 1 && !topo.fusion.member[s] {
                     ready.push(s);
                 }
             }
@@ -128,18 +127,11 @@ impl ExecInner {
         // Streaming admission: when the last prologue node (host tasks and
         // pulls) of an epoch drains, fire the session's hook so the next
         // epoch's input mutation and H2D transfers can start while this
-        // epoch's body still occupies the devices. Saturating — failover
-        // replay may re-finish a prologue node — and the FnOnce hook fires
-        // exactly once.
-        if let Some(p) = &topo.prologue {
-            if !p.is_body[node] {
-                let fired = p
-                    .pending
-                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1));
-                if fired == Ok(1) {
-                    if let Some(hook) = p.hook.lock().take() {
-                        hook();
-                    }
+        // epoch's body still occupies the devices.
+        if let Some(p) = &topo.ctx.prologue {
+            if !p.is_body[node] && p.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                if let Some(hook) = p.hook.lock().take() {
+                    hook();
                 }
             }
         }
@@ -149,9 +141,9 @@ impl ExecInner {
     }
 
     /// Called by whoever finished the last node of the pass: a device
-    /// lost on the way replays the unfinished part on a re-placed device
-    /// assignment (skipped when the epoch already failed or was
-    /// cancelled); otherwise the pass is complete and the epoch finishes.
+    /// lost on the way hands the unfinished part to a replay pass (skipped
+    /// when the epoch already failed or was cancelled); otherwise the
+    /// epoch finishes with this pass.
     fn end_round(&self, topo: &Arc<Topology>, local: Option<&mut Local<'_>>) {
         if topo.failover_pending.load(Ordering::Acquire)
             && !topo.cancelled.load(Ordering::Acquire)
@@ -166,13 +158,10 @@ impl ExecInner {
 
     /// Finishes `nodes` in order, each behind its `Finished` event — the
     /// closing event always precedes [`ExecInner::finish_node`], so an
-    /// observer has it before the run can settle. `fusion` is the current
-    /// plan: a worker's burst holds it, a callback reads [`Topology::fusion`].
-    #[allow(clippy::too_many_arguments)]
+    /// observer has it before the run can settle.
     pub(crate) fn finish_nodes(
         &self,
         topo: &Arc<Topology>,
-        fusion: &FusionPlan,
         nodes: impl IntoIterator<Item = usize>,
         worker: Option<u32>,
         chain: Option<u32>,
@@ -181,7 +170,7 @@ impl ExecInner {
     ) {
         for node in nodes {
             self.emit_task(topo, LifecyclePhase::Finished, node, worker, chain, ok, None);
-            self.finish_node(topo, fusion, node, ok, local.as_deref_mut());
+            self.finish_node(topo, node, ok, local.as_deref_mut());
         }
     }
 }

@@ -71,7 +71,6 @@ impl ExecInner {
     pub(crate) fn fail_task(
         &self,
         topo: &Arc<Topology>,
-        fusion: &FusionPlan,
         failed: usize,
         rest: impl IntoIterator<Item = usize>,
         worker: Option<u32>,
@@ -100,15 +99,17 @@ impl ExecInner {
             FailureAction::Failover => topo.request_failover(err),
             FailureAction::Fail => topo.fail(err),
         }
-        self.finish_nodes(topo, fusion, rest, worker, chain, false, local);
+        self.finish_nodes(topo, rest, worker, chain, false, local);
     }
 
-    /// Performs a device failover at a drained round boundary: re-places
-    /// the lost devices' groups onto the survivors and replays exactly the
-    /// nodes that did not complete this round. Returns `false` when the
-    /// failover could not be performed (budget exhausted, no survivors, or
-    /// replay would double-apply a completed push) — the run then fails
-    /// with the triggering error.
+    /// Performs a device failover once `topo`'s pass has drained: re-places
+    /// the lost devices' groups onto the survivors and continues the epoch
+    /// on a new pass over exactly the nodes that did not complete
+    /// ([`Topology::replay`]), in a registry slot of its own; `topo` gives
+    /// up its slot and its finish hook and is otherwise left as it drained.
+    /// Returns `false` when the failover could not be performed (budget
+    /// exhausted, no survivors, or replay would double-apply a completed
+    /// push) — the epoch then fails on `topo` with the triggering error.
     pub(crate) fn try_failover(&self, topo: &Arc<Topology>, local: Option<&mut Local<'_>>) -> bool {
         let cause = match topo.failover.lock().take() {
             Some(c) => c,
@@ -121,7 +122,7 @@ impl ExecInner {
 
         let frozen = &topo.frozen;
         let n = frozen.nodes.len();
-        let placement = topo.placement();
+        let placement = &topo.placement;
         let (lost, new_placement) = match self.place(frozen, &placement.device_of) {
             Ok(placed) if placed.lost.contains(&true) => (placed.lost, placed.placement),
             // A failover without a lost device has nothing to re-place.
@@ -172,7 +173,7 @@ impl ExecInner {
         // *next* epoch's host data. Fail the epoch with the triggering
         // cause instead; the stream itself keeps serving (the session
         // re-places subsequent epochs on the survivors).
-        if let Some(g) = &topo.input_guard {
+        if let Some(g) = &topo.ctx.input_guard {
             if g.gen.load(Ordering::Acquire) != g.admitted_gen {
                 let replays_pull = ok.iter().enumerate().any(|(i, &o)| {
                     !o && frozen.nodes[i].work.kind() == TaskKind::Pull
@@ -211,39 +212,20 @@ impl ExecInner {
         // off an already-finished head.
         let active: Vec<bool> = ok.iter().map(|&o| !o).collect();
         let masked = FusionPlan::compute(frozen, &new_placement, self.fusion, Some(&active));
+        let replay = Topology::replay(topo, new_placement, masked, &ok);
 
-        // Rebuild join counters for the replay subgraph: a replayed node
-        // waits only on replayed predecessors (done ones are satisfied).
-        let mut join = vec![0usize; n];
-        for u in 0..n {
-            if !ok[u] {
-                for &s in frozen.succ(u) {
-                    if !ok[s as usize] {
-                        join[s as usize] += 1;
-                    }
-                }
+        // Every token of the drained pass has been consumed, so its slot
+        // can go; a worker still holding `topo` from this burst sees the
+        // reset and resolves the replay's tokens afresh.
+        self.registry.register(&replay);
+        self.registry.deregister(topo.slot.swap(u32::MAX, Ordering::AcqRel));
+        self.emit_run(&replay, LifecyclePhase::Failover, true, Some(&cause));
+
+        let mut ready = ReadyBatch::new(self, &replay, local);
+        for i in 0..n {
+            if replay.join[i].load(Ordering::Relaxed) == 0 && !replay.fusion.member[i] {
+                ready.push(i);
             }
-        }
-        for (j, v) in topo.join.iter().zip(&join) {
-            j.store(*v, Ordering::Relaxed);
-        }
-        for a in &topo.attempts {
-            a.store(0, Ordering::Relaxed);
-        }
-        for (b, &o) in topo.round_ok.iter().zip(&ok) {
-            b.store(o, Ordering::Relaxed);
-        }
-        topo.replace_plans(new_placement, masked);
-        topo.pending.store(replay, Ordering::Release);
-
-        // Lift the skip barrier before dispatching replay work.
-        topo.failover_pending.store(false, Ordering::Release);
-        self.emit_run(topo, LifecyclePhase::Failover, true, Some(&cause));
-
-        let fusion = topo.fusion();
-        let mut ready = ReadyBatch::new(self, topo, local);
-        for i in (0..n).filter(|&i| !ok[i] && join[i] == 0 && !fusion.member[i]) {
-            ready.push(i);
         }
         true
     }

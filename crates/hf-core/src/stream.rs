@@ -41,8 +41,8 @@ use crate::graph::{FrozenGraph, GraphShared, Heteroflow, PullState, TaskKind};
 use crate::lifecycle::{LifecycleEvent, LifecyclePhase};
 use crate::placement::Placement;
 use crate::topology::{
-    Completion, EpochFuture, EpochGate, FusionPlan, InputGuard, PrologueTrack, RunFuture,
-    TopoExtras, Topology,
+    Completion, EpochCtx, EpochFuture, EpochGate, FusionPlan, InputGuard, PrologueTrack,
+    RunFuture, Topology,
 };
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeSet, VecDeque};
@@ -416,7 +416,7 @@ impl EpochDriver {
             };
             let hook_me = Arc::clone(self);
             let then = pending.then;
-            let extras = TopoExtras {
+            let ctx = EpochCtx {
                 epoch: pending.core.epoch,
                 pull_override: ov.rings.get((e % depth) as usize).cloned(),
                 gate: (!ov.gate_heads.is_empty()).then(|| EpochGate {
@@ -431,9 +431,9 @@ impl EpochDriver {
                         hook: Mutex::new(Some(Box::new(move || me.on_prologue_drained(e)))),
                     }
                 }),
-                on_finish: Some(Box::new(move |t: &Arc<Topology>| {
+                on_finish: Mutex::new(Some(Box::new(move |t: &Arc<Topology>| {
                     hook_me.on_epoch_done(t, e, then)
-                })),
+                }))),
                 input_guard: Some(InputGuard {
                     gen: Arc::clone(&self.input_gen),
                     admitted_gen,
@@ -447,7 +447,7 @@ impl EpochDriver {
                 placement,
                 fusion,
                 Arc::clone(&pending.core.cancel),
-                extras,
+                ctx,
             );
             if pending.core.epoch.is_some() {
                 self.emit(LifecyclePhase::EpochStart, &Ok(()), pending.core.epoch);
@@ -514,12 +514,12 @@ impl EpochDriver {
         }
         {
             let mut plan = self.plan.lock();
-            // A successful mid-epoch failover left a re-placed plan on
-            // the topology; adopt it for subsequent epochs (a failover's
-            // own fusion plan is a replay mask and is not carried).
-            let p = topo.placement();
-            if !Arc::ptr_eq(&p, &plan.0) {
-                *plan = (Arc::clone(&p), self.fuse(&p));
+            // After a mid-epoch failover `topo` is the replay pass and
+            // carries the re-placement; adopt it for subsequent epochs
+            // (its fusion plan is a replay mask and is not carried).
+            let p = &topo.placement;
+            if !Arc::ptr_eq(p, &plan.0) {
+                *plan = (Arc::clone(p), self.fuse(p));
             }
             // An epoch that *failed* on a device loss (failover budget
             // spent, or superseded inputs) never re-placed; re-place the

@@ -14,18 +14,19 @@
 //!
 //! ## The epoch model
 //!
-//! One topology executes exactly **one epoch** — a single pass over the
-//! frozen graph. The epoch driver in [`crate::stream`] is the only
-//! thing that creates topologies: one per epoch of a `run*` call or a
-//! [`crate::Session`], each handing its result back through the
-//! [`Topology::on_finish`] hook. All wait/cancel state lives in the
+//! One topology is exactly **one pass** over the frozen graph, under
+//! plans fixed when it was built. The epoch driver in [`crate::stream`]
+//! creates one per epoch of a `run*` call or a [`crate::Session`]; a
+//! device failover continues the epoch on a second one
+//! ([`Topology::replay`]). Whichever pass resolves the epoch hands the
+//! result back through the [`EpochCtx::on_finish`] hook. All wait/cancel state lives in the
 //! shared [`Completion`] core; [`RunFuture`] and [`crate::EpochFuture`]
 //! are names for it.
 
 use crate::error::HfError;
 use crate::graph::{FrozenGraph, PullState};
 use crate::placement::Placement;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Poll, Waker};
@@ -246,8 +247,7 @@ pub(crate) struct PrologueTrack {
     /// False for prologue members (host tasks / pulls not downstream of
     /// a kernel or push).
     pub(crate) is_body: Arc<Vec<bool>>,
-    /// Prologue nodes not yet finished this epoch. Saturating: failover
-    /// replay may re-finish a prologue node.
+    /// Prologue nodes not yet finished this pass.
     pub(crate) pending: AtomicUsize,
     /// Fired exactly once when `pending` reaches zero.
     pub(crate) hook: Mutex<Option<Box<dyn FnOnce() + Send>>>,
@@ -258,6 +258,7 @@ pub(crate) struct PrologueTrack {
 /// epoch's pulls must not be replayed — they would read the *next*
 /// epoch's data. `gen` is the session's input generation counter;
 /// `admitted_gen` its value when this epoch was admitted.
+#[derive(Clone)]
 pub(crate) struct InputGuard {
     pub(crate) gen: Arc<AtomicU64>,
     pub(crate) admitted_gen: u64,
@@ -267,10 +268,10 @@ pub(crate) struct InputGuard {
 /// epoch driver advances the run here.
 pub(crate) type EpochFinishHook = Box<dyn FnOnce(&Arc<Topology>) + Send>;
 
-/// Epoch-execution context for [`Topology::new`], filled in by the epoch
-/// driver. Epochs that never overlap (depth 1) carry no gate, prologue
-/// tracking, or ring-slot residency.
-pub(crate) struct TopoExtras {
+/// What the epoch driver gives a pass beyond the graph and its plans.
+/// Epochs that never overlap (depth 1) carry no gate, prologue tracking,
+/// or ring-slot residency.
+pub(crate) struct EpochCtx {
     /// Epoch index within a stream; `None` for `run*` epochs.
     pub(crate) epoch: Option<u64>,
     /// Ring-slot pull residency replacing the frozen graph's own
@@ -280,8 +281,9 @@ pub(crate) struct TopoExtras {
     pub(crate) gate: Option<EpochGate>,
     /// Prologue drain tracking (streaming admission).
     pub(crate) prologue: Option<PrologueTrack>,
-    /// Invoked by `finish_topology` after the epoch resolved.
-    pub(crate) on_finish: Option<EpochFinishHook>,
+    /// Invoked (once) by `finish_topology` after the epoch resolved, on
+    /// the pass that resolved it: a failover replay takes it along.
+    pub(crate) on_finish: Mutex<Option<EpochFinishHook>>,
     /// Failover input-hazard guard (streaming).
     pub(crate) input_guard: Option<InputGuard>,
     /// Tenant the submission is attributed to ([`crate::Fleet`]
@@ -289,10 +291,11 @@ pub(crate) struct TopoExtras {
     pub(crate) tenant: Option<Arc<str>>,
 }
 
-/// Per-epoch runtime state: join counters, failover replay bookkeeping,
-/// device placement, and the epoch-completion hook. One topology
-/// executes one epoch (a single pass over the frozen graph); the epoch
-/// driver creates one per pass of a multi-epoch run.
+/// Runtime state of one pass over the frozen graph: join counters, the
+/// plans it runs under, fault bookkeeping. Nothing here is rewritten
+/// while the pass runs — the epoch driver creates one per epoch, and a
+/// device failover continues the epoch on a fresh one
+/// ([`Topology::replay`]).
 pub(crate) struct Topology {
     pub(crate) frozen: Arc<FrozenGraph>,
     /// Process-unique submission id (shared with the [`RunFuture`] /
@@ -301,9 +304,12 @@ pub(crate) struct Topology {
     /// Graph name as a shared string, cloned into lifecycle events
     /// without reallocating.
     pub(crate) graph_label: Arc<str>,
-    /// Current device placement. Initially shared with the graph's
-    /// scheduling cache; device failover swaps in a re-placed plan.
-    pub(crate) placement: RwLock<Arc<Placement>>,
+    /// Device placement of this pass: the graph's cached plan, or a
+    /// failover's re-placement.
+    pub(crate) placement: Arc<Placement>,
+    /// Task fusion plan (§III-C "task fusing") for `placement`; a replay's
+    /// is masked to the replayed nodes.
+    pub(crate) fusion: Arc<FusionPlan>,
     /// Remaining unmet dependencies per node. The heads of an epoch gate
     /// start one higher: the extra dependency is consumed by `open_gate`
     /// when the previous epoch of the stream completes.
@@ -318,14 +324,10 @@ pub(crate) struct Topology {
     /// Cooperative cancellation requested via [`Completion::cancel`];
     /// shared with the owning future's core.
     pub(crate) cancel: Arc<AtomicBool>,
-    /// Task fusion plan (§III-C "task fusing"). Initially shared with the
-    /// graph's scheduling cache; failover swaps in a replay-masked plan.
-    pub(crate) fusion: RwLock<Arc<FusionPlan>>,
     /// Failed attempts per node (retry-policy bookkeeping).
     pub(crate) attempts: Vec<AtomicU32>,
-    /// Whether each node completed successfully. Device failover uses
-    /// this to replay exactly the unfinished/invalidated part of the
-    /// pass.
+    /// Whether each node completed successfully, in this pass or (a
+    /// replay) an earlier one: a failover replays exactly the rest.
     pub(crate) round_ok: Vec<AtomicBool>,
     /// A device loss requested failover; handled when the pass drains.
     /// Holds the triggering error so a failed failover reports it.
@@ -340,32 +342,15 @@ pub(crate) struct Topology {
     /// the slot is released. Work tokens pack this slot with a node index,
     /// so queued items carry no heap pointer.
     pub(crate) slot: AtomicU32,
-    /// Bumped by [`Topology::replace_plans`]; tells a worker that kept
-    /// the plans across tasks to re-read them.
-    pub(crate) plan_gen: AtomicU32,
-    /// Epoch index within a stream; `None` for `run*` epochs.
-    pub(crate) epoch: Option<u64>,
-    /// Ring-slot pull residency (streaming double buffering); `None`
-    /// falls back to the frozen nodes' own `PullState`s.
-    pub(crate) pull_override: Option<Arc<Vec<Mutex<PullState>>>>,
-    /// Streaming body admission gate.
-    pub(crate) gate: Option<EpochGate>,
-    /// Streaming prologue drain tracking.
-    pub(crate) prologue: Option<PrologueTrack>,
-    /// Invoked (once) by `finish_topology` after the epoch resolved.
-    pub(crate) on_finish: Mutex<Option<EpochFinishHook>>,
-    /// Failover input-hazard guard (streaming).
-    pub(crate) input_guard: Option<InputGuard>,
-    /// Tenant attribution (fleet submissions); cloned into lifecycle
-    /// events so per-tenant latency histograms can be folded downstream.
-    pub(crate) tenant: Option<Arc<str>>,
     /// Retry-policy re-dispatches performed within this epoch. The epoch
     /// driver accumulates it across a run's epochs so a fleet can charge
     /// the retry work to the owning tenant's budget.
     pub(crate) retries: AtomicU32,
+    pub(crate) ctx: EpochCtx,
 }
 
 impl Topology {
+    /// The pass of a fresh epoch: every node runs.
     pub(crate) fn new(
         frozen: Arc<FrozenGraph>,
         graph_label: Arc<str>,
@@ -373,65 +358,103 @@ impl Topology {
         placement: Arc<Placement>,
         fusion: Arc<FusionPlan>,
         cancel: Arc<AtomicBool>,
-        extras: TopoExtras,
+        ctx: EpochCtx,
     ) -> Arc<Self> {
+        Arc::new(Self::pass(frozen, graph_label, run_id, placement, fusion, cancel, ctx, None))
+    }
+
+    /// The pass that continues `old`'s epoch after a device failover: the
+    /// nodes not in `done`, under the re-placed plans. It is the same
+    /// submission — run id, epoch, cancel flag, residency ring, input
+    /// guard, tenant, and the failover and retry counts so far — and takes
+    /// `old`'s finish hook with it. It has no gate and no prologue track:
+    /// `old` drained, so its gate had opened and its prologue hook fired.
+    pub(crate) fn replay(
+        old: &Topology,
+        placement: Placement,
+        fusion: FusionPlan,
+        done: &[bool],
+    ) -> Arc<Self> {
+        let ctx = EpochCtx {
+            epoch: old.ctx.epoch,
+            pull_override: old.ctx.pull_override.clone(),
+            gate: None,
+            prologue: None,
+            on_finish: Mutex::new(old.ctx.on_finish.lock().take()),
+            input_guard: old.ctx.input_guard.clone(),
+            tenant: old.ctx.tenant.clone(),
+        };
+        Arc::new(Self {
+            failovers: AtomicU32::new(old.failovers.load(Ordering::Relaxed)),
+            retries: AtomicU32::new(old.retries.load(Ordering::Relaxed)),
+            ..Self::pass(
+                Arc::clone(&old.frozen),
+                Arc::clone(&old.graph_label),
+                old.run_id,
+                Arc::new(placement),
+                Arc::new(fusion),
+                Arc::clone(&old.cancel),
+                ctx,
+                Some(done),
+            )
+        })
+    }
+
+    /// The one constructor. With `done` given, those nodes are finished
+    /// already: they are not pending, never become ready, and no longer
+    /// hold their successors back.
+    #[allow(clippy::too_many_arguments)]
+    fn pass(
+        frozen: Arc<FrozenGraph>,
+        graph_label: Arc<str>,
+        run_id: u64,
+        placement: Arc<Placement>,
+        fusion: Arc<FusionPlan>,
+        cancel: Arc<AtomicBool>,
+        ctx: EpochCtx,
+        done: Option<&[bool]>,
+    ) -> Self {
         let n = frozen.nodes.len();
         let mut join: Vec<AtomicUsize> = frozen
             .nodes
             .iter()
             .map(|nd| AtomicUsize::new(nd.num_deps as usize))
             .collect();
-        if let Some(g) = &extras.gate {
+        if let Some(g) = &ctx.gate {
             for &h in &g.heads {
                 *join[h].get_mut() += 1;
             }
         }
-        Arc::new(Self {
-            frozen: Arc::clone(&frozen),
+        let is_done = |i: usize| done.is_some_and(|d| d[i]);
+        let finished: Vec<usize> = (0..n).filter(|&u| is_done(u)).collect();
+        for &u in &finished {
+            for &s in frozen.succ(u) {
+                *join[s as usize].get_mut() -= 1;
+            }
+        }
+        for &u in &finished {
+            *join[u].get_mut() = usize::MAX;
+        }
+        Self {
+            frozen,
             run_id,
             graph_label,
-            placement: RwLock::new(placement),
+            placement,
+            fusion,
             join,
-            pending: AtomicUsize::new(n),
+            pending: AtomicUsize::new(n - finished.len()),
             error: Mutex::new(None),
             cancelled: AtomicBool::new(false),
             cancel,
-            fusion: RwLock::new(fusion),
             attempts: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            round_ok: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            round_ok: (0..n).map(|i| AtomicBool::new(is_done(i))).collect(),
             failover: Mutex::new(None),
             failover_pending: AtomicBool::new(false),
             failovers: AtomicU32::new(0),
             slot: AtomicU32::new(u32::MAX),
-            plan_gen: AtomicU32::new(0),
-            epoch: extras.epoch,
-            pull_override: extras.pull_override,
-            gate: extras.gate,
-            prologue: extras.prologue,
-            on_finish: Mutex::new(extras.on_finish),
-            input_guard: extras.input_guard,
-            tenant: extras.tenant,
             retries: AtomicU32::new(0),
-        })
-    }
-
-    /// Current placement (failover swaps in a re-placed one).
-    pub(crate) fn placement(&self) -> Arc<Placement> {
-        Arc::clone(&self.placement.read())
-    }
-
-    /// Current fusion plan (failover swaps in a replay-masked one).
-    pub(crate) fn fusion(&self) -> Arc<FusionPlan> {
-        Arc::clone(&self.fusion.read())
-    }
-
-    /// Swaps in the plans of a failover replay. Called with the pass
-    /// drained (no token of this topology queued or running) and before
-    /// the replay tokens exist: whoever runs one sees the new generation.
-    pub(crate) fn replace_plans(&self, placement: Placement, fusion: FusionPlan) {
-        *self.placement.write() = Arc::new(placement);
-        *self.fusion.write() = Arc::new(fusion);
-        self.plan_gen.fetch_add(1, Ordering::Release);
+            ctx,
+        }
     }
 
     /// The pull residency of `node` for this epoch: the ring slot when
@@ -439,7 +462,7 @@ impl Topology {
     /// own persistent `PullState` (epochs that never overlap, where
     /// residency carries across epochs, runs and re-freezes).
     pub(crate) fn pull_state(&self, node: usize) -> &Mutex<PullState> {
-        match &self.pull_override {
+        match &self.ctx.pull_override {
             Some(ring) => &ring[node],
             None => &self.frozen.gpu(node).expect("only GPU nodes have pull state").pull_state,
         }
@@ -647,6 +670,70 @@ mod tests {
         });
         assert!(pollster_block_on(core).is_ok());
         t.join().unwrap();
+    }
+
+    #[test]
+    fn replay_is_a_new_pass_over_the_unfinished_nodes() {
+        // a → {b, c} → d, in node-index order.
+        let g = crate::graph::Heteroflow::new("r");
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| g.host(n, || {}));
+        a.precede(&b).precede(&c);
+        d.succeed(&b).succeed(&c);
+        let frozen = g.freeze().unwrap();
+        let plans = || {
+            let p = Placement::from_bins(&*frozen, &[], &[], 0);
+            let f = FusionPlan::compute(&frozen, &p, false, None);
+            (p, f)
+        };
+        let (p, f) = plans();
+        let cancel = Arc::new(AtomicBool::new(false));
+        let ctx = EpochCtx {
+            epoch: Some(4),
+            pull_override: None,
+            gate: Some(EpochGate { heads: vec![3], opened: AtomicBool::new(true) }),
+            prologue: Some(PrologueTrack {
+                is_body: Arc::new(vec![false; 4]),
+                pending: AtomicUsize::new(0),
+                hook: Mutex::new(None),
+            }),
+            on_finish: Mutex::new(Some(Box::new(|_| {}))),
+            input_guard: Some(InputGuard { gen: Arc::new(AtomicU64::new(2)), admitted_gen: 2 }),
+            tenant: Some(Arc::from("t")),
+        };
+        let old = Topology::new(
+            Arc::clone(&frozen),
+            Arc::from("r"),
+            9,
+            Arc::new(p),
+            Arc::new(f),
+            Arc::clone(&cancel),
+            ctx,
+        );
+        assert_eq!(old.join[3].load(Ordering::Relaxed), 3, "two predecessors and the gate");
+        old.failovers.store(1, Ordering::Relaxed);
+        old.retries.store(5, Ordering::Relaxed);
+
+        // a and b completed; c and d did not.
+        let (p, f) = plans();
+        let r = Topology::replay(&old, p, f, &[true, true, false, false]);
+        let join: Vec<usize> = r.join.iter().map(|j| j.load(Ordering::Relaxed)).collect();
+        // c waited only on a; d waits on c alone (b is done, no gate); the
+        // finished nodes can never become ready.
+        assert_eq!(join, [usize::MAX, usize::MAX, 0, 1]);
+        assert_eq!(r.pending.load(Ordering::Relaxed), 2);
+        let ok: Vec<bool> = r.round_ok.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+        assert_eq!(ok, [true, true, false, false]);
+        assert!(r.attempts.iter().all(|a| a.load(Ordering::Relaxed) == 0));
+        assert_eq!(r.failovers.load(Ordering::Relaxed), 1);
+        assert_eq!(r.retries.load(Ordering::Relaxed), 5);
+        assert!(r.ctx.gate.is_none() && r.ctx.prologue.is_none());
+        assert!(old.ctx.on_finish.lock().is_none(), "the hook moved");
+        assert!(r.ctx.on_finish.lock().is_some());
+        assert_eq!((r.run_id, r.ctx.epoch, r.ctx.tenant.as_deref()), (9, Some(4), Some("t")));
+        assert_eq!(r.ctx.input_guard.as_ref().map(|g| g.admitted_gen), Some(2));
+        assert!(Arc::ptr_eq(&r.cancel, &cancel));
+        assert_eq!(r.slot.load(Ordering::Relaxed), u32::MAX, "not registered yet");
+        assert!(!r.failover_pending.load(Ordering::Relaxed) && r.result().is_ok());
     }
 
     /// Minimal executor for testing `impl Future` without external deps.

@@ -12,9 +12,8 @@ use crate::error::HfError;
 use crate::executor::{ExecInner, STEAL_BATCH};
 use crate::graph::Work;
 use crate::lifecycle::LifecyclePhase;
-use crate::placement::Placement;
 use crate::registry::{unpack, Token, TopoRegistry};
-use crate::topology::{FusionPlan, Topology};
+use crate::topology::Topology;
 use crate::transfer::{self, PreparedOp};
 use hf_gpu::{Device, FaultSite, KernelArgs, OpReport, ScopedDeviceContext, Stream};
 use hf_sync::{Steal, StealDeque};
@@ -32,38 +31,25 @@ pub(crate) struct Local<'a> {
 }
 
 /// The topology a burst is working through, resolved once: turning a
-/// token's slot into the topology and its plans costs reference-count
-/// traffic on lines every worker shares. Kept while the next token names
+/// token's slot into the topology costs reference-count traffic on a
+/// line every worker shares. Kept while the next token names
 /// the same live slot, dropped with the burst: an idle worker pins nothing.
 struct RunCtx {
     slot: u32,
-    plan_gen: u32,
     topo: Arc<Topology>,
-    placement: Arc<Placement>,
-    fusion: Arc<FusionPlan>,
 }
 
 impl RunCtx {
     fn resolve(registry: &TopoRegistry, slot: u32) -> Self {
-        let topo = registry.resolve(slot);
-        Self {
-            slot,
-            plan_gen: topo.plan_gen.load(Ordering::Acquire),
-            placement: topo.placement(),
-            fusion: topo.fusion(),
-            topo,
-        }
+        Self { slot, topo: registry.resolve(slot) }
     }
 
-    /// True while this context is what a token of `slot` means. Slot ids
-    /// are recycled, but a topology's own `slot` field is reset before its
-    /// id is released, and whoever pops a token of the next owner observes
-    /// that; the plans only change through [`Topology::replace_plans`],
-    /// which bumps the generation before the replay tokens exist.
+    /// True while this context is what a token of `slot` means: the same
+    /// slot, and the topology still owns it. Slot ids are recycled, but a
+    /// topology's own `slot` field is reset before its id is released, and
+    /// whoever pops a token of the next owner observes that.
     fn serves(&self, slot: u32) -> bool {
-        self.slot == slot
-            && self.topo.slot.load(Ordering::Acquire) == slot
-            && self.topo.plan_gen.load(Ordering::Acquire) == self.plan_gen
+        self.slot == slot && self.topo.slot.load(Ordering::Acquire) == slot
     }
 }
 
@@ -330,14 +316,14 @@ impl Worker {
         };
         let inner = &*self.inner;
         let mut local = Local { deque: &self.deque, next: None };
-        let chain = cx.fusion.chain(node);
+        let chain = topo.fusion.chain(node);
         match outcome {
             Ok(Some(ok)) => {
-                inner.finish_nodes(topo, &cx.fusion, chain, worker, None, ok, Some(&mut local));
+                inner.finish_nodes(topo, chain, worker, None, ok, Some(&mut local));
             }
             Ok(None) => {}
             Err(e) => {
-                inner.fail_task(topo, &cx.fusion, node, chain, worker, None, e, Some(&mut local));
+                inner.fail_task(topo, node, chain, worker, None, e, Some(&mut local));
             }
         }
         local.next
@@ -379,7 +365,7 @@ impl Worker {
     /// chain from there).
     fn dispatch_gpu_chain(&mut self, cx: &RunCtx, head: usize) -> Result<(), HfError> {
         let topo = &cx.topo;
-        let dev_id = cx.placement.device_of[head].expect("GPU task placed");
+        let dev_id = topo.placement.device_of[head].expect("GPU task placed");
         let device = self.inner.gpu.device(dev_id)?;
         let _ctx = ScopedDeviceContext::new(dev_id);
         // Publish this worker's device focus for topology-aware stealing:
@@ -388,7 +374,7 @@ impl Worker {
         self.inner.worker_focus[self.id].store(dev_id as u64, Ordering::Relaxed);
 
         let state = Arc::new(ChainState::default());
-        let chain: Vec<usize> = cx.fusion.chain(head).collect();
+        let chain: Vec<usize> = topo.fusion.chain(head).collect();
         let ops = chain
             .iter()
             .map(|&id| self.prepare_op(topo, id, &device, &state))
@@ -424,7 +410,7 @@ impl Worker {
                 hf_gpu::OpLabel {
                     name: Arc::clone(&n.name),
                     tag: crate::observer::kind_to_tag(n.work.kind()),
-                    epoch: topo.epoch,
+                    epoch: topo.ctx.epoch,
                 }
             });
             match op {
@@ -440,23 +426,22 @@ impl Worker {
         stream.host_fn(move || {
             let err = state2.error.lock().clone();
             let done = state2.done.load(Ordering::Acquire);
-            let fusion = topo2.fusion();
             match err {
                 // `done < len` without an error means ops were skipped by
                 // cancellation — finish unsuccessfully so a failover (if
                 // one is pending) replays them.
                 None => {
                     let all_ok = done == chain.len();
-                    inner.finish_nodes(&topo2, &fusion, chain, None, chain_head, all_ok, None);
+                    inner.finish_nodes(&topo2, chain, None, chain_head, all_ok, None);
                 }
                 // The completed prefix finished normally; the failed
                 // member and the suffix that never ran go to the policy.
                 Some(e) => {
                     let (prefix, rest) = chain.split_at(done);
                     let prefix = prefix.iter().copied();
-                    inner.finish_nodes(&topo2, &fusion, prefix, None, chain_head, true, None);
+                    inner.finish_nodes(&topo2, prefix, None, chain_head, true, None);
                     let suffix = rest.iter().copied();
-                    inner.fail_task(&topo2, &fusion, rest[0], suffix, None, chain_head, e, None);
+                    inner.fail_task(&topo2, rest[0], suffix, None, chain_head, e, None);
                 }
             }
         });

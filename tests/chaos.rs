@@ -598,3 +598,132 @@ fn mid_chunk_h2d_fault_drops_residency() {
         "no plan faulted past the first chunk (base seed {base})"
     );
 }
+
+/// Run-level and task-level events in emission order: phase, task, `ok`.
+#[derive(Default)]
+struct Capture(std::sync::Mutex<Vec<(LifecyclePhase, Option<u32>, bool)>>);
+
+impl heteroflow::core::ExecutorObserver for Capture {
+    fn on_lifecycle(&self, ev: &LifecycleEvent) {
+        self.0.lock().unwrap().push((ev.phase, ev.task, ev.ok));
+    }
+}
+
+/// `lanes` pull → double → push lanes over `bufs`; with `serial`, lane
+/// `i + 1` starts only after a host task behind lane `i`'s push.
+fn doubling_lanes(g: &Heteroflow, bufs: &[HostVec<i32>], serial: bool) {
+    let mut prev: Option<HostTask> = None;
+    for (i, b) in bufs.iter().enumerate() {
+        let p = g.pull(&format!("pull_{i}"), b);
+        let k = g.kernel(&format!("double_{i}"), &[&p], |cfg, args| {
+            let xs = args.slice_mut::<i32>(0).unwrap();
+            for t in cfg.threads() {
+                if t < xs.len() {
+                    xs[t] *= 2;
+                }
+            }
+        });
+        k.block_x(64);
+        let s = g.push(&format!("push_{i}"), &p, b);
+        p.precede(&k);
+        k.precede(&s);
+        if let Some(h) = prev.take() {
+            h.precede(&p);
+        }
+        if serial {
+            let h = g.host(&format!("after_{i}"), || {});
+            s.precede(&h);
+            prev = Some(h);
+        }
+    }
+}
+
+/// Three devices, two of which die on their first op, under three lanes
+/// that run one after the other: whichever dying device is touched first
+/// requests a failover that skips the rest of the pass, so the second one
+/// is only met by a *replay* pass. The failover budget is the
+/// submission's, not the pass's: two failovers fit `max_failovers(2)`,
+/// and under `max_failovers(1)` the second one fails the run structured.
+#[test]
+fn failover_budget_survives_the_replay_hand_over() {
+    for (budget, survives) in [(2, true), (1, false)] {
+        let capture = std::sync::Arc::new(Capture::default());
+        let ex = Executor::builder(2, 3)
+            .retry_policy(RetryPolicy::new(3).max_failovers(budget))
+            .observer(capture.clone())
+            .build();
+        ex.gpu_runtime().set_fault_plan(Some(
+            FaultPlan::seeded(base_seed()).lose_device(0, 0).lose_device(1, 0),
+        ));
+        let bufs: Vec<HostVec<i32>> = (0..3).map(|_| HostVec::from_vec(vec![3; 64])).collect();
+        let g = Heteroflow::new("lose_two_in_sequence");
+        doubling_lanes(&g, &bufs, true);
+
+        let res = ex
+            .run(&g)
+            .wait_timeout(DEADLINE)
+            .unwrap_or_else(|| panic!("run hung with a failover budget of {budget}"));
+        let failovers = (capture.0.lock().unwrap().iter())
+            .filter(|e| e.0 == LifecyclePhase::Failover)
+            .count();
+        if survives {
+            assert_eq!(res, Ok(()));
+            assert_eq!(failovers, 2, "each dying device costs one failover");
+            assert!(bufs.iter().all(|b| b.read().iter().all(|&v| v == 6)));
+            assert_eq!(ex.stats().snapshot().devices_lost, 2);
+        } else {
+            let err = res.expect_err("the second failover exceeds the budget");
+            assert!(matches!(err.gpu_cause(), Some(GpuError::DeviceLost(_))), "{err}");
+            assert_eq!(failovers, 1);
+        }
+    }
+}
+
+/// The lifecycle stream of a failed-over run. Device 0 dies on its first
+/// op, so nothing ever completes on it: there is one `Failover`; a task
+/// that finished before it is never heard of again; a replayed task
+/// becomes `Ready` (a fused member: `Dispatched`) only after it; and over
+/// both passes every task has exactly one successful `Finished`.
+#[test]
+fn failed_over_run_finishes_every_task_once() {
+    use LifecyclePhase::{Dispatched, Failover, Finished, Ready};
+    let capture = std::sync::Arc::new(Capture::default());
+    let ex = Executor::builder(2, 2).observer(capture.clone()).build();
+    ex.gpu_runtime()
+        .set_fault_plan(Some(FaultPlan::seeded(base_seed()).lose_device(0, 0)));
+    let bufs: Vec<HostVec<i32>> = (0..2).map(|_| HostVec::from_vec(vec![3; 64])).collect();
+    let g = Heteroflow::new("one_failover");
+    doubling_lanes(&g, &bufs, false);
+    let tasks = g.num_tasks() as u32;
+    assert_eq!(ex.run(&g).wait_timeout(DEADLINE), Some(Ok(())));
+    assert!(bufs.iter().all(|b| b.read().iter().all(|&v| v == 6)));
+
+    let events = capture.0.lock().unwrap();
+    let at = |want: LifecyclePhase, task: Option<u32>| -> Vec<usize> {
+        (0..events.len())
+            .filter(|&i| events[i].0 == want && events[i].1 == task && events[i].2)
+            .collect()
+    };
+    let failover = match at(Failover, None)[..] {
+        [i] => i,
+        ref other => panic!("expected one Failover, found {}", other.len()),
+    };
+    let mut replayed = 0;
+    for t in (0..tasks).map(Some) {
+        let finished = match at(Finished, t)[..] {
+            [i] => i,
+            ref other => panic!("task {t:?}: {} successful Finished events", other.len()),
+        };
+        let last_seen = (0..events.len()).rfind(|&i| events[i].1 == t).unwrap();
+        if finished < failover {
+            assert_eq!(last_seen, finished, "task {t:?} finished, then reappeared");
+        } else {
+            replayed += 1;
+            let heads = at(Ready, t);
+            let made_runnable = if heads.is_empty() { at(Dispatched, t) } else { heads };
+            let last = *made_runnable.last().expect("a replayed task is made runnable");
+            assert!(failover < last && last < finished, "task {t:?} replayed out of order");
+        }
+    }
+    assert!(replayed >= 3, "the lost device's lane replays");
+}
