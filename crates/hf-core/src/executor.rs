@@ -101,11 +101,6 @@ pub(crate) struct ExecInner {
     /// EWMA feedback of modeled per-task durations; consulted by the
     /// locality placement policy and seedable from external history.
     pub(crate) cost_db: crate::costmodel::CostDb,
-    /// Device of the GPU chain each worker most recently dispatched
-    /// (`u64::MAX` = none yet). Thieves prefer victims sharing their
-    /// focus device: those deques hold tasks whose data is most likely
-    /// resident where the thief's streams already live.
-    pub(crate) worker_focus: Vec<AtomicU64>,
     /// Pin worker `i` to CPU core `i % cores` (feature `core_affinity`).
     pub(crate) pin_workers: bool,
     /// Submission ids handed to topologies/futures and stamped onto
@@ -522,7 +517,6 @@ impl ExecutorBuilder {
             copy_chunk_threshold: self.copy_chunk_threshold,
             copy_lanes: self.copy_lanes,
             cost_db: crate::costmodel::CostDb::new(),
-            worker_focus: (0..cpus).map(|_| AtomicU64::new(u64::MAX)).collect(),
             pin_workers: self.pin_workers,
             run_seq: AtomicU64::new(0),
             lint: self.lint,

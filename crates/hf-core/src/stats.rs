@@ -99,9 +99,6 @@ pub struct ExecutorStats {
     /// Transfer bytes placement expects its warm-hit decisions to save
     /// via elision (an estimate made at packing time).
     pub placement_est_bytes_saved: GlobalCounter,
-    /// Successful steals that hit a topology-preferred victim (one whose
-    /// last GPU task ran on the same device as the thief's).
-    pub steals_affine: ShardedCounter,
     /// Cost-weighted imbalance (max/mean bin load) of the most recent
     /// placement computed by this executor.
     pub placement_imbalance: F64Gauge,
@@ -137,7 +134,6 @@ impl ExecutorStats {
             transfers_torn: GlobalCounter::new(),
             placement_warm_hits: GlobalCounter::new(),
             placement_est_bytes_saved: GlobalCounter::new(),
-            steals_affine: ShardedCounter::new(workers),
             placement_imbalance: F64Gauge::new(1.0),
             fleet_admissions: GlobalCounter::new(),
             fleet_rejections: GlobalCounter::new(),
@@ -167,7 +163,6 @@ impl ExecutorStats {
         self.transfers_torn.reset();
         self.placement_warm_hits.reset();
         self.placement_est_bytes_saved.reset();
-        self.steals_affine.reset();
         self.placement_imbalance.set(1.0);
         self.fleet_admissions.reset();
         self.fleet_rejections.reset();
@@ -211,7 +206,6 @@ impl ExecutorStats {
             transfers_torn: self.transfers_torn.sum(),
             placement_warm_hits: self.placement_warm_hits.sum(),
             placement_est_bytes_saved: self.placement_est_bytes_saved.sum(),
-            steals_affine: self.steals_affine.sum(),
             placement_imbalance: self.placement_imbalance.get(),
             fleet_admissions: self.fleet_admissions.sum(),
             fleet_rejections: self.fleet_rejections.sum(),
@@ -271,8 +265,6 @@ pub struct StatsSnapshot {
     pub placement_warm_hits: u64,
     /// Transfer bytes placement estimated its warm hits would save.
     pub placement_est_bytes_saved: u64,
-    /// Successful steals from topology-preferred victims.
-    pub steals_affine: u64,
     /// Cost-weighted imbalance (max/mean) of the latest placement.
     pub placement_imbalance: f64,
     /// Submissions admitted through a [`crate::Fleet`] front-end.
@@ -363,19 +355,16 @@ mod tests {
         let s = ExecutorStats::new(2);
         s.placement_warm_hits.add(4);
         s.placement_est_bytes_saved.add(65536);
-        s.steals_affine.incr(1);
         s.placement_imbalance.set(1.75);
         let snap = s.snapshot();
         assert_eq!(snap.placement_warm_hits, 4);
         assert_eq!(snap.placement_est_bytes_saved, 65536);
-        assert_eq!(snap.steals_affine, 1);
         assert!((snap.placement_imbalance - 1.75).abs() < 1e-12);
         let json = serde_json::to_string(&snap).unwrap();
         assert!(json.contains("\"placement_warm_hits\":4"));
         s.reset();
         assert_eq!(s.placement_warm_hits.sum(), 0);
         assert_eq!(s.placement_est_bytes_saved.sum(), 0);
-        assert_eq!(s.steals_affine.sum(), 0);
         assert_eq!(s.placement_imbalance.get(), 1.0);
     }
 

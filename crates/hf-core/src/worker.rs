@@ -211,34 +211,10 @@ impl Worker {
     /// Our own id maps to the injector, so every draw is a real attempt
     /// (no wasted self-steal); injector hits claim a whole batch and bank
     /// the extras in the local deque.
-    ///
-    /// Topology-aware preference: before the random draw, probe one
-    /// victim sharing this worker's device focus (its deque most likely
-    /// holds tasks placed where this worker's streams and caches are
-    /// already warm). Misses fall straight through to the random sweep,
-    /// so the affine pass can delay but never prevent a steal.
     fn try_steal_once(&mut self) -> Option<Token> {
         let inner = &*self.inner;
         let n = inner.stealers.len();
         inner.stats.steal_attempts.incr(self.id);
-        let focus = inner.worker_focus[self.id].load(Ordering::Relaxed);
-        if focus != u64::MAX && n > 1 {
-            let start = (Self::next_rand(&mut self.rng) % n as u64) as usize;
-            for k in 0..n {
-                let v = (start + k) % n;
-                if v == self.id || inner.worker_focus[v].load(Ordering::Relaxed) != focus {
-                    continue;
-                }
-                if let Steal::Success(token) = inner.stealers[v].steal() {
-                    inner.stats.steals.incr(self.id);
-                    inner.stats.steals_affine.incr(self.id);
-                    return Some(token);
-                }
-                // One affine probe per attempt; empty or contended falls
-                // back to the random draw below.
-                break;
-            }
-        }
         let v = (Self::next_rand(&mut self.rng) % n as u64) as usize;
         if v == self.id {
             let mut first = None;
@@ -368,10 +344,6 @@ impl Worker {
         let dev_id = topo.placement.device_of[head].expect("GPU task placed");
         let device = self.inner.gpu.device(dev_id)?;
         let _ctx = ScopedDeviceContext::new(dev_id);
-        // Publish this worker's device focus for topology-aware stealing:
-        // peers whose last GPU chain hit the same device likely queue
-        // work warm on it.
-        self.inner.worker_focus[self.id].store(dev_id as u64, Ordering::Relaxed);
 
         let state = Arc::new(ChainState::default());
         let chain: Vec<usize> = topo.fusion.chain(head).collect();
