@@ -1,6 +1,6 @@
 //! One-shot ablation summary: runs A1–A5 at small scale and prints a
-//! consolidated table (`bench_executor` and the `bench/` ladder give
-//! numbers with variance; this binary gives the narrative in seconds).
+//! consolidated table (the `bench/` ladder gives numbers with variance;
+//! this binary gives the narrative in seconds).
 //!
 //! Usage: `cargo run --release -p hf-bench --bin ablations`
 

@@ -24,15 +24,16 @@
 //! are complete the moment `wait()` returns.
 //!
 //! Recording is designed for the hot path: spans go into per-worker and
-//! per-device lock-free [`EventRing`]s, and a disabled collector
-//! ([`TraceCollector::set_enabled`]) costs one atomic load per task.
+//! per-device lock-free [`EventRing`]s (looked up under a read lock), and
+//! a disabled collector ([`TraceCollector::set_enabled`]) costs one
+//! atomic load per task.
 
 use crate::graph::TaskKind;
 use crate::lifecycle::{LifecycleEvent, LifecyclePhase};
 use hf_gpu::trace::{GpuOpKind, GpuTraceEvent, GpuTraceSink};
 use hf_sync::EventRing;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use parking_lot::{Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -167,74 +168,32 @@ fn kind_from_tag(tag: u32) -> TaskKind {
     }
 }
 
-/// A grow-only table of per-lane state with lock-free reads.
-///
-/// The current snapshot (a `Vec<Arc<T>>`) is published through an atomic
-/// pointer; growth clones it under a mutex and publishes the new vector,
-/// *retaining* every old snapshot until the table drops so concurrent
-/// readers never observe a freed vector. Growth happens O(log n) times
-/// (worker/device counts are small and fixed per executor), so retention
-/// is bounded.
-struct LaneTable<T> {
-    current: AtomicPtr<Vec<Arc<T>>>,
-    /// All snapshots ever published; the last one is `current`. The box
-    /// is load-bearing: `current` points at the boxed `Vec` header, which
-    /// must stay address-stable as this outer vector reallocates.
-    #[allow(clippy::vec_box)]
-    snapshots: Mutex<Vec<Box<Vec<Arc<T>>>>>,
-}
+/// A grow-only table of per-lane state: a read lock to record into a
+/// lane, the write lock only to add lanes (once per worker and device).
+struct LaneTable<T>(RwLock<Vec<Arc<T>>>);
 
 impl<T> LaneTable<T> {
     fn new() -> Self {
-        let first: Box<Vec<Arc<T>>> = Box::default();
-        let ptr = &*first as *const Vec<Arc<T>> as *mut Vec<Arc<T>>;
-        Self {
-            current: AtomicPtr::new(ptr),
-            snapshots: Mutex::new(vec![first]),
-        }
+        Self(RwLock::new(Vec::new()))
     }
 
     /// Lane `i`, creating lanes up to `i` with `make` if needed.
     fn get(&self, i: usize, make: impl Fn() -> T) -> Arc<T> {
-        loop {
-            // Safety: the pointee is owned by `snapshots` and never freed
-            // before `self` drops.
-            let cur = unsafe { &*self.current.load(Ordering::Acquire) };
-            if let Some(lane) = cur.get(i) {
-                return Arc::clone(lane);
-            }
-            self.grow(i + 1, &make);
+        if let Some(lane) = self.0.read().get(i) {
+            return Arc::clone(lane);
         }
-    }
-
-    /// Ensures at least `n` lanes exist.
-    fn grow(&self, n: usize, make: &impl Fn() -> T) {
-        let mut snaps = self.snapshots.lock();
-        let cur = unsafe { &*self.current.load(Ordering::Acquire) };
-        if cur.len() >= n {
-            return;
+        let mut lanes = self.0.write();
+        while lanes.len() <= i {
+            lanes.push(Arc::new(make()));
         }
-        let mut next = cur.clone();
-        while next.len() < n {
-            next.push(Arc::new(make()));
-        }
-        let boxed = Box::new(next);
-        let ptr = &*boxed as *const Vec<Arc<T>> as *mut Vec<Arc<T>>;
-        snaps.push(boxed);
-        self.current.store(ptr, Ordering::Release);
+        Arc::clone(&lanes[i])
     }
 
     /// Clone of the current lane set.
     fn lanes(&self) -> Vec<Arc<T>> {
-        // Safety: as in `get`.
-        unsafe { (*self.current.load(Ordering::Acquire)).clone() }
+        self.0.read().clone()
     }
 }
-
-// Safety: the raw pointer always refers to a vector kept alive by
-// `snapshots`; `T` is shared across threads only via `Arc`.
-unsafe impl<T: Send + Sync> Send for LaneTable<T> {}
-unsafe impl<T: Send + Sync> Sync for LaneTable<T> {}
 
 /// Per-worker recording lane: a span ring plus the open window's
 /// `Started` timestamp (lifecycle nanoseconds, +1 so 0 = none).

@@ -19,16 +19,12 @@
 
 pub mod calibrate;
 pub mod des;
-pub mod distributed;
 pub mod machine;
 pub mod result;
 pub mod sweep;
 
 pub use calibrate::measure;
 pub use des::{simulate, simulate_placed, simulate_traced, SimSpan};
-pub use distributed::{
-    partition_by_affinity, partition_by_work, simulate_cluster, Cluster, ClusterResult, NodeSpec,
-};
 pub use machine::{Machine, SchedulerMode};
 pub use result::SimResult;
 pub use sweep::{sweep, SweepPoint};

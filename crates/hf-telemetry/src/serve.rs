@@ -28,7 +28,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Extra metric source: a closure filling a [`MetricsRegistry`] at
 /// scrape time (executor snapshots, GPU runtime counters, …).
@@ -137,6 +137,9 @@ impl HealthHub {
                 o.insert("retries".into(), Value::UInt(s.retries));
                 o.insert("failures".into(), Value::UInt(s.failures));
                 o.insert("failovers".into(), Value::UInt(s.failovers));
+                if let Some(t) = &s.tenant {
+                    o.insert("tenant".into(), Value::Str(t.clone()));
+                }
                 Value::Object(o)
             })
             .collect();
@@ -191,7 +194,7 @@ impl HealthServer {
                     }
                     if let Ok(stream) = stream {
                         // Serve inline: introspection traffic is tiny and
-                        // a hung client can't wedge us past the timeout.
+                        // a hung client can't wedge us past the deadline.
                         let _ = serve_one(stream, &hub);
                     }
                 }
@@ -220,15 +223,25 @@ impl Drop for HealthServer {
     }
 }
 
+/// How long a client has to deliver its whole request head. One deadline
+/// for the head, not one per read: the accept thread serves inline, so a
+/// client trickling bytes must not hold it longer than this.
+const HEAD_DEADLINE: Duration = Duration::from_secs(2);
+
 /// Reads one request line, routes it, writes one response.
 fn serve_one(mut stream: TcpStream, hub: &HealthHub) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
+    let deadline = Instant::now() + HEAD_DEADLINE;
+    stream.set_write_timeout(Some(HEAD_DEADLINE))?;
     let mut buf = [0u8; 2048];
     let mut req = Vec::new();
     // Read until the end of the request head (or the buffer bound —
     // GETs with no body don't need more).
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
         let n = stream.read(&mut buf)?;
         if n == 0 {
             break;
@@ -342,5 +355,38 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 404"));
         assert!(body.contains("/tenants"), "{body}");
         drop(server); // clean shutdown joins the accept thread
+    }
+
+    /// A client that keeps every read inside the old per-read timeout but
+    /// never finishes its request head is dropped at the head deadline,
+    /// and the client queued behind it on the accept thread is served.
+    #[test]
+    fn trickling_client_is_dropped_at_the_head_deadline() {
+        let hub = HealthHub::new(FlightRecorder::shared());
+        let server = HealthServer::bind("127.0.0.1:0", hub).expect("bind");
+        let addr = server.addr();
+        let (connected, first) = std::sync::mpsc::channel();
+        let trickler = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            let started = Instant::now();
+            connected.send(started).expect("test waits");
+            let head = b"GET /metrics HTTP/1.1\r\nHost: slow\r\nX-Pad: ";
+            for b in head.iter().chain(std::iter::repeat(&b'x')) {
+                // Fails once the server has closed its end.
+                if s.write_all(&[*b]).is_err() || started.elapsed() > 5 * HEAD_DEADLINE {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+        let started = first.recv().expect("trickler connected");
+        let (head, _) = get(addr, "/health");
+        let waited = started.elapsed();
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert!(
+            waited < HEAD_DEADLINE + Duration::from_secs(2),
+            "the second client waited {waited:?} behind a trickling one"
+        );
+        trickler.join().expect("trickler");
     }
 }

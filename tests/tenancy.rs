@@ -429,3 +429,29 @@ fn fleet_counters_in_executor_stats() {
     assert_eq!(snap.fleet_admissions, 1);
     assert_eq!(snap.fleet_rejections, 1);
 }
+
+/// `/runs` names the tenant of a fleet run, as `/flight` and the black-box
+/// dump do for the same run; a direct run carries no `tenant` key.
+#[test]
+fn runs_document_carries_the_tenant() {
+    let recorder = FlightRecorder::shared();
+    let ex = Executor::builder(2, 0).observer(recorder.clone()).build();
+    let fleet = Fleet::new(ex, FleetConfig::default());
+    let alpha = fleet.register("alpha", TenantConfig::default());
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let fleet_run = fleet.submit(&alpha, &logging_graph("ga", &log, None)).expect("submitted");
+    let direct_run = fleet.executor().run(&logging_graph("gd", &log, None));
+    assert_eq!(fleet_run.wait_timeout(DEADLINE), Some(Ok(())));
+    assert_eq!(direct_run.wait_timeout(DEADLINE), Some(Ok(())));
+    fleet.wait_idle();
+
+    let runs = serde_json::from_str(&HealthHub::new(recorder).runs_text()).expect("valid JSON");
+    let tenant_of = |id: u64| {
+        let run = (runs.as_array().expect("an array").iter())
+            .find(|r| r.get("run_id").and_then(|v| v.as_u64()) == Some(id))
+            .unwrap_or_else(|| panic!("run {id} missing from /runs"));
+        run.get("tenant").map(|t| t.as_str().expect("a string").to_string())
+    };
+    assert_eq!(tenant_of(fleet_run.run_id()), Some("alpha".to_string()));
+    assert_eq!(tenant_of(direct_run.run_id()), None);
+}
