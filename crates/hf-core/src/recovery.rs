@@ -160,8 +160,7 @@ impl ExecInner {
             }
         }
 
-        let replay = ok.iter().filter(|&&o| !o).count();
-        if replay == 0 {
+        if ok.iter().all(|&o| o) {
             // Can't happen (the failover-requesting node is !ok), but a
             // replay of nothing would hang the round — fail instead.
             topo.fail(cause);

@@ -19,9 +19,9 @@
 //! creates one per epoch of a `run*` call or a [`crate::Session`]; a
 //! device failover continues the epoch on a second one
 //! ([`Topology::replay`]). Whichever pass resolves the epoch hands the
-//! result back through the [`EpochCtx::on_finish`] hook. All wait/cancel state lives in the
-//! shared [`Completion`] core; [`RunFuture`] and [`crate::EpochFuture`]
-//! are names for it.
+//! result back through the [`EpochCtx::on_finish`] hook. All wait/cancel
+//! state lives in the shared [`Completion`] core; [`RunFuture`] and
+//! [`crate::EpochFuture`] are names for it.
 
 use crate::error::HfError;
 use crate::graph::{FrozenGraph, PullState};
