@@ -1,28 +1,10 @@
-//! Runtime health layer: task-lifecycle flight recorder, latency
-//! attribution, and a straggler/hang watchdog.
-//!
-//! The executor emits a [`LifecycleEvent`] at every task transition
-//! (submit → ready → started → dispatched → finished/retried/failed,
-//! plus run start/end) through the [`hf_core::ExecutorObserver`]
-//! `on_lifecycle` hook. The [`FlightRecorder`] is the observer that
-//! captures them: the hot path is one enabled check plus a lock-free
-//! [`EventRing`] push, so recording never blocks a worker, and a
-//! *disabled* recorder costs a single relaxed atomic load (the same
-//! `is_active` fast path the span tracer uses — with every observer
-//! inactive the executor never even constructs the event).
-//!
-//! Everything stateful happens off the hot path in
-//! [`FlightRecorder::pump`], which drains the ring and folds events into
-//! per-run flight logs ("black boxes"), latency-attribution histograms
-//! (`queue delay = started − ready`, `exec = finished − started`,
-//! `run latency = run_end − run_start`), and per-task execution-time
-//! EWMAs. The [`Watchdog`] runs `pump` on its own monitor thread, watches
-//! armed runs for no-progress windows and stragglers, and escalates
-//! structured [`HealthEvent`]s (warn → stall → hang), optionally tripping
-//! cooperative cancellation at a deadline.
+//! The flight recorder: the observer that captures lifecycle events and
+//! the per-run flight logs, latency histograms and EWMAs `pump` folds
+//! them into.
 
+use super::tenants::TenantHists;
 use crate::metrics::{duration_bounds_nanos, Histogram, MetricsRegistry};
-use hf_core::{lifecycle_now_ns, Completion, ExecutorObserver, LifecycleEvent, LifecyclePhase};
+use hf_core::{ExecutorObserver, LifecycleEvent, LifecyclePhase};
 use hf_sync::EventRing;
 use parking_lot::Mutex;
 use serde_json::{Map, Value};
@@ -30,8 +12,6 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Default capacity of the lock-free event ring (events between pumps
 /// beyond this are dropped and counted, never blocked on).
@@ -156,47 +136,8 @@ pub struct RunSummary {
     pub tenant: Option<String>,
 }
 
-/// Per-tenant latency attribution, aggregated across that tenant's runs.
-#[derive(Debug, Clone)]
-pub struct TenantLatency {
-    /// Tenant name.
-    pub tenant: String,
-    /// Completed runs attributed to the tenant.
-    pub runs: u64,
-    /// Completed runs that ended in failure or cancellation.
-    pub failed: u64,
-    /// Ready-to-started queue delay per task execution (ns).
-    pub queue_delay: Histogram,
-    /// Started-to-finished execution time per task (ns).
-    pub exec: Histogram,
-    /// Submit-to-completion latency per run (ns).
-    pub run_latency: Histogram,
-}
-
-/// Mutable per-tenant fold state inside `FlightState`.
-#[derive(Debug)]
-struct TenantHists {
-    runs: u64,
-    failed: u64,
-    queue_delay: Histogram,
-    exec: Histogram,
-    run_latency: Histogram,
-}
-
-impl TenantHists {
-    fn new() -> Self {
-        Self {
-            runs: 0,
-            failed: 0,
-            queue_delay: Histogram::new(duration_bounds_nanos()),
-            exec: Histogram::new(duration_bounds_nanos()),
-            run_latency: Histogram::new(duration_bounds_nanos()),
-        }
-    }
-}
-
 /// Aggregated latency-attribution and EWMA state.
-struct FlightState {
+pub(super) struct FlightState {
     runs: Vec<RunFlight>,
     ewma: HashMap<(Arc<str>, u32), f64>,
     queue_delay: Histogram,
@@ -208,7 +149,7 @@ struct FlightState {
     /// Per-tenant attribution, keyed by tenant name. Populated only by
     /// runs whose events carry a tenant (fleet submissions); direct
     /// submissions land solely in the unlabeled aggregates above.
-    tenants: HashMap<Arc<str>, TenantHists>,
+    pub(super) tenants: HashMap<Arc<str>, TenantHists>,
 }
 
 impl FlightState {
@@ -248,11 +189,13 @@ impl FlightState {
 /// raw ring into per-run flight logs and latency histograms. On a failed
 /// or cancelled run the recorder can auto-write the run's black box as a
 /// JSON artifact ([`FlightRecorder::set_blackbox_dir`]).
+///
+/// [`Watchdog`]: super::Watchdog
 pub struct FlightRecorder {
     enabled: AtomicBool,
     ring: EventRing<LifecycleEvent>,
     recorded: AtomicU64,
-    state: Mutex<FlightState>,
+    pub(super) state: Mutex<FlightState>,
     blackbox_dir: Mutex<Option<PathBuf>>,
     per_run_cap: usize,
     keep_completed: usize,
@@ -570,56 +513,6 @@ impl FlightRecorder {
             .collect()
     }
 
-    /// Per-tenant latency attribution, sorted by tenant name. Empty
-    /// unless runs entered through a fleet (direct submissions carry no
-    /// tenant and fold only into the unlabeled aggregates).
-    pub fn tenant_latencies(&self) -> Vec<TenantLatency> {
-        let st = self.state.lock();
-        let mut out: Vec<TenantLatency> = st
-            .tenants
-            .iter()
-            .map(|(name, th)| TenantLatency {
-                tenant: name.to_string(),
-                runs: th.runs,
-                failed: th.failed,
-                queue_delay: th.queue_delay.clone(),
-                exec: th.exec.clone(),
-                run_latency: th.run_latency.clone(),
-            })
-            .collect();
-        out.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-        out
-    }
-
-    /// Per-tenant attribution as one JSON document (for `/tenants`):
-    /// run counts plus p50/p99 of each latency histogram.
-    pub fn tenants_json(&self) -> Value {
-        let tenants = self.tenant_latencies();
-        let mut arr = Vec::with_capacity(tenants.len());
-        for t in tenants {
-            let mut o = Map::new();
-            o.insert("tenant".into(), Value::Str(t.tenant));
-            o.insert("runs".into(), Value::UInt(t.runs));
-            o.insert("failed".into(), Value::UInt(t.failed));
-            for (key, h) in [
-                ("queue_delay_ns", &t.queue_delay),
-                ("exec_ns", &t.exec),
-                ("run_latency_ns", &t.run_latency),
-            ] {
-                let mut l = Map::new();
-                l.insert("count".into(), Value::UInt(h.count));
-                l.insert("p50".into(), Value::Float(h.quantile(0.5)));
-                l.insert("p99".into(), Value::Float(h.quantile(0.99)));
-                o.insert(key.into(), Value::Object(l));
-            }
-            arr.push(Value::Object(o));
-        }
-        let mut o = Map::new();
-        o.insert("schema".into(), Value::Str("hf-tenants-v1".into()));
-        o.insert("tenants".into(), Value::Array(arr));
-        Value::Object(o)
-    }
-
     /// The attribution histograms (queue delay, exec, run latency).
     pub fn latency_histograms(&self) -> (Histogram, Histogram, Histogram) {
         let st = self.state.lock();
@@ -837,484 +730,12 @@ impl ExecutorObserver for FlightRecorder {
     }
 }
 
-/// Watchdog severity ladder, worst first when comparing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum HealthVerdict {
-    /// Armed runs are progressing (or none are armed).
-    Healthy,
-    /// A run has gone quiet longer than `warn_after`.
-    Warn,
-    /// A run has gone quiet longer than `stall_after`.
-    Stall,
-    /// A run has gone quiet longer than `hang_after`.
-    Hang,
-}
-
-impl HealthVerdict {
-    /// Stable lowercase name (`healthy`/`warn`/`stall`/`hang`).
-    pub fn name(self) -> &'static str {
-        match self {
-            HealthVerdict::Healthy => "healthy",
-            HealthVerdict::Warn => "warn",
-            HealthVerdict::Stall => "stall",
-            HealthVerdict::Hang => "hang",
-        }
-    }
-}
-
-impl std::fmt::Display for HealthVerdict {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// A structured watchdog observation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum HealthEvent {
-    /// A run produced no lifecycle events for `idle_ns` (first rung).
-    Warn {
-        /// Affected run.
-        run_id: u64,
-        /// Quiet time when the event fired (ns).
-        idle_ns: u64,
-        /// Lifecycle-clock timestamp (ns).
-        t_ns: u64,
-    },
-    /// The quiet window crossed the stall threshold.
-    Stall {
-        /// Affected run.
-        run_id: u64,
-        /// Quiet time when the event fired (ns).
-        idle_ns: u64,
-        /// Lifecycle-clock timestamp (ns).
-        t_ns: u64,
-    },
-    /// The quiet window crossed the hang threshold.
-    Hang {
-        /// Affected run.
-        run_id: u64,
-        /// Quiet time when the event fired (ns).
-        idle_ns: u64,
-        /// Lifecycle-clock timestamp (ns).
-        t_ns: u64,
-    },
-    /// One task has run far past its learned estimate.
-    Straggler {
-        /// Affected run.
-        run_id: u64,
-        /// Straggling task id.
-        task: u32,
-        /// Task name.
-        name: String,
-        /// Runtime so far (ns).
-        runtime_ns: u64,
-        /// EWMA estimate it is compared against (ns).
-        estimate_ns: u64,
-        /// Lifecycle-clock timestamp (ns).
-        t_ns: u64,
-    },
-    /// A previously warned/stalled/hung run made progress or finished.
-    Recovered {
-        /// Affected run.
-        run_id: u64,
-        /// Severity it recovered from.
-        from: HealthVerdict,
-        /// Lifecycle-clock timestamp (ns).
-        t_ns: u64,
-    },
-    /// The watchdog tripped cooperative cancellation at its deadline.
-    DeadlineCancelled {
-        /// Affected run.
-        run_id: u64,
-        /// Lifecycle-clock timestamp (ns).
-        t_ns: u64,
-    },
-}
-
-impl HealthEvent {
-    /// The run the event concerns.
-    pub fn run_id(&self) -> u64 {
-        match self {
-            HealthEvent::Warn { run_id, .. }
-            | HealthEvent::Stall { run_id, .. }
-            | HealthEvent::Hang { run_id, .. }
-            | HealthEvent::Straggler { run_id, .. }
-            | HealthEvent::Recovered { run_id, .. }
-            | HealthEvent::DeadlineCancelled { run_id, .. } => *run_id,
-        }
-    }
-
-    /// Stable lowercase kind name.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            HealthEvent::Warn { .. } => "warn",
-            HealthEvent::Stall { .. } => "stall",
-            HealthEvent::Hang { .. } => "hang",
-            HealthEvent::Straggler { .. } => "straggler",
-            HealthEvent::Recovered { .. } => "recovered",
-            HealthEvent::DeadlineCancelled { .. } => "deadline_cancelled",
-        }
-    }
-
-    /// JSON form for `/health` and artifacts.
-    pub fn to_json(&self) -> Value {
-        let mut o = Map::new();
-        o.insert("kind".into(), Value::Str(self.kind().to_string()));
-        o.insert("run_id".into(), Value::UInt(self.run_id()));
-        match self {
-            HealthEvent::Warn { idle_ns, t_ns, .. }
-            | HealthEvent::Stall { idle_ns, t_ns, .. }
-            | HealthEvent::Hang { idle_ns, t_ns, .. } => {
-                o.insert("idle_ns".into(), Value::UInt(*idle_ns));
-                o.insert("t_ns".into(), Value::UInt(*t_ns));
-            }
-            HealthEvent::Straggler {
-                task,
-                name,
-                runtime_ns,
-                estimate_ns,
-                t_ns,
-                ..
-            } => {
-                o.insert("task".into(), Value::UInt(*task as u64));
-                o.insert("name".into(), Value::Str(name.clone()));
-                o.insert("runtime_ns".into(), Value::UInt(*runtime_ns));
-                o.insert("estimate_ns".into(), Value::UInt(*estimate_ns));
-                o.insert("t_ns".into(), Value::UInt(*t_ns));
-            }
-            HealthEvent::Recovered { from, t_ns, .. } => {
-                o.insert("from".into(), Value::Str(from.name().to_string()));
-                o.insert("t_ns".into(), Value::UInt(*t_ns));
-            }
-            HealthEvent::DeadlineCancelled { t_ns, .. } => {
-                o.insert("t_ns".into(), Value::UInt(*t_ns));
-            }
-        }
-        Value::Object(o)
-    }
-}
-
-/// Watchdog thresholds. Defaults suit tests and interactive use; raise
-/// them for production-sized runs.
-#[derive(Debug, Clone)]
-pub struct WatchdogConfig {
-    /// Monitor poll period.
-    pub poll: Duration,
-    /// Quiet time before a `Warn`.
-    pub warn_after: Duration,
-    /// Quiet time before a `Stall`.
-    pub stall_after: Duration,
-    /// Quiet time before a `Hang`.
-    pub hang_after: Duration,
-    /// A task is a straggler when its runtime exceeds
-    /// `straggler_factor ×` its learned EWMA estimate…
-    pub straggler_factor: f64,
-    /// …and also exceeds this absolute floor (filters noise on
-    /// microsecond tasks).
-    pub straggler_min: Duration,
-    /// Quiet time after which the watchdog cancels the run
-    /// (`None` = observe only, never cancel).
-    pub cancel_after: Option<Duration>,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        Self {
-            poll: Duration::from_millis(10),
-            warn_after: Duration::from_millis(100),
-            stall_after: Duration::from_millis(500),
-            hang_after: Duration::from_secs(5),
-            straggler_factor: 4.0,
-            straggler_min: Duration::from_millis(50),
-            cancel_after: None,
-        }
-    }
-}
-
-/// One armed run, tracked by the monitor thread.
-struct ArmedRun {
-    handle: Completion,
-    label: String,
-    level: HealthVerdict,
-    last_events: u64,
-    last_progress_ns: u64,
-    flagged: Vec<u32>,
-    cancelled: bool,
-    done: bool,
-}
-
-struct WatchInner {
-    recorder: Arc<FlightRecorder>,
-    config: WatchdogConfig,
-    shutdown: AtomicBool,
-    runs: Mutex<Vec<ArmedRun>>,
-    events: Mutex<Vec<HealthEvent>>,
-}
-
-impl WatchInner {
-    /// One monitor tick: pump the recorder, then walk armed runs.
-    fn tick(&self) {
-        self.recorder.pump();
-        let now = lifecycle_now_ns();
-        let cfg = &self.config;
-        let mut runs = self.runs.lock();
-        let mut out = Vec::new();
-        for run in runs.iter_mut() {
-            if run.done {
-                continue;
-            }
-            let run_id = run.handle.run_id();
-            if run.handle.is_done() {
-                run.done = true;
-                if run.level > HealthVerdict::Healthy {
-                    out.push(HealthEvent::Recovered {
-                        run_id,
-                        from: run.level,
-                        t_ns: now,
-                    });
-                    run.level = HealthVerdict::Healthy;
-                }
-                continue;
-            }
-            let progress = self.recorder.run_progress(run_id);
-            if let Some(p) = &progress {
-                if p.events > run.last_events {
-                    run.last_events = p.events;
-                    run.last_progress_ns = now;
-                    if run.level > HealthVerdict::Healthy {
-                        out.push(HealthEvent::Recovered {
-                            run_id,
-                            from: run.level,
-                            t_ns: now,
-                        });
-                        run.level = HealthVerdict::Healthy;
-                    }
-                }
-            }
-            let idle_ns = now.saturating_sub(run.last_progress_ns);
-            let idle = Duration::from_nanos(idle_ns);
-            let target = if idle >= cfg.hang_after {
-                HealthVerdict::Hang
-            } else if idle >= cfg.stall_after {
-                HealthVerdict::Stall
-            } else if idle >= cfg.warn_after {
-                HealthVerdict::Warn
-            } else {
-                HealthVerdict::Healthy
-            };
-            // Escalate one rung at a time so every level is visible.
-            while run.level < target {
-                run.level = match run.level {
-                    HealthVerdict::Healthy => HealthVerdict::Warn,
-                    HealthVerdict::Warn => HealthVerdict::Stall,
-                    _ => HealthVerdict::Hang,
-                };
-                out.push(match run.level {
-                    HealthVerdict::Warn => HealthEvent::Warn {
-                        run_id,
-                        idle_ns,
-                        t_ns: now,
-                    },
-                    HealthVerdict::Stall => HealthEvent::Stall {
-                        run_id,
-                        idle_ns,
-                        t_ns: now,
-                    },
-                    _ => HealthEvent::Hang {
-                        run_id,
-                        idle_ns,
-                        t_ns: now,
-                    },
-                });
-            }
-            // Straggler scan: in-flight tasks far past their estimate.
-            if let Some(p) = &progress {
-                let graph = run.label.clone();
-                for &(task, ref name, started_ns) in &p.inflight {
-                    if run.flagged.contains(&task) {
-                        continue;
-                    }
-                    let runtime_ns = now.saturating_sub(started_ns);
-                    if runtime_ns < cfg.straggler_min.as_nanos() as u64 {
-                        continue;
-                    }
-                    let est = self
-                        .recorder
-                        .exec_estimate(&graph, task)
-                        .unwrap_or(cfg.straggler_min.as_nanos() as f64);
-                    if runtime_ns as f64 > cfg.straggler_factor * est {
-                        run.flagged.push(task);
-                        out.push(HealthEvent::Straggler {
-                            run_id,
-                            task,
-                            name: name.to_string(),
-                            runtime_ns,
-                            estimate_ns: est as u64,
-                            t_ns: now,
-                        });
-                    }
-                }
-            }
-            if let Some(deadline) = cfg.cancel_after {
-                if !run.cancelled && idle >= deadline {
-                    run.cancelled = true;
-                    run.handle.cancel();
-                    out.push(HealthEvent::DeadlineCancelled { run_id, t_ns: now });
-                }
-            }
-        }
-        drop(runs);
-        if !out.is_empty() {
-            self.events.lock().extend(out);
-        }
-    }
-
-    fn verdict(&self) -> HealthVerdict {
-        self.runs
-            .lock()
-            .iter()
-            .filter(|r| !r.done)
-            .map(|r| r.level)
-            .max()
-            .unwrap_or(HealthVerdict::Healthy)
-    }
-}
-
-/// Straggler/hang watchdog: a monitor thread that pumps a
-/// [`FlightRecorder`] and watches armed runs for quiet windows and
-/// stragglers, escalating structured [`HealthEvent`]s.
-pub struct Watchdog {
-    inner: Arc<WatchInner>,
-    thread: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl Watchdog {
-    /// Spawns the monitor thread.
-    pub fn spawn(recorder: Arc<FlightRecorder>, config: WatchdogConfig) -> Arc<Self> {
-        let inner = Arc::new(WatchInner {
-            recorder,
-            config,
-            shutdown: AtomicBool::new(false),
-            runs: Mutex::new(Vec::new()),
-            events: Mutex::new(Vec::new()),
-        });
-        let monitor = Arc::clone(&inner);
-        let handle = std::thread::Builder::new()
-            .name("hf-watchdog".into())
-            .spawn(move || {
-                // Sleep in short slices so Drop's join never waits a full
-                // (possibly long) poll period for the thread to notice
-                // shutdown.
-                let slice = monitor.config.poll.min(Duration::from_millis(20));
-                let mut slept = Duration::ZERO;
-                while !monitor.shutdown.load(Ordering::Acquire) {
-                    std::thread::sleep(slice);
-                    slept += slice;
-                    if slept >= monitor.config.poll {
-                        slept = Duration::ZERO;
-                        monitor.tick();
-                    }
-                }
-            })
-            .expect("spawn watchdog thread");
-        Arc::new(Self {
-            inner,
-            thread: Mutex::new(Some(handle)),
-        })
-    }
-
-    /// Arms the watchdog for `fut`'s run. `label` names the run in
-    /// events and must match the graph name for straggler estimates to
-    /// resolve. Already-done or ready futures (run id 0) are ignored.
-    pub fn arm(&self, fut: &Completion, label: &str) {
-        if fut.run_id() == 0 || fut.is_done() {
-            return;
-        }
-        let now = lifecycle_now_ns();
-        self.inner.runs.lock().push(ArmedRun {
-            handle: fut.clone(),
-            label: label.to_string(),
-            level: HealthVerdict::Healthy,
-            last_events: 0,
-            last_progress_ns: now,
-            flagged: Vec::new(),
-            cancelled: false,
-            done: false,
-        });
-    }
-
-    /// Worst current severity across armed, unfinished runs.
-    pub fn verdict(&self) -> HealthVerdict {
-        self.inner.verdict()
-    }
-
-    /// All health events observed so far, in order.
-    pub fn events(&self) -> Vec<HealthEvent> {
-        self.inner.events.lock().clone()
-    }
-
-    /// Forces one monitor tick now (tests, scrape handlers).
-    pub fn tick_now(&self) {
-        self.inner.tick();
-    }
-
-    /// The `/health` document: overall verdict, per-run state, events.
-    pub fn health_json(&self) -> Value {
-        let mut o = Map::new();
-        o.insert(
-            "verdict".into(),
-            Value::Str(self.verdict().name().to_string()),
-        );
-        let now = lifecycle_now_ns();
-        let runs = self.inner.runs.lock();
-        o.insert(
-            "runs".into(),
-            Value::Array(
-                runs.iter()
-                    .map(|r| {
-                        let mut ro = Map::new();
-                        ro.insert("run_id".into(), Value::UInt(r.handle.run_id()));
-                        ro.insert("label".into(), Value::Str(r.label.clone()));
-                        ro.insert("level".into(), Value::Str(r.level.name().to_string()));
-                        ro.insert("done".into(), Value::Bool(r.done));
-                        ro.insert("cancelled".into(), Value::Bool(r.cancelled));
-                        ro.insert(
-                            "idle_ns".into(),
-                            Value::UInt(if r.done {
-                                0
-                            } else {
-                                now.saturating_sub(r.last_progress_ns)
-                            }),
-                        );
-                        Value::Object(ro)
-                    })
-                    .collect(),
-            ),
-        );
-        drop(runs);
-        o.insert(
-            "events".into(),
-            Value::Array(self.events().iter().map(HealthEvent::to_json).collect()),
-        );
-        Value::Object(o)
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        if let Some(h) = self.thread.lock().take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use hf_core::TaskKind;
 
-    fn ev(run_id: u64, phase: LifecyclePhase, task: Option<u32>, t_ns: u64) -> LifecycleEvent {
+    pub(in crate::health) fn ev(run_id: u64, phase: LifecyclePhase, task: Option<u32>, t_ns: u64) -> LifecycleEvent {
         LifecycleEvent {
             run_id,
             graph: Arc::from("g"),
@@ -1332,18 +753,6 @@ mod tests {
             tenant: None,
             t_ns,
         }
-    }
-
-    fn tenant_ev(
-        run_id: u64,
-        tenant: &str,
-        phase: LifecyclePhase,
-        task: Option<u32>,
-        t_ns: u64,
-    ) -> LifecycleEvent {
-        let mut e = ev(run_id, phase, task, t_ns);
-        e.tenant = Some(Arc::from(tenant));
-        e
     }
 
     #[test]
@@ -1366,77 +775,6 @@ mod tests {
         assert_eq!(s.run_id, 1);
         assert_eq!(s.ok, Some(true));
         assert_eq!(s.tasks, 1);
-    }
-
-    #[test]
-    fn pump_attributes_per_tenant_latency() {
-        let r = FlightRecorder::new();
-        // Run 1 belongs to tenant "small", run 2 to "batch", run 3 is a
-        // direct (untenanted) submission.
-        r.on_lifecycle(&tenant_ev(1, "small", LifecyclePhase::RunStart, None, 1_000));
-        r.on_lifecycle(&tenant_ev(1, "small", LifecyclePhase::Ready, Some(0), 2_000));
-        r.on_lifecycle(&tenant_ev(1, "small", LifecyclePhase::Started, Some(0), 3_000));
-        r.on_lifecycle(&tenant_ev(1, "small", LifecyclePhase::Finished, Some(0), 4_000));
-        r.on_lifecycle(&tenant_ev(1, "small", LifecyclePhase::RunEnd, None, 5_000));
-        r.on_lifecycle(&tenant_ev(2, "batch", LifecyclePhase::RunStart, None, 1_000));
-        let mut end = tenant_ev(2, "batch", LifecyclePhase::RunEnd, None, 21_000);
-        end.ok = false;
-        r.on_lifecycle(&end);
-        r.on_lifecycle(&ev(3, LifecyclePhase::RunStart, None, 1_000));
-        r.on_lifecycle(&ev(3, LifecyclePhase::RunEnd, None, 2_000));
-        r.pump();
-
-        // Unlabeled aggregates fold every run, tenanted or not.
-        let (_, _, rl) = r.latency_histograms();
-        assert_eq!(rl.count, 3, "aggregate run latency counts all runs");
-
-        let tenants = r.tenant_latencies();
-        assert_eq!(tenants.len(), 2, "direct submission creates no tenant");
-        let batch = &tenants[0];
-        let small = &tenants[1];
-        assert_eq!(batch.tenant, "batch");
-        assert_eq!((batch.runs, batch.failed), (1, 1));
-        assert!((batch.run_latency.sum - 20_000.0).abs() < 1e-9);
-        assert_eq!(small.tenant, "small");
-        assert_eq!((small.runs, small.failed), (1, 0));
-        assert!((small.run_latency.sum - 4_000.0).abs() < 1e-9);
-        assert_eq!(small.queue_delay.count, 1);
-        assert_eq!(small.exec.count, 1);
-
-        // Summaries and dumps carry the attribution.
-        let sums = r.summaries();
-        assert_eq!(
-            sums.iter()
-                .find(|s| s.run_id == 1)
-                .and_then(|s| s.tenant.clone()),
-            Some("small".to_string())
-        );
-        assert_eq!(
-            sums.iter().find(|s| s.run_id == 3).map(|s| s.tenant.clone()),
-            Some(None)
-        );
-        let text =
-            serde_json::to_string(&r.dump_run_json(2).expect("retained")).expect("infallible");
-        assert!(text.contains("\"tenant\":\"batch\""), "{text}");
-        let tj = serde_json::to_string(&r.tenants_json()).expect("infallible");
-        assert!(tj.contains("hf-tenants-v1"), "{tj}");
-        assert!(tj.contains("\"tenant\":\"small\""), "{tj}");
-
-        // Prometheus export gains labeled series; aggregates stay.
-        let reg = MetricsRegistry::new();
-        r.export_into(&reg);
-        let prom = reg.prometheus_text();
-        assert!(
-            prom.contains("hf_run_latency_nanos_bucket{tenant=\"small\""),
-            "{prom}"
-        );
-        assert!(prom.contains("hf_tenant_runs_total{tenant=\"batch\"} 1"), "{prom}");
-        assert!(
-            prom.contains("hf_tenant_runs_failed_total{tenant=\"batch\"} 1"),
-            "{prom}"
-        );
-        // The unlabeled aggregate count line still reports all 3 runs.
-        assert!(prom.contains("hf_run_latency_nanos_count 3"), "{prom}");
     }
 
     #[test]
@@ -1517,27 +855,6 @@ mod tests {
         let s = r.summaries();
         assert!(s.len() <= DEFAULT_KEEP_COMPLETED, "retention window holds");
         assert_eq!(s.last().unwrap().run_id, 40, "newest run retained");
-    }
-
-    #[test]
-    fn watchdog_escalates_and_recovers() {
-        let recorder = FlightRecorder::shared();
-        let wd = Watchdog::spawn(
-            Arc::clone(&recorder),
-            WatchdogConfig {
-                poll: Duration::from_secs(3600), // tick manually
-                warn_after: Duration::from_nanos(1),
-                stall_after: Duration::from_nanos(2),
-                hang_after: Duration::from_secs(3600),
-                ..WatchdogConfig::default()
-            },
-        );
-        // Arm a synthetic run via a never-completing handle substitute:
-        // use a real executor run? Simpler: recorder-only escalation needs
-        // a Completion handle, so drive a real (blocked) run in the executor
-        // integration tests; here exercise verdict bookkeeping directly.
-        assert_eq!(wd.verdict(), HealthVerdict::Healthy);
-        assert!(wd.events().is_empty());
     }
 
     #[test]
