@@ -7,7 +7,7 @@
 //! **sequential partitioning** step clustering independent cells into
 //! local windows, and (3) a **parallel weighted bipartite matching** step
 //! finding the best permutation of cell locations per window (CPU). This
-//! crate rebuilds the whole pipeline:
+//! crate is that pipeline (Figs 7-9) and nothing beside it:
 //!
 //! * [`db`] — placement database (rows/sites, cells, nets, HPWL) and a
 //!   synthetic `bigblue4`-like generator.
@@ -25,23 +25,15 @@
 #![warn(missing_docs)]
 
 pub mod algo;
-pub mod bookshelf;
 pub mod db;
-pub mod global;
 pub mod graph;
-pub mod hpwl_gpu;
-pub mod legalize;
 pub mod matching;
 pub mod mis;
 pub mod partition;
 
 pub use algo::{detailed_place, detailed_place_sequential, PlaceConfig, PlaceOutcome};
-pub use bookshelf::{parse_bookshelf, write_bookshelf, BookshelfError};
-pub use global::{global_place, GlobalConfig};
 pub use db::{Cell, Net, PlacementConfig, PlacementDb};
 pub use graph::build_placement_graph;
-pub use hpwl_gpu::hpwl_on_gpu;
-pub use legalize::{legalize, legalize_into_db, LegalizeStats, Target};
 pub use matching::hungarian;
 pub use mis::{mis_cpu, verify_mis};
 pub use partition::partition_windows;

@@ -5,7 +5,7 @@
 //! `netcard` circuit; a hybrid CPU-GPU algorithm extracts critical paths
 //! and CPPR credits on CPUs and fits a logistic-regression model on a GPU
 //! per view; a final synchronization step combines everything into a
-//! report. This crate rebuilds that entire pipeline:
+//! report. This crate is that pipeline (Figs 4-6) and nothing beside it:
 //!
 //! * [`netlist`] — gate-level circuit model and a synthetic
 //!   `netcard`-like generator (parameterized size, seeded).
@@ -20,30 +20,16 @@
 
 #![warn(missing_docs)]
 
-pub mod bench_io;
 pub mod correlation;
 pub mod cppr;
-pub mod history;
-pub mod holdtime;
-pub mod incremental;
 pub mod netlist;
-pub mod parallel;
 pub mod paths;
 pub mod regression;
-pub mod report;
-pub mod slew;
 pub mod sta;
 pub mod views;
 
-pub use bench_io::{parse_bench, write_bench, BenchParseError};
 pub use correlation::{build_correlation_graph, CorrelationConfig, CorrelationReport};
-pub use history::TaskTimingHistory;
-pub use holdtime::{run_early_late, EarlyLateReport};
-pub use incremental::IncrementalTimer;
-pub use parallel::run_sta_parallel;
 pub use netlist::{Circuit, CircuitConfig, Gate, GateKind};
 pub use paths::{k_critical_paths, TimingPath};
-pub use report::{report_timing, ReportConfig};
-pub use slew::{run_sta_with_slew, SlewModel, SlewReport};
 pub use sta::{run_sta, TimingReport};
 pub use views::{view_growth_table, Corner, Mode, View};

@@ -205,29 +205,6 @@ impl Circuit {
         }
     }
 
-    /// Assembles a circuit from explicit parts (used by netlist parsers),
-    /// computing the levelization.
-    ///
-    /// # Panics
-    /// If the connectivity contains a combinational cycle.
-    pub fn from_parts(
-        gates: Vec<Gate>,
-        fanin: Vec<Vec<u32>>,
-        fanout: Vec<Vec<u32>>,
-        primary_inputs: Vec<u32>,
-        primary_outputs: Vec<u32>,
-    ) -> Circuit {
-        let levels = levelize(&gates, &fanin, &fanout);
-        Circuit {
-            gates,
-            fanin,
-            fanout,
-            primary_inputs,
-            primary_outputs,
-            levels,
-        }
-    }
-
     /// Number of gates.
     pub fn num_gates(&self) -> usize {
         self.gates.len()

@@ -1,7 +1,7 @@
 //! Property-based tests for the timing substrate.
 
 use hf_timing::views::{make_views, Corner, Mode, View};
-use hf_timing::{k_critical_paths, parse_bench, run_sta, write_bench, Circuit, CircuitConfig};
+use hf_timing::{k_critical_paths, run_sta, Circuit, CircuitConfig};
 use proptest::prelude::*;
 
 fn arb_view() -> impl Strategy<Value = View> {
@@ -93,34 +93,5 @@ proptest! {
             .fold(0.0f32, f32::max);
         prop_assert!((paths[0].delay - max_po_arrival).abs() < 1e-4,
             "top path {} vs max arrival {}", paths[0].delay, max_po_arrival);
-    }
-
-    /// `.bench` round trip preserves structure and timing for random
-    /// circuits.
-    #[test]
-    fn bench_round_trip_preserves_timing(
-        gates in 20usize..150,
-        seed in any::<u64>(),
-    ) {
-        let orig = Circuit::synthesize(&CircuitConfig {
-            num_gates: gates,
-            seed,
-            ..Default::default()
-        });
-        let back = parse_bench(&write_bench(&orig)).expect("own output parses");
-        prop_assert_eq!(back.num_gates(), orig.num_gates());
-        prop_assert_eq!(back.num_edges(), orig.num_edges());
-        let view = &make_views(1, 0.5)[0];
-        // delay_factor is not serialized (the format has no per-instance
-        // variation), so compare with variation disabled.
-        let mut flat_orig = orig.clone();
-        for g in &mut flat_orig.gates {
-            g.delay_factor = 1.0;
-        }
-        let ra = run_sta(&flat_orig, view);
-        let rb = run_sta(&back, view);
-        for (a, b) in ra.arrival.iter().zip(&rb.arrival) {
-            prop_assert!((a - b).abs() < 1e-4);
-        }
     }
 }
