@@ -5,8 +5,9 @@
 //! visualization largely facilitates testing and debugging of Heteroflow
 //! applications" (Listing 11).
 
-use crate::graph::{Heteroflow, TaskKind};
-use std::fmt::Write as _;
+use crate::graph::{Builder, Heteroflow, TaskKind};
+use crate::placement::{device_placement, PlacementPolicy};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
@@ -22,29 +23,43 @@ fn style(kind: TaskKind) -> &'static str {
     }
 }
 
+/// The one emitter: every node once, then every edge. `decorate` may give
+/// a node a second label line and extra attributes; with `device_of`,
+/// host tasks stay at top level and GPU tasks sit in one cluster per
+/// device.
+fn emit(
+    b: &Builder,
+    decorate: &dyn Fn(usize) -> Option<(String, &'static str)>,
+    device_of: Option<&[Option<u32>]>,
+) -> String {
+    let node = |pad: &str, i: usize| {
+        let (line, attrs) = match decorate(i) {
+            Some((line, attrs)) => (format!("\\n{line}"), format!(", {attrs}")),
+            None => Default::default(),
+        };
+        let (name, style) = (escape(&b.nodes[i].name), style(b.nodes[i].work.kind()));
+        format!("{pad}n{i} [label=\"{name}{line}\", {style}{attrs}];\n")
+    };
+    let device = |i: usize| device_of.and_then(|d| d[i]);
+    let on = |d: Option<u32>| (0..b.nodes.len()).filter(move |&i| device(i) == d);
+    let mut out = format!("digraph \"{}\" {{\n  rankdir=TB;\n", escape(&b.name));
+    on(None).for_each(|i| out += &node("  ", i));
+    let devices: BTreeSet<u32> = (0..b.nodes.len()).filter_map(device).collect();
+    for d in devices {
+        out += &format!("  subgraph cluster_gpu{d} {{\n    label=\"GPU {d}\"; style=rounded;\n");
+        on(Some(d)).for_each(|i| out += &node("    ", i));
+        out += "  }\n";
+    }
+    for (i, n) in b.nodes.iter().enumerate() {
+        out.extend(n.succ.iter().map(|s| format!("  n{i} -> n{s};\n")));
+    }
+    out + "}\n"
+}
+
 impl Heteroflow {
     /// Renders the graph as a DOT digraph string.
     pub fn dump(&self) -> String {
-        let b = self.shared.builder.lock();
-        let mut out = String::new();
-        let _ = writeln!(out, "digraph \"{}\" {{", escape(&b.name));
-        let _ = writeln!(out, "  rankdir=TB;");
-        for (i, n) in b.nodes.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "  n{} [label=\"{}\", {}];",
-                i,
-                escape(&n.name),
-                style(n.work.kind())
-            );
-        }
-        for (i, n) in b.nodes.iter().enumerate() {
-            for &s in &n.succ {
-                let _ = writeln!(out, "  n{i} -> n{s};");
-            }
-        }
-        out.push_str("}\n");
-        out
+        emit(&self.shared.builder.lock(), &|_| None, None)
     }
 
     /// Renders the graph as DOT with static-analysis findings overlaid
@@ -54,122 +69,35 @@ impl Heteroflow {
     /// (`HF005`) — are dashed and grayed out. Affected labels carry the
     /// diagnostic code so a rendered graph is self-explanatory.
     pub fn dump_analyzed(&self) -> String {
-        let report = self.analyze();
-        let mut marks: std::collections::BTreeMap<usize, Vec<&'static str>> =
-            std::collections::BTreeMap::new();
-        for d in &report.diagnostics {
+        let mut marks: BTreeMap<usize, BTreeSet<&'static str>> = BTreeMap::new();
+        for d in &self.analyze().diagnostics {
             if matches!(d.code, "HF002" | "HF004" | "HF005") {
                 for &t in &d.task_ids {
-                    let codes = marks.entry(t).or_default();
-                    if !codes.contains(&d.code) {
-                        codes.push(d.code);
-                    }
+                    marks.entry(t).or_default().insert(d.code);
                 }
             }
         }
-        let b = self.shared.builder.lock();
-        let mut out = String::new();
-        let _ = writeln!(out, "digraph \"{}\" {{", escape(&b.name));
-        let _ = writeln!(out, "  rankdir=TB;");
-        for (i, n) in b.nodes.iter().enumerate() {
-            match marks.get(&i) {
-                Some(codes) => {
-                    // Racy outrank dead: red outline wins when both apply.
-                    let extra = if codes.contains(&"HF002") {
-                        "color=red, penwidth=2"
-                    } else {
-                        "style=dashed, color=gray50, fontcolor=gray40"
-                    };
-                    let _ = writeln!(
-                        out,
-                        "  n{} [label=\"{}\\n{}\", {}, {}];",
-                        i,
-                        escape(&n.name),
-                        codes.join(","),
-                        style(n.work.kind()),
-                        extra
-                    );
-                }
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "  n{} [label=\"{}\", {}];",
-                        i,
-                        escape(&n.name),
-                        style(n.work.kind())
-                    );
-                }
-            }
-        }
-        for (i, n) in b.nodes.iter().enumerate() {
-            for &s in &n.succ {
-                let _ = writeln!(out, "  n{i} -> n{s};");
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
-    /// Writes the DOT form to a writer (`hf.dump(cout)` analogue).
-    pub fn dump_to<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        w.write_all(self.dump().as_bytes())
+        let decorate = |i: usize| {
+            let codes = marks.get(&i)?;
+            // Racy outrank dead: red outline wins when both apply.
+            let attrs = if codes.contains(&"HF002") {
+                "color=red, penwidth=2"
+            } else {
+                "style=dashed, color=gray50, fontcolor=gray40"
+            };
+            Some((Vec::from_iter(codes.iter().copied()).join(","), attrs))
+        };
+        emit(&self.shared.builder.lock(), &decorate, None)
     }
 
     /// Renders the graph as DOT with GPU tasks grouped into one cluster
     /// per device, as assigned by Algorithm 1 at the given GPU count —
     /// shows where the scheduler would place every task.
     pub fn dump_placed(&self, num_gpus: u32) -> Result<String, crate::HfError> {
-        let info = self.info()?;
-        let placement = crate::placement::device_placement(
-            &info,
-            num_gpus,
-            crate::placement::PlacementPolicy::BalancedLoad,
-            &hf_gpu::CostModel::default(),
-        )?;
+        let (policy, cost) = (PlacementPolicy::BalancedLoad, hf_gpu::CostModel::default());
+        let placement = device_placement(&self.info()?, num_gpus, policy, &cost)?;
         let b = self.shared.builder.lock();
-        let mut out = String::new();
-        let _ = writeln!(out, "digraph \"{}\" {{", escape(&b.name));
-        let _ = writeln!(out, "  rankdir=TB;");
-        // Host tasks at top level; GPU tasks inside device clusters.
-        for (i, n) in b.nodes.iter().enumerate() {
-            if placement.device_of[i].is_none() {
-                let _ = writeln!(
-                    out,
-                    "  n{} [label=\"{}\", {}];",
-                    i,
-                    escape(&n.name),
-                    style(n.work.kind())
-                );
-            }
-        }
-        for d in 0..num_gpus {
-            let members: Vec<usize> = (0..b.nodes.len())
-                .filter(|&i| placement.device_of[i] == Some(d))
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
-            let _ = writeln!(out, "  subgraph cluster_gpu{d} {{");
-            let _ = writeln!(out, "    label=\"GPU {d}\"; style=rounded;");
-            for i in members {
-                let n = &b.nodes[i];
-                let _ = writeln!(
-                    out,
-                    "    n{} [label=\"{}\", {}];",
-                    i,
-                    escape(&n.name),
-                    style(n.work.kind())
-                );
-            }
-            let _ = writeln!(out, "  }}");
-        }
-        for (i, n) in b.nodes.iter().enumerate() {
-            for &s in &n.succ {
-                let _ = writeln!(out, "  n{i} -> n{s};");
-            }
-        }
-        out.push_str("}\n");
-        Ok(out)
+        Ok(emit(&b, &|_| None, Some(&placement.device_of)))
     }
 }
 
@@ -226,6 +154,7 @@ mod tests {
         assert!(dot.contains("\"host\""));
         // All 9 tasks and 8 edges survive.
         assert_eq!(dot.matches(" -> ").count(), 8);
+        assert_eq!(dot.matches('{').count(), dot.matches('}').count());
         for i in 0..4 {
             assert!(dot.contains(&format!("p{i}")));
             assert!(dot.contains(&format!("k{i}")));
@@ -266,14 +195,5 @@ mod tests {
         p.precede(&k);
         k.precede(&s);
         assert_eq!(g.dump_analyzed(), g.dump());
-    }
-
-    #[test]
-    fn dump_to_writer() {
-        let g = Heteroflow::new("w");
-        g.host("a", || {});
-        let mut buf = Vec::new();
-        g.dump_to(&mut buf).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), g.dump());
     }
 }
