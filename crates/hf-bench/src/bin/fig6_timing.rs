@@ -89,11 +89,12 @@ fn main() {
     let gates: usize = args.get("gates", 20_000);
     let paths: usize = args.get("paths", 256);
     let epochs: usize = args.get("epochs", 60);
-    let sweep = args.get_str("sweep").unwrap_or("both").to_string();
-    let packer = match args.get_str("placement").unwrap_or("balanced") {
+    let sweep = args.get_str("sweep", &["both", "cores", "views"]);
+    let packer = match args.get_str("placement", &["balanced", "roundrobin", "random"]) {
+        "balanced" => Packer::Balanced,
         "roundrobin" => Packer::RoundRobin,
         "random" => Packer::Random { seed: 1 },
-        _ => Packer::Balanced,
+        other => unreachable!("get_str admits only the listed values, not {other}"),
     };
 
     eprintln!("[fig6] synthesizing circuit ({gates} gates) ...");

@@ -72,7 +72,7 @@ fn main() {
     let iters: usize = args.get("iters", 10);
     let matchers: usize = args.get("matchers", 32);
     let window: usize = args.get("window", 6);
-    let sweep = args.get_str("sweep").unwrap_or("both").to_string();
+    let sweep = args.get_str("sweep", &["both", "cores", "iters"]);
     let mode = if args.flag("dedicated") {
         SchedulerMode::DedicatedGpuWorkers
     } else {
