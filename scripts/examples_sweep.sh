@@ -2,7 +2,8 @@
 # Builds every example in examples/ in release and runs each one; any
 # non-zero exit fails the sweep. The three examples that validate their
 # own output (multi_tenant, profiling, health_endpoint) get an artifacts
-# directory and --check; the rest run without arguments.
+# directory and --check; the rest run without arguments. Before building,
+# README.md's "### Examples" block must name exactly the files in examples/.
 #
 # Usage: scripts/examples_sweep.sh [artifacts-dir]   (default: artifacts)
 set -euo pipefail
@@ -10,6 +11,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 out="${1:-artifacts}"
 mkdir -p "$out"
+
+listed=$(sed -n '/^### Examples$/,/^### /p' README.md | grep -oE -- '--example [a-z0-9_]+' | cut -d' ' -f2 | sort -u)
+present=$(basename -s .rs examples/*.rs | sort)
+if [ "$listed" != "$present" ]; then
+  echo "README.md \"### Examples\" and examples/ disagree (< listed only, > on disk only):" >&2
+  diff <(echo "$listed") <(echo "$present") >&2 || true
+  exit 1
+fi
 
 cargo build --release --examples
 
