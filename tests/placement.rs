@@ -1,7 +1,7 @@
 //! Placement against cost estimates that arrive from outside the program:
-//! `hf_timing::TaskTimingHistory::seed_executor` feeds durations parsed
-//! from a persisted JSON file into `Executor::seed_task_cost`, so a NaN
-//! there must neither panic the submitter nor a worker mid-failover.
+//! `Executor::seed_task_cost` is the entry point for durations a caller
+//! measured or persisted elsewhere, so a NaN there must neither panic the
+//! submitter nor a worker mid-failover.
 
 use heteroflow::gpu::FaultPlan;
 use heteroflow::prelude::*;
