@@ -38,26 +38,36 @@ impl Args {
     /// Value of `--key`, parsed; `default` when the key is absent. A value
     /// that is present but does not parse is reported and exits 2.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.try_get(key).unwrap_or_else(|e| usage_error(&e)).unwrap_or(default)
+        self.try_get(key)
+            .unwrap_or_else(|e| usage_error(&e))
+            .unwrap_or(default)
     }
 
     fn try_get<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
-        let Some(v) = self.kv.get(key) else { return Ok(None) };
-        v.parse().map(Some).map_err(|_| format!("--{key}: cannot parse {v:?}"))
+        let Some(v) = self.kv.get(key) else {
+            return Ok(None);
+        };
+        v.parse()
+            .map(Some)
+            .map_err(|_| format!("--{key}: cannot parse {v:?}"))
     }
 
     /// String value of `--key`, which must be one of `allowed`; the first
     /// of them when the key is absent. Any other value is reported and
     /// exits 2.
     pub fn get_str<'a>(&'a self, key: &str, allowed: &[&'a str]) -> &'a str {
-        self.try_str(key, allowed).unwrap_or_else(|e| usage_error(&e))
+        self.try_str(key, allowed)
+            .unwrap_or_else(|e| usage_error(&e))
     }
 
     fn try_str<'a>(&'a self, key: &str, allowed: &[&'a str]) -> Result<&'a str, String> {
         match self.kv.get(key) {
             None => Ok(allowed[0]),
             Some(v) if allowed.contains(&v.as_str()) => Ok(v),
-            Some(v) => Err(format!("--{key}: unknown value {v:?} (expected {})", allowed.join("|"))),
+            Some(v) => Err(format!(
+                "--{key}: unknown value {v:?} (expected {})",
+                allowed.join("|")
+            )),
         }
     }
 
@@ -93,9 +103,13 @@ mod tests {
         assert_eq!(a.get("missing", 7u32), 7);
         // Present but bad: an error naming the flag, never the default.
         let bad = parse("--views 1O24 --policy bogus");
-        let err = bad.try_get::<usize>("views").expect_err("1O24 is no number");
+        let err = bad
+            .try_get::<usize>("views")
+            .expect_err("1O24 is no number");
         assert!(err.contains("--views") && err.contains("1O24"), "{err}");
-        let err = bad.try_str("policy", &["balanced", "random"]).expect_err("bogus");
+        let err = bad
+            .try_str("policy", &["balanced", "random"])
+            .expect_err("bogus");
         assert!(err.contains("--policy") && err.contains("bogus"), "{err}");
     }
 

@@ -94,7 +94,8 @@ impl Heteroflow {
     /// per device, as assigned by Algorithm 1 at the given GPU count —
     /// shows where the scheduler would place every task.
     pub fn dump_placed(&self, num_gpus: u32) -> Result<String, crate::HfError> {
-        let (policy, cost) = (PlacementPolicy::BalancedLoad, hf_gpu::CostModel::default());
+        let policy = PlacementPolicy::BalancedLoad;
+        let cost = hf_gpu::CostModel::default();
         let placement = device_placement(&self.info()?, num_gpus, policy, &cost)?;
         let b = self.shared.builder.lock();
         Ok(emit(&b, &|_| None, Some(&placement.device_of)))
