@@ -123,49 +123,56 @@ impl<'a> ArenaView<'a> {
     /// Immutable typed view.
     pub fn slice<T: Plain>(&self, p: DevicePtr) -> Result<&[T], GpuError> {
         let b = self.bytes(p)?;
-        if b.len() % std::mem::size_of::<T>() != 0 {
-            return Err(GpuError::TypeMismatch {
-                bytes: b.len(),
-                elem: std::mem::size_of::<T>(),
-            });
-        }
+        check_elem::<T>(b.len())?;
         Ok(plain::from_bytes(b))
     }
 
     /// Mutable typed view.
     pub fn slice_mut<T: Plain>(&mut self, p: DevicePtr) -> Result<&mut [T], GpuError> {
         let b = self.bytes_mut(p)?;
-        if b.len() % std::mem::size_of::<T>() != 0 {
-            return Err(GpuError::TypeMismatch {
-                bytes: b.len(),
-                elem: std::mem::size_of::<T>(),
-            });
-        }
+        check_elem::<T>(b.len())?;
         Ok(plain::from_bytes_mut(b))
+    }
+
+    /// The one borrow splitter: resolves every pointer of `ptrs` at once
+    /// into pairwise-disjoint parts, each taken from the [`Split`] once,
+    /// read-only or writable — how a kernel holds any number of input
+    /// arrays beside its outputs without copying one out of the arena.
+    /// Every pointer passes the checks of [`ArenaView::bytes`]; two that
+    /// share a byte are [`GpuError::Overlap`] of their positions in `ptrs`.
+    pub fn split(&mut self, ptrs: &[DevicePtr]) -> Result<Split<'_>, GpuError> {
+        let mut order = Vec::with_capacity(ptrs.len());
+        for (i, &p) in ptrs.iter().enumerate() {
+            let (s, e) = self.check(p)?;
+            order.push((s, e, i));
+        }
+        order.sort_unstable();
+        // Walk the arena once in address order, cutting each range off
+        // the front of what is left: disjointness is what `split_at_mut`
+        // gives, not something asserted.
+        let mut parts: Vec<Option<&mut [u8]>> = ptrs.iter().map(|_| None).collect();
+        let (mut rest, mut at) = (&mut *self.mem, 0);
+        for (k, &(s, e, i)) in order.iter().enumerate() {
+            if s < at {
+                let j = order[k - 1].2;
+                return Err(GpuError::Overlap { a: i.min(j), b: i.max(j) });
+            }
+            let (part, tail) = std::mem::take(&mut rest)[s - at..].split_at_mut(e - s);
+            parts[i] = Some(part);
+            (rest, at) = (tail, e);
+        }
+        Ok(Split { parts })
     }
 
     /// Two disjoint mutable typed views — the common kernel shape
     /// (`y[i] = a*x[i] + y[i]` needs `x` and `y` simultaneously).
-    ///
-    /// Returns `SizeMismatch` if the allocations overlap.
     pub fn slice2_mut<A: Plain, B: Plain>(
         &mut self,
         pa: DevicePtr,
         pb: DevicePtr,
     ) -> Result<(&mut [A], &mut [B]), GpuError> {
-        let (sa, ea) = self.check(pa)?;
-        let (sb, eb) = self.check(pb)?;
-        if sa < eb && sb < ea {
-            return Err(GpuError::SizeMismatch { dst: ea - sa, src: eb - sb });
-        }
-        // SAFETY: ranges verified disjoint and in-bounds; both borrows are
-        // derived from the single &mut self.
-        unsafe {
-            let base = self.mem.as_mut_ptr();
-            let a = std::slice::from_raw_parts_mut(base.add(sa), ea - sa);
-            let b = std::slice::from_raw_parts_mut(base.add(sb), eb - sb);
-            Ok((plain::from_bytes_mut(a), plain::from_bytes_mut(b)))
-        }
+        let mut s = self.split(&[pa, pb])?;
+        Ok((s.write(0)?, s.write(1)?))
     }
 
     /// Three disjoint mutable typed views.
@@ -176,25 +183,8 @@ impl<'a> ArenaView<'a> {
         pb: DevicePtr,
         pc: DevicePtr,
     ) -> Result<(&mut [A], &mut [B], &mut [C]), GpuError> {
-        let (sa, ea) = self.check(pa)?;
-        let (sb, eb) = self.check(pb)?;
-        let (sc, ec) = self.check(pc)?;
-        let overlap = (sa < eb && sb < ea) || (sa < ec && sc < ea) || (sb < ec && sc < eb);
-        if overlap {
-            return Err(GpuError::SizeMismatch { dst: 0, src: 0 });
-        }
-        // SAFETY: as in `slice2_mut`.
-        unsafe {
-            let base = self.mem.as_mut_ptr();
-            let a = std::slice::from_raw_parts_mut(base.add(sa), ea - sa);
-            let b = std::slice::from_raw_parts_mut(base.add(sb), eb - sb);
-            let c = std::slice::from_raw_parts_mut(base.add(sc), ec - sc);
-            Ok((
-                plain::from_bytes_mut(a),
-                plain::from_bytes_mut(b),
-                plain::from_bytes_mut(c),
-            ))
-        }
+        let mut s = self.split(&[pa, pb, pc])?;
+        Ok((s.write(0)?, s.write(1)?, s.write(2)?))
     }
 
     /// Host-to-device copy into the allocation (the body of a pull task).
@@ -238,6 +228,41 @@ impl<'a> ArenaView<'a> {
     }
 }
 
+/// The disjoint parts [`ArenaView::split`] cut out of an arena, indexed by
+/// position in its pointer list. Each is lent once, for as long as the
+/// arena is borrowed; asking again is [`GpuError::Overlap`] of it with itself.
+#[derive(Debug)]
+pub struct Split<'a> {
+    parts: Vec<Option<&'a mut [u8]>>,
+}
+
+impl<'a> Split<'a> {
+    fn take<T: Plain>(&mut self, i: usize) -> Result<&'a mut [u8], GpuError> {
+        let b = self.parts[i].take().ok_or(GpuError::Overlap { a: i, b: i })?;
+        check_elem::<T>(b.len())?;
+        Ok(b)
+    }
+
+    /// Part `i` as a read-only typed slice.
+    pub fn read<T: Plain>(&mut self, i: usize) -> Result<&'a [T], GpuError> {
+        Ok(plain::from_bytes(self.take::<T>(i)?))
+    }
+
+    /// Part `i` as a writable typed slice.
+    pub fn write<T: Plain>(&mut self, i: usize) -> Result<&'a mut [T], GpuError> {
+        Ok(plain::from_bytes_mut(self.take::<T>(i)?))
+    }
+}
+
+/// `TypeMismatch` unless `bytes` is a whole number of `T`s.
+fn check_elem<T: Plain>(bytes: usize) -> Result<(), GpuError> {
+    let elem = std::mem::size_of::<T>();
+    if !bytes.is_multiple_of(elem) {
+        return Err(GpuError::TypeMismatch { bytes, elem });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,28 +304,6 @@ mod tests {
         let mut a = Arena::new(0, 64);
         let v = a.view();
         assert!(v.bytes(ptr(60, 8)).is_err());
-    }
-
-    #[test]
-    fn split2_disjoint_ok_overlap_err() {
-        let mut a = Arena::new(0, 256);
-        let mut v = a.view();
-        let (x, y) = v.slice2_mut::<u32, u32>(ptr(0, 16), ptr(16, 16)).unwrap();
-        x[0] = 7;
-        y[3] = 9;
-        assert!(v.slice2_mut::<u32, u32>(ptr(0, 16), ptr(8, 16)).is_err());
-    }
-
-    #[test]
-    fn split3_overlap_err() {
-        let mut a = Arena::new(0, 256);
-        let mut v = a.view();
-        assert!(v
-            .slice3_mut::<u8, u8, u8>(ptr(0, 16), ptr(32, 16), ptr(40, 16))
-            .is_err());
-        assert!(v
-            .slice3_mut::<u8, u8, u8>(ptr(0, 16), ptr(32, 8), ptr(48, 16))
-            .is_ok());
     }
 
     #[test]

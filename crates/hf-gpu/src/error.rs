@@ -43,6 +43,15 @@ pub enum GpuError {
         /// Bytes the source provides.
         src: usize,
     },
+    /// Two pointers of one [`crate::ArenaView::split`] share device bytes,
+    /// or part `a == b` of it was asked for twice.
+    Overlap {
+        /// Position of one in the split's list (for
+        /// [`crate::KernelArgs::split`], the kernel's argument index).
+        a: usize,
+        /// Position of the other.
+        b: usize,
+    },
     /// Operation on a runtime that has been shut down.
     ShutDown,
     /// A freed or never-allocated pointer was passed to `free`.
@@ -78,6 +87,9 @@ impl fmt::Display for GpuError {
             ),
             GpuError::SizeMismatch { dst, src } => {
                 write!(f, "copy size mismatch: dst {dst} bytes, src {src} bytes")
+            }
+            GpuError::Overlap { a, b } => {
+                write!(f, "arguments {a} and {b} of one split overlap in device memory")
             }
             GpuError::ShutDown => write!(f, "GPU runtime has been shut down"),
             GpuError::InvalidFree(off) => {

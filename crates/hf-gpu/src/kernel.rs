@@ -8,7 +8,7 @@
 //! bound [`DevicePtr`]s (the paper's pull-task gateways) to typed device
 //! slices — the role `PointerCaster` plays in Listing 9.
 
-use crate::arena::{ArenaView, DevicePtr};
+use crate::arena::{ArenaView, DevicePtr, Split};
 use crate::error::GpuError;
 use crate::plain::Plain;
 use std::sync::Arc;
@@ -119,6 +119,14 @@ impl<'a, 'v> KernelArgs<'a, 'v> {
         self.view.slice_mut(self.ptrs[i])
     }
 
+    /// Every bound argument at once, as pairwise-disjoint parts indexed
+    /// like the arguments: take the inputs with [`Split::read`] and the
+    /// outputs with [`Split::write`] and hold them all together
+    /// ([`ArenaView::split`]).
+    pub fn split(&mut self) -> Result<Split<'_>, GpuError> {
+        self.view.split(self.ptrs)
+    }
+
     /// Two disjoint mutable typed views of arguments `i` and `j`.
     pub fn slice2_mut<A: Plain, B: Plain>(
         &mut self,
@@ -137,12 +145,6 @@ impl<'a, 'v> KernelArgs<'a, 'v> {
         k: usize,
     ) -> Result<(&mut [A], &mut [B], &mut [C]), GpuError> {
         self.view.slice3_mut(self.ptrs[i], self.ptrs[j], self.ptrs[k])
-    }
-
-    /// Direct access to the underlying arena view (for kernels that manage
-    /// scratch allocations themselves).
-    pub fn view_mut(&mut self) -> &mut ArenaView<'v> {
-        self.view
     }
 }
 

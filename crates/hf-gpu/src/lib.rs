@@ -52,7 +52,7 @@ pub mod runtime;
 pub mod stream;
 pub mod trace;
 
-pub use arena::{ArenaView, DevicePtr};
+pub use arena::{ArenaView, DevicePtr, Split};
 pub use buddy::BuddyAllocator;
 pub use cost::{CostModel, Ewma, SimDuration};
 pub use device::{Device, DeviceId, ScopedDeviceContext};

@@ -55,30 +55,67 @@ proptest! {
         }
     }
 
-    /// `slice2_mut` accepts exactly the disjoint pointer pairs and
-    /// rejects every overlapping pair, for arbitrary ranges.
+    /// The splitter (and `slice2_mut`/`slice3_mut`, its two- and
+    /// three-pointer callers) accepts a pointer list exactly when no two
+    /// ranges share a byte and names a truly overlapping pair when it
+    /// refuses; the parts alias nothing — what is written through the last
+    /// and read through the others round-trips — and each is lent once.
     #[test]
-    fn split_views_respect_disjointness(
-        a_off in 0u64..200, a_len in 1u64..64,
-        b_off in 0u64..200, b_len in 1u64..64,
+    fn split_accepts_exactly_the_disjoint_lists(
+        ranges in proptest::collection::vec((0u64..480, 1u64..33), 2..7),
     ) {
         use hf_gpu::arena::{Arena, DevicePtr};
-        let mut arena = Arena::new(0, 512);
+        use hf_gpu::GpuError;
+        let ptrs: Vec<DevicePtr> = ranges
+            .iter()
+            .map(|&(offset, len)| DevicePtr { device: 0, offset, len, capacity: len })
+            .collect();
+        let end = |i: usize| ptrs[i].offset + ptrs[i].len;
+        let overlaps = |a: usize, b: usize| ptrs[a].offset < end(b) && ptrs[b].offset < end(a);
+        let disjoint = |k: usize| (0..k).all(|a| (0..a).all(|b| !overlaps(a, b)));
+        let (n, mut arena) = (ptrs.len(), Arena::new(0, 1024));
         let mut view = arena.view();
-        let pa = DevicePtr { device: 0, offset: a_off, len: a_len, capacity: a_len };
-        let pb = DevicePtr { device: 0, offset: b_off, len: b_len, capacity: b_len };
-        let overlap = a_off < b_off + b_len && b_off < a_off + a_len;
-        let res = view.slice2_mut::<u8, u8>(pa, pb);
-        if overlap {
-            prop_assert!(res.is_err(), "overlap accepted: {pa:?} {pb:?}");
-        } else {
-            let (sa, sb) = res.expect("disjoint ranges accepted");
-            prop_assert_eq!(sa.len() as u64, a_len);
-            prop_assert_eq!(sb.len() as u64, b_len);
-            // Writes through one view never bleed into the other.
-            sa.fill(0xAA);
-            sb.fill(0x55);
-            prop_assert!(sa.iter().all(|&x| x == 0xAA));
+        // An aliasing pair is reported as that, not as a size mismatch.
+        let named = |e| matches!(e, GpuError::Overlap { a, b } if a < b);
+        let want = |k| (!disjoint(k)).then_some(true);
+        prop_assert_eq!(view.slice2_mut::<u8, u8>(ptrs[0], ptrs[1]).err().map(named), want(2));
+        if n > 2 {
+            let three = view.slice3_mut::<u8, u8, u8>(ptrs[0], ptrs[1], ptrs[2]);
+            prop_assert_eq!(three.err().map(named), want(3));
+        }
+        for (i, &p) in ptrs.iter().enumerate() {
+            view.bytes_mut(p).unwrap().fill(i as u8);
+        }
+        match view.split(&ptrs) {
+            Err(GpuError::Overlap { a, b }) => prop_assert!(a < b && overlaps(a, b), "{a}, {b}"),
+            Err(e) => prop_assert!(false, "unexpected {e}"),
+            Ok(mut s) => {
+                prop_assert!(disjoint(n), "overlap accepted: {ptrs:?}");
+                let out = s.write::<u8>(n - 1).unwrap();
+                let ins: Vec<&[u8]> = (0..n - 1).map(|i| s.read(i).unwrap()).collect();
+                prop_assert_eq!(s.read::<u8>(0).err(), Some(GpuError::Overlap { a: 0, b: 0 }));
+                out.fill(0xFF);
+                for (i, part) in ins.iter().enumerate() {
+                    prop_assert_eq!(part.len() as u64, ranges[i].1);
+                    prop_assert!(part.iter().all(|&x| x == i as u8), "part {i} was written to");
+                }
+            }
+        }
+        if disjoint(n) {
+            prop_assert!(view.bytes(ptrs[n - 1]).unwrap().iter().all(|&x| x == 0xFF));
+            // One bad pointer anywhere refuses the whole list: wrong
+            // device, null, out of bounds; a length that is no whole
+            // number of elements is refused when the part is typed.
+            let mut bad = ptrs.clone();
+            bad[0].device = 1;
+            prop_assert!(matches!(view.split(&bad).err(), Some(GpuError::WrongDevice { .. })));
+            bad[0] = DevicePtr::NULL;
+            prop_assert!(matches!(view.split(&bad).err(), Some(GpuError::InvalidFree(_))));
+            bad[0] = DevicePtr { offset: 1020, len: 8, ..ptrs[0] };
+            prop_assert!(matches!(view.split(&bad).err(), Some(GpuError::SizeMismatch { .. })));
+            bad[0] = DevicePtr { offset: 1000, len: 7, ..ptrs[0] };
+            let odd = view.split(&bad).unwrap().read::<u32>(0).err();
+            prop_assert_eq!(odd, Some(GpuError::TypeMismatch { bytes: 7, elem: 4 }));
         }
     }
 

@@ -7,7 +7,7 @@
 
 use crate::db::PlacementDb;
 use crate::graph::{build_placement_graph, GraphConfig};
-use crate::matching::hungarian;
+use crate::matching::match_window;
 use crate::mis::{make_priorities, mis_cpu};
 use crate::partition::partition_windows;
 use hf_core::Executor;
@@ -60,24 +60,7 @@ pub fn detailed_place_sequential(mut db: PlacementDb, cfg: PlaceConfig) -> Place
         let windows = partition_windows(&db, &states, cfg.window_cap);
         let mut moves = Vec::new();
         for w in &windows {
-            let slots: Vec<(u32, u32)> = w
-                .iter()
-                .map(|&c| (db.cells[c as usize].x, db.cells[c as usize].y))
-                .collect();
-            let cost: Vec<Vec<u64>> = w
-                .iter()
-                .map(|&c| {
-                    slots
-                        .iter()
-                        .map(|&(x, y)| db.cell_cost_at(c, x, y))
-                        .collect()
-                })
-                .collect();
-            let (assignment, _) = hungarian(&cost);
-            for (ci, &cell) in w.iter().enumerate() {
-                let (x, y) = slots[assignment[ci]];
-                moves.push((cell, x, y));
-            }
+            match_window(&db, w, &mut moves);
         }
         for (cell, x, y) in moves {
             db.cells[cell as usize].x = x;

@@ -6,12 +6,20 @@
 //! the per-iteration arrays, a chain of two-phase MIS kernel rounds on
 //! the GPU, a push of the decided states, a sequential CPU *partition*
 //! task, `matchers` parallel CPU *matching* tasks, and a CPU *apply*
-//! task feeding the next iteration. The CSR adjacency is pulled once and
-//! reused by every iteration through transitive dependencies (the data
-//! reuse pattern of Listing 10).
+//! task. The CSR adjacency is pulled once and read by every iteration's
+//! kernels (the data reuse pattern of Listing 10).
+//!
+//! Where the iterations are cut is what lets them overlap. The MIS of
+//! iteration `i` reads only the static adjacency and the seeded priority
+//! stream — nothing a move changes — so its whole device chain is free
+//! of `apply[i-1]`: each iteration owns its priority/state host buffers,
+//! `apply[i]` precedes `partition[i+1]` (the first task that reads cell
+//! positions), and `pull_pri[i], pull_st[i] -> prepare[i+1]` queues chain
+//! `i+1` on the device right behind chain `i`, so the device computes the
+//! next independent set while the workers partition and match this one.
 
 use crate::db::PlacementDb;
-use crate::matching::hungarian;
+use crate::matching::match_window;
 use crate::mis::{self, make_priorities, UNDECIDED};
 use crate::partition::partition_windows;
 use hf_core::data::HostVec;
@@ -56,10 +64,7 @@ pub struct PlaceRun {
 
 /// Builds the Fig 8 graph over `db`. Returns the graph and the shared
 /// run state (read the final placement from `PlaceRun::db` after the run).
-pub fn build_placement_graph(
-    db: PlacementDb,
-    cfg: GraphConfig,
-) -> (Heteroflow, PlaceRun) {
+pub fn build_placement_graph(db: PlacementDb, cfg: GraphConfig) -> (Heteroflow, PlaceRun) {
     let n = db.num_cells();
     let rounds = if cfg.mis_rounds > 0 {
         cfg.mis_rounds
@@ -79,27 +84,27 @@ pub fn build_placement_graph(
     } else {
         neighbors
     });
-    // Per-iteration arrays share one host buffer each; the prepare task
-    // rewrites them and the stateful pulls pick up the new contents.
-    let h_pri: HostVec<u32> = HostVec::from_vec(vec![0; n]);
-    let h_st: HostVec<u32> = HostVec::from_vec(vec![UNDECIDED; n]);
-
     let pull_off = g.pull("pull_adj_off", &h_off);
     let pull_nbr = g.pull("pull_adj_nbr", &h_nbr);
 
-    let mut prev_apply: Option<hf_core::HostTask> = None;
+    // What iteration `it + 1` waits for: the pulls that put chain `it` on
+    // the device queue, and the apply that moved the cells.
+    let mut prev: Option<([hf_core::PullTask; 2], hf_core::HostTask)> = None;
     for it in 0..cfg.iterations {
-        // 1) CPU: fresh priorities + reset states.
+        // 1) CPU: fresh priorities + undecided states, in buffers of this
+        // iteration's own (iteration `it - 1` may still be reading its).
+        let h_pri: HostVec<u32> = HostVec::from_vec(vec![0; n]);
+        let h_st: HostVec<u32> = HostVec::from_vec(vec![UNDECIDED; n]);
         let prepare = g.host(&format!("prepare[{it}]"), {
             let (h_pri, h_st) = (h_pri.clone(), h_st.clone());
             let seed = cfg.seed.wrapping_add(it as u64);
             move || {
                 *h_pri.write() = make_priorities(n, seed);
-                h_st.write().iter_mut().for_each(|s| *s = UNDECIDED);
+                h_st.write().fill(UNDECIDED);
             }
         });
-        if let Some(prev) = &prev_apply {
-            prepare.succeed(prev);
+        if let Some(([pri, st], _)) = &prev {
+            prepare.succeed_all(&[pri, st]);
         }
 
         // 2) H2D pulls of the per-iteration arrays.
@@ -124,15 +129,9 @@ pub fn build_placement_graph(
             );
             com.cover(n, 256).work_units(n as f64);
             match &prev_kernel {
+                // First round of the iteration: wait for its four inputs.
                 None => {
-                    // First round of the iteration: wait for this
-                    // iteration's pulls. The adjacency pulls are ordered
-                    // transitively for it > 0 but need explicit edges on
-                    // the first iteration.
-                    sel.succeed_all(&[&pull_pri, &pull_st]);
-                    if it == 0 {
-                        sel.succeed_all(&[&pull_off, &pull_nbr]);
-                    }
+                    sel.succeed_all(&[&pull_off, &pull_nbr, &pull_pri, &pull_st]);
                 }
                 Some(p) => {
                     sel.succeed(p);
@@ -147,16 +146,16 @@ pub fn build_placement_graph(
         push_st.succeed(prev_kernel.as_ref().expect("rounds >= 1"));
 
         // 5) CPU (sequential): partition into windows.
-        let windows: Arc<Mutex<Vec<Vec<u32>>>> = Arc::new(Mutex::new(Vec::new()));
+        let windows: Arc<RwLock<Vec<Vec<u32>>>> = Arc::new(RwLock::new(Vec::new()));
         let partition = g.host(&format!("partition[{it}]"), {
             let (db, h_st, windows) = (Arc::clone(&db), h_st.clone(), Arc::clone(&windows));
             let cap = cfg.window_cap;
-            move || {
-                let states = h_st.to_vec();
-                *windows.lock() = partition_windows(&db.read(), &states, cap);
-            }
+            move || *windows.write() = partition_windows(&db.read(), &h_st.read(), cap)
         });
         push_st.precede(&partition);
+        if let Some((_, apply)) = &prev {
+            partition.succeed(apply);
+        }
 
         // 6) CPU (parallel): per-window bipartite matching. Matcher m
         // handles windows m, m+M, m+2M, ...
@@ -171,29 +170,10 @@ pub fn build_placement_graph(
                 );
                 let stride = cfg.matchers.max(1);
                 move || {
-                    let windows = windows.lock().clone();
-                    let db = db.read();
+                    let (windows, db) = (windows.read(), db.read());
                     let mut local_moves = Vec::new();
                     for w in windows.iter().skip(m).step_by(stride) {
-                        // Slots are the window cells' own current sites.
-                        let slots: Vec<(u32, u32)> = w
-                            .iter()
-                            .map(|&c| (db.cells[c as usize].x, db.cells[c as usize].y))
-                            .collect();
-                        let cost: Vec<Vec<u64>> = w
-                            .iter()
-                            .map(|&c| {
-                                slots
-                                    .iter()
-                                    .map(|&(x, y)| db.cell_cost_at(c, x, y))
-                                    .collect()
-                            })
-                            .collect();
-                        let (assignment, _) = hungarian(&cost);
-                        for (ci, &cell) in w.iter().enumerate() {
-                            let (x, y) = slots[assignment[ci]];
-                            local_moves.push((cell, x, y));
-                        }
+                        match_window(&db, w, &mut local_moves);
                     }
                     moves.lock().extend(local_moves);
                 }
@@ -220,16 +200,10 @@ pub fn build_placement_graph(
         for t in &match_tasks {
             t.precede(&apply);
         }
-        prev_apply = Some(apply);
+        prev = Some(([pull_pri, pull_st], apply));
     }
 
-    (
-        g,
-        PlaceRun {
-            db,
-            hpwl_trace,
-        },
-    )
+    (g, PlaceRun { db, hpwl_trace })
 }
 
 #[cfg(test)]
@@ -259,9 +233,25 @@ mod tests {
         assert_eq!(info.count_kind(TaskKind::Kernel), 2 * 10);
         assert_eq!(info.count_kind(TaskKind::Pull), 2 + 2 * 2);
         assert_eq!(info.count_kind(TaskKind::Push), 2);
-        // prepare[1] depends on apply[0]: iterations are chained.
-        let p1 = info.nodes.iter().position(|n| n.name == "prepare[1]").unwrap();
-        assert_eq!(info.nodes[p1].num_deps, 1);
+        // The cut, as reachability: apply[0] orders the first reader of
+        // cell positions and nothing of MIS chain 1, which iteration 0's
+        // pulls order on the device queue.
+        let id = |name: &str| info.nodes.iter().position(|n| n.name == name).expect(name);
+        let reaches = |from: &str, to: &str| {
+            let (mut seen, mut stack) = (vec![false; info.num_tasks()], vec![id(from)]);
+            while let Some(v) = stack.pop() {
+                if !std::mem::replace(&mut seen[v], true) {
+                    stack.extend(&info.nodes[v].successors);
+                }
+            }
+            seen[id(to)]
+        };
+        assert!(!reaches("apply[0]", "mis_select[1][0]"));
+        assert!(reaches("apply[0]", "partition[1]"));
+        assert!(reaches("pull_st[0]", "prepare[1]"));
+        assert!(reaches("pull_pri[0]", "prepare[1]"));
+        // Every kernel still runs behind all four of its pulls.
+        assert!(g.analyze().is_clean(), "lint:\n{}", g.analyze().render_text());
     }
 
     #[test]

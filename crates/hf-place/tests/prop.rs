@@ -1,7 +1,9 @@
 //! Property-based tests for the placement substrate.
 
+use hf_gpu::arena::{Arena, DevicePtr};
+use hf_gpu::{KernelArgs, LaunchConfig};
 use hf_place::matching::{brute_force, hungarian};
-use hf_place::mis::{make_priorities, mis_cpu, verify_mis};
+use hf_place::mis::{self, make_priorities, mis_cpu, verify_mis};
 use hf_place::partition::partition_windows;
 use hf_place::{PlacementConfig, PlacementDb};
 use proptest::prelude::*;
@@ -27,18 +29,66 @@ fn random_csr(n: usize, edges: &[(usize, usize)]) -> (Vec<u32>, Vec<u32>) {
 }
 
 proptest! {
+    /// The sort-and-dedup CSR is byte for byte what one ordered set per
+    /// cell gave (the construction it replaced: `random_csr` above).
+    #[test]
+    fn conflict_adjacency_equals_the_set_construction(
+        cells in 4usize..300,
+        nets in 0usize..400,
+        locality in 1u32..60,
+        seed in any::<u64>(),
+    ) {
+        let db = PlacementDb::synthesize(&PlacementConfig {
+            num_cells: cells,
+            num_nets: nets,
+            locality,
+            seed,
+            ..Default::default()
+        });
+        let mut pairs = Vec::new();
+        for (net, &a) in db.nets.iter().flat_map(|net| net.pins.iter().map(move |a| (net, a))) {
+            pairs.extend(net.pins.iter().map(|&b| (a as usize, b as usize)));
+        }
+        prop_assert_eq!(db.conflict_adjacency(), random_csr(cells, &pairs));
+    }
+
     /// MIS output on any graph is independent and maximal, for any
-    /// priority seed.
+    /// priority seed, and the kernels reach it on a device arena as the
+    /// reference does: after every round the one-pass commit leaves exactly
+    /// the states of the two-pass definition, and the fixed points agree.
     #[test]
     fn mis_always_valid(
         n in 2usize..80,
         edges in proptest::collection::vec((0usize..80, 0usize..80), 0..300),
         seed in any::<u64>(),
     ) {
-        let (off, nbr) = random_csr(n, &edges);
+        let (off, mut nbr) = random_csr(n, &edges);
         let pri = make_priorities(n, seed);
+        if nbr.is_empty() {
+            nbr.push(u32::MAX); // no zero-byte device buffer, as in the graph
+        }
+        let mut arena = Arena::new(0, 4096);
+        let mut view = arena.view();
+        let (mut ptrs, mut offset) = (Vec::new(), 0);
+        for array in [&off, &nbr, &pri, &vec![mis::UNDECIDED; n]] {
+            let len = array.len() as u64 * 4;
+            ptrs.push(DevicePtr { device: 0, offset, len, capacity: len });
+            view.slice_mut::<u32>(ptrs[ptrs.len() - 1]).unwrap().copy_from_slice(array);
+            offset += len;
+        }
+        let cfg = LaunchConfig::cover(n, 32);
+        let (select, commit) = (mis::select_kernel(), mis::commit_kernel());
+        // Every round with an undecided cell decides one: n rounds suffice.
+        for _ in 0..n {
+            select(&cfg, &mut KernelArgs::new(&mut view, &ptrs));
+            let mut expect = view.slice::<u32>(ptrs[3]).unwrap().to_vec();
+            mis::commit_two_pass(&off, &nbr, &mut expect);
+            commit(&cfg, &mut KernelArgs::new(&mut view, &ptrs));
+            prop_assert_eq!(view.slice::<u32>(ptrs[3]).unwrap(), &expect[..]);
+        }
         let states = mis_cpu(&off, &nbr, &pri);
         prop_assert!(verify_mis(&off, &nbr, &states).is_ok());
+        prop_assert_eq!(view.slice::<u32>(ptrs[3]).unwrap(), &states[..]);
     }
 
     /// Hungarian matches the brute-force optimum on every small matrix

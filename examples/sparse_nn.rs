@@ -132,13 +132,17 @@ fn main() {
                 &format!("layer{li}_lane{lane}"),
                 &[&wp[0], &wp[1], &wp[2], &wp[3], cur_in, cur_out],
                 move |cfg, args| {
-                    // Read-only CSR arrays (copied out; see hf-gpu docs on
-                    // simultaneous typed views).
-                    let vals = args.slice::<f32>(0).expect("vals").to_vec();
-                    let colv = args.slice::<u32>(1).expect("cols").to_vec();
-                    let offs = args.slice::<u32>(2).expect("offs").to_vec();
-                    let bias = args.slice::<f32>(3).expect("bias").to_vec();
-                    let (x, y) = args.slice2_mut::<f32, f32>(4, 5).expect("disjoint");
+                    // All six device arrays at once, in place: the layer's
+                    // CSR weights, bias and input read-only, the output
+                    // writable.
+                    const NEED: &str = "a layer kernel needs six disjoint buffers: values \
+                        (f32), columns (u32), row offsets (u32), bias (f32), x (f32), y (f32)";
+                    let mut s = args.split().expect(NEED);
+                    let vals = s.read::<f32>(0).expect(NEED);
+                    let colv = s.read::<u32>(1).expect(NEED);
+                    let offs = s.read::<u32>(2).expect(NEED);
+                    let bias = s.read::<f32>(3).expect(NEED);
+                    let (x, y) = (s.read::<f32>(4).expect(NEED), s.write::<f32>(5).expect(NEED));
                     for r in cfg.threads() {
                         if r >= rows {
                             continue;

@@ -46,7 +46,7 @@ fn timing_correlation_end_to_end() {
 #[test]
 fn placement_end_to_end_parallel_equals_sequential() {
     let cfg = PlaceConfig {
-        iterations: 2,
+        iterations: 4,
         ..Default::default()
     };
     let db = heteroflow::place::PlacementDb::synthesize(&heteroflow::place::PlacementConfig {
@@ -55,11 +55,18 @@ fn placement_end_to_end_parallel_equals_sequential() {
         ..Default::default()
     });
     let seq = detailed_place_sequential(db.clone(), cfg);
-    let ex = Executor::new(4, 2);
-    let par = detailed_place(&ex, db, cfg).expect("placement runs");
-    assert_eq!(par.hpwl_trace, seq.hpwl_trace);
-    assert!(par.hpwl_after <= par.hpwl_before);
-    par.db.check_legal().expect("legal");
+    // One worker and one device (nothing overlaps but host and device),
+    // real stealing, and a second device: the iterations are ordered only
+    // by `apply[i] -> partition[i+1]` and the device queue, so every shape
+    // has to land on the sequential trajectory, cell for cell.
+    for (workers, gpus) in [(1, 1), (2, 1), (2, 2), (4, 2)] {
+        let ex = Executor::new(workers, gpus);
+        let par = detailed_place(&ex, db.clone(), cfg).expect("placement runs");
+        assert_eq!(par.hpwl_trace, seq.hpwl_trace, "Executor::new({workers}, {gpus})");
+        assert_eq!(par.db.cells, seq.db.cells, "Executor::new({workers}, {gpus})");
+        assert!(par.hpwl_after <= par.hpwl_before);
+        par.db.check_legal().expect("legal");
+    }
 }
 
 /// The DES model and the real executor agree on a real application graph
