@@ -238,9 +238,9 @@ pub struct Split<'a> {
 
 impl<'a> Split<'a> {
     fn take<T: Plain>(&mut self, i: usize) -> Result<&'a mut [u8], GpuError> {
-        let b = self.parts[i].take().ok_or(GpuError::Overlap { a: i, b: i })?;
-        check_elem::<T>(b.len())?;
-        Ok(b)
+        // Typed before taken: a wrong `T` leaves the part there to ask for again.
+        check_elem::<T>(self.parts[i].as_ref().map_or(0, |b| b.len()))?;
+        self.parts[i].take().ok_or(GpuError::Overlap { a: i, b: i })
     }
 
     /// Part `i` as a read-only typed slice.

@@ -114,8 +114,11 @@ proptest! {
             bad[0] = DevicePtr { offset: 1020, len: 8, ..ptrs[0] };
             prop_assert!(matches!(view.split(&bad).err(), Some(GpuError::SizeMismatch { .. })));
             bad[0] = DevicePtr { offset: 1000, len: 7, ..ptrs[0] };
-            let odd = view.split(&bad).unwrap().read::<u32>(0).err();
-            prop_assert_eq!(odd, Some(GpuError::TypeMismatch { bytes: 7, elem: 4 }));
+            let mut s = view.split(&bad).unwrap();
+            let odd = Some(GpuError::TypeMismatch { bytes: 7, elem: 4 });
+            prop_assert_eq!(s.read::<u32>(0).err(), odd);
+            // ... and still lent to a corrected retry.
+            prop_assert_eq!(s.read::<u8>(0).map(|part| part.len()), Ok(7));
         }
     }
 

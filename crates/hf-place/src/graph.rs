@@ -64,7 +64,10 @@ pub struct PlaceRun {
 
 /// Builds the Fig 8 graph over `db`. Returns the graph and the shared
 /// run state (read the final placement from `PlaceRun::db` after the run).
-pub fn build_placement_graph(db: PlacementDb, cfg: GraphConfig) -> (Heteroflow, PlaceRun) {
+pub fn build_placement_graph(
+    db: PlacementDb,
+    cfg: GraphConfig,
+) -> (Heteroflow, PlaceRun) {
     let n = db.num_cells();
     let rounds = if cfg.mis_rounds > 0 {
         cfg.mis_rounds
@@ -100,7 +103,7 @@ pub fn build_placement_graph(db: PlacementDb, cfg: GraphConfig) -> (Heteroflow, 
             let seed = cfg.seed.wrapping_add(it as u64);
             move || {
                 *h_pri.write() = make_priorities(n, seed);
-                h_st.write().fill(UNDECIDED);
+                h_st.write().iter_mut().for_each(|s| *s = UNDECIDED);
             }
         });
         if let Some(([pri, st], _)) = &prev {
@@ -203,7 +206,13 @@ pub fn build_placement_graph(db: PlacementDb, cfg: GraphConfig) -> (Heteroflow, 
         prev = Some(([pull_pri, pull_st], apply));
     }
 
-    (g, PlaceRun { db, hpwl_trace })
+    (
+        g,
+        PlaceRun {
+            db,
+            hpwl_trace,
+        },
+    )
 }
 
 #[cfg(test)]

@@ -51,12 +51,18 @@ pub fn select_kernel() -> impl Fn(&LaunchConfig, &mut KernelArgs<'_, '_>) + Send
                 continue;
             }
             let (s, e) = (offsets[v] as usize, offsets[v + 1] as usize);
-            // Only undecided neighbors compete.
-            let wins = neighbors[s..e].iter().all(|&u| {
+            let mut wins = true;
+            for &u in &neighbors[s..e] {
                 let u = u as usize;
-                let competes = matches!(states[u], UNDECIDED | TENTATIVE);
-                !competes || (priorities[v], v) < (priorities[u], u)
-            });
+                // Only undecided neighbors compete.
+                if states[u] == UNDECIDED || states[u] == TENTATIVE {
+                    let beat = (priorities[v], v) < (priorities[u], u);
+                    if !beat {
+                        wins = false;
+                        break;
+                    }
+                }
+            }
             if wins {
                 states[v] = TENTATIVE;
             }
@@ -133,7 +139,10 @@ pub fn mis_cpu(offsets: &[u32], neighbors: &[u32], priorities: &[u32]) -> Vec<u3
             }
         }
         commit_two_pass(offsets, neighbors, &mut states);
-        if !changed || states.iter().all(|&s| s != UNDECIDED) {
+        if !changed {
+            break;
+        }
+        if states.iter().all(|&s| s != UNDECIDED) {
             break;
         }
     }
@@ -238,5 +247,72 @@ mod tests {
         verify_mis(&off, &nbr, &st).unwrap();
         let members = st.iter().filter(|&&s| s == IN_SET).count();
         assert!(members > 0);
+    }
+
+    /// The two-phase kernels, run to fixed point on a software device,
+    /// agree exactly with the CPU reference.
+    #[test]
+    fn kernels_match_cpu_reference() {
+        use hf_core::data::HostVec;
+        use hf_core::{Executor, Heteroflow};
+
+        let db = PlacementDb::synthesize(&PlacementConfig {
+            num_cells: 300,
+            num_nets: 400,
+            ..Default::default()
+        });
+        let (off, nbr) = db.conflict_adjacency();
+        let pri = make_priorities(db.num_cells(), 99);
+        let expect = mis_cpu(&off, &nbr, &pri);
+        let rounds = 32; // generous upper bound for n=300
+
+        let ex = Executor::new(2, 1);
+        let g = Heteroflow::new("mis");
+        let h_off: HostVec<u32> = HostVec::from_vec(off.clone());
+        let h_nbr: HostVec<u32> = HostVec::from_vec(if nbr.is_empty() {
+            vec![u32::MAX] // avoid zero-byte pull
+        } else {
+            nbr.clone()
+        });
+        let h_pri: HostVec<u32> = HostVec::from_vec(pri.clone());
+        let h_st: HostVec<u32> = HostVec::from_vec(vec![UNDECIDED; db.num_cells()]);
+
+        let p_off = g.pull("off", &h_off);
+        let p_nbr = g.pull("nbr", &h_nbr);
+        let p_pri = g.pull("pri", &h_pri);
+        let p_st = g.pull("st", &h_st);
+        let n = db.num_cells();
+        let mut prev: Option<hf_core::KernelTask> = None;
+        for r in 0..rounds {
+            let sel = g.kernel(
+                &format!("sel{r}"),
+                &[&p_off, &p_nbr, &p_pri, &p_st],
+                select_kernel(),
+            );
+            sel.cover(n, 128);
+            let com = g.kernel(
+                &format!("com{r}"),
+                &[&p_off, &p_nbr, &p_pri, &p_st],
+                commit_kernel(),
+            );
+            com.cover(n, 128);
+            match &prev {
+                None => {
+                    sel.succeed_all(&[&p_off, &p_nbr, &p_pri, &p_st]);
+                }
+                Some(p) => {
+                    sel.succeed(p);
+                }
+            }
+            sel.precede(&com);
+            prev = Some(com);
+        }
+        let push = g.push("push_st", &p_st, &h_st);
+        push.succeed(prev.as_ref().unwrap());
+        ex.run(&g).wait().unwrap();
+
+        let got = h_st.to_vec();
+        assert_eq!(got, expect, "kernel fixed point differs from CPU");
+        verify_mis(&off, &nbr, &got).unwrap();
     }
 }
