@@ -2,7 +2,7 @@
 //! interface ([`groups`] + [`Placement::from_bins`]) — the core itself
 //! knows only the paper's packing.
 
-use hf_core::placement::{device_placement, groups, Placement, PlacementPolicy, PlacementView};
+use hf_core::placement::{device_placement, groups, Placement, PlacementView};
 use hf_core::HfError;
 use hf_gpu::CostModel;
 
@@ -30,7 +30,7 @@ impl Packer {
         cost: &CostModel,
     ) -> Result<Placement, HfError> {
         if gpus == 0 || self == Packer::Balanced {
-            return device_placement(graph, gpus, PlacementPolicy::BalancedLoad, cost);
+            return device_placement(graph, gpus, cost);
         }
         let groups = groups(graph, cost, None);
         // The seed feeds a splitmix64 stream (the draws A1's recorded

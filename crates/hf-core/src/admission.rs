@@ -111,7 +111,7 @@ pub struct LaneView<'a> {
     /// older).
     pub head_seq: u64,
     /// Modeled cost of the head submission (GPU-nanoseconds from the
-    /// cost model, with a flat per-task fallback).
+    /// seeded per-task costs, with a flat per-task fallback).
     pub head_cost_ns: u64,
 }
 

@@ -6,7 +6,7 @@
 //! applications" (Listing 11).
 
 use crate::graph::{Builder, Heteroflow, TaskKind};
-use crate::placement::{device_placement, PlacementPolicy};
+use crate::placement::device_placement;
 use std::collections::{BTreeMap, BTreeSet};
 
 fn escape(s: &str) -> String {
@@ -94,9 +94,8 @@ impl Heteroflow {
     /// per device, as assigned by Algorithm 1 at the given GPU count —
     /// shows where the scheduler would place every task.
     pub fn dump_placed(&self, num_gpus: u32) -> Result<String, crate::HfError> {
-        let policy = PlacementPolicy::BalancedLoad;
         let cost = hf_gpu::CostModel::default();
-        let placement = device_placement(&self.info()?, num_gpus, policy, &cost)?;
+        let placement = device_placement(&self.info()?, num_gpus, &cost)?;
         let b = self.shared.builder.lock();
         Ok(emit(&b, &|_| None, Some(&placement.device_of)))
     }

@@ -29,7 +29,7 @@ use crate::error::HfError;
 use crate::graph::{FrozenGraph, Heteroflow, SchedCache, Work};
 use crate::lifecycle::{lifecycle_now_ns, LifecycleEvent, LifecyclePhase};
 use crate::observer::ExecutorObserver;
-use crate::placement::{PlaceInput, Placement, PlacementPolicy};
+use crate::placement::{PlaceInput, Placement};
 use crate::ready::ReadyBatch;
 use crate::registry::{Token, TopoRegistry};
 use crate::retry::RetryPolicy;
@@ -75,7 +75,6 @@ pub(crate) struct ExecInner {
     pub(crate) idle_lock: Mutex<()>,
     pub(crate) idle_cv: Condvar,
     pub(crate) gpu: Arc<GpuRuntime>,
-    pub(crate) policy: PlacementPolicy,
     /// Decaying estimate of modeled load already packed per device, used
     /// to bias placement of later topologies toward idle GPUs.
     pub(crate) device_load: Mutex<Vec<f64>>,
@@ -98,11 +97,9 @@ pub(crate) struct ExecInner {
     pub(crate) copy_chunk_threshold: usize,
     /// Copy-lane streams per (worker, device) used by pipelined pulls.
     pub(crate) copy_lanes: usize,
-    /// EWMA feedback of modeled per-task durations; consulted by the
-    /// locality placement policy and seedable from external history.
+    /// Per-task durations seeded from outside ([`Executor::seed_task_cost`]);
+    /// a placement weighs a seeded task with its seed.
     pub(crate) cost_db: crate::costmodel::CostDb,
-    /// Pin worker `i` to CPU core `i % cores` (feature `core_affinity`).
-    pub(crate) pin_workers: bool,
     /// Submission ids handed to topologies/futures and stamped onto
     /// lifecycle events (starts at 1; 0 is reserved for ready futures).
     pub(crate) run_seq: AtomicU64,
@@ -111,17 +108,6 @@ pub(crate) struct ExecInner {
 }
 
 impl ExecInner {
-    /// Records one executed task's modeled duration into the cost
-    /// database (locality policy only; `BalancedLoad` skips the feedback
-    /// loop entirely so its hot path never touches [`CostDb`]).
-    ///
-    /// [`CostDb`]: crate::costmodel::CostDb
-    pub(crate) fn observe_cost(&self, graph: &str, task: &str, nanos: f64) {
-        if self.policy == PlacementPolicy::Locality {
-            self.cost_db.observe(graph, task, nanos);
-        }
-    }
-
     /// Lifecycle fast-path gate: `true` only when at least one registered
     /// observer is active. With no observers (or all inactive) every
     /// lifecycle emission site reduces to this check — no event is
@@ -179,12 +165,12 @@ impl ExecInner {
         self.emit(|| task_event(topo, phase, node, worker, chain, ok, detail));
     }
 
-    /// The one call into [`crate::placement::place`], and the only place
-    /// [`PlacementPolicy`] shapes a placement: it selects what the routine
-    /// is fed (`Locality`: a refined-cost snapshot and warm residency;
-    /// `BalancedLoad`: neither). Devices lost by now are masked out and
-    /// counted once each in `devices_lost`; groups of `prev` (a previous
-    /// `device_of`; empty places everything) on a surviving device stay.
+    /// The one call into [`crate::placement::place`], fed the seeds
+    /// recorded for the graph (none on an executor nobody seeded) next to
+    /// the residency the frozen graph itself reports. Devices lost by now
+    /// are masked out and counted once each in `devices_lost`; groups of
+    /// `prev` (a previous `device_of`; empty places everything) on a
+    /// surviving device stay.
     ///
     /// Only a first placement on a healthy executor reads and updates the
     /// decayed cross-graph load — with a device lost it may describe dead
@@ -202,8 +188,7 @@ impl ExecInner {
                 self.stats.devices_lost.incr();
             }
         }
-        let locality = self.policy == PlacementPolicy::Locality;
-        let refined = locality.then(|| self.cost_db.snapshot_for(frozen.name()));
+        let seeds = Some(self.cost_db.snapshot_for(frozen.name())).filter(|s| !s.is_empty());
         let cost = devices.first().map(|d| d.cost_model()).unwrap_or_default();
         let biased = prev.is_empty() && !lost.contains(&true);
         let mut bias = biased.then(|| self.device_load.lock());
@@ -214,8 +199,7 @@ impl ExecInner {
             lost: &lost,
             initial_loads: bias.as_deref().map_or(&[], Vec::as_slice),
             prev,
-            refined: refined.as_ref(),
-            warm: locality,
+            refined: seeds.as_ref(),
         };
         let placement = crate::placement::place(frozen, &cost, &input)?;
         let own_loads = bias.map(|mut dl| {
@@ -326,14 +310,12 @@ pub(crate) struct ExecPlan {
     pub(crate) lint_report: Option<Arc<crate::analyze::Report>>,
 }
 
-/// Builder for [`Executor`] with non-default GPU configuration, placement
-/// policy, or scheduling knobs.
+/// Builder for [`Executor`] with a shared GPU runtime or non-default
+/// scheduling knobs.
 pub struct ExecutorBuilder {
     cpus: usize,
     gpus: u32,
-    gpu_config: GpuConfig,
     shared_gpu: Option<Arc<GpuRuntime>>,
-    policy: PlacementPolicy,
     adaptive_sleep: bool,
     fusion: bool,
     observers: Vec<Arc<dyn ExecutorObserver>>,
@@ -341,7 +323,6 @@ pub struct ExecutorBuilder {
     retry: RetryPolicy,
     copy_chunk_threshold: usize,
     copy_lanes: usize,
-    pin_workers: bool,
     lint: LintPolicy,
 }
 
@@ -350,7 +331,6 @@ impl std::fmt::Debug for ExecutorBuilder {
         f.debug_struct("ExecutorBuilder")
             .field("cpus", &self.cpus)
             .field("gpus", &self.gpus)
-            .field("policy", &self.policy)
             .field("adaptive_sleep", &self.adaptive_sleep)
             .field("observers", &self.observers.len())
             .finish()
@@ -363,9 +343,7 @@ impl ExecutorBuilder {
         Self {
             cpus,
             gpus,
-            gpu_config: GpuConfig::default(),
             shared_gpu: None,
-            policy: PlacementPolicy::BalancedLoad,
             adaptive_sleep: true,
             fusion: true,
             observers: Vec::new(),
@@ -373,7 +351,6 @@ impl ExecutorBuilder {
             retry: RetryPolicy::default(),
             copy_chunk_threshold: DEFAULT_COPY_CHUNK_THRESHOLD,
             copy_lanes: DEFAULT_COPY_LANES,
-            pin_workers: false,
             lint: LintPolicy::default(),
         }
     }
@@ -383,16 +360,6 @@ impl ExecutorBuilder {
     /// [`LintPolicy`] and [`crate::Heteroflow::analyze`].
     pub fn lint_policy(mut self, policy: LintPolicy) -> Self {
         self.lint = policy;
-        self
-    }
-
-    /// Pins worker thread `i` to CPU core `i % available_cores` on spawn,
-    /// keeping each worker's cache and NUMA locality stable across its
-    /// lifetime (default off). Pinning requires the `core_affinity`
-    /// feature on Linux/x86-64; elsewhere the knob is accepted but
-    /// pinning is a no-op.
-    pub fn pin_workers(mut self, on: bool) -> Self {
-        self.pin_workers = on;
         self
     }
 
@@ -422,21 +389,9 @@ impl ExecutorBuilder {
         self
     }
 
-    /// Overrides the GPU configuration (memory size, cost model, ...).
-    pub fn gpu_config(mut self, cfg: GpuConfig) -> Self {
-        self.gpu_config = cfg;
-        self
-    }
-
     /// Shares an existing GPU runtime instead of creating one.
     pub fn gpu_runtime(mut self, rt: Arc<GpuRuntime>) -> Self {
         self.shared_gpu = Some(rt);
-        self
-    }
-
-    /// Overrides the device placement policy (Algorithm 1's packing step).
-    pub fn placement_policy(mut self, p: PlacementPolicy) -> Self {
-        self.policy = p;
         self
     }
 
@@ -483,7 +438,7 @@ impl ExecutorBuilder {
         let cpus = self.cpus.max(1);
         let gpu = self
             .shared_gpu
-            .unwrap_or_else(|| Arc::new(GpuRuntime::new(self.gpus, self.gpu_config)));
+            .unwrap_or_else(|| Arc::new(GpuRuntime::new(self.gpus, GpuConfig::default())));
         if let Some(trace) = &self.tracer {
             trace.connect_gpu(&gpu);
         }
@@ -504,7 +459,6 @@ impl ExecutorBuilder {
             idle_lock: Mutex::new(()),
             idle_cv: Condvar::new(),
             gpu: Arc::clone(&gpu),
-            policy: self.policy,
             device_load: Mutex::new(vec![0.0; gpu.num_devices() as usize]),
             stats: ExecutorStats::new(cpus),
             adaptive_sleep: self.adaptive_sleep,
@@ -517,7 +471,6 @@ impl ExecutorBuilder {
             copy_chunk_threshold: self.copy_chunk_threshold,
             copy_lanes: self.copy_lanes,
             cost_db: crate::costmodel::CostDb::new(),
-            pin_workers: self.pin_workers,
             run_seq: AtomicU64::new(0),
             lint: self.lint,
         });
@@ -607,18 +560,18 @@ impl Executor {
         s
     }
 
-    /// The per-task cost database backing the locality placement policy.
-    /// Exposed for inspection; prefer [`Executor::seed_task_cost`] for
-    /// pre-loading estimates.
+    /// The table of per-task cost seeds placement reads. Exposed for
+    /// inspection; [`Executor::seed_task_cost`] fills it.
     pub fn cost_db(&self) -> &crate::costmodel::CostDb {
         &self.inner.cost_db
     }
 
-    /// Seeds the locality cost model with an external duration estimate
-    /// (nanoseconds of modeled device time) for `task` of `graph` — e.g.
-    /// from a persisted timing profile — so the very first placement of a
-    /// known workload is already informed. Estimates observed at runtime
-    /// take precedence over seeds.
+    /// Tells placement how long `task` of `graph` takes (nanoseconds of
+    /// modeled device time), from a measurement or a persisted profile:
+    /// the next placement of that graph weighs the task with it instead
+    /// of the analytic model. The last value wins; a NaN, infinite or
+    /// negative one is dropped. A plan already cached for an unchanged
+    /// graph is not re-made.
     pub fn seed_task_cost(&self, graph: &str, task: &str, nanos: f64) {
         self.inner.cost_db.seed(graph, task, nanos);
     }

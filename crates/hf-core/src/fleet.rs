@@ -50,9 +50,9 @@ pub struct FleetConfig {
     /// Further submissions park in their tenant queues. Clamped to at
     /// least 1.
     pub max_inflight: usize,
-    /// Modeled cost (nanoseconds) assumed per task when the cost model
-    /// has no refined estimate for it yet — the virtual-time currency
-    /// before observations exist.
+    /// Modeled cost (nanoseconds) assumed per task nobody seeded
+    /// (`Executor::seed_task_cost`) — the virtual-time currency when no
+    /// profile exists.
     pub default_task_cost_ns: u64,
 }
 
@@ -405,8 +405,8 @@ impl Fleet {
 }
 
 impl FleetInner {
-    /// Modeled cost of one run of `hf`: the sum of the cost model's
-    /// refined per-task estimates where they exist, with a flat
+    /// Modeled cost of one run of `hf`: the sum of the per-task seeds
+    /// (`Executor::seed_task_cost`) where they exist, with a flat
     /// [`FleetConfig::default_task_cost_ns`] fallback for the rest.
     /// Returns `(per_run_ns, per_task_ns)`; the latter is the unit a
     /// retry is billed at.
@@ -416,8 +416,8 @@ impl FleetInner {
             return (1, 1);
         }
         let db = self.exec.cost_db();
-        // The cost database is only populated under the locality policy;
-        // skip the graph-name allocation and scan when it has nothing.
+        // Only `Executor::seed_task_cost` fills the table; skip the
+        // graph-name allocation and scan when nobody has.
         let (refined, covered) = if db.is_empty() {
             (0.0, 0)
         } else {

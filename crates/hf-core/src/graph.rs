@@ -233,6 +233,20 @@ pub(crate) struct GpuNode {
     pub(crate) pull_state: Mutex<PullState>,
 }
 
+impl GpuNode {
+    /// Work a kernel is priced at, everywhere it is priced (the device
+    /// when it runs, Algorithm 1 in the executor, `GraphInfo` and so
+    /// `hf-sim`): the declared units, or one per launched thread when
+    /// none are declared.
+    pub(crate) fn priced_work_units(declared: f64, cfg: &LaunchConfig) -> f64 {
+        if declared > 0.0 {
+            declared
+        } else {
+            cfg.total_threads() as f64
+        }
+    }
+}
+
 impl FrozenGraph {
     /// Number of tasks.
     pub fn num_tasks(&self) -> usize {
@@ -280,7 +294,7 @@ pub(crate) struct RunState {
 /// submission recomputes.
 pub(crate) struct SchedCache {
     /// Identity of the executor the placement was computed for (device
-    /// count, policy, cost model and fusion flag are per-executor).
+    /// count, cost model and fusion flag are per-executor).
     pub(crate) exec_id: u64,
     /// Builder epoch the cache was computed at.
     pub(crate) epoch: u64,

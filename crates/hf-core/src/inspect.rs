@@ -6,7 +6,7 @@
 //! form, and it doubles as a stable inspection API for tests and tools.
 
 use crate::error::HfError;
-use crate::graph::{Heteroflow, TaskKind, Work};
+use crate::graph::{GpuNode, Heteroflow, TaskKind, Work};
 use hf_gpu::LaunchConfig;
 
 /// Structural description of one task.
@@ -35,13 +35,9 @@ pub struct NodeInfo {
 
 impl NodeInfo {
     /// Effective modeled kernel work: declared units, or the launch's
-    /// total thread count when undeclared — matching the executor's rule.
+    /// total thread count when undeclared — the executor's rule, shared.
     pub fn effective_work_units(&self) -> f64 {
-        if self.work_units > 0.0 {
-            self.work_units
-        } else {
-            self.launch.total_threads() as f64
-        }
+        GpuNode::priced_work_units(self.work_units, &self.launch)
     }
 }
 

@@ -55,7 +55,6 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod affinity;
 pub mod analyze;
 pub mod costmodel;
 pub mod data;
@@ -92,7 +91,7 @@ pub use graph::{FrozenGraph, Heteroflow, TaskKind};
 pub use inspect::{GraphInfo, NodeInfo};
 pub use lifecycle::{lifecycle_now_ns, LifecycleEvent, LifecyclePhase};
 pub use observer::{ExecutorObserver, SpanCat, TraceCollector, TraceSpan, Track};
-pub use placement::{device_placement, place, PlaceInput, Placement, PlacementPolicy};
+pub use placement::{device_placement, place, PlaceInput, Placement};
 pub use retry::{OnDeviceLoss, RetryPolicy};
 pub use stats::{ExecutorStats, StatsSnapshot};
 pub use stream::{Session, StreamConfig};

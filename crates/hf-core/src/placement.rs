@@ -13,7 +13,7 @@
 
 use crate::costmodel::TaskCosts;
 use crate::error::HfError;
-use crate::graph::{FrozenGraph, TaskKind, Work};
+use crate::graph::{FrozenGraph, GpuNode, TaskKind, Work};
 use crate::inspect::GraphInfo;
 use hf_gpu::CostModel;
 use hf_sync::UnionFind;
@@ -36,16 +36,16 @@ pub trait PlacementView {
     /// Modeled device-time weight of node `i` for bin packing.
     fn weight_of(&self, i: usize, cost: &CostModel) -> f64;
     /// Bytes node `i` would move (pulls/pushes; 0 otherwise). Feeds the
-    /// locality policy's estimate of transfer bytes saved by warm
-    /// placement. Views without byte information may keep the default.
+    /// estimate of transfer bytes saved by warm placement. Views without
+    /// byte information may keep the default.
     fn bytes_of(&self, _i: usize) -> usize {
         0
     }
     /// Device currently holding a warm, version-valid copy of pull `i`'s
-    /// buffer, if any. The locality policy zeroes that edge's transfer
-    /// cost on this device so placement gravitates to where the
-    /// transfer-elision layer will actually fire. Structural views with
-    /// no runtime residency keep the default (`None`).
+    /// buffer, if any. [`place`] charges that device nothing for the pull,
+    /// so placement gravitates to where the transfer-elision layer will
+    /// actually fire. Structural views with no runtime residency keep the
+    /// default (`None`).
     fn warm_device(&self, _i: usize) -> Option<u32> {
         None
     }
@@ -83,8 +83,7 @@ impl PlacementView for FrozenGraph {
             Work::Pull { source } => cost.h2d(source.byte_len()).as_nanos() as f64,
             Work::Kernel { .. } => {
                 let gpu = self.gpu(i).expect("kernels are GPU nodes");
-                let units = gpu.work_units.max(gpu.cfg.total_threads() as f64);
-                cost.kernel(units).as_nanos() as f64
+                cost.kernel(GpuNode::priced_work_units(gpu.work_units, &gpu.cfg)).as_nanos() as f64
             }
             _ => 0.0,
         }
@@ -155,22 +154,6 @@ impl PlacementView for GraphInfo {
     }
 }
 
-/// What the executor feeds [`place`]. The packing itself is one routine;
-/// the policy only selects its inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementPolicy {
-    /// The paper's default: analytic weights, residency ignored. Longest
-    /// processing time first onto the least-loaded bin.
-    #[default]
-    BalancedLoad,
-    /// Weights refined by EWMA feedback from executed epochs (a
-    /// [`TaskCosts`] snapshot), and a device already holding a warm,
-    /// version-valid copy of a pull's buffer has that transfer's cost
-    /// subtracted — resubmissions gravitate to where transfer elision
-    /// actually fires instead of chasing queue depth alone.
-    Locality,
-}
-
 /// Result of device placement for one topology.
 #[derive(Debug, Clone)]
 pub struct Placement {
@@ -182,10 +165,9 @@ pub struct Placement {
     /// [`PlaceInput::initial_loads`] (nanoseconds).
     pub loads: Vec<f64>,
     /// Groups placed on a device already holding a warm copy of at least
-    /// one of their pulls (0 unless [`PlaceInput::warm`]).
+    /// one of their pulls.
     pub warm_hits: u64,
-    /// Transfer bytes warm placement is expected to save via elision
-    /// (0 unless [`PlaceInput::warm`]).
+    /// Transfer bytes warm placement is expected to save via elision.
     pub est_bytes_saved: u64,
 }
 
@@ -235,9 +217,9 @@ impl Placement {
     }
 }
 
-/// The one place a packing weight comes from: the refined estimate when a
-/// usable one exists (estimates arrive from outside the program, so a
-/// NaN, infinite or negative one is ignored), else the analytic model.
+/// The one place a packing weight comes from: the seeded estimate when a
+/// usable one exists (seeds arrive from outside the program, so a NaN,
+/// infinite or negative one is ignored), else the analytic model.
 fn weight<G: PlacementView + ?Sized>(
     graph: &G,
     id: usize,
@@ -305,20 +287,20 @@ pub struct PlaceInput<'a> {
     /// device stays there (its residency stays warm and nothing that
     /// completed has to replay); empty places everything.
     pub prev: &'a [Option<u32>],
-    /// EWMA-refined per-task weights replacing the analytic ones.
+    /// Seeded per-task weights replacing the analytic ones; `None` when
+    /// the graph has no seeds (no task name is then looked up).
     pub refined: Option<&'a TaskCosts>,
-    /// Consult [`PlacementView::warm_device`]: a surviving bin holding a
-    /// current copy of a pull's buffer is charged nothing for that pull.
-    pub warm: bool,
 }
 
 /// Algorithm 1 (*DevicePlacement*): first placement, cross-graph bias,
-/// measured weights and failover re-placement are all this routine with
+/// seeded weights and failover re-placement are all this routine with
 /// a different [`PlaceInput`].
 ///
 /// Groups each kernel with its source pulls, keeps every group pinned by
 /// `input.prev`, and packs the rest heaviest first, each onto the
-/// surviving bin minimising `load + weight - saved transfers`. Returns
+/// surviving bin minimising `load + weight - saved transfers`, where a
+/// bin saves the transfer of every pull it already holds a current copy
+/// of ([`PlacementView::warm_device`]). Returns
 /// [`HfError::NoGpus`] if the graph contains GPU tasks but no bin
 /// survives.
 pub fn place<G: PlacementView + ?Sized>(
@@ -364,13 +346,13 @@ pub fn place<G: PlacementView + ?Sized>(
 
     let (mut warm_hits, mut est_bytes_saved) = (0u64, 0u64);
     // Per bin: transfer time and bytes a warm copy there would save this
-    // group. All zero unless `input.warm`.
+    // group.
     let (mut save, mut saved_bytes) = (vec![0.0f64; bins], vec![0u64; bins]);
     for gi in open {
         let g = &groups[gi];
         save.fill(0.0);
         saved_bytes.fill(0);
-        let pulls = g.members.iter().filter(|&&m| input.warm && graph.kind_of(m) == TaskKind::Pull);
+        let pulls = g.members.iter().filter(|&&m| graph.kind_of(m) == TaskKind::Pull);
         for &m in pulls {
             // A lost device's warmth died with its arena.
             if let Some(d) = graph.warm_device(m).map(|d| d as usize).filter(|&d| alive(d)) {
@@ -400,17 +382,14 @@ pub fn place<G: PlacementView + ?Sized>(
 }
 
 /// A fresh placement of `graph` on `num_gpus` healthy, idle devices —
-/// [`place`] with nothing lost, nothing pinned and nothing measured;
-/// `policy` decides only whether warm residency is consulted.
+/// [`place`] with nothing lost, nothing pinned and nothing seeded.
 pub fn device_placement<G: PlacementView + ?Sized>(
     graph: &G,
     num_gpus: u32,
-    policy: PlacementPolicy,
     cost: &CostModel,
 ) -> Result<Placement, HfError> {
     let input = PlaceInput {
         lost: &vec![false; num_gpus as usize],
-        warm: policy == PlacementPolicy::Locality,
         ..Default::default()
     };
     place(graph, cost, &input)
@@ -437,8 +416,7 @@ mod tests {
         px.precede(&k1).precede(&k2);
         py.precede(&k3);
         let f = g.freeze().unwrap();
-        let p = device_placement(&*f, 4, PlacementPolicy::BalancedLoad, &CostModel::default())
-            .unwrap();
+        let p = device_placement(&*f, 4, &CostModel::default()).unwrap();
         assert_eq!(p.num_groups, 2);
         let d_px = p.device_of[px.id()].unwrap();
         assert_eq!(p.device_of[k1.id()], Some(d_px));
@@ -460,8 +438,7 @@ mod tests {
         px.precede(&k);
         py.precede(&k);
         let f = g.freeze().unwrap();
-        let p = device_placement(&*f, 4, PlacementPolicy::BalancedLoad, &CostModel::default())
-            .unwrap();
+        let p = device_placement(&*f, 4, &CostModel::default()).unwrap();
         assert_eq!(p.num_groups, 1);
         let d = p.device_of[k.id()];
         assert_eq!(p.device_of[px.id()], d);
@@ -476,8 +453,7 @@ mod tests {
         let s = g.push("push_x", &px, &x);
         px.precede(&s);
         let f = g.freeze().unwrap();
-        let p = device_placement(&*f, 2, PlacementPolicy::BalancedLoad, &CostModel::default())
-            .unwrap();
+        let p = device_placement(&*f, 2, &CostModel::default()).unwrap();
         assert_eq!(p.device_of[s.id()], p.device_of[px.id()]);
     }
 
@@ -486,8 +462,7 @@ mod tests {
         let g = Heteroflow::new("h");
         let h = g.host("h", || {});
         let f = g.freeze().unwrap();
-        let p = device_placement(&*f, 2, PlacementPolicy::BalancedLoad, &CostModel::default())
-            .unwrap();
+        let p = device_placement(&*f, 2, &CostModel::default()).unwrap();
         assert_eq!(p.device_of[h.id()], None);
         assert_eq!(p.num_groups, 0);
     }
@@ -499,7 +474,7 @@ mod tests {
         g.pull("px", &x);
         let f = g.freeze().unwrap();
         assert!(matches!(
-            device_placement(&*f, 0, PlacementPolicy::BalancedLoad, &CostModel::default()),
+            device_placement(&*f, 0, &CostModel::default()),
             Err(HfError::NoGpus { .. })
         ));
     }
@@ -509,8 +484,7 @@ mod tests {
         let g = Heteroflow::new("cpu");
         g.host("a", || {});
         let f = g.freeze().unwrap();
-        let p = device_placement(&*f, 0, PlacementPolicy::BalancedLoad, &CostModel::default())
-            .unwrap();
+        let p = device_placement(&*f, 0, &CostModel::default()).unwrap();
         assert!(p.device_of.iter().all(|d| d.is_none()));
     }
 
@@ -525,8 +499,7 @@ mod tests {
             p.precede(&k);
         }
         let f = g.freeze().unwrap();
-        let p = device_placement(&*f, 4, PlacementPolicy::BalancedLoad, &CostModel::default())
-            .unwrap();
+        let p = device_placement(&*f, 4, &CostModel::default()).unwrap();
         assert_eq!(p.num_groups, 12);
         assert!(p.imbalance() < 1.01, "imbalance {}", p.imbalance());
         // Every device hosts exactly 3 groups' worth of load.
@@ -556,7 +529,7 @@ mod tests {
         }
         let f = g.freeze().unwrap();
         let cost = CostModel::default();
-        let orig = device_placement(&*f, 3, PlacementPolicy::BalancedLoad, &cost).unwrap();
+        let orig = device_placement(&*f, 3, &cost).unwrap();
         // Lose device 1.
         let lost = vec![false, true, false];
         let input = PlaceInput {
@@ -629,10 +602,10 @@ mod tests {
         st.resident_version = Some(version);
     }
 
-    /// A warm, version-valid device wins load ties under the locality
-    /// policy, and the placement reports the expected savings.
+    /// A warm, version-valid device wins load ties, and the placement
+    /// reports the expected savings.
     #[test]
-    fn locality_warm_device_wins_ties() {
+    fn warm_device_wins_ties() {
         let g = Heteroflow::new("warm");
         let x: HostVec<u8> = HostVec::from_vec(vec![0; 4096]);
         let y: HostVec<u8> = HostVec::from_vec(vec![0; 4096]);
@@ -643,8 +616,7 @@ mod tests {
         // 0 first): only warm attraction can produce this placement.
         set_warm(&f, px.id(), 1, x.version(), 4096);
         set_warm(&f, py.id(), 0, y.version(), 4096);
-        let p = device_placement(&*f, 2, PlacementPolicy::Locality, &CostModel::default())
-            .unwrap();
+        let p = device_placement(&*f, 2, &CostModel::default()).unwrap();
         assert_eq!(p.device_of[px.id()], Some(1));
         assert_eq!(p.device_of[py.id()], Some(0));
         assert_eq!(p.warm_hits, 2);
@@ -654,10 +626,10 @@ mod tests {
     }
 
     /// Stale residency (host buffer mutated since the copy) must not
-    /// attract placement: the version no longer matches, so the policy
-    /// falls back to plain balanced packing.
+    /// attract placement: the version no longer matches, so the packing
+    /// is the plain balanced one.
     #[test]
-    fn locality_stale_residency_does_not_attract() {
+    fn stale_residency_does_not_attract() {
         let g = Heteroflow::new("stale");
         let x: HostVec<u8> = HostVec::from_vec(vec![0; 4096]);
         let y: HostVec<u8> = HostVec::from_vec(vec![0; 4096]);
@@ -669,8 +641,7 @@ mod tests {
         // Mutate both hosts: residency versions are now stale.
         x.write()[0] = 1;
         y.write()[0] = 1;
-        let p = device_placement(&*f, 2, PlacementPolicy::Locality, &CostModel::default())
-            .unwrap();
+        let p = device_placement(&*f, 2, &CostModel::default()).unwrap();
         assert_eq!(p.warm_hits, 0);
         assert_eq!(p.est_bytes_saved, 0);
         // Tie-break order reasserts itself: px (first group) on device 0,
@@ -682,7 +653,7 @@ mod tests {
     /// Warm residency is only worth its transfer cost: a large load gap
     /// still moves the group off the warm device.
     #[test]
-    fn locality_load_gap_overrides_warmth() {
+    fn load_gap_overrides_warmth() {
         let g = Heteroflow::new("gap");
         let x: HostVec<u8> = HostVec::from_vec(vec![0; 1024]);
         let px = g.pull("px", &x);
@@ -695,7 +666,6 @@ mod tests {
         let input = PlaceInput {
             lost: &[false; 2],
             initial_loads: &bias,
-            warm: true,
             ..Default::default()
         };
         let p = place(&*f, &cost, &input).unwrap();
@@ -703,9 +673,9 @@ mod tests {
         assert_eq!(p.warm_hits, 0);
     }
 
-    /// EWMA-refined costs replace analytic weights in the packing.
+    /// Seeded costs replace analytic weights in the packing.
     #[test]
-    fn refined_costs_reweigh_groups() {
+    fn seeded_costs_reweigh_groups() {
         let g = Heteroflow::new("refined");
         let x: HostVec<u8> = HostVec::from_vec(vec![0; 1024]);
         let mut pulls = Vec::new();
@@ -715,10 +685,10 @@ mod tests {
         let f = g.freeze().unwrap();
         let cost = CostModel::default();
         let db = crate::costmodel::CostDb::new();
-        // p0 is observed to be 10x heavier than the analytic estimate;
-        // LPT must isolate it and pair the two light pulls.
+        // p0 is seeded 10x heavier than the analytic estimate; LPT must
+        // isolate it and pair the two light pulls.
         let analytic = cost.h2d(1024).as_nanos() as f64;
-        db.observe("refined", "p0", analytic * 10.0);
+        db.seed("refined", "p0", analytic * 10.0);
         let snap = db.snapshot_for("refined");
         let input = PlaceInput {
             lost: &[false; 2],
@@ -745,15 +715,16 @@ mod tests {
         let bad = TaskCosts::unchecked(&[("p0", f64::NAN), ("p1", f64::INFINITY), ("p2", -5.0)]);
         let input = PlaceInput { lost: &[false; 2], refined: Some(&bad), ..Default::default() };
         let with_bad = place(&*f, &cost, &input).unwrap();
-        let without = device_placement(&*f, 2, PlacementPolicy::BalancedLoad, &cost).unwrap();
+        let without = device_placement(&*f, 2, &cost).unwrap();
         assert_eq!(with_bad.device_of, without.device_of);
         assert_eq!(with_bad.loads, without.loads);
     }
 
-    /// Failover under the locality policy re-homes a stranded group onto
-    /// the alive device already holding its data warm.
+    /// Failover re-homes a stranded group onto the alive device already
+    /// holding its data warm, not the first alive bin (device 1) plain LPT
+    /// would pick.
     #[test]
-    fn failover_locality_prefers_warm_survivor() {
+    fn failover_prefers_warm_survivor() {
         let g = Heteroflow::new("fw");
         let x: HostVec<u8> = HostVec::from_vec(vec![0; 2048]);
         let px = g.pull("px", &x);
@@ -768,13 +739,10 @@ mod tests {
             prev: &old,
             ..Default::default()
         };
-        let balanced = place(&*f, &cost, &input).unwrap();
-        // Plain LPT picks the first alive bin (device 1).
-        assert_eq!(balanced.device_of[px.id()], Some(1));
-        let locality = place(&*f, &cost, &PlaceInput { warm: true, ..input }).unwrap();
-        assert_eq!(locality.device_of[px.id()], Some(2));
-        assert_eq!(locality.warm_hits, 1);
-        assert_eq!(locality.est_bytes_saved, 2048);
+        let p = place(&*f, &cost, &input).unwrap();
+        assert_eq!(p.device_of[px.id()], Some(2));
+        assert_eq!(p.warm_hits, 1);
+        assert_eq!(p.est_bytes_saved, 2048);
     }
 
     /// The cost-weighted imbalance metric: max over mean, defined even

@@ -36,7 +36,7 @@ pub use crate::fleet::{Fleet, FleetConfig, FleetSnapshot, TenantSnapshot};
 pub use crate::graph::{FrozenGraph, Heteroflow, TaskKind};
 pub use crate::lifecycle::{LifecycleEvent, LifecyclePhase};
 pub use crate::observer::{SpanCat, TraceCollector, Track};
-pub use crate::placement::{Placement, PlacementPolicy};
+pub use crate::placement::Placement;
 pub use crate::retry::{OnDeviceLoss, RetryPolicy};
 pub use crate::stats::{ExecutorStats, StatsSnapshot};
 pub use crate::stream::{Session, StreamConfig};

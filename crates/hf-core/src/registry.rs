@@ -86,7 +86,7 @@ impl TopoRegistry {
             self.segments[seg].store(seg_ptr, Ordering::Release);
         }
         let ptr = Arc::into_raw(Arc::clone(topo)) as *mut Topology;
-        // Safety: `off < len` by construction and the segment was just
+        // SAFETY: `off < len` by construction and the segment was just
         // published (or already was); only this mutex-holding thread
         // writes a null slot.
         unsafe { (*seg_ptr.add(off)).store(ptr, Ordering::Release) };
@@ -99,7 +99,7 @@ impl TopoRegistry {
         let (seg, off, _) = locate(slot);
         let seg_ptr = self.segments[seg].load(Ordering::Acquire);
         debug_assert!(!seg_ptr.is_null(), "token for unregistered segment");
-        // Safety: tokens only exist between register and deregister (see
+        // SAFETY: tokens only exist between register and deregister (see
         // the struct invariant), so the segment exists and the slot holds
         // a live strong reference we can borrow a count from.
         unsafe {
@@ -114,9 +114,14 @@ impl TopoRegistry {
     pub(crate) fn deregister(&self, slot: u32) {
         let (seg, off, _) = locate(slot);
         let seg_ptr = self.segments[seg].load(Ordering::Acquire);
+        // SAFETY: `slot` was handed out by `register`, which published
+        // this segment first, and segments are freed only in `Drop`;
+        // `off < len` by `locate`.
         let ptr = unsafe { (*seg_ptr.add(off)).swap(std::ptr::null_mut(), Ordering::AcqRel) };
         if !ptr.is_null() {
-            // Safety: ownership of the registration count transfers here.
+            // SAFETY: `ptr` is the `Arc::into_raw` of `register`, and the
+            // swap above took it out of the slot, so ownership of the
+            // registration count transfers here exactly once.
             unsafe { drop(Arc::from_raw(ptr)) };
         }
         self.alloc.lock().free.push(slot);
@@ -131,7 +136,7 @@ impl Drop for TopoRegistry {
                 continue;
             }
             let len = SEG0 << i;
-            // Safety: reconstructs the Box created in `register`; any
+            // SAFETY: reconstructs the Box created in `register`; any
             // still-registered topology (defensive — normally none) drops
             // its strong count with the slots.
             unsafe {

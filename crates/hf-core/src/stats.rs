@@ -93,8 +93,8 @@ pub struct ExecutorStats {
     /// chunk found the source at another version than the first did (a
     /// host task wrote it mid-transfer).
     pub transfers_torn: GlobalCounter,
-    /// Groups the locality policy placed onto a device already holding a
-    /// warm copy of at least one of their pull buffers.
+    /// Groups placed onto a device already holding a warm copy of at
+    /// least one of their pull buffers.
     pub placement_warm_hits: GlobalCounter,
     /// Transfer bytes placement expects its warm-hit decisions to save
     /// via elision (an estimate made at packing time).
@@ -261,7 +261,7 @@ pub struct StatsSnapshot {
     pub transfers_elided: u64,
     /// Chunked pulls re-copied whole because the source changed under them.
     pub transfers_torn: u64,
-    /// Groups placed warm by the locality policy.
+    /// Groups placed onto a device already holding their data warm.
     pub placement_warm_hits: u64,
     /// Transfer bytes placement estimated its warm hits would save.
     pub placement_est_bytes_saved: u64,

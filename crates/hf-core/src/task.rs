@@ -279,7 +279,7 @@ impl KernelTask {
     }
 
     /// Declares the kernel's modeled cost in abstract work units (used by
-    /// the device cost model and the load-balancing placement policy).
+    /// the device cost model and by placement, identically).
     pub fn work_units(&self, units: f64) -> &Self {
         let mut b = self.0.graph.builder.lock();
         b.nodes[self.0.id].attrs.get_or_insert_with(Default::default).work_units = units;

@@ -750,19 +750,28 @@ mod tests {
         fn raw(tx: *const ()) -> RawWaker {
             RawWaker::new(tx, &VTABLE)
         }
+        /// # Safety
+        /// `tx` is a live `Box<mpsc::Sender<()>>` turned raw, as every
+        /// data pointer paired with `VTABLE` is.
         unsafe fn clone(tx: *const ()) -> RawWaker {
             let t = &*(tx as *const mpsc::Sender<()>);
             let boxed = Box::new(t.clone());
             raw(Box::into_raw(boxed) as *const ())
         }
+        /// # Safety
+        /// As `clone`; consumes the box, so `tx` is not used again.
         unsafe fn wake(tx: *const ()) {
             let t = Box::from_raw(tx as *mut mpsc::Sender<()>);
             let _ = t.send(());
         }
+        /// # Safety
+        /// As `clone`.
         unsafe fn wake_by_ref(tx: *const ()) {
             let t = &*(tx as *const mpsc::Sender<()>);
             let _ = t.send(());
         }
+        /// # Safety
+        /// As `wake`.
         unsafe fn drop_waker(tx: *const ()) {
             drop(Box::from_raw(tx as *mut mpsc::Sender<()>));
         }
@@ -770,6 +779,8 @@ mod tests {
             RawWakerVTable::new(clone, wake, wake_by_ref, drop_waker);
 
         let boxed = Box::new(tx);
+        // SAFETY: the data pointer is a boxed sender, which is what the
+        // four `VTABLE` functions take it for; `Sender` is `Send + Sync`.
         let waker =
             unsafe { std::task::Waker::from_raw(raw(Box::into_raw(boxed) as *const ())) };
         let mut cx = Context::from_waker(&waker);

@@ -41,8 +41,7 @@ use crate::graph::Work;
 use crate::topology::Topology;
 use hf_gpu::stream::ExecFn;
 use hf_gpu::{
-    ArenaView, CostModel, Device, DevicePtr, Event, FaultSite, GpuError, OpLabel, OpReport,
-    SimDuration, Stream,
+    ArenaView, CostModel, Device, DevicePtr, Event, FaultSite, GpuError, OpLabel, OpReport, Stream,
 };
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -116,17 +115,6 @@ impl Ctx {
         if st.ptr == Some(ptr) {
             st.resident_version = version;
         }
-    }
-
-    /// Counts the task done; `modeled` is the duration of the copy that
-    /// really happened, which is what locality placement learns from.
-    fn done(&self, modeled: SimDuration) {
-        self.inner.observe_cost(
-            &self.topo.frozen.name,
-            self.task(),
-            modeled.as_nanos() as f64,
-        );
-        self.chain.done.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -240,12 +228,12 @@ impl Pull {
 
     /// Completes the task after `n` bytes of `version` reached the buffer.
     /// A partial fill (the host shrank since prepare) stays non-resident.
-    fn finish(&self, n: usize, version: Option<u64>, cost: &CostModel) {
+    fn finish(&self, n: usize, version: Option<u64>) {
         let whole = n == self.ptr.len as usize;
         self.cx
             .publish(self.cx.node, self.ptr, version.filter(|_| whole));
         self.cx.inner.stats.bytes_h2d.add(n as u64);
-        self.cx.done(cost.h2d(n));
+        self.cx.chain.done.fetch_add(1, Ordering::Release);
     }
 
     /// The whole transfer as one op: fault draw, one borrow of the source,
@@ -257,7 +245,7 @@ impl Pull {
             copied = view.copy_in(self.ptr, b).map(|()| (b.len(), version));
         });
         let (n, version) = copied.map_err(|e| self.cx.fail(e))?;
-        self.finish(n, version, cost);
+        self.finish(n, version);
         Ok(h2d_report(n, cost))
     }
 
@@ -381,7 +369,6 @@ impl Pull {
             _ => self.finish(
                 self.len.load(Ordering::Relaxed),
                 Some(self.version.load(Ordering::Relaxed)),
-                cost,
             ),
         }
         Ok(OpReport::default())
@@ -437,7 +424,7 @@ pub(crate) fn prepare_push(
             cx.publish(pull_id, ptr, version);
         }
         cx.inner.stats.bytes_d2h.add(n as u64);
-        cx.done(cost.d2h(n));
+        cx.chain.done.fetch_add(1, Ordering::Release);
         Ok(OpReport {
             duration: cost.d2h(n),
             d2h_bytes: n as u64,

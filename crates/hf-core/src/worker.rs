@@ -10,7 +10,7 @@
 
 use crate::error::HfError;
 use crate::executor::{ExecInner, STEAL_BATCH};
-use crate::graph::Work;
+use crate::graph::{GpuNode, Work};
 use crate::lifecycle::LifecyclePhase;
 use crate::registry::{unpack, Token, TopoRegistry};
 use crate::topology::Topology;
@@ -122,12 +122,6 @@ impl Worker {
 
     /// The scheduling loop, until shutdown.
     pub(crate) fn run(mut self) {
-        if self.inner.pin_workers {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            let _ = crate::affinity::pin_current_thread(self.id % cores);
-        }
         // Explore (steal, or sleep when the system is quiet), then exploit.
         while let Some(token) = self.wait_for_task() {
             self.exploit(token);
@@ -465,17 +459,12 @@ impl Worker {
                 }
                 let gpu = frozen.gpu(id).expect("kernels are GPU nodes");
                 let cfg = gpu.cfg;
-                let work_units = if gpu.work_units > 0.0 {
-                    gpu.work_units
-                } else {
-                    cfg.total_threads() as f64
-                };
+                let work_units = GpuNode::priced_work_units(gpu.work_units, &gpu.cfg);
                 let func = Arc::clone(func);
                 let src_ids = Arc::clone(sources);
                 let topo2 = Arc::clone(topo);
                 let state2 = Arc::clone(state);
                 let dev = device.clone();
-                let inner = Arc::clone(&self.inner);
                 let task_name = Arc::clone(&node.name);
                 Ok(PreparedOp::Single(Box::new(move |view, cost| {
                     if state2.skip(&topo2) {
@@ -507,7 +496,6 @@ impl Worker {
                         return Ok(OpReport::default());
                     }
                     let dur = cost.kernel(work_units);
-                    inner.observe_cost(&topo2.frozen.name, &task_name, dur.as_nanos() as f64);
                     state2.done.fetch_add(1, Ordering::Release);
                     Ok(OpReport {
                         duration: dur,

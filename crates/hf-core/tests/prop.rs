@@ -196,7 +196,10 @@ proptest! {
     ) {
         let bins = lost.len();
         let alive = |d: u32| !lost.get(d as usize).copied().unwrap_or(true);
-        let view = View::random(&nodes, bins);
+        let mut view = View::random(&nodes, bins);
+        if !warm {
+            view.warm.fill(None);
+        }
         let cost = CostModel::default();
         let initial: Vec<f64> = initial.iter().map(|&l| l as f64 * 100.0).collect();
         let n = view.num_nodes();
@@ -214,7 +217,7 @@ proptest! {
         } else {
             Vec::new()
         };
-        let input = PlaceInput { lost: &lost, initial_loads: &initial, prev: &prev, refined: None, warm };
+        let input = PlaceInput { lost: &lost, initial_loads: &initial, prev: &prev, refined: None };
 
         let gpu_work = view.kind.iter().any(|k| *k != TaskKind::Host);
         let p = match place(&view, &cost, &input) {
@@ -253,7 +256,7 @@ proptest! {
             let bin = p.device_of[g.members[0]].expect("placed");
             let kept = g.members.iter().find_map(|&m| prev.get(m).copied().flatten().filter(|&d| alive(d)));
             let saved: f64 = g.members.iter()
-                .filter(|&&m| warm && kept.is_none() && view.warm[m] == Some(bin))
+                .filter(|&&m| kept.is_none() && view.warm[m] == Some(bin))
                 .map(|&m| view.weight[m])
                 .sum();
             if let Some(d) = kept {

@@ -213,15 +213,6 @@ impl<'a> ArenaView<'a> {
         Ok(())
     }
 
-    /// Device-to-device copy between two allocations on this device.
-    pub fn copy_d2d(&mut self, dst: DevicePtr, src: DevicePtr) -> Result<(), GpuError> {
-        let (ss, se) = self.check(src)?;
-        let (ds, de) = self.check(dst)?;
-        let n = (se - ss).min(de - ds);
-        self.mem.copy_within(ss..ss + n, ds);
-        Ok(())
-    }
-
     /// Device id this view belongs to.
     pub fn device(&self) -> u32 {
         self.device
@@ -304,15 +295,6 @@ mod tests {
         let mut a = Arena::new(0, 64);
         let v = a.view();
         assert!(v.bytes(ptr(60, 8)).is_err());
-    }
-
-    #[test]
-    fn d2d_copy() {
-        let mut a = Arena::new(0, 128);
-        let mut v = a.view();
-        v.copy_in(ptr(0, 4), &[9, 8, 7, 6]).unwrap();
-        v.copy_d2d(ptr(64, 4), ptr(0, 4)).unwrap();
-        assert_eq!(v.bytes(ptr(64, 4)).unwrap(), &[9, 8, 7, 6]);
     }
 
     #[test]

@@ -127,47 +127,6 @@ impl CostModel {
     }
 }
 
-/// Exponentially-weighted moving average of a modeled duration, used by
-/// the locality-aware placement path to refine analytic estimates with
-/// observed per-task durations across epochs.
-///
-/// The first observation replaces the seed entirely (a measured value
-/// always beats the analytic prior); later observations blend in with
-/// weight `alpha`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ewma {
-    value: f64,
-    samples: u64,
-}
-
-impl Ewma {
-    /// Starts from an analytic seed (zero observed samples).
-    pub fn seeded(value: f64) -> Self {
-        Self { value, samples: 0 }
-    }
-
-    /// Folds one observation in with weight `alpha` in `(0, 1]`. The
-    /// first sample replaces the seed outright.
-    pub fn observe(&mut self, sample: f64, alpha: f64) {
-        if self.samples == 0 {
-            self.value = sample;
-        } else {
-            self.value += alpha * (sample - self.value);
-        }
-        self.samples += 1;
-    }
-
-    /// Current estimate.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// Number of observations folded in (0 = still the seed).
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,28 +165,5 @@ mod tests {
         let m = CostModel::default();
         assert!(m.kernel(0.0) >= m.launch_latency);
         assert!(m.kernel(1e9).as_secs_f64() > 0.9);
-    }
-
-    #[test]
-    fn ewma_first_sample_replaces_seed() {
-        let mut e = Ewma::seeded(100.0);
-        assert_eq!(e.value(), 100.0);
-        assert_eq!(e.samples(), 0);
-        e.observe(10.0, 0.3);
-        assert_eq!(e.value(), 10.0);
-        assert_eq!(e.samples(), 1);
-    }
-
-    #[test]
-    fn ewma_blends_later_samples() {
-        let mut e = Ewma::seeded(0.0);
-        e.observe(10.0, 0.5);
-        e.observe(20.0, 0.5);
-        assert!((e.value() - 15.0).abs() < 1e-9);
-        // Converges toward a steady signal.
-        for _ in 0..50 {
-            e.observe(40.0, 0.5);
-        }
-        assert!((e.value() - 40.0).abs() < 1e-6);
     }
 }

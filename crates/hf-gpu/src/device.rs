@@ -290,14 +290,6 @@ impl Device {
             eng.cv.wait(&mut qs);
         }
     }
-
-    /// Runs `f` with a mutable view of this device's memory, synchronously
-    /// on the calling thread (testing/debug aid; real work goes through
-    /// streams).
-    pub fn with_memory<R>(&self, f: impl FnOnce(&mut crate::arena::ArenaView<'_>) -> R) -> R {
-        let mut arena = self.inner.arena.lock();
-        f(&mut arena.view())
-    }
 }
 
 impl DeviceInner {

@@ -146,12 +146,6 @@ impl<'a, 'v> KernelArgs<'a, 'v> {
     ) -> Result<(&mut [A], &mut [B], &mut [C]), GpuError> {
         self.view.slice3_mut(self.ptrs[i], self.ptrs[j], self.ptrs[k])
     }
-
-    /// Direct access to the underlying arena view (for kernels that manage
-    /// scratch allocations themselves).
-    pub fn view_mut(&mut self) -> &mut ArenaView<'v> {
-        self.view
-    }
 }
 
 /// A kernel function object: shareable, sendable, launched by engines.

@@ -54,7 +54,7 @@ pub mod trace;
 
 pub use arena::{ArenaView, DevicePtr, Split};
 pub use buddy::BuddyAllocator;
-pub use cost::{CostModel, Ewma, SimDuration};
+pub use cost::{CostModel, SimDuration};
 pub use device::{Device, DeviceId, ScopedDeviceContext};
 pub use error::GpuError;
 pub use event::Event;

@@ -134,11 +134,6 @@ impl GpuRuntime {
             .map(|d| d.id())
             .collect()
     }
-
-    /// True when any device is marked lost.
-    pub fn any_device_lost(&self) -> bool {
-        self.devices.iter().any(|d| d.is_lost())
-    }
 }
 
 impl Drop for GpuRuntime {

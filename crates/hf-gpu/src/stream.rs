@@ -143,26 +143,6 @@ impl Stream {
         }));
     }
 
-    /// Stateful host-to-device copy: `producer` is invoked at *execution*
-    /// time, so changes made by tasks ordered before this op are visible —
-    /// the paper's StatefulTuple semantics for pull tasks (Listing 4).
-    pub fn h2d_with(
-        &self,
-        dst: DevicePtr,
-        producer: impl FnOnce() -> Vec<u8> + Send + 'static,
-    ) {
-        self.exec(Box::new(move |view, cost| {
-            let src = producer();
-            let n = src.len();
-            view.copy_in(dst, &src)?;
-            Ok(OpReport {
-                duration: cost.h2d(n),
-                h2d_bytes: n as u64,
-                ..Default::default()
-            })
-        }));
-    }
-
     /// Stateful device-to-host copy: `consumer` receives the device bytes
     /// at execution time (push-task semantics, Listing 6).
     pub fn d2h_with(
@@ -177,39 +157,6 @@ impl Stream {
             Ok(OpReport {
                 duration: cost.d2h(n),
                 d2h_bytes: n as u64,
-                ..Default::default()
-            })
-        }));
-    }
-
-    /// Asynchronously fills an allocation with a byte value
-    /// (`cudaMemsetAsync`).
-    pub fn memset_async(&self, dst: DevicePtr, byte: u8) {
-        self.exec(Box::new(move |view, cost| {
-            let b = view.bytes_mut(dst)?;
-            let n = b.len();
-            b.fill(byte);
-            Ok(OpReport {
-                // Device-local fill: modeled at H2D bandwidth without the
-                // PCIe latency term.
-                duration: SimDuration::from_secs_f64(
-                    n as f64 / cost.h2d_bytes_per_sec,
-                ),
-                ..Default::default()
-            })
-        }));
-    }
-
-    /// Asynchronous device-to-device copy between two allocations on
-    /// *this* stream's device (`cudaMemcpyAsync` with `D2D`).
-    pub fn d2d_async(&self, dst: DevicePtr, src: DevicePtr) {
-        self.exec(Box::new(move |view, cost| {
-            view.copy_d2d(dst, src)?;
-            let n = src.len.min(dst.len) as usize;
-            Ok(OpReport {
-                duration: SimDuration::from_secs_f64(
-                    n as f64 / cost.h2d_bytes_per_sec,
-                ),
                 ..Default::default()
             })
         }));
@@ -388,25 +335,6 @@ mod tests {
         assert!(v.iter().enumerate().all(|(i, &x)| x == i as u32 * 2));
         assert_eq!(dev.stats().kernels.load(Ordering::Relaxed), 1);
         assert!(dev.busy_time() > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn memset_and_d2d() {
-        let rt = rt();
-        let dev = rt.device(0).unwrap();
-        let s = Stream::new(&dev);
-        let a = dev.alloc(64).unwrap();
-        let b = dev.alloc(64).unwrap();
-        s.memset_async(a, 0xAB);
-        s.d2d_async(b, a);
-        let got = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let g = Arc::clone(&got);
-        s.d2h_with(b, move |bytes| g.lock().extend_from_slice(bytes));
-        s.synchronize();
-        assert!(dev.take_error().is_none());
-        assert_eq!(&*got.lock(), &vec![0xABu8; 64]);
-        dev.free(a).unwrap();
-        dev.free(b).unwrap();
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::machine::{Machine, SchedulerMode};
 use crate::result::SimResult;
-use hf_core::placement::{device_placement, Placement, PlacementPolicy};
+use hf_core::placement::{device_placement, Placement};
 use hf_core::{GraphInfo, HfError, TaskKind};
 use hf_gpu::SimDuration;
 use std::cmp::Reverse;
@@ -51,24 +51,19 @@ pub struct SimSpan {
     pub worker: Option<usize>,
 }
 
-/// Places `info` the way a fresh executor would: Algorithm 1 with the
-/// paper's default packing. A [`GraphInfo`] carries no residency and no
-/// measurements, so there is nothing else a policy could feed it.
-fn default_placement(info: &GraphInfo, machine: &Machine) -> Result<Placement, HfError> {
-    device_placement(info, machine.gpus, PlacementPolicy::BalancedLoad, &machine.cost)
-}
-
 /// Simulates one execution of `info` on `machine`.
 ///
 /// `host_cost` supplies the modeled duration of each host task (GPU ops
 /// are costed by the machine's [`hf_gpu::CostModel`]). Placement is the
-/// real Algorithm 1; [`simulate_placed`] takes any other.
+/// real Algorithm 1 as a fresh executor runs it (a [`GraphInfo`] carries
+/// no residency and no seeds); [`simulate_placed`] takes any other.
 pub fn simulate(
     info: &GraphInfo,
     machine: &Machine,
     host_cost: impl Fn(usize) -> SimDuration,
 ) -> Result<SimResult, HfError> {
-    Ok(simulate_placed(info, machine, &default_placement(info, machine)?, host_cost))
+    let placement = device_placement(info, machine.gpus, &machine.cost)?;
+    Ok(simulate_placed(info, machine, &placement, host_cost))
 }
 
 /// [`simulate`] that also returns the full schedule as spans.
@@ -78,7 +73,7 @@ pub fn simulate_traced(
     host_cost: impl Fn(usize) -> SimDuration,
 ) -> Result<(SimResult, Vec<SimSpan>), HfError> {
     let mut spans = Vec::with_capacity(info.nodes.len());
-    let placement = default_placement(info, machine)?;
+    let placement = device_placement(info, machine.gpus, &machine.cost)?;
     let r = simulate_impl(info, machine, &placement, &host_cost, Some(&mut spans));
     Ok((r, spans))
 }

@@ -295,7 +295,7 @@ impl MetricsRegistry {
         self.set_counter("hf_executor_bytes_d2h_total", "Device-to-host bytes copied back by push tasks", l, s.bytes_d2h);
         self.set_counter("hf_executor_transfers_elided_total", "H2D copies skipped because the device bytes were already current", l, s.transfers_elided);
         self.set_counter("hf_executor_transfers_torn_total", "Chunked pulls re-copied whole because the source changed mid-transfer", l, s.transfers_torn);
-        self.set_counter("hf_placement_warm_hits_total", "Groups the locality policy placed onto a device already holding their data warm", l, s.placement_warm_hits);
+        self.set_counter("hf_placement_warm_hits_total", "Groups placed onto a device already holding their data warm", l, s.placement_warm_hits);
         self.set_counter("hf_placement_est_bytes_saved_total", "Transfer bytes placement estimated its warm-hit decisions would save via elision", l, s.placement_est_bytes_saved);
         self.set_gauge("hf_placement_imbalance", "Cost-weighted imbalance (max/mean bin load) of the latest placement", l, s.placement_imbalance);
         self.set_gauge("hf_executor_inflight_tasks", "Workers inside an exploit burst (live gauge; populated by Executor::snapshot)", l, s.inflight_tasks as f64);

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Audits the unsafe code in the lock-free substrate (hf-sync) and the GPU
-# substrate (hf-gpu): every `unsafe` block, `unsafe impl`, and `unsafe
+# Audits the unsafe code in the lock-free substrate (hf-sync), the GPU
+# substrate (hf-gpu) and the executor (hf-core, whose slot registry every
+# token resolves through): every `unsafe` block, `unsafe impl`, and `unsafe
 # trait` must carry a `// SAFETY:` comment — and every `unsafe fn` a
 # `/// # Safety` doc section — within the preceding few lines. Exits
 # non-zero listing each uncommented site.
@@ -10,7 +11,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-dirs=(crates/hf-sync/src crates/hf-gpu/src "$@")
+dirs=(crates/hf-sync/src crates/hf-gpu/src crates/hf-core/src "$@")
 
 fail=0
 for f in $(find "${dirs[@]}" -name '*.rs' | sort); do

@@ -1,27 +1,21 @@
-//! End-to-end tests for locality-aware placement: warm residency steering
-//! re-placements to elide copies across mutated-graph epochs, stale
-//! residency losing its pull (and never serving stale bytes), and chaos
-//! runs combining `PlacementPolicy::Locality` with device loss.
+//! End-to-end tests for placement's residency credit: warm residency
+//! steering re-placements to elide copies across mutated-graph epochs,
+//! stale residency losing its pull (and never serving stale bytes), and
+//! chaos runs combining warm re-placement with device loss.
 
 use heteroflow::prelude::*;
 use std::time::Duration;
 
 const DEADLINE: Duration = Duration::from_secs(30);
 
-fn locality_executor(cpus: usize, gpus: u32) -> Executor {
-    Executor::builder(cpus, gpus)
-        .placement_policy(PlacementPolicy::Locality)
-        .build()
-}
-
 /// Warm residency survives graph mutation: each epoch bumps the builder
-/// epoch (cache miss, full re-placement), yet the locality packer keeps
-/// every lane on the device already holding its bytes, so all copies
-/// after the first epoch elide.
+/// epoch (cache miss, full re-placement), yet the packer keeps every lane
+/// on the device already holding its bytes, so all copies after the first
+/// epoch elide.
 #[test]
 fn warm_residency_elides_across_mutated_epochs() {
     const LANES: usize = 4;
-    let ex = locality_executor(2, 2);
+    let ex = Executor::new(2, 2);
     let g = Heteroflow::new("warm_epochs");
     let bufs: Vec<HostVec<i64>> = (0..LANES)
         .map(|i| HostVec::from_vec(vec![i as i64; (i + 1) * 1024]))
@@ -50,15 +44,18 @@ fn warm_residency_elides_across_mutated_epochs() {
     assert_eq!(s.placement_est_bytes_saved, total_bytes * 2);
 }
 
-/// Bytes moved by the seesawing-lane workload under `policy`: four
-/// unequal pull-only lanes re-placed every epoch (a mutation bumps the
-/// builder epoch) while two single-pull interference graphs, run on
+/// Four unequal pull-only lanes re-placed every epoch (a mutation bumps
+/// the builder epoch) while two single-pull interference graphs, run on
 /// alternating epochs, swing the cross-graph device-load bias from one
-/// device to the other.
-fn seesaw_bytes_h2d(policy: PlacementPolicy) -> u64 {
+/// device to the other. Packing on load alone would chase the bias and
+/// recopy a lane at every flip; the residency credit keeps each lane
+/// where its bytes already are, so over six epochs every lane and noise
+/// buffer crosses the bus exactly once.
+#[test]
+fn locality_moves_no_more_bytes_than_balanced_under_seesawing_bias() {
     const LANES: usize = 4;
     const LANE_UNIT: usize = 8 << 10;
-    let ex = Executor::builder(4, 2).placement_policy(policy).build();
+    let ex = Executor::new(4, 2);
     let g = Heteroflow::new("lanes");
     // Unequal lanes make the LPT order, and so any bias-driven flip,
     // deterministic.
@@ -83,21 +80,8 @@ fn seesaw_bytes_h2d(policy: PlacementPolicy) -> u64 {
         ex.run(ng).wait_timeout(DEADLINE).expect("noise hung").expect("noise runs");
         g.host(&format!("tick{epoch}"), || {});
     }
-    ex.stats().snapshot().bytes_h2d
-}
-
-/// BalancedLoad chases the seesawing bias and flips lanes between
-/// devices, recopying at every flip; Locality's warm-residency credit
-/// keeps each lane where its bytes already are. Locality must never move
-/// more bytes than BalancedLoad.
-#[test]
-fn locality_moves_no_more_bytes_than_balanced_under_seesawing_bias() {
-    let balanced = seesaw_bytes_h2d(PlacementPolicy::BalancedLoad);
-    let locality = seesaw_bytes_h2d(PlacementPolicy::Locality);
-    assert!(
-        locality <= balanced,
-        "Locality moved more bytes than BalancedLoad: {locality} > {balanced}"
-    );
+    let once = ((1..=LANES).sum::<usize>() * LANE_UNIT + 2 * (LANE_UNIT / 2)) * 8;
+    assert_eq!(ex.stats().snapshot().bytes_h2d, once as u64);
 }
 
 /// Mutating the host buffer invalidates residency: the next re-placement
@@ -106,7 +90,7 @@ fn locality_moves_no_more_bytes_than_balanced_under_seesawing_bias() {
 #[test]
 fn stale_residency_recopies_new_bytes() {
     const N: usize = 2048;
-    let ex = locality_executor(2, 2);
+    let ex = Executor::new(2, 2);
     let data: HostVec<i32> = HostVec::from_vec(vec![7; N]);
     let g = Heteroflow::new("stale");
     let p = g.pull("pull", &data);
@@ -185,14 +169,14 @@ fn run_two_lanes(ex: &Executor, seed: u64) -> bool {
     }
 }
 
-/// Locality + seeded device loss and transfer faults: every run settles
-/// within the deadline with a correct result or a structured error, and
-/// the clean-loss case must succeed on the survivors.
+/// Warm re-placement + seeded device loss and transfer faults: every run
+/// settles within the deadline with a correct result or a structured
+/// error, and the clean-loss case must succeed on the survivors.
 #[test]
 fn chaos_locality_survives_device_loss() {
     // Deterministic half: device 1 dies after one op; the run must still
     // complete correctly via failover placement.
-    let ex = locality_executor(2, 2);
+    let ex = Executor::new(2, 2);
     ex.gpu_runtime()
         .set_fault_plan(Some(FaultPlan::seeded(0x10ca_beef).lose_device(1, 1)));
     assert!(run_two_lanes(&ex, 0), "clean device-loss run must succeed");
@@ -212,7 +196,6 @@ fn chaos_locality_survives_device_loss() {
             plan = plan.lose_device(((i / 2) % 2) as u32, i % 5);
         }
         let ex = Executor::builder(2, 2)
-            .placement_policy(PlacementPolicy::Locality)
             .retry_policy(RetryPolicy::new(3))
             .build();
         ex.gpu_runtime().set_fault_plan(Some(plan));

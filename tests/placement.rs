@@ -3,6 +3,7 @@
 //! measured or persisted elsewhere, so a NaN there must neither panic the
 //! submitter nor a worker mid-failover.
 
+use heteroflow::core::device_placement;
 use heteroflow::gpu::FaultPlan;
 use heteroflow::prelude::*;
 use std::sync::mpsc;
@@ -40,16 +41,14 @@ fn doubling_lanes(
 
 #[test]
 fn non_finite_seed_does_not_panic_the_submitter() {
-    for policy in [PlacementPolicy::Locality, PlacementPolicy::BalancedLoad] {
-        for bad in [f64::NAN, f64::INFINITY, -1.0] {
-            let ex = Executor::builder(2, 2).placement_policy(policy).build();
-            let g = Heteroflow::new("g");
-            let bufs = doubling_lanes(&g, 2, || {});
-            ex.seed_task_cost("g", "p0", bad);
-            let res = ex.run(&g).wait_timeout(DEADLINE).expect("run hung");
-            assert_eq!(res, Ok(()), "{policy:?} {bad}");
-            assert!(bufs.iter().all(|b| b.read().iter().all(|&v| v == 6)));
-        }
+    for bad in [f64::NAN, f64::INFINITY, -1.0] {
+        let ex = Executor::new(2, 2);
+        let g = Heteroflow::new("g");
+        let bufs = doubling_lanes(&g, 2, || {});
+        ex.seed_task_cost("g", "p0", bad);
+        let res = ex.run(&g).wait_timeout(DEADLINE).expect("run hung");
+        assert_eq!(res, Ok(()), "{bad}");
+        assert!(bufs.iter().all(|b| b.read().iter().all(|&v| v == 6)));
     }
 }
 
@@ -61,7 +60,6 @@ fn non_finite_seed_does_not_panic_the_submitter() {
 #[test]
 fn non_finite_seed_does_not_break_failover() {
     let ex = Executor::builder(2, 2)
-        .placement_policy(PlacementPolicy::Locality)
         .retry_policy(RetryPolicy::new(3))
         .build();
     ex.gpu_runtime()
@@ -79,4 +77,30 @@ fn non_finite_seed_does_not_break_failover() {
     assert_eq!(fut.wait_timeout(DEADLINE).expect("failover hung"), Ok(()));
     assert!(bufs.iter().all(|b| b.read().iter().all(|&v| v == 6)));
     assert!(ex.stats().snapshot().devices_lost >= 1);
+}
+
+/// A kernel is priced once: what Algorithm 1 weighs in the executor, what
+/// it weighs over the structural snapshot (`hf-sim`'s input) and what the
+/// device charges when the kernel runs are the same number, also for a
+/// kernel declaring fewer work units than it launches threads. The lanes
+/// differ only in those units, so the heavier one (lane 1) packs first.
+#[test]
+fn executor_snapshot_and_device_price_a_kernel_alike() {
+    let ex = Executor::new(1, 2);
+    let g = Heteroflow::new("priced");
+    let bufs: Vec<HostVec<i32>> = (0..2).map(|_| HostVec::from_vec(vec![1; 256])).collect();
+    for (i, (b, units)) in bufs.iter().zip([100.0, 500.0]).enumerate() {
+        let p = g.pull(&format!("p{i}"), b);
+        let k = g.kernel(&format!("k{i}"), &[&p], |_, _| {});
+        k.cover(1024, 128).work_units(units);
+        p.precede(&k);
+    }
+    let devices = ex.gpu_runtime().devices();
+    let modeled = device_placement(&g.info().unwrap(), 2, &devices[0].cost_model()).unwrap();
+    assert!(modeled.loads[0] > modeled.loads[1], "lane 1 is the heavier: {:?}", modeled.loads);
+
+    ex.run(&g).wait_timeout(DEADLINE).expect("run hung").expect("runs");
+    assert_eq!(ex.device_loads(), modeled.loads);
+    let busy: Vec<f64> = devices.iter().map(|d| d.busy_time().as_nanos() as f64).collect();
+    assert_eq!(busy, modeled.loads);
 }
