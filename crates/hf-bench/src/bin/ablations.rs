@@ -132,10 +132,10 @@ fn a4_adaptive_sleep() {
             std::thread::sleep(std::time::Duration::from_micros(200));
         }
         let el = t0.elapsed();
+        let s = ex.snapshot();
         println!(
             "      {name:<18} wall {el:>9.2?}   sleeps {:>6}   steal success {:>5.3}",
-            ex.stats().sleeps.sum(),
-            ex.stats().steal_success_rate()
+            s.sleeps, s.steal_success_rate
         );
     }
     println!();
@@ -178,7 +178,7 @@ fn a5_task_fusion() {
         let el = t0.elapsed();
         println!(
             "      {name:<18} wall {el:>9.2?}   fused members {:>5}",
-            ex.stats().fused.sum()
+            ex.snapshot().fused
         );
     }
     println!();

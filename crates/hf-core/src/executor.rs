@@ -21,15 +21,15 @@
 //!   push/pop instead of a `Mutex<VecDeque>`;
 //! * a finishing task hands its first ready successor straight back to
 //!   the worker's burst loop and batches the others into one injector
-//!   spray plus one coalesced `notify_n` wakeup ([`crate::ready::ReadyBatch`]);
+//!   spray plus one coalesced `notify_n` wakeup (`ready::ReadyBatch`);
 //! * re-running an unchanged graph reuses the cached freeze + placement +
-//!   fusion plan (see [`crate::graph::SchedCache`]).
+//!   fusion plan (see `graph::SchedCache`).
 
 use crate::error::HfError;
-use crate::graph::{FrozenGraph, Heteroflow, SchedCache, Work};
+use crate::graph::{FrozenGraph, Heteroflow, SchedCache};
 use crate::lifecycle::{lifecycle_now_ns, LifecycleEvent, LifecyclePhase};
 use crate::observer::ExecutorObserver;
-use crate::placement::{PlaceInput, Placement};
+use crate::placement::{PlaceInput, Placement, PlacementView};
 use crate::ready::ReadyBatch;
 use crate::registry::{Token, TopoRegistry};
 use crate::retry::RetryPolicy;
@@ -252,26 +252,12 @@ fn task_event(
         device: topo.placement.device_of[node],
         worker,
         chain,
-        bytes: node_move_bytes(&topo.frozen, node),
+        bytes: topo.frozen.bytes_of(node) as u64,
         ok,
         detail: detail.map(|e| Arc::from(e.to_string())),
         epoch: topo.ctx.epoch,
         tenant: topo.ctx.tenant.clone(),
         t_ns: lifecycle_now_ns(),
-    }
-}
-
-/// PCIe bytes a task moves when it runs: a pull's current host size, a
-/// push's staged pull size, `0` for host/kernel tasks. Stamped onto
-/// lifecycle events so transfer-heavy stragglers are attributable.
-fn node_move_bytes(frozen: &FrozenGraph, node: usize) -> u64 {
-    match &frozen.nodes[node].work {
-        Work::Pull { source } => source.byte_len() as u64,
-        Work::Push { source_pull, .. } => match &frozen.nodes[*source_pull].work {
-            Work::Pull { source } => source.byte_len() as u64,
-            _ => 0,
-        },
-        _ => 0,
     }
 }
 
@@ -539,25 +525,20 @@ impl Executor {
         &self.gpu
     }
 
-    /// Scheduling statistics (steals, sleeps, executed tasks).
-    pub fn stats(&self) -> &ExecutorStats {
-        &self.inner.stats
-    }
-
-    /// Statistics snapshot extended with the executor's *live* scheduling
-    /// gauges: `inflight_tasks` (workers inside an exploit burst, each
-    /// running a task body or between two) and `queue_depth` (tokens
-    /// waiting in the injector plus every worker deque). Unlike the
-    /// counters these are point-in-time reads of moving state — exactly
-    /// what an external health monitor needs to distinguish "busy" from
-    /// "stuck". Plain [`ExecutorStats::snapshot`] leaves both at zero.
+    /// The executor's counters (steals, sleeps, executed tasks, bytes
+    /// moved, ...) plus its *live* scheduling gauges: `inflight_tasks`
+    /// (workers inside an exploit burst, each running a task body or
+    /// between two) and `queue_depth` (tokens waiting in the injector plus
+    /// every worker deque). The gauges are point-in-time reads of moving
+    /// state — what an external health monitor needs to distinguish
+    /// "busy" from "stuck". This is the one way to read the counters.
     pub fn snapshot(&self) -> crate::stats::StatsSnapshot {
-        let mut s = self.inner.stats.snapshot();
-        s.inflight_tasks = self.inner.num_actives.load(Ordering::SeqCst) as u64;
-        s.queue_depth = (self.inner.injector.len()
-            + self.inner.stealers.iter().map(|st| st.len()).sum::<usize>())
-            as u64;
-        s
+        let inner = &self.inner;
+        let queued = inner.injector.len() + inner.stealers.iter().map(|st| st.len()).sum::<usize>();
+        inner.stats.snapshot(
+            inner.num_actives.load(Ordering::SeqCst) as u64,
+            queued as u64,
+        )
     }
 
     /// The table of per-task cost seeds placement reads. Exposed for
@@ -625,7 +606,7 @@ impl Executor {
     }
 
     /// Opens a resident streaming session on the graph with the default
-    /// [`StreamConfig`] (in-flight depth 2). The returned
+    /// [`StreamConfig`](crate::StreamConfig) (in-flight depth 2). The returned
     /// [`crate::Session`] keeps the frozen snapshot, placement, and
     /// double-buffered device residency resident across epochs;
     /// [`crate::Session::submit`] enqueues the next epoch while prior
@@ -635,7 +616,7 @@ impl Executor {
         self.run_stream_with(hf, crate::stream::StreamConfig::default())
     }
 
-    /// [`Executor::run_stream`] with an explicit [`StreamConfig`]
+    /// [`Executor::run_stream`] with an explicit [`StreamConfig`](crate::StreamConfig)
     /// (in-flight epoch depth / residency ring size).
     pub fn run_stream_with(
         &self,

@@ -283,7 +283,6 @@ impl Fleet {
                 let needed = lane.gpu_ns_charged.saturating_add(est);
                 if needed > budget {
                     lane.rejected_quota += 1;
-                    inner.exec.inner.stats.fleet_rejections.incr();
                     return Err(HfError::QuotaExceeded {
                         tenant: tenant.as_str().to_string(),
                         resource: "gpu_ns_budget".to_string(),
@@ -294,7 +293,6 @@ impl Fleet {
             }
             if lane.queue.len() >= lane.cfg.max_queued {
                 lane.rejected_saturated += 1;
-                inner.exec.inner.stats.fleet_rejections.incr();
                 return Err(HfError::FleetSaturated {
                     tenant: tenant.as_str().to_string(),
                     queued: lane.queue.len(),
@@ -501,7 +499,7 @@ impl FleetInner {
     }
 
     /// Pops lane `li`'s head submission and performs the admission
-    /// bookkeeping (counters, queue-wait attribution, fleet stats),
+    /// bookkeeping (lane counters, queue-wait attribution),
     /// returning the [`Launch`] to dispatch outside the lock. The caller
     /// has already consulted the admission policy.
     fn take_head(&self, st: &mut FleetState, li: usize) -> Launch {
@@ -515,7 +513,6 @@ impl FleetInner {
             .queue_wait_ns_total
             .saturating_add(q.enqueued.elapsed().as_nanos() as u64);
         let tenant = Arc::clone(&lane.id.0);
-        self.exec.inner.stats.fleet_admissions.incr();
         Launch {
             hf: q.hf,
             rounds: q.rounds,

@@ -7,6 +7,7 @@
 
 use crate::error::HfError;
 use crate::graph::{GpuNode, Heteroflow, TaskKind, Work};
+use crate::placement::PlacementView;
 use hf_gpu::LaunchConfig;
 
 /// Structural description of one task.
@@ -110,17 +111,10 @@ impl Heteroflow {
             .iter()
             .enumerate()
             .map(|(i, n)| {
-                let (bytes, sources, source_pull) = match &n.work {
-                    Work::Pull { source } => (source.byte_len(), Vec::new(), None),
-                    Work::Push { source_pull, sink: _ } => {
-                        let b = match &frozen.nodes[*source_pull].work {
-                            Work::Pull { source } => source.byte_len(),
-                            _ => 0,
-                        };
-                        (b, Vec::new(), Some(*source_pull))
-                    }
-                    Work::Kernel { sources, .. } => (0, sources.to_vec(), None),
-                    _ => (0, Vec::new(), None),
+                let (sources, source_pull) = match &n.work {
+                    Work::Push { source_pull, .. } => (Vec::new(), Some(*source_pull)),
+                    Work::Kernel { sources, .. } => (sources.to_vec(), None),
+                    _ => (Vec::new(), None),
                 };
                 let (launch, work_units) =
                     frozen.gpu(i).map_or_else(Default::default, |g| (g.cfg, g.work_units));
@@ -129,7 +123,7 @@ impl Heteroflow {
                     kind: n.work.kind(),
                     successors: frozen.succ(i).iter().map(|&s| s as usize).collect(),
                     num_deps: n.num_deps as usize,
-                    bytes,
+                    bytes: frozen.bytes_of(i),
                     launch,
                     work_units,
                     sources,

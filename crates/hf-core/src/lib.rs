@@ -93,7 +93,7 @@ pub use lifecycle::{lifecycle_now_ns, LifecycleEvent, LifecyclePhase};
 pub use observer::{ExecutorObserver, SpanCat, TraceCollector, TraceSpan, Track};
 pub use placement::{device_placement, place, PlaceInput, Placement};
 pub use retry::{OnDeviceLoss, RetryPolicy};
-pub use stats::{ExecutorStats, StatsSnapshot};
+pub use stats::StatsSnapshot;
 pub use stream::{Session, StreamConfig};
 pub use task::{AsTask, HostTask, KernelTask, PullTask, PushTask, TaskRef};
 pub use topology::{Completion, EpochFuture, RunFuture};

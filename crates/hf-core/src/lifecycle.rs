@@ -7,7 +7,7 @@
 //! observer shows is derived from the stream: worker spans
 //! ([`crate::observer::TraceCollector`]), and in `hf_telemetry` the
 //! flight log, latency histograms and per-run progress. The always-on
-//! aggregate counts live apart, in [`crate::stats::ExecutorStats`].
+//! aggregate counts live apart, read through [`crate::Executor::snapshot`].
 //!
 //! Emission is gated: when no registered observer reports
 //! [`crate::ExecutorObserver::is_active`], the executor skips event

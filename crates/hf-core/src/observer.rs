@@ -460,7 +460,7 @@ mod tests {
         p.precede(&k);
         k.precede(&s);
         ex.run(&g).wait().expect("runs");
-        let fused = ex.stats().fused.sum();
+        let fused = ex.snapshot().fused;
         (trace.spans(), fused)
     }
 

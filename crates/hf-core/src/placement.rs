@@ -89,6 +89,10 @@ impl PlacementView for FrozenGraph {
         }
     }
 
+    /// The one rule for the PCIe bytes a task moves when it runs: a
+    /// pull's current host size, a push's staged pull size, `0` for
+    /// host/kernel tasks. It also stamps `LifecycleEvent::bytes` and
+    /// fills `NodeInfo::bytes`.
     fn bytes_of(&self, i: usize) -> usize {
         match &self.nodes[i].work {
             Work::Pull { source } => source.byte_len(),

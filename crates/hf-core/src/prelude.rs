@@ -38,7 +38,7 @@ pub use crate::lifecycle::{LifecycleEvent, LifecyclePhase};
 pub use crate::observer::{SpanCat, TraceCollector, Track};
 pub use crate::placement::Placement;
 pub use crate::retry::{OnDeviceLoss, RetryPolicy};
-pub use crate::stats::{ExecutorStats, StatsSnapshot};
+pub use crate::stats::StatsSnapshot;
 pub use crate::stream::{Session, StreamConfig};
 pub use crate::task::{AsTask, HostTask, KernelTask, PullTask, PushTask, TaskRef};
 pub use crate::topology::{Completion, EpochFuture, RunFuture};

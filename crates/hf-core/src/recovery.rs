@@ -51,9 +51,8 @@ impl ExecInner {
         if !retryable {
             return FailureAction::Fail;
         }
-        let kind = topo.frozen.nodes[node].work.kind();
         let attempt = topo.attempts[node].fetch_add(1, Ordering::Relaxed) + 1;
-        if attempt < self.retry.attempts(kind) {
+        if attempt < self.retry.attempts() {
             FailureAction::Retry(self.retry.backoff_for(attempt))
         } else {
             FailureAction::Fail

@@ -1,7 +1,7 @@
 //! Retry and device-failover policies for the executor.
 //!
 //! A [`RetryPolicy`] tells the executor what to do when a task body fails:
-//! how many attempts each task kind gets, how long to back off between
+//! how many attempts a task gets, how long to back off between
 //! attempts, and whether a whole-device loss triggers failover (re-placing
 //! the lost device's placement groups onto the surviving GPUs) or fails
 //! the run.
@@ -12,7 +12,6 @@
 //! as transient as well. Structural errors (missing dependency, cycle,
 //! empty task) never retry.
 
-use crate::graph::TaskKind;
 use std::time::Duration;
 
 /// What the executor does when a device is lost mid-run.
@@ -26,29 +25,23 @@ pub enum OnDeviceLoss {
     Fail,
 }
 
-/// Per-task-kind retry budget, backoff, and device-loss behavior.
+/// Per-task retry budget, backoff, and device-loss behavior.
 ///
 /// The default policy is one attempt (no retries), zero backoff, failover
 /// on device loss with a budget of three failovers per submission.
 ///
 /// ```
 /// use hf_core::retry::{OnDeviceLoss, RetryPolicy};
-/// use hf_core::TaskKind;
 /// use std::time::Duration;
 ///
 /// let policy = RetryPolicy::new(3)
-///     .attempts_for(TaskKind::Kernel, 5)
 ///     .backoff(Duration::from_millis(1))
 ///     .on_device_loss(OnDeviceLoss::Failover)
 ///     .max_failovers(2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
-    default_attempts: u32,
-    host: Option<u32>,
-    pull: Option<u32>,
-    push: Option<u32>,
-    kernel: Option<u32>,
+    attempts: u32,
     backoff: Duration,
     on_device_loss: OnDeviceLoss,
     max_failovers: u32,
@@ -61,31 +54,15 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy giving every task kind `max_attempts` attempts
+    /// A policy giving every task `max_attempts` attempts
     /// (`1` means no retries; `0` is clamped to `1`).
     pub fn new(max_attempts: u32) -> Self {
         Self {
-            default_attempts: max_attempts.max(1),
-            host: None,
-            pull: None,
-            push: None,
-            kernel: None,
+            attempts: max_attempts.max(1),
             backoff: Duration::ZERO,
             on_device_loss: OnDeviceLoss::default(),
             max_failovers: 3,
         }
-    }
-
-    /// Overrides the attempt budget for one task kind.
-    pub fn attempts_for(mut self, kind: TaskKind, max_attempts: u32) -> Self {
-        let slot = match kind {
-            TaskKind::Host | TaskKind::Placeholder => &mut self.host,
-            TaskKind::Pull => &mut self.pull,
-            TaskKind::Push => &mut self.push,
-            TaskKind::Kernel => &mut self.kernel,
-        };
-        *slot = Some(max_attempts.max(1));
-        self
     }
 
     /// Base delay between attempts; attempt `n` waits `n * backoff`
@@ -109,15 +86,9 @@ impl RetryPolicy {
         self
     }
 
-    /// Attempt budget for `kind`.
-    pub fn attempts(&self, kind: TaskKind) -> u32 {
-        let o = match kind {
-            TaskKind::Host | TaskKind::Placeholder => self.host,
-            TaskKind::Pull => self.pull,
-            TaskKind::Push => self.push,
-            TaskKind::Kernel => self.kernel,
-        };
-        o.unwrap_or(self.default_attempts)
+    /// Attempt budget of every task.
+    pub fn attempts(&self) -> u32 {
+        self.attempts
     }
 
     /// Delay before retrying after `attempt` failed attempts.
@@ -141,18 +112,10 @@ mod tests {
     #[test]
     fn default_is_single_attempt_failover() {
         let p = RetryPolicy::default();
-        assert_eq!(p.attempts(TaskKind::Kernel), 1);
-        assert_eq!(p.attempts(TaskKind::Host), 1);
+        assert_eq!(p.attempts(), 1);
         assert_eq!(p.loss_behavior(), OnDeviceLoss::Failover);
         assert_eq!(p.failover_budget(), 3);
         assert_eq!(p.backoff_for(5), Duration::ZERO);
-    }
-
-    #[test]
-    fn per_kind_overrides_win() {
-        let p = RetryPolicy::new(2).attempts_for(TaskKind::Kernel, 7);
-        assert_eq!(p.attempts(TaskKind::Kernel), 7);
-        assert_eq!(p.attempts(TaskKind::Pull), 2);
     }
 
     #[test]
@@ -166,6 +129,6 @@ mod tests {
     #[test]
     fn zero_attempts_clamps_to_one() {
         let p = RetryPolicy::new(0);
-        assert_eq!(p.attempts(TaskKind::Push), 1);
+        assert_eq!(p.attempts(), 1);
     }
 }

@@ -1,9 +1,11 @@
 //! Executor scheduling statistics.
 //!
-//! Exposed for tests and for the A4 ablation (adaptive sleep vs
-//! always-spin): wasted wakeups and sleep counts quantify the strategies.
-//! The hot-path counters (injector batches, cache hits, coalesced
-//! notifications) make the batched-scheduling optimizations observable.
+//! The live counters are private to the executor; the one way to read
+//! them is [`crate::Executor::snapshot`], which returns a
+//! [`StatsSnapshot`]. Wasted wakeups and sleep counts quantify the A4
+//! ablation (adaptive sleep vs always-spin); the hot-path counters
+//! (injector batches, cache hits, coalesced notifications) make the
+//! batched-scheduling optimizations observable.
 
 use hf_sync::{GlobalCounter, ShardedCounter};
 use serde::Serialize;
@@ -13,25 +15,25 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// wins, no read-modify-write. Used for per-placement quantities like the
 /// cost-weighted imbalance ratio.
 #[derive(Debug)]
-pub struct F64Gauge {
+pub(crate) struct F64Gauge {
     bits: AtomicU64,
 }
 
 impl F64Gauge {
     /// Creates a gauge holding `v`.
-    pub fn new(v: f64) -> Self {
+    pub(crate) fn new(v: f64) -> Self {
         Self {
             bits: AtomicU64::new(v.to_bits()),
         }
     }
 
     /// Stores a new value.
-    pub fn set(&self, v: f64) {
+    pub(crate) fn set(&self, v: f64) {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
     /// Reads the current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
@@ -41,7 +43,7 @@ impl F64Gauge {
 /// (submission path, device engine callbacks) use plain global counters.
 /// Values are exact totals but not a consistent snapshot.
 #[derive(Debug)]
-pub struct ExecutorStats {
+pub(crate) struct ExecutorStats {
     /// Tasks executed (all kinds).
     pub tasks_executed: ShardedCounter,
     /// Successful steals (from peers or the injector).
@@ -102,12 +104,6 @@ pub struct ExecutorStats {
     /// Cost-weighted imbalance (max/mean bin load) of the most recent
     /// placement computed by this executor.
     pub placement_imbalance: F64Gauge,
-    /// Submissions admitted into the executor through a [`crate::Fleet`]
-    /// front-end (direct `run`/`run_stream` submissions are not counted).
-    pub fleet_admissions: GlobalCounter,
-    /// Fleet submissions rejected with a structured error
-    /// (`QuotaExceeded` / `FleetSaturated`) before admission.
-    pub fleet_rejections: GlobalCounter,
 }
 
 impl ExecutorStats {
@@ -135,59 +131,24 @@ impl ExecutorStats {
             placement_warm_hits: GlobalCounter::new(),
             placement_est_bytes_saved: GlobalCounter::new(),
             placement_imbalance: F64Gauge::new(1.0),
-            fleet_admissions: GlobalCounter::new(),
-            fleet_rejections: GlobalCounter::new(),
         }
     }
 
-    /// Resets every counter (between benchmark phases).
-    pub fn reset(&self) {
-        self.tasks_executed.reset();
-        self.steals.reset();
-        self.steal_attempts.reset();
-        self.sleeps.reset();
-        self.wakeups.reset();
-        self.rounds.reset();
-        self.fused.reset();
-        self.injector_batches.reset();
-        self.notify_coalesced.reset();
-        self.topo_cache_hits.reset();
-        self.topo_cache_misses.reset();
-        self.faults_injected.reset();
-        self.retries.reset();
-        self.devices_lost.reset();
-        self.cancelled.reset();
-        self.bytes_h2d.reset();
-        self.bytes_d2h.reset();
-        self.transfers_elided.reset();
-        self.transfers_torn.reset();
-        self.placement_warm_hits.reset();
-        self.placement_est_bytes_saved.reset();
-        self.placement_imbalance.set(1.0);
-        self.fleet_admissions.reset();
-        self.fleet_rejections.reset();
-    }
-
-    /// Steal success rate in `[0, 1]`; 1.0 when no attempts were made.
-    pub fn steal_success_rate(&self) -> f64 {
-        let attempts = self.steal_attempts.sum();
-        if attempts == 0 {
-            1.0
-        } else {
-            self.steals.sum() as f64 / attempts as f64
-        }
-    }
-
-    /// Sums every counter into a plain, serializable value snapshot.
-    /// Each counter read is exact but the set is not atomic — take
-    /// snapshots at quiescent points (after `wait()`) for consistent
-    /// cross-counter ratios.
-    pub fn snapshot(&self) -> StatsSnapshot {
+    /// Sums every counter into a plain, serializable value snapshot,
+    /// next to the live gauges the executor read. Each counter read is
+    /// exact but the set is not atomic — take snapshots at quiescent
+    /// points (after `wait()`) for consistent cross-counter ratios.
+    pub(crate) fn snapshot(&self, inflight_tasks: u64, queue_depth: u64) -> StatsSnapshot {
+        let (steals, steal_attempts) = (self.steals.sum(), self.steal_attempts.sum());
         StatsSnapshot {
             tasks_executed: self.tasks_executed.sum(),
-            steals: self.steals.sum(),
-            steal_attempts: self.steal_attempts.sum(),
-            steal_success_rate: self.steal_success_rate(),
+            steals,
+            steal_attempts,
+            steal_success_rate: if steal_attempts == 0 {
+                1.0
+            } else {
+                steals as f64 / steal_attempts as f64
+            },
             sleeps: self.sleeps.sum(),
             wakeups: self.wakeups.sum(),
             rounds: self.rounds.sum(),
@@ -207,16 +168,14 @@ impl ExecutorStats {
             placement_warm_hits: self.placement_warm_hits.sum(),
             placement_est_bytes_saved: self.placement_est_bytes_saved.sum(),
             placement_imbalance: self.placement_imbalance.get(),
-            fleet_admissions: self.fleet_admissions.sum(),
-            fleet_rejections: self.fleet_rejections.sum(),
-            inflight_tasks: 0,
-            queue_depth: 0,
+            inflight_tasks,
+            queue_depth,
         }
     }
 }
 
-/// Plain-value copy of [`ExecutorStats`] taken by
-/// [`ExecutorStats::snapshot`]: serializable (JSON via `serde`),
+/// Plain-value copy of the executor's counters and live gauges, taken by
+/// [`crate::Executor::snapshot`]: serializable (JSON via `serde`),
 /// comparable, and detached from the live counters — suitable for
 /// logging, metric export, and before/after diffing in benchmarks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
@@ -267,19 +226,13 @@ pub struct StatsSnapshot {
     pub placement_est_bytes_saved: u64,
     /// Cost-weighted imbalance (max/mean) of the latest placement.
     pub placement_imbalance: f64,
-    /// Submissions admitted through a [`crate::Fleet`] front-end.
-    pub fleet_admissions: u64,
-    /// Fleet submissions rejected before admission (quota/saturation).
-    pub fleet_rejections: u64,
     /// Workers inside an exploit burst at snapshot time: each is running
     /// a task body or about to take the next one from its own deque (a
-    /// worker goes active once per burst, not per task). Live gauge
-    /// filled by `Executor::snapshot`; `ExecutorStats::snapshot` (no
-    /// executor in hand) leaves it at zero.
+    /// worker goes active once per burst, not per task). A live gauge,
+    /// read when the snapshot is taken.
     pub inflight_tasks: u64,
     /// Tokens waiting in the injector plus all worker deques at snapshot
-    /// time. Live gauge filled by `Executor::snapshot`; zero from
-    /// `ExecutorStats::snapshot`. Together with `inflight_tasks` this
+    /// time (a live gauge). Together with `inflight_tasks` this
     /// makes watchdog no-progress detection externally visible: stuck
     /// runs show a non-draining queue with no worker in a burst.
     pub queue_depth: u64,
@@ -290,28 +243,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reset_zeroes_all() {
-        let s = ExecutorStats::new(2);
-        s.tasks_executed.incr(0);
-        s.steals.incr(1);
-        s.rounds.incr();
-        s.injector_batches.incr();
-        s.topo_cache_hits.incr();
-        s.reset();
-        assert_eq!(s.tasks_executed.sum(), 0);
-        assert_eq!(s.steals.sum(), 0);
-        assert_eq!(s.rounds.sum(), 0);
-        assert_eq!(s.injector_batches.sum(), 0);
-        assert_eq!(s.topo_cache_hits.sum(), 0);
-        assert_eq!(s.steal_success_rate(), 1.0);
-    }
-
-    #[test]
     fn success_rate() {
         let s = ExecutorStats::new(1);
         s.steal_attempts.add(0, 10);
         s.steals.add(0, 4);
-        assert!((s.steal_success_rate() - 0.4).abs() < 1e-12);
+        assert!((s.snapshot(0, 0).steal_success_rate - 0.4).abs() < 1e-12);
     }
 
     #[test]
@@ -322,10 +258,16 @@ mod tests {
         s.steal_attempts.add(0, 4);
         s.steals.add(0, 1);
         s.rounds.incr();
-        let snap = s.snapshot();
+        let snap = s.snapshot(1, 3);
         assert_eq!(snap.tasks_executed, 7);
         assert_eq!(snap.rounds, 1);
         assert!((snap.steal_success_rate - 0.25).abs() < 1e-12);
+        assert_eq!((snap.inflight_tasks, snap.queue_depth), (1, 3));
+        assert_eq!(
+            ExecutorStats::new(1).snapshot(0, 0).steal_success_rate,
+            1.0,
+            "no attempts reads as full success"
+        );
         // Detached from the live counters.
         s.tasks_executed.incr(0);
         assert_eq!(snap.tasks_executed, 7);
@@ -341,7 +283,7 @@ mod tests {
         s.bytes_d2h.add(512);
         s.transfers_elided.add(9);
         s.transfers_torn.add(2);
-        let snap = s.snapshot();
+        let snap = s.snapshot(0, 0);
         assert_eq!(snap.bytes_h2d, 1024);
         assert_eq!(snap.bytes_d2h, 512);
         assert_eq!(snap.transfers_elided, 9);
@@ -351,21 +293,17 @@ mod tests {
     }
 
     #[test]
-    fn placement_counters_snapshot_and_reset() {
+    fn placement_counters_snapshot() {
         let s = ExecutorStats::new(2);
         s.placement_warm_hits.add(4);
         s.placement_est_bytes_saved.add(65536);
         s.placement_imbalance.set(1.75);
-        let snap = s.snapshot();
+        let snap = s.snapshot(0, 0);
         assert_eq!(snap.placement_warm_hits, 4);
         assert_eq!(snap.placement_est_bytes_saved, 65536);
         assert!((snap.placement_imbalance - 1.75).abs() < 1e-12);
         let json = serde_json::to_string(&snap).unwrap();
         assert!(json.contains("\"placement_warm_hits\":4"));
-        s.reset();
-        assert_eq!(s.placement_warm_hits.sum(), 0);
-        assert_eq!(s.placement_est_bytes_saved.sum(), 0);
-        assert_eq!(s.placement_imbalance.get(), 1.0);
     }
 
     #[test]
@@ -378,24 +316,18 @@ mod tests {
     }
 
     #[test]
-    fn fault_counters_snapshot_and_reset() {
+    fn fault_counters_snapshot() {
         let s = ExecutorStats::new(1);
         s.faults_injected.add(3);
         s.retries.add(2);
         s.devices_lost.incr();
         s.cancelled.incr();
-        let snap = s.snapshot();
+        let snap = s.snapshot(0, 0);
         assert_eq!(snap.faults_injected, 3);
         assert_eq!(snap.retries, 2);
         assert_eq!(snap.devices_lost, 1);
         assert_eq!(snap.cancelled, 1);
         let json = serde_json::to_string(&snap).unwrap();
         assert!(json.contains("\"devices_lost\":1"));
-        s.reset();
-        assert_eq!(s.faults_injected.sum(), 0);
-        assert_eq!(s.bytes_h2d.sum(), 0);
-        assert_eq!(s.retries.sum(), 0);
-        assert_eq!(s.devices_lost.sum(), 0);
-        assert_eq!(s.cancelled.sum(), 0);
     }
 }

@@ -673,7 +673,7 @@ fn next_round(
 /// device-residency slots for the graph's pull tasks stay resident.
 /// [`Session::submit`] enqueues one epoch (one pass over the graph) and
 /// returns an [`EpochFuture`]; epochs pipeline as described in the
-/// [module docs](self). Dropping (or [`Session::close`]-ing) the session
+/// `stream` module docs. Dropping (or [`Session::close`]-ing) the session
 /// drains in-flight epochs and releases the graph for other submissions;
 /// while the session is open, `run`/`run_n` calls on the same graph
 /// queue behind it.

@@ -179,7 +179,7 @@ impl HostTask {
     /// to the library, so without declarations the race lint (HF002) only
     /// sees pull/push accesses; declaring accesses lets it also catch a
     /// host task racing a push or another host task on the same
-    /// [`HostVec`]. Purely advisory — execution is unaffected.
+    /// [`HostVec`](crate::data::HostVec). Purely advisory — execution is unaffected.
     pub fn reads<T>(&self, buf: &crate::data::HostVec<T>) -> &Self {
         let mut b = self.0.graph.builder.lock();
         let id = buf.buffer_id();

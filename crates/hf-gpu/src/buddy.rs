@@ -2,7 +2,7 @@
 //!
 //! The paper's executor "keeps a memory pool for each GPU device to reduce
 //! the scheduling overhead of frequent allocations by pull tasks. We
-//! implement the famous Buddy allocator algorithm [22]" (§III-C). This is
+//! implement the famous Buddy allocator algorithm \[22\]" (§III-C). This is
 //! that algorithm: power-of-two block sizes, split on demand, coalesce
 //! buddies on free (K. C. Knowlton, *A Fast Storage Allocator*, CACM 1965).
 

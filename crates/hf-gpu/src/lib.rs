@@ -9,7 +9,7 @@
 //! * [`runtime::GpuRuntime`] owns `M` [`device::Device`]s. Each device has a
 //!   byte-addressed memory [`arena`], a [`pool::MemoryPool`] backed by a
 //!   Knowlton [`buddy::BuddyAllocator`] (the exact algorithm the paper
-//!   cites, ref [22]), and one *engine thread* that drains that device's
+//!   cites, ref \[22\]), and one *engine thread* that drains that device's
 //!   streams in order.
 //! * [`stream::Stream`]s are FIFO queues of asynchronous operations
 //!   (copies, kernel launches, event records/waits, host callbacks).

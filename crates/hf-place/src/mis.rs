@@ -1,5 +1,5 @@
 //! Maximal independent set over the cell conflict graph — Blelloch's
-//! random-priority algorithm (paper ref [32]), the step DREAMPlace
+//! random-priority algorithm (paper ref \[32\]), the step DREAMPlace
 //! offloads to GPU with a reported 40× speedup (§IV-B).
 //!
 //! Each round is two data-parallel phases, written here as Heteroflow GPU

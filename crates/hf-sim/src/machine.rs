@@ -9,7 +9,7 @@ pub enum SchedulerMode {
     /// scoped to the assigned device through per-worker streams ("we do
     /// not dedicate a worker to manage a target GPU", §III-C).
     Unified,
-    /// The baseline of prior systems (StarPU-style, paper refs [8], [19]):
+    /// The baseline of prior systems (StarPU-style, paper refs \[8\], \[19\]):
     /// one worker per GPU runs only that device's tasks; the remaining
     /// workers run only CPU tasks. The A2 ablation.
     DedicatedGpuWorkers,

@@ -5,7 +5,7 @@
 //!
 //! * [`deque`] — a Chase–Lev work-stealing deque. Each executor worker owns
 //!   one; idle workers become *thieves* and steal from a randomly chosen
-//!   *victim* (paper refs [20], [21]).
+//!   *victim* (paper refs \[20\], \[21\]).
 //! * [`notifier`] — an eventcount used by the adaptive wake/sleep strategy
 //!   ("ensure one thief exists as long as an active worker is running a
 //!   task").

@@ -37,28 +37,13 @@ impl std::fmt::Display for HealthVerdict {
 /// A structured watchdog observation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HealthEvent {
-    /// A run produced no lifecycle events for `idle_ns` (first rung).
-    Warn {
+    /// A run's quiet window crossed the threshold of the next rung of the
+    /// ladder (`Warn`, then `Stall`, then `Hang`; one event per rung).
+    Escalated {
         /// Affected run.
         run_id: u64,
-        /// Quiet time when the event fired (ns).
-        idle_ns: u64,
-        /// Lifecycle-clock timestamp (ns).
-        t_ns: u64,
-    },
-    /// The quiet window crossed the stall threshold.
-    Stall {
-        /// Affected run.
-        run_id: u64,
-        /// Quiet time when the event fired (ns).
-        idle_ns: u64,
-        /// Lifecycle-clock timestamp (ns).
-        t_ns: u64,
-    },
-    /// The quiet window crossed the hang threshold.
-    Hang {
-        /// Affected run.
-        run_id: u64,
+        /// The rung reached (never `Healthy`).
+        level: HealthVerdict,
         /// Quiet time when the event fired (ns).
         idle_ns: u64,
         /// Lifecycle-clock timestamp (ns).
@@ -101,21 +86,18 @@ impl HealthEvent {
     /// The run the event concerns.
     pub fn run_id(&self) -> u64 {
         match self {
-            HealthEvent::Warn { run_id, .. }
-            | HealthEvent::Stall { run_id, .. }
-            | HealthEvent::Hang { run_id, .. }
+            HealthEvent::Escalated { run_id, .. }
             | HealthEvent::Straggler { run_id, .. }
             | HealthEvent::Recovered { run_id, .. }
             | HealthEvent::DeadlineCancelled { run_id, .. } => *run_id,
         }
     }
 
-    /// Stable lowercase kind name.
+    /// Stable lowercase kind name; an escalation is named after its rung
+    /// (`warn`/`stall`/`hang`).
     pub fn kind(&self) -> &'static str {
         match self {
-            HealthEvent::Warn { .. } => "warn",
-            HealthEvent::Stall { .. } => "stall",
-            HealthEvent::Hang { .. } => "hang",
+            HealthEvent::Escalated { level, .. } => level.name(),
             HealthEvent::Straggler { .. } => "straggler",
             HealthEvent::Recovered { .. } => "recovered",
             HealthEvent::DeadlineCancelled { .. } => "deadline_cancelled",
@@ -128,9 +110,7 @@ impl HealthEvent {
         o.insert("kind".into(), Value::Str(self.kind().to_string()));
         o.insert("run_id".into(), Value::UInt(self.run_id()));
         match self {
-            HealthEvent::Warn { idle_ns, t_ns, .. }
-            | HealthEvent::Stall { idle_ns, t_ns, .. }
-            | HealthEvent::Hang { idle_ns, t_ns, .. } => {
+            HealthEvent::Escalated { idle_ns, t_ns, .. } => {
                 o.insert("idle_ns".into(), Value::UInt(*idle_ns));
                 o.insert("t_ns".into(), Value::UInt(*t_ns));
             }

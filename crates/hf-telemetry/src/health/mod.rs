@@ -30,6 +30,5 @@ mod tenants;
 mod watchdog;
 
 pub use events::{HealthEvent, HealthVerdict};
-pub use recorder::{FlightRecorder, RunProgress, RunSummary};
-pub use tenants::TenantLatency;
+pub use recorder::{FlightRecorder, LatencyRecord, RunProgress, RunSummary};
 pub use watchdog::{Watchdog, WatchdogConfig};

@@ -2,7 +2,6 @@
 //! the per-run flight logs, latency histograms and EWMAs `pump` folds
 //! them into.
 
-use super::tenants::TenantHists;
 use crate::metrics::{duration_bounds_nanos, Histogram, MetricsRegistry};
 use hf_core::{ExecutorObserver, LifecycleEvent, LifecyclePhase};
 use hf_sync::EventRing;
@@ -136,20 +135,48 @@ pub struct RunSummary {
     pub tenant: Option<String>,
 }
 
+/// Latency attribution over a set of runs: all runs, or one tenant's.
+#[derive(Debug, Clone)]
+pub struct LatencyRecord {
+    /// Completed runs.
+    pub runs: u64,
+    /// Completed runs that ended in failure or cancellation.
+    pub failed: u64,
+    /// Ready-to-started queue delay per task execution (ns).
+    pub queue_delay: Histogram,
+    /// Started-to-finished execution time per task (ns).
+    pub exec: Histogram,
+    /// Submit-to-completion latency per run (ns).
+    pub run_latency: Histogram,
+    /// Admission-to-completion latency per streaming epoch
+    /// (`epoch_end − epoch_start`, ns).
+    pub epoch_latency: Histogram,
+}
+
+impl LatencyRecord {
+    fn new() -> Self {
+        Self {
+            runs: 0,
+            failed: 0,
+            queue_delay: Histogram::new(duration_bounds_nanos()),
+            exec: Histogram::new(duration_bounds_nanos()),
+            run_latency: Histogram::new(duration_bounds_nanos()),
+            epoch_latency: Histogram::new(duration_bounds_nanos()),
+        }
+    }
+}
+
 /// Aggregated latency-attribution and EWMA state.
 pub(super) struct FlightState {
     runs: Vec<RunFlight>,
-    ewma: HashMap<(Arc<str>, u32), f64>,
-    queue_delay: Histogram,
-    exec: Histogram,
-    run_latency: Histogram,
-    /// Admission-to-completion latency of streaming epochs
-    /// (`epoch_end − epoch_start`, ns).
-    epoch_latency: Histogram,
+    /// Execution-time EWMA per task, keyed by graph name, then node index.
+    ewma: HashMap<Arc<str>, HashMap<u32, f64>>,
+    /// Every run, tenanted or not.
+    all: LatencyRecord,
     /// Per-tenant attribution, keyed by tenant name. Populated only by
     /// runs whose events carry a tenant (fleet submissions); direct
-    /// submissions land solely in the unlabeled aggregates above.
-    pub(super) tenants: HashMap<Arc<str>, TenantHists>,
+    /// submissions land solely in `all`.
+    pub(super) tenants: HashMap<Arc<str>, LatencyRecord>,
 }
 
 impl FlightState {
@@ -157,18 +184,22 @@ impl FlightState {
         Self {
             runs: Vec::new(),
             ewma: HashMap::new(),
-            queue_delay: Histogram::new(duration_bounds_nanos()),
-            exec: Histogram::new(duration_bounds_nanos()),
-            run_latency: Histogram::new(duration_bounds_nanos()),
-            epoch_latency: Histogram::new(duration_bounds_nanos()),
+            all: LatencyRecord::new(),
             tenants: HashMap::new(),
         }
     }
 
-    fn tenant_mut(&mut self, tenant: &Arc<str>) -> &mut TenantHists {
-        self.tenants
-            .entry(Arc::clone(tenant))
-            .or_insert_with(TenantHists::new)
+    /// Folds one sample into the all-runs record and, for a tenanted run,
+    /// into that tenant's record too.
+    fn observe(&mut self, tenant: Option<&Arc<str>>, fold: impl Fn(&mut LatencyRecord)) {
+        fold(&mut self.all);
+        if let Some(t) = tenant {
+            fold(
+                self.tenants
+                    .entry(Arc::clone(t))
+                    .or_insert_with(LatencyRecord::new),
+            );
+        }
     }
 
     fn run_mut(&mut self, ev: &LifecycleEvent) -> &mut RunFlight {
@@ -398,33 +429,24 @@ impl FlightRecorder {
                     run.events_dropped += 1;
                 }
             }
+            let tenant = tenant.as_ref();
             if let Some(q) = queue_obs {
-                st.queue_delay.observe(q);
-                if let Some(t) = &tenant {
-                    st.tenant_mut(t).queue_delay.observe(q);
-                }
+                st.observe(tenant, |r| r.queue_delay.observe(q));
             }
             if let Some((task, e)) = exec_obs {
-                st.exec.observe(e);
-                if let Some(t) = &tenant {
-                    st.tenant_mut(t).exec.observe(e);
-                }
-                let ewma = st.ewma.entry((graph, task)).or_insert(e);
+                st.observe(tenant, |r| r.exec.observe(e));
+                let ewma = st.ewma.entry(graph).or_default().entry(task).or_insert(e);
                 *ewma = (1.0 - EWMA_ALPHA) * *ewma + EWMA_ALPHA * e;
             }
             if let Some((l, run_ok)) = run_obs {
-                st.run_latency.observe(l);
-                if let Some(t) = &tenant {
-                    let th = st.tenant_mut(t);
-                    th.run_latency.observe(l);
-                    th.runs += 1;
-                    if !run_ok {
-                        th.failed += 1;
-                    }
-                }
+                st.observe(tenant, |r| {
+                    r.run_latency.observe(l);
+                    r.runs += 1;
+                    r.failed += u64::from(!run_ok);
+                });
             }
             if let Some(l) = epoch_obs {
-                st.epoch_latency.observe(l);
+                st.observe(tenant, |r| r.epoch_latency.observe(l));
             }
             if ended {
                 // Trim completed runs beyond the retention window
@@ -484,11 +506,7 @@ impl FlightRecorder {
     /// from finished executions. The watchdog compares in-flight runtimes
     /// against this to flag stragglers.
     pub fn exec_estimate(&self, graph: &str, task: u32) -> Option<f64> {
-        let st = self.state.lock();
-        st.ewma
-            .iter()
-            .find(|((g, t), _)| g.as_ref() == graph && *t == task)
-            .map(|(_, &v)| v)
+        self.state.lock().ewma.get(graph)?.get(&task).copied()
     }
 
     /// Summaries of all retained runs, newest last.
@@ -513,86 +531,68 @@ impl FlightRecorder {
             .collect()
     }
 
-    /// The attribution histograms (queue delay, exec, run latency).
-    pub fn latency_histograms(&self) -> (Histogram, Histogram, Histogram) {
-        let st = self.state.lock();
-        (
-            st.queue_delay.clone(),
-            st.exec.clone(),
-            st.run_latency.clone(),
-        )
-    }
-
-    /// The streaming epoch latency histogram (admission-to-completion per
-    /// epoch, ns). Populated only by sessions opened with
+    /// Latency attribution over every run, tenanted or not. Its
+    /// `epoch_latency` is fed only by sessions opened with
     /// `Executor::run_stream`; sequential runs never emit epoch events.
-    pub fn epoch_latency_histogram(&self) -> Histogram {
-        self.state.lock().epoch_latency.clone()
+    pub fn latency(&self) -> LatencyRecord {
+        self.state.lock().all.clone()
     }
 
     /// Publishes the recorder's aggregates into a [`MetricsRegistry`]:
     /// `hf_task_queue_delay_nanos`, `hf_task_exec_nanos`,
     /// `hf_run_latency_nanos` histograms plus recorder counters.
+    ///
+    /// The unlabeled series fold every run, tenanted or not, so existing
+    /// dashboards stay stable; each tenant adds a `tenant`-labeled series
+    /// beside them. Epoch latency is exported for all runs only (fleet
+    /// runs never stream), run counts per tenant only.
     pub fn export_into(&self, reg: &MetricsRegistry) {
-        let (qd, ex, rl) = self.latency_histograms();
-        reg.set_histogram(
-            "hf_task_queue_delay_nanos",
-            "Ready-to-started queue delay per task execution (ns)",
-            &[],
-            qd,
+        let records = std::iter::once((None, self.latency())).chain(
+            self.tenant_latencies()
+                .into_iter()
+                .map(|(t, r)| (Some(t), r)),
         );
-        reg.set_histogram(
-            "hf_task_exec_nanos",
-            "Started-to-finished execution time per task (ns; device time included for GPU tasks)",
-            &[],
-            ex,
-        );
-        reg.set_histogram(
-            "hf_run_latency_nanos",
-            "Submit-to-completion latency per run (ns)",
-            &[],
-            rl,
-        );
-        reg.set_histogram(
-            "hf_epoch_latency_nanos",
-            "Admission-to-completion latency per streaming epoch (ns)",
-            &[],
-            self.epoch_latency_histogram(),
-        );
-        // Per-tenant labeled series ride alongside the unlabeled
-        // aggregates above (which keep folding every run, tenanted or
-        // not, so existing dashboards stay stable).
-        for t in self.tenant_latencies() {
-            let labels = &[("tenant", t.tenant.as_str())];
+        for (tenant, r) in records {
+            let label = tenant.as_deref().map(|t| [("tenant", t)]);
+            let labels = label.as_ref().map_or(&[][..], |l| &l[..]);
             reg.set_histogram(
                 "hf_task_queue_delay_nanos",
                 "Ready-to-started queue delay per task execution (ns)",
                 labels,
-                t.queue_delay,
+                r.queue_delay,
             );
             reg.set_histogram(
                 "hf_task_exec_nanos",
                 "Started-to-finished execution time per task (ns; device time included for GPU tasks)",
                 labels,
-                t.exec,
+                r.exec,
             );
             reg.set_histogram(
                 "hf_run_latency_nanos",
                 "Submit-to-completion latency per run (ns)",
                 labels,
-                t.run_latency,
+                r.run_latency,
             );
+            if label.is_none() {
+                reg.set_histogram(
+                    "hf_epoch_latency_nanos",
+                    "Admission-to-completion latency per streaming epoch (ns)",
+                    labels,
+                    r.epoch_latency,
+                );
+                continue;
+            }
             reg.set_counter(
                 "hf_tenant_runs_total",
                 "Completed runs attributed to the tenant",
                 labels,
-                t.runs,
+                r.runs,
             );
             reg.set_counter(
                 "hf_tenant_runs_failed_total",
                 "Completed runs attributed to the tenant that failed or were cancelled",
                 labels,
-                t.failed,
+                r.failed,
             );
         }
         reg.set_counter(
@@ -764,7 +764,7 @@ pub(super) mod tests {
         r.on_lifecycle(&ev(1, LifecyclePhase::Finished, Some(0), 9_000));
         r.on_lifecycle(&ev(1, LifecyclePhase::RunEnd, None, 10_000));
         assert_eq!(r.pump(), 5);
-        let (qd, ex, rl) = r.latency_histograms();
+        let LatencyRecord { queue_delay: qd, exec: ex, run_latency: rl, .. } = r.latency();
         assert_eq!(qd.count, 1);
         assert!((qd.sum - 3_000.0).abs() < 1e-9, "queue delay = started - ready");
         assert_eq!(ex.count, 1);
@@ -795,7 +795,7 @@ pub(super) mod tests {
         r.on_lifecycle(&d1);
         r.on_lifecycle(&ev(3, LifecyclePhase::RunEnd, None, 13_000));
         assert_eq!(r.pump(), 6);
-        let h = r.epoch_latency_histogram();
+        let h = r.latency().epoch_latency;
         assert_eq!(h.count, 2);
         assert!(
             (h.sum - 14_000.0).abs() < 1e-9,
@@ -870,5 +870,24 @@ pub(super) mod tests {
         r.pump();
         let est = r.exec_estimate("g", 0).expect("estimate learned");
         assert!(est > 1_000.0 && est < 3_000.0, "EWMA between extremes: {est}");
+    }
+
+    #[test]
+    fn exec_estimates_are_keyed_by_graph() {
+        let r = FlightRecorder::new();
+        // Node 0 of graph "a" and node 0 of graph "b" are different tasks.
+        for (run, graph, dur) in [(1, "a", 1_000u64), (2, "b", 9_000)] {
+            let mut started = ev(run, LifecyclePhase::Started, Some(0), 0);
+            let mut finished = ev(run, LifecyclePhase::Finished, Some(0), dur);
+            started.graph = Arc::from(graph);
+            finished.graph = Arc::from(graph);
+            r.on_lifecycle(&started);
+            r.on_lifecycle(&finished);
+        }
+        r.pump();
+        assert_eq!(r.exec_estimate("a", 0), Some(1_000.0));
+        assert_eq!(r.exec_estimate("b", 0), Some(9_000.0));
+        assert_eq!(r.exec_estimate("g", 0), None, "no graph g ran");
+        assert_eq!(r.exec_estimate("a", 1), None, "no task 1 ran");
     }
 }

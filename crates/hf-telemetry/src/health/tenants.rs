@@ -1,68 +1,22 @@
-//! Per-tenant latency attribution: the fold state `pump` updates and the
-//! views `/tenants` and the Prometheus export read.
+//! Per-tenant latency attribution: the views `/tenants` and the
+//! Prometheus export read.
 
-use super::recorder::FlightRecorder;
-use crate::metrics::{duration_bounds_nanos, Histogram};
+use super::recorder::{FlightRecorder, LatencyRecord};
 use serde_json::{Map, Value};
 
-/// Per-tenant latency attribution, aggregated across that tenant's runs.
-#[derive(Debug, Clone)]
-pub struct TenantLatency {
-    /// Tenant name.
-    pub tenant: String,
-    /// Completed runs attributed to the tenant.
-    pub runs: u64,
-    /// Completed runs that ended in failure or cancellation.
-    pub failed: u64,
-    /// Ready-to-started queue delay per task execution (ns).
-    pub queue_delay: Histogram,
-    /// Started-to-finished execution time per task (ns).
-    pub exec: Histogram,
-    /// Submit-to-completion latency per run (ns).
-    pub run_latency: Histogram,
-}
-
-/// Mutable per-tenant fold state inside `FlightState`.
-#[derive(Debug)]
-pub(super) struct TenantHists {
-    pub(super) runs: u64,
-    pub(super) failed: u64,
-    pub(super) queue_delay: Histogram,
-    pub(super) exec: Histogram,
-    pub(super) run_latency: Histogram,
-}
-
-impl TenantHists {
-    pub(super) fn new() -> Self {
-        Self {
-            runs: 0,
-            failed: 0,
-            queue_delay: Histogram::new(duration_bounds_nanos()),
-            exec: Histogram::new(duration_bounds_nanos()),
-            run_latency: Histogram::new(duration_bounds_nanos()),
-        }
-    }
-}
-
 impl FlightRecorder {
-    /// Per-tenant latency attribution, sorted by tenant name. Empty
-    /// unless runs entered through a fleet (direct submissions carry no
-    /// tenant and fold only into the unlabeled aggregates).
-    pub fn tenant_latencies(&self) -> Vec<TenantLatency> {
+    /// Per-tenant latency attribution as `(tenant, record)`, sorted by
+    /// tenant name. Empty unless runs entered through a fleet (direct
+    /// submissions carry no tenant and fold only into
+    /// [`FlightRecorder::latency`]).
+    pub fn tenant_latencies(&self) -> Vec<(String, LatencyRecord)> {
         let st = self.state.lock();
-        let mut out: Vec<TenantLatency> = st
+        let mut out: Vec<_> = st
             .tenants
             .iter()
-            .map(|(name, th)| TenantLatency {
-                tenant: name.to_string(),
-                runs: th.runs,
-                failed: th.failed,
-                queue_delay: th.queue_delay.clone(),
-                exec: th.exec.clone(),
-                run_latency: th.run_latency.clone(),
-            })
+            .map(|(name, r)| (name.to_string(), r.clone()))
             .collect();
-        out.sort_by(|a, b| a.tenant.cmp(&b.tenant));
+        out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
 
@@ -71,9 +25,9 @@ impl FlightRecorder {
     pub fn tenants_json(&self) -> Value {
         let tenants = self.tenant_latencies();
         let mut arr = Vec::with_capacity(tenants.len());
-        for t in tenants {
+        for (tenant, t) in tenants {
             let mut o = Map::new();
-            o.insert("tenant".into(), Value::Str(t.tenant));
+            o.insert("tenant".into(), Value::Str(tenant));
             o.insert("runs".into(), Value::UInt(t.runs));
             o.insert("failed".into(), Value::UInt(t.failed));
             for (key, h) in [
@@ -135,17 +89,20 @@ mod tests {
         r.pump();
 
         // Unlabeled aggregates fold every run, tenanted or not.
-        let (_, _, rl) = r.latency_histograms();
-        assert_eq!(rl.count, 3, "aggregate run latency counts all runs");
+        let all = r.latency();
+        assert_eq!(
+            all.run_latency.count, 3,
+            "aggregate run latency counts all runs"
+        );
+        assert_eq!((all.runs, all.failed), (3, 1));
 
         let tenants = r.tenant_latencies();
         assert_eq!(tenants.len(), 2, "direct submission creates no tenant");
-        let batch = &tenants[0];
-        let small = &tenants[1];
-        assert_eq!(batch.tenant, "batch");
+        let (batch, small) = (&tenants[0].1, &tenants[1].1);
+        assert_eq!(tenants[0].0, "batch");
         assert_eq!((batch.runs, batch.failed), (1, 1));
         assert!((batch.run_latency.sum - 20_000.0).abs() < 1e-9);
-        assert_eq!(small.tenant, "small");
+        assert_eq!(tenants[1].0, "small");
         assert_eq!((small.runs, small.failed), (1, 0));
         assert!((small.run_latency.sum - 4_000.0).abs() < 1e-9);
         assert_eq!(small.queue_delay.count, 1);

@@ -125,27 +125,15 @@ impl WatchInner {
                     HealthVerdict::Warn => HealthVerdict::Stall,
                     _ => HealthVerdict::Hang,
                 };
-                out.push(match run.level {
-                    HealthVerdict::Warn => HealthEvent::Warn {
-                        run_id,
-                        idle_ns,
-                        t_ns: now,
-                    },
-                    HealthVerdict::Stall => HealthEvent::Stall {
-                        run_id,
-                        idle_ns,
-                        t_ns: now,
-                    },
-                    _ => HealthEvent::Hang {
-                        run_id,
-                        idle_ns,
-                        t_ns: now,
-                    },
+                out.push(HealthEvent::Escalated {
+                    run_id,
+                    level: run.level,
+                    idle_ns,
+                    t_ns: now,
                 });
             }
             // Straggler scan: in-flight tasks far past their estimate.
             if let Some(p) = &progress {
-                let graph = run.label.clone();
                 for &(task, ref name, started_ns) in &p.inflight {
                     if run.flagged.contains(&task) {
                         continue;
@@ -156,7 +144,7 @@ impl WatchInner {
                     }
                     let est = self
                         .recorder
-                        .exec_estimate(&graph, task)
+                        .exec_estimate(&run.label, task)
                         .unwrap_or(cfg.straggler_min.as_nanos() as f64);
                     if runtime_ns as f64 > cfg.straggler_factor * est {
                         run.flagged.push(task);

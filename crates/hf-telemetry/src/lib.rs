@@ -32,7 +32,7 @@ pub mod serve;
 pub use critpath::{critical_path, CriticalPathReport, PathStep};
 pub use export::{chrome_trace, spans_from_sim};
 pub use health::{
-    FlightRecorder, HealthEvent, HealthVerdict, RunProgress, RunSummary, TenantLatency, Watchdog,
+    FlightRecorder, HealthEvent, HealthVerdict, LatencyRecord, RunProgress, RunSummary, Watchdog,
     WatchdogConfig,
 };
 pub use metrics::MetricsRegistry;

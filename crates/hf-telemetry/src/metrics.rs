@@ -2,7 +2,7 @@
 //! and Prometheus text exposition.
 //!
 //! The runtime's statistics are scattered by design —
-//! [`hf_core::ExecutorStats`] on the executor, `DeviceStats`/`PoolStats`
+//! [`hf_core::Executor::snapshot`] on the executor, `DeviceStats`/`PoolStats`
 //! per device, span streams in the trace collector. The registry unifies
 //! them under stable metric names (`hf_executor_*`, `hf_gpu_*`,
 //! `hf_span_*`) so one scrape/snapshot captures the whole runtime. Call
@@ -149,23 +149,8 @@ impl MetricsRegistry {
 
     fn upsert(&self, name: &str, help: &str, labels: &[(&str, &str)], value: MetricValue) {
         let mut m = self.metrics.lock();
-        let labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        if let Some(existing) = m
-            .iter_mut()
-            .find(|x| x.name == name && x.labels == labels)
-        {
-            existing.value = value;
-        } else {
-            m.push(Metric {
-                name: name.to_string(),
-                help: help.to_string(),
-                labels,
-                value,
-            });
-        }
+        let slot = entry(&mut m, name, help, labels, || value.clone());
+        *slot = value;
     }
 
     /// Sets a counter metric.
@@ -182,61 +167,9 @@ impl MetricsRegistry {
     /// default microsecond-duration buckets on first use).
     pub fn observe(&self, name: &str, help: &str, labels: &[(&str, &str)], v: f64) {
         let mut m = self.metrics.lock();
-        let labels_owned: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        if let Some(existing) = m
-            .iter_mut()
-            .find(|x| x.name == name && x.labels == labels_owned)
-        {
-            if let MetricValue::Histogram(h) = &mut existing.value {
-                h.observe(v);
-            }
-        } else {
-            let mut h = Histogram::new(duration_bounds_us());
+        let init = || MetricValue::Histogram(Histogram::new(duration_bounds_us()));
+        if let MetricValue::Histogram(h) = entry(&mut m, name, help, labels, init) {
             h.observe(v);
-            m.push(Metric {
-                name: name.to_string(),
-                help: help.to_string(),
-                labels: labels_owned,
-                value: MetricValue::Histogram(h),
-            });
-        }
-    }
-
-    /// Records one observation into a histogram metric, creating it with
-    /// the given bucket `bounds` on first use (later calls reuse the
-    /// existing buckets; `bounds` only matters on creation).
-    pub fn observe_with(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        bounds: &[f64],
-        v: f64,
-    ) {
-        let mut m = self.metrics.lock();
-        let labels_owned: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        if let Some(existing) = m
-            .iter_mut()
-            .find(|x| x.name == name && x.labels == labels_owned)
-        {
-            if let MetricValue::Histogram(h) = &mut existing.value {
-                h.observe(v);
-            }
-        } else {
-            let mut h = Histogram::new(bounds.to_vec());
-            h.observe(v);
-            m.push(Metric {
-                name: name.to_string(),
-                help: help.to_string(),
-                labels: labels_owned,
-                value: MetricValue::Histogram(h),
-            });
         }
     }
 
@@ -248,18 +181,11 @@ impl MetricsRegistry {
 
     /// Returns a clone of a registered histogram, if present.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
-        let labels_owned: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        self.metrics
-            .lock()
-            .iter()
-            .find(|x| x.name == name && x.labels == labels_owned)
-            .and_then(|x| match &x.value {
-                MetricValue::Histogram(h) => Some(h.clone()),
-                _ => None,
-            })
+        let m = self.metrics.lock();
+        match &m[position(&m, name, labels)?].value {
+            MetricValue::Histogram(h) => Some(h.clone()),
+            _ => None,
+        }
     }
 
     /// Number of registered metrics (one per name+labels pair).
@@ -481,6 +407,41 @@ impl MetricsRegistry {
     }
 }
 
+/// Index of the metric `(name, labels)` in `m`.
+fn position(m: &[Metric], name: &str, labels: &[(&str, &str)]) -> Option<usize> {
+    m.iter().position(|x| {
+        x.name == name
+            && x.labels
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .eq(labels.iter().copied())
+    })
+}
+
+/// The one way into the registry: the value of the metric `(name,
+/// labels)`, registered with `help` and `init()` first when absent.
+fn entry<'a>(
+    m: &'a mut Vec<Metric>,
+    name: &str,
+    help: &str,
+    labels: &[(&str, &str)],
+    init: impl FnOnce() -> MetricValue,
+) -> &'a mut MetricValue {
+    let i = position(m, name, labels).unwrap_or_else(|| {
+        m.push(Metric {
+            name: name.to_string(),
+            help: help.to_string(),
+            labels: labels
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            value: init(),
+        });
+        m.len() - 1
+    });
+    &mut m[i].value
+}
+
 /// Formats a `{k="v",...}` label set (empty string when no labels and no
 /// `le` bound).
 fn label_set(labels: &[(String, String)], le: Option<&str>) -> String {
@@ -567,11 +528,14 @@ mod tests {
     fn prometheus_histogram_conformance() {
         // The exposition must carry cumulative `le`-labeled buckets, a
         // trailing `+Inf` bucket equal to `_count`, and `_sum`.
+        // Built the way the flight recorder publishes its histograms.
         let r = MetricsRegistry::new();
         let bounds = duration_bounds_nanos();
+        let mut h = Histogram::new(bounds.clone());
         for v in [100.0, 300.0, 2000.0, 1e12] {
-            r.observe_with("hf_task_exec_nanos", "exec time", &[("kind", "host")], &bounds, v);
+            h.observe(v);
         }
+        r.set_histogram("hf_task_exec_nanos", "exec time", &[("kind", "host")], h);
         let text = r.prometheus_text();
         assert!(text.contains("# TYPE hf_task_exec_nanos histogram"));
         // 256 is the first bound (4^4): one observation (100) <= 256.
@@ -643,7 +607,7 @@ mod tests {
         ex.run(&g).wait().expect("runs");
 
         let r = MetricsRegistry::new();
-        r.collect_executor(&ex.stats().snapshot());
+        r.collect_executor(&ex.snapshot());
         r.collect_gpu(ex.gpu_runtime());
         r.collect_device_loads(&ex.device_loads());
         r.collect_spans(&trace.spans());

@@ -4,7 +4,7 @@
 //! *late* and the capture clock is *early*. Where the two clock paths
 //! share a common prefix through the clock tree, that pessimism is
 //! physically impossible — the same buffer cannot be simultaneously fast
-//! and slow — and must be credited back (paper refs [29][30][31]). This
+//! and slow — and must be credited back (paper refs \[29\]\[30\]\[31\]). This
 //! module builds a synthetic balanced clock tree over path endpoints and
 //! computes per-path CPPR credits.
 

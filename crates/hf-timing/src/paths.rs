@@ -2,7 +2,7 @@
 //! IO-to-IO paths of a view.
 //!
 //! Implements a best-first deviation search (the strategy behind
-//! UI-Timer-class path engines, paper refs [27][28][30]): states carry an
+//! UI-Timer-class path engines, paper refs \[27\]\[28\]\[30\]): states carry an
 //! exact completion estimate (prefix delay + precomputed max downstream
 //! delay), so paths are produced in exactly descending total-delay order —
 //! an A* search with a perfect heuristic.

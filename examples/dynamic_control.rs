@@ -100,12 +100,9 @@ fn main() {
     println!("4 threads x run_n(25) on one executor: total = {}", total.load(Ordering::SeqCst));
 
     // Scheduler statistics gathered along the way.
-    let st = executor.stats();
+    let st = executor.snapshot();
     println!(
         "executor stats: {} tasks, {} steals (success rate {:.2}), {} sleeps",
-        st.tasks_executed.sum(),
-        st.steals.sum(),
-        st.steal_success_rate(),
-        st.sleeps.sum()
+        st.tasks_executed, st.steals, st.steal_success_rate, st.sleeps
     );
 }

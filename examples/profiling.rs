@@ -93,7 +93,7 @@ fn main() {
     println!("  {cpu} worker-track spans, {dev} device-track spans");
 
     let registry = MetricsRegistry::new();
-    registry.collect_executor(&executor.stats().snapshot());
+    registry.collect_executor(&executor.snapshot());
     registry.collect_gpu(executor.gpu_runtime());
     registry.collect_spans(&spans);
 

@@ -128,9 +128,9 @@ fn main() {
         (got - want).abs() < 1e-3 * want.abs().max(1.0),
         "wavefront result diverged"
     );
+    let st = executor.snapshot();
     println!(
         "fused {} chain members; {} steals across workers",
-        executor.stats().fused.sum(),
-        executor.stats().steals.sum()
+        st.fused, st.steals
     );
 }

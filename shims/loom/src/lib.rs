@@ -33,7 +33,7 @@
 //! accesses are not instrumented. Condvars never wake spuriously and
 //! `notify_one` wakes the longest waiter. Assertions inside the model (and
 //! deadlocks: no runnable thread while some are unfinished) are reported
-//! with the offending decision path. Outside a [`model`] call every type
+//! with the offending decision path. Outside a [`model()`] call every type
 //! degrades to its `std` counterpart with zero overhead, so a crate built
 //! with its `loom` feature enabled still behaves normally in ordinary
 //! code.

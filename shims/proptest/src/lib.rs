@@ -139,7 +139,7 @@ pub fn any<T: Arbitrary>() -> Any<T> {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Length specifications accepted by [`vec`]: an exact `usize` or a
+    /// Length specifications accepted by [`vec()`]: an exact `usize` or a
     /// (half-open / inclusive) range.
     pub trait SizeRange {
         /// Draws a length.
@@ -164,7 +164,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S, R> {
         element: S,
         size: R,

@@ -4,20 +4,20 @@
 //! CPU-GPU Task Programming using Modern C++* (Huang & Lin, IPPS 2022) in
 //! Rust. This facade crate re-exports the workspace:
 //!
-//! * [`core`](hf_core) — task graphs, typed task handles, the
+//! * [`core`] — task graphs, typed task handles, the
 //!   work-stealing executor, and the device-placement scheduler.
-//! * [`gpu`](hf_gpu) — the software GPU substrate (devices, streams,
+//! * [`gpu`] — the software GPU substrate (devices, streams,
 //!   events, buddy-allocator memory pools, kernel launches).
-//! * [`sync`](hf_sync) — the lock-free substrate (Chase–Lev deque,
+//! * [`sync`] — the lock-free substrate (Chase–Lev deque,
 //!   eventcount notifier, union-find).
-//! * [`sim`](hf_sim) — the discrete-event performance model used to
+//! * [`sim`] — the discrete-event performance model used to
 //!   regenerate the paper's scaling figures.
-//! * [`telemetry`](hf_telemetry) — unified observability: metrics
+//! * [`telemetry`] — unified observability: metrics
 //!   registry (Prometheus/JSON), merged CPU-GPU Perfetto traces, and the
 //!   span-based critical-path profiler.
-//! * [`timing`](hf_timing) — the VLSI static-timing-analysis application
+//! * [`timing`] — the VLSI static-timing-analysis application
 //!   (§IV-A).
-//! * [`place`](hf_place) — the VLSI detailed-placement application
+//! * [`place`] — the VLSI detailed-placement application
 //!   (§IV-B).
 //!
 //! ## Quickstart

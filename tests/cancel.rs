@@ -45,7 +45,7 @@ fn cancel_mid_run_settles_with_cancelled() {
         .expect("cancelled run must settle, not hang");
     assert_eq!(res, Err(HfError::Cancelled));
     assert!(fut.is_done());
-    assert!(ex.stats().snapshot().cancelled >= 1);
+    assert!(ex.snapshot().cancelled >= 1);
 
     // The executor takes new work afterwards.
     let g2 = Heteroflow::new("after");
@@ -112,7 +112,7 @@ fn cancel_after_complete_is_noop() {
     assert_eq!(fut.wait(), Ok(()));
     assert!(fut.is_done());
     assert_eq!(count.load(Ordering::SeqCst), 1);
-    assert_eq!(ex.stats().snapshot().cancelled, 0);
+    assert_eq!(ex.snapshot().cancelled, 0);
 }
 
 /// A cancelled GPU-heavy run never reports success for skipped work and

@@ -223,7 +223,7 @@ fn chaos_fault_plans_never_hang_or_corrupt() {
             } else {
                 failed += 1;
             }
-            let snap = ex.stats().snapshot();
+            let snap = ex.snapshot();
             faults += snap.faults_injected;
             retries += snap.retries;
             losses += snap.devices_lost;
@@ -286,7 +286,7 @@ fn device_loss_completes_on_survivors() {
             "device-loss run corrupted data (seed {seed})"
         );
     }
-    let snap = ex.stats().snapshot();
+    let snap = ex.snapshot();
     assert!(
         snap.devices_lost >= 1,
         "expected devices_lost >= 1 in stats (seed {seed}), got {}",
@@ -359,7 +359,7 @@ fn device_loss_replays_on_the_new_plan_within_one_burst() {
     for (i, c) in bodies.iter().enumerate() {
         assert_eq!(c.load(Ordering::SeqCst), 1, "host_{i} body count (seed {seed})");
     }
-    assert!(ex.stats().snapshot().devices_lost >= 1);
+    assert!(ex.snapshot().devices_lost >= 1);
 }
 
 /// Chaos with two tenants sharing a fleet: seeded fault plans fire under
@@ -494,7 +494,7 @@ fn h2d_faults_never_serve_stale_residency() {
             data.read().iter().all(|&v| v == 2),
             "elided rerun corrupted data (seed {seed}, threshold {threshold})"
         );
-        assert!(ex.stats().snapshot().transfers_elided >= 1);
+        assert!(ex.snapshot().transfers_elided >= 1);
 
         // Mutated rerun: the copy must really happen; the first attempts
         // fault and the retry re-copies. Stale residency would read 3.
@@ -562,7 +562,7 @@ fn mid_chunk_h2d_fault_drops_residency() {
             dev.synchronize();
             let copied = (h2d() - before) as usize;
 
-            if ex.stats().snapshot().faults_injected == 0 {
+            if ex.snapshot().faults_injected == 0 {
                 faulted.expect("no fault fired");
             } else if attempts == 1 {
                 let e = faulted.expect_err("a fault without retries fails the run");
@@ -571,9 +571,9 @@ fn mid_chunk_h2d_fault_drops_residency() {
                     "{e}"
                 );
                 mid_chunk += usize::from(copied > 0);
-                let s0 = ex.stats().snapshot();
+                let s0 = ex.snapshot();
                 run("rerun").expect("rerun after the fault");
-                let s1 = ex.stats().snapshot();
+                let s1 = ex.snapshot();
                 assert_eq!(
                     s1.transfers_elided, s0.transfers_elided,
                     "rerun elided against a half-written buffer (seed {seed})"
@@ -670,7 +670,7 @@ fn failover_budget_survives_the_replay_hand_over() {
             assert_eq!(res, Ok(()));
             assert_eq!(failovers, 2, "each dying device costs one failover");
             assert!(bufs.iter().all(|b| b.read().iter().all(|&v| v == 6)));
-            assert_eq!(ex.stats().snapshot().devices_lost, 2);
+            assert_eq!(ex.snapshot().devices_lost, 2);
         } else {
             let err = res.expect_err("the second failover exceeds the budget");
             assert!(matches!(err.gpu_cause(), Some(GpuError::DeviceLost(_))), "{err}");

@@ -3,7 +3,7 @@
 //! device loss, and the locality cost feedback.
 
 use heteroflow::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 #[test]
@@ -178,11 +178,11 @@ fn wide_fanout_exercises_stealing() {
     }
     ex.run(&g).wait().unwrap();
     assert_eq!(counter.load(Ordering::SeqCst), 200);
-    assert!(ex.stats().tasks_executed.sum() >= 201);
+    assert!(ex.snapshot().tasks_executed >= 201);
     // 200 successors released at once must have been sprayed across
     // the injector in batched pushes, not item-by-item.
-    assert!(ex.stats().injector_batches.sum() >= 1);
-    assert!(ex.stats().notify_coalesced.sum() >= 1);
+    assert!(ex.snapshot().injector_batches >= 1);
+    assert!(ex.snapshot().notify_coalesced >= 1);
 }
 
 #[test]
@@ -218,6 +218,35 @@ fn non_adaptive_mode_still_works() {
     assert_eq!(counter.load(Ordering::SeqCst), 10);
 }
 
+/// `Executor::snapshot` carries the live gauges: with the only worker
+/// held inside one host task and its sibling waiting behind it, one
+/// worker is in a burst and the sibling's token is queued.
+#[test]
+fn snapshot_reports_live_gauges_mid_run() {
+    let ex = Executor::new(1, 0);
+    let g = Heteroflow::new("gauges");
+    let release = Arc::new(AtomicBool::new(false));
+    let (started, first_started) = std::sync::mpsc::channel();
+    for name in ["a", "b"] {
+        let (release, started) = (Arc::clone(&release), started.clone());
+        g.host(name, move || {
+            let _ = started.send(());
+            while !release.load(Ordering::Acquire) {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        });
+    }
+    let fut = ex.run(&g);
+    first_started
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("one task started");
+    let live = ex.snapshot();
+    release.store(true, Ordering::Release);
+    fut.wait().unwrap();
+    assert_eq!(live.inflight_tasks, 1, "{live:?}");
+    assert!(live.queue_depth >= 1, "{live:?}");
+}
+
 #[test]
 fn unchanged_graph_reuses_cached_placement() {
     let ex = Executor::new(2, 1);
@@ -233,18 +262,18 @@ fn unchanged_graph_reuses_cached_placement() {
         ex.run(&g).wait().unwrap();
     }
     // Exactly one freeze + placement for the unchanged graph.
-    assert_eq!(ex.stats().topo_cache_misses.sum(), 1);
-    assert_eq!(ex.stats().topo_cache_hits.sum(), 9);
+    assert_eq!(ex.snapshot().topo_cache_misses, 1);
+    assert_eq!(ex.snapshot().topo_cache_hits, 9);
 
     // Mutating the graph invalidates the cache.
     g.host("extra", || {});
     ex.run(&g).wait().unwrap();
-    assert_eq!(ex.stats().topo_cache_misses.sum(), 2);
-    assert_eq!(ex.stats().topo_cache_hits.sum(), 9);
+    assert_eq!(ex.snapshot().topo_cache_misses, 2);
+    assert_eq!(ex.snapshot().topo_cache_hits, 9);
     // And the new epoch caches again.
     ex.run(&g).wait().unwrap();
-    assert_eq!(ex.stats().topo_cache_misses.sum(), 2);
-    assert_eq!(ex.stats().topo_cache_hits.sum(), 10);
+    assert_eq!(ex.snapshot().topo_cache_misses, 2);
+    assert_eq!(ex.snapshot().topo_cache_hits, 10);
 }
 
 #[test]
@@ -259,10 +288,10 @@ fn run_n_of_unchanged_graph_is_one_placement() {
     ex.run_n(&g, 50).wait().unwrap();
     ex.run_n(&g, 50).wait().unwrap();
     assert_eq!(counter.load(Ordering::SeqCst), 100);
-    assert_eq!(ex.stats().rounds.sum(), 100);
+    assert_eq!(ex.snapshot().rounds, 100);
     // Two submissions, one graph version: one miss, one hit.
-    assert_eq!(ex.stats().topo_cache_misses.sum(), 1);
-    assert_eq!(ex.stats().topo_cache_hits.sum(), 1);
+    assert_eq!(ex.snapshot().topo_cache_misses, 1);
+    assert_eq!(ex.snapshot().topo_cache_hits, 1);
 }
 
 /// pull→kernel(double)→push lane over `data`; expect every element
@@ -298,7 +327,7 @@ fn injected_fault_retries_to_success() {
     gpu_lane(&g, "lane", &x);
     ex.run(&g).wait().unwrap();
     assert!(x.read().iter().all(|&v| v == 2));
-    let snap = ex.stats().snapshot();
+    let snap = ex.snapshot();
     assert!(snap.retries >= 1, "retries: {}", snap.retries);
     assert!(snap.faults_injected >= 1);
 }
@@ -320,7 +349,7 @@ fn exhausted_retries_fail_with_structured_error() {
         err.gpu_cause(),
         Some(GpuError::FaultInjected { .. })
     ));
-    assert!(ex.stats().snapshot().retries >= 1);
+    assert!(ex.snapshot().retries >= 1);
 }
 
 #[test]
@@ -363,7 +392,7 @@ fn submission_after_device_loss_uses_survivors() {
     ex.run(&g).wait().unwrap();
     assert!(x.read().iter().all(|&v| v == 2));
     assert!(y.read().iter().all(|&v| v == 6));
-    assert_eq!(ex.stats().snapshot().devices_lost, 1);
+    assert_eq!(ex.snapshot().devices_lost, 1);
 }
 
 #[test]
@@ -374,12 +403,12 @@ fn second_executor_evicts_cache_entry() {
     let ex2 = Executor::new(1, 0);
     ex1.run(&g).wait().unwrap();
     ex1.run(&g).wait().unwrap();
-    assert_eq!(ex1.stats().topo_cache_misses.sum(), 1);
-    assert_eq!(ex1.stats().topo_cache_hits.sum(), 1);
+    assert_eq!(ex1.snapshot().topo_cache_misses, 1);
+    assert_eq!(ex1.snapshot().topo_cache_hits, 1);
     // A different executor must not reuse ex1's plan.
     ex2.run(&g).wait().unwrap();
-    assert_eq!(ex2.stats().topo_cache_misses.sum(), 1);
-    assert_eq!(ex2.stats().topo_cache_hits.sum(), 0);
+    assert_eq!(ex2.snapshot().topo_cache_misses, 1);
+    assert_eq!(ex2.snapshot().topo_cache_hits, 0);
 }
 
 /// Resubmitting an unchanged graph: the placement cache hits and the
@@ -395,7 +424,7 @@ fn resubmission_caches_plan_and_elides_copies() {
     let _ = (px, py);
     ex.run(&g).wait().unwrap();
     ex.run(&g).wait().unwrap();
-    let snap = ex.stats().snapshot();
+    let snap = ex.snapshot();
     assert_eq!(snap.topo_cache_misses, 1);
     assert_eq!(snap.topo_cache_hits, 1);
     // Second submission found both buffers warm.

@@ -78,11 +78,11 @@ fn flight_recorder_captures_full_lifecycle() {
     );
 
     // Latency attribution populated all three components.
-    let (qd, exec, run_lat) = recorder.latency_histograms();
-    assert!(qd.count > 0, "queue delays observed");
-    assert!(exec.count > 0, "exec times observed");
-    assert_eq!(run_lat.count, 1, "one run latency observed");
-    assert!(run_lat.quantile(0.99) > 0.0);
+    let latency = recorder.latency();
+    assert!(latency.queue_delay.count > 0, "queue delays observed");
+    assert!(latency.exec.count > 0, "exec times observed");
+    assert_eq!(latency.run_latency.count, 1, "one run latency observed");
+    assert!(latency.run_latency.quantile(0.99) > 0.0);
 
     let s = recorder.summaries();
     assert_eq!(s.len(), 1);
@@ -156,13 +156,13 @@ fn device_loss_black_box_shows_redispatch_on_survivor() {
         "black box shows re-dispatch completing on survivor (seed {seed})"
     );
     assert!(
-        ex.stats().snapshot().devices_lost >= 1,
+        ex.snapshot().devices_lost >= 1,
         "loss visible in stats (seed {seed})"
     );
 }
 
 /// Acceptance criterion: a FaultPlan-injected stall produces
-/// `HealthEvent::Stall` before the run resolves, and the watchdog then
+/// a `stall` escalation before the run resolves, and the watchdog then
 /// reports recovery.
 #[test]
 fn watchdog_sees_injected_stall_then_recovery() {
@@ -203,9 +203,15 @@ fn watchdog_sees_injected_stall_then_recovery() {
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
         let evs = wd.events();
-        let stall_at = evs
-            .iter()
-            .position(|e| matches!(e, HealthEvent::Stall { .. }));
+        let stall_at = evs.iter().position(|e| {
+            matches!(
+                e,
+                HealthEvent::Escalated {
+                    level: HealthVerdict::Stall,
+                    ..
+                }
+            )
+        });
         let recovered_after = stall_at.map(|i| {
             evs.iter()
                 .skip(i)
@@ -228,7 +234,11 @@ fn watchdog_sees_injected_stall_then_recovery() {
         .events()
         .iter()
         .find_map(|e| match e {
-            HealthEvent::Stall { t_ns, .. } => Some(*t_ns),
+            HealthEvent::Escalated {
+                level: HealthVerdict::Stall,
+                t_ns,
+                ..
+            } => Some(*t_ns),
             _ => None,
         })
         .expect("stall event present");
@@ -334,7 +344,7 @@ fn concurrent_pumps_apply_every_event_in_order() {
             recorder.pump();
             let progress = recorder.run_progress(fut.run_id());
             let summary = recorder.summaries().pop().map(|s| (s.run_id, s.tasks));
-            let exec_samples = recorder.latency_histograms().1.count;
+            let exec_samples = recorder.latency().exec.count;
             let ok = res.is_ok()
                 && progress.as_ref().is_some_and(|p| p.done && p.inflight.is_empty())
                 && summary == Some((fut.run_id(), TASKS))
@@ -466,7 +476,7 @@ fn live_endpoint_serves_attribution_and_watchdog_verdict() {
                 .unwrap_or(false)
     });
     assert!(populated, "bucket lines carry counts");
-    let (qd, _, _) = recorder.latency_histograms();
+    let qd = recorder.latency().queue_delay;
     assert!(qd.quantile(0.99) > 0.0, "p99 computable from scraped data");
 
     // /runs: recent flight summaries as JSON.
@@ -507,7 +517,7 @@ fn assert_failed_chain_closes_its_suffix(ex: Executor, recorder: Arc<FlightRecor
     let run_id = fut.run_id();
     let res = fut.wait_timeout(DEADLINE).expect("failing run must not hang");
     assert!(res.is_err(), "every kernel attempt fails: {res:?}");
-    assert!(ex.stats().fused.sum() >= 2, "the lane dispatched as one chain");
+    assert!(ex.snapshot().fused >= 2, "the lane dispatched as one chain");
 
     recorder.pump();
     let progress = recorder.run_progress(run_id).expect("run retained");

@@ -33,7 +33,7 @@ fn warm_residency_elides_across_mutated_epochs() {
         g.host(&format!("tick{epoch}"), || {});
     }
 
-    let s = ex.stats().snapshot();
+    let s = ex.snapshot();
     assert_eq!(
         s.bytes_h2d, total_bytes,
         "every epoch after the first should elide all lane copies"
@@ -81,7 +81,7 @@ fn locality_moves_no_more_bytes_than_balanced_under_seesawing_bias() {
         g.host(&format!("tick{epoch}"), || {});
     }
     let once = ((1..=LANES).sum::<usize>() * LANE_UNIT + 2 * (LANE_UNIT / 2)) * 8;
-    assert_eq!(ex.stats().snapshot().bytes_h2d, once as u64);
+    assert_eq!(ex.snapshot().bytes_h2d, once as u64);
 }
 
 /// Mutating the host buffer invalidates residency: the next re-placement
@@ -102,7 +102,7 @@ fn stale_residency_recopies_new_bytes() {
     // Epoch 1 (graph mutated, data untouched): pull elides.
     g.host("tick0", || {});
     ex.run(&g).wait_timeout(DEADLINE).expect("hung").expect("runs");
-    let mid = ex.stats().snapshot();
+    let mid = ex.snapshot();
     assert_eq!(mid.bytes_h2d, (N * 4) as u64, "warm epoch must elide");
     assert!(mid.placement_warm_hits >= 1);
 
@@ -112,7 +112,7 @@ fn stale_residency_recopies_new_bytes() {
     g.host("tick1", || {});
     ex.run(&g).wait_timeout(DEADLINE).expect("hung").expect("runs");
 
-    let end = ex.stats().snapshot();
+    let end = ex.snapshot();
     assert_eq!(
         end.bytes_h2d,
         2 * (N * 4) as u64,
@@ -180,7 +180,7 @@ fn chaos_locality_survives_device_loss() {
     ex.gpu_runtime()
         .set_fault_plan(Some(FaultPlan::seeded(0x10ca_beef).lose_device(1, 1)));
     assert!(run_two_lanes(&ex, 0), "clean device-loss run must succeed");
-    assert!(ex.stats().snapshot().devices_lost >= 1);
+    assert!(ex.snapshot().devices_lost >= 1);
 
     // Randomized half: 16 seeded plans mixing H2D/kernel faults with
     // occasional device loss, two epochs each so failover re-placement

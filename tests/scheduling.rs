@@ -335,7 +335,7 @@ fn fusion_is_transparent() {
         let s = g.push("s", &p, &d);
         s.succeed(&prev);
         ex.run(&g).wait().expect("runs");
-        (d.to_vec(), ex.stats().fused.sum())
+        (d.to_vec(), ex.snapshot().fused)
     };
     let (with_fusion, fused) = run(true);
     let (without_fusion, not_fused) = run(false);

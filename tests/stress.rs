@@ -191,10 +191,10 @@ fn concurrent_mutating_runs_invalidate_sched_cache() {
     // Each graph is submitted sequentially by its owning thread, so the
     // cache outcome is deterministic even though the executor is shared:
     // one miss per mutation phase, hits for every other submission.
-    let s = ex.stats();
-    assert_eq!(s.topo_cache_misses.sum() as usize, THREADS * PHASES);
+    let s = ex.snapshot();
+    assert_eq!(s.topo_cache_misses as usize, THREADS * PHASES);
     assert_eq!(
-        s.topo_cache_hits.sum() as usize,
+        s.topo_cache_hits as usize,
         THREADS * PHASES * (SUBMISSIONS_PER_PHASE - 1)
     );
 }

@@ -179,7 +179,7 @@ fn metrics_and_critical_path_from_one_run() {
     let trace = TraceCollector::shared();
     let ex = Executor::builder(2, 1).tracer(Arc::clone(&trace)).build();
     ex.run(&g).wait().expect("runs");
-    let stats = ex.stats().snapshot();
+    let stats = ex.snapshot();
     let registry = MetricsRegistry::new();
     registry.collect_executor(&stats);
     registry.collect_gpu(ex.gpu_runtime());

@@ -407,10 +407,10 @@ fn per_tenant_prometheus_labels_with_stable_aggregates() {
     assert!(tenants.contains(&None), "direct run stays untenanted");
 }
 
-/// Fleet stats surface on the shared executor: admissions and structured
-/// rejections are counted globally.
+/// Admissions and structured rejections are counted once, per tenant, in
+/// the fleet's own snapshot.
 #[test]
-fn fleet_counters_in_executor_stats() {
+fn fleet_counters_in_fleet_snapshot() {
     let fleet = Fleet::new(Executor::new(2, 1), FleetConfig::default());
     let tenant = fleet.register(
         "counted",
@@ -425,9 +425,14 @@ fn fleet_counters_in_executor_stats() {
     assert!(fleet.submit(&tenant, &g).is_err(), "second exceeds budget");
     assert_eq!(f.wait_timeout(DEADLINE), Some(Ok(())));
     fleet.wait_idle();
-    let snap = fleet.executor().stats().snapshot();
-    assert_eq!(snap.fleet_admissions, 1);
-    assert_eq!(snap.fleet_rejections, 1);
+    let snap = fleet.snapshot();
+    let t = snap
+        .tenants
+        .iter()
+        .find(|t| t.tenant == "counted")
+        .expect("tenant listed");
+    assert_eq!(t.admitted, 1);
+    assert_eq!((t.rejected_quota, t.rejected_saturated), (1, 0));
 }
 
 /// `/runs` names the tenant of a fleet run, as `/flight` and the black-box

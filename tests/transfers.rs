@@ -64,7 +64,7 @@ fn unchanged_rounds_elide_h2d_copies() {
     let (g, data) = copy_through(N);
     ex.run_n(&g, ROUNDS as usize).wait().expect("runs");
     assert!(data.read().iter().all(|&v| v == 7));
-    let s = ex.stats().snapshot();
+    let s = ex.snapshot();
     assert_eq!(s.transfers_elided, ROUNDS - 1, "all but the first round elide");
     assert_eq!(s.bytes_h2d, (N * 4) as u64, "exactly one real H2D copy");
     assert_eq!(s.bytes_d2h, ROUNDS * (N * 4) as u64, "push copies every round");
@@ -80,7 +80,7 @@ fn resubmission_elides_h2d() {
     ex.run(&g).wait().expect("first run");
     ex.run(&g).wait().expect("second run");
     assert!(data.read().iter().all(|&v| v == 7));
-    let s = ex.stats().snapshot();
+    let s = ex.snapshot();
     assert_eq!(s.transfers_elided, 1, "second submission skips the copy");
     assert_eq!(s.bytes_h2d, (N * 4) as u64);
 }
@@ -105,7 +105,7 @@ fn host_mutation_forces_recopy() {
         "kernel must see mutated host data, got {:?}...",
         &data.read()[..4]
     );
-    assert_eq!(ex.stats().snapshot().transfers_elided, 0);
+    assert_eq!(ex.snapshot().transfers_elided, 0);
 }
 
 /// Transfers above the chunk threshold are split across copy lanes and
@@ -124,7 +124,7 @@ fn chunked_copies_are_correct() {
     for (i, &v) in d.iter().enumerate() {
         assert_eq!(v, i as i32 + 1, "element {i}");
     }
-    let s = ex.stats().snapshot();
+    let s = ex.snapshot();
     assert_eq!(s.bytes_h2d, (N * 4) as u64);
     assert_eq!(s.bytes_d2h, (N * 4) as u64);
 }
@@ -141,7 +141,7 @@ fn chunked_copy_elides_on_rerun() {
     ex.run(&g).wait().expect("first run");
     ex.run(&g).wait().expect("second run");
     assert!(data.read().iter().all(|&v| v == 7));
-    let s = ex.stats().snapshot();
+    let s = ex.snapshot();
     assert_eq!(s.transfers_elided, 1);
     assert_eq!(s.bytes_h2d, (N * 4) as u64, "only the first run copies");
 }
@@ -205,7 +205,7 @@ fn cross_executor_rerun_reallocates() {
         "second executor must copy fresh data, got {:?}...",
         &data.read()[..4]
     );
-    assert_eq!(ex2.stats().snapshot().transfers_elided, 0);
+    assert_eq!(ex2.snapshot().transfers_elided, 0);
 }
 
 // ---- the transfer engine: one version per buffer, one op per chunk ----
@@ -273,7 +273,7 @@ fn chunked_pull_under_a_writer_holds_one_version() {
         stop.store(true, Ordering::SeqCst);
     });
     assert_eq!(
-        ex.stats().snapshot().transfers_elided,
+        ex.snapshot().transfers_elided,
         0,
         "the source changed before every run"
     );
@@ -318,7 +318,7 @@ fn torn_chunked_pull_recopies_one_version() {
     let seen = observe_uniform(&g, &g.pull("pull", &src));
     ex.run(&g).wait().expect("runs");
     assert_eq!(seen.load(Ordering::SeqCst), 2);
-    let s = ex.stats().snapshot();
+    let s = ex.snapshot();
     assert_eq!(s.transfers_torn, 1);
     assert_eq!(s.bytes_h2d, 4000, "the task's bytes are counted once");
 }
@@ -356,7 +356,7 @@ fn unversioned_source_pulls_in_one_op_and_never_elides() {
         let ops = dev.stats().ops.load(Ordering::Relaxed) - before;
         assert!(ops <= 4, "pull + push in one op each, got {ops} ops");
         assert_eq!(out.to_vec(), bytes);
-        let s = ex.stats().snapshot();
+        let s = ex.snapshot();
         assert_eq!(s.transfers_elided, 0);
         assert_eq!(s.bytes_h2d, run * 4000);
     }
@@ -381,7 +381,7 @@ fn faulted_large_push_is_all_or_nothing() {
         match ex.run(&g).wait() {
             Ok(()) => {
                 assert_eq!(out.to_vec(), data.to_vec(), "seed {seed}");
-                retried += ex.stats().snapshot().retries;
+                retried += ex.snapshot().retries;
             }
             Err(e) => {
                 assert!(
@@ -422,5 +422,5 @@ fn chunked_pull_costs_one_op_per_chunk() {
         assert!(ops <= 64 + 3 * LANES + 4, "run {run}: {ops} engine ops");
         assert!(ops >= 64, "run {run}: every chunk is its own op, got {ops}");
     }
-    assert_eq!(ex.stats().snapshot().bytes_h2d, 3 * 4096);
+    assert_eq!(ex.snapshot().bytes_h2d, 3 * 4096);
 }
