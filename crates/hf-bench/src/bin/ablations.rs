@@ -30,15 +30,15 @@ fn a1_placement_policies() {
         k.work_units(((i % 11) + 1) as f64 * 1e5);
         p.precede(&k);
     }
-    let info = g.info().expect("acyclic");
+    let graph = g.freeze().expect("acyclic");
     println!("A1  device placement policy (400 skewed groups, 4 GPUs):");
     for (name, packer) in [
         ("balanced (paper)", Packer::Balanced),
         ("round-robin", Packer::RoundRobin),
         ("random", Packer::Random { seed: 3 }),
     ] {
-        let p = packer.place(&info, 4, &CostModel::default()).expect("placeable");
-        let r = simulate_placed(&info, &Machine::new(8, 4), &p, |_| SimDuration::ZERO);
+        let p = packer.place(&*graph, 4, &CostModel::default()).expect("placeable");
+        let r = simulate_placed(&graph, &Machine::new(8, 4), &p, |_| SimDuration::ZERO);
         println!(
             "      {name:<18} imbalance {:>6.3}   modeled makespan {:>8.2} ms",
             p.imbalance(),
@@ -61,14 +61,14 @@ fn a2_dedicated_workers() {
     for i in 0..64 {
         g.host(&format!("h{i}"), || {});
     }
-    let info = g.info().expect("acyclic");
+    let graph = g.freeze().expect("acyclic");
     println!("A2  worker organization (64 CPU tasks + 4 light kernels, 8 cores, 2 GPUs):");
     for (name, mode) in [
         ("unified (paper)", SchedulerMode::Unified),
         ("dedicated/GPU", SchedulerMode::DedicatedGpuWorkers),
     ] {
         let m = Machine::new(8, 2).with_mode(mode);
-        let r = simulate(&info, &m, |_| {
+        let r = simulate(&graph, &m, |_| {
             SimDuration::from_millis(1)
         })
         .expect("simulates");

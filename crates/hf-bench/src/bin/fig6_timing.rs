@@ -21,7 +21,7 @@
 //!     [--sweep cores|views|both] [--json]
 
 use hf_bench::{print_matrix, Args, NameCosts, Packer, Row};
-use hf_core::{GraphInfo, TaskKind};
+use hf_core::FrozenGraph;
 use hf_gpu::{CostModel, SimDuration};
 use hf_sim::{simulate_placed, Machine, SchedulerMode};
 use hf_timing::correlation::{build_correlation_graph, CorrelationConfig};
@@ -48,39 +48,27 @@ struct Setup {
     packer: Packer,
 }
 
-/// Fills pull/push byte sizes that are only known after the gen task
-/// runs (the dataset shapes are deterministic from the config).
-fn patch_dataset_bytes(info: &mut GraphInfo, paths: usize) {
-    let bx = paths * NUM_FEATURES * 4;
-    let by = paths * 4;
-    let bw = (NUM_FEATURES + 1) * 4;
-    for n in &mut info.nodes {
-        if n.kind == TaskKind::Pull || n.kind == TaskKind::Push {
-            if n.name.starts_with("pull_x") {
-                n.bytes = bx;
-            } else if n.name.starts_with("pull_y") {
-                n.bytes = by;
-            } else if n.name.starts_with("pull_w") || n.name.starts_with("push_w") {
-                n.bytes = bw;
-            }
-        }
-    }
-}
-
-fn build_info(setup: &Setup, views: usize) -> GraphInfo {
+/// The Fig 5 graph over `views` views, its dataset buffers sized as the
+/// gen tasks would fill them (`make_dataset`'s shapes are fixed by the
+/// config), so pulls and pushes are priced by the bytes they would move.
+fn build_graph(setup: &Setup, views: usize) -> Arc<FrozenGraph> {
     let vs = make_views(views, 0.4);
     let built = build_correlation_graph(Arc::clone(&setup.circuit), &vs, setup.cfg);
-    let mut info = built.graph.info().expect("acyclic by construction");
-    patch_dataset_bytes(&mut info, setup.cfg.paths_per_view);
-    info
+    let paths = setup.cfg.paths_per_view;
+    for [features, labels, weights] in &built.buffers {
+        features.write().resize(paths * NUM_FEATURES, 0.0);
+        labels.write().resize(paths, 0.0);
+        weights.write().resize(NUM_FEATURES + 1, 0.0);
+    }
+    built.graph.freeze().expect("acyclic by construction")
 }
 
-fn minutes(info: &GraphInfo, setup: &Setup, cores: usize, gpus: u32) -> f64 {
+fn minutes(graph: &FrozenGraph, setup: &Setup, cores: usize, gpus: u32) -> f64 {
     let m = Machine::new(cores, gpus)
         .with_cost(setup.cost_model)
         .with_mode(SchedulerMode::Unified);
-    let p = setup.packer.place(info, gpus, &m.cost).expect("valid graph and machine");
-    simulate_placed(info, &m, &p, setup.costs.for_graph(info)).makespan_secs / 60.0
+    let p = setup.packer.place(graph, gpus, &m.cost).expect("valid graph and machine");
+    simulate_placed(graph, &m, &p, setup.costs.for_graph(graph)).makespan_secs / 60.0
 }
 
 fn main() {
@@ -162,12 +150,12 @@ fn main() {
     // --- Upper panel: runtime vs cores, one series per GPU count. ---
     if sweep == "cores" || sweep == "both" {
         eprintln!("[fig6] building {views}-view graph and sweeping cores x gpus ...");
-        let info = build_info(&setup, views);
+        let graph = build_graph(&setup, views);
         let mut rows = Vec::new();
         for &g in &GPU_SWEEP {
             let values: Vec<f64> = CORE_SWEEP
                 .iter()
-                .map(|&c| minutes(&info, &setup, c, g))
+                .map(|&c| minutes(&graph, &setup, c, g))
                 .collect();
             rows.push(Row {
                 label: format!("{g} GPU{}", if g > 1 { "s" } else { "" }),
@@ -201,20 +189,18 @@ fn main() {
         eprintln!("[fig6] sweeping problem size ...");
         // Series over cores at 4 GPUs, and over GPUs at 40 cores.
         let mut rows = Vec::new();
-        let infos: Vec<(usize, GraphInfo)> = VIEW_SWEEP
-            .iter()
-            .map(|&v| (v, build_info(&setup, v)))
-            .collect();
+        let graphs: Vec<Arc<FrozenGraph>> =
+            VIEW_SWEEP.iter().map(|&v| build_graph(&setup, v)).collect();
         for &c in &[1usize, 16, 40] {
             rows.push(Row {
                 label: format!("{c} cores, 4 GPUs"),
-                values: infos.iter().map(|(_, i)| minutes(i, &setup, c, 4)).collect(),
+                values: graphs.iter().map(|gr| minutes(gr, &setup, c, 4)).collect(),
             });
         }
         for &g in &[1u32, 2] {
             rows.push(Row {
                 label: format!("40 cores, {g} GPU{}", if g > 1 { "s" } else { "" }),
-                values: infos.iter().map(|(_, i)| minutes(i, &setup, 40, g)).collect(),
+                values: graphs.iter().map(|gr| minutes(gr, &setup, 40, g)).collect(),
             });
         }
         print_matrix(

@@ -22,13 +22,14 @@
 //!     [--sweep cores|iters|both] [--json]
 
 use hf_bench::{print_matrix, Args, NameCosts, Row};
-use hf_core::GraphInfo;
+use hf_core::FrozenGraph;
 use hf_gpu::{CostModel, SimDuration};
 use hf_place::graph::{build_placement_graph, GraphConfig};
 use hf_place::mis::{make_priorities, mis_cpu};
 use hf_place::partition::partition_windows;
 use hf_place::{hungarian, PlacementConfig, PlacementDb};
 use hf_sim::{simulate, Machine, SchedulerMode};
+use std::sync::Arc;
 
 /// Paper's bigblue4 size, for cost scaling.
 const BIGBLUE4_CELLS: f64 = 2_200_000.0;
@@ -47,21 +48,21 @@ struct Setup {
     mode: SchedulerMode,
 }
 
-fn build_info(setup: &Setup, iterations: usize) -> GraphInfo {
+fn build_graph(setup: &Setup, iterations: usize) -> Arc<FrozenGraph> {
     let db = PlacementDb::synthesize(&setup.db_cfg);
     let cfg = GraphConfig {
         iterations,
         ..setup.graph_cfg
     };
     let (g, _run) = build_placement_graph(db, cfg);
-    g.info().expect("acyclic by construction")
+    g.freeze().expect("acyclic by construction")
 }
 
-fn seconds(info: &GraphInfo, setup: &Setup, cores: usize, gpus: u32) -> f64 {
+fn seconds(graph: &FrozenGraph, setup: &Setup, cores: usize, gpus: u32) -> f64 {
     let m = Machine::new(cores, gpus)
         .with_cost(setup.cost_model)
         .with_mode(setup.mode);
-    let r = simulate(info, &m, setup.costs.for_graph(info))
+    let r = simulate(graph, &m, setup.costs.for_graph(graph))
         .expect("valid graph and machine");
     r.makespan_secs
 }
@@ -161,12 +162,12 @@ fn main() {
     // --- Upper panel: runtime vs cores, one series per GPU count. ---
     if sweep == "cores" || sweep == "both" {
         eprintln!("[fig9] building {iters}-iteration graph and sweeping cores x gpus ...");
-        let info = build_info(&setup, iters);
+        let graph = build_graph(&setup, iters);
         let mut rows = Vec::new();
         for &g in &GPU_SWEEP {
             let values: Vec<f64> = CORE_SWEEP
                 .iter()
-                .map(|&c| seconds(&info, &setup, c, g))
+                .map(|&c| seconds(&graph, &setup, c, g))
                 .collect();
             rows.push(Row {
                 label: format!("{g} GPU{}", if g > 1 { "s" } else { "" }),
@@ -200,21 +201,19 @@ fn main() {
     // --- Lower panel: runtime vs problem size (iterations). ---
     if sweep == "iters" || sweep == "both" {
         eprintln!("[fig9] sweeping iteration count ...");
-        let infos: Vec<(usize, GraphInfo)> = ITER_SWEEP
-            .iter()
-            .map(|&i| (i, build_info(&setup, i)))
-            .collect();
+        let graphs: Vec<Arc<FrozenGraph>> =
+            ITER_SWEEP.iter().map(|&i| build_graph(&setup, i)).collect();
         let mut rows = Vec::new();
         for &c in &[1usize, 8, 40] {
             rows.push(Row {
                 label: format!("{c} cores, 4 GPUs"),
-                values: infos.iter().map(|(_, i)| seconds(i, &setup, c, 4)).collect(),
+                values: graphs.iter().map(|gr| seconds(gr, &setup, c, 4)).collect(),
             });
         }
         for &g in &[1u32, 4] {
             rows.push(Row {
                 label: format!("40 cores, {g} GPU{}", if g > 1 { "s" } else { "" }),
-                values: infos.iter().map(|(_, i)| seconds(i, &setup, 40, g)).collect(),
+                values: graphs.iter().map(|gr| seconds(gr, &setup, 40, g)).collect(),
             });
         }
         print_matrix(

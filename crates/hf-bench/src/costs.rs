@@ -4,7 +4,7 @@
 //! (`gen_v3`, `match[2][1]`, ...). A [`NameCosts`] maps name prefixes to
 //! measured durations; the longest matching prefix wins.
 
-use hf_core::GraphInfo;
+use hf_core::FrozenGraph;
 use hf_gpu::SimDuration;
 
 /// Prefix → duration cost table.
@@ -37,9 +37,12 @@ impl NameCosts {
     }
 
     /// Builds the `host_cost` closure for [`hf_sim::simulate`] over a
-    /// given graph snapshot.
-    pub fn for_graph<'a>(&'a self, info: &'a GraphInfo) -> impl Fn(usize) -> SimDuration + Copy + 'a {
-        move |id| self.cost_of(&info.nodes[id].name)
+    /// given frozen graph.
+    pub fn for_graph<'a>(
+        &'a self,
+        graph: &'a FrozenGraph,
+    ) -> impl Fn(usize) -> SimDuration + Copy + 'a {
+        move |id| self.cost_of(graph.task_name(id))
     }
 }
 

@@ -95,7 +95,7 @@ impl Heteroflow {
     /// shows where the scheduler would place every task.
     pub fn dump_placed(&self, num_gpus: u32) -> Result<String, crate::HfError> {
         let cost = hf_gpu::CostModel::default();
-        let placement = device_placement(&self.info()?, num_gpus, &cost)?;
+        let placement = device_placement(&*self.freeze()?, num_gpus, &cost)?;
         let b = self.shared.builder.lock();
         Ok(emit(&b, &|_| None, Some(&placement.device_of)))
     }

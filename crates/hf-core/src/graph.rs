@@ -235,9 +235,9 @@ pub(crate) struct GpuNode {
 
 impl GpuNode {
     /// Work a kernel is priced at, everywhere it is priced (the device
-    /// when it runs, Algorithm 1 in the executor, `GraphInfo` and so
-    /// `hf-sim`): the declared units, or one per launched thread when
-    /// none are declared.
+    /// when it runs, and `weight_of`, which Algorithm 1 packs with and
+    /// `hf-sim` replays with): the declared units, or one per launched
+    /// thread when none are declared.
     pub(crate) fn priced_work_units(declared: f64, cfg: &LaunchConfig) -> f64 {
         if declared > 0.0 {
             declared
@@ -263,11 +263,50 @@ impl FrozenGraph {
         self.nodes[id].work.kind()
     }
 
+    /// Name of node `id`.
+    pub fn task_name(&self, id: usize) -> &str {
+        &self.nodes[id].name
+    }
+
     /// Successor ids of node `id`.
     #[inline]
-    pub(crate) fn succ(&self, id: usize) -> &[u32] {
+    pub fn successors(&self, id: usize) -> &[u32] {
         let n = &self.nodes[id];
         &self.succ[n.succ_at as usize..][..n.succ_len as usize]
+    }
+
+    /// Number of dependencies of node `id`.
+    pub fn num_deps(&self, id: usize) -> usize {
+        self.nodes[id].num_deps as usize
+    }
+
+    /// Node ids with no dependencies, ascending.
+    pub fn sources(&self) -> &[usize] {
+        &self.sources
+    }
+
+    /// Length (in tasks) of the longest dependency chain — the critical
+    /// path that lower-bounds any schedule.
+    pub fn critical_path_len(&self) -> usize {
+        let n = self.nodes.len();
+        let mut depth = vec![0usize; n];
+        // Process in topological order via Kahn.
+        let mut indeg: Vec<usize> = (0..n).map(|i| self.num_deps(i)).collect();
+        let mut queue: Vec<usize> = self.sources.clone();
+        let mut best = 0;
+        while let Some(u) = queue.pop() {
+            let du = depth[u] + 1;
+            best = best.max(du);
+            for &v in self.successors(u) {
+                let v = v as usize;
+                depth[v] = depth[v].max(du);
+                indeg[v] -= 1;
+                if indeg[v] == 0 {
+                    queue.push(v);
+                }
+            }
+        }
+        best
     }
 
     /// The GPU side of node `id`; `None` for host tasks and placeholders.
@@ -645,10 +684,10 @@ mod tests {
         assert_eq!(g.num_tasks(), 7);
         let f = g.freeze().unwrap();
         assert_eq!(f.num_tasks(), 7);
-        assert_eq!(f.sources, vec![0, 1]);
+        assert_eq!(f.sources(), [0, 1]);
         assert_eq!(f.kind(4), TaskKind::Kernel);
-        assert_eq!(f.nodes[4].num_deps, 2);
-        assert_eq!(f.succ(4), [5, 6]);
+        assert_eq!(f.num_deps(4), 2);
+        assert_eq!(f.successors(4), [5, 6]);
     }
 
     /// A frozen node stays about a cache line: the task path walks them.
@@ -699,8 +738,8 @@ mod tests {
         a.precede(&b);
         b.succeed(&a);
         let f = g.freeze().unwrap();
-        assert_eq!(f.succ(0), [1]);
-        assert_eq!(f.nodes[1].num_deps, 1);
+        assert_eq!(f.successors(0), [1]);
+        assert_eq!(f.num_deps(1), 1);
     }
 
     #[test]
@@ -717,6 +756,61 @@ mod tests {
         k.precede(&s);
         assert_eq!(g.num_dependencies(), 3);
         assert_eq!(g.kind_counts(), (1, 1, 1, 1, 1));
+    }
+
+    /// host -> pull -> kernel -> push over 100 `i32`s, kernel at 42 units.
+    fn sample() -> (Heteroflow, Arc<FrozenGraph>) {
+        let g = Heteroflow::new("sample");
+        let x: HostVec<i32> = HostVec::from_vec(vec![0; 100]);
+        let h = g.host("h", || {});
+        let p = g.pull("p", &x);
+        let k = g.kernel("k", &[&p], |_, _| {});
+        k.work_units(42.0);
+        let s = g.push("s", &p, &x);
+        h.precede(&p);
+        p.precede(&k);
+        k.precede(&s);
+        let f = g.freeze().unwrap();
+        (g, f)
+    }
+
+    #[test]
+    fn frozen_graph_reports_structure() {
+        use crate::placement::PlacementView;
+        let (g, f) = sample();
+        let cost = hf_gpu::CostModel::default();
+        assert_eq!(f.num_tasks(), 4);
+        assert_eq!(g.num_dependencies(), 3);
+        assert_eq!(f.sources(), [0]);
+        assert_eq!(g.kind_counts().1, 1);
+        assert_eq!(f.bytes_of(1), 400);
+        assert_eq!(f.kernel_sources(2), vec![1]);
+        assert_eq!(f.weight_of(2, &cost), cost.kernel(42.0).as_nanos() as f64);
+        assert_eq!(f.push_source(3), Some(1));
+        assert_eq!(f.bytes_of(3), 400);
+        assert_eq!(f.task_name(2), "k");
+        assert_eq!(f.num_deps(2), 1);
+    }
+
+    #[test]
+    fn critical_path() {
+        let (_g, f) = sample();
+        assert_eq!(f.critical_path_len(), 4);
+    }
+
+    /// An undeclared kernel is priced at one unit per launched thread.
+    #[test]
+    fn kernel_weight_falls_back_to_launch_threads() {
+        use crate::placement::PlacementView;
+        let g = Heteroflow::new("wu");
+        let x: HostVec<i32> = HostVec::from_vec(vec![0; 8]);
+        let p = g.pull("p", &x);
+        let k = g.kernel("k", &[&p], |_, _| {});
+        k.cover(1000, 128);
+        p.precede(&k);
+        let f = g.freeze().unwrap();
+        let cost = hf_gpu::CostModel::default();
+        assert_eq!(f.weight_of(1, &cost), cost.kernel(1024.0).as_nanos() as f64);
     }
 
     #[test]
@@ -748,7 +842,7 @@ mod tests {
         let g = Heteroflow::new("empty");
         let f = g.freeze().unwrap();
         assert_eq!(f.num_tasks(), 0);
-        assert!(f.sources.is_empty());
+        assert!(f.sources().is_empty());
     }
 
     #[test]

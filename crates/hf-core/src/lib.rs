@@ -27,7 +27,9 @@
 //! let pull_x = g.pull("pull_x", &x);
 //! let pull_y = g.pull("pull_y", &y);
 //! let kernel = g.kernel("saxpy", &[&pull_x, &pull_y], move |cfg, args| {
-//!     let (xs, ys) = args.slice2_mut::<i32, i32>(0, 1).unwrap();
+//!     let mut parts = args.split().unwrap();
+//!     let xs = parts.read::<i32>(0).unwrap();
+//!     let ys = parts.write::<i32>(1).unwrap();
 //!     let a = 2;
 //!     for i in cfg.threads() {
 //!         if i < N { ys[i] = a * xs[i] + ys[i]; }
@@ -63,7 +65,6 @@ pub mod error;
 pub mod executor;
 pub mod fleet;
 pub mod graph;
-pub mod inspect;
 pub mod lifecycle;
 pub mod observer;
 pub mod placement;
@@ -88,7 +89,6 @@ pub use error::HfError;
 pub use executor::{Executor, ExecutorBuilder, LintPolicy};
 pub use fleet::{Fleet, FleetConfig, FleetSnapshot, TenantSnapshot};
 pub use graph::{FrozenGraph, Heteroflow, TaskKind};
-pub use inspect::{GraphInfo, NodeInfo};
 pub use lifecycle::{lifecycle_now_ns, LifecycleEvent, LifecyclePhase};
 pub use observer::{ExecutorObserver, SpanCat, TraceCollector, TraceSpan, Track};
 pub use placement::{device_placement, place, PlaceInput, Placement};

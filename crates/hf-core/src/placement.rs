@@ -14,14 +14,13 @@
 use crate::costmodel::TaskCosts;
 use crate::error::HfError;
 use crate::graph::{FrozenGraph, GpuNode, TaskKind, Work};
-use crate::inspect::GraphInfo;
 use hf_gpu::CostModel;
 use hf_sync::UnionFind;
 
-/// A placement-relevant view of a graph. Implemented by the executable
-/// [`FrozenGraph`] and by the structural [`GraphInfo`] snapshot, so the
-/// identical Algorithm 1 runs both inside the executor and inside the
-/// `hf-sim` performance model.
+/// A placement-relevant view of a graph. Its one implementation is the
+/// executable [`FrozenGraph`], which the executor runs and the `hf-sim`
+/// performance model replays, so both place with the identical
+/// Algorithm 1 (a trait so that tests can place synthetic views).
 pub trait PlacementView {
     /// Number of nodes.
     fn num_nodes(&self) -> usize;
@@ -44,8 +43,8 @@ pub trait PlacementView {
     /// Device currently holding a warm, version-valid copy of pull `i`'s
     /// buffer, if any. [`place`] charges that device nothing for the pull,
     /// so placement gravitates to where the transfer-elision layer will
-    /// actually fire. Structural views with no runtime residency keep the
-    /// default (`None`).
+    /// actually fire. Views with no runtime residency keep the default
+    /// (`None`).
     fn warm_device(&self, _i: usize) -> Option<u32> {
         None
     }
@@ -92,7 +91,7 @@ impl PlacementView for FrozenGraph {
     /// The one rule for the PCIe bytes a task moves when it runs: a
     /// pull's current host size, a push's staged pull size, `0` for
     /// host/kernel tasks. It also stamps `LifecycleEvent::bytes` and
-    /// fills `NodeInfo::bytes`.
+    /// prices `hf-sim`'s pushes.
     fn bytes_of(&self, i: usize) -> usize {
         match &self.nodes[i].work {
             Work::Pull { source } => source.byte_len(),
@@ -120,41 +119,6 @@ impl PlacementView for FrozenGraph {
             }
             _ => None,
         }
-    }
-}
-
-impl PlacementView for GraphInfo {
-    fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn kind_of(&self, i: usize) -> TaskKind {
-        self.nodes[i].kind
-    }
-
-    fn kernel_sources(&self, i: usize) -> Vec<usize> {
-        self.nodes[i].sources.clone()
-    }
-
-    fn push_source(&self, i: usize) -> Option<usize> {
-        self.nodes[i].source_pull
-    }
-
-    fn name_of(&self, i: usize) -> String {
-        self.nodes[i].name.clone()
-    }
-
-    fn weight_of(&self, i: usize, cost: &CostModel) -> f64 {
-        let n = &self.nodes[i];
-        match n.kind {
-            TaskKind::Pull => cost.h2d(n.bytes).as_nanos() as f64,
-            TaskKind::Kernel => cost.kernel(n.effective_work_units()).as_nanos() as f64,
-            _ => 0.0,
-        }
-    }
-
-    fn bytes_of(&self, i: usize) -> usize {
-        self.nodes[i].bytes
     }
 }
 

@@ -115,7 +115,7 @@ impl ExecInner {
         topo.round_ok[node].store(ok, Ordering::Release);
         {
             let mut ready = ReadyBatch::new(self, topo, local.as_deref_mut());
-            for &s in topo.frozen.succ(node) {
+            for &s in topo.frozen.successors(node) {
                 let s = s as usize;
                 // Fused chain members were dispatched with their head;
                 // whoever finished the head also finishes them in order.

@@ -125,7 +125,7 @@ impl Overlap {
             .collect();
         let mut stack: Vec<usize> = (0..n).filter(|&i| is_body[i]).collect();
         while let Some(v) = stack.pop() {
-            for &s in frozen.succ(v) {
+            for &s in frozen.successors(v) {
                 if !is_body[s as usize] {
                     is_body[s as usize] = true;
                     stack.push(s as usize);
@@ -134,7 +134,7 @@ impl Overlap {
         }
         let mut has_body_pred = vec![false; n];
         for v in (0..n).filter(|&v| is_body[v]) {
-            for &s in frozen.succ(v) {
+            for &s in frozen.successors(v) {
                 has_body_pred[s as usize] = true;
             }
         }

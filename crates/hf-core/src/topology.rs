@@ -433,7 +433,7 @@ impl Topology {
         let is_done = |i: usize| done.is_some_and(|d| d[i]);
         let finished: Vec<usize> = (0..n).filter(|&u| is_done(u)).collect();
         for &u in &finished {
-            for &s in frozen.succ(u) {
+            for &s in frozen.successors(u) {
                 *join[s as usize].get_mut() -= 1;
             }
         }
@@ -559,7 +559,7 @@ impl FusionPlan {
             }
             let vk = frozen.nodes[v].work.kind();
             let v_gpu = matches!(vk, TaskKind::Pull | TaskKind::Push | TaskKind::Kernel);
-            let &[w] = frozen.succ(v) else { continue };
+            let &[w] = frozen.successors(v) else { continue };
             let w = w as usize;
             if !v_gpu {
                 continue;

@@ -164,29 +164,6 @@ impl<'a> ArenaView<'a> {
         Ok(Split { parts })
     }
 
-    /// Two disjoint mutable typed views — the common kernel shape
-    /// (`y[i] = a*x[i] + y[i]` needs `x` and `y` simultaneously).
-    pub fn slice2_mut<A: Plain, B: Plain>(
-        &mut self,
-        pa: DevicePtr,
-        pb: DevicePtr,
-    ) -> Result<(&mut [A], &mut [B]), GpuError> {
-        let mut s = self.split(&[pa, pb])?;
-        Ok((s.write(0)?, s.write(1)?))
-    }
-
-    /// Three disjoint mutable typed views.
-    #[allow(clippy::type_complexity)]
-    pub fn slice3_mut<A: Plain, B: Plain, C: Plain>(
-        &mut self,
-        pa: DevicePtr,
-        pb: DevicePtr,
-        pc: DevicePtr,
-    ) -> Result<(&mut [A], &mut [B], &mut [C]), GpuError> {
-        let mut s = self.split(&[pa, pb, pc])?;
-        Ok((s.write(0)?, s.write(1)?, s.write(2)?))
-    }
-
     /// Host-to-device copy into the allocation (the body of a pull task).
     pub fn copy_in(&mut self, p: DevicePtr, src: &[u8]) -> Result<(), GpuError> {
         let dst = self.bytes_mut(p)?;

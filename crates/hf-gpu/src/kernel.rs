@@ -126,26 +126,6 @@ impl<'a, 'v> KernelArgs<'a, 'v> {
     pub fn split(&mut self) -> Result<Split<'_>, GpuError> {
         self.view.split(self.ptrs)
     }
-
-    /// Two disjoint mutable typed views of arguments `i` and `j`.
-    pub fn slice2_mut<A: Plain, B: Plain>(
-        &mut self,
-        i: usize,
-        j: usize,
-    ) -> Result<(&mut [A], &mut [B]), GpuError> {
-        self.view.slice2_mut(self.ptrs[i], self.ptrs[j])
-    }
-
-    /// Three disjoint mutable typed views.
-    #[allow(clippy::type_complexity)]
-    pub fn slice3_mut<A: Plain, B: Plain, C: Plain>(
-        &mut self,
-        i: usize,
-        j: usize,
-        k: usize,
-    ) -> Result<(&mut [A], &mut [B], &mut [C]), GpuError> {
-        self.view.slice3_mut(self.ptrs[i], self.ptrs[j], self.ptrs[k])
-    }
 }
 
 /// A kernel function object: shareable, sendable, launched by engines.
@@ -190,7 +170,9 @@ mod tests {
         let mut view = arena.view();
         let ptrs = [px, py];
         let mut args = KernelArgs::new(&mut view, &ptrs);
-        let (x, y) = args.slice2_mut::<i32, i32>(0, 1).unwrap();
+        let mut parts = args.split().unwrap();
+        let x = parts.read::<i32>(0).unwrap();
+        let y = parts.write::<i32>(1).unwrap();
         let a = 2;
         for i in cfg.threads() {
             if i < 4 {

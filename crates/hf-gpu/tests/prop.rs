@@ -55,11 +55,11 @@ proptest! {
         }
     }
 
-    /// The splitter (and `slice2_mut`/`slice3_mut`, its two- and
-    /// three-pointer callers) accepts a pointer list exactly when no two
-    /// ranges share a byte and names a truly overlapping pair when it
-    /// refuses; the parts alias nothing — what is written through the last
-    /// and read through the others round-trips — and each is lent once.
+    /// The splitter, over the first two, the first three and all of a
+    /// pointer list, accepts exactly when no two ranges share a byte and
+    /// names a truly overlapping pair when it refuses; the parts alias
+    /// nothing — what is written through the last and read through the
+    /// others round-trips — and each is lent once.
     #[test]
     fn split_accepts_exactly_the_disjoint_lists(
         ranges in proptest::collection::vec((0u64..480, 1u64..33), 2..7),
@@ -78,10 +78,9 @@ proptest! {
         // An aliasing pair is reported as that, not as a size mismatch.
         let named = |e| matches!(e, GpuError::Overlap { a, b } if a < b);
         let want = |k| (!disjoint(k)).then_some(true);
-        prop_assert_eq!(view.slice2_mut::<u8, u8>(ptrs[0], ptrs[1]).err().map(named), want(2));
+        prop_assert_eq!(view.split(&ptrs[..2]).err().map(named), want(2));
         if n > 2 {
-            let three = view.slice3_mut::<u8, u8, u8>(ptrs[0], ptrs[1], ptrs[2]);
-            prop_assert_eq!(three.err().map(named), want(3));
+            prop_assert_eq!(view.split(&ptrs[..3]).err().map(named), want(3));
         }
         for (i, &p) in ptrs.iter().enumerate() {
             view.bytes_mut(p).unwrap().fill(i as u8);

@@ -219,7 +219,6 @@ pub fn build_placement_graph(
 mod tests {
     use super::*;
     use crate::db::PlacementConfig;
-    use hf_core::TaskKind;
 
     #[test]
     fn graph_has_fig8_structure() {
@@ -235,22 +234,27 @@ mod tests {
             ..Default::default()
         };
         let (g, _run) = build_placement_graph(db, cfg);
-        let info = g.info().unwrap();
+        let frozen = g.freeze().unwrap();
         // 2 adjacency pulls + per-iter (1 prepare + 2 pulls + 2*5 kernels
         // + 1 push + 1 partition + 3 matchers + 1 apply) = 2 + 2*19.
-        assert_eq!(info.num_tasks(), 2 + 2 * 19);
-        assert_eq!(info.count_kind(TaskKind::Kernel), 2 * 10);
-        assert_eq!(info.count_kind(TaskKind::Pull), 2 + 2 * 2);
-        assert_eq!(info.count_kind(TaskKind::Push), 2);
+        assert_eq!(frozen.num_tasks(), 2 + 2 * 19);
+        let (_, pulls, pushes, kernels, _) = g.kind_counts();
+        assert_eq!(kernels, 2 * 10);
+        assert_eq!(pulls, 2 + 2 * 2);
+        assert_eq!(pushes, 2);
         // The cut, as reachability: apply[0] orders the first reader of
         // cell positions and nothing of MIS chain 1, which iteration 0's
         // pulls order on the device queue.
-        let id = |name: &str| info.nodes.iter().position(|n| n.name == name).expect(name);
+        let id = |name: &str| {
+            (0..frozen.num_tasks())
+                .find(|&i| frozen.task_name(i) == name)
+                .expect(name)
+        };
         let reaches = |from: &str, to: &str| {
-            let (mut seen, mut stack) = (vec![false; info.num_tasks()], vec![id(from)]);
+            let (mut seen, mut stack) = (vec![false; frozen.num_tasks()], vec![id(from)]);
             while let Some(v) = stack.pop() {
                 if !std::mem::replace(&mut seen[v], true) {
-                    stack.extend(&info.nodes[v].successors);
+                    stack.extend(frozen.successors(v).iter().map(|&s| s as usize));
                 }
             }
             seen[id(to)]

@@ -12,17 +12,6 @@ pub fn measure<R>(f: impl FnOnce() -> R) -> (R, SimDuration) {
     (r, SimDuration::from_nanos(el.as_nanos() as u64))
 }
 
-/// Times `f` over `iters` runs and returns the mean duration.
-pub fn measure_mean(iters: usize, mut f: impl FnMut()) -> SimDuration {
-    let iters = iters.max(1);
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    let el = t0.elapsed();
-    SimDuration::from_nanos((el.as_nanos() as u64) / iters as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -38,14 +27,5 @@ mod tests {
         });
         assert_eq!(v, (0..10_000u64).sum::<u64>());
         assert!(d.as_nanos() > 0);
-    }
-
-    #[test]
-    fn measure_mean_divides() {
-        let d = measure_mean(10, || {
-            std::hint::black_box(42);
-        });
-        // Mean of 10 trivial runs must be far below 1 ms.
-        assert!(d < SimDuration::from_millis(1));
     }
 }

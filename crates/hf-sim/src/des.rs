@@ -1,6 +1,6 @@
 //! The discrete-event schedule simulator.
 //!
-//! Replays a [`GraphInfo`] on a [`Machine`]: a work-conserving list
+//! Replays a [`FrozenGraph`] on a [`Machine`]: a work-conserving list
 //! schedule in which every task occupies one worker for its duration, and
 //! GPU tasks additionally serialize on their assigned device — exactly the
 //! execution style of the real executor, where a worker enqueues the op on
@@ -8,27 +8,25 @@
 
 use crate::machine::{Machine, SchedulerMode};
 use crate::result::SimResult;
-use hf_core::placement::{device_placement, Placement};
-use hf_core::{GraphInfo, HfError, TaskKind};
+use hf_core::placement::{device_placement, Placement, PlacementView};
+use hf_core::{FrozenGraph, HfError, TaskKind};
 use hf_gpu::SimDuration;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Duration of node `id` on the machine, given the per-host-task cost
-/// function.
+/// function. Pulls and kernels take the weight Algorithm 1 packs them
+/// with; a push copies its pull's bytes back.
 fn node_duration(
-    info: &GraphInfo,
+    graph: &FrozenGraph,
     id: usize,
     machine: &Machine,
     host_cost: &dyn Fn(usize) -> SimDuration,
 ) -> SimDuration {
-    let n = &info.nodes[id];
-    match n.kind {
+    match graph.kind(id) {
         TaskKind::Host => host_cost(id),
-        TaskKind::Pull => machine.cost.h2d(n.bytes),
-        TaskKind::Push => machine.cost.d2h(n.bytes),
-        TaskKind::Kernel => machine.cost.kernel(n.effective_work_units()),
-        TaskKind::Placeholder => SimDuration::ZERO,
+        TaskKind::Push => machine.cost.d2h(graph.bytes_of(id)),
+        _ => SimDuration::from_nanos(graph.weight_of(id, &machine.cost) as u64),
     }
 }
 
@@ -51,30 +49,31 @@ pub struct SimSpan {
     pub worker: Option<usize>,
 }
 
-/// Simulates one execution of `info` on `machine`.
+/// Simulates one execution of `graph` on `machine`.
 ///
 /// `host_cost` supplies the modeled duration of each host task (GPU ops
 /// are costed by the machine's [`hf_gpu::CostModel`]). Placement is the
-/// real Algorithm 1 as a fresh executor runs it (a [`GraphInfo`] carries
-/// no residency and no seeds); [`simulate_placed`] takes any other.
+/// real Algorithm 1 with no seeds, crediting whatever residency the
+/// frozen graph holds (none until it has run); [`simulate_placed`] takes
+/// any other.
 pub fn simulate(
-    info: &GraphInfo,
+    graph: &FrozenGraph,
     machine: &Machine,
     host_cost: impl Fn(usize) -> SimDuration,
 ) -> Result<SimResult, HfError> {
-    let placement = device_placement(info, machine.gpus, &machine.cost)?;
-    Ok(simulate_placed(info, machine, &placement, host_cost))
+    let placement = device_placement(graph, machine.gpus, &machine.cost)?;
+    Ok(simulate_placed(graph, machine, &placement, host_cost))
 }
 
 /// [`simulate`] that also returns the full schedule as spans.
 pub fn simulate_traced(
-    info: &GraphInfo,
+    graph: &FrozenGraph,
     machine: &Machine,
     host_cost: impl Fn(usize) -> SimDuration,
 ) -> Result<(SimResult, Vec<SimSpan>), HfError> {
-    let mut spans = Vec::with_capacity(info.nodes.len());
-    let placement = device_placement(info, machine.gpus, &machine.cost)?;
-    let r = simulate_impl(info, machine, &placement, &host_cost, Some(&mut spans));
+    let mut spans = Vec::with_capacity(graph.num_tasks());
+    let placement = device_placement(graph, machine.gpus, &machine.cost)?;
+    let r = simulate_impl(graph, machine, &placement, &host_cost, Some(&mut spans));
     Ok((r, spans))
 }
 
@@ -82,24 +81,24 @@ pub fn simulate_traced(
 /// which packing strategies other than the executor's are evaluated.
 ///
 /// # Panics
-/// If `placement` was not computed for `info` on `machine.gpus` devices.
+/// If `placement` was not computed for `graph` on `machine.gpus` devices.
 pub fn simulate_placed(
-    info: &GraphInfo,
+    graph: &FrozenGraph,
     machine: &Machine,
     placement: &Placement,
     host_cost: impl Fn(usize) -> SimDuration,
 ) -> SimResult {
-    simulate_impl(info, machine, placement, &host_cost, None)
+    simulate_impl(graph, machine, placement, &host_cost, None)
 }
 
 fn simulate_impl(
-    info: &GraphInfo,
+    graph: &FrozenGraph,
     machine: &Machine,
     placement: &Placement,
     host_cost: &dyn Fn(usize) -> SimDuration,
     mut trace: Option<&mut Vec<SimSpan>>,
 ) -> SimResult {
-    let n = info.nodes.len();
+    let n = graph.num_tasks();
     assert!(
         placement.device_of.len() == n
             && placement.device_of.iter().flatten().all(|&d| d < machine.gpus),
@@ -137,15 +136,9 @@ fn simulate_impl(
     let mut cpu_busy = SimDuration::ZERO;
 
     // Dependency bookkeeping.
-    let mut indeg: Vec<usize> = info.nodes.iter().map(|x| x.num_deps).collect();
+    let mut indeg: Vec<usize> = (0..n).map(|i| graph.num_deps(i)).collect();
     // Ready FIFO (ids became ready at `ready_at`).
-    let mut ready: VecDeque<(usize, u64)> = info
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, x)| x.num_deps == 0)
-        .map(|(i, _)| (i, 0u64))
-        .collect();
+    let mut ready: VecDeque<(usize, u64)> = graph.sources().iter().map(|&i| (i, 0u64)).collect();
     // Completion events: (finish_time, node) min-heap.
     let mut completions: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
 
@@ -155,7 +148,7 @@ fn simulate_impl(
     loop {
         // Assign every currently ready task.
         while let Some((id, ready_at)) = ready.pop_front() {
-            let dur = node_duration(info, id, machine, &host_cost).as_nanos();
+            let dur = node_duration(graph, id, machine, &host_cost).as_nanos();
             let dev = placement.device_of[id];
             let is_gpu = dev.is_some();
 
@@ -201,7 +194,7 @@ fn simulate_impl(
             if let Some(spans) = trace.as_deref_mut() {
                 spans.push(SimSpan {
                     node: id,
-                    name: info.nodes[id].name.clone(),
+                    name: graph.task_name(id).to_owned(),
                     device: dev,
                     start_ns: span_start,
                     finish_ns: finish,
@@ -217,7 +210,8 @@ fn simulate_impl(
         match completions.pop() {
             None => break,
             Some(Reverse((t, id))) => {
-                for &s in &info.nodes[id].successors {
+                for &s in graph.successors(id) {
+                    let s = s as usize;
                     indeg[s] -= 1;
                     if indeg[s] == 0 {
                         ready.push_back((s, t));
@@ -226,8 +220,6 @@ fn simulate_impl(
             }
         }
     }
-
-    debug_assert_eq!(executed, n, "simulation deadlocked (cyclic input?)");
 
     SimResult::new(
         SimDuration::from_nanos(makespan),
@@ -244,10 +236,11 @@ mod tests {
     use super::*;
     use hf_core::data::HostVec;
     use hf_core::Heteroflow;
+    use std::sync::Arc;
 
     const MS: u64 = 1_000_000;
 
-    fn host_chain(n: usize) -> GraphInfo {
+    fn host_chain(n: usize) -> Arc<FrozenGraph> {
         let g = Heteroflow::new("chain");
         let mut prev = None;
         for i in 0..n {
@@ -257,23 +250,23 @@ mod tests {
             }
             prev = Some(t);
         }
-        g.info().unwrap()
+        g.freeze().unwrap()
     }
 
-    fn host_fanout(n: usize) -> GraphInfo {
+    fn host_fanout(n: usize) -> Arc<FrozenGraph> {
         let g = Heteroflow::new("fan");
         for i in 0..n {
             g.host(&format!("t{i}"), || {});
         }
-        g.info().unwrap()
+        g.freeze().unwrap()
     }
 
     #[test]
     fn chain_is_sequential_regardless_of_cores() {
-        let info = host_chain(10);
+        let graph = host_chain(10);
         for cores in [1, 4, 40] {
             let m = Machine::new(cores, 0);
-            let r = simulate(&info, &m, |_| {
+            let r = simulate(&graph, &m, |_| {
                 SimDuration::from_millis(1)
             })
             .unwrap();
@@ -283,17 +276,17 @@ mod tests {
 
     #[test]
     fn fanout_scales_linearly() {
-        let info = host_fanout(40);
-        let t1 = simulate(&info, &Machine::new(1, 0), |_| {
+        let graph = host_fanout(40);
+        let t1 = simulate(&graph, &Machine::new(1, 0), |_| {
             SimDuration::from_millis(1)
         })
         .unwrap();
-        let t4 = simulate(&info, &Machine::new(4, 0), |_| {
+        let t4 = simulate(&graph, &Machine::new(4, 0), |_| {
             SimDuration::from_millis(1)
         })
         .unwrap();
         let t40 =
-            simulate(&info, &Machine::new(40, 0), |_| {
+            simulate(&graph, &Machine::new(40, 0), |_| {
                 SimDuration::from_millis(1)
             })
             .unwrap();
@@ -305,7 +298,7 @@ mod tests {
 
     /// Independent kernel groups serialize on one GPU, parallelize on
     /// many — the Fig 6 "GPU scaling" mechanism.
-    fn kernel_groups(k: usize) -> GraphInfo {
+    fn kernel_groups(k: usize) -> Arc<FrozenGraph> {
         let g = Heteroflow::new("kg");
         let x: HostVec<u8> = HostVec::from_vec(vec![0; 1024]);
         for i in 0..k {
@@ -314,17 +307,17 @@ mod tests {
             kn.work_units(1e6); // 1 ms at default 1e9 units/s
             p.precede(&kn);
         }
-        g.info().unwrap()
+        g.freeze().unwrap()
     }
 
     #[test]
     fn gpu_bound_work_scales_with_gpus() {
-        let info = kernel_groups(8);
-        let r1 = simulate(&info, &Machine::new(16, 1), |_| {
+        let graph = kernel_groups(8);
+        let r1 = simulate(&graph, &Machine::new(16, 1), |_| {
             SimDuration::ZERO
         })
         .unwrap();
-        let r4 = simulate(&info, &Machine::new(16, 4), |_| {
+        let r4 = simulate(&graph, &Machine::new(16, 4), |_| {
             SimDuration::ZERO
         })
         .unwrap();
@@ -346,15 +339,15 @@ mod tests {
         for i in 0..32 {
             g.host(&format!("h{i}"), || {});
         }
-        let info = g.info().unwrap();
+        let graph = g.freeze().unwrap();
         let unified = simulate(
-            &info,
+            &graph,
             &Machine::new(4, 2),
             |_| SimDuration::from_millis(1),
         )
         .unwrap();
         let dedicated = simulate(
-            &info,
+            &graph,
             &Machine::new(4, 2).with_mode(SchedulerMode::DedicatedGpuWorkers),
             |_| SimDuration::from_millis(1),
         )
@@ -371,8 +364,8 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = Heteroflow::new("e");
-        let info = g.info().unwrap();
-        let r = simulate(&info, &Machine::new(2, 1), |_| {
+        let graph = g.freeze().unwrap();
+        let r = simulate(&graph, &Machine::new(2, 1), |_| {
             SimDuration::ZERO
         })
         .unwrap();
@@ -382,8 +375,8 @@ mod tests {
 
     #[test]
     fn gpu_graph_no_gpus_errors() {
-        let info = kernel_groups(1);
-        assert!(simulate(&info, &Machine::new(2, 0), |_| {
+        let graph = kernel_groups(1);
+        assert!(simulate(&graph, &Machine::new(2, 0), |_| {
             SimDuration::ZERO
         })
         .is_err());
@@ -393,10 +386,10 @@ mod tests {
     /// total-work/cores bound, and never above total work.
     #[test]
     fn respects_classic_bounds() {
-        let info = host_chain(5);
+        let graph = host_chain(5);
         let per = SimDuration::from_millis(2);
         let m = Machine::new(3, 0);
-        let r = simulate(&info, &m, |_| per).unwrap();
+        let r = simulate(&graph, &m, |_| per).unwrap();
         let total = 5 * per.as_nanos();
         let cp = 5 * per.as_nanos();
         assert!(r.makespan().as_nanos() >= cp);

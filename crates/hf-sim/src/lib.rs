@@ -2,11 +2,12 @@
 //!
 //! The paper evaluates on a 40-core, 4-GPU machine (§IV); this environment
 //! has one core and no GPU. To regenerate the scaling figures we replay
-//! the *same task graphs* (as [`hf_core::GraphInfo`] snapshots), the *same
-//! device-placement algorithm* (Algorithm 1 via
-//! [`hf_core::placement::device_placement`]), and a work-conserving
-//! multi-worker schedule on a **virtual machine** with configurable
-//! `(cores, gpus)`. Per-task durations come from the same
+//! the *same task graphs* (the [`hf_core::FrozenGraph`] the executor runs),
+//! the *same device-placement algorithm* (Algorithm 1 via
+//! [`hf_core::placement::device_placement`], pricing pulls and kernels by
+//! the same [`hf_core::placement::PlacementView::weight_of`]), and a
+//! work-conserving multi-worker schedule on a **virtual machine** with
+//! configurable `(cores, gpus)`. Per-task durations come from the same
 //! [`hf_gpu::CostModel`] the software devices use, calibrated against real
 //! single-core execution (see the cross-validation tests).
 //!
@@ -21,10 +22,8 @@ pub mod calibrate;
 pub mod des;
 pub mod machine;
 pub mod result;
-pub mod sweep;
 
 pub use calibrate::measure;
 pub use des::{simulate, simulate_placed, simulate_traced, SimSpan};
 pub use machine::{Machine, SchedulerMode};
 pub use result::SimResult;
-pub use sweep::{sweep, SweepPoint};

@@ -6,7 +6,7 @@ use hf_sim::{simulate, simulate_traced, Machine};
 use proptest::prelude::*;
 
 /// Random layered host-task DAG (acyclic by construction).
-fn random_graph(n: usize, seed: &[u8]) -> hf_core::GraphInfo {
+fn random_graph(n: usize, seed: &[u8]) -> std::sync::Arc<hf_core::FrozenGraph> {
     let g = Heteroflow::new("prop");
     let tasks: Vec<_> = (0..n).map(|i| g.host(&format!("t{i}"), || {})).collect();
     let mut k = 0usize;
@@ -19,7 +19,7 @@ fn random_graph(n: usize, seed: &[u8]) -> hf_core::GraphInfo {
             }
         }
     }
-    g.info().expect("acyclic")
+    g.freeze().expect("acyclic")
 }
 
 proptest! {
@@ -35,10 +35,10 @@ proptest! {
         costs in proptest::collection::vec(1u64..50, 20),
         cores in 1usize..8,
     ) {
-        let info = random_graph(n, &seed);
+        let graph = random_graph(n, &seed);
         let cost_of = |id: usize| SimDuration::from_micros(costs[id % costs.len()]);
         let (result, spans) = simulate_traced(
-            &info,
+            &graph,
             &Machine::new(cores, 0),
             cost_of,
         ).expect("simulates");
@@ -56,8 +56,8 @@ proptest! {
         // Nodes are created in topological-compatible order (edges i<j).
         for i in 0..n {
             cp[i] += cost_of(i).as_nanos();
-            for &s in &info.nodes[i].successors {
-                cp[s] = cp[s].max(cp[i]);
+            for &s in graph.successors(i) {
+                cp[s as usize] = cp[s as usize].max(cp[i]);
             }
         }
         let cp_bound = cp.iter().copied().max().unwrap_or(0);
@@ -73,9 +73,9 @@ proptest! {
         for s in &spans {
             span_of[s.node] = (s.start_ns, s.finish_ns);
         }
-        for (u, node) in info.nodes.iter().enumerate() {
-            for &v in &node.successors {
-                prop_assert!(span_of[v].0 >= span_of[u].1, "edge {}->{} broken", u, v);
+        for u in 0..n {
+            for &v in graph.successors(u) {
+                prop_assert!(span_of[v as usize].0 >= span_of[u].1, "edge {}->{} broken", u, v);
             }
         }
     }
@@ -89,10 +89,10 @@ proptest! {
         n in 2usize..16,
         seed in proptest::collection::vec(any::<u8>(), 8..32),
     ) {
-        let info = random_graph(n, &seed);
+        let graph = random_graph(n, &seed);
         let run = |cores: usize| {
             simulate(
-                &info,
+                &graph,
                 &Machine::new(cores, 0),
                 |_| SimDuration::from_micros(100),
             ).expect("simulates").makespan_secs

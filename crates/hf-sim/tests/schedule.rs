@@ -6,7 +6,7 @@ use hf_core::Heteroflow;
 use hf_gpu::SimDuration;
 use hf_sim::{simulate_traced, Machine};
 
-fn mixed_graph(lanes: usize) -> hf_core::GraphInfo {
+fn mixed_graph(lanes: usize) -> std::sync::Arc<hf_core::FrozenGraph> {
     let g = Heteroflow::new("mixed");
     for lane in 0..lanes {
         let d: HostVec<u32> = HostVec::from_vec(vec![0; 1024]);
@@ -19,32 +19,32 @@ fn mixed_graph(lanes: usize) -> hf_core::GraphInfo {
         p.precede(&k);
         k.precede(&s);
     }
-    g.info().expect("acyclic")
+    g.freeze().expect("acyclic")
 }
 
 #[test]
 fn schedule_respects_dependencies_and_devices() {
-    let info = mixed_graph(6);
+    let graph = mixed_graph(6);
     for (cores, gpus) in [(1usize, 1u32), (2, 2), (8, 4)] {
         let (result, spans) = simulate_traced(
-            &info,
+            &graph,
             &Machine::new(cores, gpus),
             |_| SimDuration::from_micros(100),
         )
         .expect("simulates");
 
-        assert_eq!(spans.len(), info.nodes.len());
+        assert_eq!(spans.len(), graph.num_tasks());
 
         // 1) Every dependency edge: successor starts at/after predecessor
         // finishes.
-        let mut span_of = vec![None; info.nodes.len()];
+        let mut span_of = vec![None; graph.num_tasks()];
         for s in &spans {
             span_of[s.node] = Some((s.start_ns, s.finish_ns));
         }
-        for (u, n) in info.nodes.iter().enumerate() {
+        for u in 0..graph.num_tasks() {
             let (_, uf) = span_of[u].expect("scheduled");
-            for &v in &n.successors {
-                let (vs, _) = span_of[v].expect("scheduled");
+            for &v in graph.successors(u) {
+                let (vs, _) = span_of[v as usize].expect("scheduled");
                 assert!(
                     vs >= uf,
                     "({cores},{gpus}): edge {u}->{v} violated: {vs} < {uf}"
@@ -76,9 +76,9 @@ fn schedule_respects_dependencies_and_devices() {
 
 #[test]
 fn spans_serialize_for_gantt_export() {
-    let info = mixed_graph(2);
+    let graph = mixed_graph(2);
     let (_, spans) = simulate_traced(
-        &info,
+        &graph,
         &Machine::new(2, 1),
         |_| SimDuration::from_micros(10),
     )

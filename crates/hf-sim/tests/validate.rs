@@ -35,8 +35,8 @@ fn sim_matches_real_single_core_makespan() {
     let real = t0.elapsed().as_secs_f64();
 
     // Simulated execution with the known per-task cost.
-    let info = g.info().unwrap();
-    let r = simulate(&info, &Machine::new(1, 0), |_| {
+    let graph = g.freeze().unwrap();
+    let r = simulate(&graph, &Machine::new(1, 0), |_| {
         SimDuration::from_millis(TASK_MS)
     })
     .unwrap();
@@ -62,9 +62,9 @@ fn sim_conserves_work() {
     let d = g.host("d", || {});
     a.precede(&b).precede(&c);
     d.succeed(&b).succeed(&c);
-    let info = g.info().unwrap();
+    let graph = g.freeze().unwrap();
     for cores in [1, 2, 3, 8] {
-        let r = simulate(&info, &Machine::new(cores, 0), |i| {
+        let r = simulate(&graph, &Machine::new(cores, 0), |i| {
             SimDuration::from_millis((i as u64 + 1) * 2)
         })
         .unwrap();

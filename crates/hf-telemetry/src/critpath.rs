@@ -1,6 +1,6 @@
 //! Post-run critical-path profiling.
 //!
-//! [`hf_core::GraphInfo::critical_path_len`] counts the longest chain in
+//! [`hf_core::FrozenGraph::critical_path_len`] counts the longest chain in
 //! *tasks* — a structural lower bound. This module weighs the chain with
 //! *measured* time: [`critical_path`] joins recorded spans to graph nodes
 //! by task name, runs a longest-path DP along the dependency edges, and
@@ -13,7 +13,7 @@
 //! durations are real device time, or simulated spans via
 //! [`crate::export::spans_from_sim`].
 
-use hf_core::{GraphInfo, SpanCat, TaskKind, TraceSpan};
+use hf_core::{FrozenGraph, SpanCat, TaskKind, TraceSpan};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -88,13 +88,13 @@ impl fmt::Display for CriticalPathReport {
     }
 }
 
-/// Computes the measured critical path of `info` from `spans`.
+/// Computes the measured critical path of `graph` from `spans`.
 ///
 /// Only [`SpanCat::Task`] spans participate (dispatch windows, waits, and
 /// pool traffic are overhead, not task time). When several Task spans
 /// share a name (e.g. `run_n`), their durations are summed — so pass the
 /// spans of a single run for per-run numbers.
-pub fn critical_path(info: &GraphInfo, spans: &[TraceSpan]) -> CriticalPathReport {
+pub fn critical_path(graph: &FrozenGraph, spans: &[TraceSpan]) -> CriticalPathReport {
     // Join spans to nodes by task name.
     let mut by_name: HashMap<&str, (u64, Option<u64>)> = HashMap::new();
     for s in spans {
@@ -106,12 +106,12 @@ pub fn critical_path(info: &GraphInfo, spans: &[TraceSpan]) -> CriticalPathRepor
         e.1 = Some(e.1.map_or(s.start_us, |p: u64| p.min(s.start_us)));
     }
 
-    let n = info.nodes.len();
+    let n = graph.num_tasks();
     let mut dur = vec![0u64; n];
     let mut start = vec![None; n];
     let mut unmatched = 0usize;
-    for (i, node) in info.nodes.iter().enumerate() {
-        match by_name.get(node.name.as_str()) {
+    for i in 0..n {
+        match by_name.get(graph.task_name(i)) {
             Some(&(d, s)) => {
                 dur[i] = d;
                 start[i] = s;
@@ -124,8 +124,8 @@ pub fn critical_path(info: &GraphInfo, spans: &[TraceSpan]) -> CriticalPathRepor
     // best[i] = heaviest path ending at i (inclusive); pred for recovery.
     // Ties extend the chain (`>=`), so a task whose span rounds to 0 us
     // stays on the path: it runs source to sink, never a fragment.
-    let mut indeg: Vec<usize> = info.nodes.iter().map(|x| x.num_deps).collect();
-    let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+    let mut indeg: Vec<usize> = (0..n).map(|i| graph.num_deps(i)).collect();
+    let mut queue: Vec<usize> = graph.sources().to_vec();
     let mut best = dur.clone();
     let mut pred: Vec<Option<usize>> = vec![None; n];
     let mut tail: Option<usize> = None;
@@ -133,7 +133,8 @@ pub fn critical_path(info: &GraphInfo, spans: &[TraceSpan]) -> CriticalPathRepor
         if tail.is_none_or(|t| best[u] >= best[t]) {
             tail = Some(u);
         }
-        for &v in &info.nodes[u].successors {
+        for &v in graph.successors(u) {
+            let v = v as usize;
             if best[u] + dur[v] >= best[v] {
                 best[v] = best[u] + dur[v];
                 pred[v] = Some(u);
@@ -157,8 +158,8 @@ pub fn critical_path(info: &GraphInfo, spans: &[TraceSpan]) -> CriticalPathRepor
         .iter()
         .map(|&i| PathStep {
             node: i,
-            name: info.nodes[i].name.clone(),
-            kind: info.nodes[i].kind,
+            name: graph.task_name(i).to_owned(),
+            kind: graph.kind(i),
             dur_us: dur[i],
             start_us: start[i],
         })
@@ -172,7 +173,7 @@ pub fn critical_path(info: &GraphInfo, spans: &[TraceSpan]) -> CriticalPathRepor
     by_kind.sort_by_key(|&(_, us)| std::cmp::Reverse(us));
 
     CriticalPathReport {
-        graph: info.name.clone(),
+        graph: graph.name().to_owned(),
         steps,
         total_us,
         by_kind,
@@ -201,7 +202,7 @@ mod tests {
     }
 
     /// Diamond: a -> {b, c} -> d. b is slow, c fast: path is a-b-d.
-    fn diamond() -> GraphInfo {
+    fn diamond() -> std::sync::Arc<FrozenGraph> {
         use hf_core::data::HostVec;
         use hf_core::Heteroflow;
         let g = Heteroflow::new("diamond");
@@ -214,19 +215,19 @@ mod tests {
         a.precede(&c);
         b.precede(&d);
         c.precede(&d);
-        g.info().unwrap()
+        g.freeze().unwrap()
     }
 
     #[test]
     fn picks_heaviest_chain_and_attributes_kinds() {
-        let info = diamond();
+        let graph = diamond();
         let spans = vec![
             span("a", TaskKind::Host, 0, 10),
             span("b", TaskKind::Pull, 10, 100),
             span("c", TaskKind::Host, 10, 5),
             span("d", TaskKind::Host, 110, 20),
         ];
-        let r = critical_path(&info, &spans);
+        let r = critical_path(&graph, &spans);
         let names: Vec<&str> = r.steps.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["a", "b", "d"]);
         assert_eq!(r.total_us, 130);
@@ -240,11 +241,11 @@ mod tests {
 
     #[test]
     fn non_task_spans_and_missing_spans_are_tolerated() {
-        let info = diamond();
+        let graph = diamond();
         let mut dispatch = span("b", TaskKind::Pull, 0, 999);
         dispatch.cat = SpanCat::Dispatch; // must be ignored
         let spans = vec![span("a", TaskKind::Host, 0, 10), dispatch];
-        let r = critical_path(&info, &spans);
+        let r = critical_path(&graph, &spans);
         // Only "a" carries weight; the rest of the chain rides at 0.
         assert_eq!(r.total_us, 10);
         assert_eq!(r.unmatched, 3);
@@ -253,11 +254,8 @@ mod tests {
 
     #[test]
     fn empty_graph_yields_empty_report() {
-        let info = GraphInfo {
-            name: "empty".into(),
-            nodes: Vec::new(),
-        };
-        let r = critical_path(&info, &[]);
+        let empty = hf_core::Heteroflow::new("empty").freeze().unwrap();
+        let r = critical_path(&empty, &[]);
         assert!(r.steps.is_empty());
         assert_eq!(r.total_us, 0);
     }

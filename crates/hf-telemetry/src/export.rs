@@ -9,7 +9,8 @@
 //! (from the `hf-sim` discrete-event model, via [`spans_from_sim`]) so
 //! real and simulated schedules can be diffed in one UI.
 
-use hf_core::{GraphInfo, SpanCat, TraceSpan, Track};
+use hf_core::placement::PlacementView;
+use hf_core::{FrozenGraph, SpanCat, TaskKind, TraceSpan, Track};
 use hf_sim::SimSpan;
 use std::collections::BTreeSet;
 
@@ -105,8 +106,8 @@ fn chrome_trace_event(s: &TraceSpan) -> String {
 /// Converts a simulated schedule into trace spans on the same track
 /// layout as measured ones: GPU ops on device tracks, host tasks (and, in
 /// dedicated mode, GPU ops without a worker) on worker tracks. Task kinds
-/// come from `info` (simulated spans carry the node id).
-pub fn spans_from_sim(info: &GraphInfo, sim: &[SimSpan]) -> Vec<TraceSpan> {
+/// and bytes come from `graph` (simulated spans carry the node id).
+pub fn spans_from_sim(graph: &FrozenGraph, sim: &[SimSpan]) -> Vec<TraceSpan> {
     sim.iter()
         .map(|s| {
             let track = match (s.device, s.worker) {
@@ -114,18 +115,21 @@ pub fn spans_from_sim(info: &GraphInfo, sim: &[SimSpan]) -> Vec<TraceSpan> {
                 (None, Some(w)) => Track::Worker(w),
                 (None, None) => Track::Worker(0),
             };
+            let (kind, bytes) = if s.node < graph.num_tasks() {
+                (graph.kind(s.node), graph.bytes_of(s.node) as u64)
+            } else {
+                (TaskKind::Placeholder, 0)
+            };
             TraceSpan {
                 track,
                 name: s.name.clone(),
                 cat: SpanCat::Task,
-                kind: info.nodes.get(s.node).map(|n| n.kind).unwrap_or(
-                    hf_core::TaskKind::Placeholder,
-                ),
+                kind,
                 device: s.device,
                 stream: None,
                 start_us: s.start_ns / 1_000,
                 dur_us: (s.finish_ns - s.start_ns) / 1_000,
-                bytes: info.nodes.get(s.node).map(|n| n.bytes as u64).unwrap_or(0),
+                bytes,
                 epoch: None,
             }
         })
@@ -135,7 +139,6 @@ pub fn spans_from_sim(info: &GraphInfo, sim: &[SimSpan]) -> Vec<TraceSpan> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hf_core::TaskKind;
 
     fn cpu_span(name: &str, worker: usize) -> TraceSpan {
         TraceSpan {
@@ -220,16 +223,16 @@ mod tests {
         k.cover(4096, 256);
         h.precede(&p);
         p.precede(&k);
-        let info = g.info().unwrap();
+        let graph = g.freeze().unwrap();
 
         let machine = Machine::new(2, 1);
         let (_res, sim) = hf_sim::simulate_traced(
-            &info,
+            &graph,
             &machine,
             |_| hf_gpu::SimDuration::from_nanos(1_000),
         )
         .expect("simulates");
-        let spans = spans_from_sim(&info, &sim);
+        let spans = spans_from_sim(&graph, &sim);
         assert_eq!(spans.len(), 3);
         let kspan = spans.iter().find(|s| s.name == "k").unwrap();
         assert!(matches!(kspan.track, Track::Device(0)));

@@ -85,6 +85,9 @@ pub struct CorrelationGraph {
     pub graph: Heteroflow,
     /// Filled by the `report` task when the graph finishes.
     pub report: Arc<Mutex<CorrelationReport>>,
+    /// Per view, the `[features, labels, weights]` buffers its gen task
+    /// fills and its three pulls copy.
+    pub buffers: Vec<[HostVec<f32>; 3]>,
 }
 
 /// Builds the Fig 5 task graph for `views.len()` views over `circuit`.
@@ -102,6 +105,7 @@ pub fn build_correlation_graph(
     let all_stats: Arc<Mutex<Vec<(usize, f64)>>> = Arc::new(Mutex::new(Vec::new()));
 
     let mut stats_tasks = Vec::with_capacity(views.len());
+    let mut buffers = Vec::with_capacity(views.len());
 
     for (vi, view) in views.iter().enumerate() {
         let features: HostVec<f32> = HostVec::new();
@@ -170,6 +174,7 @@ pub fn build_correlation_graph(
         kernel.precede(&push_w);
         push_w.precede(&stats);
         stats_tasks.push(stats);
+        buffers.push([features, labels, weights]);
     }
 
     // 6) Synchronization: combine all views into the report.
@@ -210,7 +215,11 @@ pub fn build_correlation_graph(
         s.precede(&report_task);
     }
 
-    CorrelationGraph { graph: g, report }
+    CorrelationGraph {
+        graph: g,
+        report,
+        buffers,
+    }
 }
 
 /// Convenience: builds and runs the workload, returning the report.
@@ -231,7 +240,6 @@ mod tests {
     use super::*;
     use crate::netlist::CircuitConfig;
     use crate::views::make_views;
-    use hf_core::TaskKind;
 
     fn small_circuit() -> Arc<Circuit> {
         Arc::new(Circuit::synthesize(&CircuitConfig {
@@ -244,23 +252,18 @@ mod tests {
     fn graph_has_fig5_structure() {
         let views = make_views(2, 0.4);
         let built = build_correlation_graph(small_circuit(), &views, CorrelationConfig::default());
-        let info = built.graph.info().unwrap();
+        let frozen = built.graph.freeze().unwrap();
         // Per view: 1 gen + 3 pulls + 1 kernel + 1 push + 1 stats = 7,
-        // plus 1 report.
-        assert_eq!(info.num_tasks(), 2 * 7 + 1);
-        assert_eq!(info.count_kind(TaskKind::Pull), 6);
-        assert_eq!(info.count_kind(TaskKind::Kernel), 2);
-        assert_eq!(info.count_kind(TaskKind::Push), 2);
-        assert_eq!(info.count_kind(TaskKind::Host), 5);
+        // plus 1 report; (host, pull, push, kernel, placeholder).
+        assert_eq!(frozen.num_tasks(), 2 * 7 + 1);
+        assert_eq!(built.graph.kind_counts(), (5, 6, 2, 2, 0));
         // gen -> 3 pulls -> kernel -> push -> stats -> report.
-        assert_eq!(info.critical_path_len(), 6);
+        assert_eq!(frozen.critical_path_len(), 6);
         // The report task depends on every view's stats.
-        let report = info
-            .nodes
-            .iter()
-            .position(|n| n.name == "report")
+        let report = (0..frozen.num_tasks())
+            .find(|&i| frozen.task_name(i) == "report")
             .expect("report exists");
-        assert_eq!(info.nodes[report].num_deps, 2);
+        assert_eq!(frozen.num_deps(report), 2);
     }
 
     #[test]

@@ -101,14 +101,11 @@ pub fn logistic_kernel(
 ) -> impl Fn(&LaunchConfig, &mut KernelArgs<'_, '_>) + Send + Sync + 'static {
     move |cfg, args| {
         let n = args.ptr(1).len_as::<f32>();
-        let (x, rest) = {
-            // Split x (read) from y and w (read/write) as disjoint views.
-            let (x, y, w) = args
-                .slice3_mut::<f32, f32, f32>(0, 1, 2)
-                .expect("disjoint device allocations");
-            (x, (y, w))
-        };
-        let (y, w) = rest;
+        // x and y are read, w is trained in place: disjoint device views.
+        let mut parts = args.split().expect("disjoint device allocations");
+        let x = parts.read::<f32>(0).expect("features");
+        let y = parts.read::<f32>(1).expect("labels");
+        let w = parts.write::<f32>(2).expect("weights");
         assert_eq!(x.len(), n * f, "device feature shape mismatch");
         assert!(w.len() > f, "weight buffer too small");
 

@@ -44,7 +44,9 @@ fn main() {
     // k2(vec1, vec2): vec2 += vec1 — reuses pull1's device data via the
     // transitive dependency through kernel1.
     let kernel2 = g.kernel("kernel2", &[&pull1, &pull2], |cfg, args| {
-        let (v1, v2) = args.slice2_mut::<i32, i32>(0, 1).expect("disjoint");
+        let mut parts = args.split().expect("disjoint");
+        let v1 = parts.read::<i32>(0).expect("vec1");
+        let v2 = parts.write::<i32>(1).expect("vec2");
         for i in cfg.threads() {
             if i < v2.len() {
                 v2[i] += v1[i];

@@ -67,7 +67,7 @@ fn main() {
             task_names.push(format!("{prefix}{lane}"));
         }
     }
-    let info = g.info().expect("acyclic");
+    let frozen = g.freeze().expect("acyclic");
     assert!(g.analyze().is_clean(), "lint:\n{}", g.analyze().render_text());
     // One run: the critical-path join needs single-run spans.
     executor.run(&g).wait().expect("profiled graph runs");
@@ -97,7 +97,7 @@ fn main() {
     registry.collect_gpu(executor.gpu_runtime());
     registry.collect_spans(&spans);
 
-    let report = critical_path(&info, &spans);
+    let report = critical_path(&frozen, &spans);
     print!("{report}");
 
     let write = |file: &str, contents: String| {

@@ -38,7 +38,9 @@ fn main() {
     // launch shape, exactly like `<<<grid, block>>>` in Listing 1.
     let a = 2i32;
     let kernel = g.kernel("saxpy", &[&pull_x, &pull_y], move |cfg, args| {
-        let (xs, ys) = args.slice2_mut::<i32, i32>(0, 1).expect("disjoint buffers");
+        let mut parts = args.split().expect("disjoint buffers");
+        let xs = parts.read::<i32>(0).expect("x");
+        let ys = parts.write::<i32>(1).expect("y");
         for i in cfg.threads() {
             if i < N {
                 ys[i] += a * xs[i];

@@ -39,12 +39,12 @@ fn main() {
         ..Default::default()
     };
     let built = build_correlation_graph(Arc::clone(&circuit), &vs, cfg);
-    let info = built.graph.info().expect("acyclic");
+    let frozen = built.graph.freeze().expect("acyclic");
     println!(
         "task graph: {} tasks, {} dependencies, critical path {} tasks",
-        info.num_tasks(),
-        info.num_edges(),
-        info.critical_path_len()
+        frozen.num_tasks(),
+        built.graph.num_dependencies(),
+        frozen.critical_path_len()
     );
 
     let executor = Executor::new(4, 2);

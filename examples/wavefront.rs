@@ -89,12 +89,12 @@ fn main() {
     let push = g.push("result", &pulls[last][last], &tiles[last][last]);
     push.succeed(&kernels[last][last]);
 
-    let info = g.info().expect("acyclic");
+    let frozen = g.freeze().expect("acyclic");
     println!(
         "wavefront {grid}x{grid} (tile {tile}x{tile}): {} tasks, {} edges, critical path {}",
-        info.num_tasks(),
-        info.num_edges(),
-        info.critical_path_len()
+        frozen.num_tasks(),
+        g.num_dependencies(),
+        frozen.critical_path_len()
     );
 
     assert!(g.analyze().is_clean(), "lint:\n{}", g.analyze().render_text());

@@ -103,12 +103,12 @@ fn sim_and_real_agree_on_application_graph() {
 
     // Simulated run with the measured gen cost (other host tasks are
     // negligible here).
-    let info = built.graph.info().expect("acyclic");
+    let frozen = built.graph.freeze().expect("acyclic");
     let r = simulate(
-        &info,
+        &frozen,
         &Machine::new(1, 1),
         |id| {
-            if info.nodes[id].name.starts_with("gen_v") {
+            if frozen.task_name(id).starts_with("gen_v") {
                 gen_cost
             } else {
                 heteroflow::gpu::SimDuration::from_micros(20)
@@ -126,4 +126,67 @@ fn sim_and_real_agree_on_application_graph() {
         "real {real:.4}s vs sim {:.4}s",
         r.makespan_secs
     );
+}
+
+/// The simulated makespans of both application graphs are pinned to the
+/// nanosecond at fixed host costs and the default cost model, so any
+/// change to what the simulator reads off the frozen graph (task kinds,
+/// edges, byte counts, kernel pricing, placement) shows here. The
+/// expected values were produced by the structural-snapshot simulator
+/// this one replaced, with the Fig 5 dataset bytes patched in by task
+/// name; replaying the frozen graph gives the same nanoseconds.
+#[test]
+fn simulated_application_makespans_are_pinned() {
+    use heteroflow::gpu::SimDuration;
+    use heteroflow::place::graph::{build_placement_graph, GraphConfig};
+    use heteroflow::timing::correlation::build_correlation_graph;
+    use heteroflow::timing::regression::NUM_FEATURES;
+    use hf_bench::NameCosts;
+    let (ms, us) = (SimDuration::from_millis, SimDuration::from_micros);
+    let machine = Machine::new(4, 2);
+
+    // Fig 5, 4 views, its dataset buffers sized as `fig6_timing` sizes them.
+    let circuit = Arc::new(Circuit::synthesize(&CircuitConfig {
+        num_gates: 1500,
+        ..Default::default()
+    }));
+    let cfg = CorrelationConfig {
+        paths_per_view: 256,
+        epochs: 60,
+        ..Default::default()
+    };
+    let built = build_correlation_graph(circuit, &make_views(4, 0.4), cfg);
+    let paths = cfg.paths_per_view;
+    for [features, labels, weights] in &built.buffers {
+        features.write().resize(paths * NUM_FEATURES, 0.0);
+        labels.write().resize(paths, 0.0);
+        weights.write().resize(NUM_FEATURES + 1, 0.0);
+    }
+    let fig5 = built.graph.freeze().expect("acyclic");
+    let costs = NameCosts::new()
+        .set("gen_v", ms(30))
+        .set("stats_v", us(10))
+        .set("report", us(50));
+    let r = simulate(&fig5, &machine, costs.for_graph(&fig5)).expect("simulates");
+    assert_eq!(r.makespan().as_nanos(), 30_278_740);
+
+    // Fig 8, 3 iterations.
+    let db = heteroflow::place::PlacementDb::synthesize(&heteroflow::place::PlacementConfig {
+        num_cells: 500,
+        num_nets: 600,
+        ..Default::default()
+    });
+    let cfg = GraphConfig {
+        iterations: 3,
+        ..Default::default()
+    };
+    let (g, _run) = build_placement_graph(db, cfg);
+    let fig8 = g.freeze().expect("acyclic");
+    let costs = NameCosts::new()
+        .set("prepare", us(300))
+        .set("partition", ms(4))
+        .set("match", ms(2))
+        .set("apply", us(700));
+    let r = simulate(&fig8, &machine, costs.for_graph(&fig8)).expect("simulates");
+    assert_eq!(r.makespan().as_nanos(), 20_713_501);
 }

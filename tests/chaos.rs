@@ -80,7 +80,9 @@ fn run_saxpy(ex: &Executor, seed: u64) -> bool {
     let pull_x = g.pull("pull_x", &x);
     let pull_y = g.pull("pull_y", &y);
     let kernel = g.kernel("saxpy", &[&pull_x, &pull_y], |cfg, args| {
-        let (xs, ys) = args.slice2_mut::<i32, i32>(0, 1).unwrap();
+        let mut parts = args.split().unwrap();
+        let xs = parts.read::<i32>(0).unwrap();
+        let ys = parts.write::<i32>(1).unwrap();
         for i in cfg.threads() {
             if i < ys.len() {
                 ys[i] += 2 * xs[i];

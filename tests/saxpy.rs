@@ -31,7 +31,9 @@ fn build_saxpy(
     let pull_x = g.pull("pull_x", x);
     let pull_y = g.pull("pull_y", y);
     let kernel = g.kernel("saxpy", &[&pull_x, &pull_y], move |cfg, args| {
-        let (xs, ys) = args.slice2_mut::<i32, i32>(0, 1).expect("disjoint");
+        let mut parts = args.split().expect("disjoint");
+        let xs = parts.read::<i32>(0).expect("x");
+        let ys = parts.write::<i32>(1).expect("y");
         for i in cfg.threads() {
             if i < n {
                 ys[i] += a * xs[i];

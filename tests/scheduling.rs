@@ -62,7 +62,9 @@ fn transitive_data_reuse() {
     });
     k1.cover(64, 32);
     let k2 = g.kernel("k2", &[&p1, &p2], |cfg, args| {
-        let (a, b) = args.slice2_mut::<i32, i32>(0, 1).expect("disjoint");
+        let mut parts = args.split().expect("disjoint");
+        let a = parts.read::<i32>(0).expect("a");
+        let b = parts.write::<i32>(1).expect("b");
         for t in cfg.threads() {
             if t < b.len() {
                 b[t] += a[t];

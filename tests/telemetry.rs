@@ -175,7 +175,7 @@ fn disabled_tracing_is_default_off_for_plain_builders() {
 #[test]
 fn metrics_and_critical_path_from_one_run() {
     let (g, _) = pipeline(2, 4096);
-    let info = g.info().expect("acyclic");
+    let frozen = g.freeze().expect("acyclic");
     let trace = TraceCollector::shared();
     let ex = Executor::builder(2, 1).tracer(Arc::clone(&trace)).build();
     ex.run(&g).wait().expect("runs");
@@ -191,7 +191,7 @@ fn metrics_and_critical_path_from_one_run() {
     assert!(!json.as_array().unwrap().is_empty());
     assert!(registry.prometheus_text().contains("hf_gpu_kernels_total"));
 
-    let report = critical_path(&info, &spans);
+    let report = critical_path(&frozen, &spans);
     // fill -> pull -> mul -> push: 4 steps, measured time nonzero.
     assert_eq!(report.steps.len(), 4);
     assert!(report.total_us > 0);
