@@ -9,7 +9,7 @@
 //! and the fleet's admission estimate sums the same numbers. Nothing
 //! inside the runtime writes to the table.
 
-use parking_lot::Mutex;
+use hf_sync::sync::Mutex;
 use std::collections::HashMap;
 
 /// True for a duration a placement can weigh: finite and non-negative.

@@ -16,8 +16,8 @@
 //! bytes are already current — see the executor's residency tracking.
 
 use hf_gpu::plain::{self, Plain};
-use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU64, Ordering};
+use hf_sync::atomic::{AtomicU64, Ordering};
+use hf_sync::sync::RwLock;
 use std::sync::Arc;
 
 struct Shared<T> {
@@ -82,13 +82,13 @@ impl<T> HostVec<T> {
     }
 
     /// Read guard over the contents.
-    pub fn read(&self) -> parking_lot::RwLockReadGuard<'_, Vec<T>> {
+    pub fn read(&self) -> hf_sync::sync::RwLockReadGuard<'_, Vec<T>> {
         self.inner.data.read()
     }
 
     /// Write guard over the contents. Taking the guard bumps the version
     /// counter, invalidating any device-resident copy of this vector.
-    pub fn write(&self) -> parking_lot::RwLockWriteGuard<'_, Vec<T>> {
+    pub fn write(&self) -> hf_sync::sync::RwLockWriteGuard<'_, Vec<T>> {
         let guard = self.inner.data.write();
         // Bumped under the write lock so a concurrent versioned read
         // cannot pair the new version with the old bytes.
@@ -297,7 +297,7 @@ mod tests {
         }
         assert_eq!(v.version(), v0 + 1);
         // Reads do not bump.
-        let _ = v.read();
+        drop(v.read());
         let _ = v.to_vec();
         assert_eq!(v.version(), v0 + 1);
     }

@@ -36,9 +36,9 @@ use crate::retry::RetryPolicy;
 use crate::stats::ExecutorStats;
 use crate::topology::{FusionPlan, RunFuture, Topology};
 use hf_gpu::{GpuConfig, GpuRuntime};
+use hf_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use hf_sync::sync::{Condvar, Mutex};
 use hf_sync::{Injector, Notifier, Steal, StealDeque, Stealer};
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -726,7 +726,7 @@ impl Executor {
     pub fn wait_for_all(&self) {
         let mut g = self.inner.idle_lock.lock();
         while self.inner.num_topologies.load(Ordering::SeqCst) != 0 {
-            self.inner.idle_cv.wait(&mut g);
+            g = self.inner.idle_cv.wait(g);
         }
     }
 }
@@ -814,10 +814,7 @@ impl ExecInner {
         // Release the registry slot: every token of this topology has
         // been consumed (the pass fully drained), so none can resolve
         // this slot anymore.
-        let slot = topo.slot.swap(u32::MAX, Ordering::AcqRel);
-        if slot != u32::MAX {
-            self.registry.deregister(slot);
-        }
+        self.registry.release(&topo);
 
         if topo.ctx.epoch.is_some() {
             let result = topo.result();

@@ -36,10 +36,10 @@ use crate::executor::Executor;
 use crate::graph::Heteroflow;
 use crate::stream::run_until;
 use crate::topology::{Completion, RunFuture};
-use parking_lot::{Condvar, Mutex};
+use hf_sync::atomic::Ordering;
+use hf_sync::sync::{Condvar, Mutex};
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -352,12 +352,12 @@ impl Fleet {
         while st.inflight_total > 0 || st.queued_total > 0 {
             // A queued entry cancelled while the fleet is otherwise idle
             // is only swept by the pump; poll it on a short period.
-            if self
+            let timed_out;
+            (st, timed_out) = self
                 .inner
                 .idle_cv
-                .wait_for(&mut st, Duration::from_millis(5))
-                .timed_out()
-            {
+                .wait_timeout(st, Duration::from_millis(5));
+            if timed_out {
                 drop(st);
                 self.inner.pump();
                 st = self.inner.state.lock();

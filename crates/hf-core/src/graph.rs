@@ -17,7 +17,7 @@ use crate::data::{HostSink, HostSource};
 use crate::error::HfError;
 use crate::task::{HostTask, KernelTask, PullTask, PushTask, TaskRef};
 use hf_gpu::{DevicePtr, KernelFn, LaunchConfig};
-use parking_lot::Mutex;
+use hf_sync::sync::Mutex;
 use std::fmt;
 use std::sync::Arc;
 

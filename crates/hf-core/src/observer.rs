@@ -31,9 +31,9 @@
 use crate::graph::TaskKind;
 use crate::lifecycle::{LifecycleEvent, LifecyclePhase};
 use hf_gpu::trace::{GpuOpKind, GpuTraceEvent, GpuTraceSink};
+use hf_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use hf_sync::sync::{Mutex, RwLock};
 use hf_sync::EventRing;
-use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -291,7 +291,7 @@ impl TraceCollector {
 
     /// Moves every ring's spans into `drained` and returns it locked,
     /// sorted by start time.
-    fn drain_rings(&self) -> parking_lot::MutexGuard<'_, Vec<TraceSpan>> {
+    fn drain_rings(&self) -> hf_sync::sync::MutexGuard<'_, Vec<TraceSpan>> {
         let mut drained = self.drained.lock();
         for lane in self.cpu.lanes() {
             lane.ring.drain(|s| drained.push(s));

@@ -5,7 +5,7 @@ use crate::lifecycle::LifecyclePhase;
 use crate::registry::{pack, unpack, Token};
 use crate::topology::Topology;
 use crate::worker::Local;
-use std::sync::atomic::Ordering;
+use hf_sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Chunk size of a [`ReadyBatch`]: one injector spray, one wakeup.

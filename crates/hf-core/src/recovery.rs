@@ -9,7 +9,7 @@ use crate::retry::OnDeviceLoss;
 use crate::topology::{FusionPlan, Topology};
 use crate::worker::Local;
 use hf_gpu::GpuError;
-use std::sync::atomic::Ordering;
+use hf_sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -216,7 +216,7 @@ impl ExecInner {
         // can go; a worker still holding `topo` from this burst sees the
         // reset and resolves the replay's tokens afresh.
         self.registry.register(&replay);
-        self.registry.deregister(topo.slot.swap(u32::MAX, Ordering::AcqRel));
+        self.registry.release(topo);
         self.emit_run(&replay, LifecyclePhase::Failover, true, Some(&cause));
 
         let mut ready = ReadyBatch::new(self, &replay, local);

@@ -1,8 +1,8 @@
 //! Work tokens and the slot registry that resolves them.
 
 use crate::topology::Topology;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicPtr, Ordering};
+use hf_sync::atomic::{AtomicPtr, Ordering};
+use hf_sync::sync::Mutex;
 use std::sync::Arc;
 
 /// A schedulable unit, packed into one integer: the topology's registry
@@ -35,7 +35,7 @@ const SEGS: usize = 26;
 /// reallocation.
 ///
 /// Safety invariant: a slot's strong reference is released only in
-/// `deregister`, which the executor calls after the topology's last round
+/// `release`, which the executor calls after the topology's last round
 /// fully drained — at that point no token referencing the slot exists in
 /// any deque or the injector, so resolution never observes a freed slot.
 pub(crate) struct TopoRegistry {
@@ -99,7 +99,7 @@ impl TopoRegistry {
         let (seg, off, _) = locate(slot);
         let seg_ptr = self.segments[seg].load(Ordering::Acquire);
         debug_assert!(!seg_ptr.is_null(), "token for unregistered segment");
-        // SAFETY: tokens only exist between register and deregister (see
+        // SAFETY: tokens only exist between register and release (see
         // the struct invariant), so the segment exists and the slot holds
         // a live strong reference we can borrow a count from.
         unsafe {
@@ -110,8 +110,14 @@ impl TopoRegistry {
         }
     }
 
-    /// Releases a slot's strong reference and recycles the id.
-    pub(crate) fn deregister(&self, slot: u32) {
+    /// Releases `topo`'s slot, if it holds one, and recycles the id.
+    /// `topo.slot` is reset first: a worker still holding `topo` then never
+    /// takes the slot's next owner's tokens for its own (`RunCtx::serves`).
+    pub(crate) fn release(&self, topo: &Topology) {
+        let slot = topo.slot.swap(u32::MAX, Ordering::AcqRel);
+        if slot == u32::MAX {
+            return;
+        }
         let (seg, off, _) = locate(slot);
         let seg_ptr = self.segments[seg].load(Ordering::Acquire);
         // SAFETY: `slot` was handed out by `register`, which published

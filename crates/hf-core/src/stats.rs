@@ -7,9 +7,9 @@
 //! (injector batches, cache hits, coalesced notifications) make the
 //! batched-scheduling optimizations observable.
 
+use hf_sync::atomic::{AtomicU64, Ordering};
 use hf_sync::{GlobalCounter, ShardedCounter};
 use serde::Serialize;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Lock-free `f64` gauge (bit-stored in an [`AtomicU64`]): last value
 /// wins, no read-modify-write. Used for per-placement quantities like the

@@ -44,9 +44,9 @@ use crate::topology::{
     Completion, EpochCtx, EpochFuture, EpochGate, FusionPlan, InputGuard, PrologueTrack,
     RunFuture, Topology,
 };
-use parking_lot::{Condvar, Mutex};
+use hf_sync::sync::{Condvar, Mutex};
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use hf_sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Configuration of a streaming [`Session`].
@@ -733,7 +733,7 @@ impl Session {
                 if st.inflight < run.depth {
                     break;
                 }
-                run.cv.wait(&mut st);
+                st = run.cv.wait(st);
             }
             let core = Completion::new_epoch(run.core.run_id(), st.next_epoch);
             let promise = Arc::clone(&core.promise);
@@ -761,7 +761,7 @@ impl Session {
             // started by that run's release) and for unfinished epochs;
             // `pump` keeps admitting queued ones after close.
             while !(st.claimed && st.inflight == 0) {
-                run.cv.wait(&mut st);
+                st = run.cv.wait(st);
             }
             st.run_ended = true;
         }

@@ -8,7 +8,7 @@
 
 use crate::graph::{GraphShared, TaskKind, Work};
 use hf_gpu::GridDim;
-use parking_lot::Mutex;
+use hf_sync::sync::Mutex;
 use std::sync::Arc;
 
 /// An untyped handle to a graph node. The typed handles ([`HostTask`],

@@ -26,9 +26,9 @@
 use crate::error::HfError;
 use crate::graph::{FrozenGraph, PullState};
 use crate::placement::Placement;
+use hf_sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use hf_sync::sync::{Condvar, Mutex};
 use hf_sync::CachePadded;
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Poll, Waker};
 use std::time::{Duration, Instant};
@@ -70,7 +70,7 @@ impl Promise {
     fn wait(&self) -> Result<(), HfError> {
         let mut st = self.state.lock();
         while st.result.is_none() {
-            self.cv.wait(&mut st);
+            st = self.cv.wait(st);
         }
         st.result.clone().expect("checked above")
     }
@@ -86,7 +86,7 @@ impl Promise {
             if now >= deadline {
                 return None;
             }
-            self.cv.wait_for(&mut st, deadline - now);
+            st = self.cv.wait_timeout(st, deadline - now).0;
         }
     }
 
@@ -793,5 +793,47 @@ mod tests {
                 }
             }
         }
+    }
+}
+
+#[cfg(all(test, feature = "loom"))]
+mod loom_models {
+    use super::*;
+
+    /// `complete(Ok)` races a second `complete(Err(Cancelled))` and a
+    /// `wait()`. On every interleaving the waiter returns (a lost wakeup
+    /// would be reported as a deadlock), with the result of whichever
+    /// completion came first: a completion that finds the promise settled
+    /// changes nothing. `is_done` agrees with the waiter. Both winners
+    /// occur across the exploration.
+    #[test]
+    fn promise_settles_once_and_wakes_its_waiter() {
+        let seen = Arc::new([AtomicBool::new(false), AtomicBool::new(false)]);
+        let seen2 = Arc::clone(&seen);
+        loom::model(move || {
+            let p = Promise::new();
+            let completer = |r: Result<(), HfError>| {
+                let p = Arc::clone(&p);
+                loom::thread::spawn(move || {
+                    let late = p.is_done();
+                    p.complete(r);
+                    late
+                })
+            };
+            let ok = completer(Ok(()));
+            let cancel = completer(Err(HfError::Cancelled));
+            let got = p.wait();
+            assert!(p.is_done(), "the waiter returned, so the promise is done");
+            let (late_ok, late_cancel) = (ok.join().unwrap(), cancel.join().unwrap());
+            assert_eq!(p.wait(), got, "the first result stays");
+            if late_ok {
+                assert_eq!(got, Err(HfError::Cancelled), "a late Ok changes nothing");
+            }
+            if late_cancel {
+                assert_eq!(got, Ok(()), "a late cancel changes nothing");
+            }
+            seen2[got.is_err() as usize].store(true, Ordering::Relaxed);
+        });
+        assert!(seen.iter().all(|s| s.load(Ordering::Relaxed)));
     }
 }

@@ -43,7 +43,7 @@ use hf_gpu::stream::ExecFn;
 use hf_gpu::{
     ArenaView, CostModel, Device, DevicePtr, Event, FaultSite, GpuError, OpLabel, OpReport, Stream,
 };
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use hf_sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// What `Worker::prepare_op` produced for one chain node.

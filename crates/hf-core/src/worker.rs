@@ -16,9 +16,9 @@ use crate::registry::{unpack, Token, TopoRegistry};
 use crate::topology::Topology;
 use crate::transfer::{self, PreparedOp};
 use hf_gpu::{Device, FaultSite, KernelArgs, OpReport, ScopedDeviceContext, Stream};
+use hf_sync::atomic::{AtomicUsize, Ordering};
+use hf_sync::sync::Mutex;
 use hf_sync::{Steal, StealDeque};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// What a worker lends the release path while it finishes a task (see
@@ -535,5 +535,100 @@ impl ChainState {
         self.error.lock().is_some()
             || topo.cancelled.load(Ordering::Acquire)
             || topo.cancel_requested()
+    }
+}
+
+#[cfg(all(test, feature = "loom"))]
+mod loom_models {
+    use super::*;
+    use crate::graph::{FrozenGraph, Heteroflow};
+    use crate::placement::Placement;
+    use crate::registry::pack;
+    use crate::topology::{EpochCtx, FusionPlan};
+    use hf_sync::atomic::AtomicBool;
+    use hf_sync::Injector;
+
+    fn topology(frozen: &Arc<FrozenGraph>) -> Arc<Topology> {
+        let placement = Placement::from_bins(&**frozen, &[], &[], 0);
+        let fusion = FusionPlan::compute(frozen, &placement, false, None);
+        let ctx = EpochCtx {
+            epoch: None,
+            pull_override: None,
+            gate: None,
+            prologue: None,
+            on_finish: Mutex::new(None),
+            input_guard: None,
+            tenant: None,
+        };
+        let cancel = Arc::new(AtomicBool::new(false));
+        Topology::new(
+            Arc::clone(frozen),
+            Arc::from("g"),
+            1,
+            Arc::new(placement),
+            Arc::new(fusion),
+            cancel,
+            ctx,
+        )
+    }
+
+    /// Slot recycling against [`RunCtx::serves`]. One thread releases
+    /// T1's slot as `finish_topology` does (`TopoRegistry::release`);
+    /// another registers T2, which may get the freed slot, and pushes T2's
+    /// first token through the injector. A worker still holding a context
+    /// for T1 that pops the token must not take it for T1's, and must
+    /// resolve T2. Both a recycled and a fresh slot occur. (At most two
+    /// preemptions per execution: the worker's polling makes the unbounded
+    /// space too large, and a release that deregistered before resetting
+    /// `T1.slot` already fails within two.)
+    #[test]
+    fn recycled_slot_never_serves_the_old_topology() {
+        let g = Heteroflow::new("g");
+        g.host("a", || {});
+        let frozen = g.freeze().unwrap();
+        let recycled = Arc::new(AtomicBool::new(false));
+        let recycled2 = Arc::clone(&recycled);
+        let bounded = loom::model::Builder {
+            preemption_bound: Some(2),
+        };
+        bounded.check(move || {
+            let registry = Arc::new(TopoRegistry::new());
+            let injector = Arc::new(Injector::new());
+            let (t1, t2) = (topology(&frozen), topology(&frozen));
+            let slot = registry.register(&t1);
+            let ctx = RunCtx::resolve(&registry, slot);
+            assert!(ctx.serves(slot));
+            let releaser = {
+                let registry = Arc::clone(&registry);
+                loom::thread::spawn(move || registry.release(&t1))
+            };
+            let submitter = {
+                let (registry, injector, t2) = (
+                    Arc::clone(&registry),
+                    Arc::clone(&injector),
+                    Arc::clone(&t2),
+                );
+                loom::thread::spawn(move || injector.push(pack(registry.register(&t2), 0)))
+            };
+            let token = loop {
+                match injector.pop() {
+                    Some(t) => break t,
+                    None => loom::thread::yield_now(),
+                }
+            };
+            let (s, node) = unpack(token);
+            assert_eq!(node, 0);
+            assert!(!ctx.serves(s), "a context of T1 must not serve T2's token");
+            assert!(Arc::ptr_eq(&RunCtx::resolve(&registry, s).topo, &t2));
+            if s == slot {
+                recycled2.store(true, Ordering::Relaxed);
+            }
+            releaser.join().unwrap();
+            submitter.join().unwrap();
+        });
+        assert!(
+            recycled.load(Ordering::Relaxed),
+            "the freed slot was reused"
+        );
     }
 }

@@ -5,7 +5,7 @@
 use hf_core::placement::{groups, place, PlaceInput, PlacementView};
 use hf_core::{Executor, Heteroflow, HfError, TaskKind};
 use hf_gpu::CostModel;
-use parking_lot::Mutex;
+use hf_sync::sync::Mutex;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -8,7 +8,7 @@ use crate::fault::{FaultInjector, FaultSite};
 use crate::pool::{MemoryPool, PoolStats};
 use crate::stream::{Op, OpBody};
 use crate::trace::{GpuOpKind, GpuTraceEvent, GpuTraceSink};
-use parking_lot::{Condvar, Mutex};
+use hf_sync::sync::{Condvar, Mutex};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -274,7 +274,7 @@ impl Device {
         let mut qs = eng.streams.lock();
         let target = qs[stream].enqueued;
         while qs[stream].completed < target {
-            eng.cv.wait(&mut qs);
+            qs = eng.cv.wait(qs);
         }
     }
 
@@ -287,7 +287,7 @@ impl Device {
             if !pending {
                 return;
             }
-            eng.cv.wait(&mut qs);
+            qs = eng.cv.wait(qs);
         }
     }
 }
@@ -361,7 +361,7 @@ fn engine_loop(dev: Arc<DeviceInner>) {
                 // Timed wait: an event this device is blocked on may be
                 // fired by another device's engine or by the host, which
                 // notifies no one here.
-                eng.cv.wait_for(&mut qs, Duration::from_micros(200));
+                drop(eng.cv.wait_timeout(qs, Duration::from_micros(200)));
                 continue;
             }
         }

@@ -6,7 +6,7 @@
 //! ([`crate::Stream::wait_event`]), and the host can block on it
 //! ([`Event::synchronize`]) — the pattern in the paper's Listing 13.
 
-use parking_lot::{Condvar, Mutex};
+use hf_sync::sync::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -95,7 +95,7 @@ impl Event {
         }
         let mut g = self.inner.lock.lock();
         while !self.reached(generation) {
-            self.inner.cv.wait(&mut g);
+            g = self.inner.cv.wait(g);
         }
     }
 }

@@ -14,8 +14,8 @@
 use crate::arena::DevicePtr;
 use crate::buddy::BuddyAllocator;
 use crate::error::GpuError;
+use hf_sync::sync::Mutex;
 use hf_sync::SlotCache;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cap on cached blocks per size class. Excess frees fall through to the

@@ -4,7 +4,7 @@ use crate::cost::CostModel;
 use crate::device::{Device, DeviceId};
 use crate::error::GpuError;
 use crate::fault::{FaultInjector, FaultPlan};
-use parking_lot::Mutex;
+use hf_sync::sync::Mutex;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;

@@ -243,7 +243,7 @@ mod tests {
         let s = Stream::new(&dev);
         let ptr = dev.alloc(16).unwrap();
         s.h2d_async(ptr, vec![7u8; 16]);
-        let got = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let got = Arc::new(hf_sync::sync::Mutex::new(Vec::new()));
         let got2 = Arc::clone(&got);
         s.d2h_with(ptr, move |b| got2.lock().extend_from_slice(b));
         s.synchronize();
@@ -256,7 +256,7 @@ mod tests {
         let rt = rt();
         let dev = rt.device(0).unwrap();
         let s = Stream::new(&dev);
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let log = Arc::new(hf_sync::sync::Mutex::new(Vec::new()));
         for i in 0..20 {
             let log = Arc::clone(&log);
             s.host_fn(move || log.lock().push(i));
@@ -324,7 +324,7 @@ mod tests {
             }
         });
         s.launch_kernel(cfg, kernel, vec![ptr], n as f64);
-        let got: Arc<parking_lot::Mutex<Vec<u32>>> = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let got: Arc<hf_sync::sync::Mutex<Vec<u32>>> = Arc::new(hf_sync::sync::Mutex::new(Vec::new()));
         let g = Arc::clone(&got);
         s.d2h_with(ptr, move |b| {
             g.lock().extend_from_slice(crate::plain::from_bytes::<u32>(b))

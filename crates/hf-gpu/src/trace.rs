@@ -103,7 +103,7 @@ mod tests {
     use super::*;
     use crate::runtime::{GpuConfig, GpuRuntime};
     use crate::stream::Stream;
-    use parking_lot::Mutex;
+    use hf_sync::sync::Mutex;
 
     #[derive(Default)]
     struct Capture {

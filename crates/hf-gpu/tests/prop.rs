@@ -137,8 +137,8 @@ proptest! {
             s.h2d_async(p, c.clone());
             ptrs.push(p);
         }
-        let results: Vec<Arc<parking_lot::Mutex<Vec<u8>>>> =
-            (0..chunks.len()).map(|_| Arc::new(parking_lot::Mutex::new(Vec::new()))).collect();
+        let results: Vec<Arc<hf_sync::sync::Mutex<Vec<u8>>>> =
+            (0..chunks.len()).map(|_| Arc::new(hf_sync::sync::Mutex::new(Vec::new()))).collect();
         for (p, r) in ptrs.iter().zip(&results) {
             let r = Arc::clone(r);
             s.d2h_with(*p, move |b| r.lock().extend_from_slice(b));

@@ -24,7 +24,7 @@ use crate::mis::{self, make_priorities, UNDECIDED};
 use crate::partition::partition_windows;
 use hf_core::data::HostVec;
 use hf_core::Heteroflow;
-use parking_lot::{Mutex, RwLock};
+use hf_sync::sync::{Mutex, RwLock};
 use std::sync::Arc;
 
 /// Tuning knobs for the placement graph.

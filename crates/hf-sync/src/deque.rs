@@ -17,7 +17,8 @@ use std::cell::UnsafeCell;
 use std::fmt;
 use std::mem::MaybeUninit;
 use crate::atomic::{fence, AtomicIsize, AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
+use crate::sync::Mutex;
+use std::sync::Arc;
 
 const MIN_CAP: usize = 64;
 
@@ -124,7 +125,7 @@ impl<T> Drop for Inner<T> {
         // each was created by `Box::into_raw` and is freed exactly once.
         unsafe {
             drop(Box::from_raw(self.buffer.load(Ordering::Relaxed)));
-            for b in self.retired.lock().unwrap().drain(..) {
+            for b in self.retired.lock().drain(..) {
                 drop(Box::from_raw(b));
             }
         }
@@ -244,7 +245,7 @@ impl<T: Copy + Send> StealDeque<T> {
             (*new).write(i, (*old).read(i));
         }
         self.inner.buffer.store(new, Ordering::Release);
-        self.inner.retired.lock().unwrap().push(old);
+        self.inner.retired.lock().push(old);
         new
     }
 

@@ -23,6 +23,8 @@
 //!   workers and device engines.
 //! * [`pad`] — cache-line padding ([`CachePadded`]) backing the counter
 //!   shards and queue indices.
+//! * [`sync`] — the workspace's `Mutex`, `RwLock` and `Condvar`: `std`'s,
+//!   or the model checker's under the `loom` feature.
 
 #![warn(missing_docs)]
 
@@ -35,6 +37,7 @@ pub mod magazine;
 pub mod notifier;
 pub mod pad;
 pub mod ring;
+pub mod sync;
 pub mod unionfind;
 
 pub use backoff::Backoff;

@@ -12,7 +12,8 @@
 //! strategy: "ensure one thief exists as long as an active worker is
 //! running a task" (§III-C).
 
-use crate::atomic::{AtomicU64, Condvar, Mutex, Ordering};
+use crate::atomic::{AtomicU64, Ordering};
+use crate::sync::{Condvar, Mutex};
 
 /// Opaque token returned by [`Notifier::prepare_wait`]; pass it back to
 /// [`Notifier::commit_wait`] or [`Notifier::cancel_wait`].
@@ -76,7 +77,7 @@ impl Notifier {
     /// Phase 2: blocks until a notification arrives that is newer than the
     /// token's epoch. Returns immediately if one already did.
     pub fn commit_wait(&self, t: WaitToken) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         if self.epoch.load(Ordering::SeqCst) != t.epoch {
             // A notification raced in between prepare and commit.
             drop(st);
@@ -85,7 +86,7 @@ impl Notifier {
         }
         st.sleepers += 1;
         while self.epoch.load(Ordering::SeqCst) == t.epoch {
-            st = self.cv.wait(st).unwrap();
+            st = self.cv.wait(st);
         }
         st.sleepers -= 1;
         drop(st);
@@ -101,7 +102,7 @@ impl Notifier {
         if self.waiters.load(Ordering::SeqCst) == 0 {
             return;
         }
-        let _st = self.state.lock().unwrap();
+        let _st = self.state.lock();
         self.epoch.fetch_add(1, Ordering::SeqCst);
         self.cv.notify_one();
     }
@@ -117,7 +118,7 @@ impl Notifier {
         if n == 0 || self.waiters.load(Ordering::SeqCst) == 0 {
             return;
         }
-        let st = self.state.lock().unwrap();
+        let st = self.state.lock();
         self.epoch.fetch_add(1, Ordering::SeqCst);
         if n >= st.sleepers {
             self.cv.notify_all();
@@ -133,7 +134,7 @@ impl Notifier {
         if self.waiters.load(Ordering::SeqCst) == 0 {
             return;
         }
-        let _st = self.state.lock().unwrap();
+        let _st = self.state.lock();
         self.epoch.fetch_add(1, Ordering::SeqCst);
         self.cv.notify_all();
     }

@@ -1,4 +1,5 @@
-//! Model-checked concurrency tests for hf-sync's lock-free structures.
+//! Model-checked concurrency tests for hf-sync's lock-free structures and
+//! its lock seam.
 //!
 //! Run with `cargo test -p hf-sync --features loom --test loom`. Each
 //! `loom::model` body is executed under every bounded interleaving of its
@@ -12,9 +13,11 @@
 
 #![cfg(feature = "loom")]
 
+use hf_sync::sync::{Condvar, Mutex, RwLock};
 use hf_sync::{EventRing, Injector, Notifier, SlotCache, Steal, StealDeque};
 use loom::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Two producers park distinct tokens concurrently; both must land and
 /// come back out exactly once (no lost or duplicated token).
@@ -245,5 +248,29 @@ fn push_then_notify_always_reaches_a_sleepy_thief() {
         n.notify_n(1);
         assert_eq!(thief.join().unwrap(), 7);
         assert_eq!(n.num_waiters(), 0);
+    });
+}
+
+/// The lock seam under the checker: a waiter polls a flag with
+/// `Condvar::wait_timeout` while a writer updates an `RwLock`, then sets
+/// the flag without notifying. The waiter gets there by timing out on
+/// every interleaving, and reads the write.
+#[test]
+fn sync_timed_wait_polls_without_a_notification() {
+    loom::model(|| {
+        let shared = Arc::new((Mutex::new(false), Condvar::new(), RwLock::new(0u32)));
+        let s2 = Arc::clone(&shared);
+        let writer = loom::thread::spawn(move || {
+            *s2.2.write() += 1;
+            *s2.0.lock() = true;
+        });
+        let (flag, cv, value) = &*shared;
+        let mut g = flag.lock();
+        while !*g {
+            g = cv.wait_timeout(g, Duration::from_millis(1)).0;
+        }
+        drop(g);
+        assert_eq!(*value.read(), 1);
+        writer.join().unwrap();
     });
 }

@@ -4,8 +4,8 @@
 
 use crate::metrics::{duration_bounds_nanos, Histogram, MetricsRegistry};
 use hf_core::{ExecutorObserver, LifecycleEvent, LifecyclePhase};
+use hf_sync::sync::Mutex;
 use hf_sync::EventRing;
-use parking_lot::Mutex;
 use serde_json::{Map, Value};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -422,9 +422,11 @@ impl FlightRecorder {
                 }
                 // Keep the verbatim event (bounded per run) — terminal
                 // RunEnd included, so a pumped black box always carries
-                // the run's outcome.
+                // the run's outcome. Two workers' events can arrive out of
+                // `t_ns` order: insert by time, after every equal stamp.
                 if run.events.len() < cap {
-                    run.events.push(ev);
+                    let last_le = run.events.iter().rposition(|e| e.t_ns <= ev.t_ns);
+                    run.events.insert(last_le.map_or(0, |i| i + 1), ev);
                 } else {
                     run.events_dropped += 1;
                 }
@@ -775,6 +777,36 @@ pub(super) mod tests {
         assert_eq!(s.run_id, 1);
         assert_eq!(s.ok, Some(true));
         assert_eq!(s.tasks, 1);
+    }
+
+    #[test]
+    fn flight_log_is_time_ordered_when_events_arrive_inverted() {
+        let r = FlightRecorder::new();
+        r.on_lifecycle(&ev(4, LifecyclePhase::RunStart, None, 1_000));
+        // Two workers stamped 2_000 and 3_000 but pushed them inverted;
+        // the last event ties with its predecessor in time.
+        r.on_lifecycle(&ev(4, LifecyclePhase::Started, Some(1), 3_000));
+        r.on_lifecycle(&ev(4, LifecyclePhase::Started, Some(0), 2_000));
+        r.on_lifecycle(&ev(4, LifecyclePhase::Finished, Some(0), 3_000));
+        assert_eq!(r.pump(), 4);
+        let json = r.dump_run_json(4).expect("run retained");
+        let Some(Value::Array(events)) = json.get("events") else {
+            panic!("no events")
+        };
+        let order: Vec<(u64, &str)> = events
+            .iter()
+            .map(|e| {
+                (
+                    e.get("t_ns").and_then(Value::as_u64).unwrap(),
+                    e.get("name").and_then(Value::as_str).unwrap(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            order,
+            [(1_000, "g"), (2_000, "t0"), (3_000, "t1"), (3_000, "t0")]
+        );
+        assert_eq!(r.run_progress(4).unwrap().last_event_ns, 3_000);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use super::events::{HealthEvent, HealthVerdict};
 use super::recorder::FlightRecorder;
 use hf_core::{lifecycle_now_ns, Completion};
-use parking_lot::Mutex;
+use hf_sync::sync::Mutex;
 use serde_json::{Map, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

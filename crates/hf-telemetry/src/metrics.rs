@@ -12,7 +12,7 @@
 
 use hf_core::{SpanCat, StatsSnapshot, TraceSpan};
 use hf_gpu::GpuRuntime;
-use parking_lot::Mutex;
+use hf_sync::sync::Mutex;
 use serde_json::{Map, Value};
 use std::sync::atomic::Ordering;
 

@@ -21,7 +21,7 @@
 
 use crate::health::{FlightRecorder, Watchdog};
 use crate::metrics::MetricsRegistry;
-use parking_lot::Mutex;
+use hf_sync::sync::Mutex;
 use serde_json::{Map, Value};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -15,7 +15,7 @@ use crate::regression::{self, NUM_FEATURES};
 use crate::views::View;
 use hf_core::data::HostVec;
 use hf_core::{Executor, Heteroflow};
-use parking_lot::Mutex;
+use hf_sync::sync::Mutex;
 use std::sync::Arc;
 
 /// Workload parameters for the correlation experiment.

@@ -1,9 +1,9 @@
 //! In-repo shim of the **loom** concurrency model checker.
 //!
-//! Implements the API subset `hf-sync` uses — [`model()`] and
-//! [`model::Builder`], [`thread::spawn`] / [`thread::yield_now`], the
-//! [`sync::atomic`] types, and [`sync::Mutex`] / [`sync::Condvar`] — on
-//! top of a deterministic cooperative scheduler:
+//! Implements the API subset `hf-sync` and `hf-core` use — [`model()`]
+//! and [`model::Builder`], [`thread::spawn`] / [`thread::yield_now`], the
+//! [`sync::atomic`] types, and [`sync::Mutex`] / [`sync::RwLock`] /
+//! [`sync::Condvar`] — on top of a deterministic cooperative scheduler:
 //!
 //! * Inside [`model()`], every atomic operation, mutex acquisition and
 //!   condvar wait/notify (and every spawn/join/yield) is a *scheduling
@@ -30,13 +30,14 @@
 //! Scope and limitations (vs. real loom): interleavings are explored at
 //! atomic-operation granularity under a sequentially-consistent-hardware
 //! model; weak-memory reorderings are *not* simulated and `UnsafeCell`
-//! accesses are not instrumented. Condvars never wake spuriously and
-//! `notify_one` wakes the longest waiter. Assertions inside the model (and
-//! deadlocks: no runnable thread while some are unfinished) are reported
-//! with the offending decision path. Outside a [`model()`] call every type
-//! degrades to its `std` counterpart with zero overhead, so a crate built
-//! with its `loom` feature enabled still behaves normally in ordinary
-//! code.
+//! accesses are not instrumented. Condvars never wake spuriously (a
+//! timed wait is a yield that times out), `notify_one` wakes the
+//! longest waiter, and an `RwLock` is exclusive. Assertions inside the
+//! model (and deadlocks: no runnable thread while some are unfinished) are
+//! reported with the offending decision path. Outside a [`model()`] call
+//! every type degrades to its `std` counterpart with zero overhead, so a
+//! crate built with its `loom` feature enabled still behaves normally in
+//! ordinary code.
 //!
 //! Exploration is bounded by `LOOM_MAX_ITER` executions (default 200 000)
 //! and 100 000 scheduling points per execution; models should keep the
@@ -180,7 +181,9 @@ impl Scheduler {
         if s.abort {
             drop(s);
             self.ctrl.notify_one();
-            panic!("{ABORT_MSG}");
+            // An unwinding thread runs its drops on: panicking again aborts.
+            assert!(std::thread::panicking(), "{ABORT_MSG}");
+            return;
         }
         s.threads[me].status = match block_on {
             Some(t) => Status::Blocked(t),
@@ -193,7 +196,8 @@ impl Scheduler {
             if s.abort {
                 drop(s);
                 self.ctrl.notify_one();
-                panic!("{ABORT_MSG}");
+                assert!(std::thread::panicking(), "{ABORT_MSG}");
+                return;
             }
             if s.active == Some(me) {
                 s.active = None;
@@ -532,7 +536,7 @@ pub mod hint {
     }
 }
 
-/// `std::sync` stand-ins (the subset hf-sync models use).
+/// `std::sync` stand-ins (the subset `hf_sync` wraps).
 pub mod sync {
     use crate::{ctx, Wait};
     use std::ops::{Deref, DerefMut};
@@ -654,6 +658,27 @@ pub mod sync {
             }
         }
 
+        /// As [`Condvar::wait`], for at most `timeout`; true if timed out.
+        /// Inside a model: a yield with the mutex released that times out
+        /// (callers re-check their condition, so no wakeup is lost).
+        pub fn wait_timeout<'a, T>(
+            &self,
+            mut guard: MutexGuard<'a, T>,
+            timeout: std::time::Duration,
+        ) -> LockResult<(MutexGuard<'a, T>, bool)> {
+            let Some((sched, me)) = ctx() else {
+                let inner = guard.inner.take().expect("guard holds the mutex");
+                let res = self.inner.wait_timeout(inner, timeout);
+                let (inner, res) = res.unwrap_or_else(|e| e.into_inner());
+                guard.inner = Some(inner);
+                return Ok((guard, res.timed_out()));
+            };
+            let lock = guard.lock;
+            drop(guard);
+            sched.park(me, None, true);
+            Ok((lock.lock().unwrap_or_else(|e| e.into_inner()), true))
+        }
+
         /// Wakes the longest waiter, if any (scheduling point).
         pub fn notify_one(&self) {
             self.notify(1);
@@ -678,6 +703,65 @@ pub mod sync {
                     });
                 }
             }
+        }
+    }
+
+    /// A reader-writer lock: `std`'s, and inside a model an exclusive lock
+    /// too, since each guard also holds the model mutex `model`.
+    #[derive(Debug, Default)]
+    pub struct RwLock<T: ?Sized> {
+        model: Mutex<()>,
+        inner: std::sync::RwLock<T>,
+    }
+
+    /// Guard of a [`RwLock`] around `std`'s guard `G`.
+    pub struct RwLockGuard<'a, G> {
+        inner: G,
+        _model: Option<MutexGuard<'a, ()>>,
+    }
+
+    /// Shared guard of a [`RwLock`].
+    pub type RwLockReadGuard<'a, T> = RwLockGuard<'a, std::sync::RwLockReadGuard<'a, T>>;
+
+    /// Exclusive guard of a [`RwLock`].
+    pub type RwLockWriteGuard<'a, T> = RwLockGuard<'a, std::sync::RwLockWriteGuard<'a, T>>;
+
+    impl<T> RwLock<T> {
+        /// Creates a new lock protecting `value`.
+        pub const fn new(value: T) -> Self {
+            Self {
+                model: Mutex::new(()),
+                inner: std::sync::RwLock::new(value),
+            }
+        }
+    }
+
+    impl<T: ?Sized> RwLock<T> {
+        /// Acquires shared access (scheduling point).
+        pub fn read(&self) -> LockResult<RwLockReadGuard<'_, T>> {
+            let _model = ctx().and_then(|_| self.model.lock().ok());
+            let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
+            Ok(RwLockGuard { inner, _model })
+        }
+
+        /// Acquires exclusive access (scheduling point).
+        pub fn write(&self) -> LockResult<RwLockWriteGuard<'_, T>> {
+            let _model = ctx().and_then(|_| self.model.lock().ok());
+            let inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
+            Ok(RwLockGuard { inner, _model })
+        }
+    }
+
+    impl<G: Deref> Deref for RwLockGuard<'_, G> {
+        type Target = G::Target;
+        fn deref(&self) -> &G::Target {
+            &self.inner
+        }
+    }
+
+    impl<G: DerefMut> DerefMut for RwLockGuard<'_, G> {
+        fn deref_mut(&mut self) -> &mut G::Target {
+            &mut self.inner
         }
     }
 
@@ -796,6 +880,12 @@ pub mod sync {
             AtomicU32,
             std::sync::atomic::AtomicU32,
             u32
+        );
+        int_atomic!(
+            /// `AtomicU8` whose operations are model scheduling points.
+            AtomicU8,
+            std::sync::atomic::AtomicU8,
+            u8
         );
         int_atomic!(
             /// `AtomicUsize` whose operations are model scheduling points.

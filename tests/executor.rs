@@ -126,6 +126,38 @@ fn panicking_host_task_reports_error() {
     assert_eq!(ran.load(Ordering::SeqCst), 1);
 }
 
+/// A host task that panics while holding a `HostVec` write guard leaves
+/// that lock and its own body lock poisoned. The *same* graph must run
+/// again: both locks are recovered, and the task reads and writes the
+/// `HostVec` it panicked over.
+#[test]
+fn same_graph_reruns_after_panicking_host_task() {
+    let ex = Executor::new(2, 0);
+    let g = Heteroflow::new("rerun");
+    let data: HostVec<i32> = HostVec::from_vec(vec![1, 2, 3]);
+    let fail = Arc::new(AtomicBool::new(true));
+    let (d, f) = (data.clone(), Arc::clone(&fail));
+    g.host("touch", move || {
+        let mut v = d.write();
+        v[0] += 10;
+        if f.load(Ordering::SeqCst) {
+            panic!("intentional, with the write guard held");
+        }
+        let sum: i32 = v.iter().sum();
+        v.push(sum);
+    });
+    let res = ex.run(&g).wait();
+    assert_eq!(
+        res,
+        Err(HfError::TaskPanicked {
+            task: "touch".into()
+        })
+    );
+    fail.store(false, Ordering::SeqCst);
+    ex.run(&g).wait().unwrap();
+    assert_eq!(data.to_vec(), vec![21, 2, 3, 26]);
+}
+
 #[test]
 fn concurrent_runs_of_same_graph_queue_up() {
     let ex = Executor::new(4, 0);
