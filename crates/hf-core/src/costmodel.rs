@@ -9,6 +9,7 @@
 //! and the fleet's admission estimate sums the same numbers. Nothing
 //! inside the runtime writes to the table.
 
+use hf_sync::atomic::{AtomicU64, Ordering};
 use hf_sync::sync::Mutex;
 use std::collections::HashMap;
 
@@ -25,6 +26,9 @@ pub(crate) fn usable_cost(nanos: f64) -> bool {
 #[derive(Debug, Default)]
 pub struct CostDb {
     inner: Mutex<HashMap<(String, String), f64>>,
+    /// Seeds accepted so far: part of the key a cached plan is valid
+    /// under, so a plan never outlives a seed it was made without.
+    generation: AtomicU64,
 }
 
 impl CostDb {
@@ -40,7 +44,15 @@ impl CostDb {
         if usable_cost(nanos) {
             let key = (graph.to_string(), task.to_string());
             self.inner.lock().insert(key, nanos);
+            self.generation.fetch_add(1, Ordering::Release);
         }
+    }
+
+    /// Number of seeds accepted so far. Read it before
+    /// [`CostDb::snapshot_for`]: a seed landing in between then shows as
+    /// a newer generation than the snapshot was keyed under.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
     }
 
     /// Current estimate for one task, if any.

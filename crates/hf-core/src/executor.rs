@@ -22,19 +22,19 @@
 //! * a finishing task hands its first ready successor straight back to
 //!   the worker's burst loop and batches the others into one injector
 //!   spray plus one coalesced `notify_n` wakeup (`ready::ReadyBatch`);
-//! * re-running an unchanged graph reuses the cached freeze + placement +
-//!   fusion plan (see `graph::SchedCache`).
+//! * re-running an unchanged graph reuses the cached freeze and plan
+//!   (placement + fusion; see `graph::SchedCache`).
 
 use crate::error::HfError;
 use crate::graph::{FrozenGraph, Heteroflow, SchedCache};
 use crate::lifecycle::{lifecycle_now_ns, LifecycleEvent, LifecyclePhase};
 use crate::observer::ExecutorObserver;
-use crate::placement::{PlaceInput, Placement, PlacementView};
+use crate::placement::{PlaceInput, PlacementView};
 use crate::ready::ReadyBatch;
 use crate::registry::{Token, TopoRegistry};
 use crate::retry::RetryPolicy;
 use crate::stats::ExecutorStats;
-use crate::topology::{FusionPlan, RunFuture, Topology};
+use crate::topology::{Plan, RunFuture, Topology};
 use hf_gpu::{GpuConfig, GpuRuntime};
 use hf_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use hf_sync::sync::{Condvar, Mutex};
@@ -165,38 +165,65 @@ impl ExecInner {
         self.emit(|| task_event(topo, phase, node, worker, chain, ok, detail));
     }
 
-    /// The one call into [`crate::placement::place`], fed the seeds
-    /// recorded for the graph (none on an executor nobody seeded) next to
-    /// the residency the frozen graph itself reports. Devices lost by now
-    /// are masked out and counted once each in `devices_lost`; groups of
-    /// `prev` (a previous `device_of`; empty places everything) on a
-    /// surviving device stay.
+    /// Which devices are lost right now: the mask a plan is made against.
+    pub(crate) fn lost_devices(&self) -> Vec<bool> {
+        self.gpu.devices().iter().map(|d| d.is_lost()).collect()
+    }
+
+    /// The one maker of a [`Plan`]: the one call into
+    /// [`crate::placement::place`], then [`Plan::new`] fusing within
+    /// `active`. Placement is fed the seeds recorded for the graph (none
+    /// on an executor nobody seeded) next to the residency the frozen
+    /// graph itself reports. Devices marked in `lost` are masked out and
+    /// counted once each in `devices_lost`; groups of `prev` (a previous
+    /// `device_of`; empty places everything) on a surviving device stay.
     ///
     /// Only a first placement on a healthy executor reads and updates the
     /// decayed cross-graph load — with a device lost it may describe dead
-    /// hardware, and a re-placement adds no new work. `own_loads` is then
-    /// what this placement added per device, and `None` otherwise.
-    pub(crate) fn place(
+    /// hardware, and a re-placement adds no new work — and only such a
+    /// plan is cached, on the frozen graph, under `(executor, seed
+    /// generation)`. A hit returns the cached plan and re-applies the
+    /// load it added to the decayed bias.
+    pub(crate) fn plan(
         &self,
         frozen: &FrozenGraph,
+        lost: &[bool],
         prev: &[Option<u32>],
-    ) -> Result<Placed, HfError> {
-        let devices = self.gpu.devices();
-        let lost: Vec<bool> = devices.iter().map(|d| d.is_lost()).collect();
+        active: Option<&[bool]>,
+    ) -> Result<Arc<Plan>, HfError> {
         for (d, &l) in lost.iter().enumerate() {
             if l && !self.lost_seen[d].swap(true, Ordering::Relaxed) {
                 self.stats.devices_lost.incr();
             }
         }
+        let first = prev.is_empty();
+        let biased = first && !lost.contains(&true);
+        // Read before the seeds: one seeded during placement re-plans.
+        let key = (self.id, self.cost_db.generation());
+        if biased {
+            let cache = frozen.plan_cache.lock();
+            if let Some(c) = cache.as_ref().filter(|c| (c.exec_id, c.seeds) == key) {
+                self.stats.topo_cache_hits.incr();
+                // Keep the cross-graph bias fresh: decay, then re-apply
+                // this graph's own modeled load.
+                let mut dl = self.device_load.lock();
+                for (l, own) in dl.iter_mut().zip(&c.own_loads) {
+                    *l = *l * 0.5 + own;
+                }
+                return Ok(Arc::clone(&c.plan));
+            }
+        }
+        if first {
+            self.stats.topo_cache_misses.incr();
+        }
         let seeds = Some(self.cost_db.snapshot_for(frozen.name())).filter(|s| !s.is_empty());
-        let cost = devices.first().map(|d| d.cost_model()).unwrap_or_default();
-        let biased = prev.is_empty() && !lost.contains(&true);
+        let cost = self.gpu.devices().first().map(|d| d.cost_model()).unwrap_or_default();
         let mut bias = biased.then(|| self.device_load.lock());
         if let Some(dl) = &mut bias {
             dl.iter_mut().for_each(|l| *l *= 0.5);
         }
         let input = PlaceInput {
-            lost: &lost,
+            lost,
             initial_loads: bias.as_deref().map_or(&[], Vec::as_slice),
             prev,
             refined: seeds.as_ref(),
@@ -214,18 +241,17 @@ impl ExecInner {
             self.stats.placement_est_bytes_saved.add(placement.est_bytes_saved);
         }
         self.stats.placement_imbalance.set(placement.imbalance());
-        Ok(Placed { lost, placement, own_loads })
+        let plan = Arc::new(Plan::new(frozen, placement, self.fusion, active));
+        if let Some(own_loads) = own_loads {
+            *frozen.plan_cache.lock() = Some(SchedCache {
+                exec_id: key.0,
+                seeds: key.1,
+                plan: Arc::clone(&plan),
+                own_loads,
+            });
+        }
+        Ok(plan)
     }
-}
-
-/// What [`ExecInner::place`] returns.
-pub(crate) struct Placed {
-    /// The lost-device mask the placement was made against.
-    pub(crate) lost: Vec<bool>,
-    pub(crate) placement: Placement,
-    /// Load this placement added per device (nanoseconds), when it was
-    /// fed the cross-graph load; such a plan may be cached.
-    pub(crate) own_loads: Option<Vec<f64>>,
 }
 
 /// The task-level event constructor (run-level:
@@ -249,7 +275,7 @@ fn task_event(
         task: Some(node as u32),
         name: Arc::clone(&nd.name),
         kind: Some(nd.work.kind()),
-        device: topo.placement.device_of[node],
+        device: topo.plan.placement.device_of[node],
         worker,
         chain,
         bytes: topo.frozen.bytes_of(node) as u64,
@@ -291,8 +317,7 @@ pub enum LintPolicy {
 /// start creating topologies for one submission of one graph.
 pub(crate) struct ExecPlan {
     pub(crate) frozen: Arc<FrozenGraph>,
-    pub(crate) placement: Arc<crate::placement::Placement>,
-    pub(crate) fusion: Arc<FusionPlan>,
+    pub(crate) plan: Arc<Plan>,
     pub(crate) lint_report: Option<Arc<crate::analyze::Report>>,
 }
 
@@ -551,8 +576,8 @@ impl Executor {
     /// modeled device time), from a measurement or a persisted profile:
     /// the next placement of that graph weighs the task with it instead
     /// of the analytic model. The last value wins; a NaN, infinite or
-    /// negative one is dropped. A plan already cached for an unchanged
-    /// graph is not re-made.
+    /// negative one is dropped. An accepted seed retires every plan this
+    /// executor has cached, so the next submission of any graph re-places.
     pub fn seed_task_cost(&self, graph: &str, task: &str, nanos: f64) {
         self.inner.cost_db.seed(graph, task, nanos);
     }
@@ -588,7 +613,7 @@ impl Executor {
     /// planning) is cached per graph: resubmitting an unchanged graph
     /// reuses the previous plan and only refreshes the decaying
     /// device-load bias. Any mutation invalidates the cache via the
-    /// builder epoch.
+    /// builder epoch, and any accepted seed via the seed generation.
     ///
     /// A run is a client of the one epoch driver (see `crate::stream`):
     /// it opens the driver at depth 1 — so its rounds never overlap and
@@ -627,11 +652,11 @@ impl Executor {
     }
 
     /// The scheduling preamble shared by every submission path: freeze,
-    /// lint gate, placement (degraded against survivors when a device is
-    /// lost), fusion planning, and the per-graph scheduling cache.
+    /// lint gate, then the graph's plan — cached, or made against the
+    /// surviving devices (see [`ExecInner::plan`]).
     pub(crate) fn plan_for(&self, hf: &Heteroflow) -> Result<ExecPlan, HfError> {
         let inner = &self.inner;
-        let (frozen, epoch) = hf.freeze_with_epoch()?;
+        let frozen = hf.freeze()?;
 
         // Static analysis gate (see `crate::analyze`). The report is
         // epoch-cached on the graph, and under the default `Warn` policy
@@ -652,59 +677,8 @@ impl Executor {
             }
         };
 
-        // Scheduling cache: reuse placement + fusion when this executor
-        // already planned this epoch of the graph. With a device lost the
-        // cached placement may reference dead hardware, so the cache is
-        // bypassed in both directions.
-        let degraded = self.gpu.devices().iter().any(|d| d.is_lost());
-        let cached = {
-            let c = hf.shared.sched_cache.lock();
-            c.as_ref()
-                .filter(|sc| !degraded && sc.exec_id == inner.id && sc.epoch == epoch)
-                .map(|sc| {
-                    (
-                        Arc::clone(&sc.placement),
-                        Arc::clone(&sc.fusion),
-                        sc.own_loads.clone(),
-                    )
-                })
-        };
-        let (placement, fusion) = match cached {
-            Some((placement, fusion, own_loads)) => {
-                inner.stats.topo_cache_hits.incr();
-                // Keep the cross-graph bias fresh: decay, then re-apply
-                // this graph's own modeled load.
-                let mut dl = inner.device_load.lock();
-                for (l, own) in dl.iter_mut().zip(&own_loads) {
-                    *l = *l * 0.5 + own;
-                }
-                (placement, fusion)
-            }
-            None => {
-                inner.stats.topo_cache_misses.incr();
-                let placed = inner.place(&frozen, &[])?;
-                let placement = Arc::new(placed.placement);
-                let fusion =
-                    Arc::new(FusionPlan::compute(&frozen, &placement, inner.fusion, None));
-                if let Some(own_loads) = placed.own_loads {
-                    *hf.shared.sched_cache.lock() = Some(SchedCache {
-                        exec_id: inner.id,
-                        epoch,
-                        placement: Arc::clone(&placement),
-                        fusion: Arc::clone(&fusion),
-                        own_loads,
-                    });
-                }
-                (placement, fusion)
-            }
-        };
-
-        Ok(ExecPlan {
-            frozen,
-            placement,
-            fusion,
-            lint_report,
-        })
+        let plan = inner.plan(&frozen, &inner.lost_devices(), &[], None)?;
+        Ok(ExecPlan { frozen, plan, lint_report })
     }
 
     /// Blocks until every topology submitted to this executor (from any
@@ -790,7 +764,7 @@ impl ExecInner {
         }
         let mut ready = ReadyBatch::new(self, topo, None);
         for &h in &g.heads {
-            if topo.join[h].fetch_sub(1, Ordering::AcqRel) == 1 && !topo.fusion.member[h] {
+            if topo.join[h].fetch_sub(1, Ordering::AcqRel) == 1 && !topo.plan.fusion.member[h] {
                 ready.push(h);
             }
         }

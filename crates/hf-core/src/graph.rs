@@ -131,18 +131,16 @@ pub(crate) struct NodeAttrs {
 pub(crate) struct Builder {
     pub(crate) name: String,
     pub(crate) nodes: Vec<BuildNode>,
-    pub(crate) dirty: bool,
-    /// Monotonic mutation counter: every structural or payload change
-    /// bumps it, invalidating the per-executor scheduling cache keyed on
-    /// it (freeze + placement + fusion of the unchanged graph).
+    /// Monotonic mutation counter, the one staleness signal: every
+    /// structural or payload change bumps it, retiring the frozen
+    /// snapshot (and the plan cached on it) and the lint report.
     pub(crate) epoch: u64,
 }
 
 impl Builder {
-    /// Marks the graph mutated: stales the frozen snapshot and advances
-    /// the epoch so cached placements are not reused.
+    /// Marks the graph mutated: advances the epoch, so the frozen
+    /// snapshot, its cached plan and the lint report are not reused.
     pub(crate) fn touch(&mut self) {
-        self.dirty = true;
         self.epoch = self.epoch.wrapping_add(1);
     }
 
@@ -211,6 +209,12 @@ pub struct FrozenGraph {
     gpu: Vec<GpuNode>,
     /// Node ids with no predecessors (the round's initial ready set).
     pub(crate) sources: Vec<usize>,
+    /// The builder epoch this snapshot was frozen at: `freeze` reuses the
+    /// snapshot only while the builder's epoch still equals it.
+    epoch: u64,
+    /// The plan last made for this graph version on a healthy executor
+    /// (one entry: a second executor simply evicts it).
+    pub(crate) plan_cache: Mutex<Option<SchedCache>>,
 }
 
 pub(crate) struct FrozenNode {
@@ -327,18 +331,16 @@ pub(crate) struct RunState {
     pub(crate) queued: std::collections::VecDeque<Arc<crate::stream::EpochDriver>>,
 }
 
-/// Cached result of the per-submission scheduling preamble (freeze +
-/// Algorithm 1 placement + fusion planning) for one executor. Valid while
-/// the builder epoch matches; any mutation bumps the epoch and the next
-/// submission recomputes.
+/// A cached [`crate::topology::Plan`]. It lives on the frozen snapshot
+/// of one builder epoch and is valid for the executor and seed generation
+/// it records: its key is `(executor, epoch, seed generation)`.
 pub(crate) struct SchedCache {
-    /// Identity of the executor the placement was computed for (device
-    /// count, cost model and fusion flag are per-executor).
+    /// Identity of the executor the plan was made for (device count,
+    /// cost model and fusion flag are per-executor).
     pub(crate) exec_id: u64,
-    /// Builder epoch the cache was computed at.
-    pub(crate) epoch: u64,
-    pub(crate) placement: Arc<crate::placement::Placement>,
-    pub(crate) fusion: Arc<crate::topology::FusionPlan>,
+    /// The executor's seed generation when the plan was made.
+    pub(crate) seeds: u64,
+    pub(crate) plan: Arc<crate::topology::Plan>,
     /// This graph's own modeled load per device (placement loads minus
     /// the bias snapshot they were computed against), re-applied to the
     /// executor's decaying device-load estimate on cache hits.
@@ -349,9 +351,6 @@ pub(crate) struct GraphShared {
     pub(crate) builder: Mutex<Builder>,
     pub(crate) frozen: Mutex<Option<Arc<FrozenGraph>>>,
     pub(crate) run_state: Mutex<RunState>,
-    /// Single-entry scheduling cache (graphs overwhelmingly run on one
-    /// executor at a time; a second executor simply evicts the entry).
-    pub(crate) sched_cache: Mutex<Option<SchedCache>>,
     /// Cached static-analysis report, keyed on the builder epoch it was
     /// computed at (any mutation bumps the epoch and invalidates it), so
     /// repeated submissions of an unchanged graph lint once.
@@ -399,7 +398,6 @@ impl Heteroflow {
                 builder: Mutex::new(Builder {
                     name: name.to_owned(),
                     nodes: Vec::new(),
-                    dirty: true,
                     epoch: 0,
                 }),
                 frozen: Mutex::new(None),
@@ -407,7 +405,6 @@ impl Heteroflow {
                     active: false,
                     queued: std::collections::VecDeque::new(),
                 }),
-                sched_cache: Mutex::new(None),
                 lint_cache: Mutex::new(None),
             }),
         }
@@ -555,7 +552,8 @@ impl Heteroflow {
     }
 
     /// Freezes the graph for execution, verifying acyclicity. Reuses the
-    /// previous snapshot when nothing changed. Fails with
+    /// previous snapshot while the builder epoch it was frozen at is
+    /// still current. Fails with
     /// [`HfError::GraphBusy`] if the graph was modified while a topology
     /// is still running.
     ///
@@ -569,18 +567,10 @@ impl Heteroflow {
     /// its own claim, and their topologies run concurrently on the
     /// shared workers.
     pub fn freeze(&self) -> Result<Arc<FrozenGraph>, HfError> {
-        self.freeze_with_epoch().map(|(f, _)| f)
-    }
-
-    /// [`Heteroflow::freeze`] plus the builder epoch the snapshot belongs
-    /// to, read atomically under the builder lock. The executor keys its
-    /// placement cache on the epoch.
-    pub(crate) fn freeze_with_epoch(&self) -> Result<(Arc<FrozenGraph>, u64), HfError> {
-        let mut b = self.shared.builder.lock();
-        if !b.dirty {
-            if let Some(f) = self.shared.frozen.lock().as_ref() {
-                return Ok((Arc::clone(f), b.epoch));
-            }
+        let b = self.shared.builder.lock();
+        let prev = self.shared.frozen.lock().clone();
+        if let Some(f) = prev.as_ref().filter(|f| f.epoch == b.epoch) {
+            return Ok(Arc::clone(f));
         }
         if self.shared.run_state.lock().active {
             return Err(HfError::GraphBusy);
@@ -600,7 +590,6 @@ impl Heteroflow {
             let path = ids.into_iter().map(|i| b.nodes[i].name.to_string()).collect();
             return Err(HfError::CycleDetected { path });
         }
-        let prev = self.shared.frozen.lock().clone();
         let mut carry: std::collections::HashMap<(Arc<str>, usize), usize> = Default::default();
         if let Some(prev) = &prev {
             for (i, n) in prev.nodes.iter().enumerate() {
@@ -647,10 +636,11 @@ impl Heteroflow {
             succ,
             gpu,
             sources,
+            epoch: b.epoch,
+            plan_cache: Mutex::new(None),
         });
         *self.shared.frozen.lock() = Some(Arc::clone(&frozen));
-        b.dirty = false;
-        Ok((frozen, b.epoch))
+        Ok(frozen)
     }
 }
 
@@ -814,7 +804,7 @@ mod tests {
     }
 
     #[test]
-    fn freeze_is_cached_until_dirty() {
+    fn freeze_is_cached_until_mutated() {
         let g = Heteroflow::new("cache");
         g.host("a", || {});
         let f1 = g.freeze().unwrap();

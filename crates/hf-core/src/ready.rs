@@ -119,7 +119,7 @@ impl ExecInner {
                 let s = s as usize;
                 // Fused chain members were dispatched with their head;
                 // whoever finished the head also finishes them in order.
-                if topo.join[s].fetch_sub(1, Ordering::AcqRel) == 1 && !topo.fusion.member[s] {
+                if topo.join[s].fetch_sub(1, Ordering::AcqRel) == 1 && !topo.plan.fusion.member[s] {
                     ready.push(s);
                 }
             }

@@ -6,7 +6,7 @@ use crate::graph::TaskKind;
 use crate::lifecycle::LifecyclePhase;
 use crate::ready::ReadyBatch;
 use crate::retry::OnDeviceLoss;
-use crate::topology::{FusionPlan, Topology};
+use crate::topology::Topology;
 use crate::worker::Local;
 use hf_gpu::GpuError;
 use hf_sync::atomic::Ordering;
@@ -121,20 +121,15 @@ impl ExecInner {
 
         let frozen = &topo.frozen;
         let n = frozen.nodes.len();
-        let placement = &topo.placement;
-        let (lost, new_placement) = match self.place(frozen, &placement.device_of) {
-            Ok(placed) if placed.lost.contains(&true) => (placed.lost, placed.placement),
+        let placement = &topo.plan.placement;
+        // One read of the lost devices for the whole decision: what must
+        // replay, and what the re-placement avoids.
+        let lost = self.lost_devices();
+        if !lost.contains(&true) {
             // A failover without a lost device has nothing to re-place.
-            Ok(_) => {
-                topo.fail(cause);
-                return false;
-            }
-            // No surviving GPUs: fail with the structural error.
-            Err(e) => {
-                topo.fail(e);
-                return false;
-            }
-        };
+            topo.fail(cause);
+            return false;
+        }
         let mut ok: Vec<bool> = topo
             .round_ok
             .iter()
@@ -147,21 +142,32 @@ impl ExecInner {
         // already happened, and replaying its group could re-apply an
         // in-place update through the re-pulled data — so fail structured
         // rather than risk silent double-application.
+        let mut lost_push = false;
         #[allow(clippy::needless_range_loop)] // i indexes three parallel arrays
         for i in 0..n {
             let on_lost = placement.device_of[i].is_some_and(|d| lost[d as usize]);
             if on_lost && ok[i] {
-                if frozen.nodes[i].work.kind() == TaskKind::Push {
-                    topo.fail(cause);
-                    return false;
-                }
+                lost_push |= frozen.nodes[i].work.kind() == TaskKind::Push;
                 ok[i] = false;
             }
         }
 
-        if ok.iter().all(|&o| o) {
-            // Can't happen (the failover-requesting node is !ok), but a
-            // replay of nothing would hang the round — fail instead.
+        // Re-place the lost devices' groups, fusing only among replayed
+        // nodes so no chain hangs off an already-finished head.
+        let active: Vec<bool> = ok.iter().map(|&o| !o).collect();
+        let plan = match self.plan(frozen, &lost, &placement.device_of, Some(&active)) {
+            Ok(plan) => plan,
+            // No surviving GPUs: fail with the structural error.
+            Err(e) => {
+                topo.fail(e);
+                return false;
+            }
+        };
+
+        // A completed push on a lost device fails (above), and so does a
+        // replay of nothing: it can't happen (the failover-requesting node
+        // is !ok), but it would hang the round.
+        if lost_push || ok.iter().all(|&o| o) {
             topo.fail(cause);
             return false;
         }
@@ -182,6 +188,7 @@ impl ExecInner {
                 }
             }
         }
+        let new_placement = &plan.placement;
 
         // Device buffers on lost devices vanished with their arenas; a
         // replayed pull re-allocates on its new device. (Nothing to free —
@@ -206,11 +213,7 @@ impl ExecInner {
             }
         }
 
-        // Replay plan: fuse only among replayed nodes so no chain hangs
-        // off an already-finished head.
-        let active: Vec<bool> = ok.iter().map(|&o| !o).collect();
-        let masked = FusionPlan::compute(frozen, &new_placement, self.fusion, Some(&active));
-        let replay = Topology::replay(topo, new_placement, masked, &ok);
+        let replay = Topology::replay(topo, Arc::clone(&plan), &ok);
 
         // Every token of the drained pass has been consumed, so its slot
         // can go; a worker still holding `topo` from this burst sees the
@@ -221,7 +224,7 @@ impl ExecInner {
 
         let mut ready = ReadyBatch::new(self, &replay, local);
         for i in 0..n {
-            if replay.join[i].load(Ordering::Relaxed) == 0 && !replay.fusion.member[i] {
+            if replay.join[i].load(Ordering::Relaxed) == 0 && !plan.fusion.member[i] {
                 ready.push(i);
             }
         }

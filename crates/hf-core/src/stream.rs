@@ -15,7 +15,7 @@
 //!
 //! `depth`, the number of epochs that may be in flight, decides the rest.
 //! At **depth 1** (`run*`) epochs never overlap, so an epoch is a plain
-//! pass: the cached fusion plan, and pull residency on the frozen graph
+//! pass: the cached plan, and pull residency on the frozen graph
 //! itself, where it carries across runs and re-freezes. At **depth ≥ 2**
 //! epochs *pipeline*: epoch N+1's *prologue* (host tasks and H2D
 //! transfers) starts once epoch N's has drained, under epoch N's kernels;
@@ -39,10 +39,9 @@ use crate::error::HfError;
 use crate::executor::{ExecInner, Executor};
 use crate::graph::{FrozenGraph, GraphShared, Heteroflow, PullState, TaskKind};
 use crate::lifecycle::{LifecycleEvent, LifecyclePhase};
-use crate::placement::Placement;
 use crate::topology::{
-    Completion, EpochCtx, EpochFuture, EpochGate, FusionPlan, InputGuard, PrologueTrack,
-    RunFuture, Topology,
+    Completion, EpochCtx, EpochFuture, EpochGate, InputGuard, Plan, PrologueTrack, RunFuture,
+    Topology,
 };
 use hf_sync::sync::{Condvar, Mutex};
 use std::collections::{BTreeSet, VecDeque};
@@ -149,6 +148,11 @@ impl Overlap {
             rings,
         }
     }
+
+    /// The mask the run's plans fuse within: the body, when gated.
+    fn body(&self) -> Option<&[bool]> {
+        self.is_body.as_deref().map(Vec::as_slice)
+    }
 }
 
 /// One run of one graph: the only owner of graph claims, emitter of
@@ -175,10 +179,10 @@ pub(crate) struct EpochDriver {
     /// The run itself holds an in-flight count until it settles.
     counted: bool,
     on_done: Mutex<Option<DoneHook>>,
-    /// Placement carried across epochs (failover re-placements stick),
-    /// with the fusion plan for it — masked to the body when epochs
-    /// overlap (prologue→body chains must not bypass the gate).
-    plan: Mutex<(Arc<Placement>, Arc<FusionPlan>)>,
+    /// The plan carried across epochs (failover re-placements stick),
+    /// its fusion masked to the body when epochs overlap (prologue→body
+    /// chains must not bypass the gate).
+    plan: Mutex<Arc<Plan>>,
     state: Mutex<DriverState>,
     cv: Condvar,
 }
@@ -269,8 +273,18 @@ impl EpochDriver {
         if inner.done.load(Ordering::SeqCst) {
             return Err(HfError::ExecutorShutDown);
         }
-        let plan = exec.plan_for(hf)?;
-        let overlap = Overlap::derive(&plan.frozen, depth);
+        let planned = exec.plan_for(hf)?;
+        let overlap = Overlap::derive(&planned.frozen, depth);
+        // A chain from a prologue pull into a body kernel would dispatch
+        // the kernel with the pull and bypass the epoch gate; with nothing
+        // gated the cached plan stands.
+        let plan = match overlap.body() {
+            Some(body) => {
+                let placement = planned.plan.placement.clone();
+                Arc::new(Plan::new(&planned.frozen, placement, inner.fusion, Some(body)))
+            }
+            None => planned.plan,
+        };
         let core = core.cloned().unwrap_or_else(|| {
             Completion::new(inner.run_seq.fetch_add(1, Ordering::Relaxed) + 1)
         });
@@ -282,8 +296,8 @@ impl EpochDriver {
             counted,
             inner: Arc::clone(inner),
             shared: Arc::clone(&hf.shared),
-            label: Arc::from(plan.frozen.name()),
-            frozen: plan.frozen,
+            label: Arc::from(planned.frozen.name()),
+            frozen: planned.frozen,
             core,
             tenant,
             depth,
@@ -292,20 +306,13 @@ impl EpochDriver {
             retries: AtomicU32::new(0),
             first_step: Mutex::new(first_step),
             on_done: Mutex::new(None),
-            plan: Mutex::new((plan.placement, plan.fusion)),
+            plan: Mutex::new(plan),
             state: Mutex::default(),
             cv: Condvar::new(),
         });
-        // A chain from a prologue pull into a body kernel would dispatch
-        // the kernel with the pull and bypass the epoch gate; with nothing
-        // gated the cached plan stands.
-        if run.overlap.is_body.is_some() {
-            let mut plan = run.plan.lock();
-            plan.1 = run.fuse(&plan.0);
-        }
         run.emit(LifecyclePhase::RunStart, &Ok(()), None);
         // One `Lint` event per finding; `ok` is false for Error severity.
-        for d in plan.lint_report.iter().flat_map(|r| &r.diagnostics) {
+        for d in planned.lint_report.iter().flat_map(|r| &r.diagnostics) {
             inner.emit(|| {
                 LifecycleEvent::run_level(
                     run.core.run_id(),
@@ -400,7 +407,7 @@ impl EpochDriver {
                 st.admitted = e + 1;
                 pending
             };
-            let (placement, fusion) = self.plan.lock().clone();
+            let plan = Arc::clone(&self.plan.lock());
             let e = pending.seq;
             // Apply the input mutation in the race-free window the
             // admission condition just established, bumping the input
@@ -444,8 +451,7 @@ impl EpochDriver {
                 Arc::clone(&self.frozen),
                 Arc::clone(&self.label),
                 self.core.run_id(),
-                placement,
-                fusion,
+                plan,
                 Arc::clone(&pending.core.cancel),
                 ctx,
             );
@@ -490,17 +496,6 @@ impl EpochDriver {
         self.pump();
     }
 
-    /// The fusion plan for `placement`, masked to the body when epochs
-    /// overlap.
-    fn fuse(&self, placement: &Placement) -> Arc<FusionPlan> {
-        Arc::new(FusionPlan::compute(
-            &self.frozen,
-            placement,
-            self.inner.fusion,
-            self.overlap.is_body.as_deref().map(Vec::as_slice),
-        ))
-    }
-
     /// Epoch-completion hook: carries failover re-placements forward,
     /// re-places against survivors after an unrecovered device loss,
     /// advances the completion watermark, opens now-eligible gates, runs
@@ -514,12 +509,14 @@ impl EpochDriver {
         }
         {
             let mut plan = self.plan.lock();
+            let body = self.overlap.body();
             // After a mid-epoch failover `topo` is the replay pass and
-            // carries the re-placement; adopt it for subsequent epochs
-            // (its fusion plan is a replay mask and is not carried).
-            let p = &topo.placement;
-            if !Arc::ptr_eq(p, &plan.0) {
-                *plan = (Arc::clone(p), self.fuse(p));
+            // carries the re-placement; adopt it for subsequent epochs,
+            // re-fused under the body mask (the replay's own fusion is
+            // masked to the replayed nodes and is not carried).
+            if !Arc::ptr_eq(&topo.plan, &plan) {
+                let placement = topo.plan.placement.clone();
+                *plan = Arc::new(Plan::new(&self.frozen, placement, self.inner.fusion, body));
             }
             // An epoch that *failed* on a device loss (failover budget
             // spent, or superseded inputs) never re-placed; re-place the
@@ -527,14 +524,14 @@ impl EpochDriver {
             // residency stays warm) so later epochs don't cascade-fail
             // onto dead hardware. With no device left the old plan stays:
             // further epochs fail individually, the honest outcome.
-            let lost = result.as_ref().is_err_and(|e| {
+            let failed_on_loss = result.as_ref().is_err_and(|e| {
                 matches!(e.gpu_cause(), Some(hf_gpu::GpuError::DeviceLost(_)))
             });
-            if lost {
-                let prev = &plan.0.device_of;
-                if let Ok(placed) = self.inner.place(&self.frozen, prev) {
-                    let fusion = self.fuse(&placed.placement);
-                    *plan = (Arc::new(placed.placement), fusion);
+            if failed_on_loss {
+                let lost = self.inner.lost_devices();
+                let prev = &plan.placement.device_of;
+                if let Ok(p) = self.inner.plan(&self.frozen, &lost, prev, body) {
+                    *plan = p;
                 }
             }
         }

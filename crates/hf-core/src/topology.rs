@@ -14,8 +14,8 @@
 //!
 //! ## The epoch model
 //!
-//! One topology is exactly **one pass** over the frozen graph, under
-//! plans fixed when it was built. The epoch driver in [`crate::stream`]
+//! One topology is exactly **one pass** over the frozen graph, under the
+//! [`Plan`] fixed when it was built. The epoch driver in [`crate::stream`]
 //! creates one per epoch of a `run*` call or a [`crate::Session`]; a
 //! device failover continues the epoch on a second one
 //! ([`Topology::replay`]). Whichever pass resolves the epoch hands the
@@ -269,7 +269,7 @@ pub(crate) struct InputGuard {
 /// epoch driver advances the run here.
 pub(crate) type EpochFinishHook = Box<dyn FnOnce(&Arc<Topology>) + Send>;
 
-/// What the epoch driver gives a pass beyond the graph and its plans.
+/// What the epoch driver gives a pass beyond the graph and its plan.
 /// Epochs that never overlap (depth 1) carry no gate, prologue tracking,
 /// or ring-slot residency.
 pub(crate) struct EpochCtx {
@@ -293,7 +293,7 @@ pub(crate) struct EpochCtx {
 }
 
 /// Runtime state of one pass over the frozen graph: join counters, the
-/// plans it runs under, fault bookkeeping. Nothing here is rewritten
+/// plan it runs under, fault bookkeeping. Nothing here is rewritten
 /// while the pass runs — the epoch driver creates one per epoch, and a
 /// device failover continues the epoch on a fresh one
 /// ([`Topology::replay`]).
@@ -305,21 +305,19 @@ pub(crate) struct Topology {
     /// Graph name as a shared string, cloned into lifecycle events
     /// without reallocating.
     pub(crate) graph_label: Arc<str>,
-    /// Device placement of this pass: the graph's cached plan, or a
-    /// failover's re-placement.
-    pub(crate) placement: Arc<Placement>,
-    /// Task fusion plan (§III-C "task fusing") for `placement`; a replay's
-    /// is masked to the replayed nodes.
-    pub(crate) fusion: Arc<FusionPlan>,
+    /// The plan this pass runs under: the graph's cached one, the epoch
+    /// driver's body-masked one, or a failover's re-placement fused
+    /// among the replayed nodes.
+    pub(crate) plan: Arc<Plan>,
     /// Remaining unmet dependencies per node. The heads of an epoch gate
     /// start one higher: the extra dependency is consumed by `open_gate`
     /// when the previous epoch of the stream completes.
     pub(crate) join: Vec<AtomicUsize>,
     /// Nodes not yet finished this pass. The only field every finished
     /// task writes, so it gets a line of its own: the fields around it
-    /// (`join`, `fusion`, `placement`, `frozen`) are read by every worker
-    /// on every task, and sharing a line with it cost two workers ~30 %
-    /// per task on the host wavefront.
+    /// (`join`, `plan`, `frozen`) are read by every worker on every
+    /// task, and sharing a line with it cost two workers ~30 % per task
+    /// on the host wavefront.
     pub(crate) pending: CachePadded<AtomicUsize>,
     /// First error observed during execution.
     pub(crate) error: Mutex<Option<HfError>>,
@@ -360,26 +358,20 @@ impl Topology {
         frozen: Arc<FrozenGraph>,
         graph_label: Arc<str>,
         run_id: u64,
-        placement: Arc<Placement>,
-        fusion: Arc<FusionPlan>,
+        plan: Arc<Plan>,
         cancel: Arc<AtomicBool>,
         ctx: EpochCtx,
     ) -> Arc<Self> {
-        Arc::new(Self::pass(frozen, graph_label, run_id, placement, fusion, cancel, ctx, None))
+        Arc::new(Self::pass(frozen, graph_label, run_id, plan, cancel, ctx, None))
     }
 
     /// The pass that continues `old`'s epoch after a device failover: the
-    /// nodes not in `done`, under the re-placed plans. It is the same
+    /// nodes not in `done`, under the re-placed plan. It is the same
     /// submission — run id, epoch, cancel flag, residency ring, input
     /// guard, tenant, and the failover and retry counts so far — and takes
     /// `old`'s finish hook with it. It has no gate and no prologue track:
     /// `old` drained, so its gate had opened and its prologue hook fired.
-    pub(crate) fn replay(
-        old: &Topology,
-        placement: Placement,
-        fusion: FusionPlan,
-        done: &[bool],
-    ) -> Arc<Self> {
+    pub(crate) fn replay(old: &Topology, plan: Arc<Plan>, done: &[bool]) -> Arc<Self> {
         let ctx = EpochCtx {
             epoch: old.ctx.epoch,
             pull_override: old.ctx.pull_override.clone(),
@@ -396,8 +388,7 @@ impl Topology {
                 Arc::clone(&old.frozen),
                 Arc::clone(&old.graph_label),
                 old.run_id,
-                Arc::new(placement),
-                Arc::new(fusion),
+                plan,
                 Arc::clone(&old.cancel),
                 ctx,
                 Some(done),
@@ -408,13 +399,11 @@ impl Topology {
     /// The one constructor. With `done` given, those nodes are finished
     /// already: they are not pending, never become ready, and no longer
     /// hold their successors back.
-    #[allow(clippy::too_many_arguments)]
     fn pass(
         frozen: Arc<FrozenGraph>,
         graph_label: Arc<str>,
         run_id: u64,
-        placement: Arc<Placement>,
-        fusion: Arc<FusionPlan>,
+        plan: Arc<Plan>,
         cancel: Arc<AtomicBool>,
         ctx: EpochCtx,
         done: Option<&[bool]>,
@@ -444,8 +433,7 @@ impl Topology {
             frozen,
             run_id,
             graph_label,
-            placement,
-            fusion,
+            plan,
             join,
             pending: CachePadded::new(AtomicUsize::new(n - finished.len())),
             error: Mutex::new(None),
@@ -506,10 +494,34 @@ impl Topology {
     }
 }
 
-/// Precomputed GPU task-fusion chains (§III-C "task fusing"). Pure
-/// function of (frozen graph, placement, fusion flag), so the executor
-/// caches it alongside the placement and reuses it across submissions of
-/// an unchanged graph.
+/// The scheduler's decision for one graph version, made before any task
+/// runs: device placement (Algorithm 1), then the fusion chains for it
+/// (§III-B/C). Both parts are held by value, so a pass reads either
+/// through its one `Arc<Plan>`. [`crate::executor::ExecInner::plan`]
+/// makes every plan the executor places; the epoch driver re-fuses one
+/// under its body mask.
+pub(crate) struct Plan {
+    pub(crate) placement: Placement,
+    pub(crate) fusion: FusionPlan,
+}
+
+impl Plan {
+    /// `placement` with its fusion chains, restricted to `active` (see
+    /// [`FusionPlan::compute`]); no chains when fusion is off.
+    pub(crate) fn new(
+        frozen: &FrozenGraph,
+        placement: Placement,
+        fusion_enabled: bool,
+        active: Option<&[bool]>,
+    ) -> Self {
+        let fusion = FusionPlan::compute(frozen, &placement, fusion_enabled, active);
+        Self { placement, fusion }
+    }
+}
+
+/// Precomputed GPU task-fusion chains (§III-C "task fusing"): a pure
+/// function of (frozen graph, placement, fusion flag, mask), built only
+/// as part of a [`Plan`].
 pub(crate) struct FusionPlan {
     /// `next[v]` chains v to a GPU successor dispatched on the same
     /// stream submission; members of a chain (non-heads) are never
@@ -538,9 +550,9 @@ impl FusionPlan {
     /// member would bypass the epoch gate). A chain must not lead from an
     /// already-finished head into a replayed member (the head would never
     /// be dispatched again), so both endpoints must be active.
-    pub(crate) fn compute(
+    fn compute(
         frozen: &FrozenGraph,
-        placement: &crate::placement::Placement,
+        placement: &Placement,
         enabled: bool,
         active: Option<&[bool]>,
     ) -> Self {
@@ -685,12 +697,10 @@ mod tests {
         a.precede(&b).precede(&c);
         d.succeed(&b).succeed(&c);
         let frozen = g.freeze().unwrap();
-        let plans = || {
+        let plan = || {
             let p = Placement::from_bins(&*frozen, &[], &[], 0);
-            let f = FusionPlan::compute(&frozen, &p, false, None);
-            (p, f)
+            Arc::new(Plan::new(&frozen, p, false, None))
         };
-        let (p, f) = plans();
         let cancel = Arc::new(AtomicBool::new(false));
         let ctx = EpochCtx {
             epoch: Some(4),
@@ -709,8 +719,7 @@ mod tests {
             Arc::clone(&frozen),
             Arc::from("r"),
             9,
-            Arc::new(p),
-            Arc::new(f),
+            plan(),
             Arc::clone(&cancel),
             ctx,
         );
@@ -719,8 +728,7 @@ mod tests {
         old.retries.store(5, Ordering::Relaxed);
 
         // a and b completed; c and d did not.
-        let (p, f) = plans();
-        let r = Topology::replay(&old, p, f, &[true, true, false, false]);
+        let r = Topology::replay(&old, plan(), &[true, true, false, false]);
         let join: Vec<usize> = r.join.iter().map(|j| j.load(Ordering::Relaxed)).collect();
         // c waited only on a; d waits on c alone (b is done, no gate); the
         // finished nodes can never become ready.

@@ -92,30 +92,19 @@ impl Worker {
         x.wrapping_mul(0x2545F4914F6CDD1D)
     }
 
-    fn stream(&mut self, device: u32) -> Stream {
-        let slot = &mut self.streams[device as usize];
-        if slot.is_none() {
-            let dev = self
-                .inner
-                .gpu
-                .device(device)
-                .expect("placement produced a valid device id");
-            *slot = Some(Stream::new(&dev));
-        }
-        slot.clone().expect("just created")
+    /// This worker's stream on `device`, created on first use.
+    fn stream(&mut self, device: &Device) -> Stream {
+        self.streams[device.id() as usize]
+            .get_or_insert_with(|| Stream::new(device))
+            .clone()
     }
 
     /// Copy-lane streams for `device`, created on first chunked pull.
-    fn copy_lanes(&mut self, device: u32) -> Vec<Stream> {
+    fn copy_lanes(&mut self, device: &Device) -> Vec<Stream> {
         let lanes = self.inner.copy_lanes;
-        let slot = &mut self.copy_streams[device as usize];
+        let slot = &mut self.copy_streams[device.id() as usize];
         if slot.is_empty() {
-            let dev = self
-                .inner
-                .gpu
-                .device(device)
-                .expect("placement produced a valid device id");
-            slot.extend((0..lanes).map(|_| Stream::new(&dev)));
+            slot.extend((0..lanes).map(|_| Stream::new(device)));
         }
         slot.clone()
     }
@@ -254,10 +243,10 @@ impl Worker {
     /// the fully asynchronous pattern of Listing 13.
     fn execute(&mut self, token: Token, ctx: &mut Option<RunCtx>) -> Option<Token> {
         let (slot, node) = unpack(token);
-        if !ctx.as_ref().is_some_and(|c| c.serves(slot)) {
-            *ctx = Some(RunCtx::resolve(&self.inner.registry, slot));
-        }
-        let cx = ctx.as_ref().expect("context resolved above");
+        let cx: &RunCtx = match ctx.take() {
+            Some(c) if c.serves(slot) => ctx.insert(c),
+            _ => ctx.insert(RunCtx::resolve(&self.inner.registry, slot)),
+        };
         let topo = &cx.topo;
 
         let worker = Some(self.id as u32);
@@ -286,7 +275,7 @@ impl Worker {
         };
         let inner = &*self.inner;
         let mut local = Local { deque: &self.deque, next: None };
-        let chain = topo.fusion.chain(node);
+        let chain = topo.plan.fusion.chain(node);
         match outcome {
             Ok(Some(ok)) => {
                 inner.finish_nodes(topo, chain, worker, None, ok, Some(&mut local));
@@ -335,12 +324,12 @@ impl Worker {
     /// chain from there).
     fn dispatch_gpu_chain(&mut self, cx: &RunCtx, head: usize) -> Result<(), HfError> {
         let topo = &cx.topo;
-        let dev_id = topo.placement.device_of[head].expect("GPU task placed");
+        let dev_id = topo.plan.placement.device_of[head].expect("GPU task placed");
         let device = self.inner.gpu.device(dev_id)?;
         let _ctx = ScopedDeviceContext::new(dev_id);
 
         let state = Arc::new(ChainState::default());
-        let chain: Vec<usize> = topo.fusion.chain(head).collect();
+        let chain: Vec<usize> = topo.plan.fusion.chain(head).collect();
         let ops = chain
             .iter()
             .map(|&id| self.prepare_op(topo, id, &device, &state))
@@ -354,7 +343,7 @@ impl Worker {
                 .add(self.id, (chain.len() - 1) as u64);
         }
 
-        let stream = self.stream(dev_id);
+        let stream = self.stream(&device);
         // Dispatched events fire before the first op is enqueued: the
         // engine may complete (and emit Finished for) the chain the
         // moment an op lands on the stream.
@@ -382,7 +371,7 @@ impl Worker {
             match op {
                 PreparedOp::Single(f) => stream.exec_labeled(label, f),
                 PreparedOp::ChunkedPull(pull) => {
-                    pull.enqueue_chunked(&stream, &self.copy_lanes(dev_id), label);
+                    pull.enqueue_chunked(&stream, &self.copy_lanes(&device), label);
                 }
             }
         }
@@ -544,13 +533,13 @@ mod loom_models {
     use crate::graph::{FrozenGraph, Heteroflow};
     use crate::placement::Placement;
     use crate::registry::pack;
-    use crate::topology::{EpochCtx, FusionPlan};
+    use crate::topology::{EpochCtx, Plan};
     use hf_sync::atomic::AtomicBool;
     use hf_sync::Injector;
 
     fn topology(frozen: &Arc<FrozenGraph>) -> Arc<Topology> {
         let placement = Placement::from_bins(&**frozen, &[], &[], 0);
-        let fusion = FusionPlan::compute(frozen, &placement, false, None);
+        let plan = Arc::new(Plan::new(frozen, placement, false, None));
         let ctx = EpochCtx {
             epoch: None,
             pull_override: None,
@@ -565,8 +554,7 @@ mod loom_models {
             Arc::clone(frozen),
             Arc::from("g"),
             1,
-            Arc::new(placement),
-            Arc::new(fusion),
+            plan,
             cancel,
             ctx,
         )

@@ -127,6 +127,42 @@ fn wait_for_all_never_sees_a_gap_between_rounds() {
     assert_eq!(ex.snapshot().rounds, 100 * 500);
 }
 
+/// `fused` moved by each of `epochs` epochs of `session`, one at a time.
+fn fused_per_epoch(ex: &Executor, session: &Session, epochs: usize) -> Vec<u64> {
+    (0..epochs)
+        .map(|_| {
+            let before = ex.snapshot().fused;
+            session.submit().wait().expect("epoch");
+            ex.snapshot().fused - before
+        })
+        .collect()
+}
+
+/// Fusion never chains a prologue pull into a gated body kernel: a
+/// depth-1 session fuses pull→kernel and kernel→push in every lane, a
+/// depth-2 session only kernel→push — also on the re-placement it adopts
+/// after a device failover.
+#[test]
+fn fusion_never_crosses_the_epoch_gate() {
+    let lanes = LANES as u64;
+    let ex = Executor::new(2, 2);
+    let (g, _sinks) = lanes_graph("depth1");
+    let session = ex.run_stream_with(&g, StreamConfig { depth: 1 }).expect("opens");
+    assert_eq!(fused_per_epoch(&ex, &session, 3), [2 * lanes; 3]);
+    session.close();
+
+    let (g, _sinks) = lanes_graph("depth2");
+    let session = ex.run_stream_with(&g, StreamConfig { depth: 2 }).expect("opens");
+    assert_eq!(fused_per_epoch(&ex, &session, 2), [lanes; 2]);
+    // Device 1 runs its lane's pull, then is lost at the kernel: that
+    // epoch fails over onto device 0, and the run keeps its re-placement.
+    ex.gpu_runtime().set_fault_plan(Some(FaultPlan::seeded(1).lose_device(1, 1)));
+    session.submit().wait().expect("the failover recovers the epoch");
+    assert_eq!(ex.snapshot().devices_lost, 1);
+    assert_eq!(fused_per_epoch(&ex, &session, 3), [lanes; 3]);
+    session.close();
+}
+
 /// A `run*` call is one run to an observer, however many rounds it
 /// takes: one `RunStart`, one `RunEnd`, no epoch events, no epoch tag.
 #[test]

@@ -507,6 +507,64 @@ fn seed_on_default_executor_reorders_next_placement() {
     assert_eq!(copied, vec![BYTES, 2 * BYTES]);
 }
 
+/// A plan is a function of the graph version, the executor and the seeds:
+/// a seed given after the graph's plan was cached retires that plan. The
+/// inputs are rewritten between the runs, so no pull is warm anywhere and
+/// p2, seeded ten times heavier, is packed alone against the decayed
+/// load [a, a/2] of the first placement.
+#[test]
+fn seed_after_cached_plan_replans() {
+    const BYTES: usize = 1024;
+    let ex = Executor::new(1, 2);
+    let g = Heteroflow::new("late_seed");
+    let bufs: Vec<HostVec<u8>> = (0..3).map(|_| HostVec::from_vec(vec![0; BYTES])).collect();
+    for (i, b) in bufs.iter().enumerate() {
+        g.pull(&format!("p{i}"), b);
+    }
+    let analytic = ex.gpu_runtime().devices()[0].cost_model().h2d(BYTES).as_nanos() as f64;
+    ex.run(&g).wait().unwrap();
+    assert_eq!(ex.device_loads(), vec![analytic * 2.0, analytic]);
+
+    let seed = analytic * 10.0;
+    ex.seed_task_cost("late_seed", "p2", seed);
+    bufs.iter().for_each(|b| drop(b.write()));
+    ex.run(&g).wait().unwrap();
+    assert_eq!(ex.snapshot().topo_cache_misses, 2, "the seed re-made the plan");
+    assert!(ex.device_loads().iter().any(|&l| l >= seed), "{:?}", ex.device_loads());
+}
+
+/// The cross-graph load bias, to the bit: a first placement decays the
+/// estimate and stores its loads, a cache hit decays it and re-applies
+/// the graph's own load, and another graph's miss packs against the
+/// decayed estimate.
+#[test]
+fn device_load_bias_on_hit_and_miss() {
+    let ex = Executor::new(1, 2);
+    let lane = |name: &str| {
+        let g = Heteroflow::new(name);
+        gpu_lane(&g, "lane", &HostVec::from_vec(vec![1; 64]));
+        g
+    };
+    let g = lane("first");
+    ex.run(&g).wait().unwrap();
+    let l1 = ex.device_loads();
+    let w = l1[0];
+    assert!(w > 0.0);
+    assert_eq!(l1, vec![w, 0.0]);
+
+    ex.run(&g).wait().unwrap();
+    let l2 = ex.device_loads();
+    assert_eq!(l2, l1.iter().map(|l| l * 0.5 + l).collect::<Vec<_>>(), "hit");
+
+    let on_dev1 = || ex.gpu_runtime().devices()[1].stats().h2d_bytes.load(Ordering::Relaxed);
+    assert_eq!(on_dev1(), 0);
+    ex.run(&lane("second")).wait().unwrap();
+    assert_eq!(ex.device_loads(), vec![l2[0] * 0.5, w], "miss");
+    assert!(on_dev1() > 0, "the second graph went to the idle device");
+    let snap = ex.snapshot();
+    assert_eq!((snap.topo_cache_hits, snap.topo_cache_misses), (1, 2));
+}
+
 #[test]
 fn device_loads_tracks_gpu_count() {
     let ex = Executor::new(1, 3);
