@@ -69,10 +69,12 @@ impl Promise {
 
     fn wait(&self) -> Result<(), HfError> {
         let mut st = self.state.lock();
-        while st.result.is_none() {
+        loop {
+            if let Some(r) = &st.result {
+                return r.clone();
+            }
             st = self.cv.wait(st);
         }
-        st.result.clone().expect("checked above")
     }
 
     fn wait_timeout(&self, timeout: Duration) -> Option<Result<(), HfError>> {

@@ -186,8 +186,7 @@ pub fn build_correlation_graph(
             Arc::clone(&report),
         );
         move || {
-            let weights: Vec<Vec<f32>> =
-                all_weights.iter().map(|w| w.to_vec()).collect();
+            let weights: Vec<Vec<f32>> = all_weights.iter().map(|w| w.to_vec()).collect();
             let mut acc = vec![0.0f64; nviews];
             for &(vi, a) in all_stats.lock().iter() {
                 acc[vi] = a;

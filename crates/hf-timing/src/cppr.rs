@@ -64,7 +64,7 @@ impl ClockTree {
         let diff = a ^ b;
         // Bits are consumed root-first from the most significant of
         // `levels` bits; the common prefix ends at the first differing bit.
-        
+
         if diff == 0 {
             self.levels
         } else {

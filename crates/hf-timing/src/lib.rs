@@ -7,9 +7,9 @@
 //! per view; a final synchronization step combines everything into a
 //! report. This crate is that pipeline (Figs 4-6) and nothing beside it:
 //!
-//! * [`netlist`] — gate-level circuit model and a synthetic
+//! * [`netlist`] — flat (CSR) gate-level circuit model and a synthetic
 //!   `netcard`-like generator (parameterized size, seeded).
-//! * [`sta`] — levelized arrival/required/slack propagation per view.
+//! * [`sta`] — arrival/required/slack propagation per view.
 //! * [`paths`] — k-critical-path extraction (best-first deviation search).
 //! * [`cppr`] — clock tree + common path pessimism removal credits.
 //! * [`regression`] — logistic regression with gradient descent, written

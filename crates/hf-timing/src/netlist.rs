@@ -7,6 +7,9 @@
 //! skewed fanout distribution (most nets drive 1–4 sinks, a few drive
 //! many) and realistic logic depth. Sizes are parameterized so the full
 //! 1.5M-gate scale is reachable.
+//!
+//! A [`Circuit`] is flat (CSR) with ids in topological order: a forward
+//! sweep is a loop over ids, a backward sweep the same loop reversed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -91,24 +94,68 @@ impl Default for CircuitConfig {
     }
 }
 
-/// A combinational gate-level netlist as a DAG.
+/// One adjacency direction: row `g` is `to[off[g]..off[g + 1]]`.
+#[derive(Debug, Clone)]
+struct Csr {
+    off: Vec<u32>,
+    to: Vec<u32>,
+}
+
+impl Csr {
+    fn from_rows(rows: &[Vec<u32>]) -> Csr {
+        let mut off = vec![0];
+        for r in rows {
+            off.push(off[off.len() - 1] + r.len() as u32);
+        }
+        let to = rows.concat();
+        Csr { off, to }
+    }
+
+    fn row(&self, g: usize) -> &[u32] {
+        &self.to[self.off[g] as usize..self.off[g + 1] as usize]
+    }
+}
+
+/// A combinational gate-level netlist as a DAG, ids in topological order.
 #[derive(Debug, Clone)]
 pub struct Circuit {
-    /// Gates, topologically ordered by construction.
+    /// Gates, indexed by id.
     pub gates: Vec<Gate>,
-    /// Fanin edges per gate (driver gate ids).
-    pub fanin: Vec<Vec<u32>>,
-    /// Fanout edges per gate (sink gate ids).
-    pub fanout: Vec<Vec<u32>>,
     /// Primary inputs (no fanin).
     pub primary_inputs: Vec<u32>,
     /// Primary outputs (no fanout).
     pub primary_outputs: Vec<u32>,
-    /// Gates grouped by logic level (levelization).
-    pub levels: Vec<Vec<u32>>,
+    fanin: Csr,
+    fanout: Csr,
 }
 
 impl Circuit {
+    /// Builds a circuit from one fanin list (driver ids) per gate; each
+    /// fanout row lists its sinks in ascending id. Panics unless every edge
+    /// runs from a lower id to a higher one (ids are a topological order).
+    pub fn new(
+        gates: Vec<Gate>,
+        fanin: &[Vec<u32>],
+        primary_inputs: Vec<u32>,
+        primary_outputs: Vec<u32>,
+    ) -> Circuit {
+        assert_eq!(fanin.len(), gates.len(), "one fanin list per gate");
+        let mut fanout = vec![Vec::new(); gates.len()];
+        for (g, row) in fanin.iter().enumerate() {
+            for &src in row {
+                assert!((src as usize) < g, "edge {src} -> {g} is not forward");
+                fanout[src as usize].push(g as u32);
+            }
+        }
+        Circuit {
+            gates,
+            primary_inputs,
+            primary_outputs,
+            fanin: Csr::from_rows(fanin),
+            fanout: Csr::from_rows(&fanout),
+        }
+    }
+
     /// Generates a synthetic circuit per `cfg`. Deterministic for a given
     /// seed.
     pub fn synthesize(cfg: &CircuitConfig) -> Circuit {
@@ -119,34 +166,23 @@ impl Circuit {
         let n_out = ((n as f64 * cfg.output_fraction) as usize).max(2);
         let n_logic = n.saturating_sub(n_in + n_out);
 
-        let mut gates = Vec::with_capacity(n);
-        let mut fanin: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); n];
-
         // 1) Primary inputs.
-        for _ in 0..n_in {
-            gates.push(Gate {
-                kind: GateKind::Input,
-                delay_factor: 1.0,
-            });
-        }
+        let input = Gate {
+            kind: GateKind::Input,
+            delay_factor: 1.0,
+        };
+        let mut gates = vec![input; n_in];
+        let mut fanin: Vec<Vec<u32>> = vec![Vec::new(); n_in];
 
         // 2) Logic gates, each drawing 1-3 fanins from a trailing window
         // (keeps the graph a DAG and bounds depth).
-        let logic_kinds = [
-            GateKind::Nand,
-            GateKind::Nor,
-            GateKind::Inv,
-            GateKind::Buf,
-            GateKind::And,
-            GateKind::Or,
-            GateKind::Xor,
-        ];
+        use GateKind::{And, Buf, Inv, Nand, Nor, Or, Xor};
+        let logic_kinds = [Nand, Nor, Inv, Buf, And, Or, Xor];
         for _ in 0..n_logic {
             let id = gates.len();
             let kind = logic_kinds[rng.gen_range(0..logic_kinds.len())];
             let nf = match kind {
-                GateKind::Inv | GateKind::Buf => 1,
+                Inv | Buf => 1,
                 _ => {
                     // Mean around cfg.mean_fanin, clipped to [1, 3].
                     let f = cfg.mean_fanin + rng.gen_range(-0.8..0.8);
@@ -154,6 +190,7 @@ impl Circuit {
                 }
             };
             let lo = id.saturating_sub(cfg.window);
+            let mut row = Vec::with_capacity(nf);
             for _ in 0..nf {
                 // Skewed driver selection: prefer recent gates (locality)
                 // but occasionally reach far back (global nets).
@@ -162,11 +199,11 @@ impl Circuit {
                 } else {
                     rng.gen_range(0..id)
                 } as u32;
-                if !fanin[id].contains(&src) {
-                    fanin[id].push(src);
-                    fanout[src as usize].push(id as u32);
+                if !row.contains(&src) {
+                    row.push(src);
                 }
             }
+            fanin.push(row);
             gates.push(Gate {
                 kind,
                 delay_factor: 1.0 + rng.gen_range(-0.1f32..0.1),
@@ -177,13 +214,8 @@ impl Circuit {
         // another output).
         let logic_end = n_in + n_logic;
         for _ in 0..n_out {
-            let id = gates.len();
             let lo = logic_end.saturating_sub(cfg.window.max(8));
-            let src = rng.gen_range(lo..logic_end) as u32;
-            fanin.resize(id + 1, Vec::new());
-            fanout.resize(id + 1, Vec::new());
-            fanin[id].push(src);
-            fanout[src as usize].push(id as u32);
+            fanin.push(vec![rng.gen_range(lo..logic_end) as u32]);
             gates.push(Gate {
                 kind: GateKind::Output,
                 delay_factor: 1.0,
@@ -191,18 +223,8 @@ impl Circuit {
         }
 
         let primary_inputs: Vec<u32> = (0..n_in as u32).collect();
-        let primary_outputs: Vec<u32> =
-            ((n_in + n_logic) as u32..gates.len() as u32).collect();
-
-        let levels = levelize(&gates, &fanin, &fanout);
-        Circuit {
-            gates,
-            fanin,
-            fanout,
-            primary_inputs,
-            primary_outputs,
-            levels,
-        }
+        let primary_outputs: Vec<u32> = (logic_end as u32..gates.len() as u32).collect();
+        Circuit::new(gates, &fanin, primary_inputs, primary_outputs)
     }
 
     /// Number of gates.
@@ -212,45 +234,28 @@ impl Circuit {
 
     /// Number of (collapsed) nets = edges.
     pub fn num_edges(&self) -> usize {
-        self.fanin.iter().map(|f| f.len()).sum()
+        self.fanin.to.len()
     }
 
-    /// Maximum logic depth.
+    /// Drivers of gate `g`.
+    pub fn fanin(&self, g: usize) -> &[u32] {
+        self.fanin.row(g)
+    }
+
+    /// Sinks of gate `g`, in ascending id.
+    pub fn fanout(&self, g: usize) -> &[u32] {
+        self.fanout.row(g)
+    }
+
+    /// Maximum logic depth: the number of gates on the longest chain.
     pub fn depth(&self) -> usize {
-        self.levels.len()
-    }
-}
-
-/// Groups gates by logic level (Kahn order).
-fn levelize(gates: &[Gate], fanin: &[Vec<u32>], fanout: &[Vec<u32>]) -> Vec<Vec<u32>> {
-    let n = gates.len();
-    let mut indeg: Vec<usize> = fanin.iter().map(|f| f.len()).collect();
-    let mut level_of = vec![0usize; n];
-    let mut queue: std::collections::VecDeque<u32> = (0..n as u32)
-        .filter(|&i| indeg[i as usize] == 0)
-        .collect();
-    let mut max_level = 0;
-    let mut seen = 0usize;
-    while let Some(u) = queue.pop_front() {
-        seen += 1;
-        for &v in &fanout[u as usize] {
-            let lv = level_of[u as usize] + 1;
-            if lv > level_of[v as usize] {
-                level_of[v as usize] = lv;
-                max_level = max_level.max(lv);
-            }
-            indeg[v as usize] -= 1;
-            if indeg[v as usize] == 0 {
-                queue.push_back(v);
-            }
+        let mut level = vec![0usize; self.num_gates()];
+        for g in 0..self.num_gates() {
+            let below = self.fanin(g).iter().map(|&f| level[f as usize]);
+            level[g] = 1 + below.max().unwrap_or(0);
         }
+        level.into_iter().max().unwrap_or(0)
     }
-    assert_eq!(seen, n, "netlist contains a combinational cycle");
-    let mut levels = vec![Vec::new(); max_level + 1];
-    for (g, &lv) in level_of.iter().enumerate() {
-        levels[lv].push(g as u32);
-    }
-    levels
 }
 
 #[cfg(test)]
@@ -267,7 +272,9 @@ mod tests {
         let b = Circuit::synthesize(&cfg);
         assert_eq!(a.num_gates(), b.num_gates());
         assert_eq!(a.num_edges(), b.num_edges());
-        assert_eq!(a.fanin, b.fanin);
+        for g in 0..a.num_gates() {
+            assert_eq!(a.fanin(g), b.fanin(g));
+        }
     }
 
     #[test]
@@ -280,39 +287,50 @@ mod tests {
         assert!(!c.primary_inputs.is_empty());
         assert!(!c.primary_outputs.is_empty());
         for &pi in &c.primary_inputs {
-            assert!(c.fanin[pi as usize].is_empty());
+            assert!(c.fanin(pi as usize).is_empty());
         }
         for &po in &c.primary_outputs {
-            assert!(c.fanout[po as usize].is_empty(), "PO has fanout");
-            assert_eq!(c.fanin[po as usize].len(), 1);
+            assert!(c.fanout(po as usize).is_empty(), "PO has fanout");
+            assert_eq!(c.fanin(po as usize).len(), 1);
         }
-        // Every edge goes to a strictly later-created gate (DAG witness).
-        for (g, fi) in c.fanin.iter().enumerate() {
-            for &src in fi {
+        // Every edge goes to a strictly later-created gate (DAG witness),
+        // and fanout is fanin transposed.
+        let mut edges = 0;
+        for g in 0..c.num_gates() {
+            for &src in c.fanin(g) {
                 assert!((src as usize) < g);
+                assert!(c.fanout(src as usize).contains(&(g as u32)));
             }
+            assert!(c.fanout(g).windows(2).all(|w| w[0] < w[1]));
+            edges += c.fanout(g).len();
         }
+        assert_eq!(edges, c.num_edges());
     }
 
     #[test]
-    fn levelization_respects_edges() {
-        let c = Circuit::synthesize(&CircuitConfig {
-            num_gates: 800,
-            ..Default::default()
+    fn depth_counts_the_longest_chain() {
+        use GateKind::{And, Input, Inv, Output};
+        let gates = [Input, Input, Inv, And, Output].map(|kind| Gate {
+            kind,
+            delay_factor: 1.0,
         });
-        let mut level_of = vec![0usize; c.num_gates()];
-        for (lv, gs) in c.levels.iter().enumerate() {
-            for &g in gs {
-                level_of[g as usize] = lv;
-            }
-        }
-        for (g, fi) in c.fanin.iter().enumerate() {
-            for &src in fi {
-                assert!(level_of[src as usize] < level_of[g]);
-            }
-        }
-        let total: usize = c.levels.iter().map(|l| l.len()).sum();
-        assert_eq!(total, c.num_gates());
+        // 0 -> 2 -> 3 -> 4, and 1 -> 3: four gates on the longest chain.
+        let fanin = [vec![], vec![], vec![0], vec![2, 1], vec![3]];
+        let c = Circuit::new(gates.to_vec(), &fanin, vec![0, 1], vec![4]);
+        assert_eq!(c.depth(), 4);
+        assert_eq!(c.fanout(0), &[2]);
+        assert_eq!(c.fanout(1), &[3]);
+        assert_eq!(c.num_edges(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "not forward")]
+    fn backward_edge_rejected() {
+        let g = Gate {
+            kind: GateKind::Buf,
+            delay_factor: 1.0,
+        };
+        Circuit::new(vec![g, g], &[vec![1], vec![]], vec![], vec![]);
     }
 
     #[test]
@@ -321,7 +339,7 @@ mod tests {
             num_gates: 5000,
             ..Default::default()
         });
-        let fanouts: Vec<usize> = c.fanout.iter().map(|f| f.len()).collect();
+        let fanouts: Vec<usize> = (0..c.num_gates()).map(|g| c.fanout(g).len()).collect();
         let small = fanouts.iter().filter(|&&f| f <= 4).count();
         let max = fanouts.iter().max().copied().unwrap_or(0);
         // Most nets are small, but some high-fanout nets exist.

@@ -5,7 +5,10 @@
 //! UI-Timer-class path engines, paper refs \[27\]\[28\]\[30\]): states carry an
 //! exact completion estimate (prefix delay + precomputed max downstream
 //! delay), so paths are produced in exactly descending total-delay order —
-//! an A* search with a perfect heuristic.
+//! an A* search with a perfect heuristic. An expanded state's best child
+//! carries its parent's estimate, so it is kept as the next state when it
+//! beats the heap top (exactly what a pop would return) instead of making
+//! a heap round trip per gate.
 
 use crate::netlist::Circuit;
 use crate::sta::gate_delay;
@@ -39,13 +42,13 @@ struct State {
     prefix: f32,
     /// Current gate.
     node: u32,
-    /// Index of the parent state in the search arena.
-    parent: usize,
+    /// This state's index in the search arena.
+    idx: usize,
 }
 
 impl PartialEq for State {
     fn eq(&self, other: &Self) -> bool {
-        self.est == other.est
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for State {}
@@ -56,52 +59,55 @@ impl PartialOrd for State {
 }
 impl Ord for State {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap by estimate; ties by node id for determinism.
+        // Max-heap by estimate, then by node id, then the earlier-created
+        // state first: a total order, so ties never depend on heap layout.
         self.est
             .partial_cmp(&other.est)
             .unwrap_or(Ordering::Equal)
             .then_with(|| self.node.cmp(&other.node))
+            .then_with(|| other.idx.cmp(&self.idx))
     }
 }
 
 /// Extracts the `k` longest complete paths under `view`, in descending
 /// delay order.
+///
+/// Exact ties come out largest gate id first, then earliest-created state
+/// first: paths that differ only in their (zero-delay) launch input come
+/// out higher input id first.
 pub fn k_critical_paths(c: &Circuit, view: &View, k: usize) -> Vec<TimingPath> {
-    if k == 0 || c.num_gates() == 0 {
+    let n = c.num_gates();
+    if k == 0 || n == 0 {
         return Vec::new();
     }
+    let delay: Vec<f32> = (0..n).map(|g| gate_delay(c, g, view)).collect();
 
     // Max downstream remaining delay from each gate to any PO.
-    let mut down = vec![f32::NEG_INFINITY; c.num_gates()];
+    let mut down = vec![f32::NEG_INFINITY; n];
     for &po in &c.primary_outputs {
         down[po as usize] = 0.0;
     }
-    for level in c.levels.iter().rev() {
-        for &g in level {
-            let g = g as usize;
-            for &s in &c.fanout[g] {
-                let s = s as usize;
-                let cand = gate_delay(c, s, view) + down[s];
-                if cand > down[g] {
-                    down[g] = cand;
-                }
-            }
+    for g in (0..n).rev() {
+        for &s in c.fanout(g) {
+            down[g] = down[g].max(delay[s as usize] + down[s as usize]);
         }
     }
 
-    // Arena of search-tree states for path reconstruction.
-    let mut arena: Vec<(u32, usize)> = Vec::new(); // (node, parent)
+    // Arena of search-tree states, (node, parent), for path reconstruction.
+    let mut arena: Vec<(u32, usize)> = Vec::new();
+    let state = |arena: &mut Vec<(u32, usize)>, node: u32, parent: usize, prefix: f32| {
+        arena.push((node, parent));
+        State {
+            est: prefix + down[node as usize],
+            prefix,
+            node,
+            idx: arena.len() - 1,
+        }
+    };
     let mut heap: BinaryHeap<State> = BinaryHeap::new();
     for &pi in &c.primary_inputs {
         if down[pi as usize].is_finite() {
-            let prefix = gate_delay(c, pi as usize, view);
-            arena.push((pi, usize::MAX));
-            heap.push(State {
-                est: prefix + down[pi as usize],
-                prefix,
-                node: pi,
-                parent: arena.len() - 1,
-            });
+            heap.push(state(&mut arena, pi, usize::MAX, delay[pi as usize]));
         }
     }
 
@@ -110,16 +116,17 @@ pub fn k_critical_paths(c: &Circuit, view: &View, k: usize) -> Vec<TimingPath> {
     let cap = 200_000usize.max(k * 64);
     let mut expansions = 0usize;
 
-    while let Some(st) = heap.pop() {
+    let mut next = heap.pop();
+    while let Some(st) = next {
         expansions += 1;
         if expansions > cap {
             break;
         }
-        let node = st.node as usize;
-        if c.fanout[node].is_empty() {
+        let fanout = c.fanout(st.node as usize);
+        if fanout.is_empty() {
             // Complete path; reconstruct from parent links.
             let mut gates = Vec::new();
-            let mut cur = st.parent;
+            let mut cur = st.idx;
             while cur != usize::MAX {
                 gates.push(arena[cur].0);
                 cur = arena[cur].1;
@@ -133,22 +140,27 @@ pub fn k_critical_paths(c: &Circuit, view: &View, k: usize) -> Vec<TimingPath> {
             if out.len() >= k {
                 break;
             }
-            continue;
         }
-        for &s in &c.fanout[node] {
-            let sd = down[s as usize];
-            if !sd.is_finite() {
+        let mut best: Option<State> = None;
+        for &s in fanout {
+            if !down[s as usize].is_finite() {
                 continue;
             }
-            let prefix = st.prefix + gate_delay(c, s as usize, view);
-            arena.push((s, st.parent));
-            heap.push(State {
-                est: prefix + sd,
-                prefix,
-                node: s,
-                parent: arena.len() - 1,
-            });
+            let child = state(&mut arena, s, st.idx, st.prefix + delay[s as usize]);
+            match &best {
+                Some(b) if *b > child => heap.push(child),
+                _ => heap.extend(best.replace(child)),
+            }
         }
+        // Continue with the best child unless the heap top beats it: then the
+        // top is next and the child takes its place. A leaf pops the top.
+        next = match best {
+            None => heap.pop(),
+            Some(b) => match heap.peek_mut() {
+                Some(mut top) if *top > b => Some(std::mem::replace(&mut *top, b)),
+                _ => Some(b),
+            },
+        };
     }
     out
 }
@@ -187,10 +199,10 @@ mod tests {
         ) {
             let d = delay + gate_delay(c, g, view);
             path.push(g as u32);
-            if c.fanout[g].is_empty() {
+            if c.fanout(g).is_empty() {
                 all.push((path.clone(), d));
             } else {
-                for &s in &c.fanout[g] {
+                for &s in c.fanout(g) {
                     dfs(c, view, s as usize, path, d, all);
                 }
             }
@@ -220,9 +232,11 @@ mod tests {
             let k = truth.len().min(12);
             let got = k_critical_paths(&c, &v, k);
             assert_eq!(got.len(), k, "seed {seed}");
+            // The DFS sums delays in the search's order, so the bits match.
             for (i, p) in got.iter().enumerate() {
-                assert!(
-                    (p.delay - truth[i].1).abs() < 1e-5,
+                assert_eq!(
+                    p.delay.to_bits(),
+                    truth[i].1.to_bits(),
                     "seed {seed} rank {i}: {} vs {}",
                     p.delay,
                     truth[i].1
@@ -248,7 +262,7 @@ mod tests {
             assert!(c.primary_inputs.contains(&p.gates[0]));
             assert!(c.primary_outputs.contains(p.gates.last().unwrap()));
             for e in p.gates.windows(2) {
-                assert!(c.fanout[e[0] as usize].contains(&e[1]));
+                assert!(c.fanout(e[0] as usize).contains(&e[1]));
             }
             assert!((p.slack - (0.5 - p.delay)).abs() < 1e-6);
         }
@@ -256,23 +270,62 @@ mod tests {
 
     #[test]
     fn k_zero_and_k_larger_than_paths() {
-        let gates = vec![
-            Gate { kind: GateKind::Input, delay_factor: 1.0 },
-            Gate { kind: GateKind::Output, delay_factor: 1.0 },
-        ];
-        let fanin = vec![vec![], vec![0]];
-        let fanout = vec![vec![1], vec![]];
-        let c = Circuit {
-            gates,
-            fanin,
-            fanout,
-            primary_inputs: vec![0],
-            primary_outputs: vec![1],
-            levels: vec![vec![0], vec![1]],
-        };
+        let gates = [GateKind::Input, GateKind::Output].map(|kind| Gate {
+            kind,
+            delay_factor: 1.0,
+        });
+        let c = Circuit::new(gates.to_vec(), &[vec![], vec![0]], vec![0], vec![1]);
         let v = test_view(1.0);
         assert!(k_critical_paths(&c, &v, 0).is_empty());
         let ps = k_critical_paths(&c, &v, 10);
         assert_eq!(ps.len(), 1, "only one path exists");
+    }
+
+    /// `m` inputs feed one gate, then a chain that forks into a slow and a
+    /// fast branch, each ending at an output: two groups of `m` paths whose
+    /// delays tie exactly within the group.
+    #[test]
+    fn exact_ties_come_out_in_the_documented_order() {
+        let m = 5u32;
+        let gate = |kind| Gate {
+            kind,
+            delay_factor: 1.0,
+        };
+        let mut gates = vec![gate(GateKind::Input); m as usize];
+        let mut fanin = vec![vec![]; m as usize];
+        for (kind, src) in [
+            (GateKind::Nand, (0..m).collect()),
+            (GateKind::Buf, vec![m]),
+            (GateKind::Buf, vec![m + 1]),
+            (GateKind::Xor, vec![m + 2]),
+            (GateKind::Inv, vec![m + 2]),
+            (GateKind::Output, vec![m + 3]),
+            (GateKind::Output, vec![m + 4]),
+        ] {
+            gates.push(gate(kind));
+            fanin.push(src);
+        }
+        let c = Circuit::new(gates, &fanin, (0..m).collect(), vec![m + 5, m + 6]);
+        let v = test_view(1.0);
+
+        let all = k_critical_paths(&c, &v, 3 * m as usize);
+        assert_eq!(all.len(), 2 * m as usize);
+        let (slow, fast) = all.split_at(m as usize);
+        assert!(slow[0].delay > fast[0].delay);
+        for group in [slow, fast] {
+            for p in group {
+                assert_eq!(p.delay.to_bits(), group[0].delay.to_bits());
+                assert_eq!(p.gates[1..], group[0].gates[1..]);
+            }
+            // Higher launch input first; on the fast branch the tied
+            // states share a node, and the earlier-created one goes first.
+            let launch: Vec<u32> = group.iter().map(|p| p.gates[0]).collect();
+            assert_eq!(launch, (0..m).rev().collect::<Vec<_>>());
+        }
+
+        for k in [m as usize - 2, m as usize + 2] {
+            assert_eq!(k_critical_paths(&c, &v, k), all[..k]);
+        }
+        assert_eq!(k_critical_paths(&c, &v, 3 * m as usize), all);
     }
 }

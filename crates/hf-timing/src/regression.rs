@@ -30,8 +30,8 @@ pub fn make_dataset(paths: &[TimingPath], credits: &[f32], margin: f32) -> (Vec<
     for (i, p) in paths.iter().enumerate() {
         x[i * NUM_FEATURES] = p.delay;
         x[i * NUM_FEATURES + 1] = p.depth() as f32;
-        x[i * NUM_FEATURES + 2] = p.gates.iter().map(|&g| g as f32).sum::<f32>()
-            / (p.depth().max(1) as f32 * 1000.0);
+        x[i * NUM_FEATURES + 2] =
+            p.gates.iter().map(|&g| g as f32).sum::<f32>() / (p.depth().max(1) as f32 * 1000.0);
         x[i * NUM_FEATURES + 3] = credits.get(i).copied().unwrap_or(0.0);
         y[i] = if p.slack < margin { 1.0 } else { 0.0 };
     }
@@ -118,8 +118,7 @@ pub fn logistic_kernel(
                     continue;
                 }
                 let row = &x[i * f..(i + 1) * f];
-                let z: f32 =
-                    row.iter().zip(&w[..f]).map(|(a, b)| a * b).sum::<f32>() + w[f];
+                let z: f32 = row.iter().zip(&w[..f]).map(|(a, b)| a * b).sum::<f32>() + w[f];
                 let err = sigmoid(z) - y[i];
                 for (g, &xv) in grad[..f].iter_mut().zip(row) {
                     *g += err * xv;

@@ -1,9 +1,9 @@
-//! Static timing analysis: levelized arrival/required/slack propagation.
+//! Static timing analysis: arrival/required/slack propagation.
 //!
 //! The classic OpenTimer-style forward/backward sweep: arrival times
-//! propagate forward as a longest-path computation over the levelized
-//! netlist; required times propagate backward from the clock constraint;
-//! slack = required − arrival. All quantities are per-view (the view's
+//! propagate forward as a longest-path computation in (topological) id
+//! order; required times propagate backward from the clock constraint in
+//! reverse id order; slack = required − arrival. All quantities are per-view (the view's
 //! corner scales delays; its mode sets the clock period).
 
 use crate::netlist::Circuit;
@@ -37,16 +37,10 @@ pub fn run_sta(c: &Circuit, view: &View) -> TimingReport {
     let n = c.num_gates();
     let mut arrival = vec![0.0f32; n];
 
-    // Forward: levelized longest-path arrival propagation.
-    for level in &c.levels {
-        for &g in level {
-            let g = g as usize;
-            let at_in = c.fanin[g]
-                .iter()
-                .map(|&f| arrival[f as usize])
-                .fold(0.0f32, f32::max);
-            arrival[g] = at_in + gate_delay(c, g, view);
-        }
+    // Forward: longest-path arrival propagation in id (topological) order.
+    for g in 0..n {
+        let at_in = c.fanin(g).iter().map(|&f| arrival[f as usize]);
+        arrival[g] = at_in.fold(0.0f32, f32::max) + gate_delay(c, g, view);
     }
 
     // Backward: required times from the clock constraint at endpoints.
@@ -55,35 +49,21 @@ pub fn run_sta(c: &Circuit, view: &View) -> TimingReport {
     for &po in &c.primary_outputs {
         required[po as usize] = period;
     }
-    for level in c.levels.iter().rev() {
-        for &g in level {
-            let g = g as usize;
-            // required(g) = min over fanouts s of required(s) - delay(s).
-            let rq = c.fanout[g]
-                .iter()
-                .map(|&s| {
-                    let s = s as usize;
-                    required[s] - gate_delay(c, s, view)
-                })
-                .fold(f32::INFINITY, f32::min);
-            if rq < required[g] {
-                required[g] = rq;
-            }
-        }
+    for g in (0..n).rev() {
+        // required(g) = min over fanouts s of required(s) - delay(s).
+        let rq = c
+            .fanout(g)
+            .iter()
+            .map(|&s| required[s as usize] - gate_delay(c, s as usize, view));
+        required[g] = rq.fold(required[g], f32::min);
     }
     // Gates with no path to an output keep required = +inf -> slack +inf;
     // clamp to the period for sane reporting.
-    for r in required.iter_mut() {
-        if !r.is_finite() {
-            *r = period;
-        }
+    for r in required.iter_mut().filter(|r| !r.is_finite()) {
+        *r = period;
     }
 
-    let slack: Vec<f32> = required
-        .iter()
-        .zip(&arrival)
-        .map(|(r, a)| r - a)
-        .collect();
+    let slack: Vec<f32> = required.iter().zip(&arrival).map(|(r, a)| r - a).collect();
 
     let mut wns = 0.0f32;
     let mut tns = 0.0f32;
@@ -129,29 +109,13 @@ mod tests {
     /// Hand-built circuit: in0 -> inv -> and <- in1, and -> out.
     /// Arrival(out) = delay(inv) + delay(and).
     fn tiny() -> Circuit {
-        let gates = vec![
-            Gate { kind: GateKind::Input, delay_factor: 1.0 },  // 0
-            Gate { kind: GateKind::Input, delay_factor: 1.0 },  // 1
-            Gate { kind: GateKind::Inv, delay_factor: 1.0 },    // 2
-            Gate { kind: GateKind::And, delay_factor: 1.0 },    // 3
-            Gate { kind: GateKind::Output, delay_factor: 1.0 }, // 4
-        ];
-        let fanin = vec![vec![], vec![], vec![0], vec![2, 1], vec![3]];
-        let mut fanout = vec![Vec::new(); 5];
-        for (g, fi) in fanin.iter().enumerate() {
-            for &s in fi {
-                fanout[s as usize].push(g as u32);
-            }
-        }
-        let levels = vec![vec![0, 1], vec![2], vec![3], vec![4]];
-        Circuit {
-            gates,
-            fanin,
-            fanout,
-            primary_inputs: vec![0, 1],
-            primary_outputs: vec![4],
-            levels,
-        }
+        use GateKind::{And, Input, Inv, Output};
+        let gates = [Input, Input, Inv, And, Output].map(|kind| Gate {
+            kind,
+            delay_factor: 1.0,
+        });
+        let fanin = [vec![], vec![], vec![0], vec![2, 1], vec![3]];
+        Circuit::new(gates.to_vec(), &fanin, vec![0, 1], vec![4])
     }
 
     #[test]
@@ -186,8 +150,8 @@ mod tests {
         assert!((b.arrival[4] - 2.0 * a.arrival[4]).abs() < 1e-6);
     }
 
-    /// On any synthesized circuit, arrival computed by levelized sweep
-    /// equals a reference longest-path DFS.
+    /// On any synthesized circuit, arrival computed by the sweep equals a
+    /// reference longest-path recurrence.
     #[test]
     fn matches_reference_longest_path() {
         let c = Circuit::synthesize(&CircuitConfig {
@@ -201,7 +165,8 @@ mod tests {
         let mut reference = vec![0.0f32; c.num_gates()];
         #[allow(clippy::needless_range_loop)] // builds reference[g] from reference[<g]
         for g in 0..c.num_gates() {
-            let at = c.fanin[g]
+            let at = c
+                .fanin(g)
                 .iter()
                 .map(|&f| reference[f as usize])
                 .fold(0.0f32, f32::max);

@@ -98,6 +98,7 @@ impl ViewGrowthRow {
 /// making the required view count grow exponentially — from a handful at
 /// 180 nm to thousands at 7 nm. (Values follow the industry trend the
 /// figure plots; the paper's figure is qualitative.)
+#[rustfmt::skip]
 pub fn view_growth_table() -> Vec<ViewGrowthRow> {
     vec![
         ViewGrowthRow { node_nm: 180, corners: 2, modes: 2 },
@@ -120,8 +121,7 @@ mod tests {
     fn make_views_count_and_uniqueness() {
         let vs = make_views(32, 1.0);
         assert_eq!(vs.len(), 32);
-        let names: std::collections::HashSet<String> =
-            vs.iter().map(|v| v.name()).collect();
+        let names: std::collections::HashSet<String> = vs.iter().map(|v| v.name()).collect();
         assert_eq!(names.len(), 32, "duplicate view names");
         for v in &vs {
             assert!(v.corner.delay_scale > 0.5 && v.corner.delay_scale < 2.0);

@@ -22,7 +22,7 @@ fn arb_view() -> impl Strategy<Value = View> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Arrival times from the levelized sweep equal the reference
+    /// Arrival times from the STA sweep equal the reference
     /// longest-path recurrence on random circuits and views, and slack
     /// identity holds.
     #[test]
@@ -40,7 +40,8 @@ proptest! {
         let mut reference = vec![0.0f32; c.num_gates()];
         #[allow(clippy::needless_range_loop)] // builds reference[g] from reference[<g]
         for g in 0..c.num_gates() {
-            let at = c.fanin[g]
+            let at = c
+                .fanin(g)
                 .iter()
                 .map(|&f| reference[f as usize])
                 .fold(0.0f32, f32::max);
@@ -85,7 +86,7 @@ proptest! {
             prop_assert!(c.primary_inputs.contains(&p.gates[0]));
             prop_assert!(c.primary_outputs.contains(p.gates.last().unwrap()));
             for e in p.gates.windows(2) {
-                prop_assert!(c.fanout[e[0] as usize].contains(&e[1]));
+                prop_assert!(c.fanout(e[0] as usize).contains(&e[1]));
             }
         }
         let max_po_arrival = c.primary_outputs.iter()
