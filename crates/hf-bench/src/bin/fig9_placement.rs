@@ -27,7 +27,7 @@ use hf_gpu::{CostModel, SimDuration};
 use hf_place::graph::{build_placement_graph, GraphConfig};
 use hf_place::mis::{make_priorities, mis_cpu};
 use hf_place::partition::partition_windows;
-use hf_place::{hungarian, PlacementConfig, PlacementDb};
+use hf_place::{Matcher, PlacementConfig, PlacementDb};
 use hf_sim::{simulate, Machine, SchedulerMode};
 use std::sync::Arc;
 
@@ -91,26 +91,19 @@ fn main() {
 
     // --- Calibrate CPU task costs by running the real step bodies. ---
     eprintln!("[fig9] calibrating host-task costs ...");
-    let (adj, adj_cost) = hf_sim::measure(|| db.conflict_adjacency());
-    let (offsets, neighbors) = adj;
+    let (offsets, neighbors) = db.netlist.conflict_adjacency();
     let priorities = make_priorities(cells, 0xD1CE);
     // MIS on one CPU core (the DREAMPlace baseline for the 40x claim).
-    let (states, mis_cpu_cost) = hf_sim::measure(|| mis_cpu(&offsets, &neighbors, &priorities));
+    let (states, mis_cpu_cost) = hf_sim::measure(|| mis_cpu(offsets, neighbors, &priorities));
     let (windows, part_cost) = hf_sim::measure(|| partition_windows(&db, &states, window));
-    // One matcher's share of the windows.
+    // One matcher's share of the windows, through the matching task's body.
     let windows_per_matcher = windows.len().div_ceil(matchers.max(1));
     let (_, match_cost) = hf_sim::measure(|| {
+        let (mut matcher, mut moves) = (Matcher::default(), Vec::new());
         for w in windows.iter().take(windows_per_matcher) {
-            let slots: Vec<(u32, u32)> = w
-                .iter()
-                .map(|&c| (db.cells[c as usize].x, db.cells[c as usize].y))
-                .collect();
-            let cost: Vec<Vec<u64>> = w
-                .iter()
-                .map(|&c| slots.iter().map(|&(x, y)| db.cell_cost_at(c, x, y)).collect())
-                .collect();
-            std::hint::black_box(hungarian(&cost));
+            matcher.match_window(&db, w, &mut moves);
         }
+        std::hint::black_box(moves)
     });
     let (_, apply_cost) = hf_sim::measure(|| std::hint::black_box(db.total_hpwl()));
     let (_, prep_cost) = hf_sim::measure(|| std::hint::black_box(make_priorities(cells, 1)));
@@ -121,7 +114,6 @@ fn main() {
         .set("partition", s(part_cost, scale))
         .set("match", s(match_cost, scale))
         .set("apply", s(apply_cost, scale));
-    let _ = adj_cost; // adjacency built once outside the graph
 
     // GPU MIS rounds: the whole per-iteration MIS (all rounds) runs 40x
     // faster than one CPU core (DREAMPlace's reported speedup). Each

@@ -7,7 +7,7 @@
 
 use crate::db::PlacementDb;
 use crate::graph::{build_placement_graph, GraphConfig};
-use crate::matching::match_window;
+use crate::matching::Matcher;
 use crate::mis::{make_priorities, mis_cpu};
 use crate::partition::partition_windows;
 use hf_core::Executor;
@@ -51,18 +51,18 @@ pub fn detailed_place(
 pub fn detailed_place_sequential(mut db: PlacementDb, cfg: PlaceConfig) -> PlaceOutcome {
     let hpwl_before = db.total_hpwl();
     let n = db.num_cells();
-    let (offsets, neighbors) = db.conflict_adjacency();
+    let (offsets, neighbors) = db.netlist.conflict_adjacency();
     let mut hpwl_trace = Vec::with_capacity(cfg.iterations);
+    let (mut matcher, mut moves) = (Matcher::default(), Vec::new());
 
     for it in 0..cfg.iterations {
         let priorities = make_priorities(n, cfg.seed.wrapping_add(it as u64));
-        let states = mis_cpu(&offsets, &neighbors, &priorities);
+        let states = mis_cpu(offsets, neighbors, &priorities);
         let windows = partition_windows(&db, &states, cfg.window_cap);
-        let mut moves = Vec::new();
         for w in &windows {
-            match_window(&db, w, &mut moves);
+            matcher.match_window(&db, w, &mut moves);
         }
-        for (cell, x, y) in moves {
+        for (cell, x, y) in moves.drain(..) {
             db.cells[cell as usize].x = x;
             db.cells[cell as usize].y = y;
         }

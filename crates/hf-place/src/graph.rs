@@ -19,7 +19,7 @@
 //! next independent set while the workers partition and match this one.
 
 use crate::db::PlacementDb;
-use crate::matching::match_window;
+use crate::matching::Matcher;
 use crate::mis::{self, make_priorities, UNDECIDED};
 use crate::partition::partition_windows;
 use hf_core::data::HostVec;
@@ -64,29 +64,26 @@ pub struct PlaceRun {
 
 /// Builds the Fig 8 graph over `db`. Returns the graph and the shared
 /// run state (read the final placement from `PlaceRun::db` after the run).
-pub fn build_placement_graph(
-    db: PlacementDb,
-    cfg: GraphConfig,
-) -> (Heteroflow, PlaceRun) {
+pub fn build_placement_graph(db: PlacementDb, cfg: GraphConfig) -> (Heteroflow, PlaceRun) {
     let n = db.num_cells();
     let rounds = if cfg.mis_rounds > 0 {
         cfg.mis_rounds
     } else {
         (usize::BITS - n.leading_zeros()) as usize + 4
     };
-    let (offsets, neighbors) = db.conflict_adjacency();
+
+    // The netlist's conflict graph: pulled once, reused every iteration.
+    let (offsets, neighbors) = db.netlist.conflict_adjacency();
+    let h_off: HostVec<u32> = HostVec::from_vec(offsets.to_vec());
+    let h_nbr: HostVec<u32> = HostVec::from_vec(if neighbors.is_empty() {
+        vec![u32::MAX]
+    } else {
+        neighbors.to_vec()
+    });
 
     let g = Heteroflow::new("detailed-placement");
     let db = Arc::new(RwLock::new(db));
     let hpwl_trace = Arc::new(Mutex::new(Vec::new()));
-
-    // Static CSR arrays: pulled once, reused every iteration.
-    let h_off: HostVec<u32> = HostVec::from_vec(offsets);
-    let h_nbr: HostVec<u32> = HostVec::from_vec(if neighbors.is_empty() {
-        vec![u32::MAX]
-    } else {
-        neighbors
-    });
     let pull_off = g.pull("pull_adj_off", &h_off);
     let pull_nbr = g.pull("pull_adj_nbr", &h_nbr);
 
@@ -161,24 +158,21 @@ pub fn build_placement_graph(
         }
 
         // 6) CPU (parallel): per-window bipartite matching. Matcher m
-        // handles windows m, m+M, m+2M, ...
+        // handles windows m, m+M, m+2M, ... with one work space.
         let moves: Arc<Mutex<Vec<(u32, u32, u32)>>> = Arc::new(Mutex::new(Vec::new()));
         let mut match_tasks = Vec::with_capacity(cfg.matchers);
         for m in 0..cfg.matchers.max(1) {
             let t = g.host(&format!("match[{it}][{m}]"), {
-                let (db, windows, moves) = (
-                    Arc::clone(&db),
-                    Arc::clone(&windows),
-                    Arc::clone(&moves),
-                );
+                let (db, windows, moves) =
+                    (Arc::clone(&db), Arc::clone(&windows), Arc::clone(&moves));
                 let stride = cfg.matchers.max(1);
+                let (mut matcher, mut local_moves) = (Matcher::default(), Vec::new());
                 move || {
                     let (windows, db) = (windows.read(), db.read());
-                    let mut local_moves = Vec::new();
                     for w in windows.iter().skip(m).step_by(stride) {
-                        match_window(&db, w, &mut local_moves);
+                        matcher.match_window(&db, w, &mut local_moves);
                     }
-                    moves.lock().extend(local_moves);
+                    moves.lock().append(&mut local_moves);
                 }
             });
             partition.precede(&t);
@@ -206,13 +200,7 @@ pub fn build_placement_graph(
         prev = Some(([pull_pri, pull_st], apply));
     }
 
-    (
-        g,
-        PlaceRun {
-            db,
-            hpwl_trace,
-        },
-    )
+    (g, PlaceRun { db, hpwl_trace })
 }
 
 #[cfg(test)]
@@ -264,7 +252,11 @@ mod tests {
         assert!(reaches("pull_st[0]", "prepare[1]"));
         assert!(reaches("pull_pri[0]", "prepare[1]"));
         // Every kernel still runs behind all four of its pulls.
-        assert!(g.analyze().is_clean(), "lint:\n{}", g.analyze().render_text());
+        assert!(
+            g.analyze().is_clean(),
+            "lint:\n{}",
+            g.analyze().render_text()
+        );
     }
 
     #[test]
@@ -286,6 +278,11 @@ mod tests {
         db.check_legal().unwrap();
         let trace = run.hpwl_trace.lock();
         assert_eq!(trace.len(), 1);
-        assert!(trace[0] <= before, "HPWL increased: {} -> {}", before, trace[0]);
+        assert!(
+            trace[0] <= before,
+            "HPWL increased: {} -> {}",
+            before,
+            trace[0]
+        );
     }
 }

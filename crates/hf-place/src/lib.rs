@@ -9,14 +9,15 @@
 //! finding the best permutation of cell locations per window (CPU). This
 //! crate is that pipeline (Figs 7-9) and nothing beside it:
 //!
-//! * [`db`] — placement database (rows/sites, cells, nets, HPWL) and a
-//!   synthetic `bigblue4`-like generator.
+//! * [`db`] — placement database (rows/sites, cell positions, a shared
+//!   flat netlist that owns the conflict graph, HPWL) and a synthetic
+//!   `bigblue4`-like generator.
 //! * [`mis`] — Blelloch random-priority MIS as two-phase Heteroflow GPU
 //!   kernels, plus a CPU reference.
 //! * [`partition`] — spatial clustering of independent cells into
 //!   windows.
-//! * [`matching`] — Hungarian algorithm for the per-window assignment
-//!   problem, plus a brute-force reference.
+//! * [`matching`] — per-window assignment: costs from per-net boxes and
+//!   the Hungarian algorithm in a reusable work space.
 //! * [`graph`] — the flattened K-iteration Heteroflow task graph of
 //!   Fig 8.
 //! * [`algo`] — end-to-end drivers (Heteroflow-parallel and sequential
@@ -32,8 +33,8 @@ pub mod mis;
 pub mod partition;
 
 pub use algo::{detailed_place, detailed_place_sequential, PlaceConfig, PlaceOutcome};
-pub use db::{Cell, Net, PlacementConfig, PlacementDb};
+pub use db::{Cell, Netlist, PlacementConfig, PlacementDb};
 pub use graph::build_placement_graph;
-pub use matching::hungarian;
-pub use mis::{mis_cpu, verify_mis};
+pub use matching::Matcher;
+pub use mis::mis_cpu;
 pub use partition::partition_windows;

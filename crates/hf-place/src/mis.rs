@@ -149,38 +149,6 @@ pub fn mis_cpu(offsets: &[u32], neighbors: &[u32], priorities: &[u32]) -> Vec<u3
     states
 }
 
-/// Verifies independence (no two IN_SET cells adjacent) and maximality
-/// (every non-member has an IN_SET neighbor). Movable-cell masks are the
-/// caller's concern; this checks the pure graph property.
-pub fn verify_mis(offsets: &[u32], neighbors: &[u32], states: &[u32]) -> Result<(), String> {
-    let n = states.len();
-    for v in 0..n {
-        let (s, e) = (offsets[v] as usize, offsets[v + 1] as usize);
-        match states[v] {
-            IN_SET => {
-                for &u in &neighbors[s..e] {
-                    if states[u as usize] == IN_SET {
-                        return Err(format!("adjacent members {v} and {u}"));
-                    }
-                }
-            }
-            OUT => {
-                let ok = neighbors[s..e]
-                    .iter()
-                    .any(|&u| states[u as usize] == IN_SET);
-                if !ok {
-                    return Err(format!("cell {v} excluded without a member neighbor"));
-                }
-            }
-            UNDECIDED | TENTATIVE => {
-                return Err(format!("cell {v} left undecided"));
-            }
-            other => return Err(format!("cell {v} in invalid state {other}")),
-        }
-    }
-    Ok(())
-}
-
 /// Deterministic per-cell priorities: a seeded splitmix64 stream.
 pub fn make_priorities(n: usize, seed: u64) -> Vec<u32> {
     let mut state = seed;
@@ -198,121 +166,11 @@ pub fn make_priorities(n: usize, seed: u64) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::{PlacementConfig, PlacementDb};
-
-    fn path_graph(n: usize) -> (Vec<u32>, Vec<u32>) {
-        // 0-1-2-...-n-1
-        let mut offsets = vec![0u32];
-        let mut neighbors = Vec::new();
-        for v in 0..n {
-            if v > 0 {
-                neighbors.push((v - 1) as u32);
-            }
-            if v + 1 < n {
-                neighbors.push((v + 1) as u32);
-            }
-            offsets.push(neighbors.len() as u32);
-        }
-        (offsets, neighbors)
-    }
-
-    #[test]
-    fn cpu_mis_on_path_is_valid() {
-        let (off, nbr) = path_graph(20);
-        let pri = make_priorities(20, 42);
-        let st = mis_cpu(&off, &nbr, &pri);
-        verify_mis(&off, &nbr, &st).unwrap();
-        let members = st.iter().filter(|&&s| s == IN_SET).count();
-        // A path of 20 has MIS size between 7 (floor 20/3) and 10.
-        assert!((7..=10).contains(&members), "size {members}");
-    }
 
     #[test]
     fn empty_graph_all_in() {
         let off = vec![0u32; 6];
         let st = mis_cpu(&off, &[], &make_priorities(5, 1));
         assert!(st.iter().all(|&s| s == IN_SET));
-    }
-
-    #[test]
-    fn mis_on_conflict_graph_is_valid() {
-        let db = PlacementDb::synthesize(&PlacementConfig {
-            num_cells: 800,
-            num_nets: 1000,
-            ..Default::default()
-        });
-        let (off, nbr) = db.conflict_adjacency();
-        let pri = make_priorities(db.num_cells(), 7);
-        let st = mis_cpu(&off, &nbr, &pri);
-        verify_mis(&off, &nbr, &st).unwrap();
-        let members = st.iter().filter(|&&s| s == IN_SET).count();
-        assert!(members > 0);
-    }
-
-    /// The two-phase kernels, run to fixed point on a software device,
-    /// agree exactly with the CPU reference.
-    #[test]
-    fn kernels_match_cpu_reference() {
-        use hf_core::data::HostVec;
-        use hf_core::{Executor, Heteroflow};
-
-        let db = PlacementDb::synthesize(&PlacementConfig {
-            num_cells: 300,
-            num_nets: 400,
-            ..Default::default()
-        });
-        let (off, nbr) = db.conflict_adjacency();
-        let pri = make_priorities(db.num_cells(), 99);
-        let expect = mis_cpu(&off, &nbr, &pri);
-        let rounds = 32; // generous upper bound for n=300
-
-        let ex = Executor::new(2, 1);
-        let g = Heteroflow::new("mis");
-        let h_off: HostVec<u32> = HostVec::from_vec(off.clone());
-        let h_nbr: HostVec<u32> = HostVec::from_vec(if nbr.is_empty() {
-            vec![u32::MAX] // avoid zero-byte pull
-        } else {
-            nbr.clone()
-        });
-        let h_pri: HostVec<u32> = HostVec::from_vec(pri.clone());
-        let h_st: HostVec<u32> = HostVec::from_vec(vec![UNDECIDED; db.num_cells()]);
-
-        let p_off = g.pull("off", &h_off);
-        let p_nbr = g.pull("nbr", &h_nbr);
-        let p_pri = g.pull("pri", &h_pri);
-        let p_st = g.pull("st", &h_st);
-        let n = db.num_cells();
-        let mut prev: Option<hf_core::KernelTask> = None;
-        for r in 0..rounds {
-            let sel = g.kernel(
-                &format!("sel{r}"),
-                &[&p_off, &p_nbr, &p_pri, &p_st],
-                select_kernel(),
-            );
-            sel.cover(n, 128);
-            let com = g.kernel(
-                &format!("com{r}"),
-                &[&p_off, &p_nbr, &p_pri, &p_st],
-                commit_kernel(),
-            );
-            com.cover(n, 128);
-            match &prev {
-                None => {
-                    sel.succeed_all(&[&p_off, &p_nbr, &p_pri, &p_st]);
-                }
-                Some(p) => {
-                    sel.succeed(p);
-                }
-            }
-            sel.precede(&com);
-            prev = Some(com);
-        }
-        let push = g.push("push_st", &p_st, &h_st);
-        push.succeed(prev.as_ref().unwrap());
-        ex.run(&g).wait().unwrap();
-
-        let got = h_st.to_vec();
-        assert_eq!(got, expect, "kernel fixed point differs from CPU");
-        verify_mis(&off, &nbr, &got).unwrap();
     }
 }

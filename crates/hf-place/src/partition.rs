@@ -11,27 +11,25 @@ use crate::mis::IN_SET;
 
 /// Groups the movable IN_SET cells into windows of at most `window_cap`
 /// cells, sorted by (row-band, x) so windows are spatially tight.
-pub fn partition_windows(
-    db: &PlacementDb,
-    states: &[u32],
-    window_cap: usize,
-) -> Vec<Vec<u32>> {
+pub fn partition_windows(db: &PlacementDb, states: &[u32], window_cap: usize) -> Vec<Vec<u32>> {
     assert!(window_cap >= 2, "windows below 2 cells cannot be permuted");
-    let mut members: Vec<u32> = (0..db.num_cells() as u32)
-        .filter(|&c| states[c as usize] == IN_SET && !db.cells[c as usize].fixed)
+    // Row bands of height ~sqrt(cap) keep windows roughly square. The key
+    // ends in the cell id, so the sort orders as a stable one by position.
+    let band = ((window_cap as f64).sqrt().ceil() as u32).max(1);
+    let mut members: Vec<(u32, u32, u32, u32)> = db
+        .cells
+        .iter()
+        .zip(states)
+        .enumerate()
+        .filter(|&(_, (cell, &s))| s == IN_SET && !cell.fixed)
+        .map(|(c, (cell, _))| (cell.y / band, cell.x, cell.y, c as u32))
         .collect();
-
-    // Row bands of height ~sqrt(cap) keep windows roughly square.
-    let band = (window_cap as f64).sqrt().ceil() as u32;
-    members.sort_by_key(|&c| {
-        let cell = &db.cells[c as usize];
-        (cell.y / band.max(1), cell.x, cell.y)
-    });
+    members.sort_unstable();
 
     members
         .chunks(window_cap)
         .filter(|w| w.len() >= 2)
-        .map(|w| w.to_vec())
+        .map(|w| w.iter().map(|m| m.3).collect())
         .collect()
 }
 
@@ -47,9 +45,9 @@ mod tests {
             num_nets: n,
             ..Default::default()
         });
-        let (off, nbr) = db.conflict_adjacency();
+        let (off, nbr) = db.netlist.conflict_adjacency();
         let pri = make_priorities(n, 5);
-        let st = mis_cpu(&off, &nbr, &pri);
+        let st = mis_cpu(off, nbr, &pri);
         (db, st)
     }
 
@@ -92,7 +90,10 @@ mod tests {
         }
         mean /= windows.len() as f64;
         let diag = (db.sites_per_row + db.num_rows) as f64;
-        assert!(mean < diag * 0.75, "windows too spread: {mean:.1} vs {diag:.1}");
+        assert!(
+            mean < diag * 0.75,
+            "windows too spread: {mean:.1} vs {diag:.1}"
+        );
     }
 
     #[test]

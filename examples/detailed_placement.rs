@@ -32,7 +32,7 @@ fn main() {
         "layout: {} rows x {} sites, {} nets, HPWL {}",
         db.num_rows,
         db.sites_per_row,
-        db.nets.len(),
+        db.netlist.num_nets(),
         db.total_hpwl()
     );
 
