@@ -30,14 +30,14 @@
 //! suppresses findings just like a direct edge.
 //!
 //! [`Heteroflow::analyze`] never fails; it returns a [`Report`] with text
-//! ([`Report::render_text`]) and JSON ([`Report::to_json`]) renderers. The
-//! executor consults the same (epoch-cached) report on every submission
-//! according to its [`crate::LintPolicy`].
+//! ([`Report::render_text`]) and JSON ([`Report::to_json`]) renderers.
+//! Analysis is the caller's call: the executor runs whatever graph it is
+//! handed, so a caller who wants rejection checks
+//! [`Report::has_errors`] before submitting.
 
 use crate::graph::{Builder, Heteroflow, Work};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Path-based lints (HF002/HF003/HF006) build an O(V²/64) reachability
 /// closure; above this many tasks they are skipped (HF008 reports it) and
@@ -52,7 +52,6 @@ pub enum Severity {
     /// Suspicious but not certain to misbehave.
     Warning,
     /// The graph will fail at runtime or produce nondeterministic results.
-    /// [`crate::LintPolicy::Deny`] rejects graphs with Error findings.
     Error,
 }
 
@@ -112,19 +111,11 @@ impl Report {
         self.diagnostics.is_empty()
     }
 
-    /// True when at least one finding is Error severity (what
-    /// [`crate::LintPolicy::Deny`] rejects on).
+    /// True when at least one finding is Error severity.
     pub fn has_errors(&self) -> bool {
         self.diagnostics
             .iter()
             .any(|d| d.severity == Severity::Error)
-    }
-
-    /// The Error-severity findings.
-    pub fn errors(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
     }
 
     /// Findings with the given code.
@@ -204,20 +195,9 @@ fn json_string(out: &mut String, s: &str) {
 impl Heteroflow {
     /// Runs the static analyzer over the graph as currently built and
     /// returns the findings. Never fails — an empty report means a clean
-    /// graph. The report is cached per builder epoch, so repeated calls
-    /// (and the executor's per-submission lint) on an unchanged graph do
-    /// the work once.
-    pub fn analyze(&self) -> Arc<Report> {
-        let b = self.shared.builder.lock();
-        let epoch = b.epoch;
-        if let Some((cached_epoch, report)) = &*self.shared.lint_cache.lock() {
-            if *cached_epoch == epoch {
-                return Arc::clone(report);
-            }
-        }
-        let report = Arc::new(run(&b));
-        *self.shared.lint_cache.lock() = Some((epoch, Arc::clone(&report)));
-        report
+    /// graph. Nothing is cached: each call analyzes afresh.
+    pub fn analyze(&self) -> Report {
+        run(&self.shared.builder.lock())
     }
 }
 
@@ -234,9 +214,7 @@ pub(crate) fn cycle_path(succ: &[&[usize]]) -> Option<Vec<usize>> {
         }
     }
     let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut seen = 0usize;
     while let Some(u) = queue.pop() {
-        seen += 1;
         for &v in succ[u] {
             indeg[v] -= 1;
             if indeg[v] == 0 {
@@ -244,15 +222,13 @@ pub(crate) fn cycle_path(succ: &[&[usize]]) -> Option<Vec<usize>> {
             }
         }
     }
-    if seen == n {
-        return None;
-    }
-    // Every residual node (indeg > 0 after Kahn) has at least one residual
-    // predecessor, so walking predecessors from any residual node must
-    // revisit a node — that revisit closes a cycle. (A successor walk can
-    // dead-end on a node merely *fed by* the cycle.)
+    // A DAG leaves no residual node (indeg > 0 after Kahn). Every residual
+    // node has at least one residual predecessor, so walking predecessors
+    // from any residual node must revisit a node — that revisit closes a
+    // cycle. (A successor walk can dead-end on a node merely *fed by* the
+    // cycle.)
     let residual: Vec<bool> = indeg.iter().map(|&d| d > 0).collect();
-    let start = residual.iter().position(|&r| r).expect("residual nonempty");
+    let start = residual.iter().position(|&r| r)?;
     let mut pred_in_residual = vec![usize::MAX; n];
     for u in 0..n {
         if residual[u] {
@@ -683,18 +659,6 @@ mod tests {
         let cyc: Vec<_> = r.with_code("HF001").collect();
         assert_eq!(cyc.len(), 1);
         assert_eq!(cyc[0].tasks.len(), 2);
-    }
-
-    #[test]
-    fn report_caches_per_epoch() {
-        let g = Heteroflow::new("cache");
-        g.host("a", || {});
-        let r1 = g.analyze();
-        let r2 = g.analyze();
-        assert!(Arc::ptr_eq(&r1, &r2));
-        g.host("b", || {});
-        let r3 = g.analyze();
-        assert!(!Arc::ptr_eq(&r1, &r3));
     }
 
     #[test]

@@ -18,16 +18,6 @@ pub enum HfError {
         /// the first. A self-loop is a single-element path.
         path: Vec<String>,
     },
-    /// The graph was rejected before dispatch because static analysis
-    /// found Error-severity diagnostics and the executor runs with
-    /// [`crate::LintPolicy::Deny`]. See [`crate::Heteroflow::analyze`].
-    LintRejected {
-        /// Name of the rejected graph.
-        graph: String,
-        /// The Error-severity findings, each rendered as
-        /// `"HF0xx [task, ...]: message"`.
-        diagnostics: Vec<String>,
-    },
     /// A GPU task exists but the executor owns zero GPUs.
     NoGpus {
         /// Name of the offending task.
@@ -159,17 +149,6 @@ impl fmt::Display for HfError {
                     None => write!(f, "<empty>"),
                 }
             }
-            HfError::LintRejected { graph, diagnostics } => {
-                write!(
-                    f,
-                    "graph '{graph}' rejected by lint policy: {} error-severity finding(s)",
-                    diagnostics.len()
-                )?;
-                if let Some(first) = diagnostics.first() {
-                    write!(f, "; first: {first}")?;
-                }
-                Ok(())
-            }
             HfError::NoGpus { task } => write!(
                 f,
                 "task '{task}' requires a GPU but the executor has none"
@@ -257,18 +236,6 @@ mod tests {
         use std::error::Error;
         let e = HfError::from(GpuError::InvalidDevice(7));
         assert!(e.source().is_some());
-    }
-
-    #[test]
-    fn lint_rejected_display_and_accessors() {
-        let e = HfError::LintRejected {
-            graph: "g".into(),
-            diagnostics: vec!["HF002 [a, b]: unordered access".into()],
-        };
-        let s = e.to_string();
-        assert!(s.contains("'g'") && s.contains("1 error") && s.contains("HF002"), "got: {s}");
-        assert_eq!(e.task(), None);
-        assert!(e.gpu_cause().is_none());
     }
 
     #[test]

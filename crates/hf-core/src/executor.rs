@@ -103,8 +103,6 @@ pub(crate) struct ExecInner {
     /// Submission ids handed to topologies/futures and stamped onto
     /// lifecycle events (starts at 1; 0 is reserved for ready futures).
     pub(crate) run_seq: AtomicU64,
-    /// What to do with static-analysis findings at submission time.
-    pub(crate) lint: LintPolicy,
 }
 
 impl ExecInner {
@@ -287,40 +285,6 @@ fn task_event(
     }
 }
 
-/// What the executor does with static-analysis findings
-/// ([`crate::Heteroflow::analyze`]) when a graph is submitted.
-///
-/// The analysis itself is cheap and epoch-cached on the graph, so the
-/// policy only decides what happens to the *findings*:
-///
-/// * [`Off`](LintPolicy::Off) — never analyze at submission.
-/// * [`Warn`](LintPolicy::Warn) (default) — when a lifecycle observer is
-///   active, emit one [`crate::LifecyclePhase::Lint`] event per finding
-///   right after `RunStart`; the run proceeds regardless. With no active
-///   observer the analysis is skipped entirely, keeping the default
-///   submission path as cheap as `Off`.
-/// * [`Deny`](LintPolicy::Deny) — reject graphs with Error-severity
-///   findings before any work dispatches: the returned future resolves
-///   to [`crate::HfError::LintRejected`] carrying the rendered findings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LintPolicy {
-    /// Never run the analyzer at submission time.
-    Off,
-    /// Analyze and surface findings as lifecycle events; never reject.
-    #[default]
-    Warn,
-    /// Reject submissions whose graph has Error-severity findings.
-    Deny,
-}
-
-/// A resolved scheduling preamble: everything an epoch driver needs to
-/// start creating topologies for one submission of one graph.
-pub(crate) struct ExecPlan {
-    pub(crate) frozen: Arc<FrozenGraph>,
-    pub(crate) plan: Arc<Plan>,
-    pub(crate) lint_report: Option<Arc<crate::analyze::Report>>,
-}
-
 /// Builder for [`Executor`] with a shared GPU runtime or non-default
 /// scheduling knobs.
 pub struct ExecutorBuilder {
@@ -334,7 +298,6 @@ pub struct ExecutorBuilder {
     retry: RetryPolicy,
     copy_chunk_threshold: usize,
     copy_lanes: usize,
-    lint: LintPolicy,
 }
 
 impl std::fmt::Debug for ExecutorBuilder {
@@ -362,16 +325,7 @@ impl ExecutorBuilder {
             retry: RetryPolicy::default(),
             copy_chunk_threshold: DEFAULT_COPY_CHUNK_THRESHOLD,
             copy_lanes: DEFAULT_COPY_LANES,
-            lint: LintPolicy::default(),
         }
-    }
-
-    /// Sets what the executor does with static-analysis findings when a
-    /// graph is submitted (default [`LintPolicy::Warn`]). See
-    /// [`LintPolicy`] and [`crate::Heteroflow::analyze`].
-    pub fn lint_policy(mut self, policy: LintPolicy) -> Self {
-        self.lint = policy;
-        self
     }
 
     /// Sets the byte size above which a pull (H2D) is split into chunks of
@@ -483,7 +437,6 @@ impl ExecutorBuilder {
             copy_lanes: self.copy_lanes,
             cost_db: crate::costmodel::CostDb::new(),
             run_seq: AtomicU64::new(0),
-            lint: self.lint,
         });
 
         let threads = deques
@@ -649,36 +602,6 @@ impl Executor {
         cfg: crate::stream::StreamConfig,
     ) -> Result<crate::stream::Session, HfError> {
         crate::stream::Session::open(self, hf, cfg)
-    }
-
-    /// The scheduling preamble shared by every submission path: freeze,
-    /// lint gate, then the graph's plan — cached, or made against the
-    /// surviving devices (see [`ExecInner::plan`]).
-    pub(crate) fn plan_for(&self, hf: &Heteroflow) -> Result<ExecPlan, HfError> {
-        let inner = &self.inner;
-        let frozen = hf.freeze()?;
-
-        // Static analysis gate (see `crate::analyze`). The report is
-        // epoch-cached on the graph, and under the default `Warn` policy
-        // nothing is even computed unless a lifecycle observer is active
-        // — so the common submission path pays only this match.
-        let lint_report = match inner.lint {
-            LintPolicy::Off => None,
-            LintPolicy::Warn if !inner.lc_active() => None,
-            policy => {
-                let report = hf.analyze();
-                if policy == LintPolicy::Deny && report.has_errors() {
-                    return Err(HfError::LintRejected {
-                        graph: report.graph.clone(),
-                        diagnostics: report.errors().map(|d| d.render()).collect(),
-                    });
-                }
-                Some(report)
-            }
-        };
-
-        let plan = inner.plan(&frozen, &inner.lost_devices(), &[], None)?;
-        Ok(ExecPlan { frozen, plan, lint_report })
     }
 
     /// Blocks until every topology submitted to this executor (from any

@@ -133,13 +133,13 @@ pub(crate) struct Builder {
     pub(crate) nodes: Vec<BuildNode>,
     /// Monotonic mutation counter, the one staleness signal: every
     /// structural or payload change bumps it, retiring the frozen
-    /// snapshot (and the plan cached on it) and the lint report.
+    /// snapshot and the plan cached on it.
     pub(crate) epoch: u64,
 }
 
 impl Builder {
     /// Marks the graph mutated: advances the epoch, so the frozen
-    /// snapshot, its cached plan and the lint report are not reused.
+    /// snapshot and its cached plan are not reused.
     pub(crate) fn touch(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
     }
@@ -351,10 +351,6 @@ pub(crate) struct GraphShared {
     pub(crate) builder: Mutex<Builder>,
     pub(crate) frozen: Mutex<Option<Arc<FrozenGraph>>>,
     pub(crate) run_state: Mutex<RunState>,
-    /// Cached static-analysis report, keyed on the builder epoch it was
-    /// computed at (any mutation bumps the epoch and invalidates it), so
-    /// repeated submissions of an unchanged graph lint once.
-    pub(crate) lint_cache: Mutex<Option<(u64, Arc<crate::analyze::Report>)>>,
 }
 
 /// A CPU-GPU task dependency graph.
@@ -405,7 +401,6 @@ impl Heteroflow {
                     active: false,
                     queued: std::collections::VecDeque::new(),
                 }),
-                lint_cache: Mutex::new(None),
             }),
         }
     }

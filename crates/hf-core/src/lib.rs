@@ -86,7 +86,7 @@ pub use admission::{
 pub use analyze::{Diagnostic, Report, Severity};
 pub use costmodel::{CostDb, TaskCosts};
 pub use error::HfError;
-pub use executor::{Executor, ExecutorBuilder, LintPolicy};
+pub use executor::{Executor, ExecutorBuilder};
 pub use fleet::{Fleet, FleetConfig, FleetSnapshot, TenantSnapshot};
 pub use graph::{FrozenGraph, Heteroflow, TaskKind};
 pub use lifecycle::{lifecycle_now_ns, LifecycleEvent, LifecyclePhase};

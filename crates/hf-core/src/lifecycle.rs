@@ -42,12 +42,6 @@ pub fn lifecycle_now_ns() -> u64 {
 pub enum LifecyclePhase {
     /// A submission was accepted (run-level; `task` is `None`).
     RunStart,
-    /// A static-analysis diagnostic for the submitted graph (run-level;
-    /// one event per finding, emitted right after `RunStart` under
-    /// [`crate::LintPolicy::Warn`]). `detail` carries the rendered
-    /// diagnostic (`"HF0xx [task, ...]: message"`); `ok` is `false` for
-    /// Error-severity findings.
-    Lint,
     /// A task's dependencies were satisfied and its token entered the
     /// scheduling queues. Re-emitted when a retry re-queues the task.
     Ready,
@@ -83,7 +77,6 @@ impl LifecyclePhase {
     pub fn name(self) -> &'static str {
         match self {
             LifecyclePhase::RunStart => "run_start",
-            LifecyclePhase::Lint => "lint",
             LifecyclePhase::Ready => "ready",
             LifecyclePhase::Started => "started",
             LifecyclePhase::Dispatched => "dispatched",

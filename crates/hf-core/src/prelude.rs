@@ -31,7 +31,7 @@ pub use crate::admission::{
 pub use crate::analyze::{Diagnostic, Report, Severity};
 pub use crate::data::HostVec;
 pub use crate::error::HfError;
-pub use crate::executor::{Executor, ExecutorBuilder, LintPolicy};
+pub use crate::executor::{Executor, ExecutorBuilder};
 pub use crate::fleet::{Fleet, FleetConfig, FleetSnapshot, TenantSnapshot};
 pub use crate::graph::{FrozenGraph, Heteroflow, TaskKind};
 pub use crate::lifecycle::{LifecycleEvent, LifecyclePhase};

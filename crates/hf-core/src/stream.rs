@@ -156,7 +156,7 @@ impl Overlap {
 }
 
 /// One run of one graph: the only owner of graph claims, emitter of
-/// `RunStart`/`Lint`/`RunEnd`, and creator of topologies.
+/// `RunStart`/`RunEnd`, and creator of topologies.
 pub(crate) struct EpochDriver {
     inner: Arc<ExecInner>,
     shared: Arc<GraphShared>,
@@ -256,8 +256,8 @@ fn release(shared: &GraphShared) {
 }
 
 impl EpochDriver {
-    /// Plans the graph and opens a run on it (`RunStart`, `Lint`); the
-    /// caller [`claim`]s it. The executor's in-flight count is one per
+    /// Freezes and plans the graph and opens a run on it (`RunStart`);
+    /// the caller [`claim`]s it. The executor's in-flight count is one per
     /// unfinished epoch, plus one per unsettled run that has a
     /// `first_step` — so `wait_for_all` covers queued `run*` calls but
     /// not idle open sessions.
@@ -273,17 +273,18 @@ impl EpochDriver {
         if inner.done.load(Ordering::SeqCst) {
             return Err(HfError::ExecutorShutDown);
         }
-        let planned = exec.plan_for(hf)?;
-        let overlap = Overlap::derive(&planned.frozen, depth);
+        let frozen = hf.freeze()?;
+        let plan = inner.plan(&frozen, &inner.lost_devices(), &[], None)?;
+        let overlap = Overlap::derive(&frozen, depth);
         // A chain from a prologue pull into a body kernel would dispatch
         // the kernel with the pull and bypass the epoch gate; with nothing
         // gated the cached plan stands.
         let plan = match overlap.body() {
             Some(body) => {
-                let placement = planned.plan.placement.clone();
-                Arc::new(Plan::new(&planned.frozen, placement, inner.fusion, Some(body)))
+                let placement = plan.placement.clone();
+                Arc::new(Plan::new(&frozen, placement, inner.fusion, Some(body)))
             }
-            None => planned.plan,
+            None => plan,
         };
         let core = core.cloned().unwrap_or_else(|| {
             Completion::new(inner.run_seq.fetch_add(1, Ordering::Relaxed) + 1)
@@ -296,8 +297,8 @@ impl EpochDriver {
             counted,
             inner: Arc::clone(inner),
             shared: Arc::clone(&hf.shared),
-            label: Arc::from(planned.frozen.name()),
-            frozen: planned.frozen,
+            label: Arc::from(frozen.name()),
+            frozen,
             core,
             tenant,
             depth,
@@ -311,20 +312,6 @@ impl EpochDriver {
             cv: Condvar::new(),
         });
         run.emit(LifecyclePhase::RunStart, &Ok(()), None);
-        // One `Lint` event per finding; `ok` is false for Error severity.
-        for d in planned.lint_report.iter().flat_map(|r| &r.diagnostics) {
-            inner.emit(|| {
-                LifecycleEvent::run_level(
-                    run.core.run_id(),
-                    &run.label,
-                    LifecyclePhase::Lint,
-                    d.severity != crate::analyze::Severity::Error,
-                    Some(d.render()),
-                    None,
-                    None,
-                )
-            });
-        }
         Ok(run)
     }
 
