@@ -208,12 +208,7 @@ impl AdmissionPolicy for WeightedFair {
 mod tests {
     use super::*;
 
-    fn lane<'a>(
-        tenant: &'a str,
-        weight: u32,
-        head_seq: u64,
-        head_cost_ns: u64,
-    ) -> LaneView<'a> {
+    fn lane<'a>(tenant: &'a str, weight: u32, head_seq: u64, head_cost_ns: u64) -> LaneView<'a> {
         LaneView {
             tenant,
             weight,

@@ -91,7 +91,12 @@ pub struct Diagnostic {
 impl Diagnostic {
     /// Canonical one-line rendering: `HF0xx [task, ...]: message`.
     pub fn render(&self) -> String {
-        format!("{} [{}]: {}", self.code, self.tasks.join(", "), self.message)
+        format!(
+            "{} [{}]: {}",
+            self.code,
+            self.tasks.join(", "),
+            self.message
+        )
     }
 }
 
@@ -332,7 +337,10 @@ pub(crate) fn run(b: &Builder) -> Report {
                 diagnostics.push(Diagnostic {
                     code: "HF004",
                     severity: Severity::Warning,
-                    tasks: vec![node.name.to_string(), b.nodes[*source_pull].name.to_string()],
+                    tasks: vec![
+                        node.name.to_string(),
+                        b.nodes[*source_pull].name.to_string(),
+                    ],
                     task_ids: vec![i, *source_pull],
                     message: format!(
                         "push '{}' writes back device data of pull '{}' that no kernel \
@@ -431,8 +439,7 @@ fn path_lints(b: &Builder, succ: &[&[usize]], diagnostics: &mut Vec<Diagnostic>)
     // HF003: a kernel (or push) must be a descendant of each pull it uses,
     // or at runtime it races the H2D copy (SourceNotPulled /
     // PushBeforePull).
-    let is_ancestor =
-        |a: usize, d: usize| anc[d * stride + a / 64] >> (a % 64) & 1 == 1;
+    let is_ancestor = |a: usize, d: usize| anc[d * stride + a / 64] >> (a % 64) & 1 == 1;
     for (i, node) in b.nodes.iter().enumerate() {
         match &node.work {
             Work::Kernel { sources, .. } => {
@@ -456,7 +463,10 @@ fn path_lints(b: &Builder, succ: &[&[usize]], diagnostics: &mut Vec<Diagnostic>)
                 diagnostics.push(Diagnostic {
                     code: "HF003",
                     severity: Severity::Error,
-                    tasks: vec![node.name.to_string(), b.nodes[*source_pull].name.to_string()],
+                    tasks: vec![
+                        node.name.to_string(),
+                        b.nodes[*source_pull].name.to_string(),
+                    ],
                     task_ids: vec![i, *source_pull],
                     message: format!(
                         "push '{}' copies device data of pull '{}' but has no \
@@ -491,7 +501,10 @@ fn path_lints(b: &Builder, succ: &[&[usize]], diagnostics: &mut Vec<Diagnostic>)
                 }
             }
             Work::Host(_) => {
-                let (reads, writes) = node.attrs.as_ref().map_or((&[][..], &[][..]), |a| (&a.reads, &a.writes));
+                let (reads, writes) = node
+                    .attrs
+                    .as_ref()
+                    .map_or((&[][..], &[][..]), |a| (&a.reads, &a.writes));
                 for &id in reads {
                     accesses.entry(id).or_default().push(Access {
                         node: i,
@@ -540,10 +553,7 @@ fn path_lints(b: &Builder, succ: &[&[usize]], diagnostics: &mut Vec<Diagnostic>)
     // is itself a descendant of u (a longer path already orders them).
     for (u, u_succ) in succ.iter().enumerate().take(n) {
         for &v in *u_succ {
-            let redundant = b.nodes[v]
-                .pred
-                .iter()
-                .any(|&w| w != u && is_ancestor(u, w));
+            let redundant = b.nodes[v].pred.iter().any(|&w| w != u && is_ancestor(u, w));
             if redundant {
                 diagnostics.push(Diagnostic {
                     code: "HF006",

@@ -127,7 +127,9 @@ impl TaskCosts {
     /// would never store, for testing that placement ignores it anyway.
     #[cfg(test)]
     pub(crate) fn unchecked(pairs: &[(&str, f64)]) -> Self {
-        Self { by_task: pairs.iter().map(|&(t, w)| (t.to_string(), w)).collect() }
+        Self {
+            by_task: pairs.iter().map(|&(t, w)| (t.to_string(), w)).collect(),
+        }
     }
 }
 

@@ -61,7 +61,9 @@ impl<T> Default for HostVec<T> {
 
 impl<T: std::fmt::Debug> std::fmt::Debug for HostVec<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("HostVec").field(&*self.inner.data.read()).finish()
+        f.debug_tuple("HostVec")
+            .field(&*self.inner.data.read())
+            .finish()
     }
 }
 
@@ -243,7 +245,8 @@ impl<T: Plain> HostSink for HostVec<T> {
 
     fn store_bytes_versioned(&self, bytes: &[u8]) -> Option<u64> {
         let mut guard = self.write();
-        let elems: &[T] = plain::from_bytes(&bytes[..bytes.len() - bytes.len() % std::mem::size_of::<T>()]);
+        let elems: &[T] =
+            plain::from_bytes(&bytes[..bytes.len() - bytes.len() % std::mem::size_of::<T>()]);
         guard.clear();
         guard.extend_from_slice(elems);
         // Read back under the still-held write lock: this is the version
@@ -340,8 +343,7 @@ mod tests {
         let a: HostVec<u8> = HostVec::new();
         let b = a.clone();
         let c: HostVec<u8> = HostVec::new();
-        let (sa, sb, sc): (&dyn HostSource, &dyn HostSource, &dyn HostSource) =
-            (&a, &b, &c);
+        let (sa, sb, sc): (&dyn HostSource, &dyn HostSource, &dyn HostSource) = (&a, &b, &c);
         assert!(sa.source_id().is_some());
         assert_eq!(sa.source_id(), sb.source_id());
         assert_ne!(sa.source_id(), sc.source_id());

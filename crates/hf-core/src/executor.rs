@@ -133,7 +133,13 @@ impl ExecInner {
     /// Emits a run-level lifecycle event for a topology
     /// (`Failover`/`EpochEnd`); the epoch driver emits the ones that
     /// bracket a whole run.
-    pub(crate) fn emit_run(&self, topo: &Topology, phase: LifecyclePhase, ok: bool, detail: Option<&HfError>) {
+    pub(crate) fn emit_run(
+        &self,
+        topo: &Topology,
+        phase: LifecyclePhase,
+        ok: bool,
+        detail: Option<&HfError>,
+    ) {
         self.emit(|| {
             LifecycleEvent::run_level(
                 topo.run_id,
@@ -215,7 +221,12 @@ impl ExecInner {
             self.stats.topo_cache_misses.incr();
         }
         let seeds = Some(self.cost_db.snapshot_for(frozen.name())).filter(|s| !s.is_empty());
-        let cost = self.gpu.devices().first().map(|d| d.cost_model()).unwrap_or_default();
+        let cost = self
+            .gpu
+            .devices()
+            .first()
+            .map(|d| d.cost_model())
+            .unwrap_or_default();
         let mut bias = biased.then(|| self.device_load.lock());
         if let Some(dl) = &mut bias {
             dl.iter_mut().for_each(|l| *l *= 0.5);
@@ -228,7 +239,12 @@ impl ExecInner {
         };
         let placement = crate::placement::place(frozen, &cost, &input)?;
         let own_loads = bias.map(|mut dl| {
-            let own = placement.loads.iter().zip(dl.iter()).map(|(l, b)| l - b).collect();
+            let own = placement
+                .loads
+                .iter()
+                .zip(dl.iter())
+                .map(|(l, b)| l - b)
+                .collect();
             dl.copy_from_slice(&placement.loads);
             own
         });
@@ -236,7 +252,9 @@ impl ExecInner {
             self.stats.placement_warm_hits.add(placement.warm_hits);
         }
         if placement.est_bytes_saved > 0 {
-            self.stats.placement_est_bytes_saved.add(placement.est_bytes_saved);
+            self.stats
+                .placement_est_bytes_saved
+                .add(placement.est_bytes_saved);
         }
         self.stats.placement_imbalance.set(placement.imbalance());
         let plan = Arc::new(Plan::new(frozen, placement, self.fusion, active));
@@ -715,7 +733,12 @@ impl ExecInner {
 
         if topo.ctx.epoch.is_some() {
             let result = topo.result();
-            self.emit_run(&topo, LifecyclePhase::EpochEnd, result.is_ok(), result.as_ref().err());
+            self.emit_run(
+                &topo,
+                LifecyclePhase::EpochEnd,
+                result.is_ok(),
+                result.as_ref().err(),
+            );
         }
         let hook = topo.ctx.on_finish.lock().take();
         if let Some(hook) = hook {

@@ -188,11 +188,7 @@ impl Fleet {
     }
 
     /// Creates a fleet with an explicit admission policy.
-    pub fn with_policy(
-        exec: Executor,
-        cfg: FleetConfig,
-        policy: Box<dyn AdmissionPolicy>,
-    ) -> Self {
+    pub fn with_policy(exec: Executor, cfg: FleetConfig, policy: Box<dyn AdmissionPolicy>) -> Self {
         let name = policy.name();
         Self {
             inner: Arc::new(FleetInner {
@@ -454,9 +450,7 @@ impl FleetInner {
                             .lanes
                             .iter()
                             .enumerate()
-                            .filter(|(_, l)| {
-                                !l.queue.is_empty() && l.inflight < l.cfg.max_inflight
-                            })
+                            .filter(|(_, l)| !l.queue.is_empty() && l.inflight < l.cfg.max_inflight)
                             .map(|(i, _)| i)
                             .collect();
                         if eligible.is_empty() {

@@ -477,22 +477,13 @@ impl Heteroflow {
 
     /// `pull` with an explicit type-erased source.
     pub fn pull_source(&self, name: &str, source: Arc<dyn HostSource>) -> PullTask {
-        let id = self
-            .shared
-            .builder
-            .lock()
-            .add(name, Work::Pull { source });
+        let id = self.shared.builder.lock().add(name, Work::Pull { source });
         PullTask(self.task_ref(id))
     }
 
     /// Creates a *push* task copying `pull`'s device data back into
     /// `sink` (Listing 5).
-    pub fn push(
-        &self,
-        name: &str,
-        pull: &PullTask,
-        sink: &(impl HostSink + Clone),
-    ) -> PushTask {
+    pub fn push(&self, name: &str, pull: &PullTask, sink: &(impl HostSink + Clone)) -> PushTask {
         self.push_sink(name, pull, Arc::new(sink.clone()))
     }
 
@@ -582,7 +573,10 @@ impl Heteroflow {
         // have taken anything out of the previous snapshot.
         let lists: Vec<&[usize]> = b.nodes.iter().map(|n| n.succ.as_slice()).collect();
         if let Some(ids) = crate::analyze::cycle_path(&lists) {
-            let path = ids.into_iter().map(|i| b.nodes[i].name.to_string()).collect();
+            let path = ids
+                .into_iter()
+                .map(|i| b.nodes[i].name.to_string())
+                .collect();
             return Err(HfError::CycleDetected { path });
         }
         let mut carry: std::collections::HashMap<(Arc<str>, usize), usize> = Default::default();
@@ -611,8 +605,15 @@ impl Heteroflow {
                         .unwrap_or_default(),
                     _ => PullState::default(),
                 };
-                let (cfg, work_units) = n.attrs.as_ref().map_or_else(Default::default, |a| (a.cfg, a.work_units));
-                gpu.push(GpuNode { cfg, work_units, pull_state: Mutex::new(pull_state) });
+                let (cfg, work_units) = n
+                    .attrs
+                    .as_ref()
+                    .map_or_else(Default::default, |a| (a.cfg, a.work_units));
+                gpu.push(GpuNode {
+                    cfg,
+                    work_units,
+                    pull_state: Mutex::new(pull_state),
+                });
             }
             nodes.push(FrozenNode {
                 name: Arc::clone(&n.name),
@@ -620,11 +621,17 @@ impl Heteroflow {
                 succ_at: index(succ.len()),
                 succ_len: index(n.succ.len()),
                 num_deps: index(n.pred.len()),
-                gpu: if is_gpu { index(gpu.len() - 1) } else { u32::MAX },
+                gpu: if is_gpu {
+                    index(gpu.len() - 1)
+                } else {
+                    u32::MAX
+                },
             });
             succ.extend(n.succ.iter().map(|&s| index(s)));
         }
-        let sources = (0..nodes.len()).filter(|&i| nodes[i].num_deps == 0).collect();
+        let sources = (0..nodes.len())
+            .filter(|&i| nodes[i].num_deps == 0)
+            .collect();
         let frozen = Arc::new(FrozenGraph {
             name: b.name.clone(),
             nodes,
@@ -695,8 +702,7 @@ mod tests {
                 // The full cycle, in dependency order from some rotation.
                 assert_eq!(path.len(), 3);
                 let start = path.iter().position(|n| n == "a").unwrap();
-                let rotated: Vec<&str> =
-                    (0..3).map(|i| path[(start + i) % 3].as_str()).collect();
+                let rotated: Vec<&str> = (0..3).map(|i| path[(start + i) % 3].as_str()).collect();
                 assert_eq!(rotated, vec!["a", "b", "c"]);
             }
             other => panic!("expected CycleDetected, got {:?}", other.err()),

@@ -80,9 +80,7 @@ pub(crate) mod topology;
 pub(crate) mod transfer;
 pub(crate) mod worker;
 
-pub use admission::{
-    AdmissionPolicy, Fifo, LaneView, TenantConfig, TenantId, WeightedFair,
-};
+pub use admission::{AdmissionPolicy, Fifo, LaneView, TenantConfig, TenantId, WeightedFair};
 pub use analyze::{Diagnostic, Report, Severity};
 pub use costmodel::{CostDb, TaskCosts};
 pub use error::HfError;

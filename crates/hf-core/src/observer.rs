@@ -327,7 +327,6 @@ impl TraceCollector {
         let dev: u64 = self.dev.lanes().iter().map(|l| l.ring.dropped()).sum();
         cpu + dev
     }
-
 }
 
 impl ExecutorObserver for TraceCollector {
@@ -406,15 +405,13 @@ impl GpuTraceSink for TraceCollector {
                 SpanCat::DeviceOp,
                 TaskKind::Placeholder,
             ),
-            (GpuOpKind::EventWait, _) => {
-                ("event_wait".to_string(), SpanCat::Wait, TaskKind::Placeholder)
-            }
-            (GpuOpKind::Alloc, _) => {
-                ("alloc".to_string(), SpanCat::Alloc, TaskKind::Placeholder)
-            }
-            (GpuOpKind::Free, _) => {
-                ("free".to_string(), SpanCat::Free, TaskKind::Placeholder)
-            }
+            (GpuOpKind::EventWait, _) => (
+                "event_wait".to_string(),
+                SpanCat::Wait,
+                TaskKind::Placeholder,
+            ),
+            (GpuOpKind::Alloc, _) => ("alloc".to_string(), SpanCat::Alloc, TaskKind::Placeholder),
+            (GpuOpKind::Free, _) => ("free".to_string(), SpanCat::Free, TaskKind::Placeholder),
         };
         let start_us = self.us_since_epoch(ev.start);
         let end_us = self.us_since_epoch(ev.end);
@@ -509,7 +506,11 @@ mod tests {
         // pull -> kernel -> push fuse into one dispatch.
         assert_eq!(fused, 2);
         assert_one_task_span_each(&spans);
-        assert_eq!(dispatch_names(&spans), ["pull"], "head only, no member windows");
+        assert_eq!(
+            dispatch_names(&spans),
+            ["pull"],
+            "head only, no member windows"
+        );
     }
 
     #[test]

@@ -82,7 +82,8 @@ impl PlacementView for FrozenGraph {
             Work::Pull { source } => cost.h2d(source.byte_len()).as_nanos() as f64,
             Work::Kernel { .. } => {
                 let gpu = self.gpu(i).expect("kernels are GPU nodes");
-                cost.kernel(GpuNode::priced_work_units(gpu.work_units, &gpu.cfg)).as_nanos() as f64
+                cost.kernel(GpuNode::priced_work_units(gpu.work_units, &gpu.cfg))
+                    .as_nanos() as f64
             }
             _ => 0.0,
         }
@@ -164,7 +165,13 @@ impl Placement {
                 device_of[id] = device_of[src];
             }
         }
-        Placement { device_of, num_groups: groups.len(), loads, warm_hits: 0, est_bytes_saved: 0 }
+        Placement {
+            device_of,
+            num_groups: groups.len(),
+            loads,
+            warm_hits: 0,
+            est_bytes_saved: 0,
+        }
     }
 
     /// Max bin load over *mean* bin load, weighted by modeled cost —
@@ -228,7 +235,13 @@ pub fn groups<G: PlacementView + ?Sized>(
             }
         }
     }
-    let mut by_root = vec![Group { members: Vec::new(), weight: 0.0 }; n];
+    let mut by_root = vec![
+        Group {
+            members: Vec::new(),
+            weight: 0.0
+        };
+        n
+    ];
     for id in 0..n {
         if matches!(graph.kind_of(id), TaskKind::Kernel | TaskKind::Pull) {
             let g = &mut by_root[uf.find(id)];
@@ -287,8 +300,13 @@ pub fn place<G: PlacementView + ?Sized>(
     if !(0..bins).any(alive) {
         let on_cpu = |i: usize| matches!(graph.kind_of(i), TaskKind::Host | TaskKind::Placeholder);
         return match (0..n).find(|&i| !on_cpu(i)) {
-            Some(id) => Err(HfError::NoGpus { task: graph.name_of(id) }),
-            None => Ok(Placement { loads, ..Placement::from_bins(graph, &[], &[], bins) }),
+            Some(id) => Err(HfError::NoGpus {
+                task: graph.name_of(id),
+            }),
+            None => Ok(Placement {
+                loads,
+                ..Placement::from_bins(graph, &[], &[], bins)
+            }),
         };
     }
 
@@ -320,10 +338,17 @@ pub fn place<G: PlacementView + ?Sized>(
         let g = &groups[gi];
         save.fill(0.0);
         saved_bytes.fill(0);
-        let pulls = g.members.iter().filter(|&&m| graph.kind_of(m) == TaskKind::Pull);
+        let pulls = g
+            .members
+            .iter()
+            .filter(|&&m| graph.kind_of(m) == TaskKind::Pull);
         for &m in pulls {
             // A lost device's warmth died with its arena.
-            if let Some(d) = graph.warm_device(m).map(|d| d as usize).filter(|&d| alive(d)) {
+            if let Some(d) = graph
+                .warm_device(m)
+                .map(|d| d as usize)
+                .filter(|&d| alive(d))
+            {
                 save[d] += weight(graph, m, cost, input.refined);
                 saved_bytes[d] += graph.bytes_of(m) as u64;
             }
@@ -346,7 +371,12 @@ pub fn place<G: PlacementView + ?Sized>(
     }
 
     let packed = Placement::from_bins(graph, &groups, &bin_of, bins);
-    Ok(Placement { loads, warm_hits, est_bytes_saved, ..packed })
+    Ok(Placement {
+        loads,
+        warm_hits,
+        est_bytes_saved,
+        ..packed
+    })
 }
 
 /// A fresh placement of `graph` on `num_gpus` healthy, idle devices —
@@ -472,12 +502,7 @@ mod tests {
         assert!(p.imbalance() < 1.01, "imbalance {}", p.imbalance());
         // Every device hosts exactly 3 groups' worth of load.
         let per_dev: Vec<usize> = (0..4)
-            .map(|d| {
-                p.device_of
-                    .iter()
-                    .filter(|x| **x == Some(d as u32))
-                    .count()
-            })
+            .map(|d| p.device_of.iter().filter(|x| **x == Some(d as u32)).count())
             .collect();
         assert_eq!(per_dev, vec![6, 6, 6, 6]); // 3 groups x (pull + kernel)
     }
@@ -681,7 +706,11 @@ mod tests {
         let f = g.freeze().unwrap();
         let cost = CostModel::default();
         let bad = TaskCosts::unchecked(&[("p0", f64::NAN), ("p1", f64::INFINITY), ("p2", -5.0)]);
-        let input = PlaceInput { lost: &[false; 2], refined: Some(&bad), ..Default::default() };
+        let input = PlaceInput {
+            lost: &[false; 2],
+            refined: Some(&bad),
+            ..Default::default()
+        };
         let with_bad = place(&*f, &cost, &input).unwrap();
         let without = device_placement(&*f, 2, &cost).unwrap();
         assert_eq!(with_bad.device_of, without.device_of);

@@ -25,9 +25,7 @@
 //! assert_eq!(&*x.read(), &[2, 3, 4]);
 //! ```
 
-pub use crate::admission::{
-    AdmissionPolicy, Fifo, LaneView, TenantConfig, TenantId, WeightedFair,
-};
+pub use crate::admission::{AdmissionPolicy, Fifo, LaneView, TenantConfig, TenantId, WeightedFair};
 pub use crate::analyze::{Diagnostic, Report, Severity};
 pub use crate::data::HostVec;
 pub use crate::error::HfError;
@@ -45,6 +43,4 @@ pub use crate::topology::{Completion, EpochFuture, RunFuture};
 
 // GPU substrate types that appear in the public API: device and launch
 // configuration, kernel arguments, errors, and the fault injector.
-pub use hf_gpu::{
-    FaultPlan, FaultSite, GpuConfig, GpuError, GpuRuntime, KernelArgs, LaunchConfig,
-};
+pub use hf_gpu::{FaultPlan, FaultSite, GpuConfig, GpuError, GpuRuntime, KernelArgs, LaunchConfig};

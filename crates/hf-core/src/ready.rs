@@ -26,7 +26,11 @@ pub(crate) struct ReadyBatch<'a, 'w> {
 }
 
 impl<'a, 'w> ReadyBatch<'a, 'w> {
-    pub(crate) fn new(exec: &'a ExecInner, topo: &'a Topology, local: Option<&'a mut Local<'w>>) -> Self {
+    pub(crate) fn new(
+        exec: &'a ExecInner,
+        topo: &'a Topology,
+        local: Option<&'a mut Local<'w>>,
+    ) -> Self {
         Self {
             exec,
             topo,
@@ -41,8 +45,15 @@ impl<'a, 'w> ReadyBatch<'a, 'w> {
         let token = pack(self.slot, node);
         if let Some(local) = self.local.as_deref_mut().filter(|l| l.next.is_none()) {
             // `Ready` fires before the token is stealable *or run*.
-            self.exec
-                .emit_task(self.topo, LifecyclePhase::Ready, node, None, None, true, None);
+            self.exec.emit_task(
+                self.topo,
+                LifecyclePhase::Ready,
+                node,
+                None,
+                None,
+                true,
+                None,
+            );
             local.next = Some(token);
             return;
         }
@@ -67,7 +78,15 @@ impl<'a, 'w> ReadyBatch<'a, 'w> {
         // run the token, drain the round and deregister the slot.
         if exec.lc_active() {
             for &t in tokens {
-                exec.emit_task(self.topo, LifecyclePhase::Ready, unpack(t).1, None, None, true, None);
+                exec.emit_task(
+                    self.topo,
+                    LifecyclePhase::Ready,
+                    unpack(t).1,
+                    None,
+                    None,
+                    true,
+                    None,
+                );
             }
         }
         let rest = match &self.local {
@@ -169,7 +188,15 @@ impl ExecInner {
         mut local: Option<&mut Local<'_>>,
     ) {
         for node in nodes {
-            self.emit_task(topo, LifecyclePhase::Finished, node, worker, chain, ok, None);
+            self.emit_task(
+                topo,
+                LifecyclePhase::Finished,
+                node,
+                worker,
+                chain,
+                ok,
+                None,
+            );
             self.finish_node(topo, node, ok, local.as_deref_mut());
         }
     }

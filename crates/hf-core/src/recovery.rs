@@ -179,9 +179,10 @@ impl ExecInner {
         // re-places subsequent epochs on the survivors).
         if let Some(g) = &topo.ctx.input_guard {
             if g.gen.load(Ordering::Acquire) != g.admitted_gen {
-                let replays_pull = ok.iter().enumerate().any(|(i, &o)| {
-                    !o && frozen.nodes[i].work.kind() == TaskKind::Pull
-                });
+                let replays_pull = ok
+                    .iter()
+                    .enumerate()
+                    .any(|(i, &o)| !o && frozen.nodes[i].work.kind() == TaskKind::Pull);
                 if replays_pull {
                     topo.fail(cause);
                     return false;

@@ -43,9 +43,9 @@ use crate::topology::{
     Completion, EpochCtx, EpochFuture, EpochGate, InputGuard, Plan, PrologueTrack, RunFuture,
     Topology,
 };
+use hf_sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use hf_sync::sync::{Condvar, Mutex};
 use std::collections::{BTreeSet, VecDeque};
-use hf_sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Configuration of a streaming [`Session`].
@@ -137,7 +137,9 @@ impl Overlap {
                 has_body_pred[s as usize] = true;
             }
         }
-        let gate_heads = (0..n).filter(|&i| is_body[i] && !has_body_pred[i]).collect();
+        let gate_heads = (0..n)
+            .filter(|&i| is_body[i] && !has_body_pred[i])
+            .collect();
         let rings = (0..depth)
             .map(|_| Arc::new((0..n).map(|_| Mutex::new(PullState::default())).collect()))
             .collect();
@@ -286,9 +288,9 @@ impl EpochDriver {
             }
             None => plan,
         };
-        let core = core.cloned().unwrap_or_else(|| {
-            Completion::new(inner.run_seq.fetch_add(1, Ordering::Relaxed) + 1)
-        });
+        let core = core
+            .cloned()
+            .unwrap_or_else(|| Completion::new(inner.run_seq.fetch_add(1, Ordering::Relaxed) + 1));
         let counted = first_step.is_some();
         if counted {
             inner.num_topologies.fetch_add(1, Ordering::SeqCst);
@@ -382,7 +384,9 @@ impl EpochDriver {
                 if !st.claimed {
                     return;
                 }
-                let Some(front) = st.queue.front() else { return };
+                let Some(front) = st.queue.front() else {
+                    return;
+                };
                 let e = front.seq;
                 if st.prologue_done < st.admitted {
                     return;
@@ -417,14 +421,18 @@ impl EpochDriver {
                     heads: ov.gate_heads.clone(),
                     opened: AtomicBool::new(false),
                 }),
-                prologue: ov.is_body.as_ref().filter(|_| ov.prologue_count > 0).map(|body| {
-                    let me = Arc::clone(self);
-                    PrologueTrack {
-                        is_body: Arc::clone(body),
-                        pending: AtomicUsize::new(ov.prologue_count),
-                        hook: Mutex::new(Some(Box::new(move || me.on_prologue_drained(e)))),
-                    }
-                }),
+                prologue: ov
+                    .is_body
+                    .as_ref()
+                    .filter(|_| ov.prologue_count > 0)
+                    .map(|body| {
+                        let me = Arc::clone(self);
+                        PrologueTrack {
+                            is_body: Arc::clone(body),
+                            pending: AtomicUsize::new(ov.prologue_count),
+                            hook: Mutex::new(Some(Box::new(move || me.on_prologue_drained(e)))),
+                        }
+                    }),
                 on_finish: Mutex::new(Some(Box::new(move |t: &Arc<Topology>| {
                     hook_me.on_epoch_done(t, e, then)
                 }))),
@@ -511,9 +519,9 @@ impl EpochDriver {
             // residency stays warm) so later epochs don't cascade-fail
             // onto dead hardware. With no device left the old plan stays:
             // further epochs fail individually, the honest outcome.
-            let failed_on_loss = result.as_ref().is_err_and(|e| {
-                matches!(e.gpu_cause(), Some(hf_gpu::GpuError::DeviceLost(_)))
-            });
+            let failed_on_loss = result
+                .as_ref()
+                .is_err_and(|e| matches!(e.gpu_cause(), Some(hf_gpu::GpuError::DeviceLost(_))));
             if failed_on_loss {
                 let lost = self.inner.lost_devices();
                 let prev = &plan.placement.device_of;

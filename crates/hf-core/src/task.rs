@@ -183,7 +183,9 @@ impl HostTask {
     pub fn reads<T>(&self, buf: &crate::data::HostVec<T>) -> &Self {
         let mut b = self.0.graph.builder.lock();
         let id = buf.buffer_id();
-        let node = b.nodes[self.0.id].attrs.get_or_insert_with(Default::default);
+        let node = b.nodes[self.0.id]
+            .attrs
+            .get_or_insert_with(Default::default);
         if !node.reads.contains(&id) {
             node.reads.push(id);
             b.touch();
@@ -196,7 +198,9 @@ impl HostTask {
     pub fn writes<T>(&self, buf: &crate::data::HostVec<T>) -> &Self {
         let mut b = self.0.graph.builder.lock();
         let id = buf.buffer_id();
-        let node = b.nodes[self.0.id].attrs.get_or_insert_with(Default::default);
+        let node = b.nodes[self.0.id]
+            .attrs
+            .get_or_insert_with(Default::default);
         if !node.writes.contains(&id) {
             node.writes.push(id);
             b.touch();
@@ -222,7 +226,10 @@ typed_handle!(
 impl KernelTask {
     fn with_cfg(&self, f: impl FnOnce(&mut hf_gpu::LaunchConfig)) -> &Self {
         let mut b = self.0.graph.builder.lock();
-        f(&mut b.nodes[self.0.id].attrs.get_or_insert_with(Default::default).cfg);
+        f(&mut b.nodes[self.0.id]
+            .attrs
+            .get_or_insert_with(Default::default)
+            .cfg);
         b.touch();
         self
     }
@@ -282,7 +289,10 @@ impl KernelTask {
     /// the device cost model and by placement, identically).
     pub fn work_units(&self, units: f64) -> &Self {
         let mut b = self.0.graph.builder.lock();
-        b.nodes[self.0.id].attrs.get_or_insert_with(Default::default).work_units = units;
+        b.nodes[self.0.id]
+            .attrs
+            .get_or_insert_with(Default::default)
+            .work_units = units;
         b.touch();
         self
     }
@@ -290,7 +300,11 @@ impl KernelTask {
     /// Current launch configuration.
     pub fn launch_config(&self) -> hf_gpu::LaunchConfig {
         let b = self.0.graph.builder.lock();
-        b.nodes[self.0.id].attrs.as_ref().map(|a| a.cfg).unwrap_or_default()
+        b.nodes[self.0.id]
+            .attrs
+            .as_ref()
+            .map(|a| a.cfg)
+            .unwrap_or_default()
     }
 }
 

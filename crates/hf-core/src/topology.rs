@@ -143,7 +143,10 @@ impl Completion {
 
     /// A fresh, incomplete core for one streaming epoch.
     pub(crate) fn new_epoch(run_id: u64, epoch: u64) -> Self {
-        Self { epoch: Some(epoch), ..Self::new(run_id) }
+        Self {
+            epoch: Some(epoch),
+            ..Self::new(run_id)
+        }
     }
 
     /// An already-completed core (empty graphs, rejected submissions).
@@ -213,10 +216,7 @@ impl std::fmt::Debug for Completion {
 impl std::future::Future for Completion {
     type Output = Result<(), HfError>;
 
-    fn poll(
-        self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> Poll<Self::Output> {
+    fn poll(self: std::pin::Pin<&mut Self>, cx: &mut std::task::Context<'_>) -> Poll<Self::Output> {
         self.promise.poll(cx)
     }
 }
@@ -364,7 +364,15 @@ impl Topology {
         cancel: Arc<AtomicBool>,
         ctx: EpochCtx,
     ) -> Arc<Self> {
-        Arc::new(Self::pass(frozen, graph_label, run_id, plan, cancel, ctx, None))
+        Arc::new(Self::pass(
+            frozen,
+            graph_label,
+            run_id,
+            plan,
+            cancel,
+            ctx,
+            None,
+        ))
     }
 
     /// The pass that continues `old`'s epoch after a device failover: the
@@ -459,7 +467,13 @@ impl Topology {
     pub(crate) fn pull_state(&self, node: usize) -> &Mutex<PullState> {
         match &self.ctx.pull_override {
             Some(ring) => &ring[node],
-            None => &self.frozen.gpu(node).expect("only GPU nodes have pull state").pull_state,
+            None => {
+                &self
+                    .frozen
+                    .gpu(node)
+                    .expect("only GPU nodes have pull state")
+                    .pull_state
+            }
         }
     }
 
@@ -707,14 +721,20 @@ mod tests {
         let ctx = EpochCtx {
             epoch: Some(4),
             pull_override: None,
-            gate: Some(EpochGate { heads: vec![3], opened: AtomicBool::new(true) }),
+            gate: Some(EpochGate {
+                heads: vec![3],
+                opened: AtomicBool::new(true),
+            }),
             prologue: Some(PrologueTrack {
                 is_body: Arc::new(vec![false; 4]),
                 pending: AtomicUsize::new(0),
                 hook: Mutex::new(None),
             }),
             on_finish: Mutex::new(Some(Box::new(|_| {}))),
-            input_guard: Some(InputGuard { gen: Arc::new(AtomicU64::new(2)), admitted_gen: 2 }),
+            input_guard: Some(InputGuard {
+                gen: Arc::new(AtomicU64::new(2)),
+                admitted_gen: 2,
+            }),
             tenant: Some(Arc::from("t")),
         };
         let old = Topology::new(
@@ -725,7 +745,11 @@ mod tests {
             Arc::clone(&cancel),
             ctx,
         );
-        assert_eq!(old.join[3].load(Ordering::Relaxed), 3, "two predecessors and the gate");
+        assert_eq!(
+            old.join[3].load(Ordering::Relaxed),
+            3,
+            "two predecessors and the gate"
+        );
         old.failovers.store(1, Ordering::Relaxed);
         old.retries.store(5, Ordering::Relaxed);
 
@@ -736,7 +760,11 @@ mod tests {
         // finished nodes can never become ready.
         assert_eq!(join, [usize::MAX, usize::MAX, 0, 1]);
         assert_eq!(r.pending.load(Ordering::Relaxed), 2);
-        let ok: Vec<bool> = r.round_ok.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+        let ok: Vec<bool> = r
+            .round_ok
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
         assert_eq!(ok, [true, true, false, false]);
         assert!(r.attempts.iter().all(|a| a.load(Ordering::Relaxed) == 0));
         assert_eq!(r.failovers.load(Ordering::Relaxed), 1);
@@ -744,10 +772,17 @@ mod tests {
         assert!(r.ctx.gate.is_none() && r.ctx.prologue.is_none());
         assert!(old.ctx.on_finish.lock().is_none(), "the hook moved");
         assert!(r.ctx.on_finish.lock().is_some());
-        assert_eq!((r.run_id, r.ctx.epoch, r.ctx.tenant.as_deref()), (9, Some(4), Some("t")));
+        assert_eq!(
+            (r.run_id, r.ctx.epoch, r.ctx.tenant.as_deref()),
+            (9, Some(4), Some("t"))
+        );
         assert_eq!(r.ctx.input_guard.as_ref().map(|g| g.admitted_gen), Some(2));
         assert!(Arc::ptr_eq(&r.cancel, &cancel));
-        assert_eq!(r.slot.load(Ordering::Relaxed), u32::MAX, "not registered yet");
+        assert_eq!(
+            r.slot.load(Ordering::Relaxed),
+            u32::MAX,
+            "not registered yet"
+        );
         assert!(!r.failover_pending.load(Ordering::Relaxed) && r.result().is_ok());
     }
 
@@ -785,14 +820,12 @@ mod tests {
         unsafe fn drop_waker(tx: *const ()) {
             drop(Box::from_raw(tx as *mut mpsc::Sender<()>));
         }
-        static VTABLE: RawWakerVTable =
-            RawWakerVTable::new(clone, wake, wake_by_ref, drop_waker);
+        static VTABLE: RawWakerVTable = RawWakerVTable::new(clone, wake, wake_by_ref, drop_waker);
 
         let boxed = Box::new(tx);
         // SAFETY: the data pointer is a boxed sender, which is what the
         // four `VTABLE` functions take it for; `Sender` is `Send + Sync`.
-        let waker =
-            unsafe { std::task::Waker::from_raw(raw(Box::into_raw(boxed) as *const ())) };
+        let waker = unsafe { std::task::Waker::from_raw(raw(Box::into_raw(boxed) as *const ())) };
         let mut cx = Context::from_waker(&waker);
         let mut fut = std::pin::pin!(fut);
         loop {

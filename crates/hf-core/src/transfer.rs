@@ -36,9 +36,9 @@
 use crate::data::{HostSink, HostSource};
 use crate::error::HfError;
 use crate::executor::ExecInner;
-use crate::worker::ChainState;
 use crate::graph::Work;
 use crate::topology::Topology;
+use crate::worker::ChainState;
 use hf_gpu::stream::ExecFn;
 use hf_gpu::{
     ArenaView, CostModel, Device, DevicePtr, Event, FaultSite, GpuError, OpLabel, OpReport, Stream,

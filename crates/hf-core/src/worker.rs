@@ -41,7 +41,10 @@ struct RunCtx {
 
 impl RunCtx {
     fn resolve(registry: &TopoRegistry, slot: u32) -> Self {
-        Self { slot, topo: registry.resolve(slot) }
+        Self {
+            slot,
+            topo: registry.resolve(slot),
+        }
     }
 
     /// True while this context is what a token of `slot` means: the same
@@ -250,8 +253,15 @@ impl Worker {
         let topo = &cx.topo;
 
         let worker = Some(self.id as u32);
-        self.inner
-            .emit_task(topo, LifecyclePhase::Started, node, worker, None, true, None);
+        self.inner.emit_task(
+            topo,
+            LifecyclePhase::Started,
+            node,
+            worker,
+            None,
+            true,
+            None,
+        );
 
         // Bodies are skipped (but the round still drains) when the run
         // failed, the caller cancelled, or a failover is pending — the
@@ -271,10 +281,14 @@ impl Worker {
         let outcome = if skip {
             Ok(Some(false))
         } else {
-            self.invoke(cx, node).map(|dispatched_async| (!dispatched_async).then_some(true))
+            self.invoke(cx, node)
+                .map(|dispatched_async| (!dispatched_async).then_some(true))
         };
         let inner = &*self.inner;
-        let mut local = Local { deque: &self.deque, next: None };
+        let mut local = Local {
+            deque: &self.deque,
+            next: None,
+        };
         let chain = topo.plan.fusion.chain(node);
         match outcome {
             Ok(Some(ok)) => {
@@ -335,7 +349,10 @@ impl Worker {
             .map(|&id| self.prepare_op(topo, id, &device, &state))
             .collect::<Result<Vec<_>, _>>()?;
         if chain.len() > 1 {
-            self.inner.stats.fused.add(self.id, (chain.len() - 1) as u64);
+            self.inner
+                .stats
+                .fused
+                .add(self.id, (chain.len() - 1) as u64);
             // Members never pass through `execute`; account for them.
             self.inner
                 .stats
@@ -351,8 +368,15 @@ impl Worker {
         if self.inner.lc_active() {
             let worker = Some(self.id as u32);
             for &nid in &chain {
-                self.inner
-                    .emit_task(topo, LifecyclePhase::Dispatched, nid, worker, chain_head, true, None);
+                self.inner.emit_task(
+                    topo,
+                    LifecyclePhase::Dispatched,
+                    nid,
+                    worker,
+                    chain_head,
+                    true,
+                    None,
+                );
             }
         }
         // Label ops with task name/kind only when a device trace sink is
@@ -421,25 +445,21 @@ impl Worker {
             Work::Pull { source } => {
                 transfer::prepare_pull(&self.inner, topo, id, source, device, state)
             }
-            Work::Push { source_pull, sink } => transfer::prepare_push(
-                &self.inner,
-                topo,
-                id,
-                *source_pull,
-                sink,
-                device,
-                state,
-            ),
+            Work::Push { source_pull, sink } => {
+                transfer::prepare_push(&self.inner, topo, id, *source_pull, sink, device, state)
+            }
             Work::Kernel { func, sources } => {
                 let mut ptrs = Vec::with_capacity(sources.len());
                 for &s in sources.iter() {
                     let pull_node = &frozen.nodes[s];
-                    let p = topo.pull_state(s).lock().ptr.ok_or_else(|| {
-                        HfError::SourceNotPulled {
-                            kernel: node.name.to_string(),
-                            pull: pull_node.name.to_string(),
-                        }
-                    })?;
+                    let p =
+                        topo.pull_state(s)
+                            .lock()
+                            .ptr
+                            .ok_or_else(|| HfError::SourceNotPulled {
+                                kernel: node.name.to_string(),
+                                pull: pull_node.name.to_string(),
+                            })?;
                     debug_assert_eq!(
                         p.device, dev_id,
                         "placement must co-locate kernels with their pulls"
@@ -550,14 +570,7 @@ mod loom_models {
             tenant: None,
         };
         let cancel = Arc::new(AtomicBool::new(false));
-        Topology::new(
-            Arc::clone(frozen),
-            Arc::from("g"),
-            1,
-            plan,
-            cancel,
-            ctx,
-        )
+        Topology::new(Arc::clone(frozen), Arc::from("g"), 1, plan, cancel, ctx)
     }
 
     /// Slot recycling against [`RunCtx::serves`]. One thread releases
