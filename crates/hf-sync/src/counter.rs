@@ -28,8 +28,7 @@ impl ShardedCounter {
     /// Adds `v` to the shard for `id` (wraps modulo the shard count).
     #[inline]
     pub fn add(&self, id: usize, v: u64) {
-        self.shards[id % self.shards.len()]
-            .fetch_add(v, Ordering::Relaxed);
+        self.shards[id % self.shards.len()].fetch_add(v, Ordering::Relaxed);
     }
 
     /// Increments the shard for `id` by one.
@@ -41,10 +40,7 @@ impl ShardedCounter {
     /// Sums all shards. Not linearizable with respect to concurrent
     /// increments; intended for end-of-run statistics.
     pub fn sum(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .sum()
+        self.shards.iter().map(|s| s.load(Ordering::Relaxed)).sum()
     }
 
     /// Resets every shard to zero.

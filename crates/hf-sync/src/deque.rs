@@ -13,11 +13,11 @@
 //! ownership question from the concurrent paths: a value read by a loser of
 //! the top-CAS race is simply never used.
 
+use crate::atomic::{fence, AtomicIsize, AtomicPtr, Ordering};
+use crate::sync::Mutex;
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::mem::MaybeUninit;
-use crate::atomic::{fence, AtomicIsize, AtomicPtr, Ordering};
-use crate::sync::Mutex;
 use std::sync::Arc;
 
 const MIN_CAP: usize = 64;
@@ -153,7 +153,9 @@ impl<T: Copy + Send> Clone for Stealer<T> {
 
 impl<T: Copy + Send> fmt::Debug for StealDeque<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StealDeque").field("len", &self.len()).finish()
+        f.debug_struct("StealDeque")
+            .field("len", &self.len())
+            .finish()
     }
 }
 

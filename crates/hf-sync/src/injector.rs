@@ -26,12 +26,12 @@
 //! trivially safe: a value is bit-copied out exactly once because each
 //! slot index is claimed by exactly one consumer.
 
+use crate::atomic::{fence, AtomicPtr, AtomicUsize, Ordering};
 use crate::backoff::Backoff;
 use crate::pad::CachePadded;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::ptr;
-use crate::atomic::{fence, AtomicPtr, AtomicUsize, Ordering};
 
 /// Slots per block (one lap position is sacrificed as the "block full"
 /// sentinel, so a lap of 32 index positions carries 31 values).
@@ -341,8 +341,7 @@ impl<T: Copy> Injector<T> {
                     // so other consumers stop spinning on offset 31.
                     if offset + n == BLOCK_CAP {
                         let next = (*block).wait_next();
-                        let mut next_index =
-                            (new_head & !HAS_NEXT).wrapping_add(1 << SHIFT);
+                        let mut next_index = (new_head & !HAS_NEXT).wrapping_add(1 << SHIFT);
                         if !(*next).next.load(Ordering::Relaxed).is_null() {
                             next_index |= HAS_NEXT;
                         }
@@ -527,8 +526,7 @@ mod tests {
                         // Mix singles and batches.
                         if i % 3 == 0 {
                             let hi = (i + 5).min(PER);
-                            let batch: Vec<u64> =
-                                (i..hi).map(|j| p * PER + j).collect();
+                            let batch: Vec<u64> = (i..hi).map(|j| p * PER + j).collect();
                             q.push_batch(&batch);
                             i = hi;
                         } else {

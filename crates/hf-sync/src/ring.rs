@@ -8,10 +8,10 @@
 //! engines, submission threads) and consumers (the trace collector's
 //! drain) can operate without locks.
 
+use crate::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::pad::CachePadded;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use crate::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 struct Slot<T> {
     /// Sequence state: `pos` = empty and writable by the producer that

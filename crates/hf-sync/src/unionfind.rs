@@ -19,7 +19,10 @@ pub struct UnionFind {
 impl UnionFind {
     /// Creates `len` singleton sets.
     pub fn new(len: usize) -> Self {
-        assert!(len <= u32::MAX as usize, "UnionFind supports at most u32::MAX elements");
+        assert!(
+            len <= u32::MAX as usize,
+            "UnionFind supports at most u32::MAX elements"
+        );
         Self {
             parent: (0..len as u32).collect(),
             size: vec![1; len],
