@@ -127,6 +127,7 @@ pub struct Circuit {
     pub primary_outputs: Vec<u32>,
     fanin: Csr,
     fanout: Csr,
+    fanout_driver: Vec<u32>,
 }
 
 impl Circuit {
@@ -147,12 +148,16 @@ impl Circuit {
                 fanout[src as usize].push(g as u32);
             }
         }
+        let fanout_driver = (0..fanout.len() as u32)
+            .flat_map(|g| std::iter::repeat_n(g, fanout[g as usize].len()))
+            .collect();
         Circuit {
             gates,
             primary_inputs,
             primary_outputs,
             fanin: Csr::from_rows(fanin),
             fanout: Csr::from_rows(&fanout),
+            fanout_driver,
         }
     }
 
@@ -245,6 +250,11 @@ impl Circuit {
     /// Sinks of gate `g`, in ascending id.
     pub fn fanout(&self, g: usize) -> &[u32] {
         self.fanout.row(g)
+    }
+
+    /// Every fanout edge as (drivers, sinks), in CSR order.
+    pub(crate) fn fanout_edges(&self) -> (&[u32], &[u32]) {
+        (&self.fanout_driver, &self.fanout.to)
     }
 
     /// Maximum logic depth: the number of gates on the longest chain.
