@@ -34,11 +34,11 @@ use crate::ready::ReadyBatch;
 use crate::registry::{Token, TopoRegistry};
 use crate::retry::RetryPolicy;
 use crate::stats::ExecutorStats;
-use crate::topology::{Plan, RunFuture, Topology};
+use crate::topology::{Plan, Route, RunFuture, Topology};
 use hf_gpu::{GpuConfig, GpuRuntime};
 use hf_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use hf_sync::sync::{Condvar, Mutex};
-use hf_sync::{Injector, Notifier, Steal, StealDeque, Stealer};
+use hf_sync::{Injector, Notifier, StealDeque, Stealer};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -64,6 +64,8 @@ pub(crate) struct ExecInner {
     /// Shared lock-free inbox for work scheduled off worker threads and
     /// for batched successor sprays.
     pub(crate) injector: Injector<Token>,
+    /// Ready GPU chain heads, taken before any host work (`ReadyBatch`).
+    pub(crate) device_ready: Injector<Token>,
     pub(crate) registry: TopoRegistry,
     pub(crate) notifier: Notifier,
     pub(crate) done: AtomicBool,
@@ -433,6 +435,7 @@ impl ExecutorBuilder {
             id: NEXT_EXEC_ID.fetch_add(1, Ordering::Relaxed),
             stealers,
             injector: Injector::new(),
+            device_ready: Injector::new(),
             registry: TopoRegistry::new(),
             notifier: Notifier::new(),
             done: AtomicBool::new(false),
@@ -530,7 +533,9 @@ impl Executor {
     /// "busy" from "stuck". This is the one way to read the counters.
     pub fn snapshot(&self) -> crate::stats::StatsSnapshot {
         let inner = &self.inner;
-        let queued = inner.injector.len() + inner.stealers.iter().map(|st| st.len()).sum::<usize>();
+        let queued = inner.injector.len()
+            + inner.device_ready.len()
+            + inner.stealers.iter().map(|st| st.len()).sum::<usize>();
         inner.stats.snapshot(
             inner.num_actives.load(Ordering::SeqCst) as u64,
             queued as u64,
@@ -654,12 +659,6 @@ impl Drop for Executor {
         for t in self.threads.lock().drain(..) {
             let _ = t.join();
         }
-        // Queues hold plain integer tokens (no ownership); draining is
-        // purely defensive hygiene.
-        for s in &self.inner.stealers {
-            while let Steal::Success(_) = s.steal() {}
-        }
-        while self.inner.injector.pop().is_some() {}
     }
 }
 
@@ -684,7 +683,7 @@ impl ExecInner {
         let mut ready = ReadyBatch::new(self, topo, None);
         for &id in &topo.frozen.sources {
             if topo.join[id].load(Ordering::Relaxed) == 0 {
-                ready.push(id);
+                ready.push(id, topo.plan.fusion.route[id]);
             }
         }
     }
@@ -705,8 +704,9 @@ impl ExecInner {
         }
         let mut ready = ReadyBatch::new(self, topo, None);
         for &h in &g.heads {
-            if topo.join[h].fetch_sub(1, Ordering::AcqRel) == 1 && !topo.plan.fusion.member[h] {
-                ready.push(h);
+            let route = topo.plan.fusion.route[h];
+            if topo.join[h].fetch_sub(1, Ordering::AcqRel) == 1 && route != Route::Fused {
+                ready.push(h, route);
             }
         }
     }

@@ -2,8 +2,8 @@
 
 use crate::executor::ExecInner;
 use crate::lifecycle::LifecyclePhase;
-use crate::registry::{pack, unpack, Token};
-use crate::topology::Topology;
+use crate::registry::{pack, Token};
+use crate::topology::{Route, Topology};
 use crate::worker::Local;
 use hf_sync::atomic::Ordering;
 use std::sync::Arc;
@@ -23,6 +23,8 @@ pub(crate) struct ReadyBatch<'a, 'w> {
     local: Option<&'a mut Local<'w>>,
     buf: [Token; RELEASE_BATCH],
     len: usize,
+    dev: [Token; RELEASE_BATCH],
+    dev_len: usize,
 }
 
 impl<'a, 'w> ReadyBatch<'a, 'w> {
@@ -38,63 +40,60 @@ impl<'a, 'w> ReadyBatch<'a, 'w> {
             local,
             buf: [0; RELEASE_BATCH],
             len: 0,
+            dev: [0; RELEASE_BATCH],
+            dev_len: 0,
         }
     }
 
-    pub(crate) fn push(&mut self, node: usize) {
+    /// Makes `node` runnable along `route` (a retried `Fused` member: GPU).
+    pub(crate) fn push(&mut self, node: usize, route: Route) {
+        // `Ready` fires before the token is stealable *or run*.
+        self.exec.emit_task(
+            self.topo,
+            LifecyclePhase::Ready,
+            node,
+            None,
+            None,
+            true,
+            None,
+        );
         let token = pack(self.slot, node);
         if let Some(local) = self.local.as_deref_mut().filter(|l| l.next.is_none()) {
-            // `Ready` fires before the token is stealable *or run*.
-            self.exec.emit_task(
-                self.topo,
-                LifecyclePhase::Ready,
-                node,
-                None,
-                None,
-                true,
-                None,
-            );
             local.next = Some(token);
             return;
         }
-        if self.len == RELEASE_BATCH {
+        if self.len == RELEASE_BATCH || self.dev_len == RELEASE_BATCH {
             self.flush();
         }
-        self.buf[self.len] = token;
-        self.len += 1;
+        if route == Route::Host {
+            self.buf[self.len] = token;
+            self.len += 1;
+        } else {
+            self.dev[self.dev_len] = token;
+            self.dev_len += 1;
+        }
     }
 
-    /// Makes the collected tokens runnable: the first goes to the lending
-    /// worker's own deque, the rest across the injector in one lock-free
-    /// batch push, with one coalesced wakeup proportional to the batch.
+    /// Makes the collected tokens runnable: GPU heads to the device-ready
+    /// queue, one wakeup for all (DESIGN.md "Device work first"); host tasks
+    /// to the lending worker's deque (the first) and the injector, one each.
     fn flush(&mut self) {
-        let len = std::mem::take(&mut self.len);
-        let tokens = &self.buf[..len];
-        let Some((&first, others)) = tokens.split_first() else {
+        let tokens = &self.buf[..std::mem::take(&mut self.len)];
+        let devs = &self.dev[..std::mem::take(&mut self.dev_len)];
+        let wakeups = tokens.len() + usize::from(!devs.is_empty());
+        if wakeups == 0 {
             return;
-        };
-        let exec = self.exec;
-        // `Ready` before the tokens are stealable: once pushed, a peer can
-        // run the token, drain the round and deregister the slot.
-        if exec.lc_active() {
-            for &t in tokens {
-                exec.emit_task(
-                    self.topo,
-                    LifecyclePhase::Ready,
-                    unpack(t).1,
-                    None,
-                    None,
-                    true,
-                    None,
-                );
-            }
         }
-        let rest = match &self.local {
-            Some(local) => {
+        let exec = self.exec;
+        if !devs.is_empty() {
+            exec.device_ready.push_batch(devs);
+        }
+        let rest = match (&self.local, tokens.split_first()) {
+            (Some(local), Some((&first, others))) => {
                 local.deque.push(first);
                 others
             }
-            None => tokens,
+            _ => tokens,
         };
         if !rest.is_empty() {
             exec.injector.push_batch(rest);
@@ -102,10 +101,10 @@ impl<'a, 'w> ReadyBatch<'a, 'w> {
                 exec.stats.injector_batches.incr();
             }
         }
-        if !others.is_empty() {
-            exec.stats.notify_coalesced.add(others.len() as u64);
+        if tokens.len() > 1 {
+            exec.stats.notify_coalesced.add(tokens.len() as u64 - 1);
         }
-        exec.notifier.notify_n(tokens.len());
+        exec.notifier.notify_n(wakeups);
     }
 }
 
@@ -136,10 +135,11 @@ impl ExecInner {
             let mut ready = ReadyBatch::new(self, topo, local.as_deref_mut());
             for &s in topo.frozen.successors(node) {
                 let s = s as usize;
+                let route = topo.plan.fusion.route[s];
                 // Fused chain members were dispatched with their head;
                 // whoever finished the head also finishes them in order.
-                if topo.join[s].fetch_sub(1, Ordering::AcqRel) == 1 && !topo.plan.fusion.member[s] {
-                    ready.push(s);
+                if topo.join[s].fetch_sub(1, Ordering::AcqRel) == 1 && route != Route::Fused {
+                    ready.push(s, route);
                 }
             }
         }

@@ -6,7 +6,7 @@ use crate::graph::TaskKind;
 use crate::lifecycle::LifecyclePhase;
 use crate::ready::ReadyBatch;
 use crate::retry::OnDeviceLoss;
-use crate::topology::Topology;
+use crate::topology::{Route, Topology};
 use crate::worker::Local;
 use hf_gpu::GpuError;
 use hf_sync::atomic::Ordering;
@@ -91,8 +91,8 @@ impl ExecInner {
                     std::thread::sleep(delay);
                 }
                 // Runs next on this worker, or — from a device engine
-                // thread — goes to the injector.
-                ReadyBatch::new(self, topo, local).push(failed);
+                // thread — goes to the queue its route names.
+                ReadyBatch::new(self, topo, local).push(failed, topo.plan.fusion.route[failed]);
                 return;
             }
             FailureAction::Failover => topo.request_failover(err),
@@ -225,8 +225,8 @@ impl ExecInner {
 
         let mut ready = ReadyBatch::new(self, &replay, local);
         for i in 0..n {
-            if replay.join[i].load(Ordering::Relaxed) == 0 && !plan.fusion.member[i] {
-                ready.push(i);
+            if replay.join[i].load(Ordering::Relaxed) == 0 && plan.fusion.route[i] != Route::Fused {
+                ready.push(i, plan.fusion.route[i]);
             }
         }
         true

@@ -521,6 +521,16 @@ pub(crate) struct Plan {
     pub(crate) fusion: FusionPlan,
 }
 
+/// Where a ready node goes (`ReadyBatch`): a host task to a deque or the
+/// injector, a GPU chain head to the device-ready queue, a member nowhere.
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub(crate) enum Route {
+    Host,
+    Device,
+    Fused,
+}
+
 impl Plan {
     /// `placement` with its fusion chains, restricted to `active` (see
     /// [`FusionPlan::compute`]); no chains when fusion is off.
@@ -543,8 +553,9 @@ pub(crate) struct FusionPlan {
     /// stream submission; members of a chain (non-heads) are never
     /// scheduled individually.
     pub(crate) next: Vec<Option<u32>>,
-    /// True for chain members (every node with a fused predecessor).
-    pub(crate) member: Vec<bool>,
+    /// Which queue each node takes once ready: one byte per node, the one
+    /// the release path reads per successor (members are `Fused`).
+    pub(crate) route: Vec<Route>,
 }
 
 impl FusionPlan {
@@ -575,36 +586,36 @@ impl FusionPlan {
         use crate::graph::TaskKind;
         let n = frozen.nodes.len();
         let mut next = vec![None; n];
-        let mut member = vec![false; n];
+        let mut route: Vec<Route> = (0..n)
+            .map(|v| match frozen.kind(v) {
+                TaskKind::Pull | TaskKind::Push | TaskKind::Kernel => Route::Device,
+                _ => Route::Host,
+            })
+            .collect();
         if !enabled {
-            return Self { next, member };
+            return Self { next, route };
         }
         let is_active = |i: usize| active.is_none_or(|a| a[i]);
         #[allow(clippy::needless_range_loop)] // v indexes three parallel arrays
         for v in 0..n {
-            if !is_active(v) {
+            if !is_active(v) || route[v] == Route::Host {
                 continue;
             }
-            let vk = frozen.nodes[v].work.kind();
-            let v_gpu = matches!(vk, TaskKind::Pull | TaskKind::Push | TaskKind::Kernel);
             let &[w] = frozen.successors(v) else { continue };
             let w = w as usize;
-            if !v_gpu {
-                continue;
-            }
             let wk = frozen.nodes[w].work.kind();
             let w_fusible = matches!(wk, TaskKind::Push | TaskKind::Kernel);
             if w_fusible
                 && is_active(w)
                 && frozen.nodes[w].num_deps == 1
                 && placement.device_of[v] == placement.device_of[w]
-                && !member[w]
+                && route[w] != Route::Fused
             {
                 next[v] = Some(w as u32);
-                member[w] = true;
+                route[w] = Route::Fused;
             }
         }
-        Self { next, member }
+        Self { next, route }
     }
 }
 

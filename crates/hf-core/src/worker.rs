@@ -134,7 +134,8 @@ impl Worker {
         let mut ctx = None;
         let mut next = Some(first);
         while let Some(token) = next {
-            next = self.execute(token, &mut ctx).or_else(|| self.deque.pop());
+            next = self.execute(token, &mut ctx);
+            next = next.or_else(|| self.pop_device().or_else(|| self.deque.pop()));
         }
         drop(ctx);
         self.inner.num_actives.fetch_sub(1, Ordering::SeqCst);
@@ -148,7 +149,7 @@ impl Worker {
             // Bounded stealing sweep.
             let mut backoff = hf_sync::Backoff::new();
             while !backoff.is_completed() {
-                if let Some(token) = self.try_steal_once() {
+                if let Some(token) = self.pop_device().or_else(|| self.try_steal_once()) {
                     // If this was the last thief, wake a peer so one thief
                     // remains while we turn active (paper's invariant).
                     if self.inner.num_thieves.fetch_sub(1, Ordering::SeqCst) == 1 {
@@ -193,6 +194,13 @@ impl Worker {
         }
     }
 
+    /// A ready GPU head, if any. `is_empty` first: a pop fences even on an
+    /// empty queue, and host-only graphs never fill it.
+    fn pop_device(&self) -> Option<Token> {
+        let q = &self.inner.device_ready;
+        (!q.is_empty()).then(|| q.pop()).flatten()
+    }
+
     /// One randomized steal attempt across victims and the injector.
     /// Our own id maps to the injector, so every draw is a real attempt
     /// (no wasted self-steal); injector hits claim a whole batch and bank
@@ -231,7 +239,7 @@ impl Worker {
     /// True if any queue plausibly holds work (used to re-check before
     /// sleeping). Lock-free: probes the injector and deque tops.
     fn work_visible(&self) -> bool {
-        if !self.inner.injector.is_empty() {
+        if !self.inner.injector.is_empty() || !self.inner.device_ready.is_empty() {
             return true;
         }
         self.inner.stealers.iter().any(|s| !s.is_empty())
@@ -338,7 +346,9 @@ impl Worker {
     /// chain from there).
     fn dispatch_gpu_chain(&mut self, cx: &RunCtx, head: usize) -> Result<(), HfError> {
         let topo = &cx.topo;
-        let dev_id = topo.plan.placement.device_of[head].expect("GPU task placed");
+        let dev_id = topo.plan.placement.device_of[head].ok_or_else(|| HfError::NoGpus {
+            task: topo.frozen.nodes[head].name.to_string(),
+        })?;
         let device = self.inner.gpu.device(dev_id)?;
         let _ctx = ScopedDeviceContext::new(dev_id);
 
@@ -466,7 +476,9 @@ impl Worker {
                     );
                     ptrs.push(p);
                 }
-                let gpu = frozen.gpu(id).expect("kernels are GPU nodes");
+                let gpu = frozen.gpu(id).ok_or_else(|| HfError::NoGpus {
+                    task: node.name.to_string(),
+                })?;
                 let cfg = gpu.cfg;
                 let work_units = GpuNode::priced_work_units(gpu.work_units, &gpu.cfg);
                 let func = Arc::clone(func);

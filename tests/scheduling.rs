@@ -636,3 +636,154 @@ fn idle_workers_pin_no_graph() {
         std::thread::yield_now();
     }
 }
+
+/// Every task-level event by name: `(phase, name, t_ns)`.
+#[derive(Default)]
+struct Timeline(std::sync::Mutex<Vec<(LifecyclePhase, Arc<str>, u64)>>);
+
+impl heteroflow::core::ExecutorObserver for Timeline {
+    fn on_lifecycle(&self, ev: &LifecycleEvent) {
+        if ev.task.is_some() {
+            let e = (ev.phase, Arc::clone(&ev.name), ev.t_ns);
+            self.0.lock().unwrap().push(e);
+        }
+    }
+}
+
+impl Timeline {
+    /// When `task` reached `phase` (the one such event).
+    fn at(&self, phase: LifecyclePhase, task: &str) -> u64 {
+        let events = self.0.lock().unwrap();
+        let hit = events.iter().find(|e| e.0 == phase && &*e.1 == task);
+        hit.unwrap_or_else(|| panic!("{task}: no {phase}")).2
+    }
+}
+
+impl Timeline {
+    /// True once `task` has been made ready.
+    fn is_ready(&self, task: &str) -> bool {
+        let events = self.0.lock().unwrap();
+        events
+            .iter()
+            .any(|e| e.0 == LifecyclePhase::Ready && &*e.1 == task)
+    }
+}
+
+/// A host task that holds its worker until `task` has become ready (at
+/// most 1 s), then for 3 ms more.
+fn hold_until_ready(
+    g: &Heteroflow,
+    name: &str,
+    tl: &Arc<Timeline>,
+    task: &'static str,
+) -> HostTask {
+    let tl = Arc::clone(tl);
+    g.host(name, move || {
+        let t = std::time::Instant::now();
+        while !tl.is_ready(task) && t.elapsed() < std::time::Duration::from_secs(1) {
+            std::thread::sleep(std::time::Duration::from_micros(100));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(3));
+    })
+}
+
+/// Ready device work goes ahead of queued host work. On one worker, `h0`
+/// releases three pulls behind which a kernel waits, while `h1..h3` are
+/// queued, each holding the worker until the kernel is ready: the pulls are
+/// dispatched before the next host task starts, and the kernel as soon as
+/// the host task running when it became ready ends, so it finishes before
+/// the last host task does. (Were the third pull queued behind the host
+/// tasks, the kernel could not even start before all four were done.)
+#[test]
+fn ready_device_work_is_dispatched_ahead_of_queued_host_work() {
+    let timeline = Arc::new(Timeline::default());
+    let ex = Executor::builder(1, 1).observer(timeline.clone()).build();
+    let g = Heteroflow::new("device_first");
+    let h0 = g.host("h0", || {});
+    let hosts: Vec<HostTask> = (1..4)
+        .map(|i| hold_until_ready(&g, &format!("h{i}"), &timeline, "k"))
+        .collect();
+    let data: Vec<HostVec<u32>> = (0..3).map(|i| HostVec::from_vec(vec![i; 64])).collect();
+    let pulls: Vec<PullTask> = (0..3).map(|i| g.pull(&format!("p{i}"), &data[i])).collect();
+    let k = g.kernel("k", &[&pulls[0], &pulls[1], &pulls[2]], |_, args| {
+        let v = args.slice_mut::<u32>(0).expect("p0");
+        v.iter_mut().for_each(|x| *x += 7);
+    });
+    let s = g.push("s", &pulls[0], &data[0]);
+    for p in &pulls {
+        h0.precede(p);
+        p.precede(&k);
+    }
+    k.precede(&s);
+    ex.run(&g).wait().expect("runs");
+    assert!(data[0].read().iter().all(|&x| x == 7));
+    drop(hosts);
+
+    use LifecyclePhase::{Dispatched, Finished, Started};
+    let last_host_done = (1..4)
+        .map(|i| timeline.at(Finished, &format!("h{i}")))
+        .max()
+        .unwrap();
+    assert!(
+        timeline.at(Finished, "k") < last_host_done,
+        "the kernel finished after every host task"
+    );
+    let second_host_start = (1..4)
+        .map(|i| timeline.at(Started, &format!("h{i}")))
+        .min()
+        .unwrap();
+    for i in 0..3 {
+        let dispatched = timeline.at(Dispatched, &format!("p{i}"));
+        assert!(
+            dispatched < second_host_start,
+            "p{i} waited behind a host task"
+        );
+    }
+}
+
+/// A kernel released by a pull's device callback while the only worker
+/// runs host tasks is dispatched at that worker's next pop, ahead of the
+/// host task already queued.
+#[test]
+fn kernel_released_by_a_device_callback_runs_at_the_next_pop() {
+    let timeline = Arc::new(Timeline::default());
+    let ex = Executor::builder(1, 1).observer(timeline.clone()).build();
+    let g = Heteroflow::new("callback_release");
+    let data = HostVec::from_vec(vec![1u32; 64]);
+    let h0 = g.host("h0", || {});
+    let p = g.pull("p", &data);
+    let k = g.kernel("k", &[&p], |_, args| {
+        let v = args.slice_mut::<u32>(0).expect("p");
+        v.iter_mut().for_each(|x| *x *= 3);
+    });
+    let s = g.push("s", &p, &data);
+    // `p` is `h0`'s first successor, so the worker dispatches it before it
+    // starts a host task, which holds the worker until `p`'s callback has
+    // released `k` (`k` also waits on `h0`, so it is not fused behind `p`).
+    h0.precede(&p);
+    h0.precede(&k);
+    for h in ["h1", "h2"] {
+        h0.precede(&hold_until_ready(&g, h, &timeline, "k"));
+    }
+    p.precede(&k);
+    k.precede(&s);
+    ex.run(&g).wait().expect("runs");
+    assert!(data.read().iter().all(|&x| x == 3));
+
+    // A host task holds the worker until `k` is ready, so the other one
+    // starts after that: by then `k` must have been dispatched.
+    use LifecyclePhase::{Dispatched, Ready, Started};
+    let (k_ready, k_dispatched) = (timeline.at(Ready, "k"), timeline.at(Dispatched, "k"));
+    let later: Vec<u64> = ["h1", "h2"]
+        .map(|h| timeline.at(Started, h))
+        .into_iter()
+        .filter(|&t| t > k_ready)
+        .collect();
+    assert!(
+        !later.is_empty(),
+        "a host task started after k became ready"
+    );
+    for start in later {
+        assert!(k_dispatched < start, "k waited behind a queued host task");
+    }
+}
