@@ -20,8 +20,8 @@
 //! * the shared inbox is a lock-free segmented [`Injector`] with batch
 //!   push/pop instead of a `Mutex<VecDeque>`;
 //! * a finishing task hands its first ready successor straight back to
-//!   the worker's burst loop and batches the others into one injector
-//!   spray plus one coalesced `notify_n` wakeup (`ready::ReadyBatch`);
+//!   the burst loop, batches the others into one injector (GPU heads: the
+//!   device-ready one) spray, one `notify_n` wakeup (`ready::ReadyBatch`);
 //! * re-running an unchanged graph reuses the cached freeze and plan
 //!   (placement + fusion; see `graph::SchedCache`).
 

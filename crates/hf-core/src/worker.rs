@@ -237,7 +237,7 @@ impl Worker {
     }
 
     /// True if any queue plausibly holds work (used to re-check before
-    /// sleeping). Lock-free: probes the injector and deque tops.
+    /// sleeping). Lock-free: probes both injectors and the deque tops.
     fn work_visible(&self) -> bool {
         if !self.inner.injector.is_empty() || !self.inner.device_ready.is_empty() {
             return true;
