@@ -101,7 +101,11 @@ fn simulate_impl(
     let n = graph.num_tasks();
     assert!(
         placement.device_of.len() == n
-            && placement.device_of.iter().flatten().all(|&d| d < machine.gpus),
+            && placement
+                .device_of
+                .iter()
+                .flatten()
+                .all(|&d| d < machine.gpus),
         "placement does not fit the graph and machine"
     );
 
@@ -266,10 +270,7 @@ mod tests {
         let graph = host_chain(10);
         for cores in [1, 4, 40] {
             let m = Machine::new(cores, 0);
-            let r = simulate(&graph, &m, |_| {
-                SimDuration::from_millis(1)
-            })
-            .unwrap();
+            let r = simulate(&graph, &m, |_| SimDuration::from_millis(1)).unwrap();
             assert_eq!(r.makespan().as_nanos(), 10 * MS, "cores={cores}");
         }
     }
@@ -277,19 +278,12 @@ mod tests {
     #[test]
     fn fanout_scales_linearly() {
         let graph = host_fanout(40);
-        let t1 = simulate(&graph, &Machine::new(1, 0), |_| {
+        let t1 = simulate(&graph, &Machine::new(1, 0), |_| SimDuration::from_millis(1)).unwrap();
+        let t4 = simulate(&graph, &Machine::new(4, 0), |_| SimDuration::from_millis(1)).unwrap();
+        let t40 = simulate(&graph, &Machine::new(40, 0), |_| {
             SimDuration::from_millis(1)
         })
         .unwrap();
-        let t4 = simulate(&graph, &Machine::new(4, 0), |_| {
-            SimDuration::from_millis(1)
-        })
-        .unwrap();
-        let t40 =
-            simulate(&graph, &Machine::new(40, 0), |_| {
-                SimDuration::from_millis(1)
-            })
-            .unwrap();
         assert_eq!(t1.makespan().as_nanos(), 40 * MS);
         assert_eq!(t4.makespan().as_nanos(), 10 * MS);
         assert_eq!(t40.makespan().as_nanos(), MS);
@@ -313,14 +307,8 @@ mod tests {
     #[test]
     fn gpu_bound_work_scales_with_gpus() {
         let graph = kernel_groups(8);
-        let r1 = simulate(&graph, &Machine::new(16, 1), |_| {
-            SimDuration::ZERO
-        })
-        .unwrap();
-        let r4 = simulate(&graph, &Machine::new(16, 4), |_| {
-            SimDuration::ZERO
-        })
-        .unwrap();
+        let r1 = simulate(&graph, &Machine::new(16, 1), |_| SimDuration::ZERO).unwrap();
+        let r4 = simulate(&graph, &Machine::new(16, 4), |_| SimDuration::ZERO).unwrap();
         let speedup = r1.makespan_secs / r4.makespan_secs;
         assert!(speedup > 3.0, "expected ~4x GPU scaling, got {speedup:.2}");
     }
@@ -340,12 +328,8 @@ mod tests {
             g.host(&format!("h{i}"), || {});
         }
         let graph = g.freeze().unwrap();
-        let unified = simulate(
-            &graph,
-            &Machine::new(4, 2),
-            |_| SimDuration::from_millis(1),
-        )
-        .unwrap();
+        let unified =
+            simulate(&graph, &Machine::new(4, 2), |_| SimDuration::from_millis(1)).unwrap();
         let dedicated = simulate(
             &graph,
             &Machine::new(4, 2).with_mode(SchedulerMode::DedicatedGpuWorkers),
@@ -365,10 +349,7 @@ mod tests {
     fn empty_graph() {
         let g = Heteroflow::new("e");
         let graph = g.freeze().unwrap();
-        let r = simulate(&graph, &Machine::new(2, 1), |_| {
-            SimDuration::ZERO
-        })
-        .unwrap();
+        let r = simulate(&graph, &Machine::new(2, 1), |_| SimDuration::ZERO).unwrap();
         assert_eq!(r.tasks, 0);
         assert_eq!(r.makespan_secs, 0.0);
     }
@@ -376,10 +357,7 @@ mod tests {
     #[test]
     fn gpu_graph_no_gpus_errors() {
         let graph = kernel_groups(1);
-        assert!(simulate(&graph, &Machine::new(2, 0), |_| {
-            SimDuration::ZERO
-        })
-        .is_err());
+        assert!(simulate(&graph, &Machine::new(2, 0), |_| { SimDuration::ZERO }).is_err());
     }
 
     /// Makespan is never below the critical-path bound nor below the

@@ -42,7 +42,11 @@ impl SimResult {
             cpu_busy_secs: cb,
             gpu_busy_secs: gb,
             tasks,
-            cpu_utilization: if ms > 0.0 { cb / (ms * cores as f64) } else { 0.0 },
+            cpu_utilization: if ms > 0.0 {
+                cb / (ms * cores as f64)
+            } else {
+                0.0
+            },
             gpu_utilization: if ms > 0.0 && gpus > 0 {
                 gpu_total / (ms * gpus as f64)
             } else {

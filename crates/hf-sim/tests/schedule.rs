@@ -26,11 +26,9 @@ fn mixed_graph(lanes: usize) -> std::sync::Arc<hf_core::FrozenGraph> {
 fn schedule_respects_dependencies_and_devices() {
     let graph = mixed_graph(6);
     for (cores, gpus) in [(1usize, 1u32), (2, 2), (8, 4)] {
-        let (result, spans) = simulate_traced(
-            &graph,
-            &Machine::new(cores, gpus),
-            |_| SimDuration::from_micros(100),
-        )
+        let (result, spans) = simulate_traced(&graph, &Machine::new(cores, gpus), |_| {
+            SimDuration::from_micros(100)
+        })
         .expect("simulates");
 
         assert_eq!(spans.len(), graph.num_tasks());
@@ -77,11 +75,9 @@ fn schedule_respects_dependencies_and_devices() {
 #[test]
 fn spans_serialize_for_gantt_export() {
     let graph = mixed_graph(2);
-    let (_, spans) = simulate_traced(
-        &graph,
-        &Machine::new(2, 1),
-        |_| SimDuration::from_micros(10),
-    )
+    let (_, spans) = simulate_traced(&graph, &Machine::new(2, 1), |_| {
+        SimDuration::from_micros(10)
+    })
     .expect("simulates");
     let json = serde_json::to_string(&spans).expect("serializable");
     assert!(json.contains("\"start_ns\""));
