@@ -4,11 +4,11 @@
 //!
 //! Usage: `cargo run --release -p hf-bench --bin ablations`
 
-use hf_core::data::HostVec;
 use hf_bench::Packer;
-use hf_core::{AsTask, Executor, Heteroflow};
+use hf_core::data::HostVec;
+use hf_core::{device_placement, AsTask, Executor, FrozenGraph, Heteroflow, Plan};
 use hf_gpu::{BuddyAllocator, CostModel, SimDuration};
-use hf_sim::{simulate, simulate_placed, Machine, SchedulerMode};
+use hf_sim::{simulate, Machine, SchedulerMode};
 use std::time::Instant;
 
 fn main() {
@@ -18,6 +18,13 @@ fn main() {
     a3_memory_pool();
     a4_adaptive_sleep();
     a5_task_fusion();
+}
+
+/// `graph` simulated on `m` under the executor's plan for it, fused or
+/// not, with every host task costing `host`.
+fn modeled(graph: &FrozenGraph, m: &Machine, fusion: bool, host: SimDuration) -> hf_sim::SimResult {
+    let placement = device_placement(graph, m.gpus, &m.cost).expect("placeable");
+    simulate(graph, &Plan::from_placement(graph, placement, fusion), m, |_| host).0
 }
 
 /// A1: packing policy load balance on heterogeneous groups.
@@ -38,10 +45,11 @@ fn a1_placement_policies() {
         ("random", Packer::Random { seed: 3 }),
     ] {
         let p = packer.place(&*graph, 4, &CostModel::default()).expect("placeable");
-        let r = simulate_placed(&graph, &Machine::new(8, 4), &p, |_| SimDuration::ZERO);
+        let plan = Plan::from_placement(&graph, p, true);
+        let (r, _) = simulate(&graph, &plan, &Machine::new(8, 4), |_| SimDuration::ZERO);
         println!(
             "      {name:<18} imbalance {:>6.3}   modeled makespan {:>8.2} ms",
-            p.imbalance(),
+            plan.placement().imbalance(),
             r.makespan_secs * 1e3
         );
     }
@@ -68,10 +76,7 @@ fn a2_dedicated_workers() {
         ("dedicated/GPU", SchedulerMode::DedicatedGpuWorkers),
     ] {
         let m = Machine::new(8, 2).with_mode(mode);
-        let r = simulate(&graph, &m, |_| {
-            SimDuration::from_millis(1)
-        })
-        .expect("simulates");
+        let r = modeled(&graph, &m, true, SimDuration::from_millis(1));
         println!(
             "      {name:<18} makespan {:>8.2} ms   cpu util {:>5.2}",
             r.makespan_secs * 1e3,
@@ -168,6 +173,7 @@ fn a5_task_fusion() {
         g
     };
     println!("A5  task fusion (4 lanes x 24-kernel chains, 4 workers, 2 GPUs):");
+    let graph = build().freeze().expect("acyclic");
     for (name, fusion) in [("fused (default)", true), ("per-task dispatch", false)] {
         let ex = Executor::builder(4, 2).task_fusion(fusion).build();
         let g = build();
@@ -176,9 +182,12 @@ fn a5_task_fusion() {
             ex.run(&g).wait().expect("runs");
         }
         let el = t0.elapsed();
+        let r = modeled(&graph, &Machine::new(4, 2), fusion, SimDuration::ZERO);
         println!(
-            "      {name:<18} wall {el:>9.2?}   fused members {:>5}",
-            ex.snapshot().fused
+            "      {name:<18} wall {el:>9.2?}   fused members {:>5}   modeled run {:>5.3} ms, dispatch {:>5.3} ms",
+            ex.snapshot().fused,
+            r.makespan_secs * 1e3,
+            r.cpu_busy_secs * 1e3
         );
     }
     println!();

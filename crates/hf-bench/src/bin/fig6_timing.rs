@@ -8,8 +8,9 @@
 //! Method (see DESIGN.md): the real multi-view correlation task graph is
 //! built at a scaled circuit size; the CPU task bodies are *executed and
 //! timed* on this machine, then scaled to netcard size; the discrete-event
-//! model replays the graph — with the real Algorithm 1 placement — on
-//! virtual (cores, gpus) machines. GPU kernel throughput is tuned so the
+//! model replays the graph — under the executor's plan, the real
+//! Algorithm 1 placement and task fusion — on virtual (cores, gpus)
+//! machines. GPU kernel throughput is tuned so the
 //! per-view GPU share matches the paper's observed CPU/GPU balance
 //! ("we ... control the sample size such that each analysis view takes
 //! approximately the same runtime").
@@ -21,9 +22,9 @@
 //!     [--sweep cores|views|both] [--json]
 
 use hf_bench::{print_matrix, Args, NameCosts, Packer, Row};
-use hf_core::FrozenGraph;
+use hf_core::{FrozenGraph, Plan};
 use hf_gpu::{CostModel, SimDuration};
-use hf_sim::{simulate_placed, Machine, SchedulerMode};
+use hf_sim::{simulate, Machine, SchedulerMode};
 use hf_timing::correlation::{build_correlation_graph, CorrelationConfig};
 use hf_timing::cppr::{apply_cppr, ClockTree};
 use hf_timing::regression::NUM_FEATURES;
@@ -68,7 +69,8 @@ fn minutes(graph: &FrozenGraph, setup: &Setup, cores: usize, gpus: u32) -> f64 {
         .with_cost(setup.cost_model)
         .with_mode(SchedulerMode::Unified);
     let p = setup.packer.place(graph, gpus, &m.cost).expect("valid graph and machine");
-    simulate_placed(graph, &m, &p, setup.costs.for_graph(graph)).makespan_secs / 60.0
+    let plan = Plan::from_placement(graph, p, true);
+    simulate(graph, &plan, &m, setup.costs.for_graph(graph)).0.makespan_secs / 60.0
 }
 
 fn main() {

@@ -22,7 +22,7 @@
 //!     [--sweep cores|iters|both] [--json]
 
 use hf_bench::{print_matrix, Args, NameCosts, Row};
-use hf_core::FrozenGraph;
+use hf_core::{device_placement, FrozenGraph, Plan};
 use hf_gpu::{CostModel, SimDuration};
 use hf_place::graph::{build_placement_graph, GraphConfig};
 use hf_place::mis::{make_priorities, mis_cpu};
@@ -62,9 +62,9 @@ fn seconds(graph: &FrozenGraph, setup: &Setup, cores: usize, gpus: u32) -> f64 {
     let m = Machine::new(cores, gpus)
         .with_cost(setup.cost_model)
         .with_mode(setup.mode);
-    let r = simulate(graph, &m, setup.costs.for_graph(graph))
-        .expect("valid graph and machine");
-    r.makespan_secs
+    let placement = device_placement(graph, gpus, &m.cost).expect("valid graph and machine");
+    let plan = Plan::from_placement(graph, placement, true);
+    simulate(graph, &plan, &m, setup.costs.for_graph(graph)).0.makespan_secs
 }
 
 fn main() {

@@ -15,9 +15,9 @@
 //! circuit size, per-host-task costs are *measured* from real single-core
 //! execution of the actual task bodies (then scaled to the paper's
 //! circuit sizes), and the `hf-sim` discrete-event model replays the
-//! graphs on virtual 1–40-core, 1–4-GPU machines using the real
-//! device-placement algorithm. See DESIGN.md for why this substitution
-//! preserves the curves' shapes.
+//! graphs on virtual 1–40-core, 1–4-GPU machines under the executor's
+//! plan: the real device-placement algorithm and task fusion. See
+//! DESIGN.md for why this substitution preserves the curves' shapes.
 
 pub mod cli;
 pub mod costs;

@@ -6,7 +6,6 @@
 //! applications" (Listing 11).
 
 use crate::graph::{Builder, Heteroflow, TaskKind};
-use crate::placement::device_placement;
 use std::collections::{BTreeMap, BTreeSet};
 
 fn escape(s: &str) -> String {
@@ -24,31 +23,16 @@ fn style(kind: TaskKind) -> &'static str {
 }
 
 /// The one emitter: every node once, then every edge. `decorate` may give
-/// a node a second label line and extra attributes; with `device_of`,
-/// host tasks stay at top level and GPU tasks sit in one cluster per
-/// device.
-fn emit(
-    b: &Builder,
-    decorate: &dyn Fn(usize) -> Option<(String, &'static str)>,
-    device_of: Option<&[Option<u32>]>,
-) -> String {
-    let node = |pad: &str, i: usize| {
+/// a node a second label line and extra attributes.
+fn emit(b: &Builder, decorate: &dyn Fn(usize) -> Option<(String, &'static str)>) -> String {
+    let mut out = format!("digraph \"{}\" {{\n  rankdir=TB;\n", escape(&b.name));
+    for (i, n) in b.nodes.iter().enumerate() {
         let (line, attrs) = match decorate(i) {
             Some((line, attrs)) => (format!("\\n{line}"), format!(", {attrs}")),
             None => Default::default(),
         };
-        let (name, style) = (escape(&b.nodes[i].name), style(b.nodes[i].work.kind()));
-        format!("{pad}n{i} [label=\"{name}{line}\", {style}{attrs}];\n")
-    };
-    let device = |i: usize| device_of.and_then(|d| d[i]);
-    let on = |d: Option<u32>| (0..b.nodes.len()).filter(move |&i| device(i) == d);
-    let mut out = format!("digraph \"{}\" {{\n  rankdir=TB;\n", escape(&b.name));
-    on(None).for_each(|i| out += &node("  ", i));
-    let devices: BTreeSet<u32> = (0..b.nodes.len()).filter_map(device).collect();
-    for d in devices {
-        out += &format!("  subgraph cluster_gpu{d} {{\n    label=\"GPU {d}\"; style=rounded;\n");
-        on(Some(d)).for_each(|i| out += &node("    ", i));
-        out += "  }\n";
+        let (name, style) = (escape(&n.name), style(n.work.kind()));
+        out += &format!("  n{i} [label=\"{name}{line}\", {style}{attrs}];\n");
     }
     for (i, n) in b.nodes.iter().enumerate() {
         out.extend(n.succ.iter().map(|s| format!("  n{i} -> n{s};\n")));
@@ -59,7 +43,7 @@ fn emit(
 impl Heteroflow {
     /// Renders the graph as a DOT digraph string.
     pub fn dump(&self) -> String {
-        emit(&self.shared.builder.lock(), &|_| None, None)
+        emit(&self.shared.builder.lock(), &|_| None)
     }
 
     /// Renders the graph as DOT with static-analysis findings overlaid
@@ -87,17 +71,7 @@ impl Heteroflow {
             };
             Some((Vec::from_iter(codes.iter().copied()).join(","), attrs))
         };
-        emit(&self.shared.builder.lock(), &decorate, None)
-    }
-
-    /// Renders the graph as DOT with GPU tasks grouped into one cluster
-    /// per device, as assigned by Algorithm 1 at the given GPU count —
-    /// shows where the scheduler would place every task.
-    pub fn dump_placed(&self, num_gpus: u32) -> Result<String, crate::HfError> {
-        let cost = hf_gpu::CostModel::default();
-        let placement = device_placement(&*self.freeze()?, num_gpus, &cost)?;
-        let b = self.shared.builder.lock();
-        Ok(emit(&b, &|_| None, Some(&placement.device_of)))
+        emit(&self.shared.builder.lock(), &decorate)
     }
 }
 
@@ -135,30 +109,6 @@ mod tests {
         let dot = g.dump();
         assert!(dot.contains("q\\\"uote"));
         assert!(dot.contains("na\\\"me"));
-    }
-
-    #[test]
-    fn dump_placed_clusters_by_device() {
-        let g = Heteroflow::new("placed");
-        let x: HostVec<u8> = HostVec::from_vec(vec![0; 1024]);
-        let h = g.host("host", || {});
-        for i in 0..4 {
-            let p = g.pull(&format!("p{i}"), &x);
-            let k = g.kernel(&format!("k{i}"), &[&p], |_, _| {});
-            h.precede(&p);
-            p.precede(&k);
-        }
-        let dot = g.dump_placed(2).expect("placeable");
-        assert!(dot.contains("cluster_gpu0"));
-        assert!(dot.contains("cluster_gpu1"));
-        assert!(dot.contains("\"host\""));
-        // All 9 tasks and 8 edges survive.
-        assert_eq!(dot.matches(" -> ").count(), 8);
-        assert_eq!(dot.matches('{').count(), dot.matches('}').count());
-        for i in 0..4 {
-            assert!(dot.contains(&format!("p{i}")));
-            assert!(dot.contains(&format!("k{i}")));
-        }
     }
 
     #[test]

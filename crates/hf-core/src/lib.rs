@@ -94,7 +94,7 @@ pub use retry::{OnDeviceLoss, RetryPolicy};
 pub use stats::StatsSnapshot;
 pub use stream::{Session, StreamConfig};
 pub use task::{AsTask, HostTask, KernelTask, PullTask, PushTask, TaskRef};
-pub use topology::{Completion, EpochFuture, RunFuture};
+pub use topology::{Completion, EpochFuture, Plan, RunFuture};
 
 // Re-export the GPU substrate types that appear in the public API.
 pub use hf_gpu::{GpuConfig, GpuRuntime, KernelArgs, LaunchConfig};

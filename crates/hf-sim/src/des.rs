@@ -1,15 +1,19 @@
 //! The discrete-event schedule simulator.
 //!
-//! Replays a [`FrozenGraph`] on a [`Machine`]: a work-conserving list
-//! schedule in which every task occupies one worker for its duration, and
-//! GPU tasks additionally serialize on their assigned device — exactly the
-//! execution style of the real executor, where a worker enqueues the op on
-//! its per-device stream and blocks on a completion event (Listing 13).
+//! Replays a [`FrozenGraph`] under the executor's [`Plan`] on a
+//! [`Machine`]: a work-conserving list schedule in which every host task
+//! occupies one worker for its duration and GPU work serializes on its
+//! assigned device, the execution style of the real executor. A ready
+//! chain head (§III-C "task fusing"; a lone GPU task is a chain of one)
+//! takes one worker for one dispatch, its ops run back to back on the
+//! device, and one completion callback releases the successors of every
+//! chain node when the last op finishes (Listing 13). Fused members never
+//! enter the ready queue.
 
 use crate::machine::{Machine, SchedulerMode};
 use crate::result::SimResult;
-use hf_core::placement::{device_placement, Placement, PlacementView};
-use hf_core::{FrozenGraph, HfError, TaskKind};
+use hf_core::placement::PlacementView;
+use hf_core::{FrozenGraph, Plan, TaskKind};
 use hf_gpu::SimDuration;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -44,81 +48,36 @@ pub struct SimSpan {
     pub start_ns: u64,
     /// Finish time (ns).
     pub finish_ns: u64,
-    /// Worker that ran (host) or dispatched (GPU, unified mode) the task;
-    /// `None` for GPU ops on a dedicated bound worker.
+    /// Worker that ran the task (host) or dispatched its chain (GPU,
+    /// unified mode); `None` for GPU ops on a dedicated bound worker.
     pub worker: Option<usize>,
 }
 
-/// Simulates one execution of `graph` on `machine`.
+/// Simulates one execution of `graph` under `plan` on `machine`, and
+/// returns its result with the schedule: one span per node, in dispatch
+/// order.
 ///
 /// `host_cost` supplies the modeled duration of each host task (GPU ops
-/// are costed by the machine's [`hf_gpu::CostModel`]). Placement is the
-/// real Algorithm 1 with no seeds, crediting whatever residency the
-/// frozen graph holds (none until it has run); [`simulate_placed`] takes
-/// any other.
-pub fn simulate(
-    graph: &FrozenGraph,
-    machine: &Machine,
-    host_cost: impl Fn(usize) -> SimDuration,
-) -> Result<SimResult, HfError> {
-    let placement = device_placement(graph, machine.gpus, &machine.cost)?;
-    Ok(simulate_placed(graph, machine, &placement, host_cost))
-}
-
-/// [`simulate`] that also returns the full schedule as spans.
-pub fn simulate_traced(
-    graph: &FrozenGraph,
-    machine: &Machine,
-    host_cost: impl Fn(usize) -> SimDuration,
-) -> Result<(SimResult, Vec<SimSpan>), HfError> {
-    let mut spans = Vec::with_capacity(graph.num_tasks());
-    let placement = device_placement(graph, machine.gpus, &machine.cost)?;
-    let r = simulate_impl(graph, machine, &placement, &host_cost, Some(&mut spans));
-    Ok((r, spans))
-}
-
-/// [`simulate`] under a placement the caller computed — the seam through
-/// which packing strategies other than the executor's are evaluated.
+/// are costed by the machine's [`hf_gpu::CostModel`]). The plan is the
+/// caller's: [`Plan::from_placement`] over
+/// [`hf_core::placement::device_placement`] is the executor's own
+/// decision on an idle machine, fused or not as its `task_fusion`
+/// setting; a plan over any other placement replays the same way.
 ///
 /// # Panics
-/// If `placement` was not computed for `graph` on `machine.gpus` devices.
-pub fn simulate_placed(
+/// If `plan` does not fit `graph` on `machine.gpus` devices.
+pub fn simulate(
     graph: &FrozenGraph,
+    plan: &Plan,
     machine: &Machine,
-    placement: &Placement,
     host_cost: impl Fn(usize) -> SimDuration,
-) -> SimResult {
-    simulate_impl(graph, machine, placement, &host_cost, None)
-}
-
-fn simulate_impl(
-    graph: &FrozenGraph,
-    machine: &Machine,
-    placement: &Placement,
-    host_cost: &dyn Fn(usize) -> SimDuration,
-    mut trace: Option<&mut Vec<SimSpan>>,
-) -> SimResult {
+) -> (SimResult, Vec<SimSpan>) {
     let n = graph.num_tasks();
+    let device_of = &plan.placement().device_of;
     assert!(
-        placement.device_of.len() == n
-            && placement
-                .device_of
-                .iter()
-                .flatten()
-                .all(|&d| d < machine.gpus),
-        "placement does not fit the graph and machine"
+        device_of.len() == n && device_of.iter().flatten().all(|&d| d < machine.gpus),
+        "plan does not fit the graph and machine"
     );
-
-    if n == 0 {
-        return SimResult::new(
-            SimDuration::ZERO,
-            SimDuration::ZERO,
-            vec![SimDuration::ZERO; machine.gpus as usize],
-            0,
-            machine.cores,
-            machine.gpus,
-        );
-    }
 
     // In dedicated mode, one worker is bound to each GPU; CPU tasks use
     // the rest. Unified mode: all workers do everything.
@@ -141,108 +100,117 @@ fn simulate_impl(
 
     // Dependency bookkeeping.
     let mut indeg: Vec<usize> = (0..n).map(|i| graph.num_deps(i)).collect();
-    // Ready FIFO (ids became ready at `ready_at`).
+    // Ready FIFO of host tasks and chain heads (ids became ready at
+    // `ready_at`).
     let mut ready: VecDeque<(usize, u64)> = graph.sources().iter().map(|&i| (i, 0u64)).collect();
-    // Completion events: (finish_time, node) min-heap.
+    // Completion events: (finish_time, host task or chain head) min-heap.
     let mut completions: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
 
+    let mut spans = Vec::with_capacity(n);
+    let span = |id: usize, device, start_ns, finish_ns, worker| SimSpan {
+        node: id,
+        name: graph.task_name(id).to_owned(),
+        device,
+        start_ns,
+        finish_ns,
+        worker,
+    };
     let mut makespan = 0u64;
-    let mut executed = 0usize;
 
     loop {
         // Assign every currently ready task.
-        while let Some((id, ready_at)) = ready.pop_front() {
-            let dur = node_duration(graph, id, machine, &host_cost).as_nanos();
-            let dev = placement.device_of[id];
-            let is_gpu = dev.is_some();
-
-            let (span_start, finish, ran_on) = if dedicated && is_gpu {
-                // GPU ops run on the device's bound worker: serialize on
-                // the device timeline only.
-                let d = dev.expect("is_gpu") as usize;
-                let start = ready_at.max(dev_free[d]);
-                let fin = start + dur;
-                dev_free[d] = fin;
-                dev_busy[d] += SimDuration::from_nanos(dur);
-                (start, fin, None)
-            } else {
-                // Occupy the earliest-free worker...
-                let Reverse((wt, w)) = workers.pop().expect("worker pool non-empty");
-                let start = ready_at.max(wt);
-                match dev {
-                    Some(d) => {
-                        // Asynchronous dispatch: the worker only pays the
-                        // enqueue overhead; the op serializes on the
-                        // device and its completion callback releases the
-                        // successors (the real executor's Listing 13
-                        // pattern).
-                        let overhead = machine.dispatch_overhead.as_nanos();
-                        let d = d as usize;
-                        let op_start = (start + overhead).max(dev_free[d]);
-                        let fin = op_start + dur;
-                        dev_free[d] = fin;
-                        dev_busy[d] += SimDuration::from_nanos(dur);
-                        cpu_busy += SimDuration::from_nanos(overhead);
-                        workers.push(Reverse((start + overhead, w)));
-                        (op_start, fin, Some(w))
+        while let Some((head, ready_at)) = ready.pop_front() {
+            let finish = match device_of[head] {
+                None => {
+                    // Occupy the earliest-free worker for the whole task.
+                    let dur = node_duration(graph, head, machine, &host_cost);
+                    let Reverse((wt, w)) = workers.pop().expect("worker pool non-empty");
+                    let start = ready_at.max(wt);
+                    let fin = start + dur.as_nanos();
+                    cpu_busy += dur;
+                    workers.push(Reverse((fin, w)));
+                    spans.push(span(head, None, start, fin, Some(w)));
+                    fin
+                }
+                Some(d) => {
+                    // Dedicated mode: the device's bound worker dispatches,
+                    // so the chain serializes on the device timeline only.
+                    // Unified mode: the earliest-free worker pays one
+                    // enqueue overhead for the whole chain.
+                    let (mut t, worker) = if dedicated {
+                        (ready_at, None)
+                    } else {
+                        let overhead = machine.dispatch_overhead;
+                        let Reverse((wt, w)) = workers.pop().expect("worker pool non-empty");
+                        let dispatched = ready_at.max(wt) + overhead.as_nanos();
+                        cpu_busy += overhead;
+                        workers.push(Reverse((dispatched, w)));
+                        (dispatched, Some(w))
+                    };
+                    let d = d as usize;
+                    for id in plan.chain(head) {
+                        let dur = node_duration(graph, id, machine, &host_cost);
+                        let start = t.max(dev_free[d]);
+                        t = start + dur.as_nanos();
+                        dev_free[d] = t;
+                        dev_busy[d] += dur;
+                        spans.push(span(id, Some(d as u32), start, t, worker));
                     }
-                    None => {
-                        let fin = start + dur;
-                        cpu_busy += SimDuration::from_nanos(dur);
-                        workers.push(Reverse((fin, w)));
-                        (start, fin, Some(w))
-                    }
+                    t
                 }
             };
-
-            if let Some(spans) = trace.as_deref_mut() {
-                spans.push(SimSpan {
-                    node: id,
-                    name: graph.task_name(id).to_owned(),
-                    device: dev,
-                    start_ns: span_start,
-                    finish_ns: finish,
-                    worker: ran_on,
-                });
-            }
-            completions.push(Reverse((finish, id)));
+            completions.push(Reverse((finish, head)));
             makespan = makespan.max(finish);
-            executed += 1;
         }
 
-        // Advance to the next completion and release its successors.
-        match completions.pop() {
-            None => break,
-            Some(Reverse((t, id))) => {
-                for &s in graph.successors(id) {
-                    let s = s as usize;
-                    indeg[s] -= 1;
-                    if indeg[s] == 0 {
-                        ready.push_back((s, t));
-                    }
+        // Advance to the next completion and release the successors of
+        // every node it finished; a fused member is released by its
+        // chain, never by the queue.
+        let Some(Reverse((t, head))) = completions.pop() else {
+            break;
+        };
+        for id in plan.chain(head) {
+            for &s in graph.successors(id) {
+                let s = s as usize;
+                indeg[s] -= 1;
+                if indeg[s] == 0 && !plan.is_member(s) {
+                    ready.push_back((s, t));
                 }
             }
         }
     }
 
-    SimResult::new(
+    let result = SimResult::new(
         SimDuration::from_nanos(makespan),
         cpu_busy,
         dev_busy,
-        executed,
+        spans.len(),
         machine.cores,
         machine.gpus,
-    )
+    );
+    (result, spans)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hf_core::data::HostVec;
+    use hf_core::placement::device_placement;
     use hf_core::Heteroflow;
     use std::sync::Arc;
 
     const MS: u64 = 1_000_000;
+
+    /// `graph` under the executor's default plan for an idle `machine`.
+    fn simulate(
+        graph: &FrozenGraph,
+        machine: &Machine,
+        host_cost: impl Fn(usize) -> SimDuration,
+    ) -> SimResult {
+        let placement = device_placement(graph, machine.gpus, &machine.cost).expect("placeable");
+        let plan = Plan::from_placement(graph, placement, true);
+        super::simulate(graph, &plan, machine, host_cost).0
+    }
 
     fn host_chain(n: usize) -> Arc<FrozenGraph> {
         let g = Heteroflow::new("chain");
@@ -270,7 +238,7 @@ mod tests {
         let graph = host_chain(10);
         for cores in [1, 4, 40] {
             let m = Machine::new(cores, 0);
-            let r = simulate(&graph, &m, |_| SimDuration::from_millis(1)).unwrap();
+            let r = simulate(&graph, &m, |_| SimDuration::from_millis(1));
             assert_eq!(r.makespan().as_nanos(), 10 * MS, "cores={cores}");
         }
     }
@@ -278,12 +246,11 @@ mod tests {
     #[test]
     fn fanout_scales_linearly() {
         let graph = host_fanout(40);
-        let t1 = simulate(&graph, &Machine::new(1, 0), |_| SimDuration::from_millis(1)).unwrap();
-        let t4 = simulate(&graph, &Machine::new(4, 0), |_| SimDuration::from_millis(1)).unwrap();
+        let t1 = simulate(&graph, &Machine::new(1, 0), |_| SimDuration::from_millis(1));
+        let t4 = simulate(&graph, &Machine::new(4, 0), |_| SimDuration::from_millis(1));
         let t40 = simulate(&graph, &Machine::new(40, 0), |_| {
             SimDuration::from_millis(1)
-        })
-        .unwrap();
+        });
         assert_eq!(t1.makespan().as_nanos(), 40 * MS);
         assert_eq!(t4.makespan().as_nanos(), 10 * MS);
         assert_eq!(t40.makespan().as_nanos(), MS);
@@ -307,8 +274,8 @@ mod tests {
     #[test]
     fn gpu_bound_work_scales_with_gpus() {
         let graph = kernel_groups(8);
-        let r1 = simulate(&graph, &Machine::new(16, 1), |_| SimDuration::ZERO).unwrap();
-        let r4 = simulate(&graph, &Machine::new(16, 4), |_| SimDuration::ZERO).unwrap();
+        let r1 = simulate(&graph, &Machine::new(16, 1), |_| SimDuration::ZERO);
+        let r4 = simulate(&graph, &Machine::new(16, 4), |_| SimDuration::ZERO);
         let speedup = r1.makespan_secs / r4.makespan_secs;
         assert!(speedup > 3.0, "expected ~4x GPU scaling, got {speedup:.2}");
     }
@@ -328,14 +295,12 @@ mod tests {
             g.host(&format!("h{i}"), || {});
         }
         let graph = g.freeze().unwrap();
-        let unified =
-            simulate(&graph, &Machine::new(4, 2), |_| SimDuration::from_millis(1)).unwrap();
+        let unified = simulate(&graph, &Machine::new(4, 2), |_| SimDuration::from_millis(1));
         let dedicated = simulate(
             &graph,
             &Machine::new(4, 2).with_mode(SchedulerMode::DedicatedGpuWorkers),
             |_| SimDuration::from_millis(1),
-        )
-        .unwrap();
+        );
         // 32 ms of CPU work over 4 vs 2 usable workers: ~8 ms vs ~16 ms.
         assert!(
             dedicated.makespan_secs > 1.5 * unified.makespan_secs,
@@ -349,15 +314,9 @@ mod tests {
     fn empty_graph() {
         let g = Heteroflow::new("e");
         let graph = g.freeze().unwrap();
-        let r = simulate(&graph, &Machine::new(2, 1), |_| SimDuration::ZERO).unwrap();
+        let r = simulate(&graph, &Machine::new(2, 1), |_| SimDuration::ZERO);
         assert_eq!(r.tasks, 0);
         assert_eq!(r.makespan_secs, 0.0);
-    }
-
-    #[test]
-    fn gpu_graph_no_gpus_errors() {
-        let graph = kernel_groups(1);
-        assert!(simulate(&graph, &Machine::new(2, 0), |_| { SimDuration::ZERO }).is_err());
     }
 
     /// Makespan is never below the critical-path bound nor below the
@@ -367,7 +326,7 @@ mod tests {
         let graph = host_chain(5);
         let per = SimDuration::from_millis(2);
         let m = Machine::new(3, 0);
-        let r = simulate(&graph, &m, |_| per).unwrap();
+        let r = simulate(&graph, &m, |_| per);
         let total = 5 * per.as_nanos();
         let cp = 5 * per.as_nanos();
         assert!(r.makespan().as_nanos() >= cp);

@@ -26,10 +26,10 @@ pub struct Machine {
     pub cost: CostModel,
     /// Scheduler style.
     pub mode: SchedulerMode,
-    /// Worker-side cost of dispatching one asynchronous GPU op
-    /// (enqueue + completion-callback bookkeeping). GPU tasks occupy a
-    /// worker only this long; the op itself runs on the device and
-    /// releases successors on completion, as in the real executor.
+    /// Worker-side cost of dispatching one GPU chain, a lone op or a
+    /// fused run of them (enqueue + completion-callback bookkeeping). A
+    /// chain occupies a worker only this long; its ops run on the device
+    /// and release successors on completion, as in the real executor.
     pub dispatch_overhead: hf_gpu::SimDuration,
 }
 

@@ -1,8 +1,9 @@
 //! Property-based tests of the discrete-event model.
 
-use hf_core::Heteroflow;
+use hf_core::placement::Placement;
+use hf_core::{Heteroflow, Plan};
 use hf_gpu::SimDuration;
-use hf_sim::{simulate, simulate_traced, Machine};
+use hf_sim::{simulate, Machine};
 use proptest::prelude::*;
 
 /// Random layered host-task DAG (acyclic by construction).
@@ -22,6 +23,11 @@ fn random_graph(n: usize, seed: &[u8]) -> std::sync::Arc<hf_core::FrozenGraph> {
     g.freeze().expect("acyclic")
 }
 
+/// The plan of a host-only graph: nothing placed, nothing fused.
+fn host_plan(graph: &hf_core::FrozenGraph) -> Plan {
+    Plan::from_placement(graph, Placement::from_bins(graph, &[], &[], 0), true)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -37,11 +43,7 @@ proptest! {
     ) {
         let graph = random_graph(n, &seed);
         let cost_of = |id: usize| SimDuration::from_micros(costs[id % costs.len()]);
-        let (result, spans) = simulate_traced(
-            &graph,
-            &Machine::new(cores, 0),
-            cost_of,
-        ).expect("simulates");
+        let (result, spans) = simulate(&graph, &host_plan(&graph), &Machine::new(cores, 0), cost_of);
 
         let total: u64 = (0..n).map(|i| cost_of(i).as_nanos()).sum();
         let makespan = result.makespan().as_nanos();
@@ -90,12 +92,10 @@ proptest! {
         seed in proptest::collection::vec(any::<u8>(), 8..32),
     ) {
         let graph = random_graph(n, &seed);
+        let plan = host_plan(&graph);
         let run = |cores: usize| {
-            simulate(
-                &graph,
-                &Machine::new(cores, 0),
-                |_| SimDuration::from_micros(100),
-            ).expect("simulates").makespan_secs
+            let (r, _) = simulate(&graph, &plan, &Machine::new(cores, 0), |_| SimDuration::from_micros(100));
+            r.makespan_secs
         };
         let serial = run(1);
         let mut prev = serial;

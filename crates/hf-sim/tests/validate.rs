@@ -1,9 +1,15 @@
 //! Cross-validation: the discrete-event model must agree with the real
 //! executor where they are comparable (single worker, known task costs).
 
-use hf_core::{Executor, Heteroflow};
+use hf_core::placement::Placement;
+use hf_core::{Executor, FrozenGraph, Heteroflow, Plan};
 use hf_gpu::SimDuration;
 use hf_sim::{simulate, Machine};
+
+/// The plan of a host-only graph: nothing placed, nothing fused.
+fn host_plan(graph: &FrozenGraph) -> Plan {
+    Plan::from_placement(graph, Placement::from_bins(graph, &[], &[], 0), true)
+}
 use std::time::{Duration, Instant};
 
 /// A chain and a fan of spin-wait tasks, executed for real on one worker
@@ -36,10 +42,9 @@ fn sim_matches_real_single_core_makespan() {
 
     // Simulated execution with the known per-task cost.
     let graph = g.freeze().unwrap();
-    let r = simulate(&graph, &Machine::new(1, 0), |_| {
+    let (r, _) = simulate(&graph, &host_plan(&graph), &Machine::new(1, 0), |_| {
         SimDuration::from_millis(TASK_MS)
-    })
-    .unwrap();
+    });
 
     let modeled = r.makespan_secs;
     let expected = (N as u64 * TASK_MS) as f64 / 1e3;
@@ -64,10 +69,9 @@ fn sim_conserves_work() {
     d.succeed(&b).succeed(&c);
     let graph = g.freeze().unwrap();
     for cores in [1, 2, 3, 8] {
-        let r = simulate(&graph, &Machine::new(cores, 0), |i| {
+        let (r, _) = simulate(&graph, &host_plan(&graph), &Machine::new(cores, 0), |i| {
             SimDuration::from_millis((i as u64 + 1) * 2)
-        })
-        .unwrap();
+        });
         let total: f64 = (0..4).map(|i| ((i + 1) * 2) as f64 / 1e3).sum();
         assert!(
             (r.cpu_busy_secs - total).abs() < 1e-9,

@@ -226,12 +226,11 @@ mod tests {
         let graph = g.freeze().unwrap();
 
         let machine = Machine::new(2, 1);
-        let (_res, sim) = hf_sim::simulate_traced(
-            &graph,
-            &machine,
-            |_| hf_gpu::SimDuration::from_nanos(1_000),
-        )
-        .expect("simulates");
+        let placement = hf_core::device_placement(&*graph, 1, &machine.cost).expect("placeable");
+        let plan = hf_core::Plan::from_placement(&graph, placement, true);
+        let (_res, sim) = hf_sim::simulate(&graph, &plan, &machine, |_| {
+            hf_gpu::SimDuration::from_nanos(1_000)
+        });
         let spans = spans_from_sim(&graph, &sim);
         assert_eq!(spans.len(), 3);
         let kspan = spans.iter().find(|s| s.name == "k").unwrap();

@@ -3,11 +3,18 @@
 
 use heteroflow::place::{detailed_place, detailed_place_sequential, PlaceConfig};
 use heteroflow::prelude::*;
+use heteroflow::core::{device_placement, Plan};
 use heteroflow::sim::{simulate, Machine};
 use heteroflow::timing::correlation::{run_correlation, CorrelationConfig};
 use heteroflow::timing::views::make_views;
 use heteroflow::timing::{Circuit, CircuitConfig};
 use std::sync::Arc;
+
+/// The executor's plan for `graph` on an idle `machine`, fused or not.
+fn plan(graph: &FrozenGraph, machine: &Machine, fusion: bool) -> Plan {
+    let placement = device_placement(graph, machine.gpus, &machine.cost).expect("placeable");
+    Plan::from_placement(graph, placement, fusion)
+}
 
 #[test]
 fn timing_correlation_end_to_end() {
@@ -104,18 +111,14 @@ fn sim_and_real_agree_on_application_graph() {
     // Simulated run with the measured gen cost (other host tasks are
     // negligible here).
     let frozen = built.graph.freeze().expect("acyclic");
-    let r = simulate(
-        &frozen,
-        &Machine::new(1, 1),
-        |id| {
-            if frozen.task_name(id).starts_with("gen_v") {
-                gen_cost
-            } else {
-                heteroflow::gpu::SimDuration::from_micros(20)
-            }
-        },
-    )
-    .expect("simulates");
+    let machine = Machine::new(1, 1);
+    let (r, _) = simulate(&frozen, &plan(&frozen, &machine, true), &machine, |id| {
+        if frozen.task_name(id).starts_with("gen_v") {
+            gen_cost
+        } else {
+            heteroflow::gpu::SimDuration::from_micros(20)
+        }
+    });
 
     // The model has no thread/dispatch noise; require agreement within
     // 10x in both directions (typically much closer) to catch gross
@@ -131,10 +134,13 @@ fn sim_and_real_agree_on_application_graph() {
 /// The simulated makespans of both application graphs are pinned to the
 /// nanosecond at fixed host costs and the default cost model, so any
 /// change to what the simulator reads off the frozen graph (task kinds,
-/// edges, byte counts, kernel pricing, placement) shows here. The
-/// expected values were produced by the structural-snapshot simulator
-/// this one replaced, with the Fig 5 dataset bytes patched in by task
-/// name; replaying the frozen graph gives the same nanoseconds.
+/// edges, byte counts, kernel pricing, placement) or to how it charges a
+/// plan shows here. Each graph is pinned under its unfused plan and its
+/// fused one. The unfused values were produced by the structural-snapshot
+/// simulator that predates the frozen graph, with the Fig 5 dataset bytes
+/// patched in by task name, and by the simulator that placed graphs
+/// itself and modeled no fusion; replaying the unfused plan gives the
+/// same nanoseconds.
 #[test]
 fn simulated_application_makespans_are_pinned() {
     use heteroflow::gpu::SimDuration;
@@ -167,8 +173,14 @@ fn simulated_application_makespans_are_pinned() {
         .set("gen_v", ms(30))
         .set("stats_v", us(10))
         .set("report", us(50));
-    let r = simulate(&fig5, &machine, costs.for_graph(&fig5)).expect("simulates");
-    assert_eq!(r.makespan().as_nanos(), 30_278_740);
+    let makespans = |graph: &FrozenGraph, costs: &NameCosts| {
+        [false, true].map(|fusion| {
+            let plan = plan(graph, &machine, fusion);
+            let (r, _) = simulate(graph, &plan, &machine, costs.for_graph(graph));
+            r.makespan().as_nanos()
+        })
+    };
+    assert_eq!(makespans(&fig5, &costs), [30_278_740, 30_278_740]);
 
     // Fig 8, 3 iterations.
     let db = heteroflow::place::PlacementDb::synthesize(&heteroflow::place::PlacementConfig {
@@ -187,6 +199,5 @@ fn simulated_application_makespans_are_pinned() {
         .set("partition", ms(4))
         .set("match", ms(2))
         .set("apply", us(700));
-    let r = simulate(&fig8, &machine, costs.for_graph(&fig8)).expect("simulates");
-    assert_eq!(r.makespan().as_nanos(), 20_713_501);
+    assert_eq!(makespans(&fig8, &costs), [20_713_501, 20_583_501]);
 }
