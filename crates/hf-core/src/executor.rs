@@ -26,15 +26,16 @@
 //!   (placement + fusion; see `graph::SchedCache`).
 
 use crate::error::HfError;
-use crate::graph::{FrozenGraph, Heteroflow, SchedCache};
+use crate::graph::Heteroflow;
 use crate::lifecycle::{lifecycle_now_ns, LifecycleEvent, LifecyclePhase};
 use crate::observer::ExecutorObserver;
-use crate::placement::{PlaceInput, PlacementView};
+use crate::placement::PlacementView;
+use crate::plan::Route;
 use crate::ready::ReadyBatch;
 use crate::registry::{Token, TopoRegistry};
 use crate::retry::RetryPolicy;
 use crate::stats::ExecutorStats;
-use crate::topology::{Plan, Route, RunFuture, Topology};
+use crate::topology::{RunFuture, Topology};
 use hf_gpu::{GpuConfig, GpuRuntime};
 use hf_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use hf_sync::sync::{Condvar, Mutex};
@@ -174,101 +175,6 @@ impl ExecInner {
     /// Which devices are lost right now: the mask a plan is made against.
     pub(crate) fn lost_devices(&self) -> Vec<bool> {
         self.gpu.devices().iter().map(|d| d.is_lost()).collect()
-    }
-
-    /// The one maker of a [`Plan`]: the one call into
-    /// [`crate::placement::place`], then [`Plan::new`] fusing within
-    /// `active`. Placement is fed the seeds recorded for the graph (none
-    /// on an executor nobody seeded) next to the residency the frozen
-    /// graph itself reports. Devices marked in `lost` are masked out and
-    /// counted once each in `devices_lost`; groups of `prev` (a previous
-    /// `device_of`; empty places everything) on a surviving device stay.
-    ///
-    /// Only a first placement on a healthy executor reads and updates the
-    /// decayed cross-graph load — with a device lost it may describe dead
-    /// hardware, and a re-placement adds no new work — and only such a
-    /// plan is cached, on the frozen graph, under `(executor, seed
-    /// generation)`. A hit returns the cached plan and re-applies the
-    /// load it added to the decayed bias.
-    pub(crate) fn plan(
-        &self,
-        frozen: &FrozenGraph,
-        lost: &[bool],
-        prev: &[Option<u32>],
-        active: Option<&[bool]>,
-    ) -> Result<Arc<Plan>, HfError> {
-        for (d, &l) in lost.iter().enumerate() {
-            if l && !self.lost_seen[d].swap(true, Ordering::Relaxed) {
-                self.stats.devices_lost.incr();
-            }
-        }
-        let first = prev.is_empty();
-        let biased = first && !lost.contains(&true);
-        // Read before the seeds: one seeded during placement re-plans.
-        let key = (self.id, self.cost_db.generation());
-        if biased {
-            let cache = frozen.plan_cache.lock();
-            if let Some(c) = cache.as_ref().filter(|c| (c.exec_id, c.seeds) == key) {
-                self.stats.topo_cache_hits.incr();
-                // Keep the cross-graph bias fresh: decay, then re-apply
-                // this graph's own modeled load.
-                let mut dl = self.device_load.lock();
-                for (l, own) in dl.iter_mut().zip(&c.own_loads) {
-                    *l = *l * 0.5 + own;
-                }
-                return Ok(Arc::clone(&c.plan));
-            }
-        }
-        if first {
-            self.stats.topo_cache_misses.incr();
-        }
-        let seeds = Some(self.cost_db.snapshot_for(frozen.name())).filter(|s| !s.is_empty());
-        let cost = self
-            .gpu
-            .devices()
-            .first()
-            .map(|d| d.cost_model())
-            .unwrap_or_default();
-        let mut bias = biased.then(|| self.device_load.lock());
-        if let Some(dl) = &mut bias {
-            dl.iter_mut().for_each(|l| *l *= 0.5);
-        }
-        let input = PlaceInput {
-            lost,
-            initial_loads: bias.as_deref().map_or(&[], Vec::as_slice),
-            prev,
-            refined: seeds.as_ref(),
-        };
-        let placement = crate::placement::place(frozen, &cost, &input)?;
-        let own_loads = bias.map(|mut dl| {
-            let own = placement
-                .loads
-                .iter()
-                .zip(dl.iter())
-                .map(|(l, b)| l - b)
-                .collect();
-            dl.copy_from_slice(&placement.loads);
-            own
-        });
-        if placement.warm_hits > 0 {
-            self.stats.placement_warm_hits.add(placement.warm_hits);
-        }
-        if placement.est_bytes_saved > 0 {
-            self.stats
-                .placement_est_bytes_saved
-                .add(placement.est_bytes_saved);
-        }
-        self.stats.placement_imbalance.set(placement.imbalance());
-        let plan = Arc::new(Plan::new(frozen, placement, self.fusion, active));
-        if let Some(own_loads) = own_loads {
-            *frozen.plan_cache.lock() = Some(SchedCache {
-                exec_id: key.0,
-                seeds: key.1,
-                plan: Arc::clone(&plan),
-                own_loads,
-            });
-        }
-        Ok(plan)
     }
 }
 

@@ -214,7 +214,7 @@ pub struct FrozenGraph {
     epoch: u64,
     /// The plan last made for this graph version on a healthy executor
     /// (one entry: a second executor simply evicts it).
-    pub(crate) plan_cache: Mutex<Option<SchedCache>>,
+    pub(crate) plan_cache: Mutex<Option<crate::plan::SchedCache>>,
 }
 
 pub(crate) struct FrozenNode {
@@ -329,22 +329,6 @@ pub(crate) struct RunState {
     pub(crate) active: bool,
     /// Runs waiting for the active one to finish, in submission order.
     pub(crate) queued: std::collections::VecDeque<Arc<crate::stream::EpochDriver>>,
-}
-
-/// A cached [`crate::topology::Plan`]. It lives on the frozen snapshot
-/// of one builder epoch and is valid for the executor and seed generation
-/// it records: its key is `(executor, epoch, seed generation)`.
-pub(crate) struct SchedCache {
-    /// Identity of the executor the plan was made for (device count,
-    /// cost model and fusion flag are per-executor).
-    pub(crate) exec_id: u64,
-    /// The executor's seed generation when the plan was made.
-    pub(crate) seeds: u64,
-    pub(crate) plan: Arc<crate::topology::Plan>,
-    /// This graph's own modeled load per device (placement loads minus
-    /// the bias snapshot they were computed against), re-applied to the
-    /// executor's decaying device-load estimate on cache hits.
-    pub(crate) own_loads: Vec<f64>,
 }
 
 pub(crate) struct GraphShared {

@@ -68,6 +68,7 @@ pub mod graph;
 pub mod lifecycle;
 pub mod observer;
 pub mod placement;
+pub(crate) mod plan;
 pub mod prelude;
 pub(crate) mod ready;
 pub(crate) mod recovery;
@@ -90,11 +91,12 @@ pub use graph::{FrozenGraph, Heteroflow, TaskKind};
 pub use lifecycle::{lifecycle_now_ns, LifecycleEvent, LifecyclePhase};
 pub use observer::{ExecutorObserver, SpanCat, TraceCollector, TraceSpan, Track};
 pub use placement::{device_placement, place, PlaceInput, Placement};
+pub use plan::Plan;
 pub use retry::{OnDeviceLoss, RetryPolicy};
 pub use stats::StatsSnapshot;
 pub use stream::{Session, StreamConfig};
 pub use task::{AsTask, HostTask, KernelTask, PullTask, PushTask, TaskRef};
-pub use topology::{Completion, EpochFuture, Plan, RunFuture};
+pub use topology::{Completion, EpochFuture, RunFuture};
 
 // Re-export the GPU substrate types that appear in the public API.
 pub use hf_gpu::{GpuConfig, GpuRuntime, KernelArgs, LaunchConfig};

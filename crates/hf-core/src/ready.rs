@@ -2,8 +2,9 @@
 
 use crate::executor::ExecInner;
 use crate::lifecycle::LifecyclePhase;
+use crate::plan::Route;
 use crate::registry::{pack, Token};
-use crate::topology::{Route, Topology};
+use crate::topology::Topology;
 use crate::worker::Local;
 use hf_sync::atomic::Ordering;
 use std::sync::Arc;

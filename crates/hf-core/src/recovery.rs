@@ -4,9 +4,10 @@ use crate::error::HfError;
 use crate::executor::ExecInner;
 use crate::graph::TaskKind;
 use crate::lifecycle::LifecyclePhase;
+use crate::plan::Route;
 use crate::ready::ReadyBatch;
 use crate::retry::OnDeviceLoss;
-use crate::topology::{Route, Topology};
+use crate::topology::Topology;
 use crate::worker::Local;
 use hf_gpu::GpuError;
 use hf_sync::atomic::Ordering;

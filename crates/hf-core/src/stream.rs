@@ -39,9 +39,9 @@ use crate::error::HfError;
 use crate::executor::{ExecInner, Executor};
 use crate::graph::{FrozenGraph, GraphShared, Heteroflow, PullState, TaskKind};
 use crate::lifecycle::{LifecycleEvent, LifecyclePhase};
+use crate::plan::Plan;
 use crate::topology::{
-    Completion, EpochCtx, EpochFuture, EpochGate, InputGuard, Plan, PrologueTrack, RunFuture,
-    Topology,
+    Completion, EpochCtx, EpochFuture, EpochGate, InputGuard, PrologueTrack, RunFuture, Topology,
 };
 use hf_sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use hf_sync::sync::{Condvar, Mutex};

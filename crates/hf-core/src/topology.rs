@@ -24,8 +24,8 @@
 //! [`crate::EpochFuture`] are names for it.
 
 use crate::error::HfError;
-use crate::graph::{FrozenGraph, PullState, TaskKind};
-use crate::placement::Placement;
+use crate::graph::{FrozenGraph, PullState};
+use crate::plan::Plan;
 use hf_sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use hf_sync::sync::{Condvar, Mutex};
 use hf_sync::CachePadded;
@@ -510,154 +510,6 @@ impl Topology {
     }
 }
 
-/// The scheduler's decision for one graph version, made before any task
-/// runs: device placement (Algorithm 1), then the fusion chains for it
-/// (§III-B/C). Both parts are held by value, so a pass reads either
-/// through its one `Arc<Plan>`. The executor's `ExecInner::plan` makes
-/// every plan the executor places, and the epoch driver re-fuses one
-/// under its body mask; outside the executor, [`Plan::from_placement`]
-/// makes the same value from a placement the caller computed, which is
-/// what the `hf-sim` performance model replays.
-pub struct Plan {
-    pub(crate) placement: Placement,
-    pub(crate) fusion: FusionPlan,
-}
-
-/// Where a ready node goes (`ReadyBatch`): a host task to a deque or the
-/// injector, a GPU chain head to the device-ready queue, a member nowhere.
-#[derive(Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub(crate) enum Route {
-    Host,
-    Device,
-    Fused,
-}
-
-impl Plan {
-    /// `placement` with its fusion chains, restricted to `active` (see
-    /// [`FusionPlan::compute`]); no chains when fusion is off.
-    pub(crate) fn new(
-        frozen: &FrozenGraph,
-        placement: Placement,
-        fusion_enabled: bool,
-        active: Option<&[bool]>,
-    ) -> Self {
-        let fusion = FusionPlan::compute(frozen, &placement, fusion_enabled, active);
-        Self { placement, fusion }
-    }
-
-    /// The plan an executor with task fusion set to `fusion` runs
-    /// `frozen` under when it places it as `placement`: the same chains,
-    /// fused by the same rule.
-    ///
-    /// # Panics
-    /// With "placement was not computed for this graph" when `placement`
-    /// does not give a device to exactly the pulls, pushes and kernels
-    /// of `frozen`.
-    pub fn from_placement(frozen: &FrozenGraph, placement: Placement, fusion: bool) -> Self {
-        let on_cpu = |i: usize| matches!(frozen.kind(i), TaskKind::Host | TaskKind::Placeholder);
-        let fits = placement.device_of.len() == frozen.num_tasks()
-            && placement
-                .device_of
-                .iter()
-                .enumerate()
-                .all(|(i, d)| d.is_some() != on_cpu(i));
-        assert!(fits, "placement was not computed for this graph");
-        Self::new(frozen, placement, fusion, None)
-    }
-
-    /// The device placement the plan runs under.
-    pub fn placement(&self) -> &Placement {
-        &self.placement
-    }
-
-    /// `head`, then every member fused behind it, in dispatch order; just
-    /// `head` when nothing is.
-    pub fn chain(&self, head: usize) -> impl Iterator<Item = usize> + '_ {
-        self.fusion.chain(head)
-    }
-
-    /// True when `node` runs fused behind a chain head: it is never
-    /// dispatched on its own, and its successors are released when the
-    /// whole chain finishes.
-    pub fn is_member(&self, node: usize) -> bool {
-        self.fusion.route[node] == Route::Fused
-    }
-}
-
-/// Precomputed GPU task-fusion chains (§III-C "task fusing"): a pure
-/// function of (frozen graph, placement, fusion flag, mask), built only
-/// as part of a [`Plan`].
-pub(crate) struct FusionPlan {
-    /// `next[v]` chains v to a GPU successor dispatched on the same
-    /// stream submission; members of a chain (non-heads) are never
-    /// scheduled individually.
-    pub(crate) next: Vec<Option<u32>>,
-    /// Which queue each node takes once ready: one byte per node, the one
-    /// the release path reads per successor (members are `Fused`).
-    pub(crate) route: Vec<Route>,
-}
-
-impl FusionPlan {
-    /// `head`, then every member fused behind it, in dispatch order.
-    pub(crate) fn chain(&self, head: usize) -> impl Iterator<Item = usize> + '_ {
-        std::iter::successors(Some(head), |&n| self.next[n].map(|m| m as usize))
-    }
-
-    /// Identifies fusible GPU chains: node `v` fuses to its successor `w`
-    /// when `v` is a GPU task, `w` is a *kernel or push* task whose only
-    /// dependency is `v`, and both are placed on the same device. Pull
-    /// tasks are never fused as members (their device allocation sizes
-    /// bind at dispatch time and must observe their host-side
-    /// predecessors).
-    ///
-    /// `active` restricts the plan to a subset of the nodes — the
-    /// failover replay plan, and the streaming body plan (a chain must
-    /// never lead from a prologue pull into a gated body kernel, or the
-    /// member would bypass the epoch gate). A chain must not lead from an
-    /// already-finished head into a replayed member (the head would never
-    /// be dispatched again), so both endpoints must be active.
-    fn compute(
-        frozen: &FrozenGraph,
-        placement: &Placement,
-        enabled: bool,
-        active: Option<&[bool]>,
-    ) -> Self {
-        let n = frozen.nodes.len();
-        let mut next = vec![None; n];
-        let mut route: Vec<Route> = (0..n)
-            .map(|v| match frozen.kind(v) {
-                TaskKind::Pull | TaskKind::Push | TaskKind::Kernel => Route::Device,
-                _ => Route::Host,
-            })
-            .collect();
-        if !enabled {
-            return Self { next, route };
-        }
-        let is_active = |i: usize| active.is_none_or(|a| a[i]);
-        #[allow(clippy::needless_range_loop)] // v indexes three parallel arrays
-        for v in 0..n {
-            if !is_active(v) || route[v] == Route::Host {
-                continue;
-            }
-            let &[w] = frozen.successors(v) else { continue };
-            let w = w as usize;
-            let wk = frozen.nodes[w].work.kind();
-            let w_fusible = matches!(wk, TaskKind::Push | TaskKind::Kernel);
-            if w_fusible
-                && is_active(w)
-                && frozen.nodes[w].num_deps == 1
-                && placement.device_of[v] == placement.device_of[w]
-                && route[w] != Route::Fused
-            {
-                next[v] = Some(w as u32);
-                route[w] = Route::Fused;
-            }
-        }
-        Self { next, route }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -757,6 +609,7 @@ mod tests {
 
     #[test]
     fn replay_is_a_new_pass_over_the_unfinished_nodes() {
+        use crate::placement::Placement;
         // a → {b, c} → d, in node-index order.
         let g = crate::graph::Heteroflow::new("r");
         let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| g.host(n, || {}));
@@ -834,70 +687,6 @@ mod tests {
             "not registered yet"
         );
         assert!(!r.failover_pending.load(Ordering::Relaxed) && r.result().is_ok());
-    }
-
-    /// The Fig 5 graph's shape: per view, `gen` feeds three pulls into
-    /// one kernel, whose weights are pushed back and summarised; every
-    /// summary feeds one report.
-    fn fig5_shaped(views: usize) -> Arc<FrozenGraph> {
-        use crate::data::HostVec;
-        let g = crate::graph::Heteroflow::new("fig5");
-        let report = g.host("report", || {});
-        for v in 0..views {
-            let gen = g.host(&format!("gen_v{v}"), || {});
-            let [px, py, pw] = [("x", 256 * (8 + v)), ("y", 256), ("w", 9)].map(|(b, n)| {
-                let p = g.pull(&format!("pull_{b}_v{v}"), &HostVec::from_vec(vec![0.0; n]));
-                gen.precede(&p);
-                p
-            });
-            let k = g.kernel(&format!("fit_v{v}"), &[&px, &py, &pw], |_, _| {});
-            let push = g.push(&format!("push_w_v{v}"), &pw, &HostVec::<f64>::new());
-            let stats = g.host(&format!("stats_v{v}"), || {});
-            k.succeed_all(&[&px, &py, &pw]).precede(&push);
-            stats.succeed(&push).precede(&report);
-        }
-        g.freeze().unwrap()
-    }
-
-    /// The public maker over `device_placement` is a fresh executor's
-    /// first plan: the same devices and the same chains, one
-    /// `kernel -> push` member per view. Placing a GPU graph with no GPU
-    /// is an error, and a plan rejects another graph's placement.
-    #[test]
-    fn public_plan_is_the_executors_first_plan() {
-        use crate::placement::device_placement;
-        let frozen = fig5_shaped(8);
-        let n = frozen.num_tasks();
-        let chains = |p: &Plan| {
-            (0..n)
-                .map(|v| p.chain(v).collect())
-                .collect::<Vec<Vec<_>>>()
-        };
-        for gpus in [1, 2, 4] {
-            let ex = crate::Executor::new(1, gpus);
-            let theirs = ex
-                .inner
-                .plan(&frozen, &ex.inner.lost_devices(), &[], None)
-                .unwrap();
-            let placement = device_placement(&*frozen, gpus, &Default::default()).unwrap();
-            let ours = Plan::from_placement(&frozen, placement, true);
-            assert_eq!(ours.placement().device_of, theirs.placement().device_of);
-            assert_eq!(chains(&ours), chains(&theirs), "{gpus} GPUs");
-            assert_eq!((0..n).filter(|&v| ours.is_member(v)).count(), 8);
-        }
-    }
-
-    #[test]
-    fn gpu_graph_no_gpus_errors() {
-        let frozen = fig5_shaped(1);
-        assert!(crate::placement::device_placement(&*frozen, 0, &Default::default()).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "placement was not computed for this graph")]
-    fn a_placement_of_another_graph_is_rejected() {
-        let other = crate::placement::device_placement(&*fig5_shaped(2), 1, &Default::default());
-        Plan::from_placement(&fig5_shaped(1), other.unwrap(), true);
     }
 
     /// Minimal executor for testing `impl Future` without external deps.

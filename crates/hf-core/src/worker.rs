@@ -564,8 +564,9 @@ mod loom_models {
     use super::*;
     use crate::graph::{FrozenGraph, Heteroflow};
     use crate::placement::Placement;
+    use crate::plan::Plan;
     use crate::registry::pack;
-    use crate::topology::{EpochCtx, Plan};
+    use crate::topology::EpochCtx;
     use hf_sync::atomic::AtomicBool;
     use hf_sync::Injector;
 
