@@ -23,14 +23,14 @@
 //!   the burst loop, batches the others into one injector (GPU heads: the
 //!   device-ready one) spray, one `notify_n` wakeup (`ready::ReadyBatch`);
 //! * re-running an unchanged graph reuses the cached freeze and plan
-//!   (placement + fusion; see `graph::SchedCache`).
+//!   (placement + fusion; see `plan.rs`).
 
 use crate::error::HfError;
 use crate::graph::Heteroflow;
 use crate::lifecycle::{lifecycle_now_ns, LifecycleEvent, LifecyclePhase};
 use crate::observer::ExecutorObserver;
 use crate::placement::PlacementView;
-use crate::plan::Route;
+use crate::plan::{Plan, Planner, Route};
 use crate::ready::ReadyBatch;
 use crate::registry::{Token, TopoRegistry};
 use crate::retry::RetryPolicy;
@@ -55,12 +55,7 @@ const DEFAULT_COPY_LANES: usize = 2;
 /// banked in its local deque.
 pub(crate) const STEAL_BATCH: usize = 16;
 
-/// Executor identities for keying per-graph scheduling caches.
-static NEXT_EXEC_ID: AtomicU64 = AtomicU64::new(0);
-
 pub(crate) struct ExecInner {
-    /// Process-unique id keying [`SchedCache`] entries.
-    pub(crate) id: u64,
     pub(crate) stealers: Vec<Stealer<Token>>,
     /// Shared lock-free inbox for work scheduled off worker threads and
     /// for batched successor sprays.
@@ -78,31 +73,23 @@ pub(crate) struct ExecInner {
     pub(crate) idle_lock: Mutex<()>,
     pub(crate) idle_cv: Condvar,
     pub(crate) gpu: Arc<GpuRuntime>,
-    /// Decaying estimate of modeled load already packed per device, used
-    /// to bias placement of later topologies toward idle GPUs.
-    pub(crate) device_load: Mutex<Vec<f64>>,
+    /// Makes, caches and masks this executor's plans, and owns what
+    /// that reads and keeps (see [`crate::plan`]).
+    pub(crate) planner: Planner,
     pub(crate) stats: ExecutorStats,
     /// When false, idle thieves always spin (never sleep) — the A4
     /// ablation baseline.
     pub(crate) adaptive_sleep: bool,
-    /// GPU task fusion (§III-C "task fusing") enabled.
-    pub(crate) fusion: bool,
     /// Observers of the lifecycle stream (see [`ExecInner::emit`]).
     pub(crate) observers: Vec<Arc<dyn ExecutorObserver>>,
     /// Retry/failover policy applied to failing task bodies.
     pub(crate) retry: RetryPolicy,
-    /// Per-device "already counted as lost" latch for the
-    /// `devices_lost` stat (each device counted once per executor).
-    pub(crate) lost_seen: Vec<AtomicBool>,
     /// Pulls of more than this many bytes are pipelined in chunks of this
     /// size across the copy-lane streams (`usize::MAX` disables). Pushes
     /// are always one op; see [`crate::transfer`].
     pub(crate) copy_chunk_threshold: usize,
     /// Copy-lane streams per (worker, device) used by pipelined pulls.
     pub(crate) copy_lanes: usize,
-    /// Per-task durations seeded from outside ([`Executor::seed_task_cost`]);
-    /// a placement weighs a seeded task with its seed.
-    pub(crate) cost_db: crate::costmodel::CostDb,
     /// Submission ids handed to topologies/futures and stamped onto
     /// lifecycle events (starts at 1; 0 is reserved for ready futures).
     pub(crate) run_seq: AtomicU64,
@@ -199,7 +186,7 @@ fn task_event(
         task: Some(node as u32),
         name: Arc::clone(&nd.name),
         kind: Some(nd.work.kind()),
-        device: topo.plan.placement.device_of[node],
+        device: topo.plan.placement().device_of[node],
         worker,
         chain,
         bytes: topo.frozen.bytes_of(node) as u64,
@@ -338,7 +325,6 @@ impl ExecutorBuilder {
         let stealers = deques.iter().map(|d| d.stealer()).collect();
 
         let inner = Arc::new(ExecInner {
-            id: NEXT_EXEC_ID.fetch_add(1, Ordering::Relaxed),
             stealers,
             injector: Injector::new(),
             device_ready: Injector::new(),
@@ -351,18 +337,13 @@ impl ExecutorBuilder {
             idle_lock: Mutex::new(()),
             idle_cv: Condvar::new(),
             gpu: Arc::clone(&gpu),
-            device_load: Mutex::new(vec![0.0; gpu.num_devices() as usize]),
+            planner: Planner::new(&gpu, self.fusion),
             stats: ExecutorStats::new(cpus),
             adaptive_sleep: self.adaptive_sleep,
-            fusion: self.fusion,
             observers: self.observers,
             retry: self.retry,
-            lost_seen: (0..gpu.num_devices())
-                .map(|_| AtomicBool::new(false))
-                .collect(),
             copy_chunk_threshold: self.copy_chunk_threshold,
             copy_lanes: self.copy_lanes,
-            cost_db: crate::costmodel::CostDb::new(),
             run_seq: AtomicU64::new(0),
         });
 
@@ -451,7 +432,7 @@ impl Executor {
     /// The table of per-task cost seeds placement reads. Exposed for
     /// inspection; [`Executor::seed_task_cost`] fills it.
     pub fn cost_db(&self) -> &crate::costmodel::CostDb {
-        &self.inner.cost_db
+        self.inner.planner.cost_db()
     }
 
     /// Tells placement how long `task` of `graph` takes (nanoseconds of
@@ -461,13 +442,29 @@ impl Executor {
     /// negative one is dropped. An accepted seed retires every plan this
     /// executor has cached, so the next submission of any graph re-places.
     pub fn seed_task_cost(&self, graph: &str, task: &str, nanos: f64) {
-        self.inner.cost_db.seed(graph, task, nanos);
+        self.inner.planner.cost_db().seed(graph, task, nanos);
     }
 
     /// Current decaying modeled-load estimate per device (nanoseconds),
     /// as used to bias placement of later topologies toward idle GPUs.
     pub fn device_loads(&self) -> Vec<f64> {
-        self.inner.device_load.lock().clone()
+        self.inner.planner.device_loads()
+    }
+
+    /// The plan the next `run` of `hf` would use: Algorithm 1's placement
+    /// and the fusion chains for it, through the same cache.
+    ///
+    /// It counts as a submission's first plan. It records a cache hit or
+    /// miss, and it applies the device-load bias. A later `run` of the
+    /// unchanged graph hits the cache and runs under the same `Arc`; a
+    /// [`crate::Session`] runs it with the chains that lead into its
+    /// gated body cut. A failover re-places, so it runs under another.
+    pub fn plan(&self, hf: &Heteroflow) -> Result<Arc<Plan>, HfError> {
+        let frozen = hf.freeze()?;
+        let inner = &self.inner;
+        inner
+            .planner
+            .plan(&frozen, &inner.lost_devices(), &[], &inner.stats)
     }
 
     /// Runs the graph once. Non-blocking; returns a future.
@@ -589,7 +586,7 @@ impl ExecInner {
         let mut ready = ReadyBatch::new(self, topo, None);
         for &id in &topo.frozen.sources {
             if topo.join[id].load(Ordering::Relaxed) == 0 {
-                ready.push(id, topo.plan.fusion.route[id]);
+                ready.push(id, topo.plan.route(id));
             }
         }
     }
@@ -610,7 +607,7 @@ impl ExecInner {
         }
         let mut ready = ReadyBatch::new(self, topo, None);
         for &h in &g.heads {
-            let route = topo.plan.fusion.route[h];
+            let route = topo.plan.route(h);
             if topo.join[h].fetch_sub(1, Ordering::AcqRel) == 1 && route != Route::Fused {
                 ready.push(h, route);
             }

@@ -212,9 +212,8 @@ pub struct FrozenGraph {
     /// The builder epoch this snapshot was frozen at: `freeze` reuses the
     /// snapshot only while the builder's epoch still equals it.
     epoch: u64,
-    /// The plan last made for this graph version on a healthy executor
-    /// (one entry: a second executor simply evicts it).
-    pub(crate) plan_cache: Mutex<Option<crate::plan::SchedCache>>,
+    /// The plan last made for this graph version (see [`crate::plan`]).
+    pub(crate) plan_cache: crate::plan::PlanCache,
 }
 
 pub(crate) struct FrozenNode {
@@ -623,7 +622,7 @@ impl Heteroflow {
             gpu,
             sources,
             epoch: b.epoch,
-            plan_cache: Mutex::new(None),
+            plan_cache: crate::plan::PlanCache::new(),
         });
         *self.shared.frozen.lock() = Some(Arc::clone(&frozen));
         Ok(frozen)

@@ -1,30 +1,48 @@
 //! The plan: what the scheduler decides for one graph version before any
 //! task runs — device placement (Algorithm 1, §III-B) and the fusion
-//! chains for it (§III-C) — and the maker and cache of plans.
+//! chains for it (§III-C) — and the one place plans are made, cached and
+//! masked.
+//!
+//! A pass reads its [`Plan`] through four calls: `placement()`,
+//! `chain(v)`, `route(v)` and `is_member(v)`. Each executor has one
+//! [`Planner`], which owns everything making a plan reads or keeps: the
+//! fusion flag, the cost seeds, the decayed cross-graph device load, and
+//! the key of the per-graph [`PlanCache`]. A run that must not fuse
+//! across some boundary (a streaming body gate, a failover replay) runs
+//! the plan [`Plan::restrict`]ed to the nodes inside it.
 
+use crate::costmodel::CostDb;
 use crate::error::HfError;
-use crate::executor::ExecInner;
 use crate::graph::{FrozenGraph, TaskKind};
 use crate::placement::{PlaceInput, Placement};
-use hf_sync::atomic::Ordering;
+use crate::stats::ExecutorStats;
+use hf_gpu::{CostModel, GpuRuntime};
+use hf_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use hf_sync::sync::Mutex;
 use std::sync::Arc;
 
 /// The scheduler's decision for one graph version, made before any task
 /// runs: device placement (Algorithm 1), then the fusion chains for it
-/// (§III-B/C). Both parts are held by value, so a pass reads either
-/// through its one `Arc<Plan>`. The executor's `ExecInner::plan` makes
-/// every plan the executor places, and the epoch driver re-fuses one
-/// under its body mask; outside the executor, [`Plan::from_placement`]
-/// makes the same value from a placement the caller computed, which is
-/// what the `hf-sim` performance model replays.
+/// (§III-B/C). Everything is held by value, so a pass reads it through
+/// its one `Arc<Plan>`. An executor's planner makes every plan the
+/// executor runs ([`crate::Executor::plan`] returns one); outside the
+/// executor, [`Plan::from_placement`] makes the same value from a
+/// placement the caller computed, which is what the `hf-sim` performance
+/// model replays.
 pub struct Plan {
-    pub(crate) placement: Placement,
-    pub(crate) fusion: FusionPlan,
+    placement: Placement,
+    /// `next[v]` chains v to a GPU successor dispatched on the same
+    /// stream submission; members of a chain (non-heads) are never
+    /// scheduled individually.
+    next: Vec<Option<u32>>,
+    /// Which queue each node takes once ready: one byte per node, the one
+    /// the release path reads per successor (members are `Fused`).
+    route: Vec<Route>,
 }
 
 /// Where a ready node goes (`ReadyBatch`): a host task to a deque or the
 /// injector, a GPU chain head to the device-ready queue, a member nowhere.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
 pub(crate) enum Route {
     Host,
@@ -33,16 +51,45 @@ pub(crate) enum Route {
 }
 
 impl Plan {
-    /// `placement` with its fusion chains, restricted to `active` (see
-    /// [`FusionPlan::compute`]); no chains when fusion is off.
-    pub(crate) fn new(
-        frozen: &FrozenGraph,
-        placement: Placement,
-        fusion_enabled: bool,
-        active: Option<&[bool]>,
-    ) -> Self {
-        let fusion = FusionPlan::compute(frozen, &placement, fusion_enabled, active);
-        Self { placement, fusion }
+    /// `placement` with its fusion chains (§III-C "task fusing"); no
+    /// chains when `fusion` is off. Node `v` fuses to its successor `w`
+    /// when `v` is a GPU task, `w` is a *kernel or push* task whose only
+    /// dependency is `v`, and both are placed on the same device. Pull
+    /// tasks are never fused as members (their device allocation sizes
+    /// bind at dispatch time and must observe their host-side
+    /// predecessors).
+    fn new(frozen: &FrozenGraph, placement: Placement, fusion: bool) -> Self {
+        let n = frozen.nodes.len();
+        let mut next = vec![None; n];
+        let mut route: Vec<Route> = (0..n)
+            .map(|v| match frozen.kind(v) {
+                TaskKind::Pull | TaskKind::Push | TaskKind::Kernel => Route::Device,
+                _ => Route::Host,
+            })
+            .collect();
+        // v indexes three parallel arrays; a host task (`Route::Host`)
+        // heads no chain.
+        #[allow(clippy::needless_range_loop)]
+        for v in 0..n {
+            if !fusion || route[v] == Route::Host {
+                continue;
+            }
+            let &[w] = frozen.successors(v) else { continue };
+            let w = w as usize;
+            let w_fusible = matches!(frozen.kind(w), TaskKind::Push | TaskKind::Kernel);
+            if w_fusible
+                && frozen.nodes[w].num_deps == 1
+                && placement.device_of[v] == placement.device_of[w]
+            {
+                next[v] = Some(w as u32);
+                route[w] = Route::Fused;
+            }
+        }
+        Self {
+            placement,
+            next,
+            route,
+        }
     }
 
     /// The plan an executor with task fusion set to `fusion` runs
@@ -62,7 +109,33 @@ impl Plan {
                 .enumerate()
                 .all(|(i, d)| d.is_some() != on_cpu(i));
         assert!(fits, "placement was not computed for this graph");
-        Self::new(frozen, placement, fusion, None)
+        Self::new(frozen, placement, fusion)
+    }
+
+    /// This plan with its chains cut to `active`: a link `v -> w` stays
+    /// only when both ends are active, and a member whose link is cut
+    /// goes back to [`Route::Device`]. The streaming body keeps chains
+    /// from a prologue pull out of a gated kernel (the member would
+    /// bypass the epoch gate), and a failover replay keeps them from an
+    /// already-finished head into a replayed member (the head never
+    /// dispatches again). This equals fusing within `active` from the
+    /// start: a fusible `w` has one dependency, so only `v` can fuse it.
+    pub(crate) fn restrict(&self, active: &[bool]) -> Self {
+        let mut next = self.next.clone();
+        let mut route = self.route.clone();
+        for (v, link) in next.iter_mut().enumerate() {
+            if let Some(w) = link.map(|w| w as usize) {
+                if !(active[v] && active[w]) {
+                    *link = None;
+                    route[w] = Route::Device;
+                }
+            }
+        }
+        Self {
+            placement: self.placement.clone(),
+            next,
+            route,
+        }
     }
 
     /// The device placement the plan runs under.
@@ -73,114 +146,112 @@ impl Plan {
     /// `head`, then every member fused behind it, in dispatch order; just
     /// `head` when nothing is.
     pub fn chain(&self, head: usize) -> impl Iterator<Item = usize> + '_ {
-        self.fusion.chain(head)
+        std::iter::successors(Some(head), |&n| self.next[n].map(|m| m as usize))
+    }
+
+    /// The queue `node` takes once it is ready.
+    #[inline]
+    pub(crate) fn route(&self, node: usize) -> Route {
+        self.route[node]
     }
 
     /// True when `node` runs fused behind a chain head: it is never
     /// dispatched on its own, and its successors are released when the
     /// whole chain finishes.
     pub fn is_member(&self, node: usize) -> bool {
-        self.fusion.route[node] == Route::Fused
+        self.route[node] == Route::Fused
     }
 }
 
-/// Precomputed GPU task-fusion chains (§III-C "task fusing"): a pure
-/// function of (frozen graph, placement, fusion flag, mask), built only
-/// as part of a [`Plan`].
-pub(crate) struct FusionPlan {
-    /// `next[v]` chains v to a GPU successor dispatched on the same
-    /// stream submission; members of a chain (non-heads) are never
-    /// scheduled individually.
-    pub(crate) next: Vec<Option<u32>>,
-    /// Which queue each node takes once ready: one byte per node, the one
-    /// the release path reads per successor (members are `Fused`).
-    pub(crate) route: Vec<Route>,
-}
+/// Executor identities for keying per-graph plan caches.
+static NEXT_EXEC_ID: AtomicU64 = AtomicU64::new(0);
 
-impl FusionPlan {
-    /// `head`, then every member fused behind it, in dispatch order.
-    pub(crate) fn chain(&self, head: usize) -> impl Iterator<Item = usize> + '_ {
-        std::iter::successors(Some(head), |&n| self.next[n].map(|m| m as usize))
-    }
+/// The plan last made for one frozen graph on a healthy executor. It
+/// lives on the frozen snapshot of one builder epoch and holds one entry:
+/// a second executor simply evicts it.
+pub(crate) struct PlanCache(Mutex<Option<Cached>>);
 
-    /// Identifies fusible GPU chains: node `v` fuses to its successor `w`
-    /// when `v` is a GPU task, `w` is a *kernel or push* task whose only
-    /// dependency is `v`, and both are placed on the same device. Pull
-    /// tasks are never fused as members (their device allocation sizes
-    /// bind at dispatch time and must observe their host-side
-    /// predecessors).
-    ///
-    /// `active` restricts the plan to a subset of the nodes — the
-    /// failover replay plan, and the streaming body plan (a chain must
-    /// never lead from a prologue pull into a gated body kernel, or the
-    /// member would bypass the epoch gate). A chain must not lead from an
-    /// already-finished head into a replayed member (the head would never
-    /// be dispatched again), so both endpoints must be active.
-    fn compute(
-        frozen: &FrozenGraph,
-        placement: &Placement,
-        enabled: bool,
-        active: Option<&[bool]>,
-    ) -> Self {
-        let n = frozen.nodes.len();
-        let mut next = vec![None; n];
-        let mut route: Vec<Route> = (0..n)
-            .map(|v| match frozen.kind(v) {
-                TaskKind::Pull | TaskKind::Push | TaskKind::Kernel => Route::Device,
-                _ => Route::Host,
-            })
-            .collect();
-        if !enabled {
-            return Self { next, route };
-        }
-        let is_active = |i: usize| active.is_none_or(|a| a[i]);
-        #[allow(clippy::needless_range_loop)] // v indexes three parallel arrays
-        for v in 0..n {
-            if !is_active(v) || route[v] == Route::Host {
-                continue;
-            }
-            let &[w] = frozen.successors(v) else { continue };
-            let w = w as usize;
-            let wk = frozen.nodes[w].work.kind();
-            let w_fusible = matches!(wk, TaskKind::Push | TaskKind::Kernel);
-            if w_fusible
-                && is_active(w)
-                && frozen.nodes[w].num_deps == 1
-                && placement.device_of[v] == placement.device_of[w]
-                && route[w] != Route::Fused
-            {
-                next[v] = Some(w as u32);
-                route[w] = Route::Fused;
-            }
-        }
-        Self { next, route }
+impl PlanCache {
+    pub(crate) fn new() -> Self {
+        Self(Mutex::new(None))
     }
 }
 
-/// A cached [`Plan`]. It lives on the frozen snapshot
-/// of one builder epoch and is valid for the executor and seed generation
-/// it records: its key is `(executor, epoch, seed generation)`.
-pub(crate) struct SchedCache {
+/// A cached [`Plan`], valid for the executor and seed generation it
+/// records: with the snapshot it lives on, its key is `(executor, epoch,
+/// seed generation)`.
+struct Cached {
     /// Identity of the executor the plan was made for (device count,
     /// cost model and fusion flag are per-executor).
-    pub(crate) exec_id: u64,
+    exec_id: u64,
     /// The executor's seed generation when the plan was made.
-    pub(crate) seeds: u64,
-    pub(crate) plan: Arc<Plan>,
+    seeds: u64,
+    plan: Arc<Plan>,
     /// This graph's own modeled load per device (placement loads minus
     /// the bias snapshot they were computed against), re-applied to the
     /// executor's decaying device-load estimate on cache hits.
-    pub(crate) own_loads: Vec<f64>,
+    own_loads: Vec<f64>,
 }
 
-impl ExecInner {
+/// The one maker of an executor's plans, and the state making them reads
+/// and keeps.
+pub(crate) struct Planner {
+    /// Process-unique id keying [`PlanCache`] entries.
+    id: u64,
+    /// GPU task fusion (§III-C "task fusing") enabled.
+    fusion: bool,
+    /// The analytic model placement weighs unseeded tasks with.
+    cost: CostModel,
+    /// Per-task durations seeded from outside
+    /// ([`crate::Executor::seed_task_cost`]); a placement weighs a seeded
+    /// task with its seed.
+    cost_db: CostDb,
+    /// Decaying estimate of modeled load already packed per device, used
+    /// to bias placement of later graphs toward idle GPUs.
+    device_load: Mutex<Vec<f64>>,
+    /// Per-device "already counted as lost" latch for the
+    /// `devices_lost` stat (each device counted once per executor).
+    lost_seen: Vec<AtomicBool>,
+}
+
+impl Planner {
+    pub(crate) fn new(gpu: &GpuRuntime, fusion: bool) -> Self {
+        let devices = gpu.devices();
+        Self {
+            id: NEXT_EXEC_ID.fetch_add(1, Ordering::Relaxed),
+            fusion,
+            cost: devices.first().map(|d| d.cost_model()).unwrap_or_default(),
+            cost_db: CostDb::new(),
+            device_load: Mutex::new(vec![0.0; devices.len()]),
+            lost_seen: devices.iter().map(|_| AtomicBool::new(false)).collect(),
+        }
+    }
+
+    /// The table of per-task cost seeds placement reads.
+    pub(crate) fn cost_db(&self) -> &CostDb {
+        &self.cost_db
+    }
+
+    /// Current decaying modeled-load estimate per device.
+    pub(crate) fn device_loads(&self) -> Vec<f64> {
+        self.device_load.lock().clone()
+    }
+
+    /// The plan this executor runs `frozen` under when it is placed as
+    /// `placement`: a failover's re-placement, carried to later epochs.
+    pub(crate) fn fuse(&self, frozen: &FrozenGraph, placement: Placement) -> Plan {
+        Plan::new(frozen, placement, self.fusion)
+    }
+
     /// The one maker of a [`Plan`]: the one call into
-    /// [`crate::placement::place`], then [`Plan::new`] fusing within
-    /// `active`. Placement is fed the seeds recorded for the graph (none
-    /// on an executor nobody seeded) next to the residency the frozen
-    /// graph itself reports. Devices marked in `lost` are masked out and
-    /// counted once each in `devices_lost`; groups of `prev` (a previous
-    /// `device_of`; empty places everything) on a surviving device stay.
+    /// [`crate::placement::place`], then the fusion chains for it.
+    /// Placement is fed the seeds recorded for the graph (none on an
+    /// executor nobody seeded) next to the residency the frozen graph
+    /// itself reports. Devices marked in `lost` are masked out and
+    /// counted once each in `stats.devices_lost`; groups of `prev` (a
+    /// previous `device_of`; empty places everything) on a surviving
+    /// device stay. `lost` is the caller's: recovery places against the
+    /// same read of the devices it chose the replayed nodes by.
     ///
     /// Only a first placement on a healthy executor reads and updates the
     /// decayed cross-graph load — with a device lost it may describe dead
@@ -193,11 +264,11 @@ impl ExecInner {
         frozen: &FrozenGraph,
         lost: &[bool],
         prev: &[Option<u32>],
-        active: Option<&[bool]>,
+        stats: &ExecutorStats,
     ) -> Result<Arc<Plan>, HfError> {
         for (d, &l) in lost.iter().enumerate() {
             if l && !self.lost_seen[d].swap(true, Ordering::Relaxed) {
-                self.stats.devices_lost.incr();
+                stats.devices_lost.incr();
             }
         }
         let first = prev.is_empty();
@@ -205,9 +276,9 @@ impl ExecInner {
         // Read before the seeds: one seeded during placement re-plans.
         let key = (self.id, self.cost_db.generation());
         if biased {
-            let cache = frozen.plan_cache.lock();
+            let cache = frozen.plan_cache.0.lock();
             if let Some(c) = cache.as_ref().filter(|c| (c.exec_id, c.seeds) == key) {
-                self.stats.topo_cache_hits.incr();
+                stats.topo_cache_hits.incr();
                 // Keep the cross-graph bias fresh: decay, then re-apply
                 // this graph's own modeled load.
                 let mut dl = self.device_load.lock();
@@ -218,15 +289,9 @@ impl ExecInner {
             }
         }
         if first {
-            self.stats.topo_cache_misses.incr();
+            stats.topo_cache_misses.incr();
         }
         let seeds = Some(self.cost_db.snapshot_for(frozen.name())).filter(|s| !s.is_empty());
-        let cost = self
-            .gpu
-            .devices()
-            .first()
-            .map(|d| d.cost_model())
-            .unwrap_or_default();
         let mut bias = biased.then(|| self.device_load.lock());
         if let Some(dl) = &mut bias {
             dl.iter_mut().for_each(|l| *l *= 0.5);
@@ -237,7 +302,7 @@ impl ExecInner {
             prev,
             refined: seeds.as_ref(),
         };
-        let placement = crate::placement::place(frozen, &cost, &input)?;
+        let placement = crate::placement::place(frozen, &self.cost, &input)?;
         let own_loads = bias.map(|mut dl| {
             let own = placement
                 .loads
@@ -249,17 +314,17 @@ impl ExecInner {
             own
         });
         if placement.warm_hits > 0 {
-            self.stats.placement_warm_hits.add(placement.warm_hits);
+            stats.placement_warm_hits.add(placement.warm_hits);
         }
         if placement.est_bytes_saved > 0 {
-            self.stats
+            stats
                 .placement_est_bytes_saved
                 .add(placement.est_bytes_saved);
         }
-        self.stats.placement_imbalance.set(placement.imbalance());
-        let plan = Arc::new(Plan::new(frozen, placement, self.fusion, active));
+        stats.placement_imbalance.set(placement.imbalance());
+        let plan = Arc::new(Plan::new(frozen, placement, self.fusion));
         if let Some(own_loads) = own_loads {
-            *frozen.plan_cache.lock() = Some(SchedCache {
+            *frozen.plan_cache.0.lock() = Some(Cached {
                 exec_id: key.0,
                 seeds: key.1,
                 plan: Arc::clone(&plan),
@@ -273,13 +338,15 @@ impl ExecInner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Heteroflow;
+    use rand::{Rng, SeedableRng};
 
     /// The Fig 5 graph's shape: per view, `gen` feeds three pulls into
     /// one kernel, whose weights are pushed back and summarised; every
     /// summary feeds one report.
-    fn fig5_shaped(views: usize) -> Arc<FrozenGraph> {
+    fn fig5_shaped(views: usize) -> Heteroflow {
         use crate::data::HostVec;
-        let g = crate::graph::Heteroflow::new("fig5");
+        let g = Heteroflow::new("fig5");
         let report = g.host("report", || {});
         for v in 0..views {
             let gen = g.host(&format!("gen_v{v}"), || {});
@@ -294,7 +361,7 @@ mod tests {
             k.succeed_all(&[&px, &py, &pw]).precede(&push);
             stats.succeed(&push).precede(&report);
         }
-        g.freeze().unwrap()
+        g
     }
 
     /// The public maker over `device_placement` is a fresh executor's
@@ -304,7 +371,8 @@ mod tests {
     #[test]
     fn public_plan_is_the_executors_first_plan() {
         use crate::placement::device_placement;
-        let frozen = fig5_shaped(8);
+        let g = fig5_shaped(8);
+        let frozen = g.freeze().unwrap();
         let n = frozen.num_tasks();
         let chains = |p: &Plan| {
             (0..n)
@@ -313,10 +381,7 @@ mod tests {
         };
         for gpus in [1, 2, 4] {
             let ex = crate::Executor::new(1, gpus);
-            let theirs = ex
-                .inner
-                .plan(&frozen, &ex.inner.lost_devices(), &[], None)
-                .unwrap();
+            let theirs = ex.plan(&g).unwrap();
             let placement = device_placement(&*frozen, gpus, &Default::default()).unwrap();
             let ours = Plan::from_placement(&frozen, placement, true);
             assert_eq!(ours.placement().device_of, theirs.placement().device_of);
@@ -325,16 +390,51 @@ mod tests {
         }
     }
 
+    /// Restricting keeps exactly the links with both ends active, sends
+    /// every member it cuts loose back to the device queue, and changes
+    /// nothing under the full mask: checked under the empty mask, the
+    /// full one and 32 seeded random ones.
+    #[test]
+    fn restrict_keeps_the_links_inside_the_mask() {
+        let frozen = fig5_shaped(8).freeze().unwrap();
+        let n = frozen.num_tasks();
+        let placement = crate::placement::device_placement(&*frozen, 2, &Default::default());
+        let plan = Plan::from_placement(&frozen, placement.unwrap(), true);
+        assert_eq!((0..n).filter(|&v| plan.is_member(v)).count(), 8);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(36);
+        let mut masks = vec![vec![false; n], vec![true; n]];
+        masks.extend((0..32).map(|_| (0..n).map(|_| rng.gen_bool(0.5)).collect()));
+        for active in &masks {
+            let r = plan.restrict(active);
+            assert_eq!(r.placement().device_of, plan.placement().device_of);
+            let mut route = plan.route.clone();
+            for v in 0..n {
+                let kept = plan.next[v].filter(|&w| active[v] && active[w as usize]);
+                assert_eq!(r.next[v], kept, "link of {v}");
+                if let (Some(w), None) = (plan.next[v], kept) {
+                    route[w as usize] = Route::Device;
+                }
+            }
+            assert_eq!(r.route, route);
+        }
+        let full = plan.restrict(&masks[1]);
+        assert_eq!(
+            (full.next, full.route),
+            (plan.next.clone(), plan.route.clone())
+        );
+    }
+
     #[test]
     fn gpu_graph_no_gpus_errors() {
-        let frozen = fig5_shaped(1);
+        let frozen = fig5_shaped(1).freeze().unwrap();
         assert!(crate::placement::device_placement(&*frozen, 0, &Default::default()).is_err());
     }
 
     #[test]
     #[should_panic(expected = "placement was not computed for this graph")]
     fn a_placement_of_another_graph_is_rejected() {
-        let other = crate::placement::device_placement(&*fig5_shaped(2), 1, &Default::default());
-        Plan::from_placement(&fig5_shaped(1), other.unwrap(), true);
+        let two = fig5_shaped(2).freeze().unwrap();
+        let other = crate::placement::device_placement(&*two, 1, &Default::default());
+        Plan::from_placement(&fig5_shaped(1).freeze().unwrap(), other.unwrap(), true);
     }
 }

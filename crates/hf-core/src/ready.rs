@@ -136,7 +136,7 @@ impl ExecInner {
             let mut ready = ReadyBatch::new(self, topo, local.as_deref_mut());
             for &s in topo.frozen.successors(node) {
                 let s = s as usize;
-                let route = topo.plan.fusion.route[s];
+                let route = topo.plan.route(s);
                 // Fused chain members were dispatched with their head;
                 // whoever finished the head also finishes them in order.
                 if topo.join[s].fetch_sub(1, Ordering::AcqRel) == 1 && route != Route::Fused {

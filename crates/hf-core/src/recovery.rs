@@ -4,7 +4,6 @@ use crate::error::HfError;
 use crate::executor::ExecInner;
 use crate::graph::TaskKind;
 use crate::lifecycle::LifecyclePhase;
-use crate::plan::Route;
 use crate::ready::ReadyBatch;
 use crate::retry::OnDeviceLoss;
 use crate::topology::Topology;
@@ -93,7 +92,7 @@ impl ExecInner {
                 }
                 // Runs next on this worker, or — from a device engine
                 // thread — goes to the queue its route names.
-                ReadyBatch::new(self, topo, local).push(failed, topo.plan.fusion.route[failed]);
+                ReadyBatch::new(self, topo, local).push(failed, topo.plan.route(failed));
                 return;
             }
             FailureAction::Failover => topo.request_failover(err),
@@ -122,7 +121,7 @@ impl ExecInner {
 
         let frozen = &topo.frozen;
         let n = frozen.nodes.len();
-        let placement = &topo.plan.placement;
+        let placement = topo.plan.placement();
         // One read of the lost devices for the whole decision: what must
         // replay, and what the re-placement avoids.
         let lost = self.lost_devices();
@@ -156,8 +155,11 @@ impl ExecInner {
         // Re-place the lost devices' groups, fusing only among replayed
         // nodes so no chain hangs off an already-finished head.
         let active: Vec<bool> = ok.iter().map(|&o| !o).collect();
-        let plan = match self.plan(frozen, &lost, &placement.device_of, Some(&active)) {
-            Ok(plan) => plan,
+        let plan = match self
+            .planner
+            .plan(frozen, &lost, &placement.device_of, &self.stats)
+        {
+            Ok(plan) => Arc::new(plan.restrict(&active)),
             // No surviving GPUs: fail with the structural error.
             Err(e) => {
                 topo.fail(e);
@@ -190,7 +192,7 @@ impl ExecInner {
                 }
             }
         }
-        let new_placement = &plan.placement;
+        let new_placement = plan.placement();
 
         // Device buffers on lost devices vanished with their arenas; a
         // replayed pull re-allocates on its new device. (Nothing to free —
@@ -226,8 +228,8 @@ impl ExecInner {
 
         let mut ready = ReadyBatch::new(self, &replay, local);
         for i in 0..n {
-            if replay.join[i].load(Ordering::Relaxed) == 0 && plan.fusion.route[i] != Route::Fused {
-                ready.push(i, plan.fusion.route[i]);
+            if replay.join[i].load(Ordering::Relaxed) == 0 && !plan.is_member(i) {
+                ready.push(i, plan.route(i));
             }
         }
         true

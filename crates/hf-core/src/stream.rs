@@ -151,9 +151,15 @@ impl Overlap {
         }
     }
 
-    /// The mask the run's plans fuse within: the body, when gated.
-    fn body(&self) -> Option<&[bool]> {
-        self.is_body.as_deref().map(Vec::as_slice)
+    /// `plan` as the run runs it: with its chains cut to the body when
+    /// something is gated, since a chain from a prologue pull into a body
+    /// kernel would dispatch the kernel with the pull and bypass the
+    /// epoch gate. With nothing gated the plan stands.
+    fn restrict(&self, plan: Arc<Plan>) -> Arc<Plan> {
+        match &self.is_body {
+            Some(body) => Arc::new(plan.restrict(body)),
+            None => plan,
+        }
     }
 }
 
@@ -276,18 +282,11 @@ impl EpochDriver {
             return Err(HfError::ExecutorShutDown);
         }
         let frozen = hf.freeze()?;
-        let plan = inner.plan(&frozen, &inner.lost_devices(), &[], None)?;
+        let plan = inner
+            .planner
+            .plan(&frozen, &inner.lost_devices(), &[], &inner.stats)?;
         let overlap = Overlap::derive(&frozen, depth);
-        // A chain from a prologue pull into a body kernel would dispatch
-        // the kernel with the pull and bypass the epoch gate; with nothing
-        // gated the cached plan stands.
-        let plan = match overlap.body() {
-            Some(body) => {
-                let placement = plan.placement.clone();
-                Arc::new(Plan::new(&frozen, placement, inner.fusion, Some(body)))
-            }
-            None => plan,
-        };
+        let plan = overlap.restrict(plan);
         let core = core
             .cloned()
             .unwrap_or_else(|| Completion::new(inner.run_seq.fetch_add(1, Ordering::Relaxed) + 1));
@@ -504,14 +503,16 @@ impl EpochDriver {
         }
         {
             let mut plan = self.plan.lock();
-            let body = self.overlap.body();
+            let planner = &self.inner.planner;
             // After a mid-epoch failover `topo` is the replay pass and
             // carries the re-placement; adopt it for subsequent epochs,
-            // re-fused under the body mask (the replay's own fusion is
-            // masked to the replayed nodes and is not carried).
+            // re-fused and cut to the body (the replay's own chains are
+            // cut to the replayed nodes and are not carried).
             if !Arc::ptr_eq(&topo.plan, &plan) {
-                let placement = topo.plan.placement.clone();
-                *plan = Arc::new(Plan::new(&self.frozen, placement, self.inner.fusion, body));
+                let placement = topo.plan.placement().clone();
+                *plan = self
+                    .overlap
+                    .restrict(Arc::new(planner.fuse(&self.frozen, placement)));
             }
             // An epoch that *failed* on a device loss (failover budget
             // spent, or superseded inputs) never re-placed; re-place the
@@ -524,9 +525,9 @@ impl EpochDriver {
                 .is_err_and(|e| matches!(e.gpu_cause(), Some(hf_gpu::GpuError::DeviceLost(_))));
             if failed_on_loss {
                 let lost = self.inner.lost_devices();
-                let prev = &plan.placement.device_of;
-                if let Ok(p) = self.inner.plan(&self.frozen, &lost, prev, body) {
-                    *plan = p;
+                let prev = &plan.placement().device_of;
+                if let Ok(p) = planner.plan(&self.frozen, &lost, prev, &self.inner.stats) {
+                    *plan = self.overlap.restrict(p);
                 }
             }
         }

@@ -618,7 +618,7 @@ mod tests {
         let frozen = g.freeze().unwrap();
         let plan = || {
             let p = Placement::from_bins(&*frozen, &[], &[], 0);
-            Arc::new(Plan::new(&frozen, p, false, None))
+            Arc::new(Plan::from_placement(&frozen, p, false))
         };
         let cancel = Arc::new(AtomicBool::new(false));
         let ctx = EpochCtx {

@@ -297,7 +297,7 @@ impl Worker {
             deque: &self.deque,
             next: None,
         };
-        let chain = topo.plan.fusion.chain(node);
+        let chain = topo.plan.chain(node);
         match outcome {
             Ok(Some(ok)) => {
                 inner.finish_nodes(topo, chain, worker, None, ok, Some(&mut local));
@@ -346,14 +346,14 @@ impl Worker {
     /// chain from there).
     fn dispatch_gpu_chain(&mut self, cx: &RunCtx, head: usize) -> Result<(), HfError> {
         let topo = &cx.topo;
-        let dev_id = topo.plan.placement.device_of[head].ok_or_else(|| HfError::NoGpus {
+        let dev_id = topo.plan.placement().device_of[head].ok_or_else(|| HfError::NoGpus {
             task: topo.frozen.nodes[head].name.to_string(),
         })?;
         let device = self.inner.gpu.device(dev_id)?;
         let _ctx = ScopedDeviceContext::new(dev_id);
 
         let state = Arc::new(ChainState::default());
-        let chain: Vec<usize> = topo.plan.fusion.chain(head).collect();
+        let chain: Vec<usize> = topo.plan.chain(head).collect();
         let ops = chain
             .iter()
             .map(|&id| self.prepare_op(topo, id, &device, &state))
@@ -572,7 +572,7 @@ mod loom_models {
 
     fn topology(frozen: &Arc<FrozenGraph>) -> Arc<Topology> {
         let placement = Placement::from_bins(&**frozen, &[], &[], 0);
-        let plan = Arc::new(Plan::new(frozen, placement, false, None));
+        let plan = Arc::new(Plan::from_placement(frozen, placement, false));
         let ctx = EpochCtx {
             epoch: None,
             pull_override: None,

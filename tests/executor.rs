@@ -326,6 +326,31 @@ fn run_n_of_unchanged_graph_is_one_placement() {
     assert_eq!(ex.snapshot().topo_cache_hits, 1);
 }
 
+#[test]
+fn plan_then_run_is_one_placement() {
+    let ex = Executor::new(2, 0);
+    let g = Heteroflow::new("planned");
+    let a = g.host("a", || {});
+    let cache = |misses, hits| {
+        let s = ex.snapshot();
+        assert_eq!((s.topo_cache_misses, s.topo_cache_hits), (misses, hits));
+    };
+    let first = ex.plan(&g).unwrap();
+    cache(1, 0);
+    ex.run(&g).wait().unwrap();
+    cache(1, 1);
+    assert!(Arc::ptr_eq(&first, &ex.plan(&g).unwrap()));
+    cache(1, 2);
+    // A mutation is a new graph version, and a seed a new cost table.
+    g.host("b", || {}).succeed(&a);
+    let mutated = ex.plan(&g).unwrap();
+    assert!(!Arc::ptr_eq(&first, &mutated));
+    assert_eq!(mutated.placement().device_of.len(), 2);
+    ex.seed_task_cost("planned", "a", 1e3);
+    assert!(!Arc::ptr_eq(&mutated, &ex.plan(&g).unwrap()));
+    cache(3, 2);
+}
+
 /// pull→kernel(double)→push lane over `data`; expect every element
 /// doubled after a successful run.
 fn gpu_lane(g: &Heteroflow, name: &str, data: &HostVec<i32>) {
