@@ -173,7 +173,6 @@ fn a5_task_fusion() {
         g
     };
     println!("A5  task fusion (4 lanes x 24-kernel chains, 4 workers, 2 GPUs):");
-    let graph = build().freeze().expect("acyclic");
     for (name, fusion) in [("fused (default)", true), ("per-task dispatch", false)] {
         let ex = Executor::builder(4, 2).task_fusion(fusion).build();
         let g = build();
@@ -182,7 +181,10 @@ fn a5_task_fusion() {
             ex.run(&g).wait().expect("runs");
         }
         let el = t0.elapsed();
-        let r = modeled(&graph, &Machine::new(4, 2), fusion, SimDuration::ZERO);
+        // The model replays the plan the executor just ran under.
+        let plan = ex.plan(&g).expect("placeable");
+        let graph = g.freeze().expect("acyclic");
+        let (r, _) = simulate(&graph, &plan, &Machine::new(4, 2), |_| SimDuration::ZERO);
         println!(
             "      {name:<18} wall {el:>9.2?}   fused members {:>5}   modeled run {:>5.3} ms, dispatch {:>5.3} ms",
             ex.snapshot().fused,
