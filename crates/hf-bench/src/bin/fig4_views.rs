@@ -25,12 +25,18 @@ fn main() {
                 })
             })
             .collect();
-        println!("{}", serde_json::to_string_pretty(&rows).expect("serializable"));
+        println!(
+            "{}",
+            serde_json::to_string_pretty(&rows).expect("serializable")
+        );
         return;
     }
 
     println!("=== Fig 4: analysis views vs technology node ===");
-    println!("{:>8} {:>9} {:>7} {:>7} {:>9}", "node", "corners", "modes", "views", "growth");
+    println!(
+        "{:>8} {:>9} {:>7} {:>7} {:>9}",
+        "node", "corners", "modes", "views", "growth"
+    );
     let mut prev: Option<u32> = None;
     for r in &table {
         let growth = match prev {

@@ -68,9 +68,15 @@ fn minutes(graph: &FrozenGraph, setup: &Setup, cores: usize, gpus: u32) -> f64 {
     let m = Machine::new(cores, gpus)
         .with_cost(setup.cost_model)
         .with_mode(SchedulerMode::Unified);
-    let p = setup.packer.place(graph, gpus, &m.cost).expect("valid graph and machine");
+    let p = setup
+        .packer
+        .place(graph, gpus, &m.cost)
+        .expect("valid graph and machine");
     let plan = Plan::from_placement(graph, p, true);
-    simulate(graph, &plan, &m, setup.costs.for_graph(graph)).0.makespan_secs / 60.0
+    simulate(graph, &plan, &m, setup.costs.for_graph(graph))
+        .0
+        .makespan_secs
+        / 60.0
 }
 
 fn main() {
@@ -110,7 +116,10 @@ fn main() {
     let (_, stats_raw) = hf_sim::measure(|| {
         let w = vec![0.1f32; NUM_FEATURES + 1];
         std::hint::black_box(hf_timing::regression::accuracy(
-            &w, &dataset.0, &dataset.1, NUM_FEATURES,
+            &w,
+            &dataset.0,
+            &dataset.1,
+            NUM_FEATURES,
         ))
     });
     // Scale the dominant gen cost from our circuit to netcard size (the

@@ -64,7 +64,9 @@ fn seconds(graph: &FrozenGraph, setup: &Setup, cores: usize, gpus: u32) -> f64 {
         .with_mode(setup.mode);
     let placement = device_placement(graph, gpus, &m.cost).expect("valid graph and machine");
     let plan = Plan::from_placement(graph, placement, true);
-    simulate(graph, &plan, &m, setup.costs.for_graph(graph)).0.makespan_secs
+    simulate(graph, &plan, &m, setup.costs.for_graph(graph))
+        .0
+        .makespan_secs
 }
 
 fn main() {
@@ -167,8 +169,14 @@ fn main() {
             });
         }
         print_matrix(
-            &format!("Fig 9 (upper): runtime [s] vs cores, {iters} iterations{}",
-                if args.flag("dedicated") { " (dedicated-GPU-worker baseline)" } else { "" }),
+            &format!(
+                "Fig 9 (upper): runtime [s] vs cores, {iters} iterations{}",
+                if args.flag("dedicated") {
+                    " (dedicated-GPU-worker baseline)"
+                } else {
+                    ""
+                }
+            ),
             "cores",
             &CORE_SWEEP.iter().map(|c| c.to_string()).collect::<Vec<_>>(),
             &rows,

@@ -23,7 +23,8 @@ impl NameCosts {
     pub fn set(mut self, prefix: &str, d: SimDuration) -> Self {
         self.entries.push((prefix.to_string(), d));
         // Longest prefix first.
-        self.entries.sort_by_key(|(p, _)| std::cmp::Reverse(p.len()));
+        self.entries
+            .sort_by_key(|(p, _)| std::cmp::Reverse(p.len()));
         self
     }
 

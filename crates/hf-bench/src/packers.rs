@@ -47,7 +47,10 @@ impl Packer {
             z ^ (z >> 31)
         };
         let bin_of: Vec<u32> = match self {
-            Packer::Random { .. } => groups.iter().map(|_| (draw() % gpus as u64) as u32).collect(),
+            Packer::Random { .. } => groups
+                .iter()
+                .map(|_| (draw() % gpus as u64) as u32)
+                .collect(),
             _ => (0..groups.len() as u32).map(|gi| gi % gpus).collect(),
         };
         Ok(Placement::from_bins(graph, &groups, &bin_of, gpus as usize))

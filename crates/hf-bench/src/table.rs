@@ -47,8 +47,14 @@ mod tests {
             "cores",
             &["1".into(), "8".into()],
             &[
-                Row { label: "1 GPU".into(), values: vec![99.0, 23.5] },
-                Row { label: "4 GPUs".into(), values: vec![51.0, 13.0] },
+                Row {
+                    label: "1 GPU".into(),
+                    values: vec![99.0, 23.5],
+                },
+                Row {
+                    label: "4 GPUs".into(),
+                    values: vec![51.0, 13.0],
+                },
             ],
             "m",
         );
