@@ -133,7 +133,7 @@ impl ExecInner {
         self.emit(|| {
             LifecycleEvent::run_level(
                 topo.run_id,
-                &topo.graph_label,
+                &topo.frozen.name,
                 phase,
                 ok,
                 detail.map(|e| e.to_string()),
@@ -181,7 +181,7 @@ fn task_event(
     let nd = &topo.frozen.nodes[node];
     LifecycleEvent {
         run_id: topo.run_id,
-        graph: Arc::clone(&topo.graph_label),
+        graph: Arc::clone(&topo.frozen.name),
         phase,
         task: Some(node as u32),
         name: Arc::clone(&nd.name),
@@ -336,8 +336,8 @@ impl ExecutorBuilder {
             num_topologies: AtomicUsize::new(0),
             idle_lock: Mutex::new(()),
             idle_cv: Condvar::new(),
-            gpu: Arc::clone(&gpu),
             planner: Planner::new(&gpu, self.fusion),
+            gpu,
             stats: ExecutorStats::new(cpus),
             adaptive_sleep: self.adaptive_sleep,
             observers: self.observers,
@@ -361,7 +361,6 @@ impl ExecutorBuilder {
 
         Executor {
             inner,
-            gpu,
             threads: Mutex::new(threads),
         }
     }
@@ -371,7 +370,6 @@ impl ExecutorBuilder {
 /// thread, concurrently (§III-B).
 pub struct Executor {
     pub(crate) inner: Arc<ExecInner>,
-    pub(crate) gpu: Arc<GpuRuntime>,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -379,7 +377,7 @@ impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
             .field("cpus", &self.num_workers())
-            .field("gpus", &self.gpu.num_devices())
+            .field("gpus", &self.num_gpus())
             .finish()
     }
 }
@@ -403,12 +401,12 @@ impl Executor {
 
     /// Number of GPU devices.
     pub fn num_gpus(&self) -> u32 {
-        self.gpu.num_devices()
+        self.inner.gpu.num_devices()
     }
 
     /// The underlying GPU runtime (e.g. for pool statistics in tests).
     pub fn gpu_runtime(&self) -> &Arc<GpuRuntime> {
-        &self.gpu
+        &self.inner.gpu
     }
 
     /// The executor's counters (steals, sleeps, executed tasks, bytes
@@ -432,7 +430,7 @@ impl Executor {
     /// The table of per-task cost seeds placement reads. Exposed for
     /// inspection; [`Executor::seed_task_cost`] fills it.
     pub fn cost_db(&self) -> &crate::costmodel::CostDb {
-        self.inner.planner.cost_db()
+        &self.inner.planner.cost_db
     }
 
     /// Tells placement how long `task` of `graph` takes (nanoseconds of
@@ -442,7 +440,7 @@ impl Executor {
     /// negative one is dropped. An accepted seed retires every plan this
     /// executor has cached, so the next submission of any graph re-places.
     pub fn seed_task_cost(&self, graph: &str, task: &str, nanos: f64) {
-        self.inner.planner.cost_db().seed(graph, task, nanos);
+        self.inner.planner.cost_db.seed(graph, task, nanos);
     }
 
     /// Current decaying modeled-load estimate per device (nanoseconds),
@@ -460,11 +458,9 @@ impl Executor {
     /// [`crate::Session`] runs it with the chains that lead into its
     /// gated body cut. A failover re-places, so it runs under another.
     pub fn plan(&self, hf: &Heteroflow) -> Result<Arc<Plan>, HfError> {
-        let frozen = hf.freeze()?;
-        let inner = &self.inner;
-        inner
-            .planner
-            .plan(&frozen, &inner.lost_devices(), &[], &inner.stats)
+        let (frozen, inner) = (hf.freeze()?, &self.inner);
+        let lost = inner.lost_devices();
+        inner.planner.plan(&frozen, &lost, &[], &inner.stats)
     }
 
     /// Runs the graph once. Non-blocking; returns a future.

@@ -201,7 +201,7 @@ impl Drop for PullState {
 /// path: a node is about a cache line, all successor lists share one array,
 /// and what only GPU tasks need sits in a side table host tasks never touch.
 pub struct FrozenGraph {
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     pub(crate) nodes: Vec<FrozenNode>,
     /// Every node's successors back to back (compressed sparse row).
     succ: Vec<u32>,
@@ -616,13 +616,13 @@ impl Heteroflow {
             .filter(|&i| nodes[i].num_deps == 0)
             .collect();
         let frozen = Arc::new(FrozenGraph {
-            name: b.name.clone(),
+            name: Arc::from(b.name.as_str()),
             nodes,
             succ,
             gpu,
             sources,
             epoch: b.epoch,
-            plan_cache: crate::plan::PlanCache::new(),
+            plan_cache: Mutex::new(None),
         });
         *self.shared.frozen.lock() = Some(Arc::clone(&frozen));
         Ok(frozen)

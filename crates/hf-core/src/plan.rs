@@ -1,15 +1,7 @@
-//! The plan: what the scheduler decides for one graph version before any
-//! task runs — device placement (Algorithm 1, §III-B) and the fusion
+//! The plan — device placement (Algorithm 1, §III-B) and the fusion
 //! chains for it (§III-C) — and the one place plans are made, cached and
-//! masked.
-//!
-//! A pass reads its [`Plan`] through four calls: `placement()`,
-//! `chain(v)`, `route(v)` and `is_member(v)`. Each executor has one
-//! [`Planner`], which owns everything making a plan reads or keeps: the
-//! fusion flag, the cost seeds, the decayed cross-graph device load, and
-//! the key of the per-graph [`PlanCache`]. A run that must not fuse
-//! across some boundary (a streaming body gate, a failover replay) runs
-//! the plan [`Plan::restrict`]ed to the nodes inside it.
+//! masked: each executor's [`Planner`], the per-graph [`PlanCache`], and
+//! [`Plan::restrict`] for a run that must not fuse across a boundary.
 
 use crate::costmodel::CostDb;
 use crate::error::HfError;
@@ -23,12 +15,9 @@ use std::sync::Arc;
 
 /// The scheduler's decision for one graph version, made before any task
 /// runs: device placement (Algorithm 1), then the fusion chains for it
-/// (§III-B/C). Everything is held by value, so a pass reads it through
-/// its one `Arc<Plan>`. An executor's planner makes every plan the
-/// executor runs ([`crate::Executor::plan`] returns one); outside the
-/// executor, [`Plan::from_placement`] makes the same value from a
-/// placement the caller computed, which is what the `hf-sim` performance
-/// model replays.
+/// (§III-B/C), held by value behind one `Arc<Plan>`. The executor makes
+/// the plans it runs ([`crate::Executor::plan`]); [`Plan::from_placement`]
+/// makes the same value from a caller's placement for `hf-sim` to replay.
 pub struct Plan {
     placement: Placement,
     /// `next[v]` chains v to a GPU successor dispatched on the same
@@ -67,9 +56,7 @@ impl Plan {
                 _ => Route::Host,
             })
             .collect();
-        // v indexes three parallel arrays; a host task (`Route::Host`)
-        // heads no chain.
-        #[allow(clippy::needless_range_loop)]
+        #[allow(clippy::needless_range_loop)] // v indexes three parallel arrays
         for v in 0..n {
             if !fusion || route[v] == Route::Host {
                 continue;
@@ -113,22 +100,18 @@ impl Plan {
     }
 
     /// This plan with its chains cut to `active`: a link `v -> w` stays
-    /// only when both ends are active, and a member whose link is cut
-    /// goes back to [`Route::Device`]. The streaming body keeps chains
-    /// from a prologue pull out of a gated kernel (the member would
-    /// bypass the epoch gate), and a failover replay keeps them from an
-    /// already-finished head into a replayed member (the head never
-    /// dispatches again). This equals fusing within `active` from the
-    /// start: a fusible `w` has one dependency, so only `v` can fuse it.
+    /// only when both ends are active; a member cut loose routes
+    /// `Device`. The same as fusing within `active` from the start: a
+    /// fusible `w` has one dependency, so only `v` can fuse it.
     pub(crate) fn restrict(&self, active: &[bool]) -> Self {
-        let mut next = self.next.clone();
-        let mut route = self.route.clone();
+        let (mut next, mut route) = (self.next.clone(), self.route.clone());
         for (v, link) in next.iter_mut().enumerate() {
-            if let Some(w) = link.map(|w| w as usize) {
-                if !(active[v] && active[w]) {
-                    *link = None;
-                    route[w] = Route::Device;
-                }
+            if let Some(w) = link
+                .map(|w| w as usize)
+                .filter(|&w| !(active[v] && active[w]))
+            {
+                *link = None;
+                route[w] = Route::Device;
             }
         }
         Self {
@@ -169,23 +152,13 @@ static NEXT_EXEC_ID: AtomicU64 = AtomicU64::new(0);
 /// The plan last made for one frozen graph on a healthy executor. It
 /// lives on the frozen snapshot of one builder epoch and holds one entry:
 /// a second executor simply evicts it.
-pub(crate) struct PlanCache(Mutex<Option<Cached>>);
+pub(crate) type PlanCache = Mutex<Option<Cached>>;
 
-impl PlanCache {
-    pub(crate) fn new() -> Self {
-        Self(Mutex::new(None))
-    }
-}
-
-/// A cached [`Plan`], valid for the executor and seed generation it
-/// records: with the snapshot it lives on, its key is `(executor, epoch,
-/// seed generation)`.
-struct Cached {
-    /// Identity of the executor the plan was made for (device count,
-    /// cost model and fusion flag are per-executor).
-    exec_id: u64,
-    /// The executor's seed generation when the plan was made.
-    seeds: u64,
+/// A cached [`Plan`] and its key: the executor it was made for (device
+/// count, cost model and fusion flag are per-executor) and that
+/// executor's seed generation. The snapshot it lives on is the epoch.
+pub(crate) struct Cached {
+    key: (u64, u64),
     plan: Arc<Plan>,
     /// This graph's own modeled load per device (placement loads minus
     /// the bias snapshot they were computed against), re-applied to the
@@ -202,15 +175,12 @@ pub(crate) struct Planner {
     fusion: bool,
     /// The analytic model placement weighs unseeded tasks with.
     cost: CostModel,
-    /// Per-task durations seeded from outside
-    /// ([`crate::Executor::seed_task_cost`]); a placement weighs a seeded
-    /// task with its seed.
-    cost_db: CostDb,
-    /// Decaying estimate of modeled load already packed per device, used
-    /// to bias placement of later graphs toward idle GPUs.
+    /// Per-task durations seeded by [`crate::Executor::seed_task_cost`].
+    pub(crate) cost_db: CostDb,
+    /// Decaying modeled load already packed per device: the bias that
+    /// steers later graphs toward idle GPUs.
     device_load: Mutex<Vec<f64>>,
-    /// Per-device "already counted as lost" latch for the
-    /// `devices_lost` stat (each device counted once per executor).
+    /// Per-device latch: each lost device counts once in `devices_lost`.
     lost_seen: Vec<AtomicBool>,
 }
 
@@ -225,11 +195,6 @@ impl Planner {
             device_load: Mutex::new(vec![0.0; devices.len()]),
             lost_seen: devices.iter().map(|_| AtomicBool::new(false)).collect(),
         }
-    }
-
-    /// The table of per-task cost seeds placement reads.
-    pub(crate) fn cost_db(&self) -> &CostDb {
-        &self.cost_db
     }
 
     /// Current decaying modeled-load estimate per device.
@@ -250,8 +215,8 @@ impl Planner {
     /// itself reports. Devices marked in `lost` are masked out and
     /// counted once each in `stats.devices_lost`; groups of `prev` (a
     /// previous `device_of`; empty places everything) on a surviving
-    /// device stay. `lost` is the caller's: recovery places against the
-    /// same read of the devices it chose the replayed nodes by.
+    /// device stay. `lost` is the caller's read, so recovery places
+    /// against the mask it chose the replayed nodes by.
     ///
     /// Only a first placement on a healthy executor reads and updates the
     /// decayed cross-graph load — with a device lost it may describe dead
@@ -276,8 +241,8 @@ impl Planner {
         // Read before the seeds: one seeded during placement re-plans.
         let key = (self.id, self.cost_db.generation());
         if biased {
-            let cache = frozen.plan_cache.0.lock();
-            if let Some(c) = cache.as_ref().filter(|c| (c.exec_id, c.seeds) == key) {
+            let cache = frozen.plan_cache.lock();
+            if let Some(c) = cache.as_ref().filter(|c| c.key == key) {
                 stats.topo_cache_hits.incr();
                 // Keep the cross-graph bias fresh: decay, then re-apply
                 // this graph's own modeled load.
@@ -313,20 +278,15 @@ impl Planner {
             dl.copy_from_slice(&placement.loads);
             own
         });
-        if placement.warm_hits > 0 {
-            stats.placement_warm_hits.add(placement.warm_hits);
-        }
-        if placement.est_bytes_saved > 0 {
-            stats
-                .placement_est_bytes_saved
-                .add(placement.est_bytes_saved);
-        }
+        stats.placement_warm_hits.add(placement.warm_hits);
+        stats
+            .placement_est_bytes_saved
+            .add(placement.est_bytes_saved);
         stats.placement_imbalance.set(placement.imbalance());
         let plan = Arc::new(Plan::new(frozen, placement, self.fusion));
         if let Some(own_loads) = own_loads {
-            *frozen.plan_cache.0.lock() = Some(Cached {
-                exec_id: key.0,
-                seeds: key.1,
+            *frozen.plan_cache.lock() = Some(Cached {
+                key,
                 plan: Arc::clone(&plan),
                 own_loads,
             });

@@ -155,10 +155,8 @@ impl ExecInner {
         // Re-place the lost devices' groups, fusing only among replayed
         // nodes so no chain hangs off an already-finished head.
         let active: Vec<bool> = ok.iter().map(|&o| !o).collect();
-        let plan = match self
-            .planner
-            .plan(frozen, &lost, &placement.device_of, &self.stats)
-        {
+        let prev = &placement.device_of;
+        let plan = match self.planner.plan(frozen, &lost, prev, &self.stats) {
             Ok(plan) => Arc::new(plan.restrict(&active)),
             // No surviving GPUs: fail with the structural error.
             Err(e) => {

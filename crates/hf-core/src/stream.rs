@@ -169,7 +169,6 @@ pub(crate) struct EpochDriver {
     inner: Arc<ExecInner>,
     shared: Arc<GraphShared>,
     frozen: Arc<FrozenGraph>,
-    label: Arc<str>,
     /// The run's own completion: its id and, for `run*`, its future.
     core: Completion,
     /// Tenant attribution (fleet submissions); stamped onto each epoch
@@ -188,8 +187,7 @@ pub(crate) struct EpochDriver {
     counted: bool,
     on_done: Mutex<Option<DoneHook>>,
     /// The plan carried across epochs (failover re-placements stick),
-    /// its fusion masked to the body when epochs overlap (prologue→body
-    /// chains must not bypass the gate).
+    /// cut to the body when epochs overlap (see [`Overlap::restrict`]).
     plan: Mutex<Arc<Plan>>,
     state: Mutex<DriverState>,
     cv: Condvar,
@@ -282,9 +280,8 @@ impl EpochDriver {
             return Err(HfError::ExecutorShutDown);
         }
         let frozen = hf.freeze()?;
-        let plan = inner
-            .planner
-            .plan(&frozen, &inner.lost_devices(), &[], &inner.stats)?;
+        let lost = inner.lost_devices();
+        let plan = inner.planner.plan(&frozen, &lost, &[], &inner.stats)?;
         let overlap = Overlap::derive(&frozen, depth);
         let plan = overlap.restrict(plan);
         let core = core
@@ -298,7 +295,6 @@ impl EpochDriver {
             counted,
             inner: Arc::clone(inner),
             shared: Arc::clone(&hf.shared),
-            label: Arc::from(frozen.name()),
             frozen,
             core,
             tenant,
@@ -321,7 +317,7 @@ impl EpochDriver {
         self.inner.emit(|| {
             LifecycleEvent::run_level(
                 self.core.run_id(),
-                &self.label,
+                &self.frozen.name,
                 phase,
                 result.is_ok(),
                 result.as_ref().err().map(|e| e.to_string()),
@@ -441,14 +437,14 @@ impl EpochDriver {
                 }),
                 tenant: self.tenant.clone(),
             };
-            let topo = Topology::new(
+            let topo = Arc::new(Topology::new(
                 Arc::clone(&self.frozen),
-                Arc::clone(&self.label),
                 self.core.run_id(),
                 plan,
                 Arc::clone(&pending.core.cancel),
                 ctx,
-            );
+                None,
+            ));
             if pending.core.epoch.is_some() {
                 self.emit(LifecyclePhase::EpochStart, &Ok(()), pending.core.epoch);
             }

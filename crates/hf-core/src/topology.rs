@@ -304,12 +304,9 @@ pub(crate) struct Topology {
     /// Process-unique submission id (shared with the [`RunFuture`] /
     /// [`crate::Session`] and every lifecycle event of this run).
     pub(crate) run_id: u64,
-    /// Graph name as a shared string, cloned into lifecycle events
-    /// without reallocating.
-    pub(crate) graph_label: Arc<str>,
-    /// The plan this pass runs under: the graph's cached one, the epoch
-    /// driver's body-masked one, or a failover's re-placement fused
-    /// among the replayed nodes.
+    /// The plan this pass runs under: the graph's cached one, or it cut
+    /// to the epoch driver's body, or a failover's re-placement cut to
+    /// the replayed nodes.
     pub(crate) plan: Arc<Plan>,
     /// Remaining unmet dependencies per node. The heads of an epoch gate
     /// start one higher: the extra dependency is consumed by `open_gate`
@@ -355,26 +352,6 @@ pub(crate) struct Topology {
 }
 
 impl Topology {
-    /// The pass of a fresh epoch: every node runs.
-    pub(crate) fn new(
-        frozen: Arc<FrozenGraph>,
-        graph_label: Arc<str>,
-        run_id: u64,
-        plan: Arc<Plan>,
-        cancel: Arc<AtomicBool>,
-        ctx: EpochCtx,
-    ) -> Arc<Self> {
-        Arc::new(Self::pass(
-            frozen,
-            graph_label,
-            run_id,
-            plan,
-            cancel,
-            ctx,
-            None,
-        ))
-    }
-
     /// The pass that continues `old`'s epoch after a device failover: the
     /// nodes not in `done`, under the re-placed plan. It is the same
     /// submission — run id, epoch, cancel flag, residency ring, input
@@ -394,9 +371,8 @@ impl Topology {
         Arc::new(Self {
             failovers: AtomicU32::new(old.failovers.load(Ordering::Relaxed)),
             retries: AtomicU32::new(old.retries.load(Ordering::Relaxed)),
-            ..Self::pass(
+            ..Self::new(
                 Arc::clone(&old.frozen),
-                Arc::clone(&old.graph_label),
                 old.run_id,
                 plan,
                 Arc::clone(&old.cancel),
@@ -406,12 +382,12 @@ impl Topology {
         })
     }
 
-    /// The one constructor. With `done` given, those nodes are finished
-    /// already: they are not pending, never become ready, and no longer
-    /// hold their successors back.
-    fn pass(
+    /// The one constructor: the pass of a fresh epoch when `done` is
+    /// `None`. With `done` given, those nodes are finished already: they
+    /// are not pending, never become ready, and no longer hold their
+    /// successors back.
+    pub(crate) fn new(
         frozen: Arc<FrozenGraph>,
-        graph_label: Arc<str>,
         run_id: u64,
         plan: Arc<Plan>,
         cancel: Arc<AtomicBool>,
@@ -442,7 +418,6 @@ impl Topology {
         Self {
             frozen,
             run_id,
-            graph_label,
             plan,
             join,
             pending: CachePadded::new(AtomicUsize::new(n - finished.len())),
@@ -642,11 +617,11 @@ mod tests {
         };
         let old = Topology::new(
             Arc::clone(&frozen),
-            Arc::from("r"),
             9,
             plan(),
             Arc::clone(&cancel),
             ctx,
+            None,
         );
         assert_eq!(
             old.join[3].load(Ordering::Relaxed),

@@ -583,7 +583,8 @@ mod loom_models {
             tenant: None,
         };
         let cancel = Arc::new(AtomicBool::new(false));
-        Topology::new(Arc::clone(frozen), Arc::from("g"), 1, plan, cancel, ctx)
+        let topo = Topology::new(Arc::clone(frozen), 1, plan, cancel, ctx, None);
+        Arc::new(topo)
     }
 
     /// Slot recycling against [`RunCtx::serves`]. One thread releases
