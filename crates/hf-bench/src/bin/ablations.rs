@@ -24,13 +24,8 @@ fn main() {
 /// not, with every host task costing `host`.
 fn modeled(graph: &FrozenGraph, m: &Machine, fusion: bool, host: SimDuration) -> hf_sim::SimResult {
     let placement = device_placement(graph, m.gpus, &m.cost).expect("placeable");
-    simulate(
-        graph,
-        &Plan::from_placement(graph, placement, fusion),
-        m,
-        |_| host,
-    )
-    .0
+    let plan = Plan::from_placement(graph, placement, fusion);
+    simulate(graph, &plan, m, |_| host).0
 }
 
 /// A1: packing policy load balance on heterogeneous groups.
@@ -45,14 +40,13 @@ fn a1_placement_policies() {
     }
     let graph = g.freeze().expect("acyclic");
     println!("A1  device placement policy (400 skewed groups, 4 GPUs):");
+    let cost = CostModel::default();
     for (name, packer) in [
         ("balanced (paper)", Packer::Balanced),
         ("round-robin", Packer::RoundRobin),
         ("random", Packer::Random { seed: 3 }),
     ] {
-        let p = packer
-            .place(&*graph, 4, &CostModel::default())
-            .expect("placeable");
+        let p = packer.place(&*graph, 4, &cost).expect("placeable");
         let plan = Plan::from_placement(&graph, p, true);
         let (r, _) = simulate(&graph, &plan, &Machine::new(8, 4), |_| SimDuration::ZERO);
         println!(

@@ -25,10 +25,8 @@ fn main() {
                 })
             })
             .collect();
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serializable")
-        );
+        let json = serde_json::to_string_pretty(&rows).expect("serializable");
+        println!("{json}");
         return;
     }
 

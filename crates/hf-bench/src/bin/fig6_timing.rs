@@ -21,7 +21,7 @@
 //!     [--placement balanced|roundrobin|random]   (A1 ablation)
 //!     [--sweep cores|views|both] [--json]
 
-use hf_bench::{print_matrix, Args, NameCosts, Packer, Row};
+use hf_bench::{print_json, print_matrix, rows_json, Args, NameCosts, Packer, Row};
 use hf_core::{FrozenGraph, Plan};
 use hf_gpu::{CostModel, SimDuration};
 use hf_sim::{simulate, Machine, SchedulerMode};
@@ -68,15 +68,10 @@ fn minutes(graph: &FrozenGraph, setup: &Setup, cores: usize, gpus: u32) -> f64 {
     let m = Machine::new(cores, gpus)
         .with_cost(setup.cost_model)
         .with_mode(SchedulerMode::Unified);
-    let p = setup
-        .packer
-        .place(graph, gpus, &m.cost)
-        .expect("valid graph and machine");
-    let plan = Plan::from_placement(graph, p, true);
-    simulate(graph, &plan, &m, setup.costs.for_graph(graph))
-        .0
-        .makespan_secs
-        / 60.0
+    let p = setup.packer.place(graph, gpus, &m.cost);
+    let plan = Plan::from_placement(graph, p.expect("valid graph and machine"), true);
+    let (r, _) = simulate(graph, &plan, &m, setup.costs.for_graph(graph));
+    r.makespan_secs / 60.0
 }
 
 fn main() {
@@ -114,13 +109,8 @@ fn main() {
         hf_timing::regression::make_dataset(&ps, &credits, cfg.slack_margin)
     });
     let (_, stats_raw) = hf_sim::measure(|| {
-        let w = vec![0.1f32; NUM_FEATURES + 1];
-        std::hint::black_box(hf_timing::regression::accuracy(
-            &w,
-            &dataset.0,
-            &dataset.1,
-            NUM_FEATURES,
-        ))
+        let (w, (x, y)) = (vec![0.1f32; NUM_FEATURES + 1], &dataset);
+        std::hint::black_box(hf_timing::regression::accuracy(&w, x, y, NUM_FEATURES))
     });
     // Scale the dominant gen cost from our circuit to netcard size (the
     // path search is linear in gate count).
@@ -162,78 +152,41 @@ fn main() {
     if sweep == "cores" || sweep == "both" {
         eprintln!("[fig6] building {views}-view graph and sweeping cores x gpus ...");
         let graph = build_graph(&setup, views);
-        let mut rows = Vec::new();
-        for &g in &GPU_SWEEP {
-            let values: Vec<f64> = CORE_SWEEP
-                .iter()
-                .map(|&c| minutes(&graph, &setup, c, g))
-                .collect();
-            rows.push(Row {
-                label: format!("{g} GPU{}", if g > 1 { "s" } else { "" }),
-                values,
-            });
-        }
-        print_matrix(
-            &format!("Fig 6 (upper): runtime [min] vs cores, {views} views"),
-            "cores",
-            &CORE_SWEEP.iter().map(|c| c.to_string()).collect::<Vec<_>>(),
-            &rows,
-            "",
-        );
+        let rows = Row::per_gpu(&GPU_SWEEP, &CORE_SWEEP, |c, g| {
+            minutes(&graph, &setup, c, g)
+        });
+        let title = format!("Fig 6 (upper): runtime [min] vs cores, {views} views");
+        print_matrix(&title, "cores", &CORE_SWEEP, &rows, "");
         let t_1c1g = rows[0].values[0];
         let t_40c4g = rows[3].values[CORE_SWEEP.len() - 1];
         println!(
             "\nbaseline 1 core/1 GPU: {t_1c1g:.1} min;  40 cores/4 GPUs: {t_40c4g:.1} min;  speed-up {:.1}x (paper: 99 -> 13 min, 7.7x)",
             t_1c1g / t_40c4g
         );
-        json.insert(
-            "upper".into(),
-            serde_json::json!(rows
-                .iter()
-                .map(|r| serde_json::json!({"label": r.label, "minutes": r.values}))
-                .collect::<Vec<_>>()),
-        );
+        json.insert("upper".into(), rows_json(&rows, "minutes"));
     }
 
     // --- Lower panel: runtime vs problem size (views). ---
     if sweep == "views" || sweep == "both" {
         eprintln!("[fig6] sweeping problem size ...");
         // Series over cores at 4 GPUs, and over GPUs at 40 cores.
-        let mut rows = Vec::new();
         let graphs: Vec<Arc<FrozenGraph>> =
             VIEW_SWEEP.iter().map(|&v| build_graph(&setup, v)).collect();
-        for &c in &[1usize, 16, 40] {
-            rows.push(Row {
-                label: format!("{c} cores, 4 GPUs"),
-                values: graphs.iter().map(|gr| minutes(gr, &setup, c, 4)).collect(),
-            });
-        }
-        for &g in &[1u32, 2] {
-            rows.push(Row {
-                label: format!("40 cores, {g} GPU{}", if g > 1 { "s" } else { "" }),
-                values: graphs.iter().map(|gr| minutes(gr, &setup, 40, g)).collect(),
-            });
-        }
+        let machines = [(1, 4), (16, 4), (40, 4), (40, 1), (40, 2)];
+        let rows = Row::per_machine(&machines, |c, g| {
+            graphs.iter().map(|gr| minutes(gr, &setup, c, g)).collect()
+        });
         print_matrix(
             "Fig 6 (lower): runtime [min] vs problem size (views)",
             "views",
-            &VIEW_SWEEP.iter().map(|v| v.to_string()).collect::<Vec<_>>(),
+            &VIEW_SWEEP,
             &rows,
             "",
         );
-        json.insert(
-            "lower".into(),
-            serde_json::json!(rows
-                .iter()
-                .map(|r| serde_json::json!({"label": r.label, "minutes": r.values}))
-                .collect::<Vec<_>>()),
-        );
+        json.insert("lower".into(), rows_json(&rows, "minutes"));
     }
 
     if args.flag("json") {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&serde_json::Value::Object(json)).expect("serializable")
-        );
+        print_json(json);
     }
 }

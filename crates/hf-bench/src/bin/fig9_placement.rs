@@ -21,7 +21,7 @@
 //!     [--dedicated]   (A2 ablation: one worker bound per GPU)
 //!     [--sweep cores|iters|both] [--json]
 
-use hf_bench::{print_matrix, Args, NameCosts, Row};
+use hf_bench::{print_json, print_matrix, rows_json, Args, NameCosts, Row};
 use hf_core::{device_placement, FrozenGraph, Plan};
 use hf_gpu::{CostModel, SimDuration};
 use hf_place::graph::{build_placement_graph, GraphConfig};
@@ -64,9 +64,8 @@ fn seconds(graph: &FrozenGraph, setup: &Setup, cores: usize, gpus: u32) -> f64 {
         .with_mode(setup.mode);
     let placement = device_placement(graph, gpus, &m.cost).expect("valid graph and machine");
     let plan = Plan::from_placement(graph, placement, true);
-    simulate(graph, &plan, &m, setup.costs.for_graph(graph))
-        .0
-        .makespan_secs
+    let (r, _) = simulate(graph, &plan, &m, setup.costs.for_graph(graph));
+    r.makespan_secs
 }
 
 fn main() {
@@ -76,10 +75,11 @@ fn main() {
     let matchers: usize = args.get("matchers", 32);
     let window: usize = args.get("window", 6);
     let sweep = args.get_str("sweep", &["both", "cores", "iters"]);
-    let mode = if args.flag("dedicated") {
-        SchedulerMode::DedicatedGpuWorkers
+    let (mode, note) = if args.flag("dedicated") {
+        let note = " (dedicated-GPU-worker baseline)";
+        (SchedulerMode::DedicatedGpuWorkers, note)
     } else {
-        SchedulerMode::Unified
+        (SchedulerMode::Unified, "")
     };
 
     eprintln!("[fig9] synthesizing placement ({cells} cells) ...");
@@ -157,31 +157,11 @@ fn main() {
     if sweep == "cores" || sweep == "both" {
         eprintln!("[fig9] building {iters}-iteration graph and sweeping cores x gpus ...");
         let graph = build_graph(&setup, iters);
-        let mut rows = Vec::new();
-        for &g in &GPU_SWEEP {
-            let values: Vec<f64> = CORE_SWEEP
-                .iter()
-                .map(|&c| seconds(&graph, &setup, c, g))
-                .collect();
-            rows.push(Row {
-                label: format!("{g} GPU{}", if g > 1 { "s" } else { "" }),
-                values,
-            });
-        }
-        print_matrix(
-            &format!(
-                "Fig 9 (upper): runtime [s] vs cores, {iters} iterations{}",
-                if args.flag("dedicated") {
-                    " (dedicated-GPU-worker baseline)"
-                } else {
-                    ""
-                }
-            ),
-            "cores",
-            &CORE_SWEEP.iter().map(|c| c.to_string()).collect::<Vec<_>>(),
-            &rows,
-            "",
-        );
+        let rows = Row::per_gpu(&GPU_SWEEP, &CORE_SWEEP, |c, g| {
+            seconds(&graph, &setup, c, g)
+        });
+        let title = format!("Fig 9 (upper): runtime [s] vs cores, {iters} iterations{note}");
+        print_matrix(&title, "cores", &CORE_SWEEP, &rows, "");
         let t_1c1g = rows[0].values[0];
         let t_40c1g = rows[0].values[CORE_SWEEP.len() - 1];
         let t_40c4g = rows[3].values[CORE_SWEEP.len() - 1];
@@ -189,13 +169,7 @@ fn main() {
             "\n1c/1g: {t_1c1g:.2}s;  40c/1g: {t_40c1g:.2}s;  40c/4g: {t_40c4g:.2}s  \
              (paper: 58.41s, 14.02s, 13.61s — extra GPUs buy ~nothing)"
         );
-        json.insert(
-            "upper".into(),
-            serde_json::json!(rows
-                .iter()
-                .map(|r| serde_json::json!({"label": r.label, "seconds": r.values}))
-                .collect::<Vec<_>>()),
-        );
+        json.insert("upper".into(), rows_json(&rows, "seconds"));
     }
 
     // --- Lower panel: runtime vs problem size (iterations). ---
@@ -203,23 +177,14 @@ fn main() {
         eprintln!("[fig9] sweeping iteration count ...");
         let graphs: Vec<Arc<FrozenGraph>> =
             ITER_SWEEP.iter().map(|&i| build_graph(&setup, i)).collect();
-        let mut rows = Vec::new();
-        for &c in &[1usize, 8, 40] {
-            rows.push(Row {
-                label: format!("{c} cores, 4 GPUs"),
-                values: graphs.iter().map(|gr| seconds(gr, &setup, c, 4)).collect(),
-            });
-        }
-        for &g in &[1u32, 4] {
-            rows.push(Row {
-                label: format!("40 cores, {g} GPU{}", if g > 1 { "s" } else { "" }),
-                values: graphs.iter().map(|gr| seconds(gr, &setup, 40, g)).collect(),
-            });
-        }
+        let machines = [(1, 4), (8, 4), (40, 4), (40, 1), (40, 4)];
+        let rows = Row::per_machine(&machines, |c, g| {
+            graphs.iter().map(|gr| seconds(gr, &setup, c, g)).collect()
+        });
         print_matrix(
             "Fig 9 (lower): runtime [s] vs problem size (iterations)",
             "iters",
-            &ITER_SWEEP.iter().map(|v| v.to_string()).collect::<Vec<_>>(),
+            &ITER_SWEEP,
             &rows,
             "",
         );
@@ -229,19 +194,10 @@ fn main() {
                 rows[0].values[0], rows[2].values[0]
             );
         }
-        json.insert(
-            "lower".into(),
-            serde_json::json!(rows
-                .iter()
-                .map(|r| serde_json::json!({"label": r.label, "seconds": r.values}))
-                .collect::<Vec<_>>()),
-        );
+        json.insert("lower".into(), rows_json(&rows, "seconds"));
     }
 
     if args.flag("json") {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&serde_json::Value::Object(json)).expect("serializable")
-        );
+        print_json(json);
     }
 }

@@ -27,4 +27,4 @@ pub mod table;
 pub use cli::Args;
 pub use costs::NameCosts;
 pub use packers::Packer;
-pub use table::{print_matrix, Row};
+pub use table::{print_json, print_matrix, rows_json, Row};

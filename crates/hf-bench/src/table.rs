@@ -9,9 +9,61 @@ pub struct Row {
     pub values: Vec<f64>,
 }
 
+impl Row {
+    /// One row per GPU count of `f(cores, gpus)` over `cores`: a figure's
+    /// upper panel.
+    pub fn per_gpu(gpus: &[u32], cores: &[usize], f: impl Fn(usize, u32) -> f64) -> Vec<Row> {
+        let row = |&g| Row::new(gpu_label(g), cores.iter().map(|&c| f(c, g)).collect());
+        gpus.iter().map(row).collect()
+    }
+
+    /// One row of `f(cores, gpus)` per `(cores, gpus)` machine: a
+    /// figure's lower panel.
+    pub fn per_machine(machines: &[(usize, u32)], f: impl Fn(usize, u32) -> Vec<f64>) -> Vec<Row> {
+        let row = |&(c, g)| Row::new(format!("{c} cores, {}", gpu_label(g)), f(c, g));
+        machines.iter().map(row).collect()
+    }
+
+    fn new(label: String, values: Vec<f64>) -> Row {
+        Row { label, values }
+    }
+}
+
+/// "1 GPU", "2 GPUs", ...
+fn gpu_label(gpus: u32) -> String {
+    format!("{gpus} GPU{}", if gpus > 1 { "s" } else { "" })
+}
+
+/// Prints a figure's panels, keyed by name, as pretty JSON.
+pub fn print_json(panels: serde_json::Map) {
+    let json = serde_json::Value::Object(panels);
+    println!(
+        "{}",
+        serde_json::to_string_pretty(&json).expect("serializable")
+    );
+}
+
+/// `rows` as JSON: one `{"label": .., <unit>: values}` object per row.
+pub fn rows_json(rows: &[Row], unit: &str) -> serde_json::Value {
+    let row = |r: &Row| {
+        let mut m = serde_json::Map::new();
+        m.insert("label".into(), serde_json::json!(r.label));
+        m.insert(unit.into(), serde_json::json!(r.values));
+        serde_json::Value::Object(m)
+    };
+    serde_json::Value::Array(rows.iter().map(row).collect())
+}
+
 /// Prints a matrix with a header column list, one row per series. Values
 /// are printed with the given unit suffix.
-pub fn print_matrix(title: &str, col_name: &str, cols: &[String], rows: &[Row], unit: &str) {
+pub fn print_matrix(
+    title: &str,
+    col_name: &str,
+    cols: &[impl std::fmt::Display],
+    rows: &[Row],
+    unit: &str,
+) {
+    let cols: Vec<String> = cols.iter().map(|c| c.to_string()).collect();
     println!("\n=== {title} ===");
     let label_w = rows
         .iter()
@@ -22,7 +74,7 @@ pub fn print_matrix(title: &str, col_name: &str, cols: &[String], rows: &[Row], 
         + 2;
     let col_w = cols.iter().map(|c| c.len()).max().unwrap_or(6).max(9) + 2;
     print!("{:label_w$}", col_name);
-    for c in cols {
+    for c in &cols {
         print!("{c:>col_w$}");
     }
     println!();
@@ -45,7 +97,7 @@ mod tests {
         print_matrix(
             "demo",
             "cores",
-            &["1".into(), "8".into()],
+            &[1, 8],
             &[
                 Row {
                     label: "1 GPU".into(),
