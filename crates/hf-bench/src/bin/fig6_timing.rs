@@ -109,7 +109,8 @@ fn main() {
         hf_timing::regression::make_dataset(&ps, &credits, cfg.slack_margin)
     });
     let (_, stats_raw) = hf_sim::measure(|| {
-        let (w, (x, y)) = (vec![0.1f32; NUM_FEATURES + 1], &dataset);
+        let w = vec![0.1f32; NUM_FEATURES + 1];
+        let (x, y) = &dataset;
         std::hint::black_box(hf_timing::regression::accuracy(&w, x, y, NUM_FEATURES))
     });
     // Scale the dominant gen cost from our circuit to netcard size (the

@@ -458,7 +458,8 @@ impl Executor {
     /// [`crate::Session`] runs it with the chains that lead into its
     /// gated body cut. A failover re-places, so it runs under another.
     pub fn plan(&self, hf: &Heteroflow) -> Result<Arc<Plan>, HfError> {
-        let (frozen, inner) = (hf.freeze()?, &self.inner);
+        let frozen = hf.freeze()?;
+        let inner = &self.inner;
         let lost = inner.lost_devices();
         inner.planner.plan(&frozen, &lost, &[], &inner.stats)
     }

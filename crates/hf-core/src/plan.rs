@@ -106,12 +106,11 @@ impl Plan {
     pub(crate) fn restrict(&self, active: &[bool]) -> Self {
         let (mut next, mut route) = (self.next.clone(), self.route.clone());
         for (v, link) in next.iter_mut().enumerate() {
-            if let Some(w) = link
-                .map(|w| w as usize)
-                .filter(|&w| !(active[v] && active[w]))
-            {
-                *link = None;
-                route[w] = Route::Device;
+            if let Some(w) = link.map(|w| w as usize) {
+                if !(active[v] && active[w]) {
+                    *link = None;
+                    route[w] = Route::Device;
+                }
             }
         }
         Self {

@@ -506,9 +506,8 @@ impl EpochDriver {
             // cut to the replayed nodes and are not carried).
             if !Arc::ptr_eq(&topo.plan, &plan) {
                 let placement = topo.plan.placement().clone();
-                *plan = self
-                    .overlap
-                    .restrict(Arc::new(planner.fuse(&self.frozen, placement)));
+                let fused = Arc::new(planner.fuse(&self.frozen, placement));
+                *plan = self.overlap.restrict(fused);
             }
             // An epoch that *failed* on a device loss (failover budget
             // spent, or superseded inputs) never re-placed; re-place the
