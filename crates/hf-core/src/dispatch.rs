@@ -5,7 +5,7 @@
 //! them into the device arena; a push hands the arena bytes to its sink.
 //!
 //! **Pulls** record `(device, ptr, resident_version)` in the pull's
-//! [`crate::graph::PullState`] after a whole copy, and a pull that finds
+//! [`PullState`] after a whole copy, and a pull that finds
 //! its source still at the resident version elides: no copy, no fault
 //! draw. A versioned source larger than `copy_chunk_threshold` is
 //! *pipelined*: an open op on the task's stream elides or drops residency
@@ -36,17 +36,19 @@
 use crate::data::{HostSink, HostSource};
 use crate::error::HfError;
 use crate::executor::ExecInner;
-use crate::graph::Work;
+use crate::graph::{GpuNode, Work};
+use crate::lifecycle::LifecyclePhase;
 use crate::topology::Topology;
-use crate::worker::ChainState;
 use hf_gpu::stream::ExecFn;
 use hf_gpu::{
-    ArenaView, CostModel, Device, DevicePtr, Event, FaultSite, GpuError, OpLabel, OpReport, Stream,
+    ArenaView, CostModel, Device, DevicePtr, Event, FaultSite, GpuError, KernelArgs, OpLabel,
+    OpReport, ScopedDeviceContext, Stream,
 };
 use hf_sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use hf_sync::sync::Mutex;
 use std::sync::Arc;
 
-/// What `Worker::prepare_op` produced for one chain node.
+/// What [`prepare`] produced for one chain node.
 pub(crate) enum PreparedOp {
     /// One stream op, enqueued on the worker's main per-device stream.
     Single(ExecFn),
@@ -431,4 +433,299 @@ pub(crate) fn prepare_push(
             ..Default::default()
         })
     })))
+}
+
+/// A worker's device streams, created on first use.
+pub(crate) struct Streams {
+    /// Lazily created per-device streams — "each worker keeps a
+    /// per-thread CUDA stream" (§III-C).
+    streams: Vec<Option<Stream>>,
+    /// Lazily created per-device copy-lane streams: chunked pulls
+    /// round-robin their chunks across these so long copies interleave
+    /// with kernels on the device engine.
+    copy_streams: Vec<Vec<Stream>>,
+}
+
+impl Streams {
+    pub(crate) fn new(n_gpus: usize) -> Self {
+        Self {
+            streams: (0..n_gpus).map(|_| None).collect(),
+            copy_streams: (0..n_gpus).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    /// This worker's stream on `device`, created on first use.
+    fn stream(&mut self, device: &Device) -> Stream {
+        self.streams[device.id() as usize]
+            .get_or_insert_with(|| Stream::new(device))
+            .clone()
+    }
+
+    /// Copy-lane streams for `device`, created on first chunked pull.
+    fn copy_lanes(&mut self, lanes: usize, device: &Device) -> Vec<Stream> {
+        let slot = &mut self.copy_streams[device.id() as usize];
+        if slot.is_empty() {
+            slot.extend((0..lanes).map(|_| Stream::new(device)));
+        }
+        slot.clone()
+    }
+}
+
+/// Dispatches a GPU task and its fused chain (§III-C "task fusing"):
+/// all ops are prepared first (any error aborts before a single
+/// enqueue), then submitted to the per-worker stream back-to-back
+/// with one completion callback finishing every chain node in order.
+///
+/// Fault tolerance: each op checks its device's fault injector and
+/// the cancellation flags before doing anything, and records the
+/// first failure in a shared [`ChainState`]. Faults fire *before* an
+/// op's effect, so the completion callback can finish the completed
+/// prefix normally and route just the failed suffix through the retry
+/// policy (retry re-dispatches the failed member, which re-walks the
+/// chain from there).
+pub(crate) fn submit(
+    inner: &Arc<ExecInner>,
+    streams: &mut Streams,
+    worker: usize,
+    topo: &Arc<Topology>,
+    head: usize,
+) -> Result<(), HfError> {
+    let dev_id = topo.plan.placement().device_of[head].ok_or_else(|| HfError::NoGpus {
+        task: topo.frozen.nodes[head].name.to_string(),
+    })?;
+    let device = inner.gpu.device(dev_id)?;
+    let _ctx = ScopedDeviceContext::new(dev_id);
+
+    let state = Arc::new(ChainState::default());
+    let chain: Vec<usize> = topo.plan.chain(head).collect();
+    let ops = chain
+        .iter()
+        .map(|&id| prepare(inner, topo, id, &device, &state))
+        .collect::<Result<Vec<_>, _>>()?;
+    if chain.len() > 1 {
+        inner.stats.fused.add(worker, (chain.len() - 1) as u64);
+        // Members never pass through `execute`; account for them.
+        inner
+            .stats
+            .tasks_executed
+            .add(worker, (chain.len() - 1) as u64);
+    }
+
+    let stream = streams.stream(&device);
+    // Dispatched events fire before the first op is enqueued: the
+    // engine may complete (and emit Finished for) the chain the
+    // moment an op lands on the stream.
+    let chain_head = Some(head as u32);
+    if inner.lc_active() {
+        let worker = Some(worker as u32);
+        for &nid in &chain {
+            inner.emit_task(
+                topo,
+                LifecyclePhase::Dispatched,
+                nid,
+                worker,
+                chain_head,
+                true,
+                None,
+            );
+        }
+    }
+    // Label ops with task name/kind only when a device trace sink is
+    // installed; the engine drops the label unused when tracing is
+    // off.
+    let tracing = inner.gpu.tracing_enabled();
+    for (&nid, op) in chain.iter().zip(ops) {
+        let label = tracing.then(|| {
+            let n = &topo.frozen.nodes[nid];
+            hf_gpu::OpLabel {
+                name: Arc::clone(&n.name),
+                tag: crate::observer::kind_to_tag(n.work.kind()),
+                epoch: topo.ctx.epoch,
+            }
+        });
+        match op {
+            PreparedOp::Single(f) => stream.exec_labeled(label, f),
+            PreparedOp::ChunkedPull(pull) => {
+                pull.enqueue_chunked(
+                    &stream,
+                    &streams.copy_lanes(inner.copy_lanes, &device),
+                    label,
+                );
+            }
+        }
+    }
+    let inner = Arc::clone(inner);
+    let topo2 = Arc::clone(topo);
+    let state2 = Arc::clone(&state);
+    stream.host_fn(move || {
+        let err = state2.error.lock().clone();
+        let done = state2.done.load(Ordering::Acquire);
+        match err {
+            // `done < len` without an error means ops were skipped by
+            // cancellation — finish unsuccessfully so a failover (if
+            // one is pending) replays them.
+            None => {
+                let all_ok = done == chain.len();
+                inner.finish_nodes(&topo2, chain, None, chain_head, all_ok, None);
+            }
+            // The completed prefix finished normally; the failed
+            // member and the suffix that never ran go to the policy.
+            Some(e) => {
+                let (prefix, rest) = chain.split_at(done);
+                let prefix = prefix.iter().copied();
+                inner.finish_nodes(&topo2, prefix, None, chain_head, true, None);
+                let suffix = rest.iter().copied();
+                inner.fail_task(&topo2, rest[0], suffix, None, chain_head, e, None);
+            }
+        }
+    });
+    Ok(())
+}
+
+/// Builds the device op for one GPU node (without enqueueing it).
+/// Pulls and pushes are the transfer engine's ([`prepare_pull`], [`prepare_push`]);
+/// a pull it wants pipelined comes back as a descriptor that
+/// [`submit`] enqueues across the copy lanes.
+fn prepare(
+    inner: &Arc<ExecInner>,
+    topo: &Arc<Topology>,
+    id: usize,
+    device: &Device,
+    state: &Arc<ChainState>,
+) -> Result<PreparedOp, HfError> {
+    let frozen = &*topo.frozen;
+    let node = &frozen.nodes[id];
+    let dev_id = device.id();
+    match &node.work {
+        Work::Pull { source } => prepare_pull(inner, topo, id, source, device, state),
+        Work::Push { source_pull, sink } => {
+            prepare_push(inner, topo, id, *source_pull, sink, device, state)
+        }
+        Work::Kernel { func, sources } => {
+            let mut ptrs = Vec::with_capacity(sources.len());
+            for &s in sources.iter() {
+                let pull_node = &frozen.nodes[s];
+                let p = topo
+                    .pull_state(s)
+                    .lock()
+                    .ptr
+                    .ok_or_else(|| HfError::SourceNotPulled {
+                        kernel: node.name.to_string(),
+                        pull: pull_node.name.to_string(),
+                    })?;
+                debug_assert_eq!(
+                    p.device, dev_id,
+                    "placement must co-locate kernels with their pulls"
+                );
+                ptrs.push(p);
+            }
+            let gpu = frozen.gpu(id).ok_or_else(|| HfError::NoGpus {
+                task: node.name.to_string(),
+            })?;
+            let cfg = gpu.cfg;
+            let work_units = GpuNode::priced_work_units(gpu.work_units, &gpu.cfg);
+            let func = Arc::clone(func);
+            let src_ids = Arc::clone(sources);
+            let topo2 = Arc::clone(topo);
+            let state2 = Arc::clone(state);
+            let dev = device.clone();
+            let task_name = Arc::clone(&node.name);
+            Ok(PreparedOp::Single(Box::new(move |view, cost| {
+                if state2.skip(&topo2) {
+                    return Ok(OpReport::default());
+                }
+                if let Err(e) = dev.fault_check(FaultSite::Kernel) {
+                    state2.fail(HfError::TaskFailed {
+                        task: task_name.to_string(),
+                        source: e.clone(),
+                    });
+                    return Err(e);
+                }
+                // Kernels take mutable views of their sources with no
+                // declared access modes, so assume every source buffer
+                // is mutated: its device bytes no longer match any
+                // host version. (A faulted kernel above never ran, so
+                // residency survives the retry.)
+                for &sid in src_ids.iter() {
+                    clear_residency(&topo2, sid);
+                }
+                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let mut args = KernelArgs::new(view, &ptrs);
+                    func(&cfg, &mut args);
+                }));
+                if res.is_err() {
+                    state2.fail(HfError::TaskPanicked {
+                        task: task_name.to_string(),
+                    });
+                    return Ok(OpReport::default());
+                }
+                let dur = cost.kernel(work_units);
+                state2.done.fetch_add(1, Ordering::Release);
+                Ok(OpReport {
+                    duration: dur,
+                    kernels: 1,
+                    ..Default::default()
+                })
+            })))
+        }
+        Work::Empty | Work::Host(_) => unreachable!("not a GPU task"),
+    }
+}
+
+/// Shared failure/progress state of one dispatched GPU chain: how many
+/// ops completed (the chain prefix) and the first error, recorded by the
+/// op closures on the device engine thread and consumed by the stream's
+/// completion callback.
+#[derive(Default)]
+pub(crate) struct ChainState {
+    pub(crate) done: AtomicUsize,
+    pub(crate) error: Mutex<Option<HfError>>,
+}
+
+impl ChainState {
+    /// Records the first failure; later ops in the chain then skip.
+    pub(crate) fn fail(&self, e: HfError) {
+        let mut g = self.error.lock();
+        if g.is_none() {
+            *g = Some(e);
+        }
+    }
+
+    /// True when this op should do nothing: an earlier chain op failed,
+    /// the run already failed, or the caller cancelled — cooperative
+    /// cancellation propagated into ops already enqueued on the stream.
+    pub(crate) fn skip(&self, topo: &Topology) -> bool {
+        self.error.lock().is_some()
+            || topo.cancelled.load(Ordering::Acquire)
+            || topo.cancel_requested()
+    }
+}
+
+/// Runtime state of a pull node: its current device allocation plus the
+/// residency record that lets unchanged re-pulls skip the H2D copy.
+///
+/// The allocation persists across rounds and submissions for as long as
+/// the frozen snapshot lives; dropping the snapshot (graph mutation or
+/// executor teardown) returns it to the owning device's pool.
+#[derive(Debug, Default)]
+pub(crate) struct PullState {
+    pub(crate) ptr: Option<DevicePtr>,
+    /// Host-source version whose bytes the device buffer currently holds.
+    /// `None` means the device copy is invalid (never copied, source is
+    /// unversioned, a kernel mutated the buffer, or retry/failover/
+    /// cancellation tore it down) and the next pull must copy.
+    pub(crate) resident_version: Option<u64>,
+    /// Handle to the device owning `ptr` — used for `free` on drop and to
+    /// verify residency still refers to the live runtime's device.
+    pub(crate) device: Option<hf_gpu::Device>,
+}
+
+impl Drop for PullState {
+    fn drop(&mut self) {
+        if let (Some(ptr), Some(dev)) = (self.ptr.take(), self.device.take()) {
+            // Best-effort: a lost device rejects the free, which is fine —
+            // its arena dies with it.
+            let _ = dev.free(ptr);
+        }
+    }
 }

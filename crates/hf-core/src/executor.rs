@@ -86,7 +86,7 @@ pub(crate) struct ExecInner {
     pub(crate) retry: RetryPolicy,
     /// Pulls of more than this many bytes are pipelined in chunks of this
     /// size across the copy-lane streams (`usize::MAX` disables). Pushes
-    /// are always one op; see [`crate::transfer`].
+    /// are always one op; see [`crate::dispatch`].
     pub(crate) copy_chunk_threshold: usize,
     /// Copy-lane streams per (worker, device) used by pipelined pulls.
     pub(crate) copy_lanes: usize,

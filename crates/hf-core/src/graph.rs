@@ -14,9 +14,10 @@
 //! frozen form.
 
 use crate::data::{HostSink, HostSource};
+use crate::dispatch::PullState;
 use crate::error::HfError;
 use crate::task::{HostTask, KernelTask, PullTask, PushTask, TaskRef};
-use hf_gpu::{DevicePtr, KernelFn, LaunchConfig};
+use hf_gpu::{KernelFn, LaunchConfig};
 use hf_sync::sync::Mutex;
 use std::fmt;
 use std::sync::Arc;
@@ -165,35 +166,6 @@ impl Builder {
         self.touch();
         self.nodes[from].succ.push(to);
         self.nodes[to].pred.push(from);
-    }
-}
-
-/// Runtime state of a pull node: its current device allocation plus the
-/// residency record that lets unchanged re-pulls skip the H2D copy.
-///
-/// The allocation persists across rounds and submissions for as long as
-/// the frozen snapshot lives; dropping the snapshot (graph mutation or
-/// executor teardown) returns it to the owning device's pool.
-#[derive(Debug, Default)]
-pub(crate) struct PullState {
-    pub(crate) ptr: Option<DevicePtr>,
-    /// Host-source version whose bytes the device buffer currently holds.
-    /// `None` means the device copy is invalid (never copied, source is
-    /// unversioned, a kernel mutated the buffer, or retry/failover/
-    /// cancellation tore it down) and the next pull must copy.
-    pub(crate) resident_version: Option<u64>,
-    /// Handle to the device owning `ptr` — used for `free` on drop and to
-    /// verify residency still refers to the live runtime's device.
-    pub(crate) device: Option<hf_gpu::Device>,
-}
-
-impl Drop for PullState {
-    fn drop(&mut self) {
-        if let (Some(ptr), Some(dev)) = (self.ptr.take(), self.device.take()) {
-            // Best-effort: a lost device rejects the free, which is fine —
-            // its arena dies with it.
-            let _ = dev.free(ptr);
-        }
     }
 }
 

@@ -60,6 +60,7 @@ pub mod admission;
 pub mod analyze;
 pub mod costmodel;
 pub mod data;
+pub(crate) mod dispatch;
 pub mod dot;
 pub mod error;
 pub mod executor;
@@ -78,7 +79,6 @@ pub mod stats;
 pub(crate) mod stream;
 pub mod task;
 pub(crate) mod topology;
-pub(crate) mod transfer;
 pub(crate) mod worker;
 
 pub use admission::{AdmissionPolicy, Fifo, LaneView, TenantConfig, TenantId, WeightedFair};

@@ -35,9 +35,10 @@
 //! in which case the epoch fails rather than replay pulls against
 //! superseded host data.
 
+use crate::dispatch::PullState;
 use crate::error::HfError;
 use crate::executor::{ExecInner, Executor};
-use crate::graph::{FrozenGraph, GraphShared, Heteroflow, PullState, TaskKind};
+use crate::graph::{FrozenGraph, GraphShared, Heteroflow, TaskKind};
 use crate::lifecycle::{LifecycleEvent, LifecyclePhase};
 use crate::plan::Plan;
 use crate::topology::{

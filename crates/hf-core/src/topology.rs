@@ -23,8 +23,9 @@
 //! state lives in the shared [`Completion`] core; [`RunFuture`] and
 //! [`crate::EpochFuture`] are names for it.
 
+use crate::dispatch::PullState;
 use crate::error::HfError;
-use crate::graph::{FrozenGraph, PullState};
+use crate::graph::FrozenGraph;
 use crate::plan::Plan;
 use hf_sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use hf_sync::sync::{Condvar, Mutex};
