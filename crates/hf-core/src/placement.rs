@@ -107,16 +107,11 @@ impl PlacementView for FrozenGraph {
     fn warm_device(&self, i: usize) -> Option<u32> {
         match &self.nodes[i].work {
             Work::Pull { source } => {
-                let st = self.gpu(i)?.pull_state.lock();
                 // Warm = a live device buffer holding exactly the
                 // source's current version. A mutated host buffer bumps
                 // the version, so stale residency never attracts.
-                let host_ver = source.version()?;
-                if st.resident_version == Some(host_ver) {
-                    st.ptr.map(|p| p.device)
-                } else {
-                    None
-                }
+                let st = self.gpu(i)?.pull_state.lock();
+                st.warm_device(source.version()?)
             }
             _ => None,
         }
@@ -397,6 +392,7 @@ pub fn device_placement<G: PlacementView + ?Sized>(
 mod tests {
     use super::*;
     use crate::data::HostVec;
+    use crate::dispatch::PullState;
     use crate::graph::Heteroflow;
 
     /// Two kernels sharing a pull task must co-locate with it; an
@@ -585,14 +581,13 @@ mod tests {
     /// Marks a frozen pull node's device buffer warm: a fake allocation
     /// on `device` holding exactly `version` of the source's bytes.
     fn set_warm(f: &FrozenGraph, id: usize, device: u32, version: u64, bytes: u64) {
-        let mut st = f.gpu(id).unwrap().pull_state.lock();
-        st.ptr = Some(hf_gpu::DevicePtr {
+        let ptr = hf_gpu::DevicePtr {
             device,
             offset: 0,
             len: bytes,
             capacity: bytes,
-        });
-        st.resident_version = Some(version);
+        };
+        *f.gpu(id).unwrap().pull_state.lock() = PullState::resident(ptr, version);
     }
 
     /// A warm, version-valid device wins load ties, and the placement

@@ -192,26 +192,17 @@ impl ExecInner {
         }
         let new_placement = plan.placement();
 
-        // Device buffers on lost devices vanished with their arenas; a
-        // replayed pull re-allocates on its new device. (Nothing to free —
-        // the device is gone.)
+        // Device buffers on lost devices vanished with their arenas (nothing
+        // to free); a replayed pull re-allocates on its new device.
         for i in (0..n).filter(|&i| frozen.kind(i) == TaskKind::Pull) {
             let mut st = topo.pull_state(i).lock();
-            if let Some(p) = st.ptr {
-                if lost.get(p.device as usize).copied().unwrap_or(true) {
-                    st.ptr = None;
-                    st.resident_version = None;
-                    st.device = None;
-                } else if new_placement.device_of[i] != Some(p.device) {
-                    // Defensive: surviving groups keep their device, but if
-                    // one ever moves, release the stale buffer properly.
-                    if let Ok(dev) = self.gpu.device(p.device) {
-                        let _ = dev.free(p);
-                    }
-                    st.ptr = None;
-                    st.resident_version = None;
-                    st.device = None;
-                }
+            let Some(p) = st.ptr() else { continue };
+            if lost.get(p.device as usize).copied().unwrap_or(true) {
+                st.forget();
+            } else if new_placement.device_of[i] != Some(p.device) {
+                // Defensive: surviving groups keep their device, but if
+                // one ever moves, release the stale buffer properly.
+                st.release();
             }
         }
 

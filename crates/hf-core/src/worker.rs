@@ -5,8 +5,9 @@
 //! *thief* looking for a task, and an *exploit burst* that runs the task,
 //! then whatever it made ready, then its own deque until that is dry
 //! (DESIGN.md "Scheduler hot path"). Host tasks run on the worker itself;
-//! GPU tasks are dispatched to the worker's per-device streams and
-//! complete on the device engine.
+//! a GPU task goes to [`dispatch::submit`], which enqueues it and the
+//! chain fused behind it on the worker's stream for its device, and it
+//! completes on the device engine. The worker only schedules.
 
 use crate::dispatch::{self, Streams};
 use crate::error::HfError;
@@ -58,7 +59,7 @@ pub(crate) struct Worker {
     id: usize,
     deque: StealDeque<Token>,
     inner: Arc<ExecInner>,
-    /// This worker's device streams.
+    /// This worker's device streams, which only [`dispatch`] uses.
     streams: Streams,
     /// xorshift state for victim selection.
     rng: u64,

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Counts the `unwrap()` / `expect(` sites on runtime paths: per file of
-# crates/hf-core/src, occurrences outside comments and before the file's
-# first test module, `#[cfg(test)]` or `#[cfg(all(test, ...))]` (raw greps
-# mostly count test code and say nothing).
+# Counts the panic sites on runtime paths — `unwrap()`, `expect(`, and the
+# macros `panic!(`, `unreachable!(`, `unimplemented!(` and `todo!(` — per
+# file of crates/hf-core/src: occurrences outside comments and before the
+# file's first test module, `#[cfg(test)]` or `#[cfg(all(test, ...))]` (raw
+# greps mostly count test code and say nothing).
 # Fails when a file exceeds the count committed in scripts/panic_audit.allow,
 # so a new site on a runtime path is a reviewed decision; lowering a count
 # is always fine (then re-run with --write).
@@ -17,7 +18,7 @@ counts=$(for f in $(find crates/hf-core/src -name '*.rs' | sort); do
   awk '
     /^[[:space:]]*#\[cfg\((all\()?test[,)]/ { exit }
     /^[[:space:]]*\/\// { next }
-    { n += gsub(/\.unwrap\(\)|\.expect\(/, "") }
+    { n += gsub(/\.unwrap\(\)|\.expect\(|(panic|unreachable|unimplemented|todo)!\(/, "") }
     END { if (n) printf "%s %d\n", FILENAME, n }
   ' "$f"
 done)
@@ -32,7 +33,7 @@ fail=0
 while read -r f n; do
   allowed=$(awk -v f="$f" '$1 == f { print $2 }' "$allow")
   if [ "$n" -gt "${allowed:-0}" ]; then
-    echo "$f: $n unwrap()/expect( outside tests, ${allowed:-0} allowed" >&2
+    echo "$f: $n panic sites outside tests, ${allowed:-0} allowed" >&2
     fail=1
   fi
 done <<< "$counts"
@@ -42,4 +43,4 @@ if [ "$fail" -ne 0 ]; then
   exit 1
 fi
 total=$(awk '{ s += $2 } END { print s + 0 }' <<< "$counts")
-echo "panic audit OK: $total unwrap()/expect( sites outside tests in crates/hf-core/src, none above $allow"
+echo "panic audit OK: $total panic sites (unwrap()/expect(/panic macros) outside tests in crates/hf-core/src, none above $allow"

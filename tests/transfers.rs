@@ -362,6 +362,29 @@ fn unversioned_source_pulls_in_one_op_and_never_elides() {
     }
 }
 
+/// A kernel draws its fault before its effect, and dropping its sources'
+/// residency is part of the effect: after a faulted kernel the pulled
+/// bytes still match the host, so the next run elides its pull and the
+/// kernel applies exactly once.
+#[test]
+fn faulted_kernel_keeps_its_sources_resident() {
+    const N: usize = 256;
+    let ex = Executor::new(1, 1);
+    let data = HostVec::from_vec(vec![0i32; N]);
+    let g = increment_graph(&data, N);
+    ex.gpu_runtime()
+        .set_fault_plan(Some(FaultPlan::seeded(5).fail(FaultSite::Kernel, 1.0)));
+    let e = ex.run(&g).wait().expect_err("the kernel faults");
+    assert!(
+        matches!(e.gpu_cause(), Some(GpuError::FaultInjected { .. })),
+        "{e}"
+    );
+    ex.gpu_runtime().set_fault_plan(None);
+    ex.run(&g).wait().expect("second run");
+    assert!(data.read().iter().all(|&v| v == 1));
+    assert_eq!(ex.snapshot().transfers_elided, 1);
+}
+
 /// Pushes are one op whatever their size, so a D2H fault fires before a
 /// single byte reaches the sink: the run either retries to the right
 /// bytes or fails structured with the sink exactly as it was.
