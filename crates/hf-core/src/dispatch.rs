@@ -350,12 +350,11 @@ fn prepare_pull(
     source: &Arc<dyn HostSource>,
 ) -> Result<PreparedOp, HfError> {
     let bytes = source.byte_len();
-    let ptr = (chain.topo.pull_state(node).lock())
-        .buffer(&chain.dev, bytes)
-        .map_err(|e| HfError::TaskFailed {
-            task: chain.task(node).to_string(),
-            source: e,
-        })?;
+    let ptr = chain.topo.pull_state(node).lock().buffer(&chain.dev, bytes);
+    let ptr = ptr.map_err(|e| HfError::TaskFailed {
+        task: chain.task(node).to_string(),
+        source: e,
+    })?;
     let pull = Arc::new(Pull {
         chain: Arc::clone(chain),
         node,
