@@ -82,7 +82,13 @@ impl fmt::Display for CriticalPathReport {
             writeln!(f, "  ({} tasks had no span; counted as 0)", self.unmatched)?;
         }
         for s in &self.steps {
-            writeln!(f, "    {:<10} {:>8} us  {}", s.kind.to_string(), s.dur_us, s.name)?;
+            writeln!(
+                f,
+                "    {:<10} {:>8} us  {}",
+                s.kind.to_string(),
+                s.dur_us,
+                s.name
+            )?;
         }
         Ok(())
     }

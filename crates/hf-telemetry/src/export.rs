@@ -179,7 +179,14 @@ mod tests {
         let names: Vec<&str> = events
             .iter()
             .filter(|e| e.get("ph").unwrap().as_str() == Some("M"))
-            .map(|e| e.get("args").unwrap().get("name").unwrap().as_str().unwrap())
+            .map(|e| {
+                e.get("args")
+                    .unwrap()
+                    .get("name")
+                    .unwrap()
+                    .as_str()
+                    .unwrap()
+            })
             .collect();
         assert!(names.contains(&"cpu"));
         assert!(names.contains(&"gpu1"));
@@ -192,7 +199,10 @@ mod tests {
             .unwrap();
         assert_eq!(k.get("pid").unwrap().as_u64(), Some(2));
         assert_eq!(k.get("tid").unwrap().as_u64(), Some(2));
-        assert_eq!(k.get("args").unwrap().get("bytes").unwrap().as_u64(), Some(64));
+        assert_eq!(
+            k.get("args").unwrap().get("bytes").unwrap().as_u64(),
+            Some(64)
+        );
     }
 
     #[test]

@@ -87,7 +87,10 @@ impl RunFlight {
     }
 
     fn last_event_ns(&self) -> u64 {
-        self.events.last().map(|e| e.t_ns).unwrap_or(self.started_ns)
+        self.events
+            .last()
+            .map(|e| e.t_ns)
+            .unwrap_or(self.started_ns)
     }
 }
 
@@ -359,11 +362,9 @@ impl FlightRecorder {
                             let ready = tt.ready_ns.take();
                             if ev.ok {
                                 if let Some(s) = started {
-                                    exec_obs =
-                                        Some((t, ev.t_ns.saturating_sub(s) as f64));
+                                    exec_obs = Some((t, ev.t_ns.saturating_sub(s) as f64));
                                     if let Some(r) = ready {
-                                        queue_obs =
-                                            Some(s.saturating_sub(r) as f64);
+                                        queue_obs = Some(s.saturating_sub(r) as f64);
                                     }
                                 }
                             }
@@ -398,8 +399,7 @@ impl FlightRecorder {
                         if let Some(e) = ev.epoch {
                             run.epochs_completed += 1;
                             if let Some(s) = run.epoch_started.remove(&e) {
-                                epoch_obs =
-                                    Some(ev.t_ns.saturating_sub(s) as f64);
+                                epoch_obs = Some(ev.t_ns.saturating_sub(s) as f64);
                             }
                         }
                     }
@@ -407,10 +407,7 @@ impl FlightRecorder {
                         run.ended_ns = Some(ev.t_ns);
                         run.ok = Some(ev.ok);
                         run.detail = ev.detail.clone();
-                        run_obs = Some((
-                            ev.t_ns.saturating_sub(run.started_ns) as f64,
-                            ev.ok,
-                        ));
+                        run_obs = Some((ev.t_ns.saturating_sub(run.started_ns) as f64, ev.ok));
                         if !ev.ok {
                             failed_runs.push(ev.run_id);
                         }
@@ -453,8 +450,7 @@ impl FlightRecorder {
             if ended {
                 // Trim completed runs beyond the retention window
                 // (active runs are never evicted).
-                let completed =
-                    st.runs.iter().filter(|r| r.done()).count();
+                let completed = st.runs.iter().filter(|r| r.done()).count();
                 let mut excess = completed.saturating_sub(self.keep_completed);
                 while excess > 0 {
                     if let Some(i) = st.runs.iter().position(|r| r.done()) {
@@ -737,7 +733,12 @@ pub(super) mod tests {
     use super::*;
     use hf_core::TaskKind;
 
-    pub(in crate::health) fn ev(run_id: u64, phase: LifecyclePhase, task: Option<u32>, t_ns: u64) -> LifecycleEvent {
+    pub(in crate::health) fn ev(
+        run_id: u64,
+        phase: LifecyclePhase,
+        task: Option<u32>,
+        t_ns: u64,
+    ) -> LifecycleEvent {
         LifecycleEvent {
             run_id,
             graph: Arc::from("g"),
@@ -766,9 +767,17 @@ pub(super) mod tests {
         r.on_lifecycle(&ev(1, LifecyclePhase::Finished, Some(0), 9_000));
         r.on_lifecycle(&ev(1, LifecyclePhase::RunEnd, None, 10_000));
         assert_eq!(r.pump(), 5);
-        let LatencyRecord { queue_delay: qd, exec: ex, run_latency: rl, .. } = r.latency();
+        let LatencyRecord {
+            queue_delay: qd,
+            exec: ex,
+            run_latency: rl,
+            ..
+        } = r.latency();
         assert_eq!(qd.count, 1);
-        assert!((qd.sum - 3_000.0).abs() < 1e-9, "queue delay = started - ready");
+        assert!(
+            (qd.sum - 3_000.0).abs() < 1e-9,
+            "queue delay = started - ready"
+        );
         assert_eq!(ex.count, 1);
         assert!((ex.sum - 4_000.0).abs() < 1e-9, "exec = finished - started");
         assert_eq!(rl.count, 1);
@@ -852,10 +861,7 @@ pub(super) mod tests {
 
     #[test]
     fn failed_run_auto_dumps_blackbox() {
-        let dir = std::env::temp_dir().join(format!(
-            "hf_blackbox_test_{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("hf_blackbox_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let r = FlightRecorder::new();
         r.set_blackbox_dir(Some(dir.clone()));
@@ -901,7 +907,10 @@ pub(super) mod tests {
         }
         r.pump();
         let est = r.exec_estimate("g", 0).expect("estimate learned");
-        assert!(est > 1_000.0 && est < 3_000.0, "EWMA between extremes: {est}");
+        assert!(
+            est > 1_000.0 && est < 3_000.0,
+            "EWMA between extremes: {est}"
+        );
     }
 
     #[test]

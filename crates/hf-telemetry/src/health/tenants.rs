@@ -75,12 +75,42 @@ mod tests {
         let r = FlightRecorder::new();
         // Run 1 belongs to tenant "small", run 2 to "batch", run 3 is a
         // direct (untenanted) submission.
-        r.on_lifecycle(&tenant_ev(1, "small", LifecyclePhase::RunStart, None, 1_000));
-        r.on_lifecycle(&tenant_ev(1, "small", LifecyclePhase::Ready, Some(0), 2_000));
-        r.on_lifecycle(&tenant_ev(1, "small", LifecyclePhase::Started, Some(0), 3_000));
-        r.on_lifecycle(&tenant_ev(1, "small", LifecyclePhase::Finished, Some(0), 4_000));
+        r.on_lifecycle(&tenant_ev(
+            1,
+            "small",
+            LifecyclePhase::RunStart,
+            None,
+            1_000,
+        ));
+        r.on_lifecycle(&tenant_ev(
+            1,
+            "small",
+            LifecyclePhase::Ready,
+            Some(0),
+            2_000,
+        ));
+        r.on_lifecycle(&tenant_ev(
+            1,
+            "small",
+            LifecyclePhase::Started,
+            Some(0),
+            3_000,
+        ));
+        r.on_lifecycle(&tenant_ev(
+            1,
+            "small",
+            LifecyclePhase::Finished,
+            Some(0),
+            4_000,
+        ));
         r.on_lifecycle(&tenant_ev(1, "small", LifecyclePhase::RunEnd, None, 5_000));
-        r.on_lifecycle(&tenant_ev(2, "batch", LifecyclePhase::RunStart, None, 1_000));
+        r.on_lifecycle(&tenant_ev(
+            2,
+            "batch",
+            LifecyclePhase::RunStart,
+            None,
+            1_000,
+        ));
         let mut end = tenant_ev(2, "batch", LifecyclePhase::RunEnd, None, 21_000);
         end.ok = false;
         r.on_lifecycle(&end);
@@ -117,7 +147,9 @@ mod tests {
             Some("small".to_string())
         );
         assert_eq!(
-            sums.iter().find(|s| s.run_id == 3).map(|s| s.tenant.clone()),
+            sums.iter()
+                .find(|s| s.run_id == 3)
+                .map(|s| s.tenant.clone()),
             Some(None)
         );
         let text =
@@ -135,7 +167,10 @@ mod tests {
             prom.contains("hf_run_latency_nanos_bucket{tenant=\"small\""),
             "{prom}"
         );
-        assert!(prom.contains("hf_tenant_runs_total{tenant=\"batch\"} 1"), "{prom}");
+        assert!(
+            prom.contains("hf_tenant_runs_total{tenant=\"batch\"} 1"),
+            "{prom}"
+        );
         assert!(
             prom.contains("hf_tenant_runs_failed_total{tenant=\"batch\"} 1"),
             "{prom}"

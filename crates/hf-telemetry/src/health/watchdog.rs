@@ -337,5 +337,4 @@ mod tests {
         assert_eq!(wd.verdict(), HealthVerdict::Healthy);
         assert!(wd.events().is_empty());
     }
-
 }

@@ -101,7 +101,11 @@ impl Histogram {
             }
             let Some(&upper) = self.bounds.get(i) else {
                 // Overflow bucket: clamp to the last finite bound.
-                return self.bounds.last().copied().unwrap_or(self.sum / self.count as f64);
+                return self
+                    .bounds
+                    .last()
+                    .copied()
+                    .unwrap_or(self.sum / self.count as f64);
             };
             let lower = if i == 0 { 0.0 } else { self.bounds[i - 1] };
             let frac = ((rank - lo_cum as f64) / c as f64).clamp(0.0, 1.0);
@@ -201,30 +205,145 @@ impl MetricsRegistry {
     /// Imports an executor statistics snapshot as `hf_executor_*` metrics.
     pub fn collect_executor(&self, s: &StatsSnapshot) {
         let l: &[(&str, &str)] = &[];
-        self.set_counter("hf_executor_tasks_executed_total", "Tasks executed (all kinds)", l, s.tasks_executed);
+        self.set_counter(
+            "hf_executor_tasks_executed_total",
+            "Tasks executed (all kinds)",
+            l,
+            s.tasks_executed,
+        );
         self.set_counter("hf_executor_steals_total", "Successful steals", l, s.steals);
-        self.set_counter("hf_executor_steal_attempts_total", "Steal attempts", l, s.steal_attempts);
-        self.set_gauge("hf_executor_steal_success_rate", "steals / steal_attempts", l, s.steal_success_rate);
-        self.set_counter("hf_executor_sleeps_total", "Worker sleep commits", l, s.sleeps);
-        self.set_counter("hf_executor_wakeups_total", "Sleeping-worker wakeups", l, s.wakeups);
-        self.set_counter("hf_executor_rounds_total", "Graph rounds completed", l, s.rounds);
-        self.set_counter("hf_executor_fused_total", "GPU tasks dispatched as fused chain members", l, s.fused);
-        self.set_counter("hf_executor_injector_batches_total", "Batched injector sprays", l, s.injector_batches);
-        self.set_counter("hf_executor_notify_coalesced_total", "Wakeups saved by notification coalescing", l, s.notify_coalesced);
-        self.set_counter("hf_executor_topo_cache_hits_total", "Cached freeze/placement plan reuses", l, s.topo_cache_hits);
-        self.set_counter("hf_executor_topo_cache_misses_total", "Freeze + placement recomputations", l, s.topo_cache_misses);
-        self.set_counter("hf_executor_faults_injected_total", "Injected device faults observed by task failures", l, s.faults_injected);
-        self.set_counter("hf_executor_retries_total", "Task attempts re-scheduled by the retry policy", l, s.retries);
-        self.set_counter("hf_executor_devices_lost_total", "Devices observed as lost", l, s.devices_lost);
-        self.set_counter("hf_executor_cancelled_total", "Submissions finished as cancelled", l, s.cancelled);
-        self.set_counter("hf_executor_bytes_h2d_total", "Host-to-device bytes actually copied by pull tasks", l, s.bytes_h2d);
-        self.set_counter("hf_executor_bytes_d2h_total", "Device-to-host bytes copied back by push tasks", l, s.bytes_d2h);
-        self.set_counter("hf_executor_transfers_elided_total", "H2D copies skipped because the device bytes were already current", l, s.transfers_elided);
-        self.set_counter("hf_executor_transfers_torn_total", "Chunked pulls re-copied whole because the source changed mid-transfer", l, s.transfers_torn);
-        self.set_counter("hf_placement_warm_hits_total", "Groups placed onto a device already holding their data warm", l, s.placement_warm_hits);
-        self.set_counter("hf_placement_est_bytes_saved_total", "Transfer bytes placement estimated its warm-hit decisions would save via elision", l, s.placement_est_bytes_saved);
-        self.set_gauge("hf_placement_imbalance", "Cost-weighted imbalance (max/mean bin load) of the latest placement", l, s.placement_imbalance);
-        self.set_gauge("hf_executor_inflight_tasks", "Workers inside an exploit burst (live gauge; populated by Executor::snapshot)", l, s.inflight_tasks as f64);
+        self.set_counter(
+            "hf_executor_steal_attempts_total",
+            "Steal attempts",
+            l,
+            s.steal_attempts,
+        );
+        self.set_gauge(
+            "hf_executor_steal_success_rate",
+            "steals / steal_attempts",
+            l,
+            s.steal_success_rate,
+        );
+        self.set_counter(
+            "hf_executor_sleeps_total",
+            "Worker sleep commits",
+            l,
+            s.sleeps,
+        );
+        self.set_counter(
+            "hf_executor_wakeups_total",
+            "Sleeping-worker wakeups",
+            l,
+            s.wakeups,
+        );
+        self.set_counter(
+            "hf_executor_rounds_total",
+            "Graph rounds completed",
+            l,
+            s.rounds,
+        );
+        self.set_counter(
+            "hf_executor_fused_total",
+            "GPU tasks dispatched as fused chain members",
+            l,
+            s.fused,
+        );
+        self.set_counter(
+            "hf_executor_injector_batches_total",
+            "Batched injector sprays",
+            l,
+            s.injector_batches,
+        );
+        self.set_counter(
+            "hf_executor_notify_coalesced_total",
+            "Wakeups saved by notification coalescing",
+            l,
+            s.notify_coalesced,
+        );
+        self.set_counter(
+            "hf_executor_topo_cache_hits_total",
+            "Cached freeze/placement plan reuses",
+            l,
+            s.topo_cache_hits,
+        );
+        self.set_counter(
+            "hf_executor_topo_cache_misses_total",
+            "Freeze + placement recomputations",
+            l,
+            s.topo_cache_misses,
+        );
+        self.set_counter(
+            "hf_executor_faults_injected_total",
+            "Injected device faults observed by task failures",
+            l,
+            s.faults_injected,
+        );
+        self.set_counter(
+            "hf_executor_retries_total",
+            "Task attempts re-scheduled by the retry policy",
+            l,
+            s.retries,
+        );
+        self.set_counter(
+            "hf_executor_devices_lost_total",
+            "Devices observed as lost",
+            l,
+            s.devices_lost,
+        );
+        self.set_counter(
+            "hf_executor_cancelled_total",
+            "Submissions finished as cancelled",
+            l,
+            s.cancelled,
+        );
+        self.set_counter(
+            "hf_executor_bytes_h2d_total",
+            "Host-to-device bytes actually copied by pull tasks",
+            l,
+            s.bytes_h2d,
+        );
+        self.set_counter(
+            "hf_executor_bytes_d2h_total",
+            "Device-to-host bytes copied back by push tasks",
+            l,
+            s.bytes_d2h,
+        );
+        self.set_counter(
+            "hf_executor_transfers_elided_total",
+            "H2D copies skipped because the device bytes were already current",
+            l,
+            s.transfers_elided,
+        );
+        self.set_counter(
+            "hf_executor_transfers_torn_total",
+            "Chunked pulls re-copied whole because the source changed mid-transfer",
+            l,
+            s.transfers_torn,
+        );
+        self.set_counter(
+            "hf_placement_warm_hits_total",
+            "Groups placed onto a device already holding their data warm",
+            l,
+            s.placement_warm_hits,
+        );
+        self.set_counter(
+            "hf_placement_est_bytes_saved_total",
+            "Transfer bytes placement estimated its warm-hit decisions would save via elision",
+            l,
+            s.placement_est_bytes_saved,
+        );
+        self.set_gauge(
+            "hf_placement_imbalance",
+            "Cost-weighted imbalance (max/mean bin load) of the latest placement",
+            l,
+            s.placement_imbalance,
+        );
+        self.set_gauge(
+            "hf_executor_inflight_tasks",
+            "Workers inside an exploit burst (live gauge; populated by Executor::snapshot)",
+            l,
+            s.inflight_tasks as f64,
+        );
         self.set_gauge("hf_executor_queue_depth", "Tasks waiting in the injector and worker deques (live gauge; populated by Executor::snapshot)", l, s.queue_depth as f64);
     }
 
@@ -251,22 +370,82 @@ impl MetricsRegistry {
             let id = d.id().to_string();
             let l: &[(&str, &str)] = &[("device", id.as_str())];
             let st = d.stats();
-            self.set_counter("hf_gpu_busy_nanos_total", "Modeled busy nanoseconds", l, st.busy_nanos.load(Ordering::Relaxed));
-            self.set_counter("hf_gpu_h2d_bytes_total", "Host-to-device bytes copied", l, st.h2d_bytes.load(Ordering::Relaxed));
-            self.set_counter("hf_gpu_d2h_bytes_total", "Device-to-host bytes copied", l, st.d2h_bytes.load(Ordering::Relaxed));
-            self.set_counter("hf_gpu_kernels_total", "Kernels launched", l, st.kernels.load(Ordering::Relaxed));
-            self.set_counter("hf_gpu_ops_total", "Stream ops executed", l, st.ops.load(Ordering::Relaxed));
+            self.set_counter(
+                "hf_gpu_busy_nanos_total",
+                "Modeled busy nanoseconds",
+                l,
+                st.busy_nanos.load(Ordering::Relaxed),
+            );
+            self.set_counter(
+                "hf_gpu_h2d_bytes_total",
+                "Host-to-device bytes copied",
+                l,
+                st.h2d_bytes.load(Ordering::Relaxed),
+            );
+            self.set_counter(
+                "hf_gpu_d2h_bytes_total",
+                "Device-to-host bytes copied",
+                l,
+                st.d2h_bytes.load(Ordering::Relaxed),
+            );
+            self.set_counter(
+                "hf_gpu_kernels_total",
+                "Kernels launched",
+                l,
+                st.kernels.load(Ordering::Relaxed),
+            );
+            self.set_counter(
+                "hf_gpu_ops_total",
+                "Stream ops executed",
+                l,
+                st.ops.load(Ordering::Relaxed),
+            );
             let p = d.pool_stats();
             self.set_counter("hf_gpu_pool_allocs_total", "Pool allocations", l, p.allocs);
             self.set_counter("hf_gpu_pool_frees_total", "Pool frees", l, p.frees);
-            self.set_counter("hf_gpu_pool_splits_total", "Buddy block splits", l, p.splits);
+            self.set_counter(
+                "hf_gpu_pool_splits_total",
+                "Buddy block splits",
+                l,
+                p.splits,
+            );
             self.set_counter("hf_gpu_pool_merges_total", "Buddy coalesces", l, p.merges);
-            self.set_counter("hf_gpu_pool_failures_total", "Out-of-memory allocation failures", l, p.failures);
-            self.set_counter("hf_gpu_pool_magazine_hits_total", "Allocations served from a lock-free magazine", l, p.magazine_hits);
-            self.set_counter("hf_gpu_pool_magazine_misses_total", "Allocations that fell through to the buddy allocator", l, p.magazine_misses);
-            self.set_gauge("hf_gpu_pool_magazine_cached_bytes", "Bytes parked in magazine caches", l, p.magazine_cached_bytes as f64);
-            self.set_gauge("hf_gpu_pool_bytes_in_use", "Bytes currently handed out", l, p.bytes_in_use as f64);
-            self.set_gauge("hf_gpu_pool_peak_bytes", "High-water mark of bytes in use", l, p.peak_bytes as f64);
+            self.set_counter(
+                "hf_gpu_pool_failures_total",
+                "Out-of-memory allocation failures",
+                l,
+                p.failures,
+            );
+            self.set_counter(
+                "hf_gpu_pool_magazine_hits_total",
+                "Allocations served from a lock-free magazine",
+                l,
+                p.magazine_hits,
+            );
+            self.set_counter(
+                "hf_gpu_pool_magazine_misses_total",
+                "Allocations that fell through to the buddy allocator",
+                l,
+                p.magazine_misses,
+            );
+            self.set_gauge(
+                "hf_gpu_pool_magazine_cached_bytes",
+                "Bytes parked in magazine caches",
+                l,
+                p.magazine_cached_bytes as f64,
+            );
+            self.set_gauge(
+                "hf_gpu_pool_bytes_in_use",
+                "Bytes currently handed out",
+                l,
+                p.bytes_in_use as f64,
+            );
+            self.set_gauge(
+                "hf_gpu_pool_peak_bytes",
+                "High-water mark of bytes in use",
+                l,
+                p.peak_bytes as f64,
+            );
         }
     }
 
@@ -461,8 +640,8 @@ fn label_set(labels: &[(String, String)], le: Option<&str>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hf_core::Track;
     use hf_core::TaskKind;
+    use hf_core::Track;
 
     #[test]
     fn counters_and_gauges_roundtrip() {
@@ -554,7 +733,9 @@ mod tests {
         }
         // p99 of [100, 300, 2000, 1e12] under these buckets clamps into
         // the overflow → last finite bound.
-        let h = r.histogram("hf_task_exec_nanos", &[("kind", "host")]).unwrap();
+        let h = r
+            .histogram("hf_task_exec_nanos", &[("kind", "host")])
+            .unwrap();
         assert_eq!(h.quantile(0.99), *bounds.last().unwrap());
     }
 
