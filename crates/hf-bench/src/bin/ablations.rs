@@ -46,7 +46,7 @@ fn a1_placement_policies() {
         ("round-robin", Packer::RoundRobin),
         ("random", Packer::Random { seed: 3 }),
     ] {
-        let p = packer.place(&*graph, 4, &cost).expect("placeable");
+        let p = packer.place(&graph, 4, &cost).expect("placeable");
         let plan = Plan::from_placement(&graph, p, true);
         let (r, _) = simulate(&graph, &plan, &Machine::new(8, 4), |_| SimDuration::ZERO);
         println!(

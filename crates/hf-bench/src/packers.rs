@@ -2,8 +2,8 @@
 //! interface ([`groups`] + [`Placement::from_bins`]) — the core itself
 //! knows only the paper's packing.
 
-use hf_core::placement::{device_placement, groups, Placement, PlacementView};
-use hf_core::HfError;
+use hf_core::placement::{device_placement, groups, Placement};
+use hf_core::{FrozenGraph, HfError};
 use hf_gpu::CostModel;
 
 /// How the A1 ablation assigns kernel/pull groups to GPU bins.
@@ -23,9 +23,9 @@ pub enum Packer {
 impl Packer {
     /// Places `graph` on `gpus` idle devices. With no device the core
     /// routine answers (`NoGpus`, or nothing to place).
-    pub fn place<G: PlacementView + ?Sized>(
+    pub fn place(
         self,
-        graph: &G,
+        graph: &FrozenGraph,
         gpus: u32,
         cost: &CostModel,
     ) -> Result<Placement, HfError> {
@@ -75,10 +75,10 @@ mod tests {
         }
         let f = g.freeze().unwrap();
         let a = Packer::Random { seed: 7 }
-            .place(&*f, 4, &CostModel::default())
+            .place(&f, 4, &CostModel::default())
             .unwrap();
         let b = Packer::Random { seed: 7 }
-            .place(&*f, 4, &CostModel::default())
+            .place(&f, 4, &CostModel::default())
             .unwrap();
         assert_eq!(a.device_of, b.device_of);
     }
@@ -93,7 +93,7 @@ mod tests {
         }
         let f = g.freeze().unwrap();
         let p = Packer::RoundRobin
-            .place(&*f, 3, &CostModel::default())
+            .place(&f, 3, &CostModel::default())
             .unwrap();
         let devs: Vec<u32> = pulls.iter().map(|t| p.device_of[t.id()].unwrap()).collect();
         assert_eq!(devs, vec![0, 1, 2, 0, 1, 2]);

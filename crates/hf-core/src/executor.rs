@@ -29,7 +29,6 @@ use crate::error::HfError;
 use crate::graph::Heteroflow;
 use crate::lifecycle::{lifecycle_now_ns, LifecycleEvent, LifecyclePhase};
 use crate::observer::ExecutorObserver;
-use crate::placement::PlacementView;
 use crate::plan::{Plan, Planner, Route};
 use crate::ready::ReadyBatch;
 use crate::registry::{Token, TopoRegistry};

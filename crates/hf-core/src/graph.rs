@@ -17,7 +17,7 @@ use crate::data::{HostSink, HostSource};
 use crate::dispatch::PullState;
 use crate::error::HfError;
 use crate::task::{HostTask, KernelTask, PullTask, PushTask, TaskRef};
-use hf_gpu::{KernelFn, LaunchConfig};
+use hf_gpu::{CostModel, KernelFn, LaunchConfig};
 use hf_sync::sync::Mutex;
 use std::fmt;
 use std::sync::Arc;
@@ -210,9 +210,9 @@ pub(crate) struct GpuNode {
 
 impl GpuNode {
     /// Work a kernel is priced at, everywhere it is priced (the device
-    /// when it runs, and `weight_of`, which Algorithm 1 packs with and
-    /// `hf-sim` replays with): the declared units, or one per launched
-    /// thread when none are declared.
+    /// when it runs, and [`FrozenGraph::weight_of`], which Algorithm 1
+    /// packs with and `hf-sim` replays with): the declared units, or one
+    /// per launched thread when none are declared.
     pub(crate) fn priced_work_units(declared: f64, cfg: &LaunchConfig) -> f64 {
         if declared > 0.0 {
             declared
@@ -241,6 +241,65 @@ impl FrozenGraph {
     /// Name of node `id`.
     pub fn task_name(&self, id: usize) -> &str {
         &self.nodes[id].name
+    }
+
+    /// Modeled device time of node `id` in nanoseconds, the one price
+    /// Algorithm 1 packs with and `hf-sim` replays with: a pull's H2D copy,
+    /// a kernel's priced work, a push's D2H copy of [`Self::bytes_of`];
+    /// `0` for host tasks and placeholders.
+    pub fn weight_of(&self, id: usize, cost: &CostModel) -> f64 {
+        let time = match (&self.nodes[id].work, self.gpu(id)) {
+            (Work::Pull { source }, _) => cost.h2d(source.byte_len()),
+            (Work::Kernel { .. }, Some(gpu)) => {
+                cost.kernel(GpuNode::priced_work_units(gpu.work_units, &gpu.cfg))
+            }
+            (Work::Push { .. }, _) => cost.d2h(self.bytes_of(id)),
+            _ => return 0.0,
+        };
+        time.as_nanos() as f64
+    }
+
+    /// The one rule for the PCIe bytes a task moves when it runs: a
+    /// pull's current host size, a push's staged pull size, `0` for
+    /// host/kernel tasks. It also stamps `LifecycleEvent::bytes`.
+    pub fn bytes_of(&self, id: usize) -> usize {
+        match &self.nodes[id].work {
+            Work::Pull { source } => source.byte_len(),
+            Work::Push { source_pull, .. } => match &self.nodes[*source_pull].work {
+                Work::Pull { source } => source.byte_len(),
+                _ => 0,
+            },
+            _ => 0,
+        }
+    }
+
+    /// Source pulls of kernel `id`; empty for every other node.
+    pub(crate) fn kernel_sources(&self, id: usize) -> &[usize] {
+        match &self.nodes[id].work {
+            Work::Kernel { sources, .. } => sources,
+            _ => &[],
+        }
+    }
+
+    /// Source pull of push `id`.
+    pub(crate) fn push_source(&self, id: usize) -> Option<usize> {
+        match &self.nodes[id].work {
+            Work::Push { source_pull, .. } => Some(*source_pull),
+            _ => None,
+        }
+    }
+
+    /// Device holding a warm copy of pull `id`: a live buffer with exactly
+    /// the source's current version. A mutated host buffer bumps the
+    /// version, so stale residency never attracts placement.
+    pub(crate) fn warm_device(&self, id: usize) -> Option<u32> {
+        match &self.nodes[id].work {
+            Work::Pull { source } => {
+                let st = self.gpu(id)?.pull_state.lock();
+                st.warm_device(source.version()?)
+            }
+            _ => None,
+        }
     }
 
     /// Successor ids of node `id`.
@@ -722,7 +781,6 @@ mod tests {
 
     #[test]
     fn frozen_graph_reports_structure() {
-        use crate::placement::PlacementView;
         let (g, f) = sample();
         let cost = hf_gpu::CostModel::default();
         assert_eq!(f.num_tasks(), 4);
@@ -730,10 +788,11 @@ mod tests {
         assert_eq!(f.sources(), [0]);
         assert_eq!(g.kind_counts().1, 1);
         assert_eq!(f.bytes_of(1), 400);
-        assert_eq!(f.kernel_sources(2), vec![1]);
+        assert_eq!(f.kernel_sources(2), [1]);
         assert_eq!(f.weight_of(2, &cost), cost.kernel(42.0).as_nanos() as f64);
         assert_eq!(f.push_source(3), Some(1));
         assert_eq!(f.bytes_of(3), 400);
+        assert_eq!(f.weight_of(3, &cost), cost.d2h(400).as_nanos() as f64);
         assert_eq!(f.task_name(2), "k");
         assert_eq!(f.num_deps(2), 1);
     }
@@ -747,7 +806,6 @@ mod tests {
     /// An undeclared kernel is priced at one unit per launched thread.
     #[test]
     fn kernel_weight_falls_back_to_launch_threads() {
-        use crate::placement::PlacementView;
         let g = Heteroflow::new("wu");
         let x: HostVec<i32> = HostVec::from_vec(vec![0; 8]);
         let p = g.pull("p", &x);

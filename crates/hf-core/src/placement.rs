@@ -13,110 +13,9 @@
 
 use crate::costmodel::TaskCosts;
 use crate::error::HfError;
-use crate::graph::{FrozenGraph, GpuNode, TaskKind, Work};
+use crate::graph::{FrozenGraph, TaskKind};
 use hf_gpu::CostModel;
 use hf_sync::UnionFind;
-
-/// A placement-relevant view of a graph. Its one implementation is the
-/// executable [`FrozenGraph`], which the executor runs and the `hf-sim`
-/// performance model replays, so both place with the identical
-/// Algorithm 1 (a trait so that tests can place synthetic views).
-pub trait PlacementView {
-    /// Number of nodes.
-    fn num_nodes(&self) -> usize;
-    /// Task kind of node `i`.
-    fn kind_of(&self, i: usize) -> TaskKind;
-    /// Source pull tasks of kernel `i` (empty otherwise).
-    fn kernel_sources(&self, i: usize) -> Vec<usize>;
-    /// Source pull task of push `i`.
-    fn push_source(&self, i: usize) -> Option<usize>;
-    /// Node name (for error messages).
-    fn name_of(&self, i: usize) -> String;
-    /// Modeled device-time weight of node `i` for bin packing.
-    fn weight_of(&self, i: usize, cost: &CostModel) -> f64;
-    /// Bytes node `i` would move (pulls/pushes; 0 otherwise). Feeds the
-    /// estimate of transfer bytes saved by warm placement. Views without
-    /// byte information may keep the default.
-    fn bytes_of(&self, _i: usize) -> usize {
-        0
-    }
-    /// Device currently holding a warm, version-valid copy of pull `i`'s
-    /// buffer, if any. [`place`] charges that device nothing for the pull,
-    /// so placement gravitates to where the transfer-elision layer will
-    /// actually fire. Views with no runtime residency keep the default
-    /// (`None`).
-    fn warm_device(&self, _i: usize) -> Option<u32> {
-        None
-    }
-}
-
-impl PlacementView for FrozenGraph {
-    fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn kind_of(&self, i: usize) -> TaskKind {
-        self.nodes[i].work.kind()
-    }
-
-    fn kernel_sources(&self, i: usize) -> Vec<usize> {
-        match &self.nodes[i].work {
-            Work::Kernel { sources, .. } => sources.to_vec(),
-            _ => Vec::new(),
-        }
-    }
-
-    fn push_source(&self, i: usize) -> Option<usize> {
-        match &self.nodes[i].work {
-            Work::Push { source_pull, .. } => Some(*source_pull),
-            _ => None,
-        }
-    }
-
-    fn name_of(&self, i: usize) -> String {
-        self.nodes[i].name.to_string()
-    }
-
-    fn weight_of(&self, i: usize, cost: &CostModel) -> f64 {
-        match &self.nodes[i].work {
-            Work::Pull { source } => cost.h2d(source.byte_len()).as_nanos() as f64,
-            Work::Kernel { .. } => {
-                let gpu = self.gpu(i).expect("kernels are GPU nodes");
-                cost.kernel(GpuNode::priced_work_units(gpu.work_units, &gpu.cfg))
-                    .as_nanos() as f64
-            }
-            _ => 0.0,
-        }
-    }
-
-    /// The one rule for the PCIe bytes a task moves when it runs: a
-    /// pull's current host size, a push's staged pull size, `0` for
-    /// host/kernel tasks. It also stamps `LifecycleEvent::bytes` and
-    /// prices `hf-sim`'s pushes.
-    fn bytes_of(&self, i: usize) -> usize {
-        match &self.nodes[i].work {
-            Work::Pull { source } => source.byte_len(),
-            Work::Push { source_pull, .. } => match &self.nodes[*source_pull].work {
-                Work::Pull { source } => source.byte_len(),
-                _ => 0,
-            },
-            _ => 0,
-        }
-    }
-
-    fn warm_device(&self, i: usize) -> Option<u32> {
-        match &self.nodes[i].work {
-            Work::Pull { source } => {
-                // Warm = a live device buffer holding exactly the
-                // source's current version. A mutated host buffer bumps
-                // the version, so stale residency never attracts.
-                let st = self.gpu(i)?.pull_state.lock();
-                st.warm_device(source.version()?)
-            }
-            _ => None,
-        }
-    }
-}
 
 /// Result of device placement for one topology.
 #[derive(Debug, Clone)]
@@ -140,13 +39,13 @@ impl Placement {
     /// from one bin per group of [`groups`]. Members take their group's
     /// bin, pushes inherit their source pull's, and `loads[b]` sums the
     /// weights of the groups on bin `b`.
-    pub fn from_bins<G: PlacementView + ?Sized>(
-        graph: &G,
+    pub fn from_bins(
+        graph: &FrozenGraph,
         groups: &[Group],
         bin_of: &[u32],
         bins: usize,
     ) -> Placement {
-        let n = graph.num_nodes();
+        let n = graph.num_tasks();
         let mut device_of: Vec<Option<u32>> = vec![None; n];
         let mut loads = vec![0.0f64; bins];
         for (g, &bin) in groups.iter().zip(bin_of) {
@@ -190,14 +89,9 @@ impl Placement {
 /// The one place a packing weight comes from: the seeded estimate when a
 /// usable one exists (seeds arrive from outside the program, so a NaN,
 /// infinite or negative one is ignored), else the analytic model.
-fn weight<G: PlacementView + ?Sized>(
-    graph: &G,
-    id: usize,
-    cost: &CostModel,
-    refined: Option<&TaskCosts>,
-) -> f64 {
+fn weight(graph: &FrozenGraph, id: usize, cost: &CostModel, refined: Option<&TaskCosts>) -> f64 {
     refined
-        .and_then(|r| r.get(&graph.name_of(id)))
+        .and_then(|r| r.get(graph.task_name(id)))
         .filter(|&w| crate::costmodel::usable_cost(w))
         .unwrap_or_else(|| graph.weight_of(id, cost))
 }
@@ -216,16 +110,12 @@ pub struct Group {
 /// packing interface: unions each kernel with its source pulls and
 /// returns the groups in a fixed order (ascending union-find root),
 /// weighed by `refined` where it has an estimate and by `cost` otherwise.
-pub fn groups<G: PlacementView + ?Sized>(
-    graph: &G,
-    cost: &CostModel,
-    refined: Option<&TaskCosts>,
-) -> Vec<Group> {
-    let n = graph.num_nodes();
+pub fn groups(graph: &FrozenGraph, cost: &CostModel, refined: Option<&TaskCosts>) -> Vec<Group> {
+    let n = graph.num_tasks();
     let mut uf = UnionFind::new(n);
     for id in 0..n {
-        if graph.kind_of(id) == TaskKind::Kernel {
-            for p in graph.kernel_sources(id) {
+        if graph.kind(id) == TaskKind::Kernel {
+            for &p in graph.kernel_sources(id) {
                 uf.union(id, p);
             }
         }
@@ -238,7 +128,7 @@ pub fn groups<G: PlacementView + ?Sized>(
         n
     ];
     for id in 0..n {
-        if matches!(graph.kind_of(id), TaskKind::Kernel | TaskKind::Pull) {
+        if matches!(graph.kind(id), TaskKind::Kernel | TaskKind::Pull) {
             let g = &mut by_root[uf.find(id)];
             g.weight += weight(graph, id, cost, refined);
             g.members.push(id);
@@ -276,15 +166,15 @@ pub struct PlaceInput<'a> {
 /// `input.prev`, and packs the rest heaviest first, each onto the
 /// surviving bin minimising `load + weight - saved transfers`, where a
 /// bin saves the transfer of every pull it already holds a current copy
-/// of ([`PlacementView::warm_device`]). Returns
+/// of (a live buffer with the source's current version). Returns
 /// [`HfError::NoGpus`] if the graph contains GPU tasks but no bin
 /// survives.
-pub fn place<G: PlacementView + ?Sized>(
-    graph: &G,
+pub fn place(
+    graph: &FrozenGraph,
     cost: &CostModel,
     input: &PlaceInput<'_>,
 ) -> Result<Placement, HfError> {
-    let n = graph.num_nodes();
+    let n = graph.num_tasks();
     let bins = input.lost.len();
     let alive = |b: usize| !input.lost.get(b).copied().unwrap_or(true);
     let mut loads = vec![0.0f64; bins];
@@ -292,18 +182,18 @@ pub fn place<G: PlacementView + ?Sized>(
         *l = init;
     }
 
-    if !(0..bins).any(alive) {
-        let on_cpu = |i: usize| matches!(graph.kind_of(i), TaskKind::Host | TaskKind::Placeholder);
+    let Some(first_alive) = (0..bins).find(|&b| alive(b)) else {
+        let on_cpu = |i: usize| matches!(graph.kind(i), TaskKind::Host | TaskKind::Placeholder);
         return match (0..n).find(|&i| !on_cpu(i)) {
             Some(id) => Err(HfError::NoGpus {
-                task: graph.name_of(id),
+                task: graph.task_name(id).to_string(),
             }),
             None => Ok(Placement {
                 loads,
                 ..Placement::from_bins(graph, &[], &[], bins)
             }),
         };
-    }
+    };
 
     let groups = groups(graph, cost, input.refined);
 
@@ -336,7 +226,7 @@ pub fn place<G: PlacementView + ?Sized>(
         let pulls = g
             .members
             .iter()
-            .filter(|&&m| graph.kind_of(m) == TaskKind::Pull);
+            .filter(|&&m| graph.kind(m) == TaskKind::Pull);
         for &m in pulls {
             // A lost device's warmth died with its arena.
             if let Some(d) = graph
@@ -356,7 +246,7 @@ pub fn place<G: PlacementView + ?Sized>(
             .min_by(|&a, &b| {
                 (loads[a] + g.weight - save[a]).total_cmp(&(loads[b] + g.weight - save[b]))
             })
-            .expect("a bin survives");
+            .unwrap_or(first_alive);
         loads[bin] += (g.weight - save[bin]).max(0.0);
         if save[bin] > 0.0 {
             warm_hits += 1;
@@ -376,8 +266,8 @@ pub fn place<G: PlacementView + ?Sized>(
 
 /// A fresh placement of `graph` on `num_gpus` healthy, idle devices —
 /// [`place`] with nothing lost, nothing pinned and nothing seeded.
-pub fn device_placement<G: PlacementView + ?Sized>(
-    graph: &G,
+pub fn device_placement(
+    graph: &FrozenGraph,
     num_gpus: u32,
     cost: &CostModel,
 ) -> Result<Placement, HfError> {
@@ -394,6 +284,9 @@ mod tests {
     use crate::data::HostVec;
     use crate::dispatch::PullState;
     use crate::graph::Heteroflow;
+    use crate::task::PullTask;
+    use proptest::prelude::*;
+    use std::sync::Arc;
 
     /// Two kernels sharing a pull task must co-locate with it; an
     /// unrelated pull/kernel pair forms a second group.
@@ -410,7 +303,7 @@ mod tests {
         px.precede(&k1).precede(&k2);
         py.precede(&k3);
         let f = g.freeze().unwrap();
-        let p = device_placement(&*f, 4, &CostModel::default()).unwrap();
+        let p = device_placement(&f, 4, &CostModel::default()).unwrap();
         assert_eq!(p.num_groups, 2);
         let d_px = p.device_of[px.id()].unwrap();
         assert_eq!(p.device_of[k1.id()], Some(d_px));
@@ -432,7 +325,7 @@ mod tests {
         px.precede(&k);
         py.precede(&k);
         let f = g.freeze().unwrap();
-        let p = device_placement(&*f, 4, &CostModel::default()).unwrap();
+        let p = device_placement(&f, 4, &CostModel::default()).unwrap();
         assert_eq!(p.num_groups, 1);
         let d = p.device_of[k.id()];
         assert_eq!(p.device_of[px.id()], d);
@@ -447,7 +340,7 @@ mod tests {
         let s = g.push("push_x", &px, &x);
         px.precede(&s);
         let f = g.freeze().unwrap();
-        let p = device_placement(&*f, 2, &CostModel::default()).unwrap();
+        let p = device_placement(&f, 2, &CostModel::default()).unwrap();
         assert_eq!(p.device_of[s.id()], p.device_of[px.id()]);
     }
 
@@ -456,7 +349,7 @@ mod tests {
         let g = Heteroflow::new("h");
         let h = g.host("h", || {});
         let f = g.freeze().unwrap();
-        let p = device_placement(&*f, 2, &CostModel::default()).unwrap();
+        let p = device_placement(&f, 2, &CostModel::default()).unwrap();
         assert_eq!(p.device_of[h.id()], None);
         assert_eq!(p.num_groups, 0);
     }
@@ -468,7 +361,7 @@ mod tests {
         g.pull("px", &x);
         let f = g.freeze().unwrap();
         assert!(matches!(
-            device_placement(&*f, 0, &CostModel::default()),
+            device_placement(&f, 0, &CostModel::default()),
             Err(HfError::NoGpus { .. })
         ));
     }
@@ -478,7 +371,7 @@ mod tests {
         let g = Heteroflow::new("cpu");
         g.host("a", || {});
         let f = g.freeze().unwrap();
-        let p = device_placement(&*f, 0, &CostModel::default()).unwrap();
+        let p = device_placement(&f, 0, &CostModel::default()).unwrap();
         assert!(p.device_of.iter().all(|d| d.is_none()));
     }
 
@@ -493,7 +386,7 @@ mod tests {
             p.precede(&k);
         }
         let f = g.freeze().unwrap();
-        let p = device_placement(&*f, 4, &CostModel::default()).unwrap();
+        let p = device_placement(&f, 4, &CostModel::default()).unwrap();
         assert_eq!(p.num_groups, 12);
         assert!(p.imbalance() < 1.01, "imbalance {}", p.imbalance());
         // Every device hosts exactly 3 groups' worth of load.
@@ -518,7 +411,7 @@ mod tests {
         }
         let f = g.freeze().unwrap();
         let cost = CostModel::default();
-        let orig = device_placement(&*f, 3, &cost).unwrap();
+        let orig = device_placement(&f, 3, &cost).unwrap();
         // Lose device 1.
         let lost = vec![false, true, false];
         let input = PlaceInput {
@@ -526,7 +419,7 @@ mod tests {
             prev: &orig.device_of,
             ..Default::default()
         };
-        let fo = place(&*f, &cost, &input).unwrap();
+        let fo = place(&f, &cost, &input).unwrap();
         assert_eq!(fo.num_groups, 6);
         for (i, (o, n)) in orig.device_of.iter().zip(&fo.device_of).enumerate() {
             let (Some(o), Some(n)) = (o, n) else { continue };
@@ -554,7 +447,7 @@ mod tests {
             lost: &[true, false],
             ..Default::default()
         };
-        let fo = place(&*f, &CostModel::default(), &input).unwrap();
+        let fo = place(&f, &CostModel::default(), &input).unwrap();
         assert_eq!(fo.device_of[p.id()], Some(1));
         assert_eq!(fo.device_of[k.id()], Some(1));
         // Push inherits the pull's (surviving) device.
@@ -573,7 +466,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            place(&*f, &CostModel::default(), &input),
+            place(&f, &CostModel::default(), &input),
             Err(HfError::NoGpus { .. })
         ));
     }
@@ -604,7 +497,7 @@ mod tests {
         // 0 first): only warm attraction can produce this placement.
         set_warm(&f, px.id(), 1, x.version(), 4096);
         set_warm(&f, py.id(), 0, y.version(), 4096);
-        let p = device_placement(&*f, 2, &CostModel::default()).unwrap();
+        let p = device_placement(&f, 2, &CostModel::default()).unwrap();
         assert_eq!(p.device_of[px.id()], Some(1));
         assert_eq!(p.device_of[py.id()], Some(0));
         assert_eq!(p.warm_hits, 2);
@@ -629,7 +522,7 @@ mod tests {
         // Mutate both hosts: residency versions are now stale.
         x.write()[0] = 1;
         y.write()[0] = 1;
-        let p = device_placement(&*f, 2, &CostModel::default()).unwrap();
+        let p = device_placement(&f, 2, &CostModel::default()).unwrap();
         assert_eq!(p.warm_hits, 0);
         assert_eq!(p.est_bytes_saved, 0);
         // Tie-break order reasserts itself: px (first group) on device 0,
@@ -656,7 +549,7 @@ mod tests {
             initial_loads: &bias,
             ..Default::default()
         };
-        let p = place(&*f, &cost, &input).unwrap();
+        let p = place(&f, &cost, &input).unwrap();
         assert_eq!(p.device_of[px.id()], Some(1));
         assert_eq!(p.warm_hits, 0);
     }
@@ -683,7 +576,7 @@ mod tests {
             refined: Some(&snap),
             ..Default::default()
         };
-        let p = place(&*f, &cost, &input).unwrap();
+        let p = place(&f, &cost, &input).unwrap();
         let d0 = p.device_of[pulls[0].id()].unwrap();
         assert_eq!(p.device_of[pulls[1].id()], p.device_of[pulls[2].id()]);
         assert_ne!(p.device_of[pulls[1].id()], Some(d0));
@@ -706,8 +599,8 @@ mod tests {
             refined: Some(&bad),
             ..Default::default()
         };
-        let with_bad = place(&*f, &cost, &input).unwrap();
-        let without = device_placement(&*f, 2, &cost).unwrap();
+        let with_bad = place(&f, &cost, &input).unwrap();
+        let without = device_placement(&f, 2, &cost).unwrap();
         assert_eq!(with_bad.device_of, without.device_of);
         assert_eq!(with_bad.loads, without.loads);
     }
@@ -731,10 +624,151 @@ mod tests {
             prev: &old,
             ..Default::default()
         };
-        let p = place(&*f, &cost, &input).unwrap();
+        let p = place(&f, &cost, &input).unwrap();
         assert_eq!(p.device_of[px.id()], Some(2));
         assert_eq!(p.warm_hits, 1);
         assert_eq!(p.est_bytes_saved, 2048);
+    }
+
+    /// A frozen graph decided by `bytes`: node `i`'s byte picks its kind,
+    /// its pull's size, its kernel's sources and declared work, and, when
+    /// `warm`, where its pull is resident. Warm devices include
+    /// out-of-range (and, once lost, dead) ones.
+    fn random_graph(bytes: &[u8], bins: usize, warm: bool) -> Arc<FrozenGraph> {
+        let g = Heteroflow::new("prop");
+        let mut pulls: Vec<(usize, PullTask, HostVec<u8>)> = Vec::new();
+        for (id, &b) in bytes.iter().enumerate() {
+            let name = format!("t{id}");
+            let pick = |salt: usize| &pulls[(b as usize / 7 + salt) % pulls.len().max(1)];
+            match b % 8 {
+                0..=2 => {
+                    let x = HostVec::from_vec(vec![0u8; b as usize / 8 * 100]);
+                    pulls.push((id, g.pull(&name, &x), x));
+                }
+                3..=5 if !pulls.is_empty() => {
+                    let sources: Vec<&PullTask> =
+                        (0..1 + b as usize % 3).map(|s| &pick(s).1).collect();
+                    g.kernel(&name, &sources, |_, _| {})
+                        .work_units(f64::from(b / 8 + 1) * 100.0);
+                }
+                6 if !pulls.is_empty() => {
+                    let (_, p, x) = pick(0);
+                    g.push(&name, p, x);
+                }
+                _ => {
+                    g.host(&name, || {});
+                }
+            }
+        }
+        let f = g.freeze().unwrap();
+        for (id, _, x) in pulls.iter().filter(|(id, ..)| warm && bytes[*id] > 128) {
+            let device = (bytes[*id] as usize % (bins + 1)) as u32;
+            set_warm(&f, *id, device, x.version(), x.len() as u64);
+        }
+        f
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// What every caller of `place` relies on, over random graphs, bins,
+        /// lost masks, initial loads, previous placements and warm residency.
+        #[test]
+        fn place_upholds_algorithm_1(
+            nodes in proptest::collection::vec(any::<u8>(), 0..40),
+            lost in proptest::collection::vec(any::<bool>(), 0..5),
+            initial in proptest::collection::vec(0u32..50, 0..5),
+            blank in proptest::collection::vec(any::<bool>(), 1..8),
+            (warm, pin) in (any::<bool>(), any::<bool>()),
+        ) {
+            let bins = lost.len();
+            let alive = |d: u32| !lost.get(d as usize).copied().unwrap_or(true);
+            let f = random_graph(&nodes, bins, warm);
+            let cost = CostModel::default();
+            let initial: Vec<f64> = initial.iter().map(|&l| l as f64 * 100.0).collect();
+            let n = f.num_tasks();
+            // The previous placement: a healthy one over the same bins with
+            // some nodes forgotten, or none.
+            let prev: Vec<Option<u32>> = if pin && bins > 0 {
+                let mut p = device_placement(&f, bins as u32, &cost).unwrap().device_of;
+                for (i, d) in p.iter_mut().enumerate() {
+                    if blank[i % blank.len()] {
+                        *d = None;
+                    }
+                }
+                p
+            } else {
+                Vec::new()
+            };
+            let input = PlaceInput { lost: &lost, initial_loads: &initial, prev: &prev, refined: None };
+
+            let gpu_work = (0..n).any(|i| f.kind(i) != TaskKind::Host);
+            let p = match place(&f, &cost, &input) {
+                Ok(p) => p,
+                Err(e) => {
+                    prop_assert!(matches!(e, HfError::NoGpus { .. }), "{e}");
+                    prop_assert!(gpu_work && !lost.contains(&false), "NoGpus with a surviving bin");
+                    continue;
+                }
+            };
+            prop_assert!(!gpu_work || lost.contains(&false), "placed GPU work on no bin");
+
+            // Kernels sit with their pulls, pushes with theirs; hosts nowhere;
+            // nothing on a lost bin.
+            for i in 0..n {
+                match f.kind(i) {
+                    TaskKind::Host => prop_assert_eq!(p.device_of[i], None),
+                    _ => prop_assert!(p.device_of[i].is_some_and(alive), "node {} on {:?}", i, p.device_of[i]),
+                }
+                for &s in f.kernel_sources(i) {
+                    prop_assert_eq!(p.device_of[i], p.device_of[s], "kernel {} vs pull {}", i, s);
+                }
+                if let Some(s) = f.push_source(i) {
+                    prop_assert_eq!(p.device_of[i], p.device_of[s], "push {} vs pull {}", i, s);
+                }
+            }
+
+            // Pinned groups do not move, and the loads are the initial loads
+            // plus every group's weight, less what a warm bin saves a group
+            // that was free to choose it; those groups alone make the warm
+            // hits and the bytes saved.
+            let groups = groups(&f, &cost, None);
+            prop_assert_eq!(p.num_groups, groups.len());
+            let mut want: Vec<f64> = (0..bins).map(|b| initial.get(b).copied().unwrap_or(0.0)).collect();
+            let (mut hits, mut bytes_saved) = (0u64, 0u64);
+            let mut free_weights: Vec<f64> = Vec::new();
+            for g in &groups {
+                let bin = p.device_of[g.members[0]].expect("placed");
+                let kept = g.members.iter().find_map(|&m| prev.get(m).copied().flatten().filter(|&d| alive(d)));
+                let warm_here: Vec<usize> = g.members.iter().copied()
+                    .filter(|&m| kept.is_none() && f.warm_device(m) == Some(bin))
+                    .collect();
+                if let Some(d) = kept {
+                    prop_assert_eq!(bin, d, "pinned group moved");
+                } else {
+                    free_weights.push(g.weight);
+                }
+                if !warm_here.is_empty() {
+                    hits += 1;
+                    bytes_saved += warm_here.iter().map(|&m| f.bytes_of(m) as u64).sum::<u64>();
+                }
+                let saved: f64 = warm_here.iter().map(|&m| f.weight_of(m, &cost)).sum();
+                want[bin as usize] += g.weight - saved;
+            }
+            prop_assert_eq!(&p.loads, &want);
+            prop_assert_eq!(p.warm_hits, hits);
+            prop_assert_eq!(p.est_bytes_saved, bytes_saved);
+
+            // LPT: with nothing pinned, warm or pre-loaded, the heaviest bin
+            // carries at most the mean plus one heaviest group.
+            let survivors = lost.iter().filter(|&&l| !l).count();
+            if prev.is_empty() && !warm && initial.is_empty() && survivors > 0 {
+                let mean = free_weights.iter().sum::<f64>() / survivors as f64;
+                let heaviest = free_weights.iter().cloned().fold(0.0, f64::max);
+                let max = p.loads.iter().cloned().fold(0.0, f64::max);
+                prop_assert!(max <= mean + heaviest, "max {} mean {} heaviest {}", max, mean, heaviest);
+            }
+        }
     }
 
     /// The cost-weighted imbalance metric: max over mean, defined even

@@ -341,7 +341,7 @@ mod tests {
         for gpus in [1, 2, 4] {
             let ex = crate::Executor::new(1, gpus);
             let theirs = ex.plan(&g).unwrap();
-            let placement = device_placement(&*frozen, gpus, &Default::default()).unwrap();
+            let placement = device_placement(&frozen, gpus, &Default::default()).unwrap();
             let ours = Plan::from_placement(&frozen, placement, true);
             assert_eq!(ours.placement().device_of, theirs.placement().device_of);
             assert_eq!(chains(&ours), chains(&theirs), "{gpus} GPUs");
@@ -357,7 +357,7 @@ mod tests {
     fn restrict_keeps_the_links_inside_the_mask() {
         let frozen = fig5_shaped(8).freeze().unwrap();
         let n = frozen.num_tasks();
-        let placement = crate::placement::device_placement(&*frozen, 2, &Default::default());
+        let placement = crate::placement::device_placement(&frozen, 2, &Default::default());
         let plan = Plan::from_placement(&frozen, placement.unwrap(), true);
         assert_eq!((0..n).filter(|&v| plan.is_member(v)).count(), 8);
         let mut rng = rand::rngs::StdRng::seed_from_u64(36);
@@ -386,14 +386,14 @@ mod tests {
     #[test]
     fn gpu_graph_no_gpus_errors() {
         let frozen = fig5_shaped(1).freeze().unwrap();
-        assert!(crate::placement::device_placement(&*frozen, 0, &Default::default()).is_err());
+        assert!(crate::placement::device_placement(&frozen, 0, &Default::default()).is_err());
     }
 
     #[test]
     #[should_panic(expected = "placement was not computed for this graph")]
     fn a_placement_of_another_graph_is_rejected() {
         let two = fig5_shaped(2).freeze().unwrap();
-        let other = crate::placement::device_placement(&*two, 1, &Default::default());
+        let other = crate::placement::device_placement(&two, 1, &Default::default());
         Plan::from_placement(&fig5_shaped(1).freeze().unwrap(), other.unwrap(), true);
     }
 }

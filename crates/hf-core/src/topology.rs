@@ -593,7 +593,7 @@ mod tests {
         d.succeed(&b).succeed(&c);
         let frozen = g.freeze().unwrap();
         let plan = || {
-            let p = Placement::from_bins(&*frozen, &[], &[], 0);
+            let p = Placement::from_bins(&frozen, &[], &[], 0);
             Arc::new(Plan::from_placement(&frozen, p, false))
         };
         let cancel = Arc::new(AtomicBool::new(false));

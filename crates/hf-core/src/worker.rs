@@ -322,7 +322,7 @@ mod loom_models {
     use hf_sync::Injector;
 
     fn topology(frozen: &Arc<FrozenGraph>) -> Arc<Topology> {
-        let placement = Placement::from_bins(&**frozen, &[], &[], 0);
+        let placement = Placement::from_bins(frozen, &[], &[], 0);
         let plan = Arc::new(Plan::from_placement(frozen, placement, false));
         let ctx = EpochCtx {
             epoch: None,

@@ -12,15 +12,13 @@
 
 use crate::machine::{Machine, SchedulerMode};
 use crate::result::SimResult;
-use hf_core::placement::PlacementView;
 use hf_core::{FrozenGraph, Plan, TaskKind};
 use hf_gpu::SimDuration;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Duration of node `id` on the machine, given the per-host-task cost
-/// function. Pulls and kernels take the weight Algorithm 1 packs them
-/// with; a push copies its pull's bytes back.
+/// function. Every other node takes the price Algorithm 1 packs with.
 fn node_duration(
     graph: &FrozenGraph,
     id: usize,
@@ -29,7 +27,6 @@ fn node_duration(
 ) -> SimDuration {
     match graph.kind(id) {
         TaskKind::Host => host_cost(id),
-        TaskKind::Push => machine.cost.d2h(graph.bytes_of(id)),
         _ => SimDuration::from_nanos(graph.weight_of(id, &machine.cost) as u64),
     }
 }

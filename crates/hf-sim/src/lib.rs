@@ -4,10 +4,10 @@
 //! its scaling figures without one we replay the *same task graphs* (the
 //! [`hf_core::FrozenGraph`] the executor runs) under the *same plan* (the
 //! executor's [`hf_core::Plan`]: Algorithm 1's placement and the fused
-//! chains, made by [`hf_core::Plan::from_placement`]), pricing pulls and
-//! kernels by the same [`hf_core::placement::PlacementView::weight_of`],
-//! with a work-conserving multi-worker schedule on a **virtual machine**
-//! of configurable `(cores, gpus)`. Per-task durations come from the same
+//! chains, made by [`hf_core::Plan::from_placement`]), pricing GPU tasks
+//! by the same [`hf_core::FrozenGraph::weight_of`], with a work-conserving
+//! multi-worker schedule on a **virtual machine** of configurable
+//! `(cores, gpus)`. Per-task durations come from the same
 //! [`hf_gpu::CostModel`] the software devices use, calibrated against real
 //! single-core execution (see the cross-validation tests).
 //!

@@ -9,7 +9,6 @@
 //! (from the `hf-sim` discrete-event model, via [`spans_from_sim`]) so
 //! real and simulated schedules can be diffed in one UI.
 
-use hf_core::placement::PlacementView;
 use hf_core::{FrozenGraph, SpanCat, TaskKind, TraceSpan, Track};
 use hf_sim::SimSpan;
 use std::collections::BTreeSet;
@@ -236,7 +235,7 @@ mod tests {
         let graph = g.freeze().unwrap();
 
         let machine = Machine::new(2, 1);
-        let placement = hf_core::device_placement(&*graph, 1, &machine.cost).expect("placeable");
+        let placement = hf_core::device_placement(&graph, 1, &machine.cost).expect("placeable");
         let plan = hf_core::Plan::from_placement(&graph, placement, true);
         let (_res, sim) = hf_sim::simulate(&graph, &plan, &machine, |_| {
             hf_gpu::SimDuration::from_nanos(1_000)

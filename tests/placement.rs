@@ -96,7 +96,7 @@ fn executor_snapshot_and_device_price_a_kernel_alike() {
         p.precede(&k);
     }
     let devices = ex.gpu_runtime().devices();
-    let modeled = device_placement(&*g.freeze().unwrap(), 2, &devices[0].cost_model()).unwrap();
+    let modeled = device_placement(&g.freeze().unwrap(), 2, &devices[0].cost_model()).unwrap();
     assert!(modeled.loads[0] > modeled.loads[1], "lane 1 is the heavier: {:?}", modeled.loads);
 
     ex.run(&g).wait_timeout(DEADLINE).expect("run hung").expect("runs");
