@@ -143,9 +143,12 @@ impl<T> From<Vec<T>> for HostVec<T> {
 
 /// Anything a pull task can read host bytes from at execution time.
 pub trait HostSource: Send + Sync + 'static {
-    /// Snapshot of the current bytes (called when the H2D copy executes —
-    /// this is what makes pull tasks stateful).
-    fn fetch_bytes(&self) -> Vec<u8>;
+    /// Lends the current bytes and their version to `f` for the duration
+    /// of the call — the one read the transfer engine copies from, when
+    /// the H2D copy executes (this is what makes pull tasks stateful). The
+    /// version must describe exactly these bytes; a source that tracks
+    /// none lends `None`.
+    fn with_bytes(&self, f: &mut dyn FnMut(&[u8], Option<u64>));
     /// Current byte length (used to size the device allocation).
     fn byte_len(&self) -> usize;
     /// Monotonic version of the contents, if the source tracks one.
@@ -162,21 +165,6 @@ pub trait HostSource: Send + Sync + 'static {
     /// carry residency over. The default tracks nothing.
     fn source_id(&self) -> Option<usize> {
         None
-    }
-    /// Snapshot of the current bytes together with their version, read
-    /// atomically (the version must describe exactly these bytes).
-    fn fetch_bytes_versioned(&self) -> (Vec<u8>, Option<u64>) {
-        (self.fetch_bytes(), None)
-    }
-    /// Lends the current bytes and their version to `f` for the duration
-    /// of the call — the read the transfer engine copies from. The
-    /// default lends a snapshot; a source that owns its storage should
-    /// override it to lend that storage directly (one pass over the bytes
-    /// instead of two), and one that reports a [`HostSource::version`]
-    /// must, or every chunk of a pipelined pull pays a whole snapshot.
-    fn with_bytes(&self, f: &mut dyn FnMut(&[u8], Option<u64>)) {
-        let (bytes, version) = self.fetch_bytes_versioned();
-        f(&bytes, version);
     }
 }
 
@@ -204,8 +192,13 @@ pub trait HostSink: Send + Sync + 'static {
 }
 
 impl<T: Plain> HostSource for HostVec<T> {
-    fn fetch_bytes(&self) -> Vec<u8> {
-        plain::as_bytes(self.inner.data.read().as_slice()).to_vec()
+    fn with_bytes(&self, f: &mut dyn FnMut(&[u8], Option<u64>)) {
+        // Version read under the read lock: a writer bumps before its
+        // guard is granted, so the pair is consistent, and writers wait
+        // for as long as `f` runs.
+        let guard = self.inner.data.read();
+        let version = self.inner.version.load(Ordering::Acquire);
+        f(plain::as_bytes(guard.as_slice()), Some(version));
     }
 
     fn byte_len(&self) -> usize {
@@ -220,21 +213,6 @@ impl<T: Plain> HostSource for HostVec<T> {
         // The shared allocation's address: stable and unique for as long
         // as any clone (and thus any pull task holding the source) lives.
         Some(self.buffer_id())
-    }
-
-    fn fetch_bytes_versioned(&self) -> (Vec<u8>, Option<u64>) {
-        // Version read under the read lock: a writer bumps before its
-        // guard is granted, so the pair is consistent.
-        let guard = self.inner.data.read();
-        let version = self.inner.version.load(Ordering::Acquire);
-        (plain::as_bytes(guard.as_slice()).to_vec(), Some(version))
-    }
-
-    fn with_bytes(&self, f: &mut dyn FnMut(&[u8], Option<u64>)) {
-        // Same pairing as above; writers wait for as long as `f` runs.
-        let guard = self.inner.data.read();
-        let version = self.inner.version.load(Ordering::Acquire);
-        f(plain::as_bytes(guard.as_slice()), Some(version));
     }
 }
 
@@ -263,6 +241,13 @@ impl<T: Plain> HostSink for HostVec<T> {
 mod tests {
     use super::*;
 
+    /// What `src` lends, copied out.
+    fn lent(src: &dyn HostSource) -> (Vec<u8>, Option<u64>) {
+        let mut out = (Vec::new(), None);
+        src.with_bytes(&mut |b, v| out = (b.to_vec(), v));
+        out
+    }
+
     #[test]
     fn stateful_resize_is_visible_to_source() {
         let v: HostVec<i32> = HostVec::new();
@@ -270,7 +255,7 @@ mod tests {
         assert_eq!(src.byte_len(), 0);
         v.write().resize(3, 5);
         assert_eq!(src.byte_len(), 12);
-        assert_eq!(src.fetch_bytes(), plain::as_bytes(&[5i32, 5, 5]).to_vec());
+        assert_eq!(lent(src).0, plain::as_bytes(&[5i32, 5, 5]));
     }
 
     #[test]
@@ -306,12 +291,11 @@ mod tests {
     }
 
     #[test]
-    fn versioned_fetch_and_store_agree() {
+    fn versioned_read_and_store_agree() {
         let v: HostVec<i32> = HostVec::from_vec(vec![3, 4]);
-        let src: &dyn HostSource = &v.clone();
-        let (bytes, ver) = src.fetch_bytes_versioned();
+        let (bytes, ver) = lent(&v);
         assert_eq!(ver, Some(v.version()));
-        assert_eq!(bytes, plain::as_bytes(&[3i32, 4]).to_vec());
+        assert_eq!(bytes, plain::as_bytes(&[3i32, 4]));
 
         let sink: &dyn HostSink = &v.clone();
         let stored = sink.store_bytes_versioned(plain::as_bytes(&[7i32]));

@@ -290,9 +290,6 @@ struct ChangesOnFifthBorrow {
 }
 
 impl heteroflow::core::data::HostSource for ChangesOnFifthBorrow {
-    fn fetch_bytes(&self) -> Vec<u8> {
-        self.inner.fetch_bytes()
-    }
     fn byte_len(&self) -> usize {
         self.inner.byte_len()
     }
@@ -323,16 +320,16 @@ fn torn_chunked_pull_recopies_one_version() {
     assert_eq!(s.bytes_h2d, 4000, "the task's bytes are counted once");
 }
 
-/// A foreign source that implements only the two required methods has no
-/// version to check chunks against: it pulls through the single-op path
-/// whatever its size (the default `with_bytes` lends a snapshot), copies
-/// the right bytes, and never elides.
+/// A foreign source that implements only the two required methods lends
+/// its bytes with no version, so it has none to check chunks against: it
+/// pulls through the single-op path whatever its size, copies the right
+/// bytes, and never elides.
 #[derive(Clone)]
 struct Unversioned(Arc<Vec<u8>>);
 
 impl heteroflow::core::data::HostSource for Unversioned {
-    fn fetch_bytes(&self) -> Vec<u8> {
-        self.0.to_vec()
+    fn with_bytes(&self, f: &mut dyn FnMut(&[u8], Option<u64>)) {
+        f(&self.0, None)
     }
     fn byte_len(&self) -> usize {
         self.0.len()
