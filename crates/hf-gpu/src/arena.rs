@@ -155,7 +155,10 @@ impl<'a> ArenaView<'a> {
         for (k, &(s, e, i)) in order.iter().enumerate() {
             if s < at {
                 let j = order[k - 1].2;
-                return Err(GpuError::Overlap { a: i.min(j), b: i.max(j) });
+                return Err(GpuError::Overlap {
+                    a: i.min(j),
+                    b: i.max(j),
+                });
             }
             let (part, tail) = std::mem::take(&mut rest)[s - at..].split_at_mut(e - s);
             parts[i] = Some(part);
@@ -236,7 +239,12 @@ mod tests {
     use super::*;
 
     fn ptr(offset: u64, len: u64) -> DevicePtr {
-        DevicePtr { device: 0, offset, len, capacity: len }
+        DevicePtr {
+            device: 0,
+            offset,
+            len,
+            capacity: len,
+        }
     }
 
     #[test]
@@ -255,7 +263,9 @@ mod tests {
         let mut a = Arena::new(0, 256);
         let mut v = a.view();
         let p = ptr(0, 16);
-        v.slice_mut::<f32>(p).unwrap().copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        v.slice_mut::<f32>(p)
+            .unwrap()
+            .copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(v.slice::<f32>(p).unwrap(), &[1.0, 2.0, 3.0, 4.0]);
     }
 

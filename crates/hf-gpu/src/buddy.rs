@@ -53,8 +53,14 @@ impl BuddyAllocator {
     /// # Panics
     /// If either argument is not a power of two, or `min_block > capacity`.
     pub fn new(capacity: usize, min_block: usize) -> Self {
-        assert!(capacity.is_power_of_two(), "capacity must be a power of two");
-        assert!(min_block.is_power_of_two(), "min_block must be a power of two");
+        assert!(
+            capacity.is_power_of_two(),
+            "capacity must be a power of two"
+        );
+        assert!(
+            min_block.is_power_of_two(),
+            "min_block must be a power of two"
+        );
         assert!(min_block <= capacity, "min_block exceeds capacity");
         let max_order = (capacity / min_block).trailing_zeros() as usize;
         let mut free: Vec<HashSet<u64>> = (0..=max_order).map(|_| HashSet::new()).collect();

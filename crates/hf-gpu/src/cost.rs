@@ -110,20 +110,17 @@ impl Default for CostModel {
 impl CostModel {
     /// Modeled duration of a host-to-device copy of `bytes`.
     pub fn h2d(&self, bytes: usize) -> SimDuration {
-        self.copy_latency
-            + SimDuration::from_secs_f64(bytes as f64 / self.h2d_bytes_per_sec)
+        self.copy_latency + SimDuration::from_secs_f64(bytes as f64 / self.h2d_bytes_per_sec)
     }
 
     /// Modeled duration of a device-to-host copy of `bytes`.
     pub fn d2h(&self, bytes: usize) -> SimDuration {
-        self.copy_latency
-            + SimDuration::from_secs_f64(bytes as f64 / self.d2h_bytes_per_sec)
+        self.copy_latency + SimDuration::from_secs_f64(bytes as f64 / self.d2h_bytes_per_sec)
     }
 
     /// Modeled duration of a kernel declaring `work_units` of work.
     pub fn kernel(&self, work_units: f64) -> SimDuration {
-        self.launch_latency
-            + SimDuration::from_secs_f64(work_units / self.kernel_units_per_sec)
+        self.launch_latency + SimDuration::from_secs_f64(work_units / self.kernel_units_per_sec)
     }
 }
 

@@ -85,12 +85,19 @@ pub struct Device {
 
 impl std::fmt::Debug for Device {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Device").field("id", &self.inner.id).finish()
+        f.debug_struct("Device")
+            .field("id", &self.inner.id)
+            .finish()
     }
 }
 
 impl Device {
-    pub(crate) fn create(id: DeviceId, mem_capacity: usize, min_block: usize, cost: CostModel) -> (Device, JoinHandle<()>) {
+    pub(crate) fn create(
+        id: DeviceId,
+        mem_capacity: usize,
+        min_block: usize,
+        cost: CostModel,
+    ) -> (Device, JoinHandle<()>) {
         let inner = Arc::new(DeviceInner {
             id,
             arena: Mutex::new(Arena::new(id, mem_capacity)),
@@ -384,7 +391,9 @@ fn engine_loop(dev: Arc<DeviceInner>) {
         let label = op.label.take();
         let t0 = tracing.then(Instant::now);
         let (dur, kind, bytes) = execute(&dev, op);
-        dev.stats.busy_nanos.fetch_add(dur.as_nanos(), Ordering::Relaxed);
+        dev.stats
+            .busy_nanos
+            .fetch_add(dur.as_nanos(), Ordering::Relaxed);
         dev.stats.ops.fetch_add(1, Ordering::Relaxed);
 
         if let (Some(t0), Some(sink)) = (t0, dev.sink()) {
@@ -422,9 +431,15 @@ fn execute(dev: &Arc<DeviceInner>, op: Op) -> (SimDuration, GpuOpKind, u64) {
             let mut view = arena.view();
             match f(&mut view, &dev.cost) {
                 Ok(report) => {
-                    dev.stats.h2d_bytes.fetch_add(report.h2d_bytes, Ordering::Relaxed);
-                    dev.stats.d2h_bytes.fetch_add(report.d2h_bytes, Ordering::Relaxed);
-                    dev.stats.kernels.fetch_add(report.kernels, Ordering::Relaxed);
+                    dev.stats
+                        .h2d_bytes
+                        .fetch_add(report.h2d_bytes, Ordering::Relaxed);
+                    dev.stats
+                        .d2h_bytes
+                        .fetch_add(report.d2h_bytes, Ordering::Relaxed);
+                    dev.stats
+                        .kernels
+                        .fetch_add(report.kernels, Ordering::Relaxed);
                     (
                         report.duration,
                         GpuOpKind::Exec,

@@ -89,7 +89,10 @@ impl fmt::Display for GpuError {
                 write!(f, "copy size mismatch: dst {dst} bytes, src {src} bytes")
             }
             GpuError::Overlap { a, b } => {
-                write!(f, "arguments {a} and {b} of one split overlap in device memory")
+                write!(
+                    f,
+                    "arguments {a} and {b} of one split overlap in device memory"
+                )
             }
             GpuError::ShutDown => write!(f, "GPU runtime has been shut down"),
             GpuError::InvalidFree(off) => {

@@ -315,9 +315,7 @@ mod tests {
     #[test]
     fn max_faults_caps_injections() {
         let inj = FaultInjector::new(FaultPlan::seeded(3).fail_all(1.0).max_faults(2));
-        let fired: usize = (0..50)
-            .filter(|_| inj.should_fail(FaultSite::H2d))
-            .count();
+        let fired: usize = (0..50).filter(|_| inj.should_fail(FaultSite::H2d)).count();
         assert_eq!(fired, 2);
         assert_eq!(inj.injected(), 2);
     }

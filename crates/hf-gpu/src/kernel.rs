@@ -39,8 +39,7 @@ impl GridDim {
 
 /// Kernel launch configuration: grid dimensions, block dimensions, and
 /// shared-memory bytes — the `<<<grid, block, shm, stream>>>` triple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct LaunchConfig {
     /// Grid (blocks per launch).
     pub grid: GridDim,
@@ -50,13 +49,20 @@ pub struct LaunchConfig {
     pub shm: u32,
 }
 
-
 impl LaunchConfig {
     /// A 1-D launch with `grid_x` blocks of `block_x` threads.
     pub fn one_d(grid_x: u32, block_x: u32) -> Self {
         Self {
-            grid: GridDim { x: grid_x, y: 1, z: 1 },
-            block: GridDim { x: block_x, y: 1, z: 1 },
+            grid: GridDim {
+                x: grid_x,
+                y: 1,
+                z: 1,
+            },
+            block: GridDim {
+                x: block_x,
+                y: 1,
+                z: 1,
+            },
             shm: 0,
         }
     }
@@ -159,8 +165,18 @@ mod tests {
     #[test]
     fn saxpy_through_kernel_args() {
         let mut arena = Arena::new(0, 1024);
-        let px = DevicePtr { device: 0, offset: 0, len: 16, capacity: 16 };
-        let py = DevicePtr { device: 0, offset: 16, len: 16, capacity: 16 };
+        let px = DevicePtr {
+            device: 0,
+            offset: 0,
+            len: 16,
+            capacity: 16,
+        };
+        let py = DevicePtr {
+            device: 0,
+            offset: 16,
+            len: 16,
+            capacity: 16,
+        };
         {
             let mut view = arena.view();
             view.slice_mut::<i32>(px).unwrap().copy_from_slice(&[1; 4]);

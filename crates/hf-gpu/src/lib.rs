@@ -59,10 +59,10 @@ pub use device::{Device, DeviceId, ScopedDeviceContext};
 pub use error::GpuError;
 pub use event::Event;
 pub use fault::{DeviceLoss, FaultPlan, FaultSite};
+pub use kernel::KernelFn;
 pub use kernel::{GridDim, KernelArgs, LaunchConfig};
 pub use plain::Plain;
-pub use trace::{GpuOpKind, GpuTraceEvent, GpuTraceSink, OpLabel};
 pub use pool::{MemoryPool, PoolStats};
-pub use kernel::KernelFn;
 pub use runtime::{GpuConfig, GpuRuntime};
 pub use stream::{OpReport, Stream};
+pub use trace::{GpuOpKind, GpuTraceEvent, GpuTraceSink, OpLabel};

@@ -39,17 +39,22 @@ pub fn as_bytes<T: Plain>(s: &[T]) -> &[u8] {
 /// Reinterprets a mutable `Plain` slice as raw bytes.
 pub fn as_bytes_mut<T: Plain>(s: &mut [T]) -> &mut [u8] {
     // SAFETY: as above; exclusive access carries over.
-    unsafe {
-        std::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<u8>(), std::mem::size_of_val(s))
-    }
+    unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<u8>(), std::mem::size_of_val(s)) }
 }
 
 /// Reinterprets raw bytes as a `Plain` slice. Panics if the byte length is
 /// not a multiple of `size_of::<T>()` or the pointer is misaligned for `T`.
 pub fn from_bytes<T: Plain>(b: &[u8]) -> &[T] {
     let sz = std::mem::size_of::<T>();
-    assert!(sz > 0 && b.len().is_multiple_of(sz), "byte length not a multiple of element size");
-    assert_eq!(b.as_ptr() as usize % std::mem::align_of::<T>(), 0, "misaligned view");
+    assert!(
+        sz > 0 && b.len().is_multiple_of(sz),
+        "byte length not a multiple of element size"
+    );
+    assert_eq!(
+        b.as_ptr() as usize % std::mem::align_of::<T>(),
+        0,
+        "misaligned view"
+    );
     // SAFETY: length and alignment checked; Plain allows any bit pattern.
     unsafe { std::slice::from_raw_parts(b.as_ptr().cast::<T>(), b.len() / sz) }
 }
@@ -57,8 +62,15 @@ pub fn from_bytes<T: Plain>(b: &[u8]) -> &[T] {
 /// Mutable variant of [`from_bytes`].
 pub fn from_bytes_mut<T: Plain>(b: &mut [u8]) -> &mut [T] {
     let sz = std::mem::size_of::<T>();
-    assert!(sz > 0 && b.len().is_multiple_of(sz), "byte length not a multiple of element size");
-    assert_eq!(b.as_ptr() as usize % std::mem::align_of::<T>(), 0, "misaligned view");
+    assert!(
+        sz > 0 && b.len().is_multiple_of(sz),
+        "byte length not a multiple of element size"
+    );
+    assert_eq!(
+        b.as_ptr() as usize % std::mem::align_of::<T>(),
+        0,
+        "misaligned view"
+    );
     // SAFETY: as above, with exclusive access.
     unsafe { std::slice::from_raw_parts_mut(b.as_mut_ptr().cast::<T>(), b.len() / sz) }
 }

@@ -255,7 +255,12 @@ mod tests {
     #[test]
     fn wrong_device_free_rejected() {
         let p = MemoryPool::new(0, 1 << 16, 256);
-        let bad = DevicePtr { device: 1, offset: 0, len: 16, capacity: 256 };
+        let bad = DevicePtr {
+            device: 1,
+            offset: 0,
+            len: 16,
+            capacity: 256,
+        };
         assert!(matches!(p.free(bad), Err(GpuError::WrongDevice { .. })));
     }
 

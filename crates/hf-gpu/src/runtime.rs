@@ -53,7 +53,8 @@ impl GpuRuntime {
         let mut devices = Vec::with_capacity(num_devices as usize);
         let mut engines = Vec::with_capacity(num_devices as usize);
         for id in 0..num_devices {
-            let (d, h) = Device::create(id, config.memory_per_device, config.min_block, config.cost);
+            let (d, h) =
+                Device::create(id, config.memory_per_device, config.min_block, config.cost);
             devices.push(d);
             engines.push(h);
         }

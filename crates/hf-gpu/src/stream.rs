@@ -145,11 +145,7 @@ impl Stream {
 
     /// Stateful device-to-host copy: `consumer` receives the device bytes
     /// at execution time (push-task semantics, Listing 6).
-    pub fn d2h_with(
-        &self,
-        src: DevicePtr,
-        consumer: impl FnOnce(&[u8]) + Send + 'static,
-    ) {
+    pub fn d2h_with(&self, src: DevicePtr, consumer: impl FnOnce(&[u8]) + Send + 'static) {
         self.exec(Box::new(move |view, cost| {
             let bytes = view.bytes(src)?;
             let n = bytes.len();
@@ -324,10 +320,12 @@ mod tests {
             }
         });
         s.launch_kernel(cfg, kernel, vec![ptr], n as f64);
-        let got: Arc<hf_sync::sync::Mutex<Vec<u32>>> = Arc::new(hf_sync::sync::Mutex::new(Vec::new()));
+        let got: Arc<hf_sync::sync::Mutex<Vec<u32>>> =
+            Arc::new(hf_sync::sync::Mutex::new(Vec::new()));
         let g = Arc::clone(&got);
         s.d2h_with(ptr, move |b| {
-            g.lock().extend_from_slice(crate::plain::from_bytes::<u32>(b))
+            g.lock()
+                .extend_from_slice(crate::plain::from_bytes::<u32>(b))
         });
         s.synchronize();
         let v = got.lock();
@@ -343,10 +341,18 @@ mod tests {
         let dev = rt.device(0).unwrap();
         let s = Stream::new(&dev);
         // Copy to a pointer owned by the other device.
-        let bad = DevicePtr { device: 1, offset: 0, len: 4, capacity: 4 };
+        let bad = DevicePtr {
+            device: 1,
+            offset: 0,
+            len: 4,
+            capacity: 4,
+        };
         s.h2d_async(bad, vec![0u8; 4]);
         s.synchronize();
-        assert!(matches!(dev.take_error(), Some(GpuError::WrongDevice { .. })));
+        assert!(matches!(
+            dev.take_error(),
+            Some(GpuError::WrongDevice { .. })
+        ));
         assert!(dev.take_error().is_none(), "error is cleared after take");
     }
 }

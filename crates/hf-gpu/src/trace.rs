@@ -158,7 +158,9 @@ mod tests {
         assert!(exec.modeled_ns > 0);
         assert_eq!(exec.bytes, 64);
         assert!(events.iter().any(|e| e.kind == GpuOpKind::HostFn));
-        assert!(events.iter().any(|e| e.kind == GpuOpKind::Alloc && e.bytes == 64));
+        assert!(events
+            .iter()
+            .any(|e| e.kind == GpuOpKind::Alloc && e.bytes == 64));
         assert!(events.iter().any(|e| e.kind == GpuOpKind::Free));
     }
 
