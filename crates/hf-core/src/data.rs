@@ -15,6 +15,7 @@
 //! (and unchanged placement) the H2D copy is *elided* because the device
 //! bytes are already current — see the executor's residency tracking.
 
+use hf_gpu::copy_bytes;
 use hf_gpu::plain::{self, Plain};
 use hf_sync::atomic::{AtomicU64, Ordering};
 use hf_sync::sync::RwLock;
@@ -216,6 +217,12 @@ impl<T: Plain> HostSource for HostVec<T> {
     }
 }
 
+/// A push copies in place, under one write guard (one version bump): the
+/// vector is cut or grown to the pushed length, then the prefix it shares
+/// with the old contents is written over them by [`copy_bytes`], on two
+/// cores from [`hf_gpu::copy::SPLIT`] bytes up. Length and bytes end as
+/// `clear` + `extend_from_slice` would leave them; a trailing partial
+/// element is dropped.
 impl<T: Plain> HostSink for HostVec<T> {
     fn store_bytes(&self, bytes: &[u8]) {
         self.store_bytes_versioned(bytes);
@@ -225,8 +232,13 @@ impl<T: Plain> HostSink for HostVec<T> {
         let mut guard = self.write();
         let elems: &[T] =
             plain::from_bytes(&bytes[..bytes.len() - bytes.len() % std::mem::size_of::<T>()]);
-        guard.clear();
-        guard.extend_from_slice(elems);
+        let common = guard.len().min(elems.len());
+        guard.truncate(common);
+        guard.extend_from_slice(&elems[common..]);
+        copy_bytes(
+            plain::as_bytes_mut(&mut guard[..common]),
+            plain::as_bytes(&elems[..common]),
+        );
         // Read back under the still-held write lock: this is the version
         // that describes exactly the bytes just stored.
         Some(self.inner.version.load(Ordering::Acquire))

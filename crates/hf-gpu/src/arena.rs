@@ -1,5 +1,6 @@
 //! Device memory: a byte-addressed arena per device and typed views into it.
 
+use crate::copy::copy_bytes;
 use crate::error::GpuError;
 use crate::plain::{self, Plain};
 
@@ -167,7 +168,9 @@ impl<'a> ArenaView<'a> {
         Ok(Split { parts })
     }
 
-    /// Host-to-device copy into the allocation (the body of a pull task).
+    /// Host-to-device copy into the allocation (the body of a pull task),
+    /// on two cores from [`SPLIT`](crate::copy::SPLIT) bytes up
+    /// ([`copy_bytes`]).
     pub fn copy_in(&mut self, p: DevicePtr, src: &[u8]) -> Result<(), GpuError> {
         let dst = self.bytes_mut(p)?;
         if dst.len() < src.len() {
@@ -176,7 +179,7 @@ impl<'a> ArenaView<'a> {
                 src: src.len(),
             });
         }
-        dst[..src.len()].copy_from_slice(src);
+        copy_bytes(&mut dst[..src.len()], src);
         Ok(())
     }
 

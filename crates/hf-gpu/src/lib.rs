@@ -40,6 +40,7 @@
 
 pub mod arena;
 pub mod buddy;
+pub mod copy;
 pub mod cost;
 pub mod device;
 pub mod error;
@@ -54,6 +55,7 @@ pub mod trace;
 
 pub use arena::{ArenaView, DevicePtr, Split};
 pub use buddy::BuddyAllocator;
+pub use copy::copy_bytes;
 pub use cost::{CostModel, SimDuration};
 pub use device::{Device, DeviceId, ScopedDeviceContext};
 pub use error::GpuError;
