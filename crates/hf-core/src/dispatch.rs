@@ -77,12 +77,12 @@ impl Streams {
             .clone()
     }
 
-    fn copy_lanes(&mut self, lanes: usize, device: &Device) -> Vec<Stream> {
+    fn copy_lanes(&mut self, lanes: usize, device: &Device) -> &[Stream] {
         let slot = &mut self.copy_streams[device.id() as usize];
         if slot.is_empty() {
             slot.extend((0..lanes).map(|_| Stream::new(device)));
         }
-        slot.clone()
+        slot
     }
 }
 
@@ -152,7 +152,7 @@ pub(crate) fn submit(
             PreparedOp::Single(f) => stream.exec_labeled(label, f),
             PreparedOp::ChunkedPull(pull) => {
                 let lanes = streams.copy_lanes(inner.copy_lanes, &chain.dev);
-                pull.enqueue_chunked(&stream, &lanes, label);
+                pull.enqueue_chunked(&stream, lanes, label);
             }
         }
     }
