@@ -183,19 +183,6 @@ impl<'a> ArenaView<'a> {
         Ok(())
     }
 
-    /// Device-to-host copy out of the allocation (the body of a push task).
-    pub fn copy_out(&self, p: DevicePtr, dst: &mut [u8]) -> Result<(), GpuError> {
-        let src = self.bytes(p)?;
-        if src.len() < dst.len() {
-            return Err(GpuError::SizeMismatch {
-                dst: dst.len(),
-                src: src.len(),
-            });
-        }
-        dst.copy_from_slice(&src[..dst.len()]);
-        Ok(())
-    }
-
     /// Device id this view belongs to.
     pub fn device(&self) -> u32 {
         self.device
@@ -256,9 +243,7 @@ mod tests {
         let mut v = a.view();
         let p = ptr(16, 8);
         v.copy_in(p, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
-        let mut out = [0u8; 8];
-        v.copy_out(p, &mut out).unwrap();
-        assert_eq!(out, [1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(v.bytes(p).unwrap(), [1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
     #[test]
