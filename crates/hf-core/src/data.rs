@@ -279,6 +279,23 @@ mod tests {
     }
 
     #[test]
+    fn sink_in_place_matches_clear_and_extend() {
+        let big = hf_gpu::copy::SPLIT / 4 + 3;
+        for old in [0, 3, big - 5, big] {
+            for new in [0, 2, big - 5, big, big + 9] {
+                let pushed: Vec<u32> = (0..new as u32).map(|i| i ^ 0x5A5A_5A5A).collect();
+                // A trailing partial element is dropped, as by the old sink.
+                let mut bytes = plain::as_bytes(&pushed).to_vec();
+                bytes.push(0xFF);
+                let v = HostVec::from_vec(vec![7u32; old]);
+                let version = v.store_bytes_versioned(&bytes);
+                assert!(v.to_vec() == pushed, "{old} -> {new} elements");
+                assert_eq!(version, Some(v.version()));
+            }
+        }
+    }
+
+    #[test]
     fn clones_share_storage() {
         let a: HostVec<f32> = HostVec::new();
         let b = a.clone();

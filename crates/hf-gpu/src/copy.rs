@@ -89,6 +89,8 @@ struct Helper {
 }
 
 impl Helper {
+    /// Acquire pairs with the Release in `Pending::drop`; the slot itself
+    /// is published under its mutex.
     fn claim(&self) -> bool {
         self.claimed
             .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
@@ -179,9 +181,12 @@ mod tests {
 
     #[test]
     fn concurrent_callers_all_exact() {
+        let start = std::sync::Arc::new(std::sync::Barrier::new(4));
         let threads: Vec<_> = (0..4u64)
             .map(|t| {
+                let start = std::sync::Arc::clone(&start);
                 std::thread::spawn(move || {
+                    start.wait();
                     let src = pattern(SPLIT + (1 << 16), t + 1);
                     let mut rand = pattern(200, t + 100).into_iter().map(usize::from);
                     for i in 0..100 {
@@ -199,6 +204,24 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
+    }
+
+    /// A caller that finds the helper claimed copies alone instead of
+    /// waiting for it: with the claim held here, this copy would otherwise
+    /// never return.
+    #[test]
+    fn a_claimed_helper_is_not_waited_for() {
+        let Some(helper) = helper() else {
+            return; // one core: every copy is inline anyway
+        };
+        while !helper.claim() {
+            std::thread::yield_now(); // another test's copy holds it
+        }
+        let src = pattern(SPLIT + 1, 7);
+        let mut dst = vec![0; SPLIT + 1];
+        copy_bytes(&mut dst, &src);
+        helper.claimed.store(false, Ordering::Release);
+        assert!(dst == src);
     }
 
     #[test]

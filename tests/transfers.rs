@@ -221,6 +221,15 @@ fn chunking_executor(retries: u32) -> Executor {
         .build()
 }
 
+/// Chunks of 1 MiB, the copy split: each chunk is copied on two cores.
+fn large_chunk_executor(retries: u32) -> Executor {
+    Executor::builder(2, 1)
+        .copy_chunk_threshold(1 << 20)
+        .copy_lanes(3)
+        .retry_policy(RetryPolicy::new(retries))
+        .build()
+}
+
 /// Adds a kernel after `pull` that reports what it saw of the buffer:
 /// its first element, or `MIXED` if the elements are not all the same.
 const MIXED: i64 = i64::MIN;
@@ -304,11 +313,9 @@ impl heteroflow::core::data::HostSource for ChangesOnFifthBorrow {
     }
 }
 
-#[test]
-fn torn_chunked_pull_recopies_one_version() {
-    let ex = chunking_executor(1);
+fn torn_pull_recopies_one_version(ex: Executor, n: usize) {
     let src = ChangesOnFifthBorrow {
-        inner: HostVec::from_vec(vec![1i32; 1000]),
+        inner: HostVec::from_vec(vec![1i32; n]),
         borrows: Arc::default(),
     };
     let g = Heteroflow::new("torn");
@@ -317,7 +324,19 @@ fn torn_chunked_pull_recopies_one_version() {
     assert_eq!(seen.load(Ordering::SeqCst), 2);
     let s = ex.snapshot();
     assert_eq!(s.transfers_torn, 1);
-    assert_eq!(s.bytes_h2d, 4000, "the task's bytes are counted once");
+    assert_eq!(s.bytes_h2d, 4 * n as u64, "the task's bytes are counted once");
+}
+
+#[test]
+fn torn_chunked_pull_recopies_one_version() {
+    torn_pull_recopies_one_version(chunking_executor(1), 1000);
+}
+
+/// The same above the copy split: six 1 MiB chunks, each copied on two
+/// cores, and a 5 MiB re-copy at the join.
+#[test]
+fn torn_pull_above_the_copy_split_recopies_one_version() {
+    torn_pull_recopies_one_version(large_chunk_executor(1), (5 << 20) / 4 + 1);
 }
 
 /// A foreign source that implements only the two required methods lends
@@ -385,14 +404,12 @@ fn faulted_kernel_keeps_its_sources_resident() {
 /// Pushes are one op whatever their size, so a D2H fault fires before a
 /// single byte reaches the sink: the run either retries to the right
 /// bytes or fails structured with the sink exactly as it was.
-#[test]
-fn faulted_large_push_is_all_or_nothing() {
-    const N: usize = 1000;
+fn push_fault_is_all_or_nothing(executor: fn(u32) -> Executor, n: usize) {
     let (mut retried, mut failed) = (0, 0);
     for seed in 0..24u64 {
-        let ex = chunking_executor(2);
-        let data = HostVec::from_vec((0..N as i32).collect());
-        let out = HostVec::from_vec(vec![-1i32; N]);
+        let ex = executor(2);
+        let data = HostVec::from_vec((0..n as i32).collect());
+        let out = HostVec::from_vec(vec![-1i32; n]);
         let g = Heteroflow::new("push_fault");
         let p = g.pull("pull", &data);
         g.push("push", &p, &out).succeed(&p);
@@ -420,6 +437,58 @@ fn faulted_large_push_is_all_or_nothing() {
         retried > 0 && failed > 0,
         "both outcomes exercised: {retried} retried, {failed} failed"
     );
+}
+
+#[test]
+fn faulted_large_push_is_all_or_nothing() {
+    push_fault_is_all_or_nothing(chunking_executor, 1000);
+}
+
+/// The same with a push above the copy split, which the sink copies on
+/// two cores.
+#[test]
+fn faulted_push_above_the_copy_split_is_all_or_nothing() {
+    push_fault_is_all_or_nothing(large_chunk_executor, (1 << 20) / 4 + 1000);
+}
+
+/// 3 MiB + 4 B through pull -> kernel -> push, chunked at 1 MiB and in one
+/// op: every copy of 1 MiB or more takes the split path, the 4-byte tail
+/// and a short last chunk do not. The kernel maps each element `x` to
+/// `3x + 1`, so the host holding exactly that proves both directions.
+#[test]
+fn round_trip_above_the_copy_split_is_exact() {
+    const N: usize = (3 << 20) / 4 + 1;
+    let input: Vec<i32> = (0..N as i32).map(|i| i.wrapping_mul(-1_640_531_535)).collect();
+    for chunk in [1 << 20, usize::MAX] {
+        let ex = Executor::builder(2, 1)
+            .copy_chunk_threshold(chunk)
+            .copy_lanes(2)
+            .build();
+        let data = HostVec::from_vec(input.clone());
+        let g = Heteroflow::new("large");
+        let p = g.pull("pull", &data);
+        let k = g.kernel("affine", &[&p], |cfg, args| {
+            let v = args.slice_mut::<i32>(0).expect("arg");
+            for t in cfg.threads() {
+                if t < v.len() {
+                    v[t] = v[t].wrapping_mul(3).wrapping_add(1);
+                }
+            }
+        });
+        k.cover(N, 256);
+        let s = g.push("push", &p, &data);
+        p.precede(&k);
+        k.precede(&s);
+        ex.run(&g).wait().expect("runs");
+        let got = data.read();
+        assert_eq!(got.len(), N);
+        for (i, (&x, &y)) in input.iter().zip(got.iter()).enumerate() {
+            assert_eq!(y, x.wrapping_mul(3).wrapping_add(1), "chunk {chunk}: element {i}");
+        }
+        let snap = ex.snapshot();
+        assert_eq!(snap.bytes_h2d, 4 * N as u64, "chunk {chunk}");
+        assert_eq!(snap.bytes_d2h, 4 * N as u64, "chunk {chunk}");
+    }
 }
 
 /// One engine op per chunk: a 64-chunk pull costs the open op and its
