@@ -284,7 +284,7 @@ mod tests {
         for old in [0, 3, big - 5, big] {
             for new in [0, 2, big - 5, big, big + 9] {
                 let pushed: Vec<u32> = (0..new as u32).map(|i| i ^ 0x5A5A_5A5A).collect();
-                // A trailing partial element is dropped, as by the old sink.
+                // A trailing partial element is dropped.
                 let mut bytes = plain::as_bytes(&pushed).to_vec();
                 bytes.push(0xFF);
                 let v = HostVec::from_vec(vec![7u32; old]);

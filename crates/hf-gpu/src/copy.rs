@@ -19,8 +19,8 @@ use std::sync::OnceLock;
 /// A half must outlast one wake of the parked helper for the split to
 /// pay: the ladder's `hf-sync.notifier_wake_us` rung (a condvar
 /// park/unpark) reads about 7 µs, and a 512 KiB half copies in about
-/// 50 µs at one core's 8-10 GiB/s. At this size `xfer_recopy` doubled its
-/// op rate (DESIGN.md "Data movement").
+/// 50 µs at one core's 8-10 GiB/s. At this size `xfer_recopy` ran at 2.4x
+/// its single-core op rate (DESIGN.md "Data movement").
 pub const SPLIT: usize = 1 << 20;
 
 /// The halves are cut at a cache-line boundary of `dst`, so the two cores

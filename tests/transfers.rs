@@ -324,7 +324,11 @@ fn torn_pull_recopies_one_version(ex: Executor, n: usize) {
     assert_eq!(seen.load(Ordering::SeqCst), 2);
     let s = ex.snapshot();
     assert_eq!(s.transfers_torn, 1);
-    assert_eq!(s.bytes_h2d, 4 * n as u64, "the task's bytes are counted once");
+    assert_eq!(
+        s.bytes_h2d,
+        4 * n as u64,
+        "the task's bytes are counted once"
+    );
 }
 
 #[test]
@@ -458,7 +462,9 @@ fn faulted_push_above_the_copy_split_is_all_or_nothing() {
 #[test]
 fn round_trip_above_the_copy_split_is_exact() {
     const N: usize = (3 << 20) / 4 + 1;
-    let input: Vec<i32> = (0..N as i32).map(|i| i.wrapping_mul(-1_640_531_535)).collect();
+    let input: Vec<i32> = (0..N as i32)
+        .map(|i| i.wrapping_mul(-1_640_531_535))
+        .collect();
     for chunk in [1 << 20, usize::MAX] {
         let ex = Executor::builder(2, 1)
             .copy_chunk_threshold(chunk)
@@ -483,7 +489,11 @@ fn round_trip_above_the_copy_split_is_exact() {
         let got = data.read();
         assert_eq!(got.len(), N);
         for (i, (&x, &y)) in input.iter().zip(got.iter()).enumerate() {
-            assert_eq!(y, x.wrapping_mul(3).wrapping_add(1), "chunk {chunk}: element {i}");
+            assert_eq!(
+                y,
+                x.wrapping_mul(3).wrapping_add(1),
+                "chunk {chunk}: element {i}"
+            );
         }
         let snap = ex.snapshot();
         assert_eq!(snap.bytes_h2d, 4 * N as u64, "chunk {chunk}");
