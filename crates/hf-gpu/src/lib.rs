@@ -27,9 +27,11 @@
 //!   the `hf-sim` discrete-event model can be calibrated from real runs.
 //!
 //! Fidelity notes (documented substitutions):
-//! * Ops on one device are executed serially by its engine thread, as if
-//!   the device were a single compute/copy unit. Cross-device concurrency
-//!   is real (one engine thread per device). Stream semantics (FIFO per
+//! * Ops on one device are executed one at a time by its engine thread,
+//!   as if the device were a single compute/copy unit. Cross-device
+//!   concurrency is real (one engine thread per device), and a copy of
+//!   1 MiB or more takes a second core inside its op: the process's one
+//!   [`copy`] helper copies half of it. Stream semantics (FIFO per
 //!   stream, arbitrary interleave across streams, event ordering) match
 //!   CUDA's model.
 //! * Kernels are Rust closures; "threads" are iterations over the launch
