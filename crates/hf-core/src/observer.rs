@@ -311,9 +311,9 @@ impl TraceCollector {
         std::mem::take(&mut *self.drain_rings())
     }
 
-    /// Number of spans recorded.
+    /// Number of spans recorded, counted under the drain lock (no copy).
     pub fn len(&self) -> usize {
-        self.spans().len()
+        self.drain_rings().len()
     }
 
     /// True when nothing was recorded.
@@ -529,7 +529,7 @@ mod tests {
         // Flipping it back on starts recording again.
         trace.set_enabled(true);
         ex.run(&g).wait().expect("runs");
-        assert_eq!(trace.spans().len(), 10);
+        assert_eq!((trace.len(), trace.spans().len()), (10, 10));
     }
 
     #[test]
