@@ -2,7 +2,7 @@
 //! the per-run flight logs, latency histograms and EWMAs `pump` folds
 //! them into.
 
-use crate::metrics::{duration_bounds_nanos, Histogram, MetricsRegistry};
+use crate::metrics::{duration_bounds_nanos, Histogram, MetricValue, MetricsRegistry};
 use hf_core::{ExecutorObserver, LifecycleEvent, LifecyclePhase};
 use hf_sync::sync::Mutex;
 use hf_sync::EventRing;
@@ -545,66 +545,39 @@ impl FlightRecorder {
     /// beside them. Epoch latency is exported for all runs only (fleet
     /// runs never stream), run counts per tenant only.
     pub fn export_into(&self, reg: &MetricsRegistry) {
+        use MetricValue::{Counter as C, Histogram as H};
         let records = std::iter::once((None, self.latency())).chain(
             self.tenant_latencies()
                 .into_iter()
                 .map(|(t, r)| (Some(t), r)),
         );
         for (tenant, r) in records {
+            #[rustfmt::skip]
+            let rows = [
+                ("hf_task_queue_delay_nanos", "Ready-to-started queue delay per task execution (ns)", H(r.queue_delay)),
+                ("hf_task_exec_nanos", "Started-to-finished execution time per task (ns; device time included for GPU tasks)", H(r.exec)),
+                ("hf_run_latency_nanos", "Submit-to-completion latency per run (ns)", H(r.run_latency)),
+            ];
+            #[rustfmt::skip]
+            let scoped = match tenant {
+                None => vec![
+                    ("hf_epoch_latency_nanos", "Admission-to-completion latency per streaming epoch (ns)", H(r.epoch_latency)),
+                ],
+                Some(_) => vec![
+                    ("hf_tenant_runs_total", "Completed runs attributed to the tenant", C(r.runs)),
+                    ("hf_tenant_runs_failed_total", "Completed runs attributed to the tenant that failed or were cancelled", C(r.failed)),
+                ],
+            };
             let label = tenant.as_deref().map(|t| [("tenant", t)]);
             let labels = label.as_ref().map_or(&[][..], |l| &l[..]);
-            reg.set_histogram(
-                "hf_task_queue_delay_nanos",
-                "Ready-to-started queue delay per task execution (ns)",
-                labels,
-                r.queue_delay,
-            );
-            reg.set_histogram(
-                "hf_task_exec_nanos",
-                "Started-to-finished execution time per task (ns; device time included for GPU tasks)",
-                labels,
-                r.exec,
-            );
-            reg.set_histogram(
-                "hf_run_latency_nanos",
-                "Submit-to-completion latency per run (ns)",
-                labels,
-                r.run_latency,
-            );
-            if label.is_none() {
-                reg.set_histogram(
-                    "hf_epoch_latency_nanos",
-                    "Admission-to-completion latency per streaming epoch (ns)",
-                    labels,
-                    r.epoch_latency,
-                );
-                continue;
-            }
-            reg.set_counter(
-                "hf_tenant_runs_total",
-                "Completed runs attributed to the tenant",
-                labels,
-                r.runs,
-            );
-            reg.set_counter(
-                "hf_tenant_runs_failed_total",
-                "Completed runs attributed to the tenant that failed or were cancelled",
-                labels,
-                r.failed,
-            );
+            reg.set_rows(labels, rows.into_iter().chain(scoped));
         }
-        reg.set_counter(
-            "hf_flight_events_recorded_total",
-            "Lifecycle events accepted by the flight recorder",
-            &[],
-            self.events_recorded(),
-        );
-        reg.set_counter(
-            "hf_flight_events_dropped_total",
-            "Lifecycle events lost to ring overflow",
-            &[],
-            self.events_dropped(),
-        );
+        #[rustfmt::skip]
+        let flight = [
+            ("hf_flight_events_recorded_total", "Lifecycle events accepted by the flight recorder", C(self.events_recorded())),
+            ("hf_flight_events_dropped_total", "Lifecycle events lost to ring overflow", C(self.events_dropped())),
+        ];
+        reg.set_rows(&[], flight);
     }
 
     fn event_json(ev: &LifecycleEvent) -> Value {

@@ -14,7 +14,7 @@ use hf_core::{SpanCat, StatsSnapshot, TraceSpan};
 use hf_gpu::GpuRuntime;
 use hf_sync::sync::Mutex;
 use serde_json::{Map, Value};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A metric's value.
 #[derive(Debug, Clone, PartialEq)]
@@ -202,149 +202,49 @@ impl MetricsRegistry {
         self.len() == 0
     }
 
+    /// Sets each `(name, help, value)` row under one label set, in order.
+    pub(crate) fn set_rows(
+        &self,
+        labels: &[(&str, &str)],
+        rows: impl IntoIterator<Item = (&'static str, &'static str, MetricValue)>,
+    ) {
+        for (name, help, value) in rows {
+            self.upsert(name, help, labels, value);
+        }
+    }
+
     /// Imports an executor statistics snapshot as `hf_executor_*` metrics.
     pub fn collect_executor(&self, s: &StatsSnapshot) {
-        let l: &[(&str, &str)] = &[];
-        self.set_counter(
-            "hf_executor_tasks_executed_total",
-            "Tasks executed (all kinds)",
-            l,
-            s.tasks_executed,
-        );
-        self.set_counter("hf_executor_steals_total", "Successful steals", l, s.steals);
-        self.set_counter(
-            "hf_executor_steal_attempts_total",
-            "Steal attempts",
-            l,
-            s.steal_attempts,
-        );
-        self.set_gauge(
-            "hf_executor_steal_success_rate",
-            "steals / steal_attempts",
-            l,
-            s.steal_success_rate,
-        );
-        self.set_counter(
-            "hf_executor_sleeps_total",
-            "Worker sleep commits",
-            l,
-            s.sleeps,
-        );
-        self.set_counter(
-            "hf_executor_wakeups_total",
-            "Sleeping-worker wakeups",
-            l,
-            s.wakeups,
-        );
-        self.set_counter(
-            "hf_executor_rounds_total",
-            "Graph rounds completed",
-            l,
-            s.rounds,
-        );
-        self.set_counter(
-            "hf_executor_fused_total",
-            "GPU tasks dispatched as fused chain members",
-            l,
-            s.fused,
-        );
-        self.set_counter(
-            "hf_executor_injector_batches_total",
-            "Batched injector sprays",
-            l,
-            s.injector_batches,
-        );
-        self.set_counter(
-            "hf_executor_notify_coalesced_total",
-            "Wakeups saved by notification coalescing",
-            l,
-            s.notify_coalesced,
-        );
-        self.set_counter(
-            "hf_executor_topo_cache_hits_total",
-            "Cached freeze/placement plan reuses",
-            l,
-            s.topo_cache_hits,
-        );
-        self.set_counter(
-            "hf_executor_topo_cache_misses_total",
-            "Freeze + placement recomputations",
-            l,
-            s.topo_cache_misses,
-        );
-        self.set_counter(
-            "hf_executor_faults_injected_total",
-            "Injected device faults observed by task failures",
-            l,
-            s.faults_injected,
-        );
-        self.set_counter(
-            "hf_executor_retries_total",
-            "Task attempts re-scheduled by the retry policy",
-            l,
-            s.retries,
-        );
-        self.set_counter(
-            "hf_executor_devices_lost_total",
-            "Devices observed as lost",
-            l,
-            s.devices_lost,
-        );
-        self.set_counter(
-            "hf_executor_cancelled_total",
-            "Submissions finished as cancelled",
-            l,
-            s.cancelled,
-        );
-        self.set_counter(
-            "hf_executor_bytes_h2d_total",
-            "Host-to-device bytes actually copied by pull tasks",
-            l,
-            s.bytes_h2d,
-        );
-        self.set_counter(
-            "hf_executor_bytes_d2h_total",
-            "Device-to-host bytes copied back by push tasks",
-            l,
-            s.bytes_d2h,
-        );
-        self.set_counter(
-            "hf_executor_transfers_elided_total",
-            "H2D copies skipped because the device bytes were already current",
-            l,
-            s.transfers_elided,
-        );
-        self.set_counter(
-            "hf_executor_transfers_torn_total",
-            "Chunked pulls re-copied whole because the source changed mid-transfer",
-            l,
-            s.transfers_torn,
-        );
-        self.set_counter(
-            "hf_placement_warm_hits_total",
-            "Groups placed onto a device already holding their data warm",
-            l,
-            s.placement_warm_hits,
-        );
-        self.set_counter(
-            "hf_placement_est_bytes_saved_total",
-            "Transfer bytes placement estimated its warm-hit decisions would save via elision",
-            l,
-            s.placement_est_bytes_saved,
-        );
-        self.set_gauge(
-            "hf_placement_imbalance",
-            "Cost-weighted imbalance (max/mean bin load) of the latest placement",
-            l,
-            s.placement_imbalance,
-        );
-        self.set_gauge(
-            "hf_executor_inflight_tasks",
-            "Workers inside an exploit burst (live gauge; populated by Executor::snapshot)",
-            l,
-            s.inflight_tasks as f64,
-        );
-        self.set_gauge("hf_executor_queue_depth", "Tasks waiting in the injector and worker deques (live gauge; populated by Executor::snapshot)", l, s.queue_depth as f64);
+        use MetricValue::{Counter as C, Gauge as G};
+        #[rustfmt::skip]
+        let rows = [
+            ("hf_executor_tasks_executed_total", "Tasks executed (all kinds)", C(s.tasks_executed)),
+            ("hf_executor_steals_total", "Successful steals", C(s.steals)),
+            ("hf_executor_steal_attempts_total", "Steal attempts", C(s.steal_attempts)),
+            ("hf_executor_steal_success_rate", "steals / steal_attempts", G(s.steal_success_rate)),
+            ("hf_executor_sleeps_total", "Worker sleep commits", C(s.sleeps)),
+            ("hf_executor_wakeups_total", "Sleeping-worker wakeups", C(s.wakeups)),
+            ("hf_executor_rounds_total", "Graph rounds completed", C(s.rounds)),
+            ("hf_executor_fused_total", "GPU tasks dispatched as fused chain members", C(s.fused)),
+            ("hf_executor_injector_batches_total", "Batched injector sprays", C(s.injector_batches)),
+            ("hf_executor_notify_coalesced_total", "Wakeups saved by notification coalescing", C(s.notify_coalesced)),
+            ("hf_executor_topo_cache_hits_total", "Cached freeze/placement plan reuses", C(s.topo_cache_hits)),
+            ("hf_executor_topo_cache_misses_total", "Freeze + placement recomputations", C(s.topo_cache_misses)),
+            ("hf_executor_faults_injected_total", "Injected device faults observed by task failures", C(s.faults_injected)),
+            ("hf_executor_retries_total", "Task attempts re-scheduled by the retry policy", C(s.retries)),
+            ("hf_executor_devices_lost_total", "Devices observed as lost", C(s.devices_lost)),
+            ("hf_executor_cancelled_total", "Submissions finished as cancelled", C(s.cancelled)),
+            ("hf_executor_bytes_h2d_total", "Host-to-device bytes actually copied by pull tasks", C(s.bytes_h2d)),
+            ("hf_executor_bytes_d2h_total", "Device-to-host bytes copied back by push tasks", C(s.bytes_d2h)),
+            ("hf_executor_transfers_elided_total", "H2D copies skipped because the device bytes were already current", C(s.transfers_elided)),
+            ("hf_executor_transfers_torn_total", "Chunked pulls re-copied whole because the source changed mid-transfer", C(s.transfers_torn)),
+            ("hf_placement_warm_hits_total", "Groups placed onto a device already holding their data warm", C(s.placement_warm_hits)),
+            ("hf_placement_est_bytes_saved_total", "Transfer bytes placement estimated its warm-hit decisions would save via elision", C(s.placement_est_bytes_saved)),
+            ("hf_placement_imbalance", "Cost-weighted imbalance (max/mean bin load) of the latest placement", G(s.placement_imbalance)),
+            ("hf_executor_inflight_tasks", "Workers inside an exploit burst (live gauge; populated by Executor::snapshot)", G(s.inflight_tasks as f64)),
+            ("hf_executor_queue_depth", "Tasks waiting in the injector and worker deques (live gauge; populated by Executor::snapshot)", G(s.queue_depth as f64)),
+        ];
+        self.set_rows(&[], rows);
     }
 
     /// Imports an executor's current per-device modeled-load estimates
@@ -366,86 +266,29 @@ impl MetricsRegistry {
     /// Imports per-device engine and memory-pool statistics as
     /// `hf_gpu_*` metrics labeled by device.
     pub fn collect_gpu(&self, rt: &GpuRuntime) {
+        use MetricValue::{Counter as C, Gauge as G};
         for d in rt.devices() {
-            let id = d.id().to_string();
-            let l: &[(&str, &str)] = &[("device", id.as_str())];
-            let st = d.stats();
-            self.set_counter(
-                "hf_gpu_busy_nanos_total",
-                "Modeled busy nanoseconds",
-                l,
-                st.busy_nanos.load(Ordering::Relaxed),
-            );
-            self.set_counter(
-                "hf_gpu_h2d_bytes_total",
-                "Host-to-device bytes copied",
-                l,
-                st.h2d_bytes.load(Ordering::Relaxed),
-            );
-            self.set_counter(
-                "hf_gpu_d2h_bytes_total",
-                "Device-to-host bytes copied",
-                l,
-                st.d2h_bytes.load(Ordering::Relaxed),
-            );
-            self.set_counter(
-                "hf_gpu_kernels_total",
-                "Kernels launched",
-                l,
-                st.kernels.load(Ordering::Relaxed),
-            );
-            self.set_counter(
-                "hf_gpu_ops_total",
-                "Stream ops executed",
-                l,
-                st.ops.load(Ordering::Relaxed),
-            );
-            let p = d.pool_stats();
-            self.set_counter("hf_gpu_pool_allocs_total", "Pool allocations", l, p.allocs);
-            self.set_counter("hf_gpu_pool_frees_total", "Pool frees", l, p.frees);
-            self.set_counter(
-                "hf_gpu_pool_splits_total",
-                "Buddy block splits",
-                l,
-                p.splits,
-            );
-            self.set_counter("hf_gpu_pool_merges_total", "Buddy coalesces", l, p.merges);
-            self.set_counter(
-                "hf_gpu_pool_failures_total",
-                "Out-of-memory allocation failures",
-                l,
-                p.failures,
-            );
-            self.set_counter(
-                "hf_gpu_pool_magazine_hits_total",
-                "Allocations served from a lock-free magazine",
-                l,
-                p.magazine_hits,
-            );
-            self.set_counter(
-                "hf_gpu_pool_magazine_misses_total",
-                "Allocations that fell through to the buddy allocator",
-                l,
-                p.magazine_misses,
-            );
-            self.set_gauge(
-                "hf_gpu_pool_magazine_cached_bytes",
-                "Bytes parked in magazine caches",
-                l,
-                p.magazine_cached_bytes as f64,
-            );
-            self.set_gauge(
-                "hf_gpu_pool_bytes_in_use",
-                "Bytes currently handed out",
-                l,
-                p.bytes_in_use as f64,
-            );
-            self.set_gauge(
-                "hf_gpu_pool_peak_bytes",
-                "High-water mark of bytes in use",
-                l,
-                p.peak_bytes as f64,
-            );
+            let (st, p) = (d.stats(), d.pool_stats());
+            let n = |c: &AtomicU64| C(c.load(Ordering::Relaxed));
+            #[rustfmt::skip]
+            let rows = [
+                ("hf_gpu_busy_nanos_total", "Modeled busy nanoseconds", n(&st.busy_nanos)),
+                ("hf_gpu_h2d_bytes_total", "Host-to-device bytes copied", n(&st.h2d_bytes)),
+                ("hf_gpu_d2h_bytes_total", "Device-to-host bytes copied", n(&st.d2h_bytes)),
+                ("hf_gpu_kernels_total", "Kernels launched", n(&st.kernels)),
+                ("hf_gpu_ops_total", "Stream ops executed", n(&st.ops)),
+                ("hf_gpu_pool_allocs_total", "Pool allocations", C(p.allocs)),
+                ("hf_gpu_pool_frees_total", "Pool frees", C(p.frees)),
+                ("hf_gpu_pool_splits_total", "Buddy block splits", C(p.splits)),
+                ("hf_gpu_pool_merges_total", "Buddy coalesces", C(p.merges)),
+                ("hf_gpu_pool_failures_total", "Out-of-memory allocation failures", C(p.failures)),
+                ("hf_gpu_pool_magazine_hits_total", "Allocations served from a lock-free magazine", C(p.magazine_hits)),
+                ("hf_gpu_pool_magazine_misses_total", "Allocations that fell through to the buddy allocator", C(p.magazine_misses)),
+                ("hf_gpu_pool_magazine_cached_bytes", "Bytes parked in magazine caches", G(p.magazine_cached_bytes as f64)),
+                ("hf_gpu_pool_bytes_in_use", "Bytes currently handed out", G(p.bytes_in_use as f64)),
+                ("hf_gpu_pool_peak_bytes", "High-water mark of bytes in use", G(p.peak_bytes as f64)),
+            ];
+            self.set_rows(&[("device", d.id().to_string().as_str())], rows);
         }
     }
 
