@@ -465,14 +465,20 @@ fn entry<'a>(
 }
 
 /// Formats a `{k="v",...}` label set (empty string when no labels and no
-/// `le` bound).
+/// `le` bound). Values are escaped as the text format specifies: `\`,
+/// `"` and a newline become `\\`, `\"` and `\n`.
 fn label_set(labels: &[(String, String)], le: Option<&str>) -> String {
     if labels.is_empty() && le.is_none() {
         return String::new();
     }
+    let escape = |v: &str| {
+        v.replace('\\', r"\\")
+            .replace('"', r#"\""#)
+            .replace('\n', r"\n")
+    };
     let mut parts: Vec<String> = labels
         .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", v.replace('"', "'")))
+        .map(|(k, v)| format!("{k}=\"{}\"", escape(v)))
         .collect();
     if let Some(le) = le {
         parts.push(format!("le=\"{le}\""));

@@ -407,6 +407,73 @@ fn per_tenant_prometheus_labels_with_stable_aggregates() {
     assert!(tenants.contains(&None), "direct run stays untenanted");
 }
 
+/// A tenant name holding a quote, a backslash and a newline reaches the
+/// exposition escaped: every sample line still parses as
+/// `name{labels} value`, and the label unescapes back to the name.
+#[test]
+fn tenant_label_values_are_escaped() {
+    const NAME: &str = "q\"b\\s\n";
+    let recorder = FlightRecorder::shared();
+    let ex = Executor::builder(2, 0).observer(recorder.clone()).build();
+    let fleet = Fleet::new(ex, FleetConfig::default());
+    let tenant = fleet.register(NAME, TenantConfig::default());
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let graph = logging_graph("g", &log, None);
+    let run = fleet.submit(&tenant, &graph).expect("submitted");
+    assert_eq!(run.wait_timeout(DEADLINE), Some(Ok(())));
+    fleet.wait_idle();
+    recorder.pump();
+
+    let reg = MetricsRegistry::new();
+    recorder.export_into(&reg);
+    let text = reg.prometheus_text();
+    let mut tenants = Vec::new();
+    for line in text.lines().filter(|l| !l.starts_with('#')) {
+        let (series, value) = line.rsplit_once(' ').expect("a value");
+        assert!(value.parse::<f64>().is_ok(), "value of {line:?}");
+        if let Some((_, labels)) = series.split_once('{') {
+            let labels = labels.strip_suffix('}').expect("a closing brace");
+            for (key, value) in parse_labels(labels) {
+                if key == "tenant" {
+                    tenants.push(value);
+                }
+            }
+        }
+    }
+    assert!(!tenants.is_empty(), "no tenant-labeled series");
+    assert!(tenants.iter().all(|t| t == NAME), "{tenants:?}");
+}
+
+/// Parses the text between a sample's braces, `k="v",...`, unescaping
+/// `\\`, `\"` and `\n`; panics on anything the text format forbids.
+fn parse_labels(text: &str) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    let mut chars = text.chars();
+    loop {
+        let key: String = chars.by_ref().take_while(|&c| c != '=').collect();
+        assert_eq!(chars.next(), Some('"'), "{key:?} opens a quote in {text:?}");
+        let mut value = String::new();
+        loop {
+            match chars.next().expect("a closing quote") {
+                '"' => break,
+                '\\' => value.push(match chars.next() {
+                    Some('\\') => '\\',
+                    Some('"') => '"',
+                    Some('n') => '\n',
+                    c => panic!("escape {c:?} in {text:?}"),
+                }),
+                c => value.push(c),
+            }
+        }
+        out.push((key, value));
+        match chars.next() {
+            None => return out,
+            Some(',') => {}
+            c => panic!("{c:?} after a label value in {text:?}"),
+        }
+    }
+}
+
 /// Admissions and structured rejections are counted once, per tenant, in
 /// the fleet's own snapshot.
 #[test]
