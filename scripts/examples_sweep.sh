@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Builds every example in examples/ in release and runs each one; any
-# non-zero exit fails the sweep. The three examples that validate their
-# own output (multi_tenant, profiling, health_endpoint) get an artifacts
-# directory and --check; the rest run without arguments. Before building,
+# non-zero exit fails the sweep. The two examples that validate their
+# own output (multi_tenant, health_endpoint) get an artifacts directory
+# and --check; the rest run without arguments. Before building,
 # README.md's "### Examples" block must name exactly the files in examples/.
 #
 # Usage: scripts/examples_sweep.sh [artifacts-dir]   (default: artifacts)
@@ -25,7 +25,7 @@ cargo build --release --examples
 for src in examples/*.rs; do
   name="$(basename "$src" .rs)"
   case "$name" in
-    multi_tenant|profiling|health_endpoint) args=("$out/$name" --check) ;;
+    multi_tenant|health_endpoint) args=("$out/$name" --check) ;;
     *) args=() ;;
   esac
   echo "== example $name ${args[*]}"

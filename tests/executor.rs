@@ -229,6 +229,22 @@ fn placeholder_execution_is_an_error() {
 }
 
 #[test]
+fn late_assigned_placeholder_runs_its_work() {
+    let ex = Executor::new(2, 0);
+    let g = Heteroflow::new("late");
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let l = Arc::clone(&log);
+    let before = g.host("before", move || l.lock().unwrap().push("before"));
+    let later = g.placeholder("later");
+    before.precede(&later);
+    // Wired into the graph first, given its work afterwards.
+    let l = Arc::clone(&log);
+    later.assign_host(move || l.lock().unwrap().push("later"));
+    ex.run(&g).wait().unwrap();
+    assert_eq!(*log.lock().unwrap(), ["before", "later"]);
+}
+
+#[test]
 fn gpu_graph_without_gpus_errors() {
     let ex = Executor::new(2, 0);
     let g = Heteroflow::new("gpu");

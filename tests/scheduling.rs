@@ -72,13 +72,16 @@ fn transitive_data_reuse() {
         }
     });
     k2.cover(64, 32);
+    let s1 = g.push("s1", &p1, &v1);
     let s2 = g.push("s2", &p2, &v2);
-    // No direct p1 -> k2 edge: ordering flows through k1.
+    // No direct p1 -> k2 edge: ordering flows through k1, which also
+    // precedes the push of p1 (Listing 10's edges).
     p1.precede(&k1);
     p2.precede(&k2);
-    k1.precede(&k2);
+    k1.precede_all(&[&s1, &k2]);
     k2.precede(&s2);
     ex.run(&g).wait().expect("runs");
+    assert!(v1.read().iter().all(|&v| v == 10), "a = 2*5");
     assert!(v2.read().iter().all(|&v| v == 7 + 10), "b = 7 + 2*5");
 }
 
