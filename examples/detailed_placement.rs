@@ -27,7 +27,8 @@ fn main() {
         ..Default::default()
     };
     let db = PlacementDb::synthesize(&db_cfg);
-    db.check_legal().expect("generator produces legal placements");
+    db.check_legal()
+        .expect("generator produces legal placements");
     println!(
         "layout: {} rows x {} sites, {} nets, HPWL {}",
         db.num_rows,

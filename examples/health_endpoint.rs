@@ -44,8 +44,8 @@
 //! `docs/flight_recorder.schema.json`) and exits non-zero on violation —
 //! CI runs this mode.
 
-use heteroflow::prelude::*;
 use heteroflow::core::TraceSpan;
+use heteroflow::prelude::*;
 use heteroflow::telemetry::chrome_trace;
 use serde_json::Value;
 use std::io::{Read, Write};
@@ -72,7 +72,11 @@ fn doubling_graph(name: &str, bufs: &[HostVec<i32>]) -> Heteroflow {
         p.precede(&k);
         k.precede(&s);
     }
-    assert!(g.analyze().is_clean(), "lint:\n{}", g.analyze().render_text());
+    assert!(
+        g.analyze().is_clean(),
+        "lint:\n{}",
+        g.analyze().render_text()
+    );
     g
 }
 
@@ -90,7 +94,10 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
 /// Writes `trace.json`, `metrics.json`, `metrics.prom` and
 /// `critpath.txt` for one traced run of `g`.
 fn profile(executor: &Executor, g: &Heteroflow, spans: &[TraceSpan], outdir: &str) {
-    let on_device = spans.iter().filter(|s| matches!(s.track, Track::Device(_))).count();
+    let on_device = spans
+        .iter()
+        .filter(|s| matches!(s.track, Track::Device(_)))
+        .count();
     println!(
         "profiled run: {} spans ({on_device} device-side)",
         spans.len()
@@ -243,7 +250,10 @@ fn text<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
 
 /// `v[key]` as an array; empty when absent.
 fn items(v: &Value, key: &str) -> Vec<Value> {
-    v.get(key).and_then(|x| x.as_array()).cloned().unwrap_or_default()
+    v.get(key)
+        .and_then(|x| x.as_array())
+        .cloned()
+        .unwrap_or_default()
 }
 
 /// CI mode: the artifacts on disk must parse and hold the profiling,
@@ -271,10 +281,19 @@ fn validate(outdir: &str, degraded_seen: bool, lanes: usize) -> Vec<&'static str
         let n = spans.iter().filter(task_span).count();
         ensure(n == 1, "trace: each profiled task is one task span");
     }
-    let pids: Vec<_> = spans.iter().map(|e| e.get("pid").and_then(|p| p.as_u64())).collect();
-    ensure(pids.iter().all(Option::is_some), "trace: every event has a pid");
+    let pids: Vec<_> = spans
+        .iter()
+        .map(|e| e.get("pid").and_then(|p| p.as_u64()))
+        .collect();
+    ensure(
+        pids.iter().all(Option::is_some),
+        "trace: every event has a pid",
+    );
     ensure(pids.contains(&Some(0)), "trace: CPU process present");
-    ensure(pids.iter().any(|&p| p > Some(0)), "trace: GPU process present");
+    ensure(
+        pids.iter().any(|&p| p > Some(0)),
+        "trace: GPU process present",
+    );
 
     // metrics.json carries every source; metrics.prom is well-formed.
     let metrics = json("metrics.json").as_array().cloned().unwrap_or_default();
@@ -287,37 +306,68 @@ fn validate(outdir: &str, degraded_seen: bool, lanes: usize) -> Vec<&'static str
         let present = metrics.iter().any(|m| text(m, "name") == Some(required));
         ensure(present, "metrics.json: every source present");
     }
-    let sample = |l: &str| l.split_whitespace().nth(1).is_some_and(|v| v.parse::<f64>().is_ok());
+    let sample = |l: &str| {
+        l.split_whitespace()
+            .nth(1)
+            .is_some_and(|v| v.parse::<f64>().is_ok())
+    };
     let prom = read("metrics.prom");
     let well_formed = prom.lines().all(|l| l.starts_with('#') || sample(l));
     ensure(well_formed, "metrics.prom: each line a comment or a sample");
 
     // critpath.txt reports a measured path through the profiled graph.
     let crit = read("critpath.txt");
-    ensure(crit.contains("critical path of 'healthy_0'"), "critpath: graph");
-    ensure(!crit.contains(" 0 us\n"), "critpath: path has measured time");
+    ensure(
+        crit.contains("critical path of 'healthy_0'"),
+        "critpath: graph",
+    );
+    ensure(
+        !crit.contains(" 0 us\n"),
+        "critpath: path has measured time",
+    );
 
     // metrics_live.prom: populated attribution buckets, executor gauges.
     let live = read("metrics_live.prom");
-    ensure(live.contains("hf_task_queue_delay_nanos_bucket{le=\""), "live: buckets");
-    ensure(live.contains("hf_task_queue_delay_nanos_bucket{le=\"+Inf\"}"), "live: +Inf");
+    ensure(
+        live.contains("hf_task_queue_delay_nanos_bucket{le=\""),
+        "live: buckets",
+    );
+    ensure(
+        live.contains("hf_task_queue_delay_nanos_bucket{le=\"+Inf\"}"),
+        "live: +Inf",
+    );
     let exec = |l: &str| l.starts_with("hf_task_exec_nanos_count") && !l.ends_with(" 0");
     ensure(live.lines().any(exec), "live: exec histogram populated");
-    ensure(live.contains("hf_executor_inflight_tasks"), "live: inflight gauge");
-    ensure(live.contains("hf_executor_queue_depth"), "live: queue-depth gauge");
+    ensure(
+        live.contains("hf_executor_inflight_tasks"),
+        "live: inflight gauge",
+    );
+    ensure(
+        live.contains("hf_executor_queue_depth"),
+        "live: queue-depth gauge",
+    );
 
     // health.json: the stall was visible live, and the ladder recovered.
-    ensure(degraded_seen, "health: degraded verdict observed live during the stall");
+    ensure(
+        degraded_seen,
+        "health: degraded verdict observed live during the stall",
+    );
     let health = items(&json("health.json"), "events");
     let kinds: Vec<_> = health.iter().filter_map(|e| text(e, "kind")).collect();
     ensure(kinds.contains(&"stall"), "health: stall event recorded");
-    ensure(kinds.contains(&"recovered"), "health: recovery event recorded");
+    ensure(
+        kinds.contains(&"recovered"),
+        "health: recovery event recorded",
+    );
 
     // flight_recorder.json against docs/flight_recorder.schema.json
     // invariants: schema tag, runs with ids/graphs, ordered events with
     // known phases, terminal run_end per completed run.
     let flight = json("flight_recorder.json");
-    ensure(text(&flight, "schema") == Some("hf-flight-recorder-v1"), "flight: schema tag");
+    ensure(
+        text(&flight, "schema") == Some("hf-flight-recorder-v1"),
+        "flight: schema tag",
+    );
     let known_phases = [
         "run_start",
         "ready",
@@ -340,14 +390,20 @@ fn validate(outdir: &str, degraded_seen: bool, lanes: usize) -> Vec<&'static str
         let mut last_t = 0u64;
         for e in &events {
             let phase = text(e, "phase").unwrap_or("?");
-            ensure(known_phases.contains(&phase), "flight: event phase is a known value");
+            ensure(
+                known_phases.contains(&phase),
+                "flight: event phase is a known value",
+            );
             let t = e.get("t_ns").and_then(|x| x.as_u64()).unwrap_or(0);
             ensure(t >= last_t, "flight: events are time-ordered");
             last_t = t;
         }
         if run.get("ok").is_some_and(|o| !matches!(o, Value::Null)) {
             let last = events.last().and_then(|e| text(e, "phase"));
-            ensure(last == Some("run_end"), "flight: completed run ends with run_end");
+            ensure(
+                last == Some("run_end"),
+                "flight: completed run ends with run_end",
+            );
         }
     }
     // The chaos black box shows dispatch → fault → re-dispatch.
@@ -358,8 +414,12 @@ fn validate(outdir: &str, degraded_seen: bool, lanes: usize) -> Vec<&'static str
     ensure(has("dispatched"), "flight: chaos run shows dispatch");
     let fault = has("failed") || has("retried") || has("failover");
     ensure(fault, "flight: chaos run shows the injected fault");
-    let ok = |e: &Value| text(e, "phase") == Some("finished") && e.get("ok") == Some(&Value::Bool(true));
-    ensure(events.iter().any(ok), "flight: chaos run recovers to a successful finish");
+    let ok =
+        |e: &Value| text(e, "phase") == Some("finished") && e.get("ok") == Some(&Value::Bool(true));
+    ensure(
+        events.iter().any(ok),
+        "flight: chaos run recovers to a successful finish",
+    );
 
     // runs.json: parses, and every summary carries an id.
     let summaries = json("runs.json").as_array().cloned().unwrap_or_default();

@@ -44,11 +44,7 @@ const INTERACTIVE_PERIOD_MS: u64 = 2;
 
 /// One job: a single host task that occupies its in-flight slot for
 /// `service_ms` and stamps its completion instant.
-fn job(
-    name: &str,
-    service_ms: u64,
-    done: &Arc<std::sync::Mutex<Option<Instant>>>,
-) -> Heteroflow {
+fn job(name: &str, service_ms: u64, done: &Arc<std::sync::Mutex<Option<Instant>>>) -> Heteroflow {
     let g = Heteroflow::new(name);
     let done = Arc::clone(done);
     g.host("serve", move || {

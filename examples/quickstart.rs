@@ -60,7 +60,11 @@ fn main() {
 
     // The static analyzer confirms the graph is well-formed before it
     // ever runs (no races, no missing pull dependencies, no dead tasks).
-    assert!(g.analyze().is_clean(), "lint:\n{}", g.analyze().render_text());
+    assert!(
+        g.analyze().is_clean(),
+        "lint:\n{}",
+        g.analyze().render_text()
+    );
 
     // Non-blocking submission; the future reports completion.
     let future = executor.run(&g);
@@ -68,6 +72,12 @@ fn main() {
 
     let ys = y.read();
     assert!(ys.iter().all(|&v| v == 4), "y = 2*1 + 2 everywhere");
-    println!("saxpy over {N} elements: y[0..4] = {:?} (expected all 4s)", &ys[..4]);
-    println!("\nTask graph in DOT (render with `dot -Tpng`):\n{}", g.dump());
+    println!(
+        "saxpy over {N} elements: y[0..4] = {:?} (expected all 4s)",
+        &ys[..4]
+    );
+    println!(
+        "\nTask graph in DOT (render with `dot -Tpng`):\n{}",
+        g.dump()
+    );
 }

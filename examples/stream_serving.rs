@@ -37,7 +37,12 @@ fn main() {
             println!(
                 "pipelining observed on attempt {attempt}: epoch {} kernel \
                  [{}..{}us] overlaps epoch {} H2D chunks [{}..{}us]",
-                k_epoch, kernel_span.0, kernel_span.1, k_epoch + 1, chunk_span.0, chunk_span.1,
+                k_epoch,
+                kernel_span.0,
+                kernel_span.1,
+                k_epoch + 1,
+                chunk_span.0,
+                chunk_span.1,
             );
             return;
         }
@@ -97,7 +102,8 @@ fn serve_once() -> Option<(u64, ExtentUs, ExtentUs)> {
         })
         .collect();
     for (e, f) in futures.iter().enumerate() {
-        f.wait().unwrap_or_else(|err| panic!("epoch {e} failed: {err}"));
+        f.wait()
+            .unwrap_or_else(|err| panic!("epoch {e} failed: {err}"));
     }
     session.close();
     drop(ex);
@@ -123,10 +129,7 @@ fn serve_once() -> Option<(u64, ExtentUs, ExtentUs)> {
 
     for kspan in &kernels {
         let ke = kspan.epoch.expect("filtered");
-        let next: Vec<_> = chunks
-            .iter()
-            .filter(|c| c.epoch == Some(ke + 1))
-            .collect();
+        let next: Vec<_> = chunks.iter().filter(|c| c.epoch == Some(ke + 1)).collect();
         if next.is_empty() {
             continue;
         }

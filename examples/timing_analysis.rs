@@ -49,7 +49,10 @@ fn main() {
 
     let executor = Executor::new(4, 2);
     let t0 = std::time::Instant::now();
-    executor.run(&built.graph).wait().expect("correlation graph runs");
+    executor
+        .run(&built.graph)
+        .wait()
+        .expect("correlation graph runs");
     let elapsed = t0.elapsed();
 
     let report = built.report.lock().clone();
@@ -59,7 +62,9 @@ fn main() {
             "view {vi:>3} [{}]: accuracy {:.3}, weights {:?}",
             vs[vi].name(),
             acc,
-            w.iter().map(|v| (v * 100.0).round() / 100.0).collect::<Vec<_>>()
+            w.iter()
+                .map(|v| (v * 100.0).round() / 100.0)
+                .collect::<Vec<_>>()
         );
     }
     println!(

@@ -69,8 +69,7 @@ fn main() {
                     }
                 }
             });
-            k.cover(tile * tile, 256)
-                .work_units((tile * tile) as f64);
+            k.cover(tile * tile, 256).work_units((tile * tile) as f64);
             // Explicit wavefront dependencies.
             k.succeed(&pulls[i][j]);
             if i > 0 {
@@ -97,7 +96,11 @@ fn main() {
         frozen.critical_path_len()
     );
 
-    assert!(g.analyze().is_clean(), "lint:\n{}", g.analyze().render_text());
+    assert!(
+        g.analyze().is_clean(),
+        "lint:\n{}",
+        g.analyze().render_text()
+    );
 
     let t0 = std::time::Instant::now();
     executor.run(&g).wait().expect("wavefront runs");

@@ -291,10 +291,9 @@ mod tests {
 
     #[test]
     fn parser_handles_whitespace_escapes_and_nesting() {
-        let v = crate::from_str(
-            " { \"a\" : [ 1 , {\"b\": \"q\\nr\\u0041\"} , [] ] , \"c\" : 2.5e2 } ",
-        )
-        .unwrap();
+        let v =
+            crate::from_str(" { \"a\" : [ 1 , {\"b\": \"q\\nr\\u0041\"} , [] ] , \"c\" : 2.5e2 } ")
+                .unwrap();
         assert_eq!(v.get("c").unwrap().as_f64(), Some(250.0));
         let arr = v.get("a").unwrap().as_array().unwrap();
         assert_eq!(arr[0].as_u64(), Some(1));

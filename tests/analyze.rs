@@ -20,7 +20,12 @@ fn seeded_race_is_flagged_hf002() {
     k.precede(&s2);
     let report = g.analyze();
     let races: Vec<_> = report.with_code("HF002").collect();
-    assert_eq!(races.len(), 1, "expected one race: {}", report.render_text());
+    assert_eq!(
+        races.len(),
+        1,
+        "expected one race: {}",
+        report.render_text()
+    );
     assert_eq!(races[0].severity, Severity::Error);
     assert!(races[0].tasks.contains(&"s1".to_string()));
     assert!(races[0].tasks.contains(&"s2".to_string()));
@@ -119,7 +124,11 @@ fn saxpy_shape_lints_clean() {
     kernel.succeed_all(&[&pull_x, &pull_y]);
     kernel.precede_all(&[&push_x, &push_y]);
     let report = g.analyze();
-    assert!(report.is_clean(), "saxpy not clean:\n{}", report.render_text());
+    assert!(
+        report.is_clean(),
+        "saxpy not clean:\n{}",
+        report.render_text()
+    );
 }
 
 /// Analysis is the caller's call: the executor runs even an

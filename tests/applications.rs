@@ -1,9 +1,9 @@
 //! Cross-crate integration: the two paper applications end-to-end on the
 //! real executor, plus sim/real consistency.
 
+use heteroflow::core::{device_placement, Plan};
 use heteroflow::place::{detailed_place, detailed_place_sequential, PlaceConfig};
 use heteroflow::prelude::*;
-use heteroflow::core::{device_placement, Plan};
 use heteroflow::sim::{simulate, Machine};
 use heteroflow::timing::correlation::{run_correlation, CorrelationConfig};
 use heteroflow::timing::views::make_views;
@@ -69,8 +69,14 @@ fn placement_end_to_end_parallel_equals_sequential() {
     for (workers, gpus) in [(1, 1), (2, 1), (2, 2), (4, 2)] {
         let ex = Executor::new(workers, gpus);
         let par = detailed_place(&ex, db.clone(), cfg).expect("placement runs");
-        assert_eq!(par.hpwl_trace, seq.hpwl_trace, "Executor::new({workers}, {gpus})");
-        assert_eq!(par.db.cells, seq.db.cells, "Executor::new({workers}, {gpus})");
+        assert_eq!(
+            par.hpwl_trace, seq.hpwl_trace,
+            "Executor::new({workers}, {gpus})"
+        );
+        assert_eq!(
+            par.db.cells, seq.db.cells,
+            "Executor::new({workers}, {gpus})"
+        );
         assert!(par.hpwl_after <= par.hpwl_before);
         par.db.check_legal().expect("legal");
     }

@@ -257,9 +257,7 @@ fn device_loss_completes_on_survivors() {
 
     // Two independent lanes => two placement groups => both devices used,
     // so device 1 is guaranteed to host live work when it dies.
-    let bufs: Vec<HostVec<i32>> = (0..2)
-        .map(|_| HostVec::from_vec(vec![3; 64]))
-        .collect();
+    let bufs: Vec<HostVec<i32>> = (0..2).map(|_| HostVec::from_vec(vec![3; 64])).collect();
     let g = Heteroflow::new("lose_one");
     for (i, b) in bufs.iter().enumerate() {
         let p = g.pull(&format!("pull_{i}"), b);
@@ -313,9 +311,7 @@ fn device_loss_replays_on_the_new_plan_within_one_burst() {
     ex.gpu_runtime()
         .set_fault_plan(Some(FaultPlan::seeded(seed).lose_device(1, 1)));
 
-    let bufs: Vec<HostVec<i32>> = (0..2)
-        .map(|_| HostVec::from_vec(vec![3; 64]))
-        .collect();
+    let bufs: Vec<HostVec<i32>> = (0..2).map(|_| HostVec::from_vec(vec![3; 64])).collect();
     let g = Heteroflow::new("lose_one_between_host_chains");
     let bodies: Vec<Arc<AtomicUsize>> = (0..6).map(|_| Arc::new(AtomicUsize::new(0))).collect();
     let host = |i: usize| {
@@ -359,7 +355,11 @@ fn device_loss_replays_on_the_new_plan_within_one_burst() {
         );
     }
     for (i, c) in bodies.iter().enumerate() {
-        assert_eq!(c.load(Ordering::SeqCst), 1, "host_{i} body count (seed {seed})");
+        assert_eq!(
+            c.load(Ordering::SeqCst),
+            1,
+            "host_{i} body count (seed {seed})"
+        );
     }
     assert!(ex.snapshot().devices_lost >= 1);
 }
@@ -384,7 +384,13 @@ fn fleet_chaos_two_tenants_never_hang() {
                 ..FleetConfig::default()
             },
         );
-        let alpha = fleet.register("alpha", TenantConfig { weight: 4, ..TenantConfig::default() });
+        let alpha = fleet.register(
+            "alpha",
+            TenantConfig {
+                weight: 4,
+                ..TenantConfig::default()
+            },
+        );
         let beta = fleet.register("beta", TenantConfig::default());
 
         const N: usize = 128;
@@ -438,10 +444,16 @@ fn fleet_chaos_two_tenants_never_hang() {
             .iter()
             .map(|t| t.completed + t.failed + t.cancelled)
             .sum();
-        assert_eq!(settled, 5, "every submission settles exactly once (seed {seed})");
+        assert_eq!(
+            settled, 5,
+            "every submission settles exactly once (seed {seed})"
+        );
     }
     eprintln!("fleet chaos summary (base seed {base}): {ok} ok, {failed} structured failures");
-    assert!(ok > 0, "no fleet run succeeded under chaos (base seed {base})");
+    assert!(
+        ok > 0,
+        "no fleet run succeeded under chaos (base seed {base})"
+    );
 }
 
 /// H2D faults aimed at the transfer-elision path: a graph whose pull has
@@ -483,7 +495,9 @@ fn h2d_faults_never_serve_stale_residency() {
 
         // Every H2D draw faults until the budget runs out.
         ex.gpu_runtime().set_fault_plan(Some(
-            FaultPlan::seeded(seed).fail(FaultSite::H2d, 1.0).max_faults(2),
+            FaultPlan::seeded(seed)
+                .fail(FaultSite::H2d, 1.0)
+                .max_faults(2),
         ));
 
         // Unchanged rerun: the copy elides, drawing no fault, so the run
@@ -655,7 +669,9 @@ fn failover_budget_survives_the_replay_hand_over() {
             .observer(capture.clone())
             .build();
         ex.gpu_runtime().set_fault_plan(Some(
-            FaultPlan::seeded(base_seed()).lose_device(0, 0).lose_device(1, 0),
+            FaultPlan::seeded(base_seed())
+                .lose_device(0, 0)
+                .lose_device(1, 0),
         ));
         let bufs: Vec<HostVec<i32>> = (0..3).map(|_| HostVec::from_vec(vec![3; 64])).collect();
         let g = Heteroflow::new("lose_two_in_sequence");
@@ -675,7 +691,10 @@ fn failover_budget_survives_the_replay_hand_over() {
             assert_eq!(ex.snapshot().devices_lost, 2);
         } else {
             let err = res.expect_err("the second failover exceeds the budget");
-            assert!(matches!(err.gpu_cause(), Some(GpuError::DeviceLost(_))), "{err}");
+            assert!(
+                matches!(err.gpu_cause(), Some(GpuError::DeviceLost(_))),
+                "{err}"
+            );
             assert_eq!(failovers, 1);
         }
     }
@@ -722,9 +741,18 @@ fn failed_over_run_finishes_every_task_once() {
         } else {
             replayed += 1;
             let heads = at(Ready, t);
-            let made_runnable = if heads.is_empty() { at(Dispatched, t) } else { heads };
-            let last = *made_runnable.last().expect("a replayed task is made runnable");
-            assert!(failover < last && last < finished, "task {t:?} replayed out of order");
+            let made_runnable = if heads.is_empty() {
+                at(Dispatched, t)
+            } else {
+                heads
+            };
+            let last = *made_runnable
+                .last()
+                .expect("a replayed task is made runnable");
+            assert!(
+                failover < last && last < finished,
+                "task {t:?} replayed out of order"
+            );
         }
     }
     assert!(replayed >= 3, "the lost device's lane replays");

@@ -38,7 +38,13 @@ fn lanes_graph(name: &str) -> (Heteroflow, Vec<HostVec<i32>>) {
 
 /// The counters a pass over the graph moves, whichever client drove it.
 fn pass_counters(s: &StatsSnapshot) -> [u64; 5] {
-    [s.tasks_executed, s.fused, s.rounds, s.bytes_h2d, s.transfers_elided]
+    [
+        s.tasks_executed,
+        s.fused,
+        s.rounds,
+        s.bytes_h2d,
+        s.transfers_elided,
+    ]
 }
 
 /// Three rounds of `run_n` and three epochs of a depth-1 session are the
@@ -89,7 +95,9 @@ fn copy_graph() -> (Heteroflow, HostVec<i32>, HostVec<i32>) {
 fn residency_is_shared_at_depth_1_and_private_at_depth_2() {
     let ex = Executor::new(2, 1);
     let (g, _x, out) = copy_graph();
-    let session = ex.run_stream_with(&g, StreamConfig { depth: 1 }).expect("opens");
+    let session = ex
+        .run_stream_with(&g, StreamConfig { depth: 1 })
+        .expect("opens");
     session.submit().wait().expect("epoch");
     session.close();
     let before = ex.snapshot();
@@ -100,7 +108,9 @@ fn residency_is_shared_at_depth_1_and_private_at_depth_2() {
     assert_eq!(*out.read(), (0..N as i32).collect::<Vec<_>>());
 
     let (g, x, out) = copy_graph();
-    let session = ex.run_stream_with(&g, StreamConfig { depth: 2 }).expect("opens");
+    let session = ex
+        .run_stream_with(&g, StreamConfig { depth: 2 })
+        .expect("opens");
     session.submit().wait().expect("epoch");
     session.close();
     x.write().iter_mut().for_each(|v| *v += 7);
@@ -121,7 +131,10 @@ fn wait_for_all_never_sees_a_gap_between_rounds() {
         let ex2 = Arc::clone(&ex);
         let waiter = std::thread::spawn(move || ex2.wait_for_all());
         waiter.join().expect("waiter");
-        assert!(fut.is_done(), "wait_for_all returned mid-run (repetition {rep})");
+        assert!(
+            fut.is_done(),
+            "wait_for_all returned mid-run (repetition {rep})"
+        );
         fut.wait().expect("run_n");
     }
     assert_eq!(ex.snapshot().rounds, 100 * 500);
@@ -147,17 +160,25 @@ fn fusion_never_crosses_the_epoch_gate() {
     let lanes = LANES as u64;
     let ex = Executor::new(2, 2);
     let (g, _sinks) = lanes_graph("depth1");
-    let session = ex.run_stream_with(&g, StreamConfig { depth: 1 }).expect("opens");
+    let session = ex
+        .run_stream_with(&g, StreamConfig { depth: 1 })
+        .expect("opens");
     assert_eq!(fused_per_epoch(&ex, &session, 3), [2 * lanes; 3]);
     session.close();
 
     let (g, _sinks) = lanes_graph("depth2");
-    let session = ex.run_stream_with(&g, StreamConfig { depth: 2 }).expect("opens");
+    let session = ex
+        .run_stream_with(&g, StreamConfig { depth: 2 })
+        .expect("opens");
     assert_eq!(fused_per_epoch(&ex, &session, 2), [lanes; 2]);
     // Device 1 runs its lane's pull, then is lost at the kernel: that
     // epoch fails over onto device 0, and the run keeps its re-placement.
-    ex.gpu_runtime().set_fault_plan(Some(FaultPlan::seeded(1).lose_device(1, 1)));
-    session.submit().wait().expect("the failover recovers the epoch");
+    ex.gpu_runtime()
+        .set_fault_plan(Some(FaultPlan::seeded(1).lose_device(1, 1)));
+    session
+        .submit()
+        .wait()
+        .expect("the failover recovers the epoch");
     assert_eq!(ex.snapshot().devices_lost, 1);
     assert_eq!(fused_per_epoch(&ex, &session, 3), [lanes; 3]);
     session.close();
@@ -175,7 +196,10 @@ fn run_n_emits_no_epoch_events() {
     recorder.pump();
 
     let dump = recorder.dump_run_json(fut.run_id()).expect("run retained");
-    let events = dump.get("events").and_then(|e| e.as_array()).expect("events");
+    let events = dump
+        .get("events")
+        .and_then(|e| e.as_array())
+        .expect("events");
     let count = |phase: &str| {
         events
             .iter()

@@ -37,7 +37,11 @@ fn diamond_respects_dependencies() {
     let g = Heteroflow::new("diamond");
     let counter = Arc::new(AtomicUsize::new(0));
     let snap = Arc::new(Mutex::new((0usize, 0usize)));
-    let (c1, c2, c3) = (Arc::clone(&counter), Arc::clone(&counter), Arc::clone(&counter));
+    let (c1, c2, c3) = (
+        Arc::clone(&counter),
+        Arc::clone(&counter),
+        Arc::clone(&counter),
+    );
     let s1 = Arc::clone(&snap);
     let a = g.host("a", move || {
         c1.fetch_add(1, Ordering::SeqCst);
@@ -58,7 +62,11 @@ fn diamond_respects_dependencies() {
     a.precede(&b).precede(&c);
     d.succeed(&b).succeed(&c);
     ex.run(&g).wait().unwrap();
-    assert_eq!(*snap.lock().unwrap(), (3, 3), "d saw all three predecessors");
+    assert_eq!(
+        *snap.lock().unwrap(),
+        (3, 3),
+        "d saw all three predecessors"
+    );
 }
 
 #[test]
@@ -222,10 +230,7 @@ fn placeholder_execution_is_an_error() {
     let ex = Executor::new(2, 0);
     let g = Heteroflow::new("ph");
     g.placeholder("nothing");
-    assert!(matches!(
-        ex.run(&g).wait(),
-        Err(HfError::EmptyTask { .. })
-    ));
+    assert!(matches!(ex.run(&g).wait(), Err(HfError::EmptyTask { .. })));
 }
 
 #[test]
@@ -531,8 +536,9 @@ fn seed_on_default_executor_reorders_next_placement() {
     const BYTES: u64 = 1024;
     let ex = Executor::new(1, 2);
     let g = Heteroflow::new("seeded");
-    let bufs: Vec<HostVec<u8>> =
-        (0..3).map(|_| HostVec::from_vec(vec![0; BYTES as usize])).collect();
+    let bufs: Vec<HostVec<u8>> = (0..3)
+        .map(|_| HostVec::from_vec(vec![0; BYTES as usize]))
+        .collect();
     for (i, b) in bufs.iter().enumerate() {
         g.pull(&format!("p{i}"), b);
     }
@@ -562,7 +568,10 @@ fn seed_after_cached_plan_replans() {
     for (i, b) in bufs.iter().enumerate() {
         g.pull(&format!("p{i}"), b);
     }
-    let analytic = ex.gpu_runtime().devices()[0].cost_model().h2d(BYTES).as_nanos() as f64;
+    let analytic = ex.gpu_runtime().devices()[0]
+        .cost_model()
+        .h2d(BYTES)
+        .as_nanos() as f64;
     ex.run(&g).wait().unwrap();
     assert_eq!(ex.device_loads(), vec![analytic * 2.0, analytic]);
 
@@ -570,8 +579,16 @@ fn seed_after_cached_plan_replans() {
     ex.seed_task_cost("late_seed", "p2", seed);
     bufs.iter().for_each(|b| drop(b.write()));
     ex.run(&g).wait().unwrap();
-    assert_eq!(ex.snapshot().topo_cache_misses, 2, "the seed re-made the plan");
-    assert!(ex.device_loads().iter().any(|&l| l >= seed), "{:?}", ex.device_loads());
+    assert_eq!(
+        ex.snapshot().topo_cache_misses,
+        2,
+        "the seed re-made the plan"
+    );
+    assert!(
+        ex.device_loads().iter().any(|&l| l >= seed),
+        "{:?}",
+        ex.device_loads()
+    );
 }
 
 /// The cross-graph load bias, to the bit: a first placement decays the
@@ -595,9 +612,18 @@ fn device_load_bias_on_hit_and_miss() {
 
     ex.run(&g).wait().unwrap();
     let l2 = ex.device_loads();
-    assert_eq!(l2, l1.iter().map(|l| l * 0.5 + l).collect::<Vec<_>>(), "hit");
+    assert_eq!(
+        l2,
+        l1.iter().map(|l| l * 0.5 + l).collect::<Vec<_>>(),
+        "hit"
+    );
 
-    let on_dev1 = || ex.gpu_runtime().devices()[1].stats().h2d_bytes.load(Ordering::Relaxed);
+    let on_dev1 = || {
+        ex.gpu_runtime().devices()[1]
+            .stats()
+            .h2d_bytes
+            .load(Ordering::Relaxed)
+    };
     assert_eq!(on_dev1(), 0);
     ex.run(&lane("second")).wait().unwrap();
     assert_eq!(ex.device_loads(), vec![l2[0] * 0.5, w], "miss");

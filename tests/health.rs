@@ -42,9 +42,7 @@ fn doubling_graph(name: &str, bufs: &[HostVec<i32>]) -> Heteroflow {
 #[test]
 fn flight_recorder_captures_full_lifecycle() {
     let recorder = FlightRecorder::shared();
-    let ex = Executor::builder(2, 1)
-        .observer(recorder.clone())
-        .build();
+    let ex = Executor::builder(2, 1).observer(recorder.clone()).build();
     let bufs = vec![HostVec::from_vec(vec![1i32; 64])];
     let g = doubling_graph("lifecycle", &bufs);
     let fut = ex.run(&g);
@@ -62,7 +60,10 @@ fn flight_recorder_captures_full_lifecycle() {
     assert_eq!(phases.first(), Some(&"run_start"));
     assert_eq!(phases.last(), Some(&"run_end"), "terminal event recorded");
     for needed in ["ready", "started", "finished"] {
-        assert!(phases.contains(&needed), "missing phase {needed}: {phases:?}");
+        assert!(
+            phases.contains(&needed),
+            "missing phase {needed}: {phases:?}"
+        );
     }
     // GPU tasks carry their device and dispatch records.
     assert!(
@@ -114,7 +115,10 @@ fn device_loss_black_box_shows_redispatch_on_survivor() {
         .unwrap_or_else(|| panic!("device-loss run hung (seed {seed})"));
     assert_eq!(res, Ok(()), "device-loss run failed (seed {seed})");
     for b in &bufs {
-        assert!(b.read().iter().all(|&v| v == 6), "corrupt data (seed {seed})");
+        assert!(
+            b.read().iter().all(|&v| v == 6),
+            "corrupt data (seed {seed})"
+        );
     }
 
     recorder.pump();
@@ -134,7 +138,8 @@ fn device_loss_black_box_shows_redispatch_on_survivor() {
         .iter()
         .position(|e| {
             let p = e.get("phase").and_then(|p| p.as_str());
-            (p == Some("failed") || p == Some("retried")) && !matches!(e.get("ok"), Some(v) if v.as_bool() == Some(true))
+            (p == Some("failed") || p == Some("retried"))
+                && !matches!(e.get("ok"), Some(v) if v.as_bool() == Some(true))
         })
         .or_else(|| {
             events
@@ -346,7 +351,9 @@ fn concurrent_pumps_apply_every_event_in_order() {
             let summary = recorder.summaries().pop().map(|s| (s.run_id, s.tasks));
             let exec_samples = recorder.latency().exec.count;
             let ok = res.is_ok()
-                && progress.as_ref().is_some_and(|p| p.done && p.inflight.is_empty())
+                && progress
+                    .as_ref()
+                    .is_some_and(|p| p.done && p.inflight.is_empty())
                 && summary == Some((fut.run_id(), TASKS))
                 && exec_samples == (i + 1) * TASKS as u64;
             (!ok).then(|| {
@@ -365,7 +372,10 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     write!(s, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
     let mut out = String::new();
     s.read_to_string(&mut out).expect("read response");
-    out.split_once("\r\n\r\n").expect("well-formed").1.to_string()
+    out.split_once("\r\n\r\n")
+        .expect("well-formed")
+        .1
+        .to_string()
 }
 
 /// Acceptance criterion: `hf_task_queue_delay_nanos` p99 is scrapeable
@@ -399,7 +409,10 @@ fn live_endpoint_serves_attribution_and_watchdog_verdict() {
     let bufs = vec![HostVec::from_vec(vec![1i32; 64])];
     for _ in 0..5 {
         let g = doubling_graph("healthy", &bufs);
-        ex.run(&g).wait_timeout(DEADLINE).expect("no hang").expect("ok");
+        ex.run(&g)
+            .wait_timeout(DEADLINE)
+            .expect("no hang")
+            .expect("ok");
     }
 
     // Phase 2: an injected stall trips the watchdog mid-run.
@@ -445,8 +458,7 @@ fn live_endpoint_serves_attribution_and_watchdog_verdict() {
             })
             .unwrap_or_default();
         let healthy = v.get("verdict").and_then(|x| x.as_str()) == Some("healthy");
-        if healthy && kinds.iter().any(|k| k == "stall") && kinds.iter().any(|k| k == "recovered")
-        {
+        if healthy && kinds.iter().any(|k| k == "stall") && kinds.iter().any(|k| k == "recovered") {
             break;
         }
         assert!(
@@ -509,13 +521,19 @@ fn disabled_recorder_stays_silent() {
 /// stream it leaves: nothing in flight after `RunEnd`, every `dispatched`
 /// event of a task followed by a `finished` or `retried` for it, and the
 /// failure event naming the chain it was dispatched with.
-fn assert_failed_chain_closes_its_suffix(ex: Executor, recorder: Arc<FlightRecorder>, plan: FaultPlan) {
+fn assert_failed_chain_closes_its_suffix(
+    ex: Executor,
+    recorder: Arc<FlightRecorder>,
+    plan: FaultPlan,
+) {
     ex.gpu_runtime().set_fault_plan(Some(plan));
     let bufs = vec![HostVec::from_vec(vec![1i32; 64])];
     let g = doubling_graph("chain_failure", &bufs);
     let fut = ex.run(&g);
     let run_id = fut.run_id();
-    let res = fut.wait_timeout(DEADLINE).expect("failing run must not hang");
+    let res = fut
+        .wait_timeout(DEADLINE)
+        .expect("failing run must not hang");
     assert!(res.is_err(), "every kernel attempt fails: {res:?}");
     assert!(ex.snapshot().fused >= 2, "the lane dispatched as one chain");
 
@@ -548,7 +566,10 @@ fn assert_failed_chain_closes_its_suffix(ex: Executor, recorder: Arc<FlightRecor
         .collect();
     assert!(!failed.is_empty(), "the failure is in the stream");
     for e in failed {
-        assert!(e.get("chain").is_some(), "failed member names its chain: {e:?}");
+        assert!(
+            e.get("chain").is_some(),
+            "failed member names its chain: {e:?}"
+        );
     }
 }
 

@@ -75,9 +75,15 @@ fn locality_moves_no_more_bytes_than_balanced_under_seesawing_bias() {
         })
         .collect();
     for epoch in 0..6 {
-        ex.run(&g).wait_timeout(DEADLINE).expect("lanes hung").expect("lanes run");
+        ex.run(&g)
+            .wait_timeout(DEADLINE)
+            .expect("lanes hung")
+            .expect("lanes run");
         let (ng, _) = &noise[epoch % 2];
-        ex.run(ng).wait_timeout(DEADLINE).expect("noise hung").expect("noise runs");
+        ex.run(ng)
+            .wait_timeout(DEADLINE)
+            .expect("noise hung")
+            .expect("noise runs");
         g.host(&format!("tick{epoch}"), || {});
     }
     let once = ((1..=LANES).sum::<usize>() * LANE_UNIT + 2 * (LANE_UNIT / 2)) * 8;
@@ -98,10 +104,16 @@ fn stale_residency_recopies_new_bytes() {
     p.precede(&s);
 
     // Epoch 0: real copy up and back.
-    ex.run(&g).wait_timeout(DEADLINE).expect("hung").expect("runs");
+    ex.run(&g)
+        .wait_timeout(DEADLINE)
+        .expect("hung")
+        .expect("runs");
     // Epoch 1 (graph mutated, data untouched): pull elides.
     g.host("tick0", || {});
-    ex.run(&g).wait_timeout(DEADLINE).expect("hung").expect("runs");
+    ex.run(&g)
+        .wait_timeout(DEADLINE)
+        .expect("hung")
+        .expect("runs");
     let mid = ex.snapshot();
     assert_eq!(mid.bytes_h2d, (N * 4) as u64, "warm epoch must elide");
     assert!(mid.placement_warm_hits >= 1);
@@ -110,7 +122,10 @@ fn stale_residency_recopies_new_bytes() {
     // warm credit and the copy happens again.
     data.write().iter_mut().for_each(|v| *v = 42);
     g.host("tick1", || {});
-    ex.run(&g).wait_timeout(DEADLINE).expect("hung").expect("runs");
+    ex.run(&g)
+        .wait_timeout(DEADLINE)
+        .expect("hung")
+        .expect("runs");
 
     let end = ex.snapshot();
     assert_eq!(

@@ -140,7 +140,10 @@ fn enabled_recorder_allocates_less_than_once_per_task() {
     ex_rec.run(&g_rec).wait().expect("warmup");
     let with_enabled = measure(&ex_rec, &g_rec);
 
-    assert!(recorder.events_recorded() >= (TASKS as u64) * 3 * 4, "all four runs recorded");
+    assert!(
+        recorder.events_recorded() >= (TASKS as u64) * 3 * 4,
+        "all four runs recorded"
+    );
     let budget = baseline + (TASKS as u64);
     assert!(
         with_enabled <= budget,
@@ -173,7 +176,8 @@ fn host_wavefront_footprint_per_task() {
     let start = live();
     // The shape the benchmark of record runs: every task checks its two
     // predecessors' cells and stamps its own.
-    let cells: Arc<Vec<AtomicU64>> = Arc::new((0..SIDE * SIDE).map(|_| AtomicU64::new(0)).collect());
+    let cells: Arc<Vec<AtomicU64>> =
+        Arc::new((0..SIDE * SIDE).map(|_| AtomicU64::new(0)).collect());
     let run = Arc::new(AtomicU64::new(1));
     let bad = Arc::new(AtomicBool::new(false));
     let g = Heteroflow::new("footprint");
@@ -205,9 +209,8 @@ fn host_wavefront_footprint_per_task() {
     let ran = live();
     assert!(!bad.load(Ordering::Relaxed));
 
-    let per_task = |a: (i64, i64), b: (i64, i64)| {
-        ((b.0 - a.0) as f64 / tasks, (b.1 - a.1) as f64 / tasks)
-    };
+    let per_task =
+        |a: (i64, i64), b: (i64, i64)| ((b.0 - a.0) as f64 / tasks, (b.1 - a.1) as f64 / tasks);
     let (build_bytes, build_blocks) = per_task(start, built);
     let (run_bytes, run_blocks) = per_task(built, ran);
     let (bytes, blocks) = per_task(start, ran);
@@ -215,8 +218,14 @@ fn host_wavefront_footprint_per_task() {
         "per task: build {build_bytes:.0} B / {build_blocks:.2} blocks, \
          first run +{run_bytes:.0} B / +{run_blocks:.2} blocks, held {bytes:.0} B / {blocks:.2} blocks"
     );
-    assert!(bytes <= 520.0, "build + first run hold {bytes:.0} B per task");
-    assert!(blocks <= 5.0, "build + first run hold {blocks:.2} blocks per task");
+    assert!(
+        bytes <= 520.0,
+        "build + first run hold {bytes:.0} B per task"
+    );
+    assert!(
+        blocks <= 5.0,
+        "build + first run hold {blocks:.2} blocks per task"
+    );
     assert!(
         run_blocks <= 0.1,
         "the first run alone adds {run_blocks:.2} blocks per task"

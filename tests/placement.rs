@@ -97,10 +97,20 @@ fn executor_snapshot_and_device_price_a_kernel_alike() {
     }
     let devices = ex.gpu_runtime().devices();
     let modeled = device_placement(&g.freeze().unwrap(), 2, &devices[0].cost_model()).unwrap();
-    assert!(modeled.loads[0] > modeled.loads[1], "lane 1 is the heavier: {:?}", modeled.loads);
+    assert!(
+        modeled.loads[0] > modeled.loads[1],
+        "lane 1 is the heavier: {:?}",
+        modeled.loads
+    );
 
-    ex.run(&g).wait_timeout(DEADLINE).expect("run hung").expect("runs");
+    ex.run(&g)
+        .wait_timeout(DEADLINE)
+        .expect("run hung")
+        .expect("runs");
     assert_eq!(ex.device_loads(), modeled.loads);
-    let busy: Vec<f64> = devices.iter().map(|d| d.busy_time().as_nanos() as f64).collect();
+    let busy: Vec<f64> = devices
+        .iter()
+        .map(|d| d.busy_time().as_nanos() as f64)
+        .collect();
     assert_eq!(busy, modeled.loads);
 }

@@ -292,10 +292,7 @@ fn run_future_is_awaitable() {
         }
         static VT: RawWakerVTable = RawWakerVTable::new(clone, wake, wake_ref, drop_w);
         let waker = unsafe {
-            Waker::from_raw(RawWaker::new(
-                Box::into_raw(Box::new(tx)) as *const (),
-                &VT,
-            ))
+            Waker::from_raw(RawWaker::new(Box::into_raw(Box::new(tx)) as *const (), &VT))
         };
         let mut cx = Context::from_waker(&waker);
         let mut fut = std::pin::pin!(fut);
@@ -413,7 +410,11 @@ fn queued_runs_that_settle_immediately_do_not_recurse() {
     let gate = Arc::new(std::sync::Barrier::new(2));
     let first_run = Arc::new(std::sync::atomic::AtomicBool::new(true));
     let executed = Arc::new(AtomicUsize::new(0));
-    let (g2, fr, ex2) = (Arc::clone(&gate), Arc::clone(&first_run), Arc::clone(&executed));
+    let (g2, fr, ex2) = (
+        Arc::clone(&gate),
+        Arc::clone(&first_run),
+        Arc::clone(&executed),
+    );
     g.host("blocker", move || {
         if fr.swap(false, Ordering::SeqCst) {
             g2.wait();
@@ -439,7 +440,11 @@ fn queued_runs_that_settle_immediately_do_not_recurse() {
     for f in &zero_rounds {
         assert_eq!(f.wait(), Ok(()));
     }
-    assert_eq!(executed.load(Ordering::SeqCst), 1, "no queued run executed a task");
+    assert_eq!(
+        executed.load(Ordering::SeqCst),
+        1,
+        "no queued run executed a task"
+    );
     ex.run(&g).wait().expect("graph is runnable afterwards");
     assert_eq!(executed.load(Ordering::SeqCst), 2);
 }
@@ -478,7 +483,11 @@ fn host_task_submits_to_another_executor() {
     for round in 1..=3 {
         let res = a.run(&outer).wait_timeout(Duration::from_secs(20));
         assert_eq!(res, Some(Ok(())), "outer run {round} on a");
-        assert_eq!(inner_settled.load(Ordering::SeqCst), round, "b ran the inner graph");
+        assert_eq!(
+            inner_settled.load(Ordering::SeqCst),
+            round,
+            "b ran the inner graph"
+        );
         assert_eq!(inner_runs.load(Ordering::SeqCst), round);
         assert_eq!(outer_runs.load(Ordering::SeqCst), 2 * round);
     }
@@ -529,7 +538,10 @@ struct Capture(std::sync::Mutex<Vec<TaskEvent>>);
 impl heteroflow::core::ExecutorObserver for Capture {
     fn on_lifecycle(&self, ev: &LifecycleEvent) {
         if let Some(task) = ev.task {
-            self.0.lock().unwrap().push((ev.phase, task, ev.worker, ev.t_ns));
+            self.0
+                .lock()
+                .unwrap()
+                .push((ev.phase, task, ev.worker, ev.t_ns));
         }
     }
 }
@@ -564,14 +576,19 @@ fn every_task_has_one_ready_started_finished_in_order() {
     for task in 0..(SIDE * SIDE) as u32 {
         let of = |phase| {
             let mut hits = events.iter().filter(|e| e.0 == phase && e.1 == task);
-            let hit = hits.next().unwrap_or_else(|| panic!("task {task}: no {phase}"));
+            let hit = hits
+                .next()
+                .unwrap_or_else(|| panic!("task {task}: no {phase}"));
             assert!(hits.next().is_none(), "task {task}: more than one {phase}");
             *hit
         };
         let ready = of(LifecyclePhase::Ready);
         let started = of(LifecyclePhase::Started);
         let finished = of(LifecyclePhase::Finished);
-        assert!(ready.3 <= started.3 && started.3 <= finished.3, "task {task} out of order");
+        assert!(
+            ready.3 <= started.3 && started.3 <= finished.3,
+            "task {task} out of order"
+        );
         assert!(started.2.is_some(), "task {task} started off a worker");
         assert_eq!(started.2, finished.2, "task {task} changed workers");
     }
@@ -635,7 +652,10 @@ fn idle_workers_pin_no_graph() {
     drop(g);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
     while weak.upgrade().is_some() {
-        assert!(std::time::Instant::now() < deadline, "a worker still holds the graph");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a worker still holds the graph"
+        );
         std::thread::yield_now();
     }
 }

@@ -322,7 +322,10 @@ fn wait_for_all_quiesces_open_streams() {
     let futs: Vec<_> = (0..6).map(|_| session.submit()).collect();
     ex.wait_for_all();
     for (e, f) in futs.iter().enumerate() {
-        assert!(f.is_done(), "wait_for_all returned with epoch {e} in flight");
+        assert!(
+            f.is_done(),
+            "wait_for_all returned with epoch {e} in flight"
+        );
     }
 
     // The session is still open but idle: wait_for_all must not block.

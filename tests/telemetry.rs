@@ -73,7 +73,11 @@ fn chrome_trace_parses_and_covers_every_task_exactly_once() {
     let meta: Vec<&str> = events
         .iter()
         .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("M"))
-        .filter_map(|e| e.get("args").and_then(|a| a.get("name")).and_then(|n| n.as_str()))
+        .filter_map(|e| {
+            e.get("args")
+                .and_then(|a| a.get("name"))
+                .and_then(|n| n.as_str())
+        })
         .collect();
     assert!(meta.contains(&"cpu"));
     assert!(meta.iter().any(|n| n.starts_with("gpu")));
@@ -85,16 +89,11 @@ fn per_worker_spans_do_not_overlap() {
     let spans = traced_spans(&g, 3, 1);
     // A worker is one thread: its spans (task bodies and dispatch
     // windows) must form a non-overlapping sequence.
-    let workers: std::collections::BTreeSet<usize> = spans
-        .iter()
-        .filter_map(|s| s.worker())
-        .collect();
+    let workers: std::collections::BTreeSet<usize> =
+        spans.iter().filter_map(|s| s.worker()).collect();
     assert!(!workers.is_empty());
     for w in workers {
-        let mut mine: Vec<&TraceSpan> = spans
-            .iter()
-            .filter(|s| s.worker() == Some(w))
-            .collect();
+        let mut mine: Vec<&TraceSpan> = spans.iter().filter(|s| s.worker() == Some(w)).collect();
         mine.sort_by_key(|s| s.start_us);
         for pair in mine.windows(2) {
             assert!(
@@ -144,14 +143,11 @@ fn device_spans_overlap_cpu_spans_on_a_two_stream_pipeline() {
         .iter()
         .filter(|s| matches!(s.track, Track::Device(_)) && s.cat == SpanCat::Task)
         .collect();
-    let host = spans
-        .iter()
-        .find(|s| s.name == "spin")
-        .expect("host span");
+    let host = spans.iter().find(|s| s.name == "spin").expect("host span");
     assert!(!dev.is_empty());
-    let overlaps = dev.iter().any(|d| {
-        d.start_us < host.end_us() && host.start_us < d.end_us()
-    });
+    let overlaps = dev
+        .iter()
+        .any(|d| d.start_us < host.end_us() && host.start_us < d.end_us());
     assert!(
         overlaps,
         "device spans {:?} must overlap host span [{}..{}]",
@@ -274,15 +270,31 @@ fn worker_spans_are_the_lifecycle_events_on_one_clock() {
 
     let started = phase_times(&recorder, run_id, "started");
     let finished = phase_times(&recorder, run_id, "finished");
-    assert_eq!(spans.len(), 4, "complete the moment wait() returns: {spans:?}");
+    assert_eq!(
+        spans.len(),
+        4,
+        "complete the moment wait() returns: {spans:?}"
+    );
     for name in ["a", "b", "c", "d"] {
         let span = spans.iter().find(|s| s.name == name).expect("span");
         assert_eq!(span.cat, SpanCat::Task);
         assert!(span.worker().is_some());
         let t0 = started.iter().find(|(n, _)| n == name).expect("started").1;
-        let t1 = finished.iter().find(|(n, _)| n == name).expect("finished").1;
-        assert_eq!(span.start_us, t0 / 1_000, "{name} starts at its Started event");
-        assert_eq!(span.end_us(), t1 / 1_000, "{name} ends at its Finished event");
+        let t1 = finished
+            .iter()
+            .find(|(n, _)| n == name)
+            .expect("finished")
+            .1;
+        assert_eq!(
+            span.start_us,
+            t0 / 1_000,
+            "{name} starts at its Started event"
+        );
+        assert_eq!(
+            span.end_us(),
+            t1 / 1_000,
+            "{name} ends at its Finished event"
+        );
         assert!(span.dur_us >= 300, "{name} spun for its width");
     }
     drop(ex);
@@ -316,7 +328,11 @@ fn retried_and_skipped_tasks_leave_closed_spans() {
     let retried = phase_times(&recorder, run_id, "retried");
     let finished = phase_times(&recorder, run_id, "finished");
     assert_eq!((retried.len(), finished.len()), (1, 1));
-    assert_eq!(flaky[0].end_us(), retried[0].1 / 1_000, "first window closes at Retried");
+    assert_eq!(
+        flaky[0].end_us(),
+        retried[0].1 / 1_000,
+        "first window closes at Retried"
+    );
     assert_eq!(flaky[1].end_us(), finished[0].1 / 1_000);
 
     // A run cancelled while its first task holds the worker: the rest
@@ -344,6 +360,10 @@ fn retried_and_skipped_tasks_leave_closed_spans() {
     let spans = trace.spans();
     let count = |prefix: &str| spans.iter().filter(|s| s.name.starts_with(prefix)).count();
     assert_eq!(count("head"), 2);
-    assert_eq!(count("leaf"), 2 * FANOUT, "the skipped leaves, then the rerun's");
+    assert_eq!(
+        count("leaf"),
+        2 * FANOUT,
+        "the skipped leaves, then the rerun's"
+    );
     assert_no_worker_overlap(&spans);
 }

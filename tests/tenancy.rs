@@ -186,7 +186,11 @@ fn queue_bound_returns_fleet_saturated() {
     let f_queued = fleet.submit(&tenant, &quick).expect("parks in queue");
     let err = fleet.submit(&tenant, &quick).expect_err("queue full");
     match &err {
-        HfError::FleetSaturated { tenant: t, queued, limit } => {
+        HfError::FleetSaturated {
+            tenant: t,
+            queued,
+            limit,
+        } => {
             assert_eq!(t, "bounded");
             assert_eq!((*queued, *limit), (1, 1));
         }
@@ -249,7 +253,9 @@ fn fault_retries_billed_to_owning_tenant() {
         .retry_policy(RetryPolicy::new(3))
         .build();
     ex.gpu_runtime().set_fault_plan(Some(
-        FaultPlan::seeded(0x7e57_b111).fail(FaultSite::Kernel, 1.0).max_faults(2),
+        FaultPlan::seeded(0x7e57_b111)
+            .fail(FaultSite::Kernel, 1.0)
+            .max_faults(2),
     ));
     let fleet = Fleet::new(ex, FleetConfig::default());
     let gpu_tenant = fleet.register("gpu", TenantConfig::default());
@@ -352,7 +358,11 @@ fn admission_order(policy: Box<dyn AdmissionPolicy>) -> Vec<String> {
 #[test]
 fn weighted_fair_admits_small_tenant_ahead_of_backlog() {
     let fifo = admission_order(Box::new(Fifo));
-    assert_eq!(fifo, ["b1", "b2", "b3", "b4", "s1"], "FIFO is arrival order");
+    assert_eq!(
+        fifo,
+        ["b1", "b2", "b3", "b4", "s1"],
+        "FIFO is arrival order"
+    );
     let wfq = admission_order(Box::<WeightedFair>::default());
     assert_eq!(
         wfq,
@@ -394,7 +404,10 @@ fn per_tenant_prometheus_labels_with_stable_aggregates() {
         prom.contains("hf_run_latency_nanos_bucket{tenant=\"alpha\""),
         "per-tenant labeled histogram missing:\n{prom}"
     );
-    assert!(prom.contains("hf_tenant_runs_total{tenant=\"beta\"} 1"), "{prom}");
+    assert!(
+        prom.contains("hf_tenant_runs_total{tenant=\"beta\"} 1"),
+        "{prom}"
+    );
     assert!(
         prom.contains("hf_run_latency_nanos_count 3"),
         "unlabeled aggregate must keep counting all runs (2 fleet + 1 direct):\n{prom}"
@@ -511,7 +524,9 @@ fn runs_document_carries_the_tenant() {
     let fleet = Fleet::new(ex, FleetConfig::default());
     let alpha = fleet.register("alpha", TenantConfig::default());
     let log = Arc::new(Mutex::new(Vec::new()));
-    let fleet_run = fleet.submit(&alpha, &logging_graph("ga", &log, None)).expect("submitted");
+    let fleet_run = fleet
+        .submit(&alpha, &logging_graph("ga", &log, None))
+        .expect("submitted");
     let direct_run = fleet.executor().run(&logging_graph("gd", &log, None));
     assert_eq!(fleet_run.wait_timeout(DEADLINE), Some(Ok(())));
     assert_eq!(direct_run.wait_timeout(DEADLINE), Some(Ok(())));
@@ -522,7 +537,8 @@ fn runs_document_carries_the_tenant() {
         let run = (runs.as_array().expect("an array").iter())
             .find(|r| r.get("run_id").and_then(|v| v.as_u64()) == Some(id))
             .unwrap_or_else(|| panic!("run {id} missing from /runs"));
-        run.get("tenant").map(|t| t.as_str().expect("a string").to_string())
+        run.get("tenant")
+            .map(|t| t.as_str().expect("a string").to_string())
     };
     assert_eq!(tenant_of(fleet_run.run_id()), Some("alpha".to_string()));
     assert_eq!(tenant_of(direct_run.run_id()), None);

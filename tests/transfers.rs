@@ -65,9 +65,17 @@ fn unchanged_rounds_elide_h2d_copies() {
     ex.run_n(&g, ROUNDS as usize).wait().expect("runs");
     assert!(data.read().iter().all(|&v| v == 7));
     let s = ex.snapshot();
-    assert_eq!(s.transfers_elided, ROUNDS - 1, "all but the first round elide");
+    assert_eq!(
+        s.transfers_elided,
+        ROUNDS - 1,
+        "all but the first round elide"
+    );
     assert_eq!(s.bytes_h2d, (N * 4) as u64, "exactly one real H2D copy");
-    assert_eq!(s.bytes_d2h, ROUNDS * (N * 4) as u64, "push copies every round");
+    assert_eq!(
+        s.bytes_d2h,
+        ROUNDS * (N * 4) as u64,
+        "push copies every round"
+    );
 }
 
 /// Resubmitting the same graph elides the pull: residency survives
@@ -134,9 +142,7 @@ fn chunked_copies_are_correct() {
 #[test]
 fn chunked_copy_elides_on_rerun() {
     const N: usize = 2048;
-    let ex = Executor::builder(2, 1)
-        .copy_chunk_threshold(256)
-        .build();
+    let ex = Executor::builder(2, 1).copy_chunk_threshold(256).build();
     let (g, data) = copy_through(N);
     ex.run(&g).wait().expect("first run");
     ex.run(&g).wait().expect("second run");
@@ -166,9 +172,7 @@ fn chunked_copy_traces_per_chunk_spans() {
     let chunk_spans: Vec<_> = spans
         .iter()
         .filter(|s| {
-            matches!(s.track, Track::Device(_))
-                && s.cat == SpanCat::Task
-                && s.name.contains("#c")
+            matches!(s.track, Track::Device(_)) && s.cat == SpanCat::Task && s.name.contains("#c")
         })
         .collect();
     assert!(
