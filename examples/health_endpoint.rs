@@ -91,30 +91,24 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
         .to_string()
 }
 
+fn write(outdir: &str, name: &str, body: &str) {
+    std::fs::write(format!("{outdir}/{name}"), body).expect("write artifact");
+}
+
 /// Writes `trace.json`, `metrics.json`, `metrics.prom` and
 /// `critpath.txt` for one traced run of `g`.
 fn profile(executor: &Executor, g: &Heteroflow, spans: &[TraceSpan], outdir: &str) {
-    let on_device = spans
-        .iter()
-        .filter(|s| matches!(s.track, Track::Device(_)))
-        .count();
-    println!(
-        "profiled run: {} spans ({on_device} device-side)",
-        spans.len()
-    );
+    println!("profiled run: {} spans", spans.len());
     let registry = MetricsRegistry::new();
     registry.collect_executor(&executor.snapshot());
     registry.collect_gpu(executor.gpu_runtime());
     registry.collect_spans(spans);
     let report = critical_path(&g.freeze().expect("acyclic"), spans);
     print!("{report}");
-    let w = |name: &str, body: String| {
-        std::fs::write(format!("{outdir}/{name}"), body).expect("write artifact");
-    };
-    w("trace.json", chrome_trace(spans));
-    w("metrics.json", registry.to_json_string());
-    w("metrics.prom", registry.prometheus_text());
-    w("critpath.txt", report.to_string());
+    write(outdir, "trace.json", &chrome_trace(spans));
+    write(outdir, "metrics.json", &registry.to_json_string());
+    write(outdir, "metrics.prom", &registry.prometheus_text());
+    write(outdir, "critpath.txt", &report.to_string());
 }
 
 fn main() {
@@ -221,13 +215,10 @@ fn main() {
     let health = http_get(server.addr(), "/health");
     let runs = http_get(server.addr(), "/runs");
     let flight = http_get(server.addr(), "/flight");
-    let w = |name: &str, body: &str| {
-        std::fs::write(format!("{outdir}/{name}"), body).expect("write artifact");
-    };
-    w("metrics_live.prom", &metrics);
-    w("health.json", &health);
-    w("runs.json", &runs);
-    w("flight_recorder.json", &flight);
+    write(&outdir, "metrics_live.prom", &metrics);
+    write(&outdir, "health.json", &health);
+    write(&outdir, "runs.json", &runs);
+    write(&outdir, "flight_recorder.json", &flight);
     println!("artifacts written to {outdir}/");
 
     if check {

@@ -80,6 +80,7 @@ fn transitive_data_reuse() {
     p2.precede(&k2);
     k1.precede_all(&[&s1, &k2]);
     k2.precede(&s2);
+    assert!(g.analyze().is_clean(), "{}", g.analyze().render_text());
     ex.run(&g).wait().expect("runs");
     assert!(v1.read().iter().all(|&v| v == 10), "a = 2*5");
     assert!(v2.read().iter().all(|&v| v == 7 + 10), "b = 7 + 2*5");
