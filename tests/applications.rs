@@ -50,6 +50,54 @@ fn timing_correlation_end_to_end() {
     );
 }
 
+/// Pins the bits of the timing application on the `app_timing` benchmark's
+/// shape: the 20k-gate default circuit, eight views at a 0.4 ns base
+/// clock, 128 paths per view, 40 epochs on `Executor(1,1)`. Every path's
+/// gate ids (launch input included), delay and slack are hashed, then the
+/// trained weights and the mean correlation. A speed-up of the timing code
+/// must leave this test as it is.
+#[test]
+fn timing_application_answers_are_pinned() {
+    // 64-bit FNV-1a over 32-bit little-endian words; spelled out because
+    // `DefaultHasher`'s algorithm may change between Rust releases.
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut word = |w: u32| {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let circuit = Arc::new(Circuit::synthesize(&CircuitConfig {
+        num_gates: 20_000,
+        ..Default::default()
+    }));
+    let views = make_views(8, 0.4);
+    for view in &views {
+        let paths = heteroflow::timing::k_critical_paths(&circuit, view, 128);
+        assert_eq!(paths.len(), 128);
+        for p in &paths {
+            word(p.gates.len() as u32);
+            p.gates.iter().for_each(|&g| word(g));
+            word(p.delay.to_bits());
+            word(p.slack.to_bits());
+        }
+    }
+    let cfg = CorrelationConfig {
+        paths_per_view: 128,
+        epochs: 40,
+        learning_rate: 0.3,
+        clock_seg_delay: 0.04,
+        ..Default::default()
+    };
+    let report = run_correlation(&Executor::new(1, 1), circuit, &views, cfg).expect("runs");
+    for w in report.weights.iter().flatten() {
+        word(w.to_bits());
+    }
+    let mean = report.mean_correlation.to_bits();
+    word(mean as u32);
+    word((mean >> 32) as u32);
+    assert_eq!(h, 0xb43b_f249_d0e3_449f, "timing digest {h:#018x}");
+}
+
 #[test]
 fn placement_end_to_end_parallel_equals_sequential() {
     let cfg = PlaceConfig {
