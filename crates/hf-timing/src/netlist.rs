@@ -119,8 +119,9 @@ impl Csr {
 /// A combinational gate-level netlist as a DAG, ids in topological order.
 #[derive(Debug, Clone)]
 pub struct Circuit {
-    /// Gates, indexed by id.
-    pub gates: Vec<Gate>,
+    /// Nominal delay per gate, `base_delay() * delay_factor`, indexed by
+    /// id: a view scales it by its corner (`sta::gate_delay`).
+    pub(crate) nominal: Vec<f32>,
     /// Primary inputs (no fanin).
     pub primary_inputs: Vec<u32>,
     /// Primary outputs (no fanout).
@@ -152,7 +153,10 @@ impl Circuit {
             .flat_map(|g| std::iter::repeat_n(g, fanout[g as usize].len()))
             .collect();
         Circuit {
-            gates,
+            nominal: gates
+                .iter()
+                .map(|g| g.kind.base_delay() * g.delay_factor)
+                .collect(),
             primary_inputs,
             primary_outputs,
             fanin: Csr::from_rows(fanin),
@@ -234,7 +238,7 @@ impl Circuit {
 
     /// Number of gates.
     pub fn num_gates(&self) -> usize {
-        self.gates.len()
+        self.nominal.len()
     }
 
     /// Number of (collapsed) nets = edges.

@@ -10,6 +10,12 @@
 //! beats the heap top (exactly what a pop would return) instead of making
 //! a heap round trip per gate. The downstream half of the estimate is one
 //! flat loop over the fanout edges.
+//!
+//! Every state the search creates goes into an arena as `(node, depth,
+//! parent)`, where `depth` is the number of gates from the launch input to
+//! `node`. A complete path is therefore written once: its gate vector is
+//! allocated at exactly `depth` and filled back to front along the parent
+//! links, with no growth and no reversal.
 
 use crate::netlist::Circuit;
 use crate::sta::gate_delay;
@@ -84,10 +90,13 @@ pub fn k_critical_paths(c: &Circuit, view: &View, k: usize) -> Vec<TimingPath> {
     let delay: Vec<f32> = (0..n).map(|g| gate_delay(c, g, view)).collect();
     let down = downstream(c, &delay);
 
-    // Arena of search-tree states, (node, parent), for path reconstruction.
-    let mut arena: Vec<(u32, usize)> = Vec::new();
-    let state = |arena: &mut Vec<(u32, usize)>, node: u32, parent: usize, prefix: f32| {
-        arena.push((node, parent));
+    // Arena of search-tree states, (node, depth, parent), for path
+    // reconstruction: `depth` counts the gates from the launch input up to
+    // and including `node`.
+    let mut arena: Vec<(u32, u32, usize)> = Vec::new();
+    let state = |arena: &mut Vec<(u32, u32, usize)>, node: u32, parent: usize, prefix: f32| {
+        let depth = arena.get(parent).map_or(1, |p| p.1 + 1);
+        arena.push((node, depth, parent));
         State {
             est: prefix + down[node as usize],
             prefix,
@@ -115,14 +124,15 @@ pub fn k_critical_paths(c: &Circuit, view: &View, k: usize) -> Vec<TimingPath> {
         }
         let fanout = c.fanout(st.node as usize);
         if fanout.is_empty() {
-            // Complete path; reconstruct from parent links.
-            let mut gates = Vec::new();
+            // Complete path: written once, back to front along the parent
+            // links, into a vector of exactly its depth.
+            let mut gates = vec![0u32; arena[st.idx].1 as usize];
             let mut cur = st.idx;
-            while cur != usize::MAX {
-                gates.push(arena[cur].0);
-                cur = arena[cur].1;
+            for slot in gates.iter_mut().rev() {
+                *slot = arena[cur].0;
+                cur = arena[cur].2;
             }
-            gates.reverse();
+            debug_assert_eq!(cur, usize::MAX, "the depth is the parent chain's length");
             out.push(TimingPath {
                 gates,
                 delay: st.prefix,

@@ -26,10 +26,11 @@ pub struct TimingReport {
     pub clock_period: f32,
 }
 
-/// Effective delay of gate `g` under `view`.
+/// Effective delay of gate `g` under `view`: its nominal delay scaled by
+/// the view's corner.
 #[inline]
 pub fn gate_delay(c: &Circuit, g: usize, view: &View) -> f32 {
-    c.gates[g].kind.base_delay() * c.gates[g].delay_factor * view.corner.delay_scale
+    c.nominal[g] * view.corner.delay_scale
 }
 
 /// Runs a full forward/backward STA sweep for one view.
