@@ -25,11 +25,11 @@ use hf_bench::{print_json, print_matrix, rows_json, Args, NameCosts, Packer, Row
 use hf_core::{FrozenGraph, Plan};
 use hf_gpu::{CostModel, SimDuration};
 use hf_sim::{simulate, Machine, SchedulerMode};
-use hf_timing::correlation::{build_correlation_graph, CorrelationConfig};
-use hf_timing::cppr::{apply_cppr, ClockTree};
+use hf_timing::correlation::{build_correlation_graph, view_dataset, CorrelationConfig};
+use hf_timing::cppr::ClockTree;
 use hf_timing::regression::NUM_FEATURES;
 use hf_timing::views::make_views;
-use hf_timing::{k_critical_paths, Circuit, CircuitConfig};
+use hf_timing::{Circuit, CircuitConfig};
 use std::sync::Arc;
 
 /// Paper's netcard size, for cost scaling.
@@ -102,12 +102,8 @@ fn main() {
     // --- Calibrate CPU task costs by running the real task bodies. ---
     eprintln!("[fig6] calibrating host-task costs ...");
     let view0 = &make_views(1, 0.4)[0];
-    let (dataset, gen_raw) = hf_sim::measure(|| {
-        let mut ps = k_critical_paths(&circuit, view0, cfg.paths_per_view);
-        let tree = ClockTree::build(&circuit, cfg.clock_seg_delay);
-        let credits = apply_cppr(&mut ps, &tree, view0);
-        hf_timing::regression::make_dataset(&ps, &credits, cfg.slack_margin)
-    });
+    let tree = ClockTree::build(&circuit, cfg.clock_seg_delay);
+    let (dataset, gen_raw) = hf_sim::measure(|| view_dataset(&circuit, &tree, view0, &cfg));
     let (_, stats_raw) = hf_sim::measure(|| {
         let w = vec![0.1f32; NUM_FEATURES + 1];
         let (x, y) = &dataset;

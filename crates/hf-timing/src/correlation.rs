@@ -10,7 +10,7 @@
 
 use crate::cppr::{apply_cppr, ClockTree};
 use crate::netlist::Circuit;
-use crate::paths::k_critical_paths;
+use crate::paths::{k_critical_paths, TimingPath};
 use crate::regression::{self, NUM_FEATURES};
 use crate::views::View;
 use hf_core::data::HostVec;
@@ -69,13 +69,28 @@ pub struct CorrelationReport {
 
 /// The labeling margin for one view's dataset: the median path slack
 /// under `auto_margin`, else the configured constant.
-pub(crate) fn effective_margin(paths: &[crate::paths::TimingPath], cfg: &CorrelationConfig) -> f32 {
+fn effective_margin(paths: &[TimingPath], cfg: &CorrelationConfig) -> f32 {
     if !cfg.auto_margin || paths.is_empty() {
         return cfg.slack_margin;
     }
     let mut slacks: Vec<f32> = paths.iter().map(|p| p.slack).collect();
     slacks.sort_by(|a, b| a.partial_cmp(b).expect("finite slacks"));
     slacks[slacks.len() / 2]
+}
+
+/// One view's training set `(features, labels)`, exactly as its gen task
+/// computes it: the view's `cfg.paths_per_view` critical paths, their CPPR
+/// credits on `tree`, and labels against the view's margin.
+pub fn view_dataset(
+    circuit: &Circuit,
+    tree: &ClockTree,
+    view: &View,
+    cfg: &CorrelationConfig,
+) -> (Vec<f32>, Vec<f32>) {
+    let mut paths = k_critical_paths(circuit, view, cfg.paths_per_view);
+    let credits = apply_cppr(&mut paths, tree, view);
+    let margin = effective_margin(&paths, cfg);
+    regression::make_dataset(&paths, &credits, margin)
 }
 
 /// Handles to the built graph (for inspection/DOT) plus the report slot
@@ -98,6 +113,8 @@ pub fn build_correlation_graph(
 ) -> CorrelationGraph {
     let g = Heteroflow::new("timing-correlation");
     let report = Arc::new(Mutex::new(CorrelationReport::default()));
+    // The clock tree depends on the circuit alone: one for every view.
+    let tree = Arc::new(ClockTree::build(&circuit, cfg.clock_seg_delay));
 
     // Shared per-view result storage read by the final report task.
     let all_weights: Arc<Vec<HostVec<f32>>> =
@@ -114,19 +131,16 @@ pub fn build_correlation_graph(
 
         // 1) CPU: generate the per-view dataset.
         let gen = g.host(&format!("gen_v{vi}"), {
-            let (circuit, view, features, labels, weights) = (
+            let (circuit, tree, view, features, labels, weights) = (
                 Arc::clone(&circuit),
+                Arc::clone(&tree),
                 view.clone(),
                 features.clone(),
                 labels.clone(),
                 weights.clone(),
             );
             move || {
-                let mut paths = k_critical_paths(&circuit, &view, cfg.paths_per_view);
-                let tree = ClockTree::build(&circuit, cfg.clock_seg_delay);
-                let credits = apply_cppr(&mut paths, &tree, &view);
-                let margin = effective_margin(&paths, &cfg);
-                let (x, y) = regression::make_dataset(&paths, &credits, margin);
+                let (x, y) = view_dataset(&circuit, &tree, &view, &cfg);
                 *features.write() = x;
                 *labels.write() = y;
                 *weights.write() = vec![0.0f32; NUM_FEATURES + 1];
@@ -293,8 +307,8 @@ mod tests {
         assert!(report.mean_correlation.abs() <= 1.0 + 1e-9);
     }
 
-    /// The GPU-trained weights must match the CPU reference bit-for-bit
-    /// path (same float operations in the same order).
+    /// The GPU-trained weights match the CPU reference bit for bit (same
+    /// float operations in the same order).
     #[test]
     fn kernel_matches_cpu_reference() {
         let circuit = small_circuit();
@@ -308,17 +322,15 @@ mod tests {
         let report = run_correlation(&ex, Arc::clone(&circuit), &views, cfg).unwrap();
 
         // Recompute the dataset on the CPU and train with the reference.
-        let mut paths = k_critical_paths(&circuit, &views[0], cfg.paths_per_view);
         let tree = ClockTree::build(&circuit, cfg.clock_seg_delay);
-        let credits = apply_cppr(&mut paths, &tree, &views[0]);
-        let margin = effective_margin(&paths, &cfg);
-        let (x, y) = regression::make_dataset(&paths, &credits, margin);
+        let (x, y) = view_dataset(&circuit, &tree, &views[0], &cfg);
         let w_ref = regression::train_cpu(&x, &y, NUM_FEATURES, cfg.epochs, cfg.learning_rate);
 
         assert_eq!(report.weights[0].len(), w_ref.len());
         for (a, b) in report.weights[0].iter().zip(&w_ref) {
-            assert!(
-                (a - b).abs() < 1e-4,
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
                 "GPU {a} vs CPU {b} — kernel diverged from reference"
             );
         }

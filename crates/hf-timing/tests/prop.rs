@@ -63,7 +63,9 @@ proptest! {
     }
 
     /// Critical paths come out in descending delay order, are valid
-    /// PI→PO walks, and the top path's delay equals the max PO arrival.
+    /// PI→PO walks whose delay is the left-to-right sum of their gates'
+    /// delays bit for bit, and the top path's delay equals the max PO
+    /// arrival.
     #[test]
     fn critical_paths_are_consistent(
         gates in 50usize..300,
@@ -88,6 +90,10 @@ proptest! {
             for e in p.gates.windows(2) {
                 prop_assert!(c.fanout(e[0] as usize).contains(&e[1]));
             }
+            let sum = p.gates.iter().fold(0.0f32, |d, &g| {
+                d + hf_timing::sta::gate_delay(&c, g as usize, view)
+            });
+            prop_assert_eq!(p.delay.to_bits(), sum.to_bits());
         }
         let max_po_arrival = c.primary_outputs.iter()
             .map(|&po| r.arrival[po as usize])

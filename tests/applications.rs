@@ -147,12 +147,9 @@ fn sim_and_real_agree_on_application_graph() {
     };
 
     // Measure the real gen cost once.
-    let v0 = &views[0];
+    let tree = heteroflow::timing::cppr::ClockTree::build(&circuit, cfg.clock_seg_delay);
     let (_, gen_cost) = heteroflow::sim::measure(|| {
-        let mut ps = heteroflow::timing::k_critical_paths(&circuit, v0, cfg.paths_per_view);
-        let tree = heteroflow::timing::cppr::ClockTree::build(&circuit, cfg.clock_seg_delay);
-        let credits = heteroflow::timing::cppr::apply_cppr(&mut ps, &tree, v0);
-        heteroflow::timing::regression::make_dataset(&ps, &credits, 0.0)
+        heteroflow::timing::correlation::view_dataset(&circuit, &tree, &views[0], &cfg)
     });
 
     // Real run on 1 worker, 1 GPU.
