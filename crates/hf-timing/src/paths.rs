@@ -11,14 +11,16 @@
 //! a heap round trip per gate. The downstream half of the estimate is one
 //! flat loop over the fanout edges.
 //!
-//! Every state the search creates goes into an arena as `(node, depth,
-//! parent)`, where `depth` is the number of gates from the launch input to
-//! `node`. A complete path is therefore written once: its gate vector is
-//! allocated at exactly `depth` and filled back to front along the parent
-//! links, with no growth and no reversal.
+//! Every state the search creates goes into an arena as a [`Link`]: its
+//! gate, its depth (the number of gates from the launch input to it) and
+//! its parent. A complete path is therefore written once: its gate vector
+//! is allocated at exactly its depth and filled back to front along the
+//! parent links, with no growth and no reversal. Near-critical paths share
+//! long prefixes, so each link also records the first output path written
+//! through it; the walk stops at such a link and copies that path's prefix.
 
 use crate::netlist::Circuit;
-use crate::sta::gate_delay;
+use crate::sta::gate_delays;
 use crate::views::View;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -39,6 +41,20 @@ impl TimingPath {
     pub fn depth(&self) -> usize {
         self.gates.len()
     }
+}
+
+/// A search state's entry in the arena.
+#[derive(Debug)]
+struct Link {
+    /// Its gate.
+    node: u32,
+    /// Gates from the launch input up to and including `node`.
+    depth: u32,
+    /// The parent state's index (`usize::MAX` at a launch input).
+    parent: usize,
+    /// The first output path written through this state (`usize::MAX`
+    /// while there is none).
+    path: usize,
 }
 
 #[derive(Debug)]
@@ -87,16 +103,19 @@ pub fn k_critical_paths(c: &Circuit, view: &View, k: usize) -> Vec<TimingPath> {
     if k == 0 || n == 0 {
         return Vec::new();
     }
-    let delay: Vec<f32> = (0..n).map(|g| gate_delay(c, g, view)).collect();
+    let delay = gate_delays(c, view);
     let down = downstream(c, &delay);
 
-    // Arena of search-tree states, (node, depth, parent), for path
-    // reconstruction: `depth` counts the gates from the launch input up to
-    // and including `node`.
-    let mut arena: Vec<(u32, u32, usize)> = Vec::new();
-    let state = |arena: &mut Vec<(u32, u32, usize)>, node: u32, parent: usize, prefix: f32| {
-        let depth = arena.get(parent).map_or(1, |p| p.1 + 1);
-        arena.push((node, depth, parent));
+    // Arena of search-tree states, for path reconstruction.
+    let mut arena: Vec<Link> = Vec::new();
+    let state = |arena: &mut Vec<Link>, node: u32, parent: usize, prefix: f32| {
+        let depth = arena.get(parent).map_or(1, |p| p.depth + 1);
+        arena.push(Link {
+            node,
+            depth,
+            parent,
+            path: usize::MAX,
+        });
         State {
             est: prefix + down[node as usize],
             prefix,
@@ -111,7 +130,7 @@ pub fn k_critical_paths(c: &Circuit, view: &View, k: usize) -> Vec<TimingPath> {
         }
     }
 
-    let mut out = Vec::with_capacity(k);
+    let mut out: Vec<TimingPath> = Vec::with_capacity(k);
     // Expansion cap guards against pathological fan-out explosions.
     let cap = 200_000usize.max(k * 64);
     let mut expansions = 0usize;
@@ -125,14 +144,25 @@ pub fn k_critical_paths(c: &Circuit, view: &View, k: usize) -> Vec<TimingPath> {
         let fanout = c.fanout(st.node as usize);
         if fanout.is_empty() {
             // Complete path: written once, back to front along the parent
-            // links, into a vector of exactly its depth.
-            let mut gates = vec![0u32; arena[st.idx].1 as usize];
-            let mut cur = st.idx;
-            for slot in gates.iter_mut().rev() {
-                *slot = arena[cur].0;
-                cur = arena[cur].2;
+            // links, into a vector of exactly its depth. At a link an
+            // earlier path went through, the rest is that path's prefix.
+            let mut gates = vec![0u32; arena[st.idx].depth as usize];
+            let (mut cur, mut end) = (st.idx, gates.len());
+            while end > 0 {
+                let link = &mut arena[cur];
+                if link.path != usize::MAX {
+                    gates[..end].copy_from_slice(&out[link.path].gates[..end]);
+                    break;
+                }
+                link.path = out.len();
+                end -= 1;
+                gates[end] = link.node;
+                cur = link.parent;
             }
-            debug_assert_eq!(cur, usize::MAX, "the depth is the parent chain's length");
+            debug_assert!(
+                cur == usize::MAX || arena[cur].depth as usize == end,
+                "the depth is the parent chain's length"
+            );
             out.push(TimingPath {
                 gates,
                 delay: st.prefix,
@@ -186,6 +216,7 @@ fn downstream(c: &Circuit, delay: &[f32]) -> Vec<f32> {
 mod tests {
     use super::*;
     use crate::netlist::{CircuitConfig, Gate, GateKind};
+    use crate::sta::gate_delay;
     use crate::views::{Corner, Mode};
 
     fn test_view(period: f32) -> View {

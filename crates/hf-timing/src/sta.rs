@@ -33,15 +33,23 @@ pub fn gate_delay(c: &Circuit, g: usize, view: &View) -> f32 {
     c.nominal[g] * view.corner.delay_scale
 }
 
+/// Every gate's [`gate_delay`] under `view`, indexed by id: one pass over
+/// the nominal delays.
+pub(crate) fn gate_delays(c: &Circuit, view: &View) -> Vec<f32> {
+    let scale = view.corner.delay_scale;
+    c.nominal.iter().map(|d| d * scale).collect()
+}
+
 /// Runs a full forward/backward STA sweep for one view.
 pub fn run_sta(c: &Circuit, view: &View) -> TimingReport {
     let n = c.num_gates();
+    let delay = gate_delays(c, view);
     let mut arrival = vec![0.0f32; n];
 
     // Forward: longest-path arrival propagation in id (topological) order.
     for g in 0..n {
         let at_in = c.fanin(g).iter().map(|&f| arrival[f as usize]);
-        arrival[g] = at_in.fold(0.0f32, f32::max) + gate_delay(c, g, view);
+        arrival[g] = at_in.fold(0.0f32, f32::max) + delay[g];
     }
 
     // Backward: required times from the clock constraint at endpoints.
@@ -55,7 +63,7 @@ pub fn run_sta(c: &Circuit, view: &View) -> TimingReport {
         let rq = c
             .fanout(g)
             .iter()
-            .map(|&s| required[s as usize] - gate_delay(c, s as usize, view));
+            .map(|&s| required[s as usize] - delay[s as usize]);
         required[g] = rq.fold(required[g], f32::min);
     }
     // Gates with no path to an output keep required = +inf -> slack +inf;
