@@ -10,7 +10,7 @@
 
 use crate::cppr::{apply_cppr, ClockTree};
 use crate::netlist::Circuit;
-use crate::paths::{k_critical_paths, TimingPath};
+use crate::paths::k_critical_paths;
 use crate::regression::{self, NUM_FEATURES};
 use crate::views::View;
 use hf_core::data::HostVec;
@@ -67,20 +67,10 @@ pub struct CorrelationReport {
     pub mean_correlation: f64,
 }
 
-/// The labeling margin for one view's dataset: the median path slack
-/// under `auto_margin`, else the configured constant.
-fn effective_margin(paths: &[TimingPath], cfg: &CorrelationConfig) -> f32 {
-    if !cfg.auto_margin || paths.is_empty() {
-        return cfg.slack_margin;
-    }
-    let mut slacks: Vec<f32> = paths.iter().map(|p| p.slack).collect();
-    slacks.sort_by(|a, b| a.partial_cmp(b).expect("finite slacks"));
-    slacks[slacks.len() / 2]
-}
-
 /// One view's training set `(features, labels)`, exactly as its gen task
 /// computes it: the view's `cfg.paths_per_view` critical paths, their CPPR
-/// credits on `tree`, and labels against the view's margin.
+/// credits on `tree`, and labels against the margin (under `auto_margin`,
+/// the median path slack).
 pub fn view_dataset(
     circuit: &Circuit,
     tree: &ClockTree,
@@ -89,7 +79,12 @@ pub fn view_dataset(
 ) -> (Vec<f32>, Vec<f32>) {
     let mut paths = k_critical_paths(circuit, view, cfg.paths_per_view);
     let credits = apply_cppr(&mut paths, tree, view);
-    let margin = effective_margin(&paths, cfg);
+    let mut slacks: Vec<f32> = paths.iter().map(|p| p.slack).collect();
+    slacks.sort_by(|a, b| a.partial_cmp(b).expect("finite slacks"));
+    let margin = match slacks.get(slacks.len() / 2) {
+        Some(&median) if cfg.auto_margin => median,
+        _ => cfg.slack_margin,
+    };
     regression::make_dataset(&paths, &credits, margin)
 }
 
@@ -119,7 +114,7 @@ pub fn build_correlation_graph(
     // Shared per-view result storage read by the final report task.
     let all_weights: Arc<Vec<HostVec<f32>>> =
         Arc::new((0..views.len()).map(|_| HostVec::new()).collect());
-    let all_stats: Arc<Mutex<Vec<(usize, f64)>>> = Arc::new(Mutex::new(Vec::new()));
+    let all_stats = Arc::new(Mutex::new(vec![0.0f64; views.len()]));
 
     let mut stats_tasks = Vec::with_capacity(views.len());
     let mut buffers = Vec::with_capacity(views.len());
@@ -178,7 +173,7 @@ pub fn build_correlation_graph(
                 let y = labels.read();
                 let w = weights.read();
                 let acc = regression::accuracy(&w, &x, &y, NUM_FEATURES);
-                all_stats.lock().push((vi, acc));
+                all_stats.lock()[vi] = acc;
             }
         });
 
@@ -201,16 +196,10 @@ pub fn build_correlation_graph(
         );
         move || {
             let weights: Vec<Vec<f32>> = all_weights.iter().map(|w| w.to_vec()).collect();
-            let mut acc = vec![0.0f64; nviews];
-            for &(vi, a) in all_stats.lock().iter() {
-                acc[vi] = a;
-            }
-            let mut pairwise = Vec::new();
-            for i in 0..nviews {
-                for j in (i + 1)..nviews {
-                    pairwise.push(regression::pearson(&weights[i], &weights[j]));
-                }
-            }
+            let pairwise: Vec<f64> = (0..nviews)
+                .flat_map(|i| (i + 1..nviews).map(move |j| (i, j)))
+                .map(|(i, j)| regression::pearson(&weights[i], &weights[j]))
+                .collect();
             let mean = if pairwise.is_empty() {
                 1.0
             } else {
@@ -218,7 +207,7 @@ pub fn build_correlation_graph(
             };
             *report.lock() = CorrelationReport {
                 weights,
-                accuracy: acc,
+                accuracy: all_stats.lock().clone(),
                 pairwise,
                 mean_correlation: mean,
             };

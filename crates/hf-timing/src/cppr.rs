@@ -58,31 +58,17 @@ impl ClockTree {
     /// Number of tree segments shared by the root-to-leaf paths of two
     /// leaves (leading common bits of their leaf indices).
     pub fn common_depth(&self, a: u32, b: u32) -> u32 {
-        if self.levels == 0 {
-            return 0;
-        }
-        let diff = a ^ b;
         // Bits are consumed root-first from the most significant of
         // `levels` bits; the common prefix ends at the first differing bit.
-
-        if diff == 0 {
-            self.levels
-        } else {
-            self.levels - (32 - diff.leading_zeros()).min(self.levels)
-        }
-    }
-
-    /// Late-minus-early delay spread of one tree segment under `ocv`.
-    #[inline]
-    pub fn segment_spread(&self, ocv: f32) -> f32 {
-        2.0 * ocv * self.seg_delay
+        self.levels - (32 - (a ^ b).leading_zeros()).min(self.levels)
     }
 
     /// CPPR credit between a launch gate and a capture gate: the
-    /// impossible pessimism accumulated along their common clock prefix.
+    /// impossible pessimism accumulated along their common clock prefix,
+    /// the late-minus-early spread `2 * ocv * seg_delay` per shared segment.
     pub fn cppr_credit(&self, launch: u32, capture: u32, ocv: f32) -> f32 {
         match (self.leaf(launch), self.leaf(capture)) {
-            (Some(a), Some(b)) => self.common_depth(a, b) as f32 * self.segment_spread(ocv),
+            (Some(a), Some(b)) => self.common_depth(a, b) as f32 * (2.0 * ocv * self.seg_delay),
             _ => 0.0,
         }
     }

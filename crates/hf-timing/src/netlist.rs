@@ -119,8 +119,7 @@ impl Csr {
 /// A combinational gate-level netlist as a DAG, ids in topological order.
 #[derive(Debug, Clone)]
 pub struct Circuit {
-    /// Nominal delay per gate, `base_delay() * delay_factor`, indexed by
-    /// id: a view scales it by its corner (`sta::gate_delay`).
+    /// Per gate, `base_delay() * delay_factor`; views scale it.
     pub(crate) nominal: Vec<f32>,
     /// Primary inputs (no fanin).
     pub primary_inputs: Vec<u32>,

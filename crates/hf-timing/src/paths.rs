@@ -11,13 +11,9 @@
 //! a heap round trip per gate. The downstream half of the estimate is one
 //! flat loop over the fanout edges.
 //!
-//! Every state the search creates goes into an arena as a [`Link`]: its
-//! gate, its depth (the number of gates from the launch input to it) and
-//! its parent. A complete path is therefore written once: its gate vector
-//! is allocated at exactly its depth and filled back to front along the
-//! parent links, with no growth and no reversal. Near-critical paths share
-//! long prefixes, so each link also records the first output path written
-//! through it; the walk stops at such a link and copies that path's prefix.
+//! A state's arena link carries its depth, so a complete path is allocated
+//! at its exact length and filled back to front along the parent links,
+//! down to the first link an earlier path holds, whose prefix it copies.
 
 use crate::netlist::Circuit;
 use crate::sta::gate_delays;
@@ -43,17 +39,12 @@ impl TimingPath {
     }
 }
 
-/// A search state's entry in the arena.
-#[derive(Debug)]
+/// A search state in the arena: its gate, its depth (gates from the launch
+/// input), its parent and the first output path through it (or `MAX`).
 struct Link {
-    /// Its gate.
     node: u32,
-    /// Gates from the launch input up to and including `node`.
     depth: u32,
-    /// The parent state's index (`usize::MAX` at a launch input).
     parent: usize,
-    /// The first output path written through this state (`usize::MAX`
-    /// while there is none).
     path: usize,
 }
 
@@ -106,7 +97,6 @@ pub fn k_critical_paths(c: &Circuit, view: &View, k: usize) -> Vec<TimingPath> {
     let delay = gate_delays(c, view);
     let down = downstream(c, &delay);
 
-    // Arena of search-tree states, for path reconstruction.
     let mut arena: Vec<Link> = Vec::new();
     let state = |arena: &mut Vec<Link>, node: u32, parent: usize, prefix: f32| {
         let depth = arena.get(parent).map_or(1, |p| p.depth + 1);
@@ -143,9 +133,8 @@ pub fn k_critical_paths(c: &Circuit, view: &View, k: usize) -> Vec<TimingPath> {
         }
         let fanout = c.fanout(st.node as usize);
         if fanout.is_empty() {
-            // Complete path: written once, back to front along the parent
-            // links, into a vector of exactly its depth. At a link an
-            // earlier path went through, the rest is that path's prefix.
+            // Complete path: filled back to front, down to the first link
+            // an earlier path holds, whose prefix is the rest.
             let mut gates = vec![0u32; arena[st.idx].depth as usize];
             let (mut cur, mut end) = (st.idx, gates.len());
             while end > 0 {
@@ -159,10 +148,7 @@ pub fn k_critical_paths(c: &Circuit, view: &View, k: usize) -> Vec<TimingPath> {
                 gates[end] = link.node;
                 cur = link.parent;
             }
-            debug_assert!(
-                cur == usize::MAX || arena[cur].depth as usize == end,
-                "the depth is the parent chain's length"
-            );
+            debug_assert!(cur == usize::MAX || arena[cur].depth as usize == end);
             out.push(TimingPath {
                 gates,
                 delay: st.prefix,

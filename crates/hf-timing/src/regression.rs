@@ -10,6 +10,7 @@
 
 use crate::paths::TimingPath;
 use hf_gpu::{KernelArgs, LaunchConfig};
+use std::ops::Range;
 
 /// Number of features per path sample (delay, depth, fanout-proxy, CPPR
 /// credit) plus an implicit bias handled inside the weight vector.
@@ -36,20 +37,12 @@ pub fn make_dataset(paths: &[TimingPath], credits: &[f32], margin: f32) -> (Vec<
         y[i] = if p.slack < margin { 1.0 } else { 0.0 };
     }
     // Standardize each feature column (guarding zero variance).
+    let count = n.max(1) as f32;
     for fcol in 0..NUM_FEATURES {
-        let mut mean = 0.0f32;
-        for i in 0..n {
-            mean += x[i * NUM_FEATURES + fcol];
-        }
-        mean /= n.max(1) as f32;
-        let mut var = 0.0f32;
-        for i in 0..n {
-            let d = x[i * NUM_FEATURES + fcol] - mean;
-            var += d * d;
-        }
-        let sd = (var / n.max(1) as f32).sqrt();
-        for i in 0..n {
-            let v = &mut x[i * NUM_FEATURES + fcol];
+        let col = || x.iter().skip(fcol).step_by(NUM_FEATURES);
+        let mean = col().fold(0.0f32, |s, v| s + v) / count;
+        let sd = (col().fold(0.0f32, |s, v| s + (v - mean) * (v - mean)) / count).sqrt();
+        for v in x.iter_mut().skip(fcol).step_by(NUM_FEATURES) {
             // A constant feature carries no information: zero it rather
             // than amplify float noise through a tiny divisor.
             *v = if sd < 1e-6 { 0.0 } else { (*v - mean) / sd };
@@ -61,27 +54,41 @@ pub fn make_dataset(paths: &[TimingPath], credits: &[f32], margin: f32) -> (Vec<
 /// Full-batch gradient-descent training, reference CPU implementation.
 /// `x` is row-major `n x f`; returns `f + 1` weights (bias last).
 pub fn train_cpu(x: &[f32], y: &[f32], f: usize, epochs: usize, lr: f32) -> Vec<f32> {
-    let n = y.len();
-    assert_eq!(x.len(), n * f, "feature matrix shape mismatch");
+    assert_eq!(x.len(), y.len() * f, "feature matrix shape mismatch");
     let mut w = vec![0.0f32; f + 1];
+    descend(x, y, &mut w, f, 0..y.len(), epochs, lr);
+    w
+}
+
+/// `epochs` of gradient descent on `w` (`f + 1` weights, bias last) over
+/// the samples `rows` of `(x, y)`, each step averaged over all of `y`.
+/// [`train_cpu`] and [`logistic_kernel`] both train through it, so their
+/// weights agree bit for bit.
+fn descend(
+    x: &[f32],
+    y: &[f32],
+    w: &mut [f32],
+    f: usize,
+    rows: Range<usize>,
+    epochs: usize,
+    lr: f32,
+) {
     let mut grad = vec![0.0f32; f + 1];
+    let scale = lr / y.len().max(1) as f32;
     for _ in 0..epochs {
         grad.iter_mut().for_each(|g| *g = 0.0);
-        for i in 0..n {
+        for i in rows.clone() {
             let row = &x[i * f..(i + 1) * f];
-            let z: f32 = row.iter().zip(&w[..f]).map(|(a, b)| a * b).sum::<f32>() + w[f];
-            let err = sigmoid(z) - y[i];
+            let err = predict(w, row) - y[i];
             for (g, &xv) in grad[..f].iter_mut().zip(row) {
                 *g += err * xv;
             }
             grad[f] += err;
         }
-        let scale = lr / n.max(1) as f32;
         for (wv, g) in w.iter_mut().zip(&grad) {
             *wv -= scale * g;
         }
     }
-    w
 }
 
 /// The GPU kernel: trains on device-resident data.
@@ -108,29 +115,9 @@ pub fn logistic_kernel(
         let w = parts.write::<f32>(2).expect("weights");
         assert_eq!(x.len(), n * f, "device feature shape mismatch");
         assert!(w.len() > f, "weight buffer too small");
-
-        let mut grad = vec![0.0f32; f + 1];
-        for _ in 0..epochs {
-            grad.iter_mut().for_each(|g| *g = 0.0);
-            // SIMT loop over the launch's thread space.
-            for i in cfg.threads() {
-                if i >= n {
-                    continue;
-                }
-                let row = &x[i * f..(i + 1) * f];
-                let z: f32 = row.iter().zip(&w[..f]).map(|(a, b)| a * b).sum::<f32>() + w[f];
-                let err = sigmoid(z) - y[i];
-                for (g, &xv) in grad[..f].iter_mut().zip(row) {
-                    *g += err * xv;
-                }
-                grad[f] += err;
-            }
-            // "Thread 0" applies the update after the epoch barrier.
-            let scale = lr / n.max(1) as f32;
-            for (wv, g) in w.iter_mut().zip(&grad) {
-                *wv -= scale * g;
-            }
-        }
+        // The threads of the launch that have a sample.
+        let rows = 0..n.min(cfg.total_threads() as usize);
+        descend(x, y, w, f, rows, epochs, lr);
     }
 }
 
@@ -165,9 +152,7 @@ pub fn pearson(a: &[f32], b: &[f32]) -> f64 {
     }
     let ma = a.iter().map(|&v| v as f64).sum::<f64>() / n;
     let mb = b.iter().map(|&v| v as f64).sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
+    let (mut cov, mut va, mut vb) = (0.0, 0.0, 0.0);
     for (&x, &y) in a.iter().zip(b) {
         let (dx, dy) = (x as f64 - ma, y as f64 - mb);
         cov += dx * dy;

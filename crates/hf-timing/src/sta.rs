@@ -26,15 +26,13 @@ pub struct TimingReport {
     pub clock_period: f32,
 }
 
-/// Effective delay of gate `g` under `view`: its nominal delay scaled by
-/// the view's corner.
+/// Effective delay of gate `g` under `view`: its nominal delay, scaled.
 #[inline]
 pub fn gate_delay(c: &Circuit, g: usize, view: &View) -> f32 {
     c.nominal[g] * view.corner.delay_scale
 }
 
-/// Every gate's [`gate_delay`] under `view`, indexed by id: one pass over
-/// the nominal delays.
+/// Every gate's [`gate_delay`] under `view`, in one pass.
 pub(crate) fn gate_delays(c: &Circuit, view: &View) -> Vec<f32> {
     let scale = view.corner.delay_scale;
     c.nominal.iter().map(|d| d * scale).collect()
@@ -74,8 +72,7 @@ pub fn run_sta(c: &Circuit, view: &View) -> TimingReport {
 
     let slack: Vec<f32> = required.iter().zip(&arrival).map(|(r, a)| r - a).collect();
 
-    let mut wns = 0.0f32;
-    let mut tns = 0.0f32;
+    let (mut wns, mut tns) = (0.0f32, 0.0f32);
     for &po in &c.primary_outputs {
         let s = slack[po as usize];
         if s < 0.0 {

@@ -46,34 +46,24 @@ impl View {
 /// Generates `n` distinct views by crossing synthesized corners and
 /// modes; deterministic.
 pub fn make_views(n: usize, base_clock: f32) -> Vec<View> {
-    let mut views = Vec::with_capacity(n);
-    // Grids of plausible corners (slow..fast) and modes.
-    let mut i = 0usize;
-    'outer: for c in 0.. {
-        // Corner delay scale walks 0.85..1.45 cyclically with drift.
-        let scale = 0.85 + 0.6 * ((c * 37 % 100) as f32 / 100.0);
-        let ocv = 0.03 + 0.04 * ((c * 13 % 10) as f32 / 10.0);
-        for m in 0..4 {
-            if i >= n {
-                break 'outer;
-            }
-            let period = base_clock * (0.9 + 0.1 * m as f32);
-            views.push(View {
-                corner: Corner {
-                    name: format!("corner{c}"),
-                    delay_scale: scale,
-                    ocv,
-                },
-                mode: Mode {
-                    name: format!("mode{m}"),
-                    clock_period: period,
-                },
-                seed: (c as u64) << 8 | m as u64,
-            });
-            i += 1;
-        }
-    }
-    views
+    // Grids of plausible corners (slow..fast) and modes; the corner delay
+    // scale walks 0.85..1.45 cyclically with drift.
+    (0..)
+        .flat_map(|c| (0..4).map(move |m| (c, m)))
+        .take(n)
+        .map(|(c, m)| View {
+            corner: Corner {
+                name: format!("corner{c}"),
+                delay_scale: 0.85 + 0.6 * ((c * 37 % 100) as f32 / 100.0),
+                ocv: 0.03 + 0.04 * ((c * 13 % 10) as f32 / 10.0),
+            },
+            mode: Mode {
+                name: format!("mode{m}"),
+                clock_period: base_clock * (0.9 + 0.1 * m as f32),
+            },
+            seed: (c as u64) << 8 | m as u64,
+        })
+        .collect()
 }
 
 /// One row of the Fig 4 table: views required per technology node.
