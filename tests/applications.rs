@@ -2,7 +2,9 @@
 //! real executor, plus sim/real consistency.
 
 use heteroflow::core::{device_placement, Plan};
+use heteroflow::place::matching::Hungarian;
 use heteroflow::place::{detailed_place, detailed_place_sequential, PlaceConfig};
+use heteroflow::place::{PlacementConfig, PlacementDb};
 use heteroflow::prelude::*;
 use heteroflow::sim::{simulate, Machine};
 use heteroflow::timing::correlation::{run_correlation, CorrelationConfig};
@@ -98,13 +100,120 @@ fn timing_application_answers_are_pinned() {
     assert_eq!(h, 0xb43b_f249_d0e3_449f, "timing digest {h:#018x}");
 }
 
+/// 64-bit FNV-1a over 32-bit little-endian words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u32) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn wide(&mut self, w: u64) {
+        self.word(w as u32);
+        self.word((w >> 32) as u32);
+    }
+}
+
+/// The `app_place` benchmark's inputs: 10k cells, 10k nets, locality 40,
+/// five iterations, window 6, four matchers.
+fn placement_inputs() -> (PlacementDb, PlaceConfig) {
+    let db = PlacementDb::synthesize(&PlacementConfig {
+        num_cells: 10_000,
+        num_nets: 10_000,
+        locality: 40,
+        seed: 1,
+        ..PlacementConfig::default()
+    });
+    let cfg = PlaceConfig {
+        iterations: 5,
+        window_cap: 6,
+        matchers: 4,
+        seed: 0x5EED,
+        ..PlaceConfig::default()
+    };
+    (db, cfg)
+}
+
+/// Pins the conflict graph of the `app_place` inputs. A change to the
+/// database layout or the conflict graph must leave it alone.
+#[test]
+fn conflict_graph_digest_is_pinned() {
+    let (db, _) = placement_inputs();
+    let (offsets, neighbors) = db.netlist.conflict_adjacency();
+    let mut h = Fnv::new();
+    for &w in offsets.iter().chain(neighbors.iter()) {
+        h.word(w);
+    }
+    assert_eq!(h.0, CONFLICT_DIGEST, "conflict digest {:#018x}", h.0);
+}
+
+/// Pins the HPWL trace and the final cells of the placement application on
+/// the `app_place` inputs, for the graph on `Executor(1,1)` and the
+/// sequential reference alike. A speed-up of the placement code must leave
+/// it alone.
+#[test]
+fn placement_digest_is_pinned() {
+    let (db, cfg) = placement_inputs();
+    let seq = detailed_place_sequential(db.clone(), cfg);
+    let par = detailed_place(&Executor::new(1, 1), db, cfg).expect("placement runs");
+    assert_eq!(par.hpwl_trace, seq.hpwl_trace);
+    assert_eq!(par.db.cells, seq.db.cells);
+    let mut h = Fnv::new();
+    h.wide(seq.hpwl_before);
+    for &hpwl in &seq.hpwl_trace {
+        h.wide(hpwl);
+    }
+    for c in &seq.db.cells {
+        h.word(c.x);
+        h.word(c.y);
+        h.word(u32::from(c.fixed));
+    }
+    assert_eq!(h.0, PLACEMENT_DIGEST, "placement digest {:#018x}", h.0);
+}
+
+/// Pins which optimum the Hungarian returns, not only its total: 2,000
+/// seeded matrices with `n` in 1..=8 and costs in `0..4`, so most have
+/// several optimal assignments, solved by one reused work space. The
+/// digest hashes every assignment and total.
+#[test]
+fn hungarian_tie_breaking_is_pinned() {
+    // splitmix64, spelled out so the matrices never change.
+    let mut state = 0u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let (mut h, mut hungarian) = (Fnv::new(), Hungarian::default());
+    for _ in 0..2_000 {
+        let n = 1 + (next() % 8) as usize;
+        let cost: Vec<u64> = (0..n * n).map(|_| next() % 4).collect();
+        let (assignment, total) = hungarian.solve(&cost, n);
+        assignment.iter().for_each(|&j| h.word(j as u32));
+        h.wide(total);
+    }
+    assert_eq!(h.0, HUNGARIAN_DIGEST, "hungarian digest {:#018x}", h.0);
+}
+
+const CONFLICT_DIGEST: u64 = 0x1e50_48ed_f7e6_cf8c;
+const PLACEMENT_DIGEST: u64 = 0x5c52_1e40_f36f_49f7;
+const HUNGARIAN_DIGEST: u64 = 0x95b2_46ef_b525_509b;
+
 #[test]
 fn placement_end_to_end_parallel_equals_sequential() {
     let cfg = PlaceConfig {
         iterations: 4,
         ..Default::default()
     };
-    let db = heteroflow::place::PlacementDb::synthesize(&heteroflow::place::PlacementConfig {
+    let db = PlacementDb::synthesize(&PlacementConfig {
         num_cells: 500,
         num_nets: 600,
         ..Default::default()
