@@ -83,7 +83,7 @@ pub fn build_placement_graph(db: PlacementDb, cfg: GraphConfig) -> (Heteroflow, 
 
     let g = Heteroflow::new("detailed-placement");
     let db = Arc::new(RwLock::new(db));
-    let hpwl_trace = Arc::new(Mutex::new(Vec::new()));
+    let hpwl_trace: Arc<Mutex<Vec<u64>>> = Arc::default();
     let pull_off = g.pull("pull_adj_off", &h_off);
     let pull_nbr = g.pull("pull_adj_nbr", &h_nbr);
 
@@ -158,8 +158,8 @@ pub fn build_placement_graph(db: PlacementDb, cfg: GraphConfig) -> (Heteroflow, 
         }
 
         // 6) CPU (parallel): per-window bipartite matching. Matcher m
-        // handles windows m, m+M, m+2M, ... with one work space.
-        let moves: Arc<Mutex<Vec<(u32, u32, u32)>>> = Arc::new(Mutex::new(Vec::new()));
+        // handles windows m, m+M, m+2M, ... and sums their HPWL change.
+        let moves = Arc::new(Mutex::new((Vec::new(), 0i64)));
         let mut match_tasks = Vec::with_capacity(cfg.matchers);
         for m in 0..cfg.matchers.max(1) {
             let t = g.host(&format!("match[{it}][{m}]"), {
@@ -169,29 +169,36 @@ pub fn build_placement_graph(db: PlacementDb, cfg: GraphConfig) -> (Heteroflow, 
                 let (mut matcher, mut local_moves) = (Matcher::default(), Vec::new());
                 move || {
                     let (windows, db) = (windows.read(), db.read());
-                    for w in windows.iter().skip(m).step_by(stride) {
-                        matcher.match_window(&db, w, &mut local_moves);
-                    }
-                    moves.lock().append(&mut local_moves);
+                    let delta: i64 = (windows.iter().skip(m).step_by(stride))
+                        .map(|w| matcher.match_window(&db, w, &mut local_moves))
+                        .sum();
+                    let (moves, sum) = &mut *moves.lock();
+                    moves.append(&mut local_moves);
+                    *sum += delta;
                 }
             });
             partition.precede(&t);
             match_tasks.push(t);
         }
 
-        // 7) CPU: apply the permutations and record HPWL.
+        // 7) CPU: apply the permutations and record HPWL: apply[0] measures
+        // it, later ones add the matchers' exact change (see `matching`).
         let apply = g.host(&format!("apply[{it}]"), {
             let (db, moves, hpwl_trace) =
                 (Arc::clone(&db), Arc::clone(&moves), Arc::clone(&hpwl_trace));
             move || {
-                let mut db = db.write();
-                for &(cell, x, y) in moves.lock().iter() {
+                let (mut db, mut trace) = (db.write(), hpwl_trace.lock());
+                let (moves, delta) = &mut *moves.lock();
+                for (cell, x, y) in moves.drain(..) {
                     db.cells[cell as usize].x = x;
                     db.cells[cell as usize].y = y;
                 }
-                moves.lock().clear();
-                let hpwl = db.total_hpwl();
-                hpwl_trace.lock().push(hpwl);
+                let delta = std::mem::take(delta);
+                let hpwl = match trace.last() {
+                    Some(&prev) if it > 0 => prev.wrapping_add_signed(delta),
+                    _ => db.total_hpwl(),
+                };
+                trace.push(hpwl);
             }
         });
         for t in &match_tasks {

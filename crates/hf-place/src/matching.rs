@@ -7,19 +7,21 @@
 //! linear assignment, solved exactly with the O(n³) Hungarian algorithm
 //! (potentials/shortest-augmenting-path form).
 //!
-//! A [`Matcher`] prices a cell's k candidate sites from one bounding box
-//! per incident net, taken over the net's other pins once, and keeps its
-//! cost matrix and the Hungarian's work vectors across the windows it
-//! matches.
+//! The same fact makes each window's HPWL change exact: no net has two
+//! moving cells, so a window changes the total by its optimal total minus
+//! the identity's diagonal, which [`Matcher::match_window`] returns.
+//!
+//! A [`Matcher`] prices a window in one pass per (cell, net), growing the
+//! box of the net's other pins by each of the k sites, and keeps its
+//! sites, cost matrix and Hungarian work vectors across windows.
 
-use crate::db::{grow, half_perimeter, PlacementDb, EMPTY_BOX};
+use crate::db::{grow, half_perimeter, Cell, PlacementDb, EMPTY_BOX};
 
 /// One matching task's work space, reused across its windows.
 #[derive(Debug, Default)]
 pub struct Matcher {
-    /// Per net of the cell being priced: the bounding box of the net's
-    /// other pins.
-    boxes: Vec<[u32; 4]>,
+    /// The window's cells as they stand, in window order: its k sites.
+    sites: Vec<Cell>,
     /// The window's `k x k` cost, row-major: cell `i` on cell `j`'s site.
     cost: Vec<u64>,
     hungarian: Hungarian,
@@ -28,32 +30,35 @@ pub struct Matcher {
 impl Matcher {
     /// Matches one window: appends to `moves` the `(cell, x, y)` that puts
     /// each of its cells on the site (one of the window's own current
-    /// sites) the optimal assignment gives it.
+    /// sites) the optimal assignment gives it, and returns the change in
+    /// total HPWL those moves make (never positive).
     pub fn match_window(
         &mut self,
         db: &PlacementDb,
         window: &[u32],
         moves: &mut Vec<(u32, u32, u32)>,
-    ) {
-        let (cells, netlist) = (&db.cells, &db.netlist);
+    ) -> i64 {
+        let (cells, netlist, k) = (&db.cells, &db.netlist, window.len());
+        self.sites.clear();
+        self.sites.extend(window.iter().map(|&c| cells[c as usize]));
         self.cost.clear();
-        for &c in window {
-            self.boxes.clear();
+        self.cost.resize(k * k, 0);
+        for (&c, row) in window.iter().zip(self.cost.chunks_exact_mut(k)) {
             for &net in netlist.nets_of(c as usize) {
                 let others = netlist.pins(net as usize).iter().filter(|&&p| p != c);
-                self.boxes
-                    .push(others.fold(EMPTY_BOX, |b, &p| grow(b, &cells[p as usize])));
-            }
-            for &site in window {
-                let at = |&b: &[u32; 4]| half_perimeter(grow(b, &cells[site as usize]));
-                self.cost.push(self.boxes.iter().map(at).sum());
+                let b = others.fold(EMPTY_BOX, |b, &p| grow(b, &cells[p as usize]));
+                for (cost, site) in row.iter_mut().zip(&self.sites) {
+                    *cost += half_perimeter(grow(b, site));
+                }
             }
         }
-        let (assignment, _) = self.hungarian.solve(&self.cost, window.len());
+        let identity: u64 = (0..k).map(|i| self.cost[i * k + i]).sum();
+        let (assignment, total) = self.hungarian.solve(&self.cost, k);
         moves.extend(window.iter().zip(assignment).map(|(&c, &s)| {
-            let to = cells[window[s] as usize];
+            let to = self.sites[s];
             (c, to.x, to.y)
         }));
+        total as i64 - identity as i64
     }
 }
 
@@ -80,33 +85,38 @@ impl Hungarian {
     pub fn solve(&mut self, cost: &[u64], n: usize) -> (&[usize], u64) {
         assert_eq!(cost.len(), n * n, "cost matrix must be square");
         const INF: i64 = i64::MAX / 4;
-        fn reset<T: Clone>(buf: &mut Vec<T>, len: usize, value: T) {
-            buf.clear();
-            buf.resize(len, value);
-        }
-        // 1-indexed potentials and matching (classic e-maxx formulation).
-        reset(&mut self.u, n + 1, 0);
-        reset(&mut self.v, n + 1, 0);
-        reset(&mut self.p, n + 1, 0);
-        reset(&mut self.way, n + 1, 0);
-        let (u, v, p, way) = (&mut self.u, &mut self.v, &mut self.p, &mut self.way);
+        // 1-indexed potentials and matching (classic e-maxx formulation) on
+        // slices of n + 1, so the inner loops' `[j]` need no bounds checks.
+        // Each row writes the `way` entries it reads: `way` is never reset.
+        self.u.resize(n + 1, 0);
+        self.v.resize(n + 1, 0);
+        self.minv.resize(n + 1, 0);
+        self.p.resize(n + 1, 0);
+        self.way.resize(n + 1, 0);
+        self.used.resize(n + 1, false);
+        self.assignment.resize(n, 0);
+        let (u, v, minv) = (&mut self.u[..=n], &mut self.v[..=n], &mut self.minv[..=n]);
+        let (p, way, used) = (&mut self.p[..=n], &mut self.way[..=n], &mut self.used[..=n]);
+        u.fill(0);
+        v.fill(0);
+        p.fill(0);
 
         for i in 1..=n {
             p[0] = i;
             let mut j0 = 0usize;
-            reset(&mut self.minv, n + 1, INF);
-            reset(&mut self.used, n + 1, false);
-            let (minv, used) = (&mut self.minv, &mut self.used);
+            minv.fill(INF);
+            used.fill(false);
             loop {
                 used[j0] = true;
                 let i0 = p[j0];
+                let (row, ui0) = (&cost[(i0 - 1) * n..][..n], u[i0]);
                 let mut delta = INF;
                 let mut j1 = 0usize;
-                for j in 1..=n {
+                for j in 1..n + 1 {
                     if used[j] {
                         continue;
                     }
-                    let cur = cost[(i0 - 1) * n + j - 1] as i64 - u[i0] - v[j];
+                    let cur = row[j - 1] as i64 - ui0 - v[j];
                     if cur < minv[j] {
                         minv[j] = cur;
                         way[j] = j0;
@@ -116,7 +126,7 @@ impl Hungarian {
                         j1 = j;
                     }
                 }
-                for j in 0..=n {
+                for j in 0..n + 1 {
                     if used[j] {
                         u[p[j]] += delta;
                         v[j] -= delta;
@@ -140,7 +150,6 @@ impl Hungarian {
             }
         }
 
-        reset(&mut self.assignment, n, 0);
         let mut total = 0u64;
         for j in 1..=n {
             if p[j] != 0 {

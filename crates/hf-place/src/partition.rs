@@ -5,6 +5,9 @@
 //! bounded size; each window becomes one bipartite-matching subproblem.
 //! This step is inherently sequential in DREAMPlace's implementation and
 //! runs on a CPU — it is what caps CPU-side scaling in Fig 9.
+//! Members sort by one `u64` key packing (row band, x, y, cell), each
+//! field as wide as the layout needs; ending in the cell id, it orders as
+//! a stable sort by position would.
 
 use crate::db::PlacementDb;
 use crate::mis::IN_SET;
@@ -13,23 +16,30 @@ use crate::mis::IN_SET;
 /// cells, sorted by (row-band, x) so windows are spatially tight.
 pub fn partition_windows(db: &PlacementDb, states: &[u32], window_cap: usize) -> Vec<Vec<u32>> {
     assert!(window_cap >= 2, "windows below 2 cells cannot be permuted");
-    // Row bands of height ~sqrt(cap) keep windows roughly square. The key
-    // ends in the cell id, so the sort orders as a stable one by position.
+    // Row bands of height ~sqrt(cap) keep windows roughly square.
     let band = ((window_cap as f64).sqrt().ceil() as u32).max(1);
-    let mut members: Vec<(u32, u32, u32, u32)> = db
+    let bits = |count: u32| u32::BITS - count.leading_zeros();
+    let (x_bits, y_bits) = (bits(db.sites_per_row), bits(db.num_rows));
+    let c_bits = bits(db.num_cells() as u32);
+    let key_bits = bits(db.num_rows / band) + x_bits + y_bits + c_bits;
+    assert!(key_bits <= u64::BITS, "partition keys need {key_bits} bits");
+    let mut keys: Vec<u64> = db
         .cells
         .iter()
         .zip(states)
         .enumerate()
         .filter(|&(_, (cell, &s))| s == IN_SET && !cell.fixed)
-        .map(|(c, (cell, _))| (cell.y / band, cell.x, cell.y, c as u32))
+        .map(|(c, (cell, _))| {
+            let key = u64::from(cell.y / band) << x_bits | u64::from(cell.x);
+            (key << y_bits | u64::from(cell.y)) << c_bits | c as u64
+        })
         .collect();
-    members.sort_unstable();
+    keys.sort_unstable();
 
-    members
-        .chunks(window_cap)
+    let cell_of = |&key: &u64| (key & ((1 << c_bits) - 1)) as u32;
+    keys.chunks(window_cap)
         .filter(|w| w.len() >= 2)
-        .map(|w| w.iter().map(|m| m.3).collect())
+        .map(|w| w.iter().map(cell_of).collect())
         .collect()
 }
 
