@@ -103,8 +103,8 @@ fn main() {
     eprintln!("[fig6] calibrating host-task costs ...");
     let view0 = &make_views(1, 0.4)[0];
     let tree = ClockTree::build(&circuit, cfg.clock_seg_delay);
-    let (dataset, gen_raw) = hf_sim::measure(|| view_dataset(&circuit, &tree, view0, &cfg));
-    let (_, stats_raw) = hf_sim::measure(|| {
+    let (dataset, gen_raw) = hf_sim::measure_warm(|| view_dataset(&circuit, &tree, view0, &cfg));
+    let (_, stats_raw) = hf_sim::measure_warm(|| {
         let w = vec![0.1f32; NUM_FEATURES + 1];
         let (x, y) = &dataset;
         std::hint::black_box(hf_timing::regression::accuracy(&w, x, y, NUM_FEATURES))

@@ -23,7 +23,7 @@ pub mod des;
 pub mod machine;
 pub mod result;
 
-pub use calibrate::measure;
+pub use calibrate::{measure, measure_warm};
 pub use des::{simulate, SimSpan};
 pub use machine::{Machine, SchedulerMode};
 pub use result::SimResult;
