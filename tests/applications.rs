@@ -3,13 +3,15 @@
 
 use heteroflow::core::{device_placement, Plan};
 use heteroflow::place::matching::Hungarian;
+use heteroflow::place::mis::{make_priorities, mis_cpu};
 use heteroflow::place::{detailed_place, detailed_place_sequential, PlaceConfig};
-use heteroflow::place::{PlacementConfig, PlacementDb};
+use heteroflow::place::{partition_windows, Matcher, PlacementConfig, PlacementDb};
 use heteroflow::prelude::*;
 use heteroflow::sim::{simulate, Machine};
 use heteroflow::timing::correlation::{run_correlation, CorrelationConfig};
 use heteroflow::timing::views::make_views;
 use heteroflow::timing::{Circuit, CircuitConfig};
+use proptest::prelude::*;
 use std::sync::Arc;
 
 /// The executor's plan for `graph` on an idle `machine`, fused or not.
@@ -201,6 +203,49 @@ fn hungarian_tie_breaking_is_pinned() {
         h.wide(total);
     }
     assert_eq!(h.0, HUNGARIAN_DIGEST, "hungarian digest {:#018x}", h.0);
+}
+
+proptest! {
+    /// A window's returned HPWL change is exact: after each iteration's
+    /// moves, the previous HPWL plus every window's change is the
+    /// recomputed total. A window the optimum leaves in place returns 0,
+    /// and none returns a gain.
+    #[test]
+    fn window_deltas_are_exact(
+        cells in 20usize..300,
+        locality in 8u32..100,
+        cap in 2usize..9,
+        seed in any::<u64>(),
+    ) {
+        let mut db = PlacementDb::synthesize(&PlacementConfig {
+            num_cells: cells,
+            num_nets: cells + 20,
+            locality,
+            seed,
+            ..Default::default()
+        });
+        let netlist = std::sync::Arc::clone(&db.netlist);
+        let (off, nbr) = netlist.conflict_adjacency();
+        let (mut matcher, mut moves, mut hpwl) = (Matcher::default(), Vec::new(), db.total_hpwl());
+        for it in 0..3 {
+            let states = mis_cpu(off, nbr, &make_priorities(cells, seed.wrapping_add(it)));
+            for w in &partition_windows(&db, &states, cap) {
+                let start = moves.len();
+                let delta = matcher.match_window(&db, w, &mut moves);
+                let cell = |c: u32| db.cells[c as usize];
+                if moves[start..].iter().all(|&(c, x, y)| (cell(c).x, cell(c).y) == (x, y)) {
+                    prop_assert_eq!(delta, 0);
+                }
+                prop_assert!(delta <= 0);
+                hpwl = hpwl.wrapping_add_signed(delta);
+            }
+            for (c, x, y) in moves.drain(..) {
+                db.cells[c as usize].x = x;
+                db.cells[c as usize].y = y;
+            }
+            prop_assert_eq!(hpwl, db.total_hpwl(), "iteration {}", it);
+        }
+    }
 }
 
 const CONFLICT_DIGEST: u64 = 0x1e50_48ed_f7e6_cf8c;
