@@ -16,8 +16,8 @@
 //!   kernels, plus a CPU reference.
 //! * [`partition`] — spatial clustering of independent cells into
 //!   windows.
-//! * [`matching`] — per-window assignment: costs from per-net boxes and
-//!   the Hungarian algorithm in a reusable work space.
+//! * [`matching`] — per-window assignment and its exact HPWL change:
+//!   costs from per-net boxes, the Hungarian in a reusable work space.
 //! * [`graph`] — the flattened K-iteration Heteroflow task graph of
 //!   Fig 8.
 //! * [`algo`] — end-to-end drivers (Heteroflow-parallel and sequential
