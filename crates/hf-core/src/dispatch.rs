@@ -144,7 +144,7 @@ pub(crate) fn submit(
             let n = &topo.frozen.nodes[nid];
             OpLabel {
                 name: Arc::clone(&n.name),
-                tag: crate::observer::kind_to_tag(n.work.kind()),
+                tag: n.work.kind() as u32,
                 epoch: topo.ctx.epoch,
             }
         });
@@ -184,9 +184,7 @@ impl ChainState {
     /// failed, the run already failed, or the caller cancelled —
     /// cooperative cancellation propagated into ops already enqueued.
     fn skip(&self) -> bool {
-        self.error.lock().is_some()
-            || self.topo.cancelled.load(Ordering::Acquire)
-            || self.topo.cancel_requested()
+        self.error.lock().is_some() || self.topo.stopped()
     }
 
     /// Records the chain's first failure; its later ops then skip.

@@ -106,16 +106,23 @@ impl ExecInner {
 
     /// The one way an event leaves the executor: builds it only when the
     /// gate is open and hands it to every observer, so call sites need no
-    /// guard (loops may still hoist [`ExecInner::lc_active`]). Inlined so
-    /// that a closed gate costs the caller a load and a branch, not a
-    /// call.
+    /// guard (loops may still hoist [`ExecInner::lc_active`]). Only the
+    /// gate is inlined: a closed gate costs the caller a load and a branch.
     #[inline]
     pub(crate) fn emit(&self, event: impl FnOnce() -> LifecycleEvent) {
         if self.lc_active() {
-            let ev = event();
-            for o in &self.observers {
-                o.on_lifecycle(&ev);
-            }
+            self.deliver(event);
+        }
+    }
+
+    /// Builds, delivers and drops an event, out of line so that no
+    /// emission site carries the observer loop or the event's drop.
+    #[cold]
+    #[inline(never)]
+    fn deliver(&self, event: impl FnOnce() -> LifecycleEvent) {
+        let ev = event();
+        for o in &self.observers {
+            o.on_lifecycle(&ev);
         }
     }
 
@@ -142,7 +149,8 @@ impl ExecInner {
         });
     }
 
-    /// Emits a task-level lifecycle event.
+    /// Emits a task-level lifecycle event, stamped now (run-level:
+    /// [`LifecycleEvent::run_level`]).
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn emit_task(
@@ -155,45 +163,31 @@ impl ExecInner {
         ok: bool,
         detail: Option<&HfError>,
     ) {
-        self.emit(|| task_event(topo, phase, node, worker, chain, ok, detail));
+        self.emit(move || {
+            let nd = &topo.frozen.nodes[node];
+            LifecycleEvent {
+                run_id: topo.run_id,
+                graph: Arc::clone(&topo.frozen.name),
+                phase,
+                task: Some(node as u32),
+                name: Arc::clone(&nd.name),
+                kind: Some(nd.work.kind()),
+                device: topo.plan.placement().device_of[node],
+                worker,
+                chain,
+                bytes: topo.frozen.bytes_of(node) as u64,
+                ok,
+                detail: detail.map(|e| Arc::from(e.to_string())),
+                epoch: topo.ctx.epoch,
+                tenant: topo.ctx.tenant.clone(),
+                t_ns: lifecycle_now_ns(),
+            }
+        });
     }
 
     /// Which devices are lost right now: the mask a plan is made against.
     pub(crate) fn lost_devices(&self) -> Vec<bool> {
         self.gpu.devices().iter().map(|d| d.is_lost()).collect()
-    }
-}
-
-/// The task-level event constructor (run-level:
-/// [`LifecycleEvent::run_level`]), stamped now. Out of line, so every
-/// [`ExecInner::emit_task`] site stays a gate check when nobody listens.
-#[inline(never)]
-fn task_event(
-    topo: &Topology,
-    phase: LifecyclePhase,
-    node: usize,
-    worker: Option<u32>,
-    chain: Option<u32>,
-    ok: bool,
-    detail: Option<&HfError>,
-) -> LifecycleEvent {
-    let nd = &topo.frozen.nodes[node];
-    LifecycleEvent {
-        run_id: topo.run_id,
-        graph: Arc::clone(&topo.frozen.name),
-        phase,
-        task: Some(node as u32),
-        name: Arc::clone(&nd.name),
-        kind: Some(nd.work.kind()),
-        device: topo.plan.placement().device_of[node],
-        worker,
-        chain,
-        bytes: topo.frozen.bytes_of(node) as u64,
-        ok,
-        detail: detail.map(|e| Arc::from(e.to_string())),
-        epoch: topo.ctx.epoch,
-        tenant: topo.ctx.tenant.clone(),
-        t_ns: lifecycle_now_ns(),
     }
 }
 
@@ -470,15 +464,7 @@ impl Executor {
 
     /// Runs the graph `n` times (rounds execute back-to-back).
     pub fn run_n(&self, hf: &Heteroflow, n: usize) -> RunFuture {
-        let mut remaining = n;
-        self.run_until(hf, move || {
-            if remaining == 0 {
-                true
-            } else {
-                remaining -= 1;
-                false
-            }
-        })
+        self.run_until(hf, crate::stream::stop_after(n))
     }
 
     /// Runs the graph repeatedly until `stop` returns `true` (checked
@@ -566,7 +552,7 @@ impl ExecInner {
     /// completes it at once when there is nothing to run (the epoch was
     /// cancelled while it waited for admission, or the graph is empty).
     pub(crate) fn start_topology(&self, topo: Arc<Topology>) {
-        if topo.cancel_requested() || topo.frozen.nodes.is_empty() {
+        if topo.stopped() || topo.frozen.nodes.is_empty() {
             self.finish_topology(topo);
         } else {
             self.schedule_sources(&topo);

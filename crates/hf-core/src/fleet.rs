@@ -34,7 +34,7 @@ use crate::admission::{AdmissionPolicy, Fifo, LaneView, TenantConfig, TenantId};
 use crate::error::HfError;
 use crate::executor::Executor;
 use crate::graph::Heteroflow;
-use crate::stream::run_until;
+use crate::stream::{run_until, stop_after};
 use crate::topology::{Completion, RunFuture};
 use hf_sync::atomic::Ordering;
 use hf_sync::sync::{Condvar, Mutex};
@@ -561,15 +561,7 @@ impl FleetInner {
         let me = Arc::clone(self);
         let li = l.lane;
         let retry_unit = l.retry_unit_ns;
-        let mut remaining = l.rounds;
-        let stop = Box::new(move || {
-            if remaining == 0 {
-                true
-            } else {
-                remaining -= 1;
-                false
-            }
-        });
+        let stop = Box::new(stop_after(l.rounds));
         // The returned future shares the caller's completion core; the
         // caller's RunFuture is the live handle, so this one is dropped.
         drop(run_until(

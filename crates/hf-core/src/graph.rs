@@ -18,23 +18,27 @@ use crate::dispatch::PullState;
 use crate::error::HfError;
 use crate::task::{HostTask, KernelTask, PullTask, PushTask, TaskRef};
 use hf_gpu::{CostModel, KernelFn, LaunchConfig};
+#[cfg(debug_assertions)]
+use hf_sync::atomic::{AtomicBool, Ordering};
 use hf_sync::sync::Mutex;
+use std::cell::UnsafeCell;
 use std::fmt;
 use std::sync::Arc;
 
-/// The four task categories of the Heteroflow programming model.
+/// The four task categories of the Heteroflow programming model. The
+/// discriminant is the kind's tag on a device op's label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// Runs a callable on a CPU core.
-    Host,
+    Host = 0,
     /// Copies data from the host to a GPU (H2D).
-    Pull,
+    Pull = 1,
     /// Copies data from a GPU back to the host (D2H).
-    Push,
+    Push = 2,
     /// Offloads computation to a GPU.
-    Kernel,
+    Kernel = 3,
     /// A placeholder not yet assigned work.
-    Placeholder,
+    Placeholder = 4,
 }
 
 impl fmt::Display for TaskKind {
@@ -50,12 +54,68 @@ impl fmt::Display for TaskKind {
     }
 }
 
-/// Shareable host-task callable: reference counts, lock and closure in
-/// one allocation.
-pub(crate) type HostFn = Arc<Mutex<dyn FnMut() + Send>>;
+/// Shareable host-task callable: reference counts and closure in one
+/// allocation, called without a lock (see [`HostCell`]).
+pub(crate) type HostFn = Arc<HostCell<dyn FnMut() + Send>>;
+
+/// A host task's closure, which the worker calls through a shared
+/// reference: the scheduler already admits one caller at a time. Debug
+/// builds check that with the `entered` flag.
+pub(crate) struct HostCell<F: ?Sized> {
+    #[cfg(debug_assertions)]
+    entered: AtomicBool,
+    f: UnsafeCell<F>,
+}
+
+// SAFETY: `entered` is atomic; `call` lends `&mut F` through `&self`: sound while no two
+// calls of one cell overlap and each happens after the last returned (then `F: Send`
+// suffices, as for `Mutex<F>`). The executor keeps that one-caller invariant:
+// - a pass enters each node once: its join counter reaches zero once (`finish_node`), and
+//   a retry re-queues a node only after the failed attempt returned (`fail_task`);
+// - passes of one graph never enter the same node at once: one run holds the graph's claim
+//   at a time (`claim`, `stream.rs`); at depth >= 2, epoch N+1's prologue starts after
+//   epoch N's prologue drained and its body after epoch N completed (`EpochDriver::pump`);
+//   a failover replay starts after the old pass drained (`end_round`);
+// - a re-freeze, which shares the closures, is refused while a run holds the claim
+//   (`GraphBusy`). Each hand-off is an acquire/release edge, so the calls are ordered.
+unsafe impl<F: ?Sized + Send> Sync for HostCell<F> {}
+
+/// Wraps `f` as a host task's callable.
+pub(crate) fn host_fn(f: impl FnMut() + Send + 'static) -> HostFn {
+    Arc::new(HostCell {
+        #[cfg(debug_assertions)]
+        entered: AtomicBool::new(false),
+        f: UnsafeCell::new(f),
+    })
+}
+
+impl HostCell<dyn FnMut() + Send> {
+    /// Runs the closure, catching a panic. In debug builds a second caller
+    /// entering before the first returned panics with `task`'s name.
+    ///
+    /// # Safety
+    /// No other call of this cell may be running, and the last one must
+    /// happen before this one (the invariant on `HostCell`'s `Sync`).
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    pub(crate) unsafe fn call(&self, task: &str) -> std::thread::Result<()> {
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            #[cfg(debug_assertions)]
+            let twice = self.entered.swap(true, Ordering::Acquire);
+            #[cfg(debug_assertions)]
+            assert!(!twice, "host task '{task}' entered by two callers at once");
+            // SAFETY: the caller's contract makes this the one live
+            // reference to the closure.
+            unsafe { (*self.f.get())() }
+        }));
+        #[cfg(debug_assertions)]
+        self.entered.store(false, Ordering::Release);
+        res
+    }
+}
 
 /// Work payload of a node (builder and frozen forms share it; closures are
 /// behind `Arc` so freezing clones cheaply).
+#[derive(Clone)]
 pub(crate) enum Work {
     Empty,
     Host(HostFn),
@@ -80,24 +140,6 @@ impl Work {
             Work::Pull { .. } => TaskKind::Pull,
             Work::Push { .. } => TaskKind::Push,
             Work::Kernel { .. } => TaskKind::Kernel,
-        }
-    }
-
-    fn clone_payload(&self) -> Work {
-        match self {
-            Work::Empty => Work::Empty,
-            Work::Host(f) => Work::Host(Arc::clone(f)),
-            Work::Pull { source } => Work::Pull {
-                source: Arc::clone(source),
-            },
-            Work::Push { source_pull, sink } => Work::Push {
-                source_pull: *source_pull,
-                sink: Arc::clone(sink),
-            },
-            Work::Kernel { func, sources } => Work::Kernel {
-                func: Arc::clone(func),
-                sources: Arc::clone(sources),
-            },
         }
     }
 }
@@ -474,11 +516,7 @@ impl Heteroflow {
     where
         F: FnMut() + Send + 'static,
     {
-        let id = self
-            .shared
-            .builder
-            .lock()
-            .add(name, Work::Host(Arc::new(Mutex::new(f))));
+        let id = self.shared.builder.lock().add(name, Work::Host(host_fn(f)));
         HostTask(self.task_ref(id))
     }
 
@@ -631,7 +669,7 @@ impl Heteroflow {
             }
             nodes.push(FrozenNode {
                 name: Arc::clone(&n.name),
-                work: n.work.clone_payload(),
+                work: n.work.clone(),
                 succ_at: index(succ.len()),
                 succ_len: index(n.succ.len()),
                 num_deps: index(n.pred.len()),

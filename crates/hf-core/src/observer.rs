@@ -147,17 +147,8 @@ impl TraceSpan {
     }
 }
 
-/// Packs a task kind into the opaque device-op tag and back.
-pub(crate) fn kind_to_tag(kind: TaskKind) -> u32 {
-    match kind {
-        TaskKind::Host => 0,
-        TaskKind::Pull => 1,
-        TaskKind::Push => 2,
-        TaskKind::Kernel => 3,
-        TaskKind::Placeholder => 4,
-    }
-}
-
+/// Unpacks the opaque device-op tag, a task kind's discriminant
+/// (`kind as u32`, set in `dispatch::submit`).
 fn kind_from_tag(tag: u32) -> TaskKind {
     match tag {
         0 => TaskKind::Host,

@@ -7,6 +7,8 @@ use crate::registry::{pack, Token};
 use crate::topology::Topology;
 use crate::worker::Local;
 use hf_sync::atomic::Ordering;
+use std::mem::{take, MaybeUninit};
+use std::slice;
 use std::sync::Arc;
 
 /// Chunk size of a [`ReadyBatch`]: one injector spray, one wakeup.
@@ -22,9 +24,10 @@ pub(crate) struct ReadyBatch<'a, 'w> {
     topo: &'a Topology,
     slot: u32,
     local: Option<&'a mut Local<'w>>,
-    buf: [Token; RELEASE_BATCH],
+    /// Host tokens; only `buf[..len]` is written (`dev`: GPU heads).
+    buf: [MaybeUninit<Token>; RELEASE_BATCH],
     len: usize,
-    dev: [Token; RELEASE_BATCH],
+    dev: [MaybeUninit<Token>; RELEASE_BATCH],
     dev_len: usize,
 }
 
@@ -39,9 +42,9 @@ impl<'a, 'w> ReadyBatch<'a, 'w> {
             topo,
             slot: topo.slot.load(Ordering::Relaxed),
             local,
-            buf: [0; RELEASE_BATCH],
+            buf: [MaybeUninit::uninit(); RELEASE_BATCH],
             len: 0,
-            dev: [0; RELEASE_BATCH],
+            dev: [MaybeUninit::uninit(); RELEASE_BATCH],
             dev_len: 0,
         }
     }
@@ -49,15 +52,9 @@ impl<'a, 'w> ReadyBatch<'a, 'w> {
     /// Makes `node` runnable along `route` (a retried `Fused` member: GPU).
     pub(crate) fn push(&mut self, node: usize, route: Route) {
         // `Ready` fires before the token is stealable *or run*.
-        self.exec.emit_task(
-            self.topo,
-            LifecyclePhase::Ready,
-            node,
-            None,
-            None,
-            true,
-            None,
-        );
+        let phase = LifecyclePhase::Ready;
+        self.exec
+            .emit_task(self.topo, phase, node, None, None, true, None);
         let token = pack(self.slot, node);
         if let Some(local) = self.local.as_deref_mut().filter(|l| l.next.is_none()) {
             local.next = Some(token);
@@ -67,10 +64,10 @@ impl<'a, 'w> ReadyBatch<'a, 'w> {
             self.flush();
         }
         if route == Route::Host {
-            self.buf[self.len] = token;
+            self.buf[self.len].write(token);
             self.len += 1;
         } else {
-            self.dev[self.dev_len] = token;
+            self.dev[self.dev_len].write(token);
             self.dev_len += 1;
         }
     }
@@ -79,8 +76,11 @@ impl<'a, 'w> ReadyBatch<'a, 'w> {
     /// queue, one wakeup for all (DESIGN.md "Device work first"); host tasks
     /// to the lending worker's deque (the first) and the injector, one each.
     fn flush(&mut self) {
-        let tokens = &self.buf[..std::mem::take(&mut self.len)];
-        let devs = &self.dev[..std::mem::take(&mut self.dev_len)];
+        let (len, dev_len) = (take(&mut self.len), take(&mut self.dev_len));
+        // SAFETY: `push` wrote `buf[..len]` and `dev[..dev_len]`, and a
+        // `MaybeUninit<Token>` has `Token`'s layout.
+        let tokens = unsafe { slice::from_raw_parts(self.buf.as_ptr().cast::<Token>(), len) };
+        let devs = unsafe { slice::from_raw_parts(self.dev.as_ptr().cast::<Token>(), dev_len) };
         let wakeups = tokens.len() + usize::from(!devs.is_empty());
         if wakeups == 0 {
             return;
@@ -166,8 +166,7 @@ impl ExecInner {
     /// epoch finishes with this pass.
     fn end_round(&self, topo: &Arc<Topology>, local: Option<&mut Local<'_>>) {
         if topo.failover_pending.load(Ordering::Acquire)
-            && !topo.cancelled.load(Ordering::Acquire)
-            && !topo.cancel_requested()
+            && !topo.stopped()
             && self.try_failover(topo, local)
         {
             return;
@@ -188,16 +187,9 @@ impl ExecInner {
         ok: bool,
         mut local: Option<&mut Local<'_>>,
     ) {
+        let phase = LifecyclePhase::Finished;
         for node in nodes {
-            self.emit_task(
-                topo,
-                LifecyclePhase::Finished,
-                node,
-                worker,
-                chain,
-                ok,
-                None,
-            );
+            self.emit_task(topo, phase, node, worker, chain, ok, None);
             self.finish_node(topo, node, ok, local.as_deref_mut());
         }
     }

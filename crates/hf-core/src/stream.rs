@@ -591,6 +591,15 @@ impl EpochDriver {
 
 // --- Client: run / run_n / run_until ---------------------------------------
 
+/// The `run_until` predicate of `run_n`: stops after `n` rounds.
+pub(crate) fn stop_after(mut n: usize) -> impl FnMut() -> bool + Send + 'static {
+    move || {
+        let stop = n == 0;
+        n = n.saturating_sub(1);
+        stop
+    }
+}
+
 /// `run_until`, and through it `run`/`run_n` and [`crate::Fleet`]
 /// dispatch (which passes its pre-allocated `core`, its `tenant` and its
 /// accounting hook): a depth-1 run that enqueues one epoch per round.

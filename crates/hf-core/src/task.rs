@@ -6,9 +6,8 @@
 //! users refine task attributes (kernel launch shapes) and add dependency
 //! links, while hiding the internal graph storage.
 
-use crate::graph::{GraphShared, TaskKind, Work};
+use crate::graph::{host_fn, GraphShared, TaskKind, Work};
 use hf_gpu::GridDim;
-use hf_sync::sync::Mutex;
 use std::sync::Arc;
 
 /// An untyped handle to a graph node. The typed handles ([`HostTask`],
@@ -122,7 +121,7 @@ impl TaskRef {
             "task '{}' already has work assigned",
             node.name
         );
-        node.work = Work::Host(Arc::new(Mutex::new(f)));
+        node.work = Work::Host(host_fn(f));
         b.touch();
         self
     }

@@ -453,9 +453,9 @@ impl Topology {
         }
     }
 
-    /// True once the caller requested cancellation.
-    pub(crate) fn cancel_requested(&self) -> bool {
-        self.cancel.load(Ordering::Acquire)
+    /// True once the pass failed or the caller requested cancellation.
+    pub(crate) fn stopped(&self) -> bool {
+        self.cancelled.load(Ordering::Acquire) || self.cancel.load(Ordering::Acquire)
     }
 
     /// Records a device-loss failover request; the first cause wins.
@@ -480,7 +480,8 @@ impl Topology {
     pub(crate) fn result(&self) -> Result<(), HfError> {
         match self.error.lock().clone() {
             Some(e) => Err(e),
-            None if self.cancel_requested() => Err(HfError::Cancelled),
+            // Unset `error` means `cancelled` is unset: only a cancel stops the pass.
+            None if self.stopped() => Err(HfError::Cancelled),
             None => Ok(()),
         }
     }

@@ -236,24 +236,15 @@ impl Worker {
         };
         let topo = &cx.topo;
 
-        let worker = Some(self.id as u32);
-        self.inner.emit_task(
-            topo,
-            LifecyclePhase::Started,
-            node,
-            worker,
-            None,
-            true,
-            None,
-        );
+        let (worker, phase) = (Some(self.id as u32), LifecyclePhase::Started);
+        self.inner
+            .emit_task(topo, phase, node, worker, None, true, None);
 
         // Bodies are skipped (but the round still drains) when the run
         // failed, the caller cancelled, or a failover is pending — the
         // last keeps successors of a dead device's tasks from consuming
         // half-failed state; skipped nodes replay after the failover.
-        let skip = topo.cancelled.load(Ordering::Acquire)
-            || topo.cancel_requested()
-            || topo.failover_pending.load(Ordering::Acquire);
+        let skip = topo.stopped() || topo.failover_pending.load(Ordering::Acquire);
         // Counted before `invoke`: an async GPU chain can complete, and
         // resolve the run's future, before `invoke` returns, and a
         // snapshot taken right after `wait()` must already include it.
@@ -295,11 +286,14 @@ impl Worker {
             Work::Empty => Err(HfError::EmptyTask {
                 task: node.name.to_string(),
             }),
+            // SAFETY: this worker is the node's one caller (see the
+            // invariant on `HostCell`'s `Sync` in `graph.rs`).
             Work::Host(f) => {
-                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (f.lock())()));
-                res.map(|_| false).map_err(|_| HfError::TaskPanicked {
-                    task: node.name.to_string(),
-                })
+                unsafe { f.call(&node.name) }
+                    .map(|_| false)
+                    .map_err(|_| HfError::TaskPanicked {
+                        task: node.name.to_string(),
+                    })
             }
             Work::Pull { .. } | Work::Push { .. } | Work::Kernel { .. } => {
                 dispatch::submit(&self.inner, &mut self.streams, self.id, &cx.topo, id)?;

@@ -3,8 +3,8 @@
 //! or, with the `loom` feature, over the in-repo loom shim's types, so
 //! that locking and waiting inside a model are scheduling points of the
 //! checker (the switch [`crate::atomic`] makes for atomics). A poisoned
-//! lock is recovered: a host task's body runs under its own `Mutex` inside
-//! `catch_unwind`, and its graph must still run again.
+//! lock is recovered: a host task's body may panic while it holds one (a
+//! `HostVec`'s write lock, say), and its graph must still run again.
 
 use std::sync::PoisonError;
 
