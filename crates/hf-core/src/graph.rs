@@ -74,8 +74,9 @@ pub(crate) struct HostCell<F: ?Sized> {
 //   a retry re-queues a node only after the failed attempt returned (`fail_task`);
 // - passes of one graph never enter the same node at once: one run holds the graph's claim
 //   at a time (`claim`, `stream.rs`); at depth >= 2, epoch N+1's prologue starts after
-//   epoch N's prologue drained and its body after epoch N completed (`EpochDriver::pump`);
-//   a failover replay starts after the old pass drained (`end_round`);
+//   epoch N's prologue completed and its body after epoch N completed (`EpochDriver::pump`);
+//   a failover replay starts after the old pass drained (`end_round`), and a prologue node
+//   that replays never completed in that pass, so it held epoch N+1 back (`finish_node`);
 // - a re-freeze, which shares the closures, is refused while a run holds the claim
 //   (`GraphBusy`). Each hand-off is an acquire/release edge, so the calls are ordered.
 unsafe impl<F: ?Sized + Send> Sync for HostCell<F> {}
@@ -91,21 +92,25 @@ pub(crate) fn host_fn(f: impl FnMut() + Send + 'static) -> HostFn {
 
 impl HostCell<dyn FnMut() + Send> {
     /// Runs the closure, catching a panic. In debug builds a second caller
-    /// entering before the first returned panics with `task`'s name.
+    /// entering before the first returned aborts the process, naming
+    /// `task`: outside `catch_unwind`, so no retry policy can swallow it.
     ///
     /// # Safety
     /// No other call of this cell may be running, and the last one must
     /// happen before this one (the invariant on `HostCell`'s `Sync`).
     #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     pub(crate) unsafe fn call(&self, task: &str) -> std::thread::Result<()> {
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            #[cfg(debug_assertions)]
-            let twice = self.entered.swap(true, Ordering::Acquire);
-            #[cfg(debug_assertions)]
-            assert!(!twice, "host task '{task}' entered by two callers at once");
-            // SAFETY: the caller's contract makes this the one live
-            // reference to the closure.
-            unsafe { (*self.f.get())() }
+        #[cfg(debug_assertions)]
+        if self.entered.swap(true, Ordering::Acquire) {
+            // Straight to stderr: a test harness's capture dies with the process.
+            let msg = format!("host task '{task}' entered by two callers at once\n");
+            std::io::Write::write_all(&mut std::io::stderr(), msg.as_bytes()).ok();
+            std::process::abort();
+        }
+        // SAFETY: the caller's contract makes this the one live reference
+        // to the closure.
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
+            (*self.f.get())()
         }));
         #[cfg(debug_assertions)]
         self.entered.store(false, Ordering::Release);

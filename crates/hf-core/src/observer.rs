@@ -147,18 +147,6 @@ impl TraceSpan {
     }
 }
 
-/// Unpacks the opaque device-op tag, a task kind's discriminant
-/// (`kind as u32`, set in `dispatch::submit`).
-fn kind_from_tag(tag: u32) -> TaskKind {
-    match tag {
-        0 => TaskKind::Host,
-        1 => TaskKind::Pull,
-        2 => TaskKind::Push,
-        3 => TaskKind::Kernel,
-        _ => TaskKind::Placeholder,
-    }
-}
-
 /// A grow-only table of per-lane state: a read lock to record into a
 /// lane, the write lock only to add lanes (once per worker and device).
 struct LaneTable<T>(RwLock<Vec<Arc<T>>>);
@@ -377,32 +365,23 @@ impl GpuTraceSink for TraceCollector {
             return;
         }
         let epoch = ev.label.as_ref().and_then(|l| l.epoch);
-        let (name, cat, kind) = match (&ev.kind, &ev.label) {
-            (GpuOpKind::Exec, Some(label)) => (
-                label.name.to_string(),
-                SpanCat::Task,
-                kind_from_tag(label.tag),
-            ),
-            (GpuOpKind::Exec, None) => {
-                ("exec".to_string(), SpanCat::DeviceOp, TaskKind::Placeholder)
-            }
-            (GpuOpKind::HostFn, _) => (
-                "host_fn".to_string(),
-                SpanCat::Callback,
-                TaskKind::Placeholder,
-            ),
-            (GpuOpKind::EventRecord, _) => (
-                "event_record".to_string(),
-                SpanCat::DeviceOp,
-                TaskKind::Placeholder,
-            ),
-            (GpuOpKind::EventWait, _) => (
-                "event_wait".to_string(),
-                SpanCat::Wait,
-                TaskKind::Placeholder,
-            ),
-            (GpuOpKind::Alloc, _) => ("alloc".to_string(), SpanCat::Alloc, TaskKind::Placeholder),
-            (GpuOpKind::Free, _) => ("free".to_string(), SpanCat::Free, TaskKind::Placeholder),
+        // Only a labelled exec op is a task's span; the rest have no kind.
+        let (name, cat) = match (&ev.kind, &ev.label) {
+            (GpuOpKind::Exec, Some(label)) => (&*label.name, SpanCat::Task),
+            (GpuOpKind::Exec, None) => ("exec", SpanCat::DeviceOp),
+            (GpuOpKind::HostFn, _) => ("host_fn", SpanCat::Callback),
+            (GpuOpKind::EventRecord, _) => ("event_record", SpanCat::DeviceOp),
+            (GpuOpKind::EventWait, _) => ("event_wait", SpanCat::Wait),
+            (GpuOpKind::Alloc, _) => ("alloc", SpanCat::Alloc),
+            (GpuOpKind::Free, _) => ("free", SpanCat::Free),
+        };
+        // The tag is the task kind's discriminant (set in `dispatch::submit`).
+        let kind = match ev.label.as_ref().filter(|_| cat == SpanCat::Task) {
+            Some(label) if label.tag == TaskKind::Host as u32 => TaskKind::Host,
+            Some(label) if label.tag == TaskKind::Pull as u32 => TaskKind::Pull,
+            Some(label) if label.tag == TaskKind::Push as u32 => TaskKind::Push,
+            Some(label) if label.tag == TaskKind::Kernel as u32 => TaskKind::Kernel,
+            _ => TaskKind::Placeholder,
         };
         let start_us = self.us_since_epoch(ev.start);
         let end_us = self.us_since_epoch(ev.end);
@@ -411,7 +390,7 @@ impl GpuTraceSink for TraceCollector {
         });
         lane.ring.push(TraceSpan {
             track: Track::Device(ev.device),
-            name,
+            name: name.to_string(),
             cat,
             kind,
             device: Some(ev.device),

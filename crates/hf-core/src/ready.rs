@@ -52,9 +52,15 @@ impl<'a, 'w> ReadyBatch<'a, 'w> {
     /// Makes `node` runnable along `route` (a retried `Fused` member: GPU).
     pub(crate) fn push(&mut self, node: usize, route: Route) {
         // `Ready` fires before the token is stealable *or run*.
-        let phase = LifecyclePhase::Ready;
-        self.exec
-            .emit_task(self.topo, phase, node, None, None, true, None);
+        self.exec.emit_task(
+            self.topo,
+            LifecyclePhase::Ready,
+            node,
+            None,
+            None,
+            true,
+            None,
+        );
         let token = pack(self.slot, node);
         if let Some(local) = self.local.as_deref_mut().filter(|l| l.next.is_none()) {
             local.next = Some(token);
@@ -145,11 +151,13 @@ impl ExecInner {
             }
         }
         // Streaming admission: when the last prologue node (host tasks and
-        // pulls) of an epoch drains, fire the session's hook so the next
+        // pulls) of an epoch completes, fire the session's hook so the next
         // epoch's input mutation and H2D transfers can start while this
-        // epoch's body still occupies the devices.
+        // epoch's body still occupies the devices. A node that did not
+        // complete replays in a failover pass or fails the epoch, so it
+        // holds the hook back: the epoch's end admits the next instead.
         if let Some(p) = &topo.ctx.prologue {
-            if !p.is_body[node] && p.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            if ok && !p.is_body[node] && p.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
                 if let Some(hook) = p.hook.lock().take() {
                     hook();
                 }
@@ -187,9 +195,16 @@ impl ExecInner {
         ok: bool,
         mut local: Option<&mut Local<'_>>,
     ) {
-        let phase = LifecyclePhase::Finished;
         for node in nodes {
-            self.emit_task(topo, phase, node, worker, chain, ok, None);
+            self.emit_task(
+                topo,
+                LifecyclePhase::Finished,
+                node,
+                worker,
+                chain,
+                ok,
+                None,
+            );
             self.finish_node(topo, node, ok, local.as_deref_mut());
         }
     }

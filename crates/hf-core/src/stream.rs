@@ -733,7 +733,10 @@ impl Session {
                 }
                 st = run.cv.wait(st);
             }
-            let core = Completion::new_epoch(run.core.run_id(), st.next_epoch);
+            let core = Completion {
+                epoch: Some(st.next_epoch),
+                ..Completion::new(run.core.run_id())
+            };
             let promise = Arc::clone(&core.promise);
             let settle: EpochThen = Box::new(move |_, result| promise.complete(result));
             run.enqueue(&mut st, core.clone(), mutator, settle);

@@ -142,14 +142,6 @@ impl Completion {
         }
     }
 
-    /// A fresh, incomplete core for one streaming epoch.
-    pub(crate) fn new_epoch(run_id: u64, epoch: u64) -> Self {
-        Self {
-            epoch: Some(epoch),
-            ..Self::new(run_id)
-        }
-    }
-
     /// An already-completed core (empty graphs, rejected submissions).
     /// Carries run id `0`: such futures never execute and never emit
     /// lifecycle events.
@@ -251,9 +243,10 @@ pub(crate) struct PrologueTrack {
     /// False for prologue members (host tasks / pulls not downstream of
     /// a kernel or push).
     pub(crate) is_body: Arc<Vec<bool>>,
-    /// Prologue nodes not yet finished this pass.
+    /// Prologue nodes not yet completed this pass.
     pub(crate) pending: AtomicUsize,
-    /// Fired exactly once when `pending` reaches zero.
+    /// Fired once when `pending` reaches zero; never when a prologue node
+    /// was skipped or failed (the epoch's end then admits the next).
     pub(crate) hook: Mutex<Option<Box<dyn FnOnce() + Send>>>,
 }
 
@@ -358,7 +351,9 @@ impl Topology {
     /// submission — run id, epoch, cancel flag, residency ring, input
     /// guard, tenant, and the failover and retry counts so far — and takes
     /// `old`'s finish hook with it. It has no gate and no prologue track:
-    /// `old` drained, so its gate had opened and its prologue hook fired.
+    /// `old` drained, so its gate had opened, and a prologue node that
+    /// replays held `old`'s prologue hook back (the epoch's end admits
+    /// the next epoch).
     pub(crate) fn replay(old: &Topology, plan: Arc<Plan>, done: &[bool]) -> Arc<Self> {
         let ctx = EpochCtx {
             epoch: old.ctx.epoch,
@@ -460,19 +455,13 @@ impl Topology {
 
     /// Records a device-loss failover request; the first cause wins.
     pub(crate) fn request_failover(&self, cause: HfError) {
-        let mut f = self.failover.lock();
-        if f.is_none() {
-            *f = Some(cause);
-        }
+        self.failover.lock().get_or_insert(cause);
         self.failover_pending.store(true, Ordering::Release);
     }
 
     /// Records the first error and cancels remaining bodies.
     pub(crate) fn fail(&self, e: HfError) {
-        let mut slot = self.error.lock();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
+        self.error.lock().get_or_insert(e);
         self.cancelled.store(true, Ordering::Release);
     }
 

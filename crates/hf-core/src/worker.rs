@@ -236,9 +236,16 @@ impl Worker {
         };
         let topo = &cx.topo;
 
-        let (worker, phase) = (Some(self.id as u32), LifecyclePhase::Started);
-        self.inner
-            .emit_task(topo, phase, node, worker, None, true, None);
+        let worker = Some(self.id as u32);
+        self.inner.emit_task(
+            topo,
+            LifecyclePhase::Started,
+            node,
+            worker,
+            None,
+            true,
+            None,
+        );
 
         // Bodies are skipped (but the round still drains) when the run
         // failed, the caller cancelled, or a failover is pending — the

@@ -3,11 +3,13 @@
 //! graph must enter each of its host tasks exactly once. Every body here
 //! records its own entries and overlaps, under every way a graph's passes
 //! can run close together: concurrent clients, pipelined session epochs,
-//! fleet tenants sharing a graph, and a retried panic.
+//! a failover replay beside the next epoch, fleet tenants sharing a graph,
+//! and a retried panic.
 
 use heteroflow::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// What one host task's body saw: how often it ran, and how often it was
 /// entered while another call of it was still running.
@@ -22,12 +24,20 @@ impl Probe {
     /// Enters, lingers long enough that a second caller would overlap,
     /// then `during` (which may panic), then leaves.
     fn visit(&self, during: impl FnOnce(usize)) {
+        self.visit_for(Duration::ZERO, during);
+    }
+
+    /// `visit`, lingering `linger` longer.
+    fn visit_for(&self, linger: Duration, during: impl FnOnce(usize)) {
         if self.busy.swap(true, Ordering::SeqCst) {
             self.overlaps.fetch_add(1, Ordering::SeqCst);
         }
         let run = self.runs.fetch_add(1, Ordering::SeqCst);
         for _ in 0..8 {
             std::thread::yield_now();
+        }
+        if !linger.is_zero() {
+            std::thread::sleep(linger);
         }
         self.busy.store(false, Ordering::SeqCst);
         during(run);
@@ -100,6 +110,58 @@ fn pipelined_epochs_never_overlap_a_body() {
     session.close();
     prologue.assert_ran("prologue host task", 50);
     body.assert_ran("body host task", 50);
+}
+
+/// A host task that sleeps on the runs `sleepy` picks.
+fn sleeper(g: &Heteroflow, name: &str, sleepy: fn(usize) -> bool) -> HostTask {
+    let runs = AtomicUsize::new(0);
+    g.host(name, move || {
+        if sleepy(runs.fetch_add(1, Ordering::SeqCst)) {
+            std::thread::sleep(Duration::from_millis(40));
+        }
+    })
+}
+
+#[test]
+fn a_failover_replay_never_overlaps_the_next_epoch() {
+    // Epoch 0: the pull placed on device 0 fails at once (device lost),
+    // and `held` starts after that, behind `slow`, so it is skipped and
+    // replays once the pass drains. Epoch 1's `held` starts at once, while
+    // its pulls wait behind `late`. Were epoch 1 admitted on epoch 0's
+    // skipped prologue, the two calls of `held` would overlap.
+    let ex = Executor::new(4, 2);
+    ex.gpu_runtime()
+        .set_fault_plan(Some(FaultPlan::seeded(7).lose_device(0, 0)));
+    let g = Heteroflow::new("failover");
+    let late = sleeper(&g, "late", |run| run > 0);
+    let slow = sleeper(&g, "slow", |run| run == 0);
+    let probe = Arc::new(Probe::default());
+    let p = Arc::clone(&probe);
+    let held = g.host("held", move || {
+        p.visit_for(Duration::from_millis(40), |_| {})
+    });
+    slow.precede(&held);
+    let xs: Vec<HostVec<i32>> = (0..2).map(|_| HostVec::from_vec(vec![1; 64])).collect();
+    for (i, x) in xs.iter().enumerate() {
+        let pull = g.pull(&format!("pull{i}"), x);
+        let kernel = g.kernel(&format!("touch{i}"), &[&pull], |_, args| {
+            args.slice_mut::<i32>(0).expect("pulled")[0] += 1;
+        });
+        kernel.cover(1, 1);
+        late.precede(&pull);
+        pull.precede(&kernel);
+    }
+    let session = ex
+        .run_stream_with(&g, StreamConfig { depth: 2 })
+        .expect("opens");
+    let epochs: Vec<_> = (0..2).map(|_| session.submit()).collect();
+    for e in epochs {
+        let done = e.wait_timeout(Duration::from_secs(10));
+        assert_eq!(done.expect("epoch hung"), Ok(()));
+    }
+    session.close();
+    probe.assert_ran("replayed prologue host task", 2);
+    assert_eq!(ex.snapshot().devices_lost, 1);
 }
 
 #[test]
