@@ -239,24 +239,13 @@ mod tests {
     }
 
     #[test]
-    fn too_large_rejected() {
+    fn too_large_rejected_zero_size_min_block_double_free_rejected() {
         let mut b = BuddyAllocator::new(256, 64);
         assert!(b.alloc(512).is_err());
-    }
-
-    #[test]
-    fn double_free_rejected() {
-        let mut b = BuddyAllocator::new(256, 64);
-        let o = b.alloc(64).unwrap();
-        b.free(o).unwrap();
-        assert_eq!(b.free(o), Err(GpuError::InvalidFree(o)));
-    }
-
-    #[test]
-    fn zero_size_gets_min_block() {
-        let mut b = BuddyAllocator::new(256, 64);
         let o = b.alloc(0).unwrap();
         assert_eq!(b.allocation_size(o), Some(64));
+        b.free(o).unwrap();
+        assert_eq!(b.free(o), Err(GpuError::InvalidFree(o)));
     }
 
     #[test]

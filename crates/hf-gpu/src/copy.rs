@@ -1,27 +1,43 @@
 //! Host↔device byte copies, on two cores when they are large.
 //!
 //! A device's engine thread runs its ops one at a time (crate docs), so a
-//! pull or push of many MiB would move through one core's `memcpy` while
+//! pull or push would move through one core's `memcpy` while
 //! another core idles. [`copy_bytes`] splits every copy of at least
 //! [`SPLIT`] bytes in two: the calling thread copies the lower half and
 //! one persistent helper thread per process, `hf-gpu-copy`, copies the
 //! upper half, standing in for the DMA engine that runs a real
 //! `cudaMemcpyAsync` beside the caller. The helper is claimed with one CAS
 //! and never queued for: a caller that finds it claimed (by another
-//! device's engine, say) copies everything itself.
+//! device's engine, say) copies everything itself, and a claimant whose
+//! helper has not started the upper half when the lower is done takes it
+//! back. Both sides spin for `SPIN` (50 µs) before they park, so the
+//! chunks of one pipelined pull reach a helper that is still awake: a
+//! hand-off is a cache line, not a condvar wake.
 
 use hf_sync::sync::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU8, AtomicUsize};
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 /// Copies of at least this many bytes are split with the helper.
 ///
-/// A half must outlast one wake of the parked helper for the split to
-/// pay: the ladder's `hf-sync.notifier_wake_us` rung (a condvar
-/// park/unpark) reads about 7 µs, and a 512 KiB half copies in about
-/// 50 µs at one core's 8-10 GiB/s. At this size `xfer_recopy` ran at 2.4x
-/// its single-core op rate (DESIGN.md "Data movement").
-pub const SPLIT: usize = 1 << 20;
+/// A half must outlast the hand-off to an awake helper (a cache line,
+/// well under 1 µs); a 32 KiB half copies in about 3-6 µs on one core.
+/// At 64 KiB the chunks of a pipelined pull split too (`stream_serving`'s
+/// are 64 KiB): 16 MiB in 64 KiB pieces went from 3.7-5.3 to 6.5-9.6 GiB/s
+/// on 2 cores. The same split with a helper that parks after every job
+/// gains nothing, since one condvar wake (`hf-sync.notifier_wake_us`,
+/// ≈ 7 µs) costs as much as the half.
+pub const SPLIT: usize = 1 << 16;
+
+/// How long the helper spins for its next job, and a claimant for the
+/// helper's half, before either parks on the condvar. Sized against a
+/// pipelined pull's chunk train on 2 cores: at 50 µs the helper parked
+/// about twice per 256-chunk `stream_serving` epoch, once the train had
+/// ended, and 200 µs parked it about once with no steady gain; an idle
+/// helper burns at most this much of a core after its last job.
+const SPIN: Duration = Duration::from_micros(50);
 
 /// The halves are cut at a cache-line boundary of `dst`, so the two cores
 /// never write the same line.
@@ -33,7 +49,7 @@ const LINE: usize = 64;
 pub fn copy_bytes(dst: &mut [u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "copy_bytes: lengths differ");
     if src.len() >= SPLIT {
-        if let Some(helper) = helper().filter(|h| h.claim()) {
+        if let Some(helper) = helper().filter(|h| h.cas(FREE, CLAIMED)) {
             return helper.split(dst, src);
         }
     }
@@ -57,43 +73,39 @@ fn helper() -> Option<&'static Helper> {
     })
 }
 
-/// The upper half of one split copy, as raw parts.
-struct Job {
-    dst: *mut u8,
-    src: *const u8,
-    len: usize,
-}
-
-// SAFETY: a `Job` points into slices borrowed by the `copy_bytes` call
-// that made it, which does not return, not even by unwinding, until the
-// helper has reported the job done (the `Pending` guard); meanwhile that
-// caller touches only the other half.
-unsafe impl Send for Job {}
-
-#[derive(Default)]
-struct Slot {
-    /// Posted by the claimant, taken by the helper.
-    job: Option<Job>,
-    /// Set by the helper when the taken job is copied.
-    done: bool,
-}
+// `Helper::state`, in the order one split copy moves it: a claimant takes
+// FREE to CLAIMED, posts the upper half (POSTED), and frees the slot once
+// the helper has copied it (BUSY, then DONE) or after it took the job back
+// (POSTED to CLAIMED) and copied it itself.
+const FREE: u8 = 0;
+const CLAIMED: u8 = 1;
+const POSTED: u8 = 2;
+const BUSY: u8 = 3;
+const DONE: u8 = 4;
 
 #[derive(Default)]
 struct Helper {
-    /// Held by the one caller the helper is serving.
-    claimed: AtomicBool,
-    slot: Mutex<Slot>,
-    /// At most one other party ever waits: the helper for a job, or the
-    /// claimant for `done`.
+    state: AtomicU8,
+    /// The posted upper half, written by the claimant before `POSTED` and
+    /// read by the helper once it has moved `POSTED` to `BUSY`.
+    dst: AtomicPtr<u8>,
+    src: AtomicPtr<u8>,
+    len: AtomicUsize,
+    /// Raised under `lock` by the side that sleeps on `cv`; the other side
+    /// notifies after a state change only when it reads its peer's flag
+    /// raised. Both are SeqCst with the state, so a wake is never lost.
+    helper_parked: AtomicBool,
+    claimant_parked: AtomicBool,
+    lock: Mutex<()>,
     cv: Condvar,
 }
 
 impl Helper {
-    /// Acquire pairs with the Release in `Pending::drop`; the slot itself
-    /// is published under its mutex.
-    fn claim(&self) -> bool {
-        self.claimed
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+    /// Moves the state from `from` to `to`, or fails if it is elsewhere.
+    /// Acquire pairs with the Release of the move it observes.
+    fn cas(&self, from: u8, to: u8) -> bool {
+        self.state
+            .compare_exchange(from, to, Acquire, Relaxed)
             .is_ok()
     }
 
@@ -103,51 +115,72 @@ impl Helper {
         let base = dst.as_ptr() as usize;
         let mid = ((base + src.len() / 2) & !(LINE - 1)) - base;
         let (lo, hi) = dst.split_at_mut(mid);
-        let job = Job {
-            dst: hi.as_mut_ptr(),
-            src: src[mid..].as_ptr(),
-            len: hi.len(),
-        };
-        *self.slot.lock() = Slot {
-            job: Some(job),
-            done: false,
-        };
+        self.dst.store(hi.as_mut_ptr(), Relaxed);
+        self.src.store(src[mid..].as_ptr().cast_mut(), Relaxed);
+        self.len.store(hi.len(), Relaxed);
         let _pending = Pending(self);
-        self.cv.notify_one();
+        self.set(POSTED, &self.helper_parked);
         lo.copy_from_slice(&src[..mid]);
+        if self.cas(POSTED, CLAIMED) {
+            hi.copy_from_slice(&src[mid..]); // the helper had not started
+        }
     }
 
     fn serve(&self) {
-        let mut slot = self.slot.lock();
         loop {
-            let Some(job) = slot.job.take() else {
-                slot = self.cv.wait(slot);
-                continue;
-            };
-            drop(slot);
-            // SAFETY: the claimant made `job` from two live, disjoint
-            // slices of `len` bytes and waits (`Pending`) until `done`.
-            unsafe { std::ptr::copy_nonoverlapping(job.src, job.dst, job.len) };
-            slot = self.slot.lock();
-            slot.done = true;
+            self.wait_for(&self.helper_parked, |s| s == POSTED);
+            if !self.cas(POSTED, BUSY) {
+                continue; // taken back
+            }
+            let (dst, src) = (self.dst.load(Relaxed), self.src.load(Relaxed));
+            // SAFETY: the claimant made the job from two live, disjoint
+            // slices of `len` bytes, and once the job is `BUSY` it waits
+            // (`Pending`) until `DONE` before it touches them again.
+            unsafe { std::ptr::copy_nonoverlapping(src, dst, self.len.load(Relaxed)) };
+            self.set(DONE, &self.claimant_parked);
+        }
+    }
+
+    /// Stores `state` and wakes the other side if it sleeps.
+    fn set(&self, state: u8, peer_parked: &AtomicBool) {
+        self.state.store(state, SeqCst);
+        if peer_parked.load(SeqCst) {
+            drop(self.lock.lock());
             self.cv.notify_one();
+        }
+    }
+
+    /// Returns once `ready(state)`: spins for [`SPIN`], then sleeps on `cv`
+    /// with `parked` raised.
+    fn wait_for(&self, parked: &AtomicBool, ready: impl Fn(u8) -> bool) {
+        let ready = || ready(self.state.load(SeqCst));
+        let start = Instant::now();
+        while !ready() {
+            if start.elapsed() < SPIN {
+                std::hint::spin_loop();
+                continue;
+            }
+            let mut guard = self.lock.lock();
+            parked.store(true, SeqCst);
+            while !ready() {
+                guard = self.cv.wait(guard);
+            }
+            parked.store(false, Relaxed);
         }
     }
 }
 
-/// Waits, when dropped, until the helper has copied the posted job, then
-/// releases the claim: the borrow of the job's slices ends here at the
-/// earliest, however `split` is left.
+/// Frees the slot when dropped, after taking the posted job back or
+/// waiting until the helper has copied it: the borrow of the job's slices
+/// ends here at the earliest, however `split` is left.
 struct Pending<'h>(&'h Helper);
 
 impl Drop for Pending<'_> {
     fn drop(&mut self) {
-        let mut slot = self.0.slot.lock();
-        while !slot.done {
-            slot = self.0.cv.wait(slot);
-        }
-        drop(slot);
-        self.0.claimed.store(false, Ordering::Release);
+        let helper = self.0;
+        helper.cas(POSTED, CLAIMED);
+        helper.wait_for(&helper.claimant_parked, |s| s != BUSY);
+        helper.state.store(FREE, Release);
     }
 }
 
@@ -179,6 +212,8 @@ mod tests {
         }
     }
 
+    /// Four threads race for the helper, each sleeping past [`SPIN`] before
+    /// every eighth copy: the hot hand-off and the parked wakes both run.
     #[test]
     fn concurrent_callers_all_exact() {
         let start = std::sync::Arc::new(std::sync::Barrier::new(4));
@@ -190,6 +225,9 @@ mod tests {
                     let src = pattern(SPLIT + (1 << 16), t + 1);
                     let mut rand = pattern(200, t + 100).into_iter().map(usize::from);
                     for i in 0..100 {
+                        if i % 8 == t as usize {
+                            std::thread::sleep(2 * SPIN);
+                        }
                         // Lengths from SPLIT - 16 KiB to SPLIT + 48 KiB, at
                         // odd offsets.
                         let n = SPLIT - (1 << 14) + (rand.next().unwrap() << 8) + i;
@@ -207,20 +245,37 @@ mod tests {
     }
 
     /// A caller that finds the helper claimed copies alone instead of
-    /// waiting for it: with the claim held here, this copy would otherwise
-    /// never return.
+    /// waiting for it; an idle helper parks, and a job posted to it then
+    /// wakes it (the helper copies it: the claimant never takes it back).
     #[test]
-    fn a_claimed_helper_is_not_waited_for() {
+    fn a_claimed_helper_is_not_waited_for_and_a_parked_one_wakes() {
         let Some(helper) = helper() else {
             return; // one core: every copy is inline anyway
         };
-        while !helper.claim() {
+        while !helper.cas(FREE, CLAIMED) {
             std::thread::yield_now(); // another test's copy holds it
         }
-        let src = pattern(SPLIT + 1, 7);
-        let mut dst = vec![0; SPLIT + 1];
-        copy_bytes(&mut dst, &src);
-        helper.claimed.store(false, Ordering::Release);
+        let (src, mut dst) = (pattern(SPLIT + 1, 7), vec![0; SPLIT + 1]);
+        copy_bytes(&mut dst, &src); // returns only because it does not wait
+        assert!(dst == src);
+        let since = Instant::now();
+        while !helper.helper_parked.load(SeqCst) {
+            assert!(since.elapsed().as_secs() < 10, "the helper never parked");
+            std::thread::sleep(SPIN);
+        }
+        dst.fill(0);
+        helper.dst.store(dst.as_mut_ptr(), Relaxed);
+        helper.src.store(src.as_ptr().cast_mut(), Relaxed);
+        helper.len.store(src.len(), Relaxed);
+        helper.set(POSTED, &helper.helper_parked);
+        while helper.state.load(SeqCst) != DONE {
+            assert!(
+                since.elapsed().as_secs() < 20,
+                "the parked helper never woke"
+            );
+            std::thread::sleep(SPIN);
+        }
+        helper.state.store(FREE, Release);
         assert!(dst == src);
     }
 

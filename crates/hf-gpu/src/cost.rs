@@ -129,15 +129,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn duration_conversions() {
+    fn duration_conversions_and_arithmetic() {
         assert_eq!(SimDuration::from_micros(3).as_nanos(), 3_000);
         assert_eq!(SimDuration::from_millis(2).as_nanos(), 2_000_000);
         let d = SimDuration::from_secs_f64(1.5);
         assert!((d.as_secs_f64() - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn duration_arithmetic() {
         let a = SimDuration::from_nanos(10);
         let b = SimDuration::from_nanos(5);
         assert_eq!(a + b, SimDuration::from_nanos(15));

@@ -46,9 +46,23 @@ pub(crate) struct StreamQueue {
     pub(crate) blocked_since: Option<Instant>,
 }
 
+/// A device's stream queues, and who sleeps on them: an enqueue notifies
+/// the engine only when it is `parked`, a completion notifies only when
+/// `syncing` callers wait. Both are read and written under the one lock,
+/// so no wake-up is lost.
+#[derive(Default)]
+struct Queues {
+    streams: Vec<StreamQueue>,
+    parked: bool,
+    syncing: usize,
+}
+
 pub(crate) struct EngineShared {
-    pub(crate) streams: Mutex<Vec<StreamQueue>>,
+    queues: Mutex<Queues>,
+    /// The engine's: work arrived (or shutdown).
     pub(crate) cv: Condvar,
+    /// `synchronize*` callers': an op completed.
+    drained: Condvar,
     pub(crate) shutdown: AtomicBool,
 }
 
@@ -104,8 +118,9 @@ impl Device {
             pool: MemoryPool::new(id, mem_capacity, min_block),
             cost,
             engine: Arc::new(EngineShared {
-                streams: Mutex::new(Vec::new()),
+                queues: Mutex::default(),
                 cv: Condvar::new(),
+                drained: Condvar::new(),
                 shutdown: AtomicBool::new(false),
             }),
             stats: DeviceStats::default(),
@@ -259,43 +274,42 @@ impl Device {
 
     /// Registers a new stream on this device; returns its index.
     pub(crate) fn register_stream(&self) -> usize {
-        let mut qs = self.inner.engine.streams.lock();
-        qs.push(StreamQueue::default());
-        qs.len() - 1
+        let streams = &mut self.inner.engine.queues.lock().streams;
+        streams.push(StreamQueue::default());
+        streams.len() - 1
     }
 
-    pub(crate) fn enqueue(&self, stream: usize, op: Op) {
+    pub(crate) fn enqueue(&self, op: Op) {
         let eng = &self.inner.engine;
-        {
-            let mut qs = eng.streams.lock();
-            let q = &mut qs[stream];
-            q.ops.push_back(op);
-            q.enqueued += 1;
+        let mut qs = eng.queues.lock();
+        let q = &mut qs.streams[op.stream];
+        q.ops.push_back(op);
+        q.enqueued += 1;
+        if std::mem::replace(&mut qs.parked, false) {
+            drop(qs);
+            eng.cv.notify_one();
         }
-        eng.cv.notify_all();
     }
 
     /// Blocks until stream `stream` has executed everything enqueued so far.
     pub(crate) fn synchronize_stream(&self, stream: usize) {
-        let eng = &self.inner.engine;
-        let mut qs = eng.streams.lock();
-        let target = qs[stream].enqueued;
-        while qs[stream].completed < target {
-            qs = eng.cv.wait(qs);
-        }
+        let target = self.inner.engine.queues.lock().streams[stream].enqueued;
+        self.wait_until(|qs| qs.streams[stream].completed >= target);
     }
 
     /// Blocks until every stream on this device has drained.
     pub fn synchronize(&self) {
+        self.wait_until(|qs| qs.streams.iter().all(|q| q.completed >= q.enqueued));
+    }
+
+    fn wait_until(&self, done: impl Fn(&Queues) -> bool) {
         let eng = &self.inner.engine;
-        let mut qs = eng.streams.lock();
-        loop {
-            let pending = qs.iter().any(|q| q.completed < q.enqueued);
-            if !pending {
-                return;
-            }
-            qs = eng.cv.wait(qs);
+        let mut qs = eng.queues.lock();
+        qs.syncing += 1;
+        while !done(&qs) {
+            qs = eng.drained.wait(qs);
         }
+        qs.syncing -= 1;
     }
 }
 
@@ -340,25 +354,21 @@ fn engine_loop(dev: Arc<DeviceInner>) {
         // blocked on an unfired event (the event-wait span start).
         let mut blocked_since: Option<Instant> = None;
         {
-            let mut qs = eng.streams.lock();
-            let n = qs.len();
+            let mut qs = eng.queues.lock();
+            let n = qs.streams.len();
             let mut any_pending = false;
             for k in 0..n {
                 let i = (next_start + k) % n;
-                let q = &mut qs[i];
-                match q.ops.front() {
-                    None => {}
-                    Some(head) => {
-                        any_pending = true;
-                        if head.is_runnable() {
-                            blocked_since = q.blocked_since.take();
-                            op = Some(q.ops.pop_front().expect("head exists"));
-                            next_start = (i + 1) % n.max(1);
-                            break;
-                        } else if tracing && q.blocked_since.is_none() {
-                            q.blocked_since = Some(Instant::now());
-                        }
-                    }
+                let q = &mut qs.streams[i];
+                let Some(head) = q.ops.front() else { continue };
+                any_pending = true;
+                if head.is_runnable() {
+                    blocked_since = q.blocked_since.take();
+                    op = Some(q.ops.pop_front().expect("head exists"));
+                    next_start = (i + 1) % n.max(1);
+                    break;
+                } else if tracing && q.blocked_since.is_none() {
+                    q.blocked_since = Some(Instant::now());
                 }
             }
             if op.is_none() {
@@ -368,7 +378,9 @@ fn engine_loop(dev: Arc<DeviceInner>) {
                 // Timed wait: an event this device is blocked on may be
                 // fired by another device's engine or by the host, which
                 // notifies no one here.
-                drop(eng.cv.wait_timeout(qs, Duration::from_micros(200)));
+                qs.parked = true;
+                let (mut qs, _) = eng.cv.wait_timeout(qs, Duration::from_micros(200));
+                qs.parked = false;
                 continue;
             }
         }
@@ -415,10 +427,12 @@ fn engine_loop(dev: Arc<DeviceInner>) {
             });
         }
 
-        let mut qs = eng.streams.lock();
-        qs[stream].completed += 1;
-        drop(qs);
-        eng.cv.notify_all();
+        let mut qs = eng.queues.lock();
+        qs.streams[stream].completed += 1;
+        if qs.syncing > 0 {
+            drop(qs);
+            eng.drained.notify_all();
+        }
     }
 }
 
@@ -530,5 +544,41 @@ mod tests {
             assert_eq!(current_device(), Some(1));
         }
         assert_eq!(current_device(), None);
+    }
+
+    /// Four threads enqueue on their own streams and a shared one and
+    /// synchronize a stream or the device at once. Every wait is bounded:
+    /// a lost completion wake fails the `recv_timeout` instead of hanging.
+    #[test]
+    fn concurrent_enqueue_and_synchronize_lose_no_wake() {
+        let rt = crate::GpuRuntime::new(1, Default::default());
+        let (dev, (tx, rx)) = (rt.device(0).unwrap(), std::sync::mpsc::channel());
+        let shared = crate::Stream::new(&dev);
+        for _ in 0..4 {
+            let (dev, shared, tx) = (dev.clone(), shared.clone(), tx.clone());
+            std::thread::spawn(move || {
+                let own = crate::Stream::new(&dev);
+                let done = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+                for i in 0..300 {
+                    let d = Arc::clone(&done);
+                    let s = [&own, &shared][i % 2];
+                    s.host_fn(move || _ = d[i % 2].fetch_add(1, Ordering::Relaxed));
+                    let ran = |k: usize| done[k].load(Ordering::Relaxed) as usize;
+                    if i % 3 == 0 {
+                        own.synchronize();
+                        assert_eq!(ran(0), i / 2 + 1);
+                    } else if i % 3 == 1 {
+                        dev.synchronize();
+                        assert_eq!(ran(0) + ran(1), i + 1);
+                    }
+                }
+                tx.send(()).unwrap();
+            });
+        }
+        drop(tx);
+        for _ in 0..4 {
+            rx.recv_timeout(Duration::from_secs(30))
+                .expect("lost wake or early return");
+        }
     }
 }

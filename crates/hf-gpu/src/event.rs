@@ -10,7 +10,7 @@ use hf_sync::sync::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Inner {
     /// Number of times the event has fired. A waiter waits for this to
     /// reach its captured target, so events are safely re-recordable
@@ -23,28 +23,15 @@ struct Inner {
 }
 
 /// A recordable, awaitable completion marker. Cheap to clone (Arc inside).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Event {
     inner: Arc<Inner>,
-}
-
-impl Default for Event {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Event {
     /// Creates an event that has never fired.
     pub fn new() -> Self {
-        Self {
-            inner: Arc::new(Inner {
-                fired: AtomicU64::new(0),
-                recorded: AtomicU64::new(0),
-                lock: Mutex::new(()),
-                cv: Condvar::new(),
-            }),
-        }
+        Self::default()
     }
 
     /// Called by a stream when the event is enqueued; returns the

@@ -47,25 +47,15 @@ impl FaultSite {
         FaultSite::Kernel,
     ];
 
+    /// The site's position in [`FaultSite::ALL`].
     pub(crate) fn index(self) -> usize {
-        match self {
-            FaultSite::Alloc => 0,
-            FaultSite::H2d => 1,
-            FaultSite::D2h => 2,
-            FaultSite::Kernel => 3,
-        }
+        self as usize
     }
 }
 
 impl fmt::Display for FaultSite {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            FaultSite::Alloc => "alloc",
-            FaultSite::H2d => "h2d",
-            FaultSite::D2h => "d2h",
-            FaultSite::Kernel => "kernel",
-        };
-        f.write_str(s)
+        f.write_str(["alloc", "h2d", "d2h", "kernel"][self.index()])
     }
 }
 
@@ -169,6 +159,7 @@ impl FaultPlan {
 /// Runtime state of an installed [`FaultPlan`]: per-site draw counters and
 /// the injected-fault total, shared by every device of a runtime so the
 /// cap and the counters are global.
+#[derive(Default)]
 pub(crate) struct FaultInjector {
     plan: FaultPlan,
     draws: [AtomicU64; 4],
@@ -181,20 +172,7 @@ impl FaultInjector {
     pub(crate) fn new(plan: FaultPlan) -> Self {
         Self {
             plan,
-            draws: [
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-            ],
-            injected: AtomicU64::new(0),
-            stall_draws: [
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-            ],
-            stalled: AtomicU64::new(0),
+            ..Self::default()
         }
     }
 
@@ -213,59 +191,43 @@ impl FaultInjector {
     /// `(seed, site, i)` over an independent draw stream (salted apart
     /// from the failure draws).
     pub(crate) fn stall_duration(&self, site: FaultSite) -> Option<Duration> {
-        let p = self.plan.stall_probs[site.index()];
-        if p <= 0.0 {
-            return None;
-        }
-        let idx = self.stall_draws[site.index()].fetch_add(1, Ordering::Relaxed);
-        let h = splitmix64(self.plan.seed ^ ((site.index() as u64 + 5) << 56) ^ idx);
-        let x = (h >> 11) as f64 / (1u64 << 53) as f64;
-        if x >= p {
-            return None;
-        }
-        let delay = self.plan.stall_delays[site.index()];
-        match self.plan.max_stalls {
-            None => {
-                self.stalled.fetch_add(1, Ordering::Relaxed);
-                Some(delay)
-            }
-            Some(cap) => self
-                .stalled
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                    (n < cap).then_some(n + 1)
-                })
-                .is_ok()
-                .then_some(delay),
-        }
+        let (p, cap) = (self.plan.stall_probs[site.index()], self.plan.max_stalls);
+        self.draw(site, 5, p, &self.stall_draws, (cap, &self.stalled))
+            .then_some(self.plan.stall_delays[site.index()])
     }
 
     /// Draws the next verdict for `site`. The i-th call for a site yields
     /// the same verdict for a given seed regardless of which thread makes
     /// it or how calls at other sites interleave.
     pub(crate) fn should_fail(&self, site: FaultSite) -> bool {
-        let p = self.plan.probs[site.index()];
+        let (p, cap) = (self.plan.probs[site.index()], self.plan.max_faults);
+        self.draw(site, 1, p, &self.draws, (cap, &self.injected))
+    }
+
+    /// The next draw of `site`'s stream `salt`: true with probability `p`
+    /// while `tally` is below the cap, which it then counts.
+    fn draw(
+        &self,
+        site: FaultSite,
+        salt: u64,
+        p: f64,
+        draws: &[AtomicU64; 4],
+        (cap, tally): (Option<u64>, &AtomicU64),
+    ) -> bool {
         if p <= 0.0 {
             return false;
         }
-        let idx = self.draws[site.index()].fetch_add(1, Ordering::Relaxed);
-        let h = splitmix64(self.plan.seed ^ ((site.index() as u64 + 1) << 56) ^ idx);
+        let idx = draws[site.index()].fetch_add(1, Ordering::Relaxed);
+        let h = splitmix64(self.plan.seed ^ ((site.index() as u64 + salt) << 56) ^ idx);
         // Top 53 bits give a uniform draw in [0, 1).
         let x = (h >> 11) as f64 / (1u64 << 53) as f64;
-        if x >= p {
-            return false;
-        }
-        match self.plan.max_faults {
-            None => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Some(cap) => self
-                .injected
+        let cap = cap.unwrap_or(u64::MAX);
+        x < p
+            && tally
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
                     (n < cap).then_some(n + 1)
                 })
-                .is_ok(),
-        }
+                .is_ok()
     }
 
     /// True when the plan loses `device` at or before op number `op_seq`.
@@ -303,13 +265,18 @@ mod tests {
         assert!(a.injected() > 0, "p=0.5 over 1024 draws must fire");
     }
 
+    /// Probability 0 never fires and 1 always does, for faults and for
+    /// stalls (with faults firing beside them).
     #[test]
-    fn zero_probability_never_fires() {
-        let inj = FaultInjector::new(FaultPlan::seeded(1));
-        for _ in 0..100 {
-            assert!(!inj.should_fail(FaultSite::Kernel));
+    fn probabilities_zero_and_one_are_exact() {
+        let inj = FaultInjector::new(FaultPlan::seeded(2).fail(FaultSite::Alloc, 1.0));
+        for site in FaultSite::ALL {
+            for _ in 0..32 {
+                assert_eq!(inj.should_fail(site), site == FaultSite::Alloc);
+                assert!(inj.stall_duration(site).is_none());
+            }
         }
-        assert_eq!(inj.injected(), 0);
+        assert_eq!((inj.injected(), inj.stalled()), (32, 0));
     }
 
     #[test]
@@ -359,25 +326,6 @@ mod tests {
                 let _ = b.stall_duration(site);
                 assert_eq!(a.should_fail(site), b.should_fail(site));
             }
-        }
-    }
-
-    #[test]
-    fn zero_stall_probability_never_stalls() {
-        let inj = FaultInjector::new(FaultPlan::seeded(2).fail_all(0.5));
-        for site in FaultSite::ALL {
-            for _ in 0..32 {
-                assert!(inj.stall_duration(site).is_none());
-            }
-        }
-        assert_eq!(inj.stalled(), 0);
-    }
-
-    #[test]
-    fn probability_one_always_fires() {
-        let inj = FaultInjector::new(FaultPlan::seeded(9).fail(FaultSite::Alloc, 1.0));
-        for _ in 0..20 {
-            assert!(inj.should_fail(FaultSite::Alloc));
         }
     }
 }

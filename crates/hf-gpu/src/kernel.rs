@@ -52,17 +52,10 @@ pub struct LaunchConfig {
 impl LaunchConfig {
     /// A 1-D launch with `grid_x` blocks of `block_x` threads.
     pub fn one_d(grid_x: u32, block_x: u32) -> Self {
+        let dim = |x| GridDim { x, y: 1, z: 1 };
         Self {
-            grid: GridDim {
-                x: grid_x,
-                y: 1,
-                z: 1,
-            },
-            block: GridDim {
-                x: block_x,
-                y: 1,
-                z: 1,
-            },
+            grid: dim(grid_x),
+            block: dim(block_x),
             shm: 0,
         }
     }
@@ -165,18 +158,13 @@ mod tests {
     #[test]
     fn saxpy_through_kernel_args() {
         let mut arena = Arena::new(0, 1024);
-        let px = DevicePtr {
+        let ptr = |offset| DevicePtr {
             device: 0,
-            offset: 0,
+            offset,
             len: 16,
             capacity: 16,
         };
-        let py = DevicePtr {
-            device: 0,
-            offset: 16,
-            len: 16,
-            capacity: 16,
-        };
+        let (px, py) = (ptr(0), ptr(16));
         {
             let mut view = arena.view();
             view.slice_mut::<i32>(px).unwrap().copy_from_slice(&[1; 4]);

@@ -257,9 +257,7 @@ mod tests {
         let p = MemoryPool::new(0, 1 << 16, 256);
         let bad = DevicePtr {
             device: 1,
-            offset: 0,
-            len: 16,
-            capacity: 256,
+            ..p.alloc(16).unwrap()
         };
         assert!(matches!(p.free(bad), Err(GpuError::WrongDevice { .. })));
     }

@@ -178,9 +178,7 @@ mod tests {
             for id in 0..2 {
                 let s = Stream::new(&rt.device(id).unwrap());
                 let c = Arc::clone(&counter);
-                s.host_fn(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                });
+                s.host_fn(move || _ = c.fetch_add(1, Ordering::SeqCst));
             }
             rt.synchronize_all();
             // rt dropped here: engines must shut down without hanging.
@@ -197,12 +195,8 @@ mod tests {
         // Both ops block on the same barrier: only possible to finish if
         // the two device engines run them at the same time.
         let (g0, g1) = (Arc::clone(&gate), Arc::clone(&gate));
-        s0.host_fn(move || {
-            g0.wait();
-        });
-        s1.host_fn(move || {
-            g1.wait();
-        });
+        s0.host_fn(move || _ = g0.wait());
+        s1.host_fn(move || _ = g1.wait());
         s0.synchronize();
         s1.synchronize();
     }

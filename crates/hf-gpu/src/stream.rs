@@ -107,14 +107,12 @@ impl Stream {
     }
 
     fn push_labeled(&self, body: OpBody, label: Option<OpLabel>) {
-        self.device.enqueue(
-            self.index,
-            Op {
-                stream: self.index,
-                body,
-                label,
-            },
-        );
+        let stream = self.index;
+        self.device.enqueue(Op {
+            stream,
+            body,
+            label,
+        });
     }
 
     /// Enqueues raw device work with arena access.
@@ -295,9 +293,7 @@ mod tests {
         s.wait_event(&ev); // never recorded: must not deadlock
         let ran = Arc::new(AtomicUsize::new(0));
         let r = Arc::clone(&ran);
-        s.host_fn(move || {
-            r.store(1, Ordering::SeqCst);
-        });
+        s.host_fn(move || r.store(1, Ordering::SeqCst));
         s.synchronize();
         assert_eq!(ran.load(Ordering::SeqCst), 1);
     }
@@ -320,8 +316,7 @@ mod tests {
             }
         });
         s.launch_kernel(cfg, kernel, vec![ptr], n as f64);
-        let got: Arc<hf_sync::sync::Mutex<Vec<u32>>> =
-            Arc::new(hf_sync::sync::Mutex::new(Vec::new()));
+        let got = Arc::new(hf_sync::sync::Mutex::new(Vec::<u32>::new()));
         let g = Arc::clone(&got);
         s.d2h_with(ptr, move |b| {
             g.lock()
@@ -343,9 +338,7 @@ mod tests {
         // Copy to a pointer owned by the other device.
         let bad = DevicePtr {
             device: 1,
-            offset: 0,
-            len: 4,
-            capacity: 4,
+            ..dev.alloc(4).unwrap()
         };
         s.h2d_async(bad, vec![0u8; 4]);
         s.synchronize();

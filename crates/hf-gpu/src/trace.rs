@@ -106,13 +106,11 @@ mod tests {
     use hf_sync::sync::Mutex;
 
     #[derive(Default)]
-    struct Capture {
-        events: Mutex<Vec<GpuTraceEvent>>,
-    }
+    struct Capture(Mutex<Vec<GpuTraceEvent>>);
 
     impl GpuTraceSink for Capture {
         fn record(&self, ev: GpuTraceEvent) {
-            self.events.lock().push(ev);
+            self.0.lock().push(ev);
         }
     }
 
@@ -145,7 +143,7 @@ mod tests {
         s.synchronize();
         dev.free(ptr).unwrap();
 
-        let events = sink.events.lock();
+        let events = sink.0.lock();
         let exec = events
             .iter()
             .find(|e| e.kind == GpuOpKind::Exec)
@@ -181,7 +179,7 @@ mod tests {
         s2.synchronize();
         s1.synchronize();
 
-        let events = sink.events.lock();
+        let events = sink.0.lock();
         let wait = events
             .iter()
             .find(|e| e.kind == GpuOpKind::EventWait)
@@ -204,6 +202,6 @@ mod tests {
         let s = Stream::new(&dev);
         s.host_fn(|| {});
         s.synchronize();
-        assert!(sink.events.lock().is_empty());
+        assert!(sink.0.lock().is_empty());
     }
 }

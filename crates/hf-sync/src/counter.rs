@@ -15,9 +15,10 @@ pub struct ShardedCounter {
 }
 
 impl ShardedCounter {
-    /// Creates a counter with `shards` independent cells (at least 1).
+    /// Creates a counter with `shards` independent cells, rounded up to a
+    /// power of two so that [`add`](Self::add) picks a shard with a mask.
     pub fn new(shards: usize) -> Self {
-        let n = shards.max(1);
+        let n = shards.max(1).next_power_of_two();
         Self {
             shards: (0..n)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
@@ -28,7 +29,7 @@ impl ShardedCounter {
     /// Adds `v` to the shard for `id` (wraps modulo the shard count).
     #[inline]
     pub fn add(&self, id: usize, v: u64) {
-        self.shards[id % self.shards.len()].fetch_add(v, Ordering::Relaxed);
+        self.shards[id & (self.shards.len() - 1)].fetch_add(v, Ordering::Relaxed);
     }
 
     /// Increments the shard for `id` by one.
@@ -106,7 +107,7 @@ mod tests {
 
     #[test]
     fn sums_across_shards() {
-        let c = ShardedCounter::new(4);
+        let c = ShardedCounter::new(3); // rounded up to 4
         c.incr(0);
         c.incr(1);
         c.add(2, 10);

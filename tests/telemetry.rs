@@ -5,7 +5,9 @@
 use heteroflow::core::{SpanCat, TraceCollector, TraceSpan, Track};
 use heteroflow::prelude::*;
 use heteroflow::telemetry::{chrome_trace, critical_path, MetricsRegistry};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Builds a two-lane hybrid pipeline; each lane is
 /// fill -> pull -> kernel -> push with `n` elements.
@@ -115,11 +117,27 @@ fn device_spans_overlap_cpu_spans_on_a_two_stream_pipeline() {
     // One lane's kernel runs on the device while the host lane spins on
     // the CPU: with device-side stitching the trace must show the
     // overlap that dispatch-time spans (the old collector bug) could not.
+    // A rendezvous makes the overlap certain rather than likely: the
+    // kernel waits until the spin has started, and the spin runs until the
+    // kernel has signalled (and 1 ms past it), each wait with a deadline.
+    let (spinning, signalled) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let until = |flag: &AtomicBool| {
+        let t0 = Instant::now();
+        while !flag.load(Ordering::SeqCst) && t0.elapsed() < Duration::from_secs(10) {
+            std::hint::spin_loop();
+        }
+    };
     let g = Heteroflow::new("overlap");
     let n = 1 << 16;
     let data: HostVec<f32> = HostVec::from_vec(vec![1.0; n]);
     let p = g.pull("pull", &data);
-    let k = g.kernel("kernel", &[&p], |cfg, args| {
+    let (started, signal) = (Arc::clone(&spinning), Arc::clone(&signalled));
+    let k = g.kernel("kernel", &[&p], move |cfg, args| {
+        until(&started);
+        signal.store(true, Ordering::SeqCst);
         let v = args.slice_mut::<f32>(0).expect("arg");
         for t in cfg.threads() {
             if t < v.len() {
@@ -131,9 +149,11 @@ fn device_spans_overlap_cpu_spans_on_a_two_stream_pipeline() {
     k.cover(n, 128);
     p.precede(&k);
     // Independent host task: busy-spins so it executes concurrently.
-    g.host("spin", || {
-        let t0 = std::time::Instant::now();
-        while t0.elapsed() < std::time::Duration::from_millis(20) {
+    g.host("spin", move || {
+        spinning.store(true, Ordering::SeqCst);
+        until(&signalled);
+        let t0 = Instant::now();
+        while t0.elapsed() < Duration::from_millis(1) {
             std::hint::spin_loop();
         }
     });
