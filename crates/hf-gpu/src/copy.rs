@@ -86,14 +86,15 @@ const DONE: u8 = 4;
 #[derive(Default)]
 struct Helper {
     state: AtomicU8,
-    /// The posted upper half, written by the claimant before `POSTED` and
-    /// read by the helper once it has moved `POSTED` to `BUSY`.
+    /// The posted upper half, stored Relaxed by the claimant and published
+    /// by its SeqCst store of `POSTED` to the helper's Acquire move to `BUSY`.
     dst: AtomicPtr<u8>,
     src: AtomicPtr<u8>,
     len: AtomicUsize,
     /// Raised under `lock` by the side that sleeps on `cv`; the other side
     /// notifies after a state change only when it reads its peer's flag
-    /// raised. Both are SeqCst with the state, so a wake is never lost.
+    /// raised. Both are SeqCst with the state, so a wake is never lost; a
+    /// stale raised flag costs one spurious notify.
     helper_parked: AtomicBool,
     claimant_parked: AtomicBool,
     lock: Mutex<()>,

@@ -287,7 +287,7 @@ impl Device {
         q.enqueued += 1;
         if std::mem::replace(&mut qs.parked, false) {
             drop(qs);
-            eng.cv.notify_one();
+            eng.cv.notify_one(); // the first enqueue since it parked
         }
     }
 
@@ -553,10 +553,10 @@ mod tests {
     fn concurrent_enqueue_and_synchronize_lose_no_wake() {
         let rt = crate::GpuRuntime::new(1, Default::default());
         let (dev, (tx, rx)) = (rt.device(0).unwrap(), std::sync::mpsc::channel());
-        let shared = crate::Stream::new(&dev);
+        let (shared, mut threads) = (crate::Stream::new(&dev), Vec::new());
         for _ in 0..4 {
             let (dev, shared, tx) = (dev.clone(), shared.clone(), tx.clone());
-            std::thread::spawn(move || {
+            threads.push(std::thread::spawn(move || {
                 let own = crate::Stream::new(&dev);
                 let done = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
                 for i in 0..300 {
@@ -573,12 +573,13 @@ mod tests {
                     }
                 }
                 tx.send(()).unwrap();
-            });
+            }));
         }
         drop(tx);
         for _ in 0..4 {
             rx.recv_timeout(Duration::from_secs(30))
                 .expect("lost wake or early return");
         }
+        threads.into_iter().for_each(|t| t.join().unwrap());
     }
 }

@@ -192,7 +192,7 @@ impl FaultInjector {
     /// from the failure draws).
     pub(crate) fn stall_duration(&self, site: FaultSite) -> Option<Duration> {
         let (p, cap) = (self.plan.stall_probs[site.index()], self.plan.max_stalls);
-        self.draw(site, 5, p, &self.stall_draws, (cap, &self.stalled))
+        self.draw(site, 5, p, &self.stall_draws, cap, &self.stalled)
             .then_some(self.plan.stall_delays[site.index()])
     }
 
@@ -201,7 +201,7 @@ impl FaultInjector {
     /// it or how calls at other sites interleave.
     pub(crate) fn should_fail(&self, site: FaultSite) -> bool {
         let (p, cap) = (self.plan.probs[site.index()], self.plan.max_faults);
-        self.draw(site, 1, p, &self.draws, (cap, &self.injected))
+        self.draw(site, 1, p, &self.draws, cap, &self.injected)
     }
 
     /// The next draw of `site`'s stream `salt`: true with probability `p`
@@ -212,7 +212,8 @@ impl FaultInjector {
         salt: u64,
         p: f64,
         draws: &[AtomicU64; 4],
-        (cap, tally): (Option<u64>, &AtomicU64),
+        cap: Option<u64>,
+        tally: &AtomicU64,
     ) -> bool {
         if p <= 0.0 {
             return false;
