@@ -8,11 +8,10 @@
 //! upper half, standing in for the DMA engine that runs a real
 //! `cudaMemcpyAsync` beside the caller. The helper is claimed with one CAS
 //! and never queued for: a caller that finds it claimed (by another
-//! device's engine, say) copies everything itself, and a claimant whose
-//! helper has not started the upper half when the lower is done takes it
-//! back. Both sides spin for `SPIN` (50 µs) before they park, so the
-//! chunks of one pipelined pull reach a helper that is still awake: a
-//! hand-off is a cache line, not a condvar wake.
+//! device's engine, say) copies everything itself. Both sides spin for
+//! `SPIN` (50 µs) before they park, so the chunks of one pipelined pull
+//! reach a helper that is still awake: a hand-off is a cache line, not a
+//! condvar wake.
 
 use hf_sync::sync::{Condvar, Mutex};
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
@@ -34,8 +33,8 @@ pub const SPLIT: usize = 1 << 16;
 /// How long the helper spins for its next job, and a claimant for the
 /// helper's half, before either parks on the condvar. Sized against a
 /// pipelined pull's chunk train on 2 cores: at 50 µs the helper parked
-/// about twice per 256-chunk `stream_serving` epoch, once the train had
-/// ended, and 200 µs parked it about once with no steady gain; an idle
+/// two to three times per 256-chunk `stream_serving` epoch, mostly
+/// between trains, and 200 µs about once with no steady gain; an idle
 /// helper burns at most this much of a core after its last job.
 const SPIN: Duration = Duration::from_micros(50);
 
@@ -49,7 +48,7 @@ const LINE: usize = 64;
 pub fn copy_bytes(dst: &mut [u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "copy_bytes: lengths differ");
     if src.len() >= SPLIT {
-        if let Some(helper) = helper().filter(|h| h.cas(FREE, CLAIMED)) {
+        if let Some(helper) = helper().filter(|h| h.claim()) {
             return helper.split(dst, src);
         }
     }
@@ -75,19 +74,17 @@ fn helper() -> Option<&'static Helper> {
 
 // `Helper::state`, in the order one split copy moves it: a claimant takes
 // FREE to CLAIMED, posts the upper half (POSTED), and frees the slot once
-// the helper has copied it (BUSY, then DONE) or after it took the job back
-// (POSTED to CLAIMED) and copied it itself.
+// the helper has copied it (DONE).
 const FREE: u8 = 0;
 const CLAIMED: u8 = 1;
 const POSTED: u8 = 2;
-const BUSY: u8 = 3;
-const DONE: u8 = 4;
+const DONE: u8 = 3;
 
 #[derive(Default)]
 struct Helper {
     state: AtomicU8,
     /// The posted upper half, stored Relaxed by the claimant and published
-    /// by its SeqCst store of `POSTED` to the helper's Acquire move to `BUSY`.
+    /// by its SeqCst store of `POSTED` to the helper's SeqCst load of it.
     dst: AtomicPtr<u8>,
     src: AtomicPtr<u8>,
     len: AtomicUsize,
@@ -102,11 +99,10 @@ struct Helper {
 }
 
 impl Helper {
-    /// Moves the state from `from` to `to`, or fails if it is elsewhere.
-    /// Acquire pairs with the Release of the move it observes.
-    fn cas(&self, from: u8, to: u8) -> bool {
+    /// Takes a free helper. Acquire pairs with the Release that freed it.
+    fn claim(&self) -> bool {
         self.state
-            .compare_exchange(from, to, Acquire, Relaxed)
+            .compare_exchange(FREE, CLAIMED, Acquire, Relaxed)
             .is_ok()
     }
 
@@ -122,21 +118,15 @@ impl Helper {
         let _pending = Pending(self);
         self.set(POSTED, &self.helper_parked);
         lo.copy_from_slice(&src[..mid]);
-        if self.cas(POSTED, CLAIMED) {
-            hi.copy_from_slice(&src[mid..]); // the helper had not started
-        }
     }
 
     fn serve(&self) {
         loop {
             self.wait_for(&self.helper_parked, |s| s == POSTED);
-            if !self.cas(POSTED, BUSY) {
-                continue; // taken back
-            }
             let (dst, src) = (self.dst.load(Relaxed), self.src.load(Relaxed));
             // SAFETY: the claimant made the job from two live, disjoint
-            // slices of `len` bytes, and once the job is `BUSY` it waits
-            // (`Pending`) until `DONE` before it touches them again.
+            // slices of `len` bytes, and waits (`Pending`) until `DONE`
+            // before it touches them again.
             unsafe { std::ptr::copy_nonoverlapping(src, dst, self.len.load(Relaxed)) };
             self.set(DONE, &self.claimant_parked);
         }
@@ -171,16 +161,15 @@ impl Helper {
     }
 }
 
-/// Frees the slot when dropped, after taking the posted job back or
-/// waiting until the helper has copied it: the borrow of the job's slices
-/// ends here at the earliest, however `split` is left.
+/// Frees the slot when dropped, once the helper has copied the posted job:
+/// the borrow of the job's slices ends here at the earliest, however
+/// `split` is left.
 struct Pending<'h>(&'h Helper);
 
 impl Drop for Pending<'_> {
     fn drop(&mut self) {
         let helper = self.0;
-        helper.cas(POSTED, CLAIMED);
-        helper.wait_for(&helper.claimant_parked, |s| s != BUSY);
+        helper.wait_for(&helper.claimant_parked, |s| s == DONE);
         helper.state.store(FREE, Release);
     }
 }
@@ -247,13 +236,13 @@ mod tests {
 
     /// A caller that finds the helper claimed copies alone instead of
     /// waiting for it; an idle helper parks, and a job posted to it then
-    /// wakes it (the helper copies it: the claimant never takes it back).
+    /// wakes it.
     #[test]
     fn a_claimed_helper_is_not_waited_for_and_a_parked_one_wakes() {
         let Some(helper) = helper() else {
             return; // one core: every copy is inline anyway
         };
-        while !helper.cas(FREE, CLAIMED) {
+        while !helper.claim() {
             std::thread::yield_now(); // another test's copy holds it
         }
         let (src, mut dst) = (pattern(SPLIT + 1, 7), vec![0; SPLIT + 1]);
