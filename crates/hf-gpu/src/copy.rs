@@ -24,9 +24,9 @@ use std::time::{Duration, Instant};
 /// A half must outlast the hand-off to an awake helper (a cache line,
 /// well under 1 µs); a 32 KiB half copies in about 3-6 µs on one core.
 /// At 64 KiB the chunks of a pipelined pull split too (`stream_serving`'s
-/// are 64 KiB): 16 MiB in 64 KiB pieces went from 3.7-5.3 to 6.5-9.6 GiB/s
-/// on 2 cores. The same split with a helper that parks after every job
-/// gains nothing, since one condvar wake (`hf-sync.notifier_wake_us`,
+/// are 64 KiB): 16 MiB in 64 KiB pieces went from 5.5-8.7 to 14.2-15.5
+/// GiB/s on 2 cores. A helper woken through the condvar for every half
+/// would not pay at this size: one wake (`hf-sync.notifier_wake_us`,
 /// ≈ 7 µs) costs as much as the half.
 pub const SPLIT: usize = 1 << 16;
 
