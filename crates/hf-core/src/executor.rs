@@ -30,7 +30,7 @@ use crate::graph::Heteroflow;
 use crate::lifecycle::{lifecycle_now_ns, LifecycleEvent, LifecyclePhase};
 use crate::observer::ExecutorObserver;
 use crate::plan::{Plan, Planner, Route};
-use crate::ready::ReadyBatch;
+use crate::ready::{arrive, ReadyBatch};
 use crate::registry::{Token, TopoRegistry};
 use crate::retry::RetryPolicy;
 use crate::stats::ExecutorStats;
@@ -590,7 +590,7 @@ impl ExecInner {
         let mut ready = ReadyBatch::new(self, topo, None);
         for &h in &g.heads {
             let route = topo.plan.route(h);
-            if topo.join[h].fetch_sub(1, Ordering::AcqRel) == 1 && route != Route::Fused {
+            if arrive(&topo.join[h]) && route != Route::Fused {
                 ready.push(h, route);
             }
         }

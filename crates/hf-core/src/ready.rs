@@ -6,7 +6,7 @@ use crate::plan::Route;
 use crate::registry::{pack, Token};
 use crate::topology::Topology;
 use crate::worker::Local;
-use hf_sync::atomic::Ordering;
+use hf_sync::atomic::{AtomicUsize, Ordering};
 use std::mem::{take, MaybeUninit};
 use std::slice;
 use std::sync::Arc;
@@ -121,6 +121,22 @@ impl Drop for ReadyBatch<'_, '_> {
     }
 }
 
+/// One arrival at a join counter; true when it was the last, which then
+/// releases the node. In a pass a counter only falls and each arriver (a
+/// predecessor's finish or the gate) subtracts once, so an `Acquire` load
+/// of 1 means every other arriver is in and no thread touches the word
+/// again: the last arrival stores 0 instead of a locked decrement. The
+/// load reads what the last `AcqRel` decrement wrote, so it synchronizes
+/// with every earlier one.
+#[inline]
+pub(crate) fn arrive(join: &AtomicUsize) -> bool {
+    if join.load(Ordering::Acquire) == 1 {
+        join.store(0, Ordering::Relaxed);
+        return true;
+    }
+    join.fetch_sub(1, Ordering::AcqRel) == 1
+}
+
 impl ExecInner {
     /// Marks a node finished: records whether it succeeded (failover
     /// replay bookkeeping), releases its successors and, if it was the
@@ -145,7 +161,7 @@ impl ExecInner {
                 let route = topo.plan.route(s);
                 // Fused chain members were dispatched with their head;
                 // whoever finished the head also finishes them in order.
-                if topo.join[s].fetch_sub(1, Ordering::AcqRel) == 1 && route != Route::Fused {
+                if arrive(&topo.join[s]) && route != Route::Fused {
                     ready.push(s, route);
                 }
             }
@@ -207,5 +223,54 @@ impl ExecInner {
             );
             self.finish_node(topo, node, ok, local.as_deref_mut());
         }
+    }
+}
+
+#[cfg(all(test, feature = "loom"))]
+mod loom_models {
+    use super::arrive;
+    use hf_sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
+    use std::sync::Arc;
+
+    /// `preds` predecessors, each after writing its own slot, and the gate
+    /// when `gate` arrive at one join counter: exactly one gets `true`, and
+    /// it reads every slot. The shim runs on sequentially consistent memory
+    /// (the orderings are argued on [`arrive`]); three threads: two preemptions.
+    fn releases_once_after_every_slot(preds: usize, gate: bool) {
+        let threads = preds + usize::from(gate);
+        let bounded = loom::model::Builder {
+            preemption_bound: (threads > 2).then_some(2),
+        };
+        bounded.check(move || {
+            let join = Arc::new(AtomicUsize::new(threads));
+            let slots: Arc<Vec<_>> = Arc::new((0..preds).map(|_| AtomicBool::new(false)).collect());
+            let arriver = move |i: usize| {
+                if let Some(slot) = slots.get(i) {
+                    slot.store(true, Relaxed);
+                }
+                arrive(&join).then(|| slots.iter().all(|s| s.load(Relaxed)))
+            };
+            let others: Vec<_> = (1..threads)
+                .map(|i| {
+                    let arriver = arriver.clone();
+                    loom::thread::spawn(move || arriver(i))
+                })
+                .collect();
+            let mut last: Vec<bool> = arriver(0).into_iter().collect();
+            last.extend(others.into_iter().filter_map(|h| h.join().unwrap()));
+            assert_eq!(last, [true], "one release, after every predecessor's slot");
+        });
+    }
+
+    #[test]
+    fn two_and_three_arrivers_release_once() {
+        releases_once_after_every_slot(2, false);
+        releases_once_after_every_slot(3, false);
+    }
+
+    #[test]
+    fn a_gate_arrival_races_a_predecessor() {
+        releases_once_after_every_slot(1, true);
+        releases_once_after_every_slot(2, true);
     }
 }

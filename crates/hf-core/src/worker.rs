@@ -185,7 +185,8 @@ impl Worker {
         let inner = &*self.inner;
         let n = inner.stealers.len();
         inner.stats.steal_attempts.incr(self.id);
-        let v = (Self::next_rand(&mut self.rng) % n as u64) as usize;
+        // Multiply-shift: the high half of `x * n` is in `0..n`, no divide.
+        let v = ((Self::next_rand(&mut self.rng) as u128 * n as u128) >> 64) as usize;
         if v == self.id {
             let mut first = None;
             let deque = &self.deque;

@@ -3,12 +3,13 @@
 use crate::pad::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A counter sharded across cache lines.
+/// A counter sharded across cache lines, one writer per shard.
 ///
-/// Writers pick a shard (normally their worker id) and increment it with a
-/// relaxed atomic add; readers sum all shards. Used for executor statistics
-/// (steal attempts, wasted wakeups) where per-event precision matters but
-/// cross-thread ordering does not.
+/// A worker adds to the shard of its own id and no other thread writes that
+/// shard, so an add is a plain load and store, not a locked read-modify-write;
+/// readers sum all shards (executor statistics: tasks executed, steal
+/// attempts, sleeps). Two threads adding to one shard at once may lose
+/// counts, never memory safety.
 #[derive(Debug)]
 pub struct ShardedCounter {
     shards: Box<[CachePadded<AtomicU64>]>,
@@ -26,10 +27,13 @@ impl ShardedCounter {
         }
     }
 
-    /// Adds `v` to the shard for `id` (wraps modulo the shard count).
+    /// Adds `v` to the shard for `id` (wraps modulo the shard count). The
+    /// caller must be that shard's one writer: ids below the count given to
+    /// [`new`](Self::new) never share a shard, so a worker passes its own id.
     #[inline]
     pub fn add(&self, id: usize, v: u64) {
-        self.shards[id & (self.shards.len() - 1)].fetch_add(v, Ordering::Relaxed);
+        let shard = &self.shards[id & (self.shards.len() - 1)];
+        shard.store(shard.load(Ordering::Relaxed) + v, Ordering::Relaxed);
     }
 
     /// Increments the shard for `id` by one.
@@ -43,20 +47,13 @@ impl ShardedCounter {
     pub fn sum(&self) -> u64 {
         self.shards.iter().map(|s| s.load(Ordering::Relaxed)).sum()
     }
-
-    /// Resets every shard to zero.
-    pub fn reset(&self) {
-        for s in self.shards.iter() {
-            s.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// A plain (unsharded) event counter for statistics that are incremented
 /// from arbitrary threads with no natural shard id — e.g. rounds completed,
-/// cache hits on the submission path, or batched injector sprays. Shares
-/// the [`ShardedCounter`] read API (`sum`/`reset`) so call sites look
-/// uniform.
+/// cache hits on the submission path, or batched injector sprays: any
+/// thread may add, so an add is a relaxed atomic add. Shares the
+/// [`ShardedCounter`] read API (`sum`) so call sites look uniform.
 #[derive(Debug, Default)]
 pub struct GlobalCounter(AtomicU64);
 
@@ -82,11 +79,6 @@ impl GlobalCounter {
     pub fn sum(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    /// Resets to zero.
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -96,13 +88,11 @@ mod tests {
     use std::thread;
 
     #[test]
-    fn global_counter_counts_and_resets() {
+    fn global_counter_counts() {
         let c = GlobalCounter::new();
         c.incr();
         c.add(4);
         assert_eq!(c.sum(), 5);
-        c.reset();
-        assert_eq!(c.sum(), 0);
     }
 
     #[test]
@@ -113,15 +103,9 @@ mod tests {
         c.add(2, 10);
         c.incr(6); // wraps to shard 2
         assert_eq!(c.sum(), 13);
-        c.reset();
-        assert_eq!(c.sum(), 0);
-    }
-
-    #[test]
-    fn zero_shards_clamped_to_one() {
-        let c = ShardedCounter::new(0);
-        c.incr(5);
-        assert_eq!(c.sum(), 1);
+        let one = ShardedCounter::new(0); // clamped to one shard
+        one.incr(5);
+        assert_eq!(one.sum(), 1);
     }
 
     #[test]

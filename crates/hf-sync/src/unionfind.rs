@@ -56,15 +56,6 @@ impl UnionFind {
         x as usize
     }
 
-    /// Finds the root without mutating (no path compression).
-    pub fn find_const(&self, x: usize) -> usize {
-        let mut x = x as u32;
-        while self.parent[x as usize] != x {
-            x = self.parent[x as usize];
-        }
-        x as usize
-    }
-
     /// True if `x` is the root of its set (mirrors the paper's
     /// `is_set_root` check in Algorithm 1 line 10).
     pub fn is_root(&self, x: usize) -> bool {
@@ -138,17 +129,6 @@ mod tests {
         let r2 = uf.union(0, 1);
         assert_eq!(r1, r2);
         assert_eq!(uf.num_sets(), 2);
-    }
-
-    #[test]
-    fn find_const_agrees_with_find() {
-        let mut uf = UnionFind::new(8);
-        uf.union(0, 1);
-        uf.union(1, 2);
-        uf.union(5, 6);
-        for i in 0..8 {
-            assert_eq!(uf.find_const(i), uf.clone().find(i));
-        }
     }
 
     #[test]

@@ -399,6 +399,76 @@ fn tasks_executed_is_exact_after_wait() {
     }
 }
 
+/// Join counters under contention: a 64-way fan-out/fan-in diamond and a
+/// 16×16 wavefront in one graph, 200 runs on four workers. Every task
+/// writes the run number into its own slot; every successor checks the
+/// slots of all its predecessors, so a node released before its last
+/// predecessor finished (or released twice) fails the run. Each body runs
+/// once per run and `tasks_executed` counts every task exactly.
+#[test]
+fn every_join_releases_once_after_all_predecessors() {
+    use std::sync::atomic::AtomicU64;
+    const FAN: usize = 64;
+    const SIDE: usize = 16;
+    const RUNS: u64 = 200;
+    let ex = Executor::new(4, 0);
+    let g = Heteroflow::new("joins");
+    let run = Arc::new(AtomicU64::new(0));
+    // Slot 0 the diamond's source, 1..=FAN its middle, then the grid.
+    let tasks = 2 + FAN + SIDE * SIDE;
+    let slots: Arc<Vec<AtomicU64>> = Arc::new((0..tasks).map(|_| AtomicU64::new(0)).collect());
+    let bodies: Arc<Vec<AtomicU64>> = Arc::new((0..tasks).map(|_| AtomicU64::new(0)).collect());
+    let task = |me: usize, preds: Vec<usize>| {
+        let (run, slots, bodies) = (Arc::clone(&run), Arc::clone(&slots), Arc::clone(&bodies));
+        g.host(&format!("t{me}"), move || {
+            let r = run.load(Ordering::Relaxed);
+            for &p in &preds {
+                assert_eq!(slots[p].load(Ordering::Relaxed), r, "t{me} before t{p}");
+            }
+            bodies[me].fetch_add(1, Ordering::Relaxed);
+            slots[me].store(r, Ordering::Relaxed);
+        })
+    };
+    let source = task(0, vec![]);
+    let sink = task(FAN + 1, (1..=FAN).collect());
+    for m in 1..=FAN {
+        let mid = task(m, vec![0]);
+        source.precede(&mid);
+        mid.precede(&sink);
+    }
+    let cell = |i: usize, j: usize| FAN + 2 + i * SIDE + j;
+    let mut grid: Vec<HostTask> = Vec::with_capacity(SIDE * SIDE);
+    for i in 0..SIDE {
+        for j in 0..SIDE {
+            let mut preds = vec![];
+            if i > 0 {
+                preds.push(cell(i - 1, j));
+            }
+            if j > 0 {
+                preds.push(cell(i, j - 1));
+            }
+            let t = task(cell(i, j), preds);
+            if i > 0 {
+                grid[(i - 1) * SIDE + j].precede(&t);
+            }
+            if j > 0 {
+                grid[i * SIDE + j - 1].precede(&t);
+            }
+            grid.push(t);
+        }
+    }
+    for r in 1..=RUNS {
+        run.store(r, Ordering::Relaxed);
+        ex.run(&g)
+            .wait()
+            .expect("every successor saw its predecessors");
+        for (t, b) in bodies.iter().enumerate() {
+            assert_eq!(b.load(Ordering::Relaxed), r, "t{t} ran once per run");
+        }
+    }
+    assert_eq!(ex.snapshot().tasks_executed, RUNS * tasks as u64);
+}
+
 /// Queued runs that settle the moment the claim reaches them (cancelled
 /// while queued, or zero rounds) are drained by a loop when the blocking
 /// run releases the graph, not by one nest of stack frames per run: any
