@@ -70,8 +70,8 @@ pub(crate) struct HostCell<F: ?Sized> {
 // SAFETY: `entered` is atomic; `call` lends `&mut F` through `&self`: sound while no two
 // calls of one cell overlap and each happens after the last returned (then `F: Send`
 // suffices, as for `Mutex<F>`). The executor keeps that one-caller invariant:
-// - a pass enters each node once: its join counter reaches zero once (`finish_node`), and
-//   a retry re-queues a node only after the failed attempt returned (`fail_task`);
+// - a pass enters each node once: one arrival at its join counter is the last (`arrive`),
+//   and a retry re-queues a node only after the failed attempt returned (`fail_task`);
 // - passes of one graph never enter the same node at once: one run holds the graph's claim
 //   at a time (`claim`, `stream.rs`); at depth >= 2, epoch N+1's prologue starts after
 //   epoch N's prologue completed and its body after epoch N completed (`EpochDriver::pump`);

@@ -126,8 +126,8 @@ impl Drop for ReadyBatch<'_, '_> {
 /// predecessor's finish or the gate) subtracts once, so an `Acquire` load
 /// of 1 means every other arriver is in and no thread touches the word
 /// again: the last arrival stores 0 instead of a locked decrement. The
-/// load reads what the last `AcqRel` decrement wrote, so it synchronizes
-/// with every earlier one.
+/// load reads what the latest `AcqRel` decrement wrote (or the pass's
+/// starting count), so it synchronizes with every earlier arrival.
 #[inline]
 pub(crate) fn arrive(join: &AtomicUsize) -> bool {
     if join.load(Ordering::Acquire) == 1 {
