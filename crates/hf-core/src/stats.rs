@@ -268,7 +268,8 @@ mod tests {
         assert!(json.contains("\"topo_cache_misses\":0"));
     }
 
-    /// Every global counter and the gauge reach the snapshot's JSON.
+    /// Every global counter and the gauge reach the snapshot's JSON; the
+    /// gauge keeps the last value set.
     #[test]
     fn every_global_counter_reaches_the_snapshot() {
         let s = ExecutorStats::new(1);
@@ -296,5 +297,7 @@ mod tests {
             );
         }
         assert!(json.contains("\"placement_imbalance\":1.75,"), "{json}");
+        s.placement_imbalance.set(-1.25); // the last value wins, negative too
+        assert_eq!(s.placement_imbalance.get(), -1.25);
     }
 }

@@ -16,23 +16,21 @@ pub struct ShardedCounter {
 }
 
 impl ShardedCounter {
-    /// Creates a counter with `shards` independent cells, rounded up to a
-    /// power of two so that [`add`](Self::add) picks a shard with a mask.
+    /// Creates a counter with `shards` independent cells (at least one).
     pub fn new(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
         Self {
-            shards: (0..n)
+            shards: (0..shards.max(1))
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
         }
     }
 
-    /// Adds `v` to the shard for `id` (wraps modulo the shard count). The
-    /// caller must be that shard's one writer: ids below the count given to
-    /// [`new`](Self::new) never share a shard, so a worker passes its own id.
+    /// Adds `v` to the shard for `id`, whose one writer the caller must be:
+    /// a worker passes its own id, below the count given to [`new`](Self::new).
+    /// Panics on an id past the shards rather than wrap onto another's.
     #[inline]
     pub fn add(&self, id: usize, v: u64) {
-        let shard = &self.shards[id & (self.shards.len() - 1)];
+        let shard = &self.shards[id];
         shard.store(shard.load(Ordering::Relaxed) + v, Ordering::Relaxed);
     }
 
@@ -97,14 +95,14 @@ mod tests {
 
     #[test]
     fn sums_across_shards() {
-        let c = ShardedCounter::new(3); // rounded up to 4
+        let c = ShardedCounter::new(3);
         c.incr(0);
         c.incr(1);
         c.add(2, 10);
-        c.incr(6); // wraps to shard 2
-        assert_eq!(c.sum(), 13);
+        assert!(std::panic::catch_unwind(|| c.incr(3)).is_err(), "no wrap");
+        assert_eq!(c.sum(), 12);
         let one = ShardedCounter::new(0); // clamped to one shard
-        one.incr(5);
+        one.incr(0);
         assert_eq!(one.sum(), 1);
     }
 
