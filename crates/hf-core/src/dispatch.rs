@@ -4,8 +4,8 @@
 //! A worker hands a ready GPU task to [`submit`]. The task and the members
 //! fused behind it form a *chain*, which gets one [`ChainState`] that all
 //! its ops share. Every op is built first ([`prepare`]: any error aborts
-//! before a single enqueue), then the ops go back to back onto the
-//! worker's stream for the device ([`Streams`]), followed by one
+//! before a single enqueue), then the ops go back to back onto one of the
+//! worker's streams for the device ([`Streams`] says which), followed by one
 //! stream-ordered completion callback ([`ChainState::settle`]). Every op
 //! skips once the chain failed or the run was cancelled, and draws its
 //! fault *before* its effect, so the callback can finish the completed
@@ -52,14 +52,18 @@ use hf_sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use hf_sync::sync::Mutex;
 use std::sync::Arc;
 
-/// A worker's device streams, created on first use.
+/// A worker's device streams, created on first use. A chain headed by a
+/// pull rides the device's first copy lane, any other chain the compute
+/// stream, so a copy runs between two kernels of an unrelated chain, not
+/// after the whole chain. Stream order is never a dependency: a chain is
+/// dispatched only after its join counter released it, so a stream only
+/// keeps each chain's own ops and completion callback in order.
 pub(crate) struct Streams {
     /// One per device — "each worker keeps a per-thread CUDA stream"
     /// (§III-C).
     streams: Vec<Option<Stream>>,
-    /// Copy lanes per device: chunked pulls round-robin their chunks
-    /// across these so long copies interleave with kernels on the device
-    /// engine.
+    /// Copy lanes per device; a chunked pull also deals its chunks
+    /// round-robin across them.
     copy_streams: Vec<Vec<Stream>>,
 }
 
@@ -88,9 +92,9 @@ impl Streams {
 
 /// Dispatches the GPU task `head` of `topo` and the chain fused behind it
 /// (§III-C "task fusing") from worker `worker`: builds every op, then
-/// enqueues them on the worker's stream for the head's device with one
-/// completion callback. `Ok` means the callback now owns the chain's
-/// completion.
+/// enqueues them on one of the worker's [`Streams`] for the head's device
+/// with one completion callback. `Ok` means the callback now owns the
+/// chain's completion.
 pub(crate) fn submit(
     inner: &Arc<ExecInner>,
     streams: &mut Streams,
@@ -123,7 +127,10 @@ pub(crate) fn submit(
         inner.stats.tasks_executed.add(worker, members);
     }
 
-    let stream = streams.stream(&chain.dev);
+    let stream = match topo.frozen.nodes[head].work {
+        Work::Pull { .. } => streams.copy_lanes(inner.copy_lanes, &chain.dev)[0].clone(),
+        _ => streams.stream(&chain.dev),
+    };
     // Dispatched events fire before the first op is enqueued: the
     // engine may complete (and emit Finished for) the chain the
     // moment an op lands on the stream.
@@ -243,7 +250,7 @@ impl ChainState {
 
 /// What [`prepare`] built for one chain node.
 enum PreparedOp {
-    /// One stream op, enqueued on the worker's main per-device stream.
+    /// One stream op, enqueued on the chain's stream.
     Single(ExecFn),
     /// A pull to pipeline over the copy lanes ([`Pull::enqueue_chunked`]).
     ChunkedPull(Arc<Pull>),

@@ -87,7 +87,7 @@ pub(crate) struct ExecInner {
     /// size across the copy-lane streams (`usize::MAX` disables). Pushes
     /// are always one op; see [`crate::dispatch`].
     pub(crate) copy_chunk_threshold: usize,
-    /// Copy-lane streams per (worker, device) used by pipelined pulls.
+    /// Copy-lane streams per (worker, device): pull-headed chains and chunks.
     pub(crate) copy_lanes: usize,
     /// Submission ids handed to topologies/futures and stamped onto
     /// lifecycle events (starts at 1; 0 is reserved for ready futures).
@@ -245,8 +245,8 @@ impl ExecutorBuilder {
         self
     }
 
-    /// Sets how many copy-lane streams each worker opens per device for
-    /// chunked pulls (default 2; clamped to at least 1).
+    /// Sets how many copy-lane streams each worker opens per device; a
+    /// pull-headed chain rides the first, a chunked pull all (default 2, min 1).
     pub fn copy_lanes(mut self, lanes: usize) -> Self {
         self.copy_lanes = lanes.max(1);
         self

@@ -6,7 +6,7 @@
 //! then whatever it made ready, then its own deque until that is dry
 //! (DESIGN.md "Scheduler hot path"). Host tasks run on the worker itself;
 //! a GPU task goes to [`dispatch::submit`], which enqueues it and the
-//! chain fused behind it on the worker's stream for its device, and it
+//! chain fused behind it on one of the worker's streams for its device, and it
 //! completes on the device engine. The worker only schedules.
 
 use crate::dispatch::{self, Streams};

@@ -38,13 +38,17 @@ fn mis_args<'a>(
     )
 }
 
-/// Phase 1 kernel: mark local priority minima as TENTATIVE.
+/// Phase 1 kernel: mark local priority minima as TENTATIVE. Once no cell
+/// is undecided it returns at once: every thread would skip its cell.
 ///
 /// Device args: 0 = CSR offsets (u32, n+1), 1 = CSR neighbors (u32),
 /// 2 = priorities (u32, n), 3 = states (u32, n).
 pub fn select_kernel() -> impl Fn(&LaunchConfig, &mut KernelArgs<'_, '_>) + Send + Sync {
     |cfg, args| {
         let (offsets, neighbors, priorities, states) = mis_args(args);
+        if !states.contains(&UNDECIDED) {
+            return;
+        }
         let n = states.len();
         for v in cfg.threads() {
             if v >= n || states[v] != UNDECIDED {
@@ -76,9 +80,13 @@ pub fn select_kernel() -> impl Fn(&LaunchConfig, &mut KernelArgs<'_, '_>) + Send
 /// undecided cells only the one with the lower `(priority, id)` passes
 /// select), so promoting one never hides another from its own knock-out,
 /// and members of earlier rounds knocked their neighbors out in theirs.
+/// With no TENTATIVE cell it returns at once.
 pub fn commit_kernel() -> impl Fn(&LaunchConfig, &mut KernelArgs<'_, '_>) + Send + Sync {
     |cfg, args| {
         let (offsets, neighbors, _, states) = mis_args(args);
+        if !states.contains(&TENTATIVE) {
+            return;
+        }
         let n = states.len();
         for v in cfg.threads() {
             if v >= n || states[v] != TENTATIVE {

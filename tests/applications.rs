@@ -3,7 +3,7 @@
 
 use heteroflow::core::{device_placement, Plan};
 use heteroflow::place::matching::Hungarian;
-use heteroflow::place::mis::{make_priorities, mis_cpu};
+use heteroflow::place::mis::{self, make_priorities, mis_cpu};
 use heteroflow::place::{detailed_place, detailed_place_sequential, PlaceConfig};
 use heteroflow::place::{partition_windows, Matcher, PlacementConfig, PlacementDb};
 use heteroflow::prelude::*;
@@ -281,6 +281,73 @@ fn placement_end_to_end_parallel_equals_sequential() {
         );
         assert!(par.hpwl_after <= par.hpwl_before);
         par.db.check_legal().expect("legal");
+    }
+}
+
+/// The MIS kernel chain run far past convergence on `Executor(1,1)`, on
+/// the `app_place` conflict graph: the states after every round are
+/// logged, the last equal `mis_cpu`'s, and from the first round that
+/// leaves no cell undecided on they never change: the kernels' early
+/// returns in those rounds are no-ops.
+#[test]
+fn mis_rounds_past_convergence_change_nothing() {
+    const ROUNDS: usize = 48;
+    let (db, _) = placement_inputs();
+    let (off, nbr) = db.netlist.conflict_adjacency();
+    let n = db.num_cells();
+    let pri = make_priorities(n, 7);
+    let g = Heteroflow::new("mis-past-convergence");
+    let h_off = HostVec::from_vec(off.to_vec());
+    let h_nbr = HostVec::from_vec(nbr.to_vec());
+    let h_pri = HostVec::from_vec(pri.clone());
+    let h_st = HostVec::from_vec(vec![mis::UNDECIDED; n]);
+    let pulls = [&h_off, &h_nbr, &h_pri, &h_st].map(|h| g.pull("pull", h));
+    let sources: Vec<&PullTask> = pulls.iter().collect();
+    let log: Arc<std::sync::Mutex<Vec<Vec<u32>>>> = Arc::default();
+    let mut prev: Option<heteroflow::core::KernelTask> = None;
+    for r in 0..ROUNDS {
+        let sel = g.kernel(&format!("sel{r}"), &sources, mis::select_kernel());
+        let com = g.kernel(&format!("com{r}"), &sources, mis::commit_kernel());
+        let snap = g.kernel(&format!("snap{r}"), &sources, {
+            let log = Arc::clone(&log);
+            move |_, args| {
+                log.lock()
+                    .unwrap()
+                    .push(args.slice::<u32>(3).unwrap().to_vec())
+            }
+        });
+        for k in [&sel, &com] {
+            k.cover(n, 256);
+        }
+        match &prev {
+            None => sel.succeed_all(&[&pulls[0], &pulls[1], &pulls[2], &pulls[3]]),
+            Some(p) => sel.succeed(p),
+        };
+        sel.precede(&com);
+        com.precede(&snap);
+        prev = Some(snap);
+    }
+    let push = g.push("push_st", &pulls[3], &h_st);
+    push.succeed(prev.as_ref().expect("rounds"));
+    Executor::new(1, 1).run(&g).wait().expect("runs");
+
+    let log = log.lock().unwrap();
+    assert_eq!(log.len(), ROUNDS);
+    let expect = mis_cpu(off, nbr, &pri);
+    assert_eq!(
+        h_st.to_vec(),
+        expect,
+        "kernel fixed point differs from mis_cpu"
+    );
+    let converged = (log.iter())
+        .position(|st| !st.contains(&mis::UNDECIDED))
+        .expect("converges");
+    assert!(
+        converged < ROUNDS / 4,
+        "converged only after round {converged}"
+    );
+    for (r, st) in log.iter().enumerate().skip(converged) {
+        assert_eq!(st, &expect, "round {r} changed the converged states");
     }
 }
 

@@ -527,3 +527,65 @@ fn chunked_pull_costs_one_op_per_chunk() {
     }
     assert_eq!(ex.snapshot().bytes_h2d, 3 * 4096);
 }
+
+/// A pull never waits behind an unrelated kernel chain of the same worker:
+/// it rides the copy lane, so on one device the engine runs it between two
+/// of the chain's kernels, and its host successor finishes while the chain
+/// still occupies the device. (On the compute stream the pull would run
+/// only after the whole chain and its callback.)
+#[test]
+fn a_pull_does_not_queue_behind_an_unrelated_kernel_chain() {
+    use std::sync::Mutex;
+    use std::time::{Duration, Instant};
+    const OCCUPANCY: Duration = Duration::from_millis(20);
+    let ex = Executor::new(1, 1);
+    let g = Heteroflow::new("head-of-line");
+    let started = Arc::new(AtomicBool::new(false));
+    let chain_end: Arc<Mutex<Option<Instant>>> = Arc::default();
+    let mut prev: Option<heteroflow::core::KernelTask> = None;
+    for k in 0..3 {
+        let (started, chain_end) = (Arc::clone(&started), Arc::clone(&chain_end));
+        let kernel = g.kernel(&format!("busy{k}"), &[], move |_, _| {
+            started.store(true, Ordering::Release);
+            std::thread::sleep(OCCUPANCY);
+            *chain_end.lock().unwrap() = Some(Instant::now());
+        });
+        if let Some(p) = &prev {
+            kernel.succeed(p);
+        }
+        prev = Some(kernel);
+    }
+    let data = HostVec::from_vec(vec![1u8; 4096]);
+    let release = g.host("release", {
+        let started = Arc::clone(&started);
+        move || {
+            // The kernel chain goes to the device first; wait until it runs.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !started.load(Ordering::Acquire) {
+                assert!(Instant::now() < deadline, "the kernel chain never started");
+                std::thread::yield_now();
+            }
+        }
+    });
+    let pull = g.pull("pull", &data);
+    let after_at: Arc<Mutex<Option<Instant>>> = Arc::default();
+    let after = g.host("after", {
+        let after_at = Arc::clone(&after_at);
+        move || *after_at.lock().unwrap() = Some(Instant::now())
+    });
+    release.precede(&pull);
+    pull.precede(&after);
+    // The first run creates the worker's streams; the engine's round-robin
+    // covers the lanes from the second on.
+    for _ in 0..2 {
+        started.store(false, Ordering::Release);
+        ex.run(&g).wait().expect("runs");
+    }
+    let after_at = after_at.lock().unwrap().expect("after ran");
+    let chain_end = chain_end.lock().unwrap().expect("chain ran");
+    assert!(
+        after_at < chain_end,
+        "the pull's successor finished {:?} after the kernel chain",
+        after_at - chain_end
+    );
+}
