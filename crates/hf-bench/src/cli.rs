@@ -18,7 +18,7 @@ impl Args {
     }
 
     /// Parses an explicit iterator (testing).
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Self {
+    pub(crate) fn from_args<I: IntoIterator<Item = String>>(args: I) -> Self {
         let mut kv = HashMap::new();
         let mut flags = Vec::new();
         let mut it = args.into_iter().peekable();

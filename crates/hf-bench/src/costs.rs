@@ -29,7 +29,7 @@ impl NameCosts {
     }
 
     /// Cost of a task name (longest matching prefix; zero if none).
-    pub fn cost_of(&self, name: &str) -> SimDuration {
+    pub(crate) fn cost_of(&self, name: &str) -> SimDuration {
         self.entries
             .iter()
             .find(|(p, _)| name.starts_with(p.as_str()))

@@ -4,7 +4,7 @@
 #[derive(Debug, Clone)]
 pub struct Row {
     /// Series label.
-    pub label: String,
+    pub(crate) label: String,
     /// Values, one per column.
     pub values: Vec<f64>,
 }

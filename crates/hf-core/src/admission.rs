@@ -33,7 +33,7 @@ pub struct TenantId(pub(crate) Arc<str>);
 
 impl TenantId {
     /// Creates a tenant id from a name.
-    pub fn new(name: &str) -> Self {
+    pub(crate) fn new(name: &str) -> Self {
         Self(Arc::from(name))
     }
 
@@ -164,11 +164,6 @@ pub struct WeightedFair {
 }
 
 impl WeightedFair {
-    /// Creates the policy with the virtual clock at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     fn start_tag(&self, lane: &LaneView<'_>) -> f64 {
         self.finish
             .get(lane.tenant)
@@ -232,7 +227,7 @@ mod tests {
         // the small tenant (weight 4) arrives later with cost-100 jobs.
         // SFQ must schedule the small tenant ahead of the remaining
         // backlog rather than behind all of it.
-        let mut p = WeightedFair::new();
+        let mut p = WeightedFair::default();
         let b = lane("batch", 1, 0, 1000);
         assert_eq!(p.pick(&[b]), Some(0));
         p.admitted(&lane("batch", 1, 0, 1000), 1000);
@@ -253,7 +248,7 @@ mod tests {
     fn weighted_fair_respects_weights_long_run() {
         // Equal cost jobs, weights 3:1 — over many admissions the
         // weight-3 tenant is picked ~3x as often.
-        let mut p = WeightedFair::new();
+        let mut p = WeightedFair::default();
         let mut counts = (0u32, 0u32);
         for seq in 0..400u64 {
             let lanes = [lane("heavy", 3, seq, 300), lane("light", 1, seq, 300)];

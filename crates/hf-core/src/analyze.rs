@@ -42,7 +42,7 @@ use std::fmt;
 /// Path-based lints (HF002/HF003/HF006) build an O(V²/64) reachability
 /// closure; above this many tasks they are skipped (HF008 reports it) and
 /// only the local lints run.
-pub const MAX_CLOSURE_TASKS: usize = 16_384;
+pub(crate) const MAX_CLOSURE_TASKS: usize = 16_384;
 
 /// How serious a [`Diagnostic`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -57,7 +57,7 @@ pub enum Severity {
 
 impl Severity {
     /// Stable lowercase name used in renders and JSON.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Severity::Info => "info",
             Severity::Warning => "warning",
@@ -76,21 +76,21 @@ impl fmt::Display for Severity {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Stable code, `"HF001"` … `"HF008"`.
-    pub code: &'static str,
+    pub(crate) code: &'static str,
     /// How serious the finding is.
     pub severity: Severity,
     /// Names of the involved tasks (for HF001, the ordered cycle).
     pub tasks: Vec<String>,
     /// Node indices of the involved tasks, parallel to `tasks` (used by
     /// the DOT renderer to color offending nodes).
-    pub task_ids: Vec<usize>,
+    pub(crate) task_ids: Vec<usize>,
     /// Human-readable explanation with a suggested fix.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl Diagnostic {
     /// Canonical one-line rendering: `HF0xx [task, ...]: message`.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         format!(
             "{} [{}]: {}",
             self.code,
@@ -104,10 +104,10 @@ impl Diagnostic {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Report {
     /// Name of the analyzed graph.
-    pub graph: String,
+    pub(crate) graph: String,
     /// Findings ordered by severity (errors first), then code, then first
     /// involved task — deterministic for a given graph.
-    pub diagnostics: Vec<Diagnostic>,
+    pub(crate) diagnostics: Vec<Diagnostic>,
 }
 
 impl Report {

@@ -4,7 +4,7 @@
 //! [`hf_gpu::CostModel`] (bandwidth × bytes, throughput × work units)
 //! computed from the graph's *current* shape. A caller that knows better
 //! — a persisted profile, `hf-telemetry`'s measured per-task table — says
-//! so through [`CostDb::seed`] (`Executor::seed_task_cost`): the next
+//! so through `Executor::seed_task_cost`: the next
 //! placement of that graph weighs a seeded task with the seed instead,
 //! and the fleet's admission estimate sums the same numbers. Nothing
 //! inside the runtime writes to the table.
@@ -33,14 +33,14 @@ pub struct CostDb {
 
 impl CostDb {
     /// Creates an empty database.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records an estimate from external history (e.g. a persisted
     /// timing profile); the last usable value for a task wins. A NaN,
     /// infinite or negative `nanos` is dropped.
-    pub fn seed(&self, graph: &str, task: &str, nanos: f64) {
+    pub(crate) fn seed(&self, graph: &str, task: &str, nanos: f64) {
         if usable_cost(nanos) {
             let key = (graph.to_string(), task.to_string());
             self.inner.lock().insert(key, nanos);
@@ -66,7 +66,7 @@ impl CostDb {
     /// Snapshot of every estimate for one graph, keyed by task name —
     /// the form the placement routines consume (no locking inside the
     /// packing loop).
-    pub fn snapshot_for(&self, graph: &str) -> TaskCosts {
+    pub(crate) fn snapshot_for(&self, graph: &str) -> TaskCosts {
         let m = self.inner.lock();
         TaskCosts {
             by_task: m
@@ -80,7 +80,7 @@ impl CostDb {
     /// Sum of all seeds for one graph, with the number of tasks covered:
     /// `(total_nanos, tasks_covered)`. Allocation-free — this sits on the
     /// fleet's per-submission admission path.
-    pub fn sum_for(&self, graph: &str) -> (f64, usize) {
+    pub(crate) fn sum_for(&self, graph: &str) -> (f64, usize) {
         let m = self.inner.lock();
         let mut total = 0.0f64;
         let mut covered = 0usize;
@@ -105,7 +105,7 @@ impl CostDb {
 }
 
 /// Immutable per-graph snapshot of seeded task costs (nanoseconds),
-/// consumed by [`crate::placement::place`]. Tasks absent
+/// consumed by placement. Tasks absent
 /// from the snapshot fall back to the analytic model.
 #[derive(Debug, Clone, Default)]
 pub struct TaskCosts {
@@ -114,12 +114,12 @@ pub struct TaskCosts {
 
 impl TaskCosts {
     /// Seeded estimate for `task`, if one exists.
-    pub fn get(&self, task: &str) -> Option<f64> {
+    pub(crate) fn get(&self, task: &str) -> Option<f64> {
         self.by_task.get(task).copied()
     }
 
     /// True when no task has a seed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.by_task.is_empty()
     }
 

@@ -114,17 +114,12 @@ impl<T> HostVec<T> {
         self.inner.data.read().is_empty()
     }
 
-    /// Extracts the contents, leaving the shared vector empty.
-    pub fn take(&self) -> Vec<T> {
-        std::mem::take(&mut *self.write())
-    }
-
     /// Stable identity of the shared storage: equal across clones, unique
     /// across distinct vectors, for as long as any clone lives. This is
     /// the same value [`HostSource::source_id`] / [`HostSink::sink_id`]
     /// report, and what [`crate::HostTask::reads`] /
     /// [`crate::HostTask::writes`] declare to the static analyzer.
-    pub fn buffer_id(&self) -> usize {
+    pub(crate) fn buffer_id(&self) -> usize {
         Arc::as_ptr(&self.inner) as *const () as usize
     }
 }
@@ -301,8 +296,7 @@ mod tests {
         let b = a.clone();
         a.write().push(1.5);
         assert_eq!(b.to_vec(), vec![1.5]);
-        assert_eq!(b.take(), vec![1.5]);
-        assert!(a.is_empty());
+        assert!(!a.is_empty());
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! visualization largely facilitates testing and debugging of Heteroflow
 //! applications" (Listing 11).
 
-use crate::graph::{Builder, Heteroflow, TaskKind};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::graph::{Heteroflow, TaskKind};
 
 fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
@@ -22,56 +21,20 @@ fn style(kind: TaskKind) -> &'static str {
     }
 }
 
-/// The one emitter: every node once, then every edge. `decorate` may give
-/// a node a second label line and extra attributes.
-fn emit(b: &Builder, decorate: &dyn Fn(usize) -> Option<(String, &'static str)>) -> String {
-    let mut out = format!("digraph \"{}\" {{\n  rankdir=TB;\n", escape(&b.name));
-    for (i, n) in b.nodes.iter().enumerate() {
-        let (line, attrs) = match decorate(i) {
-            Some((line, attrs)) => (format!("\\n{line}"), format!(", {attrs}")),
-            None => Default::default(),
-        };
-        let (name, style) = (escape(&n.name), style(n.work.kind()));
-        out += &format!("  n{i} [label=\"{name}{line}\", {style}{attrs}];\n");
-    }
-    for (i, n) in b.nodes.iter().enumerate() {
-        out.extend(n.succ.iter().map(|s| format!("  n{i} -> n{s};\n")));
-    }
-    out + "}\n"
-}
-
 impl Heteroflow {
-    /// Renders the graph as a DOT digraph string.
+    /// Renders the graph as a DOT digraph string: every node once, then
+    /// every edge.
     pub fn dump(&self) -> String {
-        emit(&self.shared.builder.lock(), &|_| None)
-    }
-
-    /// Renders the graph as DOT with static-analysis findings overlaid
-    /// (see [`Heteroflow::analyze`]). Tasks in an unordered shared-buffer
-    /// access pair (`HF002`) are outlined red and bold; dead transfers —
-    /// a push no kernel feeds (`HF004`) or a pull nothing consumes
-    /// (`HF005`) — are dashed and grayed out. Affected labels carry the
-    /// diagnostic code so a rendered graph is self-explanatory.
-    pub fn dump_analyzed(&self) -> String {
-        let mut marks: BTreeMap<usize, BTreeSet<&'static str>> = BTreeMap::new();
-        for d in &self.analyze().diagnostics {
-            if matches!(d.code, "HF002" | "HF004" | "HF005") {
-                for &t in &d.task_ids {
-                    marks.entry(t).or_default().insert(d.code);
-                }
-            }
+        let b = self.shared.builder.lock();
+        let mut out = format!("digraph \"{}\" {{\n  rankdir=TB;\n", escape(&b.name));
+        for (i, n) in b.nodes.iter().enumerate() {
+            let (name, style) = (escape(&n.name), style(n.work.kind()));
+            out += &format!("  n{i} [label=\"{name}\", {style}];\n");
         }
-        let decorate = |i: usize| {
-            let codes = marks.get(&i)?;
-            // Racy outrank dead: red outline wins when both apply.
-            let attrs = if codes.contains(&"HF002") {
-                "color=red, penwidth=2"
-            } else {
-                "style=dashed, color=gray50, fontcolor=gray40"
-            };
-            Some((Vec::from_iter(codes.iter().copied()).join(","), attrs))
-        };
-        emit(&self.shared.builder.lock(), &decorate)
+        for (i, n) in b.nodes.iter().enumerate() {
+            out.extend(n.succ.iter().map(|s| format!("  n{i} -> n{s};\n")));
+        }
+        out + "}\n"
     }
 }
 
@@ -109,41 +72,5 @@ mod tests {
         let dot = g.dump();
         assert!(dot.contains("q\\\"uote"));
         assert!(dot.contains("na\\\"me"));
-    }
-
-    #[test]
-    fn dump_analyzed_colors_racy_pairs_and_dead_nodes() {
-        let g = Heteroflow::new("lint");
-        let x: HostVec<i32> = HostVec::from_vec(vec![0; 16]);
-        // Two unordered pushes to `x` race (HF002); an unconsumed pull of
-        // a second buffer is dead (HF005).
-        let p = g.pull("p", &x);
-        let k = g.kernel("k", &[&p], |_, _| {});
-        let s1 = g.push("s1", &p, &x);
-        let s2 = g.push("s2", &p, &x);
-        p.precede(&k);
-        k.precede(&s1);
-        k.precede(&s2);
-        let y: HostVec<i32> = HostVec::from_vec(vec![0; 16]);
-        g.pull("dead", &y);
-        let dot = g.dump_analyzed();
-        assert!(dot.contains("color=red"), "racy pair not colored: {dot}");
-        assert!(dot.contains("HF002"), "racy label missing code: {dot}");
-        assert!(dot.contains("style=dashed"), "dead node not dashed: {dot}");
-        assert!(dot.contains("HF005"), "dead label missing code: {dot}");
-        // Ordered, consumed tasks keep their plain styling.
-        assert!(dot.contains("\"k\""), "kernel node missing");
-    }
-
-    #[test]
-    fn dump_analyzed_of_clean_graph_matches_dump() {
-        let g = Heteroflow::new("clean");
-        let x: HostVec<i32> = HostVec::from_vec(vec![0; 16]);
-        let p = g.pull("p", &x);
-        let k = g.kernel("k", &[&p], |_, _| {});
-        let s = g.push("s", &p, &x);
-        p.precede(&k);
-        k.precede(&s);
-        assert_eq!(g.dump_analyzed(), g.dump());
     }
 }

@@ -219,7 +219,7 @@ impl std::fmt::Debug for ExecutorBuilder {
 
 impl ExecutorBuilder {
     /// Starts a builder with `cpus` worker threads and `gpus` devices.
-    pub fn new(cpus: usize, gpus: u32) -> Self {
+    pub(crate) fn new(cpus: usize, gpus: u32) -> Self {
         Self {
             cpus,
             gpus,
@@ -369,7 +369,7 @@ pub struct Executor {
 impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
-            .field("cpus", &self.num_workers())
+            .field("cpus", &self.inner.stealers.len())
             .field("gpus", &self.num_gpus())
             .finish()
     }
@@ -385,11 +385,6 @@ impl Executor {
     /// Builder for custom configurations.
     pub fn builder(cpus: usize, gpus: u32) -> ExecutorBuilder {
         ExecutorBuilder::new(cpus, gpus)
-    }
-
-    /// Number of CPU worker threads.
-    pub fn num_workers(&self) -> usize {
-        self.inner.stealers.len()
     }
 
     /// Number of GPU devices.

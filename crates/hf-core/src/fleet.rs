@@ -68,7 +68,6 @@ impl Default for FleetConfig {
 /// One parked submission.
 struct Queued {
     hf: Heteroflow,
-    rounds: usize,
     core: Completion,
     est_ns: u64,
     retry_unit_ns: u64,
@@ -154,7 +153,6 @@ struct FleetInner {
 /// An admitted submission carried out of the state lock for dispatch.
 struct Launch {
     hf: Heteroflow,
-    rounds: usize,
     core: Completion,
     tenant: Arc<str>,
     lane: usize,
@@ -218,11 +216,6 @@ impl Fleet {
         &self.inner.exec
     }
 
-    /// The admission policy's stable name.
-    pub fn policy_name(&self) -> &'static str {
-        self.inner.policy_name
-    }
-
     /// Registers (or reconfigures) a tenant. Submitting under an
     /// unregistered tenant registers it implicitly with
     /// [`TenantConfig::default`]; explicit registration is how weights,
@@ -248,20 +241,8 @@ impl Fleet {
     /// bound ([`HfError::FleetSaturated`]) or GPU-time budget
     /// ([`HfError::QuotaExceeded`]) rejects the submission.
     pub fn submit(&self, tenant: &TenantId, hf: &Heteroflow) -> Result<RunFuture, HfError> {
-        self.submit_n(tenant, hf, 1)
-    }
-
-    /// [`Fleet::submit`] running the graph `n` rounds back-to-back
-    /// (the fleet analogue of [`Executor::run_n`]).
-    pub fn submit_n(
-        &self,
-        tenant: &TenantId,
-        hf: &Heteroflow,
-        n: usize,
-    ) -> Result<RunFuture, HfError> {
         let inner = &self.inner;
-        let (per_run, per_task) = inner.estimate_ns(hf);
-        let est = per_run.saturating_mul(n.max(1) as u64);
+        let (est, per_task) = inner.estimate_ns(hf);
         let (core, fast) = {
             let mut st = inner.state.lock();
             let li = match st.index.get(tenant) {
@@ -306,7 +287,6 @@ impl Fleet {
             st.seq += 1;
             st.lanes[li].queue.push_back(Queued {
                 hf: hf.clone(),
-                rounds: n,
                 core: core.clone(),
                 est_ns: est,
                 retry_unit_ns: per_task,
@@ -509,7 +489,6 @@ impl FleetInner {
         let tenant = Arc::clone(&lane.id.0);
         Launch {
             hf: q.hf,
-            rounds: q.rounds,
             core: q.core,
             tenant,
             lane: li,
@@ -561,7 +540,7 @@ impl FleetInner {
         let me = Arc::clone(self);
         let li = l.lane;
         let retry_unit = l.retry_unit_ns;
-        let stop = Box::new(stop_after(l.rounds));
+        let stop = Box::new(stop_after(1));
         // The returned future shares the caller's completion core; the
         // caller's RunFuture is the live handle, so this one is dropped.
         drop(run_until(
@@ -619,9 +598,9 @@ impl FleetInner {
 #[derive(Debug, Clone, Serialize)]
 pub struct FleetSnapshot {
     /// Admission policy name.
-    pub policy: String,
+    pub(crate) policy: String,
     /// Fleet-wide in-flight cap.
-    pub max_inflight: usize,
+    pub(crate) max_inflight: usize,
     /// Admitted-but-unfinished submissions right now.
     pub inflight: usize,
     /// Parked submissions across all tenant queues.
@@ -636,13 +615,13 @@ pub struct TenantSnapshot {
     /// Tenant name.
     pub tenant: String,
     /// Weighted-fair share.
-    pub weight: u32,
+    pub(crate) weight: u32,
     /// Submissions parked in the queue right now.
-    pub queued: usize,
+    pub(crate) queued: usize,
     /// Submissions in flight right now.
-    pub inflight: usize,
+    pub(crate) inflight: usize,
     /// Submissions accepted (queued or admitted) in total.
-    pub submitted: u64,
+    pub(crate) submitted: u64,
     /// Submissions admitted to the executor.
     pub admitted: u64,
     /// Runs completed successfully.
@@ -663,7 +642,7 @@ pub struct TenantSnapshot {
     /// plus retry charges, minus refunds for queue-cancelled entries).
     pub gpu_ns_charged: u64,
     /// Budget, when configured.
-    pub gpu_ns_budget: Option<u64>,
+    pub(crate) gpu_ns_budget: Option<u64>,
     /// Total nanoseconds submissions spent queued before admission.
     pub queue_wait_ns_total: u64,
 }

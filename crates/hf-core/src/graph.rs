@@ -292,7 +292,7 @@ impl FrozenGraph {
 
     /// Modeled device time of node `id` in nanoseconds, the one price
     /// Algorithm 1 packs with and `hf-sim` replays with: a pull's H2D copy,
-    /// a kernel's priced work, a push's D2H copy of [`Self::bytes_of`];
+    /// a kernel's priced work, a push's D2H copy of its bytes;
     /// `0` for host tasks and placeholders.
     pub fn weight_of(&self, id: usize, cost: &CostModel) -> f64 {
         let time = match (&self.nodes[id].work, self.gpu(id)) {
@@ -309,7 +309,7 @@ impl FrozenGraph {
     /// The one rule for the PCIe bytes a task moves when it runs: a
     /// pull's current host size, a push's staged pull size, `0` for
     /// host/kernel tasks. It also stamps `LifecycleEvent::bytes`.
-    pub fn bytes_of(&self, id: usize) -> usize {
+    pub(crate) fn bytes_of(&self, id: usize) -> usize {
         match &self.nodes[id].work {
             Work::Pull { source } => source.byte_len(),
             Work::Push { source_pull, .. } => match &self.nodes[*source_pull].work {
@@ -467,18 +467,13 @@ impl Heteroflow {
     }
 
     /// Graph name.
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         self.shared.builder.lock().name.clone()
     }
 
     /// Number of tasks created so far.
     pub fn num_tasks(&self) -> usize {
         self.shared.builder.lock().nodes.len()
-    }
-
-    /// True if no tasks have been created.
-    pub fn is_empty(&self) -> bool {
-        self.num_tasks() == 0
     }
 
     /// Number of dependency links created so far.
@@ -533,7 +528,7 @@ impl Heteroflow {
     }
 
     /// `pull` with an explicit type-erased source.
-    pub fn pull_source(&self, name: &str, source: Arc<dyn HostSource>) -> PullTask {
+    pub(crate) fn pull_source(&self, name: &str, source: Arc<dyn HostSource>) -> PullTask {
         let id = self.shared.builder.lock().add(name, Work::Pull { source });
         PullTask(self.task_ref(id))
     }

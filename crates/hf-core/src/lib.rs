@@ -90,13 +90,10 @@ pub use fleet::{Fleet, FleetConfig, FleetSnapshot, TenantSnapshot};
 pub use graph::{FrozenGraph, Heteroflow, TaskKind};
 pub use lifecycle::{lifecycle_now_ns, LifecycleEvent, LifecyclePhase};
 pub use observer::{ExecutorObserver, SpanCat, TraceCollector, TraceSpan, Track};
-pub use placement::{device_placement, place, PlaceInput, Placement};
+pub use placement::{device_placement, Placement};
 pub use plan::Plan;
 pub use retry::{OnDeviceLoss, RetryPolicy};
 pub use stats::StatsSnapshot;
 pub use stream::{Session, StreamConfig};
 pub use task::{AsTask, HostTask, KernelTask, PullTask, PushTask, TaskRef};
 pub use topology::{Completion, EpochFuture, RunFuture};
-
-// Re-export the GPU substrate types that appear in the public API.
-pub use hf_gpu::{GpuConfig, GpuRuntime, KernelArgs, LaunchConfig};

@@ -119,7 +119,7 @@ pub struct TraceSpan {
     /// Stream index, for device-side spans.
     pub stream: Option<usize>,
     /// Microseconds since the process lifecycle epoch
-    /// ([`TraceCollector::epoch`]).
+    /// ([`crate::lifecycle_now_ns`]'s clock).
     pub start_us: u64,
     /// Span duration in microseconds.
     pub dur_us: u64,
@@ -207,13 +207,13 @@ impl Default for TraceCollector {
 
 impl TraceCollector {
     /// Creates an empty collector with the default per-lane capacity.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_capacity(DEFAULT_LANE_CAPACITY)
     }
 
     /// Creates an empty collector whose per-lane span rings hold
     /// `lane_capacity` spans between drains.
-    pub fn with_capacity(lane_capacity: usize) -> Self {
+    pub(crate) fn with_capacity(lane_capacity: usize) -> Self {
         Self {
             enabled: AtomicBool::new(true),
             cpu: LaneTable::new(),
@@ -231,7 +231,7 @@ impl TraceCollector {
 
     /// The instant timestamps are measured from: the process lifecycle
     /// epoch, shared with every [`LifecycleEvent::t_ns`].
-    pub fn epoch(&self) -> Instant {
+    pub(crate) fn epoch(&self) -> Instant {
         crate::lifecycle::epoch()
     }
 
@@ -242,16 +242,11 @@ impl TraceCollector {
         self.enabled.store(on, Ordering::Release);
     }
 
-    /// True when recording.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Wires this collector into `rt` as the device-side trace sink:
     /// device engines report true op start/finish times, which become
     /// the GPU tasks' spans on device tracks.
     /// [`crate::ExecutorBuilder::tracer`] calls this automatically.
-    pub fn connect_gpu(self: &Arc<Self>, rt: &hf_gpu::GpuRuntime) {
+    pub(crate) fn connect_gpu(self: &Arc<Self>, rt: &hf_gpu::GpuRuntime) {
         rt.set_trace_sink(Some(Arc::clone(self) as Arc<dyn GpuTraceSink>));
     }
 
@@ -288,16 +283,6 @@ impl TraceCollector {
     /// re-copying the whole history.
     pub fn take_spans(&self) -> Vec<TraceSpan> {
         std::mem::take(&mut *self.drain_rings())
-    }
-
-    /// Number of spans recorded, counted under the drain lock (no copy).
-    pub fn len(&self) -> usize {
-        self.drain_rings().len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Spans dropped because a lane ring overflowed between drains.
@@ -495,11 +480,11 @@ mod tests {
             g.host(&format!("t{i}"), || {});
         }
         ex.run(&g).wait().expect("runs");
-        assert!(trace.is_empty());
+        assert!(trace.spans().is_empty());
         // Flipping it back on starts recording again.
         trace.set_enabled(true);
         ex.run(&g).wait().expect("runs");
-        assert_eq!((trace.len(), trace.spans().len()), (10, 10));
+        assert_eq!(trace.spans().len(), 10);
     }
 
     #[test]

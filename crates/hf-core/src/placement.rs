@@ -22,16 +22,14 @@ use hf_sync::UnionFind;
 pub struct Placement {
     /// Device per node; `None` for host/placeholder tasks.
     pub device_of: Vec<Option<u32>>,
-    /// Number of kernel/pull groups found.
-    pub num_groups: usize,
     /// Modeled load per GPU bin after packing, including
-    /// [`PlaceInput::initial_loads`] (nanoseconds).
+    /// the load already on each device (nanoseconds).
     pub loads: Vec<f64>,
     /// Groups placed on a device already holding a warm copy of at least
     /// one of their pulls.
-    pub warm_hits: u64,
+    pub(crate) warm_hits: u64,
     /// Transfer bytes warm placement is expected to save via elision.
-    pub est_bytes_saved: u64,
+    pub(crate) est_bytes_saved: u64,
 }
 
 impl Placement {
@@ -61,7 +59,6 @@ impl Placement {
         }
         Placement {
             device_of,
-            num_groups: groups.len(),
             loads,
             warm_hits: 0,
             est_bytes_saved: 0,
@@ -101,9 +98,9 @@ fn weight(graph: &FrozenGraph, id: usize, cost: &CostModel, refined: Option<&Tas
 #[derive(Debug, Clone)]
 pub struct Group {
     /// Node ids of the group's pulls and kernels, ascending.
-    pub members: Vec<usize>,
+    pub(crate) members: Vec<usize>,
     /// Summed weight of the members (nanoseconds of device time).
-    pub weight: f64,
+    pub(crate) weight: f64,
 }
 
 /// Lines 1-7 of Algorithm 1 and the first half of the paper's pluggable
@@ -142,20 +139,20 @@ pub fn groups(graph: &FrozenGraph, cost: &CostModel, refined: Option<&TaskCosts>
 /// data. `PlaceInput { lost: &[false; N], ..Default::default() }` is a
 /// fresh placement on `N` healthy devices.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PlaceInput<'a> {
+pub(crate) struct PlaceInput<'a> {
     /// `lost[b]` marks bin `b` as dead; the length is the bin count.
-    pub lost: &'a [bool],
+    pub(crate) lost: &'a [bool],
     /// Load already on each bin (nanoseconds); empty for none. The
     /// executor feeds its decayed cross-graph load here so devices stay
     /// balanced *across* graphs, not just within one.
-    pub initial_loads: &'a [f64],
+    pub(crate) initial_loads: &'a [f64],
     /// The previous `device_of`. A group with a member on a surviving
     /// device stays there (its residency stays warm and nothing that
     /// completed has to replay); empty places everything.
-    pub prev: &'a [Option<u32>],
+    pub(crate) prev: &'a [Option<u32>],
     /// Seeded per-task weights replacing the analytic ones; `None` when
     /// the graph has no seeds (no task name is then looked up).
-    pub refined: Option<&'a TaskCosts>,
+    pub(crate) refined: Option<&'a TaskCosts>,
 }
 
 /// Algorithm 1 (*DevicePlacement*): first placement, cross-graph bias,
@@ -169,7 +166,7 @@ pub struct PlaceInput<'a> {
 /// of (a live buffer with the source's current version). Returns
 /// [`HfError::NoGpus`] if the graph contains GPU tasks but no bin
 /// survives.
-pub fn place(
+pub(crate) fn place(
     graph: &FrozenGraph,
     cost: &CostModel,
     input: &PlaceInput<'_>,
@@ -265,7 +262,7 @@ pub fn place(
 }
 
 /// A fresh placement of `graph` on `num_gpus` healthy, idle devices —
-/// [`place`] with nothing lost, nothing pinned and nothing seeded.
+/// Algorithm 1 with nothing lost, nothing pinned and nothing seeded.
 pub fn device_placement(
     graph: &FrozenGraph,
     num_gpus: u32,
@@ -304,7 +301,7 @@ mod tests {
         py.precede(&k3);
         let f = g.freeze().unwrap();
         let p = device_placement(&f, 4, &CostModel::default()).unwrap();
-        assert_eq!(p.num_groups, 2);
+        assert_eq!(groups(&f, &CostModel::default(), None).len(), 2);
         let d_px = p.device_of[px.id()].unwrap();
         assert_eq!(p.device_of[k1.id()], Some(d_px));
         assert_eq!(p.device_of[k2.id()], Some(d_px));
@@ -326,7 +323,7 @@ mod tests {
         py.precede(&k);
         let f = g.freeze().unwrap();
         let p = device_placement(&f, 4, &CostModel::default()).unwrap();
-        assert_eq!(p.num_groups, 1);
+        assert_eq!(groups(&f, &CostModel::default(), None).len(), 1);
         let d = p.device_of[k.id()];
         assert_eq!(p.device_of[px.id()], d);
         assert_eq!(p.device_of[py.id()], d);
@@ -351,7 +348,7 @@ mod tests {
         let f = g.freeze().unwrap();
         let p = device_placement(&f, 2, &CostModel::default()).unwrap();
         assert_eq!(p.device_of[h.id()], None);
-        assert_eq!(p.num_groups, 0);
+        assert_eq!(groups(&f, &CostModel::default(), None).len(), 0);
     }
 
     #[test]
@@ -387,7 +384,7 @@ mod tests {
         }
         let f = g.freeze().unwrap();
         let p = device_placement(&f, 4, &CostModel::default()).unwrap();
-        assert_eq!(p.num_groups, 12);
+        assert_eq!(groups(&f, &CostModel::default(), None).len(), 12);
         assert!(p.imbalance() < 1.01, "imbalance {}", p.imbalance());
         // Every device hosts exactly 3 groups' worth of load.
         let per_dev: Vec<usize> = (0..4)
@@ -420,7 +417,7 @@ mod tests {
             ..Default::default()
         };
         let fo = place(&f, &cost, &input).unwrap();
-        assert_eq!(fo.num_groups, 6);
+        assert_eq!(groups(&f, &cost, None).len(), 6);
         for (i, (o, n)) in orig.device_of.iter().zip(&fo.device_of).enumerate() {
             let (Some(o), Some(n)) = (o, n) else { continue };
             assert_ne!(*n, 1, "node {i} still on the lost device");
@@ -733,7 +730,6 @@ mod tests {
             // that was free to choose it; those groups alone make the warm
             // hits and the bytes saved.
             let groups = groups(&f, &cost, None);
-            prop_assert_eq!(p.num_groups, groups.len());
             let mut want: Vec<f64> = (0..bins).map(|b| initial.get(b).copied().unwrap_or(0.0)).collect();
             let (mut hits, mut bytes_saved) = (0u64, 0u64);
             let mut free_weights: Vec<f64> = Vec::new();
@@ -778,7 +774,6 @@ mod tests {
     fn imbalance_is_max_over_mean() {
         let p = Placement {
             device_of: Vec::new(),
-            num_groups: 1,
             loads: vec![2.0, 0.0],
             warm_hits: 0,
             est_bytes_saved: 0,
@@ -786,7 +781,6 @@ mod tests {
         assert!((p.imbalance() - 2.0).abs() < 1e-12);
         let empty = Placement {
             device_of: Vec::new(),
-            num_groups: 0,
             loads: Vec::new(),
             warm_hits: 0,
             est_bytes_saved: 0,
@@ -794,7 +788,6 @@ mod tests {
         assert_eq!(empty.imbalance(), 1.0);
         let balanced = Placement {
             device_of: Vec::new(),
-            num_groups: 4,
             loads: vec![3.0, 3.0, 3.0],
             warm_hits: 0,
             est_bytes_saved: 0,

@@ -87,7 +87,7 @@ impl RetryPolicy {
     }
 
     /// Attempt budget of every task.
-    pub fn attempts(&self) -> u32 {
+    pub(crate) fn attempts(&self) -> u32 {
         self.attempts
     }
 

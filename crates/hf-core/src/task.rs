@@ -35,28 +35,13 @@ impl TaskRef {
     }
 
     /// Task name.
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         self.graph.builder.lock().nodes[self.id].name.to_string()
     }
 
     /// Task category.
-    pub fn kind(&self) -> TaskKind {
+    pub(crate) fn kind(&self) -> TaskKind {
         self.graph.builder.lock().nodes[self.id].work.kind()
-    }
-
-    /// Number of outgoing dependency links.
-    pub fn num_successors(&self) -> usize {
-        self.graph.builder.lock().nodes[self.id].succ.len()
-    }
-
-    /// Number of incoming dependency links.
-    pub fn num_dependents(&self) -> usize {
-        self.graph.builder.lock().nodes[self.id].pred.len()
-    }
-
-    /// True while the task is an unassigned placeholder.
-    pub fn is_placeholder(&self) -> bool {
-        self.kind() == TaskKind::Placeholder
     }
 
     /// Forces this task to run **before** `other` (a preceding link).
@@ -96,14 +81,6 @@ impl TaskRef {
         for o in others {
             self.succeed(&o.as_task());
         }
-        self
-    }
-
-    /// Renames the task (shows up in DOT dumps).
-    pub fn rename(&self, name: &str) -> &Self {
-        let mut b = self.graph.builder.lock();
-        b.nodes[self.id].name = Arc::from(name);
-        b.touch();
         self
     }
 
@@ -295,16 +272,6 @@ impl KernelTask {
         b.touch();
         self
     }
-
-    /// Current launch configuration.
-    pub fn launch_config(&self) -> hf_gpu::LaunchConfig {
-        let b = self.0.graph.builder.lock();
-        b.nodes[self.0.id]
-            .attrs
-            .as_ref()
-            .map(|a| a.cfg)
-            .unwrap_or_default()
-    }
 }
 
 #[cfg(test)]
@@ -313,6 +280,21 @@ mod tests {
     use crate::data::HostVec;
     use crate::graph::Heteroflow;
 
+    /// (predecessors, successors) of `t`.
+    fn degree(t: &TaskRef) -> (usize, usize) {
+        let b = t.graph.builder.lock();
+        (b.nodes[t.id].pred.len(), b.nodes[t.id].succ.len())
+    }
+
+    fn launch_config(k: &KernelTask) -> hf_gpu::LaunchConfig {
+        let b = k.graph.builder.lock();
+        b.nodes[k.id]
+            .attrs
+            .as_ref()
+            .map(|a| a.cfg)
+            .unwrap_or_default()
+    }
+
     #[test]
     fn handle_metadata() {
         let g = Heteroflow::new("t");
@@ -320,8 +302,6 @@ mod tests {
         assert_eq!(a.name(), "alpha");
         assert_eq!(a.kind(), TaskKind::Host);
         assert_eq!(a.id(), 0);
-        a.rename("beta");
-        assert_eq!(a.name(), "beta");
     }
 
     #[test]
@@ -332,10 +312,9 @@ mod tests {
         let c = g.host("c", || {});
         a.precede(&b);
         c.succeed(&b);
-        assert_eq!(a.num_successors(), 1);
-        assert_eq!(b.num_dependents(), 1);
-        assert_eq!(b.num_successors(), 1);
-        assert_eq!(c.num_dependents(), 1);
+        assert_eq!(degree(&a).1, 1);
+        assert_eq!(degree(&b), (1, 1));
+        assert_eq!(degree(&c).0, 1);
     }
 
     #[test]
@@ -348,8 +327,8 @@ mod tests {
         let s = g.push("s", &p, &x);
         h.precede_all(&[&p, &k]);
         k.succeed(&p).precede(&s);
-        assert_eq!(h.num_successors(), 2);
-        assert_eq!(k.num_dependents(), 2);
+        assert_eq!(degree(&h).1, 2);
+        assert_eq!(degree(&k).0, 2);
     }
 
     #[test]
@@ -359,12 +338,12 @@ mod tests {
         let p = g.pull("p", &x);
         let k = g.kernel("k", &[&p], |_, _| {});
         k.block_x(256).grid_x(4).shm(1024).work_units(5.0);
-        let cfg = k.launch_config();
+        let cfg = launch_config(&k);
         assert_eq!(cfg.block.x, 256);
         assert_eq!(cfg.grid.x, 4);
         assert_eq!(cfg.shm, 1024);
         k.cover(65536, 256);
-        assert_eq!(k.launch_config().grid.x, 256);
+        assert_eq!(launch_config(&k).grid.x, 256);
     }
 
     #[test]

@@ -172,7 +172,7 @@ impl Completion {
     }
 
     /// True once cancellation has been requested.
-    pub fn cancel_requested(&self) -> bool {
+    pub(crate) fn cancel_requested(&self) -> bool {
         self.cancel.load(Ordering::Acquire)
     }
 

@@ -38,7 +38,7 @@ impl DevicePtr {
     };
 
     /// True for the null pointer.
-    pub fn is_null(&self) -> bool {
+    pub(crate) fn is_null(&self) -> bool {
         self.device == u32::MAX
     }
 
@@ -62,11 +62,6 @@ impl Arena {
             mem: vec![0u8; capacity].into_boxed_slice(),
             device,
         }
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.mem.len()
     }
 
     /// Mutable view over the whole arena.
@@ -181,11 +176,6 @@ impl<'a> ArenaView<'a> {
         }
         copy_bytes(&mut dst[..src.len()], src);
         Ok(())
-    }
-
-    /// Device id this view belongs to.
-    pub fn device(&self) -> u32 {
-        self.device
     }
 }
 

@@ -13,19 +13,19 @@ use std::collections::{HashMap, HashSet};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BuddyStats {
     /// Successful allocations.
-    pub allocs: u64,
+    pub(crate) allocs: u64,
     /// Frees.
-    pub frees: u64,
+    pub(crate) frees: u64,
     /// Block splits performed.
-    pub splits: u64,
+    pub(crate) splits: u64,
     /// Buddy coalesces performed.
-    pub merges: u64,
+    pub(crate) merges: u64,
     /// Bytes currently handed out (rounded block sizes).
     pub bytes_in_use: usize,
     /// High-water mark of `bytes_in_use`.
-    pub peak_bytes: usize,
+    pub(crate) peak_bytes: usize,
     /// Allocation failures (out of memory).
-    pub failures: u64,
+    pub(crate) failures: u64,
 }
 
 /// A buddy allocator over the byte range `0..capacity`.
@@ -80,13 +80,8 @@ impl BuddyAllocator {
         self.capacity
     }
 
-    /// Smallest allocatable block size.
-    pub fn min_block(&self) -> usize {
-        self.min_block
-    }
-
     /// Bytes not currently handed out (may be fragmented across orders).
-    pub fn free_bytes(&self) -> usize {
+    pub(crate) fn free_bytes(&self) -> usize {
         self.capacity - self.stats.bytes_in_use
     }
 
@@ -172,16 +167,6 @@ impl BuddyAllocator {
         }
         self.free[order].insert(off);
         Ok(())
-    }
-
-    /// Rounded block size that `alloc(size)` would hand out, if it fits.
-    pub fn rounded_size(&self, size: usize) -> Option<usize> {
-        self.order_for(size).map(|o| self.block_size(o))
-    }
-
-    /// Number of live allocations.
-    pub fn live_allocations(&self) -> usize {
-        self.live.len()
     }
 
     /// True when every byte is free again (fully coalesced back to one

@@ -44,11 +44,6 @@ impl SimDuration {
     pub const fn as_nanos(&self) -> u64 {
         self.0
     }
-
-    /// Saturating addition.
-    pub fn saturating_add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_add(rhs.0))
-    }
 }
 
 impl std::ops::Add for SimDuration {

@@ -68,7 +68,7 @@ pub(crate) struct EngineShared {
 
 /// Inner state of a device, shared between user handles and the engine
 /// thread.
-pub struct DeviceInner {
+pub(crate) struct DeviceInner {
     id: DeviceId,
     arena: Mutex<Arena>,
     pool: MemoryPool,
@@ -169,14 +169,14 @@ impl Device {
     /// While a sink is installed, the engine timestamps every stream op
     /// around its execution and reports alloc/free pool traffic; with no
     /// sink, the only cost on the op path is one relaxed atomic load.
-    pub fn set_trace_sink(&self, sink: Option<Arc<dyn GpuTraceSink>>) {
+    pub(crate) fn set_trace_sink(&self, sink: Option<Arc<dyn GpuTraceSink>>) {
         let mut slot = self.inner.trace.lock();
         self.inner.trace_on.store(sink.is_some(), Ordering::Release);
         *slot = sink;
     }
 
     /// True when a device-side trace sink is installed.
-    pub fn tracing(&self) -> bool {
+    pub(crate) fn tracing(&self) -> bool {
         self.inner.trace_on.load(Ordering::Relaxed)
     }
 
@@ -333,7 +333,6 @@ impl DeviceInner {
                 kind,
                 start: now,
                 end: now,
-                modeled_ns: 0,
                 bytes,
             });
         }
@@ -365,7 +364,7 @@ fn engine_loop(dev: Arc<DeviceInner>) {
                 if head.is_runnable() {
                     blocked_since = q.blocked_since.take();
                     op = Some(q.ops.pop_front().expect("head exists"));
-                    next_start = (i + 1) % n.max(1);
+                    next_start = i + 1;
                     break;
                 } else if tracing && q.blocked_since.is_none() {
                     q.blocked_since = Some(Instant::now());
@@ -376,8 +375,8 @@ fn engine_loop(dev: Arc<DeviceInner>) {
                     return;
                 }
                 // Timed wait: an event this device is blocked on may be
-                // fired by another device's engine or by the host, which
-                // notifies no one here.
+                // fired by another device's engine, which notifies no one
+                // here.
                 qs.parked = true;
                 let (mut qs, _) = eng.cv.wait_timeout(qs, Duration::from_micros(200));
                 qs.parked = false;
@@ -422,7 +421,6 @@ fn engine_loop(dev: Arc<DeviceInner>) {
                 kind,
                 start,
                 end: Instant::now(),
-                modeled_ns: dur.as_nanos(),
                 bytes,
             });
         }
@@ -516,7 +514,7 @@ pub fn current_device() -> Option<DeviceId> {
 
 /// An [`Event`] wait marker used inside op queues.
 #[derive(Debug, Clone)]
-pub struct EventWait {
+pub(crate) struct EventWait {
     pub(crate) event: Event,
     pub(crate) generation: u64,
 }

@@ -39,15 +39,7 @@ pub enum FaultSite {
 }
 
 impl FaultSite {
-    /// Every injectable site, for iterating plans and tests.
-    pub const ALL: [FaultSite; 4] = [
-        FaultSite::Alloc,
-        FaultSite::H2d,
-        FaultSite::D2h,
-        FaultSite::Kernel,
-    ];
-
-    /// The site's position in [`FaultSite::ALL`].
+    /// The site's position in a per-site array.
     pub(crate) fn index(self) -> usize {
         self as usize
     }
@@ -64,10 +56,10 @@ impl fmt::Display for FaultSite {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceLoss {
     /// Device to lose.
-    pub device: u32,
+    pub(crate) device: u32,
     /// Stream ops the device completes before the loss takes effect
     /// (`0` loses it before its first op).
-    pub after_ops: u64,
+    pub(crate) after_ops: u64,
 }
 
 /// A seeded, deterministic fault plan. Install with
@@ -102,22 +94,9 @@ impl FaultPlan {
         }
     }
 
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Fails operations at `site` with the given probability in `[0, 1]`.
     pub fn fail(mut self, site: FaultSite, probability: f64) -> Self {
         self.probs[site.index()] = probability.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Fails every site with the same probability.
-    pub fn fail_all(mut self, probability: f64) -> Self {
-        for site in FaultSite::ALL {
-            self = self.fail(site, probability);
-        }
         self
     }
 
@@ -174,11 +153,6 @@ impl FaultInjector {
             plan,
             ..Self::default()
         }
-    }
-
-    /// Probabilistic faults injected so far.
-    pub(crate) fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
     }
 
     /// Stalls injected so far.
@@ -252,18 +226,34 @@ fn splitmix64(x: u64) -> u64 {
 mod tests {
     use super::*;
 
+    const ALL: [FaultSite; 4] = [
+        FaultSite::Alloc,
+        FaultSite::H2d,
+        FaultSite::D2h,
+        FaultSite::Kernel,
+    ];
+
+    fn fail_all(plan: FaultPlan, probability: f64) -> FaultPlan {
+        ALL.into_iter()
+            .fold(plan, |p, site| p.fail(site, probability))
+    }
+
+    fn injected(inj: &FaultInjector) -> u64 {
+        inj.injected.load(Ordering::Relaxed)
+    }
+
     #[test]
     fn draws_are_deterministic_per_site_and_index() {
-        let plan = FaultPlan::seeded(7).fail_all(0.5);
+        let plan = fail_all(FaultPlan::seeded(7), 0.5);
         let a = FaultInjector::new(plan.clone());
         let b = FaultInjector::new(plan);
         for _ in 0..256 {
-            for site in FaultSite::ALL {
+            for site in ALL {
                 assert_eq!(a.should_fail(site), b.should_fail(site));
             }
         }
-        assert_eq!(a.injected(), b.injected());
-        assert!(a.injected() > 0, "p=0.5 over 1024 draws must fire");
+        assert_eq!(injected(&a), injected(&b));
+        assert!(injected(&a) > 0, "p=0.5 over 1024 draws must fire");
     }
 
     /// Probability 0 never fires and 1 always does, for faults and for
@@ -271,21 +261,21 @@ mod tests {
     #[test]
     fn probabilities_zero_and_one_are_exact() {
         let inj = FaultInjector::new(FaultPlan::seeded(2).fail(FaultSite::Alloc, 1.0));
-        for site in FaultSite::ALL {
+        for site in ALL {
             for _ in 0..32 {
                 assert_eq!(inj.should_fail(site), site == FaultSite::Alloc);
                 assert!(inj.stall_duration(site).is_none());
             }
         }
-        assert_eq!((inj.injected(), inj.stalled()), (32, 0));
+        assert_eq!((injected(&inj), inj.stalled()), (32, 0));
     }
 
     #[test]
     fn max_faults_caps_injections() {
-        let inj = FaultInjector::new(FaultPlan::seeded(3).fail_all(1.0).max_faults(2));
+        let inj = FaultInjector::new(fail_all(FaultPlan::seeded(3), 1.0).max_faults(2));
         let fired: usize = (0..50).filter(|_| inj.should_fail(FaultSite::H2d)).count();
         assert_eq!(fired, 2);
-        assert_eq!(inj.injected(), 2);
+        assert_eq!(injected(&inj), 2);
     }
 
     #[test]
@@ -316,14 +306,14 @@ mod tests {
 
     #[test]
     fn stalls_do_not_perturb_fault_draws() {
-        let base = FaultPlan::seeded(21).fail_all(0.3);
+        let base = fail_all(FaultPlan::seeded(21), 0.3);
         let with_stalls = base
             .clone()
             .stall(FaultSite::H2d, Duration::from_millis(1), 1.0);
         let a = FaultInjector::new(base);
         let b = FaultInjector::new(with_stalls);
         for _ in 0..128 {
-            for site in FaultSite::ALL {
+            for site in ALL {
                 let _ = b.stall_duration(site);
                 assert_eq!(a.should_fail(site), b.should_fail(site));
             }

@@ -32,7 +32,7 @@ impl Default for GridDim {
 
 impl GridDim {
     /// Total number of indices in the dimension.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.x as u64 * self.y as u64 * self.z as u64
     }
 }
@@ -91,16 +91,6 @@ impl<'a, 'v> KernelArgs<'a, 'v> {
     /// Creates the environment (called by the stream engine at launch).
     pub fn new(view: &'a mut ArenaView<'v>, ptrs: &'a [DevicePtr]) -> Self {
         Self { view, ptrs }
-    }
-
-    /// Number of bound device arguments.
-    pub fn len(&self) -> usize {
-        self.ptrs.len()
-    }
-
-    /// True if the kernel has no device arguments.
-    pub fn is_empty(&self) -> bool {
-        self.ptrs.is_empty()
     }
 
     /// Raw device pointer of argument `i`.

@@ -7,7 +7,7 @@
 //! Heteroflow runtime manages:
 //!
 //! * [`runtime::GpuRuntime`] owns `M` [`device::Device`]s. Each device has a
-//!   byte-addressed memory [`arena`], a [`pool::MemoryPool`] backed by a
+//!   byte-addressed memory [`arena`], a [`pool`] of blocks backed by a
 //!   Knowlton [`buddy::BuddyAllocator`] (the exact algorithm the paper
 //!   cites, ref \[22\]), and one *engine thread* that drains that device's
 //!   streams in order.
@@ -17,8 +17,7 @@
 //!   engine thread executes ops respecting per-stream order and
 //!   cross-stream event dependencies.
 //! * [`event::Event`]s are the synchronization primitive between streams
-//!   and between a stream and the host (`cudaEventRecord` /
-//!   `cudaStreamWaitEvent` / `cudaEventSynchronize`).
+//!   (`cudaEventRecord` / `cudaStreamWaitEvent`).
 //! * [`kernel`] defines [`kernel::LaunchConfig`] (`grid_x/y/z`,
 //!   `block_x/y/z`, shared memory) and the kernel execution context that
 //!   hands typed device-memory views to Rust "kernels" iterated over the
@@ -65,8 +64,7 @@ pub use event::Event;
 pub use fault::{DeviceLoss, FaultPlan, FaultSite};
 pub use kernel::KernelFn;
 pub use kernel::{GridDim, KernelArgs, LaunchConfig};
-pub use plain::Plain;
-pub use pool::{MemoryPool, PoolStats};
+pub use pool::PoolStats;
 pub use runtime::{GpuConfig, GpuRuntime};
 pub use stream::{OpReport, Stream};
 pub use trace::{GpuOpKind, GpuTraceEvent, GpuTraceSink, OpLabel};

@@ -60,7 +60,7 @@ pub fn from_bytes<T: Plain>(b: &[u8]) -> &[T] {
 }
 
 /// Mutable variant of [`from_bytes`].
-pub fn from_bytes_mut<T: Plain>(b: &mut [u8]) -> &mut [T] {
+pub(crate) fn from_bytes_mut<T: Plain>(b: &mut [u8]) -> &mut [T] {
     let sz = std::mem::size_of::<T>();
     assert!(
         sz > 0 && b.len().is_multiple_of(sz),

@@ -2,14 +2,14 @@
 //!
 //! Pull tasks allocate device memory on every execution; the paper
 //! amortizes this with a per-GPU pool over a buddy allocator (§III-C).
-//! [`MemoryPool`] is that pool: a buddy allocator fronted by per-size-class
+//! `MemoryPool` is that pool: a buddy allocator fronted by per-size-class
 //! *magazine* caches — bounded lock-free free lists (one
 //! [`hf_sync::SlotCache`] per buddy order) that absorb the common repeated
 //! same-size alloc/free pattern with one compare-exchange and one counter
 //! bump, never touching the buddy mutex. Blocks parked in a magazine stay
 //! "live" inside the buddy allocator, so their offsets and orders remain
 //! consistent; they are flushed back (and coalesced) on memory pressure,
-//! on [`MemoryPool::flush`], and before pristine checks.
+//! on a pool trim, and before pristine checks.
 
 use crate::arena::DevicePtr;
 use crate::buddy::BuddyAllocator;
@@ -61,7 +61,7 @@ pub struct PoolStats {
 /// compare-exchange plus one relaxed counter bump. Derived statistics
 /// (total allocs, cached bytes) are computed in [`MemoryPool::stats`]
 /// instead of being maintained by hot-path atomics.
-pub struct MemoryPool {
+pub(crate) struct MemoryPool {
     device: u32,
     buddy: Mutex<BuddyAllocator>,
     /// One magazine per buddy order (index = order).
@@ -79,7 +79,7 @@ pub struct MemoryPool {
 impl MemoryPool {
     /// Creates a pool of `capacity` bytes for `device` with the given
     /// minimum block size.
-    pub fn new(device: u32, capacity: usize, min_block: usize) -> Self {
+    pub(crate) fn new(device: u32, capacity: usize, min_block: usize) -> Self {
         let buddy = BuddyAllocator::new(capacity, min_block);
         let orders = (capacity / min_block).trailing_zeros() as usize + 1;
         Self {
@@ -107,7 +107,7 @@ impl MemoryPool {
     /// Allocates `bytes` of device memory. The returned pointer's `len` is
     /// the *requested* length; `capacity` is the rounded buddy block the
     /// pool actually reserved.
-    pub fn alloc(&self, bytes: usize) -> Result<DevicePtr, GpuError> {
+    pub(crate) fn alloc(&self, bytes: usize) -> Result<DevicePtr, GpuError> {
         let (block, order) = self.class_for(bytes).ok_or(GpuError::OutOfMemory {
             requested: bytes,
             free: 0,
@@ -146,7 +146,7 @@ impl MemoryPool {
     /// Returns an allocation to the pool. Same-class re-allocation will
     /// reuse it lock-free; the block only rejoins the buddy allocator when
     /// its magazine is full or the pool is flushed.
-    pub fn free(&self, ptr: DevicePtr) -> Result<(), GpuError> {
+    pub(crate) fn free(&self, ptr: DevicePtr) -> Result<(), GpuError> {
         if ptr.device != self.device {
             return Err(GpuError::WrongDevice {
                 owner: ptr.device,
@@ -173,7 +173,7 @@ impl MemoryPool {
     /// Drains every magazine back into the buddy allocator so blocks can
     /// coalesce. Called on allocation pressure, at topology completion, and
     /// before pristine checks.
-    pub fn flush(&self) {
+    pub(crate) fn flush(&self) {
         let mut buddy = self.buddy.lock();
         for mag in &self.magazines {
             while let Some(offset) = mag.try_take() {
@@ -195,7 +195,7 @@ impl MemoryPool {
     }
 
     /// Current statistics.
-    pub fn stats(&self) -> PoolStats {
+    pub(crate) fn stats(&self) -> PoolStats {
         let b = self.buddy.lock().stats();
         let hits = self.hits.load(Ordering::Relaxed);
         let misses = self.misses.load(Ordering::Relaxed);
@@ -216,22 +216,12 @@ impl MemoryPool {
         }
     }
 
-    /// Bytes available to new allocations (free in the buddy or parked in
-    /// magazines; possibly fragmented).
-    pub fn free_bytes(&self) -> usize {
-        self.buddy.lock().free_bytes() + self.cached_bytes()
-    }
-
     /// True when no allocation is live and the arena is fully coalesced.
     /// Flushes the magazines first so cached blocks do not count as live.
-    pub fn is_pristine(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_pristine(&self) -> bool {
         self.flush();
         self.buddy.lock().is_pristine()
-    }
-
-    /// Device this pool serves.
-    pub fn device(&self) -> u32 {
-        self.device
     }
 }
 

@@ -116,12 +116,6 @@ impl GpuRuntime {
         *self.fault.lock() = inj;
     }
 
-    /// Probabilistic faults injected by the installed plan so far
-    /// (scheduled device losses are not counted).
-    pub fn faults_injected(&self) -> u64 {
-        self.fault.lock().as_ref().map_or(0, |i| i.injected())
-    }
-
     /// Stalls injected by the installed plan so far.
     pub fn stalls_injected(&self) -> u64 {
         self.fault.lock().as_ref().map_or(0, |i| i.stalled())

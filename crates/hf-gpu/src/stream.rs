@@ -32,7 +32,7 @@ pub type ExecFn =
     Box<dyn FnOnce(&mut ArenaView<'_>, &CostModel) -> Result<OpReport, GpuError> + Send>;
 
 /// The payload of a stream operation.
-pub enum OpBody {
+pub(crate) enum OpBody {
     /// Device work: copies, kernels — anything touching the arena.
     Exec(ExecFn),
     /// A host callback executed in stream order (`cudaLaunchHostFunc`).
@@ -57,7 +57,7 @@ impl std::fmt::Debug for OpBody {
 
 /// One enqueued stream operation.
 #[derive(Debug)]
-pub struct Op {
+pub(crate) struct Op {
     pub(crate) stream: usize,
     pub(crate) body: OpBody,
     /// Trace identity attached by the enqueuer (see [`crate::trace`]).
@@ -90,16 +90,6 @@ impl Stream {
             device: device.clone(),
             index,
         }
-    }
-
-    /// The device this stream belongs to.
-    pub fn device(&self) -> &Device {
-        &self.device
-    }
-
-    /// Stream index within its device (diagnostic).
-    pub fn index(&self) -> usize {
-        self.index
     }
 
     fn push(&self, body: OpBody) {

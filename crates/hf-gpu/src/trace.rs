@@ -38,20 +38,6 @@ pub enum GpuOpKind {
     Free,
 }
 
-impl GpuOpKind {
-    /// Stable lowercase name (trace category).
-    pub fn name(self) -> &'static str {
-        match self {
-            GpuOpKind::Exec => "exec",
-            GpuOpKind::HostFn => "host_fn",
-            GpuOpKind::EventRecord => "event_record",
-            GpuOpKind::EventWait => "event_wait",
-            GpuOpKind::Alloc => "alloc",
-            GpuOpKind::Free => "free",
-        }
-    }
-}
-
 /// Identity attached by the enqueuer to a device op so the trace can be
 /// stitched back to the submitting task.
 #[derive(Debug, Clone)]
@@ -84,9 +70,6 @@ pub struct GpuTraceEvent {
     pub start: Instant,
     /// Wall-clock end.
     pub end: Instant,
-    /// Modeled duration reported by the cost model, in nanoseconds
-    /// (0 for host callbacks and bookkeeping ops).
-    pub modeled_ns: u64,
     /// Bytes moved/allocated, when meaningful (copy traffic, alloc size).
     pub bytes: u64,
 }
@@ -153,7 +136,6 @@ mod tests {
         assert_eq!(exec.label.as_ref().unwrap().name.as_ref(), "fill");
         assert_eq!(exec.label.as_ref().unwrap().tag, 7);
         assert!(exec.end >= exec.start);
-        assert!(exec.modeled_ns > 0);
         assert_eq!(exec.bytes, 64);
         assert!(events.iter().any(|e| e.kind == GpuOpKind::HostFn));
         assert!(events

@@ -41,18 +41,16 @@ proptest! {
         prop_assert!(b.is_pristine(), "did not coalesce back to one block");
     }
 
-    /// Rounded sizes are powers of two >= max(min_block, size).
+    /// Allocated blocks are powers of two >= max(min_block, size).
     #[test]
     fn buddy_rounding_is_power_of_two(sz in 1usize..100_000) {
-        let b = BuddyAllocator::new(1 << 20, 128);
-        if let Some(r) = b.rounded_size(sz) {
-            prop_assert!(r.is_power_of_two());
-            prop_assert!(r >= sz);
-            prop_assert!(r >= 128);
-            prop_assert!(r < 2 * sz.max(128), "rounded more than 2x");
-        } else {
-            prop_assert!(sz.next_power_of_two() > 1 << 20);
-        }
+        let mut b = BuddyAllocator::new(1 << 20, 128);
+        let off = b.alloc(sz).unwrap();
+        let r = b.allocation_size(off).unwrap();
+        prop_assert!(r.is_power_of_two());
+        prop_assert!(r >= sz);
+        prop_assert!(r >= 128);
+        prop_assert!(r < 2 * sz.max(128), "rounded more than 2x");
     }
 
     /// The splitter, over the first two, the first three and all of a

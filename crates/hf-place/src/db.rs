@@ -42,7 +42,7 @@ pub(crate) fn half_perimeter(b: [u32; 4]) -> u64 {
 
 /// The connectivity of a placement: the pins of each net, the nets of
 /// each cell, and the conflict graph (cells that share a net). Built once
-/// by [`Netlist::new`]; all three are CSR arrays.
+/// from the design; all three are CSR arrays.
 #[derive(Debug, PartialEq)]
 pub struct Netlist {
     pin_off: Vec<u32>,
@@ -61,7 +61,7 @@ impl Netlist {
     /// conflict graph is built by stamping: for each cell, the pins of its
     /// nets are marked with the cell's id, so each neighbour is taken once,
     /// and each row is then sorted ascending.
-    pub fn new(num_cells: usize, pin_off: Vec<u32>, pins: Vec<u32>) -> Netlist {
+    pub(crate) fn new(num_cells: usize, pin_off: Vec<u32>, pins: Vec<u32>) -> Netlist {
         assert_eq!(pin_off.last().map(|&e| e as usize), Some(pins.len()));
         let mut net_off = vec![0u32; num_cells + 1];
         for &p in &pins {
@@ -117,7 +117,7 @@ impl Netlist {
     }
 
     /// The nets incident to `cell`, ascending.
-    pub fn nets_of(&self, cell: usize) -> &[u32] {
+    pub(crate) fn nets_of(&self, cell: usize) -> &[u32] {
         &self.nets_of[self.net_off[cell] as usize..self.net_off[cell + 1] as usize]
     }
 
@@ -254,7 +254,7 @@ impl PlacementDb {
     }
 
     /// HPWL of net `net` under the current positions.
-    pub fn net_hpwl(&self, net: usize) -> u64 {
+    pub(crate) fn net_hpwl(&self, net: usize) -> u64 {
         let pins = self.netlist.pins(net).iter();
         half_perimeter(pins.fold(EMPTY_BOX, |b, &p| grow(b, &self.cells[p as usize])))
     }

@@ -19,13 +19,13 @@ pub enum SchedulerMode {
 #[derive(Debug, Clone, Copy)]
 pub struct Machine {
     /// CPU worker threads (the paper sweeps 1..40).
-    pub cores: usize,
+    pub(crate) cores: usize,
     /// GPU devices (the paper sweeps 1..4).
     pub gpus: u32,
     /// Device-op cost model (copies, kernel throughput).
     pub cost: CostModel,
     /// Scheduler style.
-    pub mode: SchedulerMode,
+    pub(crate) mode: SchedulerMode,
     /// Worker-side cost of dispatching one GPU chain, a lone op or a
     /// fused run of them (enqueue + completion-callback bookkeeping). A
     /// chain occupies a worker only this long; its ops run on the device

@@ -11,17 +11,17 @@ pub struct SimResult {
     /// Sum of busy time across all workers, in seconds.
     pub cpu_busy_secs: f64,
     /// Busy time per GPU device, in seconds.
-    pub gpu_busy_secs: Vec<f64>,
+    pub(crate) gpu_busy_secs: Vec<f64>,
     /// Tasks executed.
     pub tasks: usize,
     /// `cpu_busy / (makespan * cores)` — average worker utilization.
     pub cpu_utilization: f64,
     /// `sum(gpu_busy) / (makespan * gpus)` — average device utilization.
-    pub gpu_utilization: f64,
+    pub(crate) gpu_utilization: f64,
     /// Cores simulated.
-    pub cores: usize,
+    pub(crate) cores: usize,
     /// GPUs simulated.
-    pub gpus: u32,
+    pub(crate) gpus: u32,
 }
 
 impl SimResult {

@@ -1,7 +1,7 @@
 //! Atomics indirection for model checking.
 //!
 //! The lock-free structures of this crate and every atomic of `hf-core`
-//! import their atomic types (and `fence` / `spin_loop` / `yield_now`)
+//! import their atomic types (and `fence` / `yield_now`)
 //! from here instead of `std`; locks come from [`crate::sync`]. By default
 //! these are straight re-exports of the `std` primitives with zero
 //! overhead. With the `loom` feature enabled they resolve to the in-repo
@@ -26,21 +26,11 @@ pub use loom::sync::atomic::{
     Ordering,
 };
 
-/// Spin hint: a CPU pause normally; under loom, a deprioritizing yield so
-/// the model scheduler can run the thread being waited on.
-#[inline]
-pub fn spin_loop_hint() {
-    #[cfg(not(feature = "loom"))]
-    std::hint::spin_loop();
-    #[cfg(feature = "loom")]
-    loom::hint::spin_loop();
-}
-
 /// Cooperative yield: `std::thread::yield_now` normally; under loom the
 /// model scheduler's yield, which guarantees another runnable thread is
 /// scheduled before the caller runs again.
 #[inline]
-pub fn yield_now() {
+pub(crate) fn yield_now() {
     #[cfg(not(feature = "loom"))]
     std::thread::yield_now();
     #[cfg(feature = "loom")]

@@ -23,12 +23,6 @@ impl Backoff {
         Self { step: 0 }
     }
 
-    /// Resets to the initial (cheapest) state.
-    #[inline]
-    pub fn reset(&mut self) {
-        self.step = 0;
-    }
-
     /// Backs off one step: spins for `2^step` iterations while in the spin
     /// phase, otherwise yields the thread.
     ///
@@ -40,7 +34,7 @@ impl Backoff {
         #[cfg(not(feature = "loom"))]
         if self.step <= SPIN_LIMIT {
             for _ in 0..1u32 << self.step {
-                crate::atomic::spin_loop_hint();
+                std::hint::spin_loop();
             }
         } else {
             crate::atomic::yield_now();
@@ -74,15 +68,5 @@ mod tests {
             assert!(steps < 64, "backoff never completed");
         }
         assert_eq!(steps, (YIELD_LIMIT + 1) as usize);
-    }
-
-    #[test]
-    fn reset_restarts_spin_phase() {
-        let mut b = Backoff::new();
-        while !b.is_completed() {
-            b.snooze();
-        }
-        b.reset();
-        assert!(!b.is_completed());
     }
 }

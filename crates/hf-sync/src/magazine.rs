@@ -76,11 +76,6 @@ impl SlotCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Maximum number of tokens the cache can hold.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 #[cfg(test)]

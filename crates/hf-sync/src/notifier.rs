@@ -139,7 +139,8 @@ impl Notifier {
         self.cv.notify_all();
     }
 
-    /// Number of prepared waiters (racy; diagnostic only).
+    /// Number of prepared waiters (racy; for the tests and loom models).
+    #[cfg(any(test, feature = "loom"))]
     pub fn num_waiters(&self) -> u64 {
         self.waiters.load(Ordering::SeqCst)
     }

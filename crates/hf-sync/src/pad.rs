@@ -14,11 +14,6 @@ impl<T> CachePadded<T> {
     pub const fn new(value: T) -> Self {
         Self { value }
     }
-
-    /// Consumes the padding, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.value
-    }
 }
 
 impl<T> std::ops::Deref for CachePadded<T> {
@@ -55,6 +50,5 @@ mod tests {
         let mut p = CachePadded::new(41u32);
         *p += 1;
         assert_eq!(*p, 42);
-        assert_eq!(p.into_inner(), 42);
     }
 }

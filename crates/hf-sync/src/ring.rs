@@ -8,7 +8,7 @@
 //! engines, submission threads) and consumers (the trace collector's
 //! drain) can operate without locks.
 
-use crate::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::atomic::{AtomicU64, Ordering};
 use crate::pad::CachePadded;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -58,26 +58,9 @@ impl<T> EventRing<T> {
         }
     }
 
-    /// Slot count.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Events discarded because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Approximate number of buffered events.
-    pub fn len(&self) -> usize {
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Relaxed);
-        head.saturating_sub(tail) as usize
-    }
-
-    /// True when no events are buffered (approximate under concurrency).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Pushes an event; returns `false` (incrementing the drop counter)
@@ -164,22 +147,6 @@ impl<T> Drop for EventRing<T> {
     }
 }
 
-/// Per-lane counter used by consumers to report ring pressure.
-#[derive(Debug, Default)]
-pub struct DropCount(AtomicUsize);
-
-impl DropCount {
-    /// Adds to the counter.
-    pub fn add(&self, n: usize) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> usize {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,12 +158,10 @@ mod tests {
         for i in 0..8 {
             assert!(r.push(i));
         }
-        assert_eq!(r.len(), 8);
         for i in 0..8 {
             assert_eq!(r.pop(), Some(i));
         }
         assert_eq!(r.pop(), None);
-        assert!(r.is_empty());
     }
 
     #[test]
@@ -211,13 +176,6 @@ mod tests {
         // Draining frees capacity again.
         assert_eq!(r.pop(), Some(0));
         assert!(r.push(4));
-    }
-
-    #[test]
-    fn capacity_rounds_to_power_of_two() {
-        assert_eq!(EventRing::<u8>::new(3).capacity(), 4);
-        assert_eq!(EventRing::<u8>::new(0).capacity(), 2);
-        assert_eq!(EventRing::<u8>::new(64).capacity(), 64);
     }
 
     #[test]

@@ -13,7 +13,6 @@ pub struct UnionFind {
     parent: Vec<u32>,
     /// Size of the set, valid only at roots.
     size: Vec<u32>,
-    sets: usize,
 }
 
 impl UnionFind {
@@ -26,23 +25,7 @@ impl UnionFind {
         Self {
             parent: (0..len as u32).collect(),
             size: vec![1; len],
-            sets: len,
         }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// True if the structure has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
-    /// Number of disjoint sets currently present.
-    pub fn num_sets(&self) -> usize {
-        self.sets
     }
 
     /// Finds the set root of `x`, halving the path on the way.
@@ -54,12 +37,6 @@ impl UnionFind {
             x = gp;
         }
         x as usize
-    }
-
-    /// True if `x` is the root of its set (mirrors the paper's
-    /// `is_set_root` check in Algorithm 1 line 10).
-    pub fn is_root(&self, x: usize) -> bool {
-        self.parent[x] == x as u32
     }
 
     /// Unions the sets of `a` and `b`; returns the new root. Smaller set
@@ -77,7 +54,6 @@ impl UnionFind {
         };
         self.parent[small] = big as u32;
         self.size[big] += self.size[small];
-        self.sets -= 1;
         big
     }
 
@@ -85,26 +61,21 @@ impl UnionFind {
     pub fn same(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
     }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn roots(uf: &mut UnionFind, n: usize) -> usize {
+        (0..n).filter(|&i| uf.find(i) == i).count()
+    }
+
     #[test]
     fn singletons() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.num_sets(), 5);
         for i in 0..5 {
             assert_eq!(uf.find(i), i);
-            assert!(uf.is_root(i));
-            assert_eq!(uf.set_size(i), 1);
         }
     }
 
@@ -113,13 +84,12 @@ mod tests {
         let mut uf = UnionFind::new(6);
         uf.union(0, 1);
         uf.union(2, 3);
-        assert_eq!(uf.num_sets(), 4);
+        assert_eq!(roots(&mut uf, 6), 4);
         assert!(uf.same(0, 1));
         assert!(!uf.same(0, 2));
         uf.union(1, 3);
         assert!(uf.same(0, 2));
-        assert_eq!(uf.num_sets(), 3);
-        assert_eq!(uf.set_size(3), 4);
+        assert_eq!(roots(&mut uf, 6), 3);
     }
 
     #[test]
@@ -128,7 +98,7 @@ mod tests {
         let r1 = uf.union(0, 1);
         let r2 = uf.union(0, 1);
         assert_eq!(r1, r2);
-        assert_eq!(uf.num_sets(), 2);
+        assert_eq!(roots(&mut uf, 3), 2);
     }
 
     #[test]
@@ -137,8 +107,6 @@ mod tests {
         for i in 0..9 {
             uf.union(i, i + 1);
         }
-        let roots: Vec<usize> = (0..10).filter(|&i| uf.is_root(i)).collect();
-        assert_eq!(roots.len(), 1);
-        assert_eq!(uf.set_size(0), 10);
+        assert_eq!(roots(&mut uf, 10), 1);
     }
 }

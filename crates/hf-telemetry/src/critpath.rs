@@ -10,8 +10,7 @@
 //!
 //! Spans must come from a single run of the graph (names join 1:1); use
 //! device-stitched spans ([`hf_core::ExecutorBuilder::tracer`]) so GPU
-//! durations are real device time, or simulated spans via
-//! [`crate::export::spans_from_sim`].
+//! durations are real device time.
 
 use hf_core::{FrozenGraph, SpanCat, TaskKind, TraceSpan};
 use std::collections::HashMap;
@@ -20,23 +19,19 @@ use std::fmt;
 /// One task on the critical path.
 #[derive(Debug, Clone)]
 pub struct PathStep {
-    /// Node id in the graph.
-    pub node: usize,
     /// Task name.
-    pub name: String,
+    pub(crate) name: String,
     /// Task kind.
-    pub kind: TaskKind,
+    pub(crate) kind: TaskKind,
     /// Measured duration in microseconds (0 when the task has no span).
-    pub dur_us: u64,
-    /// Measured start timestamp, when a span was found.
-    pub start_us: Option<u64>,
+    pub(crate) dur_us: u64,
 }
 
 /// The measured critical path of one graph run.
 #[derive(Debug, Clone)]
 pub struct CriticalPathReport {
     /// Graph name.
-    pub graph: String,
+    pub(crate) graph: String,
     /// The longest (by measured time) dependency chain, in order.
     pub steps: Vec<PathStep>,
     /// Total measured time on the path, microseconds.
@@ -49,7 +44,7 @@ pub struct CriticalPathReport {
 
 impl CriticalPathReport {
     /// Fraction of path time spent in `kind`, in `[0, 1]`.
-    pub fn fraction(&self, kind: TaskKind) -> f64 {
+    pub(crate) fn fraction(&self, kind: TaskKind) -> f64 {
         if self.total_us == 0 {
             return 0.0;
         }
@@ -102,29 +97,19 @@ impl fmt::Display for CriticalPathReport {
 /// spans of a single run for per-run numbers.
 pub fn critical_path(graph: &FrozenGraph, spans: &[TraceSpan]) -> CriticalPathReport {
     // Join spans to nodes by task name.
-    let mut by_name: HashMap<&str, (u64, Option<u64>)> = HashMap::new();
+    let mut by_name: HashMap<&str, u64> = HashMap::new();
     for s in spans {
-        if s.cat != SpanCat::Task {
-            continue;
+        if s.cat == SpanCat::Task {
+            *by_name.entry(s.name.as_str()).or_insert(0) += s.dur_us;
         }
-        let e = by_name.entry(s.name.as_str()).or_insert((0, None));
-        e.0 += s.dur_us;
-        e.1 = Some(e.1.map_or(s.start_us, |p: u64| p.min(s.start_us)));
     }
 
     let n = graph.num_tasks();
-    let mut dur = vec![0u64; n];
-    let mut start = vec![None; n];
-    let mut unmatched = 0usize;
-    for i in 0..n {
-        match by_name.get(graph.task_name(i)) {
-            Some(&(d, s)) => {
-                dur[i] = d;
-                start[i] = s;
-            }
-            None => unmatched += 1,
-        }
-    }
+    let found: Vec<Option<u64>> = (0..n)
+        .map(|i| by_name.get(graph.task_name(i)).copied())
+        .collect();
+    let unmatched = found.iter().filter(|d| d.is_none()).count();
+    let dur: Vec<u64> = found.into_iter().map(Option::unwrap_or_default).collect();
 
     // Longest path by measured time, over the DAG in topological order.
     // best[i] = heaviest path ending at i (inclusive); pred for recovery.
@@ -163,11 +148,9 @@ pub fn critical_path(graph: &FrozenGraph, spans: &[TraceSpan]) -> CriticalPathRe
     let steps: Vec<PathStep> = path
         .iter()
         .map(|&i| PathStep {
-            node: i,
             name: graph.task_name(i).to_owned(),
             kind: graph.kind(i),
             dur_us: dur[i],
-            start_us: start[i],
         })
         .collect();
     let total_us = steps.iter().map(|s| s.dur_us).sum();

@@ -4,13 +4,8 @@
 //! `thread_name` metadata events that make the Perfetto UI readable: CPU
 //! workers appear as threads of a process named `cpu` (pid 0), device `d`
 //! as its own `gpu<d>` process (pid `1 + d`) with one thread per stream.
-//! The same exporter
-//! serves measured spans (from the trace collector) and modeled spans
-//! (from the `hf-sim` discrete-event model, via [`spans_from_sim`]) so
-//! real and simulated schedules can be diffed in one UI.
 
-use hf_core::{FrozenGraph, SpanCat, TaskKind, TraceSpan, Track};
-use hf_sim::SimSpan;
+use hf_core::{SpanCat, TraceSpan, Track};
 use std::collections::BTreeSet;
 
 /// Renders spans as a chrome trace JSON array with naming metadata.
@@ -102,42 +97,10 @@ fn chrome_trace_event(s: &TraceSpan) -> String {
     )
 }
 
-/// Converts a simulated schedule into trace spans on the same track
-/// layout as measured ones: GPU ops on device tracks, host tasks (and, in
-/// dedicated mode, GPU ops without a worker) on worker tracks. Task kinds
-/// and bytes come from `graph` (simulated spans carry the node id).
-pub fn spans_from_sim(graph: &FrozenGraph, sim: &[SimSpan]) -> Vec<TraceSpan> {
-    sim.iter()
-        .map(|s| {
-            let track = match (s.device, s.worker) {
-                (Some(d), _) => Track::Device(d),
-                (None, Some(w)) => Track::Worker(w),
-                (None, None) => Track::Worker(0),
-            };
-            let (kind, bytes) = if s.node < graph.num_tasks() {
-                (graph.kind(s.node), graph.bytes_of(s.node) as u64)
-            } else {
-                (TaskKind::Placeholder, 0)
-            };
-            TraceSpan {
-                track,
-                name: s.name.clone(),
-                cat: SpanCat::Task,
-                kind,
-                device: s.device,
-                stream: None,
-                start_us: s.start_ns / 1_000,
-                dur_us: (s.finish_ns - s.start_ns) / 1_000,
-                bytes,
-                epoch: None,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hf_core::TaskKind;
 
     fn cpu_span(name: &str, worker: usize) -> TraceSpan {
         TraceSpan {
@@ -216,38 +179,5 @@ mod tests {
     #[test]
     fn no_spans_serialize_to_an_empty_array() {
         assert_eq!(chrome_trace(&[]), "[]");
-    }
-
-    #[test]
-    fn sim_spans_map_to_tracks_and_kinds() {
-        use hf_core::data::HostVec;
-        use hf_core::Heteroflow;
-        use hf_sim::Machine;
-
-        let g = Heteroflow::new("sim");
-        let x: HostVec<u32> = HostVec::from_vec(vec![0; 4096]);
-        let h = g.host("h", || {});
-        let p = g.pull("p", &x);
-        let k = g.kernel("k", &[&p], |_, _| {});
-        k.cover(4096, 256);
-        h.precede(&p);
-        p.precede(&k);
-        let graph = g.freeze().unwrap();
-
-        let machine = Machine::new(2, 1);
-        let placement = hf_core::device_placement(&graph, 1, &machine.cost).expect("placeable");
-        let plan = hf_core::Plan::from_placement(&graph, placement, true);
-        let (_res, sim) = hf_sim::simulate(&graph, &plan, &machine, |_| {
-            hf_gpu::SimDuration::from_nanos(1_000)
-        });
-        let spans = spans_from_sim(&graph, &sim);
-        assert_eq!(spans.len(), 3);
-        let kspan = spans.iter().find(|s| s.name == "k").unwrap();
-        assert!(matches!(kspan.track, Track::Device(0)));
-        assert_eq!(kspan.kind, TaskKind::Kernel);
-        let hspan = spans.iter().find(|s| s.name == "h").unwrap();
-        assert!(matches!(hspan.track, Track::Worker(_)));
-        // The merged export of a simulated schedule parses too.
-        assert!(serde_json::from_str(&chrome_trace(&spans)).is_ok());
     }
 }

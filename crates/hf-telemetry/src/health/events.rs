@@ -18,7 +18,7 @@ pub enum HealthVerdict {
 
 impl HealthVerdict {
     /// Stable lowercase name (`healthy`/`warn`/`stall`/`hang`).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             HealthVerdict::Healthy => "healthy",
             HealthVerdict::Warn => "warn",
@@ -84,7 +84,7 @@ pub enum HealthEvent {
 
 impl HealthEvent {
     /// The run the event concerns.
-    pub fn run_id(&self) -> u64 {
+    pub(crate) fn run_id(&self) -> u64 {
         match self {
             HealthEvent::Escalated { run_id, .. }
             | HealthEvent::Straggler { run_id, .. }
@@ -105,7 +105,7 @@ impl HealthEvent {
     }
 
     /// JSON form for `/health` and artifacts.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         let mut o = Map::new();
         o.insert("kind".into(), Value::Str(self.kind().to_string()));
         o.insert("run_id".into(), Value::UInt(self.run_id()));

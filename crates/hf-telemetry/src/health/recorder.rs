@@ -8,7 +8,7 @@ use hf_sync::sync::Mutex;
 use hf_sync::EventRing;
 use serde_json::{Map, Value};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -85,13 +85,6 @@ impl RunFlight {
     fn done(&self) -> bool {
         self.ended_ns.is_some()
     }
-
-    fn last_event_ns(&self) -> u64 {
-        self.events
-            .last()
-            .map(|e| e.t_ns)
-            .unwrap_or(self.started_ns)
-    }
 }
 
 /// Point-in-time progress of one run, for monitors: how many events have
@@ -99,9 +92,7 @@ impl RunFlight {
 #[derive(Debug, Clone)]
 pub struct RunProgress {
     /// Lifecycle events folded into the run so far.
-    pub events: u64,
-    /// Timestamp (lifecycle clock, ns) of the latest event.
-    pub last_event_ns: u64,
+    pub(crate) events: u64,
     /// True once the run's `RunEnd` event has been applied.
     pub done: bool,
     /// Tasks with a `Started` but no terminal event yet:
@@ -115,25 +106,25 @@ pub struct RunSummary {
     /// Process-unique submission id.
     pub run_id: u64,
     /// Graph name.
-    pub graph: String,
+    pub(crate) graph: String,
     /// Run start (lifecycle clock, ns).
-    pub started_ns: u64,
+    pub(crate) started_ns: u64,
     /// Run end, when finished.
     pub ended_ns: Option<u64>,
     /// Result, when finished.
     pub ok: Option<bool>,
     /// Error detail for failed runs.
-    pub detail: Option<String>,
+    pub(crate) detail: Option<String>,
     /// Lifecycle events applied to this run.
-    pub events: u64,
+    pub(crate) events: u64,
     /// Distinct tasks observed.
     pub tasks: usize,
     /// Task retries observed.
-    pub retries: u64,
+    pub(crate) retries: u64,
     /// Task failures observed (terminal and retried alike).
-    pub failures: u64,
+    pub(crate) failures: u64,
     /// Whole-run failovers (placement replays after device loss).
-    pub failovers: u64,
+    pub(crate) failovers: u64,
     /// Tenant the run is attributed to (fleet submissions only).
     pub tenant: Option<String>,
 }
@@ -142,9 +133,9 @@ pub struct RunSummary {
 #[derive(Debug, Clone)]
 pub struct LatencyRecord {
     /// Completed runs.
-    pub runs: u64,
+    pub(crate) runs: u64,
     /// Completed runs that ended in failure or cancellation.
-    pub failed: u64,
+    pub(crate) failed: u64,
     /// Ready-to-started queue delay per task execution (ns).
     pub queue_delay: Histogram,
     /// Started-to-finished execution time per task (ns).
@@ -153,7 +144,7 @@ pub struct LatencyRecord {
     pub run_latency: Histogram,
     /// Admission-to-completion latency per streaming epoch
     /// (`epoch_end − epoch_start`, ns).
-    pub epoch_latency: Histogram,
+    pub(crate) epoch_latency: Histogram,
 }
 
 impl LatencyRecord {
@@ -248,7 +239,7 @@ impl FlightRecorder {
     }
 
     /// An enabled recorder with the given ring capacity.
-    pub fn with_capacity(ring_capacity: usize) -> Self {
+    pub(crate) fn with_capacity(ring_capacity: usize) -> Self {
         Self {
             enabled: AtomicBool::new(true),
             ring: EventRing::new(ring_capacity),
@@ -271,11 +262,6 @@ impl FlightRecorder {
     /// observer skips lifecycle emission entirely.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Release);
-    }
-
-    /// True when recording.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Directory where failed/cancelled runs auto-write their black-box
@@ -494,7 +480,6 @@ impl FlightRecorder {
             .collect();
         Some(RunProgress {
             events: run.events_applied,
-            last_event_ns: run.last_event_ns(),
             done: run.done(),
             inflight,
         })
@@ -503,7 +488,7 @@ impl FlightRecorder {
     /// EWMA execution-time estimate (ns) for `task` of `graph`, learned
     /// from finished executions. The watchdog compares in-flight runtimes
     /// against this to flag stragglers.
-    pub fn exec_estimate(&self, graph: &str, task: u32) -> Option<f64> {
+    pub(crate) fn exec_estimate(&self, graph: &str, task: u32) -> Option<f64> {
         self.state.lock().ewma.get(graph)?.get(&task).copied()
     }
 
@@ -657,7 +642,7 @@ impl FlightRecorder {
     }
 
     /// Every retained run's flight log as one JSON document.
-    pub fn dump_json(&self) -> Value {
+    pub(crate) fn dump_json(&self) -> Value {
         let st = self.state.lock();
         let ids: Vec<u64> = st.runs.iter().map(|r| r.run_id).collect();
         let mut o = Map::new();
@@ -676,13 +661,6 @@ impl FlightRecorder {
             ),
         );
         Value::Object(o)
-    }
-
-    /// Writes the full flight dump to `path` as pretty JSON.
-    pub fn write_blackbox(&self, path: &Path) -> std::io::Result<()> {
-        self.pump();
-        let v = self.dump_json();
-        std::fs::write(path, serde_json::to_string_pretty(&v).expect("infallible"))
     }
 }
 
@@ -788,7 +766,6 @@ pub(super) mod tests {
             order,
             [(1_000, "g"), (2_000, "t0"), (3_000, "t1"), (3_000, "t0")]
         );
-        assert_eq!(r.run_progress(4).unwrap().last_event_ns, 3_000);
     }
 
     #[test]

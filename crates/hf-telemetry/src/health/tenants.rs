@@ -9,7 +9,7 @@ impl FlightRecorder {
     /// tenant name. Empty unless runs entered through a fleet (direct
     /// submissions carry no tenant and fold only into
     /// [`FlightRecorder::latency`]).
-    pub fn tenant_latencies(&self) -> Vec<(String, LatencyRecord)> {
+    pub(crate) fn tenant_latencies(&self) -> Vec<(String, LatencyRecord)> {
         let st = self.state.lock();
         let mut out: Vec<_> = st
             .tenants
@@ -22,7 +22,7 @@ impl FlightRecorder {
 
     /// Per-tenant attribution as one JSON document (for `/tenants`):
     /// run counts plus p50/p99 of each latency histogram.
-    pub fn tenants_json(&self) -> Value {
+    pub(crate) fn tenants_json(&self) -> Value {
         let tenants = self.tenant_latencies();
         let mut arr = Vec::with_capacity(tenants.len());
         for (tenant, t) in tenants {

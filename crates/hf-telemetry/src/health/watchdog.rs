@@ -257,13 +257,8 @@ impl Watchdog {
         self.inner.events.lock().clone()
     }
 
-    /// Forces one monitor tick now (tests, scrape handlers).
-    pub fn tick_now(&self) {
-        self.inner.tick();
-    }
-
     /// The `/health` document: overall verdict, per-run state, events.
-    pub fn health_json(&self) -> Value {
+    pub(crate) fn health_json(&self) -> Value {
         let mut o = Map::new();
         o.insert(
             "verdict".into(),

@@ -2,16 +2,15 @@
 //!
 //! The runtime's observability primitives live where the data is
 //! produced: `hf-core` records CPU+GPU spans ([`hf_core::TraceCollector`]
-//! wired via [`hf_core::ExecutorBuilder::tracer`]), `hf-gpu` counts
-//! device/pool traffic, and `hf-sim` emits modeled schedules. This crate
-//! is the *consumer* layer that turns those raw sources into artifacts:
+//! wired via [`hf_core::ExecutorBuilder::tracer`]) and `hf-gpu` counts
+//! device/pool traffic. This crate is the *consumer* layer that turns
+//! those raw sources into artifacts:
 //!
 //! * [`metrics`] — a registry unifying [`hf_core::StatsSnapshot`],
 //!   device/pool statistics, and span-derived histograms into named
 //!   counters/gauges/histograms with JSON and Prometheus text exposition.
 //! * [`export`] — Perfetto / `chrome://tracing` trace export with
-//!   process/thread naming metadata, for executor spans and simulated
-//!   schedules alike.
+//!   process/thread naming metadata, for executor spans.
 //! * [`critpath`] — a post-run critical-path analyzer that walks recorded
 //!   spans along the graph's dependency edges and reports the longest
 //!   chain with per-kind time attribution.
@@ -30,7 +29,7 @@ pub mod metrics;
 pub mod serve;
 
 pub use critpath::{critical_path, CriticalPathReport, PathStep};
-pub use export::{chrome_trace, spans_from_sim};
+pub use export::chrome_trace;
 pub use health::{
     FlightRecorder, HealthEvent, HealthVerdict, LatencyRecord, RunProgress, RunSummary, Watchdog,
     WatchdogConfig,

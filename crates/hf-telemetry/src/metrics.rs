@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A metric's value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum MetricValue {
+pub(crate) enum MetricValue {
     /// Monotonic count.
     Counter(u64),
     /// Point-in-time measurement.
@@ -42,19 +42,19 @@ impl MetricValue {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Upper bucket bounds, ascending (an implicit `+Inf` bucket follows).
-    pub bounds: Vec<f64>,
+    pub(crate) bounds: Vec<f64>,
     /// Per-bound observation counts (not cumulative; `render` cumulates).
     /// One extra slot counts observations above the last bound.
-    pub counts: Vec<u64>,
+    pub(crate) counts: Vec<u64>,
     /// Sum of observed values.
-    pub sum: f64,
+    pub(crate) sum: f64,
     /// Number of observations.
     pub count: u64,
 }
 
 impl Histogram {
     /// Creates an empty histogram with the given ascending bounds.
-    pub fn new(bounds: Vec<f64>) -> Self {
+    pub(crate) fn new(bounds: Vec<f64>) -> Self {
         let n = bounds.len();
         Self {
             bounds,
@@ -65,7 +65,7 @@ impl Histogram {
     }
 
     /// Records one observation.
-    pub fn observe(&mut self, v: f64) {
+    pub(crate) fn observe(&mut self, v: f64) {
         let idx = self
             .bounds
             .iter()
@@ -116,14 +116,14 @@ impl Histogram {
 }
 
 /// Default duration buckets in microseconds: 1us .. ~1s, powers of 4.
-pub fn duration_bounds_us() -> Vec<f64> {
+pub(crate) fn duration_bounds_us() -> Vec<f64> {
     (0..11).map(|i| 4f64.powi(i)).collect()
 }
 
 /// Default duration buckets in nanoseconds: 256ns .. ~4.3s, powers of 4
 /// (`4^4 .. 4^16`). Suited to task latencies, which span sub-microsecond
 /// host tasks to multi-second chaos runs.
-pub fn duration_bounds_nanos() -> Vec<f64> {
+pub(crate) fn duration_bounds_nanos() -> Vec<f64> {
     (4..17).map(|i| 4f64.powi(i)).collect()
 }
 
@@ -177,31 +177,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Sets (replaces) a histogram metric wholesale — for exporters that
-    /// aggregate observations elsewhere and publish snapshots.
-    pub fn set_histogram(&self, name: &str, help: &str, labels: &[(&str, &str)], h: Histogram) {
-        self.upsert(name, help, labels, MetricValue::Histogram(h));
-    }
-
-    /// Returns a clone of a registered histogram, if present.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
-        let m = self.metrics.lock();
-        match &m[position(&m, name, labels)?].value {
-            MetricValue::Histogram(h) => Some(h.clone()),
-            _ => None,
-        }
-    }
-
-    /// Number of registered metrics (one per name+labels pair).
-    pub fn len(&self) -> usize {
-        self.metrics.lock().len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Sets each `(name, help, value)` row under one label set, in order.
     pub(crate) fn set_rows(
         &self,
@@ -245,22 +220,6 @@ impl MetricsRegistry {
             ("hf_executor_queue_depth", "Tasks waiting in the injector and worker deques (live gauge; populated by Executor::snapshot)", G(s.queue_depth as f64)),
         ];
         self.set_rows(&[], rows);
-    }
-
-    /// Imports an executor's current per-device modeled-load estimates
-    /// (the decaying bias that placement uses to steer later topologies
-    /// toward idle GPUs) as `hf_placement_device_load_nanos` gauges
-    /// labeled by device.
-    pub fn collect_device_loads(&self, loads: &[f64]) {
-        for (d, &load) in loads.iter().enumerate() {
-            let id = d.to_string();
-            self.set_gauge(
-                "hf_placement_device_load_nanos",
-                "Decaying modeled load per device used to bias placement",
-                &[("device", id.as_str())],
-                load,
-            );
-        }
     }
 
     /// Imports per-device engine and memory-pool statistics as
@@ -310,7 +269,7 @@ impl MetricsRegistry {
     }
 
     /// Renders the registry as a JSON array (one object per metric).
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         let m = self.metrics.lock();
         let mut arr = Vec::with_capacity(m.len());
         for metric in m.iter() {
@@ -498,7 +457,6 @@ mod tests {
         r.set_counter("hf_test_total", "a counter", &[], 3);
         r.set_counter("hf_test_total", "a counter", &[], 5); // replace
         r.set_gauge("hf_test_rate", "a gauge", &[("worker", "1")], 0.5);
-        assert_eq!(r.len(), 2);
         let text = r.prometheus_text();
         assert!(text.contains("# TYPE hf_test_total counter"));
         assert!(text.contains("hf_test_total 5"));
@@ -563,7 +521,9 @@ mod tests {
         for v in [100.0, 300.0, 2000.0, 1e12] {
             h.observe(v);
         }
-        r.set_histogram("hf_task_exec_nanos", "exec time", &[("kind", "host")], h);
+        let p99 = h.quantile(0.99);
+        let row = ("hf_task_exec_nanos", "exec time", MetricValue::Histogram(h));
+        r.set_rows(&[("kind", "host")], [row]);
         let text = r.prometheus_text();
         assert!(text.contains("# TYPE hf_task_exec_nanos histogram"));
         // 256 is the first bound (4^4): one observation (100) <= 256.
@@ -582,24 +542,7 @@ mod tests {
         }
         // p99 of [100, 300, 2000, 1e12] under these buckets clamps into
         // the overflow → last finite bound.
-        let h = r
-            .histogram("hf_task_exec_nanos", &[("kind", "host")])
-            .unwrap();
-        assert_eq!(h.quantile(0.99), *bounds.last().unwrap());
-    }
-
-    #[test]
-    fn set_histogram_replaces_wholesale() {
-        let r = MetricsRegistry::new();
-        let mut h = Histogram::new(vec![1.0, 10.0]);
-        h.observe(0.5);
-        h.observe(5.0);
-        r.set_histogram("hf_snap", "snapshot hist", &[], h.clone());
-        assert_eq!(r.histogram("hf_snap", &[]).unwrap().count, 2);
-        h.observe(20.0);
-        r.set_histogram("hf_snap", "snapshot hist", &[], h);
-        assert_eq!(r.histogram("hf_snap", &[]).unwrap().count, 3);
-        assert_eq!(r.len(), 1);
+        assert_eq!(p99, *bounds.last().unwrap());
     }
 
     #[test]
@@ -639,7 +582,6 @@ mod tests {
         let r = MetricsRegistry::new();
         r.collect_executor(&ex.snapshot());
         r.collect_gpu(ex.gpu_runtime());
-        r.collect_device_loads(&ex.device_loads());
         r.collect_spans(&trace.spans());
         let text = r.prometheus_text();
         assert!(text.contains("hf_executor_tasks_executed_total 3"));
@@ -648,7 +590,6 @@ mod tests {
         assert!(text.contains("hf_placement_warm_hits_total 0"));
         assert!(text.contains("hf_placement_est_bytes_saved_total 0"));
         assert!(text.contains("hf_placement_imbalance 1"));
-        assert!(text.contains("hf_placement_device_load_nanos{device=\"0\"}"));
         assert!(text.contains("hf_span_duration_us_bucket"));
         // Every line is a comment or `name[{labels}] value`.
         for line in text.lines() {

@@ -32,11 +32,11 @@ use std::time::{Duration, Instant};
 
 /// Extra metric source: a closure filling a [`MetricsRegistry`] at
 /// scrape time (executor snapshots, GPU runtime counters, …).
-pub type Collector = Box<dyn Fn(&MetricsRegistry) + Send + Sync>;
+pub(crate) type Collector = Box<dyn Fn(&MetricsRegistry) + Send + Sync>;
 
 /// Scrape-time tenant source: a closure returning a JSON document (a
 /// fleet snapshot) merged into `/tenants` responses.
-pub type TenantSource = Box<dyn Fn() -> String + Send + Sync>;
+pub(crate) type TenantSource = Box<dyn Fn() -> String + Send + Sync>;
 
 /// Aggregates the health surfaces one process exposes: the flight
 /// recorder, an optional watchdog, and scrape-time metric collectors.
@@ -58,11 +58,6 @@ impl HealthHub {
         })
     }
 
-    /// The hub's recorder.
-    pub fn recorder(&self) -> &Arc<FlightRecorder> {
-        &self.recorder
-    }
-
     /// Wires a watchdog; `/health` serves its verdict.
     pub fn set_watchdog(&self, wd: Arc<Watchdog>) {
         *self.watchdog.lock() = Some(wd);
@@ -82,7 +77,7 @@ impl HealthHub {
     }
 
     /// Renders the `/metrics` document (Prometheus text).
-    pub fn metrics_text(&self) -> String {
+    pub(crate) fn metrics_text(&self) -> String {
         self.recorder.pump();
         let reg = MetricsRegistry::new();
         self.recorder.export_into(&reg);
@@ -93,7 +88,7 @@ impl HealthHub {
     }
 
     /// Renders the `/health` document (JSON).
-    pub fn health_text(&self) -> String {
+    pub(crate) fn health_text(&self) -> String {
         self.recorder.pump();
         let v = match self.watchdog.lock().as_ref() {
             Some(wd) => wd.health_json(),
@@ -147,7 +142,7 @@ impl HealthHub {
     }
 
     /// Renders the `/flight` document (full flight-recorder dump).
-    pub fn flight_text(&self) -> String {
+    pub(crate) fn flight_text(&self) -> String {
         self.recorder.pump();
         serde_json::to_string_pretty(&self.recorder.dump_json()).expect("infallible")
     }
@@ -155,7 +150,7 @@ impl HealthHub {
     /// Renders the `/tenants` document (JSON): the recorder's per-tenant
     /// latency attribution, plus the wired fleet snapshot when a tenant
     /// source is set.
-    pub fn tenants_text(&self) -> String {
+    pub(crate) fn tenants_text(&self) -> String {
         self.recorder.pump();
         let mut v = self.recorder.tenants_json();
         if let Some(src) = self.tenant_source.lock().as_ref() {

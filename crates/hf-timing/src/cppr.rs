@@ -19,9 +19,9 @@ use crate::views::View;
 #[derive(Debug, Clone)]
 pub struct ClockTree {
     /// Tree depth (segments from root to a leaf).
-    pub levels: u32,
+    pub(crate) levels: u32,
     /// Nominal delay per tree segment (ns).
-    pub seg_delay: f32,
+    pub(crate) seg_delay: f32,
     /// Leaf assignment per gate id (only endpoints are mapped).
     leaf_of: Vec<u32>,
 }
@@ -50,14 +50,14 @@ impl ClockTree {
     }
 
     /// Leaf index of a mapped endpoint gate.
-    pub fn leaf(&self, gate: u32) -> Option<u32> {
+    pub(crate) fn leaf(&self, gate: u32) -> Option<u32> {
         let l = self.leaf_of[gate as usize];
         (l != u32::MAX).then_some(l)
     }
 
     /// Number of tree segments shared by the root-to-leaf paths of two
     /// leaves (leading common bits of their leaf indices).
-    pub fn common_depth(&self, a: u32, b: u32) -> u32 {
+    pub(crate) fn common_depth(&self, a: u32, b: u32) -> u32 {
         // Bits are consumed root-first from the most significant of
         // `levels` bits; the common prefix ends at the first differing bit.
         self.levels - (32 - (a ^ b).leading_zeros()).min(self.levels)
@@ -66,7 +66,7 @@ impl ClockTree {
     /// CPPR credit between a launch gate and a capture gate: the
     /// impossible pessimism accumulated along their common clock prefix,
     /// the late-minus-early spread `2 * ocv * seg_delay` per shared segment.
-    pub fn cppr_credit(&self, launch: u32, capture: u32, ocv: f32) -> f32 {
+    pub(crate) fn cppr_credit(&self, launch: u32, capture: u32, ocv: f32) -> f32 {
         match (self.leaf(launch), self.leaf(capture)) {
             (Some(a), Some(b)) => self.common_depth(a, b) as f32 * (2.0 * ocv * self.seg_delay),
             _ => 0.0,
@@ -76,7 +76,7 @@ impl ClockTree {
 
 /// Slack after CPPR credit for each path: `slack + credit(launch,
 /// capture)`. Returns the credits applied.
-pub fn apply_cppr(paths: &mut [TimingPath], tree: &ClockTree, view: &View) -> Vec<f32> {
+pub(crate) fn apply_cppr(paths: &mut [TimingPath], tree: &ClockTree, view: &View) -> Vec<f32> {
     let ocv = view.corner.ocv;
     paths
         .iter_mut()

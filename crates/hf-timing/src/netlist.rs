@@ -39,7 +39,7 @@ pub enum GateKind {
 
 impl GateKind {
     /// Nominal propagation delay in nanoseconds at the typical corner.
-    pub fn base_delay(self) -> f32 {
+    pub(crate) fn base_delay(self) -> f32 {
         match self {
             GateKind::Input | GateKind::Output => 0.0,
             GateKind::Inv => 0.010,
@@ -57,10 +57,10 @@ impl GateKind {
 #[derive(Debug, Clone, Copy)]
 pub struct Gate {
     /// Logic function.
-    pub kind: GateKind,
+    pub(crate) kind: GateKind,
     /// Per-instance delay variation multiplier (process variation),
     /// sampled at synthesis time.
-    pub delay_factor: f32,
+    pub(crate) delay_factor: f32,
 }
 
 /// Parameters for [`Circuit::synthesize`].
@@ -134,7 +134,7 @@ impl Circuit {
     /// Builds a circuit from one fanin list (driver ids) per gate; each
     /// fanout row lists its sinks in ascending id. Panics unless every edge
     /// runs from a lower id to a higher one (ids are a topological order).
-    pub fn new(
+    pub(crate) fn new(
         gates: Vec<Gate>,
         fanin: &[Vec<u32>],
         primary_inputs: Vec<u32>,

@@ -34,7 +34,7 @@ pub struct TimingPath {
 
 impl TimingPath {
     /// Number of gates on the path.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.gates.len()
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! The model classifies timing paths as violating/clean from structural
 //! features; per-view model weights are then correlated across views.
-//! [`logistic_kernel`] is a Heteroflow GPU kernel operating on pulled
+//! `logistic_kernel` is a Heteroflow GPU kernel operating on pulled
 //! device data; [`train_cpu`] is the bit-identical host reference used by
 //! tests.
 
@@ -24,7 +24,11 @@ fn sigmoid(z: f32) -> f32 {
 /// Builds the per-view dataset from extracted paths: a flat row-major
 /// feature matrix (`n x NUM_FEATURES`, standardized) and 0/1 labels
 /// ("violates under a tightened clock").
-pub fn make_dataset(paths: &[TimingPath], credits: &[f32], margin: f32) -> (Vec<f32>, Vec<f32>) {
+pub(crate) fn make_dataset(
+    paths: &[TimingPath],
+    credits: &[f32],
+    margin: f32,
+) -> (Vec<f32>, Vec<f32>) {
     let n = paths.len();
     let mut x = vec![0.0f32; n * NUM_FEATURES];
     let mut y = vec![0.0f32; n];
@@ -101,7 +105,7 @@ fn descend(
 /// The launch covers `n` threads; each epoch accumulates per-sample
 /// gradient contributions over the thread space, then thread 0 applies
 /// the update (a grid-sync-style pattern).
-pub fn logistic_kernel(
+pub(crate) fn logistic_kernel(
     f: usize,
     epochs: usize,
     lr: f32,
@@ -122,7 +126,7 @@ pub fn logistic_kernel(
 }
 
 /// Model prediction for one feature row.
-pub fn predict(w: &[f32], row: &[f32]) -> f32 {
+pub(crate) fn predict(w: &[f32], row: &[f32]) -> f32 {
     let f = row.len();
     sigmoid(row.iter().zip(&w[..f]).map(|(a, b)| a * b).sum::<f32>() + w[f])
 }
@@ -144,7 +148,7 @@ pub fn accuracy(w: &[f32], x: &[f32], y: &[f32], f: usize) -> f64 {
 
 /// Pearson correlation coefficient between two equal-length vectors —
 /// the cross-view correlation statistic of the synchronization step.
-pub fn pearson(a: &[f32], b: &[f32]) -> f64 {
+pub(crate) fn pearson(a: &[f32], b: &[f32]) -> f64 {
     assert_eq!(a.len(), b.len());
     let n = a.len() as f64;
     if n == 0.0 {

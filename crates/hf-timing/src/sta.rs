@@ -20,10 +20,6 @@ pub struct TimingReport {
     pub slack: Vec<f32>,
     /// Worst negative slack over primary outputs (0 if none negative).
     pub wns: f32,
-    /// Total negative slack over primary outputs.
-    pub tns: f32,
-    /// Clock period used.
-    pub clock_period: f32,
 }
 
 /// Effective delay of gate `g` under `view`: its nominal delay, scaled.
@@ -72,22 +68,17 @@ pub fn run_sta(c: &Circuit, view: &View) -> TimingReport {
 
     let slack: Vec<f32> = required.iter().zip(&arrival).map(|(r, a)| r - a).collect();
 
-    let (mut wns, mut tns) = (0.0f32, 0.0f32);
-    for &po in &c.primary_outputs {
-        let s = slack[po as usize];
-        if s < 0.0 {
-            wns = wns.min(s);
-            tns += s;
-        }
-    }
+    let wns = c
+        .primary_outputs
+        .iter()
+        .map(|&po| slack[po as usize])
+        .fold(0.0f32, f32::min);
 
     TimingReport {
         arrival,
         required,
         slack,
         wns,
-        tns,
-        clock_period: period,
     }
 }
 
@@ -140,12 +131,11 @@ mod tests {
     fn slack_positive_under_loose_clock_negative_under_tight() {
         let c = tiny();
         let loose = run_sta(&c, &test_view(1.0, 1.0));
-        assert!(loose.wns == 0.0 && loose.tns == 0.0);
+        assert!(loose.wns == 0.0);
         assert!(loose.slack[4] > 0.0);
 
         let tight = run_sta(&c, &test_view(1.0, 0.001));
         assert!(tight.wns < 0.0);
-        assert!(tight.tns <= tight.wns);
     }
 
     #[test]

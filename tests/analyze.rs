@@ -98,6 +98,37 @@ fn declared_host_writer_races_with_unordered_pull() {
     );
 }
 
+/// A declared host reader races with an unordered push that writes the
+/// same buffer back.
+#[test]
+fn declared_host_reader_races_with_unordered_push() {
+    let g = Heteroflow::new("hostread");
+    let x: HostVec<i32> = HostVec::from_vec(vec![0; 64]);
+    let p = g.pull("p", &x);
+    let k = g.kernel("k", &[&p], |_, _| {});
+    let s = g.push("s", &p, &x);
+    p.precede(&k);
+    k.precede(&s);
+    let h = g.host("h", {
+        let x = x.clone();
+        move || assert!(x.read().len() == 64)
+    });
+    h.reads(&x);
+    // No ordering between h and s: concurrent read/write of `x`.
+    let report = g.analyze();
+    assert_eq!(
+        report.with_code("HF002").count(),
+        1,
+        "got: {}",
+        report.render_text()
+    );
+    s.precede(&h);
+    assert!(
+        g.analyze().with_code("HF002").next().is_none(),
+        "ordered access still flagged"
+    );
+}
+
 /// The full saxpy graph of the paper's Listing 1 has zero findings.
 #[test]
 fn saxpy_shape_lints_clean() {

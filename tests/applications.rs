@@ -102,6 +102,43 @@ fn timing_application_answers_are_pinned() {
     assert_eq!(h, 0xb43b_f249_d0e3_449f, "timing digest {h:#018x}");
 }
 
+/// The timing application's answer does not depend on the executor: the
+/// trained weights and the mean correlation are bit-identical to the
+/// fused `Executor(1,1)` answer on every worker/device shape, with task
+/// fusion on and off.
+#[test]
+fn timing_answers_match_on_every_executor_shape() {
+    let circuit = Arc::new(Circuit::synthesize(&CircuitConfig {
+        num_gates: 1500,
+        ..Default::default()
+    }));
+    let views = make_views(4, 0.4);
+    let cfg = CorrelationConfig {
+        paths_per_view: 64,
+        epochs: 25,
+        ..Default::default()
+    };
+    let answer = |workers, gpus, fusion| {
+        let ex = Executor::builder(workers, gpus).task_fusion(fusion).build();
+        let r = run_correlation(&ex, Arc::clone(&circuit), &views, cfg).expect("runs");
+        let weights: Vec<Vec<u32>> = r
+            .weights
+            .iter()
+            .map(|w| w.iter().map(|x| x.to_bits()).collect())
+            .collect();
+        (weights, r.mean_correlation.to_bits())
+    };
+    let reference = answer(1, 1, true);
+    for (workers, gpus) in [(1, 1), (2, 1), (1, 2), (2, 2)] {
+        for fusion in [true, false] {
+            assert!(
+                answer(workers, gpus, fusion) == reference,
+                "Executor({workers}, {gpus}) with task_fusion({fusion}) trains another model"
+            );
+        }
+    }
+}
+
 /// 64-bit FNV-1a over 32-bit little-endian words.
 struct Fnv(u64);
 
@@ -268,17 +305,14 @@ fn placement_end_to_end_parallel_equals_sequential() {
     // real stealing, and a second device: the iterations are ordered only
     // by `apply[i] -> partition[i+1]` and the device queue, so every shape
     // has to land on the sequential trajectory, cell for cell.
-    for (workers, gpus) in [(1, 1), (2, 1), (2, 2), (4, 2)] {
-        let ex = Executor::new(workers, gpus);
+    // Fusion off as well: each MIS round then runs as separate kernels.
+    let shapes = [(1, 1), (2, 1), (2, 2), (4, 2)];
+    for ((workers, gpus), fusion) in shapes.into_iter().flat_map(|s| [(s, true), (s, false)]) {
+        let ex = Executor::builder(workers, gpus).task_fusion(fusion).build();
         let par = detailed_place(&ex, db.clone(), cfg).expect("placement runs");
-        assert_eq!(
-            par.hpwl_trace, seq.hpwl_trace,
-            "Executor::new({workers}, {gpus})"
-        );
-        assert_eq!(
-            par.db.cells, seq.db.cells,
-            "Executor::new({workers}, {gpus})"
-        );
+        let shape = format!("Executor({workers}, {gpus}) with task_fusion({fusion})");
+        assert_eq!(par.hpwl_trace, seq.hpwl_trace, "{shape}");
+        assert_eq!(par.db.cells, seq.db.cells, "{shape}");
         assert!(par.hpwl_after <= par.hpwl_before);
         par.db.check_legal().expect("legal");
     }

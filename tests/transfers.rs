@@ -541,14 +541,14 @@ fn a_pull_does_not_queue_behind_an_unrelated_kernel_chain() {
     let ex = Executor::new(1, 1);
     let g = Heteroflow::new("head-of-line");
     let started = Arc::new(AtomicBool::new(false));
-    let chain_end: Arc<Mutex<Option<Instant>>> = Arc::default();
+    let ends: Arc<Mutex<[Option<Instant>; 3]>> = Arc::default();
     let mut prev: Option<heteroflow::core::KernelTask> = None;
     for k in 0..3 {
-        let (started, chain_end) = (Arc::clone(&started), Arc::clone(&chain_end));
+        let (started, ends) = (Arc::clone(&started), Arc::clone(&ends));
         let kernel = g.kernel(&format!("busy{k}"), &[], move |_, _| {
             started.store(true, Ordering::Release);
             std::thread::sleep(OCCUPANCY);
-            *chain_end.lock().unwrap() = Some(Instant::now());
+            ends.lock().unwrap()[k] = Some(Instant::now());
         });
         if let Some(p) = &prev {
             kernel.succeed(p);
@@ -575,17 +575,17 @@ fn a_pull_does_not_queue_behind_an_unrelated_kernel_chain() {
     });
     release.precede(&pull);
     pull.precede(&after);
-    // The first run creates the worker's streams; the engine's round-robin
-    // covers the lanes from the second on.
-    for _ in 0..2 {
-        started.store(false, Ordering::Release);
-        ex.run(&g).wait().expect("runs");
-    }
+    // The first run on a fresh executor: the pull's copy lane is opened
+    // while `busy0` runs, and the engine's next pick after `busy0` must
+    // still reach it. The pull's completion callback is an op of its own
+    // behind it on the lane, so the round-robin serves `busy1` in between:
+    // the successor finishes while `busy2` still occupies the device.
+    ex.run(&g).wait().expect("runs");
     let after_at = after_at.lock().unwrap().expect("after ran");
-    let chain_end = chain_end.lock().unwrap().expect("chain ran");
+    let busy2_end = ends.lock().unwrap()[2].expect("busy2 ran");
     assert!(
-        after_at < chain_end,
+        after_at < busy2_end,
         "the pull's successor finished {:?} after the kernel chain",
-        after_at - chain_end
+        after_at - busy2_end
     );
 }
