@@ -11,12 +11,11 @@ use crate::worker::Local;
 use hf_gpu::GpuError;
 use hf_sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// What [`ExecInner::failure_action`] decided about a failed task body.
 enum FailureAction {
-    /// Re-dispatch the node after the given backoff.
-    Retry(Duration),
+    /// Re-dispatch the node.
+    Retry,
     /// Request a device failover; the round drains and replays.
     Failover,
     /// Fail the run with the error.
@@ -53,7 +52,7 @@ impl ExecInner {
         }
         let attempt = topo.attempts[node].fetch_add(1, Ordering::Relaxed) + 1;
         if attempt < self.retry.attempts() {
-            FailureAction::Retry(self.retry.backoff_for(attempt))
+            FailureAction::Retry
         } else {
             FailureAction::Fail
         }
@@ -79,17 +78,14 @@ impl ExecInner {
     ) {
         let action = self.failure_action(topo, failed, &err);
         let phase = match action {
-            FailureAction::Retry(_) => LifecyclePhase::Retried,
+            FailureAction::Retry => LifecyclePhase::Retried,
             FailureAction::Failover | FailureAction::Fail => LifecyclePhase::Failed,
         };
         self.emit_task(topo, phase, failed, worker, chain, false, Some(&err));
         match action {
-            FailureAction::Retry(delay) => {
+            FailureAction::Retry => {
                 self.stats.retries.incr();
                 topo.retries.fetch_add(1, Ordering::Relaxed);
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
                 // Runs next on this worker, or — from a device engine
                 // thread — goes to the queue its route names.
                 ReadyBatch::new(self, topo, local).push(failed, topo.plan.route(failed));

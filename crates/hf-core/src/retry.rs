@@ -1,18 +1,15 @@
 //! Retry and device-failover policies for the executor.
 //!
 //! A [`RetryPolicy`] tells the executor what to do when a task body fails:
-//! how many attempts a task gets, how long to back off between
-//! attempts, and whether a whole-device loss triggers failover (re-placing
-//! the lost device's placement groups onto the surviving GPUs) or fails
-//! the run.
+//! how many attempts a task gets, and whether a whole-device loss
+//! triggers failover (re-placing the lost device's placement groups onto
+//! the surviving GPUs) or fails the run.
 //!
 //! Retries are only attempted for *transient* failures whose effect never
 //! happened: injected faults and device allocation exhaustion fire before
 //! the operation mutates any state, and a panicking task body is treated
 //! as transient as well. Structural errors (missing dependency, cycle,
 //! empty task) never retry.
-
-use std::time::Duration;
 
 /// What the executor does when a device is lost mid-run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,24 +22,21 @@ pub enum OnDeviceLoss {
     Fail,
 }
 
-/// Per-task retry budget, backoff, and device-loss behavior.
+/// Per-task retry budget and device-loss behavior.
 ///
-/// The default policy is one attempt (no retries), zero backoff, failover
-/// on device loss with a budget of three failovers per submission.
+/// The default policy is one attempt (no retries) and failover on device
+/// loss with a budget of three failovers per submission. A retry runs at
+/// once.
 ///
 /// ```
 /// use hf_core::retry::{OnDeviceLoss, RetryPolicy};
-/// use std::time::Duration;
-///
 /// let policy = RetryPolicy::new(3)
-///     .backoff(Duration::from_millis(1))
 ///     .on_device_loss(OnDeviceLoss::Failover)
 ///     .max_failovers(2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     attempts: u32,
-    backoff: Duration,
     on_device_loss: OnDeviceLoss,
     max_failovers: u32,
 }
@@ -59,18 +53,9 @@ impl RetryPolicy {
     pub fn new(max_attempts: u32) -> Self {
         Self {
             attempts: max_attempts.max(1),
-            backoff: Duration::ZERO,
             on_device_loss: OnDeviceLoss::default(),
             max_failovers: 3,
         }
-    }
-
-    /// Base delay between attempts; attempt `n` waits `n * backoff`
-    /// (linear, capped at one second). Served inline on the retrying
-    /// thread, so keep it small.
-    pub fn backoff(mut self, d: Duration) -> Self {
-        self.backoff = d;
-        self
     }
 
     /// What a whole-device loss does (default: [`OnDeviceLoss::Failover`]).
@@ -89,11 +74,6 @@ impl RetryPolicy {
     /// Attempt budget of every task.
     pub(crate) fn attempts(&self) -> u32 {
         self.attempts
-    }
-
-    /// Delay before retrying after `attempt` failed attempts.
-    pub(crate) fn backoff_for(&self, attempt: u32) -> Duration {
-        (self.backoff * attempt).min(Duration::from_secs(1))
     }
 
     pub(crate) fn loss_behavior(&self) -> OnDeviceLoss {
@@ -115,15 +95,6 @@ mod tests {
         assert_eq!(p.attempts(), 1);
         assert_eq!(p.loss_behavior(), OnDeviceLoss::Failover);
         assert_eq!(p.failover_budget(), 3);
-        assert_eq!(p.backoff_for(5), Duration::ZERO);
-    }
-
-    #[test]
-    fn backoff_is_linear_and_capped() {
-        let p = RetryPolicy::new(3).backoff(Duration::from_millis(400));
-        assert_eq!(p.backoff_for(1), Duration::from_millis(400));
-        assert_eq!(p.backoff_for(2), Duration::from_millis(800));
-        assert_eq!(p.backoff_for(9), Duration::from_secs(1));
     }
 
     #[test]

@@ -179,6 +179,19 @@ mod tests {
     }
 
     #[test]
+    fn capacity_rounds_to_power_of_two() {
+        // (requested, slots): rounded up to a power of two, minimum 2.
+        for (requested, slots) in [(3, 4), (0, 2), (64, 64)] {
+            let r = EventRing::new(requested);
+            for i in 0..slots {
+                assert!(r.push(i), "new({requested}) refused push {i}");
+            }
+            assert!(!r.push(slots), "new({requested}) took more than {slots}");
+            assert_eq!(r.dropped(), 1);
+        }
+    }
+
+    #[test]
     fn wraps_many_laps() {
         let r = EventRing::new(4);
         for i in 0..1000u64 {

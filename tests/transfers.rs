@@ -575,17 +575,23 @@ fn a_pull_does_not_queue_behind_an_unrelated_kernel_chain() {
     });
     release.precede(&pull);
     pull.precede(&after);
-    // The first run on a fresh executor: the pull's copy lane is opened
-    // while `busy0` runs, and the engine's next pick after `busy0` must
-    // still reach it. The pull's completion callback is an op of its own
-    // behind it on the lane, so the round-robin serves `busy1` in between:
-    // the successor finishes while `busy2` still occupies the device.
-    ex.run(&g).wait().expect("runs");
-    let after_at = after_at.lock().unwrap().expect("after ran");
-    let busy2_end = ends.lock().unwrap()[2].expect("busy2 ran");
-    assert!(
-        after_at < busy2_end,
-        "the pull's successor finished {:?} after the kernel chain",
-        after_at - busy2_end
-    );
+    // The first run on a fresh executor opens the pull's copy lane while
+    // `busy0` runs, and the engine's next pick after `busy0` must still
+    // reach it; the second run finds the lane open. The pull's completion
+    // callback is an op of its own behind it on the lane, so the
+    // round-robin serves `busy1` in between: the successor finishes while
+    // `busy2` still occupies the device.
+    for run in 0..2 {
+        started.store(false, Ordering::Release);
+        *ends.lock().unwrap() = [None; 3];
+        *after_at.lock().unwrap() = None;
+        ex.run(&g).wait().expect("runs");
+        let after_at = after_at.lock().unwrap().expect("after ran");
+        let busy2_end = ends.lock().unwrap()[2].expect("busy2 ran");
+        assert!(
+            after_at < busy2_end,
+            "run {run}: the pull's successor finished {:?} after the kernel chain",
+            after_at - busy2_end
+        );
+    }
 }
