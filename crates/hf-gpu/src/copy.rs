@@ -9,13 +9,13 @@
 //! `cudaMemcpyAsync` beside the caller. The helper is claimed with one CAS
 //! and never queued for: a caller that finds it claimed (by another
 //! device's engine, say) copies everything itself. Both sides spin for
-//! `SPIN` (50 µs) before they park, so the chunks of one pipelined pull
-//! reach a helper that is still awake: a hand-off is a cache line, not a
-//! condvar wake.
+//! `SPIN` (50 µs) before they park on a [`Notifier`], so the chunks of one
+//! pipelined pull reach a helper that is still awake: a hand-off is a cache
+//! line, not a wake.
 
-use hf_sync::sync::{Condvar, Mutex};
+use hf_sync::Notifier;
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU8, AtomicUsize};
+use std::sync::atomic::{AtomicPtr, AtomicU8, AtomicUsize};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -25,13 +25,13 @@ use std::time::{Duration, Instant};
 /// well under 1 µs); a 32 KiB half copies in about 3-6 µs on one core.
 /// At 64 KiB the chunks of a pipelined pull split too (`stream_serving`'s
 /// are 64 KiB): 16 MiB in 64 KiB pieces went from 5.5-8.7 to 14.2-15.5
-/// GiB/s on 2 cores. A helper woken through the condvar for every half
+/// GiB/s on 2 cores. A helper woken from a park for every half
 /// would not pay at this size: one wake (`hf-sync.notifier_wake_us`,
 /// ≈ 7 µs) costs as much as the half.
 pub const SPLIT: usize = 1 << 16;
 
 /// How long the helper spins for its next job, and a claimant for the
-/// helper's half, before either parks on the condvar. Sized against a
+/// helper's half, before either parks. Sized against a
 /// pipelined pull's chunk train on 2 cores: at 50 µs the helper parked
 /// two to three times per 256-chunk `stream_serving` epoch, mostly
 /// between trains, and 200 µs about once with no steady gain; an idle
@@ -88,14 +88,11 @@ struct Helper {
     dst: AtomicPtr<u8>,
     src: AtomicPtr<u8>,
     len: AtomicUsize,
-    /// Raised under `lock` by the side that sleeps on `cv`; the other side
-    /// notifies after a state change only when it reads its peer's flag
-    /// raised. Both are SeqCst with the state, so a wake is never lost; a
-    /// stale raised flag costs one spurious notify.
-    helper_parked: AtomicBool,
-    claimant_parked: AtomicBool,
-    lock: Mutex<()>,
-    cv: Condvar,
+    /// Where the helper and the claimant park; each side notifies the
+    /// other's after its SeqCst store of the state, which a parking side
+    /// re-checks after it prepares, so a wake is never lost.
+    helper_wake: Notifier,
+    claimant_wake: Notifier,
 }
 
 impl Helper {
@@ -116,34 +113,30 @@ impl Helper {
         self.src.store(src[mid..].as_ptr().cast_mut(), Relaxed);
         self.len.store(hi.len(), Relaxed);
         let _pending = Pending(self);
-        self.set(POSTED, &self.helper_parked);
+        self.set(POSTED, &self.helper_wake);
         lo.copy_from_slice(&src[..mid]);
     }
 
     fn serve(&self) {
         loop {
-            self.wait_for(&self.helper_parked, |s| s == POSTED);
+            self.wait_for(&self.helper_wake, |s| s == POSTED);
             let (dst, src) = (self.dst.load(Relaxed), self.src.load(Relaxed));
             // SAFETY: the claimant made the job from two live, disjoint
             // slices of `len` bytes, and waits (`Pending`) until `DONE`
             // before it touches them again.
             unsafe { std::ptr::copy_nonoverlapping(src, dst, self.len.load(Relaxed)) };
-            self.set(DONE, &self.claimant_parked);
+            self.set(DONE, &self.claimant_wake);
         }
     }
 
-    /// Stores `state` and wakes the other side if it sleeps.
-    fn set(&self, state: u8, peer_parked: &AtomicBool) {
+    /// Stores `state` and wakes the other side if it sleeps on `peer`.
+    fn set(&self, state: u8, peer: &Notifier) {
         self.state.store(state, SeqCst);
-        if peer_parked.load(SeqCst) {
-            drop(self.lock.lock());
-            self.cv.notify_one();
-        }
+        peer.notify_one();
     }
 
-    /// Returns once `ready(state)`: spins for [`SPIN`], then sleeps on `cv`
-    /// with `parked` raised.
-    fn wait_for(&self, parked: &AtomicBool, ready: impl Fn(u8) -> bool) {
+    /// Returns once `ready(state)`: spins for [`SPIN`], then parks on `wake`.
+    fn wait_for(&self, wake: &Notifier, ready: impl Fn(u8) -> bool) {
         let ready = || ready(self.state.load(SeqCst));
         let start = Instant::now();
         while !ready() {
@@ -151,12 +144,11 @@ impl Helper {
                 std::hint::spin_loop();
                 continue;
             }
-            let mut guard = self.lock.lock();
-            parked.store(true, SeqCst);
-            while !ready() {
-                guard = self.cv.wait(guard);
+            let t = wake.prepare_wait();
+            if ready() {
+                return wake.cancel_wait(t);
             }
-            parked.store(false, Relaxed);
+            wake.commit_wait(t);
         }
     }
 }
@@ -169,7 +161,7 @@ struct Pending<'h>(&'h Helper);
 impl Drop for Pending<'_> {
     fn drop(&mut self) {
         let helper = self.0;
-        helper.wait_for(&helper.claimant_parked, |s| s == DONE);
+        helper.wait_for(&helper.claimant_wake, |s| s == DONE);
         helper.state.store(FREE, Release);
     }
 }
@@ -249,7 +241,7 @@ mod tests {
         copy_bytes(&mut dst, &src); // returns only because it does not wait
         assert!(dst == src);
         let since = Instant::now();
-        while !helper.helper_parked.load(SeqCst) {
+        while helper.helper_wake.num_waiters() == 0 {
             assert!(since.elapsed().as_secs() < 10, "the helper never parked");
             std::thread::sleep(SPIN);
         }
@@ -257,7 +249,7 @@ mod tests {
         helper.dst.store(dst.as_mut_ptr(), Relaxed);
         helper.src.store(src.as_ptr().cast_mut(), Relaxed);
         helper.len.store(src.len(), Relaxed);
-        helper.set(POSTED, &helper.helper_parked);
+        helper.set(POSTED, &helper.helper_wake);
         while helper.state.load(SeqCst) != DONE {
             assert!(
                 since.elapsed().as_secs() < 20,

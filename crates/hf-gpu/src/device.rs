@@ -3,18 +3,18 @@
 use crate::arena::{Arena, DevicePtr};
 use crate::cost::{CostModel, SimDuration};
 use crate::error::GpuError;
-use crate::event::Event;
 use crate::fault::{FaultInjector, FaultSite};
 use crate::pool::{MemoryPool, PoolStats};
 use crate::stream::{Op, OpBody};
 use crate::trace::{GpuOpKind, GpuTraceEvent, GpuTraceSink};
-use hf_sync::sync::{Condvar, Mutex};
+use hf_sync::sync::Mutex;
+use hf_sync::Notifier;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Identifier of a device within a [`crate::GpuRuntime`].
 pub type DeviceId = u32;
@@ -46,23 +46,18 @@ pub(crate) struct StreamQueue {
     pub(crate) blocked_since: Option<Instant>,
 }
 
-/// A device's stream queues, and who sleeps on them: an enqueue notifies
-/// the engine only when it is `parked`, a completion notifies only when
-/// `syncing` callers wait. Both are read and written under the one lock,
-/// so no wake-up is lost.
+/// A device's stream queues and the two notifiers its threads park on.
+/// Each sleeper prepares a wait, re-checks the queues under their lock, and
+/// only then commits, so a change made under the lock before the notify is
+/// never missed.
 #[derive(Default)]
-struct Queues {
-    streams: Vec<StreamQueue>,
-    parked: bool,
-    syncing: usize,
-}
-
 pub(crate) struct EngineShared {
-    queues: Mutex<Queues>,
-    /// The engine's: work arrived (or shutdown).
-    pub(crate) cv: Condvar,
+    queues: Mutex<Vec<StreamQueue>>,
+    /// The engine's: work arrived on an empty stream, an event its blocked
+    /// head waits on fired (see [`crate::Event`]), or shutdown.
+    pub(crate) wake: Arc<Notifier>,
     /// `synchronize*` callers': an op completed.
-    drained: Condvar,
+    drained: Notifier,
     pub(crate) shutdown: AtomicBool,
 }
 
@@ -117,12 +112,7 @@ impl Device {
             arena: Mutex::new(Arena::new(id, mem_capacity)),
             pool: MemoryPool::new(id, mem_capacity, min_block),
             cost,
-            engine: Arc::new(EngineShared {
-                queues: Mutex::default(),
-                cv: Condvar::new(),
-                drained: Condvar::new(),
-                shutdown: AtomicBool::new(false),
-            }),
+            engine: Arc::default(),
             stats: DeviceStats::default(),
             last_error: Mutex::new(None),
             trace_on: AtomicBool::new(false),
@@ -274,46 +264,96 @@ impl Device {
 
     /// Registers a new stream on this device; returns its index.
     pub(crate) fn register_stream(&self) -> usize {
-        let streams = &mut self.inner.engine.queues.lock().streams;
+        let mut streams = self.inner.engine.queues.lock();
         streams.push(StreamQueue::default());
         streams.len() - 1
     }
 
+    /// Queues `op` on its stream. Only an op that becomes its stream's head
+    /// notifies the engine: one behind another head either runs after it
+    /// without a wake, or waits behind a blocked head whose event's fire
+    /// wakes the engine, so a chunk train pays for one wake at most.
     pub(crate) fn enqueue(&self, op: Op) {
         let eng = &self.inner.engine;
         let mut qs = eng.queues.lock();
-        let q = &mut qs.streams[op.stream];
+        let q = &mut qs[op.stream];
+        let head = q.ops.is_empty();
         q.ops.push_back(op);
         q.enqueued += 1;
-        if std::mem::replace(&mut qs.parked, false) {
-            drop(qs);
-            eng.cv.notify_one(); // the first enqueue since it parked
+        drop(qs);
+        if head {
+            eng.wake.notify_one();
         }
     }
 
     /// Blocks until stream `stream` has executed everything enqueued so far.
     pub(crate) fn synchronize_stream(&self, stream: usize) {
-        let target = self.inner.engine.queues.lock().streams[stream].enqueued;
-        self.wait_until(|qs| qs.streams[stream].completed >= target);
+        let target = self.inner.engine.queues.lock()[stream].enqueued;
+        self.wait_until(|qs| qs[stream].completed >= target);
     }
 
     /// Blocks until every stream on this device has drained.
     pub fn synchronize(&self) {
-        self.wait_until(|qs| qs.streams.iter().all(|q| q.completed >= q.enqueued));
+        self.wait_until(|qs| qs.iter().all(|q| q.completed >= q.enqueued));
     }
 
-    fn wait_until(&self, done: impl Fn(&Queues) -> bool) {
-        let eng = &self.inner.engine;
-        let mut qs = eng.queues.lock();
-        qs.syncing += 1;
-        while !done(&qs) {
-            qs = eng.drained.wait(qs);
+    fn wait_until(&self, done: impl Fn(&[StreamQueue]) -> bool) {
+        let drained = &self.inner.engine.drained;
+        loop {
+            let t = drained.prepare_wait();
+            if done(&self.inner.engine.queues.lock()) {
+                return drained.cancel_wait(t);
+            }
+            drained.commit_wait(t);
         }
-        qs.syncing -= 1;
     }
 }
 
 impl DeviceInner {
+    /// Pops the first runnable head op, round-robin from `*next`, with the
+    /// instant its stream head first blocked on an unfired event (the
+    /// event-wait span start, when tracing). Sleeps until there is one;
+    /// `None` once shut down with every stream empty.
+    fn next_op(&self, next: &mut usize) -> Option<(Op, Option<Instant>)> {
+        let eng = &self.engine;
+        let mut prepared = None;
+        loop {
+            // Read after every wake: a sink may be installed while it sleeps.
+            let tracing = self.trace_on.load(Ordering::Relaxed);
+            let mut qs = eng.queues.lock();
+            let (n, mut any_pending) = (qs.len(), false);
+            for k in 0..n {
+                let i = (*next + k) % n;
+                let q = &mut qs[i];
+                let Some(head) = q.ops.front() else { continue };
+                any_pending = true;
+                if head.is_runnable(prepared.is_some().then_some(&eng.wake)) {
+                    if let Some(t) = prepared {
+                        eng.wake.cancel_wait(t);
+                    }
+                    *next = i + 1;
+                    let op = q.ops.pop_front().expect("head exists");
+                    return Some((op, q.blocked_since.take()));
+                } else if tracing && q.blocked_since.is_none() {
+                    q.blocked_since = Some(Instant::now());
+                }
+            }
+            drop(qs);
+            // An empty scan prepares and scans again, with the blocked
+            // heads' events subscribed: an enqueue or a fire after that
+            // scan bumps the epoch, so the commit returns. Shutdown is read
+            // after the prepare, as `GpuRuntime::drop` notifies unlocked.
+            match prepared.take() {
+                None => prepared = Some(eng.wake.prepare_wait()),
+                Some(t) if !any_pending && eng.shutdown.load(Ordering::SeqCst) => {
+                    eng.wake.cancel_wait(t);
+                    return None;
+                }
+                Some(t) => eng.wake.commit_wait(t),
+            }
+        }
+    }
+
     /// Clone of the installed sink, if tracing is on.
     fn sink(&self) -> Option<Arc<dyn GpuTraceSink>> {
         if !self.trace_on.load(Ordering::Relaxed) {
@@ -343,48 +383,8 @@ impl DeviceInner {
 /// One engine thread per device serializes that device's ops (a
 /// single-compute-unit GPU); concurrency across devices is real.
 fn engine_loop(dev: Arc<DeviceInner>) {
-    let eng = Arc::clone(&dev.engine);
-    let mut next_start = 0usize;
-    loop {
-        let tracing = dev.trace_on.load(Ordering::Relaxed);
-        // Find a runnable head op, round-robin across streams for fairness.
-        let mut op: Option<Op> = None;
-        // When tracing: the instant the popped op's stream head first
-        // blocked on an unfired event (the event-wait span start).
-        let mut blocked_since: Option<Instant> = None;
-        {
-            let mut qs = eng.queues.lock();
-            let n = qs.streams.len();
-            let mut any_pending = false;
-            for k in 0..n {
-                let i = (next_start + k) % n;
-                let q = &mut qs.streams[i];
-                let Some(head) = q.ops.front() else { continue };
-                any_pending = true;
-                if head.is_runnable() {
-                    blocked_since = q.blocked_since.take();
-                    op = Some(q.ops.pop_front().expect("head exists"));
-                    next_start = i + 1;
-                    break;
-                } else if tracing && q.blocked_since.is_none() {
-                    q.blocked_since = Some(Instant::now());
-                }
-            }
-            if op.is_none() {
-                if eng.shutdown.load(Ordering::Acquire) && !any_pending {
-                    return;
-                }
-                // Timed wait: an event this device is blocked on may be
-                // fired by another device's engine, which notifies no one
-                // here.
-                qs.parked = true;
-                let (mut qs, _) = eng.cv.wait_timeout(qs, Duration::from_micros(200));
-                qs.parked = false;
-                continue;
-            }
-        }
-
-        let mut op = op.expect("checked above");
+    let mut next = 0usize;
+    while let Some((mut op, blocked_since)) = dev.next_op(&mut next) {
         // Scheduled device loss: the plan loses this device after it has
         // executed a configured number of exec ops. The op still runs —
         // its closure observes the lost flag and fails fast — so stream
@@ -400,7 +400,7 @@ fn engine_loop(dev: Arc<DeviceInner>) {
         }
         let stream = op.stream;
         let label = op.label.take();
-        let t0 = tracing.then(Instant::now);
+        let t0 = dev.trace_on.load(Ordering::Relaxed).then(Instant::now);
         let (dur, kind, bytes) = execute(&dev, op);
         dev.stats
             .busy_nanos
@@ -425,12 +425,8 @@ fn engine_loop(dev: Arc<DeviceInner>) {
             });
         }
 
-        let mut qs = eng.queues.lock();
-        qs.streams[stream].completed += 1;
-        if qs.syncing > 0 {
-            drop(qs);
-            eng.drained.notify_all();
-        }
+        dev.engine.queues.lock()[stream].completed += 1;
+        dev.engine.drained.notify_all();
     }
 }
 
@@ -476,7 +472,7 @@ fn execute(dev: &Arc<DeviceInner>, op: Op) -> (SimDuration, GpuOpKind, u64) {
             (SimDuration::ZERO, GpuOpKind::EventRecord, 0)
         }
         // WaitEvent ops are consumed only when already runnable.
-        OpBody::WaitEvent { .. } => (SimDuration::ZERO, GpuOpKind::EventWait, 0),
+        OpBody::WaitEvent(..) => (SimDuration::ZERO, GpuOpKind::EventWait, 0),
     }
 }
 
@@ -512,22 +508,10 @@ pub fn current_device() -> Option<DeviceId> {
     DEVICE_STACK.with(|s| s.borrow().last().copied())
 }
 
-/// An [`Event`] wait marker used inside op queues.
-#[derive(Debug, Clone)]
-pub(crate) struct EventWait {
-    pub(crate) event: Event,
-    pub(crate) generation: u64,
-}
-
-impl EventWait {
-    pub(crate) fn ready(&self) -> bool {
-        self.event.reached(self.generation)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn scoped_context_nests() {

@@ -3,25 +3,30 @@
 //! Mirrors `cudaEvent_t`: an event is *recorded* into a stream
 //! ([`crate::Stream::record_event`]); it fires when the stream's engine
 //! reaches that point. Other streams can be made to wait on it
-//! ([`crate::Stream::wait_event`]).
+//! ([`crate::Stream::wait_event`]); a device engine blocked on it sleeps
+//! until the fire wakes it.
 
+use hf_sync::sync::Mutex;
+use hf_sync::Notifier;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 #[derive(Debug, Default)]
-struct Inner {
+pub(crate) struct Inner {
     /// Number of times the event has fired. A waiter waits for this to
     /// reach its captured target, so events are safely re-recordable
     /// (CUDA allows re-recording an event).
     fired: AtomicU64,
     /// Number of times the event has been recorded into a stream.
     recorded: AtomicU64,
+    /// Wake notifiers of the engines waiting for the next fire.
+    pub(crate) wakes: Mutex<Vec<Arc<Notifier>>>,
 }
 
 /// A recordable, awaitable completion marker. Cheap to clone (Arc inside).
 #[derive(Debug, Clone, Default)]
 pub struct Event {
-    inner: Arc<Inner>,
+    pub(crate) inner: Arc<Inner>,
 }
 
 impl Event {
@@ -36,9 +41,12 @@ impl Event {
         self.inner.recorded.fetch_add(1, Ordering::SeqCst) + 1
     }
 
-    /// Called by the engine thread when execution reaches the record op.
+    /// Called by the engine thread when execution reaches the record op:
+    /// counts the firing, then wakes the engines subscribed before it.
     pub(crate) fn fire(&self) {
         self.inner.fired.fetch_add(1, Ordering::SeqCst);
+        let wakes = std::mem::take(&mut *self.inner.wakes.lock());
+        wakes.iter().for_each(|wake| wake.notify_one());
     }
 
     /// Number of recordings made so far.
@@ -46,9 +54,22 @@ impl Event {
         self.inner.recorded.load(Ordering::SeqCst)
     }
 
-    /// True once at least `generation` firings have happened.
-    pub(crate) fn reached(&self, generation: u64) -> bool {
-        self.inner.fired.load(Ordering::SeqCst) >= generation
+    /// True once at least `generation` firings have happened. If not, and
+    /// given `wake`, the next fire notifies `wake`: checked again after
+    /// subscribing, so a fire in between is seen here or wakes `wake`.
+    pub(crate) fn reached(&self, generation: u64, wake: Option<&Arc<Notifier>>) -> bool {
+        let reached = || self.inner.fired.load(Ordering::SeqCst) >= generation;
+        match wake {
+            Some(wake) if !reached() => {
+                let mut wakes = self.inner.wakes.lock();
+                if !wakes.iter().any(|w| Arc::ptr_eq(w, wake)) {
+                    wakes.push(Arc::clone(wake));
+                }
+                drop(wakes);
+                reached()
+            }
+            _ => reached(),
+        }
     }
 }
 
@@ -60,9 +81,9 @@ mod tests {
     fn recorded_then_fired() {
         let e = Event::new();
         let gen = e.mark_recorded();
-        assert!(!e.reached(gen));
+        assert!(!e.reached(gen, None));
         e.fire();
-        assert!(e.reached(gen));
+        assert!(e.reached(gen, None));
     }
 
     #[test]
@@ -71,8 +92,8 @@ mod tests {
         e.mark_recorded();
         e.fire();
         let gen2 = e.mark_recorded();
-        assert!(!e.reached(gen2));
+        assert!(!e.reached(gen2, None));
         e.fire();
-        assert!(e.reached(gen2));
+        assert!(e.reached(gen2, None));
     }
 }

@@ -134,8 +134,8 @@ impl GpuRuntime {
 impl Drop for GpuRuntime {
     fn drop(&mut self) {
         for d in &self.devices {
-            d.inner.engine.shutdown.store(true, Ordering::Release);
-            d.inner.engine.cv.notify_all();
+            d.inner.engine.shutdown.store(true, Ordering::SeqCst);
+            d.inner.engine.wake.notify_all();
         }
         for h in self.engines.drain(..) {
             let _ = h.join();

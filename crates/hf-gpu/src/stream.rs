@@ -8,11 +8,13 @@
 
 use crate::arena::{ArenaView, DevicePtr};
 use crate::cost::{CostModel, SimDuration};
-use crate::device::{Device, EventWait};
+use crate::device::Device;
 use crate::error::GpuError;
 use crate::event::Event;
 use crate::kernel::{KernelArgs, KernelFn, LaunchConfig};
 use crate::trace::OpLabel;
+use hf_sync::Notifier;
+use std::sync::Arc;
 
 /// What an executed op did, for device statistics and cost accounting.
 #[derive(Debug, Default, Clone, Copy)]
@@ -39,24 +41,12 @@ pub(crate) enum OpBody {
     Host(Box<dyn FnOnce() + Send>),
     /// Fires the event (`cudaEventRecord`).
     Record(Event),
-    /// Blocks the stream until the event generation fires
+    /// Blocks the stream until the event's firings reach the generation
     /// (`cudaStreamWaitEvent`).
-    WaitEvent(EventWait),
-}
-
-impl std::fmt::Debug for OpBody {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OpBody::Exec(_) => f.write_str("Exec"),
-            OpBody::Host(_) => f.write_str("Host"),
-            OpBody::Record(_) => f.write_str("Record"),
-            OpBody::WaitEvent(_) => f.write_str("WaitEvent"),
-        }
-    }
+    WaitEvent(Event, u64),
 }
 
 /// One enqueued stream operation.
-#[derive(Debug)]
 pub(crate) struct Op {
     pub(crate) stream: usize,
     pub(crate) body: OpBody,
@@ -66,10 +56,11 @@ pub(crate) struct Op {
 
 impl Op {
     /// A WaitEvent op is runnable only once its event fired; everything
-    /// else is runnable when it reaches the head of its stream.
-    pub(crate) fn is_runnable(&self) -> bool {
+    /// else is runnable when it reaches the head of its stream. With
+    /// `wake`, a blocked WaitEvent has the event's next fire notify it.
+    pub(crate) fn is_runnable(&self, wake: Option<&Arc<Notifier>>) -> bool {
         match &self.body {
-            OpBody::WaitEvent(w) => w.ready(),
+            OpBody::WaitEvent(ev, generation) => ev.reached(*generation, wake),
             _ => true,
         }
     }
@@ -185,11 +176,9 @@ impl Stream {
     /// Makes this stream wait (without blocking the host) until the
     /// event's most recent recording fires.
     pub fn wait_event(&self, event: &Event) {
-        let generation = event.generation_target();
-        self.push(OpBody::WaitEvent(EventWait {
-            event: event.clone(),
-            generation,
-        }));
+        // Never recorded: generation 0, at once ready (CUDA treats a wait
+        // on an unrecorded event as a no-op).
+        self.push(OpBody::WaitEvent(event.clone(), event.recorded_count()));
     }
 
     /// Blocks the calling thread until every op enqueued so far completes
@@ -199,22 +188,11 @@ impl Stream {
     }
 }
 
-impl Event {
-    /// Generation a `wait_event` enqueued now should wait for: the number
-    /// of recordings made so far.
-    pub(crate) fn generation_target(&self) -> u64 {
-        // If never recorded, target 0 => immediately ready (CUDA treats a
-        // wait on an unrecorded event as a no-op).
-        self.recorded_count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runtime::{GpuConfig, GpuRuntime};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     fn rt() -> GpuRuntime {
         GpuRuntime::new(2, GpuConfig::default())
@@ -272,6 +250,27 @@ mod tests {
         s2.synchronize();
         s1.synchronize();
         assert!(dev.take_error().is_none());
+    }
+
+    /// Device 1's engine sleeps on an event that device 0 fires once the
+    /// gate opens: only the fire's wake can run its stream again.
+    #[test]
+    fn cross_device_event_wait_is_woken_by_the_fire() {
+        let (rt, (tx, rx)) = (rt(), std::sync::mpsc::channel());
+        let [s0, s1] = [0, 1].map(|d| Stream::new(&rt.device(d).unwrap()));
+        for round in 0..50 {
+            let (ev, tx, (open, gate)) = (Event::new(), tx.clone(), std::sync::mpsc::channel());
+            s0.host_fn(move || _ = gate.recv());
+            s0.record_event(&ev);
+            s1.wait_event(&ev);
+            s1.host_fn(move || _ = tx.send(()));
+            while ev.inner.wakes.lock().is_empty() {
+                std::thread::yield_now(); // device 1's engine is not asleep on it yet
+            }
+            open.send(()).unwrap();
+            let woke = rx.recv_timeout(std::time::Duration::from_secs(10));
+            assert!(woke.is_ok(), "round {round}: the fire woke no one");
+        }
     }
 
     #[test]

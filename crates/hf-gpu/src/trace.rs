@@ -151,6 +151,13 @@ mod tests {
         // recording the event.
         let rt = GpuRuntime::new(2, GpuConfig::default());
         let sink = Arc::new(Capture::default());
+        // Installed once both engines sleep: an engine that does not read
+        // the tracing flag again after its wake misses the blocked span.
+        for d in rt.devices() {
+            while d.inner.engine.wake.num_waiters() == 0 {
+                std::thread::yield_now();
+            }
+        }
         rt.set_trace_sink(Some(Arc::clone(&sink) as Arc<dyn GpuTraceSink>));
         let s1 = Stream::new(&rt.device(1).unwrap());
         let s2 = Stream::new(&rt.device(0).unwrap());

@@ -8,9 +8,13 @@
 //! then *commits* the wait. A notifier that bumps the epoch between prepare
 //! and commit causes the commit to return immediately.
 //!
-//! The Heteroflow executor uses this to implement the paper's adaptive
-//! strategy: "ensure one thief exists as long as an active worker is
-//! running a task" (§III-C).
+//! It is the workspace's one way to park a thread. Its four users: the
+//! Heteroflow executor's workers, which implement the paper's adaptive
+//! strategy with it ("ensure one thief exists as long as an active worker
+//! is running a task", §III-C); each `hf-gpu` device engine, woken by an
+//! enqueue or by the fire of an event it waits on; the callers of a
+//! device's `synchronize*`, woken by a completion; and the `hf-gpu` copy
+//! helper and its claimant, woken by each other's hand-off.
 
 use crate::atomic::{AtomicU64, Ordering};
 use crate::sync::{Condvar, Mutex};
@@ -22,13 +26,14 @@ pub struct WaitToken {
     epoch: u64,
 }
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct State {
     /// Number of committed (actually sleeping) waiters.
     sleepers: usize,
 }
 
 /// A Dekker-style eventcount.
+#[derive(Debug, Default)]
 pub struct Notifier {
     /// Epoch counter; even the fast path (no sleepers) bumps it so that a
     /// prepared-but-uncommitted waiter observes the notification.
@@ -39,21 +44,10 @@ pub struct Notifier {
     cv: Condvar,
 }
 
-impl Default for Notifier {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Notifier {
     /// Creates a notifier with no waiters.
     pub fn new() -> Self {
-        Self {
-            epoch: AtomicU64::new(0),
-            waiters: AtomicU64::new(0),
-            state: Mutex::new(State::default()),
-            cv: Condvar::new(),
-        }
+        Self::default()
     }
 
     /// Phase 1 of waiting: announce intent and capture the epoch.
@@ -139,8 +133,8 @@ impl Notifier {
         self.cv.notify_all();
     }
 
-    /// Number of prepared waiters (racy; for the tests and loom models).
-    #[cfg(any(test, feature = "loom"))]
+    /// Number of prepared waiters (racy; for tests and models that wait
+    /// for a thread to park).
     pub fn num_waiters(&self) -> u64 {
         self.waiters.load(Ordering::SeqCst)
     }
